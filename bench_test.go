@@ -12,6 +12,7 @@ package dsmpm2_test
 //	BenchmarkFigure4TSP          Figure 4     TSP protocol comparison
 //	BenchmarkFigure5MapColoring  Figure 5     java_ic vs java_pf
 //	BenchmarkAblation*           DESIGN.md    design-choice ablations
+//	BenchmarkThreadReadUint64Hit DESIGN.md    host cost of a present-page access
 
 import (
 	"fmt"
@@ -511,5 +512,29 @@ func BenchmarkLoadBalancer(b *testing.B) {
 			}
 			b.ReportMetric(float64(elapsed)/1e6, "virtual-ms")
 		})
+	}
+}
+
+var hitSink uint64
+
+// BenchmarkThreadReadUint64Hit is the host cost of one present-page word read
+// through the whole stack with tracing off: Thread.ReadUint64 →
+// core.DSM.ReadUint64 → memory.Space.ReadUint64. The real system pays nothing
+// here (the MMU lets the load through), so this is pure simulator tax and
+// what jacobi's host time is made of.
+func BenchmarkThreadReadUint64Hit(b *testing.B) {
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 1})
+	base := sys.MustMalloc(0, dsmpm2.PageSize, nil)
+	sys.Spawn(0, "reader", func(t *dsmpm2.Thread) {
+		var sum uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sum += t.ReadUint64(base + dsmpm2.Addr(8*(i%512)))
+		}
+		b.StopTimer()
+		hitSink = sum
+	})
+	if err := sys.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

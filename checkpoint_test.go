@@ -6,6 +6,7 @@ import (
 
 	"dsmpm2"
 	"dsmpm2/internal/apps/jacobi"
+	"dsmpm2/internal/core"
 )
 
 // sessionConfig is the 16-node workload the round-trip sweep runs: small
@@ -304,5 +305,82 @@ func TestCheckpointRejectsUnsafePoint(t *testing.T) {
 	<-done
 	if _, err := sys.Checkpoint(nil); err != nil {
 		t.Fatalf("checkpoint at a drained safe point failed: %v", err)
+	}
+}
+
+// TestRestoreRejectsHostileCoreState feeds Restore checkpoints whose envelope
+// is sound — re-encoded, so version and hash check out — but whose frames,
+// entries or page list were edited. Each must come back as a descriptive
+// error before any node's Space is touched: never a panic, a silently
+// truncated frame, or a page table grown to an absurd page number.
+func TestRestoreRejectsHostileCoreState(t *testing.T) {
+	s := runSession(t, sessionConfig(), 2)
+	good, err := s.Checkpoint()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	node := -1
+	for n, ncs := range good.Core.Nodes {
+		if len(ncs.Frames) > 0 && len(ncs.Entries) > 0 {
+			node = n
+			break
+		}
+	}
+	if node < 0 {
+		t.Fatal("checkpoint holds no node with frames and entries to corrupt")
+	}
+	const unallocated = 1<<18 + 1<<17 // mid-slice page of node 0, far past anything it allocated
+	cases := []struct {
+		name    string
+		corrupt func(cs *core.CoreState)
+		want    string
+	}{
+		{"frame on an unallocated page", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Page = unallocated }, "unallocated page"},
+		{"frame on an absurd page", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Page = 1 << 60 }, "unallocated page"},
+		{"short frame", func(cs *core.CoreState) {
+			f := &cs.Nodes[node].Frames[0]
+			f.Data = f.Data[:len(f.Data)-1]
+		}, "byte frame"},
+		{"long frame", func(cs *core.CoreState) {
+			f := &cs.Nodes[node].Frames[0]
+			f.Data = append(f.Data[:len(f.Data):len(f.Data)], 0)
+		}, "byte frame"},
+		{"empty frame", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Data = nil }, "byte frame"},
+		{"access value 3", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Access = 3 }, "access value 3"},
+		{"access value 255", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Access = 255 }, "access value 255"},
+		{"entry on an unallocated page", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].Page = unallocated }, "unallocated page"},
+		{"absurd page listed as allocated", func(cs *core.CoreState) {
+			cs.Pages[0].Page = 1 << 60
+			cs.Nodes[node].Frames[0].Page = 1 << 60
+		}, "outside every node's"},
+		{"static-segment page listed as allocated", func(cs *core.CoreState) { cs.Pages[0].Page = 1 }, "outside every node's"},
+		{"page homed on a node that does not exist", func(cs *core.CoreState) { cs.Pages[0].Home = len(cs.Nodes) }, "homes page"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := good.Encode()
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			ck, err := dsmpm2.DecodeCheckpoint(data) // a private deep copy
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			tc.corrupt(ck.Core)
+			if data, err = ck.Encode(); err != nil { // re-hash the corrupted body
+				t.Fatalf("re-encode: %v", err)
+			}
+			if ck, err = dsmpm2.DecodeCheckpoint(data); err != nil {
+				t.Fatalf("re-hashed checkpoint did not decode: %v", err)
+			}
+			sys, err := dsmpm2.Restore(ck, dsmpm2.RestoreOptions{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore = %v, %v; want an error mentioning %q", sys, err, tc.want)
+			}
+		})
+	}
+	// The uncorrupted checkpoint still restores after the same round trip.
+	if _, err := jacobi.ResumeSession(good); err != nil {
+		t.Fatalf("pristine checkpoint no longer restores: %v", err)
 	}
 }

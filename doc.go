@@ -15,7 +15,10 @@
 // (li_fixed, li_central), and Midway-style entry consistency (entry_mw).
 //
 // The original system runs on Linux clusters and detects shared accesses
-// with mprotect; this reproduction runs the whole platform — PM2 threads,
+// with mprotect; here every shared access goes through a software MMU
+// instead (internal/memory: a shift-indexed page table per node, so an
+// access to a present page costs a few host nanoseconds and no virtual
+// time). This reproduction runs the whole platform — PM2 threads,
 // the Madeleine communication library, RPC, iso-address allocation, thread
 // migration and the DSM core — on a deterministic discrete-event simulator
 // whose network profiles are calibrated to the paper's measured latencies

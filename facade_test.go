@@ -1,9 +1,12 @@
 package dsmpm2_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"dsmpm2"
+	"dsmpm2/internal/apps/jacobi"
 )
 
 func TestFacadeConditionVariables(t *testing.T) {
@@ -154,5 +157,48 @@ func TestAppDeterministicReplay(t *testing.T) {
 	t2, m2 := run()
 	if t1 != t2 || m1 != m2 {
 		t.Fatalf("replay diverged: (%d,%d) vs (%d,%d)", t1, m1, t2, m2)
+	}
+}
+
+// TestThreadHitsDoNotAllocate pins the whole access path from the facade
+// down with tracing off: a present-page word access and a Compute charge run
+// without a closure, a staging buffer or a span, so they allocate nothing.
+func TestThreadHitsDoNotAllocate(t *testing.T) {
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 1})
+	base := sys.MustMalloc(0, dsmpm2.PageSize, nil)
+	var reads, writes, computes float64
+	sys.Spawn(0, "pin", func(th *dsmpm2.Thread) {
+		var sum uint64
+		reads = testing.AllocsPerRun(100, func() { sum += th.ReadUint64(base + 40) })
+		writes = testing.AllocsPerRun(100, func() { th.WriteUint64(base+48, sum) })
+		computes = testing.AllocsPerRun(100, func() { th.Compute(dsmpm2.Microsecond) })
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if reads != 0 || writes != 0 || computes != 0 {
+		t.Fatalf("allocations per call with tracing off: ReadUint64 %v, WriteUint64 %v, Compute %v; want 0", reads, writes, computes)
+	}
+}
+
+// TestTraceSpanLogPinned runs the 16-node jacobi with tracing on and pins the
+// digest of its span log. The digest was taken before Thread's methods moved
+// from a closure-taking span helper to begin/end, and must never move: span
+// names, attribution (node, thread) and virtual start/end times are what
+// post-mortem analysis reads.
+func TestTraceSpanLogPinned(t *testing.T) {
+	cfg := sessionConfig()
+	cfg.Trace = true
+	res, err := jacobi.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := res.System.Trace().WriteJSON(h); err != nil {
+		t.Fatal(err)
+	}
+	const want = "9f73ff8e92159adf9308557d64bc4ae0b0ea354e75d79548848dede90826bf5d"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("span log digest = %s (%d spans), want %s", got, res.System.Trace().Len(), want)
 	}
 }

@@ -241,7 +241,9 @@ func (s *System) BarrierGen(id int) int { return s.dsm.BarrierGen(id) }
 // completed and takes over its dead predecessor's slot instead of
 // over-counting. See core.DSM.BarrierAs.
 func (t *Thread) BarrierAs(bar, participant, gen int) {
-	t.span("barrier", func() { t.sys.dsm.BarrierAs(t.th, bar, participant, gen) })
+	start := t.begin()
+	t.sys.dsm.BarrierAs(t.th, bar, participant, gen)
+	t.end("barrier", start)
 }
 
 // Flush commits this thread's unflushed writes by running the active
@@ -249,5 +251,7 @@ func (t *Thread) BarrierAs(bar, participant, gen int) {
 // Restart-aware applications flush before recording a checkpoint: the
 // checkpoint must never claim work whose diffs would die with the node.
 func (t *Thread) Flush() {
-	t.span("flush", func() { t.sys.dsm.FlushRelease(t.th) })
+	start := t.begin()
+	t.sys.dsm.FlushRelease(t.th)
+	t.end("flush", start)
 }

@@ -18,10 +18,14 @@ const maxFaultRetries = 1000
 // running the page's consistency protocol on faults and retrying until the
 // access succeeds, exactly like the SIGSEGV handler + instruction restart
 // cycle of the real system. buf is the destination (read) or source (write).
+//
+// Every accessor in this file has this shape — try the access on the node's
+// Space, return on a hit, hand the error to miss and go round again — so a
+// hit runs nothing but the Space's own check: the software equivalent of a
+// load the MMU lets through.
 func (d *DSM) Access(t *pm2.Thread, addr Addr, buf []byte, write bool) {
 	for retry := 0; ; retry++ {
-		node := t.Node() // the thread may migrate between retries
-		space := d.state[node].space
+		space := d.state[t.Node()].space // the thread may migrate between retries
 		var err error
 		if write {
 			err = space.Write(addr, buf)
@@ -31,30 +35,37 @@ func (d *DSM) Access(t *pm2.Thread, addr Addr, buf []byte, write bool) {
 		if err == nil {
 			return
 		}
-		flt, ok := err.(*memory.Fault)
-		if !ok {
-			panic(fmt.Sprintf("core: invalid shared access by %s: %v", t.Name(), err))
-		}
-		if retry >= maxFaultRetries {
-			panic(fmt.Sprintf("core: access at %#x by %s still faulting after %d protocol invocations",
-				addr, t.Name(), retry))
-		}
-		if retry > 2 {
-			// A fetched copy keeps being invalidated before the access
-			// can retry: a writer elsewhere is reclaiming the page in
-			// lockstep with our refetches. Real systems escape through
-			// OS timing noise; the simulation injects the equivalent —
-			// a deterministic-per-seed jittered backoff that shifts
-			// our next fetch out of phase with the writer.
-			maxUS := retry * 10
-			if maxUS > 500 {
-				maxUS = 500
-			}
-			jitter := sim.Duration(1+d.rt.EngineFor(t.Node()).Rand().Intn(maxUS)) * sim.Microsecond
-			t.Advance(jitter)
-		}
-		d.handleFault(t, flt)
+		d.miss(t, addr, err, retry)
 	}
+}
+
+// miss handles the retry-th consecutive refusal of one access: anything but
+// a *memory.Fault is a program error, and a fault runs the page's protocol
+// so the caller can retry.
+func (d *DSM) miss(t *pm2.Thread, addr Addr, err error, retry int) {
+	flt, ok := err.(*memory.Fault)
+	if !ok {
+		panic(fmt.Sprintf("core: invalid shared access by %s: %v", t.Name(), err))
+	}
+	if retry >= maxFaultRetries {
+		panic(fmt.Sprintf("core: access at %#x by %s still faulting after %d protocol invocations",
+			addr, t.Name(), retry))
+	}
+	if retry > 2 {
+		// A fetched copy keeps being invalidated before the access
+		// can retry: a writer elsewhere is reclaiming the page in
+		// lockstep with our refetches. Real systems escape through
+		// OS timing noise; the simulation injects the equivalent —
+		// a deterministic-per-seed jittered backoff that shifts
+		// our next fetch out of phase with the writer.
+		maxUS := retry * 10
+		if maxUS > 500 {
+			maxUS = 500
+		}
+		jitter := sim.Duration(1+d.rt.EngineFor(t.Node()).Rand().Intn(maxUS)) * sim.Microsecond
+		t.Advance(jitter)
+	}
+	d.handleFault(t, flt)
 }
 
 // handleFault charges the detection cost and dispatches the page's protocol
@@ -112,30 +123,46 @@ func (d *DSM) Write(t *pm2.Thread, addr Addr, buf []byte) { d.Access(t, addr, bu
 
 // ReadUint32 loads a shared little-endian uint32.
 func (d *DSM) ReadUint32(t *pm2.Thread, addr Addr) uint32 {
-	var b [4]byte
-	d.Access(t, addr, b[:], false)
-	return binary.LittleEndian.Uint32(b[:])
+	for retry := 0; ; retry++ {
+		v, err := d.state[t.Node()].space.ReadUint32(addr)
+		if err == nil {
+			return v
+		}
+		d.miss(t, addr, err, retry)
+	}
 }
 
 // WriteUint32 stores a shared little-endian uint32.
 func (d *DSM) WriteUint32(t *pm2.Thread, addr Addr, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	d.Access(t, addr, b[:], true)
+	for retry := 0; ; retry++ {
+		err := d.state[t.Node()].space.WriteUint32(addr, v)
+		if err == nil {
+			return
+		}
+		d.miss(t, addr, err, retry)
+	}
 }
 
 // ReadUint64 loads a shared little-endian uint64.
 func (d *DSM) ReadUint64(t *pm2.Thread, addr Addr) uint64 {
-	var b [8]byte
-	d.Access(t, addr, b[:], false)
-	return binary.LittleEndian.Uint64(b[:])
+	for retry := 0; ; retry++ {
+		v, err := d.state[t.Node()].space.ReadUint64(addr)
+		if err == nil {
+			return v
+		}
+		d.miss(t, addr, err, retry)
+	}
 }
 
 // WriteUint64 stores a shared little-endian uint64.
 func (d *DSM) WriteUint64(t *pm2.Thread, addr Addr, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	d.Access(t, addr, b[:], true)
+	for retry := 0; ; retry++ {
+		err := d.state[t.Node()].space.WriteUint64(addr, v)
+		if err == nil {
+			return
+		}
+		d.miss(t, addr, err, retry)
+	}
 }
 
 // Get performs an object read through the page protocol's get primitive if
@@ -143,8 +170,7 @@ func (d *DSM) WriteUint64(t *pm2.Thread, addr Addr, v uint64) {
 // otherwise, so object-style programs run under any protocol.
 func (d *DSM) Get(t *pm2.Thread, addr Addr, buf []byte) {
 	d.st(t.Node()).GetOps++
-	pg := d.state[0].space.PageOf(addr)
-	if op, ok := d.protoAt(t.Node(), pg).(ObjectProtocol); ok {
+	if op, ok := d.protoAt(t.Node(), pageOf(addr)).(ObjectProtocol); ok {
 		op.Get(&ObjAccess{DSM: d, Thread: t, Addr: addr, Buf: buf, Write: false})
 		return
 	}
@@ -155,8 +181,7 @@ func (d *DSM) Get(t *pm2.Thread, addr Addr, buf []byte) {
 // it provides one, falling back to the paged access path otherwise.
 func (d *DSM) Put(t *pm2.Thread, addr Addr, buf []byte) {
 	d.st(t.Node()).PutOps++
-	pg := d.state[0].space.PageOf(addr)
-	if op, ok := d.protoAt(t.Node(), pg).(ObjectProtocol); ok {
+	if op, ok := d.protoAt(t.Node(), pageOf(addr)).(ObjectProtocol); ok {
 		op.Put(&ObjAccess{DSM: d, Thread: t, Addr: addr, Buf: buf, Write: true})
 		return
 	}

@@ -32,6 +32,10 @@ type Page = memory.Page
 // 4 kB page".
 const PageSize = 4096
 
+// pageOf returns the shared page containing addr. Page arithmetic is a
+// property of the constant page size, not of any node's Space.
+func pageOf(addr Addr) Page { return Page(uint64(addr) / PageSize) }
+
 // Costs gathers the protocol-independent CPU costs of the generic core,
 // calibrated from Tables 3 and 4 of the paper.
 type Costs struct {
@@ -330,7 +334,7 @@ func (d *DSM) Malloc(node, size int, attr *Attr) (Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	first := d.state[0].space.PageOf(r.Base)
+	first := pageOf(r.Base)
 	npages := r.Size / PageSize
 	for i := 0; i < npages; i++ {
 		pg := first + Page(i)

@@ -411,3 +411,69 @@ func TestTimingLogRing(t *testing.T) {
 		t.Fatal("mean matched a nonexistent protocol")
 	}
 }
+
+// TestTypedHitDoesNotAllocate pins the core's half of the access path: on a
+// present page the typed accessors decode from the frame and never reach
+// Access, so they allocate nothing.
+func TestTypedHitDoesNotAllocate(t *testing.T) {
+	d := newDSM(1)
+	h, counts := localProto("local")
+	d.SetDefaultProtocol(d.CreateProtocol(h))
+	base := d.MustMalloc(0, 128, nil)
+	rt := d.Runtime()
+	allocs := -1.0
+	rt.CreateThread(0, "w", func(th *pm2.Thread) {
+		allocs = testing.AllocsPerRun(100, func() {
+			d.WriteUint64(th, base+16, d.ReadUint64(th, base+16)+1)
+			d.WriteUint32(th, base+32, d.ReadUint32(th, base+32)+1)
+		})
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 || counts.readFault+counts.writeFault != 0 {
+		t.Fatalf("present-page typed accesses: %v allocs/run, %d faults", allocs, counts.readFault+counts.writeFault)
+	}
+	if got := d.Stats(); got.ReadFaults+got.WriteFaults != 0 {
+		t.Fatalf("hits were counted as faults: %+v", got)
+	}
+}
+
+// TestTypedMissTakesTheFaultPath checks the other side of the split: a typed
+// access the Space refuses runs the protocol exactly as Access does.
+func TestTypedMissTakesTheFaultPath(t *testing.T) {
+	d := newDSM(2)
+	h, counts := localProto("grant")
+	h.OnReadFault = func(f *Fault) {
+		counts.readFault++
+		d.Space(f.Node).SetAccess(f.Page, memory.ReadOnly)
+	}
+	h.OnWriteFault = func(f *Fault) {
+		counts.writeFault++
+		d.Space(f.Node).SetAccess(f.Page, memory.ReadWrite)
+	}
+	d.SetDefaultProtocol(d.CreateProtocol(h))
+	base := d.MustMalloc(0, 64, nil) // homed on node 0; node 1 holds nothing
+	rt := d.Runtime()
+	var elapsed sim.Duration
+	rt.CreateThread(1, "w", func(th *pm2.Thread) {
+		start := th.Now()
+		if v := d.ReadUint64(th, base); v != 0 {
+			t.Errorf("read of a fresh page = %d", v)
+		}
+		d.WriteUint32(th, base+8, 7)
+		if v := d.ReadUint32(th, base+8); v != 7 {
+			t.Errorf("read back %d, want 7", v)
+		}
+		elapsed = th.Now().Sub(start)
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if counts.readFault != 1 || counts.writeFault != 1 {
+		t.Fatalf("faults = %d read, %d write; want one of each", counts.readFault, counts.writeFault)
+	}
+	if want := 2 * d.Costs().Fault; elapsed != want {
+		t.Fatalf("two faults cost %v of virtual time, want %v", elapsed, want)
+	}
+}

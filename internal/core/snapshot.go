@@ -350,9 +350,7 @@ func (d *DSM) captureNode(n int) (NodeCoreState, error) {
 		// Capture it as the empty state restart would install.
 		return out, nil
 	}
-	framePages := ns.space.Pages()
-	sort.Slice(framePages, func(i, j int) bool { return framePages[i] < framePages[j] })
-	for _, pg := range framePages {
+	for _, pg := range ns.space.Pages() { // ascending
 		fr := ns.space.Frame(pg)
 		out.Frames = append(out.Frames, FrameState{
 			Page: uint64(pg), Access: uint8(fr.Access),
@@ -400,6 +398,21 @@ func (d *DSM) lookupProto(name string) (ProtoID, error) {
 	return id, nil
 }
 
+// checkFrameState validates one captured frame against the restored
+// directory and the fixed page geometry.
+func (d *DSM) checkFrameState(node int, fs FrameState) error {
+	if _, ok := d.dir.get(Page(fs.Page)); !ok {
+		return fmt.Errorf("core: restore has a frame on node %d for unallocated page %d", node, fs.Page)
+	}
+	if len(fs.Data) != PageSize {
+		return fmt.Errorf("core: restore has a %d-byte frame for page %d on node %d, want %d", len(fs.Data), fs.Page, node, PageSize)
+	}
+	if fs.Access > uint8(memory.ReadWrite) {
+		return fmt.Errorf("core: restore has access value %d on page %d node %d, want at most %d", fs.Access, fs.Page, node, memory.ReadWrite)
+	}
+	return nil
+}
+
 // RestoreState installs a captured core state into this DSM, which must be
 // freshly built over an identically shaped runtime (same node count, same
 // protocol registry) and must not have served any application traffic yet.
@@ -420,7 +433,28 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		if err != nil {
 			return err
 		}
+		if slice := pa.Page / (isomalloc.SliceBytes / PageSize); slice < 1 || slice > uint64(d.rt.Nodes()) {
+			return fmt.Errorf("core: restore lists page %d, which lies outside every node's iso-address slice", pa.Page)
+		}
+		if pa.Home < 0 || pa.Home >= d.rt.Nodes() {
+			return fmt.Errorf("core: restore homes page %d on node %d of %d", pa.Page, pa.Home, d.rt.Nodes())
+		}
 		d.dir.set(Page(pa.Page), pageInfo{home: pa.Home, proto: id})
+	}
+	// A frame's page number sizes the Space's page table and an entry's is
+	// looked up in the directory, so a hostile checkpoint is refused here,
+	// before either is touched.
+	for n, ncs := range s.Nodes {
+		for _, fs := range ncs.Frames {
+			if err := d.checkFrameState(n, fs); err != nil {
+				return err
+			}
+		}
+		for _, es := range ncs.Entries {
+			if _, ok := d.dir.get(Page(es.Page)); !ok {
+				return fmt.Errorf("core: restore has a page-table entry on node %d for unallocated page %d", n, es.Page)
+			}
+		}
 	}
 	if s.DefProto != "" {
 		id, err := d.lookupProto(s.DefProto)

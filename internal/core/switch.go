@@ -23,9 +23,8 @@ import (
 // per node is charged for the distributed table update.
 func (d *DSM) SwitchProtocol(t *pm2.Thread, base Addr, size int, proto ProtoID) error {
 	newProto := d.instance(proto) // validates the id
-	space := d.state[0].space
-	first := space.PageOf(base)
-	last := space.PageOf(base + Addr(size-1))
+	first := pageOf(base)
+	last := pageOf(base + Addr(size-1))
 	// Validate quiescence and ownership of the whole range first.
 	for pg := first; pg <= last; pg++ {
 		if _, ok := d.dir.get(pg); !ok {

@@ -99,9 +99,8 @@ func (d *DSM) BindLock(id int, base Addr, size int) {
 	if id < 0 || id >= len(d.locks) {
 		panic(fmt.Sprintf("core: bind to unknown lock %d", id))
 	}
-	space := d.state[0].space
-	first := space.PageOf(base)
-	last := space.PageOf(base + Addr(size-1))
+	first := pageOf(base)
+	last := pageOf(base + Addr(size-1))
 	ls := d.locks[id]
 	for pg := first; pg <= last; pg++ {
 		if _, ok := d.dir.get(pg); !ok {

@@ -1,5 +1,10 @@
 package memory
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // Twin/diff machinery for multiple-writer protocols.
 //
 // hbrc_mw uses the classical twinning technique (Keleher et al.): before the
@@ -41,35 +46,49 @@ func MakeTwin(data []byte) []byte {
 	return twin
 }
 
-// nextDirtyRange scans for the next modified range starting at or after i:
-// adjacent modified bytes coalesce, with runs of up to gap unmodified bytes
-// absorbed to reduce entry overhead. It returns the range [start, last] and
-// ok=false when the rest of the page is clean. Both ComputeDiff passes use
-// this one scanner, so they segment the page identically by construction.
-func nextDirtyRange(twin, cur []byte, i, gap int) (start, last int, ok bool) {
+// firstDiff returns the first index at or after i where twin and cur differ,
+// or len(cur) when the rest is clean. Clean stretches — most of a page under
+// most workloads — are skipped a word at a time: the XOR of two little-endian
+// words is zero iff all eight bytes match, and its lowest set bit lies in the
+// first byte that does not.
+func firstDiff(twin, cur []byte, i int) int {
+	// Hoisted bounds checks: equal lengths and 0 <= i <= len(cur) established
+	// here keep per-load checks out of the word loop.
+	twin = twin[:len(cur)]
+	_ = cur[i:]
+	for ; i+8 <= len(cur); i += 8 {
+		if x := binary.LittleEndian.Uint64(twin[i:i+8]) ^ binary.LittleEndian.Uint64(cur[i:i+8]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
 	for i < len(cur) && twin[i] == cur[i] {
 		i++
 	}
-	if i == len(cur) {
-		return 0, 0, false
-	}
-	start = i
-	last = i
-	i++
-	for i < len(cur) {
-		if twin[i] != cur[i] {
+	return i
+}
+
+// dirtyRange delimits the modified range that begins at the modified byte
+// start: adjacent modified bytes coalesce, with runs of up to gap unmodified
+// bytes absorbed to reduce entry overhead. It returns the range's last byte
+// and the first modified byte beyond it (len(cur) when there is none), which
+// is where the next range begins. Both ComputeDiff passes use this one
+// scanner, so they segment the page identically by construction.
+func dirtyRange(twin, cur []byte, start, gap int) (last, next int) {
+	last = start
+	for i := start + 1; ; {
+		if i < len(cur) && twin[i] != cur[i] {
 			last = i
 			i++
 			continue
 		}
-		// Look ahead: absorb short clean runs.
-		if i-last <= gap {
-			i++
-			continue
+		// Look ahead: absorb the clean run if it is short.
+		next = firstDiff(twin, cur, i)
+		if next == len(cur) || next-last-1 > gap {
+			return last, next
 		}
-		break
+		last = next
+		i = next + 1
 	}
-	return start, last, true
 }
 
 // ComputeDiff compares cur against twin and returns the modified ranges
@@ -82,15 +101,13 @@ func ComputeDiff(pg Page, twin, cur []byte, gap int) *Diff {
 	if len(twin) != len(cur) {
 		panic("memory: twin/page length mismatch")
 	}
+	first := firstDiff(twin, cur, 0)
 	nEntries, nBytes := 0, 0
-	for i := 0; ; {
-		start, last, ok := nextDirtyRange(twin, cur, i, gap)
-		if !ok {
-			break
-		}
+	for start := first; start < len(cur); {
+		last, next := dirtyRange(twin, cur, start, gap)
 		nEntries++
 		nBytes += last - start + 1
-		i = last + 1
+		start = next
 	}
 	d := &Diff{Page: pg}
 	if nEntries == 0 {
@@ -98,15 +115,12 @@ func ComputeDiff(pg Page, twin, cur []byte, gap int) *Diff {
 	}
 	d.Entries = make([]DiffEntry, 0, nEntries)
 	backing := make([]byte, 0, nBytes)
-	for i := 0; ; {
-		start, last, ok := nextDirtyRange(twin, cur, i, gap)
-		if !ok {
-			break
-		}
+	for start := first; start < len(cur); {
+		last, next := dirtyRange(twin, cur, start, gap)
 		from := len(backing)
 		backing = append(backing, cur[start:last+1]...)
 		d.Entries = append(d.Entries, DiffEntry{Off: start, Data: backing[from:len(backing):len(backing)]})
-		i = last + 1
+		start = next
 	}
 	return d
 }

@@ -5,10 +5,15 @@ package memory
 // page, so any encoding corruption — an off-by-one range, a gap-coalescing
 // bug, an aliased backing buffer — silently corrupts recovered memory. The
 // round-trip property pins it: for any twin, any set of modifications and
-// any coalescing gap, ApplyDiff(twin, ComputeDiff(twin, cur)) == cur.
+// any coalescing gap, ApplyDiff(twin, ComputeDiff(twin, cur)) == cur. The
+// word-wise scanner is also held, entry for entry, to the byte-wise one it
+// replaced: entry offsets and lengths are what Size() and every wire cost are
+// computed from, so a diff that round-trips but segments differently would
+// still move published virtual times.
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -20,6 +25,65 @@ func mutate(cur []byte, mods []byte) {
 	}
 }
 
+// refNextDirtyRange is the byte-at-a-time scanner ComputeDiff was first
+// written with, kept verbatim as the reference the word-wise one must match.
+func refNextDirtyRange(twin, cur []byte, i, gap int) (start, last int, ok bool) {
+	for i < len(cur) && twin[i] == cur[i] {
+		i++
+	}
+	if i == len(cur) {
+		return 0, 0, false
+	}
+	start = i
+	last = i
+	i++
+	for i < len(cur) {
+		if twin[i] != cur[i] {
+			last = i
+			i++
+			continue
+		}
+		// Look ahead: absorb short clean runs.
+		if i-last <= gap {
+			i++
+			continue
+		}
+		break
+	}
+	return start, last, true
+}
+
+// refComputeDiff builds the diff from the reference scanner.
+func refComputeDiff(pg Page, twin, cur []byte, gap int) *Diff {
+	d := &Diff{Page: pg}
+	for i := 0; ; {
+		start, last, ok := refNextDirtyRange(twin, cur, i, gap)
+		if !ok {
+			return d
+		}
+		d.Entries = append(d.Entries, DiffEntry{Off: start, Data: append([]byte(nil), cur[start:last+1]...)})
+		i = last + 1
+	}
+}
+
+// sameDiff reports the first difference between two diffs, or "".
+func sameDiff(got, want *Diff) string {
+	if got.Page != want.Page || len(got.Entries) != len(want.Entries) {
+		return fmt.Sprintf("page %d with %d entries, want page %d with %d", got.Page, len(got.Entries), want.Page, len(want.Entries))
+	}
+	for i, e := range got.Entries {
+		if w := want.Entries[i]; e.Off != w.Off || !bytes.Equal(e.Data, w.Data) {
+			return fmt.Sprintf("entry %d = off %d data %x, want off %d data %x", i, e.Off, e.Data, w.Off, w.Data)
+		}
+	}
+	return ""
+}
+
+// fuzzGaps are the coalescing gaps the differential fuzzer draws from: exact
+// diffs, the DSM's word gap of 8 and its neighbours, and one wider than any
+// clean run a word-wise skip could straddle.
+var fuzzGaps = []int{0, 1, 7, 8, 9, 64}
+
 func FuzzDiffRoundTrip(f *testing.F) {
 	// Seed corpus: clean page, single-byte change, two distant ranges that
 	// must not coalesce at gap 0 but do at gap 8, dense scatter, and
@@ -29,14 +93,18 @@ func FuzzDiffRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xAA}, 64), []byte{0, 1, 20, 2}, uint8(8))
 	f.Add(bytes.Repeat([]byte{0x00}, 64), []byte{0, 1, 2, 2, 4, 3, 63, 9}, uint8(2))
 	f.Add(bytes.Repeat([]byte{0xFF}, 32), []byte{31, 0, 0, 0}, uint8(16))
-	f.Fuzz(func(t *testing.T, twinSeed, mods []byte, gap uint8) {
-		const size = 96
+	f.Fuzz(func(t *testing.T, twinSeed, mods []byte, gapSel uint8) {
+		const size = 100 // twelve words and a four-byte tail
+		gap := fuzzGaps[int(gapSel)%len(fuzzGaps)]
 		twin := make([]byte, size)
 		copy(twin, twinSeed)
 		cur := append([]byte(nil), twin...)
 		mutate(cur, mods)
 
-		diff := ComputeDiff(7, twin, cur, int(gap%32))
+		diff := ComputeDiff(7, twin, cur, gap)
+		if msg := sameDiff(diff, refComputeDiff(7, twin, cur, gap)); msg != "" {
+			t.Fatalf("gap %d: word-wise scan departs from the byte-wise reference: %s\n twin %x\n cur  %x", gap, msg, twin, cur)
+		}
 
 		// Round trip: the diff applied to a pristine twin restores cur.
 		restored := append([]byte(nil), twin...)

@@ -8,11 +8,19 @@
 // return a *Fault when the rights are insufficient — the same
 // detect → handle → retry cycle, with the detection cost charged by the DSM
 // layer at the paper's measured 11 us.
+//
+// Under mprotect a permitted access costs the application nothing, so the
+// stand-in's hit path is the part that must be cheap: a Space resolves an
+// address to its Frame with two shifts and two bounds-checked loads (see
+// Space), and the typed word accessors decode straight from the frame. The
+// twin/diff machinery multiple-writer protocols need lives here too
+// (diff.go), together with the page-buffer pool (pool.go).
 package memory
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"dsmpm2/internal/freelist"
 	"dsmpm2/internal/isomalloc"
@@ -85,6 +93,18 @@ type Frame struct {
 // Space is one node's view of the shared address space: the set of page
 // frames it currently holds. A page with no frame behaves as NoAccess.
 //
+// Frames live in a two-level page table indexed by shifts of the page
+// number: top[pg>>leafBits][pg&leafMask]. At the DSM's 4 KiB page a leaf
+// spans exactly one isomalloc slice, so the top level is indexed by
+// addr>>30 — slot 0 is the static segment, slot n+1 node n's slice — and
+// since every allocator hands out a slice from its base upwards, the pages
+// a node touches sit at the front of a few leaves. Both levels therefore
+// grow (geometrically, by append) only as far as the highest index touched
+// and never shrink; nothing is sized to a whole slice up front. Growth is
+// proportional to the page number, so Ensure and SetAccess are for pages the
+// allocator handed out: callers holding a page number from outside the
+// program (a checkpoint) validate it first.
+//
 // Dropped frames are recycled through a freelist: invalidation-heavy
 // protocols drop and refetch pages constantly, and reusing the frame (and
 // its page buffer) keeps that cycle allocation-free. Callers must not
@@ -92,55 +112,89 @@ type Frame struct {
 // this natural, since protocol code only touches frames inside one critical
 // section.
 type Space struct {
-	pageSize int
-	frames   map[Page]*Frame
-	free     freelist.List[*Frame]
+	pageSize  int
+	pageShift uint   // log2(pageSize)
+	offMask   uint64 // pageSize - 1
+	top       [][]*Frame
+	free      freelist.List[*Frame]
 }
+
+// leafBits is log2 of the pages one second-level table spans: one isomalloc
+// slice of 4 KiB pages (TestLeafSpansOneSlice ties the two constants).
+// Smaller page sizes spread a slice over several leaves, which bounds a
+// fully grown leaf at 2 MB of pointers whatever the page size.
+const (
+	leafBits = 18
+	leafMask = 1<<leafBits - 1
+)
 
 // NewSpace creates an empty address space view with the given page size.
 func NewSpace(pageSize int) *Space {
 	if pageSize < 8 || pageSize&(pageSize-1) != 0 {
 		panic("memory: page size must be a power of two >= 8")
 	}
-	return &Space{pageSize: pageSize, frames: make(map[Page]*Frame)}
+	return &Space{
+		pageSize:  pageSize,
+		pageShift: uint(bits.TrailingZeros(uint(pageSize))),
+		offMask:   uint64(pageSize) - 1,
+	}
 }
 
 // PageSize returns the page size in bytes.
 func (s *Space) PageSize() int { return s.pageSize }
 
 // PageOf returns the page containing addr.
-func (s *Space) PageOf(addr Addr) Page { return Page(uint64(addr) / uint64(s.pageSize)) }
+func (s *Space) PageOf(addr Addr) Page { return Page(uint64(addr) >> s.pageShift) }
 
 // Base returns the first address of page pg.
-func (s *Space) Base(pg Page) Addr { return Addr(uint64(pg) * uint64(s.pageSize)) }
+func (s *Space) Base(pg Page) Addr { return Addr(uint64(pg) << s.pageShift) }
 
 // Frame returns the local frame for pg, or nil if the node holds no copy.
-func (s *Space) Frame(pg Page) *Frame { return s.frames[pg] }
+// A page beyond what either level has grown to has no frame.
+func (s *Space) Frame(pg Page) *Frame {
+	if t := uint64(pg) >> leafBits; t < uint64(len(s.top)) {
+		if leaf, i := s.top[t], uint64(pg)&leafMask; i < uint64(len(leaf)) {
+			return leaf[i]
+		}
+	}
+	return nil
+}
+
+// growTo extends s with zero values until index i is valid. append's
+// amortized capacity growth makes a run of ascending first touches cost
+// O(1) each.
+func growTo[T any](s []T, i uint64) []T {
+	if i < uint64(len(s)) {
+		return s
+	}
+	return append(s, make([]T, i+1-uint64(len(s)))...)
+}
 
 // Ensure returns the frame for pg, creating a zeroed NoAccess frame if the
 // node holds none.
 func (s *Space) Ensure(pg Page) *Frame {
-	f := s.frames[pg]
-	if f == nil {
-		if recycled, ok := s.free.Get(); ok {
-			f = recycled
-			for i := range f.Data {
-				f.Data[i] = 0
-			}
-			f.Access = NoAccess
-		} else {
-			f = &Frame{Data: make([]byte, s.pageSize)}
-		}
-		s.frames[pg] = f
+	if f := s.Frame(pg); f != nil {
+		return f
 	}
+	f, ok := s.free.Get()
+	if ok {
+		clear(f.Data)
+		f.Access = NoAccess
+	} else {
+		f = &Frame{Data: make([]byte, s.pageSize)}
+	}
+	t, i := uint64(pg)>>leafBits, uint64(pg)&leafMask
+	s.top = growTo(s.top, t)
+	s.top[t] = growTo(s.top[t], i)
+	s.top[t][i] = f
 	return f
 }
 
 // Drop discards the local frame for pg (used when a protocol invalidates and
 // reclaims a copy). The frame is recycled; see the Space doc comment.
 func (s *Space) Drop(pg Page) {
-	if f := s.frames[pg]; f != nil {
-		delete(s.frames, pg)
+	if f := s.Frame(pg); f != nil {
+		s.top[uint64(pg)>>leafBits][uint64(pg)&leafMask] = nil
 		s.free.Put(f)
 	}
 }
@@ -150,91 +204,104 @@ func (s *Space) SetAccess(pg Page, a Access) { s.Ensure(pg).Access = a }
 
 // AccessOf returns the access right the node holds on pg.
 func (s *Space) AccessOf(pg Page) Access {
-	if f := s.frames[pg]; f != nil {
+	if f := s.Frame(pg); f != nil {
 		return f.Access
 	}
 	return NoAccess
 }
 
-// check validates an n-byte access at addr and returns the containing page.
-// Accesses must not straddle a page boundary: DSM-PM2 shares data at page
-// granularity and the runtime allocates objects so they never cross pages.
-func (s *Space) check(addr Addr, n int, write bool) (Page, error) {
+// check validates an n-byte access at addr and returns the page's frame and
+// the offset of addr inside it. Accesses must not straddle a page boundary:
+// DSM-PM2 shares data at page granularity and the runtime allocates objects
+// so they never cross pages. The straddle test is off+n > pageSize on the
+// offset (rearranged so it cannot overflow), never on addr+n, which wraps at
+// the top of the address space.
+func (s *Space) check(addr Addr, n int, write bool) (*Frame, int, error) {
 	if n <= 0 {
-		return 0, fmt.Errorf("memory: invalid access length %d", n)
+		return nil, 0, fmt.Errorf("memory: invalid access length %d", n)
+	}
+	off := int(uint64(addr) & s.offMask)
+	if n > s.pageSize-off {
+		return nil, 0, fmt.Errorf("memory: access [%#x,%#x) straddles a page boundary", addr, addr+Addr(n))
 	}
 	pg := s.PageOf(addr)
-	if s.PageOf(addr+Addr(n-1)) != pg {
-		return 0, fmt.Errorf("memory: access [%#x,%#x) straddles a page boundary", addr, addr+Addr(n))
-	}
-	f := s.frames[pg]
+	f := s.Frame(pg)
 	if f == nil || !f.Access.Allows(write) {
-		return 0, &Fault{Addr: addr, Page: pg, Write: write}
+		return nil, 0, &Fault{Addr: addr, Page: pg, Write: write}
 	}
-	return pg, nil
+	return f, off, nil
 }
 
 // Read copies len(buf) bytes starting at addr into buf. It returns a *Fault
 // if the node lacks read access to the page.
 func (s *Space) Read(addr Addr, buf []byte) error {
-	pg, err := s.check(addr, len(buf), false)
+	f, off, err := s.check(addr, len(buf), false)
 	if err != nil {
 		return err
 	}
-	off := int(uint64(addr) % uint64(s.pageSize))
-	copy(buf, s.frames[pg].Data[off:])
+	copy(buf, f.Data[off:])
 	return nil
 }
 
 // Write copies buf into memory starting at addr. It returns a *Fault if the
 // node lacks write access to the page.
 func (s *Space) Write(addr Addr, buf []byte) error {
-	pg, err := s.check(addr, len(buf), true)
+	f, off, err := s.check(addr, len(buf), true)
 	if err != nil {
 		return err
 	}
-	off := int(uint64(addr) % uint64(s.pageSize))
-	copy(s.frames[pg].Data[off:], buf)
+	copy(f.Data[off:], buf)
 	return nil
 }
 
 // ReadUint32 loads a little-endian uint32 at addr.
 func (s *Space) ReadUint32(addr Addr) (uint32, error) {
-	var b [4]byte
-	if err := s.Read(addr, b[:]); err != nil {
+	f, off, err := s.check(addr, 4, false)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	return binary.LittleEndian.Uint32(f.Data[off:]), nil
 }
 
 // WriteUint32 stores a little-endian uint32 at addr.
 func (s *Space) WriteUint32(addr Addr, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return s.Write(addr, b[:])
+	f, off, err := s.check(addr, 4, true)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(f.Data[off:], v)
+	return nil
 }
 
 // ReadUint64 loads a little-endian uint64 at addr.
 func (s *Space) ReadUint64(addr Addr) (uint64, error) {
-	var b [8]byte
-	if err := s.Read(addr, b[:]); err != nil {
+	f, off, err := s.check(addr, 8, false)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return binary.LittleEndian.Uint64(f.Data[off:]), nil
 }
 
 // WriteUint64 stores a little-endian uint64 at addr.
 func (s *Space) WriteUint64(addr Addr, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return s.Write(addr, b[:])
+	f, off, err := s.check(addr, 8, true)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(f.Data[off:], v)
+	return nil
 }
 
-// Pages returns the pages for which this node currently holds a frame.
+// Pages returns, in ascending order, the pages for which this node currently
+// holds a frame.
 func (s *Space) Pages() []Page {
-	out := make([]Page, 0, len(s.frames))
-	for pg := range s.frames {
-		out = append(out, pg)
+	var out []Page
+	for t, leaf := range s.top {
+		for i, f := range leaf {
+			if f != nil {
+				out = append(out, Page(t<<leafBits|i))
+			}
+		}
 	}
 	return out
 }

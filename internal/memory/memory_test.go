@@ -2,10 +2,18 @@ package memory
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"dsmpm2/internal/isomalloc"
 )
 
 func TestAccessOrdering(t *testing.T) {
@@ -275,5 +283,271 @@ func TestDiffWellFormedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLeafSpansOneSlice ties leafBits to the allocator's geometry: at the
+// DSM's 4 KiB page, one second-level table is exactly one isomalloc slice,
+// so the top level is indexed by addr >> 30.
+func TestLeafSpansOneSlice(t *testing.T) {
+	if isomalloc.SliceBytes != 4096<<leafBits {
+		t.Fatalf("a leaf spans %d bytes of 4 KiB pages, a slice is %d", 4096<<leafBits, isomalloc.SliceBytes)
+	}
+}
+
+// TestAccessAtTopOfAddressSpace is the regression case for the straddle
+// test: addr+n wraps at the top of the address space, off+n does not.
+func TestAccessAtTopOfAddressSpace(t *testing.T) {
+	s := NewSpace(4096)
+	var buf [8]byte
+	top := Addr(math.MaxUint64)
+
+	err := s.Read(top-7, buf[:]) // the last word: in one page, no frame
+	var f *Fault
+	if !errors.As(err, &f) || f.Page != Page(math.MaxUint64>>12) || f.Addr != top-7 {
+		t.Fatalf("last word of the address space: got %v, want a fault on the last page", err)
+	}
+	err = s.Write(top-3, buf[:]) // runs off the end of the last page
+	if err == nil || errors.As(err, &f) || !strings.Contains(err.Error(), "straddles") {
+		t.Fatalf("access past the top of the address space: got %v, want a straddle error", err)
+	}
+	if _, err := s.ReadUint64(top - 3); err == nil || errors.As(err, &f) {
+		t.Fatalf("typed access past the top of the address space: got %v, want a straddle error", err)
+	}
+}
+
+// TestUngrownPagesHaveNoFrame checks that pages beyond what either level of
+// the table has grown to behave exactly as "no frame", without growing it.
+func TestUngrownPagesHaveNoFrame(t *testing.T) {
+	s := NewSpace(4096)
+	far := []Page{0, 5, 1 << leafBits, 3<<leafBits + 9, math.MaxUint64 >> 12, math.MaxUint64}
+	check := func(when string) {
+		t.Helper()
+		for _, pg := range far {
+			s.Drop(pg)
+			if s.Frame(pg) != nil || s.AccessOf(pg) != NoAccess {
+				t.Fatalf("%s: page %d has a frame", when, pg)
+			}
+		}
+	}
+	check("empty space")
+	s.SetAccess(1<<leafBits+2, ReadWrite) // grows the top to 2 slots, leaf 1 to 3
+	check("after one frame")
+	if got := s.Pages(); len(got) != 1 || got[0] != 1<<leafBits+2 {
+		t.Fatalf("Pages() = %v, want just the one frame", got)
+	}
+	if len(s.top) != 2 || s.top[0] != nil || len(s.top[1]) != 3 {
+		t.Fatalf("table grew beyond the touched index: top %d, leaves %d/%d", len(s.top), len(s.top[0]), len(s.top[1]))
+	}
+}
+
+// TestFrameRecycling checks a dropped frame comes back zeroed and NoAccess.
+func TestFrameRecycling(t *testing.T) {
+	s := NewSpace(64)
+	f := s.Ensure(3)
+	f.Access = ReadWrite
+	for i := range f.Data {
+		f.Data[i] = 0xEE
+	}
+	s.Drop(3)
+	g := s.Ensure(1 << 20)
+	if g != f {
+		t.Fatal("dropped frame was not recycled")
+	}
+	if g.Access != NoAccess || !bytes.Equal(g.Data, make([]byte, 64)) {
+		t.Fatalf("recycled frame not reset: access %v data %x", g.Access, g.Data)
+	}
+}
+
+// refSpace is the obvious model of a Space — a map from page to frame — that
+// the page table replaced; the property test below drives both.
+type refSpace struct {
+	pageSize int
+	frames   map[Page]*Frame
+}
+
+func (r *refSpace) ensure(pg Page) *Frame {
+	f := r.frames[pg]
+	if f == nil {
+		f = &Frame{Data: make([]byte, r.pageSize)}
+		r.frames[pg] = f
+	}
+	return f
+}
+
+// access is the model's check + copy: it returns the kind of outcome
+// ("ok", "fault", "invalid") and, for a fault, the page.
+func (r *refSpace) access(addr Addr, buf []byte, write bool) (string, Page) {
+	n := uint64(len(buf))
+	off := uint64(addr) % uint64(r.pageSize)
+	if n == 0 || off+n > uint64(r.pageSize) {
+		return "invalid", 0
+	}
+	pg := Page(uint64(addr) / uint64(r.pageSize))
+	f := r.frames[pg]
+	if f == nil || !f.Access.Allows(write) {
+		return "fault", pg
+	}
+	if write {
+		copy(f.Data[off:], buf)
+	} else {
+		copy(buf, f.Data[off:])
+	}
+	return "ok", pg
+}
+
+// outcome classifies a Space error the way refSpace.access reports.
+func outcome(err error) (string, Page, bool) {
+	var f *Fault
+	switch {
+	case err == nil:
+		return "ok", 0, false
+	case errors.As(err, &f):
+		return "fault", f.Page, f.Write
+	default:
+		return "invalid", 0, false
+	}
+}
+
+// TestSpaceMatchesMapModel drives random operation sequences against the
+// map model, over the pages a DSM node's table actually sees: the static
+// segment, and the first and last pages of several node slices (so both
+// sides of slice boundaries, and leaves grown to their last index).
+func TestSpaceMatchesMapModel(t *testing.T) {
+	for _, pageSize := range []int{8, 64, 4096} {
+		t.Run(fmt.Sprint(pageSize), func(t *testing.T) {
+			slicePages := Page(isomalloc.SliceBytes / pageSize)
+			pages := []Page{1}
+			for _, slice := range []Page{1, 2, 3, 17} {
+				first := slice * slicePages
+				pages = append(pages, first, first+1, first+slicePages-1)
+			}
+			for seed := int64(1); seed <= 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				s := NewSpace(pageSize)
+				ref := &refSpace{pageSize: pageSize, frames: map[Page]*Frame{}}
+				for step := 0; step < 3000; step++ {
+					pg := pages[rng.Intn(len(pages))]
+					off := rng.Intn(pageSize)
+					addr := s.Base(pg) + Addr(off)
+					at := fmt.Sprintf("seed %d step %d page %d off %d", seed, step, pg, off)
+					switch op := rng.Intn(8); op {
+					case 0:
+						f := s.Ensure(pg)
+						if r := ref.ensure(pg); f.Access != r.Access || !bytes.Equal(f.Data, r.Data) {
+							t.Fatalf("%s: Ensure frame = %v %x, model %v %x", at, f.Access, f.Data, r.Access, r.Data)
+						}
+					case 1:
+						s.Drop(pg)
+						delete(ref.frames, pg)
+					case 2:
+						a := Access(rng.Intn(3))
+						s.SetAccess(pg, a)
+						ref.ensure(pg).Access = a
+					case 3, 4: // Read / Write of 0..16 bytes, straddles included
+						write := op == 4
+						got, want := make([]byte, rng.Intn(17)), []byte(nil)
+						rng.Read(got)
+						want = append(want, got...)
+						var err error
+						if write {
+							err = s.Write(addr, got)
+						} else {
+							err = s.Read(addr, got)
+						}
+						kind, fpg, fwrite := outcome(err)
+						wantKind, wantPg := ref.access(addr, want, write)
+						if kind != wantKind || (kind == "fault" && (fpg != wantPg || fwrite != write)) || !bytes.Equal(got, want) {
+							t.Fatalf("%s: write=%v len %d: got %s (%v) %x, model %s %x", at, write, len(got), kind, err, got, wantKind, want)
+						}
+					case 5:
+						v, err := s.ReadUint64(addr)
+						var want [8]byte
+						kind, _, _ := outcome(err)
+						wantKind, _ := ref.access(addr, want[:], false)
+						if kind != wantKind || (kind == "ok" && v != binary.LittleEndian.Uint64(want[:])) {
+							t.Fatalf("%s: ReadUint64 = %#x, %v; model %s %x", at, v, err, wantKind, want)
+						}
+					case 6:
+						v := rng.Uint32()
+						var want [4]byte
+						binary.LittleEndian.PutUint32(want[:], v)
+						kind, _, _ := outcome(s.WriteUint32(addr, v))
+						if wantKind, _ := ref.access(addr, want[:], true); kind != wantKind {
+							t.Fatalf("%s: WriteUint32 outcome %s, model %s", at, kind, wantKind)
+						}
+					case 7:
+						f, r := s.Frame(pg), ref.frames[pg]
+						if (f == nil) != (r == nil) || (f != nil && (f.Access != r.Access || !bytes.Equal(f.Data, r.Data))) {
+							t.Fatalf("%s: Frame = %+v, model %+v", at, f, r)
+						}
+						if r == nil && s.AccessOf(pg) != NoAccess || r != nil && s.AccessOf(pg) != r.Access {
+							t.Fatalf("%s: AccessOf = %v, model %+v", at, s.AccessOf(pg), r)
+						}
+					}
+					if step%100 != 99 {
+						continue // Pages() walks every grown leaf
+					}
+					want := make([]Page, 0, len(ref.frames))
+					for pg := range ref.frames {
+						want = append(want, pg)
+					}
+					sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+					if got := s.Pages(); !slices.Equal(got, want) {
+						t.Fatalf("%s: Pages() = %v, model (ascending) %v", at, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSpaceHitDoesNotAllocate pins the present-page word access at zero
+// allocations: no staging buffer, no error value.
+func TestSpaceHitDoesNotAllocate(t *testing.T) {
+	s := NewSpace(4096)
+	pg := s.PageOf(2 << 30)
+	s.SetAccess(pg, ReadWrite)
+	addr := s.Base(pg) + 24
+	if n := testing.AllocsPerRun(100, func() {
+		v, err := s.ReadUint64(addr)
+		if err != nil || s.WriteUint64(addr, v+1) != nil {
+			t.Fatal("hit faulted")
+		}
+	}); n != 0 {
+		t.Fatalf("present-page ReadUint64+WriteUint64 allocates %v times", n)
+	}
+}
+
+// TestDiffMatchesByteWiseReference holds the word-wise scanner to the
+// byte-wise reference on full-size pages: clean, sparse, dense, and with
+// modifications hugging both ends of the page.
+func TestDiffMatchesByteWiseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for round := 0; round < 300; round++ {
+		twin := make([]byte, 4096)
+		rng.Read(twin)
+		cur := MakeTwin(twin)
+		switch round % 4 {
+		case 1: // sparse single bytes
+			for i := rng.Intn(40); i > 0; i-- {
+				cur[rng.Intn(len(cur))] ^= byte(1 + rng.Intn(255))
+			}
+		case 2: // dense: most words rewritten, high bytes often equal
+			for w := 0; w < len(cur)/8; w++ {
+				if rng.Intn(8) > 0 {
+					rng.Read(cur[8*w : 8*w+1+rng.Intn(8)])
+				}
+			}
+		case 3: // both ends
+			cur[0] ^= 1
+			cur[len(cur)-1] ^= 1
+			cur[rng.Intn(len(cur))] ^= 0x80
+		}
+		for _, gap := range fuzzGaps {
+			if msg := sameDiff(ComputeDiff(9, twin, cur, gap), refComputeDiff(9, twin, cur, gap)); msg != "" {
+				t.Fatalf("round %d gap %d: %s", round, gap, msg)
+			}
+		}
 	}
 }

@@ -17,19 +17,34 @@ type Thread struct {
 	th  *pm2.Thread
 }
 
-// span wraps op in a trace record when tracing is on. On a sharded machine
-// the span goes to the recording shard's private log — the shard that owns
-// the thread's node, which is exactly the event-loop goroutine running this
-// code (threads never migrate across shards), so no two goroutines ever
-// append to the same slice.
-func (t *Thread) span(name string, op func()) {
-	tr := t.sys.tr
-	if !tr.Enabled() {
-		op()
-		return
+// noSpan is what begin returns when tracing is off; virtual time is never
+// negative, so it cannot collide with a real start.
+const noSpan Time = -1
+
+// begin opens a trace span around one elementary operation and returns its
+// start time for end. Every traced Thread method is begin, the operation,
+// end — no closure, so with tracing off an operation costs two predictable
+// branches on top of the call it wraps.
+func (t *Thread) begin() Time {
+	if !t.sys.tr.Enabled() {
+		return noSpan
 	}
-	start := t.th.Now()
-	op()
+	return t.th.Now()
+}
+
+// end closes the span begin opened.
+func (t *Thread) end(name string, start Time) {
+	if start != noSpan {
+		t.record(name, start)
+	}
+}
+
+// record appends the finished span. On a sharded machine it goes to the
+// recording shard's private log — the shard that owns the thread's node,
+// which is exactly the event-loop goroutine running this code (threads never
+// migrate across shards), so no two goroutines ever append to the same
+// slice.
+func (t *Thread) record(name string, start Time) {
 	sp := trace.Span{
 		Name:   name,
 		Node:   t.th.Node(),
@@ -38,9 +53,9 @@ func (t *Thread) span(name string, op func()) {
 		End:    t.th.Now(),
 	}
 	if rt := t.sys.rt; rt.Sharded() {
-		tr.AddShard(rt.ShardOf(sp.Node), sp)
+		t.sys.tr.AddShard(rt.ShardOf(sp.Node), sp)
 	} else {
-		tr.Add(sp)
+		t.sys.tr.Add(sp)
 	}
 }
 
@@ -58,48 +73,68 @@ func (t *Thread) Migrations() int { return t.th.Migrations() }
 
 // Compute charges d of CPU time on the thread's current node; threads
 // sharing a node serialize here.
-func (t *Thread) Compute(d Duration) { t.span("compute", func() { t.th.Compute(d) }) }
+func (t *Thread) Compute(d Duration) {
+	start := t.begin()
+	t.th.Compute(d)
+	t.end("compute", start)
+}
 
 // Sleep consumes virtual time without occupying a CPU.
 func (t *Thread) Sleep(d Duration) { t.th.Advance(d) }
 
 // MigrateTo moves the thread to another node explicitly, paying the
 // stack-size-dependent migration latency.
-func (t *Thread) MigrateTo(node int) { t.span("migrate", func() { t.th.MigrateTo(node) }) }
+func (t *Thread) MigrateTo(node int) {
+	start := t.begin()
+	t.th.MigrateTo(node)
+	t.end("migrate", start)
+}
 
 // Join blocks until other finishes.
 func (t *Thread) Join(other *Thread) { t.th.Join(other.th) }
 
 // Read copies shared memory at addr into buf.
 func (t *Thread) Read(addr Addr, buf []byte) {
-	t.span("dsm_read", func() { t.sys.dsm.Read(t.th, addr, buf) })
+	start := t.begin()
+	t.sys.dsm.Read(t.th, addr, buf)
+	t.end("dsm_read", start)
 }
 
 // Write copies buf into shared memory at addr.
 func (t *Thread) Write(addr Addr, buf []byte) {
-	t.span("dsm_write", func() { t.sys.dsm.Write(t.th, addr, buf) })
+	start := t.begin()
+	t.sys.dsm.Write(t.th, addr, buf)
+	t.end("dsm_write", start)
 }
 
 // ReadUint32 loads a shared little-endian uint32.
-func (t *Thread) ReadUint32(addr Addr) (v uint32) {
-	t.span("dsm_read", func() { v = t.sys.dsm.ReadUint32(t.th, addr) })
+func (t *Thread) ReadUint32(addr Addr) uint32 {
+	start := t.begin()
+	v := t.sys.dsm.ReadUint32(t.th, addr)
+	t.end("dsm_read", start)
 	return v
 }
 
 // WriteUint32 stores a shared little-endian uint32.
 func (t *Thread) WriteUint32(addr Addr, v uint32) {
-	t.span("dsm_write", func() { t.sys.dsm.WriteUint32(t.th, addr, v) })
+	start := t.begin()
+	t.sys.dsm.WriteUint32(t.th, addr, v)
+	t.end("dsm_write", start)
 }
 
 // ReadUint64 loads a shared little-endian uint64.
-func (t *Thread) ReadUint64(addr Addr) (v uint64) {
-	t.span("dsm_read", func() { v = t.sys.dsm.ReadUint64(t.th, addr) })
+func (t *Thread) ReadUint64(addr Addr) uint64 {
+	start := t.begin()
+	v := t.sys.dsm.ReadUint64(t.th, addr)
+	t.end("dsm_read", start)
 	return v
 }
 
 // WriteUint64 stores a shared little-endian uint64.
 func (t *Thread) WriteUint64(addr Addr, v uint64) {
-	t.span("dsm_write", func() { t.sys.dsm.WriteUint64(t.th, addr, v) })
+	start := t.begin()
+	t.sys.dsm.WriteUint64(t.th, addr, v)
+	t.end("dsm_write", start)
 }
 
 // ReadInt64 loads a shared int64.
@@ -111,58 +146,78 @@ func (t *Thread) WriteInt64(addr Addr, v int64) { t.WriteUint64(addr, uint64(v))
 // Get reads shared data through the protocol's get primitive (object
 // programs; falls back to the paged path for non-object protocols).
 func (t *Thread) Get(addr Addr, buf []byte) {
-	t.span("get", func() { t.sys.dsm.Get(t.th, addr, buf) })
+	start := t.begin()
+	t.sys.dsm.Get(t.th, addr, buf)
+	t.end("get", start)
 }
 
 // Put writes shared data through the protocol's put primitive.
 func (t *Thread) Put(addr Addr, buf []byte) {
-	t.span("put", func() { t.sys.dsm.Put(t.th, addr, buf) })
+	start := t.begin()
+	t.sys.dsm.Put(t.th, addr, buf)
+	t.end("put", start)
 }
 
 // GetField reads field i of obj.
-func (t *Thread) GetField(obj ObjRef, i int) (v uint64) {
-	t.span("get", func() { v = t.sys.dsm.GetField(t.th, obj, i) })
+func (t *Thread) GetField(obj ObjRef, i int) uint64 {
+	start := t.begin()
+	v := t.sys.dsm.GetField(t.th, obj, i)
+	t.end("get", start)
 	return v
 }
 
 // PutField writes field i of obj.
 func (t *Thread) PutField(obj ObjRef, i int, v uint64) {
-	t.span("put", func() { t.sys.dsm.PutField(t.th, obj, i, v) })
+	start := t.begin()
+	t.sys.dsm.PutField(t.th, obj, i, v)
+	t.end("put", start)
 }
 
 // Acquire takes a cluster-wide DSM lock, running the active protocols'
 // acquire consistency actions.
 func (t *Thread) Acquire(lock int) {
-	t.span("lock_acquire", func() { t.sys.dsm.Acquire(t.th, lock) })
+	start := t.begin()
+	t.sys.dsm.Acquire(t.th, lock)
+	t.end("lock_acquire", start)
 }
 
 // Release runs the active protocols' release consistency actions, then
 // releases the lock.
 func (t *Thread) Release(lock int) {
-	t.span("lock_release", func() { t.sys.dsm.Release(t.th, lock) })
+	start := t.begin()
+	t.sys.dsm.Release(t.th, lock)
+	t.end("lock_release", start)
 }
 
 // Barrier waits on a cluster-wide barrier (a release followed by an acquire
 // for consistency purposes).
 func (t *Thread) Barrier(bar int) {
-	t.span("barrier", func() { t.sys.dsm.Barrier(t.th, bar) })
+	start := t.begin()
+	t.sys.dsm.Barrier(t.th, bar)
+	t.end("barrier", start)
 }
 
 // CondWait atomically releases the condition's lock and blocks until
 // signalled, then re-acquires the lock (Mesa semantics: re-check the
 // predicate in a loop).
 func (t *Thread) CondWait(cond int) {
-	t.span("cond_wait", func() { t.sys.dsm.CondWait(t.th, cond) })
+	start := t.begin()
+	t.sys.dsm.CondWait(t.th, cond)
+	t.end("cond_wait", start)
 }
 
 // CondSignal wakes the oldest waiter on the condition.
 func (t *Thread) CondSignal(cond int) {
-	t.span("cond_signal", func() { t.sys.dsm.CondSignal(t.th, cond) })
+	start := t.begin()
+	t.sys.dsm.CondSignal(t.th, cond)
+	t.end("cond_signal", start)
 }
 
 // CondBroadcast wakes every waiter on the condition.
 func (t *Thread) CondBroadcast(cond int) {
-	t.span("cond_signal", func() { t.sys.dsm.CondBroadcast(t.th, cond) })
+	start := t.begin()
+	t.sys.dsm.CondBroadcast(t.th, cond)
+	t.end("cond_signal", start)
 }
 
 // SwitchProtocol re-associates a shared area with another protocol (by
