@@ -69,12 +69,19 @@ type netShard struct {
 	msgs      int
 	bytes     int64
 	envelopes int
-	// envByLink classes departed envelopes by the profile name of the link
-	// they crossed ("BIP/Myrinet", the backbone profile of a hierarchical
-	// topology, ...). A bench-only diagnostic: it is deliberately NOT part
-	// of network snapshots, so enabling it never churns checkpoint wire
-	// forms. Allocated lazily on first send.
-	envByLink map[string]int
+	// envByLink classes departed envelopes by the profile of the link they
+	// crossed (BIP/Myrinet, the backbone profile of a hierarchical topology,
+	// ...). A topology has a handful of profiles, so a send finds its
+	// counter by comparing pointers, not by hashing the profile's name. A
+	// bench-only diagnostic: it is deliberately NOT part of network
+	// snapshots, so it never churns checkpoint wire forms.
+	envByLink []linkCount
+}
+
+// linkCount is the envelope counter of one link profile.
+type linkCount struct {
+	prof *Profile
+	n    int
 }
 
 func newNetShard(n int) *netShard {
@@ -611,22 +618,26 @@ func (nw *Network) Envelopes() int {
 // one departure on the from->to link.
 func (nw *Network) countEnvelope(st *netShard, from, to int) {
 	st.envelopes++
-	if st.envByLink == nil {
-		st.envByLink = make(map[string]int)
+	prof := nw.Link(from, to)
+	for i := range st.envByLink {
+		if st.envByLink[i].prof == prof {
+			st.envByLink[i].n++
+			return
+		}
 	}
-	st.envByLink[nw.Link(from, to).Name]++
+	st.envByLink = append(st.envByLink, linkCount{prof, 1})
 }
 
 // EnvelopesByLink classes the departed envelopes by the profile name of the
-// link they crossed, summed over shards. On a hierarchical topology this
-// splits intra-cluster traffic from backbone traffic — the number a
-// combining-tree barrier is supposed to shrink. Purely diagnostic: the
-// per-class counters are not serialized into snapshots.
+// link they crossed, summed over shards (and over profiles sharing a name).
+// On a hierarchical topology this splits intra-cluster traffic from backbone
+// traffic — the number a combining-tree barrier is supposed to shrink. Purely
+// diagnostic: the per-class counters are not serialized into snapshots.
 func (nw *Network) EnvelopesByLink() map[string]int {
 	out := make(map[string]int)
 	for _, st := range nw.shs {
-		for k, v := range st.envByLink {
-			out[k] += v
+		for _, c := range st.envByLink {
+			out[c.prof.Name] += c.n
 		}
 	}
 	return out

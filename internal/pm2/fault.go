@@ -53,18 +53,25 @@ func (rt *Runtime) KillNode(n int) {
 	}
 	node.dead = true
 	rt.net.CrashNode(n)
-	for _, t := range rt.threads {
-		rt.killThread(t, n)
+	rt.killThreads(&rt.live, n)
+}
+
+// killThreads kills the threads on l that are located on node n, in list
+// order (the joiner releases below reach virtual time in that order).
+func (rt *Runtime) killThreads(l *threadList, n int) {
+	for t := l.head; t != nil; {
+		next := t.next // killThread unlinks t
+		if t.node == n {
+			rt.killThread(t)
+		}
+		t = next
 	}
 }
 
-// killThread kills t if it is an unfinished thread located on node n.
-func (rt *Runtime) killThread(t *Thread, n int) {
-	if t.node != n || t.done {
-		return
-	}
+// killThread kills the unfinished thread t and releases its joiners.
+func (rt *Runtime) killThread(t *Thread) {
 	t.proc.Kill()
-	t.done = true
+	t.finish()
 	for _, j := range t.joiners {
 		if !j.Dead() {
 			j.Unpark()
@@ -133,9 +140,7 @@ func (rt *Runtime) InjectFaultPlan(plan *sim.FaultPlan) {
 				node := rt.nodes[ev.Node]
 				if !node.dead {
 					node.dead = true
-					for _, t := range node.threads {
-						rt.killThread(t, ev.Node)
-					}
+					rt.killThreads(&node.live, ev.Node)
 				}
 			}
 		case sim.FaultNodeRestart:

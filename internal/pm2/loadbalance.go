@@ -1,10 +1,6 @@
 package pm2
 
-import (
-	"sort"
-
-	"dsmpm2/internal/sim"
-)
+import "dsmpm2/internal/sim"
 
 // Dynamic load balancing (Section 2.1): "Such a functionality is typically
 // useful to implement generic policies for dynamic load balancing,
@@ -47,8 +43,8 @@ func (rt *Runtime) Load(node int) int {
 		panic("pm2: Load walks every shard's threads; not supported on a sharded machine")
 	}
 	n := 0
-	for _, t := range rt.threads {
-		if !t.done && !t.proc.Daemon() && t.node == node {
+	for t := rt.live.head; t != nil; t = t.next {
+		if !t.proc.Daemon() && t.node == node {
 			n++
 		}
 	}
@@ -117,17 +113,13 @@ func (b *Balancer) step() {
 		return
 	}
 	// Deterministic victim choice: the migratable thread with the lowest
-	// id on the overloaded node that has no move pending.
-	var candidates []*Thread
-	for _, t := range rt.threads {
-		if !t.done && t.migratable && t.node == max && t.pendingDest < 0 {
-			candidates = append(candidates, t)
+	// id on the overloaded node that has no move pending. Single-loop ids
+	// rise with creation, so that is the first match in the live list.
+	for t := rt.live.head; t != nil; t = t.next {
+		if t.migratable && t.node == max && t.pendingDest < 0 {
+			t.RequestMigration(min)
+			b.Moves++
+			return
 		}
 	}
-	if len(candidates) == 0 {
-		return
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].id < candidates[j].id })
-	candidates[0].RequestMigration(min)
-	b.Moves++
 }

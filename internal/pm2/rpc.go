@@ -19,6 +19,9 @@ type service struct {
 	handler  Handler
 	threaded bool
 	node     *Node
+	// Thread names, formatted once at registration rather than per
+	// invocation (or per restart).
+	dispatcherName, handlerName string
 }
 
 // rpcReq is the wire payload of an invocation. Requests are pooled on the
@@ -115,6 +118,9 @@ func (n *Node) Register(name string, threaded bool, h Handler) {
 		handler:  h,
 		threaded: threaded,
 		node:     n,
+
+		dispatcherName: fmt.Sprintf("rpcd:%s@%d", name, n.ID),
+		handlerName:    fmt.Sprintf("rpch:%s@%d", name, n.ID),
 	}
 	n.services[name] = svc
 	n.svcOrder = append(n.svcOrder, name)
@@ -125,14 +131,14 @@ func (n *Node) Register(name string, threaded bool, h Handler) {
 // requests. It runs once at registration and again each time a crashed node
 // restarts (the crash killed the previous dispatcher).
 func (n *Node) spawnDispatcher(svc *service) {
-	dispatcher := n.rt.CreateThread(n.ID, fmt.Sprintf("rpcd:%s@%d", svc.name, n.ID), func(t *Thread) {
+	dispatcher := n.rt.CreateThread(n.ID, svc.dispatcherName, func(t *Thread) {
 		for {
 			msg := n.rt.net.RecvID(t.proc, n.ID, svc.chanID)
 			req := msg.Payload.(*rpcReq)
 			n.rt.net.FreeMessage(msg)
 			if svc.threaded {
 				n.HandlersSpawned++
-				n.rt.CreateThread(n.ID, fmt.Sprintf("rpch:%s@%d", svc.name, n.ID), func(ht *Thread) {
+				n.rt.CreateThread(n.ID, svc.handlerName, func(ht *Thread) {
 					svc.run(ht, req)
 				})
 			} else {

@@ -3,6 +3,11 @@
 // user-level thread package (Marcel), an RPC mechanism built on the
 // Madeleine communication library, and preemptive iso-address thread
 // migration (Section 2.1 of the paper).
+//
+// Threaded RPC services create a thread per invocation, as PM2's do, so a
+// thread must be as cheap here as a Marcel thread is there: creating one
+// formats and hashes nothing, and the runtime lists only unfinished threads —
+// a thread that returns or is killed unlinks itself and is garbage.
 package pm2
 
 import (
@@ -33,9 +38,6 @@ type Runtime struct {
 	// Sharded execution (nil/unused when single-loop).
 	se        *sim.ShardedEngine
 	nodeShard []int // node -> owning shard
-	// thMu guards the global thread list in sharded mode only (any shard
-	// may create handler threads while another walks the list).
-	thMu sync.Mutex
 	// svcMu guards svcIDs in sharded mode only.
 	svcMu sync.RWMutex
 	// shardNext is the per-shard thread-id counter: shard s hands out ids
@@ -43,8 +45,15 @@ type Runtime struct {
 	// deterministic per shard regardless of cross-shard interleaving. With
 	// one shard this degenerates to the historical 1,2,3,... sequence.
 	shardNext []int
+	// shardMade counts the threads each shard created in this process
+	// (shardNext cannot serve: RestoreState moves it).
+	shardMade []int
 
-	threads []*Thread
+	// live lists the single-loop machine's unfinished threads in creation
+	// order; a sharded machine keeps one list per node instead (see
+	// liveList). A finished or killed thread unlinks itself, so the runtime
+	// holds nothing of it.
+	live threadList
 
 	// svcIDs caches service name -> interned request-channel id, so
 	// per-message sends skip both the "rpc:" concatenation and the
@@ -136,6 +145,7 @@ func NewRuntime(cfg Config) *Runtime {
 		se:        se,
 		nodeShard: nodeShard,
 		shardNext: make([]int, max(cfg.Shards, 1)),
+		shardMade: make([]int, max(cfg.Shards, 1)),
 		svcIDs:    make(map[string]madeleine.ChanID),
 	}
 	if se != nil {
@@ -260,13 +270,13 @@ func (rt *Runtime) Nodes() int { return len(rt.nodes) }
 
 // ThreadCount reports the total number of threads created on this machine,
 // including RPC dispatcher and handler threads. On a sharded machine call it
-// only when the machine is not running (the list is written concurrently).
+// only when the machine is not running (each shard writes its own counter).
 func (rt *Runtime) ThreadCount() int {
-	if rt.se != nil {
-		rt.thMu.Lock()
-		defer rt.thMu.Unlock()
+	n := 0
+	for _, made := range rt.shardMade {
+		n += made
 	}
-	return len(rt.threads)
+	return n
 }
 
 // Node returns node i.
@@ -306,11 +316,11 @@ type Node struct {
 	// node respawns its dispatchers deterministically.
 	svcOrder []string
 
-	// threads lists the threads currently located on this node, maintained
-	// only on sharded machines (where it is touched exclusively from the
-	// owning shard's context): sharded node faults must find the node's
-	// threads without walking — and racing on — the global list.
-	threads []*Thread
+	// live lists the unfinished threads currently located on this node,
+	// maintained only on sharded machines (where it is touched exclusively
+	// from the owning shard's context): sharded node faults must find the
+	// node's threads without walking — and racing on — a machine-wide list.
+	live threadList
 
 	// dead marks a crashed node (see fault.go).
 	dead bool
@@ -326,12 +336,45 @@ type Node struct {
 // Runtime returns the machine this node belongs to.
 func (n *Node) Runtime() *Runtime { return n.rt }
 
-// dropThread removes t from the node-local thread list (sharded mode only).
-func (n *Node) dropThread(t *Thread) {
-	for i, x := range n.threads {
-		if x == t {
-			n.threads = append(n.threads[:i], n.threads[i+1:]...)
-			return
-		}
+// threadList is an intrusive doubly-linked list of threads in insertion
+// order. Unlinking is O(1) and never reorders the rest: the order of the
+// machine-wide list is creation order, which reaches virtual time through
+// KillNode's joiner releases and the balancer's victim choice.
+type threadList struct {
+	head, tail *Thread
+}
+
+func (l *threadList) pushBack(t *Thread) {
+	t.on, t.prev, t.next = l, l.tail, nil
+	if l.tail != nil {
+		l.tail.next = t
+	} else {
+		l.head = t
 	}
+	l.tail = t
+}
+
+// unlink removes t from the list it is on.
+func (t *Thread) unlink() {
+	l := t.on
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		l.head = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		l.tail = t.prev
+	}
+	t.on, t.prev, t.next = nil, nil, nil
+}
+
+// liveList returns the list tracking unfinished threads located on node: the
+// machine-wide creation-ordered list single-loop, the node's own when sharded.
+func (rt *Runtime) liveList(node int) *threadList {
+	if rt.se == nil {
+		return &rt.live
+	}
+	return &rt.nodes[node].live
 }

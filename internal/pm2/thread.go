@@ -34,13 +34,18 @@ type Thread struct {
 	reply *sim.Chan
 
 	migrations int
-	done       bool
 	joiners    []*sim.Proc
+
+	// on is the live-thread list the thread is linked into (through
+	// prev/next) until it finishes or is killed; see Runtime.liveList.
+	on         *threadList
+	prev, next *Thread
 
 	// Load-balancing state: a pending preemptive migration request and
 	// whether the balancer may move this thread at all.
 	pendingDest int
 	migratable  bool
+	done        bool
 }
 
 // DefaultStackSize matches the paper's "very small" test-thread stack of
@@ -69,6 +74,7 @@ func (rt *Runtime) CreateThreadStack(node int, name string, stack int, fn func(t
 	stride := len(rt.shardNext)
 	id := rt.shardNext[shard]*stride + shard + 1
 	rt.shardNext[shard]++
+	rt.shardMade[shard]++
 	t := &Thread{
 		rt:          rt,
 		id:          id,
@@ -77,19 +83,10 @@ func (rt *Runtime) CreateThreadStack(node int, name string, stack int, fn func(t
 		stackSize:   stack,
 		pendingDest: -1,
 	}
-	if rt.se != nil {
-		rt.thMu.Lock()
-		rt.threads = append(rt.threads, t)
-		rt.thMu.Unlock()
-		// The node-local list drives sharded KillNode; it only ever
-		// changes from the owning shard's context.
-		n.threads = append(n.threads, t)
-	} else {
-		rt.threads = append(rt.threads, t)
-	}
+	rt.liveList(node).pushBack(t)
 	t.proc = rt.engFor(node).Go(name, func(p *sim.Proc) {
 		fn(t)
-		t.done = true
+		t.finish()
 		for _, j := range t.joiners {
 			j.Unpark()
 		}
@@ -98,6 +95,13 @@ func (rt *Runtime) CreateThreadStack(node int, name string, stack int, fn func(t
 	t.proc.Local = t
 	rt.nodes[node].ThreadsSpawned++
 	return t
+}
+
+// finish marks t done and drops it from its live list, on return of its
+// function or on a kill.
+func (t *Thread) finish() {
+	t.done = true
+	t.unlink()
 }
 
 // FromProc recovers the Thread a proc is running, or nil for bare procs.
@@ -183,8 +187,8 @@ func (t *Thread) MigrateTo(dest int) {
 			panic(fmt.Sprintf("pm2: thread %q cannot migrate %d->%d across shards (%d->%d)",
 				t.name, src, dest, t.rt.nodeShard[src], t.rt.nodeShard[dest]))
 		}
-		t.rt.nodes[src].dropThread(t)
-		t.rt.nodes[dest].threads = append(t.rt.nodes[dest].threads, t)
+		t.unlink()
+		t.rt.nodes[dest].live.pushBack(t)
 	}
 	cost := t.rt.Link(src, dest).Migration(t.stackSize + DescriptorBytes)
 	t.proc.Advance(cost)
@@ -203,7 +207,7 @@ func (t *Thread) Join(other *Thread) {
 		return
 	}
 	other.joiners = append(other.joiners, t.proc)
-	t.proc.Park("join " + other.name)
+	t.proc.ParkFor("join", other.proc)
 }
 
 // Done reports whether the thread's function has returned.

@@ -73,3 +73,22 @@ func BenchmarkSchedulePush(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSpawnExit measures a whole proc lifecycle on the bare kernel: one
+// proc spawns a short-lived child per iteration, and each child runs on the
+// worker its predecessor left idle — a Proc allocation and a goroutine
+// hand-off, no goroutine creation.
+func BenchmarkSpawnExit(b *testing.B) {
+	e := NewEngine(1)
+	e.Go("parent", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			e.Go("child", func(c *Proc) {})
+			p.Advance(Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

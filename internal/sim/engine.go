@@ -76,11 +76,17 @@ type Engine struct {
 	nlive   int    // procs spawned and not yet finished
 	nevents uint64 // events fired since creation
 
+	// live heads the intrusive list of procs that have neither finished nor
+	// been killed (daemons included); deadlock reports walk it. idle is the
+	// LIFO of workers whose proc has finished (see worker). Both are touched
+	// only by the token holder, so neither needs a lock.
+	live *Proc
+	idle freelist.List[*worker]
+
 	rng    *rand.Rand
 	rngSrc *countingSource // the source under rng, counting draws for Capture
 	seed   int64           // the seed rngSrc was created from
 
-	parked  map[*Proc]string // blocked procs -> reason, for deadlock reports
 	stopped bool
 	onIdle  func() bool // optional hook when queue drains with live procs
 
@@ -97,7 +103,6 @@ type Engine struct {
 func NewEngine(seed int64) *Engine {
 	e := &Engine{
 		park:   make(chan struct{}),
-		parked: make(map[*Proc]string),
 		times:  make(map[Time]*bucket),
 		seed:   seed,
 		rngSrc: newCountingSource(seed),
@@ -277,18 +282,32 @@ func (e *Engine) Run() error {
 		// drains the queue passes it back.
 		<-e.park
 	}
+	e.releaseIdle()
 	if e.nlive > 0 && !e.stopped {
-		blocked := make([]string, 0, len(e.parked))
-		for p, reason := range e.parked {
-			if p.daemon {
-				continue
-			}
-			blocked = append(blocked, fmt.Sprintf("%s (%s)", p.name, reason))
-		}
+		blocked := e.blocked("")
 		sort.Strings(blocked)
 		return &DeadlockError{Now: e.now, Blocked: blocked}
 	}
 	return nil
+}
+
+// blocked lists the live non-daemon procs as prefix + "name (reason)" for a
+// deadlock report. With the queue drained every such proc is inside Park: a
+// proc that was merely advancing or not yet started would still have its wake
+// record queued.
+func (e *Engine) blocked(prefix string) []string {
+	var out []string
+	for p := e.live; p != nil; p = p.next {
+		if p.daemon {
+			continue
+		}
+		reason := p.reason
+		if p.waitFor != nil {
+			reason += " " + p.waitFor.name
+		}
+		out = append(out, fmt.Sprintf("%s%s (%s)", prefix, p.name, reason))
+	}
+	return out
 }
 
 // driveResult reports how a drive call gave up the token.
@@ -303,9 +322,9 @@ const (
 	// caller must not touch engine state afterwards — the new driver may
 	// already be running.
 	driveHanded
-	// driveSelf: the next event was the calling proc's own wake record, so
-	// the caller keeps the token and simply continues running. This makes
-	// an uncontended Advance cost zero goroutine switches.
+	// driveSelf: the next event was the wake record of the proc bound to
+	// the calling goroutine, so the caller keeps the token and simply runs
+	// it. This makes an uncontended Advance cost zero goroutine switches.
 	driveSelf
 )
 
@@ -313,9 +332,13 @@ const (
 // goroutine or the queue drains. It runs on whichever goroutine currently
 // holds the simulation token, with e.cur == nil (engine context) so that
 // dispatched closures observe the same environment as under a central loop.
-// self is the calling proc (nil when Run drives), needed to short-circuit
-// the proc's own wake record instead of deadlocking on its wake channel.
-func (e *Engine) drive(self *Proc) driveResult {
+// self is the wake channel the calling goroutine receives on (nil when Run
+// drives): a wake record for the proc bound to that channel is
+// short-circuited instead of deadlocking on a send to ourselves. For a
+// yielding proc that is its own record; for a worker driving after its proc
+// finished it is a proc Spawn bound to the worker meanwhile. A dead proc's
+// records never get that far, so a recycled channel cannot match one.
+func (e *Engine) drive(self chan struct{}) driveResult {
 	if e.sh != nil {
 		return e.driveSharded(self)
 	}
@@ -340,7 +363,7 @@ func (e *Engine) drive(self *Proc) driveResult {
 				continue
 			}
 			e.cur = p
-			if p == self {
+			if p.wake == self {
 				return driveSelf
 			}
 			p.wake <- struct{}{}

@@ -320,26 +320,20 @@ func (se *ShardedEngine) Run() error {
 
 	stopped := false
 	nlive := 0
-	var at Time
-	var blocked []string
-	for si, e := range se.shards {
+	for _, e := range se.shards {
+		e.releaseIdle()
 		if e.stopped {
 			stopped = true
 		}
 		nlive += e.nlive
-		if e.now > at {
-			at = e.now
-		}
-		for p, reason := range e.parked {
-			if p.daemon {
-				continue
-			}
-			blocked = append(blocked, fmt.Sprintf("shard%d:%s (%s)", si, p.name, reason))
-		}
 	}
 	if nlive > 0 && !stopped {
+		var blocked []string
+		for si, e := range se.shards {
+			blocked = append(blocked, e.blocked(fmt.Sprintf("shard%d:", si))...)
+		}
 		sort.Strings(blocked)
-		return &DeadlockError{Now: at, Blocked: blocked}
+		return &DeadlockError{Now: se.Now(), Blocked: blocked}
 	}
 	return nil
 }
@@ -586,7 +580,7 @@ func (sh *shardCtl) nextEvent(e *Engine) (event, bool) {
 // dispatch, but events come from the horizon-bounded two-stream merge and
 // an exhausted merge returns the token to the shard controller instead of
 // ending the run.
-func (e *Engine) driveSharded(self *Proc) driveResult {
+func (e *Engine) driveSharded(self chan struct{}) driveResult {
 	sh := e.sh
 	for !e.stopped {
 		ev, ok := sh.nextEvent(e)
@@ -602,7 +596,7 @@ func (e *Engine) driveSharded(self *Proc) driveResult {
 				continue
 			}
 			e.cur = p
-			if p == self {
+			if p.wake == self {
 				return driveSelf
 			}
 			p.wake <- struct{}{}

@@ -1,0 +1,300 @@
+package sim
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// The edges of worker recycling (see worker in proc.go): a finished proc's
+// goroutine is rebound to the next Spawn, so these pin the cases where the
+// previous tenant could leak into the next, or a goroutine could wait on
+// itself.
+
+// runWithin runs the engine and fails the test instead of hanging it if the
+// run wedges (a worker waiting on its own channel never returns).
+func runWithin(t *testing.T, run func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- run() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not terminate")
+		return nil
+	}
+}
+
+// settledGoroutines reports the goroutine count once it stops exceeding want:
+// a released worker acknowledges just before its goroutine exits, so the count
+// can trail Run's return by an instant.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestWorkerRebindWhileDriving: a closure event dispatched by a worker whose
+// proc just finished spawns a proc. The idle worker on top of the LIFO is the
+// driving one, so the new proc is bound to the very goroutine that will pop
+// its wake record; it must run it directly instead of sending to itself.
+func TestWorkerRebindWhileDriving(t *testing.T) {
+	e := NewEngine(1)
+	var first, second *Proc
+	ranAt := Time(-1)
+	first = e.Go("first", func(p *Proc) {})
+	e.Schedule(10, func() {
+		second = e.Go("second", func(p *Proc) {
+			p.Advance(5)
+			ranAt = p.Now()
+		})
+	})
+	if err := runWithin(t, e.Run); err != nil {
+		t.Fatal(err)
+	}
+	if second.wake != first.wake {
+		t.Fatal("second proc was not bound to the finished proc's worker; the test no longer covers the self-bound case")
+	}
+	if ranAt != 15 {
+		t.Fatalf("second proc finished at %v, want 15", ranAt)
+	}
+	if e.Live() != 0 || e.idle.Len() != 0 {
+		t.Fatalf("after Run: %d live procs, %d idle workers, want 0 and 0", e.Live(), e.idle.Len())
+	}
+}
+
+// TestWorkerKilledProcAbandonsWorker: a proc killed before its first dispatch
+// and a proc killed while parked never run, and their workers never come back
+// to the idle list (their goroutines may be anywhere inside the proc's body);
+// the run still terminates.
+func TestWorkerKilledProcAbandonsWorker(t *testing.T) {
+	e := NewEngine(1)
+	ran := false
+	early := e.Spawn("early", 100, func(p *Proc) { ran = true })
+	parked := e.Go("parked", func(p *Proc) {
+		p.Park("forever")
+		ran = true
+	})
+	e.Go("survivor", func(p *Proc) { p.Advance(300) })
+	e.Schedule(50, func() {
+		early.Kill()
+		parked.Kill()
+	})
+	var late *Proc
+	e.Schedule(200, func() {
+		if e.idle.Len() != 0 {
+			t.Errorf("%d idle workers at t=200, want 0: a killed proc's worker was pooled", e.idle.Len())
+		}
+		late = e.Go("late", func(p *Proc) {})
+	})
+	if err := runWithin(t, e.Run); err != nil {
+		t.Fatal(err)
+	}
+	if ran {
+		t.Fatal("a killed proc ran")
+	}
+	if late.wake == early.wake || late.wake == parked.wake {
+		t.Fatal("a proc was bound to a killed proc's worker")
+	}
+	if !late.Dead() || e.Now() != 300 {
+		t.Fatalf("late done=%v, clock %v; want true, 300", late.Dead(), e.Now())
+	}
+}
+
+// TestWorkerStaleRecordsSkipNewTenant: wake and timed-wait records of a
+// finished proc that fire after its worker was rebound must not wake the new
+// proc, although both procs share one wake channel.
+func TestWorkerStaleRecordsSkipNewTenant(t *testing.T) {
+	e := NewEngine(1)
+	ch := new(Chan)
+	var a, b *Proc
+	wokeAt := Time(-1)
+	a = e.Go("a", func(p *Proc) {
+		// Delivered at t=10; the t=100 deadline record outlives the proc.
+		if _, ok := ch.RecvTimeout(p, 100); !ok {
+			t.Error("a timed out")
+		}
+	})
+	e.SchedulePush(10, ch, 1)
+	e.Schedule(15, func() {
+		b = e.Go("b", func(p *Proc) {
+			p.Park("gate") // a bare park: any wake at all resumes it
+			wokeAt = p.Now()
+		})
+	})
+	e.Schedule(20, func() { a.Unpark() }) // a bare wake record for the dead proc
+	e.Schedule(200, func() { b.Unpark() })
+	if err := runWithin(t, e.Run); err != nil {
+		t.Fatal(err)
+	}
+	if b.wake != a.wake {
+		t.Fatal("b was not bound to a's worker; the test no longer covers stale records")
+	}
+	if wokeAt != 200 {
+		t.Fatalf("b woke at %v, want 200 (a stale record of a resumed it)", wokeAt)
+	}
+}
+
+// TestWorkerGoroutinesBoundedByConcurrency: 10 000 short procs, each spawned
+// by its predecessor, run on O(peak concurrency) goroutines, and Run returns
+// with none of them left.
+func TestWorkerGoroutinesBoundedByConcurrency(t *testing.T) {
+	const procs = 10000
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	peak, ran := 0, 0
+	var spawn func()
+	spawn = func() {
+		e.Go("short", func(p *Proc) {
+			p.Advance(Microsecond)
+			if g := runtime.NumGoroutine(); g > peak {
+				peak = g
+			}
+			if ran++; ran < procs {
+				spawn()
+			}
+		})
+	}
+	spawn()
+	if err := runWithin(t, e.Run); err != nil {
+		t.Fatal(err)
+	}
+	if ran != procs {
+		t.Fatalf("%d procs ran, want %d", ran, procs)
+	}
+	// The Run goroutine (runWithin), the running proc and the worker its
+	// predecessor left idle: a handful, however many procs there were.
+	if peak > base+8 {
+		t.Fatalf("goroutines peaked at %d over a baseline of %d for %d sequential procs", peak, base, procs)
+	}
+	if g := settledGoroutines(base); g > base {
+		t.Fatalf("%d goroutines after Run, baseline %d: idle workers were not released", g, base)
+	}
+}
+
+// TestShardedWorkerReuse is the same bound on a two-shard engine, shaped like
+// a threaded RPC service: each shard's daemon server spawns a short handler
+// proc per request, and the requests cross shards. Run under -race it also
+// checks that each shard's idle list stays private to its token holder.
+func TestShardedWorkerReuse(t *testing.T) {
+	const requests = 3000
+	base := runtime.NumGoroutine()
+	se := NewShardedEngine(1, 2, 5*Microsecond)
+	inbox := [2]*Chan{new(Chan), new(Chan)}
+	var handled, peak [2]int // each slot written by its own shard only
+	for s := 0; s < 2; s++ {
+		s := s
+		e := se.Shard(s)
+		server := e.Go(fmt.Sprintf("server%d", s), func(p *Proc) {
+			for {
+				inbox[s].Recv(p)
+				e.Go("handler", func(h *Proc) {
+					h.Advance(Microsecond)
+					handled[s]++
+					if g := runtime.NumGoroutine(); g > peak[s] {
+						peak[s] = g
+					}
+				})
+			}
+		})
+		server.MarkDaemon()
+		e.Go(fmt.Sprintf("client%d", s), func(p *Proc) {
+			for i := 0; i < requests; i++ {
+				p.Advance(2 * Microsecond)
+				e.SchedulePushShard(1-s, p.Now().Add(5*Microsecond), inbox[1-s], i)
+			}
+		})
+	}
+	if err := runWithin(t, se.Run); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 2; s++ {
+		if handled[s] != requests {
+			t.Fatalf("shard %d handled %d requests, want %d", s, handled[s], requests)
+		}
+		// Two shard controllers, two servers, two clients and the handlers
+		// in flight (a 1 us handler per 2 us of requests: one or two).
+		if peak[s] > base+24 {
+			t.Fatalf("shard %d saw %d goroutines over a baseline of %d for %d handlers", s, peak[s], base, requests)
+		}
+	}
+	// Only the two parked daemon servers outlive the run.
+	if g := settledGoroutines(base + 2); g > base+2 {
+		t.Fatalf("%d goroutines after Run, want baseline %d + 2 daemons", g, base)
+	}
+}
+
+// TestWorkerChunkedRunCaptureRestore: every Run phase ends at a safe point —
+// no live non-daemon proc, no idle worker — whatever the pool did during the
+// phase, and a kernel restored from the capture between two phases replays
+// the second phase bit-identically.
+func TestWorkerChunkedRunCaptureRestore(t *testing.T) {
+	phase := func(e *Engine, trace *[]string) {
+		for i := 0; i < 4; i++ {
+			i := i
+			e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
+				p.Advance(Duration(1+e.Rand().Intn(50)) * Microsecond)
+				e.Go("child", func(c *Proc) {
+					c.Advance(Duration(i+1) * Microsecond)
+					*trace = append(*trace, fmt.Sprintf("%d:%d@%v", i, c.ID(), c.Now()))
+				})
+			})
+		}
+	}
+	build := func() *Engine {
+		e := NewEngine(42)
+		e.Go("svc", func(p *Proc) { p.Park("service loop") }).MarkDaemon()
+		return e
+	}
+
+	ref := build()
+	var first, want []string
+	phase(ref, &first)
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ref.idle.Len() != 0 {
+		t.Fatalf("%d idle workers between Run phases, want 0", ref.idle.Len())
+	}
+	snap, err := ref.Capture()
+	if err != nil {
+		t.Fatalf("capture at the drained point between phases: %v", err)
+	}
+	phase(ref, &want)
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	restored := build()
+	if err := restored.Run(); err != nil { // park the daemon, as the reference did
+		t.Fatal(err)
+	}
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	phase(restored, &got)
+	if err := restored.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("restored second phase diverged:\n got %v\nwant %v", got, want)
+	}
+	end, err := restored.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refEnd, err := ref.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != refEnd {
+		t.Fatalf("final kernel state differs: restored %+v, reference %+v", end, refEnd)
+	}
+}
