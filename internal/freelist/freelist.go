@@ -34,3 +34,10 @@ func (l *List[T]) Put(v T) {
 
 // Len reports the number of pooled objects.
 func (l *List[T]) Len() int { return len(l.free) }
+
+// Each calls fn on every pooled object, without removing any.
+func (l *List[T]) Each(fn func(T)) {
+	for _, v := range l.free {
+		fn(v)
+	}
+}

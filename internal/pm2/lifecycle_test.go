@@ -12,7 +12,7 @@ import (
 func liveNames(rt *Runtime) []string {
 	var out []string
 	for t := rt.live.head; t != nil; t = t.next {
-		out = append(out, t.name)
+		out = append(out, t.Name())
 	}
 	return out
 }
@@ -66,10 +66,10 @@ func TestKillNodeReleasesJoinersInCreationOrder(t *testing.T) {
 	// victims can produce the expected release order.
 	for i := len(victims) - 1; i >= 0; i-- {
 		v := victims[i]
-		rt.CreateThread(0, "join-"+v.name, func(th *Thread) {
+		rt.CreateThread(0, "join-"+v.Name(), func(th *Thread) {
 			th.Join(v)
-			if v.name != "v2" {
-				released = append(released, v.name)
+			if v.Name() != "v2" {
+				released = append(released, v.Name())
 			}
 		})
 	}
@@ -116,18 +116,19 @@ func threadedNull(tb testing.TB) *Runtime {
 // host from request to exit: an Async to a threaded null service, drained.
 // The request envelope and the message are pooled, the names are formatted
 // at registration, the calendar, the park and the envelope counters allocate
-// nothing, and the goroutine is a recycled worker. What is left is the four
-// objects that are the thread:
+// nothing, the coroutine is a recycled worker, and the thread is its own proc
+// body, carrying its service and request. What is left is the two objects
+// that are the thread:
 //
-//	1  the handler closure binding the request      (spawnDispatcher)
-//	1  the Thread descriptor                        (CreateThreadStack)
-//	1  the proc body closure binding the Thread     (CreateThreadStack)
-//	1  the sim.Proc                                 (Engine.Spawn)
+//	1  the Thread descriptor                        (Runtime.start)
+//	1  the sim.Proc                                 (Engine.SpawnRunner)
 //
 // One client thread issues a batch of requests spaced wider than a handler's
 // life, so every handler after the first runs on the worker its predecessor
-// left idle; the client and the two workers Run releases on return amortize
-// to 0.05 per request.
+// left idle. Per batch that leaves the client (a Thread and a Proc) and the
+// two workers Run ends on return, 13 objects each — the worker, its loop
+// closure and the coroutine state iter.Pull builds — which amortize to 0.14
+// per request.
 func TestHandlerThreadLifecycleAllocs(t *testing.T) {
 	rt := threadedNull(t)
 	const batch = 200
@@ -142,8 +143,8 @@ func TestHandlerThreadLifecycleAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if per := perBatch / batch; per < 4 || per > 4.1 {
-		t.Fatalf("a handler-thread lifecycle allocates %.2f objects, want 4 (plus under 0.1 amortized)", per)
+	if per := perBatch / batch; per < 2 || per > 2.15 {
+		t.Fatalf("a handler-thread lifecycle allocates %.2f objects, want 2 (plus 0.14 amortized)", per)
 	}
 	if rt.ThreadCount() < batch || len(liveNames(rt)) != 1 {
 		t.Fatalf("ThreadCount %d, live %v: want every handler counted and only the dispatcher live", rt.ThreadCount(), liveNames(rt))

@@ -16,7 +16,7 @@ import "dsmpm2/internal/sim"
 // It may be called from any simulation context; the move is asynchronous.
 func (t *Thread) RequestMigration(dest int) {
 	t.rt.Node(dest) // validate
-	t.pendingDest = dest
+	t.pendingDest = int32(dest)
 }
 
 // SetMigratable marks the thread as a candidate for balancer-initiated
@@ -30,7 +30,7 @@ func (t *Thread) Migratable() bool { return t.migratable }
 // checkPreempt honours a pending migration request; called at safe points.
 func (t *Thread) checkPreempt() {
 	if t.pendingDest >= 0 {
-		dest := t.pendingDest
+		dest := int(t.pendingDest)
 		t.pendingDest = -1
 		t.MigrateTo(dest)
 	}

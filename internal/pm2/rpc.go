@@ -131,22 +131,24 @@ func (n *Node) Register(name string, threaded bool, h Handler) {
 // requests. It runs once at registration and again each time a crashed node
 // restarts (the crash killed the previous dispatcher).
 func (n *Node) spawnDispatcher(svc *service) {
-	dispatcher := n.rt.CreateThread(n.ID, svc.dispatcherName, func(t *Thread) {
-		for {
-			msg := n.rt.net.RecvID(t.proc, n.ID, svc.chanID)
-			req := msg.Payload.(*rpcReq)
-			n.rt.net.FreeMessage(msg)
-			if svc.threaded {
-				n.HandlersSpawned++
-				n.rt.CreateThread(n.ID, svc.handlerName, func(ht *Thread) {
-					svc.run(ht, req)
-				})
-			} else {
-				svc.run(t, req)
-			}
+	n.rt.start(n.ID, svc.dispatcherName, 0, &Thread{svc: svc}).proc.MarkDaemon()
+}
+
+// dispatch is the dispatcher thread's loop: receive a request, run it here
+// or, for a threaded service, in a handler thread of its own.
+func (svc *service) dispatch(t *Thread) {
+	n := svc.node
+	for {
+		msg := n.rt.net.RecvID(t.proc, n.ID, svc.chanID)
+		req := msg.Payload.(*rpcReq)
+		n.rt.net.FreeMessage(msg)
+		if svc.threaded {
+			n.HandlersSpawned++
+			n.rt.start(n.ID, svc.handlerName, 0, &Thread{svc: svc, req: req})
+		} else {
+			svc.run(t, req)
 		}
-	})
-	dispatcher.Proc().MarkDaemon()
+	}
 }
 
 // SizedReply lets a handler override its reply's wire size at completion

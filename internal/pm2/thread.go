@@ -11,7 +11,7 @@ import (
 // preemptively to another node, carrying its stack and descriptor at the
 // same virtual addresses thanks to the iso-address allocation scheme.
 //
-// In this reproduction the goroutine backing the thread never moves — only
+// In this reproduction the coroutine backing the thread never moves — only
 // the thread's simulated location changes, and the migration latency
 // (a function of the stack size, as in Table 4) is charged on the network.
 // DSM protocols only observe the location and the latency, so the semantics
@@ -20,8 +20,14 @@ type Thread struct {
 	proc *sim.Proc
 	rt   *Runtime
 
+	// What the thread runs (see Run): fn for an application thread, else svc's
+	// handler on req, or svc's dispatcher loop when req is nil. The thread is
+	// its own proc body, so none of them costs a closure per thread.
+	fn  func(t *Thread)
+	svc *service
+	req *rpcReq
+
 	id        int
-	name      string
 	node      int // current simulated location
 	stackSize int
 
@@ -41,9 +47,10 @@ type Thread struct {
 	on         *threadList
 	prev, next *Thread
 
-	// Load-balancing state: a pending preemptive migration request and
+	// Load-balancing state: a pending preemptive migration request (-1 for
+	// none; 32 bits keep the descriptor in the allocator's 144-byte class) and
 	// whether the balancer may move this thread at all.
-	pendingDest int
+	pendingDest int32
 	migratable  bool
 	done        bool
 }
@@ -61,6 +68,11 @@ func (rt *Runtime) CreateThread(node int, name string, fn func(t *Thread)) *Thre
 // CreateThreadStack starts fn in a new thread on node with an explicit stack
 // size in bytes. The stack size drives migration cost.
 func (rt *Runtime) CreateThreadStack(node int, name string, stack int, fn func(t *Thread)) *Thread {
+	return rt.start(node, name, stack, &Thread{fn: fn})
+}
+
+// start fills in the descriptor of a new thread on node and spawns it.
+func (rt *Runtime) start(node int, name string, stack int, t *Thread) *Thread {
 	if stack <= 0 {
 		stack = DefaultStackSize
 	}
@@ -72,29 +84,33 @@ func (rt *Runtime) CreateThreadStack(node int, name string, stack int, fn func(t
 	// 1,2,3,... sequence.
 	shard := rt.ShardOf(node)
 	stride := len(rt.shardNext)
-	id := rt.shardNext[shard]*stride + shard + 1
+	t.id = rt.shardNext[shard]*stride + shard + 1
 	rt.shardNext[shard]++
 	rt.shardMade[shard]++
-	t := &Thread{
-		rt:          rt,
-		id:          id,
-		name:        name,
-		node:        node,
-		stackSize:   stack,
-		pendingDest: -1,
-	}
+	t.rt, t.node, t.stackSize, t.pendingDest = rt, node, stack, -1
 	rt.liveList(node).pushBack(t)
-	t.proc = rt.engFor(node).Go(name, func(p *sim.Proc) {
-		fn(t)
-		t.finish()
-		for _, j := range t.joiners {
-			j.Unpark()
-		}
-		t.joiners = nil
-	})
-	t.proc.Local = t
-	rt.nodes[node].ThreadsSpawned++
+	eng := rt.engFor(node)
+	t.proc = eng.SpawnRunner(name, eng.Now(), t)
+	n.ThreadsSpawned++
 	return t
+}
+
+// Run is the thread's proc body (sim.Runner): its function, service handler
+// or dispatcher loop, then the exit — leave the live list, release joiners.
+func (t *Thread) Run(*sim.Proc) {
+	switch {
+	case t.fn != nil:
+		t.fn(t)
+	case t.req != nil:
+		t.svc.run(t, t.req)
+	default:
+		t.svc.dispatch(t)
+	}
+	t.finish()
+	for _, j := range t.joiners {
+		j.Unpark()
+	}
+	t.joiners = nil
 }
 
 // finish marks t done and drops it from its live list, on return of its
@@ -106,7 +122,7 @@ func (t *Thread) finish() {
 
 // FromProc recovers the Thread a proc is running, or nil for bare procs.
 func FromProc(p *sim.Proc) *Thread {
-	t, _ := p.Local.(*Thread)
+	t, _ := p.Body().(*Thread)
 	return t
 }
 
@@ -114,7 +130,7 @@ func FromProc(p *sim.Proc) *Thread {
 func (t *Thread) ID() int { return t.id }
 
 // Name returns the thread's diagnostic name.
-func (t *Thread) Name() string { return t.name }
+func (t *Thread) Name() string { return t.proc.Name() }
 
 // Proc exposes the underlying sim proc.
 func (t *Thread) Proc() *sim.Proc { return t.proc }
@@ -182,10 +198,10 @@ func (t *Thread) MigrateTo(dest int) {
 	src := t.node
 	if t.rt.se != nil {
 		if t.rt.nodeShard[src] != t.rt.nodeShard[dest] {
-			// The thread's goroutine is wired to its shard's event loop;
+			// The thread's coroutine is wired to its shard's event loop;
 			// re-homing it would move a running proc between calendars.
 			panic(fmt.Sprintf("pm2: thread %q cannot migrate %d->%d across shards (%d->%d)",
-				t.name, src, dest, t.rt.nodeShard[src], t.rt.nodeShard[dest]))
+				t.Name(), src, dest, t.rt.nodeShard[src], t.rt.nodeShard[dest]))
 		}
 		t.unlink()
 		t.rt.nodes[dest].live.pushBack(t)
@@ -201,7 +217,7 @@ func (t *Thread) MigrateTo(dest int) {
 // Join blocks until other finishes. A thread must not join itself.
 func (t *Thread) Join(other *Thread) {
 	if other == t {
-		panic(fmt.Sprintf("pm2: thread %q joining itself", t.name))
+		panic(fmt.Sprintf("pm2: thread %q joining itself", t.Name()))
 	}
 	if other.done {
 		return

@@ -8,8 +8,8 @@ import "testing"
 // rings, queue growth — amortize to zero over the run).
 
 // BenchmarkAdvanceSelfWake measures the uncontended Advance cycle: the proc
-// schedules its own wake, drives the queue, finds its own record and keeps
-// running — zero goroutine switches, zero allocations.
+// schedules its own wake, finds that record at the head of the calendar and
+// keeps running — zero coroutine switches, zero allocations.
 func BenchmarkAdvanceSelfWake(b *testing.B) {
 	e := NewEngine(1)
 	e.Go("w", func(p *Proc) {
@@ -25,8 +25,8 @@ func BenchmarkAdvanceSelfWake(b *testing.B) {
 }
 
 // BenchmarkWakeHandoff measures the cross-proc wake: two procs ping-pong
-// through channels, so every iteration is a park, an unpark wake record and
-// a direct goroutine handoff.
+// through channels, so every iteration is two parks, two unpark wake records
+// and two round trips between the event loop and a coroutine.
 func BenchmarkWakeHandoff(b *testing.B) {
 	e := NewEngine(1)
 	ping, pong := new(Chan), new(Chan)
@@ -76,8 +76,8 @@ func BenchmarkSchedulePush(b *testing.B) {
 
 // BenchmarkSpawnExit measures a whole proc lifecycle on the bare kernel: one
 // proc spawns a short-lived child per iteration, and each child runs on the
-// worker its predecessor left idle — a Proc allocation and a goroutine
-// hand-off, no goroutine creation.
+// worker its predecessor left idle — a Proc allocation and a coroutine round
+// trip, no coroutine creation.
 func BenchmarkSpawnExit(b *testing.B) {
 	e := NewEngine(1)
 	e.Go("parent", func(p *Proc) {

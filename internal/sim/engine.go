@@ -11,8 +11,10 @@ import (
 
 // event is one scheduled occurrence, ordered by (time, seq): events with
 // equal times fire in scheduling order, which is what makes the simulation
-// deterministic. Events are value-typed and live inline in the engine's
-// queue; the discriminant is which reference field is set:
+// deterministic. Neither key is stored in the event: its time is its
+// bucket's, and its seq is its place in the bucket's ring. Events are
+// value-typed and live inline in the engine's queue; the discriminant is
+// which reference field is set:
 //
 //   - proc != nil: a wake record — resume that proc. This is the dominant
 //     kind (Advance, Unpark, Spawn, every synchronization wakeup) and
@@ -24,8 +26,6 @@ import (
 //     hooks). The closure capture is the only allocation, paid by the
 //     caller when it builds the func literal.
 type event struct {
-	t       Time
-	seq     uint64
 	proc    *Proc
 	ch      *Chan
 	payload interface{}
@@ -41,6 +41,13 @@ type bucket struct {
 	t Time
 	fifo[event]
 }
+
+// maxPooledRing is the largest ring, in events, a pooled bucket keeps from
+// one Run phase to the next (see releaseIdle): a burst-sized ring — every
+// dispatcher of a machine starts at t=0 — would otherwise stay pinned for the
+// engine's life. Within a phase rings only grow, so a simulation that bursts
+// in steady state (256 procs in lock step) still queues without allocating.
+const maxPooledRing = 64
 
 // freeT marks a bucket as sitting on the freelist: no live event time can
 // match it (times are clamped to >= Now >= 0), so a stale cache hit on a
@@ -70,8 +77,7 @@ type Engine struct {
 	last    *bucket                // most recently pushed-to bucket (cache)
 	free    freelist.List[*bucket] // bucket freelist
 
-	cur     *Proc         // proc currently holding the simulation token
-	park    chan struct{} // procs signal here when they yield back
+	cur     *Proc // proc the event loop is currently running
 	nextID  int
 	nlive   int    // procs spawned and not yet finished
 	nevents uint64 // events fired since creation
@@ -79,13 +85,13 @@ type Engine struct {
 	// live heads the intrusive list of procs that have neither finished nor
 	// been killed (daemons included); deadlock reports walk it. idle is the
 	// LIFO of workers whose proc has finished (see worker). Both are touched
-	// only by the token holder, so neither needs a lock.
+	// only by the event loop and the proc it is running, so neither needs a
+	// lock.
 	live *Proc
 	idle freelist.List[*worker]
 
 	rng    *rand.Rand
-	rngSrc *countingSource // the source under rng, counting draws for Capture
-	seed   int64           // the seed rngSrc was created from
+	rngSrc *countingSource // the seeded source under rng, counting draws for Capture
 
 	stopped bool
 	onIdle  func() bool // optional hook when queue drains with live procs
@@ -102,9 +108,7 @@ type Engine struct {
 // that identical seeds replay identical simulations.
 func NewEngine(seed int64) *Engine {
 	e := &Engine{
-		park:   make(chan struct{}),
 		times:  make(map[Time]*bucket),
-		seed:   seed,
 		rngSrc: newCountingSource(seed),
 	}
 	e.rng = rand.New(e.rngSrc)
@@ -118,12 +122,15 @@ func (e *Engine) Now() Time { return e.now }
 // used from simulation context (engine callbacks or running procs).
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// push appends ev, firing at time t, to that time's bucket, creating (and
-// heap-inserting) the bucket on first use. The single-entry bucket cache
-// makes the dominant case — many events scheduled for the same time — a
-// pure ring append.
-func (e *Engine) push(ev event) {
-	t := ev.t
+// push appends ev, firing at time t (clamped to >= Now), to that time's
+// bucket, creating (and heap-inserting) the bucket on first use. The
+// single-entry bucket cache makes the dominant case — many events scheduled
+// for the same time — a pure ring append.
+func (e *Engine) push(t Time, ev event) {
+	if t < e.now {
+		t = e.now
+	}
+	e.seq++
 	e.nqueued++
 	b := e.last
 	if b == nil || b.t != t {
@@ -142,10 +149,13 @@ func (e *Engine) push(ev event) {
 	b.push(ev)
 }
 
-// pop removes and returns the globally minimum event by (time, seq).
+// pop removes and returns the globally minimum event by (time, seq),
+// advancing the clock to its time.
 func (e *Engine) pop() event {
 	b := e.queue[0]
 	ev := b.pop()
+	e.now = b.t
+	e.nevents++
 	e.nqueued--
 	if b.len() == 0 {
 		e.heapPopRoot()
@@ -216,32 +226,20 @@ func (e *Engine) heapPopRoot() {
 // the general closure path; the kernel's own hot paths use the typed wake
 // and push records instead.
 func (e *Engine) Schedule(t Time, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.push(event{t: t, seq: e.seq, fn: fn})
+	e.push(t, event{fn: fn})
 }
 
 // scheduleWake schedules a typed wake record for p at time t (>= Now)
 // without allocating.
 func (e *Engine) scheduleWake(t Time, p *Proc) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.push(event{t: t, seq: e.seq, proc: p})
+	e.push(t, event{proc: p})
 }
 
 // SchedulePush delivers payload into ch at time t (>= Now): the typed,
 // allocation-free form of Schedule(t, func() { ch.Push(payload) }) that the
 // network layer uses for every message arrival.
 func (e *Engine) SchedulePush(t Time, ch *Chan, payload interface{}) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.push(event{t: t, seq: e.seq, ch: ch, payload: payload})
+	e.push(t, event{ch: ch, payload: payload})
 }
 
 // After runs fn d from now, in engine context.
@@ -265,23 +263,19 @@ func (d *DeadlockError) Error() string {
 // owns the engine (typically the test or main goroutine), and only once at a
 // time.
 //
-// The event loop is token-passing: whichever goroutine holds the simulation
-// token (initially the Run caller) pops and dispatches events via drive.
-// Closure and push events execute inline in the driving goroutine; a wake
-// event transfers the token directly to the woken proc, and when that proc
-// later yields, *it* becomes the driver and dispatches the next event. One
-// goroutine switch per wake instead of the bounce through a central
-// scheduler goroutine — at simulation scale the context switches are the
-// kernel's largest remaining cost, and this halves them.
+// The event loop runs on the calling goroutine: it pops events in (time, seq)
+// order, dispatches closure and push events inline, and for a wake event
+// resumes the woken proc's coroutine, which runs until the proc blocks or
+// finishes and then switches straight back (see drive). Nothing else is ever
+// runnable, so a panic inside a proc unwinds through Run into the caller with
+// the proc's value, and a runtime.Goexit inside one (a t.Fatal) ends the
+// calling goroutine. Either leaves the kernel mid-event: an engine whose proc
+// panicked is not to be run again.
 func (e *Engine) Run() error {
 	if e.sh != nil {
 		panic("sim: Run called on one shard of a sharded engine; use ShardedEngine.Run")
 	}
-	if e.drive(nil) == driveHanded {
-		// The token was handed to a proc; wait until the driver that
-		// drains the queue passes it back.
-		<-e.park
-	}
+	e.drive()
 	e.releaseIdle()
 	if e.nlive > 0 && !e.stopped {
 		blocked := e.blocked("")
@@ -310,71 +304,60 @@ func (e *Engine) blocked(prefix string) []string {
 	return out
 }
 
-// driveResult reports how a drive call gave up the token.
-type driveResult int
-
-const (
-	// driveDrained: the queue emptied (or Stop was called) with the
-	// calling goroutine still holding the token. A proc caller must pass
-	// the token back to Run by signalling park.
-	driveDrained driveResult = iota
-	// driveHanded: the token was sent to another proc's wake channel. The
-	// caller must not touch engine state afterwards — the new driver may
-	// already be running.
-	driveHanded
-	// driveSelf: the next event was the wake record of the proc bound to
-	// the calling goroutine, so the caller keeps the token and simply runs
-	// it. This makes an uncontended Advance cost zero goroutine switches.
-	driveSelf
-)
-
-// drive pops and dispatches events until the token leaves the calling
-// goroutine or the queue drains. It runs on whichever goroutine currently
-// holds the simulation token, with e.cur == nil (engine context) so that
-// dispatched closures observe the same environment as under a central loop.
-// self is the wake channel the calling goroutine receives on (nil when Run
-// drives): a wake record for the proc bound to that channel is
-// short-circuited instead of deadlocking on a send to ourselves. For a
-// yielding proc that is its own record; for a worker driving after its proc
-// finished it is a proc Spawn bound to the worker meanwhile. A dead proc's
-// records never get that far, so a recycled channel cannot match one.
-func (e *Engine) drive(self chan struct{}) driveResult {
-	if e.sh != nil {
-		return e.driveSharded(self)
-	}
+// drive is the event loop: pop and dispatch events until the queue drains (on
+// a shard: until the horizon-bounded merge is exhausted, see
+// shardCtl.nextEvent) or Stop is called. Closure and push events run inline
+// with e.cur == nil (engine context). A wake event resumes the proc's
+// coroutine and returns here when the proc yields: two coroutine switches per
+// wake, with no run queue and no second thread woken, which is cheaper than
+// the one channel rendezvous a direct proc-to-proc hand-off would cost.
+func (e *Engine) drive() {
 	for !e.stopped {
-		if e.nqueued == 0 {
-			// Queue drained with procs still live: give the idle hook
-			// one chance per drain to feed external work in.
-			if e.nlive > 0 && e.onIdle != nil {
-				if e.onIdle() && e.nqueued > 0 {
-					continue
-				}
+		var ev event
+		if sh := e.sh; sh != nil {
+			var ok bool
+			if ev, ok = sh.nextEvent(e); !ok {
+				return
 			}
-			break
+		} else if e.nqueued > 0 {
+			ev = e.pop()
+		} else if e.nlive > 0 && e.onIdle != nil && e.onIdle() && e.nqueued > 0 {
+			// Queue drained with procs still live: the idle hook gets one
+			// chance per drain to feed external work in, and did.
+			continue
+		} else {
+			return
 		}
-		ev := e.pop()
-		e.now = ev.t
-		e.nevents++
 		switch {
 		case ev.proc != nil:
-			p := ev.proc
-			if p.dead {
-				continue
+			if p := ev.proc; !p.dead {
+				e.cur = p
+				p.w.resume()
+				e.cur = nil
 			}
-			e.cur = p
-			if p.wake == self {
-				return driveSelf
-			}
-			p.wake <- struct{}{}
-			return driveHanded
 		case ev.ch != nil:
 			ev.ch.Push(ev.payload)
 		default:
 			ev.fn()
 		}
 	}
-	return driveDrained
+}
+
+// popSelfWake consumes the next event if it is p's own wake record, exactly
+// as drive would have popped it and resumed p, and reports whether it did.
+func (e *Engine) popSelfWake(p *Proc) bool {
+	if e.stopped || e.nqueued == 0 {
+		return false
+	}
+	b := e.queue[0]
+	if b.peek().proc != p {
+		return false
+	}
+	if sh := e.sh; sh != nil && (b.t >= sh.limit || len(sh.pending) > 0 && sh.pending[0].t < b.t) {
+		return false
+	}
+	e.pop()
+	return true
 }
 
 // Stop aborts the simulation: Run returns after the current event completes.

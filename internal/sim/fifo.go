@@ -27,6 +27,9 @@ func (f *fifo[T]) push(v T) {
 	f.q = append(f.q, v)
 }
 
+// peek returns the element pop would; the queue must not be empty.
+func (f *fifo[T]) peek() *T { return &f.q[f.head] }
+
 func (f *fifo[T]) pop() T {
 	var zero T
 	v := f.q[f.head]

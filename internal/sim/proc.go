@@ -1,16 +1,18 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated thread: code that runs on a worker goroutine only while
-// it holds the simulation token. Procs advance virtual time explicitly with
-// Advance and block with Park; the engine resumes them in deterministic event
-// order.
+// Proc is a simulated thread: code that runs on a worker coroutine, resumed by
+// the engine's event loop. Procs advance virtual time explicitly with Advance
+// and block with Park; the engine resumes them in deterministic event order.
 type Proc struct {
 	eng    *Engine
 	id     int
 	name   string
-	wake   chan struct{} // the bound worker's channel
+	w      *worker // the coroutine the proc is bound to
 	dead   bool
 	daemon bool
 
@@ -27,90 +29,92 @@ type Proc struct {
 	// when it fires (it can never unpark the proc from a later wait).
 	timedGen uint64
 
-	// Local is a free slot for the runtime layered above (PM2 stores the
-	// owning thread descriptor here).
-	Local interface{}
+	// body is what the proc runs. The runtime layered above spawns its own
+	// thread descriptor as the body (see SpawnRunner) and gets it back through
+	// Body, so a thread needs no closure and no side slot to find itself.
+	body Runner
 }
 
-// worker is a goroutine that runs procs, one at a time. A simulated thread's
-// host cost must end when the thread does, so the goroutine, its grown stack
-// and its wake channel outlive the proc: a worker whose proc finished parks on
-// the engine's idle list and the next Spawn binds a fresh Proc to it. Only
-// the Proc is new per spawn — ids, names, kill state and stale wake records
-// are per proc, and a dead proc's records are skipped by p.dead, so nothing of
-// the previous tenant leaks into the next.
+// Runner is the body of a proc: Run executes in simulation context, on the
+// proc's coroutine, and the proc is finished when it returns.
+type Runner interface {
+	Run(p *Proc)
+}
+
+// runnerFunc adapts a plain function to Runner. A func value is
+// pointer-shaped, so the conversion allocates nothing.
+type runnerFunc func(p *Proc)
+
+func (f runnerFunc) Run(p *Proc) { f(p) }
+
+// worker is a coroutine (see iter.Pull) that runs procs, one at a time. A
+// simulated thread's host cost must end when the thread does, so the coroutine
+// and its grown stack outlive the proc: a worker whose proc finished goes on
+// the engine's idle list and the next Spawn binds a fresh Proc to it. Only the
+// Proc is new per spawn — ids, names, kill state and stale wake records are
+// per proc, and a dead proc's records are skipped by p.dead, so nothing of the
+// previous tenant leaks into the next.
 type worker struct {
-	wake chan struct{}
-	// p and fn are the proc bound by Spawn and its body, consumed on the
-	// next wake. nil p on a wake means the engine released the worker.
-	p  *Proc
-	fn func(p *Proc)
+	// resume switches to the coroutine and returns when it next yields (its
+	// proc blocked or finished); yield is the other direction, called on the
+	// coroutine.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 }
 
 // Spawn creates a new simulated thread named name that will start executing
 // fn at virtual time start (>= Now). fn runs in simulation context: it may
 // call Advance, Park and the synchronization primitives in this package.
 func (e *Engine) Spawn(name string, start Time, fn func(p *Proc)) *Proc {
+	return e.SpawnRunner(name, start, runnerFunc(fn))
+}
+
+// SpawnRunner is Spawn for a body that is a value rather than a closure: the
+// layer above spawns its thread descriptor itself and recovers it with Body.
+func (e *Engine) SpawnRunner(name string, start Time, body Runner) *Proc {
 	w, ok := e.idle.Get()
 	if !ok {
-		w = &worker{wake: make(chan struct{})}
-		go e.work(w)
+		w = e.newWorker()
 	}
 	e.nextID++
 	p := &Proc{
 		eng:  e,
 		id:   e.nextID,
 		name: name,
-		wake: w.wake,
+		w:    w,
 		next: e.live,
+		body: body,
 	}
 	if e.live != nil {
 		e.live.prev = p
 	}
 	e.live = p
-	w.p, w.fn = p, fn
 	e.nlive++
 	e.scheduleWake(start, p)
 	return p
 }
 
-// work is a worker's goroutine: run the bound proc, go idle, keep driving the
-// event loop (the finished proc still holds the token), repeat.
-func (e *Engine) work(w *worker) {
-	for {
-		<-w.wake // first dispatch of the bound proc, or release
-		if w.p == nil {
-			e.park <- struct{}{} // released: tell releaseIdle we are gone
-			return
+// newWorker creates a worker coroutine: run a proc to its end, go idle, yield
+// to the event loop, repeat. Every resume of an idle worker is the first
+// dispatch of the proc bound to it since, which the event loop has just made
+// e.cur — or, with no proc current, releaseIdle ending the coroutine (that,
+// not iter.Pull's stop, so that a parked worker holds one closure fewer).
+func (e *Engine) newWorker() *worker {
+	w := new(worker)
+	w.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		for p := e.cur; p != nil; p = e.cur {
+			p.body.Run(p)
+			p.dead = true
+			if !p.daemon {
+				e.nlive--
+			}
+			e.unlink(p)
+			e.idle.Put(w)
+			yield(struct{}{})
 		}
-		r := driveSelf
-		for r == driveSelf {
-			r = e.runBound(w)
-		}
-		if r == driveDrained {
-			e.park <- struct{}{}
-		}
-	}
-}
-
-// runBound runs the proc bound to w to its end, puts w on the idle list and
-// makes the proc's final yield: dispatch the remaining events (the caller
-// passes the token back to Run if the queue drained here). Being idle, w may
-// be bound again by a Spawn made from an event it dispatches itself; that
-// proc's wake record then comes back as driveSelf and the caller runs it
-// directly.
-func (e *Engine) runBound(w *worker) driveResult {
-	p, fn := w.p, w.fn
-	w.p, w.fn = nil, nil
-	fn(p)
-	p.dead = true
-	if !p.daemon {
-		e.nlive--
-	}
-	e.unlink(p)
-	e.idle.Put(w)
-	e.cur = nil
-	return e.drive(w.wake)
+	})
+	return w
 }
 
 // unlink removes p from the live list.
@@ -126,24 +130,30 @@ func (e *Engine) unlink(p *Proc) {
 	p.prev, p.next = nil, nil
 }
 
-// releaseIdle ends the idle workers' goroutines and waits for them. Run calls
-// it on return, holding the token: between Run phases nothing can use the
-// workers, and a finished simulation must not pin goroutines. A worker bound
-// to a live proc is not on the idle list and stays parked.
+// releaseIdle lets go of what only a running engine needs: it ends the idle
+// workers' coroutines, synchronously, and drops the pooled buckets' burst-sized
+// rings. Run calls it on return, in engine context: between Run phases nothing
+// can use the workers, and a finished simulation must not pin goroutines. A
+// worker bound to a live proc is not on the idle list and stays suspended.
 func (e *Engine) releaseIdle() {
-	n := e.idle.Len()
 	for w, ok := e.idle.Get(); ok; w, ok = e.idle.Get() {
-		close(w.wake)
+		w.resume()
 	}
-	for ; n > 0; n-- {
-		<-e.park
-	}
+	e.free.Each(func(b *bucket) {
+		if cap(b.q) > maxPooledRing {
+			b.q = nil
+		}
+	})
 }
 
 // Go spawns fn at the current virtual time. It is the common case of Spawn.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return e.Spawn(name, e.now, fn)
 }
+
+// Body returns what the proc was spawned to run (for a proc made by Spawn or
+// Go, an opaque adapter around its function).
+func (p *Proc) Body() Runner { return p.body }
 
 // MarkDaemon excludes p from run-completion and deadlock accounting. Use it
 // for service procs (RPC dispatchers, monitors) that park forever by design:
@@ -170,25 +180,14 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// yield gives up the simulation token and blocks until woken. The yielding
-// goroutine itself drives the event loop forward (see Engine.drive) before
-// parking, so waking the next proc costs one goroutine switch instead of a
-// bounce through a scheduler goroutine — and resuming this same proc (an
-// uncontended Advance) costs none at all.
+// yield suspends the proc until its next wake record fires: the coroutine
+// switches back to the event loop that resumed it (see Engine.drive), which
+// dispatches events until one resumes this worker again. When the proc's own
+// wake record is the very next event — an uncontended Advance — it is consumed
+// here and the proc keeps running, with no switch at all.
 func (p *Proc) yield() {
-	e := p.eng
-	e.cur = nil
-	switch e.drive(p.wake) {
-	case driveSelf:
-		// Our own wake record was the next event: keep the token and
-		// keep running.
-	case driveHanded:
-		<-p.wake
-	case driveDrained:
-		// Queue drained with us holding the token: hand it back to Run,
-		// then wait (a later Run phase may unpark us).
-		e.park <- struct{}{}
-		<-p.wake
+	if !p.eng.popSelfWake(p) {
+		p.w.yield(struct{}{})
 	}
 }
 
@@ -229,14 +228,14 @@ func (p *Proc) ParkFor(reason string, other *Proc) {
 // are skipped by the dispatcher, and the synchronization primitives skip dead
 // procs when granting mutexes, semaphore units, signals or messages, so
 // killing a parked proc cannot strand a resource on it. Kill must be called
-// from engine context or another proc — a proc cannot kill itself (it would
-// still hold the simulation token).
+// from engine context or another proc — a proc cannot kill itself (the event
+// loop could not get control back from a proc that never yields again).
 //
-// The killed proc's worker goroutine stays parked on its wake channel for the
-// rest of the process and is never reused — a deliberate leak of one small
-// stack per kill. Forcing an
-// exit (runtime.Goexit after a final wake) would run the proc's deferred
-// calls concurrently with the simulation, without the token, which is far
+// The killed proc's coroutine stays suspended for the rest of the process and
+// its worker is never reused — a deliberate leak of one small stack per kill.
+// Unwinding it (resumed one last time, the proc would have to panic or Goexit
+// out of its body) would run the proc's deferred calls in the middle of the
+// simulation, after the proc's resources were already handed on, which is far
 // worse than the bounded memory cost of a fault experiment's kills.
 func (p *Proc) Kill() {
 	if p.dead {
@@ -265,9 +264,9 @@ func (p *Proc) Unpark() {
 	e.scheduleWake(e.now, p)
 }
 
-// checkRunning panics if p is not the proc currently holding the token.
-// Blocking operations from outside simulation context would hang the kernel,
-// so this fails fast instead.
+// checkRunning panics if p is not the proc the event loop is running.
+// Blocking operations from outside simulation context would switch out of the
+// wrong coroutine, so this fails fast instead.
 func (p *Proc) checkRunning(op string) {
 	if p.eng.cur != p {
 		panic(fmt.Sprintf("sim: %s called on proc %q which is not running (cur=%v)",

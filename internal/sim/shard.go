@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -100,8 +101,8 @@ type remoteEvent struct {
 
 // shardCtl is the per-shard view of the sharded engine, attached to an
 // Engine via its sh field. limit and the pending heap are only touched by
-// whichever goroutine holds that shard's simulation token, so they need no
-// locking; the shared synchronization plane lives in the ShardedEngine.
+// the shard's controller goroutine and the proc it is running, so they need
+// no locking; the shared synchronization plane lives in the ShardedEngine.
 type shardCtl struct {
 	se      *ShardedEngine
 	id      int
@@ -287,7 +288,9 @@ func (se *ShardedEngine) computeDist() {
 // state. With one shard it is exactly Engine.Run. With several, each shard
 // runs its controller loop on its own goroutine; Run returns nil when every
 // non-daemon proc finished (or any shard was stopped), else a
-// *DeadlockError listing the blocked procs of every shard, shard-tagged.
+// *DeadlockError listing the blocked procs of every shard, shard-tagged. As
+// with Engine.Run, a proc's panic or Goexit comes out of Run on the caller's
+// goroutine, and the engine is not to be run again.
 func (se *ShardedEngine) Run() error {
 	if len(se.shards) == 1 {
 		return se.shards[0].Run()
@@ -307,16 +310,36 @@ func (se *ShardedEngine) Run() error {
 	se.nwaiting = 0
 	se.mu.Unlock()
 
+	// A proc that panics or calls runtime.Goexit (a t.Fatal) unwinds its
+	// shard's controller goroutine. That must neither kill the process from a
+	// goroutine the caller cannot see nor leave the other shards waiting on a
+	// bound that will never move: stop them, and re-raise on the caller.
 	var wg sync.WaitGroup
+	var first sync.Once
+	var failed bool
+	var panicked interface{}
 	for i := range se.shards {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			returned := false
+			defer func() {
+				if !returned {
+					v := recover()
+					first.Do(func() { failed, panicked = true, v })
+					se.Stop()
+				}
+			}()
 			se.runShard(i)
+			returned = true
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	} else if failed {
+		runtime.Goexit()
+	}
 
 	stopped := false
 	nlive := 0
@@ -385,9 +408,7 @@ func (se *ShardedEngine) runShard(i int) {
 				se.syncHook(i)
 			}
 			sh.limit = h
-			if e.drive(nil) == driveHanded {
-				<-e.park
-			}
+			e.drive()
 			se.mu.Lock()
 			continue
 		}
@@ -471,8 +492,8 @@ func (se *ShardedEngine) grantLocked() bool {
 }
 
 // send routes a remote event from shard src to shard dst, validating the
-// lookahead promise the synchronization protocol depends on. It runs on
-// src's goroutine (whoever holds src's token).
+// lookahead promise the synchronization protocol depends on. It runs in
+// src's context (its controller goroutine or the proc that one is running).
 func (se *ShardedEngine) send(src, dst int, rev remoteEvent) {
 	e := se.shards[src]
 	if min := e.now.Add(se.look[src][dst]); rev.t < min {
@@ -567,47 +588,15 @@ func (sh *shardCtl) nextEvent(e *Engine) (event, bool) {
 				return event{}, false
 			}
 			rev := sh.popPending()
-			return event{t: rev.t, ch: rev.ch, payload: rev.payload, fn: rev.fn}, true
+			e.now = rev.t
+			e.nevents++
+			return event{ch: rev.ch, payload: rev.payload, fn: rev.fn}, true
 		}
 	}
 	if !hasLocal || lt >= limit {
 		return event{}, false
 	}
 	return e.pop(), true
-}
-
-// driveSharded is the sharded twin of the legacy drive loop: identical
-// dispatch, but events come from the horizon-bounded two-stream merge and
-// an exhausted merge returns the token to the shard controller instead of
-// ending the run.
-func (e *Engine) driveSharded(self chan struct{}) driveResult {
-	sh := e.sh
-	for !e.stopped {
-		ev, ok := sh.nextEvent(e)
-		if !ok {
-			break
-		}
-		e.now = ev.t
-		e.nevents++
-		switch {
-		case ev.proc != nil:
-			p := ev.proc
-			if p.dead {
-				continue
-			}
-			e.cur = p
-			if p.wake == self {
-				return driveSelf
-			}
-			p.wake <- struct{}{}
-			return driveHanded
-		case ev.ch != nil:
-			ev.ch.Push(ev.payload)
-		default:
-			ev.fn()
-		}
-	}
-	return driveDrained
 }
 
 // ShardID reports which shard of a sharded engine this engine is; a

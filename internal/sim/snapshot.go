@@ -28,28 +28,34 @@ import (
 // relative to rand.New(rand.NewSource(seed)). Each call advances the
 // underlying generator by exactly one step regardless of entry point, so a
 // single counter suffices.
+//
+// The wrapped source is seeded by the first draw: most engines never draw,
+// and a seeded source is 5 KB that a parked system would pin.
 type countingSource struct {
+	seed  int64
 	src   rand.Source64
 	draws uint64
 }
 
 func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	return &countingSource{seed: seed}
 }
 
-func (c *countingSource) Int63() int64 {
+// next counts one draw and returns the source to take it from.
+func (c *countingSource) next() rand.Source64 {
+	if c.src == nil {
+		c.src = rand.NewSource(c.seed).(rand.Source64)
+	}
 	c.draws++
-	return c.src.Int63()
+	return c.src
 }
 
-func (c *countingSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
+func (c *countingSource) Int63() int64 { return c.next().Int63() }
+
+func (c *countingSource) Uint64() uint64 { return c.next().Uint64() }
 
 func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.draws = 0
+	*c = countingSource{seed: seed}
 }
 
 // burnTo advances the source until draws reaches target. It reports an error
@@ -141,7 +147,7 @@ func (e *Engine) snapshotNow() Snapshot {
 		Seq:      e.seq,
 		NextID:   e.nextID,
 		NEvents:  e.nevents,
-		Seed:     e.seed,
+		Seed:     e.rngSrc.seed,
 		RNGDraws: e.rngSrc.draws,
 	}
 	if e.sh != nil {
@@ -165,8 +171,8 @@ func (e *Engine) Restore(s Snapshot) error {
 // restoreSnapshot stomps the kernel scalars without a safe-point check; see
 // Restore for the contract, ShardedEngine.Restore for the sharded caller.
 func (e *Engine) restoreSnapshot(s Snapshot) error {
-	if e.seed != s.Seed {
-		return fmt.Errorf("sim: restore: engine seeded %d, snapshot needs %d", e.seed, s.Seed)
+	if e.rngSrc.seed != s.Seed {
+		return fmt.Errorf("sim: restore: engine seeded %d, snapshot needs %d", e.rngSrc.seed, s.Seed)
 	}
 	if e.seq > s.Seq {
 		return fmt.Errorf("sim: restore: engine already at seq %d, past checkpoint's %d", e.seq, s.Seq)

@@ -3,12 +3,13 @@
 // The kernel is the substrate on which the whole DSM-PM2 reproduction runs:
 // simulated cluster nodes, network links and user-level threads all advance a
 // shared virtual clock instead of wall-clock time. Exactly one simulated
-// thread (a Proc) runs at any instant; control is handed between the engine
-// goroutine and proc goroutines over unbuffered channels, which makes every
-// run with the same seed bit-for-bit reproducible.
+// thread (a Proc) runs at any instant: procs are coroutines that one event
+// loop, on the goroutine that called Run, resumes in event order and that
+// yield back to it, which makes every run with the same seed bit-for-bit
+// reproducible.
 //
-// A Proc is new per Spawn, its goroutine is not: procs run on worker
-// goroutines that a finished proc leaves idle for the next Spawn and that Run
+// A Proc is new per Spawn, its coroutine is not: procs run on worker
+// coroutines that a finished proc leaves idle for the next Spawn and that Run
 // ends when it returns, so a simulation of a million short threads costs the
 // host a handful of goroutines and a finished thread costs it nothing.
 package sim

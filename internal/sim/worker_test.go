@@ -8,12 +8,12 @@ import (
 )
 
 // The edges of worker recycling (see worker in proc.go): a finished proc's
-// goroutine is rebound to the next Spawn, so these pin the cases where the
-// previous tenant could leak into the next, or a goroutine could wait on
-// itself.
+// coroutine is rebound to the next Spawn, so these pin the cases where the
+// previous tenant could leak into the next, and what becomes of a coroutine
+// whose proc is killed, panics or exits its goroutine.
 
 // runWithin runs the engine and fails the test instead of hanging it if the
-// run wedges (a worker waiting on its own channel never returns).
+// run wedges.
 func runWithin(t *testing.T, run func() error) error {
 	t.Helper()
 	done := make(chan error, 1)
@@ -28,8 +28,9 @@ func runWithin(t *testing.T, run func() error) error {
 }
 
 // settledGoroutines reports the goroutine count once it stops exceeding want:
-// a released worker acknowledges just before its goroutine exits, so the count
-// can trail Run's return by an instant.
+// idle workers are gone when Run returns, but the goroutine runWithin started
+// and a sharded run's controllers signal just before they exit, so the count
+// can trail by an instant.
 func settledGoroutines(want int) int {
 	deadline := time.Now().Add(5 * time.Second)
 	n := runtime.NumGoroutine()
@@ -40,10 +41,9 @@ func settledGoroutines(want int) int {
 	return n
 }
 
-// TestWorkerRebindWhileDriving: a closure event dispatched by a worker whose
-// proc just finished spawns a proc. The idle worker on top of the LIFO is the
-// driving one, so the new proc is bound to the very goroutine that will pop
-// its wake record; it must run it directly instead of sending to itself.
+// TestWorkerRebindWhileDriving: a closure event spawns a proc right after
+// another finished. The idle worker on top of the LIFO is the finished proc's,
+// so the new proc runs on the coroutine that has just yielded for good.
 func TestWorkerRebindWhileDriving(t *testing.T) {
 	e := NewEngine(1)
 	var first, second *Proc
@@ -58,7 +58,7 @@ func TestWorkerRebindWhileDriving(t *testing.T) {
 	if err := runWithin(t, e.Run); err != nil {
 		t.Fatal(err)
 	}
-	if second.wake != first.wake {
+	if second.w != first.w {
 		t.Fatal("second proc was not bound to the finished proc's worker; the test no longer covers the self-bound case")
 	}
 	if ranAt != 15 {
@@ -71,7 +71,7 @@ func TestWorkerRebindWhileDriving(t *testing.T) {
 
 // TestWorkerKilledProcAbandonsWorker: a proc killed before its first dispatch
 // and a proc killed while parked never run, and their workers never come back
-// to the idle list (their goroutines may be anywhere inside the proc's body);
+// to the idle list (their coroutines may be anywhere inside the proc's body);
 // the run still terminates.
 func TestWorkerKilledProcAbandonsWorker(t *testing.T) {
 	e := NewEngine(1)
@@ -99,7 +99,7 @@ func TestWorkerKilledProcAbandonsWorker(t *testing.T) {
 	if ran {
 		t.Fatal("a killed proc ran")
 	}
-	if late.wake == early.wake || late.wake == parked.wake {
+	if late.w == early.w || late.w == parked.w {
 		t.Fatal("a proc was bound to a killed proc's worker")
 	}
 	if !late.Dead() || e.Now() != 300 {
@@ -109,7 +109,7 @@ func TestWorkerKilledProcAbandonsWorker(t *testing.T) {
 
 // TestWorkerStaleRecordsSkipNewTenant: wake and timed-wait records of a
 // finished proc that fire after its worker was rebound must not wake the new
-// proc, although both procs share one wake channel.
+// proc, although both procs share one worker.
 func TestWorkerStaleRecordsSkipNewTenant(t *testing.T) {
 	e := NewEngine(1)
 	ch := new(Chan)
@@ -133,7 +133,7 @@ func TestWorkerStaleRecordsSkipNewTenant(t *testing.T) {
 	if err := runWithin(t, e.Run); err != nil {
 		t.Fatal(err)
 	}
-	if b.wake != a.wake {
+	if b.w != a.w {
 		t.Fatal("b was not bound to a's worker; the test no longer covers stale records")
 	}
 	if wokeAt != 200 {
@@ -296,5 +296,76 @@ func TestWorkerChunkedRunCaptureRestore(t *testing.T) {
 	}
 	if end != refEnd {
 		t.Fatalf("final kernel state differs: restored %+v, reference %+v", end, refEnd)
+	}
+}
+
+// failingEngines builds, for each kernel flavour, a run whose "victim" proc
+// calls fail at t=10 while other procs are parked, advancing and (sharded) busy
+// on the other shard.
+func failingEngines(fail func()) map[string]func() error {
+	parked := func(p *Proc) { p.Park("forever") }
+	busy := func(p *Proc) {
+		for i := 0; i < 1000; i++ {
+			p.Advance(Microsecond)
+		}
+	}
+	victim := func(p *Proc) {
+		p.Advance(10)
+		fail()
+	}
+	single := NewEngine(1)
+	single.Go("parked", parked)
+	single.Go("busy", busy)
+	single.Go("victim", victim)
+
+	se := NewShardedEngine(1, 2, 5*Microsecond)
+	se.Shard(0).Go("busy", busy)
+	se.Shard(1).Go("parked", parked)
+	se.Shard(1).Go("victim", victim)
+	return map[string]func() error{"single": single.Run, "two shards": se.Run}
+}
+
+// TestProcPanicSurfacesFromRun: a panic inside a proc unwinds out of Run on
+// the goroutine that called it, carrying the proc's value, so the caller can
+// recover it — it neither kills the process from a goroutine nobody owns nor
+// (sharded) leaves the other shard waiting on a bound that never moves.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	for name, run := range failingEngines(func() { panic("proc value") }) {
+		got := make(chan interface{}, 1)
+		go func() {
+			defer func() { got <- recover() }()
+			run()
+		}()
+		select {
+		case v := <-got:
+			if v != "proc value" {
+				t.Errorf("%s: Run's caller recovered %v, want the proc's panic value", name, v)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: Run neither returned nor panicked", name)
+		}
+	}
+}
+
+// TestProcGoexitEndsRunCaller: runtime.Goexit inside a proc — what t.Fatal
+// does — ends the goroutine that called Run, running its deferred calls, so a
+// failing test ends instead of hanging on a coroutine that is gone.
+func TestProcGoexitEndsRunCaller(t *testing.T) {
+	for name, run := range failingEngines(runtime.Goexit) {
+		exited := make(chan bool, 1)
+		go func() {
+			returned := false
+			defer func() { exited <- !returned }()
+			run()
+			returned = true
+		}()
+		select {
+		case goexit := <-exited:
+			if !goexit {
+				t.Errorf("%s: Run returned normally although a proc called Goexit", name)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: Run's caller neither returned nor exited", name)
+		}
 	}
 }
