@@ -41,13 +41,17 @@ type KernelResult struct {
 	VirtualMS float64 `json:"virtual_ms"`
 	// Threads is the number of simulated threads the scenario created.
 	Threads int `json:"threads"`
+	// Queue is the event queue's traffic by shape (pushes at the current
+	// instant, opening a run, joining one; deadline records; peak heap
+	// length). Rows measured before the counters existed have none.
+	Queue *sim.QueueStats `json:"queue,omitempty"`
 }
 
 // measure runs one scenario under MemStats bracketing and a wall clock. A
 // sampler goroutine tracks the scenario's peak HeapInuse; the 5 ms interval
 // keeps the stop-the-world cost of ReadMemStats negligible next to the
 // scenarios' 10-500 ms runtimes.
-func measure(name string, run func() (events uint64, virtualMS float64, threads int)) KernelResult {
+func measure(name string, run func() (events uint64, virtualMS float64, threads int, queue sim.QueueStats)) KernelResult {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -72,7 +76,7 @@ func measure(name string, run func() (events uint64, virtualMS float64, threads 
 		}
 	}()
 	start := time.Now()
-	events, virtualMS, threads := run()
+	events, virtualMS, threads, queue := run()
 	wall := time.Since(start)
 	close(stop)
 	<-done
@@ -89,6 +93,7 @@ func measure(name string, run func() (events uint64, virtualMS float64, threads 
 		PeakHeapBytes: peak,
 		VirtualMS:     virtualMS,
 		Threads:       threads,
+		Queue:         &queue,
 	}
 	if secs := wall.Seconds(); secs > 0 {
 		r.EventsPerSec = float64(events) / secs
@@ -109,7 +114,7 @@ func measure(name string, run func() (events uint64, virtualMS float64, threads 
 // targets.
 func EventStorm(procs, hops int) KernelResult {
 	name := fmt.Sprintf("event-storm/procs=%d,hops=%d", procs, hops)
-	return measure(name, func() (uint64, float64, int) {
+	return measure(name, func() (uint64, float64, int, sim.QueueStats) {
 		eng := sim.NewEngine(1)
 		chans := make([]*sim.Chan, procs)
 		for i := range chans {
@@ -130,7 +135,7 @@ func EventStorm(procs, hops int) KernelResult {
 		if err := eng.Run(); err != nil {
 			panic(err)
 		}
-		return eng.Events(), float64(eng.Now()) / 1e6, procs
+		return eng.Events(), float64(eng.Now()) / 1e6, procs, eng.QueueStats()
 	})
 }
 
@@ -150,7 +155,7 @@ func EventStormSharded(procs, hops, shards int) KernelResult {
 		shards = procs
 	}
 	name := fmt.Sprintf("event-storm-sharded/procs=%d,hops=%d,shards=%d", procs, hops, shards)
-	return measure(name, func() (uint64, float64, int) {
+	return measure(name, func() (uint64, float64, int, sim.QueueStats) {
 		lat := sim.Microsecond // ring hop latency = inter-shard lookahead
 		se := sim.NewShardedEngine(1, shards, lat)
 		shardOf := func(i int) int { return i * shards / procs }
@@ -175,7 +180,7 @@ func EventStormSharded(procs, hops, shards int) KernelResult {
 		if err := se.Run(); err != nil {
 			panic(err)
 		}
-		return se.Events(), float64(se.Now()) / 1e6, procs
+		return se.Events(), float64(se.Now()) / 1e6, procs, se.QueueStats()
 	})
 }
 
@@ -213,7 +218,7 @@ func KernelScalingSuite(shardCounts []int) []KernelResult {
 // dispatcher/handler threads the DSM spawns under them.
 func JacobiStorm(nodes, n, iterations int) KernelResult {
 	name := fmt.Sprintf("jacobi/nodes=%d,n=%d,iters=%d", nodes, n, iterations)
-	return measure(name, func() (uint64, float64, int) {
+	return measure(name, func() (uint64, float64, int, sim.QueueStats) {
 		res, err := jacobi.Run(jacobi.Config{
 			N: n, Iterations: iterations, Nodes: nodes,
 			Network: dsmpm2.BIPMyrinet, Protocol: "hbrc_mw", Seed: 1,
@@ -222,14 +227,14 @@ func JacobiStorm(nodes, n, iterations int) KernelResult {
 			panic(err)
 		}
 		rt := res.System.Runtime()
-		return rt.Engine().Events(), float64(res.Elapsed) / 1e6, rt.ThreadCount()
+		return rt.Engine().Events(), float64(res.Elapsed) / 1e6, rt.ThreadCount(), rt.Engine().QueueStats()
 	})
 }
 
 // MatmulStorm runs the read-replication matrix multiply at cluster scale.
 func MatmulStorm(nodes, n int) KernelResult {
 	name := fmt.Sprintf("matmul/nodes=%d,n=%d", nodes, n)
-	return measure(name, func() (uint64, float64, int) {
+	return measure(name, func() (uint64, float64, int, sim.QueueStats) {
 		res, err := matmul.Run(matmul.Config{
 			N: n, Nodes: nodes,
 			Network: dsmpm2.BIPMyrinet, Protocol: "li_hudak", Seed: 3,
@@ -238,14 +243,14 @@ func MatmulStorm(nodes, n int) KernelResult {
 			panic(err)
 		}
 		rt := res.System.Runtime()
-		return rt.Engine().Events(), float64(res.Elapsed) / 1e6, rt.ThreadCount()
+		return rt.Engine().Events(), float64(res.Elapsed) / 1e6, rt.ThreadCount(), rt.Engine().QueueStats()
 	})
 }
 
 // TSPStorm runs the branch-and-bound search at cluster scale.
 func TSPStorm(nodes, cities int) KernelResult {
 	name := fmt.Sprintf("tsp/nodes=%d,cities=%d", nodes, cities)
-	return measure(name, func() (uint64, float64, int) {
+	return measure(name, func() (uint64, float64, int, sim.QueueStats) {
 		res, err := tsp.Run(tsp.Config{
 			Cities: cities, Seed: 42, Nodes: nodes,
 			Network: dsmpm2.BIPMyrinet, Protocol: "li_hudak",
@@ -254,7 +259,7 @@ func TSPStorm(nodes, cities int) KernelResult {
 			panic(err)
 		}
 		rt := res.System.Runtime()
-		return rt.Engine().Events(), float64(res.Elapsed) / 1e6, rt.ThreadCount()
+		return rt.Engine().Events(), float64(res.Elapsed) / 1e6, rt.ThreadCount(), rt.Engine().QueueStats()
 	})
 }
 

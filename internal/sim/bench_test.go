@@ -4,8 +4,8 @@ import "testing"
 
 // The kernel's hot-path contract: scheduling and firing wake records
 // allocates nothing. go test -bench . -benchmem must show 0 allocs/op for
-// the three benchmarks below (a handful of warm-up allocations — bucket
-// rings, queue growth — amortize to zero over the run).
+// every benchmark below but SpawnExit (a handful of warm-up allocations —
+// event rings, queue growth — amortize to zero over the run).
 
 // BenchmarkAdvanceSelfWake measures the uncontended Advance cycle: the proc
 // schedules its own wake, finds that record at the head of the calendar and
@@ -84,6 +84,53 @@ func BenchmarkSpawnExit(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e.Go("child", func(c *Proc) {})
 			p.Advance(Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkCalendarDistinctTimes measures the queue alone on the shape most
+// real pushes have (QueueStats: 79-99.9 % of the future pushes of tsp,
+// faultstorm and kvserve open a run): sixteen events in flight, every one at
+// a time of its own, so each iteration is a heap insert and a pop that
+// advances the clock. The lock-step shape is the root package's
+// BenchmarkKernelEventStorm.
+func BenchmarkCalendarDistinctTimes(b *testing.B) {
+	e := NewEngine(1)
+	p := new(Proc)
+	const inFlight = 16
+	for i := 1; i <= inFlight; i++ {
+		e.scheduleWake(Time(i), p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.scheduleWake(e.now+inFlight+1, p)
+		e.pop()
+	}
+}
+
+// BenchmarkRecvTimeout measures a receive deadline that alternately expires
+// and is cancelled by a message — kvstore's idle tick: per iteration one
+// deadline record armed, fired live or inert, and the parks and wakes around
+// it, none of which may allocate.
+func BenchmarkRecvTimeout(b *testing.B) {
+	e := NewEngine(1)
+	ch := new(Chan)
+	token := new(int)
+	e.Go("server", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ch.RecvTimeout(p, 100*Microsecond)
+		}
+	})
+	e.Go("client", func(p *Proc) {
+		for i := 0; i < b.N; i += 2 {
+			p.Advance(150 * Microsecond) // mid-way through every second wait
+			ch.Push(token)
 		}
 	})
 	b.ReportAllocs()

@@ -1,0 +1,308 @@
+package sim
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// A model-based differential test of the event queue. A program is a byte
+// string, two bytes per step: an operation and a time selector. It is run
+// white-box against the engine's queue — push, pop, popSelfWake and, on a
+// shard, shardCtl.nextEvent with remote events in the pending heap — and
+// against calModel, which keeps every queued record in a flat list and finds
+// the next one by scanning for the least (time, seq). The two must agree on
+// every pop, on every refusal and on the next event's time after every step.
+// A push made after the first pop is what a firing event's own scheduling
+// looks like to the queue: the clock stands at the time of the last event
+// fired.
+
+const (
+	calPop      = iota // fire the next event through pop (on a shard: nextEvent)
+	calSelfWake        // fire it through popSelfWake, which must take a wake record and nothing else
+	calWake            // push a wake record
+	calChan            // push a Chan push record
+	calClosure         // push a closure record
+	calDeadline        // push a deadline record
+	calRemote          // shard: queue a remote event in the pending heap (else: a closure record)
+	calLimit           // shard: move the horizon (else: fire the next event)
+	calOps
+)
+
+// calRec is one queued record as the model sees it.
+type calRec struct {
+	t      Time
+	seq    uint64 // push order; for a remote record its per-source stamp
+	src    int    // remote records only
+	id     int
+	kind   int
+	remote bool
+}
+
+type calModel struct {
+	now           Time
+	seq           uint64
+	local, remote []calRec
+}
+
+func (m *calModel) push(r calRec) calRec {
+	if r.t < m.now {
+		r.t = m.now
+	}
+	m.seq++
+	r.seq = m.seq
+	m.local = append(m.local, r)
+	return r
+}
+
+// least returns the index of the first record in the order less, -1 if none.
+func least(recs []calRec, less func(a, b calRec) bool) int {
+	best := -1
+	for i, r := range recs {
+		if best < 0 || less(r, recs[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// next returns the record that fires next under an exclusive horizon limit:
+// the least local record by (t, seq) unless the least remote one by
+// (t, src, seq) is strictly earlier.
+func (m *calModel) next(limit Time) (rec calRec, ok bool) {
+	l := least(m.local, func(a, b calRec) bool { return a.t < b.t || a.t == b.t && a.seq < b.seq })
+	r := least(m.remote, func(a, b calRec) bool {
+		return remoteLess(remoteEvent{t: a.t, src: a.src, seq: a.seq}, remoteEvent{t: b.t, src: b.src, seq: b.seq})
+	})
+	switch {
+	case r >= 0 && (l < 0 || m.remote[r].t < m.local[l].t):
+		rec = m.remote[r]
+	case l >= 0:
+		rec = m.local[l]
+	default:
+		return calRec{}, false
+	}
+	return rec, rec.t < limit
+}
+
+// head returns the local record that would fire next were there no remote
+// events and no horizon: the head of the engine's own queue.
+func (m *calModel) head() (calRec, bool) { return (&calModel{local: m.local}).next(maxTime) }
+
+// fire removes rec, which next returned, and moves the clock to it.
+func (m *calModel) fire(rec calRec) {
+	list := &m.local
+	if rec.remote {
+		list = &m.remote
+	}
+	for i, r := range *list {
+		if r.id == rec.id {
+			*list = append((*list)[:i], (*list)[i+1:]...)
+			break
+		}
+	}
+	m.now = rec.t
+}
+
+// runCalendarProgram interprets prog on a standalone engine's queue or on a
+// shard's, failing t at the first disagreement with the model.
+func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
+	e := NewEngine(1)
+	limit := maxTime
+	var sh *shardCtl
+	if sharded {
+		sh = &shardCtl{limit: limit}
+		e.sh = sh
+	}
+	var m calModel
+	var procs []*Proc // by record id; nil for records that carry no proc
+	var sched []calRec
+	var fired []int
+	closureID := -1
+	ch := new(Chan)
+	var fresh Time
+	var remoteSeq [2]uint64
+
+	when := func(arg byte) Time {
+		now := m.now
+		epoch := now&^63 + 64
+		switch arg & 7 {
+		case 0, 1:
+			return now
+		case 2:
+			return now - 3 // the past: clamped to now
+		case 3, 4: // a time no other record has
+			fresh = max(fresh, now+200) + 1 + Time(arg>>3)
+			return fresh
+		case 5: // two times that programs alternate between, so that one
+			return epoch + 8 // time owns several runs
+		case 6:
+			return epoch + 24
+		}
+		return now + Time(arg>>3)
+	}
+	push := func(kind int, at Time) {
+		id := len(procs)
+		rec := m.push(calRec{t: at, id: id, kind: kind})
+		sched = append(sched, rec)
+		var p *Proc
+		switch kind {
+		case calWake:
+			p = &Proc{id: int32(id)}
+			e.scheduleWake(at, p)
+		case calChan:
+			e.SchedulePush(at, ch, id)
+		case calClosure:
+			e.Schedule(at, func() { closureID = id })
+		case calDeadline:
+			p = &Proc{id: int32(id)}
+			e.push(at, event{proc: p, gen: uint64(id) + 1})
+		}
+		procs = append(procs, p)
+	}
+	idOf := func(ev event) int {
+		switch {
+		case ev.gen != 0:
+			if int(ev.proc.id) != int(ev.gen)-1 {
+				t.Fatalf("deadline record of gen %d names proc %d", ev.gen, ev.proc.id)
+			}
+			return int(ev.gen) - 1
+		case ev.proc != nil:
+			return int(ev.proc.id)
+		case ev.ch != nil:
+			return ev.payload.(int)
+		}
+		ev.payload.(func())()
+		return closureID
+	}
+	// fire pops one event the way drive would and checks it against the model.
+	fire := func() bool {
+		want, ok := m.next(limit)
+		var ev event
+		got := e.nqueued > 0
+		if sharded {
+			ev, got = sh.nextEvent(e)
+		} else if got {
+			ev = e.pop()
+		}
+		if got != ok {
+			t.Fatalf("step fired an event = %v, model says %v (next %+v, limit %d)", got, ok, want, limit)
+		}
+		if !ok {
+			return false
+		}
+		if id := idOf(ev); id != want.id || e.now != want.t {
+			t.Fatalf("fired record %d at t=%d, model says record %d at t=%d", id, e.now, want.id, want.t)
+		}
+		m.fire(want)
+		fired = append(fired, want.id)
+		return true
+	}
+
+	for i := 0; i+1 < len(prog); i += 2 {
+		op, arg := prog[i]%calOps, prog[i+1]
+		switch {
+		case op == calPop, op == calLimit && !sharded:
+			fire()
+		case op == calSelfWake:
+			want, ok := m.next(limit)
+			isWake := ok && !want.remote && want.kind == calWake
+			p := &Proc{}
+			if l, any := m.head(); any && procs[l.id] != nil && (isWake || arg&1 == 0) {
+				// The proc of the queue's head: a wake record's must be
+				// taken, a deadline record's refused.
+				p = procs[l.id]
+			}
+			if got := e.popSelfWake(p); got != isWake {
+				t.Fatalf("popSelfWake = %v, model says %v (next %+v ok=%v)", got, isWake, want, ok)
+			}
+			if isWake {
+				if e.now != want.t {
+					t.Fatalf("self-wake at t=%d, model says t=%d", e.now, want.t)
+				}
+				m.fire(want)
+				fired = append(fired, want.id)
+			}
+		case op == calRemote && sharded:
+			src := int(arg>>3) & 1
+			rec := calRec{t: max(when(arg), m.now+1), src: src, seq: remoteSeq[src], id: len(procs), kind: calChan, remote: true}
+			remoteSeq[src]++
+			m.remote = append(m.remote, rec)
+			procs = append(procs, nil)
+			sh.pushPending(remoteEvent{t: rec.t, src: src, seq: rec.seq, ch: ch, payload: rec.id})
+		case op == calRemote:
+			push(calClosure, when(arg))
+		case op == calLimit:
+			limit = maxTime
+			if arg&1 == 0 {
+				limit = m.now + Time(arg>>1)
+			}
+			sh.limit = limit
+		default:
+			push(int(op), when(arg))
+		}
+		wantNext := maxTime
+		if l, ok := m.head(); ok {
+			wantNext = l.t
+		}
+		if _, got := e.head(); got != wantNext {
+			t.Fatalf("after step %d the queue's head is at t=%d, model says %d", i/2, got, wantNext)
+		}
+	}
+	limit = maxTime
+	if sharded {
+		sh.limit = limit
+	}
+	for fire() {
+	}
+	if e.nqueued != 0 || e.nowRing.len() != 0 || len(e.heap) != 0 || e.last.q != nil {
+		t.Fatalf("drained queue holds nqueued=%d ring=%d heap=%d last=%v", e.nqueued, e.nowRing.len(), len(e.heap), e.last.q)
+	}
+	if sharded {
+		return
+	}
+	// Without remote events the whole pop sequence is one stable sort of the
+	// schedule by time: records were logged in seq order, with clamped times.
+	sort.SliceStable(sched, func(i, j int) bool { return sched[i].t < sched[j].t })
+	for i, r := range sched {
+		if fired[i] != r.id {
+			t.Fatalf("pop %d fired record %d, stable sort by (t, seq) says %d", i, fired[i], r.id)
+		}
+	}
+}
+
+// randomCalendarProgram draws 20 to 200 uniform steps: five pushes to every
+// three pops (the rest is drained at the end), three pushes in eight at or
+// before the current instant.
+func randomCalendarProgram(rng *rand.Rand) []byte {
+	prog := make([]byte, 2*(20+rng.Intn(180)))
+	rng.Read(prog)
+	return prog
+}
+
+func TestCalendarMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 2000; i++ {
+		prog := randomCalendarProgram(rng)
+		runCalendarProgram(t, prog, false)
+		runCalendarProgram(t, prog, true)
+	}
+}
+
+// abab alternates pushes between two future times, three kinds of record at
+// each, then self-wakes and pops its way through them: every time owns several
+// runs, and only the (t, first seq) tie-break keeps them in order. It runs as
+// a seed of FuzzCalendarOrder under plain go test.
+var abab = []byte{
+	calWake, 5, calChan, 6, calDeadline, 5, calWake, 6, calClosure, 5, calWake, 6, calWake, 5, calDeadline, 6,
+	calSelfWake, 0, calPop, 0, calSelfWake, 0, calWake, 0, calSelfWake, 1, calPop, 0, calWake, 2, calPop, 0,
+}
+
+func FuzzCalendarOrder(f *testing.F) {
+	f.Add(abab)
+	f.Add([]byte{calWake, 3, calRemote, 3, calLimit, 8, calPop, 0, calRemote, 0, calWake, 0, calPop, 0, calLimit, 1, calPop, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		runCalendarProgram(t, prog, false)
+		runCalendarProgram(t, prog, true)
+	})
+}

@@ -11,71 +11,90 @@ import (
 
 // event is one scheduled occurrence, ordered by (time, seq): events with
 // equal times fire in scheduling order, which is what makes the simulation
-// deterministic. Neither key is stored in the event: its time is its
-// bucket's, and its seq is its place in the bucket's ring. Events are
-// value-typed and live inline in the engine's queue; the discriminant is
-// which reference field is set:
+// deterministic. Neither key is stored in the event: its time is its ring's
+// (the clock's, for the now-ring), and its seq is its place in the ring.
+// Events are value-typed and live inline in the engine's queue; scheduling
+// one never allocates. The discriminant is which fields are set:
 //
+//   - gen != 0: a deadline record — proc's gen-th timed wait has run out
+//     (see Proc.armDeadline); inert if that wait is already over.
 //   - proc != nil: a wake record — resume that proc. This is the dominant
-//     kind (Advance, Unpark, Spawn, every synchronization wakeup) and
-//     scheduling one performs no heap allocation.
+//     kind (Advance, Unpark, Spawn, every synchronization wakeup).
 //   - ch != nil: a push record — deliver payload into a Chan (simulated
-//     message arrivals). Also allocation-free to schedule; payload is
-//     usually a pointer, which boxes without allocating.
+//     message arrivals). payload is usually a pointer, which boxes for free.
 //   - otherwise: a general closure event (rare: drivers, tests, custom
-//     hooks). The closure capture is the only allocation, paid by the
-//     caller when it builds the func literal.
+//     hooks); payload holds the func(), which is pointer-shaped and boxes
+//     for free too, so the caller's func literal is the only allocation.
 type event struct {
 	proc    *Proc
 	ch      *Chan
 	payload interface{}
-	fn      func()
+	gen     uint64
 }
 
-// bucket is a FIFO ring of events sharing one fire time. seq increases
-// monotonically across Schedule calls, so arrival order within a bucket IS
-// (time, seq) order — dequeuing the ring head is exact, with no per-event
-// sifting. Buckets are pooled on a freelist and their rings recycle, so a
+// ring is a FIFO of events sharing one fire time. seq increases monotonically
+// across pushes, so arrival order within a ring IS (time, seq) order —
+// dequeuing the ring head is exact, with no per-event sifting. The rings of
+// the heap's runs are pooled on a freelist and recycle their buffers, so a
 // steady-state simulation allocates nothing to queue events.
-type bucket struct {
-	t Time
-	fifo[event]
+type ring = fifo[event]
+
+// run is one entry of the future-event heap: the events pushed for time t
+// between the push that opened the run (numbered seq) and the next push for a
+// different future time. One time may own several runs; an older one is never
+// pushed to again, so ordering runs by (t, seq) orders their events.
+type run struct {
+	t   Time
+	seq uint64
+	q   *ring
 }
 
-// maxPooledRing is the largest ring, in events, a pooled bucket keeps from
-// one Run phase to the next (see releaseIdle): a burst-sized ring — every
-// dispatcher of a machine starts at t=0 — would otherwise stay pinned for the
-// engine's life. Within a phase rings only grow, so a simulation that bursts
-// in steady state (256 procs in lock step) still queues without allocating.
+func (r run) before(o run) bool { return r.t < o.t || r.t == o.t && r.seq < o.seq }
+
+// maxPooledRing is the largest ring, in events, the queue keeps from one Run
+// phase to the next (see releaseIdle): a burst-sized ring — every dispatcher
+// of a machine starts at t=0 — would otherwise stay pinned for the engine's
+// life. Within a phase rings only grow, so a simulation that bursts in steady
+// state (256 procs in lock step) still queues without allocating.
 const maxPooledRing = 64
 
-// freeT marks a bucket as sitting on the freelist: no live event time can
-// match it (times are clamped to >= Now >= 0), so a stale cache hit on a
-// freed bucket is impossible.
-const freeT = Time(-1)
+// QueueStats counts the event queue's traffic by shape since the engine was
+// created: where pushes went, how deadline records ended, and how long the
+// heap got. Plain increments, kept unconditionally.
+type QueueStats struct {
+	AtNow         uint64 `json:"at_now"`         // pushes for the current instant (now-ring)
+	NewRun        uint64 `json:"new_run"`        // future pushes that opened a run (a heap insert)
+	Joined        uint64 `json:"joined"`         // future pushes that joined the last run (a ring append)
+	DeadlineLive  uint64 `json:"deadline_live"`  // deadline records that fired into their wait
+	DeadlineInert uint64 `json:"deadline_inert"` // deadline records whose wait was already over
+	PeakHeap      int    `json:"peak_heap"`      // most runs in the heap at once
+}
 
 // Engine is a sequential discrete-event simulation kernel. It owns the
 // virtual clock and the event queue, and multiplexes any number of Procs
 // (simulated threads) one at a time.
 //
-// The event queue is a two-level calendar: a 4-ary min-heap of time buckets
-// (one per distinct fire time, ordered by time alone) over FIFO rings of
-// value-typed events. Discrete-event workloads burst heavily at identical
-// times — every control message costs the same latency, every compute slice
-// the same quantum — so the common enqueue/dequeue hits the ring in O(1)
-// and only a new distinct time pays a (pointer-sized) heap sift. No
-// per-event heap object, no interface boxing, no container/heap indirect
-// calls, and (time, seq) pop order is bit-for-bit that of a flat heap.
+// The event queue pays per event only what (time, seq) order needs. About
+// half of all pushes are for the current instant (Unpark, zero-latency
+// hand-offs): they append to the now-ring and never see the heap (head has
+// the order argument). Future events sit in a 4-ary min-heap of runs (see
+// run) compared without a pointer chase; nearly all have a time of their own
+// and cost one sift, while a lock-step burst — many pushes in a row for one
+// time — joins the run opened by the first and costs a ring append each. No
+// per-event heap object, no hashing, no interface boxing, no container/heap
+// indirect calls, and pop order is bit-for-bit that of a flat heap keyed by
+// (time, seq).
 //
 // The zero value is not usable; create engines with NewEngine.
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   []*bucket              // min-heap by t; one bucket per distinct time
-	times   map[Time]*bucket       // live buckets by fire time
-	nqueued int                    // events across all buckets
-	last    *bucket                // most recently pushed-to bucket (cache)
-	free    freelist.List[*bucket] // bucket freelist
+	nowRing ring                 // events at Now, pushed once the clock was there
+	heap    []run                // min-heap by (t, seq) of events pushed for a later time
+	nqueued int                  // events in the now-ring and all runs
+	last    run                  // the most recently pushed-to run; q nil once it is drained
+	free    freelist.List[*ring] // freelist of runs' rings
+	qs      QueueStats
 
 	cur     *Proc // proc the event loop is currently running
 	nextID  int
@@ -107,10 +126,7 @@ type Engine struct {
 // NewEngine creates an engine whose random source is seeded with seed, so
 // that identical seeds replay identical simulations.
 func NewEngine(seed int64) *Engine {
-	e := &Engine{
-		times:  make(map[Time]*bucket),
-		rngSrc: newCountingSource(seed),
-	}
+	e := &Engine{rngSrc: newCountingSource(seed)}
 	e.rng = rand.New(e.rngSrc)
 	return e
 }
@@ -122,80 +138,97 @@ func (e *Engine) Now() Time { return e.now }
 // used from simulation context (engine callbacks or running procs).
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// push appends ev, firing at time t (clamped to >= Now), to that time's
-// bucket, creating (and heap-inserting) the bucket on first use. The
-// single-entry bucket cache makes the dominant case — many events scheduled
-// for the same time — a pure ring append.
+// QueueStats returns the event queue's traffic counters.
+func (e *Engine) QueueStats() QueueStats { return e.qs }
+
+// push queues ev to fire at time t (clamped to >= Now): on the now-ring, on
+// the last run if that is for t, else on a new run of its own.
 func (e *Engine) push(t Time, ev event) {
-	if t < e.now {
-		t = e.now
-	}
 	e.seq++
 	e.nqueued++
-	b := e.last
-	if b == nil || b.t != t {
-		b = e.times[t]
-		if b == nil {
-			var ok bool
-			if b, ok = e.free.Get(); !ok {
-				b = new(bucket)
-			}
-			b.t = t
-			e.times[t] = b
-			e.heapPush(b)
-		}
-		e.last = b
+	if t <= e.now {
+		e.qs.AtNow++
+		e.nowRing.push(ev)
+		return
 	}
-	b.push(ev)
+	if e.last.q != nil && e.last.t == t {
+		e.qs.Joined++
+	} else {
+		q, ok := e.free.Get()
+		if !ok {
+			q = new(ring)
+		}
+		e.last = run{t, e.seq, q}
+		e.qs.NewRun++
+		e.heapPush(e.last)
+	}
+	e.last.q.push(ev)
+}
+
+// head returns the ring whose head is the next event in (time, seq) order and
+// that event's time. Every event in the heap was pushed before the clock
+// reached its time and so precedes, in seq, everything in the now-ring: the
+// root's ring comes first while its time is Now, then the now-ring, and only
+// with that empty the root again, for which the clock must advance. With
+// nothing queued head returns nil and maxTime.
+func (e *Engine) head() (*ring, Time) {
+	switch {
+	case len(e.heap) > 0 && (e.heap[0].t == e.now || e.nowRing.len() == 0):
+		return e.heap[0].q, e.heap[0].t
+	case e.nowRing.len() > 0:
+		return &e.nowRing, e.now
+	}
+	return nil, maxTime
 }
 
 // pop removes and returns the globally minimum event by (time, seq),
-// advancing the clock to its time.
+// advancing the clock to its time. The queue must not be empty.
 func (e *Engine) pop() event {
-	b := e.queue[0]
-	ev := b.pop()
-	e.now = b.t
+	q, t := e.head()
+	e.now = t
 	e.nevents++
 	e.nqueued--
-	if b.len() == 0 {
+	ev := q.pop()
+	if q.len() == 0 && q != &e.nowRing {
 		e.heapPopRoot()
-		delete(e.times, b.t)
-		b.t = freeT
-		if e.last == b {
-			e.last = nil
+		if e.last.q == q {
+			e.last.q = nil
 		}
-		e.free.Put(b)
+		e.free.Put(q)
 	}
 	return ev
 }
 
-// heapPush inserts b into the 4-ary min-heap of buckets (sift-up).
-func (e *Engine) heapPush(b *bucket) {
-	e.queue = append(e.queue, b)
-	q := e.queue
+// heapPush inserts r into the 4-ary min-heap of runs (sift-up).
+func (e *Engine) heapPush(r run) {
+	e.heap = append(e.heap, r)
+	q := e.heap
 	i := len(q) - 1
+	if i >= e.qs.PeakHeap {
+		e.qs.PeakHeap = i + 1
+	}
 	for i > 0 {
 		p := (i - 1) >> 2
-		if q[p].t <= b.t {
+		if !r.before(q[p]) {
 			break
 		}
 		q[i] = q[p]
 		i = p
 	}
-	q[i] = b
+	q[i] = r
 }
 
-// heapPopRoot removes the minimum bucket (sift-down with a hole).
+// heapPopRoot removes the minimum run (sift-down with a hole).
 func (e *Engine) heapPopRoot() {
-	q := e.queue
+	q := e.heap
 	n := len(q) - 1
 	last := q[n]
-	q[n] = nil
-	e.queue = q[:n]
+	q[n] = run{}
+	e.heap = q[:n]
 	if n == 0 {
 		return
 	}
-	q = e.queue
+	q = e.heap
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -208,11 +241,11 @@ func (e *Engine) heapPopRoot() {
 		}
 		m := c
 		for j := c + 1; j < end; j++ {
-			if q[j].t < q[m].t {
+			if q[j].before(q[m]) {
 				m = j
 			}
 		}
-		if q[m].t >= last.t {
+		if !q[m].before(last) {
 			break
 		}
 		q[i] = q[m]
@@ -226,7 +259,7 @@ func (e *Engine) heapPopRoot() {
 // the general closure path; the kernel's own hot paths use the typed wake
 // and push records instead.
 func (e *Engine) Schedule(t Time, fn func()) {
-	e.push(t, event{fn: fn})
+	e.push(t, event{payload: fn})
 }
 
 // scheduleWake schedules a typed wake record for p at time t (>= Now)
@@ -329,6 +362,8 @@ func (e *Engine) drive() {
 			return
 		}
 		switch {
+		case ev.gen != 0:
+			ev.proc.fireDeadline(ev.gen)
 		case ev.proc != nil:
 			if p := ev.proc; !p.dead {
 				e.cur = p
@@ -338,22 +373,23 @@ func (e *Engine) drive() {
 		case ev.ch != nil:
 			ev.ch.Push(ev.payload)
 		default:
-			ev.fn()
+			ev.payload.(func())()
 		}
 	}
 }
 
-// popSelfWake consumes the next event if it is p's own wake record, exactly
-// as drive would have popped it and resumed p, and reports whether it did.
+// popSelfWake consumes the next event if it is p's own wake record (not a
+// deadline record, which also names its proc), exactly as drive would have
+// popped it and resumed p, and reports whether it did.
 func (e *Engine) popSelfWake(p *Proc) bool {
-	if e.stopped || e.nqueued == 0 {
+	q, t := e.head()
+	if e.stopped || q == nil {
 		return false
 	}
-	b := e.queue[0]
-	if b.peek().proc != p {
+	if ev := q.peek(); ev.proc != p || ev.gen != 0 {
 		return false
 	}
-	if sh := e.sh; sh != nil && (b.t >= sh.limit || len(sh.pending) > 0 && sh.pending[0].t < b.t) {
+	if sh := e.sh; sh != nil && (t >= sh.limit || len(sh.pending) > 0 && sh.pending[0].t < t) {
 		return false
 	}
 	e.pop()

@@ -42,6 +42,13 @@ func (f *fifo[T]) pop() T {
 	return v
 }
 
+// trim gives up an empty queue's buffer if it grew past maxPooledRing.
+func (f *fifo[T]) trim() {
+	if len(f.q) == 0 && cap(f.q) > maxPooledRing {
+		f.q = nil
+	}
+}
+
 // drain pops every element in FIFO order and hands it to fn.
 func (f *fifo[T]) drain(fn func(T)) {
 	for f.len() > 0 {

@@ -10,9 +10,9 @@ import (
 // and block with Park; the engine resumes them in deterministic event order.
 type Proc struct {
 	eng    *Engine
-	id     int
 	name   string
 	w      *worker // the coroutine the proc is bound to
+	id     int32   // shares a word with the flags: a Proc stays in the 112-byte size class
 	dead   bool
 	daemon bool
 
@@ -23,11 +23,13 @@ type Proc struct {
 	reason     string
 	waitFor    *Proc
 
-	// timedGen retires timed-wait deadline records: each armed deadline
-	// captures the current value, and the wait bumps it on completion, so a
-	// record still sitting in the calendar after its wait has ended is inert
-	// when it fires (it can never unpark the proc from a later wait).
+	// timedGen numbers the proc's timed waits and timedQ is the wait queue
+	// the current one is armed on, nil once it timed out or ended (see
+	// armDeadline): a deadline record still sitting in the calendar after its
+	// wait has ended is inert when it fires (it can never unpark the proc
+	// from a later wait).
 	timedGen uint64
+	timedQ   *procQueue
 
 	// body is what the proc runs. The runtime layered above spawns its own
 	// thread descriptor as the body (see SpawnRunner) and gets it back through
@@ -79,7 +81,7 @@ func (e *Engine) SpawnRunner(name string, start Time, body Runner) *Proc {
 	e.nextID++
 	p := &Proc{
 		eng:  e,
-		id:   e.nextID,
+		id:   int32(e.nextID),
 		name: name,
 		w:    w,
 		next: e.live,
@@ -131,19 +133,17 @@ func (e *Engine) unlink(p *Proc) {
 }
 
 // releaseIdle lets go of what only a running engine needs: it ends the idle
-// workers' coroutines, synchronously, and drops the pooled buckets' burst-sized
-// rings. Run calls it on return, in engine context: between Run phases nothing
-// can use the workers, and a finished simulation must not pin goroutines. A
-// worker bound to a live proc is not on the idle list and stays suspended.
+// workers' coroutines, synchronously, and drops the burst-sized buffers of the
+// pooled rings and of the drained now-ring. Run calls it on return, in engine
+// context: between Run phases nothing can use the workers, and a finished
+// simulation must not pin goroutines. A worker bound to a live proc is not on
+// the idle list and stays suspended.
 func (e *Engine) releaseIdle() {
 	for w, ok := e.idle.Get(); ok; w, ok = e.idle.Get() {
 		w.resume()
 	}
-	e.free.Each(func(b *bucket) {
-		if cap(b.q) > maxPooledRing {
-			b.q = nil
-		}
-	})
+	e.free.Each((*ring).trim)
+	e.nowRing.trim()
 }
 
 // Go spawns fn at the current virtual time. It is the common case of Spawn.
@@ -169,7 +169,7 @@ func (p *Proc) MarkDaemon() {
 func (p *Proc) Daemon() bool { return p.daemon }
 
 // ID returns the proc's unique id (assigned in spawn order).
-func (p *Proc) ID() int { return p.id }
+func (p *Proc) ID() int { return int(p.id) }
 
 // Name returns the proc's diagnostic name.
 func (p *Proc) Name() string { return p.name }

@@ -19,7 +19,7 @@ import (
 //     independent of how the host scheduler interleaves the shard
 //     goroutines;
 //  3. no cross-shard contention on the hot paths: each shard owns its
-//     calendar, bucket freelist, clock, PRNG and proc set, and only the
+//     calendar, ring freelist, clock, PRNG and proc set, and only the
 //     cross-shard mailbox and the synchronization plane are shared.
 //
 // # Synchronization protocol
@@ -84,19 +84,16 @@ type ShardedEngine struct {
 	syncHook func(shard int) // test instrumentation; see SetSyncHook
 }
 
-// maxTime is the "no pending event" sentinel.
-const maxTime = Time(math.MaxInt64)
-
-// remoteEvent is one cross-shard event in flight: a Chan push or a closure,
-// stamped with its virtual fire time and a (source shard, per-source
-// sequence) pair that makes the merge order total and deterministic.
+// remoteEvent is one cross-shard event in flight: a Chan push or (ch nil, the
+// func() in payload) a closure, stamped with its virtual fire time and a
+// (source shard, per-source sequence) pair that makes the merge order total
+// and deterministic.
 type remoteEvent struct {
 	t       Time
 	src     int
 	seq     uint64
 	ch      *Chan
 	payload interface{}
-	fn      func()
 }
 
 // shardCtl is the per-shard view of the sharded engine, attached to an
@@ -195,6 +192,20 @@ func (se *ShardedEngine) Events() uint64 {
 	return n
 }
 
+// QueueStats sums the shards' event-queue counters; PeakHeap is the largest
+// of the shards' peaks, each shard having a heap of its own.
+func (se *ShardedEngine) QueueStats() (qs QueueStats) {
+	for _, e := range se.shards {
+		qs.AtNow += e.qs.AtNow
+		qs.NewRun += e.qs.NewRun
+		qs.Joined += e.qs.Joined
+		qs.DeadlineLive += e.qs.DeadlineLive
+		qs.DeadlineInert += e.qs.DeadlineInert
+		qs.PeakHeap = max(qs.PeakHeap, e.qs.PeakHeap)
+	}
+	return qs
+}
+
 // Stop aborts a sharded run: every shard stops after the events it is
 // currently committed to. Unlike the single-threaded engine, shards that
 // were concurrently granted a horizon may fire events past the moment of
@@ -232,15 +243,6 @@ func (se *ShardedEngine) InjectFaults(plan *FaultPlan, apply func(shard int, ev 
 		i := i
 		e.InjectFaults(plan, func(ev FaultEvent) { apply(i, ev) })
 	}
-}
-
-// satAdd is t + d saturating at maxTime (idle bounds stay idle).
-func satAdd(t Time, d Duration) Time {
-	s := t.Add(d)
-	if s < t {
-		return maxTime
-	}
-	return s
 }
 
 // computeDist closes the lookahead matrix over paths (Floyd–Warshall): a
@@ -383,10 +385,7 @@ func (se *ShardedEngine) runShard(i int) {
 			}
 			se.inbox[i] = in[:0]
 		}
-		nxt := maxTime
-		if e.nqueued > 0 {
-			nxt = e.queue[0].t
-		}
+		_, nxt := e.head()
 		if len(sh.pending) > 0 && sh.pending[0].t < nxt {
 			nxt = sh.pending[0].t
 		}
@@ -441,7 +440,7 @@ func (se *ShardedEngine) horizonLocked(i int) Time {
 		if j == i {
 			continue
 		}
-		if b := satAdd(se.lb[j], se.look[j][i]); b < h {
+		if b := se.lb[j].Add(se.look[j][i]); b < h {
 			h = b
 		}
 	}
@@ -476,7 +475,7 @@ func (se *ShardedEngine) grantLocked() bool {
 			if j == k {
 				continue
 			}
-			if b := satAdd(se.next[j], se.dist[j][k]); b < g {
+			if b := se.next[j].Add(se.dist[j][k]); b < g {
 				g = b
 			}
 		}
@@ -577,23 +576,19 @@ func remoteLess(a, b remoteEvent) bool {
 // replay prefix is untouched by when remote events physically arrived.
 func (sh *shardCtl) nextEvent(e *Engine) (event, bool) {
 	limit := sh.limit
-	hasLocal := e.nqueued > 0
-	var lt Time
-	if hasLocal {
-		lt = e.queue[0].t
-	}
+	_, lt := e.head()
 	if len(sh.pending) > 0 {
-		if rt := sh.pending[0].t; !hasLocal || rt < lt {
+		if rt := sh.pending[0].t; rt < lt {
 			if rt >= limit {
 				return event{}, false
 			}
 			rev := sh.popPending()
 			e.now = rev.t
 			e.nevents++
-			return event{ch: rev.ch, payload: rev.payload, fn: rev.fn}, true
+			return event{ch: rev.ch, payload: rev.payload}, true
 		}
 	}
-	if !hasLocal || lt >= limit {
+	if lt >= limit {
 		return event{}, false
 	}
 	return e.pop(), true
@@ -632,7 +627,7 @@ func (e *Engine) ScheduleShard(dst int, t Time, fn func()) {
 		e.Schedule(t, fn)
 		return
 	}
-	e.sh.se.send(e.sh.id, dst, remoteEvent{t: t, fn: fn})
+	e.sh.se.send(e.sh.id, dst, remoteEvent{t: t, payload: fn})
 }
 
 // Capture snapshots every shard's kernel at a global safe point: between Run

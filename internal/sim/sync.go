@@ -107,34 +107,50 @@ func (c *Cond) Broadcast() {
 	})
 }
 
+// armDeadline starts a timed wait of p on q: a deadline record d from now
+// (allocation-free, like a wake record) that takes p off q and unparks it,
+// leaving p.timedQ nil as the mark of a wait that timed out. The wait ends by
+// setting timedQ nil itself, which makes a record still in the calendar inert;
+// until then it stays armed through any number of parks.
+func (p *Proc) armDeadline(q *procQueue, d Duration) {
+	p.timedGen++
+	p.timedQ = q
+	p.eng.push(p.eng.now.Add(d), event{proc: p, gen: p.timedGen})
+}
+
+// fireDeadline is the deadline record of p's gen-th timed wait firing. p not
+// being queued (a push or signal just took it off and its wake is on the way)
+// leaves the wait to end on its own.
+func (p *Proc) fireDeadline(gen uint64) {
+	if gen != p.timedGen || p.timedQ == nil {
+		p.eng.qs.DeadlineInert++
+		return
+	}
+	p.eng.qs.DeadlineLive++
+	if p.timedQ.removeFunc(func(w *Proc) bool { return w == p }) {
+		p.timedQ = nil
+		if !p.dead {
+			p.Unpark()
+		}
+	}
+}
+
 // WaitTimeout is Wait with a deadline: it re-acquires the lock and returns
 // true if the proc was signalled within d, false if the wait timed out.
 // Like Wait, callers must re-check their predicate in a loop. A deadline
-// record left in the calendar after an early signal is retired via the
-// proc's timed-wait generation: when it eventually fires it is inert, so
-// repeated timed waits on one condition never see spurious wakes from
-// earlier waits.
+// record left in the calendar after an early signal is inert when it
+// eventually fires, so repeated timed waits on one condition never see
+// spurious wakes from earlier waits.
 func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
-	timedOut := false
-	gen := p.timedGen
 	c.waiters.push(p)
-	p.eng.After(d, func() {
-		if p.timedGen != gen {
-			return // wait already completed; stale record is inert
-		}
-		if c.waiters.removeFunc(func(w *Proc) bool { return w == p }) {
-			timedOut = true
-			if !p.dead {
-				p.Unpark()
-			}
-		}
-	})
+	p.armDeadline(&c.waiters, d)
 	c.L.Unlock(p)
 	p.Park("cond wait (timed)")
 	// Retire the deadline before re-acquiring the lock: Lock may park the
 	// proc on the mutex, and the still-pending record must not fire into
 	// that (or any later) park.
-	p.timedGen++
+	timedOut := p.timedQ == nil
+	p.timedQ = nil
 	c.L.Lock(p)
 	return !timedOut
 }
@@ -283,33 +299,17 @@ func (c *Chan) RecvTimeout(p *Proc, d Duration) (interface{}, bool) {
 	if c.q.len() > 0 {
 		return c.q.pop(), true
 	}
-	timedOut := false
-	gen := p.timedGen
-	c.waiters.push(p)
-	p.eng.After(d, func() {
-		if p.timedGen != gen {
-			return // receive already completed; stale record is inert
-		}
-		if c.waiters.removeFunc(func(w *Proc) bool { return w == p }) {
-			timedOut = true
-			if !p.dead {
-				p.Unpark()
-			}
-		}
-	})
-	p.Park("chan recv (timed)")
-	for c.q.len() == 0 {
-		if timedOut {
-			p.timedGen++
-			return nil, false
-		}
-		// Woken by a Push whose message another receiver consumed: wait
-		// again; the armed timer is still pending and bounds the wait
-		// (gen is unchanged across these re-parks, so it stays live).
+	p.armDeadline(&c.waiters, d)
+	for c.q.len() == 0 && p.timedQ != nil {
+		// Again if woken by a Push whose message another receiver consumed:
+		// the deadline stays armed across these re-parks and bounds the wait.
 		c.waiters.push(p)
 		p.Park("chan recv (timed)")
 	}
-	p.timedGen++
+	p.timedQ = nil
+	if c.q.len() == 0 {
+		return nil, false
+	}
 	return c.q.pop(), true
 }
 

@@ -14,7 +14,10 @@
 // host a handful of goroutines and a finished thread costs it nothing.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a point in virtual time, measured in virtual nanoseconds since the
 // start of the simulation.
@@ -32,8 +35,17 @@ const (
 	Second               = 1000 * Millisecond
 )
 
-// Add returns the time d after t.
-func (t Time) Add(d Duration) Time { return t + Time(d) }
+// maxTime is the end of virtual time, and the "no pending event" sentinel.
+const maxTime = Time(math.MaxInt64)
+
+// Add returns the time d after t, saturating at the end of virtual time: a
+// "forever" duration must land there, not wrap into the past.
+func (t Time) Add(d Duration) Time {
+	if s := t + Time(d); s >= t || d < 0 {
+		return s
+	}
+	return maxTime
+}
 
 // Sub returns the duration elapsed from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+)
 
 // An early signal must retire the deadline record: a timer left in the
 // calendar by a wait that was signalled just before its deadline must not
@@ -202,5 +206,105 @@ func TestChanRecvTimeoutHeavyReuse(t *testing.T) {
 	}
 	if received == 0 || timeouts == 0 {
 		t.Fatalf("degenerate mix: received=%d timeouts=%d", received, timeouts)
+	}
+}
+
+// A deadline record names its proc, as a wake record does. A proc that advances
+// onto the exact instant of its own retired deadline finds that record at the
+// head of the queue when it yields, and must not take it for its wake: it would
+// run on with its real wake record still queued, and that one would end its
+// next park with nothing having released it.
+func TestAdvanceOntoOwnRetiredDeadline(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// A lookahead of a second puts shard 0's first horizon past every
+			// time below, so the proc's yield does look at the queue's head
+			// instead of leaving every event to drive.
+			se := NewShardedEngine(1, shards, Second)
+			e := se.Shard(0)
+			var ch Chan
+			var resumedAt Time
+			released, spurious := false, false
+			w := e.Go("w", func(p *Proc) {
+				if _, ok := ch.RecvTimeout(p, 100*Microsecond); !ok {
+					t.Error("receive timed out despite the message at 40us")
+				}
+				p.Advance(60 * Microsecond) // wakes at 100us, queued behind the retired deadline
+				resumedAt = p.Now()
+				p.Park("until released")
+				spurious = !released
+			})
+			e.SchedulePush(Time(40*Microsecond), &ch, "m")
+			e.Schedule(Time(200*Microsecond), func() {
+				released = true
+				w.Unpark()
+			})
+			if shards > 1 {
+				se.Shard(1).Go("bystander", func(p *Proc) { p.Advance(Microsecond) })
+			}
+			if err := se.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if resumedAt != Time(100*Microsecond) {
+				t.Errorf("advance ended at %v, want 100us", resumedAt)
+			}
+			if spurious {
+				t.Error("park ended before the release: the advance consumed the deadline record and left its wake queued")
+			}
+			if qs := se.QueueStats(); qs.DeadlineInert != 1 || qs.DeadlineLive != 0 {
+				t.Errorf("deadline records fired live/inert = %d/%d, want 0/1", qs.DeadlineLive, qs.DeadlineInert)
+			}
+		})
+	}
+}
+
+// A "forever" duration must land at the end of virtual time, not wrap into the
+// past (where push would clamp it to Now and the infinite wait would time out
+// at once).
+func TestForeverDurationsSaturate(t *testing.T) {
+	const forever = Duration(math.MaxInt64)
+	if got := Time(5).Add(forever); got != maxTime {
+		t.Fatalf("Time(5).Add(forever) = %d, want maxTime", got)
+	}
+	if got := maxTime.Add(-3); got != maxTime-3 {
+		t.Fatalf("maxTime.Add(-3) = %d, want maxTime-3", got)
+	}
+	if got := Time(5).Add(-10); got != -5 {
+		t.Fatalf("Time(5).Add(-10) = %d, want -5", got)
+	}
+
+	e := NewEngine(1)
+	var ch Chan
+	var m Mutex
+	c := NewCond(&m)
+	var recvAt, condAt, advAt Time
+	e.Spawn("recv", 7, func(p *Proc) {
+		if v, ok := ch.RecvTimeout(p, forever); !ok || v != "m" {
+			t.Errorf("RecvTimeout(forever) = %v, %v; want the message", v, ok)
+		}
+		recvAt = p.Now()
+	})
+	e.Spawn("cond", 7, func(p *Proc) {
+		m.Lock(p)
+		if !c.WaitTimeout(p, forever) {
+			t.Error("WaitTimeout(forever) timed out")
+		}
+		condAt = p.Now()
+		m.Unlock(p)
+	})
+	e.Spawn("adv", 7, func(p *Proc) {
+		p.Advance(forever)
+		advAt = p.Now()
+	})
+	e.SchedulePush(Time(40*Microsecond), &ch, "m")
+	e.Schedule(Time(50*Microsecond), c.Signal)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if recvAt != Time(40*Microsecond) || condAt != Time(50*Microsecond) {
+		t.Errorf("waits ended at %v and %v, want 40us and 50us", recvAt, condAt)
+	}
+	if advAt != maxTime {
+		t.Errorf("Advance(forever) ended at %d, want maxTime", advAt)
 	}
 }
