@@ -288,14 +288,14 @@ func Restore(ck *Checkpoint, opts RestoreOptions) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The profiler must come up before the drain below: enabling it registers
-	// the migrate services, whose dispatcher spawn wakes must be consumed
-	// while the queue is still allowed to hold events.
+	// The profiler is part of the construction (enabling it registers the
+	// migrate services), so it comes up before the drain below.
 	if p := ck.Core.Profiler; p != nil {
 		s.EnableProfiler(ProfilerConfig{Migrate: p.Migrate, Stability: p.Stability, Window: p.Window})
 	}
-	// Drain the construction-time spawn wakes (RPC dispatchers parking on
-	// their queues); afterwards the engine is quiesced and restorable.
+	// Drain the construction-time spawn wakes (the non-threaded services'
+	// server threads parking on their queues); afterwards the engine is
+	// quiesced and restorable.
 	if err := s.rt.Run(); err != nil {
 		return nil, fmt.Errorf("dsmpm2: restore drain: %w", err)
 	}
@@ -320,7 +320,7 @@ func Restore(ck *Checkpoint, opts RestoreOptions) (*System, error) {
 		s.dsm.EnableRecovery(core.RecoveryConfig{OnRestart: opts.OnRestart})
 	}
 	// Nodes dead at capture die again here, so the runtime and network tear
-	// down their dispatchers and queues exactly as the original crash did;
+	// down their services and queues exactly as the original crash did;
 	// the counters those kills perturb are stomped back by the restores.
 	for n, ns := range ck.Runtime.Nodes {
 		if ns.Dead {

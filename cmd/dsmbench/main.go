@@ -689,18 +689,22 @@ func kernel(writeJSON bool, maxShards int) error {
 	}
 	fmt.Println("(events/sec is wall-clock; virtual timings are identical across kernels,")
 	fmt.Println(" see the golden-trace test. Baseline numbers are fixed in internal/bench.)")
-	fmt.Printf("\n%-36s %10s %8s %9s %8s %14s %10s\n",
-		"event queue traffic", "pushes", "at-now", "new-run", "joined", "deadlines l/i", "peak heap")
+	fmt.Printf("\n%-36s %10s %8s %9s %8s %14s %10s %10s %10s %8s\n",
+		"event queue traffic", "pushes", "at-now", "new-run", "joined", "deadlines l/i", "peak heap",
+		"resumes", "self-wakes", "drains")
 	for _, r := range cur {
 		q := r.Queue
 		pushes := q.AtNow + q.NewRun + q.Joined
 		pct := func(n uint64) float64 { return 100 * float64(n) / float64(max(pushes, 1)) }
-		fmt.Printf("%-36s %10d %7.1f%% %8.1f%% %7.1f%% %14s %10d\n", r.Name, pushes,
+		fmt.Printf("%-36s %10d %7.1f%% %8.1f%% %7.1f%% %14s %10d %10d %10d %8d\n", r.Name, pushes,
 			pct(q.AtNow), pct(q.NewRun), pct(q.Joined),
-			fmt.Sprintf("%d/%d", q.DeadlineLive, q.DeadlineInert), q.PeakHeap)
+			fmt.Sprintf("%d/%d", q.DeadlineLive, q.DeadlineInert), q.PeakHeap,
+			q.Resumes, q.SelfWakes, q.Drains)
 	}
 	fmt.Println("(at-now pushes append to the now-ring; a new-run push is a heap insert, a joined")
-	fmt.Println(" one a ring append; deadlines l/i = timed-wait records fired live / inert)")
+	fmt.Println(" one a ring append; deadlines l/i = timed-wait records fired live / inert; resumes =")
+	fmt.Println(" coroutine resumes by the event loop, two switches each; self-wakes = wake records a")
+	fmt.Println(" yielding proc consumed without a switch; drains = bursts handed to a bound channel's sink)")
 
 	host := bench.Host()
 	header(fmt.Sprintf("Kernel: host-scaling matrix (parallel kernel; host: %d CPUs, GOMAXPROCS=%d, %s)",

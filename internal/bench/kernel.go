@@ -41,9 +41,10 @@ type KernelResult struct {
 	VirtualMS float64 `json:"virtual_ms"`
 	// Threads is the number of simulated threads the scenario created.
 	Threads int `json:"threads"`
-	// Queue is the event queue's traffic by shape (pushes at the current
-	// instant, opening a run, joining one; deadline records; peak heap
-	// length). Rows measured before the counters existed have none.
+	// Queue is the kernel's traffic by shape (pushes at the current instant,
+	// opening a run, joining one; deadline records; peak heap length;
+	// coroutine resumes, self-wakes and sink drains). Rows measured before
+	// the counters existed have none.
 	Queue *sim.QueueStats `json:"queue,omitempty"`
 }
 
@@ -215,7 +216,7 @@ func KernelScalingSuite(shardCounts []int) []KernelResult {
 
 // JacobiStorm runs the barrier-phased stencil at cluster scale and measures
 // the simulator's wall-clock cost: nodes application threads plus the RPC
-// dispatcher/handler threads the DSM spawns under them.
+// server and handler threads the DSM runs under them.
 func JacobiStorm(nodes, n, iterations int) KernelResult {
 	name := fmt.Sprintf("jacobi/nodes=%d,n=%d,iters=%d", nodes, n, iterations)
 	return measure(name, func() (uint64, float64, int, sim.QueueStats) {

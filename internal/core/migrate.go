@@ -59,8 +59,7 @@ type migInstallMsg struct {
 }
 
 // registerMigrateServices installs the handshake services on every node.
-// Called lazily from EnableProfiler so profiler-off runs spawn no extra
-// dispatcher threads and stay bit-identical with historical traces.
+// Called lazily from EnableProfiler, so profiler-off systems carry none.
 func (d *DSM) registerMigrateServices() {
 	for i := 0; i < d.rt.Nodes(); i++ {
 		node := d.rt.Node(i)

@@ -191,10 +191,9 @@ func (d *DSM) EnableProfiler(cfg ProfilerConfig) {
 	for _, pg := range d.dir.sortedPages() {
 		d.prof.track(pg)
 	}
-	// The migration services spawn per-node dispatcher threads; registering
-	// them lazily keeps profiler-off runs bit-identical to builds without
-	// the profiler, and exactly once keeps re-enabling from tripping the
-	// duplicate-service panic.
+	// The migration services are registered lazily, so a profiler-off system
+	// carries none, and exactly once, which keeps re-enabling from tripping
+	// the duplicate-service panic.
 	if !already {
 		d.registerMigrateServices()
 	}

@@ -238,7 +238,7 @@ func (d *DSM) CrashNode(n int) {
 }
 
 // RestartNode brings node n back cold: fresh DSM node state (no frames, no
-// entries — everything refetched on demand), fresh RPC dispatchers, then the
+// entries — everything refetched on demand), reconnected RPC services, then the
 // application's OnRestart hook. Must run in engine context.
 func (d *DSM) RestartNode(n int) {
 	rec := d.mustRecovery("RestartNode")

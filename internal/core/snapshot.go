@@ -605,8 +605,8 @@ func (d *DSM) RestoreState(s *CoreState) error {
 	if s.Profiler != nil {
 		// Re-enabling resets the evidence and re-tracks the (restored)
 		// allocation set; the migrate services register only if they are not
-		// already (no new dispatcher spawns on a system built with the same
-		// profiler configuration).
+		// already (a system built with the same profiler configuration has
+		// them).
 		d.EnableProfiler(ProfilerConfig{
 			Migrate: s.Profiler.Migrate, Stability: s.Profiler.Stability, Window: s.Profiler.Window,
 		})

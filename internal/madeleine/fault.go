@@ -14,8 +14,9 @@ import (
 //
 //   - a dead node neither sends nor receives; messages addressed to (or
 //     from) it are dropped at the sending interface, and its inbound queues
-//     are replaced wholesale so that in-flight deliveries land in orphaned
-//     channels instead of leaking into a later incarnation of the node;
+//     are replaced wholesale (and unbound from their sinks) so that in-flight
+//     deliveries land in orphaned channels instead of leaking into a later
+//     incarnation of the node;
 //   - a partitioned link either queues its traffic until the link heals
 //     (PartitionQueue, the default — models a transient partition with
 //     reliable transport underneath) or drops it (PartitionDrop);
@@ -297,7 +298,10 @@ func (nw *Network) crashNodeOn(shard int, fs *faultState, n int) {
 	fs.stats.Crashes++
 	// Old queues are orphaned, not drained: deliveries already scheduled on
 	// the engine hold pointers to them and must not reach the node's next
-	// incarnation. Pending messages they contain are reclaimed now.
+	// incarnation. Pending messages they contain are reclaimed now, and a
+	// served queue (see Serve) is unbound, so that neither such a delivery nor
+	// a drain record still pending at this instant starts a handler for the
+	// dead incarnation: the sink stops consuming as a killed receiver would.
 	if nw.se != nil {
 		nw.nameMu.Lock()
 	}
@@ -310,6 +314,7 @@ func (nw *Network) crashNodeOn(shard int, fs *faultState, n int) {
 		if q == nil {
 			continue
 		}
+		q.ClearSink()
 		for {
 			v, ok := q.TryRecv()
 			if !ok {

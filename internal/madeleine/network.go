@@ -93,8 +93,8 @@ func newNetShard(n int) *netShard {
 
 // Network connects n nodes with per-link timing resolved by a Topology. Each
 // node owns one inbound queue per logical channel; Send schedules delivery
-// events on the sim engine, Recv blocks a simulated thread until a message
-// arrives.
+// events on the sim engine, and a queue's messages go either to simulated
+// threads blocking in Recv or to the callback Serve bound it to.
 //
 // The model charges the sender-to-receiver latency per message and offers two
 // optional occupancy models (both off by default; the paper's latencies are
@@ -581,6 +581,15 @@ func (nw *Network) Recv(p *sim.Proc, node int, channel string) *Message {
 // RecvID is Recv for a pre-interned channel.
 func (nw *Network) RecvID(p *sim.Proc, node int, ch ChanID) *Message {
 	return nw.queue(node, ch).Recv(p).(*Message)
+}
+
+// Serve binds node's inbound queue for ch to fn: every message arriving there
+// is handed to fn by the event loop of the node's engine, in arrival order and
+// in engine context, instead of waiting for a Recv (see sim.Chan.SetSink). fn
+// owns the message, as a receiver would. The binding ends when the node
+// crashes; whoever restarts the node binds its fresh queue again.
+func (nw *Network) Serve(node int, ch ChanID, fn func(*Message)) {
+	nw.queue(node, ch).SetSink(nw.engOf(nw.ShardOf(node)), func(v interface{}) { fn(v.(*Message)) })
 }
 
 // TryRecv returns a pending message for node on channel without blocking.

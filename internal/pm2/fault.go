@@ -9,7 +9,7 @@ import (
 
 // Node-level fault support: fail-stop crash (every thread located on the
 // node dies, the network drops its traffic) and cold restart (fresh CPUs,
-// fresh RPC dispatchers, empty queues). The DSM layer above coordinates the
+// services connected to fresh, empty queues). The DSM layer above coordinates the
 // page-state recovery; this file only handles the runtime machinery.
 
 // EnableFaults switches on the network fault layer and registers the
@@ -37,7 +37,7 @@ func (rt *Runtime) EnableFaults(seed int64, policy madeleine.PartitionPolicy) {
 }
 
 // KillNode fail-stops node n: every unfinished thread currently located on
-// it (application threads, RPC dispatchers, handler threads, migrated-in
+// it (application threads, RPC server and handler threads, migrated-in
 // threads) is killed, joiners of those threads are released, and the network
 // starts dropping the node's traffic. Must run in engine context (a fault
 // event), never from a thread on node n. Single-loop API: sharded machines
@@ -82,9 +82,9 @@ func (rt *Runtime) killThread(t *Thread) {
 
 // RestartNode brings a crashed node back cold: alive again for the network,
 // a fresh CPU resource (threads killed mid-compute can never return their
-// units, so the old resource may be stranded), and freshly spawned
-// dispatcher threads for every service that was registered, in registration
-// order so replays are deterministic. Single-loop API: sharded machines
+// units, so the old resource may be stranded), and every registered service
+// connected to its fresh queue (see Node.serve), in registration order so
+// replays are deterministic. Single-loop API: sharded machines
 // deliver node faults through InjectFaultPlan.
 func (rt *Runtime) RestartNode(n int) {
 	if rt.se != nil {
@@ -98,7 +98,7 @@ func (rt *Runtime) RestartNode(n int) {
 }
 
 // restartNodeLocal is the runtime half of a node restart (the network half
-// is RestartNode/ApplyFault): fresh CPUs and respawned dispatchers.
+// is RestartNode/ApplyFault): fresh CPUs and reconnected services.
 func (rt *Runtime) restartNodeLocal(n int) {
 	node := rt.nodes[n]
 	if !node.dead {
@@ -107,7 +107,7 @@ func (rt *Runtime) restartNodeLocal(n int) {
 	node.dead = false
 	node.CPU = sim.NewResource(rt.cpus)
 	for _, name := range node.svcOrder {
-		node.spawnDispatcher(node.services[name])
+		node.serve(node.services[name])
 	}
 	node.Restarts++
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // TestKillNodeStopsThreadsAndRestartServes: a killed node's threads never
-// resume, its dispatchers die, and after a restart the node serves RPCs
+// resume, its services stop, and after a restart the node serves RPCs
 // again with a fresh CPU.
 func TestKillNodeStopsThreadsAndRestartServes(t *testing.T) {
 	rt := NewRuntime(Config{Nodes: 2, Seed: 1})
@@ -81,5 +81,71 @@ func TestDroppedRPCReclaimsEnvelopeOnce(t *testing.T) {
 	}
 	if fmt.Sprint(seen) != "[live-a live-b]" {
 		t.Fatalf("sink saw %v, want [live-a live-b]", seen)
+	}
+}
+
+// TestCrashUnbindsServedQueues: a threaded service's queue is bound to the
+// event loop, so a crash must stop that consumer the way it used to kill the
+// dispatcher thread. Three requests are caught by the crash, in the order the
+// event loop sees them at the crash instant T (one run of the calendar: push
+// a, the crash, push b; then a's drain record from the now-ring):
+//
+//   - a is queued with its drain record pending when the crash fires, and the
+//     crash sweep reclaims it;
+//   - b lands in the orphaned queue behind the crash while that drain record
+//     is still pending — fired into a bound queue it would start a handler on
+//     a crashed node (checkAlive panics);
+//   - c is in flight across both crash and restart and lands in the orphaned
+//     queue of the dead incarnation — still bound, it would be served by the
+//     next one.
+//
+// After the restart a new request is served exactly once and the old three
+// never, whether the faults are applied directly or through a fault plan.
+func TestCrashUnbindsServedQueues(t *testing.T) {
+	inject := map[string]func(rt *Runtime, crash, restart sim.Time){
+		"direct": func(rt *Runtime, crash, restart sim.Time) {
+			rt.Engine().Schedule(crash, func() { rt.KillNode(1) })
+			rt.Engine().Schedule(restart, func() { rt.RestartNode(1) })
+		},
+		"fault plan": func(rt *Runtime, crash, restart sim.Time) {
+			rt.InjectFaultPlan((&sim.FaultPlan{Seed: 1}).Crash(crash, 1).Restart(restart, 1))
+		},
+	}
+	for name, inject := range inject {
+		rt := NewRuntime(Config{Nodes: 2, Seed: 1})
+		rt.EnableFaults(1, madeleine.PartitionQueue)
+		var served []interface{}
+		rt.Node(1).Register("svc", true, func(h *Thread, arg interface{}) interface{} {
+			served = append(served, arg)
+			return arg
+		})
+		link := rt.Link(0, 1)
+		crash := sim.Time(0).Add(link.CtrlMsg)
+		restart := crash.Add(sim.Microsecond)
+		if land := sim.Time(0).Add(link.Transfer(4096)); land <= restart {
+			t.Fatalf("bulk request lands at %v, not after the restart at %v", land, restart)
+		}
+		rt.CreateThread(0, "driver", func(th *Thread) {
+			th.Async(1, "svc", "a", 0)
+			inject(rt, crash, restart) // at t=0: offsets are absolute times
+			th.Async(1, "svc", "b", 0)
+			th.Async(1, "svc", "c", 4096)
+			th.Advance(sim.Millisecond) // everything has landed
+			if rt.Node(1).Dead() || rt.Node(1).Restarts != 1 {
+				t.Errorf("%s: node 1 was not crashed and restarted", name)
+			}
+			if v := th.Call(1, "svc", "new", 0, 0); v != "new" {
+				t.Errorf("%s: post-restart call returned %v", name, v)
+			}
+		})
+		if err := rt.Run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if fmt.Sprint(served) != "[new]" {
+			t.Fatalf("%s: served %v, want [new]: a request of the dead incarnation got through", name, served)
+		}
+		if st := rt.Network().FaultStats(); st.Crashes != 1 || st.Restarts != 1 {
+			t.Fatalf("%s: fault stats %+v, want one crash and one restart", name, st)
+		}
 	}
 }

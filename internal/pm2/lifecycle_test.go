@@ -102,7 +102,7 @@ func TestJoinDeadlockReportNamesTarget(t *testing.T) {
 }
 
 // threadedNull builds a two-node machine with a threaded null service on
-// node 1 and parks its dispatcher.
+// node 1.
 func threadedNull(tb testing.TB) *Runtime {
 	rt := newRT(2, nil)
 	rt.Node(1).Register("null", true, func(h *Thread, arg interface{}) interface{} { return nil })
@@ -115,20 +115,19 @@ func threadedNull(tb testing.TB) *Runtime {
 // TestHandlerThreadLifecycleAllocs pins what one handler thread costs the
 // host from request to exit: an Async to a threaded null service, drained.
 // The request envelope and the message are pooled, the names are formatted
-// at registration, the calendar, the park and the envelope counters allocate
-// nothing, the coroutine is a recycled worker, and the thread is its own proc
-// body, carrying its service and request. What is left is the two objects
-// that are the thread:
-//
-//	1  the Thread descriptor                        (Runtime.start)
-//	1  the sim.Proc                                 (Engine.SpawnRunner)
+// at registration, the calendar, the drain record, the park and the envelope
+// counters allocate nothing, the request goes from the event loop to its
+// handler with no thread in between, the coroutine is a recycled worker, and
+// the thread — descriptor and proc in one object, its own proc body, carrying
+// its service and request — is the one its predecessor handed back. Nothing
+// is left.
 //
 // One client thread issues a batch of requests spaced wider than a handler's
-// life, so every handler after the first runs on the worker its predecessor
-// left idle. Per batch that leaves the client (a Thread and a Proc) and the
-// two workers Run ends on return, 13 objects each — the worker, its loop
-// closure and the coroutine state iter.Pull builds — which amortize to 0.14
-// per request.
+// life, so every handler after the first reuses the first's descriptor and
+// worker. Per batch that leaves the client thread (one object) and the two
+// workers Run ends on return, 13 objects each — the worker, its loop closure
+// and the coroutine state iter.Pull builds — which amortize to 0.14 per
+// request.
 func TestHandlerThreadLifecycleAllocs(t *testing.T) {
 	rt := threadedNull(t)
 	const batch = 200
@@ -143,10 +142,136 @@ func TestHandlerThreadLifecycleAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if per := perBatch / batch; per < 2 || per > 2.15 {
-		t.Fatalf("a handler-thread lifecycle allocates %.2f objects, want 2 (plus 0.14 amortized)", per)
+	if per := perBatch / batch; per > 0.2 {
+		t.Fatalf("a handler-thread lifecycle allocates %.2f objects, want 0 (plus 0.14 amortized)", per)
 	}
-	if rt.ThreadCount() < batch || len(liveNames(rt)) != 1 {
-		t.Fatalf("ThreadCount %d, live %v: want every handler counted and only the dispatcher live", rt.ThreadCount(), liveNames(rt))
+	if rt.ThreadCount() < batch || len(liveNames(rt)) != 0 {
+		t.Fatalf("ThreadCount %d, live %v: want every handler counted and nothing live", rt.ThreadCount(), liveNames(rt))
+	}
+}
+
+// TestRecycledHandlerStartsClean: the second request of a threaded service
+// runs on the first handler's descriptor, and sees nothing of it — no
+// thread-local value, no migration count, not done, a new id, its own node,
+// and a reply queue with nothing in it.
+func TestRecycledHandlerStartsClean(t *testing.T) {
+	rt := newRT(2, nil)
+	rt.Node(0).Register("echo", false, func(h *Thread, arg interface{}) interface{} { return arg })
+	var first, second *Thread
+	var firstID int
+	rt.Node(1).Register("svc", true, func(h *Thread, arg interface{}) interface{} {
+		if first == nil {
+			first, firstID = h, h.ID()
+			h.SetTLS("k", "first tenant")
+			h.SetMigratable(true)
+			h.Call(0, "echo", 1, 0, 0) // leaves a reply queue behind
+			h.MigrateTo(0)
+			return nil
+		}
+		second = h
+		switch {
+		case h.TLS("k") != nil:
+			t.Errorf("recycled handler sees TLS %v", h.TLS("k"))
+		case h.Migrations() != 0 || h.Migratable() || h.Done():
+			t.Errorf("recycled handler starts with migrations=%d migratable=%v done=%v", h.Migrations(), h.Migratable(), h.Done())
+		case h.ID() <= firstID:
+			t.Errorf("recycled handler has id %d, not after its predecessor's %d", h.ID(), firstID)
+		case h.Node() != 1:
+			t.Errorf("recycled handler starts on node %d, want 1", h.Node())
+		case h.reply == nil || h.reply.Len() != 0:
+			t.Errorf("recycled handler's reply queue: %v", h.reply)
+		case FromProc(h.Proc()) != h:
+			t.Error("recycled handler's proc does not lead back to it")
+		}
+		if v := h.Call(0, "echo", 2, 0, 0); v != 2 {
+			t.Errorf("call from the recycled handler returned %v", v)
+		}
+		return nil
+	})
+	rt.CreateThread(0, "client", func(th *Thread) {
+		th.Call(1, "svc", nil, 0, 0)
+		th.Advance(sim.Millisecond)
+		th.Call(1, "svc", nil, 0, 0)
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if second == nil || second != first {
+		t.Fatalf("second request ran on %p, first on %p: the descriptor was not reused and the test checks nothing", second, first)
+	}
+}
+
+// TestKilledHandlerNeverReused: a handler killed by KillNode never returns,
+// so its descriptor never reaches the service's list — its proc may still
+// have wake records queued — and the restarted node's requests run on others.
+func TestKilledHandlerNeverReused(t *testing.T) {
+	rt := newRT(2, nil)
+	rt.EnableFaults(1, madeleine.PartitionQueue)
+	var killed *Thread
+	reused := false
+	rt.Node(1).Register("svc", true, func(h *Thread, arg interface{}) interface{} {
+		if killed == nil {
+			killed = h
+			h.Advance(sim.Millisecond) // its wake record outlives the crash
+			t.Error("the killed handler resumed")
+		}
+		reused = reused || h == killed
+		return nil
+	})
+	rt.CreateThread(0, "driver", func(th *Thread) {
+		th.Async(1, "svc", nil, 0)
+		th.Advance(100 * sim.Microsecond)
+		rt.KillNode(1)
+		rt.RestartNode(1)
+		for i := 0; i < 3; i++ {
+			th.Call(1, "svc", nil, 0, 0)
+		}
+		th.Advance(2 * sim.Millisecond) // past the dead handler's wake
+		th.Call(1, "svc", nil, 0, 0)
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	free := &rt.Node(1).services["svc"].free
+	free.Each(func(th *Thread) { reused = reused || th == killed })
+	if killed == nil || reused {
+		t.Fatalf("killed handler %p was handed out again or pooled (reused=%v)", killed, reused)
+	}
+	if free.Len() != 1 {
+		t.Fatalf("%d descriptors pooled after four sequential requests, want 1", free.Len())
+	}
+}
+
+// TestHandlerDescriptorsBoundedByConcurrency: 10 000 requests through one
+// threaded service leave at most as many descriptors on its list as handlers
+// ever ran at once.
+func TestHandlerDescriptorsBoundedByConcurrency(t *testing.T) {
+	const clients, each = 4, 1250
+	rt := newRT(2, nil)
+	running, peak, served := 0, 0, 0
+	rt.Node(1).Register("svc", true, func(h *Thread, arg interface{}) interface{} {
+		running++
+		peak = max(peak, running)
+		h.Advance(sim.Duration(1+served%7) * sim.Microsecond)
+		running--
+		served++
+		return nil
+	})
+	for c := 0; c < clients; c++ {
+		rt.CreateThread(0, fmt.Sprintf("client%d", c), func(th *Thread) {
+			for i := 0; i < each; i++ {
+				th.Call(1, "svc", nil, 0, 0)
+				th.Async(1, "svc", nil, 0)
+			}
+		})
+	}
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if pooled := rt.Node(1).services["svc"].free.Len(); served != 2*clients*each || pooled > peak {
+		t.Fatalf("served %d requests at peak concurrency %d, %d descriptors pooled", served, peak, pooled)
+	}
+	if rt.Node(1).HandlersSpawned != served || rt.ThreadCount() != served+clients {
+		t.Fatalf("HandlersSpawned %d, ThreadCount %d: want %d handlers and %d clients counted", rt.Node(1).HandlersSpawned, rt.ThreadCount(), served, clients)
 	}
 }

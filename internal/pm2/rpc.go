@@ -3,6 +3,7 @@ package pm2
 import (
 	"fmt"
 
+	"dsmpm2/internal/freelist"
 	"dsmpm2/internal/madeleine"
 	"dsmpm2/internal/sim"
 )
@@ -14,14 +15,17 @@ type Handler func(h *Thread, arg interface{}) interface{}
 
 // service is a registered RPC service on one node.
 type service struct {
-	name     string
 	chanID   madeleine.ChanID
 	handler  Handler
 	threaded bool
 	node     *Node
-	// Thread names, formatted once at registration rather than per
+	// threadName names a threaded service's handler threads or a non-threaded
+	// one's server thread, formatted once at registration rather than per
 	// invocation (or per restart).
-	dispatcherName, handlerName string
+	threadName string
+	// free holds the descriptors of handler threads that have returned (see
+	// deliver). Only the node's engine context touches it, so it needs no lock.
+	free freelist.List[*Thread]
 }
 
 // rpcReq is the wire payload of an invocation. Requests are pooled on the
@@ -104,50 +108,66 @@ func (rt *Runtime) svcChanID(name string) madeleine.ChanID {
 }
 
 // Register installs an RPC service on the node. If threaded is true, each
-// invocation is handled by a freshly created thread, so invocations proceed
-// concurrently (this is how DSM-PM2's page servers stay reactive); otherwise
-// requests are handled one at a time in the service's dispatcher thread,
-// PM2's "pre-existing thread" flavor.
+// invocation is handled by a thread of its own, started by the event loop as
+// the request arrives, so invocations proceed concurrently (this is how
+// DSM-PM2's page servers stay reactive); otherwise requests are handled one at
+// a time in the service's one server thread, PM2's "pre-existing thread" flavor.
 func (n *Node) Register(name string, threaded bool, h Handler) {
 	if _, dup := n.services[name]; dup {
 		panic(fmt.Sprintf("pm2: service %q registered twice on node %d", name, n.ID))
 	}
+	kind := "rpcd"
+	if threaded {
+		kind = "rpch"
+	}
 	svc := &service{
-		name:     name,
-		chanID:   n.rt.svcChanID(name),
-		handler:  h,
-		threaded: threaded,
-		node:     n,
-
-		dispatcherName: fmt.Sprintf("rpcd:%s@%d", name, n.ID),
-		handlerName:    fmt.Sprintf("rpch:%s@%d", name, n.ID),
+		chanID:     n.rt.svcChanID(name),
+		handler:    h,
+		threaded:   threaded,
+		node:       n,
+		threadName: fmt.Sprintf("%s:%s@%d", kind, name, n.ID),
 	}
 	n.services[name] = svc
 	n.svcOrder = append(n.svcOrder, name)
-	n.spawnDispatcher(svc)
+	n.serve(svc)
 }
 
-// spawnDispatcher starts the daemon thread that receives a service's
-// requests. It runs once at registration and again each time a crashed node
-// restarts (the crash killed the previous dispatcher).
-func (n *Node) spawnDispatcher(svc *service) {
-	n.rt.start(n.ID, svc.dispatcherName, 0, &Thread{svc: svc}).proc.MarkDaemon()
+// serve connects svc to its request queue, at registration and again when a
+// crashed node restarts (the crash orphaned and unbound the old queue): a
+// threaded service is bound to it, a non-threaded one gets its server thread.
+func (n *Node) serve(svc *service) {
+	if svc.threaded {
+		n.rt.net.Serve(n.ID, svc.chanID, svc.deliver)
+	} else {
+		n.rt.start(n.ID, svc.threadName, 0, &Thread{svc: svc}).proc.MarkDaemon()
+	}
 }
 
-// dispatch is the dispatcher thread's loop: receive a request, run it here
-// or, for a threaded service, in a handler thread of its own.
+// deliver starts the handler thread of one request of a threaded service, in
+// engine context (see madeleine.Network.Serve), on the descriptor of a handler
+// that has returned when there is one: start renews its id, proc and place in
+// the live list, and what else a tenant can leave behind is reset here.
+func (svc *service) deliver(msg *madeleine.Message) {
+	n := svc.node
+	t, ok := svc.free.Get()
+	if !ok {
+		t = &Thread{svc: svc}
+	}
+	t.req, t.tls, t.migrations, t.migratable, t.done = msg.Payload.(*rpcReq), nil, 0, false, false
+	n.rt.net.FreeMessage(msg)
+	n.HandlersSpawned++
+	n.rt.start(n.ID, svc.threadName, 0, t)
+}
+
+// dispatch is the loop of a non-threaded service's server thread: receive a
+// request, run its handler here.
 func (svc *service) dispatch(t *Thread) {
 	n := svc.node
 	for {
-		msg := n.rt.net.RecvID(t.proc, n.ID, svc.chanID)
+		msg := n.rt.net.RecvID(&t.proc, n.ID, svc.chanID)
 		req := msg.Payload.(*rpcReq)
 		n.rt.net.FreeMessage(msg)
-		if svc.threaded {
-			n.HandlersSpawned++
-			n.rt.start(n.ID, svc.handlerName, 0, &Thread{svc: svc, req: req})
-		} else {
-			svc.run(t, req)
-		}
+		svc.run(t, req)
 	}
 }
 
@@ -223,7 +243,7 @@ func (t *Thread) Call(dest int, svcName string, arg interface{}, argSize, retSiz
 		d += prof.Transfer(argSize) - prof.XferBase
 	}
 	rt.net.SendID(t.node, dest, rt.svcChanID(svcName), argSize, req, d)
-	return reply.Recv(t.proc)
+	return reply.Recv(&t.proc)
 }
 
 // Async invokes service on node dest without waiting for completion or
@@ -258,7 +278,7 @@ type VecElem struct {
 // StartVecFrom ships a vector of service invocations to dest as ONE
 // multi-part envelope (a single departure through the link-contention model)
 // and returns the reply channel the coalesced reply will arrive on. Each
-// element fans into its service's normal dispatch on the destination —
+// element fans into its service's normal delivery on the destination —
 // threaded services handle elements concurrently — and the last element's
 // completion sends one reply carrying the results in element order. The
 // caller blocks on the returned channel when it wants vector-call semantics
@@ -281,7 +301,7 @@ func (rt *Runtime) AsyncVecFrom(from, dest int, elems []VecElem) {
 // coalesced reply carries the handlers' results in element order.
 func (t *Thread) CallVec(dest int, elems []VecElem, retSize int) []interface{} {
 	reply := t.rt.StartVecFrom(t.node, dest, elems, retSize)
-	res, _ := reply.Recv(t.proc).([]interface{})
+	res, _ := reply.Recv(&t.proc).([]interface{})
 	return res
 }
 

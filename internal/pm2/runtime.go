@@ -4,10 +4,11 @@
 // Madeleine communication library, and preemptive iso-address thread
 // migration (Section 2.1 of the paper).
 //
-// Threaded RPC services create a thread per invocation, as PM2's do, so a
-// thread must be as cheap here as a Marcel thread is there: creating one
-// formats and hashes nothing, and the runtime lists only unfinished threads —
-// a thread that returns or is killed unlinks itself and is garbage.
+// Threaded RPC services run a thread per invocation, as PM2's do, so a thread
+// must be as cheap here as a Marcel thread is there: it is one object, creating
+// one formats and hashes nothing, and the runtime lists only unfinished threads
+// — a thread that returns or is killed unlinks itself; a returned handler's
+// descriptor serves its service's next request, anything else is garbage.
 package pm2
 
 import (
@@ -269,8 +270,9 @@ func (rt *Runtime) Link(src, dst int) *madeleine.Profile { return rt.net.Link(sr
 func (rt *Runtime) Nodes() int { return len(rt.nodes) }
 
 // ThreadCount reports the total number of threads created on this machine,
-// including RPC dispatcher and handler threads. On a sharded machine call it
-// only when the machine is not running (each shard writes its own counter).
+// including RPC server and handler threads (one per invocation, however often
+// its descriptor was reused). On a sharded machine call it only when the
+// machine is not running (each shard writes its own counter).
 func (rt *Runtime) ThreadCount() int {
 	n := 0
 	for _, made := range rt.shardMade {
@@ -313,7 +315,7 @@ type Node struct {
 
 	services map[string]*service
 	// svcOrder lists service names in registration order, so a restarted
-	// node respawns its dispatchers deterministically.
+	// node reconnects its services deterministically.
 	svcOrder []string
 
 	// live lists the unfinished threads currently located on this node,

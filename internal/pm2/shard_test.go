@@ -144,7 +144,7 @@ func TestShardedThreadIDsDeterministic(t *testing.T) {
 
 // TestShardedFaultPlanKillsAndRestarts: a crash/restart plan on a sharded
 // machine kills the owning shard's threads at the crash time, drops traffic
-// to the dead node machine-wide, and respawns dispatchers at restart.
+// to the dead node machine-wide, and reconnects the services at restart.
 func TestShardedFaultPlanKillsAndRestarts(t *testing.T) {
 	rt := shardedRT(3)
 	rt.EnableFaults(1, madeleine.PartitionQueue)

@@ -43,7 +43,7 @@ func (rt *Runtime) CaptureState() *RuntimeState {
 
 // RestoreState installs captured counters into this runtime, which must
 // have the same shape. Dead nodes must already have been killed through
-// KillNode (which tears down dispatchers and network queues); this only
+// KillNode (which tears down services' threads and network queues); this only
 // stomps the counters those calls perturbed back to their captured values.
 func (rt *Runtime) RestoreState(s *RuntimeState) error {
 	if len(s.Nodes) != len(rt.nodes) {

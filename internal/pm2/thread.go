@@ -17,11 +17,11 @@ import (
 // DSM protocols only observe the location and the latency, so the semantics
 // they depend on are preserved.
 type Thread struct {
-	proc *sim.Proc
+	proc sim.Proc // by value: descriptor and proc are one object (see Engine.SpawnInto)
 	rt   *Runtime
 
 	// What the thread runs (see Run): fn for an application thread, else svc's
-	// handler on req, or svc's dispatcher loop when req is nil. The thread is
+	// handler on req, or svc's server loop when req is nil. The thread is
 	// its own proc body, so none of them costs a closure per thread.
 	fn  func(t *Thread)
 	svc *service
@@ -48,7 +48,7 @@ type Thread struct {
 	prev, next *Thread
 
 	// Load-balancing state: a pending preemptive migration request (-1 for
-	// none; 32 bits keep the descriptor in the allocator's 144-byte class) and
+	// none; 32 bits keep the descriptor in the allocator's 256-byte class) and
 	// whether the balancer may move this thread at all.
 	pendingDest int32
 	migratable  bool
@@ -90,13 +90,16 @@ func (rt *Runtime) start(node int, name string, stack int, t *Thread) *Thread {
 	t.rt, t.node, t.stackSize, t.pendingDest = rt, node, stack, -1
 	rt.liveList(node).pushBack(t)
 	eng := rt.engFor(node)
-	t.proc = eng.SpawnRunner(name, eng.Now(), t)
+	eng.SpawnInto(&t.proc, name, eng.Now(), t)
 	n.ThreadsSpawned++
 	return t
 }
 
 // Run is the thread's proc body (sim.Runner): its function, service handler
-// or dispatcher loop, then the exit — leave the live list, release joiners.
+// or server loop, then the exit — leave the live list, release joiners. A
+// handler's descriptor then goes back to its service for the next request
+// (deliver never let its handle out, so nothing can still name it); a killed
+// thread never gets here, and an application thread's is its creator's to keep.
 func (t *Thread) Run(*sim.Proc) {
 	switch {
 	case t.fn != nil:
@@ -111,6 +114,9 @@ func (t *Thread) Run(*sim.Proc) {
 		j.Unpark()
 	}
 	t.joiners = nil
+	if t.req != nil {
+		t.svc.free.Put(t)
+	}
 }
 
 // finish marks t done and drops it from its live list, on return of its
@@ -133,7 +139,7 @@ func (t *Thread) ID() int { return t.id }
 func (t *Thread) Name() string { return t.proc.Name() }
 
 // Proc exposes the underlying sim proc.
-func (t *Thread) Proc() *sim.Proc { return t.proc }
+func (t *Thread) Proc() *sim.Proc { return &t.proc }
 
 // Runtime returns the machine the thread runs on.
 func (t *Thread) Runtime() *Runtime { return t.rt }
@@ -160,7 +166,7 @@ func (t *Thread) Advance(d sim.Duration) { t.proc.Advance(d) }
 // balancer migration is honoured before the work is charged.
 func (t *Thread) Compute(d sim.Duration) {
 	t.checkPreempt()
-	t.rt.nodes[t.node].CPU.Use(t.proc, d)
+	t.rt.nodes[t.node].CPU.Use(&t.proc, d)
 }
 
 // Yield lets other runnable threads at the same virtual time proceed. Yield
@@ -222,8 +228,8 @@ func (t *Thread) Join(other *Thread) {
 	if other.done {
 		return
 	}
-	other.joiners = append(other.joiners, t.proc)
-	t.proc.ParkFor("join", other.proc)
+	other.joiners = append(other.joiners, &t.proc)
+	t.proc.ParkFor("join", &other.proc)
 }
 
 // Done reports whether the thread's function has returned.

@@ -16,8 +16,10 @@ import (
 // Events are value-typed and live inline in the engine's queue; scheduling
 // one never allocates. The discriminant is which fields are set:
 //
-//   - gen != 0: a deadline record — proc's gen-th timed wait has run out
-//     (see Proc.armDeadline); inert if that wait is already over.
+//   - gen != 0: with a proc, a deadline record — proc's gen-th timed wait has
+//     run out (see Proc.armDeadline); inert if that wait is already over. With
+//     a ch, a drain record — what is queued on ch goes to its sink (see
+//     Chan.SetSink); inert if the sink was cleared meanwhile.
 //   - proc != nil: a wake record — resume that proc. This is the dominant
 //     kind (Advance, Unpark, Spawn, every synchronization wakeup).
 //   - ch != nil: a push record — deliver payload into a Chan (simulated
@@ -52,15 +54,15 @@ type run struct {
 func (r run) before(o run) bool { return r.t < o.t || r.t == o.t && r.seq < o.seq }
 
 // maxPooledRing is the largest ring, in events, the queue keeps from one Run
-// phase to the next (see releaseIdle): a burst-sized ring — every dispatcher
+// phase to the next (see releaseIdle): a burst-sized ring — every server proc
 // of a machine starts at t=0 — would otherwise stay pinned for the engine's
 // life. Within a phase rings only grow, so a simulation that bursts in steady
 // state (256 procs in lock step) still queues without allocating.
 const maxPooledRing = 64
 
-// QueueStats counts the event queue's traffic by shape since the engine was
-// created: where pushes went, how deadline records ended, and how long the
-// heap got. Plain increments, kept unconditionally.
+// QueueStats counts the kernel's traffic by shape since the engine was created:
+// where pushes went, how deadline records ended, how long the heap got, what
+// the loop did with what it popped. Plain increments, kept unconditionally.
 type QueueStats struct {
 	AtNow         uint64 `json:"at_now"`         // pushes for the current instant (now-ring)
 	NewRun        uint64 `json:"new_run"`        // future pushes that opened a run (a heap insert)
@@ -68,6 +70,9 @@ type QueueStats struct {
 	DeadlineLive  uint64 `json:"deadline_live"`  // deadline records that fired into their wait
 	DeadlineInert uint64 `json:"deadline_inert"` // deadline records whose wait was already over
 	PeakHeap      int    `json:"peak_heap"`      // most runs in the heap at once
+	Resumes       uint64 `json:"resumes"`        // coroutine resumes by the event loop (two switches each)
+	SelfWakes     uint64 `json:"self_wakes"`     // wake records a yielding proc consumed itself (no switch)
+	Drains        uint64 `json:"drains"`         // drain records that handed a burst to a sink
 }
 
 // Engine is a sequential discrete-event simulation kernel. It owns the
@@ -339,8 +344,8 @@ func (e *Engine) blocked(prefix string) []string {
 
 // drive is the event loop: pop and dispatch events until the queue drains (on
 // a shard: until the horizon-bounded merge is exhausted, see
-// shardCtl.nextEvent) or Stop is called. Closure and push events run inline
-// with e.cur == nil (engine context). A wake event resumes the proc's
+// shardCtl.nextEvent) or Stop is called. All but wake events run inline with
+// e.cur == nil (engine context). A wake event resumes the proc's
 // coroutine and returns here when the proc yields: two coroutine switches per
 // wake, with no run queue and no second thread woken, which is cheaper than
 // the one channel rendezvous a direct proc-to-proc hand-off would cost.
@@ -362,10 +367,13 @@ func (e *Engine) drive() {
 			return
 		}
 		switch {
+		case ev.gen != 0 && ev.ch != nil:
+			ev.ch.drain()
 		case ev.gen != 0:
 			ev.proc.fireDeadline(ev.gen)
 		case ev.proc != nil:
 			if p := ev.proc; !p.dead {
+				e.qs.Resumes++
 				e.cur = p
 				p.w.resume()
 				e.cur = nil
@@ -393,6 +401,7 @@ func (e *Engine) popSelfWake(p *Proc) bool {
 		return false
 	}
 	e.pop()
+	e.qs.SelfWakes++
 	return true
 }
 

@@ -14,6 +14,7 @@ type Proc struct {
 	w      *worker // the coroutine the proc is bound to
 	id     int32   // shares a word with the flags: a Proc stays in the 112-byte size class
 	dead   bool
+	killed bool // dead by Kill, not by returning
 	daemon bool
 
 	// prev/next link the engine's list of live procs. reason is the Park
@@ -32,7 +33,7 @@ type Proc struct {
 	timedQ   *procQueue
 
 	// body is what the proc runs. The runtime layered above spawns its own
-	// thread descriptor as the body (see SpawnRunner) and gets it back through
+	// thread descriptor as the body (see SpawnInto) and gets it back through
 	// Body, so a thread needs no closure and no side slot to find itself.
 	body Runner
 }
@@ -68,24 +69,33 @@ type worker struct {
 // fn at virtual time start (>= Now). fn runs in simulation context: it may
 // call Advance, Park and the synchronization primitives in this package.
 func (e *Engine) Spawn(name string, start Time, fn func(p *Proc)) *Proc {
-	return e.SpawnRunner(name, start, runnerFunc(fn))
+	return e.SpawnInto(new(Proc), name, start, runnerFunc(fn))
 }
 
-// SpawnRunner is Spawn for a body that is a value rather than a closure: the
-// layer above spawns its thread descriptor itself and recovers it with Body.
-func (e *Engine) SpawnRunner(name string, start Time, body Runner) *Proc {
+// SpawnInto is Spawn into storage the caller owns, for a body that is a value
+// rather than a closure: the layer above embeds the Proc in its thread
+// descriptor, spawns that as the body and recovers it with Body. p is zero or
+// a proc whose body has returned: nothing can still name such a proc but the
+// deadline record of a timed wait, which timedGen, carried over, keeps inert.
+// A live proc may yet be resumed and a killed one may have wake records queued
+// that only its dead mark stops, so spawning over either panics.
+func (e *Engine) SpawnInto(p *Proc, name string, start Time, body Runner) *Proc {
+	if p.eng != nil && (!p.dead || p.killed) {
+		panic(fmt.Sprintf("sim: SpawnInto over proc %q, which has not finished or was killed", p.name))
+	}
 	w, ok := e.idle.Get()
 	if !ok {
 		w = e.newWorker()
 	}
 	e.nextID++
-	p := &Proc{
-		eng:  e,
-		id:   int32(e.nextID),
-		name: name,
-		w:    w,
-		next: e.live,
-		body: body,
+	*p = Proc{
+		eng:      e,
+		id:       int32(e.nextID),
+		name:     name,
+		w:        w,
+		next:     e.live,
+		timedGen: p.timedGen,
+		body:     body,
 	}
 	if e.live != nil {
 		e.live.prev = p
@@ -156,7 +166,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 func (p *Proc) Body() Runner { return p.body }
 
 // MarkDaemon excludes p from run-completion and deadlock accounting. Use it
-// for service procs (RPC dispatchers, monitors) that park forever by design:
+// for service procs (RPC servers, monitors) that park forever by design:
 // a simulation whose only remaining procs are daemons terminates normally.
 func (p *Proc) MarkDaemon() {
 	if !p.daemon && !p.dead {
@@ -225,18 +235,18 @@ func (p *Proc) ParkFor(reason string, other *Proc) {
 }
 
 // Kill fail-stops the proc: it never runs again. Pending wake records for it
-// are skipped by the dispatcher, and the synchronization primitives skip dead
+// are skipped by the event loop, and the synchronization primitives skip dead
 // procs when granting mutexes, semaphore units, signals or messages, so
 // killing a parked proc cannot strand a resource on it. Kill must be called
 // from engine context or another proc — a proc cannot kill itself (the event
 // loop could not get control back from a proc that never yields again).
 //
-// The killed proc's coroutine stays suspended for the rest of the process and
-// its worker is never reused — a deliberate leak of one small stack per kill.
-// Unwinding it (resumed one last time, the proc would have to panic or Goexit
-// out of its body) would run the proc's deferred calls in the middle of the
-// simulation, after the proc's resources were already handed on, which is far
-// worse than the bounded memory cost of a fault experiment's kills.
+// The killed proc's coroutine stays suspended for the rest of the process;
+// neither its worker nor its storage (see SpawnInto) is ever reused — a
+// deliberate leak of one small stack per kill. Unwinding it (resumed once more,
+// the proc would have to panic or Goexit out of its body) would run the proc's
+// deferred calls in the middle of the simulation, after its resources were
+// handed on, far worse than the bounded memory cost of a fault experiment's kills.
 func (p *Proc) Kill() {
 	if p.dead {
 		return
@@ -244,7 +254,7 @@ func (p *Proc) Kill() {
 	if p.eng.cur == p {
 		panic(fmt.Sprintf("sim: proc %q killing itself", p.name))
 	}
-	p.dead = true
+	p.dead, p.killed = true, true
 	if !p.daemon {
 		p.eng.nlive--
 	}

@@ -202,6 +202,9 @@ func (se *ShardedEngine) QueueStats() (qs QueueStats) {
 		qs.DeadlineLive += e.qs.DeadlineLive
 		qs.DeadlineInert += e.qs.DeadlineInert
 		qs.PeakHeap = max(qs.PeakHeap, e.qs.PeakHeap)
+		qs.Resumes += e.qs.Resumes
+		qs.SelfWakes += e.qs.SelfWakes
+		qs.Drains += e.qs.Drains
 	}
 	return qs
 }

@@ -257,20 +257,60 @@ func (r *Resource) Use(p *Proc, d Duration) {
 // Busy reports the cumulative time servers were occupied.
 func (r *Resource) Busy() Duration { return r.busy }
 
-// Chan is an unbounded FIFO message queue with blocking receive. It is the
-// building block for simulated network endpoints: senders (or engine event
-// callbacks, e.g. message-delivery events) push without blocking, receivers
-// block until a message arrives. The queue is a recycling ring (see fifo),
-// so a drained channel reuses its buffer instead of reallocating.
+// Chan is an unbounded FIFO message queue, the building block for simulated
+// network endpoints: senders (or engine event callbacks, e.g. message-delivery
+// events) push without blocking, and either receiver procs block until a
+// message arrives or, on a channel bound with SetSink, the event loop hands
+// each message to a callback. The queue is a recycling ring (see fifo), so a
+// drained channel reuses its buffer instead of reallocating.
 type Chan struct {
 	q       fifo[interface{}]
 	waiters procQueue
+	// sink, when set, consumes the messages instead of receivers, called by
+	// eng's event loop: a drain record is queued whenever messages are.
+	sink func(v interface{})
+	eng  *Engine
 }
 
-// Push appends v and wakes one waiting live receiver. Push may be called
+// SetSink binds c to fn: eng's event loop (the one pushes onto c run in) hands
+// fn every message, in arrival order and in engine context, so fn must not
+// block. A sink stands in for a receiver proc that never blocks between
+// receives: the first push of a same-instant burst queues one drain record
+// where that receiver's wake record would go, and the rest ride on it. It
+// panics if procs are parked on c: they and fn would compete for messages.
+func (c *Chan) SetSink(eng *Engine, fn func(v interface{})) {
+	if c.waiters.len() > 0 {
+		panic("sim: SetSink on a channel with parked receivers")
+	}
+	c.sink, c.eng = fn, eng
+	if c.q.len() > 0 {
+		eng.push(eng.now, event{ch: c, gen: 1})
+	}
+}
+
+// ClearSink unbinds c, as killing a receiver would: messages stay queued (for
+// TryRecv) and a drain record still pending does nothing.
+func (c *Chan) ClearSink() { c.sink = nil }
+
+// drain is c's drain record firing: everything queued goes to the sink.
+func (c *Chan) drain() {
+	if c.sink != nil {
+		c.eng.qs.Drains++
+		c.q.drain(c.sink)
+	}
+}
+
+// Push appends v and wakes one waiting live receiver (on a bound channel,
+// queues the drain record if v is the first of its burst). Push may be called
 // from any simulation context, including engine event callbacks.
 func (c *Chan) Push(v interface{}) {
 	c.q.push(v)
+	if c.sink != nil {
+		if c.q.len() == 1 {
+			c.eng.push(c.eng.now, event{ch: c, gen: 1})
+		}
+		return
+	}
 	for c.waiters.len() > 0 {
 		if w := c.waiters.pop(); !w.dead {
 			w.Unpark()
@@ -280,8 +320,12 @@ func (c *Chan) Push(v interface{}) {
 }
 
 // Recv removes and returns the oldest message, blocking while the queue is
-// empty.
+// empty. Like RecvTimeout it panics on a bound channel (the message would be
+// consumed twice, or never); TryRecv stays legal there.
 func (c *Chan) Recv(p *Proc) interface{} {
+	if c.sink != nil {
+		panic("sim: Recv on a channel bound to a sink")
+	}
 	for c.q.len() == 0 {
 		c.waiters.push(p)
 		p.Park("chan recv")
@@ -296,6 +340,9 @@ func (c *Chan) Recv(p *Proc) interface{} {
 // a subsequent wait by the same proc. Safe for repeated per-request deadlines
 // on shared channels.
 func (c *Chan) RecvTimeout(p *Proc, d Duration) (interface{}, bool) {
+	if c.sink != nil {
+		panic("sim: RecvTimeout on a channel bound to a sink")
+	}
 	if c.q.len() > 0 {
 		return c.q.pop(), true
 	}

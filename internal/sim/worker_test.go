@@ -233,7 +233,12 @@ func TestShardedWorkerReuse(t *testing.T) {
 // TestWorkerChunkedRunCaptureRestore: every Run phase ends at a safe point —
 // no live non-daemon proc, no idle worker — whatever the pool did during the
 // phase, and a kernel restored from the capture between two phases replays
-// the second phase bit-identically.
+// the second phase bit-identically. That holds too when the snapshot is ahead
+// of the restoring engine's own start-up: a system written with ten daemon
+// procs restores into one that spawns a single one (nine procs, wake events
+// and seq slots behind, as a system without dispatcher threads is behind a
+// checkpoint taken when it had them), because Restore only refuses counters
+// that are already past the snapshot's.
 func TestWorkerChunkedRunCaptureRestore(t *testing.T) {
 	phase := func(e *Engine, trace *[]string) {
 		for i := 0; i < 4; i++ {
@@ -247,13 +252,15 @@ func TestWorkerChunkedRunCaptureRestore(t *testing.T) {
 			})
 		}
 	}
-	build := func() *Engine {
+	build := func(daemons int) *Engine {
 		e := NewEngine(42)
-		e.Go("svc", func(p *Proc) { p.Park("service loop") }).MarkDaemon()
+		for i := 0; i < daemons; i++ {
+			e.Go("svc", func(p *Proc) { p.Park("service loop") }).MarkDaemon()
+		}
 		return e
 	}
 
-	ref := build()
+	ref := build(10)
 	var first, want []string
 	phase(ref, &first)
 	if err := ref.Run(); err != nil {
@@ -270,32 +277,49 @@ func TestWorkerChunkedRunCaptureRestore(t *testing.T) {
 	if err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
-
-	restored := build()
-	if err := restored.Run(); err != nil { // park the daemon, as the reference did
-		t.Fatal(err)
-	}
-	if err := restored.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	phase(restored, &got)
-	if err := restored.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("restored second phase diverged:\n got %v\nwant %v", got, want)
-	}
-	end, err := restored.Capture()
-	if err != nil {
-		t.Fatal(err)
-	}
 	refEnd, err := ref.Capture()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if end != refEnd {
-		t.Fatalf("final kernel state differs: restored %+v, reference %+v", end, refEnd)
+
+	for _, daemons := range []int{10, 1} {
+		restored := build(daemons)
+		if err := restored.Run(); err != nil { // park the daemons, as the reference did
+			t.Fatal(err)
+		}
+		if err := restored.Restore(snap); err != nil {
+			t.Fatalf("%d daemons: %v", daemons, err)
+		}
+		var got []string
+		phase(restored, &got)
+		if err := restored.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%d daemons: restored second phase diverged:\n got %v\nwant %v", daemons, got, want)
+		}
+		end, err := restored.Capture()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end != refEnd {
+			t.Fatalf("%d daemons: final kernel state differs: restored %+v, reference %+v", daemons, end, refEnd)
+		}
+	}
+	// The other direction is refused: an engine already past the snapshot.
+	small, big := build(1), build(10)
+	if err := small.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := big.Run(); err != nil {
+		t.Fatal(err)
+	}
+	behind, err := small.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := big.Restore(behind); err == nil {
+		t.Fatal("an engine with more start-up procs than the snapshot records restored without error")
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 // (tune's worker pool, CI) must get a finished System's memory back. The
 // serve trace creates three handler threads per request; the runtime used to
 // keep every one of them reachable from its thread list (and through them
-// their procs and wake channels), which the dispatcher goroutines a finished
+// their procs and wake channels), which the daemon goroutines a finished
 // System leaves parked then pinned for the life of the process — 127 MB for
 // the benchmark's 120 000-request run, 21 MB for this one. What may stay is
-// the parked dispatchers' own state: the engine, the node tables, the pools.
+// the parked server threads' own state: the engine, the node tables, the
+// pools (recycled handler descriptors among them).
 func TestFinishedSystemRetainsNoThreads(t *testing.T) {
 	heap := func() uint64 {
 		runtime.GC()
