@@ -264,3 +264,74 @@ func TestInjectFaultsShardedRejected(t *testing.T) {
 		t.Fatalf("nil plan must stay a no-op: %v", err)
 	}
 }
+
+// TestDuplicatedPageMessages: a lossy link that duplicates (never drops) the
+// data plane's one-way messages must not corrupt memory. Every duplicate of a
+// page message has to own its pooled wire buffer: two deliveries sharing one
+// would return it to the pool twice, and two later transfers would then share
+// it — silently wrong totals. Three writers on the non-manager nodes run
+// read-modify-write sections over two words of each of six pages homed on
+// node 1, under hbrc_mw, with every link between non-manager nodes
+// duplicating half its messages; every word must read the oracle's total,
+// on 30 plan seeds. Ownership-migrating protocols are outside the duplicate
+// model (DESIGN.md "Fault model"), so hbrc_mw it is.
+func TestDuplicatedPageMessages(t *testing.T) {
+	const (
+		nodes, pages, sections = 4, 6, 40
+		want                   = uint64(3 * sections)
+	)
+	for seed := int64(1); seed <= 30; seed++ {
+		sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: nodes, Protocol: "hbrc_mw", Seed: 5})
+		plan := dsmpm2.NewFaultPlan(seed)
+		for a := 1; a < nodes; a++ {
+			for b := 1; b < nodes; b++ {
+				if a != b {
+					plan.Loss(at(0), a, b, 0, 0.5)
+				}
+			}
+		}
+		if err := sys.InjectFaults(plan, dsmpm2.FaultOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		base := sys.MustMalloc(1, pages*dsmpm2.PageSize, &dsmpm2.Attr{Protocol: -1, Home: 1})
+		word := func(pg, w int) dsmpm2.Addr { return base + dsmpm2.Addr(pg*dsmpm2.PageSize+8*w) }
+		var locks [pages]int
+		for pg := range locks {
+			locks[pg] = sys.NewLock(0)
+		}
+		for n := 1; n < nodes; n++ {
+			sys.Spawn(n, "writer", func(th *dsmpm2.Thread) {
+				for i := 0; i < sections; i++ {
+					for k := 0; k < pages; k++ {
+						pg := (k + n) % pages // writers walk the pages out of step
+						th.Acquire(locks[pg])
+						for w := 0; w < 2; w++ {
+							th.WriteUint64(word(pg, w), th.ReadUint64(word(pg, w))+1)
+						}
+						th.Release(locks[pg])
+					}
+				}
+			})
+		}
+		if err := sys.Run(); err != nil {
+			t.Fatalf("plan seed %d: %v", seed, err)
+		}
+		sys.Spawn(0, "reader", func(th *dsmpm2.Thread) {
+			for pg := 0; pg < pages; pg++ {
+				th.Acquire(locks[pg])
+				for w := 0; w < 2; w++ {
+					if got := th.ReadUint64(word(pg, w)); got != want {
+						t.Errorf("plan seed %d: page %d word %d = %d, want %d", seed, pg, w, got, want)
+					}
+				}
+				th.Release(locks[pg])
+			}
+		})
+		if err := sys.Run(); err != nil {
+			t.Fatalf("plan seed %d: %v", seed, err)
+		}
+		if sys.FaultStats().Duplicated == 0 {
+			t.Fatalf("plan seed %d: nothing was duplicated: %+v", seed, sys.FaultStats())
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"dsmpm2"
 	"dsmpm2/internal/apps/jacobi"
 	"dsmpm2/internal/bench"
+	"dsmpm2/internal/core"
 )
 
 // goldenJacobiConfig is the pinned golden workload: a full jacobi run with
@@ -104,4 +105,21 @@ func TestDeadlockReportDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("deadlock reports diverged:\n%s\n%s", a, b)
 	}
+}
+
+// TestGoldensAndShardedRunsPoisoned reruns the pinned traces and this
+// package's sharded tests with the core's use-after-free net on
+// (core.PoisonFreed: freed records read as sentinels and are never reused).
+// The goldens must not notice — recycling is invisible in virtual time — and
+// a reader that outlived its record fails loudly. Its name puts it in CI's
+// -race sharded battery too.
+func TestGoldensAndShardedRunsPoisoned(t *testing.T) {
+	core.PoisonFreed = true
+	defer func() { core.PoisonFreed = false }()
+	t.Run("jacobi", TestGoldenJacobiTrace)
+	t.Run("adaptive-jacobi", TestGoldenAdaptiveJacobiTrace)
+	t.Run("faulty-jacobi", TestGoldenFaultyJacobiTrace)
+	t.Run("sharded-checkpoint", TestCheckpointRoundTripSharded)
+	t.Run("sharded-trace", TestShardedTraceRecording)
+	t.Run("sharded-trace-merge", TestShardedTraceMergeOrder)
 }

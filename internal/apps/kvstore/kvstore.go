@@ -441,7 +441,10 @@ func Run(cfg Config) (Result, error) {
 		}
 		start := t.Now()
 		nextMark := 1
-		for i, r := range tr.reqs {
+		for i := range tr.reqs {
+			// The queue carries a pointer into this run's own trace: no
+			// copy is boxed per request, and at belongs to this run alone.
+			r := &tr.reqs[i]
 			due := start.Add(r.off)
 			if d := due.Sub(t.Now()); d > 0 {
 				t.Sleep(d)
@@ -477,7 +480,7 @@ func Run(cfg Config) (Result, error) {
 					return
 				case epochMark:
 					t.Barrier(bar)
-				case request:
+				case *request:
 					if cfg.Deadline > 0 && t.Now().Sub(m.at) > cfg.Deadline {
 						dropHist.Record(t.Now().Sub(m.at))
 						dropped[node]++

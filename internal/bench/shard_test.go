@@ -8,6 +8,7 @@ import (
 	"dsmpm2/internal/apps/kvstore"
 	"dsmpm2/internal/apps/matmul"
 	"dsmpm2/internal/apps/tsp"
+	"dsmpm2/internal/core"
 )
 
 // appRuns are the three paper applications at small scale, parameterized by
@@ -151,4 +152,15 @@ func TestShardedStormVirtualClockInvariant(t *testing.T) {
 				shards, r.VirtualMS, base.VirtualMS)
 		}
 	}
+}
+
+// TestShardedRunsPoisoned reruns the sharded application tests with the core's
+// use-after-free net on (core.PoisonFreed): records cross shards here, freed
+// into the consuming shard's pools, and under -race this is where a record
+// touched by its sender after the receiver freed it would show.
+func TestShardedRunsPoisoned(t *testing.T) {
+	core.PoisonFreed = true
+	defer func() { core.PoisonFreed = false }()
+	t.Run("apps", TestShardedRunsDeterministicAndConformant)
+	t.Run("serve", TestShardedServeDeterministicAndConformant)
 }

@@ -41,12 +41,14 @@ func (d *DSM) Access(t *pm2.Thread, addr Addr, buf []byte, write bool) {
 
 // miss handles the retry-th consecutive refusal of one access: anything but
 // a *memory.Fault is a program error, and a fault runs the page's protocol
-// so the caller can retry.
+// so the caller can retry. The fault is the Space's one record of its last
+// refusal, so it is read out before anything here lets another thread run.
 func (d *DSM) miss(t *pm2.Thread, addr Addr, err error, retry int) {
 	flt, ok := err.(*memory.Fault)
 	if !ok {
 		panic(fmt.Sprintf("core: invalid shared access by %s: %v", t.Name(), err))
 	}
+	pg, write := flt.Page, flt.Write
 	if retry >= maxFaultRetries {
 		panic(fmt.Sprintf("core: access at %#x by %s still faulting after %d protocol invocations",
 			addr, t.Name(), retry))
@@ -65,7 +67,7 @@ func (d *DSM) miss(t *pm2.Thread, addr Addr, err error, retry int) {
 		jitter := sim.Duration(1+d.rt.EngineFor(t.Node()).Rand().Intn(maxUS)) * sim.Microsecond
 		t.Advance(jitter)
 	}
-	d.handleFault(t, flt)
+	d.handleFault(t, addr, pg, write)
 }
 
 // handleFault charges the detection cost and dispatches the page's protocol
@@ -73,31 +75,22 @@ func (d *DSM) miss(t *pm2.Thread, addr Addr, err error, retry int) {
 // toolbox's anti-livelock handoff), the retried access in Access proceeds
 // before any competing server can steal the page; the lock is dropped after
 // one more memory operation via deferUnlock.
-func (d *DSM) handleFault(t *pm2.Thread, flt *memory.Fault) {
+func (d *DSM) handleFault(t *pm2.Thread, addr Addr, pg Page, write bool) {
 	start := t.Now()
 	t.Advance(d.costs.Fault) // catch signal, extract fault parameters
 	node := t.Node()
-	e := d.Entry(node, flt.Page)
+	e := d.Entry(node, pg)
 	proto := d.instance(e.proto)
-	ft := &FaultTiming{
-		Start:    start,
-		Protocol: proto.Name(),
-		Write:    flt.Write,
-		Detect:   d.costs.Fault,
-	}
-	f := &Fault{
-		DSM:    d,
-		Thread: t,
-		Node:   node,
-		Addr:   flt.Addr,
-		Page:   flt.Page,
-		Write:  flt.Write,
-		Entry:  e,
-		Timing: ft,
-	}
+	pools := d.recs(node)
+	// The timing record outlives the fault in the ring, and comes from
+	// there: the record a later fault evicts serves the next one.
+	ft := take(&pools.timings)
+	ft.Start, ft.Protocol, ft.Write, ft.Detect = start, proto.Name(), write, d.costs.Fault
+	f := take(&pools.faults)
+	f.DSM, f.Thread, f.Node, f.Addr, f.Page, f.Write, f.Entry, f.Timing = d, t, node, addr, pg, write, e, ft
 	d.nodeFaults[node]++
-	d.profFault(node, flt.Page, flt.Write)
-	if flt.Write {
+	d.profFault(node, pg, write)
+	if write {
 		d.st(node).WriteFaults++
 		proto.WriteFaultHandler(f)
 	} else {
@@ -105,7 +98,9 @@ func (d *DSM) handleFault(t *pm2.Thread, flt *memory.Fault) {
 		proto.ReadFaultHandler(f)
 	}
 	ft.Total = t.Now().Sub(start)
-	d.tlog(node).Add(ft)
+	if old := d.tlog(node).Add(ft); old != nil {
+		put(d, &pools.timings, old)
+	}
 	if f.entryLocked {
 		// Safe to release before the retry: the current thread keeps
 		// the simulation token until its next blocking operation, and
@@ -113,6 +108,9 @@ func (d *DSM) handleFault(t *pm2.Thread, flt *memory.Fault) {
 		// server can run in between.
 		e.Unlock(t)
 	}
+	// A migration-based handler moved the thread: the record goes to the
+	// pools of the node it ended on.
+	put(d, &d.recs(t.Node()).faults, f)
 }
 
 // Read copies len(buf) shared bytes at addr into buf.

@@ -23,41 +23,6 @@ const (
 // ctrlBytes is the wire size of a control message.
 const ctrlBytes = 64
 
-// reqMsg asks the destination for page access. seq is the requesting
-// entry's request sequence number, echoed back with the page so retried
-// fetches can discard their predecessors' late responses (recovery mode).
-type reqMsg struct {
-	page   Page
-	from   int // requesting node
-	write  bool
-	seq    uint64
-	timing *FaultTiming
-	sentAt sim.Time
-}
-
-// pageMsg carries a page copy to a requester.
-type pageMsg struct {
-	page    Page
-	from    int
-	data    []byte
-	access  memory.Access
-	owner   int
-	ownship bool
-	copyset []int
-	seq     uint64 // request sequence this page answers (see reqMsg)
-	timing  *FaultTiming
-	sentAt  sim.Time
-	link    string // profile name of the link carrying the transfer
-}
-
-// invMsg asks the destination to invalidate its copy of a page.
-type invMsg struct {
-	page     Page
-	from     int
-	newOwner int
-	ack      *sim.Chan // nil for unacknowledged invalidations
-}
-
 // invAck is the payload of an invalidation acknowledgement: which node
 // applied which page's invalidation. Carrying the page matters when one ack
 // channel covers several pages (a multi-page flush): a duplicate ack for an
@@ -68,81 +33,55 @@ type invAck struct {
 	page Page
 }
 
-// diffMsgWire carries diffs to a home node. noticed marks diffs whose
-// invalidations ride the writer's barrier notices instead of being applied
-// eagerly by the home (see DiffMsg.Noticed).
-type diffMsgWire struct {
-	from    int
-	diffs   []*memory.Diff
-	noticed bool
-	reply   *sim.Chan // signalled once applied, nil for fire-and-forget
-}
-
 // registerServices wires the DSM communication module onto every node.
 // Request, invalidation and diff servers are threaded so that concurrent
 // requests — for the same page or different pages — are processed in
 // parallel, the multithreaded behaviour Section 3 calls out; page
 // installation is a quick handler, serialized per node like a softirq.
+//
+// Each handler receives the sender's record itself (see records.go),
+// completes it with DSM, Thread and Node, runs the protocol routine on it and
+// frees it.
 func (d *DSM) registerServices() {
 	for i := 0; i < d.rt.Nodes(); i++ {
 		node := d.rt.Node(i)
 
 		node.Register(svcRequest, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			m := arg.(*reqMsg)
-			if d.recovery != nil && d.NodeDead(m.from) {
+			r := private(d, arg.(*Request))
+			if d.recovery != nil && d.NodeDead(r.From) {
 				// A dead requester must not be granted anything — a write
 				// request served now would strand ownership on a corpse.
 				return nil
 			}
-			if m.timing != nil {
-				m.timing.Request = h.Now().Sub(m.sentAt)
+			if r.Timing != nil {
+				r.Timing.Request = h.Now().Sub(r.sentAt)
 			}
-			r := &Request{
-				DSM:    d,
-				Thread: h,
-				Node:   h.Node(),
-				Page:   m.page,
-				From:   m.from,
-				Write:  m.write,
-				Seq:    m.seq,
-				Timing: m.timing,
-			}
-			p := d.protoAt(h.Node(), m.page)
-			if m.write {
+			r.DSM, r.Thread, r.Node = d, h, h.Node()
+			p := d.protoAt(r.Node, r.Page)
+			if r.Write {
 				p.WriteServer(r)
 			} else {
 				p.ReadServer(r)
 			}
+			put(d, &d.recs(r.Node).requests, r)
 			return nil
 		})
 
 		node.Register(svcPage, false, func(h *pm2.Thread, arg interface{}) interface{} {
-			m := arg.(*pageMsg)
-			if m.timing != nil {
-				m.timing.Transfer = h.Now().Sub(m.sentAt)
-				m.timing.Link = m.link
+			pm := private(d, arg.(*PageMsg))
+			if pm.Timing != nil {
+				pm.Timing.Transfer = h.Now().Sub(pm.sentAt)
+				pm.Timing.Link = pm.link
 			}
-			pm := &PageMsg{
-				DSM:     d,
-				Thread:  h,
-				Node:    h.Node(),
-				Page:    m.page,
-				From:    m.from,
-				Data:    m.data,
-				Access:  m.access,
-				Owner:   m.owner,
-				Ownship: m.ownship,
-				Copyset: m.copyset,
-				Seq:     m.seq,
-				Timing:  m.timing,
-			}
-			d.protoAt(h.Node(), m.page).ReceivePageServer(pm)
+			pm.DSM, pm.Thread, pm.Node = d, h, h.Node()
+			d.protoAt(pm.Node, pm.Page).ReceivePageServer(pm)
+			put(d, &d.recs(pm.Node).pages, pm)
 			return nil
 		})
 
 		node.Register(svcInvald, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			m := arg.(*invMsg)
-			if d.recovery != nil && d.NodeDead(m.from) {
+			iv := private(d, arg.(*Invalidate))
+			if d.recovery != nil && d.NodeDead(iv.From) {
 				// An invalidation from a node that has since crashed speaks
 				// for a dead regime: the recovery sweep already rebuilt the
 				// page's home/copyset around the crash, and applying the
@@ -151,48 +90,35 @@ func (d *DSM) registerServices() {
 				// copyset and dies at the next release instead.
 				return nil
 			}
+			iv.DSM, iv.Thread, iv.Node = d, h, h.Node()
 			// Any invalidation supersedes a page copy still in flight
 			// to this node (see Entry.InvalSeq).
-			d.Entry(h.Node(), m.page).InvalSeq++
-			iv := &Invalidate{
-				DSM:      d,
-				Thread:   h,
-				Node:     h.Node(),
-				Page:     m.page,
-				From:     m.from,
-				NewOwner: m.newOwner,
-			}
-			d.protoAt(h.Node(), m.page).InvalidateServer(iv)
-			if m.ack != nil {
+			d.Entry(iv.Node, iv.Page).InvalSeq++
+			d.protoAt(iv.Node, iv.Page).InvalidateServer(iv)
+			if iv.ack != nil {
 				// The ack names the acknowledging node and page, so a
 				// recovery retry loop can tick off exactly which holders
 				// answered for exactly which invalidations.
-				d.rt.Network().SendDirect(h.Node(), m.from, m.ack, ctrlBytes,
-					invAck{node: h.Node(), page: m.page}, d.rt.Link(h.Node(), m.from).CtrlMsg)
+				d.replyDirect(iv.Node, iv.From, iv.ack, invAck{node: iv.Node, page: iv.Page})
 			}
+			put(d, &d.recs(iv.Node).invs, iv)
 			return nil
 		})
 
 		node.Register(svcDiff, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			m := arg.(*diffMsgWire)
-			if len(m.diffs) > 0 {
-				ds, ok := d.protoAt(h.Node(), m.diffs[0].Page).(DiffServer)
+			dm := private(d, arg.(*DiffMsg))
+			dm.DSM, dm.Thread, dm.Node = d, h, h.Node()
+			if len(dm.Diffs) > 0 {
+				ds, ok := d.protoAt(dm.Node, dm.Diffs[0].Page).(DiffServer)
 				if !ok {
 					panic("core: diffs sent to a protocol without a DiffServer")
 				}
-				ds.DiffServer(&DiffMsg{
-					DSM:     d,
-					Thread:  h,
-					Node:    h.Node(),
-					From:    m.from,
-					Diffs:   m.diffs,
-					Noticed: m.noticed,
-					reply:   m.reply,
-				})
+				ds.DiffServer(dm)
 			}
-			if m.reply != nil {
-				d.rt.Network().SendDirect(h.Node(), m.from, m.reply, ctrlBytes, nil, d.rt.Link(h.Node(), m.from).CtrlMsg)
+			if dm.reply != nil {
+				d.replyDirect(dm.Node, dm.From, dm.reply, nil)
 			}
+			put(d, &d.recs(dm.Node).diffs, dm)
 			return nil
 		})
 	}
@@ -200,7 +126,7 @@ func (d *DSM) registerServices() {
 }
 
 // sendRequest delivers a page request to dest (a control message).
-func (d *DSM) sendRequest(from, dest int, m *reqMsg) {
+func (d *DSM) sendRequest(from, dest int, m *Request) {
 	m.sentAt = d.rt.EngineFor(from).Now()
 	st := d.st(from)
 	st.Requests++
@@ -214,45 +140,56 @@ func (d *DSM) sendRequest(from, dest int, m *reqMsg) {
 // payload is exactly the page, as in the paper's Table 3 measurements. The
 // carrying link's profile name is recorded for FaultTiming attribution, so
 // reports can split fault costs by link class (intra- vs inter-cluster).
-func (d *DSM) sendPage(from, dest int, m *pageMsg) {
+func (d *DSM) sendPage(from, dest int, m *PageMsg) {
 	m.sentAt = d.rt.EngineFor(from).Now()
 	m.link = d.rt.Link(from, dest).Name
 	st := d.st(from)
 	st.PageSends++
-	st.PageBytes += int64(len(m.data))
+	st.PageBytes += int64(len(m.Data))
 	st.Sends++
 	st.Envelopes++
-	d.rt.AsyncFrom(from, dest, svcPage, m, len(m.data))
+	d.rt.AsyncFrom(from, dest, svcPage, m, len(m.Data))
 }
 
-// sendInvalidate delivers an invalidation to dest as its own envelope (the
-// unbatched path; batched flushes coalesce invalidations in outbox.go).
-func (d *DSM) sendInvalidate(from, dest int, m *invMsg) {
+// newInvalidate takes an invalidation record for pg, sent by from.
+func (d *DSM) newInvalidate(from int, pg Page, newOwner int, ack *sim.Chan) *Invalidate {
+	iv := take(&d.recs(from).invs)
+	iv.Page, iv.From, iv.NewOwner, iv.ack = pg, from, newOwner, ack
+	return iv
+}
+
+// sendInvalidate delivers an invalidation of pg to dest as its own envelope
+// (the unbatched path; batched flushes coalesce invalidations in outbox.go).
+func (d *DSM) sendInvalidate(from, dest int, pg Page, newOwner int, ack *sim.Chan) {
 	st := d.st(from)
 	st.Invalidations++
 	st.Sends++
 	st.Envelopes++
-	d.rt.AsyncFrom(from, dest, svcInvald, m, ctrlBytes)
+	d.rt.AsyncFrom(from, dest, svcInvald, d.newInvalidate(from, pg, newOwner, ack), ctrlBytes)
 }
 
 // diffFlight is one in-flight diff envelope: the send half of sendDiffs,
 // split from the wait half so flushes to distinct destinations overlap their
-// round trips (every envelope departs before the first reply is awaited).
+// round trips (every envelope departs before the first reply is awaited). m
+// is the receiver's once sent; only recovery's re-send, under which nothing
+// is recycled, reads it again.
 type diffFlight struct {
-	dest int
-	m    *diffMsgWire
-	size int
+	dest  int
+	m     *DiffMsg
+	size  int
+	reply *sim.Chan // nil for fire-and-forget
 }
 
 // startDiffs ships a diff list to dest as its own envelope and returns the
 // flight to pass to waitDiffs. With wait false the flight needs no waiting
 // (fire-and-forget).
-func (d *DSM) startDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, noticed, wait bool) *diffFlight {
+func (d *DSM) startDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, noticed, wait bool) diffFlight {
 	size := ctrlBytes
 	for _, df := range diffs {
 		size += df.Size()
 	}
-	m := &diffMsgWire{from: t.Node(), diffs: diffs, noticed: noticed}
+	m := take(&d.recs(t.Node()).diffs)
+	m.From, m.Diffs, m.Noticed = t.Node(), diffs, noticed
 	st := d.st(t.Node())
 	st.DiffsSent += int64(len(diffs))
 	st.DiffBytes += int64(size)
@@ -261,8 +198,9 @@ func (d *DSM) startDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, noticed,
 	if wait {
 		m.reply = new(sim.Chan)
 	}
+	f := diffFlight{dest: dest, m: m, size: size, reply: m.reply}
 	d.rt.AsyncFrom(t.Node(), dest, svcDiff, m, size)
-	return &diffFlight{dest: dest, m: m, size: size}
+	return f
 }
 
 // waitDiffs blocks until a flight's destination acknowledged applying it
@@ -273,17 +211,17 @@ func (d *DSM) startDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, noticed,
 // recovery sweep re-homed the dead node's pages), applied locally when this
 // node became the home. Diffs are absolute byte ranges, so a diff the dead
 // home did manage to apply before crashing re-applies idempotently.
-func (d *DSM) waitDiffs(t *pm2.Thread, f *diffFlight) {
-	if f.m.reply == nil {
+func (d *DSM) waitDiffs(t *pm2.Thread, f diffFlight) {
+	if f.reply == nil {
 		return
 	}
 	if d.recovery == nil {
-		f.m.reply.Recv(t.Proc())
+		f.reply.Recv(t.Proc())
 		return
 	}
 	attempt := 0
 	for {
-		if _, ok := f.m.reply.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt)); ok {
+		if _, ok := f.reply.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt)); ok {
 			return
 		}
 		attempt++
@@ -296,7 +234,7 @@ func (d *DSM) waitDiffs(t *pm2.Thread, f *diffFlight) {
 			// reply channel. Counted like any other shipment, mirroring
 			// the batched retry path's accounting.
 			st := d.st(t.Node())
-			st.DiffsSent += int64(len(f.m.diffs))
+			st.DiffsSent += int64(len(f.m.Diffs))
 			st.Sends++
 			st.Envelopes++
 			d.rt.AsyncFrom(t.Node(), f.dest, svcDiff, f.m, f.size)
@@ -304,38 +242,38 @@ func (d *DSM) waitDiffs(t *pm2.Thread, f *diffFlight) {
 		}
 		// The home died with our diffs unacknowledged: re-route each diff
 		// to its page's current home.
-		d.rerouteDiffs(t, f.m.diffs)
+		for _, df := range f.m.Diffs {
+			d.rerouteDiff(t, df)
+		}
 		return
 	}
 }
 
-// rerouteDiffs delivers each diff to its page's current home after the
-// original destination died. When this node *became* the home, the diff goes
-// through the protocol's own DiffServer so its commit side effects
-// (applying, then invalidating third-party copies) happen exactly as they
-// would have at the old home.
-func (d *DSM) rerouteDiffs(t *pm2.Thread, diffs []*memory.Diff) {
-	for _, df := range diffs {
-		pi, _ := d.dir.get(df.Page)
-		home := pi.home
-		if home == t.Node() {
-			if ds, ok := d.protoFor(df.Page).(DiffServer); ok {
-				ds.DiffServer(&DiffMsg{
-					DSM: d, Thread: t, Node: t.Node(), From: t.Node(),
-					Diffs: []*memory.Diff{df},
-				})
-				continue
-			}
-			e := d.Entry(t.Node(), df.Page)
-			e.Lock(t)
-			if frame := d.state[t.Node()].space.Frame(df.Page); frame != nil {
-				memory.ApplyDiff(frame.Data, df)
-			}
-			e.Unlock(t)
-			continue
-		}
+// rerouteDiff delivers a diff to its page's current home after the original
+// destination died. When this node *became* the home, the diff goes through
+// the protocol's own DiffServer so its commit side effects (applying, then
+// invalidating third-party copies) happen exactly as they would have at the
+// old home.
+func (d *DSM) rerouteDiff(t *pm2.Thread, df *memory.Diff) {
+	pi, _ := d.dir.get(df.Page)
+	home := pi.home
+	if home != t.Node() {
 		d.sendDiffs(t, home, []*memory.Diff{df}, true)
+		return
 	}
+	if ds, ok := d.protoFor(df.Page).(DiffServer); ok {
+		ds.DiffServer(&DiffMsg{
+			DSM: d, Thread: t, Node: t.Node(), From: t.Node(),
+			Diffs: []*memory.Diff{df},
+		})
+		return
+	}
+	e := d.Entry(t.Node(), df.Page)
+	e.Lock(t)
+	if frame := d.state[t.Node()].space.Frame(df.Page); frame != nil {
+		memory.ApplyDiff(frame.Data, df)
+	}
+	e.Unlock(t)
 }
 
 // sendDiffs delivers a batch of diffs to dest and, if wait is true, blocks

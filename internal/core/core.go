@@ -106,6 +106,8 @@ type DSM struct {
 	// is recycled on the receiver's), which is harmless: pools are
 	// interchangeable and each stays internally consistent.
 	bufsSh []*memory.BufPool
+	// recsSh recycles the core's records the same way (see records.go).
+	recsSh []recPools
 
 	state []*nodeState
 
@@ -200,6 +202,7 @@ func New(rt *pm2.Runtime, reg *Registry, costs Costs) *DSM {
 	d.statsSh = make([]Stats, shards)
 	d.timingsSh = make([]TimingLog, shards)
 	d.bufsSh = make([]*memory.BufPool, shards)
+	d.recsSh = make([]recPools, shards)
 	for i := range d.bufsSh {
 		d.bufsSh[i] = memory.NewBufPool(PageSize)
 	}

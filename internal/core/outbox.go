@@ -2,7 +2,8 @@ package core
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"slices"
 
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/pm2"
@@ -35,56 +36,47 @@ type WriteNotice struct {
 	Writer int
 }
 
-// invOp is one queued invalidation: the page plus the new-owner hint.
-type invOp struct {
+// batchOp is one queued operation: an invalidation of page at dest (diff is
+// nil), or a diff of page bound for dest.
+type batchOp struct {
+	dest     int
 	page     Page
-	newOwner int
+	newOwner int          // invalidations: the new-owner hint
+	diff     *memory.Diff // diffs
+	noticed  bool         // diffs: invalidation deferred to barrier write notices
 }
 
-// destBatch accumulates the operations bound for one destination.
-type destBatch struct {
-	invs  []invOp
-	diffs []*memory.Diff
-	// noticed marks diffs whose invalidations are deferred to barrier write
-	// notices (one flag per diffs element, parallel slice).
-	noticed []bool
-}
-
-// Batch is a per-destination outbox: protocols queue the invalidations and
-// diffs of one release into it, then Flush ships one envelope per
-// destination and waits once for all of them. With batching disabled the
-// same Flush reproduces the historical one-envelope-per-operation pattern
-// (still overlapping the waits), keeping the unbatched path selectable for
-// A/B comparison.
+// Batch is a release's outbox: protocols queue the invalidations and diffs of
+// one release into it, then Flush ships one envelope per destination and
+// waits once for all of them. With batching disabled the same Flush
+// reproduces the historical one-envelope-per-operation pattern (still
+// overlapping the waits), keeping the unbatched path selectable for A/B
+// comparison. Everything is one flat list of operations, sorted once at
+// Flush, and the buffers a flush builds its envelopes in stay with the Batch,
+// which is recycled like any record (see records.go).
 type Batch struct {
-	d     *DSM
-	t     *pm2.Thread
-	node  int
-	dests map[int]*destBatch
+	d       *DSM
+	t       *pm2.Thread
+	node    int
+	ops     []batchOp
+	elems   []pm2.VecElem // the envelopes of one batched flush, back to back
+	flights []batchFlight
 }
 
-// NewBatch opens an outbox for operations sent on behalf of t's node.
+// NewBatch opens an outbox for operations sent on behalf of t's node. It
+// lives until its Flush, which every caller owes it exactly once.
 func (d *DSM) NewBatch(t *pm2.Thread) *Batch {
-	return &Batch{d: d, t: t, node: t.Node(), dests: make(map[int]*destBatch)}
-}
-
-func (b *Batch) dest(n int) *destBatch {
-	db := b.dests[n]
-	if db == nil {
-		db = &destBatch{}
-		b.dests[n] = db
-	}
-	return db
+	b := take(&d.recs(t.Node()).batches)
+	b.d, b.t, b.node = d, t, t.Node()
+	return b
 }
 
 // Invalidate queues an invalidation of pg at dest. Self-invalidations are
 // dropped (the caller owns its local state).
 func (b *Batch) Invalidate(dest int, pg Page, newOwner int) {
-	if dest == b.node {
-		return
+	if dest != b.node {
+		b.ops = append(b.ops, batchOp{dest: dest, page: pg, newOwner: newOwner})
 	}
-	db := b.dest(dest)
-	db.invs = append(db.invs, invOp{page: pg, newOwner: newOwner})
 }
 
 // Diff queues a diff for delivery to dest (the page's home). noticed defers
@@ -92,150 +84,161 @@ func (b *Batch) Invalidate(dest int, pg Page, newOwner int) {
 // notices.
 func (b *Batch) Diff(dest int, diff *memory.Diff, noticed bool) {
 	b.d.profDiff(b.node, diff.Page)
-	db := b.dest(dest)
-	db.diffs = append(db.diffs, diff)
-	db.noticed = append(db.noticed, noticed)
+	b.ops = append(b.ops, batchOp{dest: dest, page: diff.Page, diff: diff, noticed: noticed})
 }
 
-// Empty reports whether the outbox holds no operations.
-func (b *Batch) Empty() bool { return len(b.dests) == 0 }
-
-// canonicalize sorts one destination's operations into flush order:
-// invalidations by (page, newOwner), diffs by page with a content tiebreak.
-// Queued order is deliberately forgotten — determinism must not depend on
-// it, even for the odd caller that queues two diffs of one page to one
-// destination (SendDiffsBatched iterates a map).
+// canonicalize sorts the operations into flush order — destination, then
+// invalidations by (page, newOwner), then diffs by page with a content
+// tiebreak — and deduplicates invalidations. Queued order is deliberately
+// forgotten: determinism must not depend on it, even for the odd caller that
+// queues two diffs of one page to one destination.
 //
-// Invalidations are also deduplicated per page (the last entry in canonical
-// order — the highest owner hint — wins). One destination needs one
-// invalidation of a page per flush no matter how many times it was queued;
-// the unbatched path has always collapsed duplicates through its
+// One destination needs one invalidation of a page per flush no matter how
+// many times it was queued (the last in flush order — the highest owner hint
+// — wins); the unbatched path has always collapsed duplicates through its
 // per-(node, page) ack bookkeeping, and deduplicating here keeps the two
 // paths' Invalidations/InvAcks accounting identical.
-func (db *destBatch) canonicalize() {
-	sort.SliceStable(db.invs, func(i, j int) bool {
-		if db.invs[i].page != db.invs[j].page {
-			return db.invs[i].page < db.invs[j].page
+func (b *Batch) canonicalize() {
+	slices.SortStableFunc(b.ops, func(x, y batchOp) int {
+		switch {
+		case x.dest != y.dest:
+			return cmp.Compare(x.dest, y.dest)
+		case x.diff != nil && y.diff != nil:
+			return diffCompare(x.diff, y.diff)
+		case x.diff != nil:
+			return 1
+		case y.diff != nil:
+			return -1
+		case x.page != y.page:
+			return cmp.Compare(x.page, y.page)
 		}
-		return db.invs[i].newOwner < db.invs[j].newOwner
+		return cmp.Compare(x.newOwner, y.newOwner)
 	})
-	dedup := db.invs[:0]
-	for i, iv := range db.invs {
-		if i+1 < len(db.invs) && db.invs[i+1].page == iv.page {
+	kept := b.ops[:0]
+	for i, op := range b.ops {
+		if next := i + 1; op.diff == nil && next < len(b.ops) && b.ops[next].diff == nil &&
+			b.ops[next].dest == op.dest && b.ops[next].page == op.page {
 			continue
 		}
-		dedup = append(dedup, iv)
+		kept = append(kept, op)
 	}
-	db.invs = dedup
-	// Sort the diffs and their noticed flags together.
-	idx := make([]int, len(db.diffs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		return diffLess(db.diffs[idx[i]], db.diffs[idx[j]])
-	})
-	diffs := make([]*memory.Diff, len(idx))
-	noticed := make([]bool, len(idx))
-	for i, k := range idx {
-		diffs[i] = db.diffs[k]
-		noticed[i] = db.noticed[k]
-	}
-	db.diffs = diffs
-	db.noticed = noticed
+	clear(b.ops[len(kept):])
+	b.ops = kept
 }
 
-// diffLess is the canonical total order on diffs: page, then entry list
+// diffCompare is the canonical total order on diffs: page, then entry list
 // (offset, then bytes, lexicographically). Identical diffs compare equal,
 // which a stable sort keeps stable — so the order never depends on how the
 // caller happened to queue them.
-func diffLess(a, b *memory.Diff) bool {
+func diffCompare(a, b *memory.Diff) int {
 	if a.Page != b.Page {
-		return a.Page < b.Page
+		return cmp.Compare(a.Page, b.Page)
 	}
 	for i := 0; i < len(a.Entries) && i < len(b.Entries); i++ {
 		ea, eb := a.Entries[i], b.Entries[i]
 		if ea.Off != eb.Off {
-			return ea.Off < eb.Off
+			return cmp.Compare(ea.Off, eb.Off)
 		}
 		if c := bytes.Compare(ea.Data, eb.Data); c != 0 {
-			return c < 0
+			return c
 		}
 	}
-	return len(a.Entries) < len(b.Entries)
+	return cmp.Compare(len(a.Entries), len(b.Entries))
+}
+
+// liveRuns yields, in flush order, each destination with its run of
+// operations (flush order keeps them together). A run whose destination died
+// is not yielded: a dead holder needs no invalidation — its copies died with
+// it — but its diffs are re-routed to their pages' current homes.
+func (b *Batch) liveRuns(yield func(dest int, run []batchOp) bool) {
+	for lo := 0; lo < len(b.ops); {
+		dest, hi := b.ops[lo].dest, lo+1
+		for hi < len(b.ops) && b.ops[hi].dest == dest {
+			hi++
+		}
+		run := b.ops[lo:hi]
+		lo = hi
+		if b.d.recovery != nil && b.d.NodeDead(dest) {
+			b.reroute(run)
+		} else if !yield(dest, run) {
+			return
+		}
+	}
+}
+
+// reroute delivers a run's diffs to their pages' current homes.
+func (b *Batch) reroute(run []batchOp) {
+	for _, op := range run {
+		if op.diff != nil {
+			b.d.rerouteDiff(b.t, op.diff)
+		}
+	}
 }
 
 // batchFlight is one awaited destination envelope of a batched flush.
 type batchFlight struct {
 	dest  int
-	elems []pm2.VecElem
-	diffs []*memory.Diff
-	acks  int // invalidations whose acknowledgement the reply coalesces
-	reply *sim.Chan
+	run   []batchOp     // the destination's operations
+	elems []pm2.VecElem // their envelope, as sent (recovery re-sends it)
+	acks  int           // invalidations whose acknowledgement the reply coalesces
+	call  *pm2.VecCall
 }
 
 // Flush ships the outbox: destinations ascending, one envelope each. With
 // wait true it blocks until every destination completed all of its
 // operations — all envelopes depart before the first reply is awaited, so
-// flushes to distinct destinations overlap instead of serializing. The
-// outbox is empty afterwards and may be reused.
+// flushes to distinct destinations overlap instead of serializing. Flush
+// ends the batch's life: the caller must not touch it again.
 func (b *Batch) Flush(wait bool) {
-	if len(b.dests) == 0 {
-		return
-	}
 	d := b.d
-	order := make([]int, 0, len(b.dests))
-	for n := range b.dests {
-		order = append(order, n)
+	if len(b.ops) > 0 {
+		b.canonicalize() // before any send OR reroute: order must never depend on insertion
+		if d.batch {
+			b.flushBatched(wait)
+		} else {
+			b.flushUnbatched(wait)
+		}
 	}
-	sort.Ints(order)
-	if !d.batch {
-		b.flushUnbatched(order, wait)
-		b.dests = make(map[int]*destBatch)
-		return
-	}
-	flights := make([]*batchFlight, 0, len(order))
-	for _, dest := range order {
-		db := b.dests[dest]
-		db.canonicalize() // before any send OR reroute: order must never depend on insertion
-		if d.recovery != nil && d.NodeDead(dest) {
-			// Dead holders need no invalidation; their copies died with
-			// them. Diffs still must reach the pages' current homes.
-			d.rerouteDiffs(b.t, db.diffs)
-			continue
+	put(d, &d.recs(b.node).batches, b)
+}
+
+// flushBatched sends each destination's run as one multi-part envelope whose
+// single reply coalesces every acknowledgement.
+func (b *Batch) flushBatched(wait bool) {
+	d := b.d
+	st := d.st(b.node)
+	// Grown once up front: the flights below keep slices of it.
+	b.elems = slices.Grow(b.elems[:0], len(b.ops))
+	for dest, run := range b.liveRuns {
+		first, acks := len(b.elems), 0
+		for _, op := range run {
+			if op.diff == nil {
+				b.elems = append(b.elems, pm2.VecElem{Svc: svcInvald, Size: ctrlBytes,
+					Arg: d.newInvalidate(b.node, op.page, op.newOwner, nil)})
+				acks++
+				continue
+			}
+			dm := take(&d.recs(b.node).diffs)
+			dm.From, dm.Noticed, dm.one[0] = b.node, op.noticed, op.diff
+			dm.Diffs = dm.one[:]
+			size := ctrlBytes + op.diff.Size()
+			b.elems = append(b.elems, pm2.VecElem{Svc: svcDiff, Size: size, Arg: dm})
+			st.DiffBytes += int64(size)
 		}
-		f := &batchFlight{dest: dest, diffs: db.diffs}
-		for _, iv := range db.invs {
-			f.elems = append(f.elems, pm2.VecElem{
-				Svc:  svcInvald,
-				Arg:  &invMsg{page: iv.page, from: b.node, newOwner: iv.newOwner},
-				Size: ctrlBytes,
-			})
-			f.acks++
-		}
-		for i, df := range db.diffs {
-			f.elems = append(f.elems, pm2.VecElem{
-				Svc:  svcDiff,
-				Arg:  &diffMsgWire{from: b.node, diffs: []*memory.Diff{df}, noticed: db.noticed[i]},
-				Size: ctrlBytes + df.Size(),
-			})
-			d.st(b.node).DiffBytes += int64(ctrlBytes + df.Size())
-		}
-		st := d.st(b.node)
-		st.Invalidations += int64(len(db.invs))
-		st.DiffsSent += int64(len(db.diffs))
-		st.Sends += int64(len(f.elems))
+		elems := b.elems[first:]
+		st.Invalidations += int64(acks)
+		st.DiffsSent += int64(len(elems) - acks)
+		st.Sends += int64(len(elems))
 		st.Envelopes++
 		if wait {
-			f.reply = d.rt.StartVecFrom(b.node, dest, f.elems, ctrlBytes)
-			flights = append(flights, f)
+			b.flights = append(b.flights, batchFlight{dest: dest, run: run, elems: elems, acks: acks,
+				call: d.rt.StartVecFrom(b.node, dest, elems, ctrlBytes)})
 		} else {
-			d.rt.AsyncVecFrom(b.node, dest, f.elems)
+			d.rt.AsyncVecFrom(b.node, dest, elems)
 		}
 	}
-	b.dests = make(map[int]*destBatch)
-	for _, f := range flights {
-		b.waitFlight(f)
+	for i := range b.flights {
+		b.waitFlight(&b.flights[i])
 	}
 }
 
@@ -246,41 +249,40 @@ func (b *Batch) Flush(wait bool) {
 func (b *Batch) waitFlight(f *batchFlight) {
 	d, t := b.d, b.t
 	if d.recovery == nil {
-		f.reply.Recv(t.Proc())
-		d.st(b.node).InvAcks += int64(f.acks)
-		return
-	}
-	attempt := 0
-	for {
-		if _, ok := f.reply.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt)); ok {
-			d.st(b.node).InvAcks += int64(f.acks)
-			return
-		}
-		attempt++
-		d.recovery.stats.Retries++
-		if !d.NodeDead(f.dest) {
-			// Alive but silent: the envelope or its coalesced reply was
-			// lost or is crawling through a partition. Re-send the whole
-			// envelope — invalidations and diffs apply idempotently, and a
-			// late first reply just lingers unread. Counted like any other
-			// shipment, mirroring the unbatched retry path's accounting.
+		f.call.Reply().Recv(t.Proc())
+	} else {
+		for attempt := 0; ; {
+			if _, ok := f.call.Reply().RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt)); ok {
+				break
+			}
+			attempt++
+			d.recovery.stats.Retries++
+			if d.NodeDead(f.dest) {
+				b.reroute(f.run)
+				return
+			}
+			// Alive but silent: the envelope or its coalesced reply was lost
+			// or is crawling through a partition. Re-send the whole envelope
+			// as a new call — invalidations and diffs apply idempotently, and
+			// the abandoned call, never released, keeps a late first reply to
+			// itself. Counted like any other shipment, mirroring the
+			// unbatched retry path's accounting.
 			st := d.st(b.node)
 			st.Invalidations += int64(f.acks)
-			st.DiffsSent += int64(len(f.diffs))
+			st.DiffsSent += int64(len(f.elems) - f.acks)
 			st.Sends += int64(len(f.elems))
 			st.Envelopes++
-			f.reply = d.rt.StartVecFrom(b.node, f.dest, f.elems, ctrlBytes)
-			continue
+			f.call = d.rt.StartVecFrom(b.node, f.dest, f.elems, ctrlBytes)
 		}
-		d.rerouteDiffs(t, f.diffs)
-		return
 	}
+	f.call.Release()
+	d.st(b.node).InvAcks += int64(f.acks)
 }
 
 // flushUnbatched reproduces the pre-batching wire pattern — one envelope per
 // invalidation, one diff-list envelope per destination — while still
 // overlapping the blocking waits across destinations.
-func (b *Batch) flushUnbatched(order []int, wait bool) {
+func (b *Batch) flushUnbatched(wait bool) {
 	d, t := b.d, b.t
 	ack := new(sim.Chan)
 	// outstanding tracks each unacknowledged (node, page) invalidation
@@ -289,28 +291,27 @@ func (b *Batch) flushUnbatched(order []int, wait bool) {
 	// in for a different, still-unapplied one.
 	outstanding := make(map[invAck]int)
 	acks := 0
-	var diffFlights []*diffFlight
-	for _, dest := range order {
-		db := b.dests[dest]
-		db.canonicalize()
-		if d.recovery != nil && d.NodeDead(dest) {
-			d.rerouteDiffs(t, db.diffs)
-			continue
-		}
-		for _, iv := range db.invs {
+	var diffFlights []diffFlight
+	for dest, run := range b.liveRuns {
+		var diffs []*memory.Diff // the receiver's, so never the Batch's buffer
+		for _, op := range run {
+			if op.diff != nil {
+				diffs = append(diffs, op.diff)
+				continue
+			}
 			var ch *sim.Chan
 			if wait {
 				ch = ack
-				key := invAck{node: dest, page: iv.page}
+				key := invAck{node: dest, page: op.page}
 				if _, dup := outstanding[key]; !dup {
 					acks++
 				}
-				outstanding[key] = iv.newOwner
+				outstanding[key] = op.newOwner
 			}
-			d.sendInvalidate(b.node, dest, &invMsg{page: iv.page, from: b.node, newOwner: iv.newOwner, ack: ch})
+			d.sendInvalidate(b.node, dest, op.page, op.newOwner, ch)
 		}
-		if len(db.diffs) > 0 {
-			diffFlights = append(diffFlights, d.startDiffs(t, dest, db.diffs, false, wait))
+		if len(diffs) > 0 {
+			diffFlights = append(diffFlights, d.startDiffs(t, dest, diffs, false, wait))
 		}
 	}
 	if !wait {
@@ -341,11 +342,11 @@ func (b *Batch) flushUnbatched(order []int, wait bool) {
 			for k := range outstanding {
 				keys = append(keys, k)
 			}
-			sort.Slice(keys, func(i, j int) bool {
-				if keys[i].node != keys[j].node {
-					return keys[i].node < keys[j].node
+			slices.SortFunc(keys, func(x, y invAck) int {
+				if x.node != y.node {
+					return cmp.Compare(x.node, y.node)
 				}
-				return keys[i].page < keys[j].page
+				return cmp.Compare(x.page, y.page)
 			})
 			retried := false
 			for _, k := range keys {
@@ -357,7 +358,7 @@ func (b *Batch) flushUnbatched(order []int, wait bool) {
 					d.recovery.stats.Retries++
 					retried = true
 				}
-				d.sendInvalidate(b.node, k.node, &invMsg{page: k.page, from: b.node, newOwner: outstanding[k], ack: ack})
+				d.sendInvalidate(b.node, k.node, k.page, outstanding[k], ack)
 			}
 		}
 	}
@@ -414,11 +415,11 @@ func (d *DSM) takeNotices(node, barrier int) []WriteNotice {
 // canonicalNotices sorts notices by (page, writer) and removes duplicates,
 // so the aggregate a barrier distributes is independent of arrival order.
 func canonicalNotices(ws []WriteNotice) []WriteNotice {
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].Page != ws[j].Page {
-			return ws[i].Page < ws[j].Page
+	slices.SortFunc(ws, func(x, y WriteNotice) int {
+		if x.Page != y.Page {
+			return cmp.Compare(x.Page, y.Page)
 		}
-		return ws[i].Writer < ws[j].Writer
+		return cmp.Compare(x.Writer, y.Writer)
 	})
 	out := ws[:0]
 	for i, w := range ws {
@@ -475,8 +476,8 @@ func (d *DSM) applyNotice(t *pm2.Thread, pg Page, ws []WriteNotice) {
 	}
 	e.InvalSeq++
 	e.Unlock(t)
-	d.instance(e.proto).InvalidateServer(&Invalidate{
-		DSM: d, Thread: t, Node: node, Page: pg,
-		From: ws[0].Writer, NewOwner: -1,
-	})
+	iv := d.newInvalidate(node, pg, -1, nil)
+	iv.DSM, iv.Thread, iv.Node, iv.From = d, t, node, ws[0].Writer
+	d.instance(e.proto).InvalidateServer(iv)
+	put(d, &d.recs(node).invs, iv)
 }

@@ -281,3 +281,65 @@ func TestWriteNoticeRoundTrip(t *testing.T) {
 		t.Fatalf("Notices = %d, want 1", d.Stats().Notices)
 	}
 }
+
+// TestBatchFlushOrdersSamePageDiffsByContent: two diffs of ONE page queued to
+// one destination reach it in content order whichever was queued first — the
+// flat list's stable sort falls through (destination, kind, page) to the
+// diffs' bytes — and queueing the same diff twice delivers it twice.
+func TestBatchFlushOrdersSamePageDiffsByContent(t *testing.T) {
+	for _, batched := range []bool{true, false} {
+		run := func(first, second byte) ([]byte, int64) {
+			rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
+			reg := NewRegistry()
+			var got []byte
+			reg.Register("recorder", func(*DSM) Protocol {
+				return &Hooks{ProtoName: "recorder", OnDiffServer: func(dm *DiffMsg) {
+					for _, df := range dm.Diffs {
+						got = append(got, df.Entries[0].Data[0])
+					}
+				}}
+			})
+			d := New(rt, reg, DefaultCosts())
+			d.SetBatching(batched)
+			d.SetDefaultProtocol(0)
+			pg := d.Space(0).PageOf(d.MustMalloc(0, PageSize, nil))
+			rt.CreateThread(0, "flusher", func(th *pm2.Thread) {
+				b := d.NewBatch(th)
+				for _, v := range []byte{first, second} {
+					df := &memory.Diff{Page: pg}
+					df.MergeRecorded(0, []byte{v})
+					b.Diff(1, df, false)
+				}
+				b.Flush(true)
+			})
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return got, int64(rt.Now())
+		}
+		ab, nowAB := run(3, 9)
+		ba, nowBA := run(9, 3)
+		if !reflect.DeepEqual(ab, []byte{3, 9}) || !reflect.DeepEqual(ba, ab) || nowAB != nowBA {
+			t.Errorf("batched=%v: same-page diffs arrived as %v (clock %d) and %v (clock %d), want [3 9] both times",
+				batched, ab, nowAB, ba, nowBA)
+		}
+		if twice, _ := run(5, 5); !reflect.DeepEqual(twice, []byte{5, 5}) {
+			t.Errorf("batched=%v: a diff queued twice arrived as %v, want [5 5]", batched, twice)
+		}
+	}
+}
+
+// TestOutboxPoisoned reruns this file's flush tests with the use-after-free
+// net on (see PoisonFreed): every record and Batch a flush frees reads as
+// sentinels from then on and is never reused, so a flush that touched one
+// after its consumer freed it fails here instead of reading a successor.
+func TestOutboxPoisoned(t *testing.T) {
+	PoisonFreed = true
+	defer func() { PoisonFreed = false }()
+	t.Run("order", TestBatchFlushOrderDeterministic)
+	t.Run("coalesce", TestBatchFlushCoalescesEnvelopes)
+	t.Run("dedup", TestBatchFlushDedupsInvalidations)
+	t.Run("single-page", TestInvalidateCopiesBatched)
+	t.Run("same-page-diffs", TestBatchFlushOrdersSamePageDiffsByContent)
+	t.Run("notices", TestWriteNoticeRoundTrip)
+}

@@ -147,8 +147,9 @@ func (e *Entry) TakeCopyset() NodeSet { return e.Copyset.Take() }
 // PagesOn returns the pages node currently has table entries for, sorted.
 // Protocol release hooks use it to sweep per-node state deterministically.
 // The list is maintained incrementally at entry creation, so this is a copy,
-// not a rebuild-and-sort; the copy keeps the sweep safe against entries the
-// sweep itself creates.
-func (d *DSM) PagesOn(node int) []Page {
-	return append([]Page(nil), d.state[node].pages...)
+// not a rebuild-and-sort — appended to buf, which lets a sweep that runs every
+// acquire bring its own (stack) buffer; the copy keeps the sweep safe against
+// entries the sweep itself creates.
+func (d *DSM) PagesOn(node int, buf []Page) []Page {
+	return append(buf, d.state[node].pages...)
 }

@@ -14,6 +14,9 @@ type ProtoID int
 
 // Fault is the context handed to read/write fault handlers: the faulting
 // thread, where it faulted, and the page-table entry on the faulting node.
+// Like every record in this file it is pooled and valid until the routine it
+// was passed to returns (see records.go); one a protocol builds for itself
+// (java_ic's direct fetch) is simply never pooled.
 type Fault struct {
 	DSM    *DSM
 	Thread *pm2.Thread
@@ -41,7 +44,9 @@ func (f *Fault) KeepEntryLocked() { f.entryLocked = true }
 
 // Request is the context handed to read/write servers: a remote node asked
 // this node for page access. Thread is the server thread processing the
-// request on the receiving node.
+// request on the receiving node. The record is also the RPC argument: the
+// requester fills Page, From, Write, Seq and Timing, the service handler
+// completes DSM, Thread and Node.
 type Request struct {
 	DSM    *DSM
 	Thread *pm2.Thread
@@ -53,12 +58,12 @@ type Request struct {
 	// retried fetches (recovery mode) can discard superseded responses.
 	Seq    uint64
 	Timing *FaultTiming
+	sentAt sim.Time
 }
 
-// Invalidate is the context handed to invalidation servers. Ack, if
-// non-nil, must be signalled (via Done) once the invalidation has been
-// applied; the toolbox wrapper does this automatically after the hook
-// returns.
+// Invalidate is the context handed to invalidation servers, and the RPC
+// argument that asks for one. The service handler acknowledges on ack (nil
+// for unacknowledged invalidations) after the hook returns.
 type Invalidate struct {
 	DSM      *DSM
 	Thread   *pm2.Thread
@@ -66,11 +71,13 @@ type Invalidate struct {
 	Page     Page
 	From     int // node that sent the invalidation
 	NewOwner int // forwarding hint for dynamic managers
+	ack      *sim.Chan
 }
 
-// PageMsg is the context handed to receive-page servers: a page copy has
-// arrived. Access is the right granted with the copy, Owner the new
-// probable owner, Copyset the transferred copyset (ownership moves).
+// PageMsg is the context handed to receive-page servers, and the RPC
+// argument carrying the copy: a page copy has arrived. Access is the right
+// granted with the copy, Owner the new probable owner, Copyset the
+// transferred copyset (ownership moves).
 type PageMsg struct {
 	DSM     *DSM
 	Thread  *pm2.Thread
@@ -84,10 +91,23 @@ type PageMsg struct {
 	Copyset []int
 	Seq     uint64 // fetch sequence this page answers (see Request.Seq)
 	Timing  *FaultTiming
+	sentAt  sim.Time
+	link    string // profile name of the link carrying the transfer
 }
 
-// SyncEvent is the context handed to lock acquire/release hooks. For
-// barrier events, Barrier is true and Lock is the barrier's id.
+// CopyArg implements pm2.Copier: a lossy link's duplicate of a page message
+// carries its own pooled wire buffer, because whoever receives a page
+// message returns its buffer to a pool — exactly once per message.
+func (pm *PageMsg) CopyArg() interface{} {
+	c := *pm
+	c.Data = pm.DSM.buf(pm.From).Get()
+	copy(c.Data, pm.Data)
+	return &c
+}
+
+// SyncEvent is the context handed to lock acquire/release hooks, and the
+// argument of the lock RPCs (the manager reads Lock and Node). For barrier
+// events, Barrier is true and Lock is the barrier's id.
 type SyncEvent struct {
 	DSM     *DSM
 	Thread  *pm2.Thread
@@ -99,6 +119,10 @@ type SyncEvent struct {
 // Protocol is the policy layer's contract: the 8 actions of the paper's
 // Table 1. The generic core invokes these automatically; a protocol
 // implementation composes them from the toolbox routines in this package.
+//
+// The record each routine receives belongs to the core, which recycles it: it
+// is valid until that routine returns, so a routine may block on it for as
+// long as it likes but must not store it, or anything else that points at it.
 type Protocol interface {
 	// Name returns the protocol's identifier, e.g. "li_hudak".
 	Name() string
@@ -156,9 +180,10 @@ type ObjectProtocol interface {
 	Put(a *ObjAccess)
 }
 
-// DiffMsg is the context handed to DiffServer: a batch of page diffs
-// arrived from a writer node. Reply, if non-nil, is signalled after the
-// diffs are applied (the sender blocks on it for release semantics).
+// DiffMsg is the context handed to DiffServer, and the RPC argument carrying
+// the diffs: a batch of page diffs arrived from a writer node. The service
+// handler signals reply, if non-nil, after the diffs are applied (the sender
+// blocks on it for release semantics).
 type DiffMsg struct {
 	DSM    *DSM
 	Thread *pm2.Thread
@@ -171,6 +196,7 @@ type DiffMsg struct {
 	// barrier distributes the notices (see outbox.go).
 	Noticed bool
 	reply   *sim.Chan
+	one     [1]*memory.Diff // backs Diffs for the batched path's single diff
 }
 
 // ObjAccess is the context for object get/put primitives.
@@ -253,7 +279,8 @@ func (r *Registry) newInstance(id ProtoID, d *DSM) Protocol {
 
 // Hooks assembles a protocol from 8 free functions, for users who build new
 // protocols ad hoc rather than defining a type (the dsm_create_protocol
-// style shown in Section 2.3). Nil hooks are no-ops.
+// style shown in Section 2.3). Nil hooks are no-ops. As for any Protocol, the
+// record a hook receives is valid until the hook returns.
 type Hooks struct {
 	ProtoName     string
 	OnReadFault   func(*Fault)

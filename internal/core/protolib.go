@@ -50,13 +50,7 @@ func FetchPage(f *Fault, write bool) {
 	e.Unlock(t)
 
 	d.profFetch(f.Node, f.Page, dest)
-	d.sendRequest(f.Node, dest, &reqMsg{
-		page:   f.Page,
-		from:   f.Node,
-		write:  write,
-		seq:    seq,
-		timing: f.Timing,
-	})
+	d.sendRequest(f.Node, dest, d.newRequest(f.Node, f.Page, f.Node, write, seq, f.Timing))
 
 	e.Lock(t)
 	if d.recovery == nil {
@@ -87,16 +81,18 @@ func FetchPage(f *Fault, write bool) {
 		e.Unlock(t)
 		d.recovery.stats.Retries++
 		d.profFetch(f.Node, f.Page, dest)
-		d.sendRequest(f.Node, dest, &reqMsg{
-			page:   f.Page,
-			from:   f.Node,
-			write:  write,
-			seq:    seq,
-			timing: f.Timing,
-		})
+		d.sendRequest(f.Node, dest, d.newRequest(f.Node, f.Page, f.Node, write, seq, f.Timing))
 		e.Lock(t)
 	}
 	f.KeepEntryLocked()
+}
+
+// newRequest takes a request record on node sender and fills in what the
+// requester knows; the serving handler completes and frees it.
+func (d *DSM) newRequest(sender int, pg Page, from int, write bool, seq uint64, ft *FaultTiming) *Request {
+	r := take(&d.recs(sender).requests)
+	r.Page, r.From, r.Write, r.Seq, r.Timing = pg, from, write, seq, ft
+	return r
 }
 
 // ServeWhenOwner blocks a server thread until this node owns r.Page,
@@ -124,15 +120,11 @@ func ForwardRequest(r *Request, e *Entry) {
 }
 
 // ForwardRequestTo re-sends the request to an explicit destination (managed
-// schemes: the manager relays to the recorded owner). The entry lock must
-// already be released.
+// schemes: the manager relays to the recorded owner) as a fresh record — r
+// stays this node's to free. The entry lock must already be released.
 func ForwardRequestTo(r *Request, dest int) {
-	r.DSM.sendRequest(r.Node, dest, &reqMsg{
-		page:   r.Page,
-		from:   r.From,
-		write:  r.Write,
-		timing: r.Timing,
-	})
+	d := r.DSM
+	d.sendRequest(r.Node, dest, d.newRequest(r.Node, r.Page, r.From, r.Write, 0, r.Timing))
 }
 
 // SendPage ships this node's copy of pg to dest, granting the given access.
@@ -157,17 +149,11 @@ func SendPage(r *Request, e *Entry, dest int, access memory.Access, ownship bool
 	if ownship {
 		owner = dest
 	}
-	d.sendPage(r.Node, dest, &pageMsg{
-		page:    e.Page,
-		from:    r.Node,
-		data:    data,
-		access:  access,
-		owner:   owner,
-		ownship: ownship,
-		copyset: copyset.AppendTo(nil),
-		seq:     r.Seq,
-		timing:  r.Timing,
-	})
+	pm := take(&d.recs(r.Node).pages)
+	pm.DSM = d // for CopyArg; the receiving handler completes the rest
+	pm.Page, pm.From, pm.Data, pm.Access, pm.Owner, pm.Ownship = e.Page, r.Node, data, access, owner, ownship
+	pm.Copyset, pm.Seq, pm.Timing = copyset.AppendTo(nil), r.Seq, r.Timing
+	d.sendPage(r.Node, dest, pm)
 }
 
 // InstallPage copies an arriving page into the local frame, sets the granted
@@ -240,7 +226,7 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 			if n == t.Node() || n == newOwner {
 				return
 			}
-			d.sendInvalidate(t.Node(), n, &invMsg{page: pg, from: t.Node(), newOwner: newOwner, ack: ack})
+			d.sendInvalidate(t.Node(), n, pg, newOwner, ack)
 			acks++
 		})
 		for i := 0; i < acks; i++ {
@@ -255,7 +241,7 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 		if n == t.Node() || n == newOwner || d.NodeDead(n) {
 			return
 		}
-		d.sendInvalidate(t.Node(), n, &invMsg{page: pg, from: t.Node(), newOwner: newOwner, ack: ack})
+		d.sendInvalidate(t.Node(), n, pg, newOwner, ack)
 		outstanding[n] = true
 	})
 	attempt := 0
@@ -280,7 +266,7 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 				continue
 			}
 			d.recovery.stats.Retries++
-			d.sendInvalidate(t.Node(), n, &invMsg{page: pg, from: t.Node(), newOwner: newOwner, ack: ack})
+			d.sendInvalidate(t.Node(), n, pg, newOwner, ack)
 		}
 	}
 }
@@ -299,22 +285,6 @@ func InvalidateCopiesBatched(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, ne
 		}
 	})
 	b.Flush(true)
-}
-
-// SendDiffsBatched ships every destination's diff list through the outbox
-// and, when wait is true, blocks until all destinations applied them — every
-// envelope departs before the first reply is awaited, so flushes to distinct
-// homes overlap instead of serializing. noticed defers the homes' eager
-// invalidations to the senders' barrier write notices (home-based protocols
-// only).
-func SendDiffsBatched(d *DSM, t *pm2.Thread, byDest map[int][]*memory.Diff, noticed, wait bool) {
-	b := d.NewBatch(t)
-	for dest, diffs := range byDest {
-		for _, df := range diffs {
-			b.Diff(dest, df, noticed)
-		}
-	}
-	b.Flush(wait)
 }
 
 // DropCopy invalidates the local copy of pg: the frame is discarded, rights

@@ -1,0 +1,101 @@
+package core
+
+import (
+	"dsmpm2/internal/freelist"
+	"dsmpm2/internal/sim"
+)
+
+// Record ownership (DESIGN.md has the full argument). A message, a fault and
+// a critical section are each ONE record — Request, PageMsg, Invalidate,
+// DiffMsg, Fault, SyncEvent, Batch — serving as RPC argument and as the
+// protocol routine's context alike, owned by whoever holds it: the sender
+// until it is sent, then the service handler, which completes DSM/Thread/Node
+// and hands the same pointer to the routine. Whoever consumes a record frees
+// it, once. Exactly-once delivery is the licence to recycle and fault
+// injection revokes it, so with recovery on nothing is recycled (put) and a
+// handler works on a copy of what it was sent (private).
+
+// recPools holds one event-loop shard's free records, reached through
+// recs(node) like buf(node) and st(node). The lists start empty and fill with
+// what the run frees — nothing is allocated ahead of use — and records drift
+// between shards' lists as page buffers do (freed where they are consumed).
+type recPools struct {
+	requests freelist.List[*Request]
+	pages    freelist.List[*PageMsg]
+	invs     freelist.List[*Invalidate]
+	diffs    freelist.List[*DiffMsg]
+	faults   freelist.List[*Fault]
+	timings  freelist.List[*FaultTiming]
+	syncs    freelist.List[*SyncEvent]
+	batches  freelist.List[*Batch]
+}
+
+// recs returns node's shard's record pools.
+func (d *DSM) recs(node int) *recPools { return &d.recsSh[d.rt.ShardOf(node)] }
+
+// PoisonFreed is the use-after-free net, set only by tests (of this package
+// and of those above it, which is why it is exported): put then fills a freed
+// record with sentinels — nodes -1, pages all ones, pointers nil — and
+// withholds it from reuse, so a reader that outlives its routine fails loudly
+// instead of reading its successor's fields.
+var PoisonFreed bool
+
+// take pops a clean record from l, or makes one.
+func take[T any](l *freelist.List[*T]) *T {
+	if r, ok := l.Get(); ok {
+		return r
+	}
+	return new(T)
+}
+
+// put ends r's life: it is zeroed and goes back on l for the next take. With
+// recovery on it is left to the collector instead — a duplicate, a re-sent
+// envelope or a late response may still name it.
+func put[R interface{ reset(fill int) }](d *DSM, l *freelist.List[R], r R) {
+	switch {
+	case d.recovery != nil:
+	case PoisonFreed:
+		r.reset(-1)
+	default:
+		r.reset(0)
+		l.Put(r)
+	}
+}
+
+// private returns the record a service handler may complete and pass on: the
+// one it was sent or, with recovery on, a copy — the original may be
+// delivered again (see put).
+func private[T any](d *DSM, r *T) *T {
+	if d.recovery != nil {
+		c := *r
+		return &c
+	}
+	return r
+}
+
+// The reset methods clear a freed record; fill is 0, or -1 under PoisonFreed.
+func (f *Fault) reset(fill int)        { *f = Fault{Node: fill, Addr: Addr(fill), Page: Page(fill)} }
+func (r *Request) reset(fill int)      { *r = Request{Node: fill, Page: Page(fill), From: fill} }
+func (m *DiffMsg) reset(fill int)      { *m = DiffMsg{Node: fill, From: fill} }
+func (s *SyncEvent) reset(fill int)    { *s = SyncEvent{Node: fill, Lock: fill} }
+func (ft *FaultTiming) reset(fill int) { *ft = FaultTiming{Total: sim.Duration(fill)} }
+func (iv *Invalidate) reset(fill int) {
+	*iv = Invalidate{Node: fill, Page: Page(fill), From: fill, NewOwner: fill}
+}
+func (m *PageMsg) reset(fill int) {
+	*m = PageMsg{Node: fill, Page: Page(fill), From: fill, Owner: fill}
+}
+
+// reset keeps a Batch's buffers for its next life, emptied of what they
+// pointed at (canonicalize cleared the tail its dedup left); poisoned, it
+// loses them too.
+func (b *Batch) reset(fill int) {
+	if fill != 0 {
+		*b = Batch{node: fill}
+		return
+	}
+	clear(b.ops)
+	clear(b.elems)
+	clear(b.flights)
+	*b = Batch{ops: b.ops[:0], elems: b.elems[:0], flights: b.flights[:0]}
+}

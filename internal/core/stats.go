@@ -189,18 +189,22 @@ type TimingLog struct {
 	full bool
 }
 
-// Add appends a record, evicting the oldest past capacity.
-func (l *TimingLog) Add(ft *FaultTiming) {
+// Add appends a record and returns the one it evicts: the oldest, once the
+// log is at capacity, else nil.
+func (l *TimingLog) Add(ft *FaultTiming) (evicted *FaultTiming) {
 	if len(l.recs) < timingCap {
 		l.recs = append(l.recs, ft)
-		return
+		return nil
 	}
-	l.recs[l.next] = ft
+	evicted, l.recs[l.next] = l.recs[l.next], ft
 	l.next = (l.next + 1) % timingCap
 	l.full = true
+	return evicted
 }
 
-// All returns the stored records, oldest first.
+// All returns the stored records, oldest first. They remain the log's: the
+// core reuses a record for a new fault once later faults have evicted it, so
+// a caller that lets the machine run on copies what it wants to keep.
 func (l *TimingLog) All() []*FaultTiming {
 	if !l.full {
 		return append([]*FaultTiming(nil), l.recs...)

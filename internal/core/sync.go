@@ -129,11 +129,8 @@ func (d *DSM) NewBarrier(n int) int {
 	return id
 }
 
-// lockReq/barrierReq are the wire payloads of synchronization RPCs.
-type lockReq struct {
-	id   int
-	from int
-}
+// barrierReq is the wire payload of a barrier arrival; the lock RPCs carry
+// the SyncEvent their hooks see (Lock is the id, Node the asking node).
 type barrierReq struct {
 	id          int
 	from        int
@@ -153,13 +150,13 @@ func (d *DSM) registerSyncServices() {
 		node := d.rt.Node(i)
 
 		node.Register(svcLockAcq, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			req := arg.(*lockReq)
-			if d.recovery != nil && d.NodeDead(req.from) {
+			req := arg.(*SyncEvent)
+			if d.recovery != nil && d.NodeDead(req.Node) {
 				return nil // stale acquire from a crashed node
 			}
-			ls := d.locks[req.id]
+			ls := d.locks[req.Lock]
 			if ls.held {
-				lw := &lockWaiter{ch: new(sim.Chan), from: req.from}
+				lw := &lockWaiter{ch: new(sim.Chan), from: req.Node}
 				ls.waiters = append(ls.waiters, lw)
 				if granted, _ := lw.ch.Recv(h.Proc()).(bool); !granted {
 					return nil // cancelled: the requester died while queued
@@ -167,18 +164,18 @@ func (d *DSM) registerSyncServices() {
 			} else {
 				ls.held = true
 			}
-			ls.holder = req.from
+			ls.holder = req.Node
 			return nil
 		})
 
 		node.Register(svcLockRel, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			req := arg.(*lockReq)
-			if d.recovery != nil && d.NodeDead(req.from) {
+			req := arg.(*SyncEvent)
+			if d.recovery != nil && d.NodeDead(req.Node) {
 				return nil // stale release from a crashed node
 			}
-			ls := d.locks[req.id]
+			ls := d.locks[req.Lock]
 			if !ls.held {
-				return fmt.Sprintf("core: release of unheld lock %d by node %d", req.id, req.from)
+				return fmt.Sprintf("core: release of unheld lock %d by node %d", req.Lock, req.Node)
 			}
 			d.grantNext(ls)
 			return nil
@@ -321,9 +318,18 @@ func (d *DSM) Acquire(t *pm2.Thread, id int) {
 		panic(fmt.Sprintf("core: acquire of unknown lock %d", id))
 	}
 	d.st(t.Node()).Acquires++
-	t.Call(d.locks[id].home, svcLockAcq, &lockReq{id: id, from: t.Node()}, ctrlBytes, ctrlBytes)
-	ev := &SyncEvent{DSM: d, Thread: t, Node: t.Node(), Lock: id}
+	ev := d.newSyncEvent(t, id, false)
+	t.Call(d.locks[id].home, svcLockAcq, ev, ctrlBytes, ctrlBytes)
 	d.eachInstance(func(p Protocol) { p.LockAcquire(ev) })
+	put(d, &d.recs(ev.Node).syncs, ev)
+}
+
+// newSyncEvent takes the record of one synchronization operation by t; the
+// operation frees it once its hooks have run.
+func (d *DSM) newSyncEvent(t *pm2.Thread, id int, barrier bool) *SyncEvent {
+	ev := take(&d.recs(t.Node()).syncs)
+	ev.DSM, ev.Thread, ev.Node, ev.Lock, ev.Barrier = d, t, t.Node(), id, barrier
+	return ev
 }
 
 // Release runs every active protocol's lock_release action — "called before
@@ -333,9 +339,10 @@ func (d *DSM) Release(t *pm2.Thread, id int) {
 		panic(fmt.Sprintf("core: release of unknown lock %d", id))
 	}
 	d.st(t.Node()).Releases++
-	ev := &SyncEvent{DSM: d, Thread: t, Node: t.Node(), Lock: id}
+	ev := d.newSyncEvent(t, id, false)
 	d.eachInstance(func(p Protocol) { p.LockRelease(ev) })
-	res := t.Call(d.locks[id].home, svcLockRel, &lockReq{id: id, from: t.Node()}, ctrlBytes, ctrlBytes)
+	res := t.Call(d.locks[id].home, svcLockRel, ev, ctrlBytes, ctrlBytes)
+	put(d, &d.recs(ev.Node).syncs, ev)
 	if msg, bad := res.(string); bad {
 		panic(msg) // misuse reported on the releasing thread, where it belongs
 	}
@@ -362,7 +369,7 @@ func (d *DSM) BarrierAs(t *pm2.Thread, id, participant, gen int) {
 		panic(fmt.Sprintf("core: wait on unknown barrier %d", id))
 	}
 	d.st(t.Node()).Barriers++
-	ev := &SyncEvent{DSM: d, Thread: t, Node: t.Node(), Lock: id, Barrier: true}
+	ev := d.newSyncEvent(t, id, true)
 	d.eachInstance(func(p Protocol) { p.LockRelease(ev) })
 	// The release hooks above may have queued write notices; they ride the
 	// arrival message, and the barrier's completion hands back the
@@ -394,6 +401,7 @@ func (d *DSM) BarrierAs(t *pm2.Thread, id, participant, gen int) {
 		}
 	}
 	d.eachInstance(func(p Protocol) { p.LockAcquire(ev) })
+	put(d, &d.recs(ev.Node).syncs, ev)
 }
 
 // BarrierGen reports the number of completed generations of barrier id
@@ -406,8 +414,9 @@ func (d *DSM) BarrierGen(id int) int { return d.barriers[id].gen }
 // checkpoint never claims work whose unflushed diffs would die with the
 // node; the following barrier's own release pass then finds nothing dirty.
 func (d *DSM) FlushRelease(t *pm2.Thread) {
-	ev := &SyncEvent{DSM: d, Thread: t, Node: t.Node(), Lock: -1, Barrier: true}
+	ev := d.newSyncEvent(t, -1, true)
 	d.eachInstance(func(p Protocol) { p.LockRelease(ev) })
+	put(d, &d.recs(ev.Node).syncs, ev)
 }
 
 // LockHome reports the manager node of lock id (tests and tools).

@@ -150,3 +150,12 @@ func TestSubsetBarrierStaysFlatUnderSharding(t *testing.T) {
 		t.Fatalf("generation %d, want 1", d.BarrierGen(id))
 	}
 }
+
+// TestTreeBarrierShardedPoisoned reruns the sharded barrier tests with the
+// use-after-free net on (see PoisonFreed).
+func TestTreeBarrierShardedPoisoned(t *testing.T) {
+	PoisonFreed = true
+	defer func() { PoisonFreed = false }()
+	t.Run("shuffled", TestTreeBarrierShuffledArrivals)
+	t.Run("subset", TestSubsetBarrierStaysFlatUnderSharding)
+}

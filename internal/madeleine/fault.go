@@ -2,6 +2,7 @@ package madeleine
 
 import (
 	"fmt"
+	"slices"
 
 	"dsmpm2/internal/sim"
 )
@@ -464,7 +465,8 @@ func (nw *Network) dropPayload(fs *faultState, payload interface{}, isMsg bool) 
 // exactly once; a queueing partition parks the whole envelope so heal
 // re-injects it through a single departure. Loss is drawn once per envelope
 // — it is one unit on the wire — and duplication never applies (the parts
-// share coalesced-reply state that must complete exactly once).
+// share coalesced-reply state that must complete exactly once). parts is the
+// sender's scratch list, so the one branch that keeps it copies it.
 func (nw *Network) interceptGather(eng *sim.Engine, st *netShard, from, to int, parts []*Message, total int, d sim.Duration) bool {
 	fs := st.faults
 	if to >= 0 && to < nw.n && fs.dead[to] || from >= 0 && from < nw.n && fs.dead[from] {
@@ -484,7 +486,7 @@ func (nw *Network) interceptGather(eng *sim.Engine, st *netShard, from, to int, 
 		}
 		fs.stats.Held++
 		lf.held = append(lf.held, heldMsg{
-			from: from, to: to, parts: parts, size: total,
+			from: from, to: to, parts: slices.Clone(parts), size: total,
 			d: d, heldAt: eng.Now(),
 		})
 		return true

@@ -169,6 +169,12 @@ func TestGatherPartitionHoldsWholeEnvelope(t *testing.T) {
 			if nw.FaultStats().Held != 1 {
 				t.Errorf("Held = %d, want 1 (the envelope held as a unit)", nw.FaultStats().Held)
 			}
+			// A later envelope is built in the same scratch list the held
+			// one was: the hold must have taken its own copy.
+			nw.SendGather(1, 0, []GatherPart{
+				{Chan: ch, Size: 64, Payload: "three"},
+				{Chan: ch, Size: 64, Payload: "four"},
+			}, 5*sim.Microsecond)
 			nw.HealLink(0, 1)
 		})
 		if err := eng.Run(); err != nil {

@@ -76,6 +76,8 @@ type netShard struct {
 	// bench-only diagnostic: it is deliberately NOT part of network
 	// snapshots, so it never churns checkpoint wire forms.
 	envByLink []linkCount
+	// gather is SendGather's scratch list of the envelope being built.
+	gather []*Message
 }
 
 // linkCount is the envelope counter of one link profile.
@@ -454,7 +456,7 @@ type GatherPart struct {
 // exactly once), a queueing partition holds and later re-injects the whole
 // envelope, and a lossy link draws its drop once per envelope. Multi-part
 // envelopes are never duplicated: their parts carry coalesced-reply state
-// that must complete exactly once.
+// that must complete exactly once. parts is the caller's again on return.
 func (nw *Network) SendGather(from, to int, parts []GatherPart, d sim.Duration) {
 	if len(parts) == 0 {
 		return
@@ -462,14 +464,15 @@ func (nw *Network) SendGather(from, to int, parts []GatherPart, d sim.Duration) 
 	eng, st := nw.sendCtx(from, to)
 	now := eng.Now()
 	total := 0
-	msgs := make([]*Message, len(parts))
-	for i, p := range parts {
+	msgs := st.gather[:0]
+	for _, p := range parts {
 		total += p.Size
 		m := nw.getMsg()
 		*m = Message{From: from, To: to, Channel: nw.ChannelName(p.Chan), Chan: p.Chan,
 			Size: p.Size, Payload: p.Payload, SentAt: now}
-		msgs[i] = m
+		msgs = append(msgs, m)
 	}
+	st.gather = msgs
 	st.msgs += len(parts)
 	st.bytes += int64(total)
 	nw.countEnvelope(st, from, to)

@@ -117,6 +117,7 @@ type Space struct {
 	offMask   uint64 // pageSize - 1
 	top       [][]*Frame
 	free      freelist.List[*Frame]
+	fault     Fault // what check returned for the last refused access
 }
 
 // leafBits is log2 of the pages one second-level table spans: one isomalloc
@@ -215,7 +216,8 @@ func (s *Space) AccessOf(pg Page) Access {
 // DSM-PM2 shares data at page granularity and the runtime allocates objects
 // so they never cross pages. The straddle test is off+n > pageSize on the
 // offset (rearranged so it cannot overflow), never on addr+n, which wraps at
-// the top of the address space.
+// the top of the address space. A refusal costs no allocation: the returned
+// *Fault is the Space's own, valid until the Space's next refused access.
 func (s *Space) check(addr Addr, n int, write bool) (*Frame, int, error) {
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("memory: invalid access length %d", n)
@@ -227,7 +229,8 @@ func (s *Space) check(addr Addr, n int, write bool) (*Frame, int, error) {
 	pg := s.PageOf(addr)
 	f := s.Frame(pg)
 	if f == nil || !f.Access.Allows(write) {
-		return nil, 0, &Fault{Addr: addr, Page: pg, Write: write}
+		s.fault = Fault{Addr: addr, Page: pg, Write: write}
+		return nil, 0, &s.fault
 	}
 	return f, off, nil
 }

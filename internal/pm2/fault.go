@@ -12,10 +12,15 @@ import (
 // services connected to fresh, empty queues). The DSM layer above coordinates the
 // page-state recovery; this file only handles the runtime machinery.
 
+// Copier is implemented by RPC arguments that own something a second delivery
+// must not share (a pooled buffer): CopyArg returns an independent copy. A
+// duplicated request's argument without it is shared by both deliveries.
+type Copier interface{ CopyArg() interface{} }
+
 // EnableFaults switches on the network fault layer and registers the
 // runtime's payload handlers with it, so dropped RPC requests return their
 // pooled envelopes exactly once and duplicated one-way requests get an
-// independent envelope copy.
+// independent envelope copy, argument included when it is a Copier.
 func (rt *Runtime) EnableFaults(seed int64, policy madeleine.PartitionPolicy) {
 	rt.net.EnableFaults(seed, policy)
 	rt.net.SetDropHandler(func(p interface{}) {
@@ -32,6 +37,9 @@ func (rt *Runtime) EnableFaults(seed int64, policy madeleine.PartitionPolicy) {
 		}
 		r2 := rt.getReq()
 		*r2 = *r
+		if c, ok := r.arg.(Copier); ok {
+			r2.arg = c.CopyArg()
+		}
 		return r2
 	})
 }

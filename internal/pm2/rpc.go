@@ -38,23 +38,41 @@ type rpcReq struct {
 	from    int
 
 	// join links the request into a vector invocation: the handler's
-	// completion counts down the join instead of sending its own reply, and
+	// completion counts down the call instead of sending its own reply, and
 	// the last element's completion sends the single coalesced reply. idx is
 	// this element's position in the vector (its result slot).
-	join *vecJoin
+	join *VecCall
 	idx  int
 }
 
-// vecJoin coalesces the completions of one vector invocation (CallVec /
-// AsyncVec) into a single reply: the envelope fans into one handler per
-// element, each completion decrements remaining, and the last completion
-// ships one reply carrying every element's result in element order.
-type vecJoin struct {
+// VecCall is one vector invocation awaiting its reply (StartVecFrom): the join
+// its elements' completions count down, the buffers the send was built in and
+// the queue the one coalesced reply — the call itself — arrives on. The caller
+// owns it: receive the reply, read the results, Release, and the node's next
+// vector reuses the object, grown buffers and reply rings included. A call
+// whose caller stopped waiting (a recovery retry) is never released, so its
+// late reply lingers unread in a queue nothing else uses.
+type VecCall struct {
+	node      *Node // the caller's, whose free list the call returns to
 	remaining int
 	results   []interface{}
-	reply     *sim.Chan // nil for fire-and-forget vectors
+	parts     []madeleine.GatherPart
+	reply     sim.Chan
 	retSize   int
-	from      int
+}
+
+// Reply is the queue c's reply arrives on, once every handler completed;
+// Results holds their results in element order from then until Release.
+func (c *VecCall) Reply() *sim.Chan       { return &c.reply }
+func (c *VecCall) Results() []interface{} { return c.results }
+
+// Release hands c back to its node once the reply has been consumed.
+func (c *VecCall) Release() {
+	if c.remaining != 0 || c.reply.Len() != 0 {
+		panic("pm2: VecCall released before its reply was consumed")
+	}
+	clear(c.results)
+	c.node.vecFree.Put(c)
 }
 
 // getReq takes a request envelope from the freelist (or allocates one).
@@ -197,32 +215,29 @@ func (svc *service) run(t *Thread, req *rpcReq) {
 		}
 		res = sr.Value
 	}
+	rt, here := svc.node.rt, svc.node.ID
 	if j := req.join; j != nil {
-		idx := req.idx
-		svc.node.rt.putReq(req)
-		if j.results != nil {
-			j.results[idx] = res
-		}
-		j.remaining--
-		if j.remaining == 0 && j.reply != nil {
-			prof := svc.node.rt.Link(svc.node.ID, j.from)
-			d := prof.RPCBase / 2
-			if j.retSize > 64 {
-				d += prof.Transfer(j.retSize) - prof.XferBase
-			}
-			svc.node.rt.net.SendDirect(svc.node.ID, j.from, j.reply, j.retSize, j.results, d)
+		j.results[req.idx] = res
+		rt.putReq(req)
+		if j.remaining--; j.remaining == 0 {
+			rt.net.SendDirect(here, j.node.ID, &j.reply, j.retSize, j, halfRPC(rt.Link(here, j.node.ID), j.retSize))
 		}
 		return
 	}
 	if req.reply != nil {
-		prof := svc.node.rt.Link(svc.node.ID, req.from)
-		d := prof.RPCBase / 2
-		if req.retSize > 64 {
-			d += prof.Transfer(req.retSize) - prof.XferBase
-		}
-		svc.node.rt.net.SendDirect(svc.node.ID, req.from, req.reply, req.retSize, res, d)
+		rt.net.SendDirect(here, req.from, req.reply, req.retSize, res, halfRPC(rt.Link(here, req.from), req.retSize))
 	}
-	svc.node.rt.putReq(req)
+	rt.putReq(req)
+}
+
+// halfRPC is the one-way latency of a request or reply of size bytes: half a
+// null-RPC round trip, plus the bulk time of what exceeds a control message.
+func halfRPC(prof *madeleine.Profile, size int) sim.Duration {
+	d := prof.RPCBase / 2
+	if size > 64 {
+		d += prof.Transfer(size) - prof.XferBase
+	}
+	return d
 }
 
 // Call synchronously invokes service on node dest with the given argument,
@@ -237,12 +252,7 @@ func (t *Thread) Call(dest int, svcName string, arg interface{}, argSize, retSiz
 	reply := t.reply
 	req := rt.getReq()
 	*req = rpcReq{arg: arg, reply: reply, retSize: retSize, from: t.node}
-	prof := rt.Link(t.node, dest)
-	d := prof.RPCBase / 2
-	if argSize > 64 {
-		d += prof.Transfer(argSize) - prof.XferBase
-	}
-	rt.net.SendID(t.node, dest, rt.svcChanID(svcName), argSize, req, d)
+	rt.net.SendID(t.node, dest, rt.svcChanID(svcName), argSize, req, halfRPC(rt.Link(t.node, dest), argSize))
 	return reply.Recv(&t.proc)
 }
 
@@ -277,73 +287,59 @@ type VecElem struct {
 
 // StartVecFrom ships a vector of service invocations to dest as ONE
 // multi-part envelope (a single departure through the link-contention model)
-// and returns the reply channel the coalesced reply will arrive on. Each
-// element fans into its service's normal delivery on the destination —
-// threaded services handle elements concurrently — and the last element's
-// completion sends one reply carrying the results in element order. The
-// caller blocks on the returned channel when it wants vector-call semantics
-// (CallVec does), or interleaves several destinations' envelopes and waits
-// once at the end (the DSM outbox flush does).
-func (rt *Runtime) StartVecFrom(from, dest int, elems []VecElem, retSize int) *sim.Chan {
-	reply := new(sim.Chan)
-	rt.sendVec(from, dest, elems, reply, retSize)
-	return reply
+// and returns the call its coalesced reply completes. Each element fans into
+// its service's normal delivery on the destination — threaded services handle
+// elements concurrently — and the last element's completion sends one reply
+// for all of them. The caller, on node from, may start several destinations'
+// envelopes before it waits for the first reply (the DSM outbox flush does),
+// and releases each call after its reply.
+func (rt *Runtime) StartVecFrom(from, dest int, elems []VecElem, retSize int) *VecCall {
+	return rt.sendVec(from, dest, elems, true, retSize)
 }
 
 // AsyncVecFrom is StartVecFrom without a reply: the envelope fans out on the
 // destination and nobody waits (fire-and-forget vectors).
 func (rt *Runtime) AsyncVecFrom(from, dest int, elems []VecElem) {
-	rt.sendVec(from, dest, elems, nil, 0)
+	rt.sendVec(from, dest, elems, false, 0).Release() // it lent its parts buffer only
 }
 
-// CallVec invokes a vector of per-element service invocations on dest as one
-// multi-part envelope, blocking until every handler completed; the single
-// coalesced reply carries the handlers' results in element order.
-func (t *Thread) CallVec(dest int, elems []VecElem, retSize int) []interface{} {
-	reply := t.rt.StartVecFrom(t.node, dest, elems, retSize)
-	res, _ := reply.Recv(&t.proc).([]interface{})
-	return res
-}
-
-// sendVec builds the pooled per-element requests, binds them to one join,
-// and ships the whole vector as a single gather envelope. The latency charge
-// mirrors Call for replied vectors (half a null-RPC round trip plus the bulk
-// time of the summed payload) and Async for fire-and-forget ones.
-func (rt *Runtime) sendVec(from, dest int, elems []VecElem, reply *sim.Chan, retSize int) {
-	if len(elems) == 0 {
-		if reply != nil {
-			// An empty vector completes immediately: push the (empty)
-			// results so a generic send-then-wait loop never wedges.
-			reply.Push([]interface{}(nil))
+// sendVec builds the pooled per-element requests, joined to a call of node
+// from when a reply is wanted, and ships the whole vector as a single gather
+// envelope. The latency charge mirrors Call for replied vectors (half a
+// null-RPC round trip plus the bulk time of the summed payload) and Async for
+// fire-and-forget ones.
+func (rt *Runtime) sendVec(from, dest int, elems []VecElem, reply bool, retSize int) *VecCall {
+	c, ok := rt.nodes[from].vecFree.Get()
+	if !ok {
+		c = &VecCall{node: rt.nodes[from]}
+	}
+	if reply {
+		c.remaining, c.retSize = len(elems), retSize
+		c.results = append(c.results[:0], make([]interface{}, len(elems))...)
+		if len(elems) == 0 {
+			// An empty vector completes immediately, so a generic
+			// send-then-wait loop never wedges.
+			c.reply.Push(c)
 		}
-		return
 	}
-	j := &vecJoin{remaining: len(elems), reply: reply, retSize: retSize, from: from}
-	if reply != nil {
-		j.results = make([]interface{}, len(elems))
-	}
-	parts := make([]madeleine.GatherPart, len(elems))
+	c.parts = c.parts[:0]
 	total := 0
 	for i, el := range elems {
 		req := rt.getReq()
-		req.arg = el.Arg
-		req.from = from
-		req.join = j
-		req.idx = i
-		parts[i] = madeleine.GatherPart{Chan: rt.svcChanID(el.Svc), Size: el.Size, Payload: req}
+		req.arg, req.from, req.idx = el.Arg, from, i
+		if reply {
+			req.join = c
+		}
+		c.parts = append(c.parts, madeleine.GatherPart{Chan: rt.svcChanID(el.Svc), Size: el.Size, Payload: req})
 		total += el.Size
 	}
 	prof := rt.Link(from, dest)
-	var d sim.Duration
-	if reply != nil {
-		d = prof.RPCBase / 2
-		if total > 64 {
-			d += prof.Transfer(total) - prof.XferBase
-		}
+	d := prof.CtrlMsg
+	if reply {
+		d = halfRPC(prof, total)
 	} else if total > 64 {
 		d = prof.Transfer(total)
-	} else {
-		d = prof.CtrlMsg
 	}
-	rt.net.SendGather(from, dest, parts, d)
+	rt.net.SendGather(from, dest, c.parts, d)
+	return c
 }

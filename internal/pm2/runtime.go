@@ -324,6 +324,10 @@ type Node struct {
 	// node's threads without walking — and racing on — a machine-wide list.
 	live threadList
 
+	// vecFree holds the node's released vector calls (see VecCall). Taken and
+	// released by callers located on the node, so its shard alone touches it.
+	vecFree freelist.List[*VecCall]
+
 	// dead marks a crashed node (see fault.go).
 	dead bool
 

@@ -82,7 +82,7 @@ func TestShardedVectorRPC(t *testing.T) {
 	})
 	var res []interface{}
 	rt.CreateThread(0, "caller", func(th *Thread) {
-		res = th.CallVec(2, []VecElem{
+		res = callVec(th, 2, []VecElem{
 			{Svc: "inc", Arg: 10, Size: 64},
 			{Svc: "inc", Arg: 20, Size: 64},
 			{Svc: "inc", Arg: 30, Size: 64},

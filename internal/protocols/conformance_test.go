@@ -554,3 +554,14 @@ func TestConformance(t *testing.T) {
 		}
 	}
 }
+
+// TestConformancePoisoned reruns the sweep with the core's use-after-free net
+// on (core.PoisonFreed): every record the core frees reads as sentinels from
+// then on and is never reused, so a protocol routine — or a toolbox routine
+// under it — that kept a record past its return fails on a node of -1 or a nil
+// thread here, instead of silently reading its successor's fields.
+func TestConformancePoisoned(t *testing.T) {
+	core.PoisonFreed = true
+	defer func() { core.PoisonFreed = false }()
+	TestConformance(t)
+}

@@ -1,8 +1,6 @@
 package protocols
 
 import (
-	"sort"
-
 	"dsmpm2/internal/core"
 	"dsmpm2/internal/memory"
 )
@@ -148,15 +146,12 @@ func inScope(scope map[core.Page]bool, pg core.Page) bool {
 
 func (p *entryMW) flushDirty(s *core.SyncEvent, scope map[core.Page]bool) {
 	node := s.Node
-	pages := make([]core.Page, 0, len(p.dirty[node]))
-	for pg := range p.dirty[node] {
-		if inScope(scope, pg) {
-			pages = append(pages, pg)
-		}
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
-	for _, pg := range pages {
+	for _, pg := range dirtyPages(buf[:0], p.dirty[node]) {
+		if !inScope(scope, pg) {
+			continue
+		}
 		delete(p.dirty[node], pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
@@ -178,8 +173,9 @@ func (p *entryMW) flushDirty(s *core.SyncEvent, scope map[core.Page]bool) {
 
 func (p *entryMW) dropCopies(s *core.SyncEvent, scope map[core.Page]bool) {
 	node := s.Node
+	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
-	for _, pg := range p.d.PagesOn(node) {
+	for _, pg := range p.d.PagesOn(node, buf[:0]) {
 		if !inScope(scope, pg) {
 			continue
 		}

@@ -1,8 +1,6 @@
 package protocols
 
 import (
-	"sort"
-
 	"dsmpm2/internal/core"
 	"dsmpm2/internal/memory"
 )
@@ -94,13 +92,9 @@ func (p *ercSW) LockAcquire(*core.SyncEvent) {}
 // all and the acknowledgement waits overlap across holders.
 func (p *ercSW) LockRelease(s *core.SyncEvent) {
 	node := s.Node
-	pages := make([]core.Page, 0, len(p.dirty[node]))
-	for pg := range p.dirty[node] {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
-	for _, pg := range pages {
+	for _, pg := range dirtyPages(buf[:0], p.dirty[node]) {
 		delete(p.dirty[node], pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)

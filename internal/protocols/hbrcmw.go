@@ -1,8 +1,6 @@
 package protocols
 
 import (
-	"sort"
-
 	"dsmpm2/internal/core"
 	"dsmpm2/internal/memory"
 )
@@ -134,14 +132,10 @@ func (p *hbrcMW) LockAcquire(*core.SyncEvent) {}
 // TreadMarks-style aggregation the batched path exists for).
 func (p *hbrcMW) LockRelease(s *core.SyncEvent) {
 	node := s.Node
-	pages := make([]core.Page, 0, len(p.dirty[node]))
-	for pg := range p.dirty[node] {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
 	useNotices := s.Barrier && p.d.NoticesUsable(s.Lock)
-	for _, pg := range pages {
+	for _, pg := range dirtyPages(buf[:0], p.dirty[node]) {
 		delete(p.dirty[node], pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
@@ -193,6 +187,10 @@ func (p *hbrcMW) DiffServer(dm *core.DiffMsg) {
 	for _, df := range dm.Diffs {
 		e := p.d.Entry(dm.Node, df.Page)
 		e.Lock(dm.Thread)
+		if e.Copyset.Len() == 1 && e.InCopyset(dm.From) {
+			e.Unlock(dm.Thread) // the sender holds the only copy, and keeps it
+			continue
+		}
 		cs := e.TakeCopyset()
 		cs.ForEach(func(n int) {
 			if n == dm.From {

@@ -1,8 +1,6 @@
 package protocols
 
 import (
-	"sort"
-
 	"dsmpm2/internal/core"
 	"dsmpm2/internal/memory"
 )
@@ -96,8 +94,9 @@ func (p *java) ReceivePageServer(pm *core.PageMsg) { core.InstallPage(pm) }
 // transmitted recorded modifications.
 func (p *java) LockAcquire(s *core.SyncEvent) {
 	node := s.Node
-	byHome := make(map[int][]*memory.Diff)
-	for _, pg := range p.d.PagesOn(node) {
+	var buf [sweepPages]core.Page
+	b := p.d.NewBatch(s.Thread)
+	for _, pg := range p.d.PagesOn(node, buf[:0]) {
 		e := p.d.Entry(node, pg)
 		if e.Home == node {
 			continue
@@ -109,7 +108,7 @@ func (p *java) LockAcquire(s *core.SyncEvent) {
 		e.Lock(s.Thread)
 		if p.d.Space(node).Frame(pg) != nil {
 			if diff := core.TakeRecorded(e); diff != nil {
-				byHome[e.Home] = append(byHome[e.Home], diff)
+				b.Diff(e.Home, diff, false)
 			}
 			p.d.Space(node).Drop(pg)
 		}
@@ -117,7 +116,7 @@ func (p *java) LockAcquire(s *core.SyncEvent) {
 		e.Unlock(s.Thread)
 	}
 	// One envelope per home, waits overlapped across homes.
-	core.SendDiffsBatched(p.d, s.Thread, byHome, false, true)
+	b.Flush(true)
 }
 
 // LockRelease transmits the modifications recorded since the last release to
@@ -125,24 +124,19 @@ func (p *java) LockAcquire(s *core.SyncEvent) {
 // exit), blocking until they are applied.
 func (p *java) LockRelease(s *core.SyncEvent) {
 	node := s.Node
-	pages := make([]core.Page, 0, len(p.dirty[node]))
-	for pg := range p.dirty[node] {
-		pages = append(pages, pg)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	byHome := make(map[int][]*memory.Diff)
-	for _, pg := range pages {
+	var buf [sweepPages]core.Page
+	b := p.d.NewBatch(s.Thread)
+	for _, pg := range dirtyPages(buf[:0], p.dirty[node]) {
 		delete(p.dirty[node], pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
 		diff := core.TakeRecorded(e)
 		e.Unlock(s.Thread)
-		if diff == nil {
-			continue
+		if diff != nil {
+			b.Diff(e.Home, diff, false)
 		}
-		byHome[e.Home] = append(byHome[e.Home], diff)
 	}
-	core.SendDiffsBatched(p.d, s.Thread, byHome, false, true)
+	b.Flush(true)
 }
 
 // DiffServer applies arriving modifications to the reference copy at the

@@ -15,7 +15,26 @@
 // protocol library toolbox in internal/core.
 package protocols
 
-import "dsmpm2/internal/core"
+import (
+	"slices"
+
+	"dsmpm2/internal/core"
+)
+
+// sweepPages sizes the stack buffers of the hooks' page sweeps: a sweep of
+// more pages than this spills its list to the heap, a smaller one costs the
+// hook no allocation.
+const sweepPages = 32
+
+// dirtyPages appends the pages of a node's dirty set to buf in ascending
+// order, the deterministic sweep order of the release hooks.
+func dirtyPages(buf []core.Page, dirty map[core.Page]bool) []core.Page {
+	for pg := range dirty {
+		buf = append(buf, pg)
+	}
+	slices.Sort(buf)
+	return buf
+}
 
 // IDs collects the protocol identifiers assigned at registration.
 type IDs struct {
