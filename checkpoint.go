@@ -1,6 +1,7 @@
 package dsmpm2
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -35,8 +36,10 @@ import (
 
 // CheckpointVersion is the current snapshot format version. Decoders reject
 // other versions with an error (never a panic), so stale snapshot files fail
-// loudly instead of misrestoring.
-const CheckpointVersion = 1
+// loudly instead of misrestoring. Version 1 carried per-shard state
+// (net.shards[], kernel_shards, shard_next, shard_stats/shard_timings,
+// config.shards); version 2 is the one-loop machine's flat form.
+const CheckpointVersion = 2
 
 // TopologyState serializes a topology by profile names. Only uniform and
 // hierarchical topologies round-trip — a LinkMatrix holds arbitrary
@@ -60,7 +63,6 @@ type ConfigState struct {
 	UnbatchedComm  bool           `json:"unbatched_comm,omitempty"`
 	Protocol       string         `json:"protocol"`
 	Seed           int64          `json:"seed"`
-	Shards         int            `json:"shards,omitempty"`
 }
 
 // CursorState is the fault-plan cursor's resumable position.
@@ -74,19 +76,15 @@ type CursorState struct {
 // System.Checkpoint, persist with Save/Encode, rebuild a System with
 // Restore.
 type Checkpoint struct {
-	Config ConfigState  `json:"config"`
-	Kernel sim.Snapshot `json:"kernel"`
-	// KernelShards holds one kernel snapshot per shard on a sharded machine
-	// (Kernel then mirrors shard 0's, for single-snapshot readers). Absent —
-	// and the wire form unchanged — for single-loop systems.
-	KernelShards []sim.Snapshot      `json:"kernel_shards,omitempty"`
-	Core         *core.CoreState     `json:"core"`
-	Net          *madeleine.NetState `json:"net"`
-	Runtime      *pm2.RuntimeState   `json:"runtime"`
-	Cursor       *CursorState        `json:"cursor,omitempty"`
-	Partition    int                 `json:"partition,omitempty"`
-	App          json.RawMessage     `json:"app,omitempty"`
-	Fingerprint  string              `json:"fingerprint"`
+	Config      ConfigState         `json:"config"`
+	Kernel      sim.Snapshot        `json:"kernel"`
+	Core        *core.CoreState     `json:"core"`
+	Net         *madeleine.NetState `json:"net"`
+	Runtime     *pm2.RuntimeState   `json:"runtime"`
+	Cursor      *CursorState        `json:"cursor,omitempty"`
+	Partition   int                 `json:"partition,omitempty"`
+	App         json.RawMessage     `json:"app,omitempty"`
+	Fingerprint string              `json:"fingerprint"`
 }
 
 // Fingerprint hashes the system's observable trace — final clock, every
@@ -118,7 +116,6 @@ func (s *System) configState() (ConfigState, error) {
 		UnbatchedComm:  s.cfg.UnbatchedComm,
 		Protocol:       s.cfg.Protocol,
 		Seed:           s.cfg.Seed,
-		Shards:         s.cfg.Shards,
 	}
 	profName := func(p *NetworkProfile) (string, error) {
 		if p == nil {
@@ -171,7 +168,6 @@ func (cs ConfigState) toConfig() (Config, error) {
 		UnbatchedComm:  cs.UnbatchedComm,
 		Protocol:       cs.Protocol,
 		Seed:           cs.Seed,
-		Shards:         cs.Shards,
 	}
 	resolve := func(name string) (*NetworkProfile, error) {
 		p := madeleine.ByName(name)
@@ -223,19 +219,9 @@ func (s *System) Checkpoint(app []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var kernel sim.Snapshot
-	var kernelShards []sim.Snapshot
-	if s.rt.Sharded() {
-		kernelShards, err = s.rt.ShardedEngine().Capture()
-		if err != nil {
-			return nil, err
-		}
-		kernel = kernelShards[0]
-	} else {
-		kernel, err = s.rt.Engine().Capture()
-		if err != nil {
-			return nil, err
-		}
+	kernel, err := s.rt.Engine().Capture()
+	if err != nil {
+		return nil, err
 	}
 	coreState, err := s.dsm.CaptureState()
 	if err != nil {
@@ -246,14 +232,13 @@ func (s *System) Checkpoint(app []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	ck := &Checkpoint{
-		Config:       cfgState,
-		KernelShards: kernelShards,
-		Kernel:       kernel,
-		Core:         coreState,
-		Net:          netState,
-		Runtime:      s.rt.CaptureState(),
-		App:          append([]byte(nil), app...),
-		Fingerprint:  s.Fingerprint(),
+		Config:      cfgState,
+		Kernel:      kernel,
+		Core:        coreState,
+		Net:         netState,
+		Runtime:     s.rt.CaptureState(),
+		App:         append([]byte(nil), app...),
+		Fingerprint: s.Fingerprint(),
 	}
 	if s.cursor != nil {
 		next, base := s.cursor.Pos()
@@ -303,13 +288,7 @@ func Restore(ck *Checkpoint, opts RestoreOptions) (*System, error) {
 	// path requires the fault layer, and core.RestoreState re-enables
 	// recovery with the captured parameters (preserving the hook installed
 	// here, since hooks do not serialize).
-	hasFaults := false
-	for _, sh := range ck.Net.Shards {
-		if sh.Faults != nil {
-			hasFaults = true
-		}
-	}
-	if hasFaults {
+	if ck.Net.Faults != nil {
 		seed := int64(1)
 		if ck.Cursor != nil && ck.Cursor.Plan != nil {
 			seed = ck.Cursor.Plan.Seed
@@ -336,16 +315,7 @@ func Restore(ck *Checkpoint, opts RestoreOptions) (*System, error) {
 	if err := s.rt.RestoreState(ck.Runtime); err != nil {
 		return nil, err
 	}
-	if len(ck.KernelShards) > 0 {
-		if !s.rt.Sharded() {
-			return nil, fmt.Errorf("dsmpm2: checkpoint holds %d kernel shard(s) but the rebuilt system is single-loop (config shards=%d)", len(ck.KernelShards), ck.Config.Shards)
-		}
-		if err := s.rt.ShardedEngine().Restore(ck.KernelShards); err != nil {
-			return nil, err
-		}
-	} else if s.rt.Sharded() {
-		return nil, fmt.Errorf("dsmpm2: sharded system restored from a checkpoint with no per-shard kernels")
-	} else if err := s.rt.Engine().Restore(ck.Kernel); err != nil {
+	if err := s.rt.Engine().Restore(ck.Kernel); err != nil {
 		return nil, err
 	}
 	if ck.Cursor != nil {
@@ -401,8 +371,13 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if got := hex.EncodeToString(sum[:]); got != env.SHA256 {
 		return nil, fmt.Errorf("dsmpm2: checkpoint body hash mismatch (file corrupted or truncated): have %s, recorded %s", got, env.SHA256)
 	}
+	// A field this build does not know (a version-1 kernel_shards array
+	// under a version-2 header, say) means the bytes describe some other
+	// machine: refused, not skipped.
 	ck := new(Checkpoint)
-	if err := json.Unmarshal(env.Body, ck); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(env.Body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(ck); err != nil {
 		return nil, fmt.Errorf("dsmpm2: checkpoint body unreadable: %w", err)
 	}
 	return ck, nil

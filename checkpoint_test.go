@@ -1,6 +1,10 @@
 package dsmpm2_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -72,56 +76,6 @@ func TestCheckpointRoundTripSweep(t *testing.T) {
 			t.Fatalf("k=%d: checkpoint: %v", k, err)
 		}
 		// Round-trip the wire form too: restore always goes through bytes.
-		data, err := ck.Encode()
-		if err != nil {
-			t.Fatalf("k=%d: encode: %v", k, err)
-		}
-		ck2, err := dsmpm2.DecodeCheckpoint(data)
-		if err != nil {
-			t.Fatalf("k=%d: decode: %v", k, err)
-		}
-		resumed, err := jacobi.ResumeSession(ck2)
-		if err != nil {
-			t.Fatalf("k=%d: resume: %v", k, err)
-		}
-		fp, sum := finishFingerprint(t, resumed)
-		if fp != refFP {
-			t.Fatalf("k=%d: restored fingerprint %s, unbroken run %s", k, fp, refFP)
-		}
-		if sum != refSum {
-			t.Fatalf("k=%d: restored checksum %v, unbroken run %v", k, sum, refSum)
-		}
-	}
-}
-
-// TestCheckpointRoundTripSharded is the sweep on a sharded machine: capture
-// must snapshot every shard's kernel (clock, RNG position, cross-shard send
-// stamp), restore must rebuild an identically sharded system, and the
-// continued run must replay the sharded schedule — combining-tree barriers
-// and all — bit for bit, at every step boundary.
-func TestCheckpointRoundTripSharded(t *testing.T) {
-	cfg := sessionConfig()
-	cfg.Nodes = 8
-	cfg.Shards = 2
-	ref := runSession(t, cfg, 0)
-	refFP, refSum := finishFingerprint(t, ref)
-	if want := jacobi.SolveSerial(cfg.N, cfg.Iterations); refSum != want {
-		t.Fatalf("reference checksum %v, serial %v", refSum, want)
-	}
-
-	steps := ref.Steps()
-	for k := 0; k <= steps; k++ {
-		s := runSession(t, cfg, k)
-		ck, err := s.Checkpoint()
-		if err != nil {
-			t.Fatalf("k=%d: checkpoint: %v", k, err)
-		}
-		if got := len(ck.KernelShards); got != 2 {
-			t.Fatalf("k=%d: checkpoint holds %d kernel shards, want 2", k, got)
-		}
-		if ck.Config.Shards != 2 {
-			t.Fatalf("k=%d: checkpoint config shards %d, want 2", k, ck.Config.Shards)
-		}
 		data, err := ck.Encode()
 		if err != nil {
 			t.Fatalf("k=%d: encode: %v", k, err)
@@ -266,7 +220,7 @@ func TestCheckpointDecodeErrors(t *testing.T) {
 		t.Fatalf("garbage decoded without error")
 	}
 
-	bad := strings.Replace(string(data), `"version":1`, `"version":99`, 1)
+	bad := strings.Replace(string(data), fmt.Sprintf(`"version":%d`, dsmpm2.CheckpointVersion), `"version":99`, 1)
 	if bad == string(data) {
 		t.Fatalf("version marker not found in envelope")
 	}
@@ -281,6 +235,62 @@ func TestCheckpointDecodeErrors(t *testing.T) {
 	}
 	if _, err := dsmpm2.DecodeCheckpoint(corrupt); err == nil || !strings.Contains(err.Error(), "hash") {
 		t.Fatalf("corrupted body: got err %v, want hash mismatch", err)
+	}
+}
+
+// reEnvelope rewraps a checkpoint's body under the given format version,
+// after edit (if any) has changed the body's top-level fields, with the hash
+// recomputed — an envelope that is sound in every way but the one under test.
+func reEnvelope(t *testing.T, data []byte, version int, edit func(body map[string]json.RawMessage)) []byte {
+	t.Helper()
+	var env struct {
+		Version int             `json:"version"`
+		SHA256  string          `json:"sha256"`
+		Body    json.RawMessage `json:"body"`
+	}
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatalf("envelope: %v", err)
+	}
+	if edit != nil {
+		var body map[string]json.RawMessage
+		if err := json.Unmarshal(env.Body, &body); err != nil {
+			t.Fatalf("body: %v", err)
+		}
+		edit(body)
+		var err error
+		if env.Body, err = json.Marshal(body); err != nil {
+			t.Fatalf("body: %v", err)
+		}
+	}
+	sum := sha256.Sum256(env.Body)
+	env.Version, env.SHA256 = version, hex.EncodeToString(sum[:])
+	out, err := json.Marshal(env)
+	if err != nil {
+		t.Fatalf("envelope: %v", err)
+	}
+	return out
+}
+
+// TestCheckpointVersion1Refused: version 1 carried per-shard state under the
+// same keys (net.shards[], kernel_shards, shard_next, config.shards), so a
+// version-1 blob is refused by its header — even one whose body and hash are
+// otherwise exactly what this build writes — rather than half-read.
+func TestCheckpointVersion1Refused(t *testing.T) {
+	s := runSession(t, sessionConfig(), 2)
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	data, err := ck.Encode()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if _, err := dsmpm2.DecodeCheckpoint(reEnvelope(t, data, dsmpm2.CheckpointVersion, nil)); err != nil {
+		t.Fatalf("re-enveloped current-version checkpoint did not decode: %v", err)
+	}
+	_, err = dsmpm2.DecodeCheckpoint(reEnvelope(t, data, 1, nil))
+	if err == nil || !strings.Contains(err.Error(), "format version 1 not supported") {
+		t.Fatalf("version-1 checkpoint: got err %v, want the format-version refusal", err)
 	}
 }
 
@@ -333,28 +343,36 @@ func TestRestoreRejectsHostileCoreState(t *testing.T) {
 	cases := []struct {
 		name    string
 		corrupt func(cs *core.CoreState)
-		want    string
+		// body, when set, edits the encoded body's top-level fields instead
+		// (for what the Checkpoint struct can no longer express).
+		body func(body map[string]json.RawMessage)
+		want string
 	}{
-		{"frame on an unallocated page", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Page = unallocated }, "unallocated page"},
-		{"frame on an absurd page", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Page = 1 << 60 }, "unallocated page"},
+		{"frame on an unallocated page", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Page = unallocated }, nil, "unallocated page"},
+		{"frame on an absurd page", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Page = 1 << 60 }, nil, "unallocated page"},
 		{"short frame", func(cs *core.CoreState) {
 			f := &cs.Nodes[node].Frames[0]
 			f.Data = f.Data[:len(f.Data)-1]
-		}, "byte frame"},
+		}, nil, "byte frame"},
 		{"long frame", func(cs *core.CoreState) {
 			f := &cs.Nodes[node].Frames[0]
 			f.Data = append(f.Data[:len(f.Data):len(f.Data)], 0)
-		}, "byte frame"},
-		{"empty frame", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Data = nil }, "byte frame"},
-		{"access value 3", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Access = 3 }, "access value 3"},
-		{"access value 255", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Access = 255 }, "access value 255"},
-		{"entry on an unallocated page", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].Page = unallocated }, "unallocated page"},
+		}, nil, "byte frame"},
+		{"empty frame", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Data = nil }, nil, "byte frame"},
+		{"access value 3", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Access = 3 }, nil, "access value 3"},
+		{"access value 255", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Access = 255 }, nil, "access value 255"},
+		{"entry on an unallocated page", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].Page = unallocated }, nil, "unallocated page"},
 		{"absurd page listed as allocated", func(cs *core.CoreState) {
 			cs.Pages[0].Page = 1 << 60
 			cs.Nodes[node].Frames[0].Page = 1 << 60
-		}, "outside every node's"},
-		{"static-segment page listed as allocated", func(cs *core.CoreState) { cs.Pages[0].Page = 1 }, "outside every node's"},
-		{"page homed on a node that does not exist", func(cs *core.CoreState) { cs.Pages[0].Home = len(cs.Nodes) }, "homes page"},
+		}, nil, "outside every node's"},
+		{"static-segment page listed as allocated", func(cs *core.CoreState) { cs.Pages[0].Page = 1 }, nil, "outside every node's"},
+		{"page homed on a node that does not exist", func(cs *core.CoreState) { cs.Pages[0].Home = len(cs.Nodes) }, nil, "homes page"},
+		// A current-version body still carrying version 1's per-shard kernel
+		// array is refused at decode (unknown fields are not skipped).
+		{"version-1 kernel_shards array", nil, func(body map[string]json.RawMessage) {
+			body["kernel_shards"] = json.RawMessage("[" + string(body["kernel"]) + "]")
+		}, `unknown field "kernel_shards"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -366,14 +384,20 @@ func TestRestoreRejectsHostileCoreState(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			tc.corrupt(ck.Core)
-			if data, err = ck.Encode(); err != nil { // re-hash the corrupted body
-				t.Fatalf("re-encode: %v", err)
+			if tc.body != nil {
+				data = reEnvelope(t, data, dsmpm2.CheckpointVersion, tc.body)
+			} else {
+				tc.corrupt(ck.Core)
+				if data, err = ck.Encode(); err != nil { // re-hash the corrupted body
+					t.Fatalf("re-encode: %v", err)
+				}
 			}
-			if ck, err = dsmpm2.DecodeCheckpoint(data); err != nil {
+			var sys *dsmpm2.System
+			if ck, err = dsmpm2.DecodeCheckpoint(data); err == nil {
+				sys, err = dsmpm2.Restore(ck, dsmpm2.RestoreOptions{})
+			} else if tc.body == nil {
 				t.Fatalf("re-hashed checkpoint did not decode: %v", err)
 			}
-			sys, err := dsmpm2.Restore(ck, dsmpm2.RestoreOptions{})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Restore = %v, %v; want an error mentioning %q", sys, err, tc.want)
 			}

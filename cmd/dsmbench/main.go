@@ -197,35 +197,14 @@ func validateArgs(a cliArgs) error {
 		return fmt.Errorf("unknown experiment %q (valid: %s)", a.exp, strings.Join(experiments, ", "))
 	}
 	if a.shards < 0 {
-		return fmt.Errorf("-shards %d out of range (want >= 0; 0 selects the experiment's default)", a.shards)
+		return fmt.Errorf("-shards %d out of range (want >= 0; 0 selects the host's CPU count)", a.shards)
 	}
-	// The experiments that shard the simulated machine (not just the host
-	// matrix) bound -shards by their pinned topology: a shard must own at
-	// least one node, and the comm scale rows additionally need the shards to
-	// tile the hierarchical topology's clusters so the combining tree's
-	// leaves align with cluster boundaries.
-	switch a.exp {
-	case "faults":
-		// Crash recovery is single-loop machinery; System.InjectFaults
-		// refuses a sharded kernel, so reject the combination up front.
-		if a.shards > 1 {
-			return fmt.Errorf("-shards %d is invalid for the faults experiment (fault injection requires Shards <= 1: crash recovery assumes the single-loop kernel)", a.shards)
-		}
-	case "serve":
-		if a.shards > bench.ServeNodes {
-			return fmt.Errorf("-shards %d exceeds the serve workload's %d nodes (a shard owns at least one node)",
-				a.shards, bench.ServeNodes)
-		}
-	case "comm":
-		if a.shards > bench.CommScaleClusters {
-			return fmt.Errorf("-shards %d exceeds the comm scale topology's %d clusters",
-				a.shards, bench.CommScaleClusters)
-		}
-		if a.shards > 0 && bench.CommScaleClusters%a.shards != 0 {
-			return fmt.Errorf("-shards %d does not tile the comm scale topology's %d clusters (want a divisor)",
-				a.shards, bench.CommScaleClusters)
-		}
-	case "tune":
+	// -shards caps the kernel experiment's host-scaling matrix and means
+	// nothing to any other experiment.
+	if a.shards > 0 && a.exp != "kernel" && a.exp != "all" {
+		return fmt.Errorf("-shards %d is not valid with -exp %s (it caps the kernel experiment's host-scaling matrix; the simulated machine is one event loop)", a.shards, a.exp)
+	}
+	if a.exp == "tune" {
 		if a.workers < 0 {
 			return fmt.Errorf("-workers %d out of range (want >= 0; 0 uses every host CPU)", a.workers)
 		}
@@ -282,7 +261,7 @@ func realMain(args []string) (code int) {
 	repair := fs.Float64("repair", 3, "generated plans: node repair time (virtual ms)")
 	faultSeed := fs.Int64("faultseed", 11, "seed for generated fault plans and message-loss draws")
 	faultProtos := fs.String("faultproto", "hbrc_mw,entry_mw", "comma-separated protocols for the faults experiment")
-	shards := fs.Int("shards", 0, "kernel: max shard count for the host-scaling matrix (0 = host CPUs, floored at 2); comm: shard count of the combining-tree scale rows (0 = one per cluster); serve: kernel shards for the KV runs (0 = single-loop)")
+	shards := fs.Int("shards", 0, "kernel: max shard count for the host-scaling matrix (0 = host CPUs, floored at 2)")
 	perturb := fs.Int("perturb", 3, "bisect experiment: session step at which the deliberate divergence is injected")
 	workers := fs.Int("workers", 0, "tune: host worker-pool size for the grid sweep (0 = every host CPU)")
 	cacheDir := fs.String("cachedir", ".tunecache", "tune: cell-cache ledger directory (empty disables caching)")
@@ -383,7 +362,7 @@ func realMain(args []string) (code int) {
 		}
 	}
 	if *exp == "comm" { // explicit opt-in, not part of "all"
-		if err := comm(*jsonOut, *shards); err != nil {
+		if err := comm(*jsonOut); err != nil {
 			log.Printf("comm: %v", err)
 			return 1
 		}
@@ -395,7 +374,7 @@ func realMain(args []string) (code int) {
 		}
 	}
 	if *exp == "serve" { // explicit opt-in, not part of "all"
-		if err := serve(*jsonOut, *shards); err != nil {
+		if err := serve(*jsonOut); err != nil {
 			log.Printf("serve: %v", err)
 			return 1
 		}
@@ -754,11 +733,9 @@ type commSnapshot struct {
 
 // comm compares the batched and unbatched communication paths across the
 // barrier-phased applications at cluster scale, then runs the scale rows:
-// jacobi on the 8-cluster hierarchical topology at 64 and 512 nodes, flat
-// barriers vs the combining tree, reporting the per-barrier backbone
-// envelope cost. treeShards picks the tree rows' shard count (0 = one shard
-// per cluster).
-func comm(writeJSON bool, treeShards int) error {
+// jacobi on the 8-cluster hierarchical topology at 64 and 512 nodes,
+// reporting the per-barrier backbone envelope cost.
+func comm(writeJSON bool) error {
 	header("Comm: batched vs unbatched communication path (virtual-time exact)")
 	results := bench.CommSuite()
 	fmt.Printf("%-10s %6s %9s %10s %10s %9s %8s %8s %8s %8s %12s\n",
@@ -787,33 +764,18 @@ func comm(writeJSON bool, treeShards int) error {
 	fmt.Println(" rows show zero invalidation envelopes: the barrier's write notices carry")
 	fmt.Println(" the invalidation information for free)")
 
-	header("Comm scale: per-barrier backbone envelopes, flat vs combining-tree barriers")
-	scale := bench.CommScaleSuite(treeShards)
-	fmt.Printf("%-12s %6s %9s %7s %10s %9s %10s %13s\n",
-		"app", "nodes", "clusters", "shards", "envelopes", "backbone", "barriers", "backbone/bar")
-	var flat512, tree512 bench.CommResult
-	for _, r := range scale {
+	header("Comm scale: per-barrier backbone envelopes on a hierarchical topology")
+	fmt.Printf("%-12s %6s %9s %10s %9s %10s %13s\n",
+		"app", "nodes", "clusters", "envelopes", "backbone", "barriers", "backbone/bar")
+	for _, r := range bench.CommScaleSuite() {
 		results = append(results, r)
-		fmt.Printf("%-12s %6d %9d %7d %10d %9d %10d %13.1f\n",
-			r.App, r.Nodes, r.Clusters, r.Shards, r.Envelopes,
+		fmt.Printf("%-12s %6d %9d %10d %9d %10d %13.1f\n",
+			r.App, r.Nodes, r.Clusters, r.Envelopes,
 			r.BackboneEnvelopes, r.BarrierGens, r.BackbonePerBarrier)
-		if r.Nodes == 512 {
-			if r.Shards == 1 {
-				flat512 = r
-			} else {
-				tree512 = r
-			}
-		}
-	}
-	if flat512.BackbonePerBarrier > 0 && tree512.BackbonePerBarrier > 0 {
-		fmt.Printf("512-node per-barrier backbone reduction: %.1fx (%.1f -> %.1f envelopes)\n",
-			flat512.BackbonePerBarrier/tree512.BackbonePerBarrier,
-			flat512.BackbonePerBarrier, tree512.BackbonePerBarrier)
 	}
 	fmt.Println("(backbone/bar subtracts the remote page-fetch pairs; what remains is the")
-	fmt.Println(" synchronization traffic. Flat barriers send every non-home arrival across")
-	fmt.Println(" the backbone — O(N) per generation — while the combining tree crosses it")
-	fmt.Println(" only leader-to-leader: O(fan-in x log clusters), whatever the node count)")
+	fmt.Println(" synchronization traffic: every non-home arrival crosses the backbone, O(N)")
+	fmt.Println(" per generation)")
 	if !writeJSON {
 		return nil
 	}
@@ -916,16 +878,15 @@ type serveSnapshot struct {
 
 // serve runs the Zipf-serving KV store under static and adaptive placement
 // and reports the per-operation tail latencies. It fails unless the
-// adaptive p99 beats the static one and the replay check holds. shards > 1
-// serves the trace on that many parallel event loops.
-func serve(writeJSON bool, shards int) error {
+// adaptive p99 beats the static one and the replay check holds.
+func serve(writeJSON bool) error {
 	header("Serve: Zipf KV store tail latency, static (misplaced) vs adaptive homes")
-	static, adaptive, replayOK, err := bench.ServeSuite(shards)
+	static, adaptive, replayOK, err := bench.ServeSuite()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("workload: %d requests over %d keys in %d buckets on %d nodes (%d kernel shard(s)), %s\n",
-		static.Requests, static.Keys, static.Buckets, static.Nodes, max(static.Shards, 1), static.Protocol)
+	fmt.Printf("workload: %d requests over %d keys in %d buckets on %d nodes, %s\n",
+		static.Requests, static.Keys, static.Buckets, static.Nodes, static.Protocol)
 	fmt.Printf("%-10s %-6s %8s %12s %12s %12s %12s %12s\n",
 		"placement", "op", "count", "p50(us)", "p95(us)", "p99(us)", "mean(us)", "max(us)")
 	us := func(d dsmpm2.Duration) float64 { return float64(d) / 1e3 }

@@ -20,6 +20,7 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		{"empty experiment", []string{"-exp", ""}},
 		{"misspelled serve", []string{"-exp", "server"}},
 		{"negative shards", []string{"-exp", "kernel", "-shards", "-1"}},
+		{"shards outside kernel", []string{"-exp", "table3", "-shards", "4"}},
 		{"faults sharded", []string{"-exp", "faults", "-shards", "2"}},
 		{"zero perturb", []string{"-exp", "bisect", "-perturb", "0"}},
 		{"negative perturb", []string{"-exp", "bisect", "-perturb", "-2"}},
@@ -64,9 +65,19 @@ func TestValidateArgsMessages(t *testing.T) {
 		!strings.Contains(err.Error(), "-shards -3") {
 		t.Errorf("shards range error = %v, want it to name -shards -3", err)
 	}
-	if err := validateArgs(perturb("faults", func(a *cliArgs) { a.shards = 2 })); err == nil ||
-		!strings.Contains(err.Error(), "single-loop") {
-		t.Errorf("faults shards error = %v, want it to name the single-loop constraint", err)
+	// -shards belongs to the kernel experiment (and the default "all"); any
+	// other experiment names the flag and itself in the refusal.
+	for _, exp := range experiments {
+		err := validateArgs(perturb(exp, func(a *cliArgs) { a.shards = 4 }))
+		if exp == "kernel" || exp == "all" {
+			if err != nil {
+				t.Errorf("-exp %s -shards 4 rejected: %v", exp, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "-shards 4") || !strings.Contains(err.Error(), "-exp "+exp) {
+			t.Errorf("-exp %s -shards 4 error = %v, want it to name the flag and the experiment", exp, err)
+		}
 	}
 	if err := validateArgs(perturb("bisect", func(a *cliArgs) { a.perturb = 0 })); err == nil ||
 		!strings.Contains(err.Error(), "-perturb 0") {

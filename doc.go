@@ -60,18 +60,11 @@
 // experiment, asserts the adaptive p99 wins, and writes BENCH_serve.json.
 // See DESIGN.md ("Serving workloads") and examples/kvstore.
 //
-// Config.Shards > 1 runs the event loop — and the full DSM stack above it —
-// on that many conservatively-synchronized parallel shards, one per
-// topology cluster (contiguous node blocks otherwise): the page directory
-// is range-partitioned by iso-address slice, copysets are run-length
-// interval sets, and machine-wide barriers combine through a fan-in tree of
-// per-shard leaders so the backbone of a hierarchical machine carries
-// O(log shards) envelopes per generation instead of O(nodes). A sharded run
-// is deterministic for its shard count (replays are bit-identical whatever
-// the host interleaving) and application answers match the single-loop run;
-// Shards <= 1 replays the historical single-loop engine bit for bit. Fault
-// injection is the one feature that requires the single-loop kernel. See
-// DESIGN.md ("Sharded protocol layer").
+// A System is one machine on one event loop: one sim.Engine, one
+// madeleine.Network, one page directory, one set of counters. Copysets are
+// run-length interval sets (internal/core NodeSet), which is what keeps
+// 512-node runs cheap. DESIGN.md ("History") records the sharded stack that
+// was measured and removed.
 //
 // The platform also injects failures: a FaultPlan is a declarative,
 // seed-driven schedule of node crashes/restarts, link partitions/heals and

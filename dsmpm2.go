@@ -130,18 +130,6 @@ type Config struct {
 	// are re-homed onto their dominant writers (`dsmbench -exp adapt`).
 	// Off by default — placement then stays exactly as allocated.
 	AdaptiveHomes bool
-	// Shards selects the simulation kernel's parallelism: the event loop is
-	// partitioned into that many conservatively-synchronized shards (one
-	// per topology cluster when a Hierarchical topology matches the count,
-	// contiguous node blocks otherwise), each running on its own host core.
-	// The DSM layer is shard-aware end-to-end — per-shard counters and
-	// buffer pools, a range-partitioned directory, and combining-tree
-	// barriers — and a sharded run is deterministic: same seed, same
-	// observable DSM state, whatever the host interleaving. 0 or 1 keeps
-	// the single-loop kernel (bit-for-bit the historical behavior).
-	// Incompatible with fault injection/recovery, whose death bookkeeping
-	// is single-loop machinery.
-	Shards int
 	// Protocol names the default consistency protocol (default
 	// "li_hudak"); see ProtocolNames for the list.
 	Protocol string
@@ -234,9 +222,6 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("dsmpm2: topology %s is built for %d nodes, config has %d",
 			cfg.Topology.Name(), s.Nodes(), cfg.Nodes)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("dsmpm2: invalid shard count %d", cfg.Shards)
-	}
 	rt := pm2.NewRuntime(pm2.Config{
 		Nodes:          cfg.Nodes,
 		CPUsPerNode:    cfg.CPUsPerNode,
@@ -244,21 +229,13 @@ func New(cfg Config) (*System, error) {
 		Topology:       cfg.Topology,
 		LinkContention: cfg.LinkContention,
 		Seed:           cfg.Seed,
-		Shards:         cfg.Shards,
 	})
 	reg, ids := protocols.NewRegistry()
 	d := core.New(rt, reg, core.DefaultCosts())
 	d.SetBatching(!cfg.UnbatchedComm)
 	s := &System{rt: rt, dsm: d, ids: ids, cfg: cfg}
 	if cfg.Trace {
-		if rt.Sharded() {
-			// Each kernel shard records into its own span slice (shard
-			// goroutines may not share one append target); reads merge them
-			// in canonical virtual-time order.
-			s.tr = trace.NewShardedLog(rt.Shards())
-		} else {
-			s.tr = trace.NewLog()
-		}
+		s.tr = trace.NewLog()
 	}
 	if err := s.SetDefaultProtocol(cfg.Protocol); err != nil {
 		return nil, err

@@ -1,8 +1,6 @@
 package dsmpm2
 
 import (
-	"fmt"
-
 	"dsmpm2/internal/core"
 	"dsmpm2/internal/madeleine"
 	"dsmpm2/internal/sim"
@@ -133,14 +131,7 @@ type FaultOptions struct {
 
 // enableFaultLayers switches on the network fault layer and the DSM recovery
 // manager (idempotently), the shared half of both injection paths.
-func (s *System) enableFaultLayers(seed int64, opts FaultOptions) error {
-	if s.rt.Sharded() {
-		// Crash recovery is single-loop machinery: death bookkeeping is
-		// centralized, the flat barrier's participant takeover assumes one
-		// calendar, and the combining-tree barrier (treebar.go) explicitly
-		// routes around recovery. Refuse loudly rather than corrupt state.
-		return fmt.Errorf("dsmpm2: fault injection requires Shards <= 1 (got %d shards); crash recovery assumes the single-loop kernel", s.rt.Shards())
-	}
+func (s *System) enableFaultLayers(seed int64, opts FaultOptions) {
 	if !s.rt.Network().FaultsEnabled() {
 		s.rt.EnableFaults(seed, opts.Partition)
 	}
@@ -155,7 +146,6 @@ func (s *System) enableFaultLayers(seed int64, opts FaultOptions) error {
 			OnRestart:  opts.OnRestart,
 		})
 	}
-	return nil
 }
 
 // InjectFaults arms the system with a fault plan: the network fault layer
@@ -168,15 +158,12 @@ func (s *System) enableFaultLayers(seed int64, opts FaultOptions) error {
 // replica set; synchronization managers (lock homes, barrier manager node
 // 0) must be protected nodes — crash them and their state dies for good.
 //
-// On a sharded machine (Config.Shards > 1) it returns an error instead of
-// arming anything: crash recovery assumes the single-loop kernel.
+// The error is for plans the system cannot take; no plan is refused today.
 func (s *System) InjectFaults(plan *FaultPlan, opts FaultOptions) error {
 	if plan == nil {
 		return nil // mirror sim.Engine.InjectFaults: a nil plan is a no-op
 	}
-	if err := s.enableFaultLayers(plan.Seed, opts); err != nil {
-		return err
-	}
+	s.enableFaultLayers(plan.Seed, opts)
 	s.rt.Engine().InjectFaults(plan, s.applyFault)
 	return nil
 }
@@ -193,9 +180,7 @@ func (s *System) InjectFaultsResumable(plan *FaultPlan, opts FaultOptions) error
 	if plan == nil {
 		return nil
 	}
-	if err := s.enableFaultLayers(plan.Seed, opts); err != nil {
-		return err
-	}
+	s.enableFaultLayers(plan.Seed, opts)
 	s.faultPlan = plan
 	s.faultOpts = opts
 	// Not armed here: System.Run arms before every phase, and an event queued
@@ -211,12 +196,8 @@ func (s *System) applyFault(ev FaultEvent) {
 		s.dsm.CrashNode(ev.Node)
 	case sim.FaultNodeRestart:
 		s.dsm.RestartNode(ev.Node)
-	case sim.FaultLinkPartition:
-		s.rt.Network().PartitionLink(ev.From, ev.To)
-	case sim.FaultLinkHeal:
-		s.rt.Network().HealLink(ev.From, ev.To)
-	case sim.FaultLinkLoss:
-		s.rt.Network().SetLinkLoss(ev.From, ev.To, ev.DropRate, ev.DupRate)
+	default:
+		s.rt.Network().ApplyFault(ev)
 	}
 }
 

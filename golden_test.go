@@ -107,19 +107,15 @@ func TestDeadlockReportDeterministic(t *testing.T) {
 	}
 }
 
-// TestGoldensAndShardedRunsPoisoned reruns the pinned traces and this
-// package's sharded tests with the core's use-after-free net on
-// (core.PoisonFreed: freed records read as sentinels and are never reused).
-// The goldens must not notice — recycling is invisible in virtual time — and
-// a reader that outlived its record fails loudly. Its name puts it in CI's
-// -race sharded battery too.
-func TestGoldensAndShardedRunsPoisoned(t *testing.T) {
+// TestGoldensPoisoned reruns the pinned traces with the core's
+// use-after-free net on (core.PoisonFreed: freed records read as sentinels
+// and are never reused). The goldens must not notice — recycling is
+// invisible in virtual time — and a reader that outlived its record fails
+// loudly.
+func TestGoldensPoisoned(t *testing.T) {
 	core.PoisonFreed = true
 	defer func() { core.PoisonFreed = false }()
 	t.Run("jacobi", TestGoldenJacobiTrace)
 	t.Run("adaptive-jacobi", TestGoldenAdaptiveJacobiTrace)
 	t.Run("faulty-jacobi", TestGoldenFaultyJacobiTrace)
-	t.Run("sharded-checkpoint", TestCheckpointRoundTripSharded)
-	t.Run("sharded-trace", TestShardedTraceRecording)
-	t.Run("sharded-trace-merge", TestShardedTraceMergeOrder)
 }

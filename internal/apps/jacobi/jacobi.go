@@ -51,13 +51,8 @@ type Config struct {
 	// migration: misplaced rows move onto their writers at barrier epochs.
 	AdaptiveHomes bool
 	// Trace enables post-mortem span recording (dsmpm2.Config.Trace); the
-	// auto-tuner's recording run and the sharded-trace regression test use it.
+	// auto-tuner's recording run uses it.
 	Trace bool
-
-	// Shards is forwarded to dsmpm2.Config.Shards: 0 and 1 are the
-	// single-loop engine (bit-identical traces), >1 is rejected by the DSM
-	// layer (sharded execution is a pm2/bench kernel feature).
-	Shards int
 
 	// FaultPlan, when set, selects the restart-aware variant of the
 	// kernel: all grid pages are homed on node 0 (a home-based protocol
@@ -147,7 +142,6 @@ func Run(cfg Config) (Result, error) {
 		UnbatchedComm: cfg.Unbatched,
 		AdaptiveHomes: cfg.AdaptiveHomes,
 		Recovery:      cfg.Recovery,
-		Shards:        cfg.Shards,
 		Trace:         cfg.Trace,
 	})
 	if err != nil {

@@ -99,7 +99,6 @@ func NewSession(cfg Config) (*Session, error) {
 		UnbatchedComm: cfg.Unbatched,
 		AdaptiveHomes: cfg.AdaptiveHomes,
 		Recovery:      cfg.Recovery,
-		Shards:        cfg.Shards,
 	})
 	if err != nil {
 		return nil, err

@@ -91,8 +91,6 @@ type Config struct {
 	// migration: misplaced buckets move onto their servers at the epoch
 	// barriers.
 	AdaptiveHomes bool
-	// Shards is forwarded to dsmpm2.Config.Shards.
-	Shards int
 }
 
 // withDefaults returns cfg with zero fields defaulted and validates it.
@@ -342,7 +340,6 @@ func Run(cfg Config) (Result, error) {
 		Seed:          cfg.Seed,
 		UnbatchedComm: cfg.Unbatched,
 		AdaptiveHomes: cfg.AdaptiveHomes,
-		Shards:        cfg.Shards,
 	})
 	if err != nil {
 		return Result{}, err
@@ -374,52 +371,15 @@ func Run(cfg Config) (Result, error) {
 	}
 	bar := sys.NewBarrier(cfg.Nodes + 1)
 
-	// On a sharded machine the generator may not touch a remote server's
-	// queue directly: the queue (and any receiver parked on it) belongs to
-	// the shard that owns the serving node. Cross-shard dispatch goes
-	// through the kernel's mailbox instead, delayed by a uniform dispatch
-	// latency — the largest inter-shard lookahead, so the delivery time is
-	// admissible for every destination and arrival skew between a
-	// generator-local and a remote server is placement-independent. The
-	// single-loop path is untouched (direct zero-latency push).
-	rt := sys.Runtime()
-	var dispatchLat dsmpm2.Duration
-	if rt.Sharded() {
-		se := rt.ShardedEngine()
-		for i := 0; i < se.Shards(); i++ {
-			for j := 0; j < se.Shards(); j++ {
-				if i != j && se.Lookahead(i, j) > dispatchLat {
-					dispatchLat = se.Lookahead(i, j)
-				}
-			}
-		}
-	}
-
 	res := Result{System: sys}
-	// Per-node tallies: server threads on different shards run on different
-	// host goroutines, so they may not share a counter. Each server owns a
-	// slot; the slots are summed into the result after the run. (The latency
-	// histograms need no such treatment — Histogram.Record is an atomic,
-	// commutative add, shard-safe by construction.)
-	served := make([]int64, cfg.Nodes)
-	dropped := make([]int64, cfg.Nodes)
-	idleTicks := make([]int64, cfg.Nodes)
 	// Per-key latency for the trace's hot set. The hot keys are a pure
-	// function of the trace, so the set is known before the run; each server
-	// records into its own per-key histograms (per-node tallies, like the
-	// counters above) and the parts merge into one digest per key afterwards.
+	// function of the trace, so the set is known before the run.
 	hot := topKeys(tr.perKey, cfg.TopN)
 	hotIdx := make(map[int]int, len(hot))
 	for i, hk := range hot {
 		hotIdx[hk.Key] = i
 	}
-	keyHists := make([][]*dsmpm2.Histogram, cfg.Nodes)
-	for n := range keyHists {
-		keyHists[n] = make([]*dsmpm2.Histogram, len(hot))
-		for i := range keyHists[n] {
-			keyHists[n][i] = new(dsmpm2.Histogram)
-		}
-	}
+	keyHists := make([]dsmpm2.Histogram, len(hot))
 	getHist := sys.OpHist("get")
 	putHist := sys.OpHist("put")
 	var dropHist *dsmpm2.Histogram
@@ -431,14 +391,6 @@ func Run(cfg Config) (Result, error) {
 	// absolute time, and push to the serving node's queue. Epoch marks are
 	// emitted every Requests/Epochs operations and at the end of the trace.
 	sys.Spawn(0, "loadgen", func(t *dsmpm2.Thread) {
-		send := func(node int, v interface{}) {
-			if !rt.Sharded() {
-				queues[node].Push(v)
-				return
-			}
-			eng := t.PM2().Proc().Engine()
-			eng.SchedulePushShard(rt.ShardOf(node), t.Now().Add(dispatchLat), queues[node], v)
-		}
 		start := t.Now()
 		nextMark := 1
 		for i := range tr.reqs {
@@ -450,17 +402,17 @@ func Run(cfg Config) (Result, error) {
 				t.Sleep(d)
 			}
 			r.at = due
-			send(bucketOf(r.key, cfg.Buckets)%cfg.Nodes, r)
+			queues[bucketOf(r.key, cfg.Buckets)%cfg.Nodes].Push(r)
 			if (i+1)*cfg.Epochs >= nextMark*cfg.Requests {
-				for n := range queues {
-					send(n, epochMark{})
+				for _, q := range queues {
+					q.Push(epochMark{})
 				}
 				t.Barrier(bar)
 				nextMark++
 			}
 		}
-		for n := range queues {
-			send(n, stopMark{})
+		for _, q := range queues {
+			q.Push(stopMark{})
 		}
 	})
 
@@ -472,7 +424,7 @@ func Run(cfg Config) (Result, error) {
 			for {
 				v, ok := q.RecvTimeout(proc, sim.Duration(cfg.IdleTick))
 				if !ok {
-					idleTicks[node]++ // idle poll
+					res.IdleTicks++ // idle poll
 					continue
 				}
 				switch m := v.(type) {
@@ -483,7 +435,7 @@ func Run(cfg Config) (Result, error) {
 				case *request:
 					if cfg.Deadline > 0 && t.Now().Sub(m.at) > cfg.Deadline {
 						dropHist.Record(t.Now().Sub(m.at))
-						dropped[node]++
+						res.Dropped++
 						continue
 					}
 					b := bucketOf(m.key, cfg.Buckets)
@@ -502,9 +454,9 @@ func Run(cfg Config) (Result, error) {
 						getHist.Record(t.Now().Sub(m.at))
 					}
 					if hi, ok := hotIdx[m.key]; ok {
-						keyHists[node][hi].Record(t.Now().Sub(m.at))
+						keyHists[hi].Record(t.Now().Sub(m.at))
 					}
-					served[node]++
+					res.Served++
 				}
 			}
 		})
@@ -513,11 +465,6 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	res.Elapsed = sys.Now()
-	for node := 0; node < cfg.Nodes; node++ {
-		res.Served += served[node]
-		res.Dropped += dropped[node]
-		res.IdleTicks += idleTicks[node]
-	}
 
 	// Read the final table back through the DSM from node 0, under the
 	// bucket locks, and fold the oracle checksum.
@@ -552,11 +499,7 @@ func Run(cfg Config) (Result, error) {
 		})
 	}
 	for i, hk := range hot {
-		merged := new(dsmpm2.Histogram)
-		for n := 0; n < cfg.Nodes; n++ {
-			merged.Merge(keyHists[n][i])
-		}
-		res.PerKey = append(res.PerKey, KeyLatency{Key: hk.Key, HistSummary: merged.Summarize()})
+		res.PerKey = append(res.PerKey, KeyLatency{Key: hk.Key, HistSummary: keyHists[i].Summarize()})
 	}
 	return res, nil
 }

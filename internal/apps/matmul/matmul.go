@@ -36,10 +36,6 @@ type Config struct {
 	// in the kernel the profiler never folds an epoch, so this doubles as
 	// the adapt experiment's no-op control.
 	MisplaceHomes bool
-	// Shards is forwarded to dsmpm2.Config.Shards: 0 and 1 are the
-	// single-loop engine (bit-identical traces), >1 is rejected by the DSM
-	// layer (sharded execution is a pm2/bench kernel feature).
-	Shards int
 	// AdaptiveHomes enables the access-pattern profiler and dynamic home
 	// migration.
 	AdaptiveHomes bool
@@ -101,7 +97,6 @@ func Run(cfg Config) (Result, error) {
 		Seed:          cfg.Seed,
 		UnbatchedComm: cfg.Unbatched,
 		AdaptiveHomes: cfg.AdaptiveHomes,
-		Shards:        cfg.Shards,
 	})
 	if err != nil {
 		return Result{}, err

@@ -35,10 +35,6 @@ type Config struct {
 	ExpandCost dsmpm2.Duration
 	// Trace enables post-mortem span recording.
 	Trace bool
-	// Shards is forwarded to dsmpm2.Config.Shards: 0 and 1 are the
-	// single-loop engine (bit-identical traces), >1 is rejected by the DSM
-	// layer (sharded execution is a pm2/bench kernel feature).
-	Shards int
 }
 
 // Result reports a run's outcome.
@@ -150,7 +146,6 @@ func Run(cfg Config) (Result, error) {
 		Protocol: cfg.Protocol,
 		Seed:     cfg.Seed,
 		Trace:    cfg.Trace,
-		Shards:   cfg.Shards,
 	})
 	if err != nil {
 		return Result{}, err

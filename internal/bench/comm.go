@@ -30,10 +30,9 @@ type CommResult struct {
 	App     string `json:"app"`
 	Nodes   int    `json:"nodes"`
 	Batched bool   `json:"batched"`
-	// Clusters/Shards identify the scale rows (hierarchical topology, kernel
-	// shard count); zero for the classic uniform-topology rows.
+	// Clusters identifies the scale rows (hierarchical topology); zero for
+	// the classic uniform-topology rows.
 	Clusters int `json:"clusters,omitempty"`
-	Shards   int `json:"shards,omitempty"`
 	// VirtualMS is the workload's simulated run time.
 	VirtualMS float64 `json:"virtual_ms"`
 
@@ -63,8 +62,8 @@ type CommResult struct {
 	// Backbone accounting for the scale rows: envelopes that crossed the
 	// inter-cluster link class, and the per-barrier-generation share of them
 	// after subtracting the page-fetch pairs (request + page send per remote
-	// fault on the backbone) that no barrier scheme can remove. Flat barriers
-	// grow this O(N); the combining tree holds it at O(fan-in · log clusters).
+	// fault on the backbone) that no barrier scheme can remove. The flat
+	// barrier grows this O(N): every non-home arrival crosses the backbone.
 	BackboneEnvelopes  int     `json:"backbone_envelopes,omitempty"`
 	BarrierGens        int64   `json:"barrier_gens,omitempty"`
 	BackbonePerBarrier float64 `json:"backbone_per_barrier,omitempty"`
@@ -201,30 +200,25 @@ func CommSuite() []CommResult {
 }
 
 // CommScaleClusters is the cluster count of the scale rows' hierarchical
-// topology (and the shard count that aligns the kernel's shards — and
-// therefore the combining tree's leaves — with those clusters). dsmbench
-// validates its -shards flag against it.
+// topology.
 const CommScaleClusters = 8
 
 // commScale runs one scale row: jacobi on a hierarchical topology (fast
-// intra-cluster links, slow backbone) at the given node count, flat
-// (shards=1, every barrier arrival Calls the home node) or sharded (one
-// shard per cluster, barrier traffic combines per cluster and only the
-// leaders touch the backbone).
-func commScale(nodes, iters, shards int) CommResult {
+// intra-cluster links, slow backbone) at the given node count.
+func commScale(nodes, iters int) CommResult {
 	clusters := CommScaleClusters
 	inter := dsmpm2.TCPFastEthernet
 	res, err := jacobi.Run(jacobi.Config{
 		N: nodes, Iterations: iters, Nodes: nodes,
 		Topology: dsmpm2.HierarchicalTopology(
 			dsmpm2.EvenClusters(nodes, clusters), dsmpm2.BIPMyrinet, inter),
-		Protocol: "hbrc_mw", Seed: 7, Shards: shards,
+		Protocol: "hbrc_mw", Seed: 7,
 	})
 	if err != nil {
-		panic(fmt.Sprintf("comm scale %d/%d: %v", nodes, shards, err))
+		panic(fmt.Sprintf("comm scale %d: %v", nodes, err))
 	}
 	if want := jacobi.SolveSerial(nodes, iters); res.Checksum != want {
-		panic(fmt.Sprintf("comm scale %d/%d: checksum %v, serial %v", nodes, shards, res.Checksum, want))
+		panic(fmt.Sprintf("comm scale %d: checksum %v, serial %v", nodes, res.Checksum, want))
 	}
 	sys := res.System
 	st := sys.Stats()
@@ -234,7 +228,6 @@ func commScale(nodes, iters, shards int) CommResult {
 		Nodes:     nodes,
 		Batched:   true,
 		Clusters:  clusters,
-		Shards:    shards,
 		VirtualMS: float64(res.Elapsed) / 1e6,
 		Messages:  msgs,
 		Bytes:     bytes,
@@ -275,22 +268,11 @@ func commScale(nodes, iters, shards int) CommResult {
 }
 
 // CommScaleSuite is the sync-envelope growth matrix: 64- and 512-node jacobi
-// on the 8-cluster hierarchical topology, each measured with flat barriers
-// (shards=1) and with the combining tree (treeShards > 1, one shard per
-// cluster when treeShards == CommScaleClusters). treeShards <= 1 selects the
-// cluster count. Iteration counts are small — per-barrier backbone cost is
-// steady-state after the first generation, and these rows exist for the wire
-// accounting, not the heat flow.
-func CommScaleSuite(treeShards int) []CommResult {
-	if treeShards <= 1 {
-		treeShards = CommScaleClusters
-	}
-	var out []CommResult
-	for _, nodes := range []int{64, 512} {
-		iters := 4
-		out = append(out, commScale(nodes, iters, 1), commScale(nodes, iters, treeShards))
-	}
-	return out
+// on the 8-cluster hierarchical topology. Iteration counts are small —
+// per-barrier backbone cost is steady-state after the first generation, and
+// these rows exist for the wire accounting, not the heat flow.
+func CommScaleSuite() []CommResult {
+	return []CommResult{commScale(64, 4), commScale(512, 4)}
 }
 
 // CommJacobi64 runs just the 64-node jacobi pair — the acceptance headline —

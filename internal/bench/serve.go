@@ -22,20 +22,14 @@ import (
 	"dsmpm2/internal/apps/kvstore"
 )
 
-// ServeNodes is the pinned workload's cluster size; dsmbench validates its
-// -shards flag against it (a shard owns at least one node).
-const ServeNodes = 4
-
 // ServeResult is one placement's run of the serve experiment.
 type ServeResult struct {
 	Placement string `json:"placement"` // "static" or "adaptive"
 	Protocol  string `json:"protocol"`
 	Nodes     int    `json:"nodes"`
-	// Shards is the kernel shard count the run used (0/absent = single-loop).
-	Shards   int `json:"shards,omitempty"`
-	Buckets  int `json:"buckets"`
-	Keys     int `json:"keys"`
-	Requests int `json:"requests"`
+	Buckets   int    `json:"buckets"`
+	Keys      int    `json:"keys"`
+	Requests  int    `json:"requests"`
 	// VirtualMS is the trace's simulated duration.
 	VirtualMS float64 `json:"virtual_ms"`
 
@@ -45,7 +39,7 @@ type ServeResult struct {
 	// HotKeys are the trace's busiest keys by request count.
 	HotKeys []kvstore.HotKey `json:"hot_keys"`
 	// PerKey carries each hot key's served-latency digest, in HotKeys
-	// order, merged from the servers' per-node histograms.
+	// order.
 	PerKey []kvstore.KeyLatency `json:"per_key"`
 
 	Served         int64 `json:"served"`
@@ -65,7 +59,7 @@ type ServeResult struct {
 // placement's queueing knee.
 func serveConfig() kvstore.Config {
 	return kvstore.Config{
-		Nodes:         ServeNodes,
+		Nodes:         4,
 		Buckets:       16,
 		Keys:          512,
 		Requests:      1600,
@@ -76,12 +70,10 @@ func serveConfig() kvstore.Config {
 	}
 }
 
-// serveMeasure runs one placement of the pinned workload, on shards event
-// loops (<= 1 = the legacy single-loop engine).
-func serveMeasure(adaptive bool, shards int) (ServeResult, error) {
+// serveMeasure runs one placement of the pinned workload.
+func serveMeasure(adaptive bool) (ServeResult, error) {
 	cfg := serveConfig()
 	cfg.AdaptiveHomes = adaptive
-	cfg.Shards = shards
 	res, err := kvstore.Run(cfg)
 	if err != nil {
 		return ServeResult{}, err
@@ -94,7 +86,6 @@ func serveMeasure(adaptive bool, shards int) (ServeResult, error) {
 		Placement:      placement,
 		Protocol:       "entry_mw",
 		Nodes:          cfg.Nodes,
-		Shards:         shards,
 		Buckets:        cfg.Buckets,
 		Keys:           cfg.Keys,
 		Requests:       cfg.Requests,
@@ -115,16 +106,13 @@ func serveMeasure(adaptive bool, shards int) (ServeResult, error) {
 // ServeSuite runs the serve experiment: the same trace under static and
 // adaptive placement, a serial-oracle checksum check, and a full replay of
 // the adaptive run asserting the latency histograms are bit-identical.
-// The returned replayIdentical is that replay check's verdict. shards <= 1
-// keeps the legacy single-loop kernel; shards > 1 serves the same trace on
-// that many parallel event loops (latency digests then describe the sharded
-// schedule — compare sharded runs against sharded runs).
-func ServeSuite(shards int) (static, adaptive ServeResult, replayIdentical bool, err error) {
-	static, err = serveMeasure(false, shards)
+// The returned replayIdentical is that replay check's verdict.
+func ServeSuite() (static, adaptive ServeResult, replayIdentical bool, err error) {
+	static, err = serveMeasure(false)
 	if err != nil {
 		return
 	}
-	adaptive, err = serveMeasure(true, shards)
+	adaptive, err = serveMeasure(true)
 	if err != nil {
 		return
 	}
@@ -139,7 +127,7 @@ func ServeSuite(shards int) (static, adaptive ServeResult, replayIdentical bool,
 			return
 		}
 	}
-	replay, err := serveMeasure(true, shards)
+	replay, err := serveMeasure(true)
 	if err != nil {
 		return
 	}

@@ -64,7 +64,7 @@ func (d *DSM) miss(t *pm2.Thread, addr Addr, err error, retry int) {
 		if maxUS > 500 {
 			maxUS = 500
 		}
-		jitter := sim.Duration(1+d.rt.EngineFor(t.Node()).Rand().Intn(maxUS)) * sim.Microsecond
+		jitter := sim.Duration(1+d.rt.Engine().Rand().Intn(maxUS)) * sim.Microsecond
 		t.Advance(jitter)
 	}
 	d.handleFault(t, addr, pg, write)
@@ -81,25 +81,24 @@ func (d *DSM) handleFault(t *pm2.Thread, addr Addr, pg Page, write bool) {
 	node := t.Node()
 	e := d.Entry(node, pg)
 	proto := d.instance(e.proto)
-	pools := d.recs(node)
 	// The timing record outlives the fault in the ring, and comes from
 	// there: the record a later fault evicts serves the next one.
-	ft := take(&pools.timings)
+	ft := take(&d.recs.timings)
 	ft.Start, ft.Protocol, ft.Write, ft.Detect = start, proto.Name(), write, d.costs.Fault
-	f := take(&pools.faults)
+	f := take(&d.recs.faults)
 	f.DSM, f.Thread, f.Node, f.Addr, f.Page, f.Write, f.Entry, f.Timing = d, t, node, addr, pg, write, e, ft
 	d.nodeFaults[node]++
 	d.profFault(node, pg, write)
 	if write {
-		d.st(node).WriteFaults++
+		d.stats.WriteFaults++
 		proto.WriteFaultHandler(f)
 	} else {
-		d.st(node).ReadFaults++
+		d.stats.ReadFaults++
 		proto.ReadFaultHandler(f)
 	}
 	ft.Total = t.Now().Sub(start)
-	if old := d.tlog(node).Add(ft); old != nil {
-		put(d, &pools.timings, old)
+	if old := d.timings.Add(ft); old != nil {
+		put(d, &d.recs.timings, old)
 	}
 	if f.entryLocked {
 		// Safe to release before the retry: the current thread keeps
@@ -108,9 +107,7 @@ func (d *DSM) handleFault(t *pm2.Thread, addr Addr, pg Page, write bool) {
 		// server can run in between.
 		e.Unlock(t)
 	}
-	// A migration-based handler moved the thread: the record goes to the
-	// pools of the node it ended on.
-	put(d, &d.recs(t.Node()).faults, f)
+	put(d, &d.recs.faults, f)
 }
 
 // Read copies len(buf) shared bytes at addr into buf.
@@ -167,7 +164,7 @@ func (d *DSM) WriteUint64(t *pm2.Thread, addr Addr, v uint64) {
 // it provides one (java_ic/java_pf), falling back to the paged access path
 // otherwise, so object-style programs run under any protocol.
 func (d *DSM) Get(t *pm2.Thread, addr Addr, buf []byte) {
-	d.st(t.Node()).GetOps++
+	d.stats.GetOps++
 	if op, ok := d.protoAt(t.Node(), pageOf(addr)).(ObjectProtocol); ok {
 		op.Get(&ObjAccess{DSM: d, Thread: t, Addr: addr, Buf: buf, Write: false})
 		return
@@ -178,7 +175,7 @@ func (d *DSM) Get(t *pm2.Thread, addr Addr, buf []byte) {
 // Put performs an object write through the page protocol's put primitive if
 // it provides one, falling back to the paged access path otherwise.
 func (d *DSM) Put(t *pm2.Thread, addr Addr, buf []byte) {
-	d.st(t.Node()).PutOps++
+	d.stats.PutOps++
 	if op, ok := d.protoAt(t.Node(), pageOf(addr)).(ObjectProtocol); ok {
 		op.Put(&ObjAccess{DSM: d, Thread: t, Addr: addr, Buf: buf, Write: true})
 		return

@@ -63,7 +63,7 @@ func (d *DSM) registerServices() {
 			} else {
 				p.ReadServer(r)
 			}
-			put(d, &d.recs(r.Node).requests, r)
+			put(d, &d.recs.requests, r)
 			return nil
 		})
 
@@ -75,7 +75,7 @@ func (d *DSM) registerServices() {
 			}
 			pm.DSM, pm.Thread, pm.Node = d, h, h.Node()
 			d.protoAt(pm.Node, pm.Page).ReceivePageServer(pm)
-			put(d, &d.recs(pm.Node).pages, pm)
+			put(d, &d.recs.pages, pm)
 			return nil
 		})
 
@@ -101,7 +101,7 @@ func (d *DSM) registerServices() {
 				// answered for exactly which invalidations.
 				d.replyDirect(iv.Node, iv.From, iv.ack, invAck{node: iv.Node, page: iv.Page})
 			}
-			put(d, &d.recs(iv.Node).invs, iv)
+			put(d, &d.recs.invs, iv)
 			return nil
 		})
 
@@ -118,7 +118,7 @@ func (d *DSM) registerServices() {
 			if dm.reply != nil {
 				d.replyDirect(dm.Node, dm.From, dm.reply, nil)
 			}
-			put(d, &d.recs(dm.Node).diffs, dm)
+			put(d, &d.recs.diffs, dm)
 			return nil
 		})
 	}
@@ -127,8 +127,8 @@ func (d *DSM) registerServices() {
 
 // sendRequest delivers a page request to dest (a control message).
 func (d *DSM) sendRequest(from, dest int, m *Request) {
-	m.sentAt = d.rt.EngineFor(from).Now()
-	st := d.st(from)
+	m.sentAt = d.rt.Engine().Now()
+	st := &d.stats
 	st.Requests++
 	st.Sends++
 	st.Envelopes++
@@ -141,9 +141,9 @@ func (d *DSM) sendRequest(from, dest int, m *Request) {
 // carrying link's profile name is recorded for FaultTiming attribution, so
 // reports can split fault costs by link class (intra- vs inter-cluster).
 func (d *DSM) sendPage(from, dest int, m *PageMsg) {
-	m.sentAt = d.rt.EngineFor(from).Now()
+	m.sentAt = d.rt.Engine().Now()
 	m.link = d.rt.Link(from, dest).Name
-	st := d.st(from)
+	st := &d.stats
 	st.PageSends++
 	st.PageBytes += int64(len(m.Data))
 	st.Sends++
@@ -153,7 +153,7 @@ func (d *DSM) sendPage(from, dest int, m *PageMsg) {
 
 // newInvalidate takes an invalidation record for pg, sent by from.
 func (d *DSM) newInvalidate(from int, pg Page, newOwner int, ack *sim.Chan) *Invalidate {
-	iv := take(&d.recs(from).invs)
+	iv := take(&d.recs.invs)
 	iv.Page, iv.From, iv.NewOwner, iv.ack = pg, from, newOwner, ack
 	return iv
 }
@@ -161,7 +161,7 @@ func (d *DSM) newInvalidate(from int, pg Page, newOwner int, ack *sim.Chan) *Inv
 // sendInvalidate delivers an invalidation of pg to dest as its own envelope
 // (the unbatched path; batched flushes coalesce invalidations in outbox.go).
 func (d *DSM) sendInvalidate(from, dest int, pg Page, newOwner int, ack *sim.Chan) {
-	st := d.st(from)
+	st := &d.stats
 	st.Invalidations++
 	st.Sends++
 	st.Envelopes++
@@ -188,9 +188,9 @@ func (d *DSM) startDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, noticed,
 	for _, df := range diffs {
 		size += df.Size()
 	}
-	m := take(&d.recs(t.Node()).diffs)
+	m := take(&d.recs.diffs)
 	m.From, m.Diffs, m.Noticed = t.Node(), diffs, noticed
-	st := d.st(t.Node())
+	st := &d.stats
 	st.DiffsSent += int64(len(diffs))
 	st.DiffBytes += int64(size)
 	st.Sends++
@@ -233,7 +233,7 @@ func (d *DSM) waitDiffs(t *pm2.Thread, f diffFlight) {
 			// duplicate ack just lingers unread in this call's private
 			// reply channel. Counted like any other shipment, mirroring
 			// the batched retry path's accounting.
-			st := d.st(t.Node())
+			st := &d.stats
 			st.DiffsSent += int64(len(f.m.Diffs))
 			st.Sends++
 			st.Envelopes++
@@ -255,7 +255,7 @@ func (d *DSM) waitDiffs(t *pm2.Thread, f diffFlight) {
 // invalidating third-party copies) happen exactly as they would have at the
 // old home.
 func (d *DSM) rerouteDiff(t *pm2.Thread, df *memory.Diff) {
-	pi, _ := d.dir.get(df.Page)
+	pi := d.dir[df.Page]
 	home := pi.home
 	if home != t.Node() {
 		d.sendDiffs(t, home, []*memory.Diff{df}, true)

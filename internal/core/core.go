@@ -13,8 +13,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"maps"
+	"slices"
 
 	"dsmpm2/internal/isomalloc"
 	"dsmpm2/internal/memory"
@@ -86,11 +86,6 @@ type nodeState struct {
 	// barrier keeps a concurrent thread's arrival at a different barrier
 	// from walking off with them.
 	notices map[int][]WriteNotice
-
-	// treebar holds this node's combining-tree barrier accumulators, keyed
-	// by barrier id — populated only on cluster-leader nodes of a sharded
-	// machine (see treebar.go).
-	treebar map[int]*treeBarLocal
 }
 
 // DSM is a DSM-PM2 instance spanning all nodes of a PM2 machine.
@@ -99,41 +94,27 @@ type DSM struct {
 	alloc *isomalloc.Allocator
 	costs Costs
 
-	// bufsSh recycles page-sized buffers — wire copies of page transfers
-	// and the twins of multiple-writer protocols — one pool per event-loop
-	// shard, accessed through buf(node) so concurrent shards never share a
-	// free list. Buffers drift between pools (a page fetched on one shard
-	// is recycled on the receiver's), which is harmless: pools are
-	// interchangeable and each stays internally consistent.
-	bufsSh []*memory.BufPool
-	// recsSh recycles the core's records the same way (see records.go).
-	recsSh []recPools
+	// bufs recycles page-sized buffers: wire copies of page transfers and
+	// the twins of multiple-writer protocols.
+	bufs *memory.BufPool
+	// recs recycles the core's records (see records.go).
+	recs recPools
 
 	state []*nodeState
 
 	registry *Registry
-	// instances is a copy-on-write ProtoID → Protocol map: protoFor runs on
-	// every fault and message service, from every shard's context, while
-	// instantiation is rare (first use of a protocol). Readers load the
-	// published map lock-free; instMu serializes the writers.
-	instances atomic.Pointer[map[ProtoID]Protocol]
-	instMu    sync.Mutex
+	// instances holds the protocols instantiated so far, by id (see instance).
+	instances map[ProtoID]Protocol
 	defProto  ProtoID
 
-	// dir is the range-sharded page directory (see directory.go): the
-	// allocation-time home/protocol metadata, partitioned by isomalloc
-	// slice owner.
-	dir *directory
+	// dir is the page directory: the allocation-time home and protocol of
+	// every shared page, updated by protocol switches, home migration,
+	// recovery re-homing and snapshot restore.
+	dir map[Page]pageInfo
 
 	locks    []*lockState
 	barriers []*barrierState
 	conds    []*condState
-
-	// tree is the combining-tree barrier topology, built when the runtime
-	// is sharded (nil otherwise): cluster-wide barriers then aggregate
-	// arrivals per cluster leader instead of funneling every arrival to
-	// node 0. See treebar.go.
-	tree *barTree
 
 	objects *objectSpace
 
@@ -153,22 +134,13 @@ type DSM struct {
 	// comparison (see outbox.go).
 	batch bool
 
-	// statsSh and timingsSh hold one counter block / timing ring per
-	// event-loop shard: every increment happens from some node's context
-	// and lands in that node's shard's block, so no two host cores ever
-	// contend on (or race over) a counter. Stats() and Timings() fold them
-	// in shard order — a deterministic merge, since each shard's content is
-	// deterministic. With Shards=1 there is exactly one block and the fold
-	// is the identity.
-	statsSh    []Stats
-	timingsSh  []TimingLog
+	// stats and timings are the DSM-wide counters and fault-timing ring.
+	stats      Stats
+	timings    TimingLog
 	nodeFaults []int64
 
 	// opHists holds the per-operation latency histograms (see histogram.go),
-	// keyed by op kind, created lazily by OpHist; histMu guards the map
-	// (threads on different shards may register kinds concurrently — the
-	// histograms themselves are internally atomic).
-	histMu  sync.Mutex
+	// keyed by op kind, created lazily by OpHist.
 	opHists map[string]*Histogram
 
 	// tunedPagePrior records that an offline what-if sweep concluded the
@@ -190,21 +162,15 @@ type pageInfo struct {
 // protocol registry. Registered protocols are instantiated per DSM.
 func New(rt *pm2.Runtime, reg *Registry, costs Costs) *DSM {
 	d := &DSM{
-		rt:       rt,
-		alloc:    isomalloc.New(rt.Nodes(), PageSize),
-		costs:    costs,
-		registry: reg,
-		defProto: -1,
-		batch:    true,
-	}
-	d.dir = newDirectory(d.alloc, rt.Nodes())
-	shards := rt.Shards()
-	d.statsSh = make([]Stats, shards)
-	d.timingsSh = make([]TimingLog, shards)
-	d.bufsSh = make([]*memory.BufPool, shards)
-	d.recsSh = make([]recPools, shards)
-	for i := range d.bufsSh {
-		d.bufsSh[i] = memory.NewBufPool(PageSize)
+		rt:        rt,
+		alloc:     isomalloc.New(rt.Nodes(), PageSize),
+		costs:     costs,
+		bufs:      memory.NewBufPool(PageSize),
+		registry:  reg,
+		instances: make(map[ProtoID]Protocol),
+		defProto:  -1,
+		dir:       make(map[Page]pageInfo),
+		batch:     true,
 	}
 	d.nodeFaults = make([]int64, rt.Nodes())
 	for i := 0; i < rt.Nodes(); i++ {
@@ -213,9 +179,6 @@ func New(rt *pm2.Runtime, reg *Registry, costs Costs) *DSM {
 			space: memory.NewSpace(PageSize),
 			table: make(map[Page]*Entry),
 		})
-	}
-	if rt.Shards() > 1 {
-		d.tree = newBarTree(rt)
 	}
 	d.objects = newObjectSpace(d)
 	d.registerServices()
@@ -254,44 +217,18 @@ func (d *DSM) DefaultProtocol() ProtoID { return d.defProto }
 
 // instance returns (instantiating on first use) the protocol instance for id.
 func (d *DSM) instance(id ProtoID) Protocol {
-	if m := d.instances.Load(); m != nil {
-		if p, ok := (*m)[id]; ok {
-			return p
-		}
+	p, ok := d.instances[id]
+	if !ok {
+		p = d.registry.newInstance(id, d)
+		d.instances[id] = p
 	}
-	d.instMu.Lock()
-	defer d.instMu.Unlock()
-	old := d.instances.Load()
-	if old != nil {
-		if p, ok := (*old)[id]; ok {
-			return p
-		}
-	}
-	p := d.registry.newInstance(id, d)
-	next := make(map[ProtoID]Protocol, 1)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[id] = p
-	d.instances.Store(&next)
 	return p
-}
-
-// instanceIfLive returns the already-instantiated protocol for id, if any.
-func (d *DSM) instanceIfLive(id ProtoID) (Protocol, bool) {
-	if m := d.instances.Load(); m != nil {
-		p, ok := (*m)[id]
-		return p, ok
-	}
-	return nil, false
 }
 
 // eachInstance invokes fn on every instantiated protocol, in id order.
 func (d *DSM) eachInstance(fn func(Protocol)) {
 	for id := ProtoID(0); int(id) < d.registry.Len(); id++ {
-		if p, ok := d.instanceIfLive(id); ok {
+		if p, ok := d.instances[id]; ok {
 			fn(p)
 		}
 	}
@@ -341,7 +278,7 @@ func (d *DSM) Malloc(node, size int, attr *Attr) (Addr, error) {
 	npages := r.Size / PageSize
 	for i := 0; i < npages; i++ {
 		pg := first + Page(i)
-		d.dir.set(pg, pageInfo{home: home, proto: proto})
+		d.dir[pg] = pageInfo{home: home, proto: proto}
 		// The home node starts with the only, writable copy.
 		d.state[home].space.SetAccess(pg, memory.ReadWrite)
 		d.Entry(home, pg).Owner = true
@@ -352,7 +289,7 @@ func (d *DSM) Malloc(node, size int, attr *Attr) (Addr, error) {
 			d.prof.track(pg)
 		}
 	}
-	st := d.st(node)
+	st := &d.stats
 	st.Allocs++
 	st.AllocBytes += int64(r.Size)
 	return r.Base, nil
@@ -374,14 +311,19 @@ func (d *DSM) Free(base Addr) error { return d.alloc.Free(base) }
 // PageInfo reports the home node and protocol of a page, as recorded at
 // allocation time.
 func (d *DSM) PageInfo(pg Page) (home int, proto ProtoID, ok bool) {
-	pi, ok := d.dir.get(pg)
+	pi, ok := d.dir[pg]
 	return pi.home, pi.proto, ok
 }
+
+// sortedPages returns every allocated page in ascending order: the
+// deterministic iteration order of recovery sweeps, snapshots and profiler
+// tracking.
+func (d *DSM) sortedPages() []Page { return slices.Sorted(maps.Keys(d.dir)) }
 
 // protoFor returns the protocol instance managing page pg, from the
 // directory. Cold paths only — hot paths with a node in hand use protoAt.
 func (d *DSM) protoFor(pg Page) Protocol {
-	pi, ok := d.dir.get(pg)
+	pi, ok := d.dir[pg]
 	if !ok {
 		panic(fmt.Sprintf("core: access to unallocated page %d", pg))
 	}
@@ -390,8 +332,7 @@ func (d *DSM) protoFor(pg Page) Protocol {
 
 // protoAt returns the protocol managing pg via node's page-table entry,
 // which caches the protocol id at creation: the fault/serve/invalidate hot
-// paths resolve their protocol from node-local state, never touching a
-// directory partition (let alone one owned by another shard's range).
+// paths resolve their protocol from node-local state, not the directory.
 func (d *DSM) protoAt(node int, pg Page) Protocol {
 	return d.instance(d.Entry(node, pg).proto)
 }

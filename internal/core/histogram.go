@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 
 	"dsmpm2/internal/sim"
 )
@@ -68,26 +67,13 @@ func histBucketMax(i int) int64 {
 	return ((histSub + sub + 1) << exp) - 1
 }
 
-// Record adds one sample. Negative durations are clamped to zero. Record is
-// safe to call concurrently from different event-loop shards: every update is
-// a commutative atomic add (max is a CAS loop), so the final counts — and
-// therefore every quantile — are identical whatever the host interleaving.
-// Readers (Count, Quantile, Snapshot, capture) assume a quiescent histogram;
-// call them between runs, as with Stats.
+// Record adds one sample. Negative durations are clamped to zero.
 func (h *Histogram) Record(d sim.Duration) {
-	v := int64(d)
-	if v < 0 {
-		v = 0
-	}
-	atomic.AddInt64(&h.counts[histBucketOf(v)], 1)
-	atomic.AddInt64(&h.n, 1)
-	atomic.AddInt64(&h.sum, v)
-	for {
-		m := atomic.LoadInt64(&h.max)
-		if v <= m || atomic.CompareAndSwapInt64(&h.max, m, v) {
-			return
-		}
-	}
+	v := max(int64(d), 0)
+	h.counts[histBucketOf(v)]++
+	h.n++
+	h.sum += v
+	h.max = max(h.max, v)
 }
 
 // Count reports the number of recorded samples.
@@ -224,8 +210,6 @@ func (h *Histogram) restore(s HistogramState) error {
 // completion path. The histograms live outside Stats (they are too big to
 // copy on every Stats() call) but share its lifetime.
 func (d *DSM) OpHist(kind string) *Histogram {
-	d.histMu.Lock()
-	defer d.histMu.Unlock()
 	if d.opHists == nil {
 		d.opHists = make(map[string]*Histogram)
 	}
@@ -240,8 +224,6 @@ func (d *DSM) OpHist(kind string) *Histogram {
 // OpKinds returns the registered histogram kinds in sorted order, so reports
 // iterate deterministically.
 func (d *DSM) OpKinds() []string {
-	d.histMu.Lock()
-	defer d.histMu.Unlock()
 	out := make([]string, 0, len(d.opHists))
 	for k := range d.opHists {
 		out = append(out, k)

@@ -114,7 +114,7 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 		return
 	}
 	h.Compute(d.costs.Server) // package the page, like any page serve
-	data := d.buf(node).Get()
+	data := d.bufs.Get()
 	copy(data, frame.Data)
 	access := frame.Access
 	copyset := make([]int, 0, e.Copyset.Len())
@@ -131,7 +131,7 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 	// demoted entry and forwards to the new home.
 
 	ack := new(sim.Chan)
-	st := d.st(node)
+	st := &d.stats
 	st.PageSends++
 	st.PageBytes += PageSize
 	st.Sends++
@@ -162,7 +162,7 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 			// Alive but silent (loss): re-send a fresh pooled copy — the
 			// install applies idempotently and a duplicate is discarded
 			// with its buffer reclaimed exactly once.
-			dup := d.buf(node).Get()
+			dup := d.bufs.Get()
 			copy(dup, data)
 			st.PageSends++
 			st.PageBytes += PageSize
@@ -200,7 +200,7 @@ func (d *DSM) serveMigrateInstall(h *pm2.Thread, m *migInstallMsg) {
 		// reference copy. Discard it — the pooled wire copy is reclaimed
 		// exactly once either way (nil guards the duplicated-delivery case,
 		// where a lossy link hands the same message to the handler twice).
-		d.buf(h.Node()).Put(m.data)
+		d.bufs.Put(m.data)
 		m.data = nil
 		return
 	}
@@ -209,7 +209,7 @@ func (d *DSM) serveMigrateInstall(h *pm2.Thread, m *migInstallMsg) {
 	e.Lock(h)
 	if e.Owner {
 		// Duplicate of an already-applied install.
-		d.buf(node).Put(m.data)
+		d.bufs.Put(m.data)
 		m.data = nil
 		e.Unlock(h)
 		d.replyDirect(node, m.from, m.reply, true)
@@ -218,7 +218,7 @@ func (d *DSM) serveMigrateInstall(h *pm2.Thread, m *migInstallMsg) {
 	h.Compute(d.costs.Install)
 	frame := d.state[node].space.Ensure(m.page)
 	copy(frame.Data, m.data)
-	d.buf(node).Put(m.data)
+	d.bufs.Put(m.data)
 	m.data = nil
 	frame.Access = m.access
 	e.Owner = true
@@ -294,7 +294,7 @@ func (d *DSM) startMigration(h *pm2.Thread, pg Page, newHome int) *migFlight {
 	}
 	f.reply = new(sim.Chan)
 	f.m = &migMsg{page: pg, newHome: newHome, from: h.Node(), reply: f.reply}
-	st := d.st(h.Node())
+	st := &d.stats
 	st.Sends++
 	st.Envelopes++
 	d.rt.AsyncFrom(h.Node(), owner, svcMigrateHome, f.m, ctrlBytes)
@@ -328,16 +328,18 @@ func (d *DSM) finishMigration(h *pm2.Thread, f *migFlight) bool {
 				if d.NodeDead(f.owner) {
 					return false
 				}
-				st := d.st(h.Node())
+				st := &d.stats
 				st.Sends++
 				st.Envelopes++
 				d.rt.AsyncFrom(h.Node(), f.owner, svcMigrateHome, f.m, ctrlBytes)
 			}
 		}
 	}
-	d.dir.setHome(f.pg, f.newHome)
-	d.st(h.Node()).HomeMigrations++
-	d.tlog(h.Node()).Add(&FaultTiming{
+	pi := d.dir[f.pg]
+	pi.home = f.newHome
+	d.dir[f.pg] = pi
+	d.stats.HomeMigrations++
+	d.timings.Add(&FaultTiming{
 		Start:    f.start,
 		Protocol: "migrate_home",
 		Link:     d.rt.Link(f.owner, f.newHome).Name,

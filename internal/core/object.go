@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"dsmpm2/internal/pm2"
 )
@@ -34,14 +33,9 @@ func (o ObjRef) Field(i int) Addr {
 	return o.Base + Addr(i*FieldBytes)
 }
 
-// objectSpace bump-allocates objects inside per-home page areas. mu guards
-// the area map and the bump pointers: on a sharded machine, setup threads on
-// different event-loop shards may create objects concurrently. Each area's
-// addresses come from Malloc (itself shard-safe), so the lock only orders the
-// bump arithmetic.
+// objectSpace bump-allocates objects inside per-home page areas.
 type objectSpace struct {
 	d     *DSM
-	mu    sync.Mutex
 	areas map[areaKey]*objArea
 }
 
@@ -80,8 +74,6 @@ func (d *DSM) NewObject(home, nFields int, proto ProtoID) (ObjRef, error) {
 		proto = d.defProto
 	}
 	key := areaKey{home: home, proto: proto}
-	d.objects.mu.Lock()
-	defer d.objects.mu.Unlock()
 	area := d.objects.areas[key]
 	if area == nil {
 		area = &objArea{attr: &Attr{Protocol: proto, Home: home}}

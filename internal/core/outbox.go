@@ -66,7 +66,7 @@ type Batch struct {
 // NewBatch opens an outbox for operations sent on behalf of t's node. It
 // lives until its Flush, which every caller owes it exactly once.
 func (d *DSM) NewBatch(t *pm2.Thread) *Batch {
-	b := take(&d.recs(t.Node()).batches)
+	b := take(&d.recs.batches)
 	b.d, b.t, b.node = d, t, t.Node()
 	return b
 }
@@ -199,14 +199,14 @@ func (b *Batch) Flush(wait bool) {
 			b.flushUnbatched(wait)
 		}
 	}
-	put(d, &d.recs(b.node).batches, b)
+	put(d, &d.recs.batches, b)
 }
 
 // flushBatched sends each destination's run as one multi-part envelope whose
 // single reply coalesces every acknowledgement.
 func (b *Batch) flushBatched(wait bool) {
 	d := b.d
-	st := d.st(b.node)
+	st := &d.stats
 	// Grown once up front: the flights below keep slices of it.
 	b.elems = slices.Grow(b.elems[:0], len(b.ops))
 	for dest, run := range b.liveRuns {
@@ -218,7 +218,7 @@ func (b *Batch) flushBatched(wait bool) {
 				acks++
 				continue
 			}
-			dm := take(&d.recs(b.node).diffs)
+			dm := take(&d.recs.diffs)
 			dm.From, dm.Noticed, dm.one[0] = b.node, op.noticed, op.diff
 			dm.Diffs = dm.one[:]
 			size := ctrlBytes + op.diff.Size()
@@ -267,7 +267,7 @@ func (b *Batch) waitFlight(f *batchFlight) {
 			// the abandoned call, never released, keeps a late first reply to
 			// itself. Counted like any other shipment, mirroring the
 			// unbatched retry path's accounting.
-			st := d.st(b.node)
+			st := &d.stats
 			st.Invalidations += int64(f.acks)
 			st.DiffsSent += int64(len(f.elems) - f.acks)
 			st.Sends += int64(len(f.elems))
@@ -276,7 +276,7 @@ func (b *Batch) waitFlight(f *batchFlight) {
 		}
 	}
 	f.call.Release()
-	d.st(b.node).InvAcks += int64(f.acks)
+	d.stats.InvAcks += int64(f.acks)
 }
 
 // flushUnbatched reproduces the pre-batching wire pattern — one envelope per
@@ -320,7 +320,7 @@ func (b *Batch) flushUnbatched(wait bool) {
 	if d.recovery == nil {
 		for i := 0; i < acks; i++ {
 			ack.Recv(t.Proc())
-			d.st(b.node).InvAcks++
+			d.stats.InvAcks++
 		}
 	} else {
 		attempt := 0
@@ -330,7 +330,7 @@ func (b *Batch) flushUnbatched(wait bool) {
 				if a, isAck := v.(invAck); isAck {
 					if _, pending := outstanding[a]; pending {
 						delete(outstanding, a)
-						d.st(b.node).InvAcks++
+						d.stats.InvAcks++
 					}
 				}
 				continue
@@ -397,7 +397,7 @@ func (d *DSM) QueueWriteNotice(t *pm2.Thread, barrier int, pg Page) {
 		ns.notices = make(map[int][]WriteNotice)
 	}
 	ns.notices[barrier] = append(ns.notices[barrier], WriteNotice{Page: pg, Writer: t.Node()})
-	d.st(t.Node()).Notices++
+	d.stats.Notices++
 }
 
 // takeNotices drains the write notices a node queued for one barrier, in
@@ -479,5 +479,5 @@ func (d *DSM) applyNotice(t *pm2.Thread, pg Page, ws []WriteNotice) {
 	iv := d.newInvalidate(node, pg, -1, nil)
 	iv.DSM, iv.Thread, iv.Node, iv.From = d, t, node, ws[0].Writer
 	d.instance(e.proto).InvalidateServer(iv)
-	put(d, &d.recs(node).invs, iv)
+	put(d, &d.recs.invs, iv)
 }

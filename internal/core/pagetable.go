@@ -92,7 +92,7 @@ func (d *DSM) Entry(node int, pg Page) *Entry {
 	if e, ok := ns.table[pg]; ok {
 		return e
 	}
-	pi, ok := d.dir.get(pg)
+	pi, ok := d.dir[pg]
 	if !ok {
 		panic("core: page table entry requested for unallocated page")
 	}

@@ -188,7 +188,7 @@ func (d *DSM) EnableProfiler(cfg ProfilerConfig) {
 		nodes: d.rt.Nodes(),
 		pages: make(map[Page]*pageProfile),
 	}
-	for _, pg := range d.dir.sortedPages() {
+	for _, pg := range d.sortedPages() {
 		d.prof.track(pg)
 	}
 	// The migration services are registered lazily, so a profiler-off system
@@ -284,7 +284,7 @@ func (d *DSM) profFault(node int, pg Page, write bool) {
 // exists to remove.
 func (d *DSM) profFetch(node int, pg Page, dest int) {
 	if dest != node {
-		d.st(node).RemoteFetches++
+		d.stats.RemoteFetches++
 	}
 	if d.prof == nil {
 		return
@@ -294,8 +294,8 @@ func (d *DSM) profFetch(node int, pg Page, dest int) {
 		return
 	}
 	pp.counts[node].fetches++
-	if pi, ok := d.dir.get(pg); ok && pp.pref == node && pi.home != node {
-		d.st(node).MisplacedFetches++
+	if pi, ok := d.dir[pg]; ok && pp.pref == node && pi.home != node {
+		d.stats.MisplacedFetches++
 	}
 }
 
@@ -412,7 +412,7 @@ func (d *DSM) foldEpoch() (EpochProfile, []migCandidate) {
 		for n := range pp.counts {
 			pp.counts[n] = pageCounters{}
 		}
-		if pi, ok := d.dir.get(pg); ok && p.cfg.Migrate && migratable(class) &&
+		if pi, ok := d.dir[pg]; ok && p.cfg.Migrate && migratable(class) &&
 			writer >= 0 && pp.stable >= p.cfg.Stability && pi.home != writer {
 			cands = append(cands, migCandidate{pg: pg, writer: writer})
 		}

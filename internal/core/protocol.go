@@ -100,7 +100,7 @@ type PageMsg struct {
 // message returns its buffer to a pool — exactly once per message.
 func (pm *PageMsg) CopyArg() interface{} {
 	c := *pm
-	c.Data = pm.DSM.buf(pm.From).Get()
+	c.Data = pm.DSM.bufs.Get()
 	copy(c.Data, pm.Data)
 	return &c
 }

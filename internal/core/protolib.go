@@ -90,7 +90,7 @@ func FetchPage(f *Fault, write bool) {
 // newRequest takes a request record on node sender and fills in what the
 // requester knows; the serving handler completes and frees it.
 func (d *DSM) newRequest(sender int, pg Page, from int, write bool, seq uint64, ft *FaultTiming) *Request {
-	r := take(&d.recs(sender).requests)
+	r := take(&d.recs.requests)
 	r.Page, r.From, r.Write, r.Seq, r.Timing = pg, from, write, seq, ft
 	return r
 }
@@ -143,13 +143,13 @@ func SendPage(r *Request, e *Entry, dest int, access memory.Access, ownship bool
 			r.Node, e.Page, r.From))
 	}
 	// The wire copy is pooled; InstallPage returns it once installed.
-	data := d.buf(r.Node).Get()
+	data := d.bufs.Get()
 	copy(data, frame.Data)
 	owner := r.Node
 	if ownship {
 		owner = dest
 	}
-	pm := take(&d.recs(r.Node).pages)
+	pm := take(&d.recs.pages)
 	pm.DSM = d // for CopyArg; the receiving handler completes the rest
 	pm.Page, pm.From, pm.Data, pm.Access, pm.Owner, pm.Ownship = e.Page, r.Node, data, access, owner, ownship
 	pm.Copyset, pm.Seq, pm.Timing = copyset.AppendTo(nil), r.Seq, r.Timing
@@ -173,7 +173,7 @@ func InstallPage(pm *PageMsg) {
 		// satisfied): its data may predate writes the current owner has
 		// accepted. Discard it; the outstanding fetch, if any, stays
 		// pending and its own response will complete it.
-		d.buf(pm.Node).Put(pm.Data)
+		d.bufs.Put(pm.Data)
 		pm.Data = nil
 		e.Unlock(t)
 		return
@@ -184,7 +184,7 @@ func InstallPage(pm *PageMsg) {
 		// Drop it and let the faulting threads refault and refetch.
 		// Ownership transfers are exempt: the previous owner serialized
 		// the granting write after any invalidation it sent us.
-		d.buf(pm.Node).Put(pm.Data)
+		d.bufs.Put(pm.Data)
 		pm.Data = nil
 		e.Pending = false
 		e.Broadcast()
@@ -194,7 +194,7 @@ func InstallPage(pm *PageMsg) {
 	space := d.state[pm.Node].space
 	frame := space.Ensure(pm.Page)
 	copy(frame.Data, pm.Data)
-	d.buf(pm.Node).Put(pm.Data) // wire copy was pooled by SendPage; recycle it
+	d.bufs.Put(pm.Data) // wire copy was pooled by SendPage; recycle it
 	pm.Data = nil
 	frame.Access = pm.Access
 	e.ProbOwner = pm.Owner
@@ -231,7 +231,7 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 		})
 		for i := 0; i < acks; i++ {
 			ack.Recv(t.Proc())
-			d.st(t.Node()).InvAcks++
+			d.stats.InvAcks++
 		}
 		return
 	}
@@ -250,7 +250,7 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 		if ok {
 			if a, isAck := v.(invAck); isAck && outstanding[a.node] {
 				delete(outstanding, a.node)
-				d.st(t.Node()).InvAcks++
+				d.stats.InvAcks++
 			}
 			continue
 		}
@@ -317,13 +317,12 @@ func MigrateToOwner(f *Fault) {
 	e.Lock(t)
 	dest := e.ProbOwner
 	e.Unlock(t)
-	src := t.Node()
 	start := t.Now()
 	t.MigrateTo(dest)
 	if f.Timing != nil {
 		f.Timing.Migration = t.Now().Sub(start)
 	}
-	d.CountMigration(src)
+	d.stats.Migrations++
 }
 
 // twinData is the ProtoData payload used by multiple-writer protocols.
@@ -345,7 +344,7 @@ func EnsureTwin(d *DSM, node int, e *Entry) {
 		if frame == nil {
 			panic("core: EnsureTwin without a local copy")
 		}
-		td.twin = d.buf(node).MakeTwin(frame.Data)
+		td.twin = d.bufs.MakeTwin(frame.Data)
 	}
 }
 
@@ -365,12 +364,12 @@ func TwinDiff(d *DSM, node int, e *Entry) *memory.Diff {
 	}
 	frame := d.state[node].space.Frame(e.Page)
 	if frame == nil {
-		d.buf(node).Put(td.twin)
+		d.bufs.Put(td.twin)
 		td.twin = nil
 		return nil
 	}
 	diff := memory.ComputeDiff(e.Page, td.twin, frame.Data, d.costs.DiffGap)
-	d.buf(node).Put(td.twin) // twin came from the pool; recycle it
+	d.bufs.Put(td.twin) // twin came from the pool; recycle it
 	td.twin = nil
 	if diff.Empty() {
 		return nil

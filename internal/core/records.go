@@ -15,10 +15,8 @@ import (
 // injection revokes it, so with recovery on nothing is recycled (put) and a
 // handler works on a copy of what it was sent (private).
 
-// recPools holds one event-loop shard's free records, reached through
-// recs(node) like buf(node) and st(node). The lists start empty and fill with
-// what the run frees — nothing is allocated ahead of use — and records drift
-// between shards' lists as page buffers do (freed where they are consumed).
+// recPools holds the free records. The lists start empty and fill with what
+// the run frees — nothing is allocated ahead of use.
 type recPools struct {
 	requests freelist.List[*Request]
 	pages    freelist.List[*PageMsg]
@@ -29,9 +27,6 @@ type recPools struct {
 	syncs    freelist.List[*SyncEvent]
 	batches  freelist.List[*Batch]
 }
-
-// recs returns node's shard's record pools.
-func (d *DSM) recs(node int) *recPools { return &d.recsSh[d.rt.ShardOf(node)] }
 
 // PoisonFreed is the use-after-free net, set only by tests (of this package
 // and of those above it, which is why it is exported): put then fills a freed

@@ -202,7 +202,7 @@ func TestMigratingFaultFreesItsRecordOnce(t *testing.T) {
 	if end != 0 {
 		t.Fatalf("thread ended on node %d, want the page's node 0", end)
 	}
-	if n := d.recs(end).faults.Len(); n != 1 {
+	if n := d.recs.faults.Len(); n != 1 {
 		t.Fatalf("%d fault records pooled where the thread ended, want 1", n)
 	}
 	if ft := d.Timings().All(); len(ft) != 1 || ft[0].Migration == 0 || ft[0].Total < ft[0].Migration+sim.Duration(ft[0].Detect) {

@@ -270,10 +270,6 @@ func (d *DSM) RestartNode(n int) {
 	}
 }
 
-// sortedPages returns every allocated page in ascending order: the
-// deterministic sweep order of the recovery passes.
-func (d *DSM) sortedPages() []Page { return d.dir.sortedPages() }
-
 // rehomePages repairs the page manager after node n died: pages homed or
 // owned there move to the freshest surviving replica, and every surviving
 // entry drops n from its copyset and stops routing requests through it.
@@ -281,7 +277,7 @@ func (d *DSM) rehomePages(n int) {
 	rec := d.recovery
 	deadState := d.state[n]
 	for _, pg := range d.sortedPages() {
-		pi, _ := d.dir.get(pg)
+		pi := d.dir[pg]
 		deadEntry := deadState.table[pg]
 		ownerDied := deadEntry != nil && deadEntry.Owner
 		homeDied := pi.home == n
@@ -323,7 +319,7 @@ func (d *DSM) rehomePages(n int) {
 			}
 		}
 		pi.home = best
-		d.dir.set(pg, pi)
+		d.dir[pg] = pi
 		e := d.Entry(best, pg)
 		if lost {
 			frame := d.state[best].space.Ensure(pg)
@@ -365,7 +361,7 @@ func (d *DSM) rehomePages(n int) {
 // scrubEntries removes the dead node n from pg's surviving entries: out of
 // copysets, hints through it redirected to target, home metadata updated.
 func (d *DSM) scrubEntries(pg Page, n, target int) {
-	pi, _ := d.dir.get(pg)
+	pi := d.dir[pg]
 	home := pi.home
 	for i := 0; i < d.rt.Nodes(); i++ {
 		if i == n || d.recovery.dead[i] {

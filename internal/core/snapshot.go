@@ -181,16 +181,9 @@ type CoreState struct {
 	Stats      Stats            `json:"stats"`
 	NodeFaults []int64          `json:"node_faults"`
 	Timings    []FaultTiming    `json:"timings,omitempty"`
-
-	// Sharded machines snapshot their counter and timing state per shard
-	// (the merged Stats/Timings fields above stay populated for readers of
-	// the aggregate). A single-loop machine omits both, keeping its wire
-	// form byte-identical to pre-sharding snapshots.
-	ShardStats   []Stats          `json:"shard_stats,omitempty"`
-	ShardTimings [][]FaultTiming  `json:"shard_timings,omitempty"`
-	OpHists      []HistogramState `json:"op_hists,omitempty"`
-	Recovery     *RecoverySnap    `json:"recovery,omitempty"`
-	Profiler     *ProfilerSnap    `json:"profiler,omitempty"`
+	OpHists    []HistogramState `json:"op_hists,omitempty"`
+	Recovery   *RecoverySnap    `json:"recovery,omitempty"`
+	Profiler   *ProfilerSnap    `json:"profiler,omitempty"`
 }
 
 // CaptureState serializes the DSM at a safe point, or explains why the
@@ -205,20 +198,11 @@ func (d *DSM) CaptureState() (*CoreState, error) {
 		Stats:      d.Stats(),
 		NodeFaults: append([]int64(nil), d.nodeFaults...),
 	}
-	if len(d.statsSh) > 1 {
-		s.ShardStats = append([]Stats(nil), d.statsSh...)
-		s.ShardTimings = make([][]FaultTiming, len(d.timingsSh))
-		for sh := range d.timingsSh {
-			for _, ft := range d.timingsSh[sh].All() {
-				s.ShardTimings[sh] = append(s.ShardTimings[sh], *ft)
-			}
-		}
-	}
 	if d.defProto >= 0 {
 		s.DefProto = d.registry.Name(d.defProto)
 	}
 	for id := ProtoID(0); int(id) < d.registry.Len(); id++ {
-		p, ok := d.instanceIfLive(id)
+		p, ok := d.instances[id]
 		if !ok {
 			continue
 		}
@@ -233,7 +217,7 @@ func (d *DSM) CaptureState() (*CoreState, error) {
 		s.Protocols = append(s.Protocols, ps)
 	}
 	for _, pg := range d.sortedPages() {
-		pi, _ := d.dir.get(pg)
+		pi := d.dir[pg]
 		s.Pages = append(s.Pages, PageAllocState{
 			Page: uint64(pg), Home: pi.home, Proto: d.registry.Name(pi.proto),
 		})
@@ -266,12 +250,6 @@ func (d *DSM) CaptureState() (*CoreState, error) {
 		}
 		sort.Ints(snap.Arrived)
 		s.Barriers = append(s.Barriers, snap)
-	}
-	// On a sharded machine a barrier can look idle at its home while a leader
-	// still holds an un-carried batch or an in-flight combine — reject those
-	// mid-combine moments too.
-	if err := d.TreeBarrierResidue(); err != nil {
-		return nil, err
 	}
 	for _, cs := range d.conds {
 		if len(cs.tickets) > 0 {
@@ -401,7 +379,7 @@ func (d *DSM) lookupProto(name string) (ProtoID, error) {
 // checkFrameState validates one captured frame against the restored
 // directory and the fixed page geometry.
 func (d *DSM) checkFrameState(node int, fs FrameState) error {
-	if _, ok := d.dir.get(Page(fs.Page)); !ok {
+	if _, ok := d.dir[Page(fs.Page)]; !ok {
 		return fmt.Errorf("core: restore has a frame on node %d for unallocated page %d", node, fs.Page)
 	}
 	if len(fs.Data) != PageSize {
@@ -427,7 +405,7 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		return err
 	}
 	d.batch = s.Batch
-	d.dir.reset()
+	clear(d.dir)
 	for _, pa := range s.Pages {
 		id, err := d.lookupProto(pa.Proto)
 		if err != nil {
@@ -439,7 +417,7 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		if pa.Home < 0 || pa.Home >= d.rt.Nodes() {
 			return fmt.Errorf("core: restore homes page %d on node %d of %d", pa.Page, pa.Home, d.rt.Nodes())
 		}
-		d.dir.set(Page(pa.Page), pageInfo{home: pa.Home, proto: id})
+		d.dir[Page(pa.Page)] = pageInfo{home: pa.Home, proto: id}
 	}
 	// A frame's page number sizes the Space's page table and an entry's is
 	// looked up in the directory, so a hostile checkpoint is refused here,
@@ -451,7 +429,7 @@ func (d *DSM) RestoreState(s *CoreState) error {
 			}
 		}
 		for _, es := range ncs.Entries {
-			if _, ok := d.dir.get(Page(es.Page)); !ok {
+			if _, ok := d.dir[Page(es.Page)]; !ok {
 				return fmt.Errorf("core: restore has a page-table entry on node %d for unallocated page %d", n, es.Page)
 			}
 		}
@@ -546,29 +524,11 @@ func (d *DSM) RestoreState(s *CoreState) error {
 			attr: &Attr{Protocol: id, Home: oa.Home},
 		}
 	}
-	// Counter/timing state: a snapshot carrying per-shard blocks restores
-	// them exactly when the shard counts match; anything else (a legacy
-	// single-loop snapshot, or a restore onto a machine with a different
-	// shard count) folds the aggregate into shard 0 — the totals every
-	// reader observes through Stats()/Timings() are identical either way.
-	for i := range d.statsSh {
-		d.statsSh[i] = Stats{}
-		d.timingsSh[i] = TimingLog{}
-	}
-	if len(s.ShardStats) == len(d.statsSh) && len(s.ShardTimings) == len(d.timingsSh) && len(d.statsSh) > 1 {
-		copy(d.statsSh, s.ShardStats)
-		for sh := range s.ShardTimings {
-			for i := range s.ShardTimings[sh] {
-				ft := s.ShardTimings[sh][i]
-				d.timingsSh[sh].Add(&ft)
-			}
-		}
-	} else {
-		d.statsSh[0] = s.Stats
-		for i := range s.Timings {
-			ft := s.Timings[i]
-			d.timingsSh[0].Add(&ft)
-		}
+	d.stats = s.Stats
+	d.timings = TimingLog{}
+	for i := range s.Timings {
+		ft := s.Timings[i]
+		d.timings.Add(&ft)
 	}
 	if len(s.NodeFaults) == len(d.nodeFaults) {
 		copy(d.nodeFaults, s.NodeFaults)

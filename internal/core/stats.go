@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"dsmpm2/internal/memory"
 	"dsmpm2/internal/sim"
 )
 
@@ -56,58 +55,8 @@ type Stats struct {
 	HomeMigrations   int64
 }
 
-// st returns the Stats block every increment issued from node's context
-// lands in: the block of node's event-loop shard. With Shards=1 this is
-// always &statsSh[0].
-func (d *DSM) st(node int) *Stats { return &d.statsSh[d.rt.ShardOf(node)] }
-
-// buf returns node's shard's buffer pool.
-func (d *DSM) buf(node int) *memory.BufPool { return d.bufsSh[d.rt.ShardOf(node)] }
-
-// tlog returns node's shard's fault-timing ring.
-func (d *DSM) tlog(node int) *TimingLog { return &d.timingsSh[d.rt.ShardOf(node)] }
-
-// add folds o into s field-wise: the deterministic merge of per-shard
-// counter blocks (every field is a sum, so shard order cannot matter — but
-// the fold still walks shards in index order).
-func (s *Stats) add(o *Stats) {
-	s.Allocs += o.Allocs
-	s.AllocBytes += o.AllocBytes
-	s.ReadFaults += o.ReadFaults
-	s.WriteFaults += o.WriteFaults
-	s.Requests += o.Requests
-	s.PageSends += o.PageSends
-	s.PageBytes += o.PageBytes
-	s.Invalidations += o.Invalidations
-	s.DiffsSent += o.DiffsSent
-	s.DiffBytes += o.DiffBytes
-	s.Sends += o.Sends
-	s.InvAcks += o.InvAcks
-	s.Envelopes += o.Envelopes
-	s.Notices += o.Notices
-	s.Acquires += o.Acquires
-	s.Releases += o.Releases
-	s.Barriers += o.Barriers
-	s.GetOps += o.GetOps
-	s.PutOps += o.PutOps
-	s.ObjFetches += o.ObjFetches
-	s.Migrations += o.Migrations
-	s.RemoteFetches += o.RemoteFetches
-	s.MisplacedFetches += o.MisplacedFetches
-	s.HomeMigrations += o.HomeMigrations
-}
-
-// Stats returns a snapshot of the DSM's counters: the per-shard blocks
-// folded in shard order. Call it when the machine is idle (between runs or
-// at a covered barrier); a mid-run snapshot on a sharded machine reflects
-// whatever each shard has reached.
-func (d *DSM) Stats() Stats {
-	out := d.statsSh[0]
-	for i := 1; i < len(d.statsSh); i++ {
-		out.add(&d.statsSh[i])
-	}
-	return out
-}
+// Stats returns a copy of the DSM's counters.
+func (d *DSM) Stats() Stats { return d.stats }
 
 // FaultsOn reports the number of faults (read and write) taken by threads
 // while located on node. The per-node distribution exposes the load
@@ -120,13 +69,9 @@ func (d *DSM) FaultsOn(node int) int64 {
 	return d.nodeFaults[node]
 }
 
-// CountMigration is called by the toolbox when a protocol migrates a thread;
-// node is the migrating thread's source node.
-func (d *DSM) CountMigration(node int) { d.st(node).Migrations++ }
-
 // CountObjFetch is called by object protocols when a get/put misses the
-// local cache and fetches the page; node is the accessing thread's node.
-func (d *DSM) CountObjFetch(node int) { d.st(node).ObjFetches++ }
+// local cache and fetches the page.
+func (d *DSM) CountObjFetch() { d.stats.ObjFetches++ }
 
 // FaultTiming decomposes one fault's handling into the steps of the paper's
 // Tables 3 and 4. Page-policy faults fill Request/Transfer/Server/Install;
@@ -218,40 +163,8 @@ func (l *TimingLog) All() []*FaultTiming {
 // Len reports the number of stored records.
 func (l *TimingLog) Len() int { return len(l.recs) }
 
-// Timings returns the DSM-wide fault-timing log. With one shard it is the
-// live ring; with several it is a merged copy, ordered by fault start time
-// with shard index as the tiebreak — deterministic, because each shard's
-// ring is. As with Stats, call it when the machine is idle.
-func (d *DSM) Timings() *TimingLog {
-	if len(d.timingsSh) == 1 {
-		return &d.timingsSh[0]
-	}
-	type rec struct {
-		ft    *FaultTiming
-		shard int
-		seq   int
-	}
-	var all []rec
-	for sh := range d.timingsSh {
-		for i, ft := range d.timingsSh[sh].All() {
-			all = append(all, rec{ft: ft, shard: sh, seq: i})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].ft.Start != all[j].ft.Start {
-			return all[i].ft.Start < all[j].ft.Start
-		}
-		if all[i].shard != all[j].shard {
-			return all[i].shard < all[j].shard
-		}
-		return all[i].seq < all[j].seq
-	})
-	merged := &TimingLog{}
-	for _, r := range all {
-		merged.Add(r.ft)
-	}
-	return merged
-}
+// Timings returns the DSM-wide fault-timing log (the live ring).
+func (d *DSM) Timings() *TimingLog { return &d.timings }
 
 // LinkSummary aggregates the fault timings whose page transfer crossed one
 // link class.

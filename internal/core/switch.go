@@ -27,7 +27,7 @@ func (d *DSM) SwitchProtocol(t *pm2.Thread, base Addr, size int, proto ProtoID) 
 	last := pageOf(base + Addr(size-1))
 	// Validate quiescence and ownership of the whole range first.
 	for pg := first; pg <= last; pg++ {
-		if _, ok := d.dir.get(pg); !ok {
+		if _, ok := d.dir[pg]; !ok {
 			return fmt.Errorf("core: SwitchProtocol on unallocated page %d", pg)
 		}
 		for n := 0; n < d.rt.Nodes(); n++ {
@@ -38,9 +38,9 @@ func (d *DSM) SwitchProtocol(t *pm2.Thread, base Addr, size int, proto ProtoID) 
 		}
 	}
 	for pg := first; pg <= last; pg++ {
-		pi, _ := d.dir.get(pg)
+		pi := d.dir[pg]
 		pi.proto = proto
-		d.dir.set(pg, pi)
+		d.dir[pg] = pi
 		// If ownership moved away from the home under the old protocol,
 		// the owner's copy is the authoritative one: bring it home first
 		// (one page transfer on the wire).

@@ -103,7 +103,7 @@ func (d *DSM) BindLock(id int, base Addr, size int) {
 	last := pageOf(base + Addr(size-1))
 	ls := d.locks[id]
 	for pg := first; pg <= last; pg++ {
-		if _, ok := d.dir.get(pg); !ok {
+		if _, ok := d.dir[pg]; !ok {
 			panic(fmt.Sprintf("core: binding unallocated page %d to lock %d", pg, id))
 		}
 		ls.bound = append(ls.bound, pg)
@@ -270,9 +270,6 @@ func (d *DSM) registerSyncServices() {
 			return grantReply(g)
 		})
 
-		if d.tree != nil {
-			d.registerTreeBarServices(node)
-		}
 		d.registerCondServices(node)
 	}
 }
@@ -317,17 +314,17 @@ func (d *DSM) Acquire(t *pm2.Thread, id int) {
 	if id < 0 || id >= len(d.locks) {
 		panic(fmt.Sprintf("core: acquire of unknown lock %d", id))
 	}
-	d.st(t.Node()).Acquires++
+	d.stats.Acquires++
 	ev := d.newSyncEvent(t, id, false)
 	t.Call(d.locks[id].home, svcLockAcq, ev, ctrlBytes, ctrlBytes)
 	d.eachInstance(func(p Protocol) { p.LockAcquire(ev) })
-	put(d, &d.recs(ev.Node).syncs, ev)
+	put(d, &d.recs.syncs, ev)
 }
 
 // newSyncEvent takes the record of one synchronization operation by t; the
 // operation frees it once its hooks have run.
 func (d *DSM) newSyncEvent(t *pm2.Thread, id int, barrier bool) *SyncEvent {
-	ev := take(&d.recs(t.Node()).syncs)
+	ev := take(&d.recs.syncs)
 	ev.DSM, ev.Thread, ev.Node, ev.Lock, ev.Barrier = d, t, t.Node(), id, barrier
 	return ev
 }
@@ -338,11 +335,11 @@ func (d *DSM) Release(t *pm2.Thread, id int) {
 	if id < 0 || id >= len(d.locks) {
 		panic(fmt.Sprintf("core: release of unknown lock %d", id))
 	}
-	d.st(t.Node()).Releases++
+	d.stats.Releases++
 	ev := d.newSyncEvent(t, id, false)
 	d.eachInstance(func(p Protocol) { p.LockRelease(ev) })
 	res := t.Call(d.locks[id].home, svcLockRel, ev, ctrlBytes, ctrlBytes)
-	put(d, &d.recs(ev.Node).syncs, ev)
+	put(d, &d.recs.syncs, ev)
 	if msg, bad := res.(string); bad {
 		panic(msg) // misuse reported on the releasing thread, where it belongs
 	}
@@ -368,28 +365,17 @@ func (d *DSM) BarrierAs(t *pm2.Thread, id, participant, gen int) {
 	if id < 0 || id >= len(d.barriers) {
 		panic(fmt.Sprintf("core: wait on unknown barrier %d", id))
 	}
-	d.st(t.Node()).Barriers++
+	d.stats.Barriers++
 	ev := d.newSyncEvent(t, id, true)
 	d.eachInstance(func(p Protocol) { p.LockRelease(ev) })
 	// The release hooks above may have queued write notices; they ride the
 	// arrival message, and the barrier's completion hands back the
 	// generation's aggregated notices to apply locally — invalidation with
 	// zero extra round trips.
-	var res interface{}
-	if d.useTree(d.barriers[id]) {
-		// Sharded machine, cluster-wide barrier, no crash recovery: combine
-		// arrivals through the cluster tree instead of funneling every node
-		// to the manager (see treebar.go). Participant identity and
-		// generation are crash-recovery machinery and are ignored — with
-		// recovery off, every participant arrives exactly once per
-		// generation.
-		res = d.treeBarrierArrive(t, id, d.takeNotices(t.Node(), id))
-	} else {
-		req := &barrierReq{id: id, from: t.Node(), participant: participant, gen: gen,
-			notices: d.takeNotices(t.Node(), id)}
-		res = t.Call(d.barriers[id].home, svcBarrier, req,
-			ctrlBytes+noticeBytes*len(req.notices), ctrlBytes)
-	}
+	req := &barrierReq{id: id, from: t.Node(), participant: participant, gen: gen,
+		notices: d.takeNotices(t.Node(), id)}
+	res := t.Call(d.barriers[id].home, svcBarrier, req,
+		ctrlBytes+noticeBytes*len(req.notices), ctrlBytes)
 	if g, ok := res.(*barrierGrant); ok {
 		// Migrations first: the write notices (and the protocols' acquire
 		// hooks below) must see the post-migration placement.
@@ -401,7 +387,7 @@ func (d *DSM) BarrierAs(t *pm2.Thread, id, participant, gen int) {
 		}
 	}
 	d.eachInstance(func(p Protocol) { p.LockAcquire(ev) })
-	put(d, &d.recs(ev.Node).syncs, ev)
+	put(d, &d.recs.syncs, ev)
 }
 
 // BarrierGen reports the number of completed generations of barrier id
@@ -416,7 +402,7 @@ func (d *DSM) BarrierGen(id int) int { return d.barriers[id].gen }
 func (d *DSM) FlushRelease(t *pm2.Thread) {
 	ev := d.newSyncEvent(t, -1, true)
 	d.eachInstance(func(p Protocol) { p.LockRelease(ev) })
-	put(d, &d.recs(ev.Node).syncs, ev)
+	put(d, &d.recs.syncs, ev)
 }
 
 // LockHome reports the manager node of lock id (tests and tools).

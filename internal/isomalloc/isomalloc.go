@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Addr is a simulated virtual address in the global iso-address space.
@@ -43,17 +42,12 @@ func (r Range) End() Addr { return r.Base + Addr(r.Size) }
 func (r Range) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
 
 // Allocator carves a global address space into per-node slices and serves
-// page-aligned allocations from them. mu guards the allocation tables: on a
-// sharded machine, threads on different event-loop shards may allocate
-// concurrently, and each node's slice keeps the results disjoint whatever
-// order the host grants the lock in. OwnerSlice and sliceBase are pure
-// arithmetic and take no lock.
+// page-aligned allocations from them.
 type Allocator struct {
 	pageSize  int
 	sliceSize Addr
 	nodes     int
 
-	mu     sync.Mutex
 	next   []Addr           // per node: next free address in its slice
 	allocs map[Addr]*Range  // live allocations by base address
 	freed  map[int][]*Range // per node free lists for reuse
@@ -117,9 +111,6 @@ func (a *Allocator) Alloc(node, size int) (Range, error) {
 		return Range{}, fmt.Errorf("isomalloc: invalid allocation size %d", size)
 	}
 	size = a.roundUp(size)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-
 	// First-fit from the free list, to exercise reuse.
 	fl := a.freed[node]
 	for i, r := range fl {
@@ -148,8 +139,6 @@ func (a *Allocator) Alloc(node, size int) (Range, error) {
 
 // Free releases a previously allocated range for reuse on its node.
 func (a *Allocator) Free(base Addr) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	r, ok := a.allocs[base]
 	if !ok {
 		return ErrBadFree
@@ -161,8 +150,6 @@ func (a *Allocator) Free(base Addr) error {
 
 // Lookup returns the live allocation containing a, if any.
 func (a *Allocator) Lookup(addr Addr) (Range, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	// Allocation count is small in practice; a linear scan keeps the
 	// structure simple. (The page table, not this map, is the hot path.)
 	for _, r := range a.allocs {
@@ -188,8 +175,6 @@ func (a *Allocator) OwnerSlice(addr Addr) int {
 
 // Live returns all live allocations sorted by base address.
 func (a *Allocator) Live() []Range {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	out := make([]Range, 0, len(a.allocs))
 	for _, r := range a.allocs {
 		out = append(out, *r)

@@ -25,14 +25,6 @@ import (
 //     configured probabilities, drawn from the fault layer's private PRNG so
 //     the engine's own random stream — and therefore the fault-free portion
 //     of the replay — is untouched.
-//
-// On a sharded network the fault state is per shard: each shard holds its
-// own dead-node view (consulted at its own senders' interfaces), and link
-// fault state lives on the shard that owns the sending node. Fault events
-// must then be applied through ApplyFault from a ShardedEngine.InjectFaults
-// fanout, which delivers every event to every shard at the same virtual
-// time; the direct mutators (CrashNode, PartitionLink, ...) are a
-// single-loop API and panic when sharded.
 
 // PartitionPolicy selects what happens to messages sent over a partitioned
 // link.
@@ -98,7 +90,7 @@ type linkFault struct {
 	held        []heldMsg
 }
 
-// faultState is one shard's fault layer (nil when faults are disabled).
+// faultState is the fault layer (nil when faults are disabled).
 // The loss PRNG is a counted stream so a checkpoint can record how many
 // draws the run consumed and a restore can fast-forward a fresh stream to
 // the same point (see snapshot.go); the values drawn are bit-identical to
@@ -116,56 +108,37 @@ type faultState struct {
 // EnableFaults switches the fault layer on. seed drives the private PRNG
 // behind probabilistic loss (zero means 1); policy selects the partition
 // behaviour. Enabling faults on a quiet network is free until a fault is
-// actually injected. On a sharded network every shard gets its own fault
-// state (and its own PRNG, derived from seed), so call this before Run.
+// actually injected.
 func (nw *Network) EnableFaults(seed int64, policy PartitionPolicy) {
 	if seed == 0 {
 		seed = 1
 	}
-	for i, st := range nw.shs {
-		st.faults = &faultState{
-			rng:    sim.NewCountedRand(seed + int64(i)),
-			policy: policy,
-			dead:   make([]bool, nw.n),
-			links:  make(map[linkKey]*linkFault),
-		}
+	nw.faults = &faultState{
+		rng:    sim.NewCountedRand(seed),
+		policy: policy,
+		dead:   make([]bool, nw.n),
+		links:  make(map[linkKey]*linkFault),
 	}
 }
 
 // FaultsEnabled reports whether the fault layer is on.
-func (nw *Network) FaultsEnabled() bool { return nw.shs[0].faults != nil }
+func (nw *Network) FaultsEnabled() bool { return nw.faults != nil }
 
-// FaultStats returns the fault layer's counters (zero value when disabled),
-// summed over shards.
+// FaultStats returns the fault layer's counters (zero value when disabled).
 func (nw *Network) FaultStats() FaultStats {
-	var out FaultStats
-	for _, st := range nw.shs {
-		fs := st.faults
-		if fs == nil {
-			continue
-		}
-		out.DeadDrops += fs.stats.DeadDrops
-		out.Dropped += fs.stats.Dropped
-		out.Duplicated += fs.stats.Duplicated
-		out.Held += fs.stats.Held
-		out.HeldTime += fs.stats.HeldTime
-		out.Crashes += fs.stats.Crashes
-		out.Restarts += fs.stats.Restarts
+	if nw.faults == nil {
+		return FaultStats{}
 	}
-	return out
+	return nw.faults.stats
 }
 
 // SetDropHandler installs fn, called exactly once with the payload of every
 // message the fault layer discards, after the network has reclaimed its own
 // *Message envelope. The PM2 runtime uses it to return pooled rpcReq
 // envelopes to their freelist; without a handler dropped payloads are simply
-// left to the garbage collector. On a sharded network fn may be called from
-// any shard's goroutine (only ever one at a time per discarded message).
+// left to the garbage collector.
 func (nw *Network) SetDropHandler(fn func(payload interface{})) {
-	nw.mustFaults("SetDropHandler")
-	for _, st := range nw.shs {
-		st.faults.onDrop = fn
-	}
+	nw.mustFaults("SetDropHandler").onDrop = fn
 }
 
 // SetDupHandler installs fn, called to produce an independent copy of a
@@ -174,111 +147,47 @@ func (nw *Network) SetDropHandler(fn func(payload interface{})) {
 // are ever duplicated; direct sends (RPC replies, acks) are not, because
 // their receivers own the reply queue and cannot distinguish copies.
 func (nw *Network) SetDupHandler(fn func(payload interface{}) interface{}) {
-	nw.mustFaults("SetDupHandler")
-	for _, st := range nw.shs {
-		st.faults.dup = fn
-	}
+	nw.mustFaults("SetDupHandler").dup = fn
 }
 
 func (nw *Network) mustFaults(op string) *faultState {
-	fs := nw.shs[0].faults
-	if fs == nil {
+	if nw.faults == nil {
 		panic("madeleine: " + op + " before EnableFaults")
 	}
-	return fs
+	return nw.faults
 }
 
-// mustFaultsLocal is mustFaults for the direct single-loop mutators, which
-// touch exactly one shard's state and therefore cannot be used on a sharded
-// network (use ApplyFault from a ShardedEngine.InjectFaults fanout instead).
-func (nw *Network) mustFaultsLocal(op string) *faultState {
-	if nw.se != nil {
-		panic("madeleine: " + op + " on a sharded network; inject a fault plan (ApplyFault) instead")
-	}
-	return nw.mustFaults(op)
-}
-
-// NodeDead reports whether node n is currently crashed. On a sharded
-// network this reads shard 0's view; call it from shard 0's simulation
-// context (or after Run), or use NodeDeadOn from other shards.
+// NodeDead reports whether node n is currently crashed.
 func (nw *Network) NodeDead(n int) bool {
-	return nw.NodeDeadOn(0, n)
-}
-
-// NodeDeadOn reports whether node n is currently crashed as seen by shard
-// (every shard converges on the same view at the fault's virtual time).
-func (nw *Network) NodeDeadOn(shard, n int) bool {
-	fs := nw.shs[shard].faults
+	fs := nw.faults
 	return fs != nil && n >= 0 && n < nw.n && fs.dead[n]
 }
 
-// faultShard reports which shard owns the fault state of the directed link
-// from->to: the sending node's shard, or the destination's when the sender
-// is outside the cluster (the driver). Always 0 unsharded.
-func (nw *Network) faultShard(from, to int) int {
-	if nw.shardOf == nil {
-		return 0
-	}
-	if from >= 0 && from < nw.n {
-		return nw.shardOf[from]
-	}
-	return nw.shardOf[to]
-}
-
-// ApplyFault applies one fault-plan event on behalf of shard. It must run in
-// that shard's simulation context and only touches that shard's state; a
-// ShardedEngine.InjectFaults fanout delivers every event to every shard at
-// the event's virtual time, which is exactly the contract this needs (a
-// crash must flip every shard's dead-node view, since each shard checks
-// liveness at its own senders' interfaces). It also works unsharded (shard
-// 0), where it is equivalent to the direct mutators.
-func (nw *Network) ApplyFault(shard int, ev sim.FaultEvent) {
-	fs := nw.shs[shard].faults
-	if fs == nil {
-		panic("madeleine: ApplyFault before EnableFaults")
-	}
+// ApplyFault applies one fault-plan event through the mutators below, in
+// engine context (see sim.Engine.InjectFaults).
+func (nw *Network) ApplyFault(ev sim.FaultEvent) {
 	switch ev.Kind {
 	case sim.FaultNodeCrash:
-		nw.crashNodeOn(shard, fs, ev.Node)
+		nw.CrashNode(ev.Node)
 	case sim.FaultNodeRestart:
-		nw.restartNodeOn(shard, fs, ev.Node)
+		nw.RestartNode(ev.Node)
 	case sim.FaultLinkPartition:
-		if nw.faultShard(ev.From, ev.To) == shard {
-			fs.link(ev.From, ev.To).partitioned = true
-		}
+		nw.PartitionLink(ev.From, ev.To)
 	case sim.FaultLinkHeal:
-		if nw.faultShard(ev.From, ev.To) == shard {
-			nw.healLinkOn(shard, fs, ev.From, ev.To)
-		}
+		nw.HealLink(ev.From, ev.To)
 	case sim.FaultLinkLoss:
-		if nw.faultShard(ev.From, ev.To) == shard {
-			lf := fs.link(ev.From, ev.To)
-			lf.dropRate = ev.DropRate
-			lf.dupRate = ev.DupRate
-		}
+		nw.SetLinkLoss(ev.From, ev.To, ev.DropRate, ev.DupRate)
 	default:
 		panic(fmt.Sprintf("madeleine: unknown fault kind %d", ev.Kind))
 	}
 }
 
-// engOf returns the engine of shard (the network's engine unsharded).
-func (nw *Network) engOf(shard int) *sim.Engine {
-	if nw.se == nil {
-		return nw.eng
-	}
-	return nw.se.Shard(shard)
-}
-
 // CrashNode fail-stops node n: subsequent messages to or from it are
 // dropped, its inbound queues are replaced (in-flight deliveries land in the
 // orphaned queues of the dead incarnation), and messages already held for it
-// on partitioned links are discarded. Single-loop API; sharded networks
-// apply fault plans instead.
+// on partitioned links are discarded.
 func (nw *Network) CrashNode(n int) {
-	nw.crashNodeOn(0, nw.mustFaultsLocal("CrashNode"), n)
-}
-
-func (nw *Network) crashNodeOn(shard int, fs *faultState, n int) {
+	fs := nw.mustFaults("CrashNode")
 	if n < 0 || n >= nw.n {
 		panic(fmt.Sprintf("madeleine: crash of node %d out of range [0,%d)", n, nw.n))
 	}
@@ -286,16 +195,6 @@ func (nw *Network) crashNodeOn(shard int, fs *faultState, n int) {
 		return
 	}
 	fs.dead[n] = true
-	// The node's shard owns the crash bookkeeping: the counter, and the
-	// queue replacement (only deliveries scheduled on the owning shard can
-	// still be in flight to the node's queues — cross-shard sends check
-	// the sender-side dead view first).
-	if nw.faultShard(n, n) != shard {
-		// Still sweep this shard's own held links below: messages parked
-		// on a partitioned link whose sender lives here may target n.
-		nw.sweepHeld(fs, n)
-		return
-	}
 	fs.stats.Crashes++
 	// Old queues are orphaned, not drained: deliveries already scheduled on
 	// the engine hold pointers to them and must not reach the node's next
@@ -303,14 +202,8 @@ func (nw *Network) crashNodeOn(shard int, fs *faultState, n int) {
 	// served queue (see Serve) is unbound, so that neither such a delivery nor
 	// a drain record still pending at this instant starts a handler for the
 	// dead incarnation: the sink stops consuming as a killed receiver would.
-	if nw.se != nil {
-		nw.nameMu.Lock()
-	}
 	old := nw.queues[n]
 	nw.queues[n] = make([]*sim.Chan, 0)
-	if nw.se != nil {
-		nw.nameMu.Unlock()
-	}
 	for _, q := range old {
 		if q == nil {
 			continue
@@ -327,7 +220,7 @@ func (nw *Network) crashNodeOn(shard int, fs *faultState, n int) {
 	nw.sweepHeld(fs, n)
 }
 
-// sweepHeld discards messages parked on this shard's partitioned links to or
+// sweepHeld discards messages parked on partitioned links to or
 // from node n. They will never be wanted: deliveries to a corpse are drops,
 // and the fail-stop model says nothing sent by the dead incarnation may
 // surface later (a held lock-acquire delivered after the node restarts would
@@ -353,13 +246,9 @@ func (nw *Network) sweepHeld(fs *faultState, n int) {
 
 // RestartNode brings a crashed node back. Its queues start empty (they were
 // replaced at crash time); state above the network (pages, threads) is the
-// upper layers' recovery problem. Single-loop API; sharded networks apply
-// fault plans instead.
+// upper layers' recovery problem.
 func (nw *Network) RestartNode(n int) {
-	nw.restartNodeOn(0, nw.mustFaultsLocal("RestartNode"), n)
-}
-
-func (nw *Network) restartNodeOn(shard int, fs *faultState, n int) {
+	fs := nw.mustFaults("RestartNode")
 	if n < 0 || n >= nw.n {
 		panic(fmt.Sprintf("madeleine: restart of node %d out of range [0,%d)", n, nw.n))
 	}
@@ -367,9 +256,7 @@ func (nw *Network) restartNodeOn(shard int, fs *faultState, n int) {
 		return
 	}
 	fs.dead[n] = false
-	if nw.faultShard(n, n) == shard {
-		fs.stats.Restarts++
-	}
+	fs.stats.Restarts++
 }
 
 // link returns (creating on demand) the fault state of the directed link.
@@ -383,20 +270,15 @@ func (fs *faultState) link(from, to int) *linkFault {
 	return lf
 }
 
-// PartitionLink cuts the directed link from->to. Single-loop API; sharded
-// networks apply fault plans instead.
+// PartitionLink cuts the directed link from->to.
 func (nw *Network) PartitionLink(from, to int) {
-	nw.mustFaultsLocal("PartitionLink").link(from, to).partitioned = true
+	nw.mustFaults("PartitionLink").link(from, to).partitioned = true
 }
 
 // HealLink restores the directed link from->to, re-injecting any held
 // messages in FIFO order with their original latency charged from now.
-// Single-loop API; sharded networks apply fault plans instead.
 func (nw *Network) HealLink(from, to int) {
-	nw.healLinkOn(0, nw.mustFaultsLocal("HealLink"), from, to)
-}
-
-func (nw *Network) healLinkOn(shard int, fs *faultState, from, to int) {
+	fs := nw.mustFaults("HealLink")
 	lf := fs.links[linkKey{from, to}]
 	if lf == nil || !lf.partitioned {
 		return
@@ -404,9 +286,7 @@ func (nw *Network) healLinkOn(shard int, fs *faultState, from, to int) {
 	lf.partitioned = false
 	held := lf.held
 	lf.held = nil
-	eng := nw.engOf(shard)
-	st := nw.shs[shard]
-	now := eng.Now()
+	now := nw.eng.Now()
 	for _, hm := range held {
 		dead := func(n int) bool { return n >= 0 && n < nw.n && fs.dead[n] }
 		if dead(hm.to) || dead(hm.from) {
@@ -422,20 +302,19 @@ func (nw *Network) healLinkOn(shard int, fs *faultState, from, to int) {
 		// Re-inject through the occupancy clocks: a healed burst pays the
 		// same NIC/link serialization a normally-sent burst would.
 		if hm.parts != nil {
-			nw.deliverGather(eng, st, hm.from, hm.to, hm.parts, hm.size, hm.d)
+			nw.deliverGather(hm.from, hm.to, hm.parts, hm.size, hm.d)
 			continue
 		}
-		depart := nw.departure(eng, st, hm.from, hm.to, hm.size)
-		nw.pushAt(eng, hm.to, depart.Add(hm.d), hm.q, hm.payload)
+		depart := nw.departure(hm.from, hm.to, hm.size)
+		nw.eng.SchedulePush(depart.Add(hm.d), hm.q, hm.payload)
 	}
 }
 
 // SetLinkLoss makes the directed link lossy: each message is independently
 // dropped with probability dropRate and duplicated with probability dupRate.
-// Zero rates restore reliability. Single-loop API; sharded networks apply
-// fault plans instead.
+// Zero rates restore reliability.
 func (nw *Network) SetLinkLoss(from, to int, dropRate, dupRate float64) {
-	lf := nw.mustFaultsLocal("SetLinkLoss").link(from, to)
+	lf := nw.mustFaults("SetLinkLoss").link(from, to)
 	lf.dropRate = dropRate
 	lf.dupRate = dupRate
 }
@@ -467,8 +346,8 @@ func (nw *Network) dropPayload(fs *faultState, payload interface{}, isMsg bool) 
 // — it is one unit on the wire — and duplication never applies (the parts
 // share coalesced-reply state that must complete exactly once). parts is the
 // sender's scratch list, so the one branch that keeps it copies it.
-func (nw *Network) interceptGather(eng *sim.Engine, st *netShard, from, to int, parts []*Message, total int, d sim.Duration) bool {
-	fs := st.faults
+func (nw *Network) interceptGather(from, to int, parts []*Message, total int, d sim.Duration) bool {
+	fs := nw.faults
 	if to >= 0 && to < nw.n && fs.dead[to] || from >= 0 && from < nw.n && fs.dead[from] {
 		fs.stats.DeadDrops++
 		nw.dropParts(fs, parts)
@@ -487,7 +366,7 @@ func (nw *Network) interceptGather(eng *sim.Engine, st *netShard, from, to int, 
 		fs.stats.Held++
 		lf.held = append(lf.held, heldMsg{
 			from: from, to: to, parts: slices.Clone(parts), size: total,
-			d: d, heldAt: eng.Now(),
+			d: d, heldAt: nw.eng.Now(),
 		})
 		return true
 	}
@@ -503,8 +382,8 @@ func (nw *Network) interceptGather(eng *sim.Engine, st *netShard, from, to int, 
 // message was consumed (dropped or held). It runs before the occupancy
 // models: a message that never departs must not advance the NIC/link
 // clocks. isMsg marks payloads that are pooled *Message envelopes.
-func (nw *Network) intercept(eng *sim.Engine, st *netShard, from, to int, q *sim.Chan, payload interface{}, size int, d sim.Duration, isMsg bool) bool {
-	fs := st.faults
+func (nw *Network) intercept(from, to int, q *sim.Chan, payload interface{}, size int, d sim.Duration, isMsg bool) bool {
+	fs := nw.faults
 	if to >= 0 && to < nw.n && fs.dead[to] || from >= 0 && from < nw.n && fs.dead[from] {
 		fs.stats.DeadDrops++
 		nw.dropPayload(fs, payload, isMsg)
@@ -523,7 +402,7 @@ func (nw *Network) intercept(eng *sim.Engine, st *netShard, from, to int, q *sim
 		fs.stats.Held++
 		lf.held = append(lf.held, heldMsg{
 			from: from, to: to, q: q, payload: payload, size: size,
-			d: d, isMsg: isMsg, heldAt: eng.Now(),
+			d: d, isMsg: isMsg, heldAt: nw.eng.Now(),
 		})
 		return true
 	}
@@ -539,8 +418,8 @@ func (nw *Network) intercept(eng *sim.Engine, st *netShard, from, to int, q *sim
 				*m2 = *m
 				m2.Payload = inner
 				fs.stats.Duplicated++
-				depart := nw.departure(eng, st, from, to, m2.Size)
-				nw.pushAt(eng, to, depart.Add(d), q, m2)
+				depart := nw.departure(from, to, m2.Size)
+				nw.eng.SchedulePush(depart.Add(d), q, m2)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package madeleine
 
 import (
 	"fmt"
-	"sync"
 
 	"dsmpm2/internal/freelist"
 	"dsmpm2/internal/sim"
@@ -46,51 +45,10 @@ type LinkStats struct {
 	WaitTime sim.Duration
 }
 
-// netShard holds the sender-side mutable network state of one shard: the
-// occupancy clocks, the traffic counters and the fault layer's view. In the
-// single-loop configuration there is exactly one (index 0) and every access
-// is lock-free, bit-for-bit the historical behaviour. In sharded mode each
-// shard owns the state of its own nodes' outbound interfaces — departure
-// clocks, link fault state and counters are written only from the owning
-// shard's goroutine, which is what keeps link-contention accounting correct
-// without a lock on every send.
-type netShard struct {
-	// NIC occupancy: per node, when the outbound port frees up (only the
-	// slots of this shard's nodes are used).
-	nicFree []sim.Time
-	// Link occupancy: when each directed link (keyed by sender-side node)
-	// frees up, plus the contention counters.
-	linkFree  map[linkKey]sim.Time
-	linkStats LinkStats
-	// faults is this shard's fault layer view: nil (and completely inert)
-	// until EnableFaults. See fault.go.
-	faults *faultState
-	// Traffic counters.
-	msgs      int
-	bytes     int64
-	envelopes int
-	// envByLink classes departed envelopes by the profile of the link they
-	// crossed (BIP/Myrinet, the backbone profile of a hierarchical topology,
-	// ...). A topology has a handful of profiles, so a send finds its
-	// counter by comparing pointers, not by hashing the profile's name. A
-	// bench-only diagnostic: it is deliberately NOT part of network
-	// snapshots, so it never churns checkpoint wire forms.
-	envByLink []linkCount
-	// gather is SendGather's scratch list of the envelope being built.
-	gather []*Message
-}
-
 // linkCount is the envelope counter of one link profile.
 type linkCount struct {
 	prof *Profile
 	n    int
-}
-
-func newNetShard(n int) *netShard {
-	return &netShard{
-		nicFree:  make([]sim.Time, n),
-		linkFree: make(map[linkKey]sim.Time),
-	}
 }
 
 // Network connects n nodes with per-link timing resolved by a Topology. Each
@@ -107,22 +65,10 @@ func newNetShard(n int) *netShard {
 //   - the link model serializes each directed (src,dst) link, so concurrent
 //     page transfers crossing the same link queue FIFO instead of
 //     overlapping for free, while transfers on disjoint links still overlap.
-//
-// A network bound to a sharded engine (BindSharded) routes each send from
-// the sending node's shard to the receiving node's shard and keeps all
-// sender-side state per shard; see netShard.
 type Network struct {
 	eng  *sim.Engine
 	topo Topology
 	n    int
-
-	// Sharded-mode routing: nil/unused in the single-loop configuration.
-	se      *sim.ShardedEngine
-	shardOf []int // node -> owning shard
-	// nameMu guards the interning tables and the queue matrix in sharded
-	// mode only (any shard may intern a late channel name or grow a
-	// node's queue slice while resolving a destination).
-	nameMu sync.RWMutex
 
 	// Channel interning: names map to dense ChanIDs once, and the per-node
 	// queues are indexed [node][id] — the per-message map lookup the
@@ -131,19 +77,35 @@ type Network struct {
 	chanNames []string
 	queues    [][]*sim.Chan
 
-	// msgFree recycles Message structs (see Message). Pooling is only used
-	// in the single-loop configuration; a sharded network allocates
-	// messages instead, because a shared pool would put a lock (and
-	// cross-shard cache traffic) on every send.
+	// msgFree recycles Message structs (see Message).
 	msgFree freelist.List[*Message]
 
 	// Occupancy model switches (read-only once traffic flows).
 	nicModel  bool
 	linkModel bool
 
-	// shs holds the per-shard mutable state; exactly one entry in the
-	// single-loop configuration.
-	shs []*netShard
+	// NIC occupancy: per node, when the outbound port frees up.
+	nicFree []sim.Time
+	// Link occupancy: when each directed link frees up, plus the contention
+	// counters.
+	linkFree  map[linkKey]sim.Time
+	linkStats LinkStats
+	// faults is the fault layer: nil (and completely inert) until
+	// EnableFaults. See fault.go.
+	faults *faultState
+	// Traffic counters.
+	msgs      int
+	bytes     int64
+	envelopes int
+	// envByLink classes departed envelopes by the profile of the link they
+	// crossed (BIP/Myrinet, the backbone profile of a hierarchical topology,
+	// ...). A topology has a handful of profiles, so a send finds its
+	// counter by comparing pointers, not by hashing the profile's name. A
+	// bench-only diagnostic: it is deliberately NOT part of network
+	// snapshots, so it never churns checkpoint wire forms.
+	envByLink []linkCount
+	// gather is SendGather's scratch list of the envelope being built.
+	gather []*Message
 }
 
 // NewNetwork creates a uniform network of n nodes using the given cost
@@ -173,99 +135,15 @@ func NewNetworkTopology(eng *sim.Engine, topo Topology, n int) *Network {
 		chanIDs:   make(map[string]ChanID),
 		chanNames: []string{""}, // ChanID 0 reserved as "unset"
 		queues:    make([][]*sim.Chan, n),
-		shs:       []*netShard{newNetShard(n)},
+		nicFree:   make([]sim.Time, n),
+		linkFree:  make(map[linkKey]sim.Time),
 	}
-}
-
-// BindSharded routes the network over a sharded engine: node i's traffic
-// departs from (and its occupancy/fault state lives on) shard shardOf[i],
-// and deliveries to nodes of other shards become cross-shard events. eng
-// passed at construction must be se.Shard(0). Call once, before any
-// traffic and before EnableFaults.
-func (nw *Network) BindSharded(se *sim.ShardedEngine, shardOf []int) {
-	if se.Shards() < 2 {
-		return // one shard is the legacy configuration
-	}
-	if len(shardOf) != nw.n {
-		panic(fmt.Sprintf("madeleine: shard map covers %d nodes, network has %d", len(shardOf), nw.n))
-	}
-	if nw.se != nil {
-		panic("madeleine: BindSharded called twice")
-	}
-	if nw.shs[0].faults != nil {
-		panic("madeleine: BindSharded after EnableFaults")
-	}
-	for i, s := range shardOf {
-		if s < 0 || s >= se.Shards() {
-			panic(fmt.Sprintf("madeleine: node %d mapped to shard %d outside [0,%d)", i, s, se.Shards()))
-		}
-	}
-	nw.se = se
-	nw.shardOf = append([]int(nil), shardOf...)
-	nw.shs = make([]*netShard, se.Shards())
-	for i := range nw.shs {
-		nw.shs[i] = newNetShard(nw.n)
-	}
-}
-
-// Sharded reports whether the network is bound to a multi-shard engine.
-func (nw *Network) Sharded() bool { return nw.se != nil }
-
-// ShardOf reports which shard owns node i (0 when unsharded).
-func (nw *Network) ShardOf(i int) int {
-	if nw.shardOf == nil {
-		return 0
-	}
-	return nw.shardOf[i]
-}
-
-// sendCtx resolves the execution context of a send from `from` to `to`: the
-// engine whose goroutine the send runs on and the shard state it charges.
-// Senders outside the cluster (the driver, from < 0) are treated as local
-// to the destination — in sharded mode such sends must only happen before
-// the run starts (they schedule directly on the destination shard).
-func (nw *Network) sendCtx(from, to int) (*sim.Engine, *netShard) {
-	if nw.se == nil {
-		return nw.eng, nw.shs[0]
-	}
-	ctx := from
-	if ctx < 0 || ctx >= nw.n {
-		ctx = to
-	}
-	s := nw.shardOf[ctx]
-	return nw.se.Shard(s), nw.shs[s]
-}
-
-// pushAt schedules a delivery into q at time at, routing to the shard that
-// owns the destination node when the network is sharded. eng is the sending
-// context's engine (from sendCtx).
-func (nw *Network) pushAt(eng *sim.Engine, to int, at sim.Time, q *sim.Chan, payload interface{}) {
-	if nw.se == nil {
-		eng.SchedulePush(at, q, payload)
-		return
-	}
-	eng.SchedulePushShard(nw.shardOf[to], at, q, payload)
 }
 
 // ChannelID interns a logical channel name and returns its dense id. The
 // same name always yields the same id; senders and receivers that cache the
 // id skip the name lookup entirely.
 func (nw *Network) ChannelID(name string) ChanID {
-	if nw.se == nil {
-		return nw.channelIDLocked(name)
-	}
-	nw.nameMu.RLock()
-	id, ok := nw.chanIDs[name]
-	nw.nameMu.RUnlock()
-	if ok {
-		return id
-	}
-	nw.nameMu.Lock()
-	defer nw.nameMu.Unlock()
-	return nw.channelIDLocked(name)
-}
-
-func (nw *Network) channelIDLocked(name string) ChanID {
 	if id, ok := nw.chanIDs[name]; ok {
 		return id
 	}
@@ -277,32 +155,24 @@ func (nw *Network) channelIDLocked(name string) ChanID {
 
 // ChannelName returns the name interned for id ("" for the unset id).
 func (nw *Network) ChannelName(id ChanID) string {
-	if nw.se != nil {
-		nw.nameMu.RLock()
-		defer nw.nameMu.RUnlock()
-	}
 	if id <= 0 || int(id) >= len(nw.chanNames) {
 		return ""
 	}
 	return nw.chanNames[id]
 }
 
-// getMsg takes a Message from the freelist (or allocates one). Sharded
-// networks always allocate: the pool is not shared across shards.
+// getMsg takes a Message from the freelist (or allocates one).
 func (nw *Network) getMsg() *Message {
-	if nw.se == nil {
-		if m, ok := nw.msgFree.Get(); ok {
-			return m
-		}
+	if m, ok := nw.msgFree.Get(); ok {
+		return m
 	}
 	return new(Message)
 }
 
 // FreeMessage returns a received message to the freelist. Callers must not
-// touch the message afterwards; keeping the payload is fine. On a sharded
-// network this is a no-op (messages are garbage collected; see getMsg).
+// touch the message afterwards; keeping the payload is fine.
 func (nw *Network) FreeMessage(m *Message) {
-	if m == nil || nw.se != nil {
+	if m == nil {
 		return
 	}
 	*m = Message{}
@@ -321,16 +191,8 @@ func (nw *Network) SetLinkContention(on bool) { nw.linkModel = on }
 // LinkContention reports whether link occupancy is being modelled.
 func (nw *Network) LinkContention() bool { return nw.linkModel }
 
-// LinkStats reports the contention counters of the link model, summed over
-// shards.
-func (nw *Network) LinkStats() LinkStats {
-	var out LinkStats
-	for _, st := range nw.shs {
-		out.Waits += st.linkStats.Waits
-		out.WaitTime += st.linkStats.WaitTime
-	}
-	return out
-}
+// LinkStats reports the contention counters of the link model.
+func (nw *Network) LinkStats() LinkStats { return nw.linkStats }
 
 // Nodes reports the number of nodes in the network.
 func (nw *Network) Nodes() int { return nw.n }
@@ -358,46 +220,16 @@ func (nw *Network) Link(src, dst int) *Profile {
 	return nw.topo.Link(src, dst)
 }
 
-// Engine returns the sim engine the network schedules on (shard 0's engine
-// when sharded).
+// Engine returns the sim engine the network schedules on.
 func (nw *Network) Engine() *sim.Engine { return nw.eng }
 
 func (nw *Network) queue(node int, ch ChanID) *sim.Chan {
 	if node < 0 || node >= nw.n {
 		panic(fmt.Sprintf("madeleine: node %d out of range [0,%d)", node, nw.n))
 	}
-	if nw.se == nil {
-		if ch <= 0 || int(ch) >= len(nw.chanNames) {
-			panic(fmt.Sprintf("madeleine: channel id %d not interned", ch))
-		}
-		qs := nw.queues[node]
-		if int(ch) >= len(qs) {
-			grown := make([]*sim.Chan, len(nw.chanNames))
-			copy(grown, qs)
-			qs = grown
-			nw.queues[node] = qs
-		}
-		q := qs[ch]
-		if q == nil {
-			q = new(sim.Chan)
-			qs[ch] = q
-		}
-		return q
-	}
-	nw.nameMu.RLock()
 	if ch <= 0 || int(ch) >= len(nw.chanNames) {
-		nw.nameMu.RUnlock()
 		panic(fmt.Sprintf("madeleine: channel id %d not interned", ch))
 	}
-	if qs := nw.queues[node]; int(ch) < len(qs) {
-		if q := qs[ch]; q != nil {
-			nw.nameMu.RUnlock()
-			return q
-		}
-	}
-	nw.nameMu.RUnlock()
-	nw.nameMu.Lock()
-	defer nw.nameMu.Unlock()
 	qs := nw.queues[node]
 	if int(ch) >= len(qs) {
 		grown := make([]*sim.Chan, len(nw.chanNames))
@@ -420,20 +252,19 @@ func (nw *Network) queue(node int, ch ChanID) *sim.Chan {
 // occupies them for its byte time; the sender itself never blocks (PM2 sends
 // are asynchronous, the queueing happens in the interface).
 func (nw *Network) SendAfter(msg *Message, d sim.Duration) {
-	eng, st := nw.sendCtx(msg.From, msg.To)
-	msg.SentAt = eng.Now()
-	st.msgs++
-	st.bytes += int64(msg.Size)
-	nw.countEnvelope(st, msg.From, msg.To)
+	msg.SentAt = nw.eng.Now()
+	nw.msgs++
+	nw.bytes += int64(msg.Size)
+	nw.countEnvelope(msg.From, msg.To)
 	if msg.Chan == 0 {
 		msg.Chan = nw.ChannelID(msg.Channel)
 	}
 	q := nw.queue(msg.To, msg.Chan)
-	if st.faults != nil && nw.intercept(eng, st, msg.From, msg.To, q, msg, msg.Size, d, true) {
+	if nw.faults != nil && nw.intercept(msg.From, msg.To, q, msg, msg.Size, d, true) {
 		return
 	}
-	depart := nw.departure(eng, st, msg.From, msg.To, msg.Size)
-	nw.pushAt(eng, msg.To, depart.Add(d), q, msg)
+	depart := nw.departure(msg.From, msg.To, msg.Size)
+	nw.eng.SchedulePush(depart.Add(d), q, msg)
 }
 
 // GatherPart is one component of a multi-part envelope: a payload bound for
@@ -461,10 +292,9 @@ func (nw *Network) SendGather(from, to int, parts []GatherPart, d sim.Duration) 
 	if len(parts) == 0 {
 		return
 	}
-	eng, st := nw.sendCtx(from, to)
-	now := eng.Now()
+	now := nw.eng.Now()
 	total := 0
-	msgs := st.gather[:0]
+	msgs := nw.gather[:0]
 	for _, p := range parts {
 		total += p.Size
 		m := nw.getMsg()
@@ -472,23 +302,22 @@ func (nw *Network) SendGather(from, to int, parts []GatherPart, d sim.Duration) 
 			Size: p.Size, Payload: p.Payload, SentAt: now}
 		msgs = append(msgs, m)
 	}
-	st.gather = msgs
-	st.msgs += len(parts)
-	st.bytes += int64(total)
-	nw.countEnvelope(st, from, to)
-	if st.faults != nil && nw.interceptGather(eng, st, from, to, msgs, total, d) {
+	nw.gather = msgs
+	nw.msgs += len(parts)
+	nw.bytes += int64(total)
+	nw.countEnvelope(from, to)
+	if nw.faults != nil && nw.interceptGather(from, to, msgs, total, d) {
 		return
 	}
-	nw.deliverGather(eng, st, from, to, msgs, total, d)
+	nw.deliverGather(from, to, msgs, total, d)
 }
 
 // deliverGather performs the fault-free half of a gather send: one departure
 // for the whole envelope, then one queue push per part at the arrival time.
-func (nw *Network) deliverGather(eng *sim.Engine, st *netShard, from, to int, parts []*Message, total int, d sim.Duration) {
-	depart := nw.departure(eng, st, from, to, total)
-	at := depart.Add(d)
+func (nw *Network) deliverGather(from, to int, parts []*Message, total int, d sim.Duration) {
+	at := nw.departure(from, to, total).Add(d)
 	for _, m := range parts {
-		nw.pushAt(eng, to, at, nw.queue(to, m.Chan), m)
+		nw.eng.SchedulePush(at, nw.queue(to, m.Chan), m)
 	}
 }
 
@@ -499,26 +328,26 @@ func (nw *Network) deliverGather(eng *sim.Engine, st *netShard, from, to int, pa
 // resource before the other has pushed depart would mark it free while the
 // message is still on the wire. The sender itself never blocks (PM2 sends
 // are asynchronous, the queueing happens in the interface).
-func (nw *Network) departure(eng *sim.Engine, st *netShard, from, to, size int) sim.Time {
-	depart := eng.Now()
+func (nw *Network) departure(from, to, size int) sim.Time {
+	depart := nw.eng.Now()
 	if (nw.nicModel || nw.linkModel) && from >= 0 && from < nw.n {
 		tx := sim.Duration(float64(size) * nw.topo.Link(from, to).PerByte)
 		key := linkKey{from, to}
-		if nw.nicModel && st.nicFree[from] > depart {
-			depart = st.nicFree[from]
+		if nw.nicModel && nw.nicFree[from] > depart {
+			depart = nw.nicFree[from]
 		}
 		if nw.linkModel {
-			if free := st.linkFree[key]; free > depart {
-				st.linkStats.Waits++
-				st.linkStats.WaitTime += free.Sub(depart)
+			if free := nw.linkFree[key]; free > depart {
+				nw.linkStats.Waits++
+				nw.linkStats.WaitTime += free.Sub(depart)
 				depart = free
 			}
 		}
 		if nw.nicModel {
-			st.nicFree[from] = depart.Add(tx)
+			nw.nicFree[from] = depart.Add(tx)
 		}
 		if nw.linkModel {
-			st.linkFree[key] = depart.Add(tx)
+			nw.linkFree[key] = depart.Add(tx)
 		}
 	}
 	return depart
@@ -565,15 +394,14 @@ func (nw *Network) SendBulkID(from, to int, ch ChanID, size int, payload interfa
 // same NIC/link occupancy models as named-channel traffic — a reply crossing
 // a saturated link queues exactly like the request did.
 func (nw *Network) SendDirect(from, to int, q *sim.Chan, size int, payload interface{}, d sim.Duration) {
-	eng, st := nw.sendCtx(from, to)
-	st.msgs++
-	st.bytes += int64(size)
-	nw.countEnvelope(st, from, to)
-	if st.faults != nil && nw.intercept(eng, st, from, to, q, payload, size, d, false) {
+	nw.msgs++
+	nw.bytes += int64(size)
+	nw.countEnvelope(from, to)
+	if nw.faults != nil && nw.intercept(from, to, q, payload, size, d, false) {
 		return
 	}
-	depart := nw.departure(eng, st, from, to, size)
-	nw.pushAt(eng, to, depart.Add(d), q, payload)
+	depart := nw.departure(from, to, size)
+	nw.eng.SchedulePush(depart.Add(d), q, payload)
 }
 
 // Recv blocks the calling proc until a message arrives for node on channel.
@@ -587,12 +415,12 @@ func (nw *Network) RecvID(p *sim.Proc, node int, ch ChanID) *Message {
 }
 
 // Serve binds node's inbound queue for ch to fn: every message arriving there
-// is handed to fn by the event loop of the node's engine, in arrival order and
+// is handed to fn by the event loop, in arrival order and
 // in engine context, instead of waiting for a Recv (see sim.Chan.SetSink). fn
 // owns the message, as a receiver would. The binding ends when the node
 // crashes; whoever restarts the node binds its fresh queue again.
 func (nw *Network) Serve(node int, ch ChanID, fn func(*Message)) {
-	nw.queue(node, ch).SetSink(nw.engOf(nw.ShardOf(node)), func(v interface{}) { fn(v.(*Message)) })
+	nw.queue(node, ch).SetSink(nw.eng, func(v interface{}) { fn(v.(*Message)) })
 }
 
 // TryRecv returns a pending message for node on channel without blocking.
@@ -604,53 +432,38 @@ func (nw *Network) TryRecv(node int, channel string) (*Message, bool) {
 	return v.(*Message), true
 }
 
-// Stats reports cumulative message and byte counts, summed over shards.
-func (nw *Network) Stats() (messages int, bytes int64) {
-	for _, st := range nw.shs {
-		messages += st.msgs
-		bytes += st.bytes
-	}
-	return messages, bytes
-}
+// Stats reports cumulative message and byte counts.
+func (nw *Network) Stats() (messages int, bytes int64) { return nw.msgs, nw.bytes }
 
 // Envelopes reports the cumulative number of wire envelopes that departed:
 // every plain send (named-channel or direct) counts one, and a multi-part
 // gather counts one regardless of how many parts it carries. The spread
 // between Stats' message count and this counter is exactly what batching
 // saved.
-func (nw *Network) Envelopes() int {
-	out := 0
-	for _, st := range nw.shs {
-		out += st.envelopes
-	}
-	return out
-}
+func (nw *Network) Envelopes() int { return nw.envelopes }
 
 // countEnvelope bumps the total and the per-link-class envelope counters for
 // one departure on the from->to link.
-func (nw *Network) countEnvelope(st *netShard, from, to int) {
-	st.envelopes++
+func (nw *Network) countEnvelope(from, to int) {
+	nw.envelopes++
 	prof := nw.Link(from, to)
-	for i := range st.envByLink {
-		if st.envByLink[i].prof == prof {
-			st.envByLink[i].n++
+	for i := range nw.envByLink {
+		if nw.envByLink[i].prof == prof {
+			nw.envByLink[i].n++
 			return
 		}
 	}
-	st.envByLink = append(st.envByLink, linkCount{prof, 1})
+	nw.envByLink = append(nw.envByLink, linkCount{prof, 1})
 }
 
 // EnvelopesByLink classes the departed envelopes by the profile name of the
-// link they crossed, summed over shards (and over profiles sharing a name).
-// On a hierarchical topology this splits intra-cluster traffic from backbone
-// traffic — the number a combining-tree barrier is supposed to shrink. Purely
+// link they crossed (summed over profiles sharing a name). On a hierarchical
+// topology this splits intra-cluster traffic from backbone traffic. Purely
 // diagnostic: the per-class counters are not serialized into snapshots.
 func (nw *Network) EnvelopesByLink() map[string]int {
 	out := make(map[string]int)
-	for _, st := range nw.shs {
-		for _, c := range st.envByLink {
-			out[c.prof.Name] += c.n
-		}
+	for _, c := range nw.envByLink {
+		out[c.prof.Name] += c.n
 	}
 	return out
 }

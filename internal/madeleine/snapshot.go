@@ -31,7 +31,7 @@ type LinkFaultState struct {
 	DupRate     float64 `json:"dup_rate,omitempty"`
 }
 
-// FaultLayerState is one shard's fault layer.
+// FaultLayerState is the fault layer's serializable state.
 type FaultLayerState struct {
 	Policy   int              `json:"policy"`
 	Dead     []bool           `json:"dead"`
@@ -40,8 +40,8 @@ type FaultLayerState struct {
 	RNGDraws uint64           `json:"rng_draws"`
 }
 
-// ShardNetState is one shard's slice of the network state.
-type ShardNetState struct {
+// NetState is the network's complete serializable state.
+type NetState struct {
 	NICFree   []sim.Time       `json:"nic_free"`
 	LinkFree  []LinkClock      `json:"link_free,omitempty"`
 	LinkStats LinkStats        `json:"link_stats"`
@@ -51,60 +51,53 @@ type ShardNetState struct {
 	Faults    *FaultLayerState `json:"faults,omitempty"`
 }
 
-// NetState is the network's complete serializable state.
-type NetState struct {
-	Shards []ShardNetState `json:"shards"`
-}
-
 // CaptureState serializes the network at a safe point, or explains why the
 // moment is not one. It never mutates the network.
 func (nw *Network) CaptureState() (*NetState, error) {
-	s := &NetState{}
-	for _, st := range nw.shs {
-		ss := ShardNetState{
-			NICFree:   append([]sim.Time(nil), st.nicFree...),
-			LinkStats: st.linkStats,
-			Msgs:      st.msgs,
-			Bytes:     st.bytes,
-			Envelopes: st.envelopes,
-		}
-		keys := make([]linkKey, 0, len(st.linkFree))
-		for k := range st.linkFree {
-			keys = append(keys, k)
-		}
-		sortLinkKeys(keys)
-		for _, k := range keys {
-			ss.LinkFree = append(ss.LinkFree, LinkClock{From: k.from, To: k.to, Free: st.linkFree[k]})
-		}
-		if fs := st.faults; fs != nil {
-			fl := &FaultLayerState{
-				Policy:   int(fs.policy),
-				Dead:     append([]bool(nil), fs.dead...),
-				Stats:    fs.stats,
-				RNGDraws: fs.rng.Draws(),
-			}
-			lkeys := make([]linkKey, 0, len(fs.links))
-			for k := range fs.links {
-				lkeys = append(lkeys, k)
-			}
-			sortLinkKeys(lkeys)
-			for _, k := range lkeys {
-				lf := fs.links[k]
-				if len(lf.held) > 0 {
-					return nil, fmt.Errorf("madeleine: capture with %d message(s) held on partitioned link %d->%d (heal before checkpointing)", len(lf.held), k.from, k.to)
-				}
-				if !lf.partitioned && lf.dropRate == 0 && lf.dupRate == 0 {
-					continue // healed, reliable link: nothing to carry
-				}
-				fl.Links = append(fl.Links, LinkFaultState{
-					From: k.from, To: k.to, Partitioned: lf.partitioned,
-					DropRate: lf.dropRate, DupRate: lf.dupRate,
-				})
-			}
-			ss.Faults = fl
-		}
-		s.Shards = append(s.Shards, ss)
+	s := &NetState{
+		NICFree:   append([]sim.Time(nil), nw.nicFree...),
+		LinkStats: nw.linkStats,
+		Msgs:      nw.msgs,
+		Bytes:     nw.bytes,
+		Envelopes: nw.envelopes,
 	}
+	keys := make([]linkKey, 0, len(nw.linkFree))
+	for k := range nw.linkFree {
+		keys = append(keys, k)
+	}
+	sortLinkKeys(keys)
+	for _, k := range keys {
+		s.LinkFree = append(s.LinkFree, LinkClock{From: k.from, To: k.to, Free: nw.linkFree[k]})
+	}
+	fs := nw.faults
+	if fs == nil {
+		return s, nil
+	}
+	fl := &FaultLayerState{
+		Policy:   int(fs.policy),
+		Dead:     append([]bool(nil), fs.dead...),
+		Stats:    fs.stats,
+		RNGDraws: fs.rng.Draws(),
+	}
+	lkeys := make([]linkKey, 0, len(fs.links))
+	for k := range fs.links {
+		lkeys = append(lkeys, k)
+	}
+	sortLinkKeys(lkeys)
+	for _, k := range lkeys {
+		lf := fs.links[k]
+		if len(lf.held) > 0 {
+			return nil, fmt.Errorf("madeleine: capture with %d message(s) held on partitioned link %d->%d (heal before checkpointing)", len(lf.held), k.from, k.to)
+		}
+		if !lf.partitioned && lf.dropRate == 0 && lf.dupRate == 0 {
+			continue // healed, reliable link: nothing to carry
+		}
+		fl.Links = append(fl.Links, LinkFaultState{
+			From: k.from, To: k.to, Partitioned: lf.partitioned,
+			DropRate: lf.dropRate, DupRate: lf.dupRate,
+		})
+	}
+	s.Faults = fl
 	return s, nil
 }
 
@@ -118,51 +111,44 @@ func sortLinkKeys(keys []linkKey) {
 }
 
 // RestoreState installs a captured network state into this network, which
-// must have the same shape (node count, shard count) and — when the capture
-// had faults enabled — must already have EnableFaults called with the
-// original seed and policy, so the loss PRNG streams can be fast-forwarded
-// rather than recreated (the seed does not serialize here; the layer above
-// records it).
+// must have the same node count and — when the capture had faults enabled —
+// must already have EnableFaults called with the original seed and policy,
+// so the loss PRNG stream can be fast-forwarded rather than recreated (the
+// seed does not serialize here; the layer above records it).
 func (nw *Network) RestoreState(s *NetState) error {
-	if len(s.Shards) != len(nw.shs) {
-		return fmt.Errorf("madeleine: restore of %d-shard state into %d-shard network", len(s.Shards), len(nw.shs))
+	if len(s.NICFree) != len(nw.nicFree) {
+		return fmt.Errorf("madeleine: restore of %d-node state into %d-node network", len(s.NICFree), len(nw.nicFree))
 	}
-	for i, ss := range s.Shards {
-		st := nw.shs[i]
-		if len(ss.NICFree) != len(st.nicFree) {
-			return fmt.Errorf("madeleine: restore of %d-node state into %d-node network", len(ss.NICFree), len(st.nicFree))
+	copy(nw.nicFree, s.NICFree)
+	nw.linkFree = make(map[linkKey]sim.Time, len(s.LinkFree))
+	for _, lc := range s.LinkFree {
+		nw.linkFree[linkKey{lc.From, lc.To}] = lc.Free
+	}
+	nw.linkStats = s.LinkStats
+	nw.msgs = s.Msgs
+	nw.bytes = s.Bytes
+	nw.envelopes = s.Envelopes
+	if s.Faults == nil {
+		return nil
+	}
+	fs := nw.faults
+	if fs == nil {
+		return fmt.Errorf("madeleine: restore of fault state into a network without faults enabled")
+	}
+	fs.policy = PartitionPolicy(s.Faults.Policy)
+	if len(s.Faults.Dead) != len(fs.dead) {
+		return fmt.Errorf("madeleine: restore fault state for %d nodes into %d-node network", len(s.Faults.Dead), len(fs.dead))
+	}
+	copy(fs.dead, s.Faults.Dead)
+	fs.stats = s.Faults.Stats
+	fs.links = make(map[linkKey]*linkFault, len(s.Faults.Links))
+	for _, lf := range s.Faults.Links {
+		fs.links[linkKey{lf.From, lf.To}] = &linkFault{
+			partitioned: lf.Partitioned, dropRate: lf.DropRate, dupRate: lf.DupRate,
 		}
-		copy(st.nicFree, ss.NICFree)
-		st.linkFree = make(map[linkKey]sim.Time, len(ss.LinkFree))
-		for _, lc := range ss.LinkFree {
-			st.linkFree[linkKey{lc.From, lc.To}] = lc.Free
-		}
-		st.linkStats = ss.LinkStats
-		st.msgs = ss.Msgs
-		st.bytes = ss.Bytes
-		st.envelopes = ss.Envelopes
-		if ss.Faults == nil {
-			continue
-		}
-		fs := st.faults
-		if fs == nil {
-			return fmt.Errorf("madeleine: restore of fault state into a network without faults enabled (shard %d)", i)
-		}
-		fs.policy = PartitionPolicy(ss.Faults.Policy)
-		if len(ss.Faults.Dead) != len(fs.dead) {
-			return fmt.Errorf("madeleine: restore fault state for %d nodes into %d-node network", len(ss.Faults.Dead), len(fs.dead))
-		}
-		copy(fs.dead, ss.Faults.Dead)
-		fs.stats = ss.Faults.Stats
-		fs.links = make(map[linkKey]*linkFault, len(ss.Faults.Links))
-		for _, lf := range ss.Faults.Links {
-			fs.links[linkKey{lf.From, lf.To}] = &linkFault{
-				partitioned: lf.Partitioned, dropRate: lf.DropRate, dupRate: lf.DupRate,
-			}
-		}
-		if err := fs.rng.BurnTo(ss.Faults.RNGDraws); err != nil {
-			return fmt.Errorf("madeleine: shard %d loss PRNG: %w", i, err)
-		}
+	}
+	if err := fs.rng.BurnTo(s.Faults.RNGDraws); err != nil {
+		return fmt.Errorf("madeleine: loss PRNG: %w", err)
 	}
 	return nil
 }

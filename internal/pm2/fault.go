@@ -48,26 +48,16 @@ func (rt *Runtime) EnableFaults(seed int64, policy madeleine.PartitionPolicy) {
 // it (application threads, RPC server and handler threads, migrated-in
 // threads) is killed, joiners of those threads are released, and the network
 // starts dropping the node's traffic. Must run in engine context (a fault
-// event), never from a thread on node n. Single-loop API: sharded machines
-// deliver node faults through InjectFaultPlan, which runs the kill on the
-// owning shard.
+// event), never from a thread on node n.
 func (rt *Runtime) KillNode(n int) {
-	if rt.se != nil {
-		panic("pm2: KillNode on a sharded machine; use InjectFaultPlan")
-	}
 	node := rt.Node(n)
 	if node.dead {
 		return
 	}
 	node.dead = true
 	rt.net.CrashNode(n)
-	rt.killThreads(&rt.live, n)
-}
-
-// killThreads kills the threads on l that are located on node n, in list
-// order (the joiner releases below reach virtual time in that order).
-func (rt *Runtime) killThreads(l *threadList, n int) {
-	for t := l.head; t != nil; {
+	// In list order: the joiner releases below reach virtual time in it.
+	for t := rt.live.head; t != nil; {
 		next := t.next // killThread unlinks t
 		if t.node == n {
 			rt.killThread(t)
@@ -92,26 +82,13 @@ func (rt *Runtime) killThread(t *Thread) {
 // a fresh CPU resource (threads killed mid-compute can never return their
 // units, so the old resource may be stranded), and every registered service
 // connected to its fresh queue (see Node.serve), in registration order so
-// replays are deterministic. Single-loop API: sharded machines
-// deliver node faults through InjectFaultPlan.
+// replays are deterministic.
 func (rt *Runtime) RestartNode(n int) {
-	if rt.se != nil {
-		panic("pm2: RestartNode on a sharded machine; use InjectFaultPlan")
-	}
-	if !rt.Node(n).dead {
-		return
-	}
-	rt.net.RestartNode(n)
-	rt.restartNodeLocal(n)
-}
-
-// restartNodeLocal is the runtime half of a node restart (the network half
-// is RestartNode/ApplyFault): fresh CPUs and reconnected services.
-func (rt *Runtime) restartNodeLocal(n int) {
-	node := rt.nodes[n]
+	node := rt.Node(n)
 	if !node.dead {
 		return
 	}
+	rt.net.RestartNode(n)
 	node.dead = false
 	node.CPU = sim.NewResource(rt.cpus)
 	for _, name := range node.svcOrder {
@@ -120,41 +97,18 @@ func (rt *Runtime) restartNodeLocal(n int) {
 	node.Restarts++
 }
 
-// InjectFaultPlan schedules a declarative fault plan on the machine,
-// handling both execution modes. Single-loop, events apply through the
-// historical mutators. Sharded, each event fans out to every shard at its
-// virtual time: the network flips each shard's fault view, and the shard
-// owning a crashed/restarted node additionally kills or respawns its
-// threads. Call after EnableFaults and before Run.
+// InjectFaultPlan schedules a declarative fault plan on the machine: node
+// events kill and restart the node's threads, link events go to the network.
+// Call after EnableFaults and before Run.
 func (rt *Runtime) InjectFaultPlan(plan *sim.FaultPlan) {
-	if rt.se == nil {
-		rt.eng.InjectFaults(plan, func(ev sim.FaultEvent) {
-			switch ev.Kind {
-			case sim.FaultNodeCrash:
-				rt.KillNode(ev.Node)
-			case sim.FaultNodeRestart:
-				rt.RestartNode(ev.Node)
-			default:
-				rt.net.ApplyFault(0, ev)
-			}
-		})
-		return
-	}
-	rt.se.InjectFaults(plan, func(shard int, ev sim.FaultEvent) {
-		rt.net.ApplyFault(shard, ev)
+	rt.eng.InjectFaults(plan, func(ev sim.FaultEvent) {
 		switch ev.Kind {
 		case sim.FaultNodeCrash:
-			if rt.nodeShard[ev.Node] == shard {
-				node := rt.nodes[ev.Node]
-				if !node.dead {
-					node.dead = true
-					rt.killThreads(&node.live, ev.Node)
-				}
-			}
+			rt.KillNode(ev.Node)
 		case sim.FaultNodeRestart:
-			if rt.nodeShard[ev.Node] == shard {
-				rt.restartNodeLocal(ev.Node)
-			}
+			rt.RestartNode(ev.Node)
+		default:
+			rt.net.ApplyFault(ev)
 		}
 	})
 }

@@ -39,9 +39,6 @@ func (t *Thread) checkPreempt() {
 // Load reports the number of live application threads currently located on
 // node — the balancer's load measure.
 func (rt *Runtime) Load(node int) int {
-	if rt.se != nil {
-		panic("pm2: Load walks every shard's threads; not supported on a sharded machine")
-	}
 	n := 0
 	for t := rt.live.head; t != nil; t = t.next {
 		if !t.proc.Daemon() && t.node == node {
@@ -70,12 +67,6 @@ type Balancer struct {
 // threads left (so simulations terminate); start it after spawning the
 // workers it should balance.
 func (rt *Runtime) StartBalancer(interval sim.Duration) *Balancer {
-	if rt.se != nil {
-		// The balancer samples every node's load and moves threads between
-		// arbitrary nodes — both cross-shard operations. Sharded machines
-		// balance within the application (or not at all).
-		panic("pm2: the load balancer is not supported on a sharded machine")
-	}
 	if interval <= 0 {
 		interval = sim.Millisecond
 	}
@@ -113,7 +104,7 @@ func (b *Balancer) step() {
 		return
 	}
 	// Deterministic victim choice: the migratable thread with the lowest
-	// id on the overloaded node that has no move pending. Single-loop ids
+	// id on the overloaded node that has no move pending. Thread ids
 	// rise with creation, so that is the first match in the live list.
 	for t := rt.live.head; t != nil; t = t.next {
 		if t.migratable && t.node == max && t.pendingDest < 0 {

@@ -76,23 +76,15 @@ func (c *VecCall) Release() {
 }
 
 // getReq takes a request envelope from the freelist (or allocates one).
-// Sharded machines always allocate: an envelope freed by the callee's shard
-// would otherwise re-enter a pool the caller's shard also touches.
 func (rt *Runtime) getReq() *rpcReq {
-	if rt.se == nil {
-		if r, ok := rt.reqFree.Get(); ok {
-			return r
-		}
+	if r, ok := rt.reqFree.Get(); ok {
+		return r
 	}
 	return new(rpcReq)
 }
 
-// putReq returns a request envelope to the freelist (a no-op on sharded
-// machines; see getReq).
+// putReq returns a request envelope to the freelist.
 func (rt *Runtime) putReq(r *rpcReq) {
-	if rt.se != nil {
-		return
-	}
 	*r = rpcReq{}
 	rt.reqFree.Put(r)
 }
@@ -104,24 +96,11 @@ func svcChannel(name string) string { return "rpc:" + name }
 // name, so per-message sends neither concatenate strings nor consult the
 // network's name table.
 func (rt *Runtime) svcChanID(name string) madeleine.ChanID {
-	if rt.se == nil {
-		if id, ok := rt.svcIDs[name]; ok {
-			return id
-		}
-		id := rt.net.ChannelID(svcChannel(name))
-		rt.svcIDs[name] = id
+	if id, ok := rt.svcIDs[name]; ok {
 		return id
 	}
-	rt.svcMu.RLock()
-	id, ok := rt.svcIDs[name]
-	rt.svcMu.RUnlock()
-	if ok {
-		return id
-	}
-	id = rt.net.ChannelID(svcChannel(name))
-	rt.svcMu.Lock()
+	id := rt.net.ChannelID(svcChannel(name))
 	rt.svcIDs[name] = id
-	rt.svcMu.Unlock()
 	return id
 }
 

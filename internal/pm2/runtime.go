@@ -13,7 +13,6 @@ package pm2
 
 import (
 	"fmt"
-	"sync"
 
 	"dsmpm2/internal/freelist"
 	"dsmpm2/internal/madeleine"
@@ -25,43 +24,28 @@ import (
 const DescriptorBytes = 256
 
 // Runtime is a simulated PM2 machine: a cluster of nodes sharing one sim
-// engine and one network. With Config.Shards > 1 the machine runs sharded:
-// one event loop per node cluster (see sim.ShardedEngine), every node pinned
-// to its cluster's shard, and cross-cluster RPC traffic crossing shards as
-// conservatively synchronized remote events. The single-loop configuration
-// (Shards <= 1) takes the historical code paths bit-for-bit.
+// engine — one event loop — and one network.
 type Runtime struct {
 	eng   *sim.Engine
 	net   *madeleine.Network
 	nodes []*Node
 	cpus  int // CPUs per node, kept for rebuilding a restarted node's CPU
 
-	// Sharded execution (nil/unused when single-loop).
-	se        *sim.ShardedEngine
-	nodeShard []int // node -> owning shard
-	// svcMu guards svcIDs in sharded mode only.
-	svcMu sync.RWMutex
-	// shardNext is the per-shard thread-id counter: shard s hands out ids
-	// s+1, s+1+Shards, s+1+2*Shards, ... so ids are unique machine-wide and
-	// deterministic per shard regardless of cross-shard interleaving. With
-	// one shard this degenerates to the historical 1,2,3,... sequence.
-	shardNext []int
-	// shardMade counts the threads each shard created in this process
-	// (shardNext cannot serve: RestoreState moves it).
-	shardMade []int
+	// nextID is the last thread id handed out (ids run 1, 2, 3, ...); a
+	// restore moves it, so made counts the threads created in this process.
+	nextID int
+	made   int
 
-	// live lists the single-loop machine's unfinished threads in creation
-	// order; a sharded machine keeps one list per node instead (see
-	// liveList). A finished or killed thread unlinks itself, so the runtime
-	// holds nothing of it.
+	// live lists the machine's unfinished threads in creation order. A
+	// finished or killed thread unlinks itself, so the runtime holds nothing
+	// of it.
 	live threadList
 
 	// svcIDs caches service name -> interned request-channel id, so
 	// per-message sends skip both the "rpc:" concatenation and the
 	// network's name table.
 	svcIDs map[string]madeleine.ChanID
-	// reqFree recycles rpcReq envelopes (see rpcReq). Sharded machines
-	// bypass the pool: it would put a lock on every RPC.
+	// reqFree recycles rpcReq envelopes (see rpcReq).
 	reqFree freelist.List[*rpcReq]
 }
 
@@ -82,15 +66,6 @@ type Config struct {
 	// latencies are single-message costs.
 	LinkContention bool
 
-	// Shards > 1 runs the machine on that many parallel event loops, nodes
-	// partitioned by the topology's clusters (Hierarchical topologies with
-	// a matching cluster count shard along their cluster boundaries;
-	// anything else falls back to contiguous equal blocks). The inter-shard
-	// lookahead is derived from the cheapest cross-shard message cost, so
-	// the slow backbone of a hierarchical machine is exactly the slack the
-	// conservative synchronization needs. 0 or 1 is the single-loop mode.
-	Shards int
-
 	Seed int64
 }
 
@@ -110,47 +85,12 @@ func NewRuntime(cfg Config) *Runtime {
 		}
 		topo = madeleine.NewUniform(prof)
 	}
-	if cfg.Shards > cfg.Nodes {
-		cfg.Shards = cfg.Nodes
-	}
-	var eng *sim.Engine
-	var se *sim.ShardedEngine
-	var nodeShard []int
-	if cfg.Shards > 1 {
-		nodeShard = shardMap(topo, cfg.Nodes, cfg.Shards)
-		look := lookaheads(topo, nodeShard, cfg.Shards)
-		min := sim.Duration(0)
-		for i := range look {
-			for j, d := range look[i] {
-				if i != j && d > 0 && (min == 0 || d < min) {
-					min = d
-				}
-			}
-		}
-		se = sim.NewShardedEngine(cfg.Seed, cfg.Shards, min)
-		for i := range look {
-			for j, d := range look[i] {
-				if i != j && d > 0 {
-					se.SetLookahead(i, j, d)
-				}
-			}
-		}
-		eng = se.Shard(0)
-	} else {
-		eng = sim.NewEngine(cfg.Seed)
-	}
+	eng := sim.NewEngine(cfg.Seed)
 	rt := &Runtime{
-		eng:       eng,
-		net:       madeleine.NewNetworkTopology(eng, topo, cfg.Nodes),
-		cpus:      cfg.CPUsPerNode,
-		se:        se,
-		nodeShard: nodeShard,
-		shardNext: make([]int, max(cfg.Shards, 1)),
-		shardMade: make([]int, max(cfg.Shards, 1)),
-		svcIDs:    make(map[string]madeleine.ChanID),
-	}
-	if se != nil {
-		rt.net.BindSharded(se, nodeShard)
+		eng:    eng,
+		net:    madeleine.NewNetworkTopology(eng, topo, cfg.Nodes),
+		cpus:   cfg.CPUsPerNode,
+		svcIDs: make(map[string]madeleine.ChanID),
 	}
 	rt.net.SetLinkContention(cfg.LinkContention)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -164,94 +104,8 @@ func NewRuntime(cfg Config) *Runtime {
 	return rt
 }
 
-// shardMap assigns each node to a shard. A Hierarchical topology whose
-// cluster count matches the shard count shards along its cluster boundaries
-// (that is the configuration the sharded mode is designed for: the
-// inter-cluster backbone is the lookahead); everything else falls back to
-// contiguous equal blocks.
-func shardMap(topo madeleine.Topology, nodes, shards int) []int {
-	if h, ok := topo.(*madeleine.Hierarchical); ok && h.Clusters() == shards {
-		out := make([]int, nodes)
-		for i := range out {
-			out[i] = h.ClusterOf(i)
-		}
-		return out
-	}
-	return madeleine.EvenClusters(nodes, shards)
-}
-
-// lookaheads derives the inter-shard lookahead matrix from the topology:
-// for each ordered shard pair, the cheapest message the runtime can ever put
-// on a link from a node of one to a node of the other. Every RPC-layer send
-// charges at least min(CtrlMsg, RPCBase/2, XferBase) of its link's profile,
-// so that bound is a safe conservative lookahead.
-func lookaheads(topo madeleine.Topology, nodeShard []int, shards int) [][]sim.Duration {
-	look := make([][]sim.Duration, shards)
-	for i := range look {
-		look[i] = make([]sim.Duration, shards)
-	}
-	n := len(nodeShard)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			si, sj := nodeShard[i], nodeShard[j]
-			if si == sj {
-				continue
-			}
-			p := topo.Link(i, j)
-			d := p.CtrlMsg
-			if half := p.RPCBase / 2; half < d {
-				d = half
-			}
-			if p.XferBase < d {
-				d = p.XferBase
-			}
-			if cur := look[si][sj]; cur == 0 || d < cur {
-				look[si][sj] = d
-			}
-		}
-	}
-	return look
-}
-
-// Engine returns the sim engine driving this machine (shard 0's engine when
-// sharded; use engFor for node-local scheduling).
+// Engine returns the sim engine driving this machine.
 func (rt *Runtime) Engine() *sim.Engine { return rt.eng }
-
-// Sharded reports whether the machine runs on parallel event loops.
-func (rt *Runtime) Sharded() bool { return rt.se != nil }
-
-// ShardedEngine returns the sharded engine, or nil when single-loop.
-func (rt *Runtime) ShardedEngine() *sim.ShardedEngine { return rt.se }
-
-// ShardOf reports which shard owns node n (0 when single-loop).
-func (rt *Runtime) ShardOf(n int) int {
-	if rt.nodeShard == nil {
-		return 0
-	}
-	return rt.nodeShard[n]
-}
-
-// engFor returns the engine that owns node n's events.
-func (rt *Runtime) engFor(n int) *sim.Engine {
-	if rt.se == nil {
-		return rt.eng
-	}
-	return rt.se.Shard(rt.nodeShard[n])
-}
-
-// EngineFor returns the engine that owns node n's events: the engine whose
-// clock and RNG a layer above must use for anything observed from node n's
-// context. On a single-loop machine it is Engine(); on a sharded machine it
-// is n's shard, whose clock (unlike Now()) is deterministic mid-run.
-func (rt *Runtime) EngineFor(n int) *sim.Engine { return rt.engFor(n) }
-
-// Shards reports the number of event-loop shards (1 when single-loop).
-func (rt *Runtime) Shards() int {
-	if rt.se == nil {
-		return 1
-	}
-	return rt.se.Shards()
-}
 
 // Network returns the machine's interconnect.
 func (rt *Runtime) Network() *madeleine.Network { return rt.net }
@@ -271,15 +125,8 @@ func (rt *Runtime) Nodes() int { return len(rt.nodes) }
 
 // ThreadCount reports the total number of threads created on this machine,
 // including RPC server and handler threads (one per invocation, however often
-// its descriptor was reused). On a sharded machine call it only when the
-// machine is not running (each shard writes its own counter).
-func (rt *Runtime) ThreadCount() int {
-	n := 0
-	for _, made := range rt.shardMade {
-		n += made
-	}
-	return n
-}
+// its descriptor was reused).
+func (rt *Runtime) ThreadCount() int { return rt.made }
 
 // Node returns node i.
 func (rt *Runtime) Node(i int) *Node {
@@ -290,21 +137,10 @@ func (rt *Runtime) Node(i int) *Node {
 }
 
 // Run drives the machine until all non-daemon threads finish.
-func (rt *Runtime) Run() error {
-	if rt.se != nil {
-		return rt.se.Run()
-	}
-	return rt.eng.Run()
-}
+func (rt *Runtime) Run() error { return rt.eng.Run() }
 
-// Now returns the current virtual time (the maximum over shard clocks when
-// sharded).
-func (rt *Runtime) Now() sim.Time {
-	if rt.se != nil {
-		return rt.se.Now()
-	}
-	return rt.eng.Now()
-}
+// Now returns the current virtual time.
+func (rt *Runtime) Now() sim.Time { return rt.eng.Now() }
 
 // Node is one computing node of the PM2 machine. Threads located on the
 // node share its CPUs; RPC services registered on it serve remote requests.
@@ -318,14 +154,7 @@ type Node struct {
 	// node reconnects its services deterministically.
 	svcOrder []string
 
-	// live lists the unfinished threads currently located on this node,
-	// maintained only on sharded machines (where it is touched exclusively
-	// from the owning shard's context): sharded node faults must find the
-	// node's threads without walking — and racing on — a machine-wide list.
-	live threadList
-
-	// vecFree holds the node's released vector calls (see VecCall). Taken and
-	// released by callers located on the node, so its shard alone touches it.
+	// vecFree holds the node's released vector calls (see VecCall).
 	vecFree freelist.List[*VecCall]
 
 	// dead marks a crashed node (see fault.go).
@@ -351,7 +180,7 @@ type threadList struct {
 }
 
 func (l *threadList) pushBack(t *Thread) {
-	t.on, t.prev, t.next = l, l.tail, nil
+	t.prev, t.next = l.tail, nil
 	if l.tail != nil {
 		l.tail.next = t
 	} else {
@@ -360,9 +189,9 @@ func (l *threadList) pushBack(t *Thread) {
 	l.tail = t
 }
 
-// unlink removes t from the list it is on.
+// unlink removes t from its runtime's live list.
 func (t *Thread) unlink() {
-	l := t.on
+	l := &t.rt.live
 	if t.prev != nil {
 		t.prev.next = t.next
 	} else {
@@ -373,14 +202,5 @@ func (t *Thread) unlink() {
 	} else {
 		l.tail = t.prev
 	}
-	t.on, t.prev, t.next = nil, nil, nil
-}
-
-// liveList returns the list tracking unfinished threads located on node: the
-// machine-wide creation-ordered list single-loop, the node's own when sharded.
-func (rt *Runtime) liveList(node int) *threadList {
-	if rt.se == nil {
-		return &rt.live
-	}
-	return &rt.nodes[node].live
+	t.prev, t.next = nil, nil
 }

@@ -4,7 +4,7 @@ import "fmt"
 
 // Runtime checkpoint/restore. At a safe point every application thread has
 // finished (the engine queue is drained), so the runtime's serializable
-// state reduces to the thread-id counters — which must resume where they
+// state reduces to the thread-id counter — which must resume where it
 // left off, or every post-restore spawn would reuse ids and perturb any
 // id-keyed ordering — and the per-node liveness flag and counters. Threads
 // themselves are rebuilt by the application layer.
@@ -21,13 +21,13 @@ type NodeRuntimeState struct {
 
 // RuntimeState is the runtime's serializable state.
 type RuntimeState struct {
-	ShardNext []int              `json:"shard_next"`
-	Nodes     []NodeRuntimeState `json:"nodes"`
+	NextID int                `json:"next_id"` // last thread id handed out
+	Nodes  []NodeRuntimeState `json:"nodes"`
 }
 
 // CaptureState serializes the runtime's counters and liveness flags.
 func (rt *Runtime) CaptureState() *RuntimeState {
-	s := &RuntimeState{ShardNext: append([]int(nil), rt.shardNext...)}
+	s := &RuntimeState{NextID: rt.nextID}
 	for _, n := range rt.nodes {
 		s.Nodes = append(s.Nodes, NodeRuntimeState{
 			Dead:            n.dead,
@@ -49,10 +49,7 @@ func (rt *Runtime) RestoreState(s *RuntimeState) error {
 	if len(s.Nodes) != len(rt.nodes) {
 		return fmt.Errorf("pm2: restore of %d-node state into %d-node runtime", len(s.Nodes), len(rt.nodes))
 	}
-	if len(s.ShardNext) != len(rt.shardNext) {
-		return fmt.Errorf("pm2: restore of %d-shard state into %d-shard runtime", len(s.ShardNext), len(rt.shardNext))
-	}
-	copy(rt.shardNext, s.ShardNext)
+	rt.nextID = s.NextID
 	for i, ns := range s.Nodes {
 		n := rt.nodes[i]
 		if ns.Dead != n.dead {

@@ -42,9 +42,8 @@ type Thread struct {
 	migrations int
 	joiners    []*sim.Proc
 
-	// on is the live-thread list the thread is linked into (through
-	// prev/next) until it finishes or is killed; see Runtime.liveList.
-	on         *threadList
+	// prev and next link the thread into Runtime.live until it finishes or
+	// is killed.
 	prev, next *Thread
 
 	// Load-balancing state: a pending preemptive migration request (-1 for
@@ -78,19 +77,12 @@ func (rt *Runtime) start(node int, name string, stack int, t *Thread) *Thread {
 	}
 	n := rt.Node(node)
 	n.checkAlive("CreateThread") // validate
-	// Thread ids are handed out per shard (stride = shard count) so a
-	// sharded machine's ids are deterministic regardless of how the shards
-	// interleave in wall time; with one shard this is the historical
-	// 1,2,3,... sequence.
-	shard := rt.ShardOf(node)
-	stride := len(rt.shardNext)
-	t.id = rt.shardNext[shard]*stride + shard + 1
-	rt.shardNext[shard]++
-	rt.shardMade[shard]++
+	rt.nextID++
+	rt.made++
+	t.id = rt.nextID
 	t.rt, t.node, t.stackSize, t.pendingDest = rt, node, stack, -1
-	rt.liveList(node).pushBack(t)
-	eng := rt.engFor(node)
-	eng.SpawnInto(&t.proc, name, eng.Now(), t)
+	rt.live.pushBack(t)
+	rt.eng.SpawnInto(&t.proc, name, rt.eng.Now(), t)
 	n.ThreadsSpawned++
 	return t
 }
@@ -202,16 +194,6 @@ func (t *Thread) MigrateTo(dest int) {
 	}
 	t.rt.Node(dest) // validate
 	src := t.node
-	if t.rt.se != nil {
-		if t.rt.nodeShard[src] != t.rt.nodeShard[dest] {
-			// The thread's coroutine is wired to its shard's event loop;
-			// re-homing it would move a running proc between calendars.
-			panic(fmt.Sprintf("pm2: thread %q cannot migrate %d->%d across shards (%d->%d)",
-				t.Name(), src, dest, t.rt.nodeShard[src], t.rt.nodeShard[dest]))
-		}
-		t.unlink()
-		t.rt.nodes[dest].live.pushBack(t)
-	}
 	cost := t.rt.Link(src, dest).Migration(t.stackSize + DescriptorBytes)
 	t.proc.Advance(cost)
 	t.node = dest

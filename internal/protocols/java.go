@@ -194,7 +194,7 @@ func (p *java) ensureLocal(a *core.ObjAccess, pg core.Page) {
 	if p.d.Space(node).AccessOf(pg).Allows(true) {
 		return
 	}
-	p.d.CountObjFetch(node)
+	p.d.CountObjFetch()
 	f := &core.Fault{
 		DSM:    p.d,
 		Thread: a.Thread,

@@ -84,8 +84,8 @@ type ShardedEngine struct {
 	syncHook func(shard int) // test instrumentation; see SetSyncHook
 }
 
-// remoteEvent is one cross-shard event in flight: a Chan push or (ch nil, the
-// func() in payload) a closure, stamped with its virtual fire time and a
+// remoteEvent is one cross-shard event in flight: a Chan push stamped with its
+// virtual fire time and a
 // (source shard, per-source sequence) pair that makes the merge order total
 // and deterministic.
 type remoteEvent struct {
@@ -110,8 +110,7 @@ type shardCtl struct {
 
 // NewShardedEngine creates n shard engines seeded deterministically from
 // seed (shard 0 uses seed itself) with a uniform cross-shard lookahead.
-// n must be >= 1; lookahead must be > 0 when n > 1. Per-pair lookaheads can
-// then be tightened or relaxed with SetLookahead. A one-shard engine is the
+// n must be >= 1; lookahead must be > 0 when n > 1. A one-shard engine is the
 // legacy Engine verbatim: no shard controller is attached, so its replay is
 // bit-identical to NewEngine(seed).
 func NewShardedEngine(seed int64, n int, lookahead Duration) *ShardedEngine {
@@ -147,25 +146,6 @@ func NewShardedEngine(seed int64, n int, lookahead Duration) *ShardedEngine {
 	}
 	return se
 }
-
-// SetLookahead sets the promise for the directed shard pair src -> dst:
-// every event sent from src at time t arrives at dst no earlier than t + d.
-// d must be > 0; src == dst is ignored. Call before Run.
-func (se *ShardedEngine) SetLookahead(src, dst int, d Duration) {
-	if src == dst {
-		return
-	}
-	if d <= 0 {
-		panic(fmt.Sprintf("sim: lookahead %v for shard pair (%d,%d) must be positive", d, src, dst))
-	}
-	se.look[src][dst] = d
-}
-
-// Lookahead reports the direct lookahead for the shard pair src -> dst.
-func (se *ShardedEngine) Lookahead(src, dst int) Duration { return se.look[src][dst] }
-
-// Shards reports the shard count.
-func (se *ShardedEngine) Shards() int { return len(se.shards) }
 
 // Shard returns shard i's engine. Upper layers schedule each simulated
 // node's work on its owning shard's engine.
@@ -231,22 +211,6 @@ func (se *ShardedEngine) Stop() {
 // wall-clock delays to shuffle cross-shard arrival order; production runs
 // leave it nil.
 func (se *ShardedEngine) SetSyncHook(fn func(shard int)) { se.syncHook = fn }
-
-// InjectFaults schedules every event of the plan on every shard, in
-// canonical order, at that shard's now + event.At. Each shard applies the
-// event at the same virtual time in its own stream, which is what keeps a
-// crash consistent: the owning shard kills the node while the other shards
-// stop routing traffic to it from the same virtual instant. apply runs in
-// the shard's engine context.
-func (se *ShardedEngine) InjectFaults(plan *FaultPlan, apply func(shard int, ev FaultEvent)) {
-	if plan == nil || apply == nil {
-		return
-	}
-	for i, e := range se.shards {
-		i := i
-		e.InjectFaults(plan, func(ev FaultEvent) { apply(i, ev) })
-	}
-}
 
 // computeDist closes the lookahead matrix over paths (Floyd–Warshall): a
 // chain of cross-shard hops accumulates at least the per-edge lookaheads,
@@ -597,19 +561,6 @@ func (sh *shardCtl) nextEvent(e *Engine) (event, bool) {
 	return e.pop(), true
 }
 
-// ShardID reports which shard of a sharded engine this engine is; a
-// standalone engine is shard 0.
-func (e *Engine) ShardID() int {
-	if e.sh == nil {
-		return 0
-	}
-	return e.sh.id
-}
-
-// Sharded reports whether this engine is one shard of a multi-shard
-// ShardedEngine.
-func (e *Engine) Sharded() bool { return e.sh != nil }
-
 // SchedulePushShard is SchedulePush routed to the shard that owns the
 // destination: local destinations (or a standalone engine) take the
 // ordinary allocation-free path, remote ones become cross-shard mailbox
@@ -621,93 +572,6 @@ func (e *Engine) SchedulePushShard(dst int, t Time, ch *Chan, payload interface{
 		return
 	}
 	e.sh.se.send(e.sh.id, dst, remoteEvent{t: t, ch: ch, payload: payload})
-}
-
-// ScheduleShard is Schedule routed to the shard that owns the destination;
-// see SchedulePushShard.
-func (e *Engine) ScheduleShard(dst int, t Time, fn func()) {
-	if e.sh == nil || dst == e.sh.id {
-		e.Schedule(t, fn)
-		return
-	}
-	e.sh.se.send(e.sh.id, dst, remoteEvent{t: t, payload: fn})
-}
-
-// Capture snapshots every shard's kernel at a global safe point: between Run
-// calls, every shard drained (no token holder, no queued events, no live
-// non-daemon procs), no remote events pending in any heap and no mailbox
-// undrained. Returns one Snapshot per shard, in shard order; a one-shard
-// engine returns exactly its legacy Engine capture.
-func (se *ShardedEngine) Capture() ([]Snapshot, error) {
-	if len(se.shards) == 1 {
-		s, err := se.shards[0].Capture()
-		if err != nil {
-			return nil, err
-		}
-		return []Snapshot{s}, nil
-	}
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	for i, e := range se.shards {
-		if err := e.shardQuiesced("capture", i); err != nil {
-			return nil, err
-		}
-		if n := len(se.inbox[i]); n != 0 {
-			return nil, fmt.Errorf("sim: capture: shard %d mailbox holds %d undrained cross-shard event(s)", i, n)
-		}
-	}
-	out := make([]Snapshot, len(se.shards))
-	for i, e := range se.shards {
-		out[i] = e.snapshotNow()
-	}
-	return out, nil
-}
-
-// Restore stomps every shard's kernel to a captured global safe point. The
-// engine must have the same shard count (and therefore the same derived
-// seeds) as the captured one, be at a safe point itself, and — per shard —
-// must not have consumed more counters or random draws than its snapshot
-// records; see Engine.Restore.
-func (se *ShardedEngine) Restore(ss []Snapshot) error {
-	if len(ss) != len(se.shards) {
-		return fmt.Errorf("sim: restore: snapshot has %d shard(s), engine has %d", len(ss), len(se.shards))
-	}
-	if len(se.shards) == 1 {
-		return se.shards[0].Restore(ss[0])
-	}
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	for i, e := range se.shards {
-		if err := e.shardQuiesced("restore", i); err != nil {
-			return err
-		}
-		if n := len(se.inbox[i]); n != 0 {
-			return fmt.Errorf("sim: restore: shard %d mailbox holds %d undrained cross-shard event(s)", i, n)
-		}
-	}
-	for i, e := range se.shards {
-		if err := e.restoreSnapshot(ss[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// shardQuiesced is the per-shard half of the sharded safe-point check: the
-// same conditions Engine.quiesced imposes, minus the blanket sharded
-// rejection, plus an empty remote-pending heap.
-func (e *Engine) shardQuiesced(op string, shard int) error {
-	switch {
-	case e.cur != nil:
-		return fmt.Errorf("sim: %s: shard %d: proc %q holds the simulation token (call between Run phases)", op, shard, e.cur.name)
-	case e.nqueued != 0:
-		return fmt.Errorf("sim: %s: shard %d: %d event(s) still queued (queue must be drained)", op, shard, e.nqueued)
-	case len(e.sh.pending) != 0:
-		return fmt.Errorf("sim: %s: shard %d: %d remote event(s) pending", op, shard, len(e.sh.pending))
-	case e.nlive != 0:
-		return fmt.Errorf("sim: %s: shard %d: %d non-daemon proc(s) still live", op, shard, e.nlive)
-	}
-	return nil
 }
 
 // minTime returns the smaller of two times.

@@ -17,7 +17,7 @@ import (
 // neighbour lives elsewhere. It returns a per-shard execution trace
 // (deterministic iff the sharded schedule is).
 func shardRing(se *ShardedEngine, procs, hops int, lat Duration) ([][]string, error) {
-	n := se.Shards()
+	n := len(se.shards)
 	chans := make([]*Chan, procs)
 	shard := func(i int) int { return i % n }
 	for i := range chans {
@@ -168,7 +168,7 @@ func TestOneShardBitIdentical(t *testing.T) {
 	legacy := NewEngine(42)
 	lt, lev, lnow := run(legacy, legacy.Run)
 	se := NewShardedEngine(42, 1, 0)
-	if se.Shard(0).Sharded() {
+	if se.Shard(0).sh != nil {
 		t.Fatal("one-shard engine must not carry a shard controller")
 	}
 	st, sev, snow := run(se.Shard(0), se.Run)
@@ -264,42 +264,6 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 		p.Engine().SchedulePushShard(1, p.Now().Add(Microsecond), ch, 1)
 	})
 	_ = se.Run()
-}
-
-// TestShardedFaultFanout: InjectFaults delivers every plan event to every
-// shard at the same virtual time in each shard's stream.
-func TestShardedFaultFanout(t *testing.T) {
-	se := NewShardedEngine(1, 3, 5*Microsecond)
-	plan := (&FaultPlan{Seed: 1}).
-		Crash(20*1000, 1).
-		Restart(40*1000, 1)
-	type hit struct {
-		shard int
-		kind  FaultKind
-		at    Time
-	}
-	hits := make([][]hit, 3)
-	se.InjectFaults(plan, func(shard int, ev FaultEvent) {
-		hits[shard] = append(hits[shard], hit{shard, ev.Kind, se.Shard(shard).Now()})
-	})
-	for s := 0; s < 3; s++ {
-		s := s
-		se.Shard(s).Go(fmt.Sprintf("w%d", s), func(p *Proc) { p.Advance(100 * Microsecond) })
-	}
-	if err := se.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for s := 0; s < 3; s++ {
-		if len(hits[s]) != 2 {
-			t.Fatalf("shard %d saw %d fault events, want 2", s, len(hits[s]))
-		}
-		if hits[s][0].kind != FaultNodeCrash || hits[s][0].at != 20*1000 {
-			t.Fatalf("shard %d first fault = %+v", s, hits[s][0])
-		}
-		if hits[s][1].kind != FaultNodeRestart || hits[s][1].at != 40*1000 {
-			t.Fatalf("shard %d second fault = %+v", s, hits[s][1])
-		}
-	}
 }
 
 // TestShardedRunOnShardPanics: driving one shard's Engine.Run directly

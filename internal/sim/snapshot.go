@@ -105,11 +105,6 @@ type Snapshot struct {
 	NEvents  uint64 `json:"nevents"`
 	Seed     int64  `json:"seed"`
 	RNGDraws uint64 `json:"rng_draws"`
-	// SendSeq is the shard's cross-shard send stamp (see shardCtl): the
-	// merge order of in-flight remote events is keyed by it, so a restored
-	// shard must resume stamping where the captured one stopped. Always 0
-	// for a single-loop engine, and omitted from its wire form.
-	SendSeq uint64 `json:"send_seq,omitempty"`
 }
 
 // quiesced reports nil when the engine is at a checkpointable safe point.
@@ -135,25 +130,14 @@ func (e *Engine) Capture() (Snapshot, error) {
 	if err := e.quiesced("capture"); err != nil {
 		return Snapshot{}, err
 	}
-	return e.snapshotNow(), nil
-}
-
-// snapshotNow serializes the kernel scalars without a safe-point check; the
-// caller (Capture, or ShardedEngine.Capture after its own global check) has
-// already established quiescence.
-func (e *Engine) snapshotNow() Snapshot {
-	s := Snapshot{
+	return Snapshot{
 		Now:      e.now,
 		Seq:      e.seq,
 		NextID:   e.nextID,
 		NEvents:  e.nevents,
 		Seed:     e.rngSrc.seed,
 		RNGDraws: e.rngSrc.draws,
-	}
-	if e.sh != nil {
-		s.SendSeq = e.sh.sendSeq
-	}
-	return s
+	}, nil
 }
 
 // Restore stomps the kernel to a captured safe point. The engine must have
@@ -165,12 +149,6 @@ func (e *Engine) Restore(s Snapshot) error {
 	if err := e.quiesced("restore"); err != nil {
 		return err
 	}
-	return e.restoreSnapshot(s)
-}
-
-// restoreSnapshot stomps the kernel scalars without a safe-point check; see
-// Restore for the contract, ShardedEngine.Restore for the sharded caller.
-func (e *Engine) restoreSnapshot(s Snapshot) error {
 	if e.rngSrc.seed != s.Seed {
 		return fmt.Errorf("sim: restore: engine seeded %d, snapshot needs %d", e.rngSrc.seed, s.Seed)
 	}
@@ -187,12 +165,6 @@ func (e *Engine) restoreSnapshot(s Snapshot) error {
 	e.seq = s.Seq
 	e.nextID = s.NextID
 	e.nevents = s.NEvents
-	if e.sh != nil {
-		if e.sh.sendSeq > s.SendSeq {
-			return fmt.Errorf("sim: restore: shard %d already stamped %d cross-shard sends, past checkpoint's %d", e.sh.id, e.sh.sendSeq, s.SendSeq)
-		}
-		e.sh.sendSeq = s.SendSeq
-	}
 	return nil
 }
 

@@ -30,32 +30,16 @@ type Span struct {
 // Duration returns the span's extent.
 func (s *Span) Duration() sim.Duration { return s.End.Sub(s.Start) }
 
-// Log accumulates spans. On a single-loop machine it is used from simulation
-// context only (one simulated thread at a time), so the shared Spans slice
-// needs no locking. On a sharded machine (dsmpm2.Config.Shards > 1) every
-// shard's event loop runs on its own host goroutine, so concurrent Add calls
-// on one slice would race: a sharded log (NewShardedLog) instead records into
-// per-shard slices — each appended only by its owning goroutine — and merges
-// them canonically at read time. The merge orders by virtual time, never by
-// host arrival: a host mutex would serialize the appends but order nothing in
-// virtual time, so the merged view would differ run to run.
+// Log accumulates spans. It is used from simulation context only (one
+// simulated thread at a time), so it needs no locking, and its spans are in
+// schedule order.
 type Log struct {
 	Spans   []Span `json:"spans"`
 	enabled bool
-	// perShard are the per-shard span logs of a sharded run (nil on a
-	// single-loop machine). Shard i's slice is touched only by shard i's
-	// event-loop goroutine.
-	perShard [][]Span
 }
 
 // NewLog returns an enabled, empty log.
 func NewLog() *Log { return &Log{enabled: true} }
-
-// NewShardedLog returns an enabled log with one private span slice per
-// kernel shard; record into it with AddShard.
-func NewShardedLog(shards int) *Log {
-	return &Log{enabled: true, perShard: make([][]Span, shards)}
-}
 
 // SetEnabled toggles recording; a disabled log drops spans.
 func (l *Log) SetEnabled(on bool) { l.enabled = on }
@@ -63,75 +47,28 @@ func (l *Log) SetEnabled(on bool) { l.enabled = on }
 // Enabled reports whether the log records spans.
 func (l *Log) Enabled() bool { return l != nil && l.enabled }
 
-// Add appends a completed span to the shared slice. Only for single-loop
-// machines: concurrent shard goroutines must use AddShard.
+// Add appends a completed span.
 func (l *Log) Add(s Span) {
 	if l.Enabled() {
 		l.Spans = append(l.Spans, s)
 	}
 }
 
-// AddShard appends a completed span to shard's private log. On a log built
-// with NewLog (no shards) it falls back to the shared slice.
-func (l *Log) AddShard(shard int, s Span) {
-	if !l.Enabled() {
-		return
-	}
-	if l.perShard == nil {
-		l.Spans = append(l.Spans, s)
-		return
-	}
-	l.perShard[shard] = append(l.perShard[shard], s)
-}
-
-// Len reports the number of recorded spans across every shard.
+// Len reports the number of recorded spans.
 func (l *Log) Len() int {
 	if l == nil {
 		return 0
 	}
-	n := len(l.Spans)
-	for _, sh := range l.perShard {
-		n += len(sh)
-	}
-	return n
+	return len(l.Spans)
 }
 
-// All returns the recorded spans in canonical order. A single-loop log's
-// spans are already in schedule order; a sharded log's per-shard slices are
-// merged by virtual time (start, then end, node, thread, name) — a pure
-// function of span content, so two runs that record the same spans produce
-// the same merged view whatever the host interleaving was. The returned
-// slice is shared for a single-loop log and freshly built for a sharded one;
-// treat it as read-only.
+// All returns the recorded spans in schedule order; treat the slice as
+// read-only.
 func (l *Log) All() []Span {
 	if l == nil {
 		return nil
 	}
-	if l.perShard == nil {
-		return l.Spans
-	}
-	out := make([]Span, 0, l.Len())
-	out = append(out, l.Spans...)
-	for _, sh := range l.perShard {
-		out = append(out, sh...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.End != b.End {
-			return a.End < b.End
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Thread != b.Thread {
-			return a.Thread < b.Thread
-		}
-		return a.Name < b.Name
-	})
-	return out
+	return l.Spans
 }
 
 // FuncStat is the aggregated profile of one elementary function.
@@ -195,8 +132,7 @@ func (l *Log) PerNode() map[int]sim.Duration {
 	return out
 }
 
-// WriteJSON exports the log; a sharded log is written in its canonical
-// merged order, so the wire form never depends on the shard layout.
+// WriteJSON exports the log.
 func (l *Log) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

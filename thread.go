@@ -39,24 +39,15 @@ func (t *Thread) end(name string, start Time) {
 	}
 }
 
-// record appends the finished span. On a sharded machine it goes to the
-// recording shard's private log — the shard that owns the thread's node,
-// which is exactly the event-loop goroutine running this code (threads never
-// migrate across shards), so no two goroutines ever append to the same
-// slice.
+// record appends the finished span.
 func (t *Thread) record(name string, start Time) {
-	sp := trace.Span{
+	t.sys.tr.Add(trace.Span{
 		Name:   name,
 		Node:   t.th.Node(),
 		Thread: t.th.Name(),
 		Start:  start,
 		End:    t.th.Now(),
-	}
-	if rt := t.sys.rt; rt.Sharded() {
-		t.sys.tr.AddShard(rt.ShardOf(sp.Node), sp)
-	} else {
-		t.sys.tr.Add(sp)
-	}
+	})
 }
 
 // Node returns the node the thread currently runs on.
