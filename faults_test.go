@@ -6,6 +6,7 @@ package dsmpm2_test
 // extended to faulty runs).
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -314,5 +315,54 @@ func TestDuplicatedPageMessages(t *testing.T) {
 		if sys.FaultStats().Duplicated == 0 {
 			t.Fatalf("plan seed %d: nothing was duplicated: %+v", seed, sys.FaultStats())
 		}
+	}
+}
+
+// TestLockManagerCrashDropsQueuedAcquires: a lock manager that crashes while
+// one node holds its lock and two wait takes the queued acquires down with it,
+// as fail-stop says (InjectFaults: a synchronization manager's state dies for
+// good). The restart re-binds the manager's services, but nothing the dead
+// incarnation kept is ever answered: the holder's release after the restart
+// completes, the grant it hands on reaches nobody, and both waiters stay
+// blocked until the run reports a deadlock. Pinned exactly — who is granted,
+// every thread's virtual times and the report.
+func TestLockManagerCrashDropsQueuedAcquires(t *testing.T) {
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "li_hudak", Seed: 3})
+	plan := dsmpm2.NewFaultPlan(1)
+	plan.Crash(at(300*dsmpm2.Microsecond), 3).Restart(at(600*dsmpm2.Microsecond), 3)
+	if err := sys.InjectFaults(plan, dsmpm2.FaultOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	lock := sys.NewLock(3)
+	var log []string
+	note := func(th *dsmpm2.Thread, what string) {
+		log = append(log, fmt.Sprintf("%s %s @%d", th.Name(), what, th.Now()))
+	}
+	sys.Spawn(0, "holder", func(th *dsmpm2.Thread) {
+		th.Acquire(lock)
+		note(th, "granted")
+		th.Sleep(dsmpm2.Millisecond)
+		th.Release(lock)
+		note(th, "released")
+	})
+	for n := 1; n <= 2; n++ {
+		sys.Spawn(n, fmt.Sprintf("waiter%d", n), func(th *dsmpm2.Thread) {
+			th.Sleep(dsmpm2.Duration(n) * 50 * dsmpm2.Microsecond)
+			note(th, "asks")
+			th.Acquire(lock)
+			note(th, "granted")
+			th.Release(lock)
+		})
+	}
+	want := "sim: deadlock at t=1016.000us: 2 proc(s) blocked: waiter1 (chan recv); waiter2 (chan recv)"
+	if err := sys.Run(); err == nil || err.Error() != want {
+		t.Errorf("Run = %v\nwant %s", err, want)
+	}
+	wantLog := "[holder granted @8000 waiter1 asks @50000 waiter2 asks @100000 holder released @1016000]"
+	if got := fmt.Sprint(log); got != wantLog {
+		t.Errorf("log %s\nwant %s", got, wantLog)
+	}
+	if st := sys.FaultStats(); st.Crashes != 1 || st.Restarts != 1 {
+		t.Errorf("fault counters %+v, want one crash and one restart", st)
 	}
 }

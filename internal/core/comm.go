@@ -37,7 +37,8 @@ type invAck struct {
 // Request, invalidation and diff servers are threaded so that concurrent
 // requests — for the same page or different pages — are processed in
 // parallel, the multithreaded behaviour Section 3 calls out; page
-// installation is a quick handler, serialized per node like a softirq.
+// installation runs on the node's one page-server thread, serialized per node
+// like a softirq.
 //
 // Each handler receives the sender's record itself (see records.go),
 // completes it with DSM, Thread and Node, runs the protocol routine on it and
@@ -96,10 +97,15 @@ func (d *DSM) registerServices() {
 			d.Entry(iv.Node, iv.Page).InvalSeq++
 			d.protoAt(iv.Node, iv.Page).InvalidateServer(iv)
 			if iv.ack != nil {
-				// The ack names the acknowledging node and page, so a
-				// recovery retry loop can tick off exactly which holders
-				// answered for exactly which invalidations.
-				d.replyDirect(iv.Node, iv.From, iv.ack, invAck{node: iv.Node, page: iv.Page})
+				// Under recovery the ack names the acknowledging node and
+				// page, so a retry loop can tick off exactly which holders
+				// answered for exactly which invalidations. Otherwise acks
+				// are only counted, and an empty one boxes nothing.
+				var ack interface{}
+				if d.recovery != nil {
+					ack = invAck{node: iv.Node, page: iv.Page}
+				}
+				d.replyDirect(iv.Node, iv.From, iv.ack, ack)
 			}
 			put(d, &d.recs.invs, iv)
 			return nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dsmpm2/internal/pm2"
-	"dsmpm2/internal/sim"
 )
 
 // Cluster-wide condition variables, rounding out the generic core's
@@ -27,12 +26,19 @@ type condState struct {
 	lock    int
 	home    int
 	nextTkt int
-	// tickets holds one queue per outstanding waiter. Reservation happens
+	// tickets holds one entry per outstanding waiter. Reservation happens
 	// while the lock is still held, so a signal sent between the waiter's
-	// release and its block call is buffered in the ticket queue and the
-	// block returns immediately — no lost wakeups.
-	tickets map[int]*sim.Chan
+	// release and its block call is remembered on the ticket and the block
+	// returns immediately — no lost wakeups.
+	tickets map[int]condTicket
 	order   []int // FIFO of outstanding ticket ids
+}
+
+// condTicket is one outstanding wait: signalled before its block call
+// arrived, or blocked, holding the kept block request the signal answers.
+type condTicket struct {
+	signalled bool
+	blocked   *pm2.Request
 }
 
 // condReq is the wire payload of condition-variable RPCs.
@@ -53,35 +59,35 @@ func (d *DSM) NewCond(lockID int) int {
 		id:      id,
 		lock:    lockID,
 		home:    d.locks[lockID].home,
-		tickets: make(map[int]*sim.Chan),
+		tickets: make(map[int]condTicket),
 	})
 	return id
 }
 
 // registerCondServices installs the condition-variable manager services on
-// node. Called from registerSyncServices.
+// node, quick handlers like the lock managers: a block call is kept until a
+// signal answers it. Called from registerSyncServices.
 func (d *DSM) registerCondServices(node *pm2.Node) {
-	node.Register(svcCondReserve, true, func(h *pm2.Thread, arg interface{}) interface{} {
-		req := arg.(*condReq)
-		cs := d.conds[req.id]
+	node.RegisterQuick(svcCondReserve, func(_ *pm2.Request, arg interface{}) (interface{}, bool) {
+		cs := d.conds[arg.(*condReq).id]
 		cs.nextTkt++
-		tkt := cs.nextTkt
-		cs.tickets[tkt] = new(sim.Chan)
-		cs.order = append(cs.order, tkt)
-		return tkt
+		cs.tickets[cs.nextTkt] = condTicket{}
+		cs.order = append(cs.order, cs.nextTkt)
+		return cs.nextTkt, false
 	})
-	node.Register(svcCondBlock, true, func(h *pm2.Thread, arg interface{}) interface{} {
+	node.RegisterQuick(svcCondBlock, func(r *pm2.Request, arg interface{}) (interface{}, bool) {
 		req := arg.(*condReq)
 		cs := d.conds[req.id]
-		ch := cs.tickets[req.ticket]
-		if ch == nil {
-			return nil // spurious; treated as immediate wakeup
+		tk, ok := cs.tickets[req.ticket]
+		if !ok || tk.signalled {
+			// Signalled already, or spurious: an immediate wakeup.
+			delete(cs.tickets, req.ticket)
+			return nil, false
 		}
-		ch.Recv(h.Proc())
-		delete(cs.tickets, req.ticket)
-		return nil
+		cs.tickets[req.ticket] = condTicket{blocked: r}
+		return nil, true // answered by the signal
 	})
-	node.Register(svcCondSignal, true, func(h *pm2.Thread, arg interface{}) interface{} {
+	node.RegisterQuick(svcCondSignal, func(_ *pm2.Request, arg interface{}) (interface{}, bool) {
 		req := arg.(*condReq)
 		cs := d.conds[req.id]
 		n := 1
@@ -91,11 +97,14 @@ func (d *DSM) registerCondServices(node *pm2.Node) {
 		for ; n > 0 && len(cs.order) > 0; n-- {
 			tkt := cs.order[0]
 			cs.order = cs.order[1:]
-			if ch := cs.tickets[tkt]; ch != nil {
-				ch.Push(nil)
+			if tk, ok := cs.tickets[tkt]; ok && tk.blocked != nil {
+				delete(cs.tickets, tkt)
+				tk.blocked.Answer(nil)
+			} else if ok {
+				cs.tickets[tkt] = condTicket{signalled: true}
 			}
 		}
-		return nil
+		return nil, false
 	})
 }
 

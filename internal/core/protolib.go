@@ -214,14 +214,18 @@ func InstallPage(pm *PageMsg) {
 // except self and newOwner, and blocks until all of them acknowledge.
 // The entry lock must NOT be held: invalidated nodes may need it.
 //
-// With recovery enabled, dead holders are skipped, outstanding acks are
-// tracked per node, and a timeout re-checks for crashes and re-sends to the
-// remaining holders (invalidations are idempotent), so a holder dying
-// mid-invalidation cannot wedge the writer forever.
+// The acks arrive on t's own reply queue: t has no Call outstanding while it
+// invalidates, and exactly one ack per invalidation comes back, so the queue
+// is empty again on return. With recovery enabled, dead holders are skipped,
+// outstanding acks are tracked per node on a private queue (a retry's late
+// duplicates must not reach t's next Call), and a timeout re-checks for
+// crashes and re-sends to the remaining holders (invalidations are
+// idempotent), so a holder dying mid-invalidation cannot wedge the writer
+// forever.
 func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner int) {
 	if d.recovery == nil {
 		acks := 0
-		ack := new(sim.Chan)
+		ack := t.ReplyQueue()
 		copyset.ForEach(func(n int) {
 			if n == t.Node() || n == newOwner {
 				return

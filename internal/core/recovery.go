@@ -397,7 +397,7 @@ func (d *DSM) scrubLocks(n int) {
 		kept := ls.waiters[:0]
 		for _, lw := range ls.waiters {
 			if lw.from == n {
-				lw.ch.Push(false) // cancel the stranded handler
+				lw.req.Answer(nil) // cancel the stranded acquire
 				continue
 			}
 			kept = append(kept, lw)

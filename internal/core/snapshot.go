@@ -510,7 +510,7 @@ func (d *DSM) RestoreState(s *CoreState) error {
 	for _, cs := range s.Conds {
 		d.conds = append(d.conds, &condState{
 			id: cs.ID, lock: cs.Lock, home: cs.Home, nextTkt: cs.NextTkt,
-			tickets: make(map[int]*sim.Chan),
+			tickets: make(map[int]condTicket),
 		})
 	}
 	d.objects = newObjectSpace(d)

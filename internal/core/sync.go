@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dsmpm2/internal/pm2"
 	"dsmpm2/internal/sim"
@@ -13,28 +14,33 @@ import (
 // a manager (home) node; acquire and release are RPCs to it, and grants are
 // FIFO.
 
-// lockWaiter is one queued acquirer: its grant channel plus the node it
-// asked from, so crash recovery can cancel a dead node's queued requests.
-// Pushing true grants the lock; pushing false cancels the wait.
+// lockWaiter is one queued acquire: the request its manager kept, answered at
+// the grant, and the node it came from, so crash recovery can cancel a dead
+// node's queued requests (answered too, so the cancelled caller's reply goes
+// out as it always did).
 type lockWaiter struct {
-	ch   *sim.Chan
+	req  *pm2.Request
 	from int
 }
 
 // lockState is the manager-side state of one DSM lock.
 type lockState struct {
-	id      int
-	home    int
-	held    bool
-	holder  int // node id of current holder
-	waiters []*lockWaiter
+	id     int
+	home   int
+	held   bool
+	holder int // node id of current holder
+	// waiters is the FIFO of queued acquires, at most one per thread; a
+	// grant shifts the rest down in place, so the buffer is reused.
+	waiters []lockWaiter
 	bound   []Page // pages associated via BindLock (entry consistency)
 }
 
-// barrierWaiter is one blocked barrier arrival. participant is -1 for
-// anonymous arrivals; fault-tolerant participants identify themselves so a
-// restarted participant's re-arrival replaces its dead predecessor's slot
-// instead of over-counting.
+// barrierWaiter is one blocked barrier arrival: its handler thread's own
+// reply queue, which the grant is pushed to (the handler has no Call
+// outstanding while it waits, and takes exactly that one value off it).
+// participant is -1 for anonymous arrivals; fault-tolerant participants
+// identify themselves so a restarted participant's re-arrival replaces its
+// dead predecessor's slot instead of over-counting.
 type barrierWaiter struct {
 	ch          *sim.Chan
 	participant int
@@ -143,44 +149,43 @@ type barrierReq struct {
 }
 
 // registerSyncServices installs the lock and barrier managers on each node.
-// Handlers are threaded: a blocked acquire must not prevent the manager from
-// processing other requests.
+// The lock managers are quick handlers (pm2.RegisterQuick): an acquire is
+// granted at once or queued and answered by the release that frees the lock,
+// so neither handler ever needs a thread. The barrier manager is threaded,
+// because the arrival that completes a generation runs the home migrations,
+// which block (runMigrations).
 func (d *DSM) registerSyncServices() {
 	for i := 0; i < d.rt.Nodes(); i++ {
 		node := d.rt.Node(i)
 
-		node.Register(svcLockAcq, true, func(h *pm2.Thread, arg interface{}) interface{} {
+		node.RegisterQuick(svcLockAcq, func(r *pm2.Request, arg interface{}) (interface{}, bool) {
 			req := arg.(*SyncEvent)
 			if d.recovery != nil && d.NodeDead(req.Node) {
-				return nil // stale acquire from a crashed node
+				return nil, false // stale acquire from a crashed node
 			}
 			ls := d.locks[req.Lock]
 			if ls.held {
-				lw := &lockWaiter{ch: new(sim.Chan), from: req.Node}
-				ls.waiters = append(ls.waiters, lw)
-				if granted, _ := lw.ch.Recv(h.Proc()).(bool); !granted {
-					return nil // cancelled: the requester died while queued
-				}
-			} else {
-				ls.held = true
+				ls.waiters = append(ls.waiters, lockWaiter{req: r, from: req.Node})
+				return nil, true // answered by grantNext
 			}
-			ls.holder = req.Node
-			return nil
+			ls.held, ls.holder = true, req.Node
+			return nil, false
 		})
 
-		node.Register(svcLockRel, true, func(h *pm2.Thread, arg interface{}) interface{} {
+		node.RegisterQuick(svcLockRel, func(_ *pm2.Request, arg interface{}) (interface{}, bool) {
 			req := arg.(*SyncEvent)
 			if d.recovery != nil && d.NodeDead(req.Node) {
-				return nil // stale release from a crashed node
+				return nil, false // stale release from a crashed node
 			}
 			ls := d.locks[req.Lock]
 			if !ls.held {
-				return fmt.Sprintf("core: release of unheld lock %d by node %d", req.Lock, req.Node)
+				return fmt.Sprintf("core: release of unheld lock %d by node %d", req.Lock, req.Node), false
 			}
 			d.grantNext(ls)
-			return nil
+			return nil, false
 		})
 
+		// Threaded, not quick: the completing arrival blocks in runMigrations.
 		node.Register(svcBarrier, true, func(h *pm2.Thread, arg interface{}) interface{} {
 			req := arg.(*barrierReq)
 			if d.recovery != nil && d.NodeDead(req.from) {
@@ -215,7 +220,7 @@ func (d *DSM) registerSyncServices() {
 					// parked here. Cancel the stranded handler and take
 					// over its slot; the arrival count is unchanged.
 					w.ch.Push(false)
-					w.ch = new(sim.Chan)
+					w.ch = h.ReplyQueue()
 					g, _ := w.ch.Recv(h.Proc()).(*barrierGrant)
 					return grantReply(g)
 				}
@@ -264,7 +269,7 @@ func (d *DSM) registerSyncServices() {
 				}
 				return grantReply(grant)
 			}
-			w := &barrierWaiter{ch: new(sim.Chan), participant: req.participant}
+			w := &barrierWaiter{ch: h.ReplyQueue(), participant: req.participant}
 			bs.waiters = append(bs.waiters, w)
 			g, _ := w.ch.Recv(h.Proc()).(*barrierGrant)
 			return grantReply(g)
@@ -290,17 +295,18 @@ func (d *DSM) noticeCoverage(bs *barrierState) bool {
 	return true
 }
 
-// grantNext hands the lock to the oldest live waiter, or marks it free.
-// Dead waiters (their node crashed while queued) are cancelled in passing.
+// grantNext hands the lock to the oldest live waiter, answering its acquire,
+// or marks it free. Dead waiters (their node crashed while queued) are
+// answered in passing, which cancels them.
 func (d *DSM) grantNext(ls *lockState) {
 	for len(ls.waiters) > 0 {
 		next := ls.waiters[0]
-		ls.waiters = ls.waiters[1:]
+		ls.waiters = slices.Delete(ls.waiters, 0, 1)
+		next.req.Answer(nil)
 		if d.recovery != nil && d.NodeDead(next.from) {
-			next.ch.Push(false)
 			continue
 		}
-		next.ch.Push(true)
+		ls.holder = next.from
 		return
 	}
 	ls.held = false

@@ -134,7 +134,7 @@ func (nw *Network) FaultStats() FaultStats {
 
 // SetDropHandler installs fn, called exactly once with the payload of every
 // message the fault layer discards, after the network has reclaimed its own
-// *Message envelope. The PM2 runtime uses it to return pooled rpcReq
+// *Message envelope. The PM2 runtime uses it to return pooled pm2.Request
 // envelopes to their freelist; without a handler dropped payloads are simply
 // left to the garbage collector.
 func (nw *Network) SetDropHandler(fn func(payload interface{})) {

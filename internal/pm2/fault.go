@@ -24,12 +24,12 @@ type Copier interface{ CopyArg() interface{} }
 func (rt *Runtime) EnableFaults(seed int64, policy madeleine.PartitionPolicy) {
 	rt.net.EnableFaults(seed, policy)
 	rt.net.SetDropHandler(func(p interface{}) {
-		if r, ok := p.(*rpcReq); ok {
+		if r, ok := p.(*Request); ok {
 			rt.putReq(r)
 		}
 	})
 	rt.net.SetDupHandler(func(p interface{}) interface{} {
-		r, ok := p.(*rpcReq)
+		r, ok := p.(*Request)
 		if !ok || r.reply != nil {
 			// Only one-way invocations duplicate: a duplicated synchronous
 			// request would push two replies into one private reply queue.
@@ -47,8 +47,9 @@ func (rt *Runtime) EnableFaults(seed int64, policy madeleine.PartitionPolicy) {
 // KillNode fail-stops node n: every unfinished thread currently located on
 // it (application threads, RPC server and handler threads, migrated-in
 // threads) is killed, joiners of those threads are released, and the network
-// starts dropping the node's traffic. Must run in engine context (a fault
-// event), never from a thread on node n.
+// starts dropping the node's traffic. The requests its quick services hold
+// die too: they are dropped, unanswered, when they next come up (see Fire).
+// Must run in engine context (a fault event), never from a thread on node n.
 func (rt *Runtime) KillNode(n int) {
 	node := rt.Node(n)
 	if node.dead {

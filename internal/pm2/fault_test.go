@@ -53,7 +53,7 @@ func TestKillNodeStopsThreadsAndRestartServes(t *testing.T) {
 
 // TestDroppedRPCReclaimsEnvelopeOnce is the pm2 half of the double-free
 // regression: an Async invocation dropped at a dead node must return its
-// rpcReq envelope to the freelist exactly once. A double Put would hand one
+// Request envelope to the freelist exactly once. A double Put would hand one
 // envelope to two later invocations, crossing their arguments.
 func TestDroppedRPCReclaimsEnvelopeOnce(t *testing.T) {
 	rt := NewRuntime(Config{Nodes: 3, Seed: 1})

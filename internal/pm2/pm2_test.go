@@ -232,7 +232,9 @@ func TestThreadedHandlersConcurrent(t *testing.T) {
 	}
 }
 
-func TestQuickHandlersSerialize(t *testing.T) {
+// TestServerThreadSerializes: a non-threaded service runs its requests one at
+// a time on its one server thread.
+func TestServerThreadSerializes(t *testing.T) {
 	rt := newRT(2, nil)
 	rt.Node(1).Register("slow", false, func(h *Thread, arg interface{}) interface{} {
 		h.Advance(100 * sim.Microsecond)
@@ -249,7 +251,7 @@ func TestQuickHandlersSerialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if done[0] == done[1] {
-		t.Fatalf("quick handlers overlapped: %v", done)
+		t.Fatalf("server thread handlers overlapped: %v", done)
 	}
 }
 

@@ -13,10 +13,17 @@ import (
 // synchronous caller (and is discarded for one-way invocations).
 type Handler func(h *Thread, arg interface{}) interface{}
 
+// QuickHandler is the body of a quick service (see RegisterQuick). It runs in
+// engine context, on no thread, so it must not block. It returns either the
+// result to reply with now, or kept true: the handler holds on to r and
+// completes it later, exactly once, with Answer.
+type QuickHandler func(r *Request, arg interface{}) (res interface{}, kept bool)
+
 // service is a registered RPC service on one node.
 type service struct {
 	chanID   madeleine.ChanID
 	handler  Handler
+	quick    QuickHandler // set instead of handler for a quick service
 	threaded bool
 	node     *Node
 	// threadName names a threaded service's handler threads or a non-threaded
@@ -28,12 +35,13 @@ type service struct {
 	free freelist.List[*Thread]
 }
 
-// rpcReq is the wire payload of an invocation. Requests are pooled on the
-// Runtime: the service releases one after running its handler, so at steady
-// state the RPC machinery allocates no request envelopes.
-type rpcReq struct {
-	arg     interface{}
-	reply   *sim.Chan // nil for one-way invocations
+// Request is one invocation on the wire and, for a quick service, the call
+// record that runs it (see Fire). Requests are pooled on the Runtime: the
+// service releases one after its reply, so at steady state the RPC machinery
+// allocates no request envelopes.
+type Request struct {
+	arg     interface{} // the argument; a quick request's result once answered
+	reply   *sim.Chan   // nil for one-way invocations
 	retSize int
 	from    int
 
@@ -43,6 +51,12 @@ type rpcReq struct {
 	// this element's position in the vector (its result slot).
 	join *VecCall
 	idx  int
+
+	// A quick request's service and the incarnation (Node.Restarts) of the
+	// node it was delivered to; answered marks one whose result is in arg.
+	svc      *service
+	inc      int
+	answered bool
 }
 
 // VecCall is one vector invocation awaiting its reply (StartVecFrom): the join
@@ -76,16 +90,16 @@ func (c *VecCall) Release() {
 }
 
 // getReq takes a request envelope from the freelist (or allocates one).
-func (rt *Runtime) getReq() *rpcReq {
+func (rt *Runtime) getReq() *Request {
 	if r, ok := rt.reqFree.Get(); ok {
 		return r
 	}
-	return new(rpcReq)
+	return new(Request)
 }
 
 // putReq returns a request envelope to the freelist.
-func (rt *Runtime) putReq(r *rpcReq) {
-	*r = rpcReq{}
+func (rt *Runtime) putReq(r *Request) {
+	*r = Request{}
 	rt.reqFree.Put(r)
 }
 
@@ -109,21 +123,33 @@ func (rt *Runtime) svcChanID(name string) madeleine.ChanID {
 // the request arrives, so invocations proceed concurrently (this is how
 // DSM-PM2's page servers stay reactive); otherwise requests are handled one at
 // a time in the service's one server thread, PM2's "pre-existing thread" flavor.
+// A service whose handler never blocks needs neither: see RegisterQuick.
 func (n *Node) Register(name string, threaded bool, h Handler) {
-	if _, dup := n.services[name]; dup {
-		panic(fmt.Sprintf("pm2: service %q registered twice on node %d", name, n.ID))
-	}
 	kind := "rpcd"
 	if threaded {
 		kind = "rpch"
 	}
-	svc := &service{
-		chanID:     n.rt.svcChanID(name),
-		handler:    h,
-		threaded:   threaded,
-		node:       n,
-		threadName: fmt.Sprintf("%s:%s@%d", kind, name, n.ID),
+	n.register(name, &service{handler: h, threaded: threaded,
+		threadName: fmt.Sprintf("%s:%s@%d", kind, name, n.ID)})
+}
+
+// RegisterQuick installs a quick service: the event loop runs h on each
+// request in engine context, with no thread, as PM2 runs a handler that needs
+// no stack of its own. What h can do without blocking — answer from manager
+// state, or queue the request and Answer it when another request frees what
+// it waits for — costs no coroutine switch at all. Every call record takes
+// the queue slot a handler thread's wake would have, so a quick service and a
+// threaded one with the same handler cannot be told apart in virtual time,
+// event count or message order.
+func (n *Node) RegisterQuick(name string, h QuickHandler) {
+	n.register(name, &service{quick: h})
+}
+
+func (n *Node) register(name string, svc *service) {
+	if _, dup := n.services[name]; dup {
+		panic(fmt.Sprintf("pm2: service %q registered twice on node %d", name, n.ID))
 	}
+	svc.chanID, svc.node = n.rt.svcChanID(name), n
 	n.services[name] = svc
 	n.svcOrder = append(n.svcOrder, name)
 	n.serve(svc)
@@ -131,30 +157,75 @@ func (n *Node) Register(name string, threaded bool, h Handler) {
 
 // serve connects svc to its request queue, at registration and again when a
 // crashed node restarts (the crash orphaned and unbound the old queue): a
-// threaded service is bound to it, a non-threaded one gets its server thread.
+// threaded or quick service is bound to it, a non-threaded one gets its
+// server thread.
 func (n *Node) serve(svc *service) {
-	if svc.threaded {
+	if svc.threaded || svc.quick != nil {
 		n.rt.net.Serve(n.ID, svc.chanID, svc.deliver)
 	} else {
 		n.rt.start(n.ID, svc.threadName, 0, &Thread{svc: svc}).proc.MarkDaemon()
 	}
 }
 
-// deliver starts the handler thread of one request of a threaded service, in
-// engine context (see madeleine.Network.Serve), on the descriptor of a handler
-// that has returned when there is one: start renews its id, proc and place in
-// the live list, and what else a tenant can leave behind is reset here.
+// deliver hands one request to its service, in engine context (see
+// madeleine.Network.Serve). A quick request is scheduled as its own call
+// record now, where a handler thread's first wake would go. A threaded one
+// gets its handler thread, on the descriptor of a handler that has returned
+// when there is one: start renews its id, proc and place in the live list,
+// and what else a tenant can leave behind is reset here.
 func (svc *service) deliver(msg *madeleine.Message) {
 	n := svc.node
+	req := msg.Payload.(*Request)
+	n.rt.net.FreeMessage(msg)
+	n.HandlersSpawned++
+	if svc.quick != nil {
+		req.svc, req.inc = svc, n.Restarts
+		n.rt.eng.ScheduleCall(n.rt.eng.Now(), req)
+		return
+	}
 	t, ok := svc.free.Get()
 	if !ok {
 		t = &Thread{svc: svc}
 	}
-	t.req, t.tls, t.migrations, t.migratable, t.done = msg.Payload.(*rpcReq), nil, 0, false, false
-	n.rt.net.FreeMessage(msg)
-	n.HandlersSpawned++
+	t.req, t.tls, t.migrations, t.migratable, t.done = req, nil, 0, false, false
 	n.rt.start(n.ID, svc.threadName, 0, t)
 }
+
+// Fire is a quick request's call record (sim.Caller): it runs the handler
+// the first time and sends the reply once answered. A request whose node died
+// or restarted since delivery is dropped unanswered, as the handler thread it
+// stands for would have been killed with the node.
+func (r *Request) Fire() {
+	svc := r.svc
+	switch {
+	case r.orphaned():
+		svc.node.rt.putReq(r)
+	case r.answered:
+		svc.finish(r, r.arg)
+	default:
+		if res, kept := svc.quick(r, r.arg); !kept {
+			svc.finish(r, res)
+		}
+	}
+}
+
+// Answer completes a request its quick handler kept, with result res: a call
+// record scheduled now, in the slot a parked handler thread's wake would take,
+// sends the reply. A request whose node died or restarted since delivery is
+// dropped, scheduling nothing, as nothing wakes a killed thread.
+func (r *Request) Answer(res interface{}) {
+	rt := r.svc.node.rt
+	if r.orphaned() {
+		rt.putReq(r)
+		return
+	}
+	r.arg, r.answered = res, true
+	rt.eng.ScheduleCall(rt.eng.Now(), r)
+}
+
+// orphaned reports whether a quick request's node died or restarted since
+// the request was delivered to it.
+func (r *Request) orphaned() bool { n := r.svc.node; return n.dead || n.Restarts != r.inc }
 
 // dispatch is the loop of a non-threaded service's server thread: receive a
 // request, run its handler here.
@@ -162,7 +233,7 @@ func (svc *service) dispatch(t *Thread) {
 	n := svc.node
 	for {
 		msg := n.rt.net.RecvID(&t.proc, n.ID, svc.chanID)
-		req := msg.Payload.(*rpcReq)
+		req := msg.Payload.(*Request)
 		n.rt.net.FreeMessage(msg)
 		svc.run(t, req)
 	}
@@ -180,12 +251,14 @@ type SizedReply struct {
 	Size  int
 }
 
-// run executes the handler and sends the reply if one is expected, charged
-// on the link back to the caller. Elements of a vector invocation do not
+// run executes a thread's handler on req and finishes it.
+func (svc *service) run(t *Thread, req *Request) { svc.finish(req, svc.handler(t, req.arg)) }
+
+// finish sends the reply to req if one is expected, charged on the link back
+// to the caller, and recycles req. Elements of a vector invocation do not
 // reply individually: each completion counts down the shared join, and the
 // last one sends the single coalesced reply.
-func (svc *service) run(t *Thread, req *rpcReq) {
-	res := svc.handler(t, req.arg)
+func (svc *service) finish(req *Request, res interface{}) {
 	if sr, ok := res.(*SizedReply); ok {
 		if req.join != nil {
 			req.join.retSize += sr.Size
@@ -225,12 +298,9 @@ func halfRPC(prof *madeleine.Profile, size int) sim.Duration {
 // plus handler execution time, matching the Section 2.1 micro-measurements.
 func (t *Thread) Call(dest int, svcName string, arg interface{}, argSize, retSize int) interface{} {
 	rt := t.rt
-	if t.reply == nil {
-		t.reply = new(sim.Chan)
-	}
-	reply := t.reply
+	reply := t.ReplyQueue()
 	req := rt.getReq()
-	*req = rpcReq{arg: arg, reply: reply, retSize: retSize, from: t.node}
+	*req = Request{arg: arg, reply: reply, retSize: retSize, from: t.node}
 	rt.net.SendID(t.node, dest, rt.svcChanID(svcName), argSize, req, halfRPC(rt.Link(t.node, dest), argSize))
 	return reply.Recv(&t.proc)
 }

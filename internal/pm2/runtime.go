@@ -9,6 +9,7 @@
 // one formats and hashes nothing, and the runtime lists only unfinished threads
 // — a thread that returns or is killed unlinks itself; a returned handler's
 // descriptor serves its service's next request, anything else is garbage.
+// Quick services, whose handlers never block, run on no thread at all.
 package pm2
 
 import (
@@ -45,8 +46,8 @@ type Runtime struct {
 	// per-message sends skip both the "rpc:" concatenation and the
 	// network's name table.
 	svcIDs map[string]madeleine.ChanID
-	// reqFree recycles rpcReq envelopes (see rpcReq).
-	reqFree freelist.List[*rpcReq]
+	// reqFree recycles request envelopes (see Request).
+	reqFree freelist.List[*Request]
 }
 
 // Config describes a PM2 machine.
@@ -124,8 +125,8 @@ func (rt *Runtime) Link(src, dst int) *madeleine.Profile { return rt.net.Link(sr
 func (rt *Runtime) Nodes() int { return len(rt.nodes) }
 
 // ThreadCount reports the total number of threads created on this machine,
-// including RPC server and handler threads (one per invocation, however often
-// its descriptor was reused).
+// including RPC server and handler threads (one per invocation of a threaded
+// service, however often its descriptor was reused; quick services make none).
 func (rt *Runtime) ThreadCount() int { return rt.made }
 
 // Node returns node i.
@@ -164,7 +165,7 @@ type Node struct {
 	ThreadsSpawned  int
 	MigrationsIn    int
 	MigrationsOut   int
-	HandlersSpawned int
+	HandlersSpawned int // requests delivered to threaded and quick services
 	Restarts        int
 }
 

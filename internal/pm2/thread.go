@@ -25,7 +25,7 @@ type Thread struct {
 	// its own proc body, so none of them costs a closure per thread.
 	fn  func(t *Thread)
 	svc *service
-	req *rpcReq
+	req *Request
 
 	id        int
 	node      int // current simulated location
@@ -116,6 +116,17 @@ func (t *Thread) Run(*sim.Proc) {
 func (t *Thread) finish() {
 	t.done = true
 	t.unlink()
+}
+
+// ReplyQueue returns the thread's reusable reply queue, the one its Calls are
+// answered on. Between Calls the thread may collect other replies there —
+// exactly as many as it caused, so that the queue is empty again for its next
+// Call (the DSM's invalidation acks do).
+func (t *Thread) ReplyQueue() *sim.Chan {
+	if t.reply == nil {
+		t.reply = new(sim.Chan)
+	}
+	return t.reply
 }
 
 // FromProc recovers the Thread a proc is running, or nil for bare procs.

@@ -7,6 +7,7 @@ import (
 	"dsmpm2/internal/madeleine"
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/pm2"
+	"dsmpm2/internal/sim"
 )
 
 // Allocation pins of the miss path: what one operation of each kind leaves
@@ -48,7 +49,7 @@ func pinned(b *testing.B, rt *pm2.Runtime, node, warm int, op func(th *pm2.Threa
 }
 
 // BenchmarkRemoteLockSection is an uncontended Acquire + Release of a lock
-// managed on another node — two RPCs, two handler threads, the acquire and
+// managed on another node — two RPCs, two quick handlers, the acquire and
 // release hooks of a protocol with nothing to do. Pinned at 0 allocs/op.
 func BenchmarkRemoteLockSection(b *testing.B) {
 	rt, d, _, lock := pinHarness(b, 2, "li_hudak")
@@ -56,6 +57,52 @@ func BenchmarkRemoteLockSection(b *testing.B) {
 		d.Acquire(th, lock)
 		d.Release(th, lock)
 	})
+}
+
+// BenchmarkContendedLockSection is two nodes taking turns at a lock managed
+// on a third: each acquire finds the lock held by the other node, so the
+// manager keeps it and the other's release answers it — no handler thread,
+// waiter record or grant channel. Pinned at 0 allocs/op.
+func BenchmarkContendedLockSection(b *testing.B) {
+	rt, d, _, lock := pinHarness(b, 3, "li_hudak")
+	section := func(th *pm2.Thread) {
+		d.Acquire(th, lock)
+		th.Advance(10 * sim.Microsecond)
+		d.Release(th, lock)
+	}
+	const warm = 64
+	rt.CreateThread(2, "rival", func(th *pm2.Thread) {
+		for i := 0; i < warm+b.N; i++ {
+			section(th)
+		}
+	})
+	pinned(b, rt, 1, warm, func(th *pm2.Thread, _ int) { section(th) })
+	if st := d.Stats(); st.Acquires != 2*int64(warm+b.N) {
+		b.Fatalf("%d acquires, want %d", st.Acquires, 2*(warm+b.N))
+	}
+}
+
+// BenchmarkWriteFaultInvalidate is a li_hudak write fault that invalidates two
+// readers' copies: one thread reads the page on nodes 2 and 3, then writes it
+// from node 0 or 1 in turn, so the write request always reaches the other of
+// the two, whose page server invalidates both copies and collects the acks on
+// its own reply queue before handing over ownership. Pinned at <= 1
+// allocs/op after the warm-up fills the fault-timing ring: the one object is
+// the copyset's interval, which the readers' next fetches rebuild because
+// TakeCopyset handed the old one to the invalidation.
+func BenchmarkWriteFaultInvalidate(b *testing.B) {
+	rt, d, base, _ := pinHarness(b, 4, "li_hudak")
+	pinned(b, rt, 1, 1500, func(th *pm2.Thread, i int) {
+		th.MigrateTo(2)
+		d.ReadUint64(th, base)
+		th.MigrateTo(3)
+		d.ReadUint64(th, base)
+		th.MigrateTo(1 - i%2)
+		d.WriteUint64(th, base, uint64(i))
+	})
+	if st := d.Stats(); st.Invalidations < 2*int64(b.N) {
+		b.Fatalf("%d invalidations for %d writes, want two each", st.Invalidations, b.N)
+	}
 }
 
 // BenchmarkReadFaultFetch is a li_hudak read fault with its page fetch: fault

@@ -172,7 +172,7 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 		case ev.ch != nil:
 			return ev.payload.(int)
 		}
-		ev.payload.(func())()
+		ev.payload.(Caller).Fire()
 		return closureID
 	}
 	// fire pops one event the way drive would and checks it against the model.

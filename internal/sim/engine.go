@@ -24,9 +24,10 @@ import (
 //     kind (Advance, Unpark, Spawn, every synchronization wakeup).
 //   - ch != nil: a push record — deliver payload into a Chan (simulated
 //     message arrivals). payload is usually a pointer, which boxes for free.
-//   - otherwise: a general closure event (rare: drivers, tests, custom
-//     hooks); payload holds the func(), which is pointer-shaped and boxes
-//     for free too, so the caller's func literal is the only allocation.
+//   - otherwise: a call record — payload holds a Caller, fired in engine
+//     context (see ScheduleCall). A pointer Caller boxes for free, and so
+//     does Schedule's func() behind its adapter, so the caller's func
+//     literal is the only allocation a closure event makes.
 type event struct {
 	proc    *Proc
 	ch      *Chan
@@ -62,7 +63,8 @@ const maxPooledRing = 64
 
 // QueueStats counts the kernel's traffic by shape since the engine was created:
 // where pushes went, how deadline records ended, how long the heap got, what
-// the loop did with what it popped. Plain increments, kept unconditionally.
+// the loop did with what it popped — resume a proc, consume a self-wake, drain
+// a sink, fire a call record. Plain increments, kept unconditionally.
 type QueueStats struct {
 	AtNow         uint64 `json:"at_now"`         // pushes for the current instant (now-ring)
 	NewRun        uint64 `json:"new_run"`        // future pushes that opened a run (a heap insert)
@@ -73,6 +75,7 @@ type QueueStats struct {
 	Resumes       uint64 `json:"resumes"`        // coroutine resumes by the event loop (two switches each)
 	SelfWakes     uint64 `json:"self_wakes"`     // wake records a yielding proc consumed itself (no switch)
 	Drains        uint64 `json:"drains"`         // drain records that handed a burst to a sink
+	Calls         uint64 `json:"calls"`          // call records fired (ScheduleCall and Schedule)
 }
 
 // Engine is a sequential discrete-event simulation kernel. It owns the
@@ -259,12 +262,28 @@ func (e *Engine) heapPopRoot() {
 	q[i] = last
 }
 
+// Caller is a typed callback record: Fire runs in engine context when the
+// record's event comes up, and must not block. A pointer-shaped Caller (a
+// pooled request, say) is scheduled without allocating.
+type Caller interface{ Fire() }
+
+// callFunc adapts a plain function to Caller, so closure events are call
+// records too. A func value is pointer-shaped: the conversion allocates nothing.
+type callFunc func()
+
+func (f callFunc) Fire() { f() }
+
+// ScheduleCall fires c at time t (>= Now), in engine context.
+func (e *Engine) ScheduleCall(t Time, c Caller) {
+	e.push(t, event{payload: c})
+}
+
 // Schedule runs fn at time t (>= Now). fn executes in engine context and
 // must not block; to run simulated-thread code use Spawn or Unpark. This is
-// the general closure path; the kernel's own hot paths use the typed wake
-// and push records instead.
+// the general closure path; the kernel's own hot paths use the typed wake,
+// push and call records instead.
 func (e *Engine) Schedule(t Time, fn func()) {
-	e.push(t, event{payload: fn})
+	e.ScheduleCall(t, callFunc(fn))
 }
 
 // scheduleWake schedules a typed wake record for p at time t (>= Now)
@@ -302,7 +321,7 @@ func (d *DeadlockError) Error() string {
 // time.
 //
 // The event loop runs on the calling goroutine: it pops events in (time, seq)
-// order, dispatches closure and push events inline, and for a wake event
+// order, dispatches call and push events inline, and for a wake event
 // resumes the woken proc's coroutine, which runs until the proc blocks or
 // finishes and then switches straight back (see drive). Nothing else is ever
 // runnable, so a panic inside a proc unwinds through Run into the caller with
@@ -381,7 +400,8 @@ func (e *Engine) drive() {
 		case ev.ch != nil:
 			ev.ch.Push(ev.payload)
 		default:
-			ev.payload.(func())()
+			e.qs.Calls++
+			ev.payload.(Caller).Fire()
 		}
 	}
 }

@@ -185,6 +185,7 @@ func (se *ShardedEngine) QueueStats() (qs QueueStats) {
 		qs.Resumes += e.qs.Resumes
 		qs.SelfWakes += e.qs.SelfWakes
 		qs.Drains += e.qs.Drains
+		qs.Calls += e.qs.Calls
 	}
 	return qs
 }
