@@ -204,32 +204,6 @@ func BenchmarkKernelApps(b *testing.B) {
 	}
 }
 
-// BenchmarkCommJacobi64 runs the comm experiment's headline pair — the
-// 64-node jacobi on both communication paths — and reports the wire
-// accounting: total and barrier-phase envelope counts plus the batched-path
-// reduction factors. Everything is virtual-time exact, so the metrics are
-// identical on every machine; the CI smoke (`go test -bench Comm
-// -benchtime=1x`) uses this to catch an envelope-count regression.
-func BenchmarkCommJacobi64(b *testing.B) {
-	var batched, unbatched bench.CommResult
-	for i := 0; i < b.N; i++ {
-		batched, unbatched = bench.CommJacobi64()
-	}
-	if batched.SyncEnvelopes <= 0 || unbatched.SyncEnvelopes <= 0 {
-		b.Fatalf("degenerate sync envelope counts: batched %d, unbatched %d",
-			batched.SyncEnvelopes, unbatched.SyncEnvelopes)
-	}
-	ratio := float64(unbatched.SyncEnvelopes) / float64(batched.SyncEnvelopes)
-	if ratio < 2 {
-		b.Fatalf("barrier-phase envelope reduction %.2fx < 2x (unbatched %d, batched %d)",
-			ratio, unbatched.SyncEnvelopes, batched.SyncEnvelopes)
-	}
-	b.ReportMetric(float64(batched.Envelopes), "envelopes-batched")
-	b.ReportMetric(float64(unbatched.Envelopes), "envelopes-unbatched")
-	b.ReportMetric(ratio, "sync-envelope-reduction-x")
-	b.ReportMetric(batched.VirtualMS, "virtual-ms-batched")
-}
-
 // BenchmarkAdaptJacobi64 runs the adapt experiment's headline pair — the
 // 64-node jacobi from misplaced homes, static vs profiler-driven home
 // migration — and reports the placement accounting. Everything is

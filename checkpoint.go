@@ -38,8 +38,9 @@ import (
 // other versions with an error (never a panic), so stale snapshot files fail
 // loudly instead of misrestoring. Version 1 carried per-shard state
 // (net.shards[], kernel_shards, shard_next, shard_stats/shard_timings,
-// config.shards); version 2 is the one-loop machine's flat form.
-const CheckpointVersion = 2
+// config.shards); version 2 carried the communication-path selector
+// (core.batch and its config flag); version 3 has one communication path.
+const CheckpointVersion = 3
 
 // TopologyState serializes a topology by profile names. Only uniform and
 // hierarchical topologies round-trip — a LinkMatrix holds arbitrary
@@ -60,7 +61,6 @@ type ConfigState struct {
 	Network        string         `json:"network,omitempty"`
 	Topology       *TopologyState `json:"topology,omitempty"`
 	LinkContention bool           `json:"link_contention,omitempty"`
-	UnbatchedComm  bool           `json:"unbatched_comm,omitempty"`
 	Protocol       string         `json:"protocol"`
 	Seed           int64          `json:"seed"`
 }
@@ -113,7 +113,6 @@ func (s *System) configState() (ConfigState, error) {
 		Nodes:          s.cfg.Nodes,
 		CPUsPerNode:    s.cfg.CPUsPerNode,
 		LinkContention: s.cfg.LinkContention,
-		UnbatchedComm:  s.cfg.UnbatchedComm,
 		Protocol:       s.cfg.Protocol,
 		Seed:           s.cfg.Seed,
 	}
@@ -165,7 +164,6 @@ func (cs ConfigState) toConfig() (Config, error) {
 		Nodes:          cs.Nodes,
 		CPUsPerNode:    cs.CPUsPerNode,
 		LinkContention: cs.LinkContention,
-		UnbatchedComm:  cs.UnbatchedComm,
 		Protocol:       cs.Protocol,
 		Seed:           cs.Seed,
 	}
@@ -372,7 +370,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("dsmpm2: checkpoint body hash mismatch (file corrupted or truncated): have %s, recorded %s", got, env.SHA256)
 	}
 	// A field this build does not know (a version-1 kernel_shards array
-	// under a version-2 header, say) means the bytes describe some other
+	// under the current header, say) means the bytes describe some other
 	// machine: refused, not skipped.
 	ck := new(Checkpoint)
 	dec := json.NewDecoder(bytes.NewReader(env.Body))

@@ -272,9 +272,11 @@ func reEnvelope(t *testing.T, data []byte, version int, edit func(body map[strin
 }
 
 // TestCheckpointVersion1Refused: version 1 carried per-shard state under the
-// same keys (net.shards[], kernel_shards, shard_next, config.shards), so a
-// version-1 blob is refused by its header — even one whose body and hash are
-// otherwise exactly what this build writes — rather than half-read.
+// same keys (net.shards[], kernel_shards, shard_next, config.shards) and
+// version 2 the communication-path selector (core.batch and its config
+// flag), so an older blob is refused by its header — even
+// one whose body and hash are otherwise exactly what this build writes —
+// rather than half-read or failed on an unknown field.
 func TestCheckpointVersion1Refused(t *testing.T) {
 	s := runSession(t, sessionConfig(), 2)
 	ck, err := s.Checkpoint()
@@ -288,9 +290,18 @@ func TestCheckpointVersion1Refused(t *testing.T) {
 	if _, err := dsmpm2.DecodeCheckpoint(reEnvelope(t, data, dsmpm2.CheckpointVersion, nil)); err != nil {
 		t.Fatalf("re-enveloped current-version checkpoint did not decode: %v", err)
 	}
-	_, err = dsmpm2.DecodeCheckpoint(reEnvelope(t, data, 1, nil))
-	if err == nil || !strings.Contains(err.Error(), "format version 1 not supported") {
-		t.Fatalf("version-1 checkpoint: got err %v, want the format-version refusal", err)
+	withBatch := func(body map[string]json.RawMessage) {
+		body["core"] = json.RawMessage(`{"batch":true,` + string(body["core"][1:]))
+	}
+	for _, old := range []struct {
+		version int
+		edit    func(body map[string]json.RawMessage)
+	}{{1, nil}, {2, withBatch}} {
+		_, err = dsmpm2.DecodeCheckpoint(reEnvelope(t, data, old.version, old.edit))
+		want := fmt.Sprintf("format version %d not supported", old.version)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d checkpoint: got err %v, want the format-version refusal", old.version, err)
+		}
 	}
 }
 

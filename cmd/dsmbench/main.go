@@ -14,31 +14,31 @@
 //	dsmbench -exp contention   # link bandwidth occupancy: queueing delay
 //	dsmbench -exp kernel       # simulator wall-clock efficiency (events/sec)
 //	dsmbench -exp faults       # crash/restart fault plans on restart-aware jacobi
-//	dsmbench -exp comm         # batched vs unbatched communication path
+//	dsmbench -exp comm         # communication-module wire accounting
 //	dsmbench -exp adapt        # sharing-pattern profiler + dynamic home migration
 //	dsmbench -exp serve        # Zipf-serving KV store: per-op tail latency, static vs adaptive
 //	dsmbench -exp tune         # what-if auto-tuner: record once, re-simulate the config grid
 //
 // The tune experiment (excluded from "all", like kernel) records one run of
 // -tuneworkload (jacobi, matmul or serve), then re-simulates the whole
-// configuration search space — {protocol x topology x placement x comm
-// batching} — as parallel host-level runs (-workers, default every host CPU)
-// and prints the grid ranked by virtual elapsed time. Cell results are
-// cached in -cachedir (default .tunecache) keyed by the recording's digests,
-// so a repeated sweep re-runs nothing and reproduces the identical ranking.
-// The grid can be subset with -tuneprotos/-tunetopos/-tuneplace/-tunecomm
-// (comma-separated; "all" keeps the axis). It exits non-zero if the winning
-// cell fails to beat the recording baseline. With -json it writes the
-// committed BENCH_tune.json snapshot, which deliberately omits worker and
-// cache counters: sweeps are bit-identical whatever the host parallelism or
-// cache state, and the snapshot stays byte-comparable.
+// configuration search space — {protocol x topology x placement} — as
+// parallel host-level runs (-workers, default every host CPU) and prints the
+// grid ranked by virtual elapsed time. Cell results are cached in -cachedir
+// (default .tunecache) keyed by the recording's digests, so a repeated sweep
+// re-runs nothing and reproduces the identical ranking. The grid can be
+// subset with -tuneprotos/-tunetopos/-tuneplace (comma-separated; "all"
+// keeps the axis). It exits non-zero if the winning cell fails to beat the
+// recording baseline. With -json it writes the committed BENCH_tune.json
+// snapshot, which deliberately omits worker and cache counters: sweeps are
+// bit-identical whatever the host parallelism or cache state, and the
+// snapshot stays byte-comparable.
 //
 // The comm experiment (excluded from "all", like kernel) runs jacobi,
-// matmul and lu at 16-64 nodes on both communication paths and reports the
-// wire accounting: messages, bytes and envelopes (a multi-part batch counts
-// as one envelope), the DSM module's own counters, and the TimingLog.ByLink
-// summaries. With -json it writes the committed BENCH_comm.json snapshot.
-// All numbers are virtual-time exact and deterministic per seed.
+// matmul and lu at 16-64 nodes and reports the wire accounting: messages,
+// bytes and envelopes (a multi-part outbox envelope counts once), the DSM
+// module's own counters, and the TimingLog.ByLink summaries. With -json it
+// writes the committed BENCH_comm.json snapshot. All numbers are
+// virtual-time exact and deterministic per seed.
 //
 // The adapt experiment (excluded from "all", like kernel) starts jacobi, lu
 // and matmul at 16-64 nodes from deliberately misplaced homes (everything on
@@ -138,13 +138,12 @@ type cliArgs struct {
 	tuneProtos   string
 	tuneTopos    string
 	tunePlace    string
-	tuneComm     string
 }
 
 // defaultArgs mirrors the flag defaults.
 func defaultArgs(exp string) cliArgs {
 	return cliArgs{exp: exp, perturb: 3, readers: 8, cacheDir: ".tunecache",
-		tuneWorkload: "jacobi", tuneProtos: "all", tuneTopos: "all", tunePlace: "all", tuneComm: "all"}
+		tuneWorkload: "jacobi", tuneProtos: "all", tuneTopos: "all", tunePlace: "all"}
 }
 
 // axisList parses a comma-separated grid-subset selector; "all" (or empty)
@@ -229,7 +228,6 @@ func validateArgs(a cliArgs) error {
 			{"tuneprotos", a.tuneProtos, tune.Protocols},
 			{"tunetopos", a.tuneTopos, tune.Topologies},
 			{"tuneplace", a.tunePlace, tune.Placements},
-			{"tunecomm", a.tuneComm, tune.Comms},
 		} {
 			if err := checkAxis(ax.flag, ax.csv, ax.valid); err != nil {
 				return err
@@ -269,7 +267,6 @@ func realMain(args []string) (code int) {
 	tuneProtos := fs.String("tuneprotos", "all", "tune: comma-separated protocol subset of the grid (all = every registered protocol)")
 	tuneTopos := fs.String("tunetopos", "all", "tune: comma-separated topology subset (uniform, hier)")
 	tunePlace := fs.String("tuneplace", "all", "tune: comma-separated placement subset (static, misplaced, adaptive)")
-	tuneComm := fs.String("tunecomm", "all", "tune: comma-separated comm subset (batched, unbatched)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
 	if err := fs.Parse(args); err != nil {
@@ -277,7 +274,7 @@ func realMain(args []string) (code int) {
 	}
 	cli := cliArgs{exp: *exp, shards: *shards, perturb: *perturb, readers: *readers,
 		workers: *workers, cacheDir: *cacheDir, tuneWorkload: *tuneWorkload,
-		tuneProtos: *tuneProtos, tuneTopos: *tuneTopos, tunePlace: *tunePlace, tuneComm: *tuneComm}
+		tuneProtos: *tuneProtos, tuneTopos: *tuneTopos, tunePlace: *tunePlace}
 	if err := validateArgs(cli); err != nil {
 		fmt.Fprintf(os.Stderr, "dsmbench: %v\n", err)
 		fs.Usage()
@@ -397,7 +394,6 @@ func realMain(args []string) (code int) {
 			Protocols:  axisList(*tuneProtos),
 			Topologies: axisList(*tuneTopos),
 			Placements: axisList(*tunePlace),
-			Comms:      axisList(*tuneComm),
 		}
 		if err := tuneExp(*jsonOut, *tuneWorkload, opts); err != nil {
 			log.Printf("tune: %v", err)
@@ -731,38 +727,24 @@ type commSnapshot struct {
 	Results []bench.CommResult `json:"results"`
 }
 
-// comm compares the batched and unbatched communication paths across the
+// comm reports the communication module's wire accounting across the
 // barrier-phased applications at cluster scale, then runs the scale rows:
 // jacobi on the 8-cluster hierarchical topology at 64 and 512 nodes,
 // reporting the per-barrier backbone envelope cost.
 func comm(writeJSON bool) error {
-	header("Comm: batched vs unbatched communication path (virtual-time exact)")
+	header("Comm: communication-module wire accounting (virtual-time exact)")
 	results := bench.CommSuite()
-	fmt.Printf("%-10s %6s %9s %10s %10s %9s %8s %8s %8s %8s %12s\n",
-		"app", "nodes", "path", "messages", "envelopes", "syncenv", "invals", "acks", "diffs", "notices", "elapsed(ms)")
-	path := func(batched bool) string {
-		if batched {
-			return "batched"
-		}
-		return "unbatched"
-	}
-	byKey := map[string]bench.CommResult{}
+	fmt.Printf("%-10s %6s %10s %10s %9s %8s %8s %8s %8s %12s\n",
+		"app", "nodes", "messages", "envelopes", "syncenv", "invals", "acks", "diffs", "notices", "elapsed(ms)")
 	for _, r := range results {
-		byKey[fmt.Sprintf("%s/%d/%v", r.App, r.Nodes, r.Batched)] = r
-		fmt.Printf("%-10s %6d %9s %10d %10d %9d %8d %8d %8d %8d %12.2f\n",
-			r.App, r.Nodes, path(r.Batched), r.Messages, r.Envelopes, r.SyncEnvelopes,
+		fmt.Printf("%-10s %6d %10d %10d %9d %8d %8d %8d %8d %12.2f\n",
+			r.App, r.Nodes, r.Messages, r.Envelopes, r.SyncEnvelopes,
 			r.Invalidations, r.InvAcks, r.DiffsSent, r.Notices, r.VirtualMS)
 	}
-	if b, u := byKey["jacobi/64/true"], byKey["jacobi/64/false"]; b.SyncEnvelopes > 0 {
-		fmt.Printf("jacobi 64-node barrier-phase envelope reduction: %.2fx (%d -> %d); total %.2fx (%d -> %d); elapsed %.2f -> %.2f ms\n",
-			float64(u.SyncEnvelopes)/float64(b.SyncEnvelopes), u.SyncEnvelopes, b.SyncEnvelopes,
-			float64(u.Envelopes)/float64(b.Envelopes), u.Envelopes, b.Envelopes,
-			u.VirtualMS, b.VirtualMS)
-	}
-	fmt.Println("(envelopes = wire departures, a multi-part batch counting once; syncenv")
-	fmt.Println(" excludes the page-fetch pairs no batching can remove. The batched jacobi")
-	fmt.Println(" rows show zero invalidation envelopes: the barrier's write notices carry")
-	fmt.Println(" the invalidation information for free)")
+	fmt.Println("(envelopes = wire departures, a multi-part outbox envelope counting once;")
+	fmt.Println(" syncenv excludes the page-fetch pairs no coalescing can remove. The hbrc_mw")
+	fmt.Println(" jacobi rows show zero invalidation envelopes: the barrier's write notices")
+	fmt.Println(" carry the invalidation information for free)")
 
 	header("Comm scale: per-barrier backbone envelopes on a hierarchical topology")
 	fmt.Printf("%-12s %6s %9s %10s %9s %10s %13s\n",
@@ -1074,7 +1056,7 @@ func tuneExp(writeJSON bool, workload string, opts tune.Options) error {
 		rec.Baseline.Key(), rec.Fingerprint, rec.WorkloadDigest)
 	fmt.Printf("sweep: %d cells ran, %d served from the cache ledger\n", rep.RanCells, rep.CachedCells)
 	fmt.Printf("%4s %-46s %8s %12s %10s %8s %6s %10s\n",
-		"rank", "cell (protocol/topology/placement/comm)", "correct", "elapsed(ms)", "envelopes", "remote", "migr", "p99(us)")
+		"rank", "cell (protocol/topology/placement)", "correct", "elapsed(ms)", "envelopes", "remote", "migr", "p99(us)")
 	for _, c := range rep.Cells {
 		if !c.Correct {
 			why := c.Err
@@ -1094,8 +1076,8 @@ func tuneExp(writeJSON bool, workload string, opts tune.Options) error {
 	fmt.Printf("winner: %s at %.3f ms vs baseline %s at %.3f ms (%.2fx)\n",
 		rep.Winner.Key(), rep.Winner.VirtualMS, rep.Baseline.Key(), rep.Baseline.VirtualMS,
 		rep.Baseline.VirtualMS/rep.Winner.VirtualMS)
-	fmt.Printf("prior: protocol=%s placement=%s comm=%s (feed back via Config.TunedPrior)\n",
-		rep.Prior.Protocol, rep.Prior.Placement, rep.Prior.Comm)
+	fmt.Printf("prior: protocol=%s placement=%s (feed back via Config.TunedPrior)\n",
+		rep.Prior.Protocol, rep.Prior.Placement)
 	fmt.Println("(every cell is an independent deterministic re-simulation of the recorded")
 	fmt.Println(" workload: the numbers are virtual-time exact, the ranking is bit-identical")
 	fmt.Println(" across worker counts, and cached cells replay from the ledger unchanged)")

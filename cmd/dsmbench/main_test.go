@@ -30,6 +30,7 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		{"unknown tune protocol", []string{"-exp", "tune", "-tuneprotos", "li_hudak,nope"}},
 		{"unknown tune topology", []string{"-exp", "tune", "-tunetopos", "mesh"}},
 		{"unknown tune placement", []string{"-exp", "tune", "-tuneplace", "wild"}},
+		// The tuner has no comm axis any more: its old flag is refused.
 		{"unknown tune comm", []string{"-exp", "tune", "-tunecomm", "zip"}},
 		{"unparseable flag", []string{"-exp"}},
 		{"unknown flag", []string{"-frobnicate"}},

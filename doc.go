@@ -89,9 +89,9 @@
 // ("Checkpoint/restore").
 //
 // Determinism also powers the what-if auto-tuner (internal/tune): record one
-// run of a workload, re-simulate the full {protocol x topology x placement x
-// comm} grid as parallel host-level runs (`dsmbench -exp tune [-json]`,
-// cached by fingerprint, ranked by virtual elapsed), and feed the winning
+// run of a workload, re-simulate the full {protocol x topology x placement}
+// grid as parallel host-level runs (`dsmbench -exp tune [-json]`, cached by
+// fingerprint, ranked by virtual elapsed), and feed the winning
 // cell back as Config.TunedPrior — the adaptive protocol's cold-start
 // evidence. See DESIGN.md ("Protocol auto-tuner").
 //

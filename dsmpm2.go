@@ -118,12 +118,6 @@ type Config struct {
 	// overlapping for free. Off by default, matching the paper's
 	// single-message calibration.
 	LinkContention bool
-	// UnbatchedComm disables the batched communication path: release-time
-	// invalidations and diffs go out one envelope per operation (the
-	// historical wire pattern) instead of one multi-part envelope per
-	// destination, and barriers carry no write notices. Off by default;
-	// keep it selectable for A/B comparison (`dsmbench -exp comm`).
-	UnbatchedComm bool
 	// AdaptiveHomes enables the online sharing-pattern profiler AND its
 	// home-migration decision engine: page accesses are counted per
 	// (page, node), folded into epochs at cluster-wide barriers, and pages
@@ -144,20 +138,20 @@ type Config struct {
 	Trace bool
 	// TunedPrior, when set, feeds a what-if auto-tuner recommendation
 	// (internal/tune) back into the platform: it fills the unset Protocol,
-	// switches on UnbatchedComm/AdaptiveHomes when the sweep's winner used
-	// them (it only ever turns features on — explicit Config fields win),
-	// and installs the page-policy prior the adaptive protocol consults
-	// when it has no live evidence about a page.
+	// switches on AdaptiveHomes when the sweep's winner used it (it only
+	// ever turns features on — explicit Config fields win), and installs
+	// the page-policy prior the adaptive protocol consults when it has no
+	// live evidence about a page.
 	TunedPrior *TunedPrior
 }
 
 // TunedPrior is the auto-tuner's winning configuration, fed back into a
 // Config. Fields use the tuner's grid vocabulary: Placement is "static",
-// "misplaced" or "adaptive"; Comm is "batched" or "unbatched".
+// "misplaced", "adaptive", or empty for a prior that names no placement; New
+// rejects anything else.
 type TunedPrior struct {
 	Protocol  string `json:"protocol"`
 	Placement string `json:"placement"`
-	Comm      string `json:"comm"`
 	// Workload names the recording the sweep re-simulated, so a prior is
 	// traceable to the run that produced it.
 	Workload string `json:"workload,omitempty"`
@@ -201,12 +195,14 @@ func New(cfg Config) (*System, error) {
 		cfg.Network = BIPMyrinet
 	}
 	if p := cfg.TunedPrior; p != nil {
+		switch p.Placement {
+		case "", "static", "misplaced", "adaptive":
+		default:
+			return nil, fmt.Errorf("dsmpm2: unknown TunedPrior.Placement %q (valid: static, misplaced, adaptive, or empty)", p.Placement)
+		}
 		// The prior fills gaps and turns features on; explicit fields win.
 		if cfg.Protocol == "" {
 			cfg.Protocol = p.Protocol
-		}
-		if p.Comm == "unbatched" {
-			cfg.UnbatchedComm = true
 		}
 		if p.Placement == "adaptive" {
 			cfg.AdaptiveHomes = true
@@ -232,7 +228,6 @@ func New(cfg Config) (*System, error) {
 	})
 	reg, ids := protocols.NewRegistry()
 	d := core.New(rt, reg, core.DefaultCosts())
-	d.SetBatching(!cfg.UnbatchedComm)
 	s := &System{rt: rt, dsm: d, ids: ids, cfg: cfg}
 	if cfg.Trace {
 		s.tr = trace.NewLog()

@@ -36,9 +36,6 @@ type Config struct {
 	Seed int64
 	// CellCost is the CPU cost charged per cell update.
 	CellCost dsmpm2.Duration
-	// Unbatched selects the one-envelope-per-operation communication path
-	// (A/B baseline for the comm experiment).
-	Unbatched bool
 	// MisplaceHomes homes every grid row on node 0 instead of on the node
 	// that writes it — the deliberately bad static placement the adapt
 	// experiment starts from.
@@ -139,7 +136,6 @@ func Run(cfg Config) (Result, error) {
 		Topology:      cfg.Topology,
 		Protocol:      cfg.Protocol,
 		Seed:          cfg.Seed,
-		UnbatchedComm: cfg.Unbatched,
 		AdaptiveHomes: cfg.AdaptiveHomes,
 		Recovery:      cfg.Recovery,
 		Trace:         cfg.Trace,

@@ -48,31 +48,21 @@ func TestHbrcPropagatesAtBarriers(t *testing.T) {
 	// boundary readers, which then refetch. Heat starts at the top edge
 	// and needs about five sweeps to reach the block boundary of an
 	// 8-row grid, so run enough iterations for the boundary rows to
-	// actually change. On the batched path the propagation vehicle is
-	// write notices piggybacked on the barrier (zero invalidation
-	// envelopes); unbatched it is eager invalidation messages.
-	for _, unbatched := range []bool{false, true} {
-		res, err := Run(Config{N: 8, Iterations: 10, Nodes: 2, Protocol: "hbrc_mw",
-			Seed: 1, Unbatched: unbatched})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if unbatched {
-			if res.Stats.Invalidations == 0 {
-				t.Fatal("unbatched hbrc_mw jacobi never invalidated boundary copies at a barrier")
-			}
-		} else {
-			if res.Stats.Notices == 0 {
-				t.Fatal("batched hbrc_mw jacobi never piggybacked a write notice on a barrier")
-			}
-			if res.Stats.Invalidations != 0 {
-				t.Fatalf("batched hbrc_mw jacobi sent %d eager invalidations; barriers should carry the notices",
-					res.Stats.Invalidations)
-			}
-		}
-		if res.Stats.PageSends == 0 {
-			t.Fatal("boundary rows never travelled")
-		}
+	// actually change. The propagation vehicle is write notices
+	// piggybacked on the barrier (zero invalidation envelopes).
+	res, err := Run(Config{N: 8, Iterations: 10, Nodes: 2, Protocol: "hbrc_mw", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Notices == 0 {
+		t.Fatal("hbrc_mw jacobi never piggybacked a write notice on a barrier")
+	}
+	if res.Stats.Invalidations != 0 {
+		t.Fatalf("hbrc_mw jacobi sent %d eager invalidations; barriers should carry the notices",
+			res.Stats.Invalidations)
+	}
+	if res.Stats.PageSends == 0 {
+		t.Fatal("boundary rows never travelled")
 	}
 }
 

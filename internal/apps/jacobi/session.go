@@ -96,7 +96,6 @@ func NewSession(cfg Config) (*Session, error) {
 		Topology:      cfg.Topology,
 		Protocol:      cfg.Protocol,
 		Seed:          cfg.Seed,
-		UnbatchedComm: cfg.Unbatched,
 		AdaptiveHomes: cfg.AdaptiveHomes,
 		Recovery:      cfg.Recovery,
 	})

@@ -81,8 +81,6 @@ type Config struct {
 	Protocol string
 	// Seed drives both the trace generator and the simulation.
 	Seed int64
-	// Unbatched selects the one-envelope-per-operation communication path.
-	Unbatched bool
 	// MisplaceHomes homes every bucket page on node 0 instead of on its
 	// serving node — the deliberately bad static placement the serve
 	// experiment starts from.
@@ -338,7 +336,6 @@ func Run(cfg Config) (Result, error) {
 		Topology:      cfg.Topology,
 		Protocol:      cfg.Protocol,
 		Seed:          cfg.Seed,
-		UnbatchedComm: cfg.Unbatched,
 		AdaptiveHomes: cfg.AdaptiveHomes,
 	})
 	if err != nil {

@@ -35,7 +35,6 @@ func TestChecksumMatchesSerialOracle(t *testing.T) {
 		{"natural", func(c *Config) {}},
 		{"static-misplaced", func(c *Config) { c.MisplaceHomes = true }},
 		{"adaptive", func(c *Config) { c.MisplaceHomes = true; c.AdaptiveHomes = true }},
-		{"unbatched", func(c *Config) { c.Unbatched = true }},
 	}
 	for _, v := range variants {
 		v := v

@@ -30,9 +30,6 @@ type Config struct {
 	Seed int64
 	// OpCost is the CPU cost charged per row update.
 	OpCost dsmpm2.Duration
-	// Unbatched selects the one-envelope-per-operation communication path
-	// (A/B baseline for the comm experiment).
-	Unbatched bool
 	// MisplaceHomes homes every matrix row on node 0 instead of on its
 	// round-robin owner (the adapt experiment's bad static placement).
 	MisplaceHomes bool
@@ -103,7 +100,6 @@ func Run(cfg Config) (Result, error) {
 		Network:       cfg.Network,
 		Protocol:      cfg.Protocol,
 		Seed:          cfg.Seed,
-		UnbatchedComm: cfg.Unbatched,
 		AdaptiveHomes: cfg.AdaptiveHomes,
 	})
 	if err != nil {

@@ -28,9 +28,6 @@ type Config struct {
 	Seed int64
 	// MACCost is the CPU cost charged per multiply-accumulate.
 	MACCost dsmpm2.Duration
-	// Unbatched selects the one-envelope-per-operation communication path
-	// (A/B baseline for the comm experiment).
-	Unbatched bool
 	// MisplaceHomes homes C's rows on node 0 instead of on their computing
 	// nodes (the adapt experiment's bad static placement). With no barriers
 	// in the kernel the profiler never folds an epoch, so this doubles as
@@ -95,7 +92,6 @@ func Run(cfg Config) (Result, error) {
 		Topology:      cfg.Topology,
 		Protocol:      cfg.Protocol,
 		Seed:          cfg.Seed,
-		UnbatchedComm: cfg.Unbatched,
 		AdaptiveHomes: cfg.AdaptiveHomes,
 	})
 	if err != nil {

@@ -1,12 +1,13 @@
 package bench
 
-// The "comm" experiment: message/byte/envelope accounting of the batched
-// communication path against the historical one-envelope-per-operation
-// path, across the barrier- and diff-heavy applications at cluster scale.
-// Unlike the kernel experiment (wall-clock), everything here is exact and
-// deterministic: the same seed produces the same counts on every machine,
-// so BENCH_comm.json is a pinned artifact, not a measurement subject to
-// host noise.
+// The "comm" experiment: message/byte/envelope accounting of the DSM
+// communication module — the release outbox coalescing a destination's
+// invalidations and diffs into one envelope, and barrier write notices
+// replacing invalidation rounds — across the barrier- and diff-heavy
+// applications at cluster scale. Unlike the kernel experiment (wall-clock),
+// everything here is exact and deterministic: the same seed produces the
+// same counts on every machine, so BENCH_comm.json is a pinned artifact, not
+// a measurement subject to host noise.
 
 import (
 	"fmt"
@@ -25,11 +26,10 @@ type CommLink struct {
 	MeanTotalUS float64 `json:"mean_total_us"`
 }
 
-// CommResult is one (app, nodes, path) run of the comm experiment.
+// CommResult is one (app, nodes) run of the comm experiment.
 type CommResult struct {
-	App     string `json:"app"`
-	Nodes   int    `json:"nodes"`
-	Batched bool   `json:"batched"`
+	App   string `json:"app"`
+	Nodes int    `json:"nodes"`
 	// Clusters identifies the scale rows (hierarchical topology); zero for
 	// the classic uniform-topology rows.
 	Clusters int `json:"clusters,omitempty"`
@@ -37,10 +37,10 @@ type CommResult struct {
 	VirtualMS float64 `json:"virtual_ms"`
 
 	// Wire accounting from the network layer. Envelopes counts departures:
-	// a multi-part batch counts once, so Messages/Envelopes is the
-	// aggregation factor batching achieved. SyncEnvelopes isolates the
+	// a multi-part outbox envelope counts once, so Messages/Envelopes is the
+	// aggregation factor the outbox achieved. SyncEnvelopes isolates the
 	// barrier-phase traffic — every envelope except the page-fetch pairs
-	// (requests and page transfers, which no batching can remove): the
+	// (requests and page transfers, which no coalescing can remove): the
 	// invalidations, acknowledgements, diffs and synchronization messages
 	// that release/barrier processing puts on the wire.
 	Messages      int   `json:"messages"`
@@ -72,27 +72,25 @@ type CommResult struct {
 	ByLink []CommLink `json:"by_link"`
 }
 
-// commRun is one application scenario of the suite, runnable on both paths.
+// commRun is one application scenario of the suite.
 type commRun struct {
 	app   string
 	nodes int
-	run   func(unbatched bool) (*dsmpm2.System, dsmpm2.Time)
+	run   func() (*dsmpm2.System, dsmpm2.Time)
 }
 
 // measure samples the counters after the app's final checksum read-back
-// pass, which is identical (read-only page fetches) on both paths: it
-// dilutes the *total* envelope ratio slightly and conservatively, and
-// cancels out of SyncEnvelopes entirely (read-back traffic is exactly
-// request/page-send pairs, which SyncEnvelopes subtracts). VirtualMS is the
-// workload's own elapsed time, without the read-back.
-func (c commRun) measure(unbatched bool) CommResult {
-	sys, elapsed := c.run(unbatched)
+// pass: read-only page fetches, which cancel out of SyncEnvelopes entirely
+// (read-back traffic is exactly request/page-send pairs, which
+// SyncEnvelopes subtracts). VirtualMS is the workload's own elapsed time,
+// without the read-back.
+func (c commRun) measure() CommResult {
+	sys, elapsed := c.run()
 	st := sys.Stats()
 	msgs, bytes := sys.Runtime().Network().Stats()
 	res := CommResult{
 		App:           c.app,
 		Nodes:         c.nodes,
-		Batched:       !unbatched,
 		VirtualMS:     float64(elapsed) / 1e6,
 		Messages:      msgs,
 		Bytes:         bytes,
@@ -126,15 +124,14 @@ func (c commRun) measure(unbatched bool) CommResult {
 // lu's broadcast pivots stress diff coalescing; matmul's read replication
 // is the near-neutral control.
 func commRuns() []commRun {
-	mk := func(app string, nodes int, run func(unbatched bool) (*dsmpm2.System, dsmpm2.Time)) commRun {
+	mk := func(app string, nodes int, run func() (*dsmpm2.System, dsmpm2.Time)) commRun {
 		return commRun{app: app, nodes: nodes, run: run}
 	}
 	jac := func(app string, proto string, nodes, n, iters int) commRun {
-		return mk(app, nodes, func(unbatched bool) (*dsmpm2.System, dsmpm2.Time) {
+		return mk(app, nodes, func() (*dsmpm2.System, dsmpm2.Time) {
 			res, err := jacobi.Run(jacobi.Config{
 				N: n, Iterations: iters, Nodes: nodes,
 				Network: dsmpm2.BIPMyrinet, Protocol: proto, Seed: 7,
-				Unbatched: unbatched,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("comm %s/%d: %v", app, nodes, err))
@@ -143,11 +140,10 @@ func commRuns() []commRun {
 		})
 	}
 	mat := func(nodes, n int) commRun {
-		return mk("matmul", nodes, func(unbatched bool) (*dsmpm2.System, dsmpm2.Time) {
+		return mk("matmul", nodes, func() (*dsmpm2.System, dsmpm2.Time) {
 			res, err := matmul.Run(matmul.Config{
 				N: n, Nodes: nodes,
 				Network: dsmpm2.BIPMyrinet, Protocol: "li_hudak", Seed: 3,
-				Unbatched: unbatched,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("comm matmul/%d: %v", nodes, err))
@@ -156,11 +152,10 @@ func commRuns() []commRun {
 		})
 	}
 	luf := func(nodes, n int) commRun {
-		return mk("lu", nodes, func(unbatched bool) (*dsmpm2.System, dsmpm2.Time) {
+		return mk("lu", nodes, func() (*dsmpm2.System, dsmpm2.Time) {
 			res, err := lu.Run(lu.Config{
 				N: n, Nodes: nodes,
 				Network: dsmpm2.BIPMyrinet, Protocol: "hbrc_mw", Seed: 5,
-				Unbatched: unbatched,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("comm lu/%d: %v", nodes, err))
@@ -189,12 +184,11 @@ func commRuns() []commRun {
 	}
 }
 
-// CommSuite runs every scenario on both communication paths and returns the
-// results, batched and unbatched rows interleaved per scenario.
+// CommSuite runs every scenario and returns the results in suite order.
 func CommSuite() []CommResult {
 	var out []CommResult
 	for _, c := range commRuns() {
-		out = append(out, c.measure(false), c.measure(true))
+		out = append(out, c.measure())
 	}
 	return out
 }
@@ -226,7 +220,6 @@ func commScale(nodes, iters int) CommResult {
 	out := CommResult{
 		App:       "jacobi-hier",
 		Nodes:     nodes,
-		Batched:   true,
 		Clusters:  clusters,
 		VirtualMS: float64(res.Elapsed) / 1e6,
 		Messages:  msgs,
@@ -273,15 +266,4 @@ func commScale(nodes, iters int) CommResult {
 // these rows exist for the wire accounting, not the heat flow.
 func CommScaleSuite() []CommResult {
 	return []CommResult{commScale(64, 4), commScale(512, 4)}
-}
-
-// CommJacobi64 runs just the 64-node jacobi pair — the acceptance headline —
-// returning (batched, unbatched). The bench smoke uses it.
-func CommJacobi64() (batched, unbatched CommResult) {
-	for _, c := range commRuns() {
-		if c.app == "jacobi" && c.nodes == 64 {
-			return c.measure(false), c.measure(true)
-		}
-	}
-	panic("comm: the 64-node jacobi scenario is missing from the suite")
 }

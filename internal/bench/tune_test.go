@@ -18,8 +18,8 @@ func TestTuneSuite(t *testing.T) {
 	if rec.Seed != TuneSeed {
 		t.Errorf("recording seed %d, want the pinned %d", rec.Seed, TuneSeed)
 	}
-	if rep.GridSize != 2*2*3*2 {
-		t.Errorf("grid size %d, want 24", rep.GridSize)
+	if rep.GridSize != 2*2*3 {
+		t.Errorf("grid size %d, want 12", rep.GridSize)
 	}
 	if !rep.Winner.Correct || rep.Winner.VirtualMS > rep.Baseline.VirtualMS {
 		t.Errorf("winner %+v does not beat baseline %.3f ms", rep.Winner, rep.Baseline.VirtualMS)

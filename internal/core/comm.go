@@ -23,16 +23,6 @@ const (
 // ctrlBytes is the wire size of a control message.
 const ctrlBytes = 64
 
-// invAck is the payload of an invalidation acknowledgement: which node
-// applied which page's invalidation. Carrying the page matters when one ack
-// channel covers several pages (a multi-page flush): a duplicate ack for an
-// already-applied page must not stand in for a different, still-unapplied
-// one.
-type invAck struct {
-	node int
-	page Page
-}
-
 // registerServices wires the DSM communication module onto every node.
 // Request, invalidation and diff servers are threaded so that concurrent
 // requests — for the same page or different pages — are processed in
@@ -97,13 +87,13 @@ func (d *DSM) registerServices() {
 			d.Entry(iv.Node, iv.Page).InvalSeq++
 			d.protoAt(iv.Node, iv.Page).InvalidateServer(iv)
 			if iv.ack != nil {
-				// Under recovery the ack names the acknowledging node and
-				// page, so a retry loop can tick off exactly which holders
-				// answered for exactly which invalidations. Otherwise acks
-				// are only counted, and an empty one boxes nothing.
+				// Under recovery the ack names the acknowledging node, so a
+				// retry loop can tick off exactly which holders answered.
+				// Otherwise acks are only counted, and an empty one boxes
+				// nothing.
 				var ack interface{}
 				if d.recovery != nil {
-					ack = invAck{node: iv.Node, page: iv.Page}
+					ack = iv.Node
 				}
 				d.replyDirect(iv.Node, iv.From, iv.ack, ack)
 			}
@@ -164,8 +154,9 @@ func (d *DSM) newInvalidate(from int, pg Page, newOwner int, ack *sim.Chan) *Inv
 	return iv
 }
 
-// sendInvalidate delivers an invalidation of pg to dest as its own envelope
-// (the unbatched path; batched flushes coalesce invalidations in outbox.go).
+// sendInvalidate delivers an invalidation of pg to dest as its own envelope:
+// InvalidateCopies' per-holder round, run inside a fault. Release-time
+// invalidations coalesce per destination in the outbox (outbox.go) instead.
 func (d *DSM) sendInvalidate(from, dest int, pg Page, newOwner int, ack *sim.Chan) {
 	st := &d.stats
 	st.Invalidations++
@@ -174,42 +165,8 @@ func (d *DSM) sendInvalidate(from, dest int, pg Page, newOwner int, ack *sim.Cha
 	d.rt.AsyncFrom(from, dest, svcInvald, d.newInvalidate(from, pg, newOwner, ack), ctrlBytes)
 }
 
-// diffFlight is one in-flight diff envelope: the send half of sendDiffs,
-// split from the wait half so flushes to distinct destinations overlap their
-// round trips (every envelope departs before the first reply is awaited). m
-// is the receiver's once sent; only recovery's re-send, under which nothing
-// is recycled, reads it again.
-type diffFlight struct {
-	dest  int
-	m     *DiffMsg
-	size  int
-	reply *sim.Chan // nil for fire-and-forget
-}
-
-// startDiffs ships a diff list to dest as its own envelope and returns the
-// flight to pass to waitDiffs. With wait false the flight needs no waiting
-// (fire-and-forget).
-func (d *DSM) startDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, noticed, wait bool) diffFlight {
-	size := ctrlBytes
-	for _, df := range diffs {
-		size += df.Size()
-	}
-	m := take(&d.recs.diffs)
-	m.From, m.Diffs, m.Noticed = t.Node(), diffs, noticed
-	st := &d.stats
-	st.DiffsSent += int64(len(diffs))
-	st.DiffBytes += int64(size)
-	st.Sends++
-	st.Envelopes++
-	if wait {
-		m.reply = new(sim.Chan)
-	}
-	f := diffFlight{dest: dest, m: m, size: size, reply: m.reply}
-	d.rt.AsyncFrom(t.Node(), dest, svcDiff, m, size)
-	return f
-}
-
-// waitDiffs blocks until a flight's destination acknowledged applying it
+// sendDiffs delivers a batch of diffs to dest as one envelope and, if wait
+// is true, blocks the calling thread until the destination has applied them
 // (release semantics demand it).
 //
 // With recovery enabled the wait is bounded: if the home dies before
@@ -217,38 +174,54 @@ func (d *DSM) startDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, noticed,
 // recovery sweep re-homed the dead node's pages), applied locally when this
 // node became the home. Diffs are absolute byte ranges, so a diff the dead
 // home did manage to apply before crashing re-applies idempotently.
-func (d *DSM) waitDiffs(t *pm2.Thread, f diffFlight) {
-	if f.reply == nil {
+func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool) {
+	size := ctrlBytes
+	for _, df := range diffs {
+		size += df.Size()
+	}
+	m := take(&d.recs.diffs)
+	m.From, m.Diffs = t.Node(), diffs
+	st := &d.stats
+	st.DiffsSent += int64(len(diffs))
+	st.DiffBytes += int64(size)
+	st.Sends++
+	st.Envelopes++
+	var reply *sim.Chan
+	if wait {
+		reply = new(sim.Chan)
+		m.reply = reply
+	}
+	// m is the receiver's once sent; only recovery's re-send, under which
+	// nothing is recycled, sends it again.
+	d.rt.AsyncFrom(t.Node(), dest, svcDiff, m, size)
+	if !wait {
 		return
 	}
 	if d.recovery == nil {
-		f.reply.Recv(t.Proc())
+		reply.Recv(t.Proc())
 		return
 	}
-	attempt := 0
-	for {
-		if _, ok := f.reply.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt)); ok {
+	for attempt := 0; ; {
+		if _, ok := reply.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt)); ok {
 			return
 		}
 		attempt++
 		d.recovery.stats.Retries++
-		if !d.NodeDead(f.dest) {
+		if !d.NodeDead(dest) {
 			// The home is alive but silent: the diff or its ack may have
 			// been lost on a lossy link, or is crawling through a
 			// partition. Re-send — diffs apply idempotently, and a
 			// duplicate ack just lingers unread in this call's private
-			// reply channel. Counted like any other shipment, mirroring
-			// the batched retry path's accounting.
-			st := &d.stats
-			st.DiffsSent += int64(len(f.m.Diffs))
+			// reply channel. Counted like any other shipment.
+			st.DiffsSent += int64(len(diffs))
 			st.Sends++
 			st.Envelopes++
-			d.rt.AsyncFrom(t.Node(), f.dest, svcDiff, f.m, f.size)
+			d.rt.AsyncFrom(t.Node(), dest, svcDiff, m, size)
 			continue
 		}
 		// The home died with our diffs unacknowledged: re-route each diff
 		// to its page's current home.
-		for _, df := range f.m.Diffs {
+		for _, df := range diffs {
 			d.rerouteDiff(t, df)
 		}
 		return
@@ -280,10 +253,4 @@ func (d *DSM) rerouteDiff(t *pm2.Thread, df *memory.Diff) {
 		memory.ApplyDiff(frame.Data, df)
 	}
 	e.Unlock(t)
-}
-
-// sendDiffs delivers a batch of diffs to dest and, if wait is true, blocks
-// the calling thread until the destination has applied them.
-func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool) {
-	d.waitDiffs(t, d.startDiffs(t, dest, diffs, false, wait))
 }

@@ -127,13 +127,6 @@ type DSM struct {
 	// See profiler.go and migrate.go.
 	prof *profilerState
 
-	// batch selects the communication path: true (the default) coalesces
-	// the operations accumulated in a Batch into one multi-part envelope
-	// per destination and lets barriers piggyback write notices; false
-	// keeps the historical one-envelope-per-operation wire pattern, for A/B
-	// comparison (see outbox.go).
-	batch bool
-
 	// stats and timings are the DSM-wide counters and fault-timing ring.
 	stats      Stats
 	timings    TimingLog
@@ -170,7 +163,6 @@ func New(rt *pm2.Runtime, reg *Registry, costs Costs) *DSM {
 		instances: make(map[ProtoID]Protocol),
 		defProto:  -1,
 		dir:       make(map[Page]pageInfo),
-		batch:     true,
 	}
 	d.nodeFaults = make([]int64, rt.Nodes())
 	for i := 0; i < rt.Nodes(); i++ {
@@ -187,16 +179,6 @@ func New(rt *pm2.Runtime, reg *Registry, costs Costs) *DSM {
 
 // Runtime returns the underlying PM2 machine.
 func (d *DSM) Runtime() *pm2.Runtime { return d.rt }
-
-// SetBatching selects the communication path: on (the default) coalesces
-// release-time operations into one multi-part envelope per destination and
-// piggybacks write notices on barriers; off restores the historical
-// one-envelope-per-operation pattern. Flip it before Run, not mid-workload:
-// notices queued under batching would otherwise strand.
-func (d *DSM) SetBatching(on bool) { d.batch = on }
-
-// BatchingEnabled reports whether the batched communication path is active.
-func (d *DSM) BatchingEnabled() bool { return d.batch }
 
 // Costs returns the core cost configuration.
 func (d *DSM) Costs() Costs { return d.costs }

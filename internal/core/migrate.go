@@ -10,9 +10,9 @@ import (
 // completion of a cluster-wide barrier the manager folds the epoch counters
 // (profiler.go) and re-homes each nominated page onto its dominant writer
 // via the svcMigrateHome handshake below; the metadata update then rides the
-// barrier grant as migration notices — the same piggyback the batched
-// communication path uses for write notices, so re-homing a page costs one
-// page transfer plus zero extra round trips.
+// barrier grant as migration notices — the same piggyback write notices
+// use, so re-homing a page costs one page transfer plus zero extra round
+// trips.
 //
 // The handshake reuses the recovery manager's re-home discipline: the new
 // home becomes the page's owner with the authoritative copy and a scrubbed

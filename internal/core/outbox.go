@@ -7,10 +7,9 @@ import (
 
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/pm2"
-	"dsmpm2/internal/sim"
 )
 
-// This file is the batched half of the DSM communication module: a
+// This file is the release side of the DSM communication module: a
 // per-release outbox (Batch) that coalesces the invalidations and diffs a
 // critical section accumulated into ONE multi-part envelope per destination,
 // plus the write-notice machinery that lets barriers carry invalidation
@@ -48,18 +47,15 @@ type batchOp struct {
 
 // Batch is a release's outbox: protocols queue the invalidations and diffs of
 // one release into it, then Flush ships one envelope per destination and
-// waits once for all of them. With batching disabled the same Flush
-// reproduces the historical one-envelope-per-operation pattern (still
-// overlapping the waits), keeping the unbatched path selectable for A/B
-// comparison. Everything is one flat list of operations, sorted once at
-// Flush, and the buffers a flush builds its envelopes in stay with the Batch,
-// which is recycled like any record (see records.go).
+// waits once for all of them. Everything is one flat list of operations,
+// sorted once at Flush, and the buffers a flush builds its envelopes in stay
+// with the Batch, which is recycled like any record (see records.go).
 type Batch struct {
 	d       *DSM
 	t       *pm2.Thread
 	node    int
 	ops     []batchOp
-	elems   []pm2.VecElem // the envelopes of one batched flush, back to back
+	elems   []pm2.VecElem // the envelopes of one flush, back to back
 	flights []batchFlight
 }
 
@@ -95,9 +91,7 @@ func (b *Batch) Diff(dest int, diff *memory.Diff, noticed bool) {
 //
 // One destination needs one invalidation of a page per flush no matter how
 // many times it was queued (the last in flush order — the highest owner hint
-// — wins); the unbatched path has always collapsed duplicates through its
-// per-(node, page) ack bookkeeping, and deduplicating here keeps the two
-// paths' Invalidations/InvAcks accounting identical.
+// — wins), so Invalidations counts pages invalidated, not queue calls.
 func (b *Batch) canonicalize() {
 	slices.SortStableFunc(b.ops, func(x, y batchOp) int {
 		switch {
@@ -175,7 +169,7 @@ func (b *Batch) reroute(run []batchOp) {
 	}
 }
 
-// batchFlight is one awaited destination envelope of a batched flush.
+// batchFlight is one awaited destination envelope of a flush.
 type batchFlight struct {
 	dest  int
 	run   []batchOp     // the destination's operations
@@ -193,18 +187,14 @@ func (b *Batch) Flush(wait bool) {
 	d := b.d
 	if len(b.ops) > 0 {
 		b.canonicalize() // before any send OR reroute: order must never depend on insertion
-		if d.batch {
-			b.flushBatched(wait)
-		} else {
-			b.flushUnbatched(wait)
-		}
+		b.send(wait)
 	}
 	put(d, &d.recs.batches, b)
 }
 
-// flushBatched sends each destination's run as one multi-part envelope whose
-// single reply coalesces every acknowledgement.
-func (b *Batch) flushBatched(wait bool) {
+// send ships each destination's run as one multi-part envelope whose single
+// reply coalesces every acknowledgement.
+func (b *Batch) send(wait bool) {
 	d := b.d
 	st := &d.stats
 	// Grown once up front: the flights below keep slices of it.
@@ -265,8 +255,7 @@ func (b *Batch) waitFlight(f *batchFlight) {
 			// or is crawling through a partition. Re-send the whole envelope
 			// as a new call — invalidations and diffs apply idempotently, and
 			// the abandoned call, never released, keeps a late first reply to
-			// itself. Counted like any other shipment, mirroring the
-			// unbatched retry path's accounting.
+			// itself. Counted like any other shipment.
 			st := &d.stats
 			st.Invalidations += int64(f.acks)
 			st.DiffsSent += int64(len(f.elems) - f.acks)
@@ -279,97 +268,9 @@ func (b *Batch) waitFlight(f *batchFlight) {
 	d.stats.InvAcks += int64(f.acks)
 }
 
-// flushUnbatched reproduces the pre-batching wire pattern — one envelope per
-// invalidation, one diff-list envelope per destination — while still
-// overlapping the blocking waits across destinations.
-func (b *Batch) flushUnbatched(wait bool) {
-	d, t := b.d, b.t
-	ack := new(sim.Chan)
-	// outstanding tracks each unacknowledged (node, page) invalidation
-	// individually (value: its new-owner hint, for resends): acks name both
-	// node and page, so a duplicate ack for an applied page can never stand
-	// in for a different, still-unapplied one.
-	outstanding := make(map[invAck]int)
-	acks := 0
-	var diffFlights []diffFlight
-	for dest, run := range b.liveRuns {
-		var diffs []*memory.Diff // the receiver's, so never the Batch's buffer
-		for _, op := range run {
-			if op.diff != nil {
-				diffs = append(diffs, op.diff)
-				continue
-			}
-			var ch *sim.Chan
-			if wait {
-				ch = ack
-				key := invAck{node: dest, page: op.page}
-				if _, dup := outstanding[key]; !dup {
-					acks++
-				}
-				outstanding[key] = op.newOwner
-			}
-			d.sendInvalidate(b.node, dest, op.page, op.newOwner, ch)
-		}
-		if len(diffs) > 0 {
-			diffFlights = append(diffFlights, d.startDiffs(t, dest, diffs, false, wait))
-		}
-	}
-	if !wait {
-		return
-	}
-	if d.recovery == nil {
-		for i := 0; i < acks; i++ {
-			ack.Recv(t.Proc())
-			d.stats.InvAcks++
-		}
-	} else {
-		attempt := 0
-		for len(outstanding) > 0 {
-			v, ok := ack.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt))
-			if ok {
-				if a, isAck := v.(invAck); isAck {
-					if _, pending := outstanding[a]; pending {
-						delete(outstanding, a)
-						d.stats.InvAcks++
-					}
-				}
-				continue
-			}
-			attempt++
-			// Timed out: dead destinations need no acks; live ones get
-			// their still-outstanding (idempotent) invalidations again.
-			keys := make([]invAck, 0, len(outstanding))
-			for k := range outstanding {
-				keys = append(keys, k)
-			}
-			slices.SortFunc(keys, func(x, y invAck) int {
-				if x.node != y.node {
-					return cmp.Compare(x.node, y.node)
-				}
-				return cmp.Compare(x.page, y.page)
-			})
-			retried := false
-			for _, k := range keys {
-				if d.NodeDead(k.node) {
-					delete(outstanding, k)
-					continue
-				}
-				if !retried {
-					d.recovery.stats.Retries++
-					retried = true
-				}
-				d.sendInvalidate(b.node, k.node, k.page, outstanding[k], ack)
-			}
-		}
-	}
-	for _, f := range diffFlights {
-		d.waitDiffs(t, f)
-	}
-}
-
 // NoticesUsable reports whether a release at this synchronization point may
-// defer invalidation to barrier write notices: batching must be on and the
-// release must belong to an actual cluster-wide barrier arrival —
+// defer invalidation to barrier write notices: the release must belong to an
+// actual cluster-wide barrier arrival —
 // participant count >= node count, under the SPMD convention every workload
 // here follows (one barrier participant per node; a barrier whose
 // participants cluster on fewer nodes must not rely on notices, since
@@ -381,7 +282,7 @@ func (b *Batch) flushUnbatched(wait bool) {
 // the queued notices forever (restart wipes the node's state, the
 // checkpoint skips the redo, and third-party copies stay stale for good).
 func (d *DSM) NoticesUsable(barrier int) bool {
-	if !d.batch || barrier < 0 || barrier >= len(d.barriers) {
+	if barrier < 0 || barrier >= len(d.barriers) {
 		return false
 	}
 	return d.barriers[barrier].n >= d.rt.Nodes()

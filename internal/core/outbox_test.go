@@ -24,7 +24,7 @@ type traceEvent struct {
 // outboxHarness builds a DSM whose only protocol records every invalidation
 // and diff delivery, so a flush's full wire behaviour can be compared
 // across runs.
-func outboxHarness(nodes int, batched bool) (*DSM, *pm2.Runtime, *[]traceEvent) {
+func outboxHarness(nodes int) (*DSM, *pm2.Runtime, *[]traceEvent) {
 	rt := pm2.NewRuntime(pm2.Config{Nodes: nodes, Network: madeleine.BIPMyrinet, Seed: 1})
 	reg := NewRegistry()
 	trace := &[]traceEvent{}
@@ -44,7 +44,6 @@ func outboxHarness(nodes int, batched bool) (*DSM, *pm2.Runtime, *[]traceEvent) 
 		}
 	})
 	d = New(rt, reg, DefaultCosts())
-	d.SetBatching(batched)
 	id, _ := reg.Lookup("recorder")
 	d.SetDefaultProtocol(id)
 	return d, rt, trace
@@ -54,8 +53,7 @@ func outboxHarness(nodes int, batched bool) (*DSM, *pm2.Runtime, *[]traceEvent) 
 // outbox: queueing the same operations in any order must produce the exact
 // same wire behaviour — every handler fires at the same virtual time on the
 // same node, and the run's clocks and counters match — because Flush
-// canonicalizes to (destination ascending, page ascending). Checked on both
-// communication paths.
+// canonicalizes to (destination ascending, page ascending).
 func TestBatchFlushOrderDeterministic(t *testing.T) {
 	const nodes, pages = 4, 6
 	type op struct {
@@ -73,167 +71,115 @@ func TestBatchFlushOrderDeterministic(t *testing.T) {
 			}
 		}
 	}
-	for _, batched := range []bool{true, false} {
-		name := "unbatched"
-		if batched {
-			name = "batched"
-		}
-		t.Run(name, func(t *testing.T) {
-			run := func(perm []int) ([]traceEvent, int64, Stats) {
-				d, rt, trace := outboxHarness(nodes, batched)
-				base := d.MustMalloc(0, pages*PageSize, nil)
-				first := d.Space(0).PageOf(base)
-				rt.CreateThread(0, "flusher", func(th *pm2.Thread) {
-					b := d.NewBatch(th)
-					for _, i := range perm {
-						o := ops[i]
-						if o.inv {
-							b.Invalidate(o.dest, first+Page(o.page), -1)
-						} else {
-							df := &memory.Diff{Page: first + Page(o.page)}
-							df.MergeRecorded(0, []byte{o.payload})
-							b.Diff(o.dest, df, false)
-						}
+	// Every operation rides one batch, flushed once.
+	t.Run("batched", func(t *testing.T) {
+		run := func(perm []int) ([]traceEvent, int64, Stats) {
+			d, rt, trace := outboxHarness(nodes)
+			base := d.MustMalloc(0, pages*PageSize, nil)
+			first := d.Space(0).PageOf(base)
+			rt.CreateThread(0, "flusher", func(th *pm2.Thread) {
+				b := d.NewBatch(th)
+				for _, i := range perm {
+					o := ops[i]
+					if o.inv {
+						b.Invalidate(o.dest, first+Page(o.page), -1)
+					} else {
+						df := &memory.Diff{Page: first + Page(o.page)}
+						df.MergeRecorded(0, []byte{o.payload})
+						b.Diff(o.dest, df, false)
 					}
-					b.Flush(true)
-				})
-				if err := rt.Run(); err != nil {
-					t.Fatal(err)
 				}
-				return *trace, int64(rt.Now()), d.Stats()
+				b.Flush(true)
+			})
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
 			}
-			identity := make([]int, len(ops))
-			for i := range identity {
-				identity[i] = i
+			return *trace, int64(rt.Now()), d.Stats()
+		}
+		identity := make([]int, len(ops))
+		for i := range identity {
+			identity[i] = i
+		}
+		wantTrace, wantNow, wantStats := run(identity)
+		if len(wantTrace) == 0 {
+			t.Fatal("flush produced no handler activations; the harness is broken")
+		}
+		rng := rand.New(rand.NewSource(99))
+		for trial := 0; trial < 8; trial++ {
+			perm := rng.Perm(len(ops))
+			gotTrace, gotNow, gotStats := run(perm)
+			if gotNow != wantNow {
+				t.Fatalf("trial %d: final clock %d, want %d (insertion order leaked into timing)", trial, gotNow, wantNow)
 			}
-			wantTrace, wantNow, wantStats := run(identity)
-			if len(wantTrace) == 0 {
-				t.Fatal("flush produced no handler activations; the harness is broken")
+			if !reflect.DeepEqual(gotTrace, wantTrace) {
+				t.Fatalf("trial %d: handler trace diverged under shuffled insertion\ngot  %v\nwant %v", trial, gotTrace, wantTrace)
 			}
-			rng := rand.New(rand.NewSource(99))
-			for trial := 0; trial < 8; trial++ {
-				perm := rng.Perm(len(ops))
-				gotTrace, gotNow, gotStats := run(perm)
-				if gotNow != wantNow {
-					t.Fatalf("trial %d: final clock %d, want %d (insertion order leaked into timing)", trial, gotNow, wantNow)
-				}
-				if !reflect.DeepEqual(gotTrace, wantTrace) {
-					t.Fatalf("trial %d: handler trace diverged under shuffled insertion\ngot  %v\nwant %v", trial, gotTrace, wantTrace)
-				}
-				if gotStats != wantStats {
-					t.Fatalf("trial %d: stats diverged: %+v vs %+v", trial, gotStats, wantStats)
-				}
+			if gotStats != wantStats {
+				t.Fatalf("trial %d: stats diverged: %+v vs %+v", trial, gotStats, wantStats)
 			}
-		})
-	}
+		}
+	})
 }
 
-// TestBatchFlushCoalescesEnvelopes pins the aggregation arithmetic: on the
-// batched path, N operations to K destinations depart as K envelopes; on
-// the unbatched path every invalidation is its own envelope and each
-// destination's diff list is one more.
+// TestBatchFlushCoalescesEnvelopes pins the aggregation arithmetic: N
+// operations to K destinations depart as K envelopes.
 func TestBatchFlushCoalescesEnvelopes(t *testing.T) {
 	const nodes = 4
-	for _, batched := range []bool{true, false} {
-		d, rt, _ := outboxHarness(nodes, batched)
-		base := d.MustMalloc(0, 2*PageSize, nil)
-		first := d.Space(0).PageOf(base)
-		before := d.Stats()
-		rt.CreateThread(0, "flusher", func(th *pm2.Thread) {
-			b := d.NewBatch(th)
-			for dest := 1; dest < nodes; dest++ {
-				b.Invalidate(dest, first, -1)
-				b.Invalidate(dest, first+1, -1)
-				df := &memory.Diff{Page: first}
-				df.MergeRecorded(0, []byte{1})
-				b.Diff(dest, df, false)
-			}
-			b.Flush(true)
-		})
-		if err := rt.Run(); err != nil {
-			t.Fatal(err)
+	d, rt, _ := outboxHarness(nodes)
+	base := d.MustMalloc(0, 2*PageSize, nil)
+	first := d.Space(0).PageOf(base)
+	before := d.Stats()
+	rt.CreateThread(0, "flusher", func(th *pm2.Thread) {
+		b := d.NewBatch(th)
+		for dest := 1; dest < nodes; dest++ {
+			b.Invalidate(dest, first, -1)
+			b.Invalidate(dest, first+1, -1)
+			df := &memory.Diff{Page: first}
+			df.MergeRecorded(0, []byte{1})
+			b.Diff(dest, df, false)
 		}
-		st := d.Stats()
-		ops, envs := st.Sends-before.Sends, st.Envelopes-before.Envelopes
-		if ops != 9 {
-			t.Fatalf("batched=%v: %d ops sent, want 9", batched, ops)
-		}
-		wantEnvs := int64(3) // one per destination
-		if !batched {
-			wantEnvs = 9 // 6 invalidations + 3 diff lists
-		}
-		if envs != wantEnvs {
-			t.Fatalf("batched=%v: %d envelopes, want %d", batched, envs, wantEnvs)
-		}
-		if st.InvAcks-before.InvAcks != 6 {
-			t.Fatalf("batched=%v: %d invalidation acks, want 6", batched, st.InvAcks-before.InvAcks)
-		}
+		b.Flush(true)
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := d.Stats()
+	if ops := st.Sends - before.Sends; ops != 9 {
+		t.Fatalf("%d ops sent, want 9", ops)
+	}
+	if envs := st.Envelopes - before.Envelopes; envs != 3 { // one per destination
+		t.Fatalf("%d envelopes, want 3", envs)
+	}
+	if acks := st.InvAcks - before.InvAcks; acks != 6 {
+		t.Fatalf("%d invalidation acks, want 6", acks)
 	}
 }
 
-// TestBatchFlushDedupsInvalidations pins the duplicate-invalidation rule on
-// BOTH communication paths: queueing the same page for the same destination
-// several times ships (and acknowledges) it exactly once per flush. The
-// unbatched path has always collapsed duplicates through its per-(node, page)
-// ack bookkeeping; canonicalize dedups for the batched path too, so the
-// Invalidations/InvAcks accounting is identical across paths.
+// TestBatchFlushDedupsInvalidations pins the duplicate-invalidation rule:
+// queueing the same page for the same destination several times ships (and
+// acknowledges) it exactly once per flush.
 func TestBatchFlushDedupsInvalidations(t *testing.T) {
 	const nodes = 3
-	for _, batched := range []bool{true, false} {
-		d, rt, trace := outboxHarness(nodes, batched)
-		base := d.MustMalloc(0, 2*PageSize, nil)
-		first := d.Space(0).PageOf(base)
-		rt.CreateThread(0, "flusher", func(th *pm2.Thread) {
-			b := d.NewBatch(th)
-			b.Invalidate(1, first, -1)
-			b.Invalidate(1, first, -1) // exact duplicate
-			b.Invalidate(1, first, 2)  // same page, different owner hint: last hint wins
-			b.Invalidate(1, first+1, -1)
-			b.Invalidate(2, first, -1) // other destination: independent
-			b.Flush(true)
-		})
-		if err := rt.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if len(*trace) != 3 {
-			t.Fatalf("batched=%v: %d invalidations ran, want 3 (deduped)", batched, len(*trace))
-		}
-		if st := d.Stats(); st.Invalidations != 3 || st.InvAcks != 3 {
-			t.Fatalf("batched=%v: Invalidations=%d InvAcks=%d, want 3/3", batched, st.Invalidations, st.InvAcks)
-		}
+	d, rt, trace := outboxHarness(nodes)
+	base := d.MustMalloc(0, 2*PageSize, nil)
+	first := d.Space(0).PageOf(base)
+	rt.CreateThread(0, "flusher", func(th *pm2.Thread) {
+		b := d.NewBatch(th)
+		b.Invalidate(1, first, -1)
+		b.Invalidate(1, first, -1) // exact duplicate
+		b.Invalidate(1, first, 2)  // same page, different owner hint: last hint wins
+		b.Invalidate(1, first+1, -1)
+		b.Invalidate(2, first, -1) // other destination: independent
+		b.Flush(true)
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestInvalidateCopiesBatched pins the single-page convenience wrapper's
-// contract on both paths: every copyset holder except self and the new
-// owner is invalidated (blocking until acknowledged), and the batched path
-// ships one envelope per destination.
-func TestInvalidateCopiesBatched(t *testing.T) {
-	const nodes = 4
-	for _, batched := range []bool{true, false} {
-		d, rt, trace := outboxHarness(nodes, batched)
-		base := d.MustMalloc(0, PageSize, nil)
-		pg := d.Space(0).PageOf(base)
-		rt.CreateThread(0, "writer", func(th *pm2.Thread) {
-			// Copyset includes self (0) and the new owner (2): both skipped.
-			var cs NodeSet
-			cs.AddRange(0, 3)
-			InvalidateCopiesBatched(d, th, pg, cs, 2)
-		})
-		if err := rt.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if len(*trace) != 2 {
-			t.Fatalf("batched=%v: %d invalidations ran, want 2 (nodes 1 and 3)", batched, len(*trace))
-		}
-		for i, want := range []int{1, 3} {
-			if ev := (*trace)[i]; ev.kind != "inv" || ev.node != want || ev.page != pg {
-				t.Fatalf("batched=%v: event %d = %+v, want inv of page %d on node %d", batched, i, ev, pg, want)
-			}
-		}
-		if st := d.Stats(); st.Invalidations != 2 || st.InvAcks != 2 {
-			t.Fatalf("batched=%v: Invalidations=%d InvAcks=%d, want 2/2", batched, st.Invalidations, st.InvAcks)
-		}
+	if len(*trace) != 3 {
+		t.Fatalf("%d invalidations ran, want 3 (deduped)", len(*trace))
+	}
+	if st := d.Stats(); st.Invalidations != 3 || st.InvAcks != 3 {
+		t.Fatalf("Invalidations=%d InvAcks=%d, want 3/3", st.Invalidations, st.InvAcks)
 	}
 }
 
@@ -244,7 +190,7 @@ func TestInvalidateCopiesBatched(t *testing.T) {
 // survive.
 func TestWriteNoticeRoundTrip(t *testing.T) {
 	const nodes = 3
-	d, rt, _ := outboxHarness(nodes, true)
+	d, rt, _ := outboxHarness(nodes)
 	base := d.MustMalloc(0, PageSize, nil)
 	pg := d.Space(0).PageOf(base)
 	// Give nodes 1 and 2 read copies, registered in the home's copyset.
@@ -287,45 +233,42 @@ func TestWriteNoticeRoundTrip(t *testing.T) {
 // flat list's stable sort falls through (destination, kind, page) to the
 // diffs' bytes — and queueing the same diff twice delivers it twice.
 func TestBatchFlushOrdersSamePageDiffsByContent(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		run := func(first, second byte) ([]byte, int64) {
-			rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
-			reg := NewRegistry()
-			var got []byte
-			reg.Register("recorder", func(*DSM) Protocol {
-				return &Hooks{ProtoName: "recorder", OnDiffServer: func(dm *DiffMsg) {
-					for _, df := range dm.Diffs {
-						got = append(got, df.Entries[0].Data[0])
-					}
-				}}
-			})
-			d := New(rt, reg, DefaultCosts())
-			d.SetBatching(batched)
-			d.SetDefaultProtocol(0)
-			pg := d.Space(0).PageOf(d.MustMalloc(0, PageSize, nil))
-			rt.CreateThread(0, "flusher", func(th *pm2.Thread) {
-				b := d.NewBatch(th)
-				for _, v := range []byte{first, second} {
-					df := &memory.Diff{Page: pg}
-					df.MergeRecorded(0, []byte{v})
-					b.Diff(1, df, false)
+	run := func(first, second byte) ([]byte, int64) {
+		rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
+		reg := NewRegistry()
+		var got []byte
+		reg.Register("recorder", func(*DSM) Protocol {
+			return &Hooks{ProtoName: "recorder", OnDiffServer: func(dm *DiffMsg) {
+				for _, df := range dm.Diffs {
+					got = append(got, df.Entries[0].Data[0])
 				}
-				b.Flush(true)
-			})
-			if err := rt.Run(); err != nil {
-				t.Fatal(err)
+			}}
+		})
+		d := New(rt, reg, DefaultCosts())
+		d.SetDefaultProtocol(0)
+		pg := d.Space(0).PageOf(d.MustMalloc(0, PageSize, nil))
+		rt.CreateThread(0, "flusher", func(th *pm2.Thread) {
+			b := d.NewBatch(th)
+			for _, v := range []byte{first, second} {
+				df := &memory.Diff{Page: pg}
+				df.MergeRecorded(0, []byte{v})
+				b.Diff(1, df, false)
 			}
-			return got, int64(rt.Now())
+			b.Flush(true)
+		})
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
 		}
-		ab, nowAB := run(3, 9)
-		ba, nowBA := run(9, 3)
-		if !reflect.DeepEqual(ab, []byte{3, 9}) || !reflect.DeepEqual(ba, ab) || nowAB != nowBA {
-			t.Errorf("batched=%v: same-page diffs arrived as %v (clock %d) and %v (clock %d), want [3 9] both times",
-				batched, ab, nowAB, ba, nowBA)
-		}
-		if twice, _ := run(5, 5); !reflect.DeepEqual(twice, []byte{5, 5}) {
-			t.Errorf("batched=%v: a diff queued twice arrived as %v, want [5 5]", batched, twice)
-		}
+		return got, int64(rt.Now())
+	}
+	ab, nowAB := run(3, 9)
+	ba, nowBA := run(9, 3)
+	if !reflect.DeepEqual(ab, []byte{3, 9}) || !reflect.DeepEqual(ba, ab) || nowAB != nowBA {
+		t.Errorf("same-page diffs arrived as %v (clock %d) and %v (clock %d), want [3 9] both times",
+			ab, nowAB, ba, nowBA)
+	}
+	if twice, _ := run(5, 5); !reflect.DeepEqual(twice, []byte{5, 5}) {
+		t.Errorf("a diff queued twice arrived as %v, want [5 5]", twice)
 	}
 }
 
@@ -339,7 +282,6 @@ func TestOutboxPoisoned(t *testing.T) {
 	t.Run("order", TestBatchFlushOrderDeterministic)
 	t.Run("coalesce", TestBatchFlushCoalescesEnvelopes)
 	t.Run("dedup", TestBatchFlushDedupsInvalidations)
-	t.Run("single-page", TestInvalidateCopiesBatched)
 	t.Run("same-page-diffs", TestBatchFlushOrdersSamePageDiffsByContent)
 	t.Run("notices", TestWriteNoticeRoundTrip)
 }

@@ -196,7 +196,7 @@ type DiffMsg struct {
 	// barrier distributes the notices (see outbox.go).
 	Noticed bool
 	reply   *sim.Chan
-	one     [1]*memory.Diff // backs Diffs for the batched path's single diff
+	one     [1]*memory.Diff // backs Diffs for an outbox flush's single diff
 }
 
 // ObjAccess is the context for object get/put primitives.

@@ -252,8 +252,8 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 	for len(outstanding) > 0 {
 		v, ok := ack.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt))
 		if ok {
-			if a, isAck := v.(invAck); isAck && outstanding[a.node] {
-				delete(outstanding, a.node)
+			if n, isAck := v.(int); isAck && outstanding[n] {
+				delete(outstanding, n)
 				d.stats.InvAcks++
 			}
 			continue
@@ -273,22 +273,6 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 			d.sendInvalidate(t.Node(), n, pg, newOwner, ack)
 		}
 	}
-}
-
-// InvalidateCopiesBatched is InvalidateCopies through the outbox: the
-// per-holder invalidations queue into one Batch and flush as one envelope
-// per destination (with batching disabled it reproduces InvalidateCopies'
-// wire pattern). Blocks until every holder acknowledged. Protocols that
-// invalidate several pages in one release get more out of queueing into a
-// shared Batch directly — this is the single-page convenience.
-func InvalidateCopiesBatched(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner int) {
-	b := d.NewBatch(t)
-	copyset.ForEach(func(n int) {
-		if n != newOwner { // Batch.Invalidate already skips self
-			b.Invalidate(n, pg, newOwner)
-		}
-	})
-	b.Flush(true)
 }
 
 // DropCopy invalidates the local copy of pg: the frame is discarded, rights

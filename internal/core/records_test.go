@@ -102,7 +102,7 @@ func TestRecycledRecordsStartClean(t *testing.T) {
 // the buffers its last life grew — cleared of the diffs, records and calls
 // they pointed at — and nothing else; poisoned, it loses the buffers too.
 func TestRecycledBatchKeepsOnlyItsBuffers(t *testing.T) {
-	d, rt, _ := outboxHarness(3, true)
+	d, rt, _ := outboxHarness(3)
 	base := d.MustMalloc(0, PageSize, nil)
 	pg := d.Space(0).PageOf(base)
 	rt.CreateThread(0, "flusher", func(th *pm2.Thread) {

@@ -19,9 +19,9 @@ import (
 //
 // A safe point for the core means flush-quiesced: no fetch pending, no twin
 // outstanding, no lock held, no barrier generation in progress. Queued write
-// notices are NOT required to be empty — under batching a checkpoint can
-// land between a flush and the barrier arrival that would carry its notices,
-// so they serialize with the node that queued them.
+// notices are NOT required to be empty — a checkpoint can land between a
+// flush and the barrier arrival that would carry its notices, so they
+// serialize with the node that queued them.
 
 // ProtoStater is the optional interface a protocol implements to make its
 // private per-node state (dirty-page sets, write-fault counters) part of a
@@ -170,7 +170,6 @@ type ProfilerSnap struct {
 type CoreState struct {
 	DefProto   string           `json:"def_proto,omitempty"`
 	Protocols  []ProtoStateSnap `json:"protocols,omitempty"`
-	Batch      bool             `json:"batch"`
 	Alloc      isomalloc.State  `json:"alloc"`
 	Pages      []PageAllocState `json:"pages,omitempty"`
 	Nodes      []NodeCoreState  `json:"nodes"`
@@ -193,7 +192,6 @@ func (d *DSM) CaptureState() (*CoreState, error) {
 		return nil, fmt.Errorf("core: capture during a profiler epoch fold")
 	}
 	s := &CoreState{
-		Batch:      d.batch,
 		Alloc:      d.alloc.Capture(),
 		Stats:      d.Stats(),
 		NodeFaults: append([]int64(nil), d.nodeFaults...),
@@ -404,7 +402,6 @@ func (d *DSM) RestoreState(s *CoreState) error {
 	if err := d.alloc.Restore(s.Alloc); err != nil {
 		return err
 	}
-	d.batch = s.Batch
 	clear(d.dir)
 	for _, pa := range s.Pages {
 		id, err := d.lookupProto(pa.Proto)

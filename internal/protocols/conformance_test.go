@@ -55,21 +55,44 @@ func conformanceTopologies(short bool) []topoCase {
 // scenario is one shared workload: run drives the cluster, oracle computes
 // the expected final state sequentially; both return the values the suite
 // compares (read back through the DSM itself, so what is checked is the
-// final page contents as any node would observe them).
+// final page contents as any node would observe them). eager selects the
+// unbatched release path (see releasePaths).
 type scenario struct {
 	name   string
 	oracle func() []uint64
-	run    func(t *testing.T, rt *pm2.Runtime, d *core.DSM) []uint64
+	run    func(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint64
+}
+
+// releasePaths are the sweeps' two release legs, named by the path segment
+// of their subtests. On the batched leg a thread's writes ride the release
+// of the barrier or lock it reaches, so a cluster-wide barrier may batch the
+// release's invalidations into write notices. On the unbatched leg every
+// thread flushes its release explicitly (FlushRelease) just before, so
+// nothing is batched onto a synchronisation: every invalidation ships
+// eagerly through the outbox.
+var releasePaths = []struct {
+	name  string
+	eager bool
+}{
+	{"batched", false},
+	{"unbatched", true},
+}
+
+// flushFirst is a scenario thread's step before it arrives at a barrier or
+// releases a lock: on the unbatched leg it flushes the thread's release.
+func flushFirst(d *core.DSM, th *pm2.Thread, eager bool) {
+	if eager {
+		d.FlushRelease(th)
+	}
 }
 
 // conformanceHarness builds a machine over topo with all built-ins
-// registered, proto as default, and the requested communication path.
-func conformanceHarness(t *testing.T, topo madeleine.Topology, proto string, batched bool) (*pm2.Runtime, *core.DSM) {
+// registered and proto as default.
+func conformanceHarness(t *testing.T, topo madeleine.Topology, proto string) (*pm2.Runtime, *core.DSM) {
 	t.Helper()
 	rt := pm2.NewRuntime(pm2.Config{Nodes: conformanceNodes, Topology: topo, Seed: 42})
 	reg, _ := NewRegistry()
 	d := core.New(rt, reg, core.DefaultCosts())
-	d.SetBatching(batched)
 	id, ok := reg.Lookup(proto)
 	if !ok {
 		t.Fatalf("protocol %q not registered", proto)
@@ -115,18 +138,18 @@ func jacobiOracle() []uint64 {
 	return out
 }
 
-func jacobiRun(t *testing.T, rt *pm2.Runtime, d *core.DSM) []uint64 {
-	return jacobiRunPlaced(t, rt, d, false)
+func jacobiRun(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint64 {
+	return jacobiRunPlaced(t, rt, d, eager, false)
 }
 
 // jacobiRunMisplaced homes every grid row on node 0 — the placement the
 // profiler's home migration exists to repair, so the adaptive sweep
 // exercises real mid-run re-homings under every protocol.
-func jacobiRunMisplaced(t *testing.T, rt *pm2.Runtime, d *core.DSM) []uint64 {
-	return jacobiRunPlaced(t, rt, d, true)
+func jacobiRunMisplaced(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint64 {
+	return jacobiRunPlaced(t, rt, d, eager, true)
 }
 
-func jacobiRunPlaced(t *testing.T, rt *pm2.Runtime, d *core.DSM, misplaced bool) []uint64 {
+func jacobiRunPlaced(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager, misplaced bool) []uint64 {
 	rowBytes := (jacN + 2) * 8
 	ownerOf := func(row int) int {
 		if row == 0 {
@@ -168,6 +191,7 @@ func jacobiRunPlaced(t *testing.T, rt *pm2.Runtime, d *core.DSM, misplaced bool)
 					}
 				}
 			}
+			flushFirst(d, th, eager)
 			d.Barrier(th, bar)
 			cur, next := 0, 1
 			for it := 0; it < jacIters; it++ {
@@ -183,6 +207,7 @@ func jacobiRunPlaced(t *testing.T, rt *pm2.Runtime, d *core.DSM, misplaced bool)
 						d.PutUint64(th, grids[next][row]+core.Addr(8*j), (a+b+c+e)/4)
 					}
 				}
+				flushFirst(d, th, eager)
 				d.Barrier(th, bar)
 				cur, next = next, cur
 			}
@@ -226,7 +251,7 @@ func mapcolorOracle() []uint64 {
 	return []uint64{best, arg}
 }
 
-func mapcolorRun(t *testing.T, rt *pm2.Runtime, d *core.DSM) []uint64 {
+func mapcolorRun(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint64 {
 	base := d.MustMalloc(0, 16, nil) // [best, argbest]
 	lock := d.NewLock(0)
 	rt.CreateThread(0, "mcinit", func(th *pm2.Thread) {
@@ -246,6 +271,7 @@ func mapcolorRun(t *testing.T, rt *pm2.Runtime, d *core.DSM) []uint64 {
 					d.PutUint64(th, base, c)
 					d.PutUint64(th, base+8, uint64(i))
 				}
+				flushFirst(d, th, eager)
 				d.Release(th, lock)
 			}
 		})
@@ -276,7 +302,7 @@ func hotspotOracle() []uint64 {
 	return out
 }
 
-func hotspotRun(t *testing.T, rt *pm2.Runtime, d *core.DSM) []uint64 {
+func hotspotRun(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint64 {
 	base := d.MustMalloc(0, 8*(conformanceNodes+1), nil)
 	lock := d.NewLock(conformanceNodes - 1) // manager away from the home
 	for node := 0; node < conformanceNodes; node++ {
@@ -285,10 +311,12 @@ func hotspotRun(t *testing.T, rt *pm2.Runtime, d *core.DSM) []uint64 {
 			for i := 0; i < hotIncr; i++ {
 				d.Acquire(th, lock)
 				d.PutUint64(th, base, d.GetUint64(th, base)+1)
+				flushFirst(d, th, eager)
 				d.Release(th, lock)
 			}
 			d.Acquire(th, lock)
 			d.PutUint64(th, base+core.Addr(8*(node+1)), uint64(1000+node*node))
+			flushFirst(d, th, eager)
 			d.Release(th, lock)
 		})
 	}
@@ -325,7 +353,7 @@ func prodconsOracle() []uint64 {
 	return []uint64{sum, pcItems}
 }
 
-func prodconsRun(t *testing.T, rt *pm2.Runtime, d *core.DSM) []uint64 {
+func prodconsRun(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint64 {
 	// Layout: [full flag, item, sum, count]
 	base := d.MustMalloc(0, 32, nil)
 	lock := d.NewLock(0)
@@ -340,6 +368,7 @@ func prodconsRun(t *testing.T, rt *pm2.Runtime, d *core.DSM) []uint64 {
 			d.PutUint64(th, base+8, pcValue(i))
 			d.PutUint64(th, base, 1)
 			d.CondSignal(th, notEmpty)
+			flushFirst(d, th, eager)
 			d.Release(th, lock)
 		}
 	})
@@ -354,6 +383,7 @@ func prodconsRun(t *testing.T, rt *pm2.Runtime, d *core.DSM) []uint64 {
 			d.PutUint64(th, base+16, d.GetUint64(th, base+16)+v)
 			d.PutUint64(th, base+24, d.GetUint64(th, base+24)+1)
 			d.CondSignal(th, notFull)
+			flushFirst(d, th, eager)
 			d.Release(th, lock)
 		}
 	})
@@ -380,63 +410,75 @@ func readBack(t *testing.T, rt *pm2.Runtime, d *core.DSM, read func(*pm2.Thread)
 	return out
 }
 
-// TestConformanceAdaptive sweeps the conformance scenarios × every
-// registered protocol × both communication paths with the sharing-pattern
-// profiler's home migration enabled vs disabled, on the uniform topology.
-// Both placements must match the sequential oracles AND (therefore) each
-// other — migration may move pages, never values. A misplaced-homes jacobi
-// variant joins the scenario set so the sweep exercises real mid-run
-// re-homings (the standard scenarios allocate well-placed pages, which
-// mostly stay put). In -short mode (the CI race job) the protocol set
-// shrinks to hbrc_mw, erc_sw and adaptive — the home-based headline, the
-// ownership-migrating MRSW, and the classifier's own consumer — with both
-// comm paths kept, matching TestConformance's convention.
-func TestConformanceAdaptive(t *testing.T) {
-	scenarios := []scenario{
+// checkRun holds one finished scenario run to its sequential oracle and to
+// the fault-free acknowledgement invariant: every invalidation shipped was
+// acknowledged exactly once. label prefixes the failure messages.
+func checkRun(t *testing.T, label string, d *core.DSM, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%sread %d values, oracle has %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%svalue %d = %d, oracle says %d (migrations=%d; full: got %v want %v)",
+				label, i, got[i], want[i], d.Stats().HomeMigrations, got, want)
+		}
+	}
+	if st := d.Stats(); st.InvAcks != st.Invalidations {
+		t.Errorf("%sInvAcks %d != Invalidations %d", label, st.InvAcks, st.Invalidations)
+	}
+}
+
+// adaptiveScenarios are the scenarios of the profiler sweeps: the standard
+// four plus a misplaced-homes jacobi, whose pages the profiler re-homes.
+func adaptiveScenarios() []scenario {
+	return []scenario{
 		{"jacobi", jacobiOracle, jacobiRun},
 		{"jacobi-misplaced", jacobiOracle, jacobiRunMisplaced},
 		{"mapcolor", mapcolorOracle, mapcolorRun},
 		{"hotspot", hotspotOracle, hotspotRun},
 		{"prodcons", prodconsOracle, prodconsRun},
 	}
-	commPaths := []struct {
-		name    string
-		batched bool
-	}{
-		{"batched", true},
-		{"unbatched", false},
+}
+
+// adaptiveProtocols is the protocol set of the profiler sweeps. In -short
+// mode (the CI race job) it shrinks to hbrc_mw, erc_sw and adaptive — the
+// home-based headline, the ownership-migrating MRSW, and the classifier's
+// own consumer.
+func adaptiveProtocols() []string {
+	if testing.Short() {
+		return []string{"hbrc_mw", "erc_sw", "adaptive"}
 	}
 	reg, _ := NewRegistry()
-	protocols := reg.Names()
-	if testing.Short() {
-		protocols = []string{"hbrc_mw", "erc_sw", "adaptive"}
-	}
+	return reg.Names()
+}
+
+// TestConformanceAdaptive sweeps the conformance scenarios × every
+// registered protocol × both release paths with the sharing-pattern
+// profiler's home migration enabled vs disabled, on the uniform topology.
+// Both placements must match the sequential oracles AND (therefore) each
+// other — migration may move pages, never values. A misplaced-homes jacobi
+// variant joins the scenario set so the sweep exercises real mid-run
+// re-homings (the standard scenarios allocate well-placed pages, which
+// mostly stay put). -short keeps both release paths, matching
+// TestConformance's convention.
+func TestConformanceAdaptive(t *testing.T) {
 	topo := func() madeleine.Topology { return madeleine.NewUniform(madeleine.BIPMyrinet) }
-	for _, comm := range commPaths {
-		for _, proto := range protocols {
-			for _, sc := range scenarios {
-				comm, proto, sc := comm, proto, sc
-				t.Run(fmt.Sprintf("%s/%s/%s", comm.name, proto, sc.name), func(t *testing.T) {
+	for _, path := range releasePaths {
+		for _, proto := range adaptiveProtocols() {
+			for _, sc := range adaptiveScenarios() {
+				t.Run(fmt.Sprintf("%s/%s/%s", path.name, proto, sc.name), func(t *testing.T) {
 					// Both placements are held to the same sequential
 					// oracle, which is also the "match each other"
 					// guarantee: two runs equal to one oracle cannot
 					// diverge from one another.
 					want := sc.oracle()
 					for _, migrate := range []bool{false, true} {
-						rt, d := conformanceHarness(t, topo(), proto, comm.batched)
+						rt, d := conformanceHarness(t, topo(), proto)
 						if migrate {
 							d.EnableProfiler(core.ProfilerConfig{Migrate: true})
 						}
-						got := sc.run(t, rt, d)
-						if len(got) != len(want) {
-							t.Fatalf("migrate=%v: read %d values, oracle has %d", migrate, len(got), len(want))
-						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("migrate=%v: value %d = %d, oracle says %d (migrations=%d)",
-									migrate, i, got[i], want[i], d.Stats().HomeMigrations)
-							}
-						}
+						checkRun(t, fmt.Sprintf("migrate=%v: ", migrate), d, sc.run(t, rt, d, path.eager), want)
 					}
 				})
 			}
@@ -444,40 +486,25 @@ func TestConformanceAdaptive(t *testing.T) {
 	}
 }
 
-// TestConformanceCounterParity pins Stats parity between the batched and
-// unbatched communication paths: the same scenario under the same protocol
-// must report identical fetch-side counters (RemoteFetches,
-// MisplacedFetches — they count faults, which batching must not add or
-// hide), and consistent invalidation-side accounting. Write notices exist
-// only on the batched path (a notice replaces eager invalidations that the
-// unbatched run must still perform), so for protocols that use them the
-// invariant is a transfer, not an equality: unbatched InvAcks is bounded
-// below by batched InvAcks and above by batched InvAcks + Notices. Every
-// path must also keep InvAcks == Invalidations in a fault-free run — each
-// invalidation shipped is acknowledged exactly once.
+// TestConformanceCounterParity pins Stats parity between the two release
+// paths: the same scenario under the same protocol must report identical
+// fetch-side counters (RemoteFetches, MisplacedFetches — they count faults,
+// which where a release ships its invalidations must not add or hide), and
+// consistent invalidation-side accounting. Write notices exist only on the
+// batched path (a notice replaces eager invalidations that the unbatched run
+// must still perform), so for protocols that use them the invariant is a
+// transfer, not an equality: unbatched InvAcks is bounded below by batched
+// InvAcks and above by batched InvAcks + Notices.
 func TestConformanceCounterParity(t *testing.T) {
-	scenarios := []scenario{
-		{"jacobi", jacobiOracle, jacobiRun},
-		{"jacobi-misplaced", jacobiOracle, jacobiRunMisplaced},
-		{"mapcolor", mapcolorOracle, mapcolorRun},
-		{"hotspot", hotspotOracle, hotspotRun},
-		{"prodcons", prodconsOracle, prodconsRun},
-	}
-	reg, _ := NewRegistry()
-	protocols := reg.Names()
-	if testing.Short() {
-		protocols = []string{"hbrc_mw", "erc_sw", "adaptive"}
-	}
 	topo := func() madeleine.Topology { return madeleine.NewUniform(madeleine.BIPMyrinet) }
-	for _, proto := range protocols {
-		for _, sc := range scenarios {
-			proto, sc := proto, sc
+	for _, proto := range adaptiveProtocols() {
+		for _, sc := range adaptiveScenarios() {
 			t.Run(fmt.Sprintf("%s/%s", proto, sc.name), func(t *testing.T) {
 				var st [2]core.Stats
-				for i, batched := range []bool{true, false} {
-					rt, d := conformanceHarness(t, topo(), proto, batched)
+				for i, path := range releasePaths {
+					rt, d := conformanceHarness(t, topo(), proto)
 					d.EnableProfiler(core.ProfilerConfig{}) // arm MisplacedFetches tracking
-					sc.run(t, rt, d)
+					checkRun(t, path.name+": ", d, sc.run(t, rt, d, path.eager), sc.oracle())
 					st[i] = d.Stats()
 				}
 				b, u := st[0], st[1]
@@ -488,13 +515,7 @@ func TestConformanceCounterParity(t *testing.T) {
 					t.Errorf("MisplacedFetches: batched %d, unbatched %d", b.MisplacedFetches, u.MisplacedFetches)
 				}
 				if u.Notices != 0 {
-					t.Errorf("unbatched run queued %d write notices; notices require batching", u.Notices)
-				}
-				if b.InvAcks != b.Invalidations {
-					t.Errorf("batched InvAcks %d != Invalidations %d", b.InvAcks, b.Invalidations)
-				}
-				if u.InvAcks != u.Invalidations {
-					t.Errorf("unbatched InvAcks %d != Invalidations %d", u.InvAcks, u.Invalidations)
+					t.Errorf("unbatched run queued %d write notices; every release was flushed before its barrier", u.Notices)
 				}
 				if b.Notices == 0 {
 					if b.InvAcks != u.InvAcks {
@@ -509,11 +530,9 @@ func TestConformanceCounterParity(t *testing.T) {
 	}
 }
 
-// TestConformance sweeps scenarios × protocols × topologies × communication
-// paths (batched and unbatched). In -short mode only the uniform topology
-// runs (the CI race job uses this subset); both comm paths stay covered
-// there — the batched path is the default and the unbatched path must not
-// rot.
+// TestConformance sweeps scenarios × protocols × topologies × release paths.
+// In -short mode only the uniform topology runs (the CI race job uses this
+// subset); both release paths stay covered there.
 func TestConformance(t *testing.T) {
 	scenarios := []scenario{
 		{"jacobi", jacobiOracle, jacobiRun},
@@ -521,33 +540,16 @@ func TestConformance(t *testing.T) {
 		{"hotspot", hotspotOracle, hotspotRun},
 		{"prodcons", prodconsOracle, prodconsRun},
 	}
-	commPaths := []struct {
-		name    string
-		batched bool
-	}{
-		{"batched", true},
-		{"unbatched", false},
-	}
 	reg, _ := NewRegistry()
 	protocols := reg.Names()
 	for _, topo := range conformanceTopologies(testing.Short()) {
-		for _, comm := range commPaths {
+		for _, path := range releasePaths {
 			for _, proto := range protocols {
 				for _, sc := range scenarios {
-					name := fmt.Sprintf("%s/%s/%s/%s", topo.name, comm.name, proto, sc.name)
+					name := fmt.Sprintf("%s/%s/%s/%s", topo.name, path.name, proto, sc.name)
 					t.Run(name, func(t *testing.T) {
-						rt, d := conformanceHarness(t, topo.make(), proto, comm.batched)
-						got := sc.run(t, rt, d)
-						want := sc.oracle()
-						if len(got) != len(want) {
-							t.Fatalf("read %d values, oracle has %d", len(got), len(want))
-						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("value %d = %d, oracle says %d (full: got %v want %v)",
-									i, got[i], want[i], got, want)
-							}
-						}
+						rt, d := conformanceHarness(t, topo.make(), proto)
+						checkRun(t, "", d, sc.run(t, rt, d, path.eager), sc.oracle())
 					})
 				}
 			}

@@ -126,10 +126,10 @@ func (p *hbrcMW) LockAcquire(*core.SyncEvent) {}
 // Everything leaves through one outbox: the diffs bound for one home and the
 // invalidations of home-side writes coalesce into a single envelope per
 // destination, flushed in canonical order with one wait at the end. At a
-// barrier with batching enabled no invalidation travels at all — the dirty
-// pages become write notices piggybacked on the barrier, and every
-// participant drops its stale copies when the barrier releases (the
-// TreadMarks-style aggregation the batched path exists for).
+// cluster-wide barrier no invalidation travels at all — the dirty pages
+// become write notices piggybacked on the barrier, and every participant
+// drops its stale copies when the barrier releases (TreadMarks-style
+// aggregation).
 func (p *hbrcMW) LockRelease(s *core.SyncEvent) {
 	node := s.Node
 	var buf [sweepPages]core.Page

@@ -3,8 +3,8 @@ package tune
 import "testing"
 
 // TestFullGridAllWorkloads is the tuner's acceptance sweep: the complete
-// default grid (11 protocols x 2 topologies x 3 placements x 2 comm paths =
-// 132 cells, well past the 40-cell floor) for every recordable workload. A
+// default grid (11 protocols x 2 topologies x 3 placements = 66 cells, well
+// past the 40-cell floor) for every recordable workload. A
 // majority of cells must run the workload correctly, and the winner must beat
 // the misplaced recording baseline — otherwise the recommendation is useless.
 func TestFullGridAllWorkloads(t *testing.T) {
@@ -17,8 +17,8 @@ func TestFullGridAllWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", wl, err)
 		}
-		if rep.GridSize != 11*2*3*2 {
-			t.Fatalf("%s: grid has %d cells, want 132", wl, rep.GridSize)
+		if rep.GridSize != 11*2*3 {
+			t.Fatalf("%s: grid has %d cells, want 66", wl, rep.GridSize)
 		}
 		correct := 0
 		for _, c := range rep.Cells {

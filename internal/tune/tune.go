@@ -1,7 +1,7 @@
 // Package tune is the what-if protocol auto-tuner: record one run of a
 // workload, then re-simulate the whole configuration search space —
-// {protocol × topology × home placement × communication batching} — as
-// parallel host-level runs, and rank the cells by virtual elapsed time.
+// {protocol × topology × home placement} — as parallel host-level runs, and
+// rank the cells by virtual elapsed time.
 //
 // The point of a deterministic simulator is exactly that this is possible:
 // every cell is an independent dsmpm2.System replaying the identical
@@ -37,7 +37,6 @@ var (
 	}
 	Topologies = []string{"uniform", "hier"}
 	Placements = []string{"static", "misplaced", "adaptive"}
-	Comms      = []string{"batched", "unbatched"}
 	Workloads  = []string{"jacobi", "matmul", "serve"}
 )
 
@@ -47,13 +46,12 @@ type Cell struct {
 	Protocol  string `json:"protocol"`
 	Topology  string `json:"topology"`
 	Placement string `json:"placement"`
-	Comm      string `json:"comm"`
 }
 
 // Key is the cell's canonical identity, used as the cache-ledger key and
 // the final ranking tiebreak.
 func (c Cell) Key() string {
-	return c.Protocol + "/" + c.Topology + "/" + c.Placement + "/" + c.Comm
+	return c.Protocol + "/" + c.Topology + "/" + c.Placement
 }
 
 // CellResult is one re-simulated cell. A cell whose run fails (error or
@@ -119,7 +117,6 @@ type Options struct {
 	Protocols  []string
 	Topologies []string
 	Placements []string
-	Comms      []string
 }
 
 // Report is a completed sweep: every cell ranked, the winner, and the
@@ -157,10 +154,10 @@ type workload struct {
 }
 
 // baselineCell is the as-recorded configuration every workload starts
-// from: uniform network, deliberately misplaced static homes, batched comm
-// — the placement story of the adapt/serve experiments.
+// from: uniform network and deliberately misplaced static homes — the
+// placement story of the adapt/serve experiments.
 func (w workload) baselineCell() Cell {
-	return Cell{Protocol: w.defaultProtocol, Topology: "uniform", Placement: "misplaced", Comm: "batched"}
+	return Cell{Protocol: w.defaultProtocol, Topology: "uniform", Placement: "misplaced"}
 }
 
 // hierTopology is the sweep's two-cluster heterogeneous topology.
@@ -169,7 +166,7 @@ func hierTopology(nodes int) dsmpm2.Topology {
 		dsmpm2.EvenClusters(nodes, 2), dsmpm2.BIPMyrinet, dsmpm2.TCPFastEthernet)
 }
 
-// The pinned workload dimensions: small enough that a full 132-cell grid
+// The pinned workload dimensions: small enough that a full 66-cell grid
 // sweeps in seconds, large enough that placement and protocol choices
 // separate clearly.
 const (
@@ -194,7 +191,7 @@ func jacobiWorkload() workload {
 				Protocol: c.Protocol, Seed: seed, Trace: rec,
 			}
 			applyCell(c, jacobiNodes, &cfg.Topology, &cfg.Network,
-				&cfg.MisplaceHomes, &cfg.AdaptiveHomes, &cfg.Unbatched)
+				&cfg.MisplaceHomes, &cfg.AdaptiveHomes)
 			res, err := jacobi.Run(cfg)
 			if err != nil {
 				return CellResult{Cell: c}, "", 0, err
@@ -222,7 +219,7 @@ func matmulWorkload() workload {
 				N: matmulN, Nodes: matmulNodes, Protocol: c.Protocol, Seed: seed,
 			}
 			applyCell(c, matmulNodes, &cfg.Topology, &cfg.Network,
-				&cfg.MisplaceHomes, &cfg.AdaptiveHomes, &cfg.Unbatched)
+				&cfg.MisplaceHomes, &cfg.AdaptiveHomes)
 			res, err := matmul.Run(cfg)
 			if err != nil {
 				return CellResult{Cell: c}, "", 0, err
@@ -249,7 +246,7 @@ func serveWorkload() workload {
 				Protocol: c.Protocol, Seed: seed,
 			}
 			applyCell(c, serveNodes, &cfg.Topology, &cfg.Network,
-				&cfg.MisplaceHomes, &cfg.AdaptiveHomes, &cfg.Unbatched)
+				&cfg.MisplaceHomes, &cfg.AdaptiveHomes)
 			res, err := kvstore.Run(cfg)
 			if err != nil {
 				return CellResult{Cell: c}, "", 0, err
@@ -270,7 +267,7 @@ func serveWorkload() workload {
 // "adaptive" misplaces them and lets the profiler re-home at epoch barriers
 // (the placement vocabulary of the adapt and serve experiments).
 func applyCell(c Cell, nodes int, topo *dsmpm2.Topology, network **dsmpm2.NetworkProfile,
-	misplace, adaptive, unbatched *bool) {
+	misplace, adaptive *bool) {
 	switch c.Topology {
 	case "hier":
 		*topo = hierTopology(nodes)
@@ -279,7 +276,6 @@ func applyCell(c Cell, nodes int, topo *dsmpm2.Topology, network **dsmpm2.Networ
 	}
 	*misplace = c.Placement == "misplaced" || c.Placement == "adaptive"
 	*adaptive = c.Placement == "adaptive"
-	*unbatched = c.Comm == "unbatched"
 }
 
 // cellMetrics folds one run's outcome into a CellResult.
@@ -382,17 +378,11 @@ func buildGrid(opts Options) ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	comms, err := subset("comm", opts.Comms, Comms)
-	if err != nil {
-		return nil, err
-	}
 	var cells []Cell
 	for _, p := range protos {
 		for _, t := range topos {
 			for _, pl := range places {
-				for _, cm := range comms {
-					cells = append(cells, Cell{Protocol: p, Topology: t, Placement: pl, Comm: cm})
-				}
+				cells = append(cells, Cell{Protocol: p, Topology: t, Placement: pl})
 			}
 		}
 	}
@@ -509,7 +499,6 @@ func Sweep(rec *Recording, opts Options) (*Report, error) {
 		rep.Prior = dsmpm2.TunedPrior{
 			Protocol:  rep.Winner.Protocol,
 			Placement: rep.Winner.Placement,
-			Comm:      rep.Winner.Comm,
 			Workload:  rec.Workload,
 		}
 	}

@@ -55,7 +55,7 @@ func TestRecordDeterministic(t *testing.T) {
 }
 
 // sweepOpts is the small jacobi grid the determinism tests sweep: 3
-// protocols x full placement/topology/comm axes = 36 cells.
+// protocols x full placement/topology axes = 18 cells.
 func sweepOpts(workers int, cacheDir string) Options {
 	return Options{
 		Workers:   workers,
@@ -78,8 +78,8 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sweep workers=%d: %v", workers, err)
 		}
-		if rep.GridSize != 36 || rep.RanCells != 36 || rep.CachedCells != 0 {
-			t.Fatalf("workers=%d: grid %d ran %d cached %d, want 36/36/0",
+		if rep.GridSize != 18 || rep.RanCells != 18 || rep.CachedCells != 0 {
+			t.Fatalf("workers=%d: grid %d ran %d cached %d, want 18/18/0",
 				workers, rep.GridSize, rep.RanCells, rep.CachedCells)
 		}
 		raw, err := json.Marshal(rep)
@@ -194,7 +194,7 @@ func TestSweepRankingShape(t *testing.T) {
 			rep.Winner.VirtualMS, rep.Baseline.VirtualMS)
 	}
 	if rep.Prior.Protocol != rep.Winner.Protocol || rep.Prior.Placement != rep.Winner.Placement ||
-		rep.Prior.Comm != rep.Winner.Comm || rep.Prior.Workload != "jacobi" {
+		rep.Prior.Workload != "jacobi" {
 		t.Fatalf("prior %+v does not restate the winner %+v", rep.Prior, rep.Winner)
 	}
 
@@ -221,7 +221,6 @@ func TestBadGridAxisRejected(t *testing.T) {
 		{Options{Protocols: []string{"nope"}}, "li_hudak"},
 		{Options{Topologies: []string{"mesh"}}, "uniform"},
 		{Options{Placements: []string{"wild"}}, "misplaced"},
-		{Options{Comms: []string{"zip"}}, "batched"},
 	}
 	for _, c := range cases {
 		if _, err := Sweep(rec, c.opts); err == nil || !strings.Contains(err.Error(), c.want) {

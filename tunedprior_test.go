@@ -1,6 +1,7 @@
 package dsmpm2_test
 
 import (
+	"strings"
 	"testing"
 
 	"dsmpm2"
@@ -8,19 +9,16 @@ import (
 
 // TestTunedPriorFillsConfig: a what-if sweep's recommendation fed back via
 // Config.TunedPrior must configure the platform like the winning cell —
-// protocol default, unbatched comm, adaptive placement — and install the
+// protocol default, adaptive placement — and install the
 // page-policy prior for the adaptive protocol. Explicit fields still win.
 func TestTunedPriorFillsConfig(t *testing.T) {
 	prior := &dsmpm2.TunedPrior{
-		Protocol: "hbrc_mw", Placement: "adaptive", Comm: "unbatched", Workload: "jacobi",
+		Protocol: "hbrc_mw", Placement: "adaptive", Workload: "jacobi",
 	}
 	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 2, Seed: 1, TunedPrior: prior})
 	d := sys.DSM()
 	if want, _ := sys.Protocol("hbrc_mw"); d.DefaultProtocol() != want {
 		t.Errorf("default protocol %v, want hbrc_mw (%v)", d.DefaultProtocol(), want)
-	}
-	if d.BatchingEnabled() {
-		t.Error("prior's unbatched comm was not applied")
 	}
 	if !d.ProfilerEnabled() {
 		t.Error("prior's adaptive placement did not enable the profiler")
@@ -39,5 +37,42 @@ func TestTunedPriorFillsConfig(t *testing.T) {
 	sys = dsmpm2.MustNew(dsmpm2.Config{Nodes: 2, Seed: 1})
 	if sys.DSM().TunedPagePrior() {
 		t.Error("page-policy prior installed without a TunedPrior")
+	}
+}
+
+// TestTunedPriorRejectsUnknownPlacement: New accepts exactly the tuner's
+// placements (or none) and refuses anything else with an error naming the
+// valid set — a typo must not silently install the page-policy prior with
+// the profiler off.
+func TestTunedPriorRejectsUnknownPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		placement string
+		ok        bool
+	}{
+		{"", true},
+		{"static", true},
+		{"misplaced", true},
+		{"adaptive", true},
+		{"adaptiv", false},
+		{"Adaptive", false},
+		{"batched", false},
+	} {
+		prior := &dsmpm2.TunedPrior{Protocol: "hbrc_mw", Placement: tc.placement}
+		_, err := dsmpm2.New(dsmpm2.Config{Nodes: 2, TunedPrior: prior})
+		if tc.ok {
+			if err != nil {
+				t.Errorf("placement %q rejected: %v", tc.placement, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("placement %q accepted", tc.placement)
+			continue
+		}
+		for _, want := range []string{tc.placement, "static", "misplaced", "adaptive", "empty"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("placement %q: error %q does not name %q", tc.placement, err, want)
+			}
+		}
 	}
 }
