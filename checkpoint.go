@@ -276,8 +276,7 @@ func Restore(ck *Checkpoint, opts RestoreOptions) (*System, error) {
 	if p := ck.Core.Profiler; p != nil {
 		s.EnableProfiler(ProfilerConfig{Migrate: p.Migrate, Stability: p.Stability, Window: p.Window})
 	}
-	// Drain the construction-time spawn wakes (the non-threaded services'
-	// server threads parking on their queues); afterwards the engine is
+	// Drain whatever construction scheduled; afterwards the engine is
 	// quiesced and restorable.
 	if err := s.rt.Run(); err != nil {
 		return nil, fmt.Errorf("dsmpm2: restore drain: %w", err)

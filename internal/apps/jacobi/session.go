@@ -127,7 +127,7 @@ func NewSession(cfg Config) (*Session, error) {
 		}
 	}
 	s.bar = sys.NewBarrier(cfg.Nodes)
-	// Quiesce the platform daemons New spawned: a session sits at a drained
+	// Drain whatever construction scheduled: a session sits at a drained
 	// safe point between steps, including before the first.
 	if err := sys.Run(); err != nil {
 		return nil, err

@@ -27,8 +27,8 @@ const ctrlBytes = 64
 // Request, invalidation and diff servers are threaded so that concurrent
 // requests — for the same page or different pages — are processed in
 // parallel, the multithreaded behaviour Section 3 calls out; page
-// installation runs on the node's one page-server thread, serialized per node
-// like a softirq.
+// installation is a serial service, one request at a time per node like a
+// softirq.
 //
 // Each handler receives the sender's record itself (see records.go),
 // completes it with DSM, Thread and Node, runs the protocol routine on it and

@@ -415,17 +415,27 @@ func (nw *Network) RecvID(p *sim.Proc, node int, ch ChanID) *Message {
 }
 
 // Serve binds node's inbound queue for ch to fn: every message arriving there
-// is handed to fn by the event loop, in arrival order and
-// in engine context, instead of waiting for a Recv (see sim.Chan.SetSink). fn
-// owns the message, as a receiver would. The binding ends when the node
-// crashes; whoever restarts the node binds its fresh queue again.
-func (nw *Network) Serve(node int, ch ChanID, fn func(*Message)) {
-	nw.queue(node, ch).SetSink(nw.eng, func(v interface{}) { fn(v.(*Message)) })
+// is handed to fn by the event loop, in arrival order and in engine context,
+// instead of waiting for a Recv (see sim.Chan.SetSink). fn receives each as a
+// *Message and owns it, as a receiver would. The binding ends when the node
+// crashes, or on Unserve; binding again takes the same fn, so a consumer that
+// binds often keeps it rather than allocating a closure each time.
+func (nw *Network) Serve(node int, ch ChanID, fn func(msg interface{})) {
+	nw.queue(node, ch).SetSink(nw.eng, fn)
 }
+
+// Unserve unbinds node's inbound queue for ch, as a busy receiver: messages
+// arriving there wait for TryRecvID, with no event, until Serve binds it again.
+func (nw *Network) Unserve(node int, ch ChanID) { nw.queue(node, ch).ClearSink() }
 
 // TryRecv returns a pending message for node on channel without blocking.
 func (nw *Network) TryRecv(node int, channel string) (*Message, bool) {
-	v, ok := nw.queue(node, nw.ChannelID(channel)).TryRecv()
+	return nw.TryRecvID(node, nw.ChannelID(channel))
+}
+
+// TryRecvID is TryRecv for a pre-interned channel.
+func (nw *Network) TryRecvID(node int, ch ChanID) (*Message, bool) {
+	v, ok := nw.queue(node, ch).TryRecv()
 	if !ok {
 		return nil, false
 	}

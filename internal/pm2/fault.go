@@ -45,10 +45,10 @@ func (rt *Runtime) EnableFaults(seed int64, policy madeleine.PartitionPolicy) {
 }
 
 // KillNode fail-stops node n: every unfinished thread currently located on
-// it (application threads, RPC server and handler threads, migrated-in
-// threads) is killed, joiners of those threads are released, and the network
-// starts dropping the node's traffic. The requests its quick services hold
-// die too: they are dropped, unanswered, when they next come up (see Fire).
+// it (application and RPC handler threads, migrated-in threads) is killed,
+// joiners of those threads are released, and the network starts dropping the
+// node's traffic. The requests its quick services hold die too: they are
+// dropped, unanswered, when they next come up (see Fire).
 // Must run in engine context (a fault event), never from a thread on node n.
 func (rt *Runtime) KillNode(n int) {
 	node := rt.Node(n)
@@ -71,6 +71,9 @@ func (rt *Runtime) KillNode(n int) {
 func (rt *Runtime) killThread(t *Thread) {
 	t.proc.Kill()
 	t.finish()
+	if t.req != nil { // a handler's, never to be finished
+		rt.putReq(t.req)
+	}
 	for _, j := range t.joiners {
 		if !j.Dead() {
 			j.Unpark()
@@ -82,8 +85,8 @@ func (rt *Runtime) killThread(t *Thread) {
 // RestartNode brings a crashed node back cold: alive again for the network,
 // a fresh CPU resource (threads killed mid-compute can never return their
 // units, so the old resource may be stranded), and every registered service
-// connected to its fresh queue (see Node.serve), in registration order so
-// replays are deterministic.
+// bound to its fresh queue (the crash unbound the old one and reclaimed what
+// was queued there), in registration order so replays are deterministic.
 func (rt *Runtime) RestartNode(n int) {
 	node := rt.Node(n)
 	if !node.dead {
@@ -93,7 +96,8 @@ func (rt *Runtime) RestartNode(n int) {
 	node.dead = false
 	node.CPU = sim.NewResource(rt.cpus)
 	for _, name := range node.svcOrder {
-		node.serve(node.services[name])
+		svc := node.services[name]
+		rt.net.Serve(n, svc.chanID, svc.sink)
 	}
 	node.Restarts++
 }

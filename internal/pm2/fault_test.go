@@ -149,3 +149,46 @@ func TestCrashUnbindsServedQueues(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashReleasesSerialServiceRequests: a crash that catches a serial
+// service busy, one handler running and two requests queued behind it, hands
+// all three envelopes back to the pool once each — the killed handler's and
+// the queued ones, which the crash sweeps from the queue — and the restarted
+// node's service, bound to its fresh queue, serves the next request.
+func TestCrashReleasesSerialServiceRequests(t *testing.T) {
+	rt := NewRuntime(Config{Nodes: 2, Seed: 1})
+	rt.EnableFaults(1, madeleine.PartitionQueue)
+	var served []interface{}
+	rt.Node(1).Register("svc", false, func(h *Thread, arg interface{}) interface{} {
+		served = append(served, arg)
+		h.Advance(sim.Millisecond) // the crash catches the first here
+		return arg
+	})
+	rt.CreateThread(0, "driver", func(th *Thread) {
+		for _, arg := range []string{"a", "b", "c"} {
+			th.Async(1, "svc", arg, 0)
+		}
+		th.Advance(100 * sim.Microsecond)
+		if fmt.Sprint(served) != "[a]" || rt.reqFree.Len() != 0 {
+			t.Fatalf("before the crash: served %v, %d envelopes pooled; want a running, b and c queued, none pooled",
+				served, rt.reqFree.Len())
+		}
+		rt.KillNode(1)
+		rt.RestartNode(1)
+		seen := map[*Request]bool{}
+		rt.reqFree.Each(func(r *Request) { seen[r] = true })
+		if len(seen) != 3 || rt.reqFree.Len() != 3 {
+			t.Fatalf("after the restart: %d envelopes pooled, %d distinct; want 3", rt.reqFree.Len(), len(seen))
+		}
+		if v := th.Call(1, "svc", "new", 0, 0); v != "new" {
+			t.Errorf("post-restart call returned %v", v)
+		}
+		th.Advance(2 * sim.Millisecond) // past the killed handler's wake
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(served) != "[a new]" || rt.reqFree.Len() != 3 {
+		t.Fatalf("served %v with %d envelopes pooled, want [a new] and 3", served, rt.reqFree.Len())
+	}
+}

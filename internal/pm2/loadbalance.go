@@ -36,12 +36,13 @@ func (t *Thread) checkPreempt() {
 	}
 }
 
-// Load reports the number of live application threads currently located on
-// node — the balancer's load measure.
+// Load reports the number of live application and threaded-handler threads
+// currently located on node — the balancer's load measure. A serial service's
+// handler is left out, as the server daemon it replaced was.
 func (rt *Runtime) Load(node int) int {
 	n := 0
 	for t := rt.live.head; t != nil; t = t.next {
-		if !t.proc.Daemon() && t.node == node {
+		if !t.proc.Daemon() && (t.fn != nil || t.svc.threaded) && t.node == node {
 			n++
 		}
 	}

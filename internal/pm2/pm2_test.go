@@ -232,8 +232,8 @@ func TestThreadedHandlersConcurrent(t *testing.T) {
 	}
 }
 
-// TestServerThreadSerializes: a non-threaded service runs its requests one at
-// a time on its one server thread.
+// TestServerThreadSerializes: a non-threaded (serial) service runs its
+// requests one at a time, the second on the thread of the first.
 func TestServerThreadSerializes(t *testing.T) {
 	rt := newRT(2, nil)
 	rt.Node(1).Register("slow", false, func(h *Thread, arg interface{}) interface{} {
@@ -251,7 +251,7 @@ func TestServerThreadSerializes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if done[0] == done[1] {
-		t.Fatalf("server thread handlers overlapped: %v", done)
+		t.Fatalf("serial handlers overlapped: %v", done)
 	}
 }
 

@@ -26,13 +26,13 @@ type service struct {
 	quick    QuickHandler // set instead of handler for a quick service
 	threaded bool
 	node     *Node
-	// threadName names a threaded service's handler threads or a non-threaded
-	// one's server thread, formatted once at registration rather than per
-	// invocation (or per restart).
+	// threadName names the service's handler threads, formatted once at
+	// registration rather than per invocation.
 	threadName string
 	// free holds the descriptors of handler threads that have returned (see
 	// deliver). Only the node's engine context touches it, so it needs no lock.
 	free freelist.List[*Thread]
+	sink func(msg interface{}) // deliver, bound once: handle rebinds it often
 }
 
 // Request is one invocation on the wire and, for a quick service, the call
@@ -118,19 +118,15 @@ func (rt *Runtime) svcChanID(name string) madeleine.ChanID {
 	return id
 }
 
-// Register installs an RPC service on the node. If threaded is true, each
-// invocation is handled by a thread of its own, started by the event loop as
-// the request arrives, so invocations proceed concurrently (this is how
-// DSM-PM2's page servers stay reactive); otherwise requests are handled one at
-// a time in the service's one server thread, PM2's "pre-existing thread" flavor.
-// A service whose handler never blocks needs neither: see RegisterQuick.
+// Register installs an RPC service on the node; the event loop starts a
+// handler thread as a request arrives. If threaded is true, each invocation
+// gets a thread of its own, so invocations proceed concurrently (this is how
+// DSM-PM2's page servers stay reactive); otherwise the service is serial: one
+// thread handles requests one at a time, in arrival order, until none is
+// left. A handler that never blocks needs no thread: see RegisterQuick.
 func (n *Node) Register(name string, threaded bool, h Handler) {
-	kind := "rpcd"
-	if threaded {
-		kind = "rpch"
-	}
 	n.register(name, &service{handler: h, threaded: threaded,
-		threadName: fmt.Sprintf("%s:%s@%d", kind, name, n.ID)})
+		threadName: fmt.Sprintf("rpch:%s@%d", name, n.ID)})
 }
 
 // RegisterQuick installs a quick service: the event loop runs h on each
@@ -149,32 +145,22 @@ func (n *Node) register(name string, svc *service) {
 	if _, dup := n.services[name]; dup {
 		panic(fmt.Sprintf("pm2: service %q registered twice on node %d", name, n.ID))
 	}
-	svc.chanID, svc.node = n.rt.svcChanID(name), n
+	svc.chanID, svc.node, svc.sink = n.rt.svcChanID(name), n, svc.deliver
 	n.services[name] = svc
 	n.svcOrder = append(n.svcOrder, name)
-	n.serve(svc)
-}
-
-// serve connects svc to its request queue, at registration and again when a
-// crashed node restarts (the crash orphaned and unbound the old queue): a
-// threaded or quick service is bound to it, a non-threaded one gets its
-// server thread.
-func (n *Node) serve(svc *service) {
-	if svc.threaded || svc.quick != nil {
-		n.rt.net.Serve(n.ID, svc.chanID, svc.deliver)
-	} else {
-		n.rt.start(n.ID, svc.threadName, 0, &Thread{svc: svc}).proc.MarkDaemon()
-	}
+	n.rt.net.Serve(n.ID, svc.chanID, svc.sink)
 }
 
 // deliver hands one request to its service, in engine context (see
 // madeleine.Network.Serve). A quick request is scheduled as its own call
-// record now, where a handler thread's first wake would go. A threaded one
-// gets its handler thread, on the descriptor of a handler that has returned
-// when there is one: start renews its id, proc and place in the live list,
-// and what else a tenant can leave behind is reset here.
-func (svc *service) deliver(msg *madeleine.Message) {
+// record now, where a handler thread's first wake would go. Any other gets a
+// handler thread, on the descriptor of a handler that has returned when there
+// is one: start renews its id, proc and place in the live list, and what else
+// a tenant can leave behind is reset here. A serial service's queue is unbound
+// until that thread is done (see handle).
+func (svc *service) deliver(v interface{}) {
 	n := svc.node
+	msg := v.(*madeleine.Message)
 	req := msg.Payload.(*Request)
 	n.rt.net.FreeMessage(msg)
 	n.HandlersSpawned++
@@ -182,6 +168,9 @@ func (svc *service) deliver(msg *madeleine.Message) {
 		req.svc, req.inc = svc, n.Restarts
 		n.rt.eng.ScheduleCall(n.rt.eng.Now(), req)
 		return
+	}
+	if !svc.threaded {
+		n.rt.net.Unserve(n.ID, svc.chanID)
 	}
 	t, ok := svc.free.Get()
 	if !ok {
@@ -227,18 +216,6 @@ func (r *Request) Answer(res interface{}) {
 // the request was delivered to it.
 func (r *Request) orphaned() bool { n := r.svc.node; return n.dead || n.Restarts != r.inc }
 
-// dispatch is the loop of a non-threaded service's server thread: receive a
-// request, run its handler here.
-func (svc *service) dispatch(t *Thread) {
-	n := svc.node
-	for {
-		msg := n.rt.net.RecvID(&t.proc, n.ID, svc.chanID)
-		req := msg.Payload.(*Request)
-		n.rt.net.FreeMessage(msg)
-		svc.run(t, req)
-	}
-}
-
 // SizedReply lets a handler override its reply's wire size at completion
 // time, for results whose size is only known when the handler finishes —
 // e.g. a barrier grant carrying the write notices the generation's arrivals
@@ -251,8 +228,26 @@ type SizedReply struct {
 	Size  int
 }
 
-// run executes a thread's handler on req and finishes it.
-func (svc *service) run(t *Thread, req *Request) { svc.finish(req, svc.handler(t, req.arg)) }
+// handle is a handler thread's body: run the handler on t.req and finish it.
+// A serial service's thread then takes the requests queued meanwhile, in
+// order and with no event, and binds the queue again when none is left.
+func (svc *service) handle(t *Thread) {
+	n := svc.node
+	for {
+		svc.finish(t.req, svc.handler(t, t.req.arg))
+		if svc.threaded {
+			break
+		}
+		msg, ok := n.rt.net.TryRecvID(n.ID, svc.chanID)
+		if !ok {
+			n.rt.net.Serve(n.ID, svc.chanID, svc.sink)
+			break
+		}
+		t.req = msg.Payload.(*Request)
+		n.rt.net.FreeMessage(msg)
+		n.HandlersSpawned++
+	}
+}
 
 // finish sends the reply to req if one is expected, charged on the link back
 // to the caller, and recycles req. Elements of a vector invocation do not
@@ -314,7 +309,7 @@ func (t *Thread) Async(dest int, svcName string, arg interface{}, size int) {
 }
 
 // AsyncFrom is Async with an explicit source node; the DSM layer uses it
-// when a server thread answers on behalf of its node.
+// when a handler thread answers on behalf of its node.
 func (rt *Runtime) AsyncFrom(from, dest int, svcName string, arg interface{}, size int) {
 	req := rt.getReq()
 	req.arg = arg

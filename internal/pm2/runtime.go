@@ -4,11 +4,12 @@
 // Madeleine communication library, and preemptive iso-address thread
 // migration (Section 2.1 of the paper).
 //
-// Threaded RPC services run a thread per invocation, as PM2's do, so a thread
-// must be as cheap here as a Marcel thread is there: it is one object, creating
-// one formats and hashes nothing, and the runtime lists only unfinished threads
-// — a thread that returns or is killed unlinks itself; a returned handler's
-// descriptor serves its service's next request, anything else is garbage.
+// RPC services run a thread per invocation (per busy stretch when serial), as
+// PM2's do, so a thread must be as cheap here as a Marcel thread is there: it
+// is one object, creating one formats and hashes nothing, and the runtime
+// lists only unfinished threads — a thread that returns or is killed unlinks
+// itself; a returned handler's descriptor serves its service's next request,
+// anything else is garbage.
 // Quick services, whose handlers never block, run on no thread at all.
 package pm2
 
@@ -125,8 +126,8 @@ func (rt *Runtime) Link(src, dst int) *madeleine.Profile { return rt.net.Link(sr
 func (rt *Runtime) Nodes() int { return len(rt.nodes) }
 
 // ThreadCount reports the total number of threads created on this machine,
-// including RPC server and handler threads (one per invocation of a threaded
-// service, however often its descriptor was reused; quick services make none).
+// including RPC handler threads (one per threaded invocation or serial busy
+// stretch, however often a descriptor was reused; quick services make none).
 func (rt *Runtime) ThreadCount() int { return rt.made }
 
 // Node returns node i.
@@ -165,7 +166,7 @@ type Node struct {
 	ThreadsSpawned  int
 	MigrationsIn    int
 	MigrationsOut   int
-	HandlersSpawned int // requests delivered to threaded and quick services
+	HandlersSpawned int // requests delivered to the node's services
 	Restarts        int
 }
 

@@ -21,8 +21,7 @@ type Thread struct {
 	rt   *Runtime
 
 	// What the thread runs (see Run): fn for an application thread, else svc's
-	// handler on req, or svc's server loop when req is nil. The thread is
-	// its own proc body, so none of them costs a closure per thread.
+	// handler on req. The thread is its own proc body: neither costs a closure.
 	fn  func(t *Thread)
 	svc *service
 	req *Request
@@ -87,26 +86,23 @@ func (rt *Runtime) start(node int, name string, stack int, t *Thread) *Thread {
 	return t
 }
 
-// Run is the thread's proc body (sim.Runner): its function, service handler
-// or server loop, then the exit — leave the live list, release joiners. A
-// handler's descriptor then goes back to its service for the next request
-// (deliver never let its handle out, so nothing can still name it); a killed
-// thread never gets here, and an application thread's is its creator's to keep.
+// Run is the thread's proc body (sim.Runner): its function or service
+// handler, then the exit — leave the live list, release joiners. A handler's
+// descriptor then goes back to its service for the next request (deliver
+// never let its handle out, so nothing can still name it); a killed thread
+// never gets here, and an application thread's is its creator's to keep.
 func (t *Thread) Run(*sim.Proc) {
-	switch {
-	case t.fn != nil:
+	if t.fn != nil {
 		t.fn(t)
-	case t.req != nil:
-		t.svc.run(t, t.req)
-	default:
-		t.svc.dispatch(t)
+	} else {
+		t.svc.handle(t)
 	}
 	t.finish()
 	for _, j := range t.joiners {
 		j.Unpark()
 	}
 	t.joiners = nil
-	if t.req != nil {
+	if t.fn == nil {
 		t.svc.free.Put(t)
 	}
 }

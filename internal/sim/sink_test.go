@@ -186,6 +186,35 @@ func TestClearSinkStopsConsuming(t *testing.T) {
 	}
 }
 
+// TestSinkUnbindsItself: a sink that clears its own channel's binding stops
+// the drain it runs in; what is still queued waits for TryRecv, and binding
+// the channel again hands on what arrives next.
+func TestSinkUnbindsItself(t *testing.T) {
+	e := NewEngine(1)
+	ch := new(Chan)
+	var got []interface{}
+	var sink func(v interface{})
+	sink = func(v interface{}) {
+		got = append(got, v)
+		ch.ClearSink()
+	}
+	ch.SetSink(e, sink)
+	e.Schedule(5, func() { ch.Push(1); ch.Push(2) })
+	e.Schedule(6, func() {
+		if v, ok := ch.TryRecv(); !ok || v != 2 {
+			t.Errorf("TryRecv = %v, %v; want 2", v, ok)
+		}
+		ch.SetSink(e, sink)
+		ch.Push(3)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[1 3]" {
+		t.Fatalf("sink saw %v, want [1 3]", got)
+	}
+}
+
 func mustPanic(t *testing.T, want string, fn func()) {
 	t.Helper()
 	defer func() {

@@ -15,8 +15,9 @@ import (
 // replays bit-identically.
 //
 // Goroutine stacks are deliberately NOT serialized: checkpoints are only
-// legal between Run calls, where the only live procs are daemons parked on
-// their receive channels — state that a fresh engine rebuilds structurally.
+// legal between Run calls, where no proc is live but a daemon parked by
+// design — state that a fresh engine rebuilds structurally. The DSM stack
+// leaves none: its services are bound to their queues, not served by procs.
 
 // countingSource wraps the standard library's seeded source and counts how
 // many values have been drawn, so the stream position can be captured and

@@ -289,14 +289,18 @@ func (c *Chan) SetSink(eng *Engine, fn func(v interface{})) {
 }
 
 // ClearSink unbinds c, as killing a receiver would: messages stay queued (for
-// TryRecv) and a drain record still pending does nothing.
+// TryRecv) and a drain record still pending does nothing. A sink may unbind
+// its own channel, to take what follows with TryRecv: the drain stops there.
 func (c *Chan) ClearSink() { c.sink = nil }
 
-// drain is c's drain record firing: everything queued goes to the sink.
+// drain is c's drain record firing: what is queued goes to the sink, for as
+// long as c stays bound.
 func (c *Chan) drain() {
 	if c.sink != nil {
 		c.eng.qs.Drains++
-		c.q.drain(c.sink)
+		for c.sink != nil && c.q.len() > 0 {
+			c.sink(c.q.pop())
+		}
 	}
 }
 
