@@ -379,6 +379,12 @@ func TestRestoreRejectsHostileCoreState(t *testing.T) {
 		}, nil, "outside every node's"},
 		{"static-segment page listed as allocated", func(cs *core.CoreState) { cs.Pages[0].Page = 1 }, nil, "outside every node's"},
 		{"page homed on a node that does not exist", func(cs *core.CoreState) { cs.Pages[0].Home = len(cs.Nodes) }, nil, "homes page"},
+		// An entry's node ids are range-checked: a copyset member sizes the
+		// set's bitmap, so 1<<40 would ask for 2^34 words.
+		{"copyset member -1", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].Copyset = []int{0, -1} }, nil, "outside [0, "},
+		{"copyset member 1<<40", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].Copyset = []int{1 << 40} }, nil, "outside [0, "},
+		{"entry homed on node 99", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].Home = 99 }, nil, "home 99"},
+		{"probable owner past the last node", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].ProbOwner = len(cs.Nodes) }, nil, "outside [0, "},
 		// A current-version body still carrying version 1's per-shard kernel
 		// array is refused at decode (unknown fields are not skipped).
 		{"version-1 kernel_shards array", nil, func(body map[string]json.RawMessage) {

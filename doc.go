@@ -62,9 +62,9 @@
 //
 // A System is one machine on one event loop: one sim.Engine, one
 // madeleine.Network, one page directory, one set of counters. Copysets are
-// run-length interval sets (internal/core NodeSet), which is what keeps
-// 512-node runs cheap. DESIGN.md ("History") records the sharded stack that
-// was measured and removed.
+// bitmaps with an inline first word (internal/core NodeSet), so refilling an
+// emptied one allocates nothing. DESIGN.md ("History") records the sharded
+// stack and the interval copysets that were measured and removed.
 //
 // The platform also injects failures: a FaultPlan is a declarative,
 // seed-driven schedule of node crashes/restarts, link partitions/heals and

@@ -114,7 +114,10 @@ func (d *DSM) registerServices() {
 			if dm.reply != nil {
 				d.replyDirect(dm.Node, dm.From, dm.reply, nil)
 			}
-			put(d, &d.recs.diffs, dm)
+			for _, df := range dm.Diffs {
+				FreeDiff(d, df)
+			}
+			put(d, &d.recs.diffMsgs, dm)
 			return nil
 		})
 	}
@@ -179,7 +182,7 @@ func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool
 	for _, df := range diffs {
 		size += df.Size()
 	}
-	m := take(&d.recs.diffs)
+	m := take(&d.recs.diffMsgs)
 	m.From, m.Diffs = t.Node(), diffs
 	st := &d.stats
 	st.DiffsSent += int64(len(diffs))

@@ -3,37 +3,24 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
-// NodeSet is a set of node ids shaped for the forms copysets actually take
-// at scale. A 512-node read-shared page is one run of consecutive readers,
-// so the primary representation is run-length intervals: membership,
-// insertion and removal are O(log runs), and sweeping, serializing or
-// piggybacking the set costs O(runs), not O(N). A set that fragments past
-// nodeSetMaxRuns (alternating membership, adversarial churn) degrades into
-// a bitmap, bounding the per-op cost at O(N/64) words instead of letting
-// the run list grow without limit.
+// NodeSet is a set of node ids: a bitmap whose first word is held inline, so
+// a set of nodes below 64 — every copyset of every workload and paper table —
+// never allocates, and emptying a copyset with Take and refilling it costs
+// nothing. Nodes 64 and up live in more, one word per 64 ids, grown on the
+// first Add that needs it; membership is one word test, sweeps and the wire
+// form cost O(N/64) words.
 //
-// Iteration order is always ascending node id — the same deterministic
-// order the previous sorted-slice representation guaranteed — so wire
-// traces and goldens are independent of how the set is represented
-// internally. The zero value is an empty set, ready to use.
+// Iteration order is always ascending node id, so wire traces and goldens
+// are independent of the representation. The zero value is an empty set,
+// ready to use.
 type NodeSet struct {
-	runs []nodeRun // sorted, disjoint, non-adjacent; unused when bits != nil
-	bits []uint64  // bitmap fallback once the run list fragments
-	n    int       // cardinality, maintained by every mutation
+	w0   uint64   // nodes 0..63
+	more []uint64 // more[i] holds nodes 64(i+1) .. 64(i+2)-1
+	n    int      // cardinality, maintained by every mutation
 }
-
-// nodeRun is one inclusive interval [lo, hi] of member node ids.
-type nodeRun struct {
-	lo, hi int32
-}
-
-// nodeSetMaxRuns is the fragmentation threshold: past this many runs the
-// set converts to its bitmap form. 32 runs cover every sane sharing
-// pattern; only adversarial alternating membership crosses it.
-const nodeSetMaxRuns = 32
 
 // Len reports the number of members.
 func (s NodeSet) Len() int { return s.n }
@@ -41,19 +28,19 @@ func (s NodeSet) Len() int { return s.n }
 // Empty reports whether the set has no members.
 func (s NodeSet) Empty() bool { return s.n == 0 }
 
-// Runs reports the current number of runs (0 in bitmap form): the metadata
-// cost of sweeping or serializing the set, surfaced for benchmarks.
-func (s NodeSet) Runs() int { return len(s.runs) }
+// word returns the bitmap word holding the ids of word index w, which the
+// caller guarantees exists (w <= len(s.more)).
+func (s *NodeSet) word(w int) *uint64 {
+	if w == 0 {
+		return &s.w0
+	}
+	return &s.more[w-1]
+}
 
 // Contains reports whether node is a member.
 func (s NodeSet) Contains(node int) bool {
-	if s.bits != nil {
-		w := node >> 6
-		return w < len(s.bits) && s.bits[w]&(1<<(uint(node)&63)) != 0
-	}
-	v := int32(node)
-	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].hi >= v })
-	return i < len(s.runs) && s.runs[i].lo <= v
+	w := node >> 6
+	return node >= 0 && w <= len(s.more) && *s.word(w)&(1<<(uint(node)&63)) != 0
 }
 
 // Add inserts node (no-op if present).
@@ -61,38 +48,14 @@ func (s *NodeSet) Add(node int) {
 	if node < 0 {
 		panic(fmt.Sprintf("core: negative node %d in NodeSet", node))
 	}
-	if s.bits != nil {
-		s.bitAdd(node)
-		return
+	w := node >> 6
+	if w > len(s.more) {
+		s.more = append(s.more, make([]uint64, w-len(s.more))...)
 	}
-	v := int32(node)
-	// First run that could absorb v: its hi reaches at least v-1.
-	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].hi >= v-1 })
-	if i < len(s.runs) && s.runs[i].lo-1 <= v {
-		r := &s.runs[i]
-		if r.lo <= v && v <= r.hi {
-			return // already a member
-		}
+	p, m := s.word(w), uint64(1)<<(uint(node)&63)
+	if *p&m == 0 {
+		*p |= m
 		s.n++
-		if v == r.lo-1 {
-			// Extending lo cannot touch the previous run: the search
-			// guarantees runs[i-1].hi < v-1.
-			r.lo = v
-			return
-		}
-		r.hi = v
-		if i+1 < len(s.runs) && s.runs[i].hi+1 >= s.runs[i+1].lo {
-			s.runs[i].hi = s.runs[i+1].hi
-			s.runs = append(s.runs[:i+1], s.runs[i+2:]...)
-		}
-		return
-	}
-	s.n++
-	s.runs = append(s.runs, nodeRun{})
-	copy(s.runs[i+1:], s.runs[i:])
-	s.runs[i] = nodeRun{lo: v, hi: v}
-	if len(s.runs) > nodeSetMaxRuns {
-		s.toBits()
 	}
 }
 
@@ -105,40 +68,21 @@ func (s *NodeSet) AddRange(lo, hi int) {
 
 // Remove deletes node (no-op if absent).
 func (s *NodeSet) Remove(node int) {
-	if s.bits != nil {
-		s.bitRemove(node)
+	if node < 0 || node>>6 > len(s.more) {
 		return
 	}
-	v := int32(node)
-	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].hi >= v })
-	if i >= len(s.runs) || s.runs[i].lo > v {
-		return
-	}
-	r := s.runs[i]
-	s.n--
-	switch {
-	case r.lo == v && r.hi == v:
-		s.runs = append(s.runs[:i], s.runs[i+1:]...)
-	case r.lo == v:
-		s.runs[i].lo = v + 1
-	case r.hi == v:
-		s.runs[i].hi = v - 1
-	default: // interior removal splits the run
-		s.runs = append(s.runs, nodeRun{})
-		copy(s.runs[i+1:], s.runs[i:])
-		s.runs[i] = nodeRun{lo: r.lo, hi: v - 1}
-		s.runs[i+1] = nodeRun{lo: v + 1, hi: r.hi}
-		if len(s.runs) > nodeSetMaxRuns {
-			s.toBits()
-		}
+	p, m := s.word(node>>6), uint64(1)<<(uint(node)&63)
+	if *p&m != 0 {
+		*p &^= m
+		s.n--
 	}
 }
 
-// Clear empties the set (and returns it to the interval representation).
+// Clear empties the set.
 func (s *NodeSet) Clear() { *s = NodeSet{} }
 
 // Take returns the set's contents and empties the receiver — the NodeSet
-// analogue of the old TakeCopyset slice steal.
+// analogue of the old TakeCopyset slice steal. The two sets share nothing.
 func (s *NodeSet) Take() NodeSet {
 	out := *s
 	*s = NodeSet{}
@@ -147,13 +91,8 @@ func (s *NodeSet) Take() NodeSet {
 
 // Clone returns an independent copy.
 func (s NodeSet) Clone() NodeSet {
-	out := NodeSet{n: s.n}
-	if s.bits != nil {
-		out.bits = append([]uint64(nil), s.bits...)
-	} else {
-		out.runs = append([]nodeRun(nil), s.runs...)
-	}
-	return out
+	s.more = slices.Clone(s.more)
+	return s
 }
 
 // Union adds every member of o.
@@ -163,20 +102,15 @@ func (s *NodeSet) Union(o NodeSet) {
 
 // ForEach calls fn for every member in ascending node order.
 func (s NodeSet) ForEach(fn func(node int)) {
-	if s.bits != nil {
-		for w, word := range s.bits {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				fn(w<<6 + b)
-				word &^= 1 << uint(b)
-			}
+	word := s.w0
+	for w := 0; ; w++ {
+		for ; word != 0; word &= word - 1 {
+			fn(w<<6 + bits.TrailingZeros64(word))
 		}
-		return
-	}
-	for _, r := range s.runs {
-		for v := r.lo; v <= r.hi; v++ {
-			fn(int(v))
+		if w == len(s.more) {
+			return
 		}
+		word = s.more[w]
 	}
 }
 
@@ -199,97 +133,3 @@ func (s *NodeSet) FromSlice(nodes []int) {
 // String renders the set exactly like the sorted []int it replaced, so
 // diagnostics and test failure messages keep their historical shape.
 func (s NodeSet) String() string { return fmt.Sprint(s.AppendTo(nil)) }
-
-// toBits converts the run representation to the bitmap fallback.
-func (s *NodeSet) toBits() {
-	max := int32(0)
-	for _, r := range s.runs {
-		if r.hi > max {
-			max = r.hi
-		}
-	}
-	s.bits = make([]uint64, int(max)>>6+1)
-	for _, r := range s.runs {
-		for v := r.lo; v <= r.hi; v++ {
-			s.bits[v>>6] |= 1 << (uint(v) & 63)
-		}
-	}
-	s.runs = nil
-}
-
-// bitAdd inserts node into the bitmap form, growing it as needed. An add
-// that bridges two runs (both neighbours already present) is the moment
-// fragmentation can heal, so it triggers a run count and — with hysteresis,
-// to avoid thrashing at the threshold — a conversion back to the compact
-// run form. A scrambled arrival order that ends read-shared-by-everyone
-// therefore settles into one run, not a permanent bitmap.
-func (s *NodeSet) bitAdd(node int) {
-	w := node >> 6
-	for w >= len(s.bits) {
-		s.bits = append(s.bits, 0)
-	}
-	m := uint64(1) << (uint(node) & 63)
-	if s.bits[w]&m != 0 {
-		return
-	}
-	s.bits[w] |= m
-	s.n++
-	if node > 0 && s.Contains(node-1) && s.Contains(node+1) &&
-		s.bitRuns() <= nodeSetMaxRuns/2 {
-		s.toRuns()
-	}
-}
-
-// bitRuns counts the runs in the bitmap form: 0→1 transitions across the
-// word array, carrying the previous word's top bit.
-func (s *NodeSet) bitRuns() int {
-	runs := 0
-	prevTop := false
-	for _, word := range s.bits {
-		starts := word &^ (word << 1)
-		if prevTop {
-			starts &^= 1
-		}
-		runs += bits.OnesCount64(starts)
-		prevTop = word>>63 != 0
-	}
-	return runs
-}
-
-// toRuns converts the bitmap form back to the run representation; the
-// caller guarantees the run count fits.
-func (s *NodeSet) toRuns() {
-	b := s.bits
-	s.bits = nil
-	s.runs = s.runs[:0]
-	bit := func(v int32) bool {
-		return int(v)>>6 < len(b) && b[v>>6]&(1<<(uint(v)&63)) != 0
-	}
-	var lo int32 = -1
-	for w, word := range b {
-		for word != 0 {
-			v := int32(w<<6 + bits.TrailingZeros64(word))
-			word &^= 1 << (uint(v) & 63)
-			if lo < 0 {
-				lo = v
-			}
-			if !bit(v + 1) { // run ends here
-				s.runs = append(s.runs, nodeRun{lo: lo, hi: v})
-				lo = -1
-			}
-		}
-	}
-}
-
-// bitRemove deletes node from the bitmap form.
-func (s *NodeSet) bitRemove(node int) {
-	w := node >> 6
-	if w >= len(s.bits) {
-		return
-	}
-	m := uint64(1) << (uint(node) & 63)
-	if s.bits[w]&m != 0 {
-		s.bits[w] &^= m
-		s.n--
-	}
-}

@@ -49,20 +49,22 @@ func checkAgainst(t *testing.T, s *NodeSet, ref refSet, ctx string) {
 
 // TestNodeSetPropertyVsReference drives NodeSet and the sorted-slice
 // reference through identical random add/remove sequences — several RNG
-// seeds, one with a node universe small enough to force dense runs and one
-// fragmented enough (alternating parity) to cross the bitmap threshold —
-// and spot-checks membership over the whole universe after every batch.
+// seeds, universes inside the inline word (16, 64) and on both sides of it
+// (65, 70 and wider) — and spot-checks membership over the whole universe,
+// and one word beyond it, after every batch.
 func TestNodeSetPropertyVsReference(t *testing.T) {
 	for _, tc := range []struct {
 		seed     int64
 		universe int
 		ops      int
 	}{
-		{seed: 1, universe: 16, ops: 400},    // dense, few runs
+		{seed: 1, universe: 16, ops: 400},    // dense, inline word only
 		{seed: 2, universe: 600, ops: 2000},  // sparse at 512-node scale
-		{seed: 3, universe: 200, ops: 3000},  // heavy churn, forces bitmap
-		{seed: 4, universe: 70, ops: 1500},   // mid-size, interior splits
-		{seed: 5, universe: 4096, ops: 1200}, // wide universe, long runs via ranges
+		{seed: 3, universe: 200, ops: 3000},  // heavy churn across four words
+		{seed: 4, universe: 70, ops: 1500},   // straddles the inline word
+		{seed: 5, universe: 4096, ops: 1200}, // wide universe, ranges
+		{seed: 6, universe: 64, ops: 1500},   // exactly the inline word
+		{seed: 7, universe: 65, ops: 1500},   // one id past it
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("seed%d_u%d", tc.seed, tc.universe), func(t *testing.T) {
@@ -93,8 +95,9 @@ func TestNodeSetPropertyVsReference(t *testing.T) {
 				}
 			}
 			checkAgainst(t, &s, ref, "final")
-			// Membership across the whole universe, including non-members.
-			for n := 0; n < tc.universe; n++ {
+			// Membership across the whole universe and one word past it,
+			// including non-members.
+			for n := -1; n < tc.universe+64; n++ {
 				if s.Contains(n) != ref.contains(n) {
 					t.Fatalf("final: Contains(%d) = %v, ref %v", n, s.Contains(n), ref.contains(n))
 				}
@@ -103,8 +106,8 @@ func TestNodeSetPropertyVsReference(t *testing.T) {
 	}
 }
 
-// TestNodeSetUnion checks Union against the reference on random pairs,
-// mixing run-form and bitmap-form operands.
+// TestNodeSetUnion checks Union against the reference on random pairs whose
+// operands span different numbers of words.
 func TestNodeSetUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -113,7 +116,7 @@ func TestNodeSetUnion(t *testing.T) {
 		for i := 0; i < rng.Intn(120); i++ {
 			n := rng.Intn(300)
 			if rng.Intn(4) == 0 {
-				n = rng.Intn(300) * 2 // even-only stretches fragment a
+				n = rng.Intn(300) * 2 // a reaches twice as far as b
 			}
 			a.Add(n)
 			ra.add(n)
@@ -162,63 +165,63 @@ func TestNodeSetSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNodeSetBitmapCrossing forces the run list past nodeSetMaxRuns with
-// alternating membership and checks behaviour stays identical across the
-// representation switch, including Take and Clone.
-func TestNodeSetBitmapCrossing(t *testing.T) {
+// TestNodeSetFiveHundredTwelveMembers fills a set with 0..511 in a scrambled
+// order — the inline word and seven more — and checks it against the
+// reference through removals and refills at the word edges, Clone and Take.
+func TestNodeSetFiveHundredTwelveMembers(t *testing.T) {
 	var s NodeSet
 	ref := refSet{}
-	for n := 0; n < 4*nodeSetMaxRuns; n += 2 {
+	for _, n := range rand.New(rand.NewSource(13)).Perm(512) {
 		s.Add(n)
 		ref.add(n)
 	}
-	if s.Runs() != 0 {
-		t.Fatalf("Runs = %d after %d alternating adds, want bitmap form (0)", s.Runs(), 2*nodeSetMaxRuns)
+	checkAgainst(t, &s, ref, "512 members")
+	for _, n := range []int{0, 63, 64, 100, 511} {
+		s.Remove(n)
+		ref.remove(n)
+		checkAgainst(t, &s, ref, fmt.Sprintf("after removing %d", n))
+		s.Add(n)
+		ref.add(n)
 	}
-	checkAgainst(t, &s, ref, "after crossing")
+	checkAgainst(t, &s, ref, "after refill")
 
 	cl := s.Clone()
-	cl.Add(1)
-	if s.Contains(1) {
+	cl.Remove(3)
+	cl.Remove(300)
+	if !s.Contains(3) || !s.Contains(300) {
 		t.Fatal("Clone shares storage with the original")
 	}
 
+	// Take leaves two independent sets: changing either after it leaves
+	// the other alone.
 	taken := s.Take()
-	if !s.Empty() || s.Len() != 0 {
-		t.Fatal("Take left members behind")
-	}
+	checkAgainst(t, &s, refSet{}, "emptied by Take")
 	checkAgainst(t, &taken, ref, "taken set")
-
-	// The emptied receiver returns to the compact run representation.
 	s.Add(3)
-	if s.Runs() != 1 || !s.Contains(3) {
-		t.Fatalf("emptied set reuse: Runs=%d Contains(3)=%v", s.Runs(), s.Contains(3))
-	}
+	s.Add(400)
+	taken.Remove(5)
+	taken.Remove(450)
+	ref.remove(5)
+	ref.remove(450)
+	checkAgainst(t, &taken, ref, "taken set after both changed")
+	checkAgainst(t, &s, refSet{3: true, 400: true}, "receiver after both changed")
 }
 
-// TestNodeSetRunCoalescing pins the O(runs) promise for the common shapes:
-// a 512-node read-shared page is one run however its members arrive.
-func TestNodeSetRunCoalescing(t *testing.T) {
+// TestNodeSetNegativeQueries: a negative id is never a member, and removing
+// one changes nothing.
+func TestNodeSetNegativeQueries(t *testing.T) {
 	var s NodeSet
-	// Insert 0..511 in a scrambled order; the runs must coalesce to one.
-	rng := rand.New(rand.NewSource(13))
-	perm := rng.Perm(512)
-	for _, n := range perm {
+	ref := refSet{}
+	for n := 0; n <= 70; n++ {
 		s.Add(n)
+		ref.add(n)
 	}
-	if s.Runs() != 1 || s.Len() != 512 {
-		t.Fatalf("512 contiguous members: Runs=%d Len=%d, want 1 run", s.Runs(), s.Len())
+	if s.Contains(-1) || s.Contains(-64) {
+		t.Fatal("Contains of a negative id reports a member")
 	}
-	// Punch one hole: exactly two runs.
-	s.Remove(100)
-	if s.Runs() != 2 || s.Contains(100) {
-		t.Fatalf("after interior remove: Runs=%d, want 2", s.Runs())
-	}
-	// Refill the hole: back to one.
-	s.Add(100)
-	if s.Runs() != 1 {
-		t.Fatalf("after refill: Runs=%d, want 1", s.Runs())
-	}
+	s.Remove(-1)
+	s.Remove(-65)
+	checkAgainst(t, &s, ref, "after removing negative ids")
 }
 
 // TestNodeSetStringForm pins the diagnostic rendering to the sorted-slice

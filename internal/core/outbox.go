@@ -77,7 +77,8 @@ func (b *Batch) Invalidate(dest int, pg Page, newOwner int) {
 
 // Diff queues a diff for delivery to dest (the page's home). noticed defers
 // the home's eager third-party invalidation to the sender's barrier write
-// notices.
+// notices. A queued diff is the DSM's: the caller must not touch it again,
+// and the home frees it once its DiffServer returns.
 func (b *Batch) Diff(dest int, diff *memory.Diff, noticed bool) {
 	b.d.profDiff(b.node, diff.Page)
 	b.ops = append(b.ops, batchOp{dest: dest, page: diff.Page, diff: diff, noticed: noticed})
@@ -208,7 +209,7 @@ func (b *Batch) send(wait bool) {
 				acks++
 				continue
 			}
-			dm := take(&d.recs.diffs)
+			dm := take(&d.recs.diffMsgs)
 			dm.From, dm.Noticed, dm.one[0] = b.node, op.noticed, op.diff
 			dm.Diffs = dm.one[:]
 			size := ctrlBytes + op.diff.Size()

@@ -28,10 +28,9 @@ type Entry struct {
 	// Owner reports whether this node currently owns the page.
 	Owner bool
 
-	// Copyset records the nodes holding read copies as a run-length
-	// interval set (bitmap fallback for fragmented sets), so a 512-node
-	// read-shared page costs O(runs) — not O(N) — to sweep, serialize and
-	// piggyback. Iteration is always ascending node id, the same
+	// Copyset records the nodes holding read copies as a bitmap whose
+	// first word is inline, so emptying it and refilling it below node 64
+	// never allocates. Iteration is always ascending node id, the same
 	// deterministic order the earlier sorted-slice representation gave.
 	// It is meaningful on the owner (dynamic managers) or home
 	// (home-based protocols).

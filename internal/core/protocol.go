@@ -156,7 +156,8 @@ type PageInitializer interface {
 
 // DiffServer is an optional extension interface for home-based protocols
 // that receive diff messages (hbrc_mw, java_ic, java_pf). The core routes
-// arriving diffs to it.
+// arriving diffs to it. Like the message carrying them, the diffs are valid
+// only until DiffServer returns: the core then frees them for reuse.
 type DiffServer interface {
 	DiffServer(dm *DiffMsg)
 }

@@ -344,7 +344,7 @@ func HasTwin(e *Entry) bool {
 
 // TwinDiff computes the diff of the local page against its twin and discards
 // the twin. Returns nil if there is no twin or no modification. Call with
-// the entry lock held.
+// the entry lock held. The diff is a pooled record (see NewDiff).
 func TwinDiff(d *DSM, node int, e *Entry) *memory.Diff {
 	td, _ := e.ProtoData.(*twinData)
 	if td == nil || td.twin == nil {
@@ -356,14 +356,26 @@ func TwinDiff(d *DSM, node int, e *Entry) *memory.Diff {
 		td.twin = nil
 		return nil
 	}
-	diff := memory.ComputeDiff(e.Page, td.twin, frame.Data, d.costs.DiffGap)
+	diff := NewDiff(d)
+	diff.Compute(e.Page, td.twin, frame.Data, d.costs.DiffGap)
 	d.bufs.Put(td.twin) // twin came from the pool; recycle it
 	td.twin = nil
 	if diff.Empty() {
+		FreeDiff(d, diff)
 		return nil
 	}
 	return diff
 }
+
+// NewDiff takes an empty diff record from d's pool, for a routine that builds
+// a diff to send. Batch.Diff and SendDiffsHome hand it to the DSM, which
+// frees it once the home's DiffServer returns; a routine that drops a diff
+// instead of sending it frees it with FreeDiff.
+func NewDiff(d *DSM) *memory.Diff { return (*memory.Diff)(take(&d.recs.diffs)) }
+
+// FreeDiff ends df's life: it goes back to d's pool for the next NewDiff
+// (with recovery on, to the collector). The caller must not touch it again.
+func FreeDiff(d *DSM, df *memory.Diff) { put(d, &d.recs.diffs, (*diffRec)(df)) }
 
 // RecordPut appends an on-the-fly diff entry for a write of buf at addr
 // (field-granularity recording through the put primitive). Call with the
@@ -398,7 +410,8 @@ func TakeRecorded(e *Entry) *memory.Diff {
 
 // SendDiffsHome ships diffs to dest and blocks until applied when wait is
 // true (lock-release semantics require the home to have the modifications
-// before the release completes).
+// before the release completes). The diffs become the DSM's: the caller must
+// not touch them once SendDiffsHome returns.
 func SendDiffsHome(d *DSM, t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool) {
 	if len(diffs) == 0 {
 		return

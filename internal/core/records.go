@@ -2,6 +2,7 @@ package core
 
 import (
 	"dsmpm2/internal/freelist"
+	"dsmpm2/internal/memory"
 	"dsmpm2/internal/sim"
 )
 
@@ -11,9 +12,10 @@ import (
 // protocol routine's context alike, owned by whoever holds it: the sender
 // until it is sent, then the service handler, which completes DSM/Thread/Node
 // and hands the same pointer to the routine. Whoever consumes a record frees
-// it, once. Exactly-once delivery is the licence to recycle and fault
-// injection revokes it, so with recovery on nothing is recycled (put) and a
-// handler works on a copy of what it was sent (private).
+// it, once; the diffs a DiffMsg carries are freed with it. Exactly-once
+// delivery is the licence to recycle and fault injection revokes it, so with
+// recovery on nothing is recycled (put) and a handler works on a copy of what
+// it was sent (private).
 
 // recPools holds the free records. The lists start empty and fill with what
 // the run frees — nothing is allocated ahead of use.
@@ -21,7 +23,8 @@ type recPools struct {
 	requests freelist.List[*Request]
 	pages    freelist.List[*PageMsg]
 	invs     freelist.List[*Invalidate]
-	diffs    freelist.List[*DiffMsg]
+	diffMsgs freelist.List[*DiffMsg]
+	diffs    freelist.List[*diffRec]
 	faults   freelist.List[*Fault]
 	timings  freelist.List[*FaultTiming]
 	syncs    freelist.List[*SyncEvent]
@@ -68,6 +71,11 @@ func private[T any](d *DSM, r *T) *T {
 	return r
 }
 
+// diffRec is a pooled memory.Diff: TwinDiff and NewDiff take one, the dsm.diff
+// handler frees what it was sent once DiffServer returns, and a routine that
+// drops a diff it does not send frees it with FreeDiff.
+type diffRec memory.Diff
+
 // The reset methods clear a freed record; fill is 0, or -1 under PoisonFreed.
 func (f *Fault) reset(fill int)        { *f = Fault{Node: fill, Addr: Addr(fill), Page: Page(fill)} }
 func (r *Request) reset(fill int)      { *r = Request{Node: fill, Page: Page(fill), From: fill} }
@@ -79,6 +87,17 @@ func (iv *Invalidate) reset(fill int) {
 }
 func (m *PageMsg) reset(fill int) {
 	*m = PageMsg{Node: fill, Page: Page(fill), From: fill, Owner: fill}
+}
+
+// reset keeps a diff's entry list and byte buffer for its next Compute;
+// poisoned, it names the all-ones page and loses them.
+func (r *diffRec) reset(fill int) {
+	df := (*memory.Diff)(r)
+	if fill != 0 {
+		*df = memory.Diff{Page: memory.Page(fill)}
+		return
+	}
+	df.Reset()
 }
 
 // reset keeps a Batch's buffers for its next life, emptied of what they

@@ -43,10 +43,22 @@ func dirty(t *testing.T, r any) {
 	}
 }
 
+// emptied reports whether every field of v is zero, except that a slice may
+// keep its capacity as long as it holds nothing.
+func emptied(v reflect.Value) bool {
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); !f.IsZero() && (f.Kind() != reflect.Slice || f.Len() != 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // recycle is one record type's row of the table below: a record with every
 // field dirtied, freed and taken again, is the same object and all zero — no
-// stale Copyset, Data, Timing, entryLocked, ack or reply. With the net on it
-// reads as sentinels and is withheld; with recovery on it is left alone.
+// stale Copyset, Data, Timing, entryLocked, ack, reply or diff entry; a diff
+// keeps only its emptied buffers. With the net on it reads as sentinels and
+// is withheld; with recovery on it is left alone.
 func recycle[T any, P interface {
 	*T
 	reset(fill int)
@@ -57,7 +69,7 @@ func recycle[T any, P interface {
 	put(d, l, r)
 	if again, _ := l.Get(); again != r {
 		t.Errorf("%T: freed record not reused", r)
-	} else if !reflect.ValueOf(*again).IsZero() {
+	} else if !emptied(reflect.ValueOf(again).Elem()) {
 		t.Errorf("%T: recycled record starts stale: %+v", r, *again)
 	}
 
@@ -92,7 +104,8 @@ func TestRecycledRecordsStartClean(t *testing.T) {
 	recycle(t, &p.requests, func(r *Request) []int { return []int{r.Node, r.From, int(r.Page)} })
 	recycle(t, &p.pages, func(m *PageMsg) []int { return []int{m.Node, m.From, int(m.Page), m.Owner, len(m.Data) - 1} })
 	recycle(t, &p.invs, func(iv *Invalidate) []int { return []int{iv.Node, iv.From, int(iv.Page), iv.NewOwner} })
-	recycle(t, &p.diffs, func(m *DiffMsg) []int { return []int{m.Node, m.From, len(m.Diffs) - 1} })
+	recycle(t, &p.diffMsgs, func(m *DiffMsg) []int { return []int{m.Node, m.From, len(m.Diffs) - 1} })
+	recycle(t, &p.diffs, func(r *diffRec) []int { return []int{int(r.Page), len(r.Entries) - 1} })
 	recycle(t, &p.faults, func(f *Fault) []int { return []int{f.Node, int(f.Page), int(f.Addr)} })
 	recycle(t, &p.timings, func(ft *FaultTiming) []int { return []int{int(ft.Total)} })
 	recycle(t, &p.syncs, func(s *SyncEvent) []int { return []int{s.Node, s.Lock} })
@@ -176,6 +189,35 @@ func TestPoisonCatchesARecordKeptPastItsRoutine(t *testing.T) {
 	}
 	if kept == nil || kept.Page != ^Page(0) || kept.Node != -1 || kept.Thread != nil || kept.ack != nil {
 		t.Fatalf("a record kept past its routine still reads as live: %+v", kept)
+	}
+}
+
+// TestPoisonCatchesADiffKeptPastDiffServer: the diffs a DiffServer is handed
+// are freed with their message, so one kept past the routine reads as the
+// all-ones page with no entries.
+func TestPoisonCatchesADiffKeptPastDiffServer(t *testing.T) {
+	PoisonFreed = true
+	defer func() { PoisonFreed = false }()
+	rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
+	var kept *memory.Diff
+	d := New(rt, NewRegistry(), DefaultCosts())
+	d.SetDefaultProtocol(d.CreateProtocol(&Hooks{ProtoName: "keeper", OnDiffServer: func(dm *DiffMsg) {
+		kept = dm.Diffs[0]
+		if kept.Empty() {
+			t.Error("DiffServer handed an empty diff")
+		}
+	}}))
+	pg := d.Space(0).PageOf(d.MustMalloc(1, PageSize, nil))
+	rt.CreateThread(0, "writer", func(th *pm2.Thread) {
+		df := NewDiff(d)
+		df.Compute(pg, make([]byte, 16), []byte{15: 1}, 0)
+		SendDiffsHome(d, th, 1, []*memory.Diff{df}, true)
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if kept == nil || kept.Page != ^Page(0) || kept.Entries != nil {
+		t.Fatalf("a diff kept past DiffServer still reads as live: %+v", kept)
 	}
 }
 

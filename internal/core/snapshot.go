@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dsmpm2/internal/isomalloc"
@@ -402,6 +403,7 @@ func (d *DSM) RestoreState(s *CoreState) error {
 	if err := d.alloc.Restore(s.Alloc); err != nil {
 		return err
 	}
+	noNode := func(node int) bool { return node < 0 || node >= d.rt.Nodes() }
 	clear(d.dir)
 	for _, pa := range s.Pages {
 		id, err := d.lookupProto(pa.Proto)
@@ -411,7 +413,7 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		if slice := pa.Page / (isomalloc.SliceBytes / PageSize); slice < 1 || slice > uint64(d.rt.Nodes()) {
 			return fmt.Errorf("core: restore lists page %d, which lies outside every node's iso-address slice", pa.Page)
 		}
-		if pa.Home < 0 || pa.Home >= d.rt.Nodes() {
+		if noNode(pa.Home) {
 			return fmt.Errorf("core: restore homes page %d on node %d of %d", pa.Page, pa.Home, d.rt.Nodes())
 		}
 		d.dir[Page(pa.Page)] = pageInfo{home: pa.Home, proto: id}
@@ -428,6 +430,11 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		for _, es := range ncs.Entries {
 			if _, ok := d.dir[Page(es.Page)]; !ok {
 				return fmt.Errorf("core: restore has a page-table entry on node %d for unallocated page %d", n, es.Page)
+			}
+			// A copyset member sizes its bitmap, so a node id is range-checked too.
+			if noNode(es.Home) || noNode(es.ProbOwner) || slices.ContainsFunc(es.Copyset, noNode) {
+				return fmt.Errorf("core: restore has an entry on node %d for page %d naming a node outside [0, %d): home %d, probable owner %d, copyset %v",
+					n, es.Page, d.rt.Nodes(), es.Home, es.ProbOwner, es.Copyset)
 			}
 		}
 	}

@@ -20,10 +20,12 @@ type DiffEntry struct {
 	Data []byte
 }
 
-// Diff is the set of modifications made to one page.
+// Diff is the set of modifications made to one page. A computed diff's
+// entries share one byte buffer, private to the diff (see Compute).
 type Diff struct {
 	Page    Page
 	Entries []DiffEntry
+	buf     []byte
 }
 
 // Size returns the number of payload bytes the diff occupies on the wire
@@ -71,8 +73,7 @@ func firstDiff(twin, cur []byte, i int) int {
 // start: adjacent modified bytes coalesce, with runs of up to gap unmodified
 // bytes absorbed to reduce entry overhead. It returns the range's last byte
 // and the first modified byte beyond it (len(cur) when there is none), which
-// is where the next range begins. Both ComputeDiff passes use this one
-// scanner, so they segment the page identically by construction.
+// is where the next range begins.
 func dirtyRange(twin, cur []byte, start, gap int) (last, next int) {
 	last = start
 	for i := start + 1; ; {
@@ -91,38 +92,45 @@ func dirtyRange(twin, cur []byte, start, gap int) (last, next int) {
 	}
 }
 
-// ComputeDiff compares cur against twin and returns the modified ranges
-// (gap 0 yields exact diffs; the DSM layer uses a small gap like 8 to mimic
-// word-granularity diffing). It scans twice: the first pass sizes the diff,
-// the second fills exactly one entries slice and one shared backing buffer,
-// so a diff costs three allocations regardless of how fragmented the page's
-// modifications are.
-func ComputeDiff(pg Page, twin, cur []byte, gap int) *Diff {
+// Compute refills d with the modified ranges of cur against twin (gap 0
+// yields exact diffs; the DSM layer uses a small gap like 8 to mimic
+// word-granularity diffing). It scans the page once, appending each range's
+// bytes to a buffer that stays with d, and reuses d's entry list, so a
+// recycled diff costs no allocation once its buffers have grown to the
+// page's modifications.
+func (d *Diff) Compute(pg Page, twin, cur []byte, gap int) {
 	if len(twin) != len(cur) {
 		panic("memory: twin/page length mismatch")
 	}
-	first := firstDiff(twin, cur, 0)
-	nEntries, nBytes := 0, 0
-	for start := first; start < len(cur); {
+	d.Reset()
+	d.Page = pg
+	for start := firstDiff(twin, cur, 0); start < len(cur); {
 		last, next := dirtyRange(twin, cur, start, gap)
-		nEntries++
-		nBytes += last - start + 1
+		d.buf = append(d.buf, cur[start:last+1]...)
+		// Data holds the range's length for now: the buffer may still move.
+		d.Entries = append(d.Entries, DiffEntry{Off: start, Data: cur[start : last+1]})
 		start = next
 	}
-	d := &Diff{Page: pg}
-	if nEntries == 0 {
-		return d
+	from := 0
+	for i := range d.Entries {
+		to := from + len(d.Entries[i].Data)
+		d.Entries[i].Data = d.buf[from:to:to]
+		from = to
 	}
-	d.Entries = make([]DiffEntry, 0, nEntries)
-	backing := make([]byte, 0, nBytes)
-	for start := first; start < len(cur); {
-		last, next := dirtyRange(twin, cur, start, gap)
-		from := len(backing)
-		backing = append(backing, cur[start:last+1]...)
-		d.Entries = append(d.Entries, DiffEntry{Off: start, Data: backing[from:len(backing):len(backing)]})
-		start = next
-	}
+}
+
+// ComputeDiff returns a fresh diff of cur against twin (see Compute).
+func ComputeDiff(pg Page, twin, cur []byte, gap int) *Diff {
+	d := new(Diff)
+	d.Compute(pg, twin, cur, gap)
 	return d
+}
+
+// Reset empties d for its next Compute, keeping the entry list and the
+// byte buffer it grew.
+func (d *Diff) Reset() {
+	clear(d.Entries)
+	*d = Diff{Entries: d.Entries[:0], buf: d.buf[:0]}
 }
 
 // ApplyDiff patches data with the diff's modifications.

@@ -5,7 +5,8 @@ package memory
 // page, so any encoding corruption — an off-by-one range, a gap-coalescing
 // bug, an aliased backing buffer — silently corrupts recovered memory. The
 // round-trip property pins it: for any twin, any set of modifications and
-// any coalescing gap, ApplyDiff(twin, ComputeDiff(twin, cur)) == cur. The
+// any coalescing gap, ApplyDiff(twin, ComputeDiff(twin, cur)) == cur — also
+// when the diff is a recycled one refilled by Compute. The
 // word-wise scanner is also held, entry for entry, to the byte-wise one it
 // replaced: entry offsets and lengths are what Size() and every wire cost are
 // computed from, so a diff that round-trips but segments differently would
@@ -101,8 +102,14 @@ func FuzzDiffRoundTrip(f *testing.F) {
 		cur := append([]byte(nil), twin...)
 		mutate(cur, mods)
 
-		diff := ComputeDiff(7, twin, cur, gap)
-		if msg := sameDiff(diff, refComputeDiff(7, twin, cur, gap)); msg != "" {
+		// The DSM refills pooled diffs, so compute into one that a larger,
+		// more fragmented diff left dirty: every other byte of a page twice
+		// this size changed, exactly — more entries and more bytes than any
+		// diff of this page can have.
+		diff := ComputeDiff(3, make([]byte, 2*size), bytes.Repeat([]byte{0, 1}, size), 0)
+		diff.Compute(7, twin, cur, gap)
+		want := refComputeDiff(7, twin, cur, gap)
+		if msg := sameDiff(diff, want); msg != "" {
 			t.Fatalf("gap %d: word-wise scan departs from the byte-wise reference: %s\n twin %x\n cur  %x", gap, msg, twin, cur)
 		}
 
@@ -142,6 +149,14 @@ func FuzzDiffRoundTrip(f *testing.F) {
 		ApplyDiff(restored, diff)
 		if !bytes.Equal(restored, cur) {
 			t.Fatalf("second ApplyDiff changed data")
+		}
+
+		// The diff owns its bytes: scribbling over the page leaves it intact.
+		for i := range cur {
+			cur[i] ^= 0xFF
+		}
+		if msg := sameDiff(diff, want); msg != "" {
+			t.Fatalf("diff aliases the page it was computed from: %s", msg)
 		}
 	})
 }

@@ -14,7 +14,9 @@
 // address to its Frame with two shifts and two bounds-checked loads (see
 // Space), and the typed word accessors decode straight from the frame. The
 // twin/diff machinery multiple-writer protocols need lives here too
-// (diff.go), together with the page-buffer pool (pool.go).
+// (diff.go: a diff is computed in one scan of the page into a record whose
+// buffers are reused when it is refilled), together with the page-buffer
+// pool (pool.go).
 package memory
 
 import (

@@ -5,7 +5,6 @@ import (
 
 	"dsmpm2/internal/core"
 	"dsmpm2/internal/madeleine"
-	"dsmpm2/internal/memory"
 	"dsmpm2/internal/pm2"
 	"dsmpm2/internal/sim"
 )
@@ -86,10 +85,9 @@ func BenchmarkContendedLockSection(b *testing.B) {
 // readers' copies: one thread reads the page on nodes 2 and 3, then writes it
 // from node 0 or 1 in turn, so the write request always reaches the other of
 // the two, whose page server invalidates both copies and collects the acks on
-// its own reply queue before handing over ownership. Pinned at <= 1
-// allocs/op after the warm-up fills the fault-timing ring: the one object is
-// the copyset's interval, which the readers' next fetches rebuild because
-// TakeCopyset handed the old one to the invalidation.
+// its own reply queue before handing over ownership. Pinned at 0 allocs/op
+// after the warm-up fills the fault-timing ring: the readers' next fetches
+// refill the copyset TakeCopyset emptied inside its inline word.
 func BenchmarkWriteFaultInvalidate(b *testing.B) {
 	rt, d, base, _ := pinHarness(b, 4, "li_hudak")
 	pinned(b, rt, 1, 1500, func(th *pm2.Thread, i int) {
@@ -122,9 +120,9 @@ func BenchmarkReadFaultFetch(b *testing.B) {
 // BenchmarkReleaseFlushOneDiff is an hbrc_mw critical section that writes one
 // word of a cached page and releases: write fault (twin in place), release
 // hook, twin diff, one-diff outbox flush to the home, diff server, coalesced
-// reply. Pinned at <= 3 allocs/op: the diff's own three objects (header,
-// entry list, bytes), which travel to the home and are the collector's. The
-// warm-up fills the fault-timing ring, as in BenchmarkReadFaultFetch.
+// reply. Pinned at 0 allocs/op: the diff is a pooled record, refilled in
+// place and freed by the home once its DiffServer returns. The warm-up fills
+// the fault-timing ring, as in BenchmarkReadFaultFetch.
 func BenchmarkReleaseFlushOneDiff(b *testing.B) {
 	rt, d, base, lock := pinHarness(b, 2, "hbrc_mw")
 	pinned(b, rt, 1, 4200, func(th *pm2.Thread, i int) {
@@ -135,24 +133,27 @@ func BenchmarkReleaseFlushOneDiff(b *testing.B) {
 }
 
 // BenchmarkBatchFlushTwoDests is the outbox alone: a Batch of 2 destinations x
-// (1 invalidation + 1 prebuilt diff), flushed and acknowledged — flat list
-// sort, two vector calls, four pooled records, two coalesced replies. Pinned
-// at 0 allocs/op.
+// (1 invalidation + 1 diff), flushed and acknowledged — flat list sort, two
+// vector calls, six pooled records, two coalesced replies. Each round computes
+// its diffs afresh: a queued diff is freed by the home. Pinned at 0 allocs/op.
 func BenchmarkBatchFlushTwoDests(b *testing.B) {
 	rt := pm2.NewRuntime(pm2.Config{Nodes: 3, Network: madeleine.BIPMyrinet, Seed: 1})
 	d := core.New(rt, core.NewRegistry(), core.DefaultCosts())
 	d.SetDefaultProtocol(d.CreateProtocol(&core.Hooks{ProtoName: "sink", OnDiffServer: func(*core.DiffMsg) {}}))
 	pg := d.Space(0).PageOf(d.MustMalloc(0, core.PageSize, nil))
-	var diffs [3]*memory.Diff
+	twin := make([]byte, 24)
+	var curs [3][]byte
 	for dest := 1; dest < 3; dest++ {
-		diffs[dest] = &memory.Diff{Page: pg}
-		diffs[dest].MergeRecorded(8*dest, []byte{byte(dest)})
+		curs[dest] = make([]byte, 24)
+		curs[dest][8*dest] = byte(dest)
 	}
 	pinned(b, rt, 0, 64, func(th *pm2.Thread, _ int) {
 		batch := d.NewBatch(th)
 		for dest := 1; dest < 3; dest++ {
 			batch.Invalidate(dest, pg, -1)
-			batch.Diff(dest, diffs[dest], false)
+			df := core.NewDiff(d)
+			df.Compute(pg, twin, curs[dest], 0)
+			batch.Diff(dest, df, false)
 		}
 		batch.Flush(true)
 	})

@@ -162,7 +162,8 @@ func (p *entryMW) flushDirty(s *core.SyncEvent, scope map[core.Page]bool) {
 			continue
 		}
 		if e.Home == node {
-			continue // home writes are already in the reference copy
+			core.FreeDiff(p.d, diff) // home writes are already in the reference copy
+			continue
 		}
 		b.Diff(e.Home, diff, false)
 	}

@@ -150,6 +150,7 @@ func (p *hbrcMW) LockRelease(s *core.SyncEvent) {
 			// remote copies must go — eagerly, or via a barrier notice.
 			// No copies, no notice: the copyset stays in place (a late
 			// fetch may still join it) and the barrier prunes it.
+			core.FreeDiff(p.d, diff)
 			if useNotices {
 				empty := e.Copyset.Empty()
 				e.Unlock(s.Thread)
