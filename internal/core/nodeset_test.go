@@ -165,10 +165,46 @@ func TestNodeSetSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNodeSetFiveHundredTwelveMembers fills a set with 0..511 in a scrambled
-// order — the inline word and seven more — and checks it against the
-// reference through removals and refills at the word edges, Clone and Take.
-func TestNodeSetFiveHundredTwelveMembers(t *testing.T) {
+// TestNodeSetBitmapCrossing fills alternating ids from the inline word into
+// three overflow words and checks behaviour stays identical across the word
+// boundaries, including Clone and Take: after Take the two sets share
+// nothing, so changing either leaves the other alone.
+func TestNodeSetBitmapCrossing(t *testing.T) {
+	var s NodeSet
+	ref := refSet{}
+	for n := 0; n < 256; n += 2 {
+		s.Add(n)
+		ref.add(n)
+	}
+	checkAgainst(t, &s, ref, "after crossing")
+
+	cl := s.Clone()
+	cl.Add(1)
+	cl.Remove(200)
+	if s.Contains(1) || !s.Contains(200) {
+		t.Fatal("Clone shares storage with the original")
+	}
+
+	taken := s.Take()
+	checkAgainst(t, &s, refSet{}, "emptied by Take")
+	checkAgainst(t, &taken, ref, "taken set")
+
+	// The emptied receiver is reusable, inline word and overflow alike.
+	s.Add(3)
+	s.Add(401)
+	taken.Remove(4)
+	taken.Remove(130)
+	ref.remove(4)
+	ref.remove(130)
+	checkAgainst(t, &taken, ref, "taken set after both changed")
+	checkAgainst(t, &s, refSet{3: true, 401: true}, "receiver after both changed")
+}
+
+// TestNodeSetRunCoalescing: a 512-node read-shared page holds every id
+// however its members arrive. It fills 0..511 in a scrambled order — the
+// inline word and seven more — then punches a hole at each word edge and in
+// the interior and refills it, checking against the reference throughout.
+func TestNodeSetRunCoalescing(t *testing.T) {
 	var s NodeSet
 	ref := refSet{}
 	for _, n := range rand.New(rand.NewSource(13)).Perm(512) {
@@ -179,32 +215,14 @@ func TestNodeSetFiveHundredTwelveMembers(t *testing.T) {
 	for _, n := range []int{0, 63, 64, 100, 511} {
 		s.Remove(n)
 		ref.remove(n)
+		if s.Contains(n) {
+			t.Fatalf("Contains(%d) after removing it", n)
+		}
 		checkAgainst(t, &s, ref, fmt.Sprintf("after removing %d", n))
 		s.Add(n)
 		ref.add(n)
+		checkAgainst(t, &s, ref, fmt.Sprintf("after refilling %d", n))
 	}
-	checkAgainst(t, &s, ref, "after refill")
-
-	cl := s.Clone()
-	cl.Remove(3)
-	cl.Remove(300)
-	if !s.Contains(3) || !s.Contains(300) {
-		t.Fatal("Clone shares storage with the original")
-	}
-
-	// Take leaves two independent sets: changing either after it leaves
-	// the other alone.
-	taken := s.Take()
-	checkAgainst(t, &s, refSet{}, "emptied by Take")
-	checkAgainst(t, &taken, ref, "taken set")
-	s.Add(3)
-	s.Add(400)
-	taken.Remove(5)
-	taken.Remove(450)
-	ref.remove(5)
-	ref.remove(450)
-	checkAgainst(t, &taken, ref, "taken set after both changed")
-	checkAgainst(t, &s, refSet{3: true, 400: true}, "receiver after both changed")
 }
 
 // TestNodeSetNegativeQueries: a negative id is never a member, and removing
