@@ -67,7 +67,8 @@ func newHomePush(sys *dsmpm2.System) dsmpm2.ProtoID {
 				if frame == nil || home == s.Node {
 					continue
 				}
-				diff := &memory.Diff{Page: pg}
+				diff := core.NewDiff(d)
+				diff.Page = pg
 				diff.MergeRecorded(0, frame.Data)
 				core.SendDiffsHome(d, s.Thread, home, []*memory.Diff{diff}, true)
 				d.Space(s.Node).Drop(pg)

@@ -7,8 +7,8 @@ import (
 )
 
 // NodeSet is a set of node ids: a bitmap whose first word is held inline, so
-// a set of nodes below 64 — every copyset of every workload and paper table —
-// never allocates, and emptying a copyset with Take and refilling it costs
+// a set of nodes below 64 — every copyset of the four benchmark workloads and
+// the paper tables — never allocates, and emptying a copyset with Take and refilling it costs
 // nothing. Nodes 64 and up live in more, one word per 64 ids, grown on the
 // first Add that needs it; membership is one word test, sweeps and the wire
 // form cost O(N/64) words.

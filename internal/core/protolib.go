@@ -379,7 +379,7 @@ func FreeDiff(d *DSM, df *memory.Diff) { put(d, &d.recs.diffs, (*diffRec)(df)) }
 
 // RecordPut appends an on-the-fly diff entry for a write of buf at addr
 // (field-granularity recording through the put primitive). Call with the
-// entry lock held.
+// entry lock held. The recorded diff is a pooled record (see NewDiff).
 func RecordPut(d *DSM, e *Entry, addr Addr, buf []byte) {
 	td, _ := e.ProtoData.(*twinData)
 	if td == nil {
@@ -387,7 +387,8 @@ func RecordPut(d *DSM, e *Entry, addr Addr, buf []byte) {
 		e.ProtoData = td
 	}
 	if td.dirty == nil {
-		td.dirty = &memory.Diff{Page: e.Page}
+		td.dirty = NewDiff(d)
+		td.dirty.Page = e.Page
 	}
 	off := int(uint64(addr) % uint64(PageSize))
 	td.dirty.MergeRecorded(off, buf)

@@ -71,9 +71,9 @@ func private[T any](d *DSM, r *T) *T {
 	return r
 }
 
-// diffRec is a pooled memory.Diff: TwinDiff and NewDiff take one, the dsm.diff
-// handler frees what it was sent once DiffServer returns, and a routine that
-// drops a diff it does not send frees it with FreeDiff.
+// diffRec is a pooled memory.Diff: TwinDiff, RecordPut and NewDiff take one,
+// the dsm.diff handler frees what it was sent once DiffServer returns, and a
+// routine that drops a diff it does not send frees it with FreeDiff.
 type diffRec memory.Diff
 
 // The reset methods clear a freed record; fill is 0, or -1 under PoisonFreed.

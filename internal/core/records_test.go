@@ -32,6 +32,11 @@ func dirty(t *testing.T, r any) {
 			f.Set(reflect.New(f.Type().Elem()))
 		case reflect.Slice:
 			f.Set(reflect.MakeSlice(f.Type(), 3, 3))
+			if f.Type().Elem().Kind() == reflect.Struct {
+				for j := 0; j < f.Len(); j++ {
+					dirty(t, f.Index(j).Addr().Interface())
+				}
+			}
 		case reflect.Array:
 			f.Index(0).Set(reflect.New(f.Type().Elem().Elem()))
 		default:
@@ -43,11 +48,19 @@ func dirty(t *testing.T, r any) {
 	}
 }
 
-// emptied reports whether every field of v is zero, except that a slice may
-// keep its capacity as long as it holds nothing.
-func emptied(v reflect.Value) bool {
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); !f.IsZero() && (f.Kind() != reflect.Slice || f.Len() != 0) {
+// zeroed is the clean check of a record that keeps nothing: every field zero.
+func zeroed[P any](r P) bool { return reflect.ValueOf(r).Elem().IsZero() }
+
+// emptiedDiff is the diff's clean check: no page and no entries, with the
+// entry list and byte buffer kept as capacity for the next Compute — and no
+// entry in that capacity still pointing at the bytes of its last life.
+func emptiedDiff(r *diffRec) bool {
+	buf := reflect.ValueOf(r).Elem().FieldByName("buf")
+	if r.Page != 0 || len(r.Entries) != 0 || cap(r.Entries) != 3 || buf.Len() != 0 || buf.Cap() != 3 {
+		return false
+	}
+	for _, e := range r.Entries[:cap(r.Entries)] {
+		if e.Off != 0 || e.Data != nil {
 			return false
 		}
 	}
@@ -55,21 +68,21 @@ func emptied(v reflect.Value) bool {
 }
 
 // recycle is one record type's row of the table below: a record with every
-// field dirtied, freed and taken again, is the same object and all zero — no
-// stale Copyset, Data, Timing, entryLocked, ack, reply or diff entry; a diff
+// field dirtied, freed and taken again, is the same object and clean — all
+// zero, so no stale Copyset, Data, Timing, entryLocked, ack or reply; a diff
 // keeps only its emptied buffers. With the net on it reads as sentinels and
 // is withheld; with recovery on it is left alone.
 func recycle[T any, P interface {
 	*T
 	reset(fill int)
-}](t *testing.T, l *freelist.List[P], sentinels func(P) []int) {
+}](t *testing.T, l *freelist.List[P], clean func(P) bool, sentinels func(P) []int) {
 	d := newDSM(1)
 	r := P(new(T))
 	dirty(t, r)
 	put(d, l, r)
 	if again, _ := l.Get(); again != r {
 		t.Errorf("%T: freed record not reused", r)
-	} else if !emptied(reflect.ValueOf(again).Elem()) {
+	} else if !clean(again) {
 		t.Errorf("%T: recycled record starts stale: %+v", r, *again)
 	}
 
@@ -101,14 +114,14 @@ func recycle[T any, P interface {
 
 func TestRecycledRecordsStartClean(t *testing.T) {
 	var p recPools
-	recycle(t, &p.requests, func(r *Request) []int { return []int{r.Node, r.From, int(r.Page)} })
-	recycle(t, &p.pages, func(m *PageMsg) []int { return []int{m.Node, m.From, int(m.Page), m.Owner, len(m.Data) - 1} })
-	recycle(t, &p.invs, func(iv *Invalidate) []int { return []int{iv.Node, iv.From, int(iv.Page), iv.NewOwner} })
-	recycle(t, &p.diffMsgs, func(m *DiffMsg) []int { return []int{m.Node, m.From, len(m.Diffs) - 1} })
-	recycle(t, &p.diffs, func(r *diffRec) []int { return []int{int(r.Page), len(r.Entries) - 1} })
-	recycle(t, &p.faults, func(f *Fault) []int { return []int{f.Node, int(f.Page), int(f.Addr)} })
-	recycle(t, &p.timings, func(ft *FaultTiming) []int { return []int{int(ft.Total)} })
-	recycle(t, &p.syncs, func(s *SyncEvent) []int { return []int{s.Node, s.Lock} })
+	recycle(t, &p.requests, zeroed, func(r *Request) []int { return []int{r.Node, r.From, int(r.Page)} })
+	recycle(t, &p.pages, zeroed, func(m *PageMsg) []int { return []int{m.Node, m.From, int(m.Page), m.Owner, len(m.Data) - 1} })
+	recycle(t, &p.invs, zeroed, func(iv *Invalidate) []int { return []int{iv.Node, iv.From, int(iv.Page), iv.NewOwner} })
+	recycle(t, &p.diffMsgs, zeroed, func(m *DiffMsg) []int { return []int{m.Node, m.From, len(m.Diffs) - 1} })
+	recycle(t, &p.diffs, emptiedDiff, func(r *diffRec) []int { return []int{int(r.Page), len(r.Entries) - 1} })
+	recycle(t, &p.faults, zeroed, func(f *Fault) []int { return []int{f.Node, int(f.Page), int(f.Addr)} })
+	recycle(t, &p.timings, zeroed, func(ft *FaultTiming) []int { return []int{int(ft.Total)} })
+	recycle(t, &p.syncs, zeroed, func(s *SyncEvent) []int { return []int{s.Node, s.Lock} })
 }
 
 // TestRecycledBatchKeepsOnlyItsBuffers: a flushed Batch comes back empty, with
@@ -218,6 +231,38 @@ func TestPoisonCatchesADiffKeptPastDiffServer(t *testing.T) {
 	}
 	if kept == nil || kept.Page != ^Page(0) || kept.Entries != nil {
 		t.Fatalf("a diff kept past DiffServer still reads as live: %+v", kept)
+	}
+}
+
+// TestRecordedDiffsReturnToThePool is java_ic's release in miniature: each
+// release records a put with RecordPut and ships TakeRecorded's diff home.
+// The home frees each diff into the pool the next RecordPut takes from, so
+// one record serves every release and the pool never grows.
+func TestRecordedDiffsReturnToThePool(t *testing.T) {
+	rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
+	d := New(rt, NewRegistry(), DefaultCosts())
+	d.SetDefaultProtocol(d.CreateProtocol(&Hooks{ProtoName: "recorder", OnDiffServer: ApplyDiffs}))
+	base := d.MustMalloc(0, PageSize, nil)
+	pg := d.Space(0).PageOf(base)
+	const releases = 100
+	rt.CreateThread(1, "releaser", func(th *pm2.Thread) {
+		e := d.Entry(1, pg)
+		for i := 1; i <= releases; i++ {
+			e.Lock(th)
+			RecordPut(d, e, base+Addr(i%8*8), []byte{byte(i)})
+			diff := TakeRecorded(e)
+			e.Unlock(th)
+			SendDiffsHome(d, th, 0, []*memory.Diff{diff}, true)
+		}
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.recs.diffs.Len(); n != 1 {
+		t.Fatalf("%d diffs pooled after %d releases, want 1", n, releases)
+	}
+	if got := d.Space(0).Frame(pg).Data[releases%8*8]; got != releases {
+		t.Fatalf("home reads %d after the last release, want %d", got, releases)
 	}
 }
 
