@@ -284,13 +284,13 @@ func Restore(ck *Checkpoint, opts RestoreOptions) (*System, error) {
 	// Fault layers come back before any node can be killed: the network kill
 	// path requires the fault layer, and core.RestoreState re-enables
 	// recovery with the captured parameters (preserving the hook installed
-	// here, since hooks do not serialize).
+	// here, since hooks do not serialize). Only InjectFaults turns the fault
+	// layer on, and it leaves a cursor holding the plan.
 	if ck.Net.Faults != nil {
-		seed := int64(1)
-		if ck.Cursor != nil && ck.Cursor.Plan != nil {
-			seed = ck.Cursor.Plan.Seed
+		if ck.Cursor == nil || ck.Cursor.Plan == nil {
+			return nil, fmt.Errorf("dsmpm2: restore: the checkpoint's fault layer has no fault plan")
 		}
-		s.rt.EnableFaults(seed, PartitionPolicy(ck.Partition))
+		s.rt.EnableFaults(ck.Cursor.Plan.Seed, PartitionPolicy(ck.Partition))
 	}
 	if ck.Core.Recovery != nil {
 		s.dsm.EnableRecovery(core.RecoveryConfig{OnRestart: opts.OnRestart})

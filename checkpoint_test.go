@@ -146,7 +146,7 @@ func faultyPlan() *dsmpm2.FaultPlan {
 }
 
 // TestCheckpointMidFaultPlan sweeps the round-trip property across a run
-// with a fault plan injected through the resumable cursor: checkpoints land
+// with a fault plan injected through the fault cursor: checkpoints land
 // before the crash, while node 2 is dead, and after its restart, and every
 // restored run must replay the rest of the plan bit-identically.
 func TestCheckpointMidFaultPlan(t *testing.T) {
@@ -196,6 +196,19 @@ func TestCheckpointMidFaultPlan(t *testing.T) {
 	}
 	if !sawDead {
 		t.Fatalf("no sweep point caught node 2 dead; widen the plan window")
+	}
+
+	// The fault layer comes only with InjectFaults, which leaves a cursor: a
+	// checkpoint with the layer but no plan is refused, not restored with a
+	// made-up loss seed.
+	cfg.FaultPlan = faultyPlan()
+	ck, err := runSession(t, cfg, 1).Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Cursor = nil
+	if _, err := dsmpm2.Restore(ck, dsmpm2.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), "no fault plan") {
+		t.Fatalf("restore without the fault plan: err = %v, want it refused", err)
 	}
 }
 

@@ -4,14 +4,24 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// defaultArgs is the flag defaults with -exp set.
+func defaultArgs(exp string) cliArgs {
+	var a cliArgs
+	newFlagSet(&a)
+	a.exp = exp
+	return a
+}
 
 // TestCLIRejectsBadArgs pins the command's error edges: an unknown -exp or
 // an out-of-range knob must exit 2 before any experiment runs, and the
 // message must name what is valid.
 func TestCLIRejectsBadArgs(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
 	cases := []struct {
 		name string
 		args []string
@@ -19,9 +29,19 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		{"unknown experiment", []string{"-exp", "bogus"}},
 		{"empty experiment", []string{"-exp", ""}},
 		{"misspelled serve", []string{"-exp", "server"}},
+		// The kernel's host-scaling matrix and the one-valued -topology
+		// are gone: their flags are refused.
 		{"negative shards", []string{"-exp", "kernel", "-shards", "-1"}},
 		{"shards outside kernel", []string{"-exp", "table3", "-shards", "4"}},
 		{"faults sharded", []string{"-exp", "faults", "-shards", "2"}},
+		{"removed topology", []string{"-exp", "multicluster", "-topology", "hier"}},
+		// Caught before the eight experiments of "all" run, and before a
+		// CPU profile is started.
+		{"all with unknown inter", []string{"-exp", "all", "-inter", "bogus"}},
+		{"unknown intra with profile", []string{"-exp", "multicluster", "-intra", "bogus", "-cpuprofile", prof}},
+		{"zero clusters", []string{"-exp", "multicluster", "-clusters", "0"}},
+		{"faults unknown inter", []string{"-exp", "faults", "-inter", "bogus"}},
+		{"faults demo on one node", []string{"-exp", "faults", "-nodes", "1"}},
 		{"zero perturb", []string{"-exp", "bisect", "-perturb", "0"}},
 		{"negative perturb", []string{"-exp", "bisect", "-perturb", "-2"}},
 		{"zero readers", []string{"-exp", "contention", "-readers", "0"}},
@@ -43,6 +63,9 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 			}
 		})
 	}
+	if _, err := os.Stat(prof); !os.IsNotExist(err) {
+		t.Errorf("a refused run created its CPU profile (stat: %v)", err)
+	}
 }
 
 // TestValidateArgsMessages: the usage errors must name the valid experiment
@@ -62,23 +85,26 @@ func TestValidateArgsMessages(t *testing.T) {
 		mut(&a)
 		return a
 	}
-	if err := validateArgs(perturb("kernel", func(a *cliArgs) { a.shards = -3 })); err == nil ||
-		!strings.Contains(err.Error(), "-shards -3") {
-		t.Errorf("shards range error = %v, want it to name -shards -3", err)
+	// -exp all runs multicluster, so it checks the profiles before anything
+	// runs; the faults experiment checks them too, and its demo plan's layout.
+	for _, c := range []struct {
+		exp  string
+		mut  func(*cliArgs)
+		want string
+	}{
+		{"all", func(a *cliArgs) { a.inter = "bogus" }, `-inter profile "bogus"`},
+		{"multicluster", func(a *cliArgs) { a.intra = "bogus" }, `-intra profile "bogus"`},
+		{"multicluster", func(a *cliArgs) { a.clusters = 0 }, "-clusters 0"},
+		{"faults", func(a *cliArgs) { a.nodes = 0 }, "-nodes 0"},
+		{"faults", func(a *cliArgs) { a.nodes = 1 }, "-nodes >= 2"},
+	} {
+		if err := validateArgs(perturb(c.exp, c.mut)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-exp %s: error = %v, want it to name %s", c.exp, err, c.want)
+		}
 	}
-	// -shards belongs to the kernel experiment (and the default "all"); any
-	// other experiment names the flag and itself in the refusal.
-	for _, exp := range experiments {
-		err := validateArgs(perturb(exp, func(a *cliArgs) { a.shards = 4 }))
-		if exp == "kernel" || exp == "all" {
-			if err != nil {
-				t.Errorf("-exp %s -shards 4 rejected: %v", exp, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), "-shards 4") || !strings.Contains(err.Error(), "-exp "+exp) {
-			t.Errorf("-exp %s -shards 4 error = %v, want it to name the flag and the experiment", exp, err)
-		}
+	// A generated plan needs no demo node, so one node is fine.
+	if err := validateArgs(perturb("faults", func(a *cliArgs) { a.nodes, a.mtbf = 1, 5 })); err != nil {
+		t.Errorf("-exp faults -nodes 1 -mtbf 5 rejected: %v", err)
 	}
 	if err := validateArgs(perturb("bisect", func(a *cliArgs) { a.perturb = 0 })); err == nil ||
 		!strings.Contains(err.Error(), "-perturb 0") {
@@ -116,10 +142,34 @@ func TestValidateArgsMessages(t *testing.T) {
 		t.Errorf("cachedir error = %v, want it to name the file collision", err)
 	}
 
-	for _, exp := range experiments {
-		if err := validateArgs(defaultArgs(exp)); err != nil {
-			t.Errorf("valid experiment %q rejected: %v", exp, err)
+	for _, e := range append([]experiment{{name: allExps}}, experiments...) {
+		if err := validateArgs(defaultArgs(e.name)); err != nil {
+			t.Errorf("valid experiment %q rejected: %v", e.name, err)
 		}
+	}
+}
+
+// TestEverySnapshotHasAnExperiment: the committed BENCH_*.json files and the
+// table's snapshot files match one to one, so no snapshot is orphaned and
+// none is missing from the tree.
+func TestEverySnapshotHasAnExperiment(t *testing.T) {
+	committed, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range committed {
+		committed[i] = filepath.Base(f)
+	}
+	var written []string
+	for _, e := range experiments {
+		if e.snapshot != "" {
+			written = append(written, e.snapshot)
+		}
+	}
+	slices.Sort(committed)
+	slices.Sort(written)
+	if !slices.Equal(committed, written) {
+		t.Errorf("committed snapshots %v, experiments write %v", committed, written)
 	}
 }
 
@@ -164,7 +214,7 @@ func TestTuneSnapshotDeterministic(t *testing.T) {
 		if code := realMain(args); code != 0 {
 			t.Fatalf("realMain(%v) = %d, want 0", args, code)
 		}
-		raw, err := os.ReadFile(benchTuneFile)
+		raw, err := os.ReadFile(selected("tune")[0].snapshot)
 		if err != nil {
 			t.Fatal(err)
 		}

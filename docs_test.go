@@ -23,33 +23,57 @@ func dsmbenchSource(t *testing.T) *ast.File {
 	return f
 }
 
-// dsmbenchExperiments reads the valid -exp set: the string literals of the
-// `experiments` variable.
+// stringLit is the value of a string literal expression, or false.
+func stringLit(t *testing.T, e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, true
+}
+
+// dsmbenchExperiments reads the valid -exp set: the `name` fields of the
+// `experiments` table, plus the `allExps` constant.
 func dsmbenchExperiments(t *testing.T, f *ast.File) []string {
 	t.Helper()
 	var out []string
 	ast.Inspect(f, func(n ast.Node) bool {
 		vs, ok := n.(*ast.ValueSpec)
-		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "experiments" || len(vs.Values) != 1 {
+		if !ok || len(vs.Names) != 1 || len(vs.Values) != 1 {
 			return true
 		}
-		for _, e := range vs.Values[0].(*ast.CompositeLit).Elts {
-			s, err := strconv.Unquote(e.(*ast.BasicLit).Value)
-			if err != nil {
-				t.Fatal(err)
+		switch vs.Names[0].Name {
+		case "allExps":
+			if s, ok := stringLit(t, vs.Values[0]); ok {
+				out = append(out, s)
 			}
-			out = append(out, s)
+		case "experiments":
+			for _, e := range vs.Values[0].(*ast.CompositeLit).Elts {
+				for _, kv := range e.(*ast.CompositeLit).Elts {
+					kv := kv.(*ast.KeyValueExpr)
+					if kv.Key.(*ast.Ident).Name != "name" {
+						continue
+					}
+					if s, ok := stringLit(t, kv.Value); ok {
+						out = append(out, s)
+					}
+				}
+			}
 		}
 		return false
 	})
-	if len(out) == 0 {
-		t.Fatal("no `experiments` list found in cmd/dsmbench/main.go")
+	if len(out) < 2 || !slices.Contains(out, "all") {
+		t.Fatalf("no `experiments` table and `allExps` found in cmd/dsmbench/main.go (found %v)", out)
 	}
 	return out
 }
 
 // dsmbenchFlags reads the flag names the command's FlagSet defines: the
-// first argument of every fs.<Kind>("name", ...) call.
+// first string argument of every fs.<Kind>(...) / fs.<Kind>Var(...) call.
 func dsmbenchFlags(t *testing.T, f *ast.File) []string {
 	t.Helper()
 	var out []string
@@ -65,12 +89,11 @@ func dsmbenchFlags(t *testing.T, f *ast.File) []string {
 		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "fs" {
 			return true
 		}
-		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			name, err := strconv.Unquote(lit.Value)
-			if err != nil {
-				t.Fatal(err)
+		for _, arg := range call.Args {
+			if name, ok := stringLit(t, arg); ok {
+				out = append(out, name)
+				break
 			}
-			out = append(out, name)
 		}
 		return true
 	})
@@ -83,9 +106,8 @@ func dsmbenchFlags(t *testing.T, f *ast.File) []string {
 // TestDocsMatchTree holds the documents to the tree: every internal/, cmd/
 // and examples/ path README.md, doc.go and DESIGN.md name exists; every
 // `-exp <name>` README.md, EXPERIMENTS.md and the CI workflow write is one
-// dsmbench accepts; every -flag their dsmbench command lines pass is one its
-// FlagSet defines; and no line of any of them passes -shards to an
-// experiment other than kernel (the only one that takes it).
+// dsmbench accepts; and every -flag their dsmbench command lines pass is one
+// its FlagSet defines.
 func TestDocsMatchTree(t *testing.T) {
 	read := func(name string) string {
 		data, err := os.ReadFile(name)
@@ -130,19 +152,6 @@ func TestDocsMatchTree(t *testing.T) {
 					if !slices.Contains(flags, f[1]) {
 						t.Errorf("%s:%d passes -%s to dsmbench, which defines no such flag", name, i+1, f[1])
 					}
-				}
-			}
-		}
-	}
-
-	for name, text := range docs {
-		for i, line := range strings.Split(text, "\n") {
-			if !strings.Contains(line, "-shards") {
-				continue
-			}
-			for _, m := range expRE.FindAllStringSubmatch(line, -1) {
-				if m[1] != "kernel" {
-					t.Errorf("%s:%d passes -shards to -exp %s; only the kernel experiment takes it", name, i+1, m[1])
 				}
 			}
 		}

@@ -169,10 +169,9 @@ type System struct {
 	// so a checkpoint can serialize it (see checkpoint.go).
 	cfg Config
 
-	// cursor is the resumable fault-plan cursor (nil under the legacy
-	// up-front injection); Run re-arms it so fault events parked across a
-	// drained safe point fire in the next run chunk. plan/opts are retained
-	// for checkpointing.
+	// cursor is the fault-plan cursor (nil until InjectFaults); Run re-arms
+	// it so fault events parked across a drained safe point fire in the next
+	// run chunk. plan/opts are retained for checkpointing.
 	cursor    *sim.FaultCursor
 	faultPlan *FaultPlan
 	faultOpts FaultOptions
@@ -336,11 +335,11 @@ func (s *System) SpawnStack(node int, name string, stack int, fn func(t *Thread)
 }
 
 // Run drives the simulation until all application threads finish. It
-// returns an error if the system deadlocks. A resumable fault plan
-// (InjectFaultsResumable) is re-armed first, so fault events that parked
-// across a drained safe point fire in this run chunk.
+// returns an error if the system deadlocks. An injected fault plan is
+// re-armed first, so fault events that parked across a drained safe point
+// fire in this run chunk.
 func (s *System) Run() error {
-	if s.cursor != nil && !s.cursor.Done() {
+	if s.cursor != nil {
 		s.cursor.Arm()
 	}
 	return s.rt.Run()

@@ -149,10 +149,17 @@ func (s *System) enableFaultLayers(seed int64, opts FaultOptions) {
 }
 
 // InjectFaults arms the system with a fault plan: the network fault layer
-// and the DSM recovery manager switch on, and every plan event is scheduled
-// at now + event.At. Call it at the point of the simulation the plan's
-// clock should start from (typically after setup phases), and before the
-// Run that should experience the faults.
+// and the DSM recovery manager switch on, and each plan event fires at
+// now + event.At. Call it at the point of the simulation the plan's clock
+// should start from (typically after setup phases), and before the Run that
+// should experience the faults. A nil plan is a no-op.
+//
+// The events go through a resumable cursor (sim.FaultCursor): only the next
+// pending event is in the queue, System.Run arms it, and the cursor's
+// position serializes into a Checkpoint. An event that falls due after every
+// application thread has finished does not fire in that Run's drain: it
+// parks and fires in the next Run. So a run chunked at safe points sees each
+// event in the first chunk that has live work.
 //
 // Recovery assumes fail-stop nodes and at least one survivor per page
 // replica set; synchronization managers (lock homes, barrier manager node
@@ -160,23 +167,6 @@ func (s *System) enableFaultLayers(seed int64, opts FaultOptions) {
 //
 // The error is for plans the system cannot take; no plan is refused today.
 func (s *System) InjectFaults(plan *FaultPlan, opts FaultOptions) error {
-	if plan == nil {
-		return nil // mirror sim.Engine.InjectFaults: a nil plan is a no-op
-	}
-	s.enableFaultLayers(plan.Seed, opts)
-	s.rt.Engine().InjectFaults(plan, s.applyFault)
-	return nil
-}
-
-// InjectFaultsResumable is InjectFaults through a resumable cursor: instead
-// of scheduling every plan event up front, only the next pending event is
-// armed at a time, and an event whose time falls inside a drained safe point
-// (between two Run chunks of a checkpointing application) parks and fires at
-// the start of the next chunk instead of being swallowed by the drain. This
-// is the injection mode checkpointable runs must use — it is bit-identical
-// to InjectFaults for a single uninterrupted Run — because the cursor's
-// position (unlike a closure queue) serializes into a Checkpoint and resumes.
-func (s *System) InjectFaultsResumable(plan *FaultPlan, opts FaultOptions) error {
 	if plan == nil {
 		return nil
 	}

@@ -232,15 +232,12 @@ func TestMTBFPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestInjectFaultsNilPlan: a nil plan is a no-op on both injection paths —
-// no error, no fault layer armed.
+// TestInjectFaultsNilPlan: a nil plan is a no-op — no error, no fault layer
+// armed.
 func TestInjectFaultsNilPlan(t *testing.T) {
 	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "hbrc_mw", Seed: 1})
 	if err := sys.InjectFaults(nil, dsmpm2.FaultOptions{}); err != nil {
 		t.Fatalf("InjectFaults(nil): %v", err)
-	}
-	if err := sys.InjectFaultsResumable(nil, dsmpm2.FaultOptions{}); err != nil {
-		t.Fatalf("InjectFaultsResumable(nil): %v", err)
 	}
 	if sys.Runtime().Network().FaultsEnabled() {
 		t.Fatal("a nil plan armed the fault layer")

@@ -28,7 +28,7 @@ import (
 // application blob. Chunking perturbs thread ids relative to the monolithic
 // kernel, so chunked runs are compared against chunked runs.
 //
-// With a fault plan, the session injects it through the resumable cursor
+// With a fault plan, the session injects it through the fault cursor
 // (events parked across a safe point fire in the next chunk), homes every
 // grid row on protected node 0, and restarted nodes catch up from their
 // last recorded checkpoint — or from scratch when ColdRestart is set, the
@@ -81,7 +81,7 @@ type sessionState struct {
 }
 
 // NewSession builds a session over a fresh system: shared grids allocated,
-// barrier created, fault plan (if any) armed through the resumable cursor.
+// barrier created, fault plan (if any) injected.
 // No step has run yet.
 func NewSession(cfg Config) (*Session, error) {
 	if cfg.N < 2 || cfg.Nodes < 1 || cfg.Iterations < 1 {
@@ -133,7 +133,7 @@ func NewSession(cfg Config) (*Session, error) {
 		return nil, err
 	}
 	if cfg.FaultPlan != nil {
-		if err := sys.InjectFaultsResumable(cfg.FaultPlan, dsmpm2.FaultOptions{OnRestart: s.onRestart}); err != nil {
+		if err := sys.InjectFaults(cfg.FaultPlan, dsmpm2.FaultOptions{OnRestart: s.onRestart}); err != nil {
 			return nil, err
 		}
 	}

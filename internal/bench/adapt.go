@@ -61,11 +61,14 @@ type adaptRun struct {
 	app      string
 	protocol string
 	nodes    int
-	run      func(adaptive bool) (*dsmpm2.System, dsmpm2.Time)
+	run      func(adaptive bool) (*dsmpm2.System, dsmpm2.Time, error)
 }
 
 func (a adaptRun) measure(adaptive bool) AdaptResult {
-	sys, elapsed := a.run(adaptive)
+	sys, elapsed, err := a.run(adaptive)
+	if err != nil {
+		panic(fmt.Sprintf("adapt %s/%d: %v", a.app, a.nodes, err))
+	}
 	st := sys.Stats()
 	return AdaptResult{
 		App:              a.app,
@@ -91,44 +94,35 @@ func (a adaptRun) measure(adaptive bool) AdaptResult {
 func adaptRuns() []adaptRun {
 	jac := func(proto string, nodes, n, iters int) adaptRun {
 		return adaptRun{app: "jacobi", protocol: proto, nodes: nodes,
-			run: func(adaptive bool) (*dsmpm2.System, dsmpm2.Time) {
+			run: func(adaptive bool) (*dsmpm2.System, dsmpm2.Time, error) {
 				res, err := jacobi.Run(jacobi.Config{
 					N: n, Iterations: iters, Nodes: nodes,
 					Network: dsmpm2.BIPMyrinet, Protocol: proto, Seed: 7,
 					MisplaceHomes: true, AdaptiveHomes: adaptive,
 				})
-				if err != nil {
-					panic(fmt.Sprintf("adapt jacobi/%d: %v", nodes, err))
-				}
-				return res.System, res.Elapsed
+				return res.System, res.Elapsed, err
 			}}
 	}
 	luf := func(nodes, n int) adaptRun {
 		return adaptRun{app: "lu", protocol: "entry_mw", nodes: nodes,
-			run: func(adaptive bool) (*dsmpm2.System, dsmpm2.Time) {
+			run: func(adaptive bool) (*dsmpm2.System, dsmpm2.Time, error) {
 				res, err := lu.Run(lu.Config{
 					N: n, Nodes: nodes,
 					Network: dsmpm2.BIPMyrinet, Protocol: "entry_mw", Seed: 5,
 					MisplaceHomes: true, AdaptiveHomes: adaptive,
 				})
-				if err != nil {
-					panic(fmt.Sprintf("adapt lu/%d: %v", nodes, err))
-				}
-				return res.System, res.Elapsed
+				return res.System, res.Elapsed, err
 			}}
 	}
 	mat := func(nodes, n int) adaptRun {
 		return adaptRun{app: "matmul", protocol: "li_hudak", nodes: nodes,
-			run: func(adaptive bool) (*dsmpm2.System, dsmpm2.Time) {
+			run: func(adaptive bool) (*dsmpm2.System, dsmpm2.Time, error) {
 				res, err := matmul.Run(matmul.Config{
 					N: n, Nodes: nodes,
 					Network: dsmpm2.BIPMyrinet, Protocol: "li_hudak", Seed: 3,
 					MisplaceHomes: true, AdaptiveHomes: adaptive,
 				})
-				if err != nil {
-					panic(fmt.Sprintf("adapt matmul/%d: %v", nodes, err))
-				}
-				return res.System, res.Elapsed
+				return res.System, res.Elapsed, err
 			}}
 	}
 	return []adaptRun{

@@ -76,7 +76,7 @@ type CommResult struct {
 type commRun struct {
 	app   string
 	nodes int
-	run   func() (*dsmpm2.System, dsmpm2.Time)
+	run   func() (*dsmpm2.System, dsmpm2.Time, error)
 }
 
 // measure samples the counters after the app's final checksum read-back
@@ -85,7 +85,10 @@ type commRun struct {
 // SyncEnvelopes subtracts). VirtualMS is the workload's own elapsed time,
 // without the read-back.
 func (c commRun) measure() CommResult {
-	sys, elapsed := c.run()
+	sys, elapsed, err := c.run()
+	if err != nil {
+		panic(fmt.Sprintf("comm %s/%d: %v", c.app, c.nodes, err))
+	}
 	st := sys.Stats()
 	msgs, bytes := sys.Runtime().Network().Stats()
 	res := CommResult{
@@ -124,44 +127,32 @@ func (c commRun) measure() CommResult {
 // lu's broadcast pivots stress diff coalescing; matmul's read replication
 // is the near-neutral control.
 func commRuns() []commRun {
-	mk := func(app string, nodes int, run func() (*dsmpm2.System, dsmpm2.Time)) commRun {
-		return commRun{app: app, nodes: nodes, run: run}
-	}
 	jac := func(app string, proto string, nodes, n, iters int) commRun {
-		return mk(app, nodes, func() (*dsmpm2.System, dsmpm2.Time) {
+		return commRun{app: app, nodes: nodes, run: func() (*dsmpm2.System, dsmpm2.Time, error) {
 			res, err := jacobi.Run(jacobi.Config{
 				N: n, Iterations: iters, Nodes: nodes,
 				Network: dsmpm2.BIPMyrinet, Protocol: proto, Seed: 7,
 			})
-			if err != nil {
-				panic(fmt.Sprintf("comm %s/%d: %v", app, nodes, err))
-			}
-			return res.System, res.Elapsed
-		})
+			return res.System, res.Elapsed, err
+		}}
 	}
 	mat := func(nodes, n int) commRun {
-		return mk("matmul", nodes, func() (*dsmpm2.System, dsmpm2.Time) {
+		return commRun{app: "matmul", nodes: nodes, run: func() (*dsmpm2.System, dsmpm2.Time, error) {
 			res, err := matmul.Run(matmul.Config{
 				N: n, Nodes: nodes,
 				Network: dsmpm2.BIPMyrinet, Protocol: "li_hudak", Seed: 3,
 			})
-			if err != nil {
-				panic(fmt.Sprintf("comm matmul/%d: %v", nodes, err))
-			}
-			return res.System, res.Elapsed
-		})
+			return res.System, res.Elapsed, err
+		}}
 	}
 	luf := func(nodes, n int) commRun {
-		return mk("lu", nodes, func() (*dsmpm2.System, dsmpm2.Time) {
+		return commRun{app: "lu", nodes: nodes, run: func() (*dsmpm2.System, dsmpm2.Time, error) {
 			res, err := lu.Run(lu.Config{
 				N: n, Nodes: nodes,
 				Network: dsmpm2.BIPMyrinet, Protocol: "hbrc_mw", Seed: 5,
 			})
-			if err != nil {
-				panic(fmt.Sprintf("comm lu/%d: %v", nodes, err))
-			}
-			return res.System, res.Elapsed
-		})
+			return res.System, res.Elapsed, err
+		}}
 	}
 	return []commRun{
 		// Iteration counts run well past the grid diagonal so the heat
@@ -198,60 +189,32 @@ func CommSuite() []CommResult {
 const CommScaleClusters = 8
 
 // commScale runs one scale row: jacobi on a hierarchical topology (fast
-// intra-cluster links, slow backbone) at the given node count.
+// intra-cluster links, slow backbone) at the given node count, measured like
+// the suite's rows plus the backbone accounting.
 func commScale(nodes, iters int) CommResult {
-	clusters := CommScaleClusters
 	inter := dsmpm2.TCPFastEthernet
-	res, err := jacobi.Run(jacobi.Config{
-		N: nodes, Iterations: iters, Nodes: nodes,
-		Topology: dsmpm2.HierarchicalTopology(
-			dsmpm2.EvenClusters(nodes, clusters), dsmpm2.BIPMyrinet, inter),
-		Protocol: "hbrc_mw", Seed: 7,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("comm scale %d: %v", nodes, err))
-	}
-	if want := jacobi.SolveSerial(nodes, iters); res.Checksum != want {
-		panic(fmt.Sprintf("comm scale %d: checksum %v, serial %v", nodes, res.Checksum, want))
-	}
-	sys := res.System
-	st := sys.Stats()
-	msgs, bytes := sys.Runtime().Network().Stats()
-	out := CommResult{
-		App:       "jacobi-hier",
-		Nodes:     nodes,
-		Clusters:  clusters,
-		VirtualMS: float64(res.Elapsed) / 1e6,
-		Messages:  msgs,
-		Bytes:     bytes,
-		Envelopes: sys.Runtime().Network().Envelopes(),
-		SyncEnvelopes: int64(sys.Runtime().Network().Envelopes()) -
-			st.Requests - st.PageSends,
-
-		Sends:         st.Sends,
-		Requests:      st.Requests,
-		PageSends:     st.PageSends,
-		Invalidations: st.Invalidations,
-		InvAcks:       st.InvAcks,
-		DiffsSent:     st.DiffsSent,
-		DiffBytes:     st.DiffBytes,
-		Notices:       st.Notices,
-		DSMEnvelopes:  st.Envelopes,
-
-		BackboneEnvelopes: sys.Runtime().Network().EnvelopesByLink()[inter.Name],
-		BarrierGens:       st.Barriers / int64(nodes),
-	}
-	var interFaults int
-	for _, s := range sys.Timings().ByLink() {
-		if s.Link == inter.Name {
-			interFaults = s.Count
-		}
-		if s.Link == "" {
-			continue
-		}
-		out.ByLink = append(out.ByLink, CommLink{
-			Link: s.Link, Count: s.Count, MeanTotalUS: s.MeanTotal.Microseconds(),
+	var sys *dsmpm2.System
+	out := commRun{app: "jacobi-hier", nodes: nodes, run: func() (*dsmpm2.System, dsmpm2.Time, error) {
+		res, err := jacobi.Run(jacobi.Config{
+			N: nodes, Iterations: iters, Nodes: nodes,
+			Topology: dsmpm2.HierarchicalTopology(
+				dsmpm2.EvenClusters(nodes, CommScaleClusters), dsmpm2.BIPMyrinet, inter),
+			Protocol: "hbrc_mw", Seed: 7,
 		})
+		if want := jacobi.SolveSerial(nodes, iters); err == nil && res.Checksum != want {
+			err = fmt.Errorf("checksum %v, serial %v", res.Checksum, want)
+		}
+		sys = res.System
+		return res.System, res.Elapsed, err
+	}}.measure()
+	out.Clusters = CommScaleClusters
+	out.BackboneEnvelopes = sys.Runtime().Network().EnvelopesByLink()[inter.Name]
+	out.BarrierGens = sys.Stats().Barriers / int64(nodes)
+	var interFaults int
+	for _, l := range out.ByLink {
+		if l.Link == inter.Name {
+			interFaults = l.Count
+		}
 	}
 	if out.BarrierGens > 0 {
 		out.BackbonePerBarrier = float64(out.BackboneEnvelopes-2*interFaults) /

@@ -4,8 +4,8 @@ import "runtime"
 
 // HostMeta records the machine a wall-clock measurement was taken on, so the
 // BENCH_*.json trajectories stay interpretable when runs come from different
-// hosts: an events/sec or scaling row means nothing without the core count
-// and toolchain behind it.
+// hosts: an events/sec row means nothing without the core count and
+// toolchain behind it.
 type HostMeta struct {
 	// CPUs is the number of logical CPUs usable by this process
 	// (runtime.NumCPU at measurement time).

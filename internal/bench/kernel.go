@@ -5,7 +5,7 @@ package bench
 // latencies, these scenarios measure how fast and how allocation-lean the
 // simulation kernel runs on the host: events per wall-clock second, heap
 // churn per event, and peak heap footprint. They feed the BENCH_kernel.json
-// perf trajectory and the root BenchmarkKernel* entries.
+// snapshot and the root BenchmarkKernel* entries.
 
 import (
 	"fmt"
@@ -146,8 +146,8 @@ func EventStorm(procs, hops int) KernelResult {
 // the ring edges between blocks cross shards; every hand-off — local or
 // remote — is scheduled at now+1µs, so the virtual schedule is identical for
 // every shard count and runs differ only in how the work is spread over host
-// cores. shards=1 degenerates to a single plain event loop, making the
-// shards=1 row the apples-to-apples serial baseline for the scaling matrix.
+// cores. shards=1 degenerates to a single plain event loop, the serial side
+// of the ledger's shards=1 / shards=2 ratio.
 func EventStormSharded(procs, hops, shards int) KernelResult {
 	if shards < 1 {
 		shards = 1
@@ -185,82 +185,51 @@ func EventStormSharded(procs, hops, shards int) KernelResult {
 	})
 }
 
-// ScalingShards picks the shard counts for the host-scaling matrix: powers of
-// two from 1 up to maxShards, plus maxShards itself. maxShards <= 0 selects
-// the host's CPU count, floored at 2 so the matrix always contains a genuinely
-// sharded row even on a single-core host.
-func ScalingShards(maxShards int) []int {
-	if maxShards <= 0 {
-		maxShards = runtime.NumCPU()
-		if maxShards < 2 {
-			maxShards = 2
+// appStorm measures one application run at cluster scale: the events and
+// threads of the finished system, and its virtual run time.
+func appStorm(name string, run func() (*dsmpm2.System, dsmpm2.Time, error)) KernelResult {
+	return measure(name, func() (uint64, float64, int, sim.QueueStats) {
+		sys, elapsed, err := run()
+		if err != nil {
+			panic(err)
 		}
-	}
-	var out []int
-	for s := 1; s < maxShards; s *= 2 {
-		out = append(out, s)
-	}
-	return append(out, maxShards)
-}
-
-// KernelScalingSuite measures the 1,000-proc event storm across the given
-// shard counts — the host-scaling matrix of the kernel experiment. The first
-// row (shards=1) is the serial baseline every speedup is computed against.
-func KernelScalingSuite(shardCounts []int) []KernelResult {
-	var out []KernelResult
-	for _, s := range shardCounts {
-		out = append(out, EventStormSharded(1000, 500, s))
-	}
-	return out
+		rt := sys.Runtime()
+		return rt.Engine().Events(), float64(elapsed) / 1e6, rt.ThreadCount(), rt.Engine().QueueStats()
+	})
 }
 
 // JacobiStorm runs the barrier-phased stencil at cluster scale and measures
 // the simulator's wall-clock cost: nodes application threads plus the RPC
 // server and handler threads the DSM runs under them.
 func JacobiStorm(nodes, n, iterations int) KernelResult {
-	name := fmt.Sprintf("jacobi/nodes=%d,n=%d,iters=%d", nodes, n, iterations)
-	return measure(name, func() (uint64, float64, int, sim.QueueStats) {
+	return appStorm(fmt.Sprintf("jacobi/nodes=%d,n=%d,iters=%d", nodes, n, iterations), func() (*dsmpm2.System, dsmpm2.Time, error) {
 		res, err := jacobi.Run(jacobi.Config{
 			N: n, Iterations: iterations, Nodes: nodes,
 			Network: dsmpm2.BIPMyrinet, Protocol: "hbrc_mw", Seed: 1,
 		})
-		if err != nil {
-			panic(err)
-		}
-		rt := res.System.Runtime()
-		return rt.Engine().Events(), float64(res.Elapsed) / 1e6, rt.ThreadCount(), rt.Engine().QueueStats()
+		return res.System, res.Elapsed, err
 	})
 }
 
 // MatmulStorm runs the read-replication matrix multiply at cluster scale.
 func MatmulStorm(nodes, n int) KernelResult {
-	name := fmt.Sprintf("matmul/nodes=%d,n=%d", nodes, n)
-	return measure(name, func() (uint64, float64, int, sim.QueueStats) {
+	return appStorm(fmt.Sprintf("matmul/nodes=%d,n=%d", nodes, n), func() (*dsmpm2.System, dsmpm2.Time, error) {
 		res, err := matmul.Run(matmul.Config{
 			N: n, Nodes: nodes,
 			Network: dsmpm2.BIPMyrinet, Protocol: "li_hudak", Seed: 3,
 		})
-		if err != nil {
-			panic(err)
-		}
-		rt := res.System.Runtime()
-		return rt.Engine().Events(), float64(res.Elapsed) / 1e6, rt.ThreadCount(), rt.Engine().QueueStats()
+		return res.System, res.Elapsed, err
 	})
 }
 
 // TSPStorm runs the branch-and-bound search at cluster scale.
 func TSPStorm(nodes, cities int) KernelResult {
-	name := fmt.Sprintf("tsp/nodes=%d,cities=%d", nodes, cities)
-	return measure(name, func() (uint64, float64, int, sim.QueueStats) {
+	return appStorm(fmt.Sprintf("tsp/nodes=%d,cities=%d", nodes, cities), func() (*dsmpm2.System, dsmpm2.Time, error) {
 		res, err := tsp.Run(tsp.Config{
 			Cities: cities, Seed: 42, Nodes: nodes,
 			Network: dsmpm2.BIPMyrinet, Protocol: "li_hudak",
 		})
-		if err != nil {
-			panic(err)
-		}
-		rt := res.System.Runtime()
-		return rt.Engine().Events(), float64(res.Elapsed) / 1e6, rt.ThreadCount(), rt.Engine().QueueStats()
+		return res.System, res.Elapsed, err
 	})
 }
 
@@ -273,34 +242,6 @@ func KernelSuite() []KernelResult {
 		JacobiStorm(64, 64, 2),
 		MatmulStorm(16, 24),
 		TSPStorm(16, 10),
-	}
-}
-
-// KernelBaseline returns the kernel suite measured on the pre-overhaul
-// kernel (container/heap of *event with interface{} boxing, double
-// goroutine switch per wake, unpooled pages/messages), captured with this
-// same harness (including the peak-heap sampler) by running the final
-// measurement code against the pre-overhaul tree on the same machine the
-// current numbers were taken on. It is the "before" half of
-// BENCH_kernel.json; regenerate it only when the measurement scenarios
-// themselves change.
-func KernelBaseline() []KernelResult {
-	return []KernelResult{
-		{Name: "event-storm/procs=256,hops=2000", Events: 514255, WallMS: 488.53, EventsPerSec: 1052667,
-			Allocs: 1544851, AllocBytes: 33138176, AllocsPerEvent: 3.0041, PeakHeapBytes: 4218880,
-			VirtualMS: 2, Threads: 256},
-		{Name: "jacobi/nodes=32,n=64,iters=3", Events: 3023, WallMS: 11.20, EventsPerSec: 269907,
-			Allocs: 22910, AllocBytes: 4262648, AllocsPerEvent: 7.5786, PeakHeapBytes: 4177920,
-			VirtualMS: 1.2092, Threads: 671},
-		{Name: "jacobi/nodes=64,n=64,iters=2", Events: 4587, WallMS: 19.99, EventsPerSec: 229491,
-			Allocs: 37163, AllocBytes: 5986776, AllocsPerEvent: 8.1018, PeakHeapBytes: 7061504,
-			VirtualMS: 0.9348, Threads: 1215},
-		{Name: "matmul/nodes=16,n=24", Events: 3838, WallMS: 10.53, EventsPerSec: 364620,
-			Allocs: 24607, AllocBytes: 4729088, AllocsPerEvent: 6.4114, PeakHeapBytes: 10821632,
-			VirtualMS: 5.32852, Threads: 582},
-		{Name: "tsp/nodes=16,cities=10", Events: 61333, WallMS: 59.74, EventsPerSec: 1026613,
-			Allocs: 158321, AllocBytes: 5858648, AllocsPerEvent: 2.5813, PeakHeapBytes: 14770176,
-			VirtualMS: 46.448, Threads: 1755},
 	}
 }
 

@@ -17,6 +17,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"dsmpm2"
 	"dsmpm2/internal/apps/kvstore"
@@ -131,23 +132,9 @@ func ServeSuite() (static, adaptive ServeResult, replayIdentical bool, err error
 	if err != nil {
 		return
 	}
-	replayIdentical = len(replay.Ops) == len(adaptive.Ops) &&
-		len(replay.PerKey) == len(adaptive.PerKey)
-	for i := range adaptive.Ops {
-		if !replayIdentical || replay.Ops[i] != adaptive.Ops[i] {
-			replayIdentical = false
-			break
-		}
-	}
-	for i := range adaptive.PerKey {
-		if !replayIdentical || replay.PerKey[i] != adaptive.PerKey[i] {
-			replayIdentical = false
-			break
-		}
-	}
-	if replay.Fingerprint != adaptive.Fingerprint {
-		replayIdentical = false
-	}
+	replayIdentical = slices.Equal(replay.Ops, adaptive.Ops) &&
+		slices.Equal(replay.PerKey, adaptive.PerKey) &&
+		replay.Fingerprint == adaptive.Fingerprint
 	return
 }
 

@@ -164,7 +164,7 @@ func (nw *Network) NodeDead(n int) bool {
 }
 
 // ApplyFault applies one fault-plan event through the mutators below, in
-// engine context (see sim.Engine.InjectFaults).
+// engine context (see sim.FaultCursor).
 func (nw *Network) ApplyFault(ev sim.FaultEvent) {
 	switch ev.Kind {
 	case sim.FaultNodeCrash:

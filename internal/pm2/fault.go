@@ -102,22 +102,6 @@ func (rt *Runtime) RestartNode(n int) {
 	node.Restarts++
 }
 
-// InjectFaultPlan schedules a declarative fault plan on the machine: node
-// events kill and restart the node's threads, link events go to the network.
-// Call after EnableFaults and before Run.
-func (rt *Runtime) InjectFaultPlan(plan *sim.FaultPlan) {
-	rt.eng.InjectFaults(plan, func(ev sim.FaultEvent) {
-		switch ev.Kind {
-		case sim.FaultNodeCrash:
-			rt.KillNode(ev.Node)
-		case sim.FaultNodeRestart:
-			rt.RestartNode(ev.Node)
-		default:
-			rt.net.ApplyFault(ev)
-		}
-	})
-}
-
 // Dead reports whether the node is currently crashed.
 func (n *Node) Dead() bool { return n.dead }
 

@@ -108,7 +108,14 @@ func TestCrashUnbindsServedQueues(t *testing.T) {
 			rt.Engine().Schedule(restart, func() { rt.RestartNode(1) })
 		},
 		"fault plan": func(rt *Runtime, crash, restart sim.Time) {
-			rt.InjectFaultPlan((&sim.FaultPlan{Seed: 1}).Crash(crash, 1).Restart(restart, 1))
+			plan := (&sim.FaultPlan{Seed: 1}).Crash(crash, 1).Restart(restart, 1)
+			rt.Engine().NewFaultCursor(plan, func(ev sim.FaultEvent) {
+				if ev.Kind == sim.FaultNodeCrash {
+					rt.KillNode(ev.Node)
+				} else {
+					rt.RestartNode(ev.Node)
+				}
+			}).Arm()
 		},
 	}
 	for name, inject := range inject {

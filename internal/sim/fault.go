@@ -305,21 +305,6 @@ func (p *FaultPlan) sorted() []FaultEvent {
 	return evs
 }
 
-// InjectFaults schedules every event of the plan on the engine, in canonical
-// order, at now + event.At, handing each to apply at its virtual time. apply
-// runs in engine context (no proc holds the token), so it may mutate
-// simulation state freely but must not block.
-func (e *Engine) InjectFaults(plan *FaultPlan, apply func(FaultEvent)) {
-	if plan == nil || apply == nil {
-		return
-	}
-	base := e.now
-	for _, ev := range plan.sorted() {
-		ev := ev
-		e.Schedule(base.Add(Duration(ev.At)), func() { apply(ev) })
-	}
-}
-
 // GenerateMTBFPlan builds a crash/restart plan from an exponential failure
 // model: each non-protected node fails with the given mean time between
 // failures over [0, horizon) and restarts after repair. The plan is a pure

@@ -16,14 +16,16 @@ func TestFaultPlanCanonicalOrder(t *testing.T) {
 	fire := func(p *FaultPlan) []FaultEvent {
 		eng := NewEngine(1)
 		var got []FaultEvent
-		eng.InjectFaults(p, func(ev FaultEvent) { got = append(got, ev) })
+		eng.NewFaultCursor(p, func(ev FaultEvent) { got = append(got, ev) }).Arm()
+		// The cursor applies events only while a proc is live.
+		eng.Go("live", func(pr *Proc) { pr.Advance(30) })
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return got
 	}
 	ga, gb := fire(a), fire(b)
-	if len(ga) != len(gb) {
+	if len(ga) != len(a.Events) || len(ga) != len(gb) {
 		t.Fatalf("event counts differ: %d vs %d", len(ga), len(gb))
 	}
 	for i := range ga {

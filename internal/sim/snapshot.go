@@ -173,10 +173,11 @@ func (e *Engine) Restore(s Snapshot) error {
 // source since creation (or the last reseed).
 func (e *Engine) RNGDraws() uint64 { return e.rngSrc.draws }
 
-// FaultCursor injects a fault plan one event at a time, instead of
-// scheduling the whole plan up front the way InjectFaults does. Only the
-// next un-applied event is ever in the queue, which keeps two properties the
-// checkpoint subsystem needs:
+// FaultCursor injects a fault plan one event at a time, in canonical order,
+// handing each to apply at base + event.At. apply runs in engine context (no
+// proc holds the token), so it may mutate simulation state freely but must
+// not block. Only the next un-applied event is ever in the queue, which
+// keeps two properties the checkpoint subsystem needs:
 //
 //   - The cursor's position is two scalars (next index, injection base), so
 //     a snapshot can record "mid-plan" exactly and a restored run re-arms
@@ -236,9 +237,6 @@ func (c *FaultCursor) fire() {
 	c.apply(ev)
 	c.Arm()
 }
-
-// Done reports whether every event of the plan has been applied.
-func (c *FaultCursor) Done() bool { return c.next >= len(c.events) }
 
 // Pos reports the cursor position: the index of the next un-applied event
 // and the injection base time. Together with the plan itself these fully
