@@ -13,6 +13,7 @@ import (
 	"dsmpm2"
 	"dsmpm2/internal/apps/jacobi"
 	"dsmpm2/internal/bench"
+	"dsmpm2/internal/core"
 )
 
 // at converts a duration offset into a fault-plan timestamp.
@@ -245,73 +246,145 @@ func TestInjectFaultsNilPlan(t *testing.T) {
 }
 
 // TestDuplicatedPageMessages: a lossy link that duplicates (never drops) the
-// data plane's one-way messages must not corrupt memory. Every duplicate of a
-// page message has to own its pooled wire buffer: two deliveries sharing one
-// would return it to the pool twice, and two later transfers would then share
-// it — silently wrong totals. Three writers on the non-manager nodes run
+// data plane's messages must change nothing but link time, because the
+// receiver never sees a duplicate. Three writers on the non-manager nodes run
 // read-modify-write sections over two words of each of six pages homed on
-// node 1, under hbrc_mw, with every link between non-manager nodes
-// duplicating half its messages; every word must read the oracle's total,
-// on 30 plan seeds. Ownership-migrating protocols are outside the duplicate
-// model (DESIGN.md "Fault model"), so hbrc_mw it is.
+// node 1, with every link between non-manager nodes duplicating half its
+// messages; every word must read the oracle's total, on 30 plan seeds, under
+// every protocol but the java pair (which misses the oracle on this program
+// even without duplicates), with the use-after-free net off and on. A
+// delivered duplicate would corrupt memory under hbrc_mw and livelock the
+// ownership-migrating protocols, so a case still running at one virtual
+// second fails instead of hanging the suite.
 func TestDuplicatedPageMessages(t *testing.T) {
+	defer func() { core.PoisonFreed = false }()
+	for _, proto := range dsmpm2.MustNew(dsmpm2.Config{Nodes: 1}).ProtocolNames() {
+		if proto == "java_ic" || proto == "java_pf" {
+			continue
+		}
+		t.Run(proto, func(t *testing.T) {
+			for _, poison := range []bool{false, true} {
+				core.PoisonFreed = poison
+				for seed := int64(1); seed <= 30; seed++ {
+					if !duplicatedRun(t, proto, seed) {
+						t.Fatalf("plan seed %d, poisoned %v: writers unfinished at one virtual second", seed, poison)
+					}
+				}
+			}
+		})
+	}
+}
+
+// duplicatedRun is one case of TestDuplicatedPageMessages. It reports false
+// when the writers were still running at one virtual second.
+func duplicatedRun(t *testing.T, proto string, seed int64) bool {
 	const (
 		nodes, pages, sections = 4, 6, 40
 		want                   = uint64(3 * sections)
 	)
-	for seed := int64(1); seed <= 30; seed++ {
-		sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: nodes, Protocol: "hbrc_mw", Seed: 5})
-		plan := dsmpm2.NewFaultPlan(seed)
-		for a := 1; a < nodes; a++ {
-			for b := 1; b < nodes; b++ {
-				if a != b {
-					plan.Loss(at(0), a, b, 0, 0.5)
-				}
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: nodes, Protocol: proto, Seed: 5})
+	plan := dsmpm2.NewFaultPlan(seed)
+	for a := 1; a < nodes; a++ {
+		for b := 1; b < nodes; b++ {
+			if a != b {
+				plan.Loss(at(0), a, b, 0, 0.5)
 			}
 		}
-		if err := sys.InjectFaults(plan, dsmpm2.FaultOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		base := sys.MustMalloc(1, pages*dsmpm2.PageSize, &dsmpm2.Attr{Protocol: -1, Home: 1})
-		word := func(pg, w int) dsmpm2.Addr { return base + dsmpm2.Addr(pg*dsmpm2.PageSize+8*w) }
-		var locks [pages]int
-		for pg := range locks {
-			locks[pg] = sys.NewLock(0)
-		}
-		for n := 1; n < nodes; n++ {
-			sys.Spawn(n, "writer", func(th *dsmpm2.Thread) {
-				for i := 0; i < sections; i++ {
-					for k := 0; k < pages; k++ {
-						pg := (k + n) % pages // writers walk the pages out of step
-						th.Acquire(locks[pg])
-						for w := 0; w < 2; w++ {
-							th.WriteUint64(word(pg, w), th.ReadUint64(word(pg, w))+1)
-						}
-						th.Release(locks[pg])
+	}
+	if err := sys.InjectFaults(plan, dsmpm2.FaultOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	base := sys.MustMalloc(1, pages*dsmpm2.PageSize, &dsmpm2.Attr{Protocol: -1, Home: 1})
+	word := func(pg, w int) dsmpm2.Addr { return base + dsmpm2.Addr(pg*dsmpm2.PageSize+8*w) }
+	var locks [pages]int
+	for pg := range locks {
+		locks[pg] = sys.NewLock(0)
+	}
+	finished := 0
+	for n := 1; n < nodes; n++ {
+		sys.Spawn(n, "writer", func(th *dsmpm2.Thread) {
+			for i := 0; i < sections; i++ {
+				for k := 0; k < pages; k++ {
+					pg := (k + n) % pages // writers walk the pages out of step
+					th.Acquire(locks[pg])
+					for w := 0; w < 2; w++ {
+						th.WriteUint64(word(pg, w), th.ReadUint64(word(pg, w))+1)
 					}
+					th.Release(locks[pg])
 				}
-			})
+			}
+			finished++
+		})
+	}
+	eng := sys.Runtime().Engine()
+	eng.Schedule(at(dsmpm2.Second), func() {
+		if finished < nodes-1 {
+			eng.Stop()
 		}
-		if err := sys.Run(); err != nil {
-			t.Fatalf("plan seed %d: %v", seed, err)
-		}
-		sys.Spawn(0, "reader", func(th *dsmpm2.Thread) {
-			for pg := 0; pg < pages; pg++ {
-				th.Acquire(locks[pg])
-				for w := 0; w < 2; w++ {
-					if got := th.ReadUint64(word(pg, w)); got != want {
-						t.Errorf("plan seed %d: page %d word %d = %d, want %d", seed, pg, w, got, want)
-					}
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatalf("plan seed %d: %v", seed, err)
+	}
+	if finished < nodes-1 {
+		return false
+	}
+	sys.Spawn(0, "reader", func(th *dsmpm2.Thread) {
+		for pg := 0; pg < pages; pg++ {
+			th.Acquire(locks[pg])
+			for w := 0; w < 2; w++ {
+				if got := th.ReadUint64(word(pg, w)); got != want {
+					t.Errorf("plan seed %d: page %d word %d = %d, want %d", seed, pg, w, got, want)
 				}
-				th.Release(locks[pg])
+			}
+			th.Release(locks[pg])
+		}
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatalf("plan seed %d: %v", seed, err)
+	}
+	// migrate_thread moves the writers to the pages' home, so nothing it
+	// sends crosses a duplicating link.
+	if sys.FaultStats().Duplicated == 0 && proto != "migrate_thread" {
+		t.Fatalf("plan seed %d: nothing was duplicated: %+v", seed, sys.FaultStats())
+	}
+	return true
+}
+
+// TestForwardedFetchesCompleteUnderRecovery: a request li_hudak forwards along
+// the probable-owner chain keeps the requester's fetch sequence number; with
+// any other number the requester takes the page it brings for a late
+// response, drops it and retries every 5 ms forever, on a plan with no event
+// at all. With recovery on and nothing injected, no fetch may retry.
+func TestForwardedFetchesCompleteUnderRecovery(t *testing.T) {
+	const nodes, sections = 4, 10
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: nodes, Protocol: "li_hudak", Seed: 3})
+	if err := sys.InjectFaults(dsmpm2.NewFaultPlan(1), dsmpm2.FaultOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	base := sys.MustMalloc(0, dsmpm2.PageSize, nil)
+	lock := sys.NewLock(0)
+	var last uint64
+	for n := 1; n < nodes; n++ {
+		sys.Spawn(n, "writer", func(th *dsmpm2.Thread) {
+			for i := 0; i < sections; i++ {
+				th.Acquire(lock)
+				last = th.ReadUint64(base) + 1
+				th.WriteUint64(base, last)
+				th.Release(lock)
 			}
 		})
-		if err := sys.Run(); err != nil {
-			t.Fatalf("plan seed %d: %v", seed, err)
-		}
-		if sys.FaultStats().Duplicated == 0 {
-			t.Fatalf("plan seed %d: nothing was duplicated: %+v", seed, sys.FaultStats())
-		}
+	}
+	eng := sys.Runtime().Engine()
+	eng.Schedule(at(dsmpm2.Second), eng.Stop) // a livelock fails below instead of hanging
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := sys.Stats()
+	if r := sys.RecoveryStats().Retries; r != 0 || last != (nodes-1)*sections {
+		t.Fatalf("%d fetch retries, final count %d; want 0 and %d", r, last, (nodes-1)*sections)
+	}
+	if st.Requests <= st.PageSends {
+		t.Fatalf("%d requests for %d pages: no request was forwarded", st.Requests, st.PageSends)
 	}
 }
 

@@ -111,7 +111,8 @@ func TestDeadlockReportDeterministic(t *testing.T) {
 // use-after-free net on (core.PoisonFreed: freed records read as sentinels
 // and are never reused). The goldens must not notice — recycling is
 // invisible in virtual time — and a reader that outlived its record fails
-// loudly.
+// loudly. The faulty-jacobi leg poisons too: a run under recovery frees its
+// records like a fault-free one, all but its diffs and evicted timings.
 func TestGoldensPoisoned(t *testing.T) {
 	core.PoisonFreed = true
 	defer func() { core.PoisonFreed = false }()

@@ -97,9 +97,7 @@ func (d *DSM) handleFault(t *pm2.Thread, addr Addr, pg Page, write bool) {
 		proto.ReadFaultHandler(f)
 	}
 	ft.Total = t.Now().Sub(start)
-	if old := d.timings.Add(ft); old != nil {
-		put(d, &d.recs.timings, old)
-	}
+	d.logTiming(ft)
 	if f.entryLocked {
 		// Safe to release before the retry: the current thread keeps
 		// the simulation token until its next blocking operation, and
@@ -107,7 +105,17 @@ func (d *DSM) handleFault(t *pm2.Thread, addr Addr, pg Page, write bool) {
 		// server can run in between.
 		e.Unlock(t)
 	}
-	put(d, &d.recs.faults, f)
+	put(&d.recs.faults, f)
+}
+
+// logTiming puts a finished fault's timing into the ring. The record the ring
+// evicts serves a later fault — unless recovery is on, when it goes to the
+// collector: a retried fetch's late response still writes the timing it
+// carried.
+func (d *DSM) logTiming(ft *FaultTiming) {
+	if old := d.timings.Add(ft); old != nil && d.recovery == nil {
+		put(&d.recs.timings, old)
+	}
 }
 
 // Read copies len(buf) shared bytes at addr into buf.

@@ -38,8 +38,8 @@ func (d *DSM) registerServices() {
 		node := d.rt.Node(i)
 
 		node.Register(svcRequest, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			r := private(d, arg.(*Request))
-			if d.recovery != nil && d.NodeDead(r.From) {
+			r := arg.(*Request)
+			if d.NodeDead(r.From) {
 				// A dead requester must not be granted anything — a write
 				// request served now would strand ownership on a corpse.
 				return nil
@@ -54,25 +54,25 @@ func (d *DSM) registerServices() {
 			} else {
 				p.ReadServer(r)
 			}
-			put(d, &d.recs.requests, r)
+			put(&d.recs.requests, r)
 			return nil
 		})
 
 		node.Register(svcPage, false, func(h *pm2.Thread, arg interface{}) interface{} {
-			pm := private(d, arg.(*PageMsg))
+			pm := arg.(*PageMsg)
 			if pm.Timing != nil {
 				pm.Timing.Transfer = h.Now().Sub(pm.sentAt)
 				pm.Timing.Link = pm.link
 			}
 			pm.DSM, pm.Thread, pm.Node = d, h, h.Node()
 			d.protoAt(pm.Node, pm.Page).ReceivePageServer(pm)
-			put(d, &d.recs.pages, pm)
+			put(&d.recs.pages, pm)
 			return nil
 		})
 
 		node.Register(svcInvald, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			iv := private(d, arg.(*Invalidate))
-			if d.recovery != nil && d.NodeDead(iv.From) {
+			iv := arg.(*Invalidate)
+			if d.NodeDead(iv.From) {
 				// An invalidation from a node that has since crashed speaks
 				// for a dead regime: the recovery sweep already rebuilt the
 				// page's home/copyset around the crash, and applying the
@@ -97,12 +97,12 @@ func (d *DSM) registerServices() {
 				}
 				d.replyDirect(iv.Node, iv.From, iv.ack, ack)
 			}
-			put(d, &d.recs.invs, iv)
+			put(&d.recs.invs, iv)
 			return nil
 		})
 
 		node.Register(svcDiff, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			dm := private(d, arg.(*DiffMsg))
+			dm := arg.(*DiffMsg)
 			dm.DSM, dm.Thread, dm.Node = d, h, h.Node()
 			if len(dm.Diffs) > 0 {
 				ds, ok := d.protoAt(dm.Node, dm.Diffs[0].Page).(DiffServer)
@@ -117,7 +117,7 @@ func (d *DSM) registerServices() {
 			for _, df := range dm.Diffs {
 				FreeDiff(d, df)
 			}
-			put(d, &d.recs.diffMsgs, dm)
+			put(&d.recs.diffMsgs, dm)
 			return nil
 		})
 	}
@@ -182,52 +182,39 @@ func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool
 	for _, df := range diffs {
 		size += df.Size()
 	}
-	m := take(&d.recs.diffMsgs)
-	m.From, m.Diffs = t.Node(), diffs
 	st := &d.stats
-	st.DiffsSent += int64(len(diffs))
 	st.DiffBytes += int64(size)
-	st.Sends++
-	st.Envelopes++
 	var reply *sim.Chan
 	if wait {
 		reply = new(sim.Chan)
-		m.reply = reply
 	}
-	// m is the receiver's once sent; only recovery's re-send, under which
-	// nothing is recycled, sends it again.
-	d.rt.AsyncFrom(t.Node(), dest, svcDiff, m, size)
-	if !wait {
-		return
-	}
-	if d.recovery == nil {
-		reply.Recv(t.Proc())
-		return
-	}
-	for attempt := 0; ; {
-		if _, ok := reply.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt)); ok {
+	for attempt := 0; ; attempt++ {
+		// Every shipment is a fresh record: the receiver frees the one it
+		// got. A re-send is counted like the first.
+		m := take(&d.recs.diffMsgs)
+		m.From, m.Diffs, m.reply = t.Node(), diffs, reply
+		st.DiffsSent += int64(len(diffs))
+		st.Sends++
+		st.Envelopes++
+		d.rt.AsyncFrom(t.Node(), dest, svcDiff, m, size)
+		if !wait {
 			return
 		}
-		attempt++
-		d.recovery.stats.Retries++
-		if !d.NodeDead(dest) {
-			// The home is alive but silent: the diff or its ack may have
-			// been lost on a lossy link, or is crawling through a
-			// partition. Re-send — diffs apply idempotently, and a
-			// duplicate ack just lingers unread in this call's private
-			// reply channel. Counted like any other shipment.
-			st.DiffsSent += int64(len(diffs))
-			st.Sends++
-			st.Envelopes++
-			d.rt.AsyncFrom(t.Node(), dest, svcDiff, m, size)
-			continue
+		if _, ok := d.await(t, reply, attempt); ok {
+			return
 		}
-		// The home died with our diffs unacknowledged: re-route each diff
-		// to its page's current home.
-		for _, df := range diffs {
-			d.rerouteDiff(t, df)
+		if d.NodeDead(dest) {
+			// The home died with our diffs unacknowledged: re-route each
+			// diff to its page's current home.
+			for _, df := range diffs {
+				d.rerouteDiff(t, df)
+			}
+			return
 		}
-		return
+		// The home is alive but silent: the diff or its ack may have been
+		// lost on a lossy link, or is crawling through a partition. Send
+		// again — diffs apply idempotently, and a second ack just lingers
+		// unread in this call's private reply channel.
 	}
 }
 

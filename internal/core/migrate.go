@@ -45,7 +45,7 @@ type migMsg struct {
 
 // migInstallMsg carries the page to its new home. data is a pooled wire
 // copy; the install handler reclaims it exactly once, applied or not.
-// Stale and duplicate installs need no sequence numbers: a duplicate is
+// Stale and re-sent installs need no sequence numbers: a re-send is
 // detected by ownership already being at the destination, and an install
 // from a since-crashed sender is discarded outright (the crash sweep has
 // resolved that handshake).
@@ -91,7 +91,7 @@ func (d *DSM) replyDirect(from, dest int, ch *sim.Chan, v interface{}) {
 // a crash leaves the owner intact (the handshake then resolves through the
 // recovery sweep, exactly once).
 func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
-	if d.recovery != nil && d.NodeDead(m.from) {
+	if d.NodeDead(m.from) {
 		return
 	}
 	node := h.Node()
@@ -141,38 +141,31 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 		from: node, reply: ack,
 	}
 	d.rt.AsyncFrom(node, m.newHome, svcMigrateInstall, im, PageSize)
-	if d.recovery == nil {
-		ack.Recv(h.Proc())
-	} else {
-		attempt := 0
-		for {
-			if _, ok := ack.RecvTimeout(h.Proc(), d.recovery.retryDelay(attempt)); ok {
-				break
-			}
-			attempt++
-			d.recovery.stats.Retries++
-			if d.NodeDead(m.newHome) {
-				// The new home died before installing: the page stays here,
-				// untouched, and the manager is told so. The in-flight wire
-				// copy died with the link (dropped, never double-freed).
-				e.Unlock(h)
-				d.replyDirect(node, m.from, m.reply, false)
-				return
-			}
-			// Alive but silent (loss): re-send a fresh pooled copy — the
-			// install applies idempotently and a duplicate is discarded
-			// with its buffer reclaimed exactly once.
-			dup := d.bufs.Get()
-			copy(dup, data)
-			st.PageSends++
-			st.PageBytes += PageSize
-			st.Sends++
-			st.Envelopes++
-			d.rt.AsyncFrom(node, m.newHome, svcMigrateInstall, &migInstallMsg{
-				page: m.page, data: dup, access: access, copyset: copyset,
-				from: node, reply: ack,
-			}, PageSize)
+	for attempt := 0; ; attempt++ {
+		if _, ok := d.await(h, ack, attempt); ok {
+			break
 		}
+		if d.NodeDead(m.newHome) {
+			// The new home died before installing: the page stays here,
+			// untouched, and the manager is told so. The in-flight wire
+			// copy died with the link (dropped, never double-freed).
+			e.Unlock(h)
+			d.replyDirect(node, m.from, m.reply, false)
+			return
+		}
+		// Alive but silent (loss): re-send a fresh pooled copy — the
+		// install applies idempotently and a second one is discarded
+		// with its buffer reclaimed exactly once.
+		dup := d.bufs.Get()
+		copy(dup, data)
+		st.PageSends++
+		st.PageBytes += PageSize
+		st.Sends++
+		st.Envelopes++
+		d.rt.AsyncFrom(node, m.newHome, svcMigrateInstall, &migInstallMsg{
+			page: m.page, data: dup, access: access, copyset: copyset,
+			from: node, reply: ack,
+		}, PageSize)
 	}
 	// Install acknowledged: demote. The old owner drops its frame entirely —
 	// the universally safe end state (any later access simply re-faults
@@ -188,29 +181,25 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 }
 
 // serveMigrateInstall runs on the new home: install the authoritative copy,
-// take ownership and the scrubbed copyset. Duplicate installs (handshake
-// re-sends under loss) are detected by ownership already being here; either
+// take ownership and the scrubbed copyset. A second install (a handshake
+// re-send under loss) is detected by ownership already being here; either
 // way the pooled wire buffer is reclaimed exactly once.
 func (d *DSM) serveMigrateInstall(h *pm2.Thread, m *migInstallMsg) {
-	if d.recovery != nil && d.NodeDead(m.from) {
+	if d.NodeDead(m.from) {
 		// The old owner died after shipping this install: the crash sweep
 		// already resolved the handshake its way (promoting the freshest
 		// survivor), and applying a dead regime's install here would mint a
 		// second owner whose next release invalidates the real home's
-		// reference copy. Discard it — the pooled wire copy is reclaimed
-		// exactly once either way (nil guards the duplicated-delivery case,
-		// where a lossy link hands the same message to the handler twice).
+		// reference copy. Discard it, reclaiming the pooled wire copy.
 		d.bufs.Put(m.data)
-		m.data = nil
 		return
 	}
 	node := h.Node()
 	e := d.Entry(node, m.page)
 	e.Lock(h)
 	if e.Owner {
-		// Duplicate of an already-applied install.
+		// A re-send of an already-applied install.
 		d.bufs.Put(m.data)
-		m.data = nil
 		e.Unlock(h)
 		d.replyDirect(node, m.from, m.reply, true)
 		return
@@ -219,7 +208,6 @@ func (d *DSM) serveMigrateInstall(h *pm2.Thread, m *migInstallMsg) {
 	frame := d.state[node].space.Ensure(m.page)
 	copy(frame.Data, m.data)
 	d.bufs.Put(m.data)
-	m.data = nil
 	frame.Access = m.access
 	e.Owner = true
 	e.Home = node
@@ -308,32 +296,21 @@ func (d *DSM) startMigration(h *pm2.Thread, pg Page, newHome int) *migFlight {
 // sweep keeps it, or it did not and the sweep re-homed onto the freshest
 // survivor) and the decision is not retried.
 func (d *DSM) finishMigration(h *pm2.Thread, f *migFlight) bool {
-	if f.reply != nil {
-		if d.recovery == nil {
-			if ok, _ := f.reply.Recv(h.Proc()).(bool); !ok {
+	// f.reply is nil for a metadata-only move: nothing to await.
+	for attempt := 0; f.reply != nil; attempt++ {
+		if v, got := d.await(h, f.reply, attempt); got {
+			if ok, _ := v.(bool); !ok {
 				return false
 			}
-		} else {
-			attempt := 0
-			for {
-				v, got := f.reply.RecvTimeout(h.Proc(), d.recovery.retryDelay(attempt))
-				if got {
-					if ok, _ := v.(bool); !ok {
-						return false
-					}
-					break
-				}
-				attempt++
-				d.recovery.stats.Retries++
-				if d.NodeDead(f.owner) {
-					return false
-				}
-				st := &d.stats
-				st.Sends++
-				st.Envelopes++
-				d.rt.AsyncFrom(h.Node(), f.owner, svcMigrateHome, f.m, ctrlBytes)
-			}
+			break
 		}
+		if d.NodeDead(f.owner) {
+			return false
+		}
+		st := &d.stats
+		st.Sends++
+		st.Envelopes++
+		d.rt.AsyncFrom(h.Node(), f.owner, svcMigrateHome, f.m, ctrlBytes)
 	}
 	pi := d.dir[f.pg]
 	pi.home = f.newHome

@@ -55,7 +55,7 @@ type Batch struct {
 	t       *pm2.Thread
 	node    int
 	ops     []batchOp
-	elems   []pm2.VecElem // the envelopes of one flush, back to back
+	elems   []pm2.VecElem // the envelope being built
 	flights []batchFlight
 }
 
@@ -153,7 +153,7 @@ func (b *Batch) liveRuns(yield func(dest int, run []batchOp) bool) {
 		}
 		run := b.ops[lo:hi]
 		lo = hi
-		if b.d.recovery != nil && b.d.NodeDead(dest) {
+		if b.d.NodeDead(dest) {
 			b.reroute(run)
 		} else if !yield(dest, run) {
 			return
@@ -172,11 +172,10 @@ func (b *Batch) reroute(run []batchOp) {
 
 // batchFlight is one awaited destination envelope of a flush.
 type batchFlight struct {
-	dest  int
-	run   []batchOp     // the destination's operations
-	elems []pm2.VecElem // their envelope, as sent (recovery re-sends it)
-	acks  int           // invalidations whose acknowledgement the reply coalesces
-	call  *pm2.VecCall
+	dest int
+	run  []batchOp // the destination's operations
+	acks int       // invalidations whose acknowledgement the reply coalesces
+	call *pm2.VecCall
 }
 
 // Flush ships the outbox: destinations ascending, one envelope each. With
@@ -190,42 +189,21 @@ func (b *Batch) Flush(wait bool) {
 		b.canonicalize() // before any send OR reroute: order must never depend on insertion
 		b.send(wait)
 	}
-	put(d, &d.recs.batches, b)
+	put(&d.recs.batches, b)
 }
 
 // send ships each destination's run as one multi-part envelope whose single
 // reply coalesces every acknowledgement.
 func (b *Batch) send(wait bool) {
 	d := b.d
-	st := &d.stats
-	// Grown once up front: the flights below keep slices of it.
-	b.elems = slices.Grow(b.elems[:0], len(b.ops))
 	for dest, run := range b.liveRuns {
-		first, acks := len(b.elems), 0
-		for _, op := range run {
-			if op.diff == nil {
-				b.elems = append(b.elems, pm2.VecElem{Svc: svcInvald, Size: ctrlBytes,
-					Arg: d.newInvalidate(b.node, op.page, op.newOwner, nil)})
-				acks++
-				continue
-			}
-			dm := take(&d.recs.diffMsgs)
-			dm.From, dm.Noticed, dm.one[0] = b.node, op.noticed, op.diff
-			dm.Diffs = dm.one[:]
-			size := ctrlBytes + op.diff.Size()
-			b.elems = append(b.elems, pm2.VecElem{Svc: svcDiff, Size: size, Arg: dm})
-			st.DiffBytes += int64(size)
-		}
-		elems := b.elems[first:]
-		st.Invalidations += int64(acks)
-		st.DiffsSent += int64(len(elems) - acks)
-		st.Sends += int64(len(elems))
-		st.Envelopes++
+		acks, diffBytes := b.envelope(run)
+		d.stats.DiffBytes += diffBytes
 		if wait {
-			b.flights = append(b.flights, batchFlight{dest: dest, run: run, elems: elems, acks: acks,
-				call: d.rt.StartVecFrom(b.node, dest, elems, ctrlBytes)})
+			b.flights = append(b.flights, batchFlight{dest: dest, run: run, acks: acks,
+				call: d.rt.StartVecFrom(b.node, dest, b.elems, ctrlBytes)})
 		} else {
-			d.rt.AsyncVecFrom(b.node, dest, elems)
+			d.rt.AsyncVecFrom(b.node, dest, b.elems)
 		}
 	}
 	for i := range b.flights {
@@ -233,37 +211,55 @@ func (b *Batch) send(wait bool) {
 	}
 }
 
+// envelope builds run's envelope in b.elems, counted as shipped, from fresh
+// records: the receiver frees what it is sent, so a re-send cannot reuse the
+// first send's. It returns how many of the elements are invalidations, and
+// the bytes of the diffs.
+func (b *Batch) envelope(run []batchOp) (acks int, diffBytes int64) {
+	d := b.d
+	b.elems = b.elems[:0]
+	for _, op := range run {
+		if op.diff == nil {
+			b.elems = append(b.elems, pm2.VecElem{Svc: svcInvald, Size: ctrlBytes,
+				Arg: d.newInvalidate(b.node, op.page, op.newOwner, nil)})
+			acks++
+			continue
+		}
+		dm := take(&d.recs.diffMsgs)
+		dm.From, dm.Noticed, dm.one[0] = b.node, op.noticed, op.diff
+		dm.Diffs = dm.one[:]
+		size := ctrlBytes + op.diff.Size()
+		b.elems = append(b.elems, pm2.VecElem{Svc: svcDiff, Size: size, Arg: dm})
+		diffBytes += int64(size)
+	}
+	st := &d.stats
+	st.Invalidations += int64(acks)
+	st.DiffsSent += int64(len(b.elems) - acks)
+	st.Sends += int64(len(b.elems))
+	st.Envelopes++
+	return acks, diffBytes
+}
+
 // waitFlight blocks until one destination's envelope is fully processed.
 // With recovery enabled the wait is bounded: a silent-but-alive destination
 // gets the (idempotent) envelope again; a dead one needs no invalidations
 // and has its diffs re-routed to the pages' current homes.
 func (b *Batch) waitFlight(f *batchFlight) {
-	d, t := b.d, b.t
-	if d.recovery == nil {
-		f.call.Reply().Recv(t.Proc())
-	} else {
-		for attempt := 0; ; {
-			if _, ok := f.call.Reply().RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt)); ok {
-				break
-			}
-			attempt++
-			d.recovery.stats.Retries++
-			if d.NodeDead(f.dest) {
-				b.reroute(f.run)
-				return
-			}
-			// Alive but silent: the envelope or its coalesced reply was lost
-			// or is crawling through a partition. Re-send the whole envelope
-			// as a new call — invalidations and diffs apply idempotently, and
-			// the abandoned call, never released, keeps a late first reply to
-			// itself. Counted like any other shipment.
-			st := &d.stats
-			st.Invalidations += int64(f.acks)
-			st.DiffsSent += int64(len(f.elems) - f.acks)
-			st.Sends += int64(len(f.elems))
-			st.Envelopes++
-			f.call = d.rt.StartVecFrom(b.node, f.dest, f.elems, ctrlBytes)
+	d := b.d
+	for attempt := 0; ; attempt++ {
+		if _, ok := d.await(b.t, f.call.Reply(), attempt); ok {
+			break
 		}
+		if d.NodeDead(f.dest) {
+			b.reroute(f.run)
+			return
+		}
+		// Alive but silent: the envelope or its coalesced reply was lost or
+		// is crawling through a partition. Re-send it as a new call —
+		// invalidations and diffs apply idempotently, and the abandoned
+		// call, never released, keeps a late first reply to itself.
+		b.envelope(f.run)
+		f.call = d.rt.StartVecFrom(b.node, f.dest, b.elems, ctrlBytes)
 	}
 	f.call.Release()
 	d.stats.InvAcks += int64(f.acks)
@@ -381,5 +377,5 @@ func (d *DSM) applyNotice(t *pm2.Thread, pg Page, ws []WriteNotice) {
 	iv := d.newInvalidate(node, pg, -1, nil)
 	iv.DSM, iv.Thread, iv.Node, iv.From = d, t, node, ws[0].Writer
 	d.instance(e.proto).InvalidateServer(iv)
-	put(d, &d.recs.invs, iv)
+	put(&d.recs.invs, iv)
 }

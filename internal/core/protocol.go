@@ -95,16 +95,6 @@ type PageMsg struct {
 	link    string // profile name of the link carrying the transfer
 }
 
-// CopyArg implements pm2.Copier: a lossy link's duplicate of a page message
-// carries its own pooled wire buffer, because whoever receives a page
-// message returns its buffer to a pool — exactly once per message.
-func (pm *PageMsg) CopyArg() interface{} {
-	c := *pm
-	c.Data = pm.DSM.bufs.Get()
-	copy(c.Data, pm.Data)
-	return &c
-}
-
 // SyncEvent is the context handed to lock acquire/release hooks, and the
 // argument of the lock RPCs (the manager reads Lock and Node). For barrier
 // events, Barrier is true and Lock is the barrier's id.

@@ -121,10 +121,12 @@ func ForwardRequest(r *Request, e *Entry) {
 
 // ForwardRequestTo re-sends the request to an explicit destination (managed
 // schemes: the manager relays to the recorded owner) as a fresh record — r
-// stays this node's to free. The entry lock must already be released.
+// stays this node's to free. The copy keeps r.Seq, so the requester's
+// recovery check recognizes the page the forward eventually brings. The
+// entry lock must already be released.
 func ForwardRequestTo(r *Request, dest int) {
 	d := r.DSM
-	d.sendRequest(r.Node, dest, d.newRequest(r.Node, r.Page, r.From, r.Write, 0, r.Timing))
+	d.sendRequest(r.Node, dest, d.newRequest(r.Node, r.Page, r.From, r.Write, r.Seq, r.Timing))
 }
 
 // SendPage ships this node's copy of pg to dest, granting the given access.
@@ -150,7 +152,6 @@ func SendPage(r *Request, e *Entry, dest int, access memory.Access, ownship bool
 		owner = dest
 	}
 	pm := take(&d.recs.pages)
-	pm.DSM = d // for CopyArg; the receiving handler completes the rest
 	pm.Page, pm.From, pm.Data, pm.Access, pm.Owner, pm.Ownship = e.Page, r.Node, data, access, owner, ownship
 	pm.Copyset, pm.Seq, pm.Timing = copyset.AppendTo(nil), r.Seq, r.Timing
 	d.sendPage(r.Node, dest, pm)
@@ -373,9 +374,14 @@ func TwinDiff(d *DSM, node int, e *Entry) *memory.Diff {
 // instead of sending it frees it with FreeDiff.
 func NewDiff(d *DSM) *memory.Diff { return (*memory.Diff)(take(&d.recs.diffs)) }
 
-// FreeDiff ends df's life: it goes back to d's pool for the next NewDiff
-// (with recovery on, to the collector). The caller must not touch it again.
-func FreeDiff(d *DSM, df *memory.Diff) { put(d, &d.recs.diffs, (*diffRec)(df)) }
+// FreeDiff ends df's life: it goes back to d's pool for the next NewDiff —
+// unless recovery is on, when it goes to the collector: a re-sent envelope
+// shares its diffs. The caller must not touch it again.
+func FreeDiff(d *DSM, df *memory.Diff) {
+	if d.recovery == nil {
+		put(&d.recs.diffs, (*diffRec)(df))
+	}
+}
 
 // RecordPut appends an on-the-fly diff entry for a write of buf at addr
 // (field-granularity recording through the put primitive). Call with the

@@ -13,9 +13,11 @@ import (
 // until it is sent, then the service handler, which completes DSM/Thread/Node
 // and hands the same pointer to the routine. Whoever consumes a record frees
 // it, once; the diffs a DiffMsg carries are freed with it. Exactly-once
-// delivery is the licence to recycle and fault injection revokes it, so with
-// recovery on nothing is recycled (put) and a handler works on a copy of what
-// it was sent (private).
+// delivery is the licence to recycle, and a lossy link keeps it (madeleine
+// delivers no duplicate). Recovery's re-sends take fresh records; the two
+// records a re-send or a late response still shares are left to the
+// collector while recovery is on: a diff (FreeDiff) and a fault's timing
+// (logTiming).
 
 // recPools holds the free records. The lists start empty and fill with what
 // the run frees — nothing is allocated ahead of use.
@@ -46,29 +48,14 @@ func take[T any](l *freelist.List[*T]) *T {
 	return new(T)
 }
 
-// put ends r's life: it is zeroed and goes back on l for the next take. With
-// recovery on it is left to the collector instead — a duplicate, a re-sent
-// envelope or a late response may still name it.
-func put[R interface{ reset(fill int) }](d *DSM, l *freelist.List[R], r R) {
-	switch {
-	case d.recovery != nil:
-	case PoisonFreed:
+// put ends r's life: it is zeroed and goes back on l for the next take.
+func put[R interface{ reset(fill int) }](l *freelist.List[R], r R) {
+	if PoisonFreed {
 		r.reset(-1)
-	default:
-		r.reset(0)
-		l.Put(r)
+		return
 	}
-}
-
-// private returns the record a service handler may complete and pass on: the
-// one it was sent or, with recovery on, a copy — the original may be
-// delivered again (see put).
-func private[T any](d *DSM, r *T) *T {
-	if d.recovery != nil {
-		c := *r
-		return &c
-	}
-	return r
+	r.reset(0)
+	l.Put(r)
 }
 
 // diffRec is a pooled memory.Diff: TwinDiff, RecordPut and NewDiff take one,
@@ -101,15 +88,16 @@ func (r *diffRec) reset(fill int) {
 }
 
 // reset keeps a Batch's buffers for its next life, emptied of what they
-// pointed at (canonicalize cleared the tail its dedup left); poisoned, it
-// loses them too.
+// pointed at (canonicalize cleared the tail its dedup left, and a longer
+// envelope than the last may have left one in elems); poisoned, it loses them
+// too.
 func (b *Batch) reset(fill int) {
 	if fill != 0 {
 		*b = Batch{node: fill}
 		return
 	}
 	clear(b.ops)
-	clear(b.elems)
+	clear(b.elems[:cap(b.elems)])
 	clear(b.flights)
 	*b = Batch{ops: b.ops[:0], elems: b.elems[:0], flights: b.flights[:0]}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dsmpm2/internal/memory"
+	"dsmpm2/internal/pm2"
 	"dsmpm2/internal/sim"
 )
 
@@ -152,6 +153,21 @@ func (rec *recoveryState) retryDelay(attempt int) sim.Duration {
 		d += sim.Duration(rec.jitter.Int63n(int64(rec.cfg.Jitter)))
 	}
 	return d
+}
+
+// await is a protocol action's wait for its reply on ch: unbounded with
+// recovery off, and otherwise bounded by the attempt-th retry delay. On
+// expiry it counts a retry and reports false, and the caller re-checks the
+// fault state and re-sends.
+func (d *DSM) await(t *pm2.Thread, ch *sim.Chan, attempt int) (interface{}, bool) {
+	if d.recovery == nil {
+		return ch.Recv(t.Proc()), true
+	}
+	v, ok := ch.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt))
+	if !ok {
+		d.recovery.stats.Retries++
+	}
+	return v, ok
 }
 
 // RecordCheckpoint notes that node committed a local checkpoint covering

@@ -320,7 +320,7 @@ func (d *DSM) CaptureState() (*CoreState, error) {
 func (d *DSM) captureNode(n int) (NodeCoreState, error) {
 	ns := d.state[n]
 	var out NodeCoreState
-	if d.recovery != nil && d.recovery.dead[n] {
+	if d.NodeDead(n) {
 		// A fail-stopped node's retained state — including half-written
 		// twins its dying threads left behind — is unreachable garbage:
 		// RestartNode drops it wholesale and nothing reads it in between.

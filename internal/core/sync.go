@@ -160,7 +160,7 @@ func (d *DSM) registerSyncServices() {
 
 		node.RegisterQuick(svcLockAcq, func(r *pm2.Request, arg interface{}) (interface{}, bool) {
 			req := arg.(*SyncEvent)
-			if d.recovery != nil && d.NodeDead(req.Node) {
+			if d.NodeDead(req.Node) {
 				return nil, false // stale acquire from a crashed node
 			}
 			ls := d.locks[req.Lock]
@@ -174,7 +174,7 @@ func (d *DSM) registerSyncServices() {
 
 		node.RegisterQuick(svcLockRel, func(_ *pm2.Request, arg interface{}) (interface{}, bool) {
 			req := arg.(*SyncEvent)
-			if d.recovery != nil && d.NodeDead(req.Node) {
+			if d.NodeDead(req.Node) {
 				return nil, false // stale release from a crashed node
 			}
 			ls := d.locks[req.Lock]
@@ -188,7 +188,7 @@ func (d *DSM) registerSyncServices() {
 		// Threaded, not quick: the completing arrival blocks in runMigrations.
 		node.Register(svcBarrier, true, func(h *pm2.Thread, arg interface{}) interface{} {
 			req := arg.(*barrierReq)
-			if d.recovery != nil && d.NodeDead(req.from) {
+			if d.NodeDead(req.from) {
 				return nil // stale arrival from a crashed node
 			}
 			bs := d.barriers[req.id]
@@ -287,7 +287,7 @@ func (d *DSM) noticeCoverage(bs *barrierState) bool {
 		if bs.arrivedNodes[n] {
 			continue
 		}
-		if d.recovery != nil && d.NodeDead(n) {
+		if d.NodeDead(n) {
 			continue
 		}
 		return false
@@ -303,7 +303,7 @@ func (d *DSM) grantNext(ls *lockState) {
 		next := ls.waiters[0]
 		ls.waiters = slices.Delete(ls.waiters, 0, 1)
 		next.req.Answer(nil)
-		if d.recovery != nil && d.NodeDead(next.from) {
+		if d.NodeDead(next.from) {
 			continue
 		}
 		ls.holder = next.from
@@ -324,7 +324,7 @@ func (d *DSM) Acquire(t *pm2.Thread, id int) {
 	ev := d.newSyncEvent(t, id, false)
 	t.Call(d.locks[id].home, svcLockAcq, ev, ctrlBytes, ctrlBytes)
 	d.eachInstance(func(p Protocol) { p.LockAcquire(ev) })
-	put(d, &d.recs.syncs, ev)
+	put(&d.recs.syncs, ev)
 }
 
 // newSyncEvent takes the record of one synchronization operation by t; the
@@ -345,7 +345,7 @@ func (d *DSM) Release(t *pm2.Thread, id int) {
 	ev := d.newSyncEvent(t, id, false)
 	d.eachInstance(func(p Protocol) { p.LockRelease(ev) })
 	res := t.Call(d.locks[id].home, svcLockRel, ev, ctrlBytes, ctrlBytes)
-	put(d, &d.recs.syncs, ev)
+	put(&d.recs.syncs, ev)
 	if msg, bad := res.(string); bad {
 		panic(msg) // misuse reported on the releasing thread, where it belongs
 	}
@@ -393,7 +393,7 @@ func (d *DSM) BarrierAs(t *pm2.Thread, id, participant, gen int) {
 		}
 	}
 	d.eachInstance(func(p Protocol) { p.LockAcquire(ev) })
-	put(d, &d.recs.syncs, ev)
+	put(&d.recs.syncs, ev)
 }
 
 // BarrierGen reports the number of completed generations of barrier id
@@ -408,7 +408,7 @@ func (d *DSM) BarrierGen(id int) int { return d.barriers[id].gen }
 func (d *DSM) FlushRelease(t *pm2.Thread) {
 	ev := d.newSyncEvent(t, -1, true)
 	d.eachInstance(func(p Protocol) { p.LockRelease(ev) })
-	put(d, &d.recs.syncs, ev)
+	put(&d.recs.syncs, ev)
 }
 
 // LockHome reports the manager node of lock id (tests and tools).

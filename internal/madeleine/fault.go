@@ -24,7 +24,9 @@ import (
 //   - a lossy link drops or duplicates each message independently with the
 //     configured probabilities, drawn from the fault layer's private PRNG so
 //     the engine's own random stream — and therefore the fault-free portion
-//     of the replay — is untouched.
+//     of the replay — is untouched. A duplicate occupies the link like the
+//     original but is never delivered: the receiver sees each message at
+//     most once, as over the reliable transports Madeleine runs on.
 
 // PartitionPolicy selects what happens to messages sent over a partitioned
 // link.
@@ -44,7 +46,8 @@ type FaultStats struct {
 	DeadDrops int
 	// Dropped counts messages discarded by partitions or lossy links.
 	Dropped int
-	// Duplicated counts extra copies injected by lossy links.
+	// Duplicated counts extra copies lossy links put on the wire (and the
+	// receiver discarded).
 	Duplicated int
 	// Held counts messages queued on partitioned links.
 	Held int
@@ -101,7 +104,6 @@ type faultState struct {
 	dead   []bool
 	links  map[linkKey]*linkFault
 	onDrop func(payload interface{})
-	dup    func(payload interface{}) interface{}
 	stats  FaultStats
 }
 
@@ -139,15 +141,6 @@ func (nw *Network) FaultStats() FaultStats {
 // left to the garbage collector.
 func (nw *Network) SetDropHandler(fn func(payload interface{})) {
 	nw.mustFaults("SetDropHandler").onDrop = fn
-}
-
-// SetDupHandler installs fn, called to produce an independent copy of a
-// payload when a lossy link duplicates a message. Returning nil vetoes the
-// duplication (the message is delivered once). Only named-channel messages
-// are ever duplicated; direct sends (RPC replies, acks) are not, because
-// their receivers own the reply queue and cannot distinguish copies.
-func (nw *Network) SetDupHandler(fn func(payload interface{}) interface{}) {
-	nw.mustFaults("SetDupHandler").dup = fn
 }
 
 func (nw *Network) mustFaults(op string) *faultState {
@@ -311,8 +304,9 @@ func (nw *Network) HealLink(from, to int) {
 }
 
 // SetLinkLoss makes the directed link lossy: each message is independently
-// dropped with probability dropRate and duplicated with probability dupRate.
-// Zero rates restore reliability.
+// dropped with probability dropRate and duplicated with probability dupRate
+// (a duplicate costs link time, never a second delivery). Zero rates
+// restore reliability.
 func (nw *Network) SetLinkLoss(from, to int, dropRate, dupRate float64) {
 	lf := nw.mustFaults("SetLinkLoss").link(from, to)
 	lf.dropRate = dropRate
@@ -343,9 +337,8 @@ func (nw *Network) dropPayload(fs *faultState, payload interface{}, isMsg bool) 
 // each pooled Message (and handing each inner payload to the drop handler)
 // exactly once; a queueing partition parks the whole envelope so heal
 // re-injects it through a single departure. Loss is drawn once per envelope
-// — it is one unit on the wire — and duplication never applies (the parts
-// share coalesced-reply state that must complete exactly once). parts is the
-// sender's scratch list, so the one branch that keeps it copies it.
+// — it is one unit on the wire — and no duplicate is drawn for it. parts is
+// the sender's scratch list, so the one branch that keeps it copies it.
 func (nw *Network) interceptGather(from, to int, parts []*Message, total int, d sim.Duration) bool {
 	fs := nw.faults
 	if to >= 0 && to < nw.n && fs.dead[to] || from >= 0 && from < nw.n && fs.dead[from] {
@@ -412,16 +405,10 @@ func (nw *Network) intercept(from, to int, q *sim.Chan, payload interface{}, siz
 		return true
 	}
 	if lf.dupRate > 0 && isMsg && fs.rng.Float64() < lf.dupRate {
-		if m, ok := payload.(*Message); ok && fs.dup != nil {
-			if inner := fs.dup(m.Payload); inner != nil {
-				m2 := nw.getMsg()
-				*m2 = *m
-				m2.Payload = inner
-				fs.stats.Duplicated++
-				depart := nw.departure(from, to, m2.Size)
-				nw.eng.SchedulePush(depart.Add(d), q, m2)
-			}
-		}
+		// The copy takes its turn on the NIC and the link ahead of the
+		// original; the receiving interface discards it.
+		fs.stats.Duplicated++
+		nw.departure(from, to, size)
 	}
 	return false
 }

@@ -1,6 +1,7 @@
 package madeleine
 
 import (
+	"slices"
 	"testing"
 
 	"dsmpm2/internal/sim"
@@ -216,5 +217,56 @@ func TestLinkLossDeterministic(t *testing.T) {
 	}
 	if a == 0 || a == 40 {
 		t.Fatalf("loss rate 0.5 delivered %d of 40 — draws not happening", a)
+	}
+}
+
+// TestDuplicateOccupiesLinkOnly: a link that duplicates every message hands
+// the receiver each message once, at the time a reliable link that carries
+// every message twice, copy first, delivers the second copy. A duplicate
+// costs NIC and link time and nothing else.
+func TestDuplicateOccupiesLinkOnly(t *testing.T) {
+	const msgs, size = 5, 4096
+	run := func(dup bool) (payloads []interface{}, arrivals []sim.Time) {
+		eng := sim.NewEngine(1)
+		nw := NewNetwork(eng, BIPMyrinet, 2)
+		nw.SetNICModel(true)
+		nw.SetLinkContention(true)
+		nw.EnableFaults(1, PartitionQueue)
+		copies := 2
+		if dup {
+			nw.SetLinkLoss(0, 1, 0, 1)
+			copies = 1
+		}
+		eng.Go("recv", func(p *sim.Proc) {
+			for i := 0; i < msgs*copies; i++ {
+				m := nw.Recv(p, 1, "ch")
+				if i%copies == copies-1 {
+					payloads = append(payloads, m.Payload)
+					arrivals = append(arrivals, p.Now())
+				}
+			}
+		})
+		eng.Go("send", func(p *sim.Proc) {
+			for i := 0; i < msgs; i++ {
+				for c := 0; c < copies; c++ {
+					nw.SendBulk(0, 1, "ch", size, i)
+				}
+			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := nw.TryRecv(1, "ch"); ok {
+			t.Fatalf("dup %v: a message was delivered twice", dup)
+		}
+		if got := nw.FaultStats().Duplicated; dup && got != msgs {
+			t.Fatalf("Duplicated = %d, want %d", got, msgs)
+		}
+		return payloads, arrivals
+	}
+	gotP, gotT := run(true)
+	wantP, wantT := run(false)
+	if !slices.Equal(gotP, wantP) || !slices.Equal(gotT, wantT) {
+		t.Fatalf("duplicating link delivered %v at %v,\nreliable link carrying each twice %v at %v", gotP, gotT, wantP, wantT)
 	}
 }

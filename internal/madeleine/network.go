@@ -285,9 +285,8 @@ type GatherPart struct {
 // The fault model treats the envelope as a unit: a dead endpoint or a
 // drop-policy partition discards every part (each pooled Message reclaimed
 // exactly once), a queueing partition holds and later re-injects the whole
-// envelope, and a lossy link draws its drop once per envelope. Multi-part
-// envelopes are never duplicated: their parts carry coalesced-reply state
-// that must complete exactly once. parts is the caller's again on return.
+// envelope, and a lossy link draws its drop once per envelope and no
+// duplicate. parts is the caller's again on return.
 func (nw *Network) SendGather(from, to int, parts []GatherPart, d sim.Duration) {
 	if len(parts) == 0 {
 		return

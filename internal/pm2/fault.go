@@ -12,35 +12,15 @@ import (
 // services connected to fresh, empty queues). The DSM layer above coordinates the
 // page-state recovery; this file only handles the runtime machinery.
 
-// Copier is implemented by RPC arguments that own something a second delivery
-// must not share (a pooled buffer): CopyArg returns an independent copy. A
-// duplicated request's argument without it is shared by both deliveries.
-type Copier interface{ CopyArg() interface{} }
-
 // EnableFaults switches on the network fault layer and registers the
-// runtime's payload handlers with it, so dropped RPC requests return their
-// pooled envelopes exactly once and duplicated one-way requests get an
-// independent envelope copy, argument included when it is a Copier.
+// runtime's drop handler with it, so dropped RPC requests return their pooled
+// envelopes exactly once.
 func (rt *Runtime) EnableFaults(seed int64, policy madeleine.PartitionPolicy) {
 	rt.net.EnableFaults(seed, policy)
 	rt.net.SetDropHandler(func(p interface{}) {
 		if r, ok := p.(*Request); ok {
 			rt.putReq(r)
 		}
-	})
-	rt.net.SetDupHandler(func(p interface{}) interface{} {
-		r, ok := p.(*Request)
-		if !ok || r.reply != nil {
-			// Only one-way invocations duplicate: a duplicated synchronous
-			// request would push two replies into one private reply queue.
-			return nil
-		}
-		r2 := rt.getReq()
-		*r2 = *r
-		if c, ok := r.arg.(Copier); ok {
-			r2.arg = c.CopyArg()
-		}
-		return r2
 	})
 }
 
