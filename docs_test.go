@@ -157,3 +157,19 @@ func TestDocsMatchTree(t *testing.T) {
 		}
 	}
 }
+
+// designLineBudget is DESIGN.md's line count, which may only go down: a change
+// that grows the document has to raise this number on purpose, in the same
+// diff, where a reviewer sees it.
+const designLineBudget = 1352
+
+// TestDesignStaysWithinBudget holds DESIGN.md to designLineBudget lines.
+func TestDesignStaysWithinBudget(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n > designLineBudget {
+		t.Fatalf("DESIGN.md has %d lines, over its budget of %d: shorten it, or raise designLineBudget deliberately", n, designLineBudget)
+	}
+}

@@ -1,6 +1,8 @@
 package dsmpm2
 
 import (
+	"fmt"
+
 	"dsmpm2/internal/core"
 	"dsmpm2/internal/madeleine"
 	"dsmpm2/internal/sim"
@@ -165,10 +167,21 @@ func (s *System) enableFaultLayers(seed int64, opts FaultOptions) {
 // replica set; synchronization managers (lock homes, barrier manager node
 // 0) must be protected nodes — crash them and their state dies for good.
 //
-// The error is for plans the system cannot take; no plan is refused today.
+// A plan the system cannot run is refused before anything is armed: one that
+// fails FaultPlan.Validate, or one whose events name a node or a link
+// endpoint this system does not have.
 func (s *System) InjectFaults(plan *FaultPlan, opts FaultOptions) error {
 	if plan == nil {
 		return nil
+	}
+	if err := plan.Validate(); err != nil {
+		return err
+	}
+	for i, ev := range plan.Events {
+		if n := s.rt.Nodes(); ev.Node >= n || ev.From >= n || ev.To >= n {
+			return fmt.Errorf("dsmpm2: fault plan event %d (%s) names node %d, %d->%d in a %d-node system",
+				i, ev.Kind, ev.Node, ev.From, ev.To, n)
+		}
 	}
 	s.enableFaultLayers(plan.Seed, opts)
 	s.faultPlan = plan

@@ -350,6 +350,113 @@ func duplicatedRun(t *testing.T, proto string, seed int64) bool {
 	return true
 }
 
+// TestHeldReleasesPoisoned: a partition longer than the retry timeout on the
+// link between a writer (node 2) and the pages' home (node 1) holds the
+// writer's diff envelopes and page requests, and the home's responses, past
+// the waits that sent them, so each is sent again and the held copy arrives
+// at the heal beside its re-send. The diffs those copies share must outlive
+// every copy: under hbrc_mw the first copy's DiffServer is still invalidating
+// the copies a reader on node 3 keeps when the re-send's ack wakes the
+// writer. A late page response may write only a timing its fault still owns.
+// The home and the partitioned node run read-modify-write sections over two
+// words of each of four pages; every word must read the oracle's total, under
+// hbrc_mw and entry_mw, with the use-after-free net off and on, for
+// partitions starting at twenty offsets into the run.
+//
+// The reader takes no lock, and writes nothing: a third writer's release
+// would find hbrc_mw's known hole under re-sends (ROADMAP item 11). Its
+// re-sent diff's DiffServer acks at once, the first copy's having taken the
+// copyset, while that copy's invalidation of the partitioned node is still
+// held, so the partitioned node can read its stale copy under the lock.
+func TestHeldReleasesPoisoned(t *testing.T) {
+	defer func() { core.PoisonFreed = false }()
+	for _, proto := range []string{"hbrc_mw", "entry_mw"} {
+		t.Run(proto, func(t *testing.T) {
+			held, retries := 0, int64(0)
+			for _, poison := range []bool{false, true} {
+				core.PoisonFreed = poison
+				for k := 1; k <= 20; k++ {
+					sys := heldRun(t, proto, at(dsmpm2.Duration(k)*100*dsmpm2.Microsecond))
+					held += sys.FaultStats().Held
+					retries += sys.RecoveryStats().Retries
+				}
+			}
+			if held == 0 || retries == 0 {
+				t.Fatalf("the partition held %d messages and caused %d retries; want both > 0", held, retries)
+			}
+		})
+	}
+}
+
+// heldRun is one case of TestHeldReleasesPoisoned: the 2<->1 partition starts
+// at start and lasts 12 ms, more than twice the default 5 ms retry timeout.
+func heldRun(t *testing.T, proto string, start dsmpm2.Time) *dsmpm2.System {
+	const (
+		nodes, pages, sections = 4, 4, 30
+		want                   = uint64(2 * sections)
+	)
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: nodes, Protocol: proto, Seed: 5})
+	plan := dsmpm2.NewFaultPlan(1)
+	plan.Partition(start, 2, 1).Heal(start+at(12*dsmpm2.Millisecond), 2, 1)
+	if err := sys.InjectFaults(plan, dsmpm2.FaultOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	base := sys.MustMalloc(1, pages*dsmpm2.PageSize, &dsmpm2.Attr{Protocol: -1, Home: 1})
+	word := func(pg, w int) dsmpm2.Addr { return base + dsmpm2.Addr(pg*dsmpm2.PageSize+8*w) }
+	lock := sys.NewLock(0)
+	finished := 0
+	for n := 1; n <= 2; n++ {
+		sys.Spawn(n, "writer", func(th *dsmpm2.Thread) {
+			for i := 0; i < sections; i++ {
+				th.Acquire(lock)
+				for pg := 0; pg < pages; pg++ {
+					for w := 0; w < 2; w++ {
+						th.WriteUint64(word(pg, w), th.ReadUint64(word(pg, w))+1)
+					}
+				}
+				th.Release(lock)
+			}
+			finished++
+		})
+	}
+	sys.Spawn(3, "reader", func(th *dsmpm2.Thread) {
+		for finished < 2 {
+			for pg := 0; pg < pages; pg++ {
+				th.ReadUint64(word(pg, 0))
+			}
+			th.Sleep(50 * dsmpm2.Microsecond)
+		}
+	})
+	eng := sys.Runtime().Engine()
+	eng.Schedule(at(dsmpm2.Second), func() {
+		if finished < 2 {
+			eng.Stop()
+		}
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatalf("partition at %v: %v", start, err)
+	}
+	if finished < 2 {
+		t.Fatalf("partition at %v: writers unfinished at one virtual second", start)
+	}
+	sys.Spawn(0, "checker", func(th *dsmpm2.Thread) {
+		th.Acquire(lock)
+		for pg := 0; pg < pages; pg++ {
+			for w := 0; w < 2; w++ {
+				if got := th.ReadUint64(word(pg, w)); got != want {
+					t.Errorf("partition at %v, poisoned %v: page %d word %d = %d, want %d",
+						start, core.PoisonFreed, pg, w, got, want)
+				}
+			}
+		}
+		th.Release(lock)
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatalf("partition at %v: %v", start, err)
+	}
+	return sys
+}
+
 // TestForwardedFetchesCompleteUnderRecovery: a request li_hudak forwards along
 // the probable-owner chain keeps the requester's fetch sequence number; with
 // any other number the requester takes the page it brings for a late
@@ -434,5 +541,31 @@ func TestLockManagerCrashDropsQueuedAcquires(t *testing.T) {
 	}
 	if st := sys.FaultStats(); st.Crashes != 1 || st.Restarts != 1 {
 		t.Errorf("fault counters %+v, want one crash and one restart", st)
+	}
+}
+
+// TestInjectFaultsRefusesUnrunnablePlans: a plan the system could only fail on
+// mid-run is refused at injection, with nothing armed — a crash of a node the
+// system does not have used to panic inside Engine.Run.
+func TestInjectFaultsRefusesUnrunnablePlans(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan *dsmpm2.FaultPlan
+	}{
+		{"crash of node 4 of 4", dsmpm2.NewFaultPlan(1).Crash(at(dsmpm2.Millisecond), 4)},
+		{"restart before crash", dsmpm2.NewFaultPlan(1).Restart(at(dsmpm2.Millisecond), 2).Crash(at(2*dsmpm2.Millisecond), 2)},
+		{"partition endpoint 7", dsmpm2.NewFaultPlan(1).Partition(at(dsmpm2.Millisecond), 1, 7)},
+	} {
+		sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "hbrc_mw", Seed: 1})
+		if err := sys.InjectFaults(tc.plan, dsmpm2.FaultOptions{}); err == nil {
+			t.Errorf("%s: plan accepted", tc.name)
+		}
+		if sys.Runtime().Network().FaultsEnabled() || sys.RecoveryStats() != (dsmpm2.RecoveryStats{}) {
+			t.Errorf("%s: a refused plan armed the fault layer", tc.name)
+		}
+	}
+	ok := dsmpm2.NewFaultPlan(1).Crash(at(dsmpm2.Millisecond), 3).Restart(at(2*dsmpm2.Millisecond), 3)
+	if err := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "hbrc_mw", Seed: 1}).InjectFaults(ok, dsmpm2.FaultOptions{}); err != nil {
+		t.Errorf("a runnable plan was refused: %v", err)
 	}
 }

@@ -112,7 +112,7 @@ func TestDeadlockReportDeterministic(t *testing.T) {
 // and are never reused). The goldens must not notice — recycling is
 // invisible in virtual time — and a reader that outlived its record fails
 // loudly. The faulty-jacobi leg poisons too: a run under recovery frees its
-// records like a fault-free one, all but its diffs and evicted timings.
+// records, diffs and evicted timings included, like a fault-free one.
 func TestGoldensPoisoned(t *testing.T) {
 	core.PoisonFreed = true
 	defer func() { core.PoisonFreed = false }()

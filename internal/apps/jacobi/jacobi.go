@@ -74,13 +74,11 @@ type Result struct {
 	Recovery dsmpm2.RecoveryStats
 }
 
-// boundary returns the fixed boundary value for grid edge cells.
-func boundary(i, j, n int) float64 {
-	if i == 0 {
-		return 100 // hot top edge
-	}
-	if i == n+1 || j == 0 || j == n+1 {
-		return 0
+// boundary returns the fixed value of an edge cell in row: the top edge is
+// hot, every other edge cold.
+func boundary(row int) float64 {
+	if row == 0 {
+		return 100
 	}
 	return 0
 }
@@ -106,7 +104,7 @@ func makeGrid(n int) [][]float64 {
 	for i := range g {
 		g[i] = make([]float64, n+2)
 		for j := range g[i] {
-			g[i][j] = boundary(i, j, n)
+			g[i][j] = boundary(i)
 		}
 	}
 	return g
@@ -122,15 +120,16 @@ func checksum(g [][]float64, n int) float64 {
 	return sum
 }
 
-// Run executes the distributed kernel and returns the result.
-func Run(cfg Config) (Result, error) {
+// newSystem checks cfg, fills in its default cell cost and builds the system
+// every driver runs on.
+func newSystem(cfg *Config) (*dsmpm2.System, error) {
 	if cfg.N < 2 || cfg.Nodes < 1 || cfg.Iterations < 1 {
-		return Result{}, fmt.Errorf("jacobi: invalid config %+v", cfg)
+		return nil, fmt.Errorf("jacobi: invalid config %+v", *cfg)
 	}
 	if cfg.CellCost == 0 {
 		cfg.CellCost = 100 // 0.1us per cell
 	}
-	sys, err := dsmpm2.New(dsmpm2.Config{
+	return dsmpm2.New(dsmpm2.Config{
 		Nodes:         cfg.Nodes,
 		Network:       cfg.Network,
 		Topology:      cfg.Topology,
@@ -140,98 +139,95 @@ func Run(cfg Config) (Result, error) {
 		Recovery:      cfg.Recovery,
 		Trace:         cfg.Trace,
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	if cfg.FaultPlan != nil {
-		return runRecoverable(cfg, sys)
-	}
-	n := cfg.N
-	rowBytes := (n + 2) * 8
+}
 
-	// Two grids, each distributed row-block by row-block so every block is
-	// homed on the node that writes it — unless MisplaceHomes parks
-	// everything on node 0 for the adapt experiment.
+// grid is the kernel's shared state, the one stencil every driver — Run,
+// runRecoverable and Session — computes through: two (N+2)-row grids of
+// float64 cells, their rows block-partitioned over the nodes that write them.
+type grid struct {
+	n, nodes int
+	cellCost dsmpm2.Duration
+	rows     [2][]dsmpm2.Addr
+}
+
+// newGrid allocates both grids, one row at a time: each row from its
+// owner's slice and homed there, or with home0 homed on node 0 (from node
+// 0's slice too, unless fromOwner).
+func newGrid(sys *dsmpm2.System, cfg Config, home0, fromOwner bool) *grid {
+	g := &grid{n: cfg.N, nodes: cfg.Nodes, cellCost: cfg.CellCost}
 	var attr *dsmpm2.Attr
-	if cfg.MisplaceHomes {
+	if home0 {
 		attr = &dsmpm2.Attr{Protocol: -1, Home: 0}
 	}
-	grids := [2][]dsmpm2.Addr{make([]dsmpm2.Addr, n+2), make([]dsmpm2.Addr, n+2)}
-	ownerOf := func(row int) int {
-		if row == 0 {
-			return 0
-		}
-		if row == n+1 {
-			return cfg.Nodes - 1
-		}
-		return (row - 1) * cfg.Nodes / n
-	}
-	for g := 0; g < 2; g++ {
-		for row := 0; row <= n+1; row++ {
-			grids[g][row] = sys.MustMalloc(ownerOf(row), rowBytes, attr)
+	for k := range g.rows {
+		g.rows[k] = make([]dsmpm2.Addr, g.n+2)
+		for row := range g.rows[k] {
+			from := 0
+			if fromOwner {
+				from = g.ownerOf(row)
+			}
+			g.rows[k][row] = sys.MustMalloc(from, (g.n+2)*8, attr)
 		}
 	}
+	return g
+}
 
-	// Initialize both grids with boundary values from their owner nodes.
-	for node := 0; node < cfg.Nodes; node++ {
-		node := node
-		sys.Spawn(node, fmt.Sprintf("init%d", node), func(t *dsmpm2.Thread) {
-			for g := 0; g < 2; g++ {
-				for row := 0; row <= n+1; row++ {
-					if ownerOf(row) != node {
-						continue
-					}
-					for j := 0; j <= n+1; j++ {
-						v := boundary(row, j, n)
-						t.WriteUint64(grids[g][row]+dsmpm2.Addr(8*j), math.Float64bits(v))
-					}
+// ownerOf returns the node that writes row.
+func (g *grid) ownerOf(row int) int {
+	if row == 0 {
+		return 0
+	}
+	if row == g.n+1 {
+		return g.nodes - 1
+	}
+	return (row - 1) * g.nodes / g.n
+}
+
+// unit performs node's share of one work unit: boundary initialization of
+// both grids for unit 0, sweep unit-1 otherwise. Units are idempotent — they
+// recompute the same values from the same committed inputs — which is what
+// makes redoing them after a crash safe.
+func (g *grid) unit(t *dsmpm2.Thread, node, unit int) {
+	n := g.n
+	if unit == 0 {
+		for k := range g.rows {
+			for row := 0; row <= n+1; row++ {
+				if g.ownerOf(row) != node {
+					continue
+				}
+				for j := 0; j <= n+1; j++ {
+					t.WriteUint64(g.rows[k][row]+dsmpm2.Addr(8*j), math.Float64bits(boundary(row)))
 				}
 			}
-		})
+		}
+		return
 	}
-	if err := sys.Run(); err != nil {
-		return Result{}, err
+	cur, next := g.rows[(unit-1)%2], g.rows[unit%2]
+	for row := 1; row <= n; row++ {
+		if g.ownerOf(row) != node {
+			continue
+		}
+		up, down, mid, dst := cur[row-1], cur[row+1], cur[row], next[row]
+		for j := 1; j <= n; j++ {
+			a := math.Float64frombits(t.ReadUint64(up + dsmpm2.Addr(8*j)))
+			b := math.Float64frombits(t.ReadUint64(down + dsmpm2.Addr(8*j)))
+			c := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j-1))))
+			d := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j+1))))
+			t.WriteUint64(dst+dsmpm2.Addr(8*j), math.Float64bits(0.25*(a+b+c+d)))
+		}
+		t.Compute(dsmpm2.Duration(n) * g.cellCost)
 	}
+}
 
-	bar := sys.NewBarrier(cfg.Nodes)
-	for node := 0; node < cfg.Nodes; node++ {
-		node := node
-		sys.Spawn(node, fmt.Sprintf("jacobi%d", node), func(t *dsmpm2.Thread) {
-			cur, next := 0, 1
-			for it := 0; it < cfg.Iterations; it++ {
-				for row := 1; row <= n; row++ {
-					if ownerOf(row) != node {
-						continue
-					}
-					up, down := grids[cur][row-1], grids[cur][row+1]
-					mid := grids[cur][row]
-					dst := grids[next][row]
-					for j := 1; j <= n; j++ {
-						a := math.Float64frombits(t.ReadUint64(up + dsmpm2.Addr(8*j)))
-						b := math.Float64frombits(t.ReadUint64(down + dsmpm2.Addr(8*j)))
-						c := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j-1))))
-						d := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j+1))))
-						t.WriteUint64(dst+dsmpm2.Addr(8*j), math.Float64bits(0.25*(a+b+c+d)))
-					}
-					t.Compute(dsmpm2.Duration(n) * cfg.CellCost)
-				}
-				t.Barrier(bar)
-				cur, next = next, cur
-			}
-		})
-	}
-	if err := sys.Run(); err != nil {
-		return Result{}, err
-	}
-
-	// Collect the checksum from node 0, reading through the DSM.
-	final := cfg.Iterations % 2
-	res := Result{Elapsed: sys.Now(), Stats: sys.Stats(), System: sys}
+// checksum sums the interior of the grid the last of iterations sweeps wrote,
+// reading through the DSM from node 0, into res.
+func (g *grid) checksum(sys *dsmpm2.System, iterations int, res Result) (Result, error) {
+	final := g.rows[iterations%2]
 	sys.Spawn(0, "checksum", func(t *dsmpm2.Thread) {
 		sum := 0.0
-		for row := 1; row <= n; row++ {
-			for j := 1; j <= n; j++ {
-				sum += math.Float64frombits(t.ReadUint64(grids[final][row] + dsmpm2.Addr(8*j)))
+		for row := 1; row <= g.n; row++ {
+			for j := 1; j <= g.n; j++ {
+				sum += math.Float64frombits(t.ReadUint64(final[row] + dsmpm2.Addr(8*j)))
 			}
 		}
 		res.Checksum = sum
@@ -240,6 +236,40 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return res, nil
+}
+
+// Run executes the distributed kernel and returns the result.
+func Run(cfg Config) (Result, error) {
+	sys, err := newSystem(&cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	if cfg.FaultPlan != nil {
+		return runRecoverable(cfg, sys)
+	}
+	// Every block is homed on the node that writes it — unless MisplaceHomes
+	// parks everything on node 0 for the adapt experiment.
+	g := newGrid(sys, cfg, cfg.MisplaceHomes, true)
+	// Initialize both grids with boundary values from their owner nodes.
+	for node := 0; node < cfg.Nodes; node++ {
+		sys.Spawn(node, fmt.Sprintf("init%d", node), func(t *dsmpm2.Thread) { g.unit(t, node, 0) })
+	}
+	if err := sys.Run(); err != nil {
+		return Result{}, err
+	}
+	bar := sys.NewBarrier(cfg.Nodes)
+	for node := 0; node < cfg.Nodes; node++ {
+		sys.Spawn(node, fmt.Sprintf("jacobi%d", node), func(t *dsmpm2.Thread) {
+			for unit := 1; unit <= cfg.Iterations; unit++ {
+				g.unit(t, node, unit)
+				t.Barrier(bar)
+			}
+		})
+	}
+	if err := sys.Run(); err != nil {
+		return Result{}, err
+	}
+	return g.checksum(sys, cfg.Iterations, Result{Elapsed: sys.Now(), Stats: sys.Stats(), System: sys})
 }
 
 // runRecoverable is the restart-aware variant of the kernel, used when a
@@ -254,38 +284,16 @@ func Run(cfg Config) (Result, error) {
 //   - before checkpointing a completed unit, the worker flushes its diffs
 //     home (Thread.Flush): the checkpoint never claims work whose
 //     modifications would die with the node. A crash therefore costs at
-//     most one redone unit, and redone units are idempotent — they
-//     recompute the same values from the same committed inputs.
+//     most one redone unit.
 func runRecoverable(cfg Config, sys *dsmpm2.System) (Result, error) {
-	n := cfg.N
-	rowBytes := (n + 2) * 8
-	home0 := &dsmpm2.Attr{Protocol: -1, Home: 0}
-
-	grids := [2][]dsmpm2.Addr{make([]dsmpm2.Addr, n+2), make([]dsmpm2.Addr, n+2)}
-	ownerOf := func(row int) int {
-		if row == 0 {
-			return 0
-		}
-		if row == n+1 {
-			return cfg.Nodes - 1
-		}
-		return (row - 1) * cfg.Nodes / n
-	}
-	for g := 0; g < 2; g++ {
-		for row := 0; row <= n+1; row++ {
-			grids[g][row] = sys.MustMalloc(0, rowBytes, home0)
-		}
-	}
-
+	g := newGrid(sys, cfg, true, false)
 	// lastDone[node] is the node's local checkpoint: the highest work unit
-	// whose modifications are committed at the home. Unit 0 is grid
-	// initialization; unit k is sweep k-1. In a real system this counter
-	// would sit in the node's stable storage.
+	// whose modifications are committed at the home. In a real system this
+	// counter would sit in the node's stable storage.
 	lastDone := make([]int, cfg.Nodes)
 	for i := range lastDone {
 		lastDone[i] = -1
 	}
-	units := cfg.Iterations + 1
 	bar := sys.NewBarrier(cfg.Nodes)
 
 	// finishedAt is the computation's true end: the latest instant a worker
@@ -294,40 +302,8 @@ func runRecoverable(cfg Config, sys *dsmpm2.System) (Result, error) {
 	// workload's end (an MTBF horizon, a late heal) inflates arbitrarily.
 	var finishedAt dsmpm2.Time
 	runWorker := func(t *dsmpm2.Thread, node, startUnit int) {
-		for unit := startUnit; unit < units; unit++ {
-			if unit == 0 {
-				// Init: boundary values into both grids' own rows.
-				for g := 0; g < 2; g++ {
-					for row := 0; row <= n+1; row++ {
-						if ownerOf(row) != node {
-							continue
-						}
-						for j := 0; j <= n+1; j++ {
-							v := boundary(row, j, n)
-							t.WriteUint64(grids[g][row]+dsmpm2.Addr(8*j), math.Float64bits(v))
-						}
-					}
-				}
-			} else {
-				it := unit - 1
-				cur, next := it%2, (it+1)%2
-				for row := 1; row <= n; row++ {
-					if ownerOf(row) != node {
-						continue
-					}
-					up, down := grids[cur][row-1], grids[cur][row+1]
-					mid := grids[cur][row]
-					dst := grids[next][row]
-					for j := 1; j <= n; j++ {
-						a := math.Float64frombits(t.ReadUint64(up + dsmpm2.Addr(8*j)))
-						b := math.Float64frombits(t.ReadUint64(down + dsmpm2.Addr(8*j)))
-						c := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j-1))))
-						d := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j+1))))
-						t.WriteUint64(dst+dsmpm2.Addr(8*j), math.Float64bits(0.25*(a+b+c+d)))
-					}
-					t.Compute(dsmpm2.Duration(n) * cfg.CellCost)
-				}
-			}
+		for unit := startUnit; unit <= cfg.Iterations; unit++ {
+			g.unit(t, node, unit)
 			t.Flush() // commit home before the checkpoint claims the unit
 			lastDone[node] = unit
 			t.BarrierAs(bar, node, unit)
@@ -356,29 +332,11 @@ func runRecoverable(cfg Config, sys *dsmpm2.System) (Result, error) {
 	}
 
 	for node := 0; node < cfg.Nodes; node++ {
-		node := node
-		sys.Spawn(node, fmt.Sprintf("jacobi%d", node), func(t *dsmpm2.Thread) {
-			runWorker(t, node, 0)
-		})
+		sys.Spawn(node, fmt.Sprintf("jacobi%d", node), func(t *dsmpm2.Thread) { runWorker(t, node, 0) })
 	}
 	if err := sys.Run(); err != nil {
 		return Result{}, err
 	}
-
-	final := cfg.Iterations % 2
-	res := Result{Elapsed: finishedAt, Stats: sys.Stats(), System: sys,
-		Faults: sys.FaultStats(), Recovery: sys.RecoveryStats()}
-	sys.Spawn(0, "checksum", func(t *dsmpm2.Thread) {
-		sum := 0.0
-		for row := 1; row <= n; row++ {
-			for j := 1; j <= n; j++ {
-				sum += math.Float64frombits(t.ReadUint64(grids[final][row] + dsmpm2.Addr(8*j)))
-			}
-		}
-		res.Checksum = sum
-	})
-	if err := sys.Run(); err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	return g.checksum(sys, cfg.Iterations, Result{Elapsed: finishedAt, Stats: sys.Stats(), System: sys,
+		Faults: sys.FaultStats(), Recovery: sys.RecoveryStats()})
 }

@@ -74,3 +74,23 @@ func TestJacobiBadConfig(t *testing.T) {
 		t.Error("0 iterations accepted")
 	}
 }
+
+// TestSessionRefusesTrace: a checkpoint carries no spans, so a session asked
+// to trace is refused up front instead of running untraced without a word.
+func TestSessionRefusesTrace(t *testing.T) {
+	cfg := Config{N: 8, Iterations: 2, Nodes: 2, Protocol: "hbrc_mw", Seed: 1, Trace: true}
+	if _, err := NewSession(cfg); err == nil {
+		t.Fatal("NewSession accepted Trace: true")
+	}
+	cfg.Trace = false
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunToEnd(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Result(); err != nil || res.Checksum != SolveSerial(8, 2) {
+		t.Fatalf("untraced session: checksum %v, error %v; want %v", res.Checksum, err, SolveSerial(8, 2))
+	}
+}

@@ -3,7 +3,6 @@ package jacobi
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"dsmpm2"
 )
@@ -36,7 +35,7 @@ import (
 type Session struct {
 	cfg   Config
 	sys   *dsmpm2.System
-	grids [2][]dsmpm2.Addr
+	g     *grid
 	bar   int
 	units int
 	step  int   // next step to execute, in [0, Steps()]
@@ -81,24 +80,14 @@ type sessionState struct {
 }
 
 // NewSession builds a session over a fresh system: shared grids allocated,
-// barrier created, fault plan (if any) injected.
-// No step has run yet.
+// barrier created, fault plan (if any) injected. No step has run yet. A
+// session cannot trace: a checkpoint carries no spans, so Config.Trace is
+// refused.
 func NewSession(cfg Config) (*Session, error) {
-	if cfg.N < 2 || cfg.Nodes < 1 || cfg.Iterations < 1 {
-		return nil, fmt.Errorf("jacobi: invalid config %+v", cfg)
+	if cfg.Trace {
+		return nil, fmt.Errorf("jacobi: a session cannot trace (checkpoints carry no spans)")
 	}
-	if cfg.CellCost == 0 {
-		cfg.CellCost = 100
-	}
-	sys, err := dsmpm2.New(dsmpm2.Config{
-		Nodes:         cfg.Nodes,
-		Network:       cfg.Network,
-		Topology:      cfg.Topology,
-		Protocol:      cfg.Protocol,
-		Seed:          cfg.Seed,
-		AdaptiveHomes: cfg.AdaptiveHomes,
-		Recovery:      cfg.Recovery,
-	})
+	sys, err := newSystem(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -107,25 +96,11 @@ func NewSession(cfg Config) (*Session, error) {
 	for i := range s.done {
 		s.done[i] = -1
 	}
-	n := cfg.N
-	rowBytes := (n + 2) * 8
-	var attr *dsmpm2.Attr
-	if cfg.FaultPlan != nil || cfg.MisplaceHomes {
-		// Fault plans require the reliable-home layout (all rows on
-		// protected node 0), which is also the adapt experiment's
-		// deliberately bad placement.
-		attr = &dsmpm2.Attr{Protocol: -1, Home: 0}
-	}
-	s.grids = [2][]dsmpm2.Addr{make([]dsmpm2.Addr, n+2), make([]dsmpm2.Addr, n+2)}
-	for g := 0; g < 2; g++ {
-		for row := 0; row <= n+1; row++ {
-			home := s.ownerOf(row)
-			if attr != nil {
-				home = 0
-			}
-			s.grids[g][row] = sys.MustMalloc(home, rowBytes, attr)
-		}
-	}
+	// Fault plans require the reliable-home layout (all rows on protected
+	// node 0), which is also the adapt experiment's deliberately bad
+	// placement.
+	home0 := cfg.FaultPlan != nil || cfg.MisplaceHomes
+	s.g = newGrid(sys, cfg, home0, !home0)
 	s.bar = sys.NewBarrier(cfg.Nodes)
 	// Drain whatever construction scheduled: a session sits at a drained
 	// safe point between steps, including before the first.
@@ -149,61 +124,11 @@ func (s *Session) Steps() int { return 2 * s.units }
 // StepsDone reports how many steps have completed.
 func (s *Session) StepsDone() int { return s.step }
 
-func (s *Session) ownerOf(row int) int {
-	if row == 0 {
-		return 0
-	}
-	if row == s.cfg.N+1 {
-		return s.cfg.Nodes - 1
-	}
-	return (row - 1) * s.cfg.Nodes / s.cfg.N
-}
-
-// computeUnit performs one node's share of one work unit: boundary
-// initialization for unit 0, one Jacobi sweep otherwise. Units are
-// idempotent — they recompute the same values from the same committed
-// inputs — which is what makes redoing them after a crash safe.
-func (s *Session) computeUnit(t *dsmpm2.Thread, node, unit int) {
-	n := s.cfg.N
-	if unit == 0 {
-		for g := 0; g < 2; g++ {
-			for row := 0; row <= n+1; row++ {
-				if s.ownerOf(row) != node {
-					continue
-				}
-				for j := 0; j <= n+1; j++ {
-					v := boundary(row, j, n)
-					t.WriteUint64(s.grids[g][row]+dsmpm2.Addr(8*j), math.Float64bits(v))
-				}
-			}
-		}
-		return
-	}
-	it := unit - 1
-	cur, next := it%2, (it+1)%2
-	for row := 1; row <= n; row++ {
-		if s.ownerOf(row) != node {
-			continue
-		}
-		up, down := s.grids[cur][row-1], s.grids[cur][row+1]
-		mid := s.grids[cur][row]
-		dst := s.grids[next][row]
-		for j := 1; j <= n; j++ {
-			a := math.Float64frombits(t.ReadUint64(up + dsmpm2.Addr(8*j)))
-			b := math.Float64frombits(t.ReadUint64(down + dsmpm2.Addr(8*j)))
-			c := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j-1))))
-			d := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j+1))))
-			t.WriteUint64(dst+dsmpm2.Addr(8*j), math.Float64bits(0.25*(a+b+c+d)))
-		}
-		t.Compute(dsmpm2.Duration(n) * s.cfg.CellCost)
-	}
-}
-
 // phaseA is one node's commit half of a unit: compute, flush the diffs home
 // (the checkpoint must never claim work whose modifications would die with
 // the node), then record the local checkpoint.
 func (s *Session) phaseA(t *dsmpm2.Thread, node, unit int) {
-	s.computeUnit(t, node, unit)
+	s.g.unit(t, node, unit)
 	t.Flush()
 	s.sys.RecordCheckpoint(node, unit)
 	s.done[node] = unit
@@ -239,7 +164,7 @@ func (s *Session) Step() error {
 	s.curUnit, s.curPhase = u, ph
 	if s.step == s.PerturbStep {
 		s.sys.Spawn(0, "perturb", func(t *dsmpm2.Thread) {
-			addr := s.grids[0][1] + 8
+			addr := s.g.rows[0][1] + 8
 			t.WriteUint64(addr, t.ReadUint64(addr)) // same value, extra traffic
 			t.Flush()
 		})
@@ -330,9 +255,9 @@ func (s *Session) Checkpoint() (*dsmpm2.Checkpoint, error) {
 		Cold:       s.ColdRestart,
 		FinishedAt: s.finishedAt,
 	}
-	for g := 0; g < 2; g++ {
-		for _, a := range s.grids[g] {
-			st.Grids[g] = append(st.Grids[g], uint64(a))
+	for k, rows := range s.g.rows {
+		for _, a := range rows {
+			st.Grids[k] = append(st.Grids[k], uint64(a))
 		}
 	}
 	blob, err := json.Marshal(st)
@@ -369,13 +294,13 @@ func ResumeSession(ck *dsmpm2.Checkpoint) (*Session, error) {
 		return nil, err
 	}
 	s.sys = sys
-	for g := 0; g < 2; g++ {
-		if len(st.Grids[g]) != st.N+2 {
-			return nil, fmt.Errorf("jacobi: session state has %d grid rows, want %d", len(st.Grids[g]), st.N+2)
+	s.g = &grid{n: st.N, nodes: nodes, cellCost: st.CellCost}
+	for k, rows := range st.Grids {
+		if len(rows) != st.N+2 {
+			return nil, fmt.Errorf("jacobi: session state has %d grid rows, want %d", len(rows), st.N+2)
 		}
-		s.grids[g] = make([]dsmpm2.Addr, st.N+2)
-		for row, a := range st.Grids[g] {
-			s.grids[g][row] = dsmpm2.Addr(a)
+		for _, a := range rows {
+			s.g.rows[k] = append(s.g.rows[k], dsmpm2.Addr(a))
 		}
 	}
 	return s, nil
@@ -386,21 +311,6 @@ func (s *Session) Result() (Result, error) {
 	if s.step < s.Steps() {
 		return Result{}, fmt.Errorf("jacobi: session has %d steps left", s.Steps()-s.step)
 	}
-	n := s.cfg.N
-	final := s.cfg.Iterations % 2
-	res := Result{Elapsed: s.finishedAt, Stats: s.sys.Stats(), System: s.sys,
-		Faults: s.sys.FaultStats(), Recovery: s.sys.RecoveryStats()}
-	s.sys.Spawn(0, "checksum", func(t *dsmpm2.Thread) {
-		sum := 0.0
-		for row := 1; row <= n; row++ {
-			for j := 1; j <= n; j++ {
-				sum += math.Float64frombits(t.ReadUint64(s.grids[final][row] + dsmpm2.Addr(8*j)))
-			}
-		}
-		res.Checksum = sum
-	})
-	if err := s.sys.Run(); err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	return s.g.checksum(s.sys, s.cfg.Iterations, Result{Elapsed: s.finishedAt, Stats: s.sys.Stats(), System: s.sys,
+		Faults: s.sys.FaultStats(), Recovery: s.sys.RecoveryStats()})
 }

@@ -84,7 +84,10 @@ func (d *DSM) handleFault(t *pm2.Thread, addr Addr, pg Page, write bool) {
 	// The timing record outlives the fault in the ring, and comes from
 	// there: the record a later fault evicts serves the next one.
 	ft := take(&d.recs.timings)
-	ft.Start, ft.Protocol, ft.Write, ft.Detect = start, proto.Name(), write, d.costs.Fault
+	if d.faultSeq++; d.faultSeq == 0 {
+		d.faultSeq = 1 // wrapped: 0 marks a freed record
+	}
+	ft.Start, ft.Protocol, ft.Write, ft.Detect, ft.seq = start, proto.Name(), write, d.costs.Fault, d.faultSeq
 	f := take(&d.recs.faults)
 	f.DSM, f.Thread, f.Node, f.Addr, f.Page, f.Write, f.Entry, f.Timing = d, t, node, addr, pg, write, e, ft
 	d.nodeFaults[node]++
@@ -109,11 +112,10 @@ func (d *DSM) handleFault(t *pm2.Thread, addr Addr, pg Page, write bool) {
 }
 
 // logTiming puts a finished fault's timing into the ring. The record the ring
-// evicts serves a later fault — unless recovery is on, when it goes to the
-// collector: a retried fetch's late response still writes the timing it
-// carried.
+// evicts serves a later fault; a late response still carrying it writes
+// nothing (liveTiming).
 func (d *DSM) logTiming(ft *FaultTiming) {
-	if old := d.timings.Add(ft); old != nil && d.recovery == nil {
+	if old := d.timings.Add(ft); old != nil {
 		put(&d.recs.timings, old)
 	}
 }

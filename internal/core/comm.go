@@ -44,8 +44,8 @@ func (d *DSM) registerServices() {
 				// request served now would strand ownership on a corpse.
 				return nil
 			}
-			if r.Timing != nil {
-				r.Timing.Request = h.Now().Sub(r.sentAt)
+			if ft := liveTiming(r.Timing, r.ftSeq); ft != nil {
+				ft.Request = h.Now().Sub(r.sentAt)
 			}
 			r.DSM, r.Thread, r.Node = d, h, h.Node()
 			p := d.protoAt(r.Node, r.Page)
@@ -60,9 +60,9 @@ func (d *DSM) registerServices() {
 
 		node.Register(svcPage, false, func(h *pm2.Thread, arg interface{}) interface{} {
 			pm := arg.(*PageMsg)
-			if pm.Timing != nil {
-				pm.Timing.Transfer = h.Now().Sub(pm.sentAt)
-				pm.Timing.Link = pm.link
+			if ft := liveTiming(pm.Timing, pm.ftSeq); ft != nil {
+				ft.Transfer = h.Now().Sub(pm.sentAt)
+				ft.Link = pm.link
 			}
 			pm.DSM, pm.Thread, pm.Node = d, h, h.Node()
 			d.protoAt(pm.Node, pm.Page).ReceivePageServer(pm)
@@ -189,23 +189,27 @@ func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool
 		reply = new(sim.Chan)
 	}
 	for attempt := 0; ; attempt++ {
-		// Every shipment is a fresh record: the receiver frees the one it
-		// got. A re-send is counted like the first.
+		// Each shipment is a fresh record holding every diff, freed (and the
+		// diffs let go) by its receiver; a re-send counts like the first.
 		m := take(&d.recs.diffMsgs)
 		m.From, m.Diffs, m.reply = t.Node(), diffs, reply
+		for _, df := range diffs {
+			df.Refs++
+		}
 		st.DiffsSent += int64(len(diffs))
 		st.Sends++
 		st.Envelopes++
 		d.rt.AsyncFrom(t.Node(), dest, svcDiff, m, size)
 		if !wait {
-			return
+			break
 		}
 		if _, ok := d.await(t, reply, attempt); ok {
-			return
+			break
 		}
+		d.retried()
 		if d.NodeDead(dest) {
 			// The home died with our diffs unacknowledged: re-route each
-			// diff to its page's current home.
+			// diff, and this sender's hold on it, to its page's current home.
 			for _, df := range diffs {
 				d.rerouteDiff(t, df)
 			}
@@ -216,17 +220,18 @@ func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool
 		// again — diffs apply idempotently, and a second ack just lingers
 		// unread in this call's private reply channel.
 	}
+	for _, df := range diffs {
+		FreeDiff(d, df)
+	}
 }
 
-// rerouteDiff delivers a diff to its page's current home after the original
-// destination died. When this node *became* the home, the diff goes through
-// the protocol's own DiffServer so its commit side effects (applying, then
-// invalidating third-party copies) happen exactly as they would have at the
-// old home.
+// rerouteDiff delivers a diff, and the caller's hold on it, to its page's
+// current home after the original destination died. When this node *became*
+// the home, the diff goes through the protocol's own DiffServer so its commit
+// side effects (applying, then invalidating third-party copies) happen
+// exactly as they would have at the old home.
 func (d *DSM) rerouteDiff(t *pm2.Thread, df *memory.Diff) {
-	pi := d.dir[df.Page]
-	home := pi.home
-	if home != t.Node() {
+	if home := d.dir[df.Page].home; home != t.Node() {
 		d.sendDiffs(t, home, []*memory.Diff{df}, true)
 		return
 	}
@@ -235,12 +240,13 @@ func (d *DSM) rerouteDiff(t *pm2.Thread, df *memory.Diff) {
 			DSM: d, Thread: t, Node: t.Node(), From: t.Node(),
 			Diffs: []*memory.Diff{df},
 		})
-		return
+	} else {
+		e := d.Entry(t.Node(), df.Page)
+		e.Lock(t)
+		if frame := d.state[t.Node()].space.Frame(df.Page); frame != nil {
+			memory.ApplyDiff(frame.Data, df)
+		}
+		e.Unlock(t)
 	}
-	e := d.Entry(t.Node(), df.Page)
-	e.Lock(t)
-	if frame := d.state[t.Node()].space.Frame(df.Page); frame != nil {
-		memory.ApplyDiff(frame.Data, df)
-	}
-	e.Unlock(t)
+	FreeDiff(d, df)
 }

@@ -88,6 +88,11 @@ type nodeState struct {
 	notices map[int][]WriteNotice
 }
 
+// newNodeState is node n's state holding nothing: no frames, no entries.
+func newNodeState(n int) *nodeState {
+	return &nodeState{node: n, space: memory.NewSpace(PageSize), table: make(map[Page]*Entry)}
+}
+
 // DSM is a DSM-PM2 instance spanning all nodes of a PM2 machine.
 type DSM struct {
 	rt    *pm2.Runtime
@@ -127,9 +132,11 @@ type DSM struct {
 	// See profiler.go and migrate.go.
 	prof *profilerState
 
-	// stats and timings are the DSM-wide counters and fault-timing ring.
+	// stats and timings are the DSM-wide counters and fault-timing ring;
+	// faultSeq numbers the faults the ring's records are taken for.
 	stats      Stats
 	timings    TimingLog
+	faultSeq   uint32
 	nodeFaults []int64
 
 	// opHists holds the per-operation latency histograms (see histogram.go),
@@ -166,11 +173,7 @@ func New(rt *pm2.Runtime, reg *Registry, costs Costs) *DSM {
 	}
 	d.nodeFaults = make([]int64, rt.Nodes())
 	for i := 0; i < rt.Nodes(); i++ {
-		d.state = append(d.state, &nodeState{
-			node:  i,
-			space: memory.NewSpace(PageSize),
-			table: make(map[Page]*Entry),
-		})
+		d.state = append(d.state, newNodeState(i))
 	}
 	d.objects = newObjectSpace(d)
 	d.registerServices()

@@ -145,6 +145,7 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 		if _, ok := d.await(h, ack, attempt); ok {
 			break
 		}
+		d.retried()
 		if d.NodeDead(m.newHome) {
 			// The new home died before installing: the page stays here,
 			// untouched, and the manager is told so. The in-flight wire
@@ -304,6 +305,7 @@ func (d *DSM) finishMigration(h *pm2.Thread, f *migFlight) bool {
 			}
 			break
 		}
+		d.retried()
 		if d.NodeDead(f.owner) {
 			return false
 		}
@@ -316,7 +318,7 @@ func (d *DSM) finishMigration(h *pm2.Thread, f *migFlight) bool {
 	pi.home = f.newHome
 	d.dir[f.pg] = pi
 	d.stats.HomeMigrations++
-	d.timings.Add(&FaultTiming{
+	d.logTiming(&FaultTiming{
 		Start:    f.start,
 		Protocol: "migrate_home",
 		Link:     d.rt.Link(f.owner, f.newHome).Name,

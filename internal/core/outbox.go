@@ -161,11 +161,22 @@ func (b *Batch) liveRuns(yield func(dest int, run []batchOp) bool) {
 	}
 }
 
-// reroute delivers a run's diffs to their pages' current homes.
+// reroute delivers a run's diffs, and the sender's hold on them, to their
+// pages' current homes.
 func (b *Batch) reroute(run []batchOp) {
 	for _, op := range run {
 		if op.diff != nil {
 			b.d.rerouteDiff(b.t, op.diff)
+		}
+	}
+}
+
+// release lets go of the sender's hold on a run's diffs once nothing can
+// send them again.
+func (b *Batch) release(run []batchOp) {
+	for _, op := range run {
+		if op.diff != nil {
+			FreeDiff(b.d, op.diff)
 		}
 	}
 }
@@ -204,6 +215,7 @@ func (b *Batch) send(wait bool) {
 				call: d.rt.StartVecFrom(b.node, dest, b.elems, ctrlBytes)})
 		} else {
 			d.rt.AsyncVecFrom(b.node, dest, b.elems)
+			b.release(run)
 		}
 	}
 	for i := range b.flights {
@@ -212,9 +224,9 @@ func (b *Batch) send(wait bool) {
 }
 
 // envelope builds run's envelope in b.elems, counted as shipped, from fresh
-// records: the receiver frees what it is sent, so a re-send cannot reuse the
-// first send's. It returns how many of the elements are invalidations, and
-// the bytes of the diffs.
+// records that each hold their diff: the receiver frees what it is sent, so a
+// re-send cannot reuse the first send's. It returns how many of the elements
+// are invalidations, and the bytes of the diffs.
 func (b *Batch) envelope(run []batchOp) (acks int, diffBytes int64) {
 	d := b.d
 	b.elems = b.elems[:0]
@@ -228,6 +240,7 @@ func (b *Batch) envelope(run []batchOp) (acks int, diffBytes int64) {
 		dm := take(&d.recs.diffMsgs)
 		dm.From, dm.Noticed, dm.one[0] = b.node, op.noticed, op.diff
 		dm.Diffs = dm.one[:]
+		op.diff.Refs++
 		size := ctrlBytes + op.diff.Size()
 		b.elems = append(b.elems, pm2.VecElem{Svc: svcDiff, Size: size, Arg: dm})
 		diffBytes += int64(size)
@@ -250,6 +263,7 @@ func (b *Batch) waitFlight(f *batchFlight) {
 		if _, ok := d.await(b.t, f.call.Reply(), attempt); ok {
 			break
 		}
+		d.retried()
 		if d.NodeDead(f.dest) {
 			b.reroute(f.run)
 			return
@@ -263,6 +277,7 @@ func (b *Batch) waitFlight(f *batchFlight) {
 	}
 	f.call.Release()
 	d.stats.InvAcks += int64(f.acks)
+	b.release(f.run)
 }
 
 // NoticesUsable reports whether a release at this synchronization point may

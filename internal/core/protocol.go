@@ -54,6 +54,7 @@ type Request struct {
 	Page   Page
 	From   int // requesting node
 	Write  bool
+	ftSeq  uint32 // numbers the fault Timing was taken for (see liveTiming)
 	// Seq is the requester's fetch sequence number; SendPage echoes it so
 	// retried fetches (recovery mode) can discard superseded responses.
 	Seq    uint64
@@ -87,7 +88,8 @@ type PageMsg struct {
 	Data    []byte
 	Access  memory.Access
 	Owner   int
-	Ownship bool // ownership transferred with the page
+	Ownship bool   // ownership transferred with the page
+	ftSeq   uint32 // numbers the fault Timing was taken for (see liveTiming)
 	Copyset []int
 	Seq     uint64 // fetch sequence this page answers (see Request.Seq)
 	Timing  *FaultTiming
@@ -234,11 +236,10 @@ func (r *Registry) Register(name string, f Factory) ProtoID {
 
 // Lookup returns the id registered under name.
 func (r *Registry) Lookup(name string) (ProtoID, bool) {
-	id, ok := r.index[name]
-	if !ok {
-		return -1, false
+	if id, ok := r.index[name]; ok {
+		return id, true
 	}
-	return id, true
+	return -1, false
 }
 
 // Name returns the name registered for id.
@@ -292,61 +293,36 @@ type Hooks struct {
 // Name implements Protocol.
 func (h *Hooks) Name() string { return h.ProtoName }
 
-// ReadFaultHandler implements Protocol.
-func (h *Hooks) ReadFaultHandler(f *Fault) {
-	if h.OnReadFault != nil {
-		h.OnReadFault(f)
+// call runs a hook on its record; a nil hook is a no-op.
+func call[R any](hook func(R), r R) {
+	if hook != nil {
+		hook(r)
 	}
 }
+
+// ReadFaultHandler implements Protocol.
+func (h *Hooks) ReadFaultHandler(f *Fault) { call(h.OnReadFault, f) }
 
 // WriteFaultHandler implements Protocol.
-func (h *Hooks) WriteFaultHandler(f *Fault) {
-	if h.OnWriteFault != nil {
-		h.OnWriteFault(f)
-	}
-}
+func (h *Hooks) WriteFaultHandler(f *Fault) { call(h.OnWriteFault, f) }
 
 // ReadServer implements Protocol.
-func (h *Hooks) ReadServer(r *Request) {
-	if h.OnReadServer != nil {
-		h.OnReadServer(r)
-	}
-}
+func (h *Hooks) ReadServer(r *Request) { call(h.OnReadServer, r) }
 
 // WriteServer implements Protocol.
-func (h *Hooks) WriteServer(r *Request) {
-	if h.OnWriteServer != nil {
-		h.OnWriteServer(r)
-	}
-}
+func (h *Hooks) WriteServer(r *Request) { call(h.OnWriteServer, r) }
 
 // InvalidateServer implements Protocol.
-func (h *Hooks) InvalidateServer(iv *Invalidate) {
-	if h.OnInvalidate != nil {
-		h.OnInvalidate(iv)
-	}
-}
+func (h *Hooks) InvalidateServer(iv *Invalidate) { call(h.OnInvalidate, iv) }
 
 // ReceivePageServer implements Protocol.
-func (h *Hooks) ReceivePageServer(pm *PageMsg) {
-	if h.OnReceivePage != nil {
-		h.OnReceivePage(pm)
-	}
-}
+func (h *Hooks) ReceivePageServer(pm *PageMsg) { call(h.OnReceivePage, pm) }
 
 // LockAcquire implements Protocol.
-func (h *Hooks) LockAcquire(s *SyncEvent) {
-	if h.OnLockAcquire != nil {
-		h.OnLockAcquire(s)
-	}
-}
+func (h *Hooks) LockAcquire(s *SyncEvent) { call(h.OnLockAcquire, s) }
 
 // LockRelease implements Protocol.
-func (h *Hooks) LockRelease(s *SyncEvent) {
-	if h.OnLockRelease != nil {
-		h.OnLockRelease(s)
-	}
-}
+func (h *Hooks) LockRelease(s *SyncEvent) { call(h.OnLockRelease, s) }
 
 // DiffServer implements the optional DiffServer extension.
 func (h *Hooks) DiffServer(dm *DiffMsg) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/pm2"
@@ -43,46 +42,26 @@ func FetchPage(f *Fault, write bool) {
 		break
 	}
 	e.Pending = true
-	e.pendingSeq = e.InvalSeq
-	e.reqSeq++
-	seq := e.reqSeq
-	dest := e.ProbOwner
-	e.Unlock(t)
-
-	d.profFetch(f.Node, f.Page, dest)
-	d.sendRequest(f.Node, dest, d.newRequest(f.Node, f.Page, f.Node, write, seq, f.Timing))
-
-	e.Lock(t)
-	if d.recovery == nil {
-		for e.Pending {
-			e.Wait(t)
-		}
-		f.KeepEntryLocked()
-		return
-	}
-	// Recovery mode: bound each wait, and when the fetch we own is still
-	// outstanding after a timeout, retry toward the current probable owner —
-	// if the server died, the recovery sweep has redirected the hint to the
-	// page's new home, and the bumped sequence number retires any late
-	// response to the original request.
-	attempt := 0
-	for e.Pending {
-		if e.WaitTimeout(t, d.recovery.retryDelay(attempt)) {
-			continue
-		}
-		if !e.Pending || e.reqSeq != seq {
-			continue // another thread's fetch owns the entry now
-		}
-		attempt++
-		e.reqSeq++
-		seq = e.reqSeq
+	for attempt := 0; e.Pending; attempt++ {
+		// The first request, or a retry of the fetch we own: it goes to the
+		// current probable owner — if the server died, the recovery sweep has
+		// redirected the hint to the page's new home — and the bumped
+		// sequence number retires any late response to an earlier request.
 		e.pendingSeq = e.InvalSeq
-		dest = e.ProbOwner
+		e.reqSeq++
+		seq, dest := e.reqSeq, e.ProbOwner
 		e.Unlock(t)
-		d.recovery.stats.Retries++
 		d.profFetch(f.Node, f.Page, dest)
 		d.sendRequest(f.Node, dest, d.newRequest(f.Node, f.Page, f.Node, write, seq, f.Timing))
 		e.Lock(t)
+		for e.Pending {
+			// A wait that expires (recovery only) retries if the fetch in
+			// flight is still ours, not another thread's.
+			if !d.awaitEntry(t, e, attempt) && e.Pending && e.reqSeq == seq {
+				d.retried()
+				break
+			}
+		}
 	}
 	f.KeepEntryLocked()
 }
@@ -92,6 +71,9 @@ func FetchPage(f *Fault, write bool) {
 func (d *DSM) newRequest(sender int, pg Page, from int, write bool, seq uint64, ft *FaultTiming) *Request {
 	r := take(&d.recs.requests)
 	r.Page, r.From, r.Write, r.Seq, r.Timing = pg, from, write, seq, ft
+	if ft != nil {
+		r.ftSeq = ft.seq
+	}
 	return r
 }
 
@@ -122,11 +104,12 @@ func ForwardRequest(r *Request, e *Entry) {
 // ForwardRequestTo re-sends the request to an explicit destination (managed
 // schemes: the manager relays to the recorded owner) as a fresh record — r
 // stays this node's to free. The copy keeps r.Seq, so the requester's
-// recovery check recognizes the page the forward eventually brings. The
-// entry lock must already be released.
+// recovery check recognizes the page the forward eventually brings, and r's
+// timing while its fault still owns it. The entry lock must already be
+// released.
 func ForwardRequestTo(r *Request, dest int) {
 	d := r.DSM
-	d.sendRequest(r.Node, dest, d.newRequest(r.Node, r.Page, r.From, r.Write, r.Seq, r.Timing))
+	d.sendRequest(r.Node, dest, d.newRequest(r.Node, r.Page, r.From, r.Write, r.Seq, liveTiming(r.Timing, r.ftSeq)))
 }
 
 // SendPage ships this node's copy of pg to dest, granting the given access.
@@ -136,8 +119,8 @@ func ForwardRequestTo(r *Request, dest int) {
 func SendPage(r *Request, e *Entry, dest int, access memory.Access, ownship bool, copyset NodeSet) {
 	d, t := r.DSM, r.Thread
 	t.Compute(d.costs.Server)
-	if r.Timing != nil {
-		r.Timing.Server = d.costs.Server
+	if ft := liveTiming(r.Timing, r.ftSeq); ft != nil {
+		ft.Server = d.costs.Server
 	}
 	frame := d.state[r.Node].space.Frame(e.Page)
 	if frame == nil {
@@ -153,7 +136,7 @@ func SendPage(r *Request, e *Entry, dest int, access memory.Access, ownship bool
 	}
 	pm := take(&d.recs.pages)
 	pm.Page, pm.From, pm.Data, pm.Access, pm.Owner, pm.Ownship = e.Page, r.Node, data, access, owner, ownship
-	pm.Copyset, pm.Seq, pm.Timing = copyset.AppendTo(nil), r.Seq, r.Timing
+	pm.Copyset, pm.Seq, pm.Timing, pm.ftSeq = copyset.AppendTo(nil), r.Seq, r.Timing, r.ftSeq
 	d.sendPage(r.Node, dest, pm)
 }
 
@@ -166,8 +149,8 @@ func InstallPage(pm *PageMsg) {
 	e := d.Entry(pm.Node, pm.Page)
 	e.Lock(t)
 	t.Compute(d.costs.Install)
-	if pm.Timing != nil {
-		pm.Timing.Install = d.costs.Install
+	if ft := liveTiming(pm.Timing, pm.ftSeq); ft != nil {
+		ft.Install = d.costs.Install
 	}
 	if d.recovery != nil && (!e.Pending || (!pm.Ownship && pm.Seq != e.reqSeq)) {
 		// A late response to a request that was since retried (or already
@@ -215,14 +198,11 @@ func InstallPage(pm *PageMsg) {
 // except self and newOwner, and blocks until all of them acknowledge.
 // The entry lock must NOT be held: invalidated nodes may need it.
 //
-// The acks arrive on t's own reply queue: t has no Call outstanding while it
-// invalidates, and exactly one ack per invalidation comes back, so the queue
-// is empty again on return. With recovery enabled, dead holders are skipped,
-// outstanding acks are tracked per node on a private queue (a retry's late
-// duplicates must not reach t's next Call), and a timeout re-checks for
-// crashes and re-sends to the remaining holders (invalidations are
-// idempotent), so a holder dying mid-invalidation cannot wedge the writer
-// forever.
+// The acks arrive on t's own reply queue, empty again on return: t has no
+// Call outstanding, and one ack per invalidation comes back. With recovery
+// on, acks are tracked per holder on a private queue (a retry's late
+// duplicates must not reach t's next Call), dead holders are skipped, and an
+// expired wait re-sends to the silent ones (invalidations are idempotent).
 func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner int) {
 	if d.recovery == nil {
 		acks := 0
@@ -241,38 +221,31 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 		return
 	}
 	ack := new(sim.Chan)
-	outstanding := make(map[int]bool)
+	var outstanding NodeSet
 	copyset.ForEach(func(n int) {
 		if n == t.Node() || n == newOwner || d.NodeDead(n) {
 			return
 		}
 		d.sendInvalidate(t.Node(), n, pg, newOwner, ack)
-		outstanding[n] = true
+		outstanding.Add(n)
 	})
-	attempt := 0
-	for len(outstanding) > 0 {
-		v, ok := ack.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt))
-		if ok {
-			if n, isAck := v.(int); isAck && outstanding[n] {
-				delete(outstanding, n)
+	for attempt := 0; !outstanding.Empty(); {
+		if v, ok := d.await(t, ack, attempt); ok {
+			if n, isAck := v.(int); isAck && outstanding.Contains(n) {
+				outstanding.Remove(n)
 				d.stats.InvAcks++
 			}
 			continue
 		}
 		attempt++
-		remaining := make([]int, 0, len(outstanding))
-		for n := range outstanding {
-			remaining = append(remaining, n)
-		}
-		sort.Ints(remaining)
-		for _, n := range remaining {
+		outstanding.ForEach(func(n int) {
 			if d.NodeDead(n) {
-				delete(outstanding, n)
-				continue
+				outstanding.Remove(n)
+				return
 			}
-			d.recovery.stats.Retries++
+			d.retried()
 			d.sendInvalidate(t.Node(), n, pg, newOwner, ack)
-		}
+		})
 	}
 }
 
@@ -370,17 +343,18 @@ func TwinDiff(d *DSM, node int, e *Entry) *memory.Diff {
 
 // NewDiff takes an empty diff record from d's pool, for a routine that builds
 // a diff to send. Batch.Diff and SendDiffsHome hand it to the DSM, which
-// frees it once the home's DiffServer returns; a routine that drops a diff
-// instead of sending it frees it with FreeDiff.
+// frees it once the home's DiffServer returns and the sender has its ack; a
+// routine that drops a diff instead of sending it frees it with FreeDiff.
 func NewDiff(d *DSM) *memory.Diff { return (*memory.Diff)(take(&d.recs.diffs)) }
 
-// FreeDiff ends df's life: it goes back to d's pool for the next NewDiff —
-// unless recovery is on, when it goes to the collector: a re-sent envelope
-// shares its diffs. The caller must not touch it again.
+// FreeDiff lets go of df: the last of its holders (see diffRec) sends it
+// back to d's pool for the next NewDiff. The caller must not touch it again.
 func FreeDiff(d *DSM, df *memory.Diff) {
-	if d.recovery == nil {
-		put(&d.recs.diffs, (*diffRec)(df))
+	if df.Refs > 0 {
+		df.Refs--
+		return
 	}
+	put(&d.recs.diffs, (*diffRec)(df))
 }
 
 // RecordPut appends an on-the-fly diff entry for a write of buf at addr

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+
 	"dsmpm2/internal/freelist"
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/sim"
@@ -12,12 +15,12 @@ import (
 // protocol routine's context alike, owned by whoever holds it: the sender
 // until it is sent, then the service handler, which completes DSM/Thread/Node
 // and hands the same pointer to the routine. Whoever consumes a record frees
-// it, once; the diffs a DiffMsg carries are freed with it. Exactly-once
-// delivery is the licence to recycle, and a lossy link keeps it (madeleine
-// delivers no duplicate). Recovery's re-sends take fresh records; the two
-// records a re-send or a late response still shares are left to the
-// collector while recovery is on: a diff (FreeDiff) and a fault's timing
-// (logTiming).
+// it, once; recovery's re-sends take fresh ones. Two records may outlive
+// their first holder, with recovery on or off: a diff is held by each
+// envelope carrying it and by its sender until the ack, and the last holder
+// to let go frees it (FreeDiff); a fault's timing outlives the fault in the
+// ring, and a response that arrives once the ring recycled it writes
+// nothing (liveTiming).
 
 // recPools holds the free records. The lists start empty and fill with what
 // the run frees — nothing is allocated ahead of use.
@@ -37,7 +40,7 @@ type recPools struct {
 // and of those above it, which is why it is exported): put then fills a freed
 // record with sentinels — nodes -1, pages all ones, pointers nil — and
 // withholds it from reuse, so a reader that outlives its routine fails loudly
-// instead of reading its successor's fields.
+// instead of reading its successor's fields, and so does a second free.
 var PoisonFreed bool
 
 // take pops a clean record from l, or makes one.
@@ -49,18 +52,23 @@ func take[T any](l *freelist.List[*T]) *T {
 }
 
 // put ends r's life: it is zeroed and goes back on l for the next take.
+// Poisoned, a record that already reads as sentinels was freed twice.
 func put[R interface{ reset(fill int) }](l *freelist.List[R], r R) {
 	if PoisonFreed {
-		r.reset(-1)
+		was := reflect.ValueOf(r).Elem().Interface()
+		if r.reset(-1); reflect.DeepEqual(was, reflect.ValueOf(r).Elem().Interface()) {
+			panic(fmt.Sprintf("core: %T freed twice", r))
+		}
 		return
 	}
 	r.reset(0)
 	l.Put(r)
 }
 
-// diffRec is a pooled memory.Diff: TwinDiff, RecordPut and NewDiff take one,
-// the dsm.diff handler frees what it was sent once DiffServer returns, and a
-// routine that drops a diff it does not send frees it with FreeDiff.
+// diffRec is a pooled memory.Diff: TwinDiff, RecordPut and NewDiff take one.
+// Every envelope that ships it holds it until the dsm.diff handler's
+// DiffServer returns, and so does its sender until the ack or the re-route;
+// Refs counts the holders beyond the first, and each lets go with FreeDiff.
 type diffRec memory.Diff
 
 // The reset methods clear a freed record; fill is 0, or -1 under PoisonFreed.

@@ -20,7 +20,7 @@ func dirty(t *testing.T, r any) {
 		switch f.Kind() {
 		case reflect.Int, reflect.Int64:
 			f.SetInt(7)
-		case reflect.Uint64:
+		case reflect.Uint64, reflect.Uint32:
 			f.SetUint(7)
 		case reflect.Uint8:
 			f.SetUint(1)
@@ -56,7 +56,7 @@ func zeroed[P any](r P) bool { return reflect.ValueOf(r).Elem().IsZero() }
 // entry in that capacity still pointing at the bytes of its last life.
 func emptiedDiff(r *diffRec) bool {
 	buf := reflect.ValueOf(r).Elem().FieldByName("buf")
-	if r.Page != 0 || len(r.Entries) != 0 || cap(r.Entries) != 3 || buf.Len() != 0 || buf.Cap() != 3 {
+	if r.Page != 0 || r.Refs != 0 || len(r.Entries) != 0 || cap(r.Entries) != 3 || buf.Len() != 0 || buf.Cap() != 3 {
 		return false
 	}
 	for _, e := range r.Entries[:cap(r.Entries)] {
@@ -111,46 +111,105 @@ func TestRecycledRecordsStartClean(t *testing.T) {
 	recycle(t, &p.syncs, zeroed, func(s *SyncEvent) []int { return []int{s.Node, s.Lock} })
 }
 
-// TestRecoveryLeavesSharedRecordsAlone holds the two records recovery does
-// not recycle: a freed diff (a re-sent envelope carries it again) and the
-// timing the ring evicts (a retried fetch's late response still writes it).
-// With recovery off each goes back to its pool; with it on each is left,
-// filled, to the collector.
-func TestRecoveryLeavesSharedRecordsAlone(t *testing.T) {
-	rows := []struct {
-		name   string
-		free   func(d *DSM) (intact func() bool) // frees one filled record
-		pooled func(d *DSM) int
-	}{
-		{"FreeDiff", func(d *DSM) func() bool {
-			df := NewDiff(d)
-			df.Compute(Page(3), make([]byte, 16), []byte{15: 1}, 0)
-			FreeDiff(d, df)
-			return func() bool { return df.Page == 3 && len(df.Entries) == 1 }
-		}, func(d *DSM) int { return d.recs.diffs.Len() }},
-		{"timing ring", func(d *DSM) func() bool {
-			first := &FaultTiming{Total: 7}
-			d.logTiming(first)
-			for i := 0; i < timingCap; i++ { // the last one evicts first
-				d.logTiming(new(FaultTiming))
-			}
-			return func() bool { return first.Total == 7 }
-		}, func(d *DSM) int { return d.recs.timings.Len() }},
+// TestRecoveryRecyclesSharedRecords holds the two records that may outlive
+// their first holder to the one rule, with recovery off and on alike: a diff
+// an envelope shares with its sender goes back to the pool when the second of
+// them lets go, not the first; and the timing the ring evicts goes back to
+// its pool, out of reach of a late response that still carries it.
+func TestRecoveryRecyclesSharedRecords(t *testing.T) {
+	for _, recovery := range []bool{false, true} {
+		d := newDSM(1)
+		if recovery {
+			d.EnableRecovery(RecoveryConfig{})
+		}
+		df := NewDiff(d)
+		df.Compute(Page(3), make([]byte, 16), []byte{15: 1}, 0)
+		df.Refs++ // shipped: the envelope holds it beside the sender
+		FreeDiff(d, df)
+		if n := d.recs.diffs.Len(); n != 0 || df.Page != 3 || len(df.Entries) != 1 {
+			t.Errorf("recovery %v: a diff still held was recycled (%d pooled)", recovery, n)
+		}
+		FreeDiff(d, df)
+		if n := d.recs.diffs.Len(); n != 1 {
+			t.Errorf("recovery %v: %d diffs pooled after the last holder let go, want 1", recovery, n)
+		}
+
+		first := take(&d.recs.timings)
+		d.faultSeq++
+		first.seq, first.Total = d.faultSeq, 7
+		late := PageMsg{Timing: first, ftSeq: first.seq}
+		d.logTiming(first)
+		if liveTiming(late.Timing, late.ftSeq) != first {
+			t.Errorf("recovery %v: a response cannot write the timing of a logged fault", recovery)
+		}
+		for i := 0; i < timingCap; i++ { // the last one evicts first
+			d.logTiming(new(FaultTiming))
+		}
+		if n := d.recs.timings.Len(); n != 1 {
+			t.Errorf("recovery %v: %d evicted timings pooled, want 1", recovery, n)
+		}
+		if liveTiming(late.Timing, late.ftSeq) != nil {
+			t.Errorf("recovery %v: a late response can still write an evicted timing", recovery)
+		}
 	}
-	for _, row := range rows {
-		for _, recovery := range []bool{false, true} {
-			d := newDSM(1)
-			want := 1
-			if recovery {
-				d.EnableRecovery(RecoveryConfig{})
-				want = 0
+}
+
+// TestResentDiffOutlivesTheFirstAck: a partition longer than the retry
+// timeout holds a diff envelope until its re-send has joined it, and the heal
+// delivers both. The first copy's DiffServer is slow, the second's is not, so
+// the sender has its ack while the first copy has yet to read the diff they
+// share — through SendDiffsHome, whose attempts share one reply channel, and
+// through a Batch, whose re-send is a new call. The diff must reach both
+// DiffServers intact, and go back to the pool once, after both.
+func TestResentDiffOutlivesTheFirstAck(t *testing.T) {
+	send := map[string]func(d *DSM, th *pm2.Thread, df *memory.Diff){
+		"SendDiffsHome": func(d *DSM, th *pm2.Thread, df *memory.Diff) {
+			SendDiffsHome(d, th, 1, []*memory.Diff{df}, true)
+		},
+		"Batch": func(d *DSM, th *pm2.Thread, df *memory.Diff) {
+			b := d.NewBatch(th)
+			b.Diff(1, df, false)
+			b.Flush(true)
+		},
+	}
+	defer func() { PoisonFreed = false }()
+	for name, send := range send {
+		for _, poison := range []bool{false, true} {
+			PoisonFreed = poison
+			rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
+			rt.EnableFaults(1, madeleine.PartitionQueue)
+			d := New(rt, NewRegistry(), DefaultCosts())
+			d.EnableRecovery(RecoveryConfig{})
+			var pg Page
+			served := 0
+			d.SetDefaultProtocol(d.CreateProtocol(&Hooks{ProtoName: "slow", OnDiffServer: func(dm *DiffMsg) {
+				if served++; served == 1 {
+					dm.Thread.Compute(2 * sim.Millisecond)
+				}
+				if df := dm.Diffs[0]; df.Page != pg || len(df.Entries) != 1 {
+					t.Errorf("%s, poisoned %v: a copy read a recycled diff: %+v", name, poison, *df)
+					return
+				}
+				ApplyDiffs(dm)
+			}}))
+			pg = d.Space(0).PageOf(d.MustMalloc(1, PageSize, nil))
+			nw := rt.Network()
+			nw.PartitionLink(0, 1)
+			nw.PartitionLink(1, 0)
+			rt.Engine().Schedule(sim.Time(5500*sim.Microsecond), func() { nw.HealLink(0, 1); nw.HealLink(1, 0) })
+			rt.CreateThread(0, "writer", func(th *pm2.Thread) {
+				df := NewDiff(d)
+				df.Compute(pg, make([]byte, 16), []byte{15: 9}, 0)
+				send(d, th, df)
+			})
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
 			}
-			intact := row.free(d)
-			if n := row.pooled(d); n != want {
-				t.Errorf("%s, recovery %v: %d records pooled, want %d", row.name, recovery, n, want)
+			if served != 2 || d.Space(1).Frame(pg).Data[15] != 9 {
+				t.Errorf("%s, poisoned %v: %d copies served, home reads %d; want 2 and 9", name, poison, served, d.Space(1).Frame(pg).Data[15])
 			}
-			if recovery && !intact() {
-				t.Errorf("%s: recovery on, yet the freed record was cleared", row.name)
+			if n := d.recs.diffs.Len(); !poison && n != 1 {
+				t.Errorf("%s: %d diffs pooled after both copies, want 1", name, n)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/pm2"
@@ -119,13 +121,61 @@ func (d *DSM) EnableRecovery(cfg RecoveryConfig) {
 		rec.ckpts[i] = -1
 	}
 	if cfg.Jitter > 0 {
-		seed := cfg.JitterSeed
-		if seed == 0 {
-			seed = 1
-		}
-		rec.jitter = sim.NewCountedRand(seed)
+		rec.jitter = sim.NewCountedRand(cmp.Or(cfg.JitterSeed, 1))
 	}
 	d.recovery = rec
+}
+
+// RecoverySnap is the recovery manager's state in a checkpoint.
+type RecoverySnap struct {
+	Timeout     sim.Duration  `json:"timeout"`
+	Backoff     float64       `json:"backoff,omitempty"`
+	RetryMax    sim.Duration  `json:"retry_max,omitempty"`
+	Jitter      sim.Duration  `json:"jitter,omitempty"`
+	JitterSeed  int64         `json:"jitter_seed,omitempty"`
+	JitterDraws uint64        `json:"jitter_draws,omitempty"`
+	Dead        []bool        `json:"dead"`
+	Stats       RecoveryStats `json:"stats"`
+	Ckpts       []int         `json:"ckpts"`
+}
+
+// captureRecovery serializes the recovery manager: nil when it is off.
+func (d *DSM) captureRecovery() *RecoverySnap {
+	rec := d.recovery
+	if rec == nil {
+		return nil
+	}
+	cfg := rec.cfg
+	rs := &RecoverySnap{Timeout: cfg.Timeout, Backoff: cfg.Backoff, RetryMax: cfg.RetryMax, Jitter: cfg.Jitter,
+		JitterSeed: cfg.JitterSeed, Dead: slices.Clone(rec.dead), Stats: rec.stats, Ckpts: slices.Clone(rec.ckpts)}
+	if rec.jitter != nil {
+		rs.JitterDraws = rec.jitter.Draws()
+	}
+	return rs
+}
+
+// restoreRecovery switches the recovery manager on with a captured state. The
+// OnRestart hook does not serialize: the running DSM's survives.
+func (d *DSM) restoreRecovery(rs *RecoverySnap) error {
+	var onRestart func(int)
+	if d.recovery != nil {
+		onRestart = d.recovery.cfg.OnRestart
+	}
+	d.EnableRecovery(RecoveryConfig{
+		Timeout: rs.Timeout, Backoff: rs.Backoff, RetryMax: rs.RetryMax,
+		Jitter: rs.Jitter, JitterSeed: rs.JitterSeed, OnRestart: onRestart,
+	})
+	rec := d.recovery
+	if len(rs.Dead) != len(rec.dead) {
+		return fmt.Errorf("core: restore recovery state for %d nodes into %d-node DSM", len(rs.Dead), len(rec.dead))
+	}
+	copy(rec.dead, rs.Dead)
+	rec.stats = rs.Stats
+	copy(rec.ckpts, rs.Ckpts)
+	if rec.jitter != nil {
+		return rec.jitter.BurnTo(rs.JitterDraws)
+	}
+	return nil
 }
 
 // retryDelay returns the bounded wait for one protocol action's attempt-th
@@ -157,18 +207,26 @@ func (rec *recoveryState) retryDelay(attempt int) sim.Duration {
 
 // await is a protocol action's wait for its reply on ch: unbounded with
 // recovery off, and otherwise bounded by the attempt-th retry delay. On
-// expiry it counts a retry and reports false, and the caller re-checks the
-// fault state and re-sends.
+// expiry it reports false, and the caller re-checks the fault state and
+// re-sends, counting each re-send with retried.
 func (d *DSM) await(t *pm2.Thread, ch *sim.Chan, attempt int) (interface{}, bool) {
 	if d.recovery == nil {
 		return ch.Recv(t.Proc()), true
 	}
-	v, ok := ch.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt))
-	if !ok {
-		d.recovery.stats.Retries++
-	}
-	return v, ok
+	return ch.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt))
 }
+
+// awaitEntry is await for a wake-up on e, whose lock t holds.
+func (d *DSM) awaitEntry(t *pm2.Thread, e *Entry, attempt int) bool {
+	if d.recovery == nil {
+		e.Wait(t)
+		return true
+	}
+	return e.WaitTimeout(t, d.recovery.retryDelay(attempt))
+}
+
+// retried counts an action re-sent or re-routed after a (bounded) wait expired.
+func (d *DSM) retried() { d.recovery.stats.Retries++ }
 
 // RecordCheckpoint notes that node committed a local checkpoint covering
 // work units up to and including unit. Applications call it right after
@@ -223,10 +281,13 @@ func (d *DSM) NodeDead(n int) bool {
 	return d.recovery != nil && n >= 0 && n < len(d.recovery.dead) && d.recovery.dead[n]
 }
 
-// mustRecovery panics when recovery is off.
-func (d *DSM) mustRecovery(op string) *recoveryState {
+// mustRecovery panics when recovery is off or node n does not exist.
+func (d *DSM) mustRecovery(op string, n int) *recoveryState {
 	if d.recovery == nil {
 		panic("core: " + op + " before EnableRecovery")
+	}
+	if n < 0 || n >= len(d.recovery.dead) {
+		panic(fmt.Sprintf("core: %s(%d): no such node", op, n))
 	}
 	return d.recovery
 }
@@ -234,10 +295,7 @@ func (d *DSM) mustRecovery(op string) *recoveryState {
 // CrashNode fail-stops node n and repairs the distributed state around the
 // hole. It must run in engine context (a scheduled fault event).
 func (d *DSM) CrashNode(n int) {
-	rec := d.mustRecovery("CrashNode")
-	if n < 0 || n >= len(rec.dead) {
-		panic(fmt.Sprintf("core: crash of node %d out of range", n))
-	}
+	rec := d.mustRecovery("CrashNode", n)
 	if rec.dead[n] {
 		return
 	}
@@ -257,10 +315,7 @@ func (d *DSM) CrashNode(n int) {
 // entries — everything refetched on demand), reconnected RPC services, then the
 // application's OnRestart hook. Must run in engine context.
 func (d *DSM) RestartNode(n int) {
-	rec := d.mustRecovery("RestartNode")
-	if n < 0 || n >= len(rec.dead) {
-		panic(fmt.Sprintf("core: restart of node %d out of range", n))
-	}
+	rec := d.mustRecovery("RestartNode", n)
 	if !rec.dead[n] {
 		return
 	}
@@ -270,11 +325,7 @@ func (d *DSM) RestartNode(n int) {
 	// entries; both rebuild on demand from the (repaired) allocation
 	// metadata. The old state — including entry mutexes whose waiters all
 	// died — is simply dropped.
-	d.state[n] = &nodeState{
-		node:  n,
-		space: memory.NewSpace(PageSize),
-		table: make(map[Page]*Entry),
-	}
+	d.state[n] = newNodeState(n)
 	d.rt.RestartNode(n)
 	d.eachInstance(func(p Protocol) {
 		if r, ok := p.(Recoverable); ok {

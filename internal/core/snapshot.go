@@ -7,7 +7,6 @@ import (
 
 	"dsmpm2/internal/isomalloc"
 	"dsmpm2/internal/memory"
-	"dsmpm2/internal/sim"
 )
 
 // DSM checkpoint/restore: the core's half of the full-state snapshot
@@ -119,19 +118,6 @@ type ObjAreaSnap struct {
 type ProtoStateSnap struct {
 	Name  string `json:"name"`
 	State []byte `json:"state,omitempty"`
-}
-
-// RecoverySnap is the recovery manager's state.
-type RecoverySnap struct {
-	Timeout     sim.Duration  `json:"timeout"`
-	Backoff     float64       `json:"backoff,omitempty"`
-	RetryMax    sim.Duration  `json:"retry_max,omitempty"`
-	Jitter      sim.Duration  `json:"jitter,omitempty"`
-	JitterSeed  int64         `json:"jitter_seed,omitempty"`
-	JitterDraws uint64        `json:"jitter_draws,omitempty"`
-	Dead        []bool        `json:"dead"`
-	Stats       RecoveryStats `json:"stats"`
-	Ckpts       []int         `json:"ckpts"`
 }
 
 // ProfCounters mirrors pageCounters for serialization.
@@ -280,20 +266,7 @@ func (d *DSM) CaptureState() (*CoreState, error) {
 	for _, kind := range d.OpKinds() {
 		s.OpHists = append(s.OpHists, d.opHists[kind].capture(kind))
 	}
-	if rec := d.recovery; rec != nil {
-		rs := &RecoverySnap{
-			Timeout: rec.cfg.Timeout, Backoff: rec.cfg.Backoff,
-			RetryMax: rec.cfg.RetryMax, Jitter: rec.cfg.Jitter,
-			JitterSeed: rec.cfg.JitterSeed,
-			Dead:       append([]bool(nil), rec.dead...),
-			Stats:      rec.stats,
-			Ckpts:      append([]int(nil), rec.ckpts...),
-		}
-		if rec.jitter != nil {
-			rs.JitterDraws = rec.jitter.Draws()
-		}
-		s.Recovery = rs
-	}
+	s.Recovery = d.captureRecovery()
 	if p := d.prof; p != nil {
 		ps := &ProfilerSnap{
 			Migrate: p.cfg.Migrate, Stability: p.cfg.Stability, Window: p.cfg.Window,
@@ -463,11 +436,7 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		}
 	}
 	for n, ncs := range s.Nodes {
-		ns := &nodeState{
-			node:  n,
-			space: memory.NewSpace(PageSize),
-			table: make(map[Page]*Entry),
-		}
+		ns := newNodeState(n)
 		d.state[n] = ns
 		for _, fs := range ncs.Frames {
 			fr := ns.space.Ensure(Page(fs.Page))
@@ -544,26 +513,8 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		}
 	}
 	if s.Recovery != nil {
-		var onRestart func(int)
-		if d.recovery != nil {
-			onRestart = d.recovery.cfg.OnRestart
-		}
-		d.EnableRecovery(RecoveryConfig{
-			Timeout: s.Recovery.Timeout, Backoff: s.Recovery.Backoff,
-			RetryMax: s.Recovery.RetryMax, Jitter: s.Recovery.Jitter,
-			JitterSeed: s.Recovery.JitterSeed, OnRestart: onRestart,
-		})
-		rec := d.recovery
-		if len(s.Recovery.Dead) != len(rec.dead) {
-			return fmt.Errorf("core: restore recovery state for %d nodes into %d-node DSM", len(s.Recovery.Dead), len(rec.dead))
-		}
-		copy(rec.dead, s.Recovery.Dead)
-		rec.stats = s.Recovery.Stats
-		copy(rec.ckpts, s.Recovery.Ckpts)
-		if rec.jitter != nil {
-			if err := rec.jitter.BurnTo(s.Recovery.JitterDraws); err != nil {
-				return err
-			}
+		if err := d.restoreRecovery(s.Recovery); err != nil {
+			return err
 		}
 	}
 	if s.Profiler != nil {

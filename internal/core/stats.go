@@ -81,6 +81,7 @@ type FaultTiming struct {
 	Start    sim.Time
 	Protocol string
 	Write    bool
+	seq      uint32 // numbers the fault that owns the record, from 1; 0 once freed
 
 	// Link names the profile of the link that carried the page transfer
 	// (empty for faults resolved without a transfer, e.g. migration
@@ -98,6 +99,16 @@ type FaultTiming struct {
 	Overhead  sim.Duration // handler overhead (migration policy)
 
 	Total sim.Duration
+}
+
+// liveTiming returns ft while it is still the record of the fault numbered
+// seq, the one a message was sent for, and nil otherwise: a response that
+// arrives once the ring has recycled its fault's record writes nothing.
+func liveTiming(ft *FaultTiming, seq uint32) *FaultTiming {
+	if ft == nil || ft.seq != seq {
+		return nil
+	}
+	return ft
 }
 
 // ProtocolOverhead returns the part of the fault the paper's tables report

@@ -26,6 +26,11 @@ type Diff struct {
 	Page    Page
 	Entries []DiffEntry
 	buf     []byte
+	// Refs is not part of the modifications: a user that shares one diff
+	// between several holders counts here the holders beyond the first (the
+	// DSM counts the envelopes carrying a diff beside its sender). Reset
+	// clears it.
+	Refs int
 }
 
 // Size returns the number of payload bytes the diff occupies on the wire

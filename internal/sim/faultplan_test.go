@@ -131,3 +131,42 @@ func TestFaultPlanSaveRejectsInvalid(t *testing.T) {
 		t.Fatalf("rejected save left a file behind")
 	}
 }
+
+// FuzzFaultPlanJSON feeds the plan decoder arbitrary bytes: decoding and
+// validating never panic, and a plan that validates survives the round trip
+// through its wire form — re-decoded equal, re-encoded byte-identical.
+func FuzzFaultPlanJSON(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "faultplan.golden.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, seed := range []string{
+		`{"seed":1,"events":[{"at":5,"kind":"meteor_strike","node":0}]}`,
+		`{"seed":1,"events":[{"at":5,"kind":"restart","node":2}]}`,
+		`{"seed":-3,"events":[{"at":7,"kind":"loss","from":1,"to":2,"drop_rate":0.5,"dup_rate":1e-9}]}`,
+		`{"events":[]}`, `null`, `]]]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p FaultPlan
+		if err := p.UnmarshalJSON(data); err != nil || p.Validate() != nil {
+			return
+		}
+		wire, err := p.MarshalJSON()
+		if err != nil {
+			t.Fatalf("valid plan %+v does not encode: %v", p, err)
+		}
+		var back FaultPlan
+		if err := back.UnmarshalJSON(wire); err != nil {
+			t.Fatalf("plan's own wire form %s does not decode: %v", wire, err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("round trip changed the plan:\nwas %+v\nnow %+v", p, back)
+		}
+		if again, _ := back.MarshalJSON(); string(again) != string(wire) {
+			t.Fatalf("re-encoding drifted:\n%s\n%s", wire, again)
+		}
+	})
+}
