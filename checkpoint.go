@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 
 	"dsmpm2/internal/core"
 	"dsmpm2/internal/madeleine"
@@ -39,8 +40,12 @@ import (
 // loudly instead of misrestoring. Version 1 carried per-shard state
 // (net.shards[], kernel_shards, shard_next, shard_stats/shard_timings,
 // config.shards); version 2 carried the communication-path selector
-// (core.batch and its config flag); version 3 has one communication path.
-const CheckpointVersion = 3
+// (core.batch and its config flag); version 3 carried per-node NIC clocks
+// (net.nic_free), the partition policy (partition, net.faults.policy), the
+// retry tuning (core.recovery.timeout, backoff, retry_max, jitter, jitter_seed,
+// jitter_draws) and the profiler's ring size (core.profiler.window); version 4
+// has none of them.
+const CheckpointVersion = 4
 
 // TopologyState serializes a topology by profile names. Only uniform and
 // hierarchical topologies round-trip — a LinkMatrix holds arbitrary
@@ -82,7 +87,6 @@ type Checkpoint struct {
 	Net         *madeleine.NetState `json:"net"`
 	Runtime     *pm2.RuntimeState   `json:"runtime"`
 	Cursor      *CursorState        `json:"cursor,omitempty"`
-	Partition   int                 `json:"partition,omitempty"`
 	App         json.RawMessage     `json:"app,omitempty"`
 	Fingerprint string              `json:"fingerprint"`
 }
@@ -241,7 +245,6 @@ func (s *System) Checkpoint(app []byte) (*Checkpoint, error) {
 	if s.cursor != nil {
 		next, base := s.cursor.Pos()
 		ck.Cursor = &CursorState{Next: next, Base: base, Plan: s.faultPlan}
-		ck.Partition = int(s.faultOpts.Partition)
 	}
 	return ck, nil
 }
@@ -263,6 +266,9 @@ func Restore(ck *Checkpoint, opts RestoreOptions) (*System, error) {
 	if ck == nil || ck.Core == nil || ck.Net == nil || ck.Runtime == nil {
 		return nil, fmt.Errorf("dsmpm2: restore of an incomplete checkpoint")
 	}
+	if err := ck.checkShape(); err != nil {
+		return nil, err
+	}
 	cfg, err := ck.Config.toConfig()
 	if err != nil {
 		return nil, err
@@ -274,7 +280,7 @@ func Restore(ck *Checkpoint, opts RestoreOptions) (*System, error) {
 	// The profiler is part of the construction (enabling it registers the
 	// migrate services), so it comes up before the drain below.
 	if p := ck.Core.Profiler; p != nil {
-		s.EnableProfiler(ProfilerConfig{Migrate: p.Migrate, Stability: p.Stability, Window: p.Window})
+		s.dsm.EnableProfiler(core.ProfilerConfig{Migrate: p.Migrate, Stability: p.Stability})
 	}
 	// Drain whatever construction scheduled; afterwards the engine is
 	// quiesced and restorable.
@@ -283,17 +289,13 @@ func Restore(ck *Checkpoint, opts RestoreOptions) (*System, error) {
 	}
 	// Fault layers come back before any node can be killed: the network kill
 	// path requires the fault layer, and core.RestoreState re-enables
-	// recovery with the captured parameters (preserving the hook installed
-	// here, since hooks do not serialize). Only InjectFaults turns the fault
-	// layer on, and it leaves a cursor holding the plan.
+	// recovery with the captured state (preserving the hook installed here,
+	// since hooks do not serialize).
 	if ck.Net.Faults != nil {
-		if ck.Cursor == nil || ck.Cursor.Plan == nil {
-			return nil, fmt.Errorf("dsmpm2: restore: the checkpoint's fault layer has no fault plan")
-		}
-		s.rt.EnableFaults(ck.Cursor.Plan.Seed, PartitionPolicy(ck.Partition))
+		s.rt.EnableFaults(ck.Cursor.Plan.Seed)
 	}
 	if ck.Core.Recovery != nil {
-		s.dsm.EnableRecovery(core.RecoveryConfig{OnRestart: opts.OnRestart})
+		s.dsm.EnableRecovery(opts.OnRestart)
 	}
 	// Nodes dead at capture die again here, so the runtime and network tear
 	// down their services and queues exactly as the original crash did;
@@ -317,13 +319,40 @@ func Restore(ck *Checkpoint, opts RestoreOptions) (*System, error) {
 	}
 	if ck.Cursor != nil {
 		s.faultPlan = ck.Cursor.Plan
-		s.faultOpts = FaultOptions{Partition: PartitionPolicy(ck.Partition), OnRestart: opts.OnRestart}
 		s.cursor = s.rt.Engine().NewFaultCursor(ck.Cursor.Plan, s.applyFault)
 		if err := s.cursor.SetPos(ck.Cursor.Next, ck.Cursor.Base); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
+}
+
+// checkShape refuses a checkpoint that does not describe one machine before
+// anything is built from it: every per-node list has the configured node
+// count, so what Restore allocates stays proportional to the checkpoint's
+// size; the fault layer, the recovery state and the fault plan come together,
+// as InjectFaults leaves them, and dead nodes only with them; and the plan is
+// one the machine can run.
+func (ck *Checkpoint) checkShape() error {
+	n := ck.Config.Nodes
+	if n < 1 || len(ck.Runtime.Nodes) != n || len(ck.Core.Nodes) != n {
+		return fmt.Errorf("dsmpm2: checkpoint of a %d-node config carries %d runtime and %d core node states",
+			n, len(ck.Runtime.Nodes), len(ck.Core.Nodes))
+	}
+	faulty := ck.Net.Faults != nil
+	plan := ck.Cursor != nil && ck.Cursor.Plan != nil
+	if faulty && !plan {
+		return fmt.Errorf("dsmpm2: restore: the checkpoint's fault layer has no fault plan")
+	}
+	dead := slices.ContainsFunc(ck.Runtime.Nodes, func(ns pm2.NodeRuntimeState) bool { return ns.Dead })
+	if plan != faulty || (ck.Core.Recovery != nil) != faulty || dead && !faulty {
+		return fmt.Errorf("dsmpm2: restore: a checkpoint carries the fault layer, the recovery state and the fault plan together (here %v, %v, %v), and dead nodes only with them",
+			faulty, ck.Core.Recovery != nil, plan)
+	}
+	if !faulty {
+		return nil
+	}
+	return checkPlan(ck.Cursor.Plan, n)
 }
 
 // envelope is the self-describing on-disk form of a checkpoint: a format

@@ -206,6 +206,11 @@ func TestCheckpointMidFaultPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := ck.Cursor.Plan
+	ck.Cursor.Plan = dsmpm2.NewFaultPlan(plan.Seed).Crash(0, 99)
+	if _, err := dsmpm2.Restore(ck, dsmpm2.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), "names node 99") {
+		t.Fatalf("restore with a plan crashing node 99: err = %v, want it refused", err)
+	}
 	ck.Cursor = nil
 	if _, err := dsmpm2.Restore(ck, dsmpm2.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), "no fault plan") {
 		t.Fatalf("restore without the fault plan: err = %v, want it refused", err)
@@ -284,10 +289,26 @@ func reEnvelope(t *testing.T, data []byte, version int, edit func(body map[strin
 	return out
 }
 
+// setField returns the JSON object raw with key set to the JSON value v.
+func setField(t *testing.T, raw json.RawMessage, key, v string) json.RawMessage {
+	t.Helper()
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		t.Fatal(err)
+	}
+	obj[key] = json.RawMessage(v)
+	out, err := json.Marshal(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestCheckpointVersion1Refused: version 1 carried per-shard state under the
-// same keys (net.shards[], kernel_shards, shard_next, config.shards) and
+// same keys (net.shards[], kernel_shards, shard_next, config.shards),
 // version 2 the communication-path selector (core.batch and its config
-// flag), so an older blob is refused by its header — even
+// flag) and version 3 per-node NIC clocks (net.nic_free), so an older blob is
+// refused by its header — even
 // one whose body and hash are otherwise exactly what this build writes —
 // rather than half-read or failed on an unknown field.
 func TestCheckpointVersion1Refused(t *testing.T) {
@@ -306,10 +327,13 @@ func TestCheckpointVersion1Refused(t *testing.T) {
 	withBatch := func(body map[string]json.RawMessage) {
 		body["core"] = json.RawMessage(`{"batch":true,` + string(body["core"][1:]))
 	}
+	withNICClocks := func(body map[string]json.RawMessage) {
+		body["net"] = json.RawMessage(`{"nic_free":[0,0],` + string(body["net"][1:]))
+	}
 	for _, old := range []struct {
 		version int
 		edit    func(body map[string]json.RawMessage)
-	}{{1, nil}, {2, withBatch}} {
+	}{{1, nil}, {2, withBatch}, {3, withNICClocks}} {
 		_, err = dsmpm2.DecodeCheckpoint(reEnvelope(t, data, old.version, old.edit))
 		want := fmt.Sprintf("format version %d not supported", old.version)
 		if err == nil || !strings.Contains(err.Error(), want) {
@@ -403,6 +427,29 @@ func TestRestoreRejectsHostileCoreState(t *testing.T) {
 		{"version-1 kernel_shards array", nil, func(body map[string]json.RawMessage) {
 			body["kernel_shards"] = json.RawMessage("[" + string(body["kernel"]) + "]")
 		}, `unknown field "kernel_shards"`},
+		// Likewise a current-version body still carrying version 3's
+		// partition policy.
+		{"version-3 partition policy", nil, func(body map[string]json.RawMessage) {
+			body["partition"] = json.RawMessage("1")
+		}, `unknown field "partition"`},
+		// A link clock names both endpoints; one past the last node is refused.
+		{"link clock to node 99", nil, func(body map[string]json.RawMessage) {
+			body["net"] = json.RawMessage(`{"link_free":[{"from":0,"to":99,"free":1}],` + string(body["net"][1:]))
+		}, "link 0->99"},
+		// What Restore builds stays proportional to the checkpoint: a config
+		// claiming more nodes than it carries states for is refused before
+		// New sizes a machine by it, and a PRNG position past the replay
+		// bound before the kernel burns its way there.
+		{"config of 1<<31 nodes", nil, func(body map[string]json.RawMessage) {
+			body["config"] = setField(t, body["config"], "nodes", "2147483648")
+		}, "node states"},
+		{"kernel PRNG 1<<40 draws in", nil, func(body map[string]json.RawMessage) {
+			body["kernel"] = setField(t, body["kernel"], "rng_draws", "1099511627776")
+		}, "past the"},
+		// A dead node comes only with the fault layer that killed it.
+		{"dead node without a fault layer", nil, func(body map[string]json.RawMessage) {
+			body["runtime"] = json.RawMessage(strings.Replace(string(body["runtime"]), `"nodes":[{`, `"nodes":[{"dead":true,`, 1))
+		}, "dead nodes only"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -74,9 +74,8 @@
 // actions, and crash-tolerant barriers (Thread.BarrierAs) let restarted
 // workers rejoin mid-computation. Replays of the same seed and plan are
 // bit-identical; see examples/faults and DESIGN.md ("Fault model &
-// recovery"). Recovery-mode retry timing is tunable via Config.Recovery
-// (exponential backoff with seeded jitter; the zero value is the historical
-// flat schedule).
+// recovery"). Recovery-mode protocol waits retry after a fixed 5 ms of
+// virtual time (core.RetryTimeout).
 //
 // Because the replay is deterministic, the whole simulation state at a
 // drained safe point is a value: System.Checkpoint serializes it (versioned,

@@ -47,9 +47,6 @@ type (
 	PageClass = core.PageClass
 	// EpochProfile is one profiler epoch's classification histogram.
 	EpochProfile = core.EpochProfile
-	// ProfilerConfig parameterizes the access profiler and its home-
-	// migration decision engine.
-	ProfilerConfig = core.ProfilerConfig
 	// Time is virtual time.
 	Time = sim.Time
 	// Duration is virtual duration.
@@ -129,11 +126,6 @@ type Config struct {
 	Protocol string
 	// Seed drives the deterministic simulation (default 1).
 	Seed int64
-	// Recovery tunes the bounded protocol waits (FetchPage retries and
-	// friends) of fault-injected runs: base timeout, exponential backoff and
-	// seeded jitter. The zero value keeps the historical flat 5 ms timeout.
-	// FaultOptions fields, when set, override these per injection.
-	Recovery RecoveryTuning
 	// Trace enables post-mortem span recording.
 	Trace bool
 	// TunedPrior, when set, feeds a what-if auto-tuner recommendation
@@ -171,10 +163,9 @@ type System struct {
 
 	// cursor is the fault-plan cursor (nil until InjectFaults); Run re-arms
 	// it so fault events parked across a drained safe point fire in the next
-	// run chunk. plan/opts are retained for checkpointing.
+	// run chunk. The plan is retained for checkpointing.
 	cursor    *sim.FaultCursor
 	faultPlan *FaultPlan
-	faultOpts FaultOptions
 }
 
 // New builds a System from cfg.
@@ -189,6 +180,9 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("dsmpm2: invalid node count %d", cfg.Nodes)
+	}
+	if cfg.CPUsPerNode < 0 {
+		return nil, fmt.Errorf("dsmpm2: invalid CPUs per node %d", cfg.CPUsPerNode)
 	}
 	if cfg.Network == nil {
 		cfg.Network = BIPMyrinet
@@ -363,11 +357,6 @@ func (s *System) OpHist(kind string) *Histogram { return s.dsm.OpHist(kind) }
 
 // OpKinds lists the registered operation-histogram kinds in sorted order.
 func (s *System) OpKinds() []string { return s.dsm.OpKinds() }
-
-// EnableProfiler switches on the access-pattern profiler with an explicit
-// configuration (Config.AdaptiveHomes is the common shorthand for
-// ProfilerConfig{Migrate: true}). Call before Run.
-func (s *System) EnableProfiler(cfg ProfilerConfig) { s.dsm.EnableProfiler(cfg) }
 
 // ProfileEpochs returns the profiler's per-epoch classification histograms
 // (nil when the profiler is off).

@@ -22,9 +22,6 @@ type (
 	FaultEvent = sim.FaultEvent
 	// FaultKind enumerates fault event kinds.
 	FaultKind = sim.FaultKind
-	// PartitionPolicy selects queue-until-heal or drop semantics for
-	// partitioned links.
-	PartitionPolicy = madeleine.PartitionPolicy
 	// FaultStats aggregates the network fault layer's counters.
 	FaultStats = madeleine.FaultStats
 	// RecoveryStats counts the DSM recovery manager's work.
@@ -40,16 +37,6 @@ const (
 	FaultLinkLoss      = sim.FaultLinkLoss
 )
 
-// Partition policies.
-const (
-	// PartitionQueue holds messages on a partitioned link and delivers
-	// them, FIFO, when it heals (reliable transport under a transient
-	// partition). The default.
-	PartitionQueue = madeleine.PartitionQueue
-	// PartitionDrop discards messages sent over a partitioned link.
-	PartitionDrop = madeleine.PartitionDrop
-)
-
 // NewFaultPlan returns an empty plan with the given loss-PRNG seed, to be
 // populated with the Crash/Restart/Partition/Heal/Loss builder methods.
 func NewFaultPlan(seed int64) *FaultPlan { return &FaultPlan{Seed: seed} }
@@ -62,92 +49,12 @@ var LoadFaultPlan = sim.LoadFaultPlan
 // sparing the protected nodes. Deterministic per seed.
 var GenerateMTBFPlan = sim.GenerateMTBFPlan
 
-// RecoveryTuning is the retry-timing half of fault injection, settable
-// cluster-wide on Config.Recovery (FaultOptions overrides it field-by-field
-// at injection time). All decisions it parameterizes are deterministic: the
-// backoff is a pure function of the attempt number and the jitter comes from
-// a private seeded PRNG, so tuned runs replay bit-identically.
-type RecoveryTuning struct {
-	// Timeout bounds blocking protocol waits in recovery mode; zero uses
-	// core.DefaultRecoveryTimeout (5 ms virtual).
-	Timeout Duration
-	// Backoff scales the retry timeout exponentially across consecutive
-	// retries of one protocol action (attempt k waits Timeout·Backoff^k);
-	// values <= 1 keep the historical flat timeout.
-	Backoff float64
-	// RetryMax caps the backed-off timeout; zero means no cap.
-	RetryMax Duration
-	// Jitter adds a deterministic pseudo-random delay in [0, Jitter) to
-	// every bounded wait, de-synchronizing retry storms; zero draws nothing.
-	Jitter Duration
-	// JitterSeed seeds the jitter PRNG (zero means 1).
-	JitterSeed int64
-}
-
-// merged overlays the per-injection options over the cluster-wide tuning:
-// any field set on opts wins.
-func (r RecoveryTuning) merged(opts FaultOptions) RecoveryTuning {
-	if opts.Timeout != 0 {
-		r.Timeout = opts.Timeout
-	}
-	if opts.Backoff != 0 {
-		r.Backoff = opts.Backoff
-	}
-	if opts.RetryMax != 0 {
-		r.RetryMax = opts.RetryMax
-	}
-	if opts.Jitter != 0 {
-		r.Jitter = opts.Jitter
-	}
-	if opts.JitterSeed != 0 {
-		r.JitterSeed = opts.JitterSeed
-	}
-	return r
-}
-
 // FaultOptions tunes fault injection.
 type FaultOptions struct {
-	// Partition selects what happens on partitioned links (default:
-	// PartitionQueue).
-	Partition PartitionPolicy
-	// Timeout bounds blocking protocol waits in recovery mode; zero uses
-	// core.DefaultRecoveryTimeout (5 ms virtual).
-	Timeout Duration
-	// Backoff scales the retry timeout exponentially across consecutive
-	// retries of one protocol action (attempt k waits Timeout·Backoff^k);
-	// values <= 1 keep the historical flat timeout. See
-	// core.RecoveryConfig.Backoff.
-	Backoff float64
-	// RetryMax caps the backed-off timeout; zero means no cap.
-	RetryMax Duration
-	// Jitter adds a deterministic pseudo-random delay in [0, Jitter) to
-	// every bounded wait, de-synchronizing retry storms; zero draws nothing.
-	Jitter Duration
-	// JitterSeed seeds the jitter PRNG (zero means 1).
-	JitterSeed int64
 	// OnRestart runs in engine context after a crashed node's DSM state
 	// has been rebuilt — the hook for respawning the node's workers. It
 	// must not block (spawning threads is fine).
 	OnRestart func(node int)
-}
-
-// enableFaultLayers switches on the network fault layer and the DSM recovery
-// manager (idempotently), the shared half of both injection paths.
-func (s *System) enableFaultLayers(seed int64, opts FaultOptions) {
-	if !s.rt.Network().FaultsEnabled() {
-		s.rt.EnableFaults(seed, opts.Partition)
-	}
-	if !s.dsm.RecoveryEnabled() {
-		tune := s.cfg.Recovery.merged(opts)
-		s.dsm.EnableRecovery(core.RecoveryConfig{
-			Timeout:    tune.Timeout,
-			Backoff:    tune.Backoff,
-			RetryMax:   tune.RetryMax,
-			Jitter:     tune.Jitter,
-			JitterSeed: tune.JitterSeed,
-			OnRestart:  opts.OnRestart,
-		})
-	}
 }
 
 // InjectFaults arms the system with a fault plan: the network fault layer
@@ -167,6 +74,9 @@ func (s *System) enableFaultLayers(seed int64, opts FaultOptions) {
 // replica set; synchronization managers (lock homes, barrier manager node
 // 0) must be protected nodes — crash them and their state dies for good.
 //
+// Partitioned links hold their traffic until they heal, and protocol waits
+// retry after core.RetryTimeout (5 ms virtual).
+//
 // A plan the system cannot run is refused before anything is armed: one that
 // fails FaultPlan.Validate, or one whose events name a node or a link
 // endpoint this system does not have.
@@ -174,21 +84,35 @@ func (s *System) InjectFaults(plan *FaultPlan, opts FaultOptions) error {
 	if plan == nil {
 		return nil
 	}
+	if err := checkPlan(plan, s.rt.Nodes()); err != nil {
+		return err
+	}
+	if !s.rt.Network().FaultsEnabled() {
+		s.rt.EnableFaults(plan.Seed)
+	}
+	if !s.dsm.RecoveryEnabled() {
+		s.dsm.EnableRecovery(opts.OnRestart)
+	}
+	s.faultPlan = plan
+	// Not armed here: System.Run arms before every phase, and an event queued
+	// outside a Run would spoil the drained safe point a checkpoint needs.
+	s.cursor = s.rt.Engine().NewFaultCursor(plan, s.applyFault)
+	return nil
+}
+
+// checkPlan refuses a plan an n-node system cannot run: one that fails
+// FaultPlan.Validate, or one whose events name a node or a link endpoint
+// the system does not have.
+func checkPlan(plan *FaultPlan, n int) error {
 	if err := plan.Validate(); err != nil {
 		return err
 	}
 	for i, ev := range plan.Events {
-		if n := s.rt.Nodes(); ev.Node >= n || ev.From >= n || ev.To >= n {
+		if ev.Node >= n || ev.From >= n || ev.To >= n {
 			return fmt.Errorf("dsmpm2: fault plan event %d (%s) names node %d, %d->%d in a %d-node system",
 				i, ev.Kind, ev.Node, ev.From, ev.To, n)
 		}
 	}
-	s.enableFaultLayers(plan.Seed, opts)
-	s.faultPlan = plan
-	s.faultOpts = opts
-	// Not armed here: System.Run arms before every phase, and an event queued
-	// outside a Run would spoil the drained safe point a checkpoint needs.
-	s.cursor = s.rt.Engine().NewFaultCursor(plan, s.applyFault)
 	return nil
 }
 

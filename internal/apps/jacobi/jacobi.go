@@ -40,10 +40,6 @@ type Config struct {
 	// that writes it — the deliberately bad static placement the adapt
 	// experiment starts from.
 	MisplaceHomes bool
-	// Recovery tunes the retry timing of fault-injected runs (base timeout,
-	// exponential backoff, seeded jitter); forwarded to
-	// dsmpm2.Config.Recovery.
-	Recovery dsmpm2.RecoveryTuning
 	// AdaptiveHomes enables the access-pattern profiler and dynamic home
 	// migration: misplaced rows move onto their writers at barrier epochs.
 	AdaptiveHomes bool
@@ -136,7 +132,6 @@ func newSystem(cfg *Config) (*dsmpm2.System, error) {
 		Protocol:      cfg.Protocol,
 		Seed:          cfg.Seed,
 		AdaptiveHomes: cfg.AdaptiveHomes,
-		Recovery:      cfg.Recovery,
 		Trace:         cfg.Trace,
 	})
 }

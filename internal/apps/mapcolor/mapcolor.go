@@ -171,8 +171,6 @@ type Config struct {
 	Seed int64
 	// ExpandCost is the CPU cost charged per assignment step.
 	ExpandCost dsmpm2.Duration
-	// Trace enables post-mortem span recording.
-	Trace bool
 }
 
 // Result reports a run's outcome.
@@ -205,7 +203,6 @@ func Run(cfg Config) (Result, error) {
 		Network:  cfg.Network,
 		Protocol: cfg.Protocol,
 		Seed:     cfg.Seed,
-		Trace:    cfg.Trace,
 	})
 	if err != nil {
 		return Result{}, err

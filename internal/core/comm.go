@@ -188,7 +188,7 @@ func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool
 	if wait {
 		reply = new(sim.Chan)
 	}
-	for attempt := 0; ; attempt++ {
+	for {
 		// Each shipment is a fresh record holding every diff, freed (and the
 		// diffs let go) by its receiver; a re-send counts like the first.
 		m := take(&d.recs.diffMsgs)
@@ -203,7 +203,7 @@ func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool
 		if !wait {
 			break
 		}
-		if _, ok := d.await(t, reply, attempt); ok {
+		if _, ok := d.await(t, reply); ok {
 			break
 		}
 		d.retried()

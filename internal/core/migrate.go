@@ -141,8 +141,8 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 		from: node, reply: ack,
 	}
 	d.rt.AsyncFrom(node, m.newHome, svcMigrateInstall, im, PageSize)
-	for attempt := 0; ; attempt++ {
-		if _, ok := d.await(h, ack, attempt); ok {
+	for {
+		if _, ok := d.await(h, ack); ok {
 			break
 		}
 		d.retried()
@@ -298,8 +298,8 @@ func (d *DSM) startMigration(h *pm2.Thread, pg Page, newHome int) *migFlight {
 // survivor) and the decision is not retried.
 func (d *DSM) finishMigration(h *pm2.Thread, f *migFlight) bool {
 	// f.reply is nil for a metadata-only move: nothing to await.
-	for attempt := 0; f.reply != nil; attempt++ {
-		if v, got := d.await(h, f.reply, attempt); got {
+	for f.reply != nil {
+		if v, got := d.await(h, f.reply); got {
 			if ok, _ := v.(bool); !ok {
 				return false
 			}

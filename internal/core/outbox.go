@@ -259,8 +259,8 @@ func (b *Batch) envelope(run []batchOp) (acks int, diffBytes int64) {
 // and has its diffs re-routed to the pages' current homes.
 func (b *Batch) waitFlight(f *batchFlight) {
 	d := b.d
-	for attempt := 0; ; attempt++ {
-		if _, ok := d.await(b.t, f.call.Reply(), attempt); ok {
+	for {
+		if _, ok := d.await(b.t, f.call.Reply()); ok {
 			break
 		}
 		d.retried()

@@ -75,17 +75,14 @@ type ProfilerConfig struct {
 	// page's dominant writer before the page is re-homed (hysteresis
 	// against ping-pong). Zero selects DefaultStability.
 	Stability int
-	// Window is the per-page epoch ring size (classification history kept
-	// for introspection and the adaptive protocol). Zero selects
-	// DefaultWindow; values below Stability are raised to it.
-	Window int
 }
 
 // DefaultStability is the default re-homing hysteresis, in epochs.
 const DefaultStability = 2
 
-// DefaultWindow is the default per-page epoch ring size.
-const DefaultWindow = 8
+// profileWindow is the per-page epoch ring size: the classification history
+// kept for introspection and the adaptive protocol.
+const profileWindow = 8
 
 // EpochProfile is one epoch's classification histogram: how many pages fell
 // into each sharing class when the epoch's counters were folded, and how many
@@ -176,12 +173,6 @@ func (d *DSM) EnableProfiler(cfg ProfilerConfig) {
 	if cfg.Stability <= 0 {
 		cfg.Stability = DefaultStability
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
-	if cfg.Window < cfg.Stability {
-		cfg.Window = cfg.Stability
-	}
 	already := d.prof != nil
 	d.prof = &profilerState{
 		cfg:   cfg,
@@ -242,7 +233,7 @@ func (p *profilerState) track(pg Page) {
 	}
 	pp := &pageProfile{
 		counts: make([]pageCounters, p.nodes),
-		ring:   make([]ringEntry, p.cfg.Window),
+		ring:   make([]ringEntry, profileWindow),
 		pref:   -1,
 	}
 	// Unwritten ring slots must honour the "writer -1 when none" contract:

@@ -42,7 +42,7 @@ func FetchPage(f *Fault, write bool) {
 		break
 	}
 	e.Pending = true
-	for attempt := 0; e.Pending; attempt++ {
+	for e.Pending {
 		// The first request, or a retry of the fetch we own: it goes to the
 		// current probable owner — if the server died, the recovery sweep has
 		// redirected the hint to the page's new home — and the bumped
@@ -57,7 +57,7 @@ func FetchPage(f *Fault, write bool) {
 		for e.Pending {
 			// A wait that expires (recovery only) retries if the fetch in
 			// flight is still ours, not another thread's.
-			if !d.awaitEntry(t, e, attempt) && e.Pending && e.reqSeq == seq {
+			if !d.awaitEntry(t, e) && e.Pending && e.reqSeq == seq {
 				d.retried()
 				break
 			}
@@ -229,15 +229,14 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 		d.sendInvalidate(t.Node(), n, pg, newOwner, ack)
 		outstanding.Add(n)
 	})
-	for attempt := 0; !outstanding.Empty(); {
-		if v, ok := d.await(t, ack, attempt); ok {
+	for !outstanding.Empty() {
+		if v, ok := d.await(t, ack); ok {
 			if n, isAck := v.(int); isAck && outstanding.Contains(n) {
 				outstanding.Remove(n)
 				d.stats.InvAcks++
 			}
 			continue
 		}
-		attempt++
 		outstanding.ForEach(func(n int) {
 			if d.NodeDead(n) {
 				outstanding.Remove(n)

@@ -120,7 +120,7 @@ func TestRecoveryRecyclesSharedRecords(t *testing.T) {
 	for _, recovery := range []bool{false, true} {
 		d := newDSM(1)
 		if recovery {
-			d.EnableRecovery(RecoveryConfig{})
+			d.EnableRecovery(nil)
 		}
 		df := NewDiff(d)
 		df.Compute(Page(3), make([]byte, 16), []byte{15: 1}, 0)
@@ -177,9 +177,9 @@ func TestResentDiffOutlivesTheFirstAck(t *testing.T) {
 		for _, poison := range []bool{false, true} {
 			PoisonFreed = poison
 			rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
-			rt.EnableFaults(1, madeleine.PartitionQueue)
+			rt.EnableFaults(1)
 			d := New(rt, NewRegistry(), DefaultCosts())
-			d.EnableRecovery(RecoveryConfig{})
+			d.EnableRecovery(nil)
 			var pg Page
 			served := 0
 			d.SetDefaultProtocol(d.CreateProtocol(&Hooks{ProtoName: "slow", OnDiffServer: func(dm *DiffMsg) {

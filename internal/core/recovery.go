@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -27,43 +26,17 @@ import (
 //     barrier slots are left to the idempotent re-arrival protocol;
 //   - in-flight protocol actions do not wait on the dead forever — the
 //     fetch/invalidate/diff paths in protolib.go and comm.go bound their
-//     waits with cfg.Timeout and retry against the repaired state.
+//     waits with RetryTimeout and retry against the repaired state.
 //
 // Everything is swept in deterministic order (sorted pages, node ids
 // ascending), so a crash at a fixed virtual time replays bit-identically.
 
-// RecoveryConfig parameterizes the recovery manager.
-type RecoveryConfig struct {
-	// Timeout bounds every blocking protocol wait (page fetch,
-	// invalidation acks, diff replies); on expiry the action re-checks the
-	// fault state and retries. Zero selects DefaultRecoveryTimeout.
-	Timeout sim.Duration
-	// Backoff scales the timeout exponentially across consecutive retries
-	// of one protocol action: attempt k waits Timeout·Backoff^k. Values
-	// <= 1 (including the zero value) keep the historical flat timeout.
-	// Under loss-heavy plans backoff stops a storm of synchronized resends
-	// from re-colliding with the very congestion that delayed them.
-	Backoff float64
-	// RetryMax caps the backed-off timeout. Zero means no cap.
-	RetryMax sim.Duration
-	// Jitter adds a deterministic pseudo-random delay in [0, Jitter) to
-	// every bounded wait, drawn from a private PRNG seeded with JitterSeed,
-	// de-synchronizing retries that would otherwise expire in lockstep.
-	// Zero (the default) draws nothing, keeping existing traces
-	// bit-identical.
-	Jitter sim.Duration
-	// JitterSeed seeds the jitter PRNG. Zero means 1.
-	JitterSeed int64
-	// OnRestart, if set, runs in engine context after a node's DSM state
-	// has been rebuilt for its cold restart — the hook applications use to
-	// respawn the node's workers. It must not block.
-	OnRestart func(node int)
-}
-
-// DefaultRecoveryTimeout is the protocol-action retry timeout: comfortably
-// above the slowest calibrated round trip (TCP/Fast Ethernet page fault,
-// ~1ms), so fault-free traffic never retries spuriously.
-const DefaultRecoveryTimeout = 5 * sim.Millisecond
+// RetryTimeout bounds every blocking protocol wait while recovery is on
+// (page fetch, invalidation acks, diff replies, migrations): on expiry the
+// action re-checks the fault state and retries. It sits comfortably above the
+// slowest calibrated round trip (TCP/Fast Ethernet page fault, ~1ms), so
+// fault-free traffic never retries spuriously.
+const RetryTimeout = 5 * sim.Millisecond
 
 // RecoveryStats counts the recovery manager's work.
 type RecoveryStats struct {
@@ -92,51 +65,39 @@ type RecoveryStats struct {
 
 // recoveryState is the DSM's recovery manager (nil when disabled).
 type recoveryState struct {
-	cfg   RecoveryConfig
-	dead  []bool
-	stats RecoveryStats
-	// jitter is the retry-jitter PRNG: counted so checkpoints can record
-	// and re-establish its position. nil when cfg.Jitter is zero.
-	jitter *sim.CountedRand
+	// onRestart, if set, runs in engine context after a node's DSM state has
+	// been rebuilt for its cold restart: the hook applications use to respawn
+	// the node's workers. It must not block.
+	onRestart func(node int)
+	dead      []bool
+	stats     RecoveryStats
 	// ckpts records, per node, the last work unit the application committed
 	// a local checkpoint for (-1 when none). OnRestart hooks read it back
 	// through LastCheckpoint to warm-start instead of redoing the run.
 	ckpts []int
 }
 
-// EnableRecovery switches the recovery manager on. Call it before Run; the
-// fault plan's node events are then applied through CrashNode/RestartNode.
-// The PM2 runtime's network fault layer must be enabled as well (the facade
-// does both).
-func (d *DSM) EnableRecovery(cfg RecoveryConfig) {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultRecoveryTimeout
-	}
+// EnableRecovery switches the recovery manager on, with onRestart (may be
+// nil) as the node-restart hook. Call it before Run; the fault plan's node
+// events are then applied through CrashNode/RestartNode. The PM2 runtime's
+// network fault layer must be enabled as well (the facade does both).
+func (d *DSM) EnableRecovery(onRestart func(node int)) {
 	rec := &recoveryState{
-		cfg:   cfg,
-		dead:  make([]bool, d.rt.Nodes()),
-		ckpts: make([]int, d.rt.Nodes()),
+		onRestart: onRestart,
+		dead:      make([]bool, d.rt.Nodes()),
+		ckpts:     make([]int, d.rt.Nodes()),
 	}
 	for i := range rec.ckpts {
 		rec.ckpts[i] = -1
-	}
-	if cfg.Jitter > 0 {
-		rec.jitter = sim.NewCountedRand(cmp.Or(cfg.JitterSeed, 1))
 	}
 	d.recovery = rec
 }
 
 // RecoverySnap is the recovery manager's state in a checkpoint.
 type RecoverySnap struct {
-	Timeout     sim.Duration  `json:"timeout"`
-	Backoff     float64       `json:"backoff,omitempty"`
-	RetryMax    sim.Duration  `json:"retry_max,omitempty"`
-	Jitter      sim.Duration  `json:"jitter,omitempty"`
-	JitterSeed  int64         `json:"jitter_seed,omitempty"`
-	JitterDraws uint64        `json:"jitter_draws,omitempty"`
-	Dead        []bool        `json:"dead"`
-	Stats       RecoveryStats `json:"stats"`
-	Ckpts       []int         `json:"ckpts"`
+	Dead  []bool        `json:"dead"`
+	Stats RecoveryStats `json:"stats"`
+	Ckpts []int         `json:"ckpts"`
 }
 
 // captureRecovery serializes the recovery manager: nil when it is off.
@@ -145,13 +106,7 @@ func (d *DSM) captureRecovery() *RecoverySnap {
 	if rec == nil {
 		return nil
 	}
-	cfg := rec.cfg
-	rs := &RecoverySnap{Timeout: cfg.Timeout, Backoff: cfg.Backoff, RetryMax: cfg.RetryMax, Jitter: cfg.Jitter,
-		JitterSeed: cfg.JitterSeed, Dead: slices.Clone(rec.dead), Stats: rec.stats, Ckpts: slices.Clone(rec.ckpts)}
-	if rec.jitter != nil {
-		rs.JitterDraws = rec.jitter.Draws()
-	}
-	return rs
+	return &RecoverySnap{Dead: slices.Clone(rec.dead), Stats: rec.stats, Ckpts: slices.Clone(rec.ckpts)}
 }
 
 // restoreRecovery switches the recovery manager on with a captured state. The
@@ -159,12 +114,9 @@ func (d *DSM) captureRecovery() *RecoverySnap {
 func (d *DSM) restoreRecovery(rs *RecoverySnap) error {
 	var onRestart func(int)
 	if d.recovery != nil {
-		onRestart = d.recovery.cfg.OnRestart
+		onRestart = d.recovery.onRestart
 	}
-	d.EnableRecovery(RecoveryConfig{
-		Timeout: rs.Timeout, Backoff: rs.Backoff, RetryMax: rs.RetryMax,
-		Jitter: rs.Jitter, JitterSeed: rs.JitterSeed, OnRestart: onRestart,
-	})
+	d.EnableRecovery(onRestart)
 	rec := d.recovery
 	if len(rs.Dead) != len(rec.dead) {
 		return fmt.Errorf("core: restore recovery state for %d nodes into %d-node DSM", len(rs.Dead), len(rec.dead))
@@ -172,57 +124,27 @@ func (d *DSM) restoreRecovery(rs *RecoverySnap) error {
 	copy(rec.dead, rs.Dead)
 	rec.stats = rs.Stats
 	copy(rec.ckpts, rs.Ckpts)
-	if rec.jitter != nil {
-		return rec.jitter.BurnTo(rs.JitterDraws)
-	}
 	return nil
 }
 
-// retryDelay returns the bounded wait for one protocol action's attempt-th
-// expiry (attempt 0 is the first wait): the configured timeout scaled by
-// Backoff^attempt, capped at RetryMax, plus one jitter draw. With the
-// zero-value config extensions this is exactly cfg.Timeout, so existing
-// traces replay bit-identically.
-func (rec *recoveryState) retryDelay(attempt int) sim.Duration {
-	d := rec.cfg.Timeout
-	if rec.cfg.Backoff > 1 {
-		f := float64(d)
-		for i := 0; i < attempt; i++ {
-			f *= rec.cfg.Backoff
-			if rec.cfg.RetryMax > 0 && f >= float64(rec.cfg.RetryMax) {
-				f = float64(rec.cfg.RetryMax)
-				break
-			}
-		}
-		d = sim.Duration(f)
-	}
-	if rec.cfg.RetryMax > 0 && d > rec.cfg.RetryMax {
-		d = rec.cfg.RetryMax
-	}
-	if rec.jitter != nil {
-		d += sim.Duration(rec.jitter.Int63n(int64(rec.cfg.Jitter)))
-	}
-	return d
-}
-
 // await is a protocol action's wait for its reply on ch: unbounded with
-// recovery off, and otherwise bounded by the attempt-th retry delay. On
-// expiry it reports false, and the caller re-checks the fault state and
-// re-sends, counting each re-send with retried.
-func (d *DSM) await(t *pm2.Thread, ch *sim.Chan, attempt int) (interface{}, bool) {
+// recovery off, and otherwise bounded by RetryTimeout. On expiry it reports
+// false, and the caller re-checks the fault state and re-sends, counting each
+// re-send with retried.
+func (d *DSM) await(t *pm2.Thread, ch *sim.Chan) (interface{}, bool) {
 	if d.recovery == nil {
 		return ch.Recv(t.Proc()), true
 	}
-	return ch.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt))
+	return ch.RecvTimeout(t.Proc(), RetryTimeout)
 }
 
 // awaitEntry is await for a wake-up on e, whose lock t holds.
-func (d *DSM) awaitEntry(t *pm2.Thread, e *Entry, attempt int) bool {
+func (d *DSM) awaitEntry(t *pm2.Thread, e *Entry) bool {
 	if d.recovery == nil {
 		e.Wait(t)
 		return true
 	}
-	return e.WaitTimeout(t, d.recovery.retryDelay(attempt))
+	return e.WaitTimeout(t, RetryTimeout)
 }
 
 // retried counts an action re-sent or re-routed after a (bounded) wait expired.
@@ -332,8 +254,8 @@ func (d *DSM) RestartNode(n int) {
 			r.OnNodeRestart(n)
 		}
 	})
-	if rec.cfg.OnRestart != nil {
-		rec.cfg.OnRestart(n)
+	if rec.onRestart != nil {
+		rec.onRestart(n)
 	}
 }
 

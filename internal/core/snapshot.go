@@ -147,7 +147,6 @@ type ProfPageSnap struct {
 type ProfilerSnap struct {
 	Migrate   bool           `json:"migrate"`
 	Stability int            `json:"stability"`
-	Window    int            `json:"window"`
 	Epoch     int            `json:"epoch"`
 	Epochs    []EpochProfile `json:"epochs,omitempty"`
 	Pages     []ProfPageSnap `json:"pages,omitempty"`
@@ -269,7 +268,7 @@ func (d *DSM) CaptureState() (*CoreState, error) {
 	s.Recovery = d.captureRecovery()
 	if p := d.prof; p != nil {
 		ps := &ProfilerSnap{
-			Migrate: p.cfg.Migrate, Stability: p.cfg.Stability, Window: p.cfg.Window,
+			Migrate: p.cfg.Migrate, Stability: p.cfg.Stability,
 			Epoch:  p.epoch,
 			Epochs: append([]EpochProfile(nil), p.epochs...),
 		}
@@ -523,7 +522,7 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		// already (a system built with the same profiler configuration has
 		// them).
 		d.EnableProfiler(ProfilerConfig{
-			Migrate: s.Profiler.Migrate, Stability: s.Profiler.Stability, Window: s.Profiler.Window,
+			Migrate: s.Profiler.Migrate, Stability: s.Profiler.Stability,
 		})
 		p := d.prof
 		p.epoch = s.Profiler.Epoch

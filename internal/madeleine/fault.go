@@ -18,9 +18,8 @@ import (
 //     are replaced wholesale (and unbound from their sinks) so that in-flight
 //     deliveries land in orphaned channels instead of leaking into a later
 //     incarnation of the node;
-//   - a partitioned link either queues its traffic until the link heals
-//     (PartitionQueue, the default — models a transient partition with
-//     reliable transport underneath) or drops it (PartitionDrop);
+//   - a partitioned link queues its traffic until the link heals (a
+//     transient partition with reliable transport underneath);
 //   - a lossy link drops or duplicates each message independently with the
 //     configured probabilities, drawn from the fault layer's private PRNG so
 //     the engine's own random stream — and therefore the fault-free portion
@@ -28,23 +27,12 @@ import (
 //     original but is never delivered: the receiver sees each message at
 //     most once, as over the reliable transports Madeleine runs on.
 
-// PartitionPolicy selects what happens to messages sent over a partitioned
-// link.
-type PartitionPolicy int
-
-const (
-	// PartitionQueue holds messages and re-injects them, FIFO per link,
-	// when the link heals.
-	PartitionQueue PartitionPolicy = iota
-	// PartitionDrop discards messages sent over a partitioned link.
-	PartitionDrop
-)
-
 // FaultStats aggregates the fault layer's counters.
 type FaultStats struct {
 	// DeadDrops counts messages dropped because an endpoint was dead.
 	DeadDrops int
-	// Dropped counts messages discarded by partitions or lossy links.
+	// Dropped counts messages discarded by lossy links, or held on a
+	// partition when an endpoint crashed.
 	Dropped int
 	// Duplicated counts extra copies lossy links put on the wire (and the
 	// receiver discarded).
@@ -100,7 +88,6 @@ type linkFault struct {
 // the plain rand.Rand this replaced.
 type faultState struct {
 	rng    *sim.CountedRand
-	policy PartitionPolicy
 	dead   []bool
 	links  map[linkKey]*linkFault
 	onDrop func(payload interface{})
@@ -108,18 +95,16 @@ type faultState struct {
 }
 
 // EnableFaults switches the fault layer on. seed drives the private PRNG
-// behind probabilistic loss (zero means 1); policy selects the partition
-// behaviour. Enabling faults on a quiet network is free until a fault is
-// actually injected.
-func (nw *Network) EnableFaults(seed int64, policy PartitionPolicy) {
+// behind probabilistic loss (zero means 1). Enabling faults on a quiet
+// network is free until a fault is actually injected.
+func (nw *Network) EnableFaults(seed int64) {
 	if seed == 0 {
 		seed = 1
 	}
 	nw.faults = &faultState{
-		rng:    sim.NewCountedRand(seed),
-		policy: policy,
-		dead:   make([]bool, nw.n),
-		links:  make(map[linkKey]*linkFault),
+		rng:   sim.NewCountedRand(seed),
+		dead:  make([]bool, nw.n),
+		links: make(map[linkKey]*linkFault),
 	}
 }
 
@@ -292,8 +277,8 @@ func (nw *Network) HealLink(from, to int) {
 			continue
 		}
 		fs.stats.HeldTime += now.Sub(hm.heldAt)
-		// Re-inject through the occupancy clocks: a healed burst pays the
-		// same NIC/link serialization a normally-sent burst would.
+		// Re-inject through the occupancy clock: a healed burst pays the
+		// same link serialization a normally-sent burst would.
 		if hm.parts != nil {
 			nw.deliverGather(hm.from, hm.to, hm.parts, hm.size, hm.d)
 			continue
@@ -335,8 +320,8 @@ func (nw *Network) dropPayload(fs *faultState, payload interface{}, isMsg bool) 
 // reports whether it was consumed (dropped or held). The envelope is
 // all-or-nothing: a dead endpoint or a drop discards every part, reclaiming
 // each pooled Message (and handing each inner payload to the drop handler)
-// exactly once; a queueing partition parks the whole envelope so heal
-// re-injects it through a single departure. Loss is drawn once per envelope
+// exactly once; a partition parks the whole envelope so heal re-injects it
+// through a single departure. Loss is drawn once per envelope
 // — it is one unit on the wire — and no duplicate is drawn for it. parts is
 // the sender's scratch list, so the one branch that keeps it copies it.
 func (nw *Network) interceptGather(from, to int, parts []*Message, total int, d sim.Duration) bool {
@@ -351,11 +336,6 @@ func (nw *Network) interceptGather(from, to int, parts []*Message, total int, d 
 		return false
 	}
 	if lf.partitioned {
-		if fs.policy == PartitionDrop {
-			fs.stats.Dropped++
-			nw.dropParts(fs, parts)
-			return true
-		}
 		fs.stats.Held++
 		lf.held = append(lf.held, heldMsg{
 			from: from, to: to, parts: slices.Clone(parts), size: total,
@@ -372,9 +352,8 @@ func (nw *Network) interceptGather(from, to int, parts []*Message, total int, d 
 }
 
 // intercept applies the fault model to one send and reports whether the
-// message was consumed (dropped or held). It runs before the occupancy
-// models: a message that never departs must not advance the NIC/link
-// clocks. isMsg marks payloads that are pooled *Message envelopes.
+// message was consumed (dropped or held). It runs before the link occupancy
+// model: a message that never departs must not advance the link clock. isMsg marks payloads that are pooled *Message envelopes.
 func (nw *Network) intercept(from, to int, q *sim.Chan, payload interface{}, size int, d sim.Duration, isMsg bool) bool {
 	fs := nw.faults
 	if to >= 0 && to < nw.n && fs.dead[to] || from >= 0 && from < nw.n && fs.dead[from] {
@@ -387,11 +366,6 @@ func (nw *Network) intercept(from, to int, q *sim.Chan, payload interface{}, siz
 		return false
 	}
 	if lf.partitioned {
-		if fs.policy == PartitionDrop {
-			fs.stats.Dropped++
-			nw.dropPayload(fs, payload, isMsg)
-			return true
-		}
 		fs.stats.Held++
 		lf.held = append(lf.held, heldMsg{
 			from: from, to: to, q: q, payload: payload, size: size,
@@ -405,8 +379,8 @@ func (nw *Network) intercept(from, to int, q *sim.Chan, payload interface{}, siz
 		return true
 	}
 	if lf.dupRate > 0 && isMsg && fs.rng.Float64() < lf.dupRate {
-		// The copy takes its turn on the NIC and the link ahead of the
-		// original; the receiving interface discards it.
+		// The copy takes its turn on the link ahead of the original; the
+		// receiving interface discards it.
 		fs.stats.Duplicated++
 		nw.departure(from, to, size)
 	}

@@ -15,7 +15,7 @@ import (
 func TestDeadNodeDropFreesOnce(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := NewNetwork(eng, BIPMyrinet, 3)
-	nw.EnableFaults(1, PartitionQueue)
+	nw.EnableFaults(1)
 	var dropped []interface{}
 	nw.SetDropHandler(func(p interface{}) { dropped = append(dropped, p) })
 	nw.CrashNode(1)
@@ -67,7 +67,7 @@ func TestDeadNodeDropFreesOnce(t *testing.T) {
 func TestCrashPurgesQueuedMessages(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := NewNetwork(eng, BIPMyrinet, 2)
-	nw.EnableFaults(1, PartitionQueue)
+	nw.EnableFaults(1)
 	var dropped []interface{}
 	nw.SetDropHandler(func(p interface{}) { dropped = append(dropped, p) })
 
@@ -92,13 +92,12 @@ func TestCrashPurgesQueuedMessages(t *testing.T) {
 	}
 }
 
-// TestPartitionQueueHoldsAndHeals: with the queue policy, messages sent over
-// a partitioned link arrive after the heal, in order, and the held time is
-// accounted.
+// TestPartitionQueueHoldsAndHeals: messages sent over a partitioned link
+// arrive after the heal, in order, and the held time is accounted.
 func TestPartitionQueueHoldsAndHeals(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := NewNetwork(eng, BIPMyrinet, 2)
-	nw.EnableFaults(1, PartitionQueue)
+	nw.EnableFaults(1)
 	nw.PartitionLink(0, 1)
 
 	var arrivals []sim.Time
@@ -141,7 +140,7 @@ func TestPartitionQueueHoldsAndHeals(t *testing.T) {
 func TestCrashDropsHeldMessagesFromCorpse(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := NewNetwork(eng, BIPMyrinet, 2)
-	nw.EnableFaults(1, PartitionQueue)
+	nw.EnableFaults(1)
 	var dropped int
 	nw.SetDropHandler(func(interface{}) { dropped++ })
 	eng.Go("driver", func(p *sim.Proc) {
@@ -165,36 +164,13 @@ func TestCrashDropsHeldMessagesFromCorpse(t *testing.T) {
 	}
 }
 
-// TestPartitionDropPolicy: with the drop policy, partitioned traffic is
-// discarded and reclaimed.
-func TestPartitionDropPolicy(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nw := NewNetwork(eng, BIPMyrinet, 2)
-	nw.EnableFaults(1, PartitionDrop)
-	var dropped int
-	nw.SetDropHandler(func(interface{}) { dropped++ })
-	nw.PartitionLink(0, 1)
-	eng.Go("send", func(p *sim.Proc) {
-		nw.SendCtrl(0, 1, "ch", "lost")
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
-	}
-	if _, ok := nw.TryRecv(1, "ch"); ok {
-		t.Fatal("message crossed a partitioned link under the drop policy")
-	}
-}
-
 // TestLinkLossDeterministic: loss draws come from the fault layer's private
 // PRNG, so the same seed drops the same messages.
 func TestLinkLossDeterministic(t *testing.T) {
 	run := func() (delivered int) {
 		eng := sim.NewEngine(1)
 		nw := NewNetwork(eng, BIPMyrinet, 2)
-		nw.EnableFaults(99, PartitionQueue)
+		nw.EnableFaults(99)
 		nw.SetLinkLoss(0, 1, 0.5, 0)
 		eng.Go("send", func(p *sim.Proc) {
 			for i := 0; i < 40; i++ {
@@ -223,15 +199,14 @@ func TestLinkLossDeterministic(t *testing.T) {
 // TestDuplicateOccupiesLinkOnly: a link that duplicates every message hands
 // the receiver each message once, at the time a reliable link that carries
 // every message twice, copy first, delivers the second copy. A duplicate
-// costs NIC and link time and nothing else.
+// costs link time and nothing else.
 func TestDuplicateOccupiesLinkOnly(t *testing.T) {
 	const msgs, size = 5, 4096
 	run := func(dup bool) (payloads []interface{}, arrivals []sim.Time) {
 		eng := sim.NewEngine(1)
 		nw := NewNetwork(eng, BIPMyrinet, 2)
-		nw.SetNICModel(true)
 		nw.SetLinkContention(true)
-		nw.EnableFaults(1, PartitionQueue)
+		nw.EnableFaults(1)
 		copies := 2
 		if dup {
 			nw.SetLinkLoss(0, 1, 0, 1)

@@ -56,15 +56,11 @@ type linkCount struct {
 // events on the sim engine, and a queue's messages go either to simulated
 // threads blocking in Recv or to the callback Serve bound it to.
 //
-// The model charges the sender-to-receiver latency per message and offers two
-// optional occupancy models (both off by default; the paper's latencies are
-// single-message costs):
-//
-//   - the NIC model serializes each node's outbound port, so one sender
-//     blasting many destinations queues at its own interface;
-//   - the link model serializes each directed (src,dst) link, so concurrent
-//     page transfers crossing the same link queue FIFO instead of
-//     overlapping for free, while transfers on disjoint links still overlap.
+// The model charges the sender-to-receiver latency per message. An optional
+// link occupancy model (off by default; the paper's latencies are
+// single-message costs) serializes each directed (src,dst) link, so
+// concurrent page transfers crossing the same link queue FIFO instead of
+// overlapping for free, while transfers on disjoint links still overlap.
 type Network struct {
 	eng  *sim.Engine
 	topo Topology
@@ -80,14 +76,10 @@ type Network struct {
 	// msgFree recycles Message structs (see Message).
 	msgFree freelist.List[*Message]
 
-	// Occupancy model switches (read-only once traffic flows).
-	nicModel  bool
+	// linkModel switches the link occupancy model on (read-only once traffic
+	// flows); linkFree records when each directed link frees up, and
+	// linkStats the contention counters.
 	linkModel bool
-
-	// NIC occupancy: per node, when the outbound port frees up.
-	nicFree []sim.Time
-	// Link occupancy: when each directed link frees up, plus the contention
-	// counters.
 	linkFree  map[linkKey]sim.Time
 	linkStats LinkStats
 	// faults is the fault layer: nil (and completely inert) until
@@ -135,7 +127,6 @@ func NewNetworkTopology(eng *sim.Engine, topo Topology, n int) *Network {
 		chanIDs:   make(map[string]ChanID),
 		chanNames: []string{""}, // ChanID 0 reserved as "unset"
 		queues:    make([][]*sim.Chan, n),
-		nicFree:   make([]sim.Time, n),
 		linkFree:  make(map[linkKey]sim.Time),
 	}
 }
@@ -178,12 +169,6 @@ func (nw *Network) FreeMessage(m *Message) {
 	*m = Message{}
 	nw.msgFree.Put(m)
 }
-
-// SetNICModel enables or disables per-node outbound port serialization.
-func (nw *Network) SetNICModel(on bool) { nw.nicModel = on }
-
-// NICModel reports whether send-side port contention is being modelled.
-func (nw *Network) NICModel() bool { return nw.nicModel }
 
 // SetLinkContention enables or disables per-link bandwidth occupancy.
 func (nw *Network) SetLinkContention(on bool) { nw.linkModel = on }
@@ -247,10 +232,10 @@ func (nw *Network) queue(node int, ch ChanID) *sim.Chan {
 
 // SendAfter delivers msg to its destination after latency d. Sends to the
 // local node are delivered with the same latency: loopback communication in
-// PM2 still crosses the RPC machinery. With an occupancy model enabled, the
-// message first waits for the sender's port and/or its link to free and
-// occupies them for its byte time; the sender itself never blocks (PM2 sends
-// are asynchronous, the queueing happens in the interface).
+// PM2 still crosses the RPC machinery. With the link model enabled, the
+// message first waits for its link to free and occupies it for its byte time;
+// the sender itself never blocks (PM2 sends are asynchronous, the queueing
+// happens in the interface).
 func (nw *Network) SendAfter(msg *Message, d sim.Duration) {
 	msg.SentAt = nw.eng.Now()
 	nw.msgs++
@@ -276,7 +261,7 @@ type GatherPart struct {
 }
 
 // SendGather ships parts from->to as ONE wire envelope: the summed byte size
-// crosses the NIC/link occupancy model exactly once (a single departure), the
+// crosses the link occupancy model exactly once (a single departure), the
 // whole batch is charged latency d once, and on arrival the parts scatter to
 // their per-channel inbound queues in part order. This is the scatter/gather
 // primitive the batched DSM communication path rides on — N page operations
@@ -321,33 +306,19 @@ func (nw *Network) deliverGather(from, to int, parts []*Message, total int, d si
 }
 
 // departure resolves when a message of size bytes from from to to leaves the
-// sending interface, advancing the NIC/link occupancy clocks when those
-// models are enabled. The message departs once every enabled resource is
-// free, and occupies all of them for its transmit time — stamping either
-// resource before the other has pushed depart would mark it free while the
-// message is still on the wire. The sender itself never blocks (PM2 sends
-// are asynchronous, the queueing happens in the interface).
+// sending interface: now, or with the link model enabled once its link is
+// free, which it then occupies for its transmit time. The sender itself never
+// blocks (PM2 sends are asynchronous, the queueing happens in the interface).
 func (nw *Network) departure(from, to, size int) sim.Time {
 	depart := nw.eng.Now()
-	if (nw.nicModel || nw.linkModel) && from >= 0 && from < nw.n {
-		tx := sim.Duration(float64(size) * nw.topo.Link(from, to).PerByte)
+	if nw.linkModel && from >= 0 && from < nw.n {
 		key := linkKey{from, to}
-		if nw.nicModel && nw.nicFree[from] > depart {
-			depart = nw.nicFree[from]
+		if free := nw.linkFree[key]; free > depart {
+			nw.linkStats.Waits++
+			nw.linkStats.WaitTime += free.Sub(depart)
+			depart = free
 		}
-		if nw.linkModel {
-			if free := nw.linkFree[key]; free > depart {
-				nw.linkStats.Waits++
-				nw.linkStats.WaitTime += free.Sub(depart)
-				depart = free
-			}
-		}
-		if nw.nicModel {
-			nw.nicFree[from] = depart.Add(tx)
-		}
-		if nw.linkModel {
-			nw.linkFree[key] = depart.Add(tx)
-		}
+		nw.linkFree[key] = depart.Add(sim.Duration(float64(size) * nw.topo.Link(from, to).PerByte))
 	}
 	return depart
 }
@@ -390,8 +361,8 @@ func (nw *Network) SendBulkID(from, to int, ch ChanID, size int, payload interfa
 // bypassing the per-node channel tables. RPC replies use this: the caller
 // owns a private reply queue, so no channel naming is needed; the caller
 // computes d from the link it is answering over. Replies are subject to the
-// same NIC/link occupancy models as named-channel traffic — a reply crossing
-// a saturated link queues exactly like the request did.
+// same link occupancy model as named-channel traffic — a reply crossing a
+// saturated link queues exactly like the request did.
 func (nw *Network) SendDirect(from, to int, q *sim.Chan, size int, payload interface{}, d sim.Duration) {
 	nw.msgs++
 	nw.bytes += int64(size)

@@ -9,11 +9,11 @@ import (
 
 // Network checkpoint/restore. A safe point for the network means no traffic
 // in flight — the engine's queue is drained — so the serializable state is
-// the occupancy clocks, the traffic counters and the fault layer's view.
+// the link occupancy clocks, the traffic counters and the fault layer's view.
 // Messages held on partitioned links are the one exception: they ARE
 // in-flight traffic parked inside the network, and their payloads are live
 // Go values (closures over channels) that cannot be serialized, so a
-// checkpoint while a queueing partition holds traffic is rejected.
+// checkpoint while a partition holds traffic is rejected.
 
 // LinkClock is one directed link's occupancy clock.
 type LinkClock struct {
@@ -33,7 +33,6 @@ type LinkFaultState struct {
 
 // FaultLayerState is the fault layer's serializable state.
 type FaultLayerState struct {
-	Policy   int              `json:"policy"`
 	Dead     []bool           `json:"dead"`
 	Links    []LinkFaultState `json:"links,omitempty"`
 	Stats    FaultStats       `json:"stats"`
@@ -42,7 +41,6 @@ type FaultLayerState struct {
 
 // NetState is the network's complete serializable state.
 type NetState struct {
-	NICFree   []sim.Time       `json:"nic_free"`
 	LinkFree  []LinkClock      `json:"link_free,omitempty"`
 	LinkStats LinkStats        `json:"link_stats"`
 	Msgs      int              `json:"msgs"`
@@ -55,7 +53,6 @@ type NetState struct {
 // moment is not one. It never mutates the network.
 func (nw *Network) CaptureState() (*NetState, error) {
 	s := &NetState{
-		NICFree:   append([]sim.Time(nil), nw.nicFree...),
 		LinkStats: nw.linkStats,
 		Msgs:      nw.msgs,
 		Bytes:     nw.bytes,
@@ -74,7 +71,6 @@ func (nw *Network) CaptureState() (*NetState, error) {
 		return s, nil
 	}
 	fl := &FaultLayerState{
-		Policy:   int(fs.policy),
 		Dead:     append([]bool(nil), fs.dead...),
 		Stats:    fs.stats,
 		RNGDraws: fs.rng.Draws(),
@@ -112,16 +108,15 @@ func sortLinkKeys(keys []linkKey) {
 
 // RestoreState installs a captured network state into this network, which
 // must have the same node count and — when the capture had faults enabled —
-// must already have EnableFaults called with the original seed and policy,
-// so the loss PRNG stream can be fast-forwarded rather than recreated (the
-// seed does not serialize here; the layer above records it).
+// must already have EnableFaults called with the original seed, so the loss
+// PRNG stream can be fast-forwarded rather than recreated (the seed does not
+// serialize here; the layer above records it).
 func (nw *Network) RestoreState(s *NetState) error {
-	if len(s.NICFree) != len(nw.nicFree) {
-		return fmt.Errorf("madeleine: restore of %d-node state into %d-node network", len(s.NICFree), len(nw.nicFree))
-	}
-	copy(nw.nicFree, s.NICFree)
 	nw.linkFree = make(map[linkKey]sim.Time, len(s.LinkFree))
 	for _, lc := range s.LinkFree {
+		if lc.From < 0 || lc.From >= nw.n || lc.To < 0 || lc.To >= nw.n {
+			return fmt.Errorf("madeleine: restore of link %d->%d into %d-node network", lc.From, lc.To, nw.n)
+		}
 		nw.linkFree[linkKey{lc.From, lc.To}] = lc.Free
 	}
 	nw.linkStats = s.LinkStats
@@ -135,7 +130,6 @@ func (nw *Network) RestoreState(s *NetState) error {
 	if fs == nil {
 		return fmt.Errorf("madeleine: restore of fault state into a network without faults enabled")
 	}
-	fs.policy = PartitionPolicy(s.Faults.Policy)
 	if len(s.Faults.Dead) != len(fs.dead) {
 		return fmt.Errorf("madeleine: restore fault state for %d nodes into %d-node network", len(s.Faults.Dead), len(fs.dead))
 	}

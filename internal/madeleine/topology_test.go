@@ -272,37 +272,6 @@ func TestLinkContentionOffUnchanged(t *testing.T) {
 	}
 }
 
-// TestNICAndLinkModelsCompose: with both occupancy models on, a message
-// holds its NIC until it has actually transmitted — a send to a different
-// destination queues behind the full transmit, not behind a stale NIC stamp.
-func TestNICAndLinkModelsCompose(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nw := NewNetwork(eng, BIPMyrinet, 3)
-	nw.SetNICModel(true)
-	nw.SetLinkContention(true)
-	arrivals := map[int]sim.Time{}
-	recv := func(node int) {
-		eng.Go("recv", func(p *sim.Proc) {
-			nw.Recv(p, node, "ch")
-			arrivals[node] = p.Now()
-		})
-	}
-	recv(1)
-	recv(2)
-	eng.Go("send", func(p *sim.Proc) {
-		nw.SendBulk(0, 1, "ch", 4096, nil)
-		nw.SendBulk(0, 2, "ch", 4096, nil) // same NIC, different link
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	gap := arrivals[2].Sub(arrivals[1])
-	tx := sim.Duration(4096 * BIPMyrinet.PerByte)
-	if gap < tx-sim.Microsecond || gap > tx+sim.Microsecond {
-		t.Fatalf("NIC gap with both models = %v, want one 4KiB byte time (~%v)", gap, tx)
-	}
-}
-
 // TestHierContendedLinkUsesLinkRate: queueing time on a contended link is
 // charged at that link's byte rate, not some global profile's.
 func TestHierContendedLinkUsesLinkRate(t *testing.T) {

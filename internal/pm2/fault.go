@@ -3,7 +3,6 @@ package pm2
 import (
 	"fmt"
 
-	"dsmpm2/internal/madeleine"
 	"dsmpm2/internal/sim"
 )
 
@@ -15,8 +14,8 @@ import (
 // EnableFaults switches on the network fault layer and registers the
 // runtime's drop handler with it, so dropped RPC requests return their pooled
 // envelopes exactly once.
-func (rt *Runtime) EnableFaults(seed int64, policy madeleine.PartitionPolicy) {
-	rt.net.EnableFaults(seed, policy)
+func (rt *Runtime) EnableFaults(seed int64) {
+	rt.net.EnableFaults(seed)
 	rt.net.SetDropHandler(func(p interface{}) {
 		if r, ok := p.(*Request); ok {
 			rt.putReq(r)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"dsmpm2/internal/madeleine"
 	"dsmpm2/internal/sim"
 )
 
@@ -153,7 +152,7 @@ func TestQuickVecElements(t *testing.T) {
 // a request kept by the new incarnation is answered as usual.
 func TestQuickKeptRequestDiesWithNode(t *testing.T) {
 	rt := NewRuntime(Config{Nodes: 2, Seed: 1})
-	rt.EnableFaults(1, madeleine.PartitionQueue)
+	rt.EnableFaults(1)
 	var kept []*Request
 	rt.Node(1).RegisterQuick("wait", func(r *Request, _ interface{}) (interface{}, bool) {
 		kept = append(kept, r)

@@ -121,7 +121,6 @@ type Engine struct {
 	rngSrc *countingSource // the seeded source under rng, counting draws for Capture
 
 	stopped bool
-	onIdle  func() bool // optional hook when queue drains with live procs
 
 	// sh is non-nil when this engine is one shard of a multi-shard
 	// ShardedEngine (see shard.go); it carries the shard's horizon bound
@@ -378,10 +377,6 @@ func (e *Engine) drive() {
 			}
 		} else if e.nqueued > 0 {
 			ev = e.pop()
-		} else if e.nlive > 0 && e.onIdle != nil && e.onIdle() && e.nqueued > 0 {
-			// Queue drained with procs still live: the idle hook gets one
-			// chance per drain to feed external work in, and did.
-			continue
 		} else {
 			return
 		}
@@ -427,19 +422,6 @@ func (e *Engine) popSelfWake(p *Proc) bool {
 
 // Stop aborts the simulation: Run returns after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
-
-// SetIdleHook installs fn, called whenever the queue drains while procs are
-// still live. Returning true continues (fn must have scheduled new events);
-// returning false stops the run. Used by drivers that feed external work in.
-// Idle hooks are a single-loop concept and are not supported on the shards
-// of a sharded engine (shard-local quiescence is a synchronization point,
-// not the end of the run).
-func (e *Engine) SetIdleHook(fn func() bool) {
-	if e.sh != nil {
-		panic("sim: idle hooks are not supported on sharded engines")
-	}
-	e.onIdle = fn
-}
 
 // Live reports the number of procs that have been spawned and not finished.
 func (e *Engine) Live() int { return e.nlive }

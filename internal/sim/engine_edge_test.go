@@ -5,72 +5,6 @@ import (
 	"testing"
 )
 
-// TestIdleHookContinueRepeatedly: the hook may feed work several times; it
-// runs once per drain and the run completes when the procs finally finish.
-func TestIdleHookContinueRepeatedly(t *testing.T) {
-	e := NewEngine(1)
-	var p *Proc
-	rounds := 0
-	p = e.Go("w", func(pp *Proc) {
-		for i := 0; i < 3; i++ {
-			pp.Park("external work")
-		}
-	})
-	e.SetIdleHook(func() bool {
-		rounds++
-		p.Unpark()
-		return true
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rounds != 3 {
-		t.Fatalf("idle hook ran %d times, want 3", rounds)
-	}
-}
-
-// TestIdleHookStop: returning false stops the run; the still-blocked procs
-// are reported as a deadlock, exactly as if no hook were installed.
-func TestIdleHookStop(t *testing.T) {
-	e := NewEngine(1)
-	e.Go("w", func(p *Proc) { p.Park("external work") })
-	calls := 0
-	e.SetIdleHook(func() bool {
-		calls++
-		return false
-	})
-	err := e.Run()
-	if calls != 1 {
-		t.Fatalf("idle hook ran %d times, want 1", calls)
-	}
-	de, ok := err.(*DeadlockError)
-	if !ok {
-		t.Fatalf("Run returned %v, want *DeadlockError for the abandoned proc", err)
-	}
-	if len(de.Blocked) != 1 || !strings.Contains(de.Blocked[0], "external work") {
-		t.Fatalf("blocked list = %v", de.Blocked)
-	}
-}
-
-// TestIdleHookContinueWithoutWork: a hook that claims to continue but
-// schedules nothing must not spin — the run ends with a deadlock report.
-func TestIdleHookContinueWithoutWork(t *testing.T) {
-	e := NewEngine(1)
-	e.Go("w", func(p *Proc) { p.Park("never fed") })
-	calls := 0
-	e.SetIdleHook(func() bool {
-		calls++
-		return true // lies: no event scheduled
-	})
-	err := e.Run()
-	if calls != 1 {
-		t.Fatalf("idle hook ran %d times, want 1 (no spinning)", calls)
-	}
-	if _, ok := err.(*DeadlockError); !ok {
-		t.Fatalf("Run returned %v, want *DeadlockError", err)
-	}
-}
-
 // TestStopDiscardsPendingEvents: Stop from engine context mid-run ends the
 // simulation after the current event; later events never fire and Run
 // returns nil even though procs are still blocked.

@@ -199,24 +199,6 @@ func TestRandDeterministic(t *testing.T) {
 	}
 }
 
-func TestIdleHookFeedsWork(t *testing.T) {
-	e := NewEngine(1)
-	var p *Proc
-	p = e.Go("w", func(pp *Proc) { pp.Park("external work") })
-	calls := 0
-	e.SetIdleHook(func() bool {
-		calls++
-		p.Unpark()
-		return true
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("idle hook called %d times, want 1", calls)
-	}
-}
-
 func TestLiveCount(t *testing.T) {
 	e := NewEngine(1)
 	e.Go("a", func(p *Proc) { p.Advance(10) })

@@ -59,12 +59,21 @@ func (c *countingSource) Seed(seed int64) {
 	*c = countingSource{seed: seed}
 }
 
+// maxBurn bounds the stream position a restore replays to: far beyond any
+// run's draws, and a second or two of host time, so a hostile checkpoint
+// cannot stall a restore for hours.
+const maxBurn = 1 << 28
+
 // burnTo advances the source until draws reaches target. It reports an error
 // if the stream is already past target (the restoring engine consumed more
-// randomness than the captured one — a config mismatch, not recoverable).
+// randomness than the captured one — a config mismatch, not recoverable), or
+// if target lies past maxBurn.
 func (c *countingSource) burnTo(target uint64) error {
 	if c.draws > target {
 		return fmt.Errorf("sim: restore: RNG stream at %d draws, past checkpoint's %d (engine not freshly built, or config mismatch)", c.draws, target)
+	}
+	if target > maxBurn {
+		return fmt.Errorf("sim: restore: RNG stream position %d past the %d a restore replays", target, maxBurn)
 	}
 	for c.draws < target {
 		c.Uint64()
@@ -73,9 +82,8 @@ func (c *countingSource) burnTo(target uint64) error {
 }
 
 // CountedRand is a seeded *rand.Rand whose stream position is observable
-// and re-establishable: the checkpointable form of the private PRNGs other
-// layers keep (the fault layer's loss draws, the recovery manager's retry
-// jitter). The embedded Rand is used exactly like any other; Draws and
+// and re-establishable: the checkpointable form of the private PRNG the
+// fault layer keeps for its loss draws. The embedded Rand is used exactly like any other; Draws and
 // BurnTo capture and restore the position.
 type CountedRand struct {
 	*rand.Rand

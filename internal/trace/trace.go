@@ -32,20 +32,17 @@ func (s *Span) Duration() sim.Duration { return s.End.Sub(s.Start) }
 
 // Log accumulates spans. It is used from simulation context only (one
 // simulated thread at a time), so it needs no locking, and its spans are in
-// schedule order.
+// schedule order. A nil *Log is tracing off: it records nothing.
 type Log struct {
-	Spans   []Span `json:"spans"`
-	enabled bool
+	Spans []Span `json:"spans"`
 }
 
-// NewLog returns an enabled, empty log.
-func NewLog() *Log { return &Log{enabled: true} }
+// NewLog returns an empty log.
+func NewLog() *Log { return &Log{} }
 
-// SetEnabled toggles recording; a disabled log drops spans.
-func (l *Log) SetEnabled(on bool) { l.enabled = on }
-
-// Enabled reports whether the log records spans.
-func (l *Log) Enabled() bool { return l != nil && l.enabled }
+// Enabled reports whether the log records spans, that is, whether it is not
+// nil.
+func (l *Log) Enabled() bool { return l != nil }
 
 // Add appends a completed span.
 func (l *Log) Add(s Span) {
@@ -145,7 +142,6 @@ func ReadJSON(r io.Reader) (*Log, error) {
 	if err := json.NewDecoder(r).Decode(&l); err != nil {
 		return nil, fmt.Errorf("trace: decoding log: %w", err)
 	}
-	l.enabled = true
 	return &l, nil
 }
 

@@ -30,20 +30,30 @@ func ledgerPath(dir string, rec *Recording) string {
 // or digest-mismatched ledger yields an empty one (the sweep then re-runs
 // and rewrites — the cache can lose, never lie).
 func loadLedger(dir string, rec *Recording) ledger {
-	empty := ledger{Cells: map[string]CellResult{}}
 	if dir == "" {
-		return empty
+		return ledger{Cells: map[string]CellResult{}}
 	}
-	raw, err := os.ReadFile(ledgerPath(dir, rec))
-	if err != nil {
-		return empty
-	}
+	raw, _ := os.ReadFile(ledgerPath(dir, rec))
+	return parseLedger(raw, rec)
+}
+
+// parseLedger decodes a ledger file's bytes for rec: empty unless they are a
+// ledger with rec's digests, and without any cell filed under a key other
+// than its own (a sweep looks cells up by key, so such a cell would answer
+// for a cell that never ran).
+func parseLedger(raw []byte, rec *Recording) ledger {
+	empty := ledger{Cells: map[string]CellResult{}}
 	var led ledger
 	if json.Unmarshal(raw, &led) != nil ||
 		led.ConfigDigest != rec.ConfigDigest ||
 		led.WorkloadDigest != rec.WorkloadDigest ||
 		led.Cells == nil {
 		return empty
+	}
+	for k, c := range led.Cells {
+		if c.Key() != k {
+			delete(led.Cells, k)
+		}
 	}
 	return led
 }
