@@ -13,6 +13,7 @@ package dsmpm2_test
 //	BenchmarkFigure5MapColoring  Figure 5     java_ic vs java_pf
 //	BenchmarkAblation*           DESIGN.md    design-choice ablations
 //	BenchmarkThreadReadUint64Hit DESIGN.md    host cost of a present-page access
+//	BenchmarkThreadWriteUint64Hit DESIGN.md   host cost of a writable-page store
 
 import (
 	"fmt"
@@ -492,10 +493,12 @@ func BenchmarkLoadBalancer(b *testing.B) {
 var hitSink uint64
 
 // BenchmarkThreadReadUint64Hit is the host cost of one present-page word read
-// through the whole stack with tracing off: Thread.ReadUint64 →
-// core.DSM.ReadUint64 → memory.Space.ReadUint64. The real system pays nothing
-// here (the MMU lets the load through), so this is pure simulator tax and
-// what jacobi's host time is made of.
+// through the whole stack with tracing off: Thread.ReadUint64 calls
+// core.DSM.ReadUint64, into which memory.Space.LoadUint64 — the hit, with no
+// error value — inlines; only a refusal would call on, to core's settle and
+// memory.Space.Check. The real system pays nothing here (the MMU lets the
+// load through), so this is pure simulator tax and what jacobi's host time is
+// made of.
 func BenchmarkThreadReadUint64Hit(b *testing.B) {
 	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 1})
 	base := sys.MustMalloc(0, dsmpm2.PageSize, nil)
@@ -507,6 +510,25 @@ func BenchmarkThreadReadUint64Hit(b *testing.B) {
 		}
 		b.StopTimer()
 		hitSink = sum
+	})
+	if err := sys.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkThreadWriteUint64Hit is the store beside it: one writable-page word
+// write through Thread.WriteUint64 and core.DSM.WriteUint64, into which the
+// memory.Space.StoreUint64 hit inlines.
+func BenchmarkThreadWriteUint64Hit(b *testing.B) {
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 1})
+	base := sys.MustMalloc(0, dsmpm2.PageSize, nil)
+	sys.Spawn(0, "writer", func(t *dsmpm2.Thread) {
+		t.WriteUint64(base, 0) // a first store may fault the page writable
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t.WriteUint64(base+dsmpm2.Addr(8*(i%512)), uint64(i))
+		}
+		b.StopTimer()
 	})
 	if err := sys.Run(); err != nil {
 		b.Fatal(err)

@@ -368,9 +368,10 @@ func TestCheckpointRejectsUnsafePoint(t *testing.T) {
 
 // TestRestoreRejectsHostileCoreState feeds Restore checkpoints whose envelope
 // is sound — re-encoded, so version and hash check out — but whose frames,
-// entries or page list were edited. Each must come back as a descriptive
-// error before any node's Space is touched: never a panic, a silently
-// truncated frame, or a page table grown to an absurd page number.
+// entries, page list or synchronisation managers were edited. Each must come
+// back as a descriptive error (a bad frame, entry or page before any node's
+// Space is touched): never a panic, a silently truncated frame, a page table
+// grown to an absurd page number, or a manager homed off the machine.
 func TestRestoreRejectsHostileCoreState(t *testing.T) {
 	s := runSession(t, sessionConfig(), 2)
 	good, err := s.Checkpoint()
@@ -422,6 +423,28 @@ func TestRestoreRejectsHostileCoreState(t *testing.T) {
 		{"copyset member 1<<40", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].Copyset = []int{1 << 40} }, nil, "outside [0, "},
 		{"entry homed on node 99", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].Home = 99 }, nil, "home 99"},
 		{"probable owner past the last node", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].ProbOwner = len(cs.Nodes) }, nil, "outside [0, "},
+		// The synchronisation managers are messaged at their homes and
+		// found by id: a home off the machine, an id out of place, a
+		// barrier nobody can complete or a condition on a lock that does
+		// not exist is refused, naming the record and the node.
+		{"barrier homed on node 99", func(cs *core.CoreState) { cs.Barriers[0].Home = 99 }, nil, "barrier 0 in slot 0 homed on node 99"},
+		{"barrier for no arrivals", func(cs *core.CoreState) { cs.Barriers[0].N = 0 }, nil, "for 0 arrivals"},
+		{"barrier arrival from node -1", func(cs *core.CoreState) { cs.Barriers[0].Arrived = []int{0, -1} }, nil, "from nodes [0 -1]"},
+		{"barrier id out of place", func(cs *core.CoreState) { cs.Barriers[0].ID = 3 }, nil, "barrier 3 in slot 0"},
+		{"lock homed on node 99", func(cs *core.CoreState) { cs.Locks = []core.LockSnap{{ID: 0, Home: 99}} }, nil, "lock 0 in slot 0 homed on node 99"},
+		{"lock id out of place", func(cs *core.CoreState) { cs.Locks = []core.LockSnap{{ID: 5}} }, nil, "lock 5 in slot 0"},
+		{"condition homed on node 99", func(cs *core.CoreState) {
+			cs.Locks, cs.Conds = []core.LockSnap{{ID: 0}}, []core.CondSnap{{ID: 0, Lock: 0, Home: 99}}
+		}, nil, "condition 0 in slot 0 homed on node 99"},
+		{"condition on a lock never restored", func(cs *core.CoreState) {
+			cs.Locks, cs.Conds = nil, []core.CondSnap{{ID: 0, Lock: 0}}
+		}, nil, "on lock 0 of 0"},
+		{"condition id out of place", func(cs *core.CoreState) {
+			cs.Locks, cs.Conds = []core.LockSnap{{ID: 0}}, []core.CondSnap{{ID: 1, Lock: 0}}
+		}, nil, "condition 1 in slot 0"},
+		{"object area homed on node 99", func(cs *core.CoreState) {
+			cs.ObjAreas = []core.ObjAreaSnap{{Home: 99, Proto: "hbrc_mw"}}
+		}, nil, "object area homed on node 99"},
 		// A current-version body still carrying version 1's per-shard kernel
 		// array is refused at decode (unknown fields are not skipped).
 		{"version-1 kernel_shards array", nil, func(body map[string]json.RawMessage) {

@@ -14,67 +14,57 @@ import (
 // core fails fast instead of livelocking the simulation.
 const maxFaultRetries = 1000
 
-// Access performs an n-byte shared-memory access on behalf of thread t,
-// running the page's consistency protocol on faults and retrying until the
-// access succeeds, exactly like the SIGSEGV handler + instruction restart
-// cycle of the real system. buf is the destination (read) or source (write).
-//
-// Every accessor in this file has this shape — try the access on the node's
-// Space, return on a hit, hand the error to miss and go round again — so a
-// hit runs nothing but the Space's own check: the software equivalent of a
-// load the MMU lets through.
+// Access performs an n-byte shared-memory access on behalf of thread t; buf
+// is the destination (read) or source (write). Like every accessor in this
+// file it tries the hit on the node's Space — a load the MMU lets through:
+// inlined, with no error value — and on a refusal calls settle, the SIGSEGV
+// handler + instruction restart cycle of the real system, then performs the
+// access on the Space settle returns.
 func (d *DSM) Access(t *pm2.Thread, addr Addr, buf []byte, write bool) {
-	for retry := 0; ; retry++ {
-		space := d.state[t.Node()].space // the thread may migrate between retries
-		var err error
-		if write {
-			err = space.Write(addr, buf)
-		} else {
-			err = space.Read(addr, buf)
+	space := &d.state[t.Node()].space
+	if write {
+		if !space.Store(addr, buf) {
+			d.settle(t, addr, len(buf), true).Store(addr, buf)
 		}
-		if err == nil {
-			return
-		}
-		d.miss(t, addr, err, retry)
+	} else if !space.Load(addr, buf) {
+		d.settle(t, addr, len(buf), false).Load(addr, buf)
 	}
 }
 
-// miss handles the retry-th consecutive refusal of one access: anything but
-// a *memory.Fault is a program error, and a fault runs the page's protocol
-// so the caller can retry. The fault is the Space's one record of its last
-// refusal, so it is read out before anything here lets another thread run.
-func (d *DSM) miss(t *pm2.Thread, addr Addr, err error, retry int) {
-	flt, ok := err.(*memory.Fault)
-	if !ok {
-		panic(fmt.Sprintf("core: invalid shared access by %s: %v", t.Name(), err))
-	}
-	pg, write := flt.Page, flt.Write
-	if retry >= maxFaultRetries {
-		panic(fmt.Sprintf("core: access at %#x by %s still faulting after %d protocol invocations",
-			addr, t.Name(), retry))
-	}
-	if retry > 2 {
-		// A fetched copy keeps being invalidated before the access
-		// can retry: a writer elsewhere is reclaiming the page in
-		// lockstep with our refetches. Real systems escape through
-		// OS timing noise; the simulation injects the equivalent —
-		// a deterministic-per-seed jittered backoff that shifts
-		// our next fetch out of phase with the writer.
-		maxUS := retry * 10
-		if maxUS > 500 {
-			maxUS = 500
+// settle runs the page's protocol on each fault of an n-byte access at addr
+// until t's node would accept it, and returns that node's Space. The fault is
+// the Space's record of its last refusal: it is read before another thread runs.
+func (d *DSM) settle(t *pm2.Thread, addr Addr, n int, write bool) *memory.Space {
+	for retry := 0; ; retry++ {
+		space := &d.state[t.Node()].space // the thread may migrate between retries
+		err := space.Check(addr, n, write)
+		if err == nil {
+			return space
 		}
-		jitter := sim.Duration(1+d.rt.Engine().Rand().Intn(maxUS)) * sim.Microsecond
-		t.Advance(jitter)
+		flt, ok := err.(*memory.Fault)
+		if !ok {
+			panic(fmt.Sprintf("core: invalid shared access by %s: %v", t.Name(), err))
+		}
+		if retry >= maxFaultRetries {
+			panic(fmt.Sprintf("core: access at %#x by %s still faulting after %d protocol invocations", addr, t.Name(), retry))
+		}
+		if retry > 2 {
+			// A fetched copy keeps being invalidated before the access
+			// can retry: a writer elsewhere is reclaiming the page in
+			// lockstep with our refetches. Real systems escape through
+			// OS timing noise; the simulation injects the equivalent —
+			// a deterministic-per-seed jittered backoff that shifts
+			// our next fetch out of phase with the writer.
+			t.Advance(sim.Duration(1+d.rt.Engine().Rand().Intn(min(retry*10, 500))) * sim.Microsecond)
+		}
+		d.handleFault(t, addr, flt.Page, flt.Write)
 	}
-	d.handleFault(t, addr, pg, write)
 }
 
 // handleFault charges the detection cost and dispatches the page's protocol
 // fault handler. If the handler returns with the entry lock held (the
-// toolbox's anti-livelock handoff), the retried access in Access proceeds
-// before any competing server can steal the page; the lock is dropped after
-// one more memory operation via deferUnlock.
+// toolbox's anti-livelock handoff), it is dropped here, and the retried
+// access still runs before any competing server can steal the page.
 func (d *DSM) handleFault(t *pm2.Thread, addr Addr, pg Page, write bool) {
 	start := t.Now()
 	t.Advance(d.costs.Fault) // catch signal, extract fault parameters
@@ -128,45 +118,33 @@ func (d *DSM) Write(t *pm2.Thread, addr Addr, buf []byte) { d.Access(t, addr, bu
 
 // ReadUint32 loads a shared little-endian uint32.
 func (d *DSM) ReadUint32(t *pm2.Thread, addr Addr) uint32 {
-	for retry := 0; ; retry++ {
-		v, err := d.state[t.Node()].space.ReadUint32(addr)
-		if err == nil {
-			return v
-		}
-		d.miss(t, addr, err, retry)
+	v, ok := d.state[t.Node()].space.LoadUint32(addr)
+	if !ok {
+		v, _ = d.settle(t, addr, 4, false).LoadUint32(addr)
 	}
+	return v
 }
 
 // WriteUint32 stores a shared little-endian uint32.
 func (d *DSM) WriteUint32(t *pm2.Thread, addr Addr, v uint32) {
-	for retry := 0; ; retry++ {
-		err := d.state[t.Node()].space.WriteUint32(addr, v)
-		if err == nil {
-			return
-		}
-		d.miss(t, addr, err, retry)
+	if !d.state[t.Node()].space.StoreUint32(addr, v) {
+		d.settle(t, addr, 4, true).StoreUint32(addr, v)
 	}
 }
 
 // ReadUint64 loads a shared little-endian uint64.
 func (d *DSM) ReadUint64(t *pm2.Thread, addr Addr) uint64 {
-	for retry := 0; ; retry++ {
-		v, err := d.state[t.Node()].space.ReadUint64(addr)
-		if err == nil {
-			return v
-		}
-		d.miss(t, addr, err, retry)
+	v, ok := d.state[t.Node()].space.LoadUint64(addr)
+	if !ok {
+		v, _ = d.settle(t, addr, 8, false).LoadUint64(addr)
 	}
+	return v
 }
 
 // WriteUint64 stores a shared little-endian uint64.
 func (d *DSM) WriteUint64(t *pm2.Thread, addr Addr, v uint64) {
-	for retry := 0; ; retry++ {
-		err := d.state[t.Node()].space.WriteUint64(addr, v)
-		if err == nil {
-			return
-		}
-		d.miss(t, addr, err, retry)
+	if !d.state[t.Node()].space.StoreUint64(addr, v) {
+		d.settle(t, addr, 8, true).StoreUint64(addr, v)
 	}
 }
 

@@ -76,7 +76,7 @@ func DefaultCosts() Costs {
 // creation so release-time sweeps never rebuild and re-sort it.
 type nodeState struct {
 	node  int
-	space *memory.Space
+	space memory.Space
 	table map[Page]*Entry
 	pages []Page
 
@@ -90,7 +90,7 @@ type nodeState struct {
 
 // newNodeState is node n's state holding nothing: no frames, no entries.
 func newNodeState(n int) *nodeState {
-	return &nodeState{node: n, space: memory.NewSpace(PageSize), table: make(map[Page]*Entry)}
+	return &nodeState{node: n, space: *memory.NewSpace(PageSize), table: make(map[Page]*Entry)}
 }
 
 // DSM is a DSM-PM2 instance spanning all nodes of a PM2 machine.
@@ -188,7 +188,7 @@ func (d *DSM) Costs() Costs { return d.costs }
 
 // Space returns node's view of the shared address space. Protocol code uses
 // it to install pages and set access rights.
-func (d *DSM) Space(node int) *memory.Space { return d.state[node].space }
+func (d *DSM) Space(node int) *memory.Space { return &d.state[node].space }
 
 // SetDefaultProtocol makes id the protocol for subsequent allocations that
 // carry no explicit attribute (pm2_dsm_set_default_protocol).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"dsmpm2/internal/memory"
@@ -28,7 +29,7 @@ import (
 // this fault needs); the core then faults again.
 func FetchPage(f *Fault, write bool) {
 	d, t, e := f.DSM, f.Thread, f.Entry
-	space := d.state[f.Node].space
+	space := &d.state[f.Node].space
 	e.Lock(t)
 	for {
 		if space.AccessOf(f.Page).Allows(write) {
@@ -175,7 +176,7 @@ func InstallPage(pm *PageMsg) {
 		e.Unlock(t)
 		return
 	}
-	space := d.state[pm.Node].space
+	space := &d.state[pm.Node].space
 	frame := space.Ensure(pm.Page)
 	copy(frame.Data, pm.Data)
 	d.bufs.Put(pm.Data) // wire copy was pooled by SendPage; recycle it
@@ -323,21 +324,29 @@ func TwinDiff(d *DSM, node int, e *Entry) *memory.Diff {
 	if td == nil || td.twin == nil {
 		return nil
 	}
-	frame := d.state[node].space.Frame(e.Page)
-	if frame == nil {
-		d.bufs.Put(td.twin)
-		td.twin = nil
-		return nil
+	var diff *memory.Diff
+	if frame := d.state[node].space.Frame(e.Page); frame != nil && !bytes.Equal(td.twin, frame.Data) {
+		diff = NewDiff(d)
+		diff.Compute(e.Page, td.twin, frame.Data, d.costs.DiffGap)
 	}
-	diff := NewDiff(d)
-	diff.Compute(e.Page, td.twin, frame.Data, d.costs.DiffGap)
 	d.bufs.Put(td.twin) // twin came from the pool; recycle it
 	td.twin = nil
-	if diff.Empty() {
-		FreeDiff(d, diff)
-		return nil
-	}
 	return diff
+}
+
+// TwinChanged reports whether the local page differs from its twin and
+// discards the twin, taking no diff record: a home's release needs no more,
+// as its writes are already in the reference copy. Call with the entry lock held.
+func TwinChanged(d *DSM, node int, e *Entry) bool {
+	td, _ := e.ProtoData.(*twinData)
+	if td == nil || td.twin == nil {
+		return false
+	}
+	frame := d.state[node].space.Frame(e.Page)
+	changed := frame != nil && !bytes.Equal(td.twin, frame.Data)
+	d.bufs.Put(td.twin)
+	td.twin = nil
+	return changed
 }
 
 // NewDiff takes an empty diff record from d's pool, for a routine that builds

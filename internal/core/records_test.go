@@ -387,3 +387,51 @@ func TestMigratingFaultFreesItsRecordOnce(t *testing.T) {
 		t.Fatalf("fault timing lost with the record: %+v", ft)
 	}
 }
+
+// TestTwinChanged: a home release's compare reports whether the page changed
+// since its twin, and recycles the twin into the page-buffer pool, with no
+// twin, an unchanged page, a changed page and a dropped frame alike. It never
+// takes a diff record: one taken and freed under PoisonFreed would not come
+// back to the pool.
+func TestTwinChanged(t *testing.T) {
+	d := newDSM(1)
+	h, _ := localProto("local")
+	d.SetDefaultProtocol(d.CreateProtocol(h))
+	pg := d.Space(0).PageOf(d.MustMalloc(0, PageSize, nil))
+	FreeDiff(d, NewDiff(d))
+	PoisonFreed = true
+	defer func() { PoisonFreed = false }()
+	for _, tc := range []struct {
+		name  string
+		twin  bool
+		after func() // runs once the twin is taken
+		want  bool
+	}{
+		{"no twin", false, nil, false},
+		{"unchanged page", true, func() {}, false},
+		{"changed page", true, func() { d.Space(0).Frame(pg).Data[PageSize-1]++ }, true},
+		{"dropped frame", true, func() { d.Space(0).Drop(pg) }, false},
+	} {
+		d.Space(0).SetAccess(pg, memory.ReadWrite)
+		e := d.Entry(0, pg)
+		var twin []byte
+		if tc.twin {
+			EnsureTwin(d, 0, e)
+			twin = e.ProtoData.(*twinData).twin
+			tc.after()
+		}
+		if got := TwinChanged(d, 0, e); got != tc.want || HasTwin(e) {
+			t.Errorf("%s: TwinChanged = %v with twin left %v, want %v and none", tc.name, got, HasTwin(e), tc.want)
+		}
+		if n := d.recs.diffs.Len(); n != 1 {
+			t.Errorf("%s: %d diff records pooled, want the 1 left untouched", tc.name, n)
+		}
+		if twin != nil {
+			buf := d.bufs.Get()
+			if &buf[0] != &twin[0] {
+				t.Errorf("%s: the twin did not go back to the page-buffer pool", tc.name)
+			}
+			d.bufs.Put(buf)
+		}
+	}
+}

@@ -458,8 +458,13 @@ func (d *DSM) RestoreState(s *CoreState) error {
 			ns.notices[ng.Barrier] = append([]WriteNotice(nil), ng.Notices...)
 		}
 	}
+	// A manager is found by its id and messaged at its home, so both are
+	// checked, as are a barrier's count and arrivals and a condition's lock.
 	d.locks = nil
-	for _, ls := range s.Locks {
+	for i, ls := range s.Locks {
+		if ls.ID != i || noNode(ls.Home) {
+			return fmt.Errorf("core: restore has lock %d in slot %d homed on node %d of %d", ls.ID, i, ls.Home, d.rt.Nodes())
+		}
 		lock := &lockState{id: ls.ID, home: ls.Home, holder: -1}
 		for _, pg := range ls.Bound {
 			lock.bound = append(lock.bound, Page(pg))
@@ -467,7 +472,10 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		d.locks = append(d.locks, lock)
 	}
 	d.barriers = nil
-	for _, bs := range s.Barriers {
+	for i, bs := range s.Barriers {
+		if bs.ID != i || noNode(bs.Home) || bs.N < 1 || slices.ContainsFunc(bs.Arrived, noNode) {
+			return fmt.Errorf("core: restore has barrier %d in slot %d homed on node %d of %d, for %d arrivals from nodes %v", bs.ID, i, bs.Home, d.rt.Nodes(), bs.N, bs.Arrived)
+		}
 		b := &barrierState{id: bs.ID, home: bs.Home, n: bs.N, gen: bs.Gen,
 			notices: append([]WriteNotice(nil), bs.Notices...)}
 		for _, n := range bs.Arrived {
@@ -479,7 +487,10 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		d.barriers = append(d.barriers, b)
 	}
 	d.conds = nil
-	for _, cs := range s.Conds {
+	for i, cs := range s.Conds {
+		if cs.ID != i || noNode(cs.Home) || cs.Lock < 0 || cs.Lock >= len(d.locks) {
+			return fmt.Errorf("core: restore has condition %d in slot %d homed on node %d of %d, on lock %d of %d", cs.ID, i, cs.Home, d.rt.Nodes(), cs.Lock, len(d.locks))
+		}
 		d.conds = append(d.conds, &condState{
 			id: cs.ID, lock: cs.Lock, home: cs.Home, nextTkt: cs.NextTkt,
 			tickets: make(map[int]condTicket),
@@ -490,6 +501,9 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		id, err := d.lookupProto(oa.Proto)
 		if err != nil {
 			return err
+		}
+		if noNode(oa.Home) {
+			return fmt.Errorf("core: restore has a %s object area homed on node %d of %d", oa.Proto, oa.Home, d.rt.Nodes())
 		}
 		d.objects.areas[areaKey{home: oa.Home, proto: id}] = &objArea{
 			cur: Addr(oa.Cur), end: Addr(oa.End),

@@ -4,19 +4,17 @@
 // The real DSM-PM2 detects shared accesses with mprotect and SIGSEGV. That
 // mechanism is unavailable under the Go runtime (the GC and the scheduler
 // cannot tolerate protected heap pages), so accesses instead go through
-// explicit load/store primitives that check per-page access rights and
-// return a *Fault when the rights are insufficient — the same
-// detect → handle → retry cycle, with the detection cost charged by the DSM
-// layer at the paper's measured 11 us.
+// explicit load/store primitives — the same detect → handle → retry cycle,
+// with the detection cost charged by the DSM layer at the paper's 11 us.
 //
-// Under mprotect a permitted access costs the application nothing, so the
-// stand-in's hit path is the part that must be cheap: a Space resolves an
-// address to its Frame with two shifts and two bounds-checked loads (see
-// Space), and the typed word accessors decode straight from the frame. The
-// twin/diff machinery multiple-writer protocols need lives here too
+// Under mprotect a permitted access costs the application nothing, so a hit
+// (Load, Store and their word forms) resolves an address to its Frame with
+// three shifts and two bounds-checked loads (see Space), reports only
+// success and inlines into its caller; Check, reached once a hit has failed,
+// builds the *Fault that stands for the SIGSEGV.
+// The twin/diff machinery multiple-writer protocols need lives here too
 // (diff.go: a diff is computed in one scan of the page into a record whose
-// buffers are reused when it is refilled), together with the page-buffer
-// pool (pool.go).
+// buffers are reused when it is refilled), with the page-buffer pool (pool.go).
 package memory
 
 import (
@@ -116,10 +114,11 @@ type Frame struct {
 type Space struct {
 	pageSize  int
 	pageShift uint   // log2(pageSize)
+	topShift  uint   // pageShift + leafBits: addr>>topShift indexes top
 	offMask   uint64 // pageSize - 1
 	top       [][]*Frame
 	free      freelist.List[*Frame]
-	fault     Fault // what check returned for the last refused access
+	fault     Fault // what Check returned for the last refused access
 }
 
 // leafBits is log2 of the pages one second-level table spans: one isomalloc
@@ -139,6 +138,7 @@ func NewSpace(pageSize int) *Space {
 	return &Space{
 		pageSize:  pageSize,
 		pageShift: uint(bits.TrailingZeros(uint(pageSize))),
+		topShift:  uint(bits.TrailingZeros(uint(pageSize))) + leafBits,
 		offMask:   uint64(pageSize) - 1,
 	}
 }
@@ -155,10 +155,8 @@ func (s *Space) Base(pg Page) Addr { return Addr(uint64(pg) << s.pageShift) }
 // Frame returns the local frame for pg, or nil if the node holds no copy.
 // A page beyond what either level has grown to has no frame.
 func (s *Space) Frame(pg Page) *Frame {
-	if t := uint64(pg) >> leafBits; t < uint64(len(s.top)) {
-		if leaf, i := s.top[t], uint64(pg)&leafMask; i < uint64(len(leaf)) {
-			return leaf[i]
-		}
+	if t, i := uint64(pg)>>leafBits, uint64(pg)&leafMask; t < uint64(len(s.top)) && i < uint64(len(s.top[t])) {
+		return s.top[t][i]
 	}
 	return nil
 }
@@ -213,88 +211,128 @@ func (s *Space) AccessOf(pg Page) Access {
 	return NoAccess
 }
 
-// check validates an n-byte access at addr and returns the page's frame and
-// the offset of addr inside it. Accesses must not straddle a page boundary:
-// DSM-PM2 shares data at page granularity and the runtime allocates objects
-// so they never cross pages. The straddle test is off+n > pageSize on the
-// offset (rearranged so it cannot overflow), never on addr+n, which wraps at
-// the top of the address space. A refusal costs no allocation: the returned
-// *Fault is the Space's own, valid until the Space's next refused access.
-func (s *Space) check(addr Addr, n int, write bool) (*Frame, int, error) {
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("memory: invalid access length %d", n)
+// Check returns nil if an n-byte access at addr is permitted and otherwise
+// why not: a *Fault — the Space's own, valid until its next refusal, so a
+// refusal allocates nothing — or a program error. An access must not
+// straddle a page boundary; the test is on the offset, as addr+n may wrap.
+// The hits below perform an access exactly when Check would return nil and
+// otherwise touch nothing; each writes out the page-table walk and both
+// tests to stay within the compiler's inlining budget.
+func (s *Space) Check(addr Addr, n int, write bool) error {
+	switch f := s.Frame(s.PageOf(addr)); {
+	case n <= 0:
+		return fmt.Errorf("memory: invalid access length %d", n)
+	case n > s.pageSize-int(uint64(addr)&s.offMask):
+		return fmt.Errorf("memory: access [%#x,%#x) straddles a page boundary", addr, addr+Addr(n))
+	case f == nil || !f.Access.Allows(write):
+		s.fault = Fault{Addr: addr, Page: s.PageOf(addr), Write: write}
+		return &s.fault
 	}
-	off := int(uint64(addr) & s.offMask)
-	if n > s.pageSize-off {
-		return nil, 0, fmt.Errorf("memory: access [%#x,%#x) straddles a page boundary", addr, addr+Addr(n))
-	}
-	pg := s.PageOf(addr)
-	f := s.Frame(pg)
-	if f == nil || !f.Access.Allows(write) {
-		s.fault = Fault{Addr: addr, Page: pg, Write: write}
-		return nil, 0, &s.fault
-	}
-	return f, off, nil
+	return nil
 }
 
-// Read copies len(buf) bytes starting at addr into buf. It returns a *Fault
-// if the node lacks read access to the page.
+// Load copies len(buf) bytes at addr into buf if the node may read them.
+func (s *Space) Load(addr Addr, buf []byte) bool {
+	if t, i := uint64(addr)>>s.topShift, uint64(addr)>>s.pageShift&leafMask; t < uint64(len(s.top)) && i < uint64(len(s.top[t])) {
+		if f, off := s.top[t][i], uint64(addr)&s.offMask; f != nil && f.Access >= ReadOnly && uint64(len(buf))-1 <= s.offMask-off {
+			copy(buf, f.Data[off:])
+			return true
+		}
+	}
+	return false
+}
+
+// Store copies buf to addr if the node may write there.
+func (s *Space) Store(addr Addr, buf []byte) bool {
+	if t, i := uint64(addr)>>s.topShift, uint64(addr)>>s.pageShift&leafMask; t < uint64(len(s.top)) && i < uint64(len(s.top[t])) {
+		if f, off := s.top[t][i], uint64(addr)&s.offMask; f != nil && f.Access == ReadWrite && uint64(len(buf))-1 <= s.offMask-off {
+			copy(f.Data[off:], buf)
+			return true
+		}
+	}
+	return false
+}
+
+// LoadUint32 loads a little-endian uint32 at addr if the node may read it.
+func (s *Space) LoadUint32(addr Addr) (uint32, bool) {
+	if t, i := uint64(addr)>>s.topShift, uint64(addr)>>s.pageShift&leafMask; t < uint64(len(s.top)) && i < uint64(len(s.top[t])) {
+		if f, off := s.top[t][i], uint64(addr)&s.offMask; f != nil && f.Access >= ReadOnly && off <= s.offMask-3 {
+			return binary.LittleEndian.Uint32(f.Data[off:]), true
+		}
+	}
+	return 0, false
+}
+
+// StoreUint32 stores a little-endian uint32 at addr if the node may write it.
+func (s *Space) StoreUint32(addr Addr, v uint32) bool {
+	if t, i := uint64(addr)>>s.topShift, uint64(addr)>>s.pageShift&leafMask; t < uint64(len(s.top)) && i < uint64(len(s.top[t])) {
+		if f, off := s.top[t][i], uint64(addr)&s.offMask; f != nil && f.Access == ReadWrite && off <= s.offMask-3 {
+			binary.LittleEndian.PutUint32(f.Data[off:], v)
+			return true
+		}
+	}
+	return false
+}
+
+// LoadUint64 loads a little-endian uint64 at addr if the node may read it.
+func (s *Space) LoadUint64(addr Addr) (uint64, bool) {
+	if t, i := uint64(addr)>>s.topShift, uint64(addr)>>s.pageShift&leafMask; t < uint64(len(s.top)) && i < uint64(len(s.top[t])) {
+		if f, off := s.top[t][i], uint64(addr)&s.offMask; f != nil && f.Access >= ReadOnly && off <= s.offMask-7 {
+			return binary.LittleEndian.Uint64(f.Data[off:]), true
+		}
+	}
+	return 0, false
+}
+
+// StoreUint64 stores a little-endian uint64 at addr if the node may write it.
+func (s *Space) StoreUint64(addr Addr, v uint64) bool {
+	if t, i := uint64(addr)>>s.topShift, uint64(addr)>>s.pageShift&leafMask; t < uint64(len(s.top)) && i < uint64(len(s.top[t])) {
+		if f, off := s.top[t][i], uint64(addr)&s.offMask; f != nil && f.Access == ReadWrite && off <= s.offMask-7 {
+			binary.LittleEndian.PutUint64(f.Data[off:], v)
+			return true
+		}
+	}
+	return false
+}
+
+// refusal is the error-returning accessors' answer: nil after a hit, else Check's.
+func (s *Space) refusal(hit bool, addr Addr, n int, write bool) error {
+	if hit {
+		return nil
+	}
+	return s.Check(addr, n, write)
+}
+
+// Read copies len(buf) bytes starting at addr into buf.
 func (s *Space) Read(addr Addr, buf []byte) error {
-	f, off, err := s.check(addr, len(buf), false)
-	if err != nil {
-		return err
-	}
-	copy(buf, f.Data[off:])
-	return nil
+	return s.refusal(s.Load(addr, buf), addr, len(buf), false)
 }
 
-// Write copies buf into memory starting at addr. It returns a *Fault if the
-// node lacks write access to the page.
+// Write copies buf into memory starting at addr.
 func (s *Space) Write(addr Addr, buf []byte) error {
-	f, off, err := s.check(addr, len(buf), true)
-	if err != nil {
-		return err
-	}
-	copy(f.Data[off:], buf)
-	return nil
+	return s.refusal(s.Store(addr, buf), addr, len(buf), true)
 }
 
 // ReadUint32 loads a little-endian uint32 at addr.
 func (s *Space) ReadUint32(addr Addr) (uint32, error) {
-	f, off, err := s.check(addr, 4, false)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(f.Data[off:]), nil
+	v, ok := s.LoadUint32(addr)
+	return v, s.refusal(ok, addr, 4, false)
 }
 
 // WriteUint32 stores a little-endian uint32 at addr.
 func (s *Space) WriteUint32(addr Addr, v uint32) error {
-	f, off, err := s.check(addr, 4, true)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(f.Data[off:], v)
-	return nil
+	return s.refusal(s.StoreUint32(addr, v), addr, 4, true)
 }
 
 // ReadUint64 loads a little-endian uint64 at addr.
 func (s *Space) ReadUint64(addr Addr) (uint64, error) {
-	f, off, err := s.check(addr, 8, false)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(f.Data[off:]), nil
+	v, ok := s.LoadUint64(addr)
+	return v, s.refusal(ok, addr, 8, false)
 }
 
 // WriteUint64 stores a little-endian uint64 at addr.
 func (s *Space) WriteUint64(addr Addr, v uint64) error {
-	f, off, err := s.check(addr, 8, true)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(f.Data[off:], v)
-	return nil
+	return s.refusal(s.StoreUint64(addr, v), addr, 8, true)
 }
 
 // Pages returns, in ascending order, the pages for which this node currently

@@ -551,3 +551,122 @@ func TestDiffMatchesByteWiseReference(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSpaceHit holds the hits to Check differentially. A fuzzed sequence of
+// Ensure, SetAccess, Drop and accesses runs against a Space and the map
+// model, at offsets that end pages (so straddles), on pages past the grown
+// top level, past a grown leaf, dropped, read-only and read-write. Every
+// Load*/Store* hit must succeed exactly when Check accepts — and Check
+// exactly when the model does — with the model's bytes moved on a hit.
+// A refusal touches nothing, and the error-returning accessor reports the
+// model's Fault, field for field.
+func FuzzSpaceHit(f *testing.F) {
+	f.Add(uint8(2), []byte{0, 2, 0, 12, 2, 0, 5, 2, 0, 5, 2, 3, 5, 2, 5, 6, 2, 6, 25, 2, 6, 33, 2, 2, 7, 2, 2, 168, 2, 3})
+	f.Add(uint8(0), []byte{22, 0, 0, 5, 0, 0, 3, 0, 4, 6, 0, 5, 58, 0, 2, 1, 0, 0, 5, 0, 0, 8, 1, 2})
+	f.Add(uint8(1), []byte{12, 3, 0, 5, 3, 0, 5, 4, 0, 5, 5, 0, 4, 3, 7, 98, 3, 3, 18, 3, 4, 2, 1, 0})
+	f.Fuzz(func(t *testing.T, size uint8, ops []byte) {
+		pageSize := []int{8, 64, 4096}[int(size)%3]
+		slicePages := Page(isomalloc.SliceBytes / pageSize)
+		// Frames go only on the first four (Ensure grows the table to the
+		// page), so the last two always lie past the grown top level.
+		pages := []Page{1, slicePages, slicePages + 1, slicePages + 300, 17 * slicePages, Page(math.MaxUint64 / uint64(pageSize))}
+		offs := []int{0, 1, pageSize / 2, pageSize - 1, pageSize - 3, pageSize - 4, pageSize - 7, pageSize - 8}
+		s := NewSpace(pageSize)
+		ref := &refSpace{pageSize: pageSize, frames: map[Page]*Frame{}}
+		for step := 0; len(ops) >= 3; step, ops = step+1, ops[3:] {
+			op, pg, off := ops[0], pages[int(ops[1])%len(pages)], offs[int(ops[2])%len(offs)]
+			addr := s.Base(pg) + Addr(off)
+			at := fmt.Sprintf("page size %d step %d page %d off %d op %d", pageSize, step, pg, off, op)
+			// run fills an n-byte buffer with this step's bytes and accesses
+			// it three ways: the model, the hit, and the error-returning
+			// accessor (Check's caller on a refusal).
+			run := func(n int, write bool, hit func([]byte) bool, checked func([]byte) error) {
+				buf := make([]byte, n)
+				for i := range buf {
+					buf[i] = byte(step + i + 1)
+				}
+				want := slices.Clone(buf)
+				kind, fpg := ref.access(addr, want, write)
+				if err := s.Check(addr, n, write); (err == nil) != (kind == "ok") {
+					t.Fatalf("%s: Check = %v, model %s", at, err, kind)
+				}
+				got := slices.Clone(buf)
+				if ok := hit(got); ok != (kind == "ok") || !bytes.Equal(got, want) {
+					t.Fatalf("%s: hit = %v %x, model %s %x", at, ok, got, kind, want)
+				}
+				got = slices.Clone(buf)
+				err := checked(got)
+				var flt *Fault
+				if gotKind, _, _ := outcome(err); gotKind != kind || !bytes.Equal(got, want) ||
+					errors.As(err, &flt) && *flt != (Fault{Addr: addr, Page: fpg, Write: write}) {
+					t.Fatalf("%s: checked access = %v %x, model %s on page %d %x", at, err, got, kind, fpg, want)
+				}
+			}
+			switch op % 9 {
+			case 0:
+				if pg < 2*slicePages {
+					s.Ensure(pg)
+					ref.ensure(pg)
+				}
+			case 1:
+				s.Drop(pg)
+				delete(ref.frames, pg)
+			case 2:
+				if a := Access(op / 9 % 3); pg < 2*slicePages {
+					s.SetAccess(pg, a)
+					ref.ensure(pg).Access = a
+				}
+			case 3:
+				run(4, false, func(b []byte) bool {
+					v, ok := s.LoadUint32(addr)
+					if ok {
+						binary.LittleEndian.PutUint32(b, v)
+					}
+					return ok
+				}, func(b []byte) error {
+					v, err := s.ReadUint32(addr)
+					if err == nil {
+						binary.LittleEndian.PutUint32(b, v)
+					}
+					return err
+				})
+			case 4:
+				run(4, true, func(b []byte) bool { return s.StoreUint32(addr, binary.LittleEndian.Uint32(b)) },
+					func(b []byte) error { return s.WriteUint32(addr, binary.LittleEndian.Uint32(b)) })
+			case 5:
+				run(8, false, func(b []byte) bool {
+					v, ok := s.LoadUint64(addr)
+					if ok {
+						binary.LittleEndian.PutUint64(b, v)
+					}
+					return ok
+				}, func(b []byte) error {
+					v, err := s.ReadUint64(addr)
+					if err == nil {
+						binary.LittleEndian.PutUint64(b, v)
+					}
+					return err
+				})
+			case 6:
+				run(8, true, func(b []byte) bool { return s.StoreUint64(addr, binary.LittleEndian.Uint64(b)) },
+					func(b []byte) error { return s.WriteUint64(addr, binary.LittleEndian.Uint64(b)) })
+			case 7, 8: // Load / Store of 0..16 bytes
+				write := op%9 == 8
+				run(int(op/9%17), write, func(b []byte) bool {
+					if write {
+						return s.Store(addr, b)
+					}
+					return s.Load(addr, b)
+				}, func(b []byte) error {
+					if write {
+						return s.Write(addr, b)
+					}
+					return s.Read(addr, b)
+				})
+			}
+			if f, r := s.Frame(pg), ref.frames[pg]; (f == nil) != (r == nil) || f != nil && (f.Access != r.Access || !bytes.Equal(f.Data, r.Data)) {
+				t.Fatalf("%s: frame %+v, model %+v", at, f, r)
+			}
+		}
+	})
+}

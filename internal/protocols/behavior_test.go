@@ -347,6 +347,67 @@ func TestHbrcMWHomeWritesPropagate(t *testing.T) {
 	}
 }
 
+// TestHomeReleaseTakesNoDiffRecord: a release at the home compares each
+// dirty page with its twin instead of diffing it, since the home's writes are
+// already in the reference copy. Under hbrc_mw (a lock release invalidates, a
+// barrier queues a write notice) and entry_mw alike, the release leaves the
+// pooled diff record untouched — a diff computed into it would have grown its
+// buffers — while a changed page still costs the remote copy wherever the
+// protocol revokes it, and an unchanged page costs nothing.
+func TestHomeReleaseTakesNoDiffRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		proto   func(IDs) core.ProtoID
+		barrier bool
+		revokes bool // a changed home page's release drops node 1's copy
+	}{
+		{"hbrc_mw lock", func(i IDs) core.ProtoID { return i.HbrcMW }, false, true},
+		{"hbrc_mw barrier", func(i IDs) core.ProtoID { return i.HbrcMW }, true, true},
+		{"entry_mw lock", func(i IDs) core.ProtoID { return i.EntryMW }, false, false},
+	} {
+		for _, changed := range []bool{false, true} {
+			name := fmt.Sprintf("%s, page changed %v", tc.name, changed)
+			rt, d, ids := harness(2, madeleine.BIPMyrinet, 1)
+			d.SetDefaultProtocol(tc.proto(ids))
+			base := d.MustMalloc(0, 8, nil)
+			pg := d.Space(0).PageOf(base)
+			lock, bar := d.NewLock(0), d.NewBarrier(2)
+			rt.CreateThread(1, "prime", func(th *pm2.Thread) { d.ReadUint64(th, base) })
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+			pooled := core.NewDiff(d)
+			core.FreeDiff(d, pooled)
+			var v uint64 // the page is zeroed: writing 0 leaves it unchanged
+			if changed {
+				v = 77
+			}
+			rt.CreateThread(0, "home", func(th *pm2.Thread) {
+				if tc.barrier {
+					d.WriteUint64(th, base, v)
+					d.Barrier(th, bar)
+					return
+				}
+				d.Acquire(th, lock)
+				d.WriteUint64(th, base, v)
+				d.Release(th, lock)
+			})
+			if tc.barrier {
+				rt.CreateThread(1, "peer", func(th *pm2.Thread) { d.Barrier(th, bar) })
+			}
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if df := core.NewDiff(d); df != pooled || cap(df.Entries) != 0 {
+				t.Errorf("%s: the home release diffed into the pooled diff record", name)
+			}
+			if kept, want := d.Space(1).Frame(pg) != nil, !(changed && tc.revokes); kept != want {
+				t.Errorf("%s: node 1 kept its copy = %v, want %v", name, kept, want)
+			}
+		}
+	}
+}
+
 func TestHbrcMWThirdPartyFlushOnInvalidate(t *testing.T) {
 	// Writer A releases; home invalidates writer B, who must flush its own
 	// pending diff before dropping — the exact dance Section 3.2 describes.

@@ -155,17 +155,17 @@ func (p *entryMW) flushDirty(s *core.SyncEvent, scope map[core.Page]bool) {
 		delete(p.dirty[node], pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
-		diff := core.TwinDiff(p.d, node, e)
+		var diff *memory.Diff
+		if e.Home == node {
+			core.TwinChanged(p.d, node, e) // home writes are already in the reference copy
+		} else {
+			diff = core.TwinDiff(p.d, node, e)
+		}
 		p.d.Space(node).SetAccess(pg, memory.ReadOnly)
 		e.Unlock(s.Thread)
-		if diff == nil {
-			continue
+		if diff != nil {
+			b.Diff(e.Home, diff, false)
 		}
-		if e.Home == node {
-			core.FreeDiff(p.d, diff) // home writes are already in the reference copy
-			continue
-		}
-		b.Diff(e.Home, diff, false)
 	}
 	// One envelope per home, every envelope in flight before the first
 	// wait: flushes to distinct homes overlap.

@@ -139,18 +139,25 @@ func (p *hbrcMW) LockRelease(s *core.SyncEvent) {
 		delete(p.dirty[node], pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
-		diff := core.TwinDiff(p.d, node, e)
+		// Writes at the home are already in the reference copy, so its
+		// twin is compared, not diffed.
+		var diff *memory.Diff
+		var changed bool
+		if e.Home == node {
+			changed = core.TwinChanged(p.d, node, e)
+		} else {
+			diff = core.TwinDiff(p.d, node, e)
+			changed = diff != nil
+		}
 		p.d.Space(node).SetAccess(pg, memory.ReadOnly)
-		if diff == nil {
+		if !changed {
 			e.Unlock(s.Thread)
 			continue
 		}
 		if e.Home == node {
-			// Writes at the home are already in the reference copy; the
-			// remote copies must go — eagerly, or via a barrier notice.
+			// The remote copies must go — eagerly, or via a barrier notice.
 			// No copies, no notice: the copyset stays in place (a late
 			// fetch may still join it) and the barrier prunes it.
-			core.FreeDiff(p.d, diff)
 			if useNotices {
 				empty := e.Copyset.Empty()
 				e.Unlock(s.Thread)
