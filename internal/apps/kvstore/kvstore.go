@@ -66,9 +66,10 @@ type Config struct {
 	// kind instead of being served. The serial checksum oracle assumes
 	// Deadline == 0 (every put applied).
 	Deadline dsmpm2.Duration
-	// IdleTick is the server's receive timeout while idle (default 200us);
-	// it bounds how long a server sleeps between polls and exercises the
-	// timed-wait path at volume.
+	// IdleTick is the server's idle tick (default 200us): an idle server's
+	// receive re-arms its deadline every IdleTick, counted in
+	// Result.IdleTicks, which exercises the timed-wait path at volume. A
+	// tick resumes no thread (see sim.Chan.RecvIdle).
 	IdleTick dsmpm2.Duration
 	// TopN is how many hot keys to report (default 5).
 	TopN int
@@ -285,7 +286,7 @@ type Result struct {
 	// PerKey is the served-latency digest of each hot key, in HotKeys order.
 	PerKey []KeyLatency
 	// Served and Dropped count completed and deadline-dropped requests;
-	// IdleTicks counts server receive timeouts (idle polls).
+	// IdleTicks counts the servers' idle ticks (receive deadlines re-armed).
 	Served    int64
 	Dropped   int64
 	IdleTicks int64
@@ -419,11 +420,8 @@ func Run(cfg Config) (Result, error) {
 			proc := t.PM2().Proc()
 			q := queues[node]
 			for {
-				v, ok := q.RecvTimeout(proc, sim.Duration(cfg.IdleTick))
-				if !ok {
-					res.IdleTicks++ // idle poll
-					continue
-				}
+				v, ticks := q.RecvIdle(proc, sim.Duration(cfg.IdleTick))
+				res.IdleTicks += int64(ticks)
 				switch m := v.(type) {
 				case stopMark:
 					return

@@ -198,3 +198,30 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestKVServeResumesPerRequest holds the serving path to its thread resumes:
+// on the ledger's kvserve configuration, at a quarter of its requests, a
+// request costs at most 9 coroutine resumes, and an idle tick costs none —
+// every tick is a re-arm record, not a server woken to park again.
+func TestKVServeResumesPerRequest(t *testing.T) {
+	cfg := Config{
+		Nodes: 8, Buckets: 16, Keys: 512,
+		Requests: 30000,
+		Epochs:   8, Phases: 64,
+		MisplaceHomes: true,
+		Seed:          11,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := res.System.Runtime().Engine().QueueStats()
+	perReq := float64(qs.Resumes) / float64(cfg.Requests)
+	t.Logf("resumes %d (%.2f per request), re-arms %d, idle ticks %d", qs.Resumes, perReq, qs.Rearms, res.IdleTicks)
+	if perReq > 9 {
+		t.Errorf("%.2f resumes per request, want at most 9", perReq)
+	}
+	if qs.Rearms != uint64(res.IdleTicks) || res.IdleTicks == 0 {
+		t.Errorf("re-arms %d, idle ticks %d: every tick must be a re-arm", qs.Rearms, res.IdleTicks)
+	}
+}

@@ -43,8 +43,8 @@ type KernelResult struct {
 	Threads int `json:"threads"`
 	// Queue is the kernel's traffic by shape (pushes at the current instant,
 	// opening a run, joining one; deadline records; peak heap length;
-	// coroutine resumes, self-wakes and sink drains). Rows measured before
-	// the counters existed have none.
+	// coroutine resumes, self-wakes, idle re-arms and sink drains). Rows
+	// measured before the counters existed have none.
 	Queue *sim.QueueStats `json:"queue,omitempty"`
 }
 

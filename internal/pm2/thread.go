@@ -46,7 +46,7 @@ type Thread struct {
 	prev, next *Thread
 
 	// Load-balancing state: a pending preemptive migration request (-1 for
-	// none; 32 bits keep the descriptor in the allocator's 256-byte class) and
+	// none; 32 bits keep the descriptor in the allocator's 240-byte class) and
 	// whether the balancer may move this thread at all.
 	pendingDest int32
 	migratable  bool

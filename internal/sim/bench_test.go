@@ -115,9 +115,10 @@ func BenchmarkCalendarDistinctTimes(b *testing.B) {
 }
 
 // BenchmarkRecvTimeout measures a receive deadline that alternately expires
-// and is cancelled by a message — kvstore's idle tick: per iteration one
-// deadline record armed, fired live or inert, and the parks and wakes around
-// it, none of which may allocate.
+// and is cancelled by a message — the idle tick as a loop of timed receives
+// (the form core's recovery waits use): per iteration one deadline record
+// armed, fired live or inert, and the parks and wakes around it, none of which
+// may allocate.
 func BenchmarkRecvTimeout(b *testing.B) {
 	e := NewEngine(1)
 	ch := new(Chan)
@@ -130,6 +131,32 @@ func BenchmarkRecvTimeout(b *testing.B) {
 	e.Go("client", func(p *Proc) {
 		for i := 0; i < b.N; i += 2 {
 			p.Advance(150 * Microsecond) // mid-way through every second wait
+			ch.Push(token)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkRecvIdle measures kvstore's idle tick as it runs: a receive whose
+// deadline expires once before each message, so per iteration one re-arm
+// record (a deadline armed without a resume), one live and one inert deadline
+// record, and the park and wake of the message, none of which may allocate.
+func BenchmarkRecvIdle(b *testing.B) {
+	e := NewEngine(1)
+	ch := new(Chan)
+	token := new(int)
+	e.Go("server", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ch.RecvIdle(p, 100*Microsecond)
+		}
+	})
+	e.Go("client", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Advance(150 * Microsecond) // mid-way through the second deadline
 			ch.Push(token)
 		}
 	})

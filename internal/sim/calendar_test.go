@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,24 +9,25 @@ import (
 
 // A model-based differential test of the event queue. A program is a byte
 // string, two bytes per step: an operation and a time selector. It is run
-// white-box against the engine's queue — push, pop, popSelfWake and, on a
-// shard, shardCtl.nextEvent with remote events in the pending heap — and
-// against calModel, which keeps every queued record in a flat list and finds
-// the next one by scanning for the least (time, seq). The two must agree on
-// every pop, on every refusal and on the next event's time after every step.
-// A push made after the first pop is what a firing event's own scheduling
-// looks like to the queue: the clock stands at the time of the last event
-// fired.
+// white-box against the engine's queue — push, pop, fireUntilWake (on a shard:
+// popSelfWake) and, on a shard, shardCtl.nextEvent with remote events in the
+// pending heap — and against calModel, which keeps every queued record in a
+// flat list and finds the next one by scanning for the least (time, seq). The
+// two must agree on every pop, on every record a yielding proc fires, on every
+// refusal and on the next event's time after every step. A push made after
+// the first pop is what a firing event's own scheduling looks like to the
+// queue: the clock stands at the time of the last event fired.
 
 const (
 	calPop      = iota // fire the next event through pop (on a shard: nextEvent)
-	calSelfWake        // fire it through popSelfWake, which must take a wake record and nothing else
-	calWake            // push a wake record
+	calSelfWake        // yield: fireUntilWake (on a shard: popSelfWake) must stop at the right record
+	calWake            // push a wake record (of a dead proc for every fourth record)
 	calChan            // push a Chan push record
 	calClosure         // push a closure record
 	calDeadline        // push a deadline record
 	calRemote          // shard: queue a remote event in the pending heap (else: a closure record)
 	calLimit           // shard: move the horizon (else: fire the next event)
+	calRearm           // push a re-arm record that resumes its proc (unless dead, as for a wake)
 	calOps
 )
 
@@ -89,6 +91,24 @@ func (m *calModel) next(limit Time) (rec calRec, ok bool) {
 // events and no horizon: the head of the engine's own queue.
 func (m *calModel) head() (calRec, bool) { return (&calModel{local: m.local}).next(maxTime) }
 
+// order returns the local records in the order they fire.
+func (m *calModel) order() []calRec {
+	recs := append([]calRec(nil), m.local...)
+	sort.Slice(recs, func(i, j int) bool {
+		return recs[i].t < recs[j].t || recs[i].t == recs[j].t && recs[i].seq < recs[j].seq
+	})
+	return recs
+}
+
+// calDead reports whether the proc of record id is dead: every fourth one.
+func calDead(id int) bool { return id%4 == 3 }
+
+// resumes reports whether r, fired, resumes a proc: a live proc's wake or
+// re-arm record (a re-arm record's channel always holds a message here).
+func (r calRec) resumes() bool {
+	return (r.kind == calWake || r.kind == calRearm) && !r.remote && !calDead(r.id)
+}
+
 // fire removes rec, which next returned, and moves the clock to it.
 func (m *calModel) fire(rec calRec) {
 	list := &m.local
@@ -118,8 +138,10 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 	var procs []*Proc // by record id; nil for records that carry no proc
 	var sched []calRec
 	var fired []int
-	closureID := -1
+	var closures []int // ids of the closure records fired, in order
 	ch := new(Chan)
+	full := new(Chan) // the channel of every re-arm record: never empty
+	full.Push(0)
 	var fresh Time
 	var remoteSeq [2]uint64
 
@@ -148,15 +170,18 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 		var p *Proc
 		switch kind {
 		case calWake:
-			p = &Proc{id: int32(id)}
+			p = &Proc{id: int32(id), eng: e, dead: calDead(id)}
 			e.scheduleWake(at, p)
 		case calChan:
 			e.SchedulePush(at, ch, id)
 		case calClosure:
-			e.Schedule(at, func() { closureID = id })
+			e.Schedule(at, func() { closures = append(closures, id) })
 		case calDeadline:
-			p = &Proc{id: int32(id)}
-			e.push(at, event{proc: p, gen: uint64(id) + 1})
+			p = &Proc{id: int32(id), eng: e}
+			e.push(at, event{proc: p, payload: new(procQueue), gen: uint64(id) + 1})
+		case calRearm:
+			p = &Proc{id: int32(id), eng: e, dead: calDead(id)}
+			e.push(at, event{proc: p, ch: full})
 		}
 		procs = append(procs, p)
 	}
@@ -173,7 +198,7 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 			return ev.payload.(int)
 		}
 		ev.payload.(Caller).Fire()
-		return closureID
+		return closures[len(closures)-1]
 	}
 	// fire pops one event the way drive would and checks it against the model.
 	fire := func() bool {
@@ -204,13 +229,13 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 		switch {
 		case op == calPop, op == calLimit && !sharded:
 			fire()
-		case op == calSelfWake:
+		case op == calSelfWake && sharded:
 			want, ok := m.next(limit)
-			isWake := ok && !want.remote && want.kind == calWake
-			p := &Proc{}
-			if l, any := m.head(); any && procs[l.id] != nil && (isWake || arg&1 == 0) {
+			isWake := ok && !want.remote && want.kind == calWake && want.resumes()
+			p := &Proc{eng: e}
+			if l, any := m.head(); any && procs[l.id] != nil && !calDead(l.id) && (isWake || arg&1 == 0) {
 				// The proc of the queue's head: a wake record's must be
-				// taken, a deadline record's refused.
+				// taken, a deadline or re-arm record's refused.
 				p = procs[l.id]
 			}
 			if got := e.popSelfWake(p); got != isWake {
@@ -222,6 +247,67 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 				}
 				m.fire(want)
 				fired = append(fired, want.id)
+			}
+		case op == calSelfWake:
+			// The model's yield: fire every record up to the first that
+			// resumes a proc, and that one too if it is the yielding proc's
+			// wake. The yielding proc is that record's (a re-arm record's
+			// must be refused) or, for odd args, a bystander's.
+			p := &Proc{eng: e}
+			var fire []calRec
+			var stop *calRec
+			for _, r := range m.order() {
+				if r.resumes() {
+					stop = &r
+					break
+				}
+				fire = append(fire, r)
+			}
+			if stop != nil && arg&1 == 0 {
+				p = procs[stop.id]
+			}
+			isWake := stop != nil && stop.kind == calWake && procs[stop.id] == p
+			events, inert := e.nevents, e.qs.DeadlineInert
+			nclosures, nmsgs := len(closures), ch.Len()
+			e.cur = p
+			got := e.fireUntilWake(p)
+			e.cur = nil
+			if got != isWake {
+				t.Fatalf("fireUntilWake = %v, model says %v (stop %+v)", got, isWake, stop)
+			}
+			if isWake {
+				fire = append(fire, *stop)
+			}
+			var wantClosures, wantMsgs []int
+			var wantInert uint64
+			for _, r := range fire {
+				switch r.kind {
+				case calClosure, calRemote:
+					wantClosures = append(wantClosures, r.id)
+				case calChan:
+					wantMsgs = append(wantMsgs, r.id)
+				case calDeadline:
+					wantInert++
+				}
+				m.fire(r)
+				fired = append(fired, r.id)
+			}
+			var msgs []int
+			for ch.Len() > nmsgs {
+				v, _ := ch.TryRecv()
+				msgs = append(msgs, v.(int))
+			}
+			switch {
+			case e.nevents-events != uint64(len(fire)):
+				t.Fatalf("yield fired %d records, model says %d", e.nevents-events, len(fire))
+			case e.now != m.now:
+				t.Fatalf("yield left the clock at t=%d, model says t=%d", e.now, m.now)
+			case fmt.Sprint(closures[nclosures:]) != fmt.Sprint(wantClosures):
+				t.Fatalf("yield fired closures %v, model says %v", closures[nclosures:], wantClosures)
+			case fmt.Sprint(msgs) != fmt.Sprint(wantMsgs):
+				t.Fatalf("yield delivered %v, model says %v", msgs, wantMsgs)
+			case e.qs.DeadlineInert-inert != wantInert:
+				t.Fatalf("yield fired %d deadline records, model says %d", e.qs.DeadlineInert-inert, wantInert)
 			}
 		case op == calRemote && sharded:
 			src := int(arg>>3) & 1
@@ -298,8 +384,18 @@ var abab = []byte{
 	calSelfWake, 0, calPop, 0, calSelfWake, 0, calWake, 0, calSelfWake, 1, calPop, 0, calWake, 2, calPop, 0,
 }
 
+// yieldOver queues, at one time, a closure, a deadline, a push and a dead
+// proc's wake ahead of a re-arm record and a wake: a yield by the re-arm
+// record's proc fires the first four and refuses the re-arm record, and one
+// by the wake's proc, after the re-arm record pops, takes its wake.
+var yieldOver = []byte{
+	calClosure, 5, calDeadline, 5, calChan, 5, calWake, 5, calRearm, 5, calWake, 5,
+	calSelfWake, 0, calPop, 0, calSelfWake, 0, calRearm, 0, calWake, 0, calSelfWake, 1,
+}
+
 func FuzzCalendarOrder(f *testing.F) {
 	f.Add(abab)
+	f.Add(yieldOver)
 	f.Add([]byte{calWake, 3, calRemote, 3, calLimit, 8, calPop, 0, calRemote, 0, calWake, 0, calPop, 0, calLimit, 1, calPop, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		runCalendarProgram(t, prog, false)

@@ -16,12 +16,17 @@ import (
 // Events are value-typed and live inline in the engine's queue; scheduling
 // one never allocates. The discriminant is which fields are set:
 //
-//   - gen != 0: with a proc, a deadline record — proc's gen-th timed wait has
-//     run out (see Proc.armDeadline); inert if that wait is already over. With
-//     a ch, a drain record — what is queued on ch goes to its sink (see
-//     Chan.SetSink); inert if the sink was cleared meanwhile.
-//   - proc != nil: a wake record — resume that proc. This is the dominant
-//     kind (Advance, Unpark, Spawn, every synchronization wakeup).
+//   - gen != 0: with a proc, a deadline record — proc's gen-th timed wait, on
+//     the wait queue in payload, has run out (see Proc.armDeadline); inert if
+//     that wait is already over. A ch beside the proc is the channel of an
+//     idle wait (see Chan.RecvIdle). With a ch alone, a drain record — what
+//     is queued on ch goes to its sink (see Chan.SetSink); inert if the sink
+//     was cleared meanwhile.
+//   - proc != nil: with a ch, a re-arm record — proc's idle wait on ch timed
+//     out: resume the proc if a message came meanwhile, else arm the next
+//     deadline without a resume (see Proc.rearm). Without, a wake record —
+//     resume that proc. This is the dominant kind (Advance, Unpark, Spawn,
+//     every synchronization wakeup).
 //   - ch != nil: a push record — deliver payload into a Chan (simulated
 //     message arrivals). payload is usually a pointer, which boxes for free.
 //   - otherwise: a call record — payload holds a Caller, fired in engine
@@ -63,8 +68,9 @@ const maxPooledRing = 64
 
 // QueueStats counts the kernel's traffic by shape since the engine was created:
 // where pushes went, how deadline records ended, how long the heap got, what
-// the loop did with what it popped — resume a proc, consume a self-wake, drain
-// a sink, fire a call record. Plain increments, kept unconditionally.
+// the loop did with what it popped — resume a proc, consume a self-wake,
+// re-arm an idle wait, drain a sink, fire a call record. Plain increments,
+// kept unconditionally.
 type QueueStats struct {
 	AtNow         uint64 `json:"at_now"`         // pushes for the current instant (now-ring)
 	NewRun        uint64 `json:"new_run"`        // future pushes that opened a run (a heap insert)
@@ -74,6 +80,7 @@ type QueueStats struct {
 	PeakHeap      int    `json:"peak_heap"`      // most runs in the heap at once
 	Resumes       uint64 `json:"resumes"`        // coroutine resumes by the event loop (two switches each)
 	SelfWakes     uint64 `json:"self_wakes"`     // wake records a yielding proc consumed itself (no switch)
+	Rearms        uint64 `json:"rearms"`         // idle waits re-armed by their re-arm record (no resume)
 	Drains        uint64 `json:"drains"`         // drain records that handed a burst to a sink
 	Calls         uint64 `json:"calls"`          // call records fired (ScheduleCall and Schedule)
 }
@@ -362,11 +369,12 @@ func (e *Engine) blocked(prefix string) []string {
 
 // drive is the event loop: pop and dispatch events until the queue drains (on
 // a shard: until the horizon-bounded merge is exhausted, see
-// shardCtl.nextEvent) or Stop is called. All but wake events run inline with
-// e.cur == nil (engine context). A wake event resumes the proc's
-// coroutine and returns here when the proc yields: two coroutine switches per
-// wake, with no run queue and no second thread woken, which is cheaper than
-// the one channel rendezvous a direct proc-to-proc hand-off would cost.
+// shardCtl.nextEvent) or Stop is called. Every event but one that resumes a
+// proc fires inline with e.cur == nil (engine context, see fire). A resume
+// switches to the proc's coroutine and returns here when the proc yields:
+// two coroutine switches per wake, with no run queue and no second thread
+// woken, which is cheaper than the one channel rendezvous a direct
+// proc-to-proc hand-off would cost.
 func (e *Engine) drive() {
 	for !e.stopped {
 		var ev event
@@ -380,36 +388,100 @@ func (e *Engine) drive() {
 		} else {
 			return
 		}
-		switch {
-		case ev.gen != 0 && ev.ch != nil:
-			ev.ch.drain()
-		case ev.gen != 0:
-			ev.proc.fireDeadline(ev.gen)
-		case ev.proc != nil:
-			if p := ev.proc; !p.dead {
-				e.qs.Resumes++
-				e.cur = p
-				p.w.resume()
-				e.cur = nil
-			}
-		case ev.ch != nil:
-			ev.ch.Push(ev.payload)
-		default:
-			e.qs.Calls++
-			ev.payload.(Caller).Fire()
+		if p := ev.resumes(); p != nil {
+			e.qs.Resumes++
+			e.cur = p
+			p.w.resume()
+			e.cur = nil
+		} else {
+			e.fire(&ev)
 		}
 	}
 }
 
+// resumes returns the proc that firing ev resumes: a live proc's wake record,
+// or the re-arm record of a live proc whose channel got a message. For any
+// other record it returns nil.
+func (ev *event) resumes() *Proc {
+	p := ev.proc
+	if p == nil || ev.gen != 0 || p.dead || ev.ch != nil && ev.ch.q.len() == 0 {
+		return nil
+	}
+	return p
+}
+
+// fire dispatches ev, a record that resumes no proc, in engine context.
+func (e *Engine) fire(ev *event) {
+	switch {
+	case ev.proc != nil && ev.gen != 0:
+		ev.proc.fireDeadline(ev.gen, ev.payload.(*procQueue), ev.ch)
+	case ev.proc != nil:
+		if !ev.proc.dead && ev.ch != nil {
+			ev.proc.rearm(ev.ch)
+		}
+	case ev.gen != 0:
+		ev.ch.drain()
+	case ev.ch != nil:
+		ev.ch.Push(ev.payload)
+	default:
+		e.qs.Calls++
+		ev.payload.(Caller).Fire()
+	}
+}
+
+// fireUntilWake runs the event loop on the stack of p, which is about to
+// yield, for as long as that saves a switch: it fires the records at the
+// queue's head that resume no proc, exactly as drive would, and stops at the
+// first that resumes one. It reports true, having consumed the record, when
+// that is p's own wake: p keeps running. It reports false, and p must switch
+// out, at another proc's resume, on Stop, on an empty queue, or when a fired
+// record killed p, which is then never resumed. Neither p's deadline records
+// nor a re-arm record naming p are its wake.
+//
+// A shard leaves every record to drive, whose merge with the remote events
+// and horizon it would otherwise have to repeat, and only takes its own wake
+// from the queue's head (see popSelfWake).
+func (e *Engine) fireUntilWake(p *Proc) bool {
+	if e.sh != nil {
+		return e.popSelfWake(p)
+	}
+	for {
+		q, _ := e.head()
+		if e.stopped || q == nil {
+			return false
+		}
+		if ev := q.peek(); ev.proc == p && ev.gen == 0 && ev.ch == nil {
+			e.pop()
+			e.qs.SelfWakes++
+			return true
+		} else if ev.resumes() != nil || !e.fireNext(p) {
+			return false
+		}
+	}
+}
+
+// fireNext pops the next record, which resumes no proc, fires it in engine
+// context on the stack of the yielding p, and reports whether p survived it.
+// It is out of fireUntilWake so that the common yield, which fires nothing,
+// keeps popSelfWake's small frame: the event copies live here.
+func (e *Engine) fireNext(p *Proc) bool {
+	ev := e.pop()
+	e.cur = nil
+	e.fire(&ev)
+	e.cur = p
+	return !p.dead
+}
+
 // popSelfWake consumes the next event if it is p's own wake record (not a
-// deadline record, which also names its proc), exactly as drive would have
-// popped it and resumed p, and reports whether it did.
+// deadline or re-arm record, which also name their proc), exactly as drive
+// would have popped it and resumed p, and reports whether it did. It is the
+// shards' fireUntilWake.
 func (e *Engine) popSelfWake(p *Proc) bool {
 	q, t := e.head()
 	if e.stopped || q == nil {
 		return false
 	}
-	if ev := q.peek(); ev.proc != p || ev.gen != 0 {
+	if ev := q.peek(); ev.proc != p || ev.gen != 0 || ev.ch != nil {
 		return false
 	}
 	if sh := e.sh; sh != nil && (t >= sh.limit || len(sh.pending) > 0 && sh.pending[0].t < t) {

@@ -16,6 +16,7 @@ type Proc struct {
 	dead   bool
 	killed bool // dead by Kill, not by returning
 	daemon bool
+	timed  bool // a timed wait is armed (see armDeadline)
 
 	// prev/next link the engine's list of live procs. reason is the Park
 	// reason while parked (and waitFor the proc it names, see ParkFor); a
@@ -24,13 +25,14 @@ type Proc struct {
 	reason     string
 	waitFor    *Proc
 
-	// timedGen numbers the proc's timed waits and timedQ is the wait queue
-	// the current one is armed on, nil once it timed out or ended (see
-	// armDeadline): a deadline record still sitting in the calendar after its
-	// wait has ended is inert when it fires (it can never unpark the proc
-	// from a later wait).
+	// timedGen numbers the proc's timed waits; timed is cleared once the
+	// current one timed out or ended (see armDeadline): a deadline record
+	// still sitting in the calendar after its wait has ended is inert when it
+	// fires (it can never unpark the proc from a later wait). idleTick is the
+	// deadline an idle wait re-arms with (see Chan.RecvIdle). The wait queue
+	// and an idle wait's channel ride on the records, not here.
 	timedGen uint64
-	timedQ   *procQueue
+	idleTick Duration
 
 	// body is what the proc runs. The runtime layered above spawns its own
 	// thread descriptor as the body (see SpawnInto) and gets it back through
@@ -190,13 +192,15 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// yield suspends the proc until its next wake record fires: the coroutine
-// switches back to the event loop that resumed it (see Engine.drive), which
-// dispatches events until one resumes this worker again. When the proc's own
-// wake record is the very next event — an uncontended Advance — it is consumed
-// here and the proc keeps running, with no switch at all.
+// yield suspends the proc until its next wake record fires. The proc first
+// fires, on its own stack, the records ahead of the next resume (see
+// Engine.fireUntilWake): when that resume is its own — an uncontended Advance,
+// or one whose wake only engine-context records precede — it keeps running
+// with no switch at all. Otherwise the coroutine switches back to the event
+// loop that resumed it (see Engine.drive), which dispatches events until one
+// resumes this worker again.
 func (p *Proc) yield() {
-	if !p.eng.popSelfWake(p) {
+	if !p.eng.fireUntilWake(p) {
 		p.w.yield(struct{}{})
 	}
 }

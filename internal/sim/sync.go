@@ -108,31 +108,49 @@ func (c *Cond) Broadcast() {
 }
 
 // armDeadline starts a timed wait of p on q: a deadline record d from now
-// (allocation-free, like a wake record) that takes p off q and unparks it,
-// leaving p.timedQ nil as the mark of a wait that timed out. The wait ends by
-// setting timedQ nil itself, which makes a record still in the calendar inert;
-// until then it stays armed through any number of parks.
-func (p *Proc) armDeadline(q *procQueue, d Duration) {
+// (allocation-free, like a wake record: q rides in its payload) that takes p
+// off q and unparks it, clearing p.timed as the mark of a wait that timed out.
+// The wait ends by clearing timed itself, which makes a record still in the
+// calendar inert; until then it stays armed through any number of parks. idle
+// is nil but for the idle wait of Chan.RecvIdle, whose channel it is (q is its
+// waiters): the record carries it, and firing live re-arms the wait instead of
+// unparking.
+func (p *Proc) armDeadline(q *procQueue, d Duration, idle *Chan) {
 	p.timedGen++
-	p.timedQ = q
-	p.eng.push(p.eng.now.Add(d), event{proc: p, gen: p.timedGen})
+	p.timed = true
+	p.eng.push(p.eng.now.Add(d), event{proc: p, ch: idle, payload: q, gen: p.timedGen})
 }
 
-// fireDeadline is the deadline record of p's gen-th timed wait firing. p not
-// being queued (a push or signal just took it off and its wake is on the way)
-// leaves the wait to end on its own.
-func (p *Proc) fireDeadline(gen uint64) {
-	if gen != p.timedGen || p.timedQ == nil {
+// fireDeadline is the deadline record of p's gen-th timed wait on q firing. p
+// not being queued (a push or signal just took it off and its wake is on the
+// way) leaves the wait to end on its own. For an idle wait on a channel, the
+// re-arm record goes where the wake would.
+func (p *Proc) fireDeadline(gen uint64, q *procQueue, idle *Chan) {
+	if gen != p.timedGen || !p.timed {
 		p.eng.qs.DeadlineInert++
 		return
 	}
 	p.eng.qs.DeadlineLive++
-	if p.timedQ.removeFunc(func(w *Proc) bool { return w == p }) {
-		p.timedQ = nil
-		if !p.dead {
+	if q.removeFunc(func(w *Proc) bool { return w == p }) {
+		p.timed = false
+		switch {
+		case p.dead:
+		case idle != nil:
+			p.eng.push(p.eng.now, event{proc: p, ch: idle})
+		default:
 			p.Unpark()
 		}
 	}
+}
+
+// rearm is the re-arm record of p's idle wait on c firing with c still empty:
+// it does what the timed-out proc would do, resumed, in the loop RecvIdle
+// stands for — count a tick (in timedGen), arm the next deadline and queue on
+// c again — without resuming it.
+func (p *Proc) rearm(c *Chan) {
+	p.eng.qs.Rearms++
+	p.armDeadline(&c.waiters, p.idleTick, c)
+	c.waiters.push(p)
 }
 
 // WaitTimeout is Wait with a deadline: it re-acquires the lock and returns
@@ -143,14 +161,14 @@ func (p *Proc) fireDeadline(gen uint64) {
 // spurious wakes from earlier waits.
 func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 	c.waiters.push(p)
-	p.armDeadline(&c.waiters, d)
+	p.armDeadline(&c.waiters, d, nil)
 	c.L.Unlock(p)
 	p.Park("cond wait (timed)")
 	// Retire the deadline before re-acquiring the lock: Lock may park the
 	// proc on the mutex, and the still-pending record must not fire into
 	// that (or any later) park.
-	timedOut := p.timedQ == nil
-	p.timedQ = nil
+	timedOut := !p.timed
+	p.timed = false
 	c.L.Lock(p)
 	return !timedOut
 }
@@ -350,18 +368,51 @@ func (c *Chan) RecvTimeout(p *Proc, d Duration) (interface{}, bool) {
 	if c.q.len() > 0 {
 		return c.q.pop(), true
 	}
-	p.armDeadline(&c.waiters, d)
-	for c.q.len() == 0 && p.timedQ != nil {
+	p.armDeadline(&c.waiters, d, nil)
+	for c.q.len() == 0 && p.timed {
 		// Again if woken by a Push whose message another receiver consumed:
 		// the deadline stays armed across these re-parks and bounds the wait.
 		c.waiters.push(p)
 		p.Park("chan recv (timed)")
 	}
-	p.timedQ = nil
+	p.timed = false
 	if c.q.len() == 0 {
 		return nil, false
 	}
 	return c.q.pop(), true
+}
+
+// RecvIdle receives the next message, however many idle ticks pass first,
+// and returns it with their count. It is exactly
+//
+//	for ticks := 0; ; ticks++ {
+//		if v, ok := c.RecvTimeout(p, tick); ok {
+//			return v, ticks
+//		}
+//	}
+//
+// — the same events fire in the same order at the same times — except that a
+// tick resumes nothing: the deadline record queues a re-arm record where the
+// proc's wake would go, and that record, finding c still empty, arms the
+// next deadline itself (see Proc.rearm). The proc is resumed only to take a
+// message.
+func (c *Chan) RecvIdle(p *Proc, tick Duration) (v interface{}, ticks int) {
+	if c.sink != nil {
+		panic("sim: RecvIdle on a channel bound to a sink")
+	}
+	if c.q.len() > 0 {
+		return c.q.pop(), 0
+	}
+	gen := p.timedGen
+	p.idleTick = tick
+	p.armDeadline(&c.waiters, tick, c)
+	for c.q.len() == 0 {
+		// Again if woken by a Push whose message another receiver consumed.
+		c.waiters.push(p)
+		p.Park("chan recv (timed)")
+	}
+	p.timed = false
+	return c.q.pop(), int(p.timedGen - gen - 1)
 }
 
 // TryRecv removes and returns the oldest message without blocking. The
