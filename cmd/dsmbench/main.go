@@ -620,21 +620,22 @@ func kernel(*cliArgs) (any, error) {
 	}
 	fmt.Println("(events/sec is wall-clock and host-dependent; virtual timings are pinned")
 	fmt.Println(" by the golden-trace test)")
-	fmt.Printf("\n%-36s %10s %8s %9s %8s %14s %10s %10s %10s %8s %8s\n",
+	fmt.Printf("\n%-36s %10s %8s %9s %8s %14s %10s %10s %8s %10s %8s %8s\n",
 		"event queue traffic", "pushes", "at-now", "new-run", "joined", "deadlines l/i", "peak heap",
-		"resumes", "self-wakes", "re-arms", "drains")
+		"resumes", "steps", "self-wakes", "re-arms", "drains")
 	for _, r := range cur {
 		q := r.Queue
 		pushes := q.AtNow + q.NewRun + q.Joined
 		pct := func(n uint64) float64 { return 100 * float64(n) / float64(max(pushes, 1)) }
-		fmt.Printf("%-36s %10d %7.1f%% %8.1f%% %7.1f%% %14s %10d %10d %10d %8d %8d\n", r.Name, pushes,
+		fmt.Printf("%-36s %10d %7.1f%% %8.1f%% %7.1f%% %14s %10d %10d %8d %10d %8d %8d\n", r.Name, pushes,
 			pct(q.AtNow), pct(q.NewRun), pct(q.Joined),
 			fmt.Sprintf("%d/%d", q.DeadlineLive, q.DeadlineInert), q.PeakHeap,
-			q.Resumes, q.SelfWakes, q.Rearms, q.Drains)
+			q.Resumes, q.Steps, q.SelfWakes, q.Rearms, q.Drains)
 	}
 	fmt.Println("(at-now pushes append to the now-ring; a new-run push is a heap insert, a joined")
 	fmt.Println(" one a ring append; deadlines l/i = timed-wait records fired live / inert; resumes =")
-	fmt.Println(" coroutine resumes by the event loop, two switches each; self-wakes = wake records a")
+	fmt.Println(" coroutine resumes by the event loop, two switches each; steps = step proc bodies run,")
+	fmt.Println(" no switch (a page install); self-wakes = wake records a")
 	fmt.Println(" yielding proc consumed without a switch; re-arms = idle receives re-armed without a")
 	fmt.Println(" resume; drains = bursts handed to a bound channel's sink)")
 	return &kernelSnapshot{Current: cur}, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"dsmpm2/internal/madeleine"
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/pm2"
 	"dsmpm2/internal/sim"
@@ -23,17 +24,29 @@ const (
 // ctrlBytes is the wire size of a control message.
 const ctrlBytes = 64
 
+// serviceIDs are the channel ids of the services the core sends to on its
+// hot paths, resolved once at registration (see pm2.Runtime.ServiceID).
+type serviceIDs struct {
+	request, page, invald, diff, lockAcq, lockRel, barrier madeleine.ChanID
+	migrateHome, migrateInstall                            madeleine.ChanID
+}
+
 // registerServices wires the DSM communication module onto every node.
 // Request, invalidation and diff servers are threaded so that concurrent
 // requests — for the same page or different pages — are processed in
 // parallel, the multithreaded behaviour Section 3 calls out; page
-// installation is a serial service, one request at a time per node like a
-// softirq.
+// installation is serial, one page at a time per node like a softirq: on the
+// node's installer (see StandardInstall), or on the serial dsm.page service
+// for the protocols whose receive-page server may block.
 //
 // Each handler receives the sender's record itself (see records.go),
 // completes it with DSM, Thread and Node, runs the protocol routine on it and
 // frees it.
 func (d *DSM) registerServices() {
+	// Interned first, the install channel gets a place in every node's queue
+	// table when the table is made (see Network.queue).
+	d.installCh = d.rt.Network().ChannelID(installChannel)
+	d.installSink = d.deliverInstall
 	for i := 0; i < d.rt.Nodes(); i++ {
 		node := d.rt.Node(i)
 
@@ -122,6 +135,17 @@ func (d *DSM) registerServices() {
 		})
 	}
 	d.registerSyncServices()
+	rt := d.rt
+	d.svc = serviceIDs{
+		request: rt.ServiceID(svcRequest), page: rt.ServiceID(svcPage),
+		invald: rt.ServiceID(svcInvald), diff: rt.ServiceID(svcDiff),
+		lockAcq: rt.ServiceID(svcLockAcq), lockRel: rt.ServiceID(svcLockRel),
+		barrier: rt.ServiceID(svcBarrier),
+	}
+	ins := make([]installer, len(d.installers))
+	for i := range ins {
+		d.installers[i] = ins[i].init(d, i)
+	}
 }
 
 // sendRequest delivers a page request to dest (a control message).
@@ -131,15 +155,17 @@ func (d *DSM) sendRequest(from, dest int, m *Request) {
 	st.Requests++
 	st.Sends++
 	st.Envelopes++
-	d.rt.AsyncFrom(from, dest, svcRequest, m, ctrlBytes)
+	d.rt.AsyncFrom(from, dest, d.svc.request, m, ctrlBytes)
 }
 
-// sendPage delivers a page copy to dest as a bulk transfer. The message
-// header travels inside the transfer's fixed base cost, so the charged
-// payload is exactly the page, as in the paper's Table 3 measurements. The
-// carrying link's profile name is recorded for FaultTiming attribution, so
-// reports can split fault costs by link class (intra- vs inter-cluster).
-func (d *DSM) sendPage(from, dest int, m *PageMsg) {
+// sendPage delivers a page copy to dest as a bulk transfer: to dest's
+// installer when step is set (the page's protocol embeds StandardInstall),
+// else to its dsm.page service. The message header travels inside the
+// transfer's fixed base cost, so the charged payload is exactly the page, as
+// in the paper's Table 3 measurements. The carrying link's profile name is
+// recorded for FaultTiming attribution, so reports can split fault costs by
+// link class (intra- vs inter-cluster).
+func (d *DSM) sendPage(from, dest int, m *PageMsg, step bool) {
 	m.sentAt = d.rt.Engine().Now()
 	m.link = d.rt.Link(from, dest).Name
 	st := &d.stats
@@ -147,7 +173,11 @@ func (d *DSM) sendPage(from, dest int, m *PageMsg) {
 	st.PageBytes += int64(len(m.Data))
 	st.Sends++
 	st.Envelopes++
-	d.rt.AsyncFrom(from, dest, svcPage, m, len(m.Data))
+	if step {
+		d.rt.Network().SendBulkID(from, dest, d.installCh, len(m.Data), m)
+		return
+	}
+	d.rt.AsyncFrom(from, dest, d.svc.page, m, len(m.Data))
 }
 
 // newInvalidate takes an invalidation record for pg, sent by from.
@@ -165,7 +195,7 @@ func (d *DSM) sendInvalidate(from, dest int, pg Page, newOwner int, ack *sim.Cha
 	st.Invalidations++
 	st.Sends++
 	st.Envelopes++
-	d.rt.AsyncFrom(from, dest, svcInvald, d.newInvalidate(from, pg, newOwner, ack), ctrlBytes)
+	d.rt.AsyncFrom(from, dest, d.svc.invald, d.newInvalidate(from, pg, newOwner, ack), ctrlBytes)
 }
 
 // sendDiffs delivers a batch of diffs to dest as one envelope and, if wait
@@ -199,7 +229,7 @@ func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool
 		st.DiffsSent += int64(len(diffs))
 		st.Sends++
 		st.Envelopes++
-		d.rt.AsyncFrom(t.Node(), dest, svcDiff, m, size)
+		d.rt.AsyncFrom(t.Node(), dest, d.svc.diff, m, size)
 		if !wait {
 			break
 		}

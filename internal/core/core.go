@@ -17,6 +17,7 @@ import (
 	"slices"
 
 	"dsmpm2/internal/isomalloc"
+	"dsmpm2/internal/madeleine"
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/pm2"
 	"dsmpm2/internal/sim"
@@ -71,13 +72,15 @@ func DefaultCosts() Costs {
 }
 
 // nodeState is the per-node half of the DSM: this node's view of the shared
-// address space and its slice of the distributed page table. pages mirrors
-// the table's keys in sorted order, maintained incrementally at entry
-// creation so release-time sweeps never rebuild and re-sort it.
+// address space and its slice of the distributed page table. The table is
+// indexed like the Space's frames, two levels deep by page number, so a lookup
+// hashes nothing. pages lists the table's pages in sorted order, maintained
+// incrementally at entry creation so release-time sweeps never rebuild and
+// re-sort it.
 type nodeState struct {
 	node  int
 	space memory.Space
-	table map[Page]*Entry
+	table [][]*Entry
 	pages []Page
 
 	// notices are the write notices this node queued during the current
@@ -90,7 +93,7 @@ type nodeState struct {
 
 // newNodeState is node n's state holding nothing: no frames, no entries.
 func newNodeState(n int) *nodeState {
-	return &nodeState{node: n, space: *memory.NewSpace(PageSize), table: make(map[Page]*Entry)}
+	return &nodeState{node: n, space: *memory.NewSpace(PageSize)}
 }
 
 // DSM is a DSM-PM2 instance spanning all nodes of a PM2 machine.
@@ -106,10 +109,17 @@ type DSM struct {
 	recs recPools
 
 	state []*nodeState
+	// installers are the nodes' page installers, fed on installCh (see
+	// StandardInstall).
+	installers  []*installer
+	installCh   madeleine.ChanID
+	installSink func(v interface{}) // deliverInstall, bound once
+	svc         serviceIDs
 
 	registry *Registry
-	// instances holds the protocols instantiated so far, by id (see instance).
-	instances map[ProtoID]Protocol
+	// instances holds the protocols instantiated so far, indexed by id, with
+	// nil for one not yet used (see instance).
+	instances []instance
 	defProto  ProtoID
 
 	// dir is the page directory: the allocation-time home and protocol of
@@ -162,16 +172,16 @@ type pageInfo struct {
 // protocol registry. Registered protocols are instantiated per DSM.
 func New(rt *pm2.Runtime, reg *Registry, costs Costs) *DSM {
 	d := &DSM{
-		rt:        rt,
-		alloc:     isomalloc.New(rt.Nodes(), PageSize),
-		costs:     costs,
-		bufs:      memory.NewBufPool(PageSize),
-		registry:  reg,
-		instances: make(map[ProtoID]Protocol),
-		defProto:  -1,
-		dir:       make(map[Page]pageInfo),
+		rt:       rt,
+		alloc:    isomalloc.New(rt.Nodes(), PageSize),
+		costs:    costs,
+		bufs:     memory.NewBufPool(PageSize),
+		registry: reg,
+		defProto: -1,
+		dir:      make(map[Page]pageInfo),
 	}
 	d.nodeFaults = make([]int64, rt.Nodes())
+	d.installers = make([]*installer, rt.Nodes())
 	for i := 0; i < rt.Nodes(); i++ {
 		d.state = append(d.state, newNodeState(i))
 	}
@@ -200,21 +210,34 @@ func (d *DSM) SetDefaultProtocol(id ProtoID) {
 // DefaultProtocol returns the current default protocol id (-1 if unset).
 func (d *DSM) DefaultProtocol() ProtoID { return d.defProto }
 
+// instance is one instantiated protocol; step records that it installs pages
+// by step (see StandardInstall), decided once here rather than per page.
+type instance struct {
+	Protocol
+	step bool
+}
+
 // instance returns (instantiating on first use) the protocol instance for id.
-func (d *DSM) instance(id ProtoID) Protocol {
-	p, ok := d.instances[id]
-	if !ok {
-		p = d.registry.newInstance(id, d)
-		d.instances[id] = p
+func (d *DSM) instance(id ProtoID) Protocol { return d.inst(id).Protocol }
+
+func (d *DSM) inst(id ProtoID) *instance {
+	if int(id) < len(d.instances) && d.instances[id].Protocol != nil {
+		return &d.instances[id]
 	}
-	return p
+	p := d.registry.newInstance(id, d)
+	if int(id) >= len(d.instances) {
+		d.instances = append(d.instances, make([]instance, int(id)+1-len(d.instances))...)
+	}
+	_, step := p.(interface{ installsByStep() })
+	d.instances[id] = instance{p, step}
+	return &d.instances[id]
 }
 
 // eachInstance invokes fn on every instantiated protocol, in id order.
 func (d *DSM) eachInstance(fn func(Protocol)) {
-	for id := ProtoID(0); int(id) < d.registry.Len(); id++ {
-		if p, ok := d.instances[id]; ok {
-			fn(p)
+	for _, in := range d.instances {
+		if in.Protocol != nil {
+			fn(in.Protocol)
 		}
 	}
 }

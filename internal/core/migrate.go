@@ -79,6 +79,7 @@ func (d *DSM) registerMigrateServices() {
 			return nil
 		})
 	}
+	d.svc.migrateHome, d.svc.migrateInstall = d.rt.ServiceID(svcMigrateHome), d.rt.ServiceID(svcMigrateInstall)
 }
 
 // replyDirect sends a control-sized value back on a private reply channel.
@@ -140,7 +141,7 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 		page: m.page, data: data, access: access, copyset: copyset,
 		from: node, reply: ack,
 	}
-	d.rt.AsyncFrom(node, m.newHome, svcMigrateInstall, im, PageSize)
+	d.rt.AsyncFrom(node, m.newHome, d.svc.migrateInstall, im, PageSize)
 	for {
 		if _, ok := d.await(h, ack); ok {
 			break
@@ -163,7 +164,7 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 		st.PageBytes += PageSize
 		st.Sends++
 		st.Envelopes++
-		d.rt.AsyncFrom(node, m.newHome, svcMigrateInstall, &migInstallMsg{
+		d.rt.AsyncFrom(node, m.newHome, d.svc.migrateInstall, &migInstallMsg{
 			page: m.page, data: dup, access: access, copyset: copyset,
 			from: node, reply: ack,
 		}, PageSize)
@@ -261,8 +262,8 @@ func (d *DSM) startMigration(h *pm2.Thread, pg Page, newHome int) *migFlight {
 		if d.NodeDead(n) {
 			continue
 		}
-		e, ok := d.state[n].table[pg]
-		if !ok {
+		e := d.state[n].entry(pg)
+		if e == nil {
 			continue
 		}
 		if e.Pending {
@@ -286,7 +287,7 @@ func (d *DSM) startMigration(h *pm2.Thread, pg Page, newHome int) *migFlight {
 	st := &d.stats
 	st.Sends++
 	st.Envelopes++
-	d.rt.AsyncFrom(h.Node(), owner, svcMigrateHome, f.m, ctrlBytes)
+	d.rt.AsyncFrom(h.Node(), owner, d.svc.migrateHome, f.m, ctrlBytes)
 	return f
 }
 
@@ -312,7 +313,7 @@ func (d *DSM) finishMigration(h *pm2.Thread, f *migFlight) bool {
 		st := &d.stats
 		st.Sends++
 		st.Envelopes++
-		d.rt.AsyncFrom(h.Node(), f.owner, svcMigrateHome, f.m, ctrlBytes)
+		d.rt.AsyncFrom(h.Node(), f.owner, d.svc.migrateHome, f.m, ctrlBytes)
 	}
 	pi := d.dir[f.pg]
 	pi.home = f.newHome

@@ -232,7 +232,7 @@ func (b *Batch) envelope(run []batchOp) (acks int, diffBytes int64) {
 	b.elems = b.elems[:0]
 	for _, op := range run {
 		if op.diff == nil {
-			b.elems = append(b.elems, pm2.VecElem{Svc: svcInvald, Size: ctrlBytes,
+			b.elems = append(b.elems, pm2.VecElem{Svc: d.svc.invald, Size: ctrlBytes,
 				Arg: d.newInvalidate(b.node, op.page, op.newOwner, nil)})
 			acks++
 			continue
@@ -242,7 +242,7 @@ func (b *Batch) envelope(run []batchOp) (acks int, diffBytes int64) {
 		dm.Diffs = dm.one[:]
 		op.diff.Refs++
 		size := ctrlBytes + op.diff.Size()
-		b.elems = append(b.elems, pm2.VecElem{Svc: svcDiff, Size: size, Arg: dm})
+		b.elems = append(b.elems, pm2.VecElem{Svc: d.svc.diff, Size: size, Arg: dm})
 		diffBytes += int64(size)
 	}
 	st := &d.stats

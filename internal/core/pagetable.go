@@ -84,11 +84,26 @@ func newEntry(pg Page, pi pageInfo) *Entry {
 	return e
 }
 
+// entryLeafBits is log2 of the pages one second-level table of a node's
+// entries spans: one isomalloc slice, as for memory.Space's frames.
+const (
+	entryLeafBits = 18
+	entryLeafMask = 1<<entryLeafBits - 1
+)
+
+// entry returns the node's entry for pg, or nil before its first touch.
+func (ns *nodeState) entry(pg Page) *Entry {
+	if t, i := uint64(pg)>>entryLeafBits, uint64(pg)&entryLeafMask; t < uint64(len(ns.table)) && i < uint64(len(ns.table[t])) {
+		return ns.table[t][i]
+	}
+	return nil
+}
+
 // Entry returns node's page-table entry for pg, creating it from the
 // allocation metadata on first touch.
 func (d *DSM) Entry(node int, pg Page) *Entry {
 	ns := d.state[node]
-	if e, ok := ns.table[pg]; ok {
+	if e := ns.entry(pg); e != nil {
 		return e
 	}
 	pi, ok := d.dir[pg]
@@ -96,13 +111,24 @@ func (d *DSM) Entry(node int, pg Page) *Entry {
 		panic("core: page table entry requested for unallocated page")
 	}
 	e := newEntry(pg, pi)
-	ns.table[pg] = e
+	t, i := int(uint64(pg)>>entryLeafBits), int(uint64(pg)&entryLeafMask)
+	if t >= len(ns.table) {
+		ns.table = append(ns.table, make([][]*Entry, t+1-len(ns.table))...)
+	}
+	if i >= len(ns.table[t]) {
+		// Grown by doubling from 8 entries: a node touches a handful of
+		// a slice's pages first, then more, so few growths make a leaf.
+		leaf := make([]*Entry, max(i+1, 2*len(ns.table[t]), 8))
+		copy(leaf, ns.table[t])
+		ns.table[t] = leaf
+	}
+	ns.table[t][i] = e
 	// Keep the sorted page list in step (binary insert): PagesOn sweeps
 	// run every release, entry creation happens once per (node, page).
-	i := sort.Search(len(ns.pages), func(i int) bool { return ns.pages[i] >= pg })
+	k := sort.Search(len(ns.pages), func(k int) bool { return ns.pages[k] >= pg })
 	ns.pages = append(ns.pages, 0)
-	copy(ns.pages[i+1:], ns.pages[i:])
-	ns.pages[i] = pg
+	copy(ns.pages[k+1:], ns.pages[k:])
+	ns.pages[k] = pg
 	return e
 }
 

@@ -138,18 +138,25 @@ func SendPage(r *Request, e *Entry, dest int, access memory.Access, ownship bool
 	pm := take(&d.recs.pages)
 	pm.Page, pm.From, pm.Data, pm.Access, pm.Owner, pm.Ownship = e.Page, r.Node, data, access, owner, ownship
 	pm.Copyset, pm.Seq, pm.Timing, pm.ftSeq = copyset.AppendTo(nil), r.Seq, r.Timing, r.ftSeq
-	d.sendPage(r.Node, dest, pm)
+	d.sendPage(r.Node, dest, pm, d.inst(e.proto).step)
 }
 
 // InstallPage copies an arriving page into the local frame, sets the granted
 // access right, updates ownership hints, completes the pending fetch and
 // wakes the waiting threads. Charges the requester-side installation cost.
-// This is the standard body of a ReceivePageServer hook.
+// This is the standard body of a ReceivePageServer hook (see StandardInstall).
 func InstallPage(pm *PageMsg) {
 	d, t := pm.DSM, pm.Thread
 	e := d.Entry(pm.Node, pm.Page)
 	e.Lock(t)
 	t.Compute(d.costs.Install)
+	d.install(pm, e)
+	e.Unlock(t)
+}
+
+// install is InstallPage between the CPU charge and the unlock, the part a
+// handler thread and the installer's step share.
+func (d *DSM) install(pm *PageMsg, e *Entry) {
 	if ft := liveTiming(pm.Timing, pm.ftSeq); ft != nil {
 		ft.Install = d.costs.Install
 	}
@@ -160,7 +167,6 @@ func InstallPage(pm *PageMsg) {
 		// pending and its own response will complete it.
 		d.bufs.Put(pm.Data)
 		pm.Data = nil
-		e.Unlock(t)
 		return
 	}
 	if !pm.Ownship && e.InvalSeq != e.pendingSeq {
@@ -173,7 +179,6 @@ func InstallPage(pm *PageMsg) {
 		pm.Data = nil
 		e.Pending = false
 		e.Broadcast()
-		e.Unlock(t)
 		return
 	}
 	space := &d.state[pm.Node].space
@@ -192,7 +197,6 @@ func InstallPage(pm *PageMsg) {
 	}
 	e.Pending = false
 	e.Broadcast()
-	e.Unlock(t)
 }
 
 // InvalidateCopies sends invalidations for pg to every node in copyset

@@ -224,6 +224,7 @@ func (d *DSM) CrashNode(n int) {
 	rec.dead[n] = true
 	rec.stats.Crashes++
 	d.rt.KillNode(n)
+	d.installers[n].kill()
 	d.rehomePages(n)
 	d.scrubLocks(n)
 	d.eachInstance(func(p Protocol) {
@@ -249,6 +250,7 @@ func (d *DSM) RestartNode(n int) {
 	// died — is simply dropped.
 	d.state[n] = newNodeState(n)
 	d.rt.RestartNode(n)
+	d.installers[n] = new(installer).init(d, n) // the killed one's proc is never reused
 	d.eachInstance(func(p Protocol) {
 		if r, ok := p.(Recoverable); ok {
 			r.OnNodeRestart(n)
@@ -267,7 +269,7 @@ func (d *DSM) rehomePages(n int) {
 	deadState := d.state[n]
 	for _, pg := range d.sortedPages() {
 		pi := d.dir[pg]
-		deadEntry := deadState.table[pg]
+		deadEntry := deadState.entry(pg)
 		ownerDied := deadEntry != nil && deadEntry.Owner
 		homeDied := pi.home == n
 		if !ownerDied && !homeDied {
@@ -288,7 +290,7 @@ func (d *DSM) rehomePages(n int) {
 				continue
 			}
 			rank := int(frame.Access)
-			if e, ok := d.state[i].table[pg]; ok && e.Owner {
+			if e := d.state[i].entry(pg); e != nil && e.Owner {
 				rank = 10
 			}
 			if rank > bestRank {
@@ -356,8 +358,8 @@ func (d *DSM) scrubEntries(pg Page, n, target int) {
 		if i == n || d.recovery.dead[i] {
 			continue
 		}
-		e, ok := d.state[i].table[pg]
-		if !ok {
+		e := d.state[i].entry(pg)
+		if e == nil {
 			continue
 		}
 		e.RemoveCopyset(n)

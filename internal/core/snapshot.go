@@ -185,12 +185,12 @@ func (d *DSM) CaptureState() (*CoreState, error) {
 	if d.defProto >= 0 {
 		s.DefProto = d.registry.Name(d.defProto)
 	}
-	for id := ProtoID(0); int(id) < d.registry.Len(); id++ {
-		p, ok := d.instances[id]
-		if !ok {
+	for id, in := range d.instances {
+		p := in.Protocol
+		if p == nil {
 			continue
 		}
-		ps := ProtoStateSnap{Name: d.registry.Name(id)}
+		ps := ProtoStateSnap{Name: d.registry.Name(ProtoID(id))}
 		if st, ok := p.(ProtoStater); ok {
 			blob, err := st.CaptureProtoState()
 			if err != nil {
@@ -307,7 +307,7 @@ func (d *DSM) captureNode(n int) (NodeCoreState, error) {
 		})
 	}
 	for _, pg := range ns.pages {
-		e := ns.table[pg]
+		e := ns.entry(pg)
 		if e.Pending {
 			return NodeCoreState{}, fmt.Errorf("core: capture with a fetch in flight for page %d on node %d", pg, n)
 		}

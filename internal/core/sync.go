@@ -322,7 +322,7 @@ func (d *DSM) Acquire(t *pm2.Thread, id int) {
 	}
 	d.stats.Acquires++
 	ev := d.newSyncEvent(t, id, false)
-	t.Call(d.locks[id].home, svcLockAcq, ev, ctrlBytes, ctrlBytes)
+	t.CallID(d.locks[id].home, d.svc.lockAcq, ev, ctrlBytes, ctrlBytes)
 	d.eachInstance(func(p Protocol) { p.LockAcquire(ev) })
 	put(&d.recs.syncs, ev)
 }
@@ -344,7 +344,7 @@ func (d *DSM) Release(t *pm2.Thread, id int) {
 	d.stats.Releases++
 	ev := d.newSyncEvent(t, id, false)
 	d.eachInstance(func(p Protocol) { p.LockRelease(ev) })
-	res := t.Call(d.locks[id].home, svcLockRel, ev, ctrlBytes, ctrlBytes)
+	res := t.CallID(d.locks[id].home, d.svc.lockRel, ev, ctrlBytes, ctrlBytes)
 	put(&d.recs.syncs, ev)
 	if msg, bad := res.(string); bad {
 		panic(msg) // misuse reported on the releasing thread, where it belongs
@@ -380,7 +380,7 @@ func (d *DSM) BarrierAs(t *pm2.Thread, id, participant, gen int) {
 	// zero extra round trips.
 	req := &barrierReq{id: id, from: t.Node(), participant: participant, gen: gen,
 		notices: d.takeNotices(t.Node(), id)}
-	res := t.Call(d.barriers[id].home, svcBarrier, req,
+	res := t.CallID(d.barriers[id].home, d.svc.barrier, req,
 		ctrlBytes+noticeBytes*len(req.notices), ctrlBytes)
 	if g, ok := res.(*barrierGrant); ok {
 		// Migrations first: the write notices (and the protocols' acquire

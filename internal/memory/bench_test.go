@@ -36,35 +36,12 @@ func BenchmarkSpaceReadUint64Hit(b *testing.B) {
 // benchmark/'s memory.ns_per_diff probe uses), dense rewrites every word the
 // way a jacobi sweep does — neighbouring float64 averages, which change the
 // low mantissa bytes and often leave the exponent bytes equal. Each round
-// refills one diff, as the DSM's pooled records are refilled, so CI pins it
-// at 0 allocs/op.
+// refills one diff, as the DSM's pooled records are refilled, so
+// TestComputeDiffRefillsInPlace pins it at 0 allocs/op.
 func BenchmarkComputeDiff(b *testing.B) {
-	const pageSize = 4096
-	sparse := func(cur []byte) {
-		for w := 0; w < 64; w++ {
-			cur[64*w]++
-		}
-	}
-	dense := func(cur []byte) {
-		prev := 1.0
-		for w := 0; w < pageSize/8; w++ {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(cur[8*w:]))
-			next := 0.25 * (prev + 2*v + float64(w%7))
-			binary.LittleEndian.PutUint64(cur[8*w:], math.Float64bits(next))
-			prev = v
-		}
-	}
-	for _, bc := range []struct {
-		name  string
-		dirty func(cur []byte)
-	}{{"sparse64", sparse}, {"denseRow", dense}} {
+	for _, bc := range diffPatterns {
 		b.Run(bc.name, func(b *testing.B) {
-			twin := make([]byte, pageSize)
-			dense(twin) // non-trivial contents under both patterns
-			cur := MakeTwin(twin)
-			bc.dirty(cur)
-			var df Diff
-			df.Compute(1, twin, cur, 8) // grows the buffers the rounds reuse
+			twin, cur, df := diffPin(bc.dirty)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var n int
@@ -75,4 +52,51 @@ func BenchmarkComputeDiff(b *testing.B) {
 			benchSink = uint64(n)
 		})
 	}
+}
+
+// TestComputeDiffRefillsInPlace pins BenchmarkComputeDiff's round at 0
+// allocations under both patterns.
+func TestComputeDiffRefillsInPlace(t *testing.T) {
+	for _, bc := range diffPatterns {
+		twin, cur, df := diffPin(bc.dirty)
+		if n := testing.AllocsPerRun(100, func() { df.Compute(1, twin, cur, 8) }); n != 0 {
+			t.Errorf("%s: refilling a diff allocates %v times, pinned at 0", bc.name, n)
+		}
+	}
+}
+
+const diffPageSize = 4096
+
+func denseDirty(cur []byte) {
+	prev := 1.0
+	for w := 0; w < diffPageSize/8; w++ {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(cur[8*w:]))
+		next := 0.25 * (prev + 2*v + float64(w%7))
+		binary.LittleEndian.PutUint64(cur[8*w:], math.Float64bits(next))
+		prev = v
+	}
+}
+
+var diffPatterns = []struct {
+	name  string
+	dirty func(cur []byte)
+}{
+	{"sparse64", func(cur []byte) {
+		for w := 0; w < 64; w++ {
+			cur[64*w]++
+		}
+	}},
+	{"denseRow", denseDirty},
+}
+
+// diffPin is a twin with non-trivial contents, its page dirtied by dirty, and
+// a diff of the two whose buffers have grown to what the rounds reuse.
+func diffPin(dirty func(cur []byte)) (twin, cur []byte, df *Diff) {
+	twin = make([]byte, diffPageSize)
+	denseDirty(twin)
+	cur = MakeTwin(twin)
+	dirty(cur)
+	df = new(Diff)
+	df.Compute(1, twin, cur, 8)
+	return twin, cur, df
 }

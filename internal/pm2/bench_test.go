@@ -19,3 +19,23 @@ func BenchmarkThreadedRPC(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestThreadedRPCAllocs pins BenchmarkThreadedRPC's round, a synchronous null
+// RPC served by a handler thread, at 0 allocations.
+func TestThreadedRPCAllocs(t *testing.T) {
+	rt := threadedNull(t)
+	allocs := -1.0
+	rt.CreateThread(0, "client", func(th *Thread) {
+		call := func() { th.Call(1, "null", nil, 0, 0) }
+		for i := 0; i < 16; i++ {
+			call()
+		}
+		allocs = testing.AllocsPerRun(100, call)
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a threaded null RPC allocates %v times, pinned at 0", allocs)
+	}
+}

@@ -188,15 +188,15 @@ func TestRecycledHandlerStartsClean(t *testing.T) {
 		switch {
 		case h.TLS("k") != nil:
 			t.Errorf("recycled handler sees TLS %v", h.TLS("k"))
-		case h.Migrations() != 0 || h.Migratable() || h.Done():
-			t.Errorf("recycled handler starts with migrations=%d migratable=%v done=%v", h.Migrations(), h.Migratable(), h.Done())
+		case h.Migrations() != 0 || h.migratable || h.Done():
+			t.Errorf("recycled handler starts with migrations=%d migratable=%v done=%v", h.Migrations(), h.migratable, h.Done())
 		case h.ID() <= firstID:
 			t.Errorf("recycled handler has id %d, not after its predecessor's %d", h.ID(), firstID)
 		case h.Node() != 1:
 			t.Errorf("recycled handler starts on node %d, want 1", h.Node())
 		case h.reply == nil || h.reply.Len() != 0:
 			t.Errorf("recycled handler's reply queue: %v", h.reply)
-		case FromProc(h.Proc()) != h:
+		case h.Proc().Body() != h:
 			t.Error("recycled handler's proc does not lead back to it")
 		}
 		if v := h.Call(0, "echo", 2, 0, 0); v != 2 {

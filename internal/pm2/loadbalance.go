@@ -24,9 +24,6 @@ func (t *Thread) RequestMigration(dest int) {
 // threads pinned to their data must stay put.
 func (t *Thread) SetMigratable(on bool) { t.migratable = on }
 
-// Migratable reports whether the balancer may move this thread.
-func (t *Thread) Migratable() bool { return t.migratable }
-
 // checkPreempt honours a pending migration request; called at safe points.
 func (t *Thread) checkPreempt() {
 	if t.pendingDest >= 0 {

@@ -339,20 +339,6 @@ func TestTLS(t *testing.T) {
 	}
 }
 
-func TestFromProc(t *testing.T) {
-	rt := newRT(1, nil)
-	var th *Thread
-	created := rt.CreateThread(0, "w", func(t2 *Thread) {
-		th = FromProc(t2.Proc())
-	})
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if th != created {
-		t.Fatal("FromProc did not recover the thread")
-	}
-}
-
 func TestBadNodePanics(t *testing.T) {
 	rt := newRT(2, nil)
 	defer func() {

@@ -128,7 +128,7 @@ func TestQuickVecElements(t *testing.T) {
 	var got []interface{}
 	var at sim.Time
 	rt.CreateThread(0, "caller", func(th *Thread) {
-		got = callVec(th, 1, []VecElem{{Svc: "echo", Arg: 1, Size: 64}, {Svc: "hold", Size: 64}, {Svc: "echo", Arg: 3, Size: 64}}, 64)
+		got = callVec(th, 1, []VecElem{{Svc: rt.ServiceID("echo"), Arg: 1, Size: 64}, {Svc: rt.ServiceID("hold"), Size: 64}, {Svc: rt.ServiceID("echo"), Arg: 3, Size: 64}}, 64)
 		at = th.Now()
 	})
 	rt.CreateThread(0, "opener", func(th *Thread) {

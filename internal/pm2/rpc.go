@@ -103,17 +103,14 @@ func (rt *Runtime) putReq(r *Request) {
 	rt.reqFree.Put(r)
 }
 
-// svcChannel names the madeleine channel carrying requests for a service.
-func svcChannel(name string) string { return "rpc:" + name }
-
-// svcChanID resolves (and caches) the interned channel id for a service
-// name, so per-message sends neither concatenate strings nor consult the
-// network's name table.
-func (rt *Runtime) svcChanID(name string) madeleine.ChanID {
+// ServiceID resolves (and caches) the interned channel id of a service name.
+// A caller that sends to a service often resolves it once and sends by id
+// (CallID, AsyncFrom, VecElem), so no message hashes a name.
+func (rt *Runtime) ServiceID(name string) madeleine.ChanID {
 	if id, ok := rt.svcIDs[name]; ok {
 		return id
 	}
-	id := rt.net.ChannelID(svcChannel(name))
+	id := rt.net.ChannelID("rpc:" + name) // the request channel of service name
 	rt.svcIDs[name] = id
 	return id
 }
@@ -145,7 +142,7 @@ func (n *Node) register(name string, svc *service) {
 	if _, dup := n.services[name]; dup {
 		panic(fmt.Sprintf("pm2: service %q registered twice on node %d", name, n.ID))
 	}
-	svc.chanID, svc.node, svc.sink = n.rt.svcChanID(name), n, svc.deliver
+	svc.chanID, svc.node, svc.sink = n.rt.ServiceID(name), n, svc.deliver
 	n.services[name] = svc
 	n.svcOrder = append(n.svcOrder, name)
 	n.rt.net.Serve(n.ID, svc.chanID, svc.sink)
@@ -292,11 +289,16 @@ func halfRPC(prof *madeleine.Profile, size int) sim.Duration {
 // sizes used for timing; a null RPC (both small) costs the profile's RPCBase
 // plus handler execution time, matching the Section 2.1 micro-measurements.
 func (t *Thread) Call(dest int, svcName string, arg interface{}, argSize, retSize int) interface{} {
+	return t.CallID(dest, t.rt.ServiceID(svcName), arg, argSize, retSize)
+}
+
+// CallID is Call to the service whose id is ch (see ServiceID).
+func (t *Thread) CallID(dest int, ch madeleine.ChanID, arg interface{}, argSize, retSize int) interface{} {
 	rt := t.rt
 	reply := t.ReplyQueue()
 	req := rt.getReq()
 	*req = Request{arg: arg, reply: reply, retSize: retSize, from: t.node}
-	rt.net.SendID(t.node, dest, rt.svcChanID(svcName), argSize, req, halfRPC(rt.Link(t.node, dest), argSize))
+	rt.net.SendID(t.node, dest, ch, argSize, req, halfRPC(rt.Link(t.node, dest), argSize))
 	return reply.Recv(&t.proc)
 }
 
@@ -305,15 +307,15 @@ func (t *Thread) Call(dest int, svcName string, arg interface{}, argSize, retSiz
 // ones at the bulk transfer cost; this is the flavor the DSM communication
 // module uses for page requests, page sends and invalidations.
 func (t *Thread) Async(dest int, svcName string, arg interface{}, size int) {
-	t.rt.AsyncFrom(t.node, dest, svcName, arg, size)
+	t.rt.AsyncFrom(t.node, dest, t.rt.ServiceID(svcName), arg, size)
 }
 
-// AsyncFrom is Async with an explicit source node; the DSM layer uses it
-// when a handler thread answers on behalf of its node.
-func (rt *Runtime) AsyncFrom(from, dest int, svcName string, arg interface{}, size int) {
+// AsyncFrom is Async with an explicit source node, to the service whose id is
+// ch; the DSM layer uses it when a handler thread answers on behalf of its
+// node.
+func (rt *Runtime) AsyncFrom(from, dest int, ch madeleine.ChanID, arg interface{}, size int) {
 	req := rt.getReq()
 	req.arg = arg
-	ch := rt.svcChanID(svcName)
 	if size > 64 {
 		rt.net.SendBulkID(from, dest, ch, size, req)
 	} else {
@@ -321,10 +323,10 @@ func (rt *Runtime) AsyncFrom(from, dest int, svcName string, arg interface{}, si
 	}
 }
 
-// VecElem is one element of a vector invocation: a service name, its
-// argument, and the element's wire size.
+// VecElem is one element of a vector invocation: a service id (see
+// ServiceID), its argument, and the element's wire size.
 type VecElem struct {
-	Svc  string
+	Svc  madeleine.ChanID
 	Arg  interface{}
 	Size int
 }
@@ -374,7 +376,7 @@ func (rt *Runtime) sendVec(from, dest int, elems []VecElem, reply bool, retSize 
 		if reply {
 			req.join = c
 		}
-		c.parts = append(c.parts, madeleine.GatherPart{Chan: rt.svcChanID(el.Svc), Size: el.Size, Payload: req})
+		c.parts = append(c.parts, madeleine.GatherPart{Chan: el.Svc, Size: el.Size, Payload: req})
 		total += el.Size
 	}
 	prof := rt.Link(from, dest)

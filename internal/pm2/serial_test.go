@@ -22,11 +22,11 @@ import (
 // returns a counter of the receives that found the queue empty, so parked:
 // each but the last was ended by a request that found the server idle.
 func refServerThread(rt *Runtime, node int, name string, h Handler) *int {
-	svc := &service{handler: h, node: rt.Node(node), chanID: rt.svcChanID(name)}
+	svc := &service{handler: h, node: rt.Node(node), chanID: rt.ServiceID(name)}
 	parks := new(int)
 	rt.CreateThread(node, "rpcd:"+name, func(t *Thread) {
 		for {
-			msg, ok := rt.net.TryRecv(node, svcChannel(name))
+			msg, ok := rt.net.TryRecv(node, "rpc:"+name)
 			if !ok {
 				*parks++
 				msg = rt.net.RecvID(&t.proc, node, svc.chanID)

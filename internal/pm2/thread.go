@@ -125,12 +125,6 @@ func (t *Thread) ReplyQueue() *sim.Chan {
 	return t.reply
 }
 
-// FromProc recovers the Thread a proc is running, or nil for bare procs.
-func FromProc(p *sim.Proc) *Thread {
-	t, _ := p.Body().(*Thread)
-	return t
-}
-
 // ID returns the thread's machine-wide id.
 func (t *Thread) ID() int { return t.id }
 
@@ -145,9 +139,6 @@ func (t *Thread) Runtime() *Runtime { return t.rt }
 
 // Node returns the node the thread is currently located on.
 func (t *Thread) Node() int { return t.node }
-
-// StackSize returns the thread's stack size in bytes.
-func (t *Thread) StackSize() int { return t.stackSize }
 
 // Migrations returns how many times the thread has migrated.
 func (t *Thread) Migrations() int { return t.migrations }

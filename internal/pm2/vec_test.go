@@ -33,9 +33,9 @@ func TestCallVecFansOutAndCoalesces(t *testing.T) {
 	var got []interface{}
 	rt.CreateThread(0, "caller", func(th *Thread) {
 		got = callVec(th, 1, []VecElem{
-			{Svc: "double", Arg: 3, Size: 64},
-			{Svc: "negate", Arg: 5, Size: 64},
-			{Svc: "double", Arg: 7, Size: 64},
+			{Svc: rt.ServiceID("double"), Arg: 3, Size: 64},
+			{Svc: rt.ServiceID("negate"), Arg: 5, Size: 64},
+			{Svc: rt.ServiceID("double"), Arg: 7, Size: 64},
 		}, 64)
 	})
 	if err := rt.Run(); err != nil {
@@ -94,14 +94,14 @@ func TestAsyncVecDeadNodeReclaimsRequests(t *testing.T) {
 	rt.KillNode(1)
 	rt.CreateThread(0, "caller", func(th *Thread) {
 		rt.AsyncVecFrom(0, 1, []VecElem{ // dropped whole: dest is dead
-			{Svc: "svc", Arg: 1, Size: 64},
-			{Svc: "svc", Arg: 2, Size: 64},
+			{Svc: rt.ServiceID("svc"), Arg: 1, Size: 64},
+			{Svc: rt.ServiceID("svc"), Arg: 2, Size: 64},
 		})
 		// A later vector to a live node must get fresh, distinct requests
 		// out of the freelist and run both elements.
 		callVec(th, 2, []VecElem{
-			{Svc: "svc", Arg: 3, Size: 64},
-			{Svc: "svc", Arg: 4, Size: 64},
+			{Svc: rt.ServiceID("svc"), Arg: 3, Size: 64},
+			{Svc: rt.ServiceID("svc"), Arg: 4, Size: 64},
 		}, 64)
 	})
 	if err := rt.Run(); err != nil {
@@ -119,7 +119,7 @@ func TestVecCallReleasedStartsClean(t *testing.T) {
 	rt := NewRuntime(Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
 	rt.Node(1).Register("echo", true, func(h *Thread, arg interface{}) interface{} { return arg })
 	rt.CreateThread(0, "caller", func(th *Thread) {
-		first := rt.StartVecFrom(0, 1, []VecElem{{Svc: "echo", Arg: 1, Size: 64}, {Svc: "echo", Arg: 2, Size: 64}}, 64)
+		first := rt.StartVecFrom(0, 1, []VecElem{{Svc: rt.ServiceID("echo"), Arg: 1, Size: 64}, {Svc: rt.ServiceID("echo"), Arg: 2, Size: 64}}, 64)
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -133,8 +133,8 @@ func TestVecCallReleasedStartsClean(t *testing.T) {
 			t.Errorf("first results = %v, want [1 2]", res)
 		}
 		first.Release()
-		next := rt.StartVecFrom(0, 1, []VecElem{{Svc: "echo", Arg: 3, Size: 64}, {Svc: "echo", Arg: 4, Size: 64},
-			{Svc: "echo", Arg: 5, Size: 64}}, 64)
+		next := rt.StartVecFrom(0, 1, []VecElem{{Svc: rt.ServiceID("echo"), Arg: 3, Size: 64}, {Svc: rt.ServiceID("echo"), Arg: 4, Size: 64},
+			{Svc: rt.ServiceID("echo"), Arg: 5, Size: 64}}, 64)
 		if next != first {
 			t.Error("the released call was not reused")
 		}
@@ -168,11 +168,11 @@ func TestVecCallUnreleasedSurvivesLateReply(t *testing.T) {
 		return arg
 	})
 	rt.CreateThread(0, "caller", func(th *Thread) {
-		late := rt.StartVecFrom(0, 1, []VecElem{{Svc: "slow", Arg: 500, Size: 64}}, 64)
+		late := rt.StartVecFrom(0, 1, []VecElem{{Svc: rt.ServiceID("slow"), Arg: 500, Size: 64}}, 64)
 		if _, ok := late.Reply().RecvTimeout(th.Proc(), 100*sim.Microsecond); ok {
 			t.Error("the slow call replied before its timeout")
 		}
-		retry := rt.StartVecFrom(0, 1, []VecElem{{Svc: "slow", Arg: 1000, Size: 64}}, 64)
+		retry := rt.StartVecFrom(0, 1, []VecElem{{Svc: rt.ServiceID("slow"), Arg: 1000, Size: 64}}, 64)
 		if retry == late {
 			t.Fatal("an unreleased call was handed out again")
 		}

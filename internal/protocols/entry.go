@@ -27,6 +27,7 @@ import (
 // BindLock calls) for less synchronization traffic. Barriers are global
 // synchronization: they flush and drop everything, bound or not.
 type entryMW struct {
+	core.StandardInstall
 	d     *core.DSM
 	dirty []map[core.Page]bool
 }
@@ -102,9 +103,6 @@ func (p *entryMW) InvalidateServer(iv *core.Invalidate) {
 		core.SendDiffsHome(p.d, iv.Thread, e.Home, []*memory.Diff{diff}, false)
 	}
 }
-
-// ReceivePageServer installs the arriving copy.
-func (p *entryMW) ReceivePageServer(pm *core.PageMsg) { core.InstallPage(pm) }
 
 // LockAcquire drops the local copies of the pages bound to the acquired
 // lock (after flushing any of our own pending modifications to them), so

@@ -14,6 +14,7 @@ import (
 // eagerly and with acknowledgements, which is what makes the release a
 // release.
 type ercSW struct {
+	core.StandardInstall
 	d *core.DSM
 	// dirty tracks, per node, the pages written since the last release
 	// (the write fault marks them). Only the owner invalidates.
@@ -77,10 +78,6 @@ func (p *ercSW) WriteServer(r *core.Request) {
 
 // InvalidateServer drops the local copy.
 func (p *ercSW) InvalidateServer(iv *core.Invalidate) { core.DropCopy(iv) }
-
-// ReceivePageServer installs the arriving copy (with its copyset, when
-// ownership travels).
-func (p *ercSW) ReceivePageServer(pm *core.PageMsg) { core.InstallPage(pm) }
 
 // LockAcquire is a no-op: erc_sw propagates eagerly at release.
 func (p *ercSW) LockAcquire(*core.SyncEvent) {}

@@ -18,6 +18,7 @@ import (
 // write-protected at their home between critical sections (see InitPage), so
 // the first home-side write faults, twins locally and marks the page dirty.
 type hbrcMW struct {
+	core.StandardInstall
 	d     *core.DSM
 	dirty []map[core.Page]bool
 }
@@ -110,9 +111,6 @@ func (p *hbrcMW) InvalidateServer(iv *core.Invalidate) {
 		core.SendDiffsHome(p.d, iv.Thread, e.Home, []*memory.Diff{diff}, false)
 	}
 }
-
-// ReceivePageServer installs the arriving copy.
-func (p *hbrcMW) ReceivePageServer(pm *core.PageMsg) { core.InstallPage(pm) }
 
 // LockAcquire is a no-op: the home eagerly invalidated stale copies when the
 // previous releaser's diffs arrived, so an acquirer re-faults and refetches

@@ -17,6 +17,7 @@ import (
 // the write faults once more, locally, and that local fault invalidates the
 // copyset before restoring write access.
 type hybrid struct {
+	core.StandardInstall
 	d *core.DSM
 }
 
@@ -65,9 +66,6 @@ func (p *hybrid) WriteServer(*core.Request) {
 
 // InvalidateServer drops the local read copy.
 func (p *hybrid) InvalidateServer(iv *core.Invalidate) { core.DropCopy(iv) }
-
-// ReceivePageServer installs arriving read copies.
-func (p *hybrid) ReceivePageServer(pm *core.PageMsg) { core.InstallPage(pm) }
 
 // LockAcquire is a no-op.
 func (p *hybrid) LockAcquire(*core.SyncEvent) {}

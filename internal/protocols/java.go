@@ -26,6 +26,7 @@ import (
 // Figure 5's result — java_pf outperforming java_ic under intensive use of
 // mostly-local objects — falls out of exactly this difference.
 type java struct {
+	core.StandardInstall
 	d           *core.DSM
 	inlineCheck bool
 	dirty       []map[core.Page]bool
@@ -85,9 +86,6 @@ func (p *java) InvalidateServer(iv *core.Invalidate) {
 		core.SendDiffsHome(p.d, iv.Thread, e.Home, []*memory.Diff{diff}, false)
 	}
 }
-
-// ReceivePageServer installs the arriving copy.
-func (p *java) ReceivePageServer(pm *core.PageMsg) { core.InstallPage(pm) }
 
 // LockAcquire implements the JMM cache flush on monitor entry: every cached
 // (non-home) page on the node is dropped, after flushing any not-yet-

@@ -13,6 +13,7 @@ import (
 // node, not a thread: all threads on the owning node share the same copy and
 // may write it concurrently.
 type liHudak struct {
+	core.StandardInstall
 	d *core.DSM
 }
 
@@ -64,9 +65,6 @@ func (p *liHudak) WriteServer(r *core.Request) {
 
 // InvalidateServer drops the local copy and learns the new owner.
 func (p *liHudak) InvalidateServer(iv *core.Invalidate) { core.DropCopy(iv) }
-
-// ReceivePageServer installs the arriving copy.
-func (p *liHudak) ReceivePageServer(pm *core.PageMsg) { core.InstallPage(pm) }
 
 // LockAcquire is a no-op: sequential consistency acts at access time.
 func (p *liHudak) LockAcquire(*core.SyncEvent) {}

@@ -166,3 +166,65 @@ func BenchmarkRecvIdle(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestKernelAllocationPins holds three of the benchmarks above at 0
+// allocations per round, measured by testing.AllocsPerRun (100 rounds after
+// one more) in the proc whose rounds they are: BenchmarkWakeHandoff's
+// ping-pong, BenchmarkRecvTimeout's deadline that alternately expires and is
+// cancelled, and BenchmarkRecvIdle's idle tick before each message.
+func TestKernelAllocationPins(t *testing.T) {
+	const rounds, warm = 100, 16
+	n := warm + rounds + 1
+	token := new(int)
+	for _, c := range []struct {
+		name string
+		// procs spawns the measured proc, whose round is op, and its peer.
+		procs func(e *Engine, measure func(p *Proc, op func()))
+	}{
+		{"WakeHandoff", func(e *Engine, measure func(*Proc, func())) {
+			ping, pong := new(Chan), new(Chan)
+			e.Go("ping", func(p *Proc) { measure(p, func() { ping.Push(token); pong.Recv(p) }) })
+			e.Go("pong", func(p *Proc) {
+				for i := 0; i < n; i++ {
+					ping.Recv(p)
+					pong.Push(token)
+				}
+			})
+		}},
+		{"RecvTimeout", func(e *Engine, measure func(*Proc, func())) {
+			ch := new(Chan)
+			e.Go("server", func(p *Proc) { measure(p, func() { ch.RecvTimeout(p, 100*Microsecond) }) })
+			e.Go("client", func(p *Proc) {
+				for i := 0; i < n; i += 2 {
+					p.Advance(150 * Microsecond)
+					ch.Push(token)
+				}
+			})
+		}},
+		{"RecvIdle", func(e *Engine, measure func(*Proc, func())) {
+			ch := new(Chan)
+			e.Go("server", func(p *Proc) { measure(p, func() { ch.RecvIdle(p, 100*Microsecond) }) })
+			e.Go("client", func(p *Proc) {
+				for i := 0; i < n; i++ {
+					p.Advance(150 * Microsecond)
+					ch.Push(token)
+				}
+			})
+		}},
+	} {
+		e := NewEngine(1)
+		allocs := -1.0
+		c.procs(e, func(p *Proc, op func()) {
+			for i := 0; i < warm; i++ {
+				op()
+			}
+			allocs = testing.AllocsPerRun(rounds, op)
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per round, pinned at 0", c.name, allocs)
+		}
+	}
+}

@@ -124,6 +124,10 @@ func (m *calModel) fire(rec calRec) {
 	m.now = rec.t
 }
 
+// calThread marks the program's procs as threads, which a wake resumes; a
+// proc with no worker is a step proc, whose wake fires in engine context.
+var calThread = new(worker)
+
 // runCalendarProgram interprets prog on a standalone engine's queue or on a
 // shard's, failing t at the first disagreement with the model.
 func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
@@ -170,17 +174,17 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 		var p *Proc
 		switch kind {
 		case calWake:
-			p = &Proc{id: int32(id), eng: e, dead: calDead(id)}
+			p = &Proc{id: int32(id), eng: e, w: calThread, dead: calDead(id)}
 			e.scheduleWake(at, p)
 		case calChan:
 			e.SchedulePush(at, ch, id)
 		case calClosure:
 			e.Schedule(at, func() { closures = append(closures, id) })
 		case calDeadline:
-			p = &Proc{id: int32(id), eng: e}
+			p = &Proc{id: int32(id), eng: e, w: calThread}
 			e.push(at, event{proc: p, payload: new(procQueue), gen: uint64(id) + 1})
 		case calRearm:
-			p = &Proc{id: int32(id), eng: e, dead: calDead(id)}
+			p = &Proc{id: int32(id), eng: e, w: calThread, dead: calDead(id)}
 			e.push(at, event{proc: p, ch: full})
 		}
 		procs = append(procs, p)
@@ -232,7 +236,7 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 		case op == calSelfWake && sharded:
 			want, ok := m.next(limit)
 			isWake := ok && !want.remote && want.kind == calWake && want.resumes()
-			p := &Proc{eng: e}
+			p := &Proc{eng: e, w: calThread}
 			if l, any := m.head(); any && procs[l.id] != nil && !calDead(l.id) && (isWake || arg&1 == 0) {
 				// The proc of the queue's head: a wake record's must be
 				// taken, a deadline or re-arm record's refused.
@@ -253,7 +257,7 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 			// resumes a proc, and that one too if it is the yielding proc's
 			// wake. The yielding proc is that record's (a re-arm record's
 			// must be refused) or, for odd args, a bystander's.
-			p := &Proc{eng: e}
+			p := &Proc{eng: e, w: calThread}
 			var fire []calRec
 			var stop *calRec
 			for _, r := range m.order() {

@@ -79,6 +79,7 @@ type QueueStats struct {
 	DeadlineInert uint64 `json:"deadline_inert"` // deadline records whose wait was already over
 	PeakHeap      int    `json:"peak_heap"`      // most runs in the heap at once
 	Resumes       uint64 `json:"resumes"`        // coroutine resumes by the event loop (two switches each)
+	Steps         uint64 `json:"steps"`          // step proc bodies run (no switch; see SpawnStep)
 	SelfWakes     uint64 `json:"self_wakes"`     // wake records a yielding proc consumed itself (no switch)
 	Rearms        uint64 `json:"rearms"`         // idle waits re-armed by their re-arm record (no resume)
 	Drains        uint64 `json:"drains"`         // drain records that handed a burst to a sink
@@ -399,12 +400,12 @@ func (e *Engine) drive() {
 	}
 }
 
-// resumes returns the proc that firing ev resumes: a live proc's wake record,
-// or the re-arm record of a live proc whose channel got a message. For any
-// other record it returns nil.
+// resumes returns the proc that firing ev resumes: a live thread's wake
+// record, or the re-arm record of a live thread whose channel got a message.
+// For any other record, a step proc's wake among them, it returns nil.
 func (ev *event) resumes() *Proc {
 	p := ev.proc
-	if p == nil || ev.gen != 0 || p.dead || ev.ch != nil && ev.ch.q.len() == 0 {
+	if p == nil || ev.gen != 0 || p.dead || p.w == nil || ev.ch != nil && ev.ch.q.len() == 0 {
 		return nil
 	}
 	return p
@@ -416,8 +417,14 @@ func (e *Engine) fire(ev *event) {
 	case ev.proc != nil && ev.gen != 0:
 		ev.proc.fireDeadline(ev.gen, ev.payload.(*procQueue), ev.ch)
 	case ev.proc != nil:
-		if !ev.proc.dead && ev.ch != nil {
-			ev.proc.rearm(ev.ch)
+		switch p := ev.proc; {
+		case p.dead:
+		case ev.ch != nil:
+			p.rearm(ev.ch)
+		default: // a step proc's wake
+			e.qs.Steps++
+			p.reason = ""
+			p.body.Run(p)
 		}
 	case ev.gen != 0:
 		ev.ch.drain()

@@ -82,12 +82,26 @@ func (e *Engine) Spawn(name string, start Time, fn func(p *Proc)) *Proc {
 // A live proc may yet be resumed and a killed one may have wake records queued
 // that only its dead mark stops, so spawning over either panics.
 func (e *Engine) SpawnInto(p *Proc, name string, start Time, body Runner) *Proc {
-	if p.eng != nil && (!p.dead || p.killed) {
-		panic(fmt.Sprintf("sim: SpawnInto over proc %q, which has not finished or was killed", p.name))
-	}
 	w, ok := e.idle.Get()
 	if !ok {
 		w = e.newWorker()
+	}
+	return e.spawn(p, name, start, body, w)
+}
+
+// SpawnStep spawns p as a step proc, a proc with no coroutine: wherever the
+// event loop would resume a thread it calls body.Run(p) in engine context,
+// first at Now, then at each of p's wakes. The body must not block: it queues
+// (Mutex.LockStep, Resource.AcquireStep) or Sleeps and returns, and ends with
+// Exit, each taking the queue place and seq slot a thread's Lock, Acquire,
+// Advance or return would. p is zero or a step proc that exited.
+func (e *Engine) SpawnStep(p *Proc, name string, body Runner) *Proc {
+	return e.spawn(p, name, e.now, body, nil)
+}
+
+func (e *Engine) spawn(p *Proc, name string, start Time, body Runner, w *worker) *Proc {
+	if p.eng != nil && (!p.dead || p.killed) {
+		panic(fmt.Sprintf("sim: SpawnInto over proc %q, which has not finished or was killed", p.name))
 	}
 	e.nextID++
 	*p = Proc{
@@ -119,16 +133,21 @@ func (e *Engine) newWorker() *worker {
 		w.yield = yield
 		for p := e.cur; p != nil; p = e.cur {
 			p.body.Run(p)
-			p.dead = true
-			if !p.daemon {
-				e.nlive--
-			}
-			e.unlink(p)
+			p.Exit()
 			e.idle.Put(w)
 			yield(struct{}{})
 		}
 	})
 	return w
+}
+
+// Exit ends a step proc, as returning from its body ends a thread.
+func (p *Proc) Exit() {
+	p.dead = true
+	if !p.daemon {
+		p.eng.nlive--
+	}
+	p.eng.unlink(p)
 }
 
 // unlink removes p from the live list.
@@ -209,12 +228,17 @@ func (p *Proc) yield() {
 // the clock reaches Now+d. Negative durations are treated as zero.
 func (p *Proc) Advance(d Duration) {
 	p.checkRunning("Advance")
+	p.Sleep(d)
+	p.yield()
+}
+
+// Sleep schedules p's wake d from now (negative d as zero): Advance without
+// the wait, for a step proc, which returns after it.
+func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	e := p.eng
-	e.scheduleWake(e.now.Add(d), p)
-	p.yield()
+	p.eng.scheduleWake(p.eng.now.Add(d), p)
 }
 
 // Yield gives other same-time events a chance to run before p continues.

@@ -19,23 +19,24 @@ type Mutex struct {
 // handoff-style: an unlocking proc passes ownership directly to the oldest
 // waiter.
 func (m *Mutex) Lock(p *Proc) {
+	if !m.LockStep(p) {
+		p.Park("mutex lock")
+	}
+}
+
+// LockStep is Lock for a step proc, and the one way to take a mutex without
+// parking: it takes a free m (true) or queues p where Lock would park it
+// (false), and Unlock's hand-off runs p's next step as the owner.
+func (m *Mutex) LockStep(p *Proc) bool {
 	if m.owner == nil {
 		m.owner = p
-		return
+		return true
 	}
 	if m.owner == p {
 		panic(fmt.Sprintf("sim: proc %q locking mutex it already owns", p.name))
 	}
 	m.waiters.push(p)
-	p.Park("mutex lock")
-}
-
-// TryLock acquires m if it is free and reports whether it did.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if m.owner == nil {
-		m.owner = p
-		return true
-	}
+	p.reason = "mutex lock"
 	return false
 }
 
@@ -56,9 +57,6 @@ func (m *Mutex) Unlock(p *Proc) {
 	}
 	m.owner = nil
 }
-
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.owner != nil }
 
 func ownerName(p *Proc) string {
 	if p == nil {
@@ -186,12 +184,22 @@ func NewSemaphore(n int) *Semaphore { return &Semaphore{avail: n} }
 
 // Acquire takes one unit, blocking until one is available.
 func (s *Semaphore) Acquire(p *Proc) {
+	if !s.acquireStep(p) {
+		p.Park("semaphore acquire")
+	}
+}
+
+// acquireStep is Acquire for a step proc: it takes a unit (true) or queues p
+// where Acquire would park it (false), and Release's hand-off runs p's next
+// step holding the unit.
+func (s *Semaphore) acquireStep(p *Proc) bool {
 	if s.avail > 0 && s.waiters.len() == 0 {
 		s.avail--
-		return
+		return true
 	}
 	s.waiters.push(p)
-	p.Park("semaphore acquire")
+	p.reason = "semaphore acquire"
+	return false
 }
 
 // Release returns one unit, waking the oldest live waiter if any. A release
@@ -205,43 +213,6 @@ func (s *Semaphore) Release() {
 		}
 	}
 	s.avail++
-}
-
-// Available reports the number of free units.
-func (s *Semaphore) Available() int { return s.avail }
-
-// Barrier blocks procs until n of them have arrived, then releases them all.
-// It is reusable (generation-counted), like a classic sense-reversing
-// barrier.
-type Barrier struct {
-	n       int
-	arrived int
-	gen     int
-	waiters procQueue
-}
-
-// NewBarrier returns a barrier for n participants. n must be >= 1.
-func NewBarrier(n int) *Barrier {
-	if n < 1 {
-		panic("sim: barrier participant count must be >= 1")
-	}
-	return &Barrier{n: n}
-}
-
-// Wait blocks until n procs (including this one) have called Wait in the
-// current generation. It returns true for exactly one participant per
-// generation (the last arriver), which mirrors the "serial thread" idiom.
-func (b *Barrier) Wait(p *Proc) bool {
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.waiters.drain(func(w *Proc) { w.Unpark() })
-		return true
-	}
-	b.waiters.push(p)
-	p.Park("barrier wait")
-	return false
 }
 
 // Resource is a FIFO server queue: Use(p, d) occupies the resource for d of
@@ -268,6 +239,14 @@ func NewResource(capacity int) *Resource {
 func (r *Resource) Use(p *Proc, d Duration) {
 	r.sem.Acquire(p)
 	p.Advance(d)
+	r.Done(d)
+}
+
+// AcquireStep is Use for a step proc, which then Sleeps d and calls Done(d).
+func (r *Resource) AcquireStep(p *Proc) bool { return r.sem.acquireStep(p) }
+
+// Done frees a server held for d.
+func (r *Resource) Done(d Duration) {
 	r.busy += d
 	r.sem.Release()
 }

@@ -62,26 +62,6 @@ func TestMutexFIFO(t *testing.T) {
 	}
 }
 
-func TestMutexTryLock(t *testing.T) {
-	e := NewEngine(1)
-	var m Mutex
-	e.Go("a", func(p *Proc) {
-		if !m.TryLock(p) {
-			t.Error("TryLock on free mutex failed")
-		}
-		e.Go("b", func(q *Proc) {
-			if m.TryLock(q) {
-				t.Error("TryLock on held mutex succeeded")
-			}
-		})
-		p.Advance(10)
-		m.Unlock(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMutexReentrantLockPanics(t *testing.T) {
 	e := NewEngine(1)
 	var m Mutex
@@ -184,67 +164,9 @@ func TestSemaphoreCapacity(t *testing.T) {
 	if maxInside != 2 {
 		t.Fatalf("semaphore(2) admitted max %d at once", maxInside)
 	}
-	if s.Available() != 2 {
-		t.Fatalf("units leaked: available = %d, want 2", s.Available())
+	if s.avail != 2 {
+		t.Fatalf("units leaked: available = %d, want 2", s.avail)
 	}
-}
-
-func TestBarrierReleasesTogether(t *testing.T) {
-	e := NewEngine(1)
-	b := NewBarrier(3)
-	var releaseTimes []Time
-	serials := 0
-	for i := 0; i < 3; i++ {
-		delay := Duration(i*10) * Microsecond
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.Advance(delay)
-			if b.Wait(p) {
-				serials++
-			}
-			releaseTimes = append(releaseTimes, p.Now())
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, rt := range releaseTimes {
-		if rt != Time(20*Microsecond) {
-			t.Fatalf("release times %v, want all at 20us", releaseTimes)
-		}
-	}
-	if serials != 1 {
-		t.Fatalf("%d procs got serial=true, want exactly 1", serials)
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	e := NewEngine(1)
-	b := NewBarrier(2)
-	phases := [2]int{}
-	for i := 0; i < 2; i++ {
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for phase := 0; phase < 5; phase++ {
-				p.Advance(Duration(p.ID()) * Microsecond)
-				b.Wait(p)
-				phases[p.ID()-1]++
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if phases[0] != 5 || phases[1] != 5 {
-		t.Fatalf("barrier phases completed = %v, want [5 5]", phases)
-	}
-}
-
-func TestBarrierInvalidCount(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBarrier(0) did not panic")
-		}
-	}()
-	NewBarrier(0)
 }
 
 func TestResourceSerializes(t *testing.T) {

@@ -10,8 +10,8 @@
 //
 // A Proc is new per Spawn, its coroutine is not: procs run on worker
 // coroutines that a finished proc leaves idle for the next Spawn and that Run
-// ends when it returns, so a simulation of a million short threads costs the
-// host a handful of goroutines and a finished thread costs it nothing.
+// ends when it returns, and a step proc (SpawnStep) runs on none, in engine
+// context. A million short threads cost the host a handful of goroutines.
 package sim
 
 import (
