@@ -44,8 +44,9 @@ import (
 // (net.nic_free), the partition policy (partition, net.faults.policy), the
 // retry tuning (core.recovery.timeout, backoff, retry_max, jitter, jitter_seed,
 // jitter_draws) and the profiler's ring size (core.profiler.window); version 4
-// has none of them.
-const CheckpointVersion = 4
+// carried the profiler's re-homing hysteresis (core.profiler.stability);
+// version 5 has none of them.
+const CheckpointVersion = 5
 
 // TopologyState serializes a topology by profile names. Only uniform and
 // hierarchical topologies round-trip — a LinkMatrix holds arbitrary
@@ -280,7 +281,7 @@ func Restore(ck *Checkpoint, opts RestoreOptions) (*System, error) {
 	// The profiler is part of the construction (enabling it registers the
 	// migrate services), so it comes up before the drain below.
 	if p := ck.Core.Profiler; p != nil {
-		s.dsm.EnableProfiler(core.ProfilerConfig{Migrate: p.Migrate, Stability: p.Stability})
+		s.dsm.EnableProfiler(core.ProfilerConfig{Migrate: p.Migrate})
 	}
 	// Drain whatever construction scheduled; afterwards the engine is
 	// quiesced and restorable.

@@ -307,7 +307,8 @@ func setField(t *testing.T, raw json.RawMessage, key, v string) json.RawMessage 
 // TestCheckpointVersion1Refused: version 1 carried per-shard state under the
 // same keys (net.shards[], kernel_shards, shard_next, config.shards),
 // version 2 the communication-path selector (core.batch and its config
-// flag) and version 3 per-node NIC clocks (net.nic_free), so an older blob is
+// flag), version 3 per-node NIC clocks (net.nic_free) and version 4 the
+// profiler's hysteresis (core.profiler.stability), so an older blob is
 // refused by its header — even
 // one whose body and hash are otherwise exactly what this build writes —
 // rather than half-read or failed on an unknown field.
@@ -330,10 +331,13 @@ func TestCheckpointVersion1Refused(t *testing.T) {
 	withNICClocks := func(body map[string]json.RawMessage) {
 		body["net"] = json.RawMessage(`{"nic_free":[0,0],` + string(body["net"][1:]))
 	}
+	withStability := func(body map[string]json.RawMessage) {
+		body["core"] = json.RawMessage(`{"profiler":{"migrate":true,"stability":2,"epoch":0},` + string(body["core"][1:]))
+	}
 	for _, old := range []struct {
 		version int
 		edit    func(body map[string]json.RawMessage)
-	}{{1, nil}, {2, withBatch}, {3, withNICClocks}} {
+	}{{1, nil}, {2, withBatch}, {3, withNICClocks}, {4, withStability}} {
 		_, err = dsmpm2.DecodeCheckpoint(reEnvelope(t, data, old.version, old.edit))
 		want := fmt.Sprintf("format version %d not supported", old.version)
 		if err == nil || !strings.Contains(err.Error(), want) {

@@ -76,7 +76,7 @@ var experiments = []experiment{
 	{name: "serve", doc: "Zipf-serving KV store: per-op tail latency, static vs adaptive", snapshot: "BENCH_serve.json", run: serve},
 	{name: "ckpt", doc: "checkpoint/restore: round trip, warm vs cold restart, fast-forward", snapshot: "BENCH_ckpt.json", run: ckpt},
 	{name: "bisect", doc: "binary search for the first divergent safe point", check: checkBisect, run: bisect},
-	{name: "tune", doc: "what-if auto-tuner: record once, re-simulate the config grid", snapshot: "BENCH_tune.json", check: checkTune, run: tuneExp},
+	{name: "tune", doc: "what-if auto-tuner: re-simulate the config grid, rank the cells", snapshot: "BENCH_tune.json", check: checkTune, run: tuneExp},
 }
 
 // allExps is the -exp value that runs every experiment marked inAll.
@@ -121,10 +121,8 @@ type cliArgs struct {
 	repair      float64
 	faultSeed   int64
 	faultProtos string
-	// The tune experiment's knobs: the worker-pool size and the grid-subset
+	// The tune experiment's knobs: the workload and the grid-subset
 	// selectors (comma-separated axis values; "all"/"" keeps the whole axis).
-	workers      int
-	cacheDir     string
 	tuneWorkload string
 	tuneProtos   string
 	tuneTopos    string
@@ -150,9 +148,7 @@ func newFlagSet(a *cliArgs) *flag.FlagSet {
 	fs.Float64Var(&a.repair, "repair", 3, "generated plans: node repair time (virtual ms)")
 	fs.Int64Var(&a.faultSeed, "faultseed", 11, "seed for generated fault plans and message-loss draws")
 	fs.StringVar(&a.faultProtos, "faultproto", "hbrc_mw,entry_mw", "comma-separated protocols for the faults experiment")
-	fs.IntVar(&a.workers, "workers", 0, "tune: host worker-pool size for the grid sweep (0 = every host CPU)")
-	fs.StringVar(&a.cacheDir, "cachedir", ".tunecache", "tune: cell-cache ledger directory (empty disables caching)")
-	fs.StringVar(&a.tuneWorkload, "tuneworkload", "jacobi", "tune: workload to record (jacobi, matmul, serve)")
+	fs.StringVar(&a.tuneWorkload, "tuneworkload", "jacobi", "tune: workload to sweep (jacobi, matmul, serve)")
 	fs.StringVar(&a.tuneProtos, "tuneprotos", "all", "tune: comma-separated protocol subset of the grid (all = every registered protocol)")
 	fs.StringVar(&a.tuneTopos, "tunetopos", "all", "tune: comma-separated topology subset (uniform, hier)")
 	fs.StringVar(&a.tunePlace, "tuneplace", "all", "tune: comma-separated placement subset (static, misplaced, adaptive)")
@@ -194,13 +190,17 @@ func axisList(csv string) []string {
 	return out
 }
 
-// checkAxis rejects a grid-subset selector naming an unknown axis value; the
-// error names the valid set so a typo is self-correcting.
+// checkAxis rejects a grid-subset selector naming an unknown axis value (the
+// error names the valid set so a typo is self-correcting) or one value twice.
 func checkAxis(flagName, csv string, valid []string) error {
-	for _, v := range axisList(csv) {
+	vals := axisList(csv)
+	for i, v := range vals {
 		if !slices.Contains(valid, v) {
 			return fmt.Errorf("-%s %q is not a valid value (valid: %s, or all)",
 				flagName, v, strings.Join(valid, ", "))
+		}
+		if slices.Contains(vals[:i], v) {
+			return fmt.Errorf("-%s names %q twice", flagName, v)
 		}
 	}
 	return nil
@@ -268,14 +268,8 @@ func checkBisect(a *cliArgs) error {
 }
 
 func checkTune(a *cliArgs) error {
-	if a.workers < 0 {
-		return fmt.Errorf("-workers %d out of range (want >= 0; 0 uses every host CPU)", a.workers)
-	}
-	if fi, err := os.Stat(a.cacheDir); a.cacheDir != "" && err == nil && !fi.IsDir() {
-		return fmt.Errorf("-cachedir %q exists and is not a directory", a.cacheDir)
-	}
 	if !slices.Contains(tune.Workloads, a.tuneWorkload) {
-		return fmt.Errorf("-tuneworkload %q is not a recordable workload (valid: %s)",
+		return fmt.Errorf("-tuneworkload %q is not a tunable workload (valid: %s)",
 			a.tuneWorkload, strings.Join(tune.Workloads, ", "))
 	}
 	for _, ax := range []struct {
@@ -852,33 +846,26 @@ func bisect(a *cliArgs) (any, error) {
 	return nil, nil
 }
 
-// tuneSnapshot is the BENCH_tune.json document. It deliberately carries no
-// worker-pool size and no ran/cached cell split: the ranking is a pure
-// function of the recording and the grid subset, so the snapshot must be
-// byte-identical whatever the host parallelism or cache state. Only the
-// host stanza records where the sweep happened.
+// tuneSeed is the pinned seed of the tune experiment. Fixing it (rather than
+// taking a flag) keeps the committed BENCH_tune.json snapshot
+// byte-comparable across machines and runs: the grid's numbers are
+// virtual-time exact, so only the host stanza may differ.
+const tuneSeed = 9
+
+// tuneSnapshot is the BENCH_tune.json document: the report, which is a pure
+// function of the workload, the seed and the grid subset, so the snapshot
+// is byte-identical whatever the host parallelism. Only the host stanza
+// records where the sweep happened.
 type tuneSnapshot struct {
 	snapHeader
-	// Workload/Seed/digests identify the recording the grid re-simulated.
-	Workload       string `json:"workload"`
-	Seed           int64  `json:"seed"`
-	ConfigDigest   string `json:"config_digest"`
-	WorkloadDigest string `json:"workload_digest"`
-	GridSize       int    `json:"grid_size"`
-	// Baseline is the recording run's own cell; Winner must beat it.
-	Baseline tune.CellResult   `json:"baseline"`
-	Winner   tune.CellResult   `json:"winner"`
-	Prior    dsmpm2.TunedPrior `json:"prior"`
-	Cells    []tune.CellResult `json:"cells"`
+	*tune.Report
 }
 
-// tuneExp records the workload once, sweeps the configuration grid in
-// parallel, and prints the ranked cells. It fails (exit 1) unless the
-// winning cell strictly matches or beats the recording baseline's virtual
-// elapsed time.
+// tuneExp sweeps the workload's configuration grid in parallel and prints
+// the ranked cells. It fails (exit 1) unless the winning cell matches or
+// beats the baseline cell's virtual elapsed time.
 func tuneExp(a *cliArgs) (any, error) {
-	rec, rep, err := bench.TuneSuite(a.tuneWorkload, tune.Options{
-		Workers: a.workers, CacheDir: a.cacheDir,
+	rep, err := tune.Sweep(a.tuneWorkload, tuneSeed, tune.Options{
 		Protocols:  axisList(a.tuneProtos),
 		Topologies: axisList(a.tuneTopos),
 		Placements: axisList(a.tunePlace),
@@ -886,10 +873,7 @@ func tuneExp(a *cliArgs) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	header(fmt.Sprintf("Tune: what-if sweep of %s (seed %d), %d-cell grid", a.tuneWorkload, rec.Seed, rep.GridSize))
-	fmt.Printf("recording: baseline %s, fingerprint %.16s..., workload digest %.16s...\n",
-		rec.Baseline.Key(), rec.Fingerprint, rec.WorkloadDigest)
-	fmt.Printf("sweep: %d cells ran, %d served from the cache ledger\n", rep.RanCells, rep.CachedCells)
+	header(fmt.Sprintf("Tune: what-if sweep of %s (seed %d), %d-cell grid", a.tuneWorkload, rep.Seed, rep.GridSize))
 	fmt.Printf("%4s %-46s %8s %12s %10s %8s %6s %10s\n",
 		"rank", "cell (protocol/topology/placement)", "correct", "elapsed(ms)", "envelopes", "remote", "migr", "p99(us)")
 	for _, c := range rep.Cells {
@@ -911,19 +895,14 @@ func tuneExp(a *cliArgs) (any, error) {
 	fmt.Printf("winner: %s at %.3f ms vs baseline %s at %.3f ms (%.2fx)\n",
 		rep.Winner.Key(), rep.Winner.VirtualMS, rep.Baseline.Key(), rep.Baseline.VirtualMS,
 		rep.Baseline.VirtualMS/rep.Winner.VirtualMS)
-	fmt.Printf("prior: protocol=%s placement=%s (feed back via Config.TunedPrior)\n",
-		rep.Prior.Protocol, rep.Prior.Placement)
-	fmt.Println("(every cell is an independent deterministic re-simulation of the recorded")
-	fmt.Println(" workload: the numbers are virtual-time exact, the ranking is bit-identical")
-	fmt.Println(" across worker counts, and cached cells replay from the ledger unchanged)")
+	fmt.Println("(every cell is an independent deterministic re-simulation of the workload:")
+	fmt.Println(" the numbers are virtual-time exact and the ranking is bit-identical across")
+	fmt.Println(" worker counts)")
 	if rep.Winner.VirtualMS > rep.Baseline.VirtualMS {
-		return nil, fmt.Errorf("winner %s (%.3f ms) regresses vs the recording baseline %s (%.3f ms)",
+		return nil, fmt.Errorf("winner %s (%.3f ms) regresses vs the baseline %s (%.3f ms)",
 			rep.Winner.Key(), rep.Winner.VirtualMS, rep.Baseline.Key(), rep.Baseline.VirtualMS)
 	}
-	return &tuneSnapshot{Workload: rep.Workload, Seed: rep.Seed,
-		ConfigDigest: rep.ConfigDigest, WorkloadDigest: rep.WorkloadDigest,
-		GridSize: rep.GridSize, Baseline: rep.Baseline, Winner: rep.Winner,
-		Prior: rep.Prior, Cells: rep.Cells}, nil
+	return &tuneSnapshot{Report: rep}, nil
 }
 
 // faultResult is one protocol's outcome under the fault plan, the faults

@@ -45,13 +45,17 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		{"zero perturb", []string{"-exp", "bisect", "-perturb", "0"}},
 		{"negative perturb", []string{"-exp", "bisect", "-perturb", "-2"}},
 		{"zero readers", []string{"-exp", "contention", "-readers", "0"}},
-		{"negative tune workers", []string{"-exp", "tune", "-workers", "-4"}},
 		{"unknown tune workload", []string{"-exp", "tune", "-tuneworkload", "tsp"}},
 		{"unknown tune protocol", []string{"-exp", "tune", "-tuneprotos", "li_hudak,nope"}},
 		{"unknown tune topology", []string{"-exp", "tune", "-tunetopos", "mesh"}},
 		{"unknown tune placement", []string{"-exp", "tune", "-tuneplace", "wild"}},
-		// The tuner has no comm axis any more: its old flag is refused.
+		// A value named twice would rank one cell twice.
+		{"repeated tune protocol", []string{"-exp", "tune", "-tuneprotos", "li_hudak,li_hudak",
+			"-tunetopos", "uniform", "-tuneplace", "static"}},
+		// The tuner has no comm axis and no worker-pool knob any more: their
+		// old flags are refused.
 		{"unknown tune comm", []string{"-exp", "tune", "-tunecomm", "zip"}},
+		{"negative tune workers", []string{"-exp", "tune", "-workers", "-4"}},
 		{"unparseable flag", []string{"-exp"}},
 		{"unknown flag", []string{"-frobnicate"}},
 	}
@@ -114,13 +118,9 @@ func TestValidateArgsMessages(t *testing.T) {
 		!strings.Contains(err.Error(), "-readers -1") {
 		t.Errorf("readers range error = %v, want it to name -readers -1", err)
 	}
-	if err := validateArgs(perturb("tune", func(a *cliArgs) { a.workers = -2 })); err == nil ||
-		!strings.Contains(err.Error(), "-workers -2") {
-		t.Errorf("workers range error = %v, want it to name -workers -2", err)
-	}
 	if err := validateArgs(perturb("tune", func(a *cliArgs) { a.tuneWorkload = "lu" })); err == nil ||
 		!strings.Contains(err.Error(), "jacobi") || !strings.Contains(err.Error(), "serve") {
-		t.Errorf("tune workload error = %v, want it to name the recordable workloads", err)
+		t.Errorf("tune workload error = %v, want it to name the tunable workloads", err)
 	}
 	if err := validateArgs(perturb("tune", func(a *cliArgs) { a.tuneProtos = "nope" })); err == nil ||
 		!strings.Contains(err.Error(), "li_hudak") {
@@ -130,16 +130,9 @@ func TestValidateArgsMessages(t *testing.T) {
 		!strings.Contains(err.Error(), "misplaced") {
 		t.Errorf("tune placement error = %v, want it to name the placement set", err)
 	}
-
-	// A -cachedir colliding with a plain file is a usage error, not a
-	// mid-sweep surprise.
-	file := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := validateArgs(perturb("tune", func(a *cliArgs) { a.cacheDir = file })); err == nil ||
-		!strings.Contains(err.Error(), "not a directory") {
-		t.Errorf("cachedir error = %v, want it to name the file collision", err)
+	if err := validateArgs(perturb("tune", func(a *cliArgs) { a.tuneTopos = "hier,uniform,hier" })); err == nil ||
+		!strings.Contains(err.Error(), `-tunetopos names "hier" twice`) {
+		t.Errorf("tune repeated-topology error = %v, want it to name the axis and the value", err)
 	}
 
 	for _, e := range append([]experiment{{name: allExps}}, experiments...) {
@@ -196,21 +189,13 @@ func TestCLIAcceptsProtocolsTable(t *testing.T) {
 }
 
 // TestTuneSnapshotDeterministic is the dsmbench-level determinism property:
-// the same workload and seed must emit a byte-identical BENCH_tune.json
-// whatever the worker count, and a warm-cache re-run (which executes zero
-// cells) must reproduce the same bytes again.
+// two sweeps of the same workload and seed emit a byte-identical
+// BENCH_tune.json, whose baseline is unranked.
 func TestTuneSnapshotDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	t.Chdir(dir)
-	cache := filepath.Join(dir, "cache")
-	run := func(workers string, cached bool) []byte {
-		cacheDir := ""
-		if cached {
-			cacheDir = cache
-		}
+	t.Chdir(t.TempDir())
+	run := func() []byte {
 		args := []string{"-exp", "tune", "-json", "-tuneworkload", "jacobi",
-			"-tuneprotos", "li_hudak,migrate_thread,adaptive",
-			"-workers", workers, "-cachedir", cacheDir}
+			"-tuneprotos", "li_hudak,migrate_thread,adaptive"}
 		if code := realMain(args); code != 0 {
 			t.Fatalf("realMain(%v) = %d, want 0", args, code)
 		}
@@ -220,16 +205,11 @@ func TestTuneSnapshotDeterministic(t *testing.T) {
 		}
 		return raw
 	}
-	golden := run("1", false)
-	if raw := run("7", false); string(raw) != string(golden) {
-		t.Error("BENCH_tune.json differs between -workers 1 and -workers 7")
+	golden := run()
+	if raw := run(); string(raw) != string(golden) {
+		t.Error("BENCH_tune.json differs between two sweeps")
 	}
-	cold := run("0", true)
-	if string(cold) != string(golden) {
-		t.Error("BENCH_tune.json differs between cached and uncached sweeps")
-	}
-	warm := run("0", true)
-	if string(warm) != string(golden) {
-		t.Error("warm-cache BENCH_tune.json is not byte-identical to the cold run")
+	if !strings.Contains(string(golden), `"rank": 0,`) {
+		t.Error("BENCH_tune.json's baseline carries a rank")
 	}
 }

@@ -87,12 +87,11 @@
 // whose fingerprint diverges from a reference ledger. See DESIGN.md
 // ("Checkpoint/restore").
 //
-// Determinism also powers the what-if auto-tuner (internal/tune): record one
-// run of a workload, re-simulate the full {protocol x topology x placement}
-// grid as parallel host-level runs (`dsmbench -exp tune [-json]`, cached by
-// fingerprint, ranked by virtual elapsed), and feed the winning
-// cell back as Config.TunedPrior — the adaptive protocol's cold-start
-// evidence. See DESIGN.md ("Protocol auto-tuner").
+// Determinism also powers the what-if auto-tuner (internal/tune): run a
+// workload under its baseline configuration, re-simulate the full
+// {protocol x topology x placement} grid as parallel host-level runs
+// (`dsmbench -exp tune [-json]`), and rank the cells by virtual elapsed
+// time. See DESIGN.md ("Protocol auto-tuner").
 //
 // # Quick start
 //

@@ -128,25 +128,6 @@ type Config struct {
 	Seed int64
 	// Trace enables post-mortem span recording.
 	Trace bool
-	// TunedPrior, when set, feeds a what-if auto-tuner recommendation
-	// (internal/tune) back into the platform: it fills the unset Protocol,
-	// switches on AdaptiveHomes when the sweep's winner used it (it only
-	// ever turns features on — explicit Config fields win), and installs
-	// the page-policy prior the adaptive protocol consults when it has no
-	// live evidence about a page.
-	TunedPrior *TunedPrior
-}
-
-// TunedPrior is the auto-tuner's winning configuration, fed back into a
-// Config. Fields use the tuner's grid vocabulary: Placement is "static",
-// "misplaced", "adaptive", or empty for a prior that names no placement; New
-// rejects anything else.
-type TunedPrior struct {
-	Protocol  string `json:"protocol"`
-	Placement string `json:"placement"`
-	// Workload names the recording the sweep re-simulated, so a prior is
-	// traceable to the run that produced it.
-	Workload string `json:"workload,omitempty"`
 }
 
 // System is a running DSM-PM2 platform instance: a PM2 machine, a DSM with
@@ -187,20 +168,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.Network == nil {
 		cfg.Network = BIPMyrinet
 	}
-	if p := cfg.TunedPrior; p != nil {
-		switch p.Placement {
-		case "", "static", "misplaced", "adaptive":
-		default:
-			return nil, fmt.Errorf("dsmpm2: unknown TunedPrior.Placement %q (valid: static, misplaced, adaptive, or empty)", p.Placement)
-		}
-		// The prior fills gaps and turns features on; explicit fields win.
-		if cfg.Protocol == "" {
-			cfg.Protocol = p.Protocol
-		}
-		if p.Placement == "adaptive" {
-			cfg.AdaptiveHomes = true
-		}
-	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = "li_hudak"
 	}
@@ -230,12 +197,6 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.AdaptiveHomes {
 		d.EnableProfiler(core.ProfilerConfig{Migrate: true})
-	}
-	if p := cfg.TunedPrior; p != nil && p.Placement != "" {
-		// The sweep evaluated every cell on the page policy's placement
-		// grid and this prior's cell won: tell the adaptive protocol the
-		// page policy is the trusted default when it has no live evidence.
-		d.SetTunedPagePrior(true)
 	}
 	return s, nil
 }

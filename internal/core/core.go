@@ -152,12 +152,6 @@ type DSM struct {
 	// opHists holds the per-operation latency histograms (see histogram.go),
 	// keyed by op kind, created lazily by OpHist.
 	opHists map[string]*Histogram
-
-	// tunedPagePrior records that an offline what-if sweep concluded the
-	// page policy (under the recommended placement) beats thread migration
-	// for this workload. Set before Run; the adaptive protocol's
-	// no-evidence fallback consults it (see protocols/adaptive.go).
-	tunedPagePrior bool
 }
 
 // pageInfo is the allocation-time metadata for a shared page, known on every
@@ -206,9 +200,6 @@ func (d *DSM) SetDefaultProtocol(id ProtoID) {
 	d.instance(id) // force instantiation; panics on unknown id
 	d.defProto = id
 }
-
-// DefaultProtocol returns the current default protocol id (-1 if unset).
-func (d *DSM) DefaultProtocol() ProtoID { return d.defProto }
 
 // instance is one instantiated protocol; step records that it installs pages
 // by step (see StandardInstall), decided once here rather than per page.

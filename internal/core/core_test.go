@@ -202,7 +202,7 @@ func TestLockMutualExclusionAndHooks(t *testing.T) {
 	base := d.MustMalloc(0, 8, nil)
 	_ = base
 	lock := d.NewLock(1)
-	if d.LockHome(lock) != 1 {
+	if d.locks[lock].home != 1 {
 		t.Fatal("lock home wrong")
 	}
 	rt := d.Runtime()

@@ -116,20 +116,6 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 	return sim.Duration(h.max) // unreachable: counts sum to n
 }
 
-// Merge folds o into h bucket-by-bucket. Merging per-node histograms and
-// then extracting quantiles gives the same result as recording every sample
-// into one histogram — counts are additive and the grid is shared.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.n += o.n
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
 // Snapshot returns a copy of the histogram (a plain struct copy: quantiles
 // extracted from the copy are immune to further recording).
 func (h *Histogram) Snapshot() Histogram { return *h }

@@ -7,6 +7,20 @@ import (
 	"dsmpm2/internal/sim"
 )
 
+// Merge folds o into h bucket-by-bucket. Merging per-node histograms and
+// then extracting quantiles gives the same result as recording every sample
+// into one histogram — counts are additive and the grid is shared.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range h.counts {
+		h.counts[i] += o.counts[i]
+	}
+	h.n += o.n
+	h.sum += o.sum
+	if o.max > h.max {
+		h.max = o.max
+	}
+}
+
 // TestHistogramBucketBoundaries pins the grid itself: every bucket's upper
 // bound maps back into that bucket, the next nanosecond maps into a later
 // one, and small durations get exact unit buckets.

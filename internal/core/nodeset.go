@@ -59,13 +59,6 @@ func (s *NodeSet) Add(node int) {
 	}
 }
 
-// AddRange inserts every node in [lo, hi] (inclusive).
-func (s *NodeSet) AddRange(lo, hi int) {
-	for n := lo; n <= hi; n++ {
-		s.Add(n)
-	}
-}
-
 // Remove deletes node (no-op if absent).
 func (s *NodeSet) Remove(node int) {
 	if node < 0 || node>>6 > len(s.more) {
@@ -93,11 +86,6 @@ func (s *NodeSet) Take() NodeSet {
 func (s NodeSet) Clone() NodeSet {
 	s.more = slices.Clone(s.more)
 	return s
-}
-
-// Union adds every member of o.
-func (s *NodeSet) Union(o NodeSet) {
-	o.ForEach(func(n int) { s.Add(n) })
 }
 
 // ForEach calls fn for every member in ascending node order.

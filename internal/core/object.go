@@ -22,9 +22,6 @@ type ObjRef struct {
 	Fields int
 }
 
-// Nil reports whether the reference is null.
-func (o ObjRef) Nil() bool { return o.Base == 0 }
-
 // Field returns the address of field i.
 func (o ObjRef) Field(i int) Addr {
 	if i < 0 || i >= o.Fields {

@@ -71,13 +71,11 @@ type ProfilerConfig struct {
 	// classification names a dominant writer different from their current
 	// home are re-homed onto that writer. Off, the profiler only observes.
 	Migrate bool
-	// Stability is the number of consecutive epochs that must agree on a
-	// page's dominant writer before the page is re-homed (hysteresis
-	// against ping-pong). Zero selects DefaultStability.
-	Stability int
 }
 
-// DefaultStability is the default re-homing hysteresis, in epochs.
+// DefaultStability is the re-homing hysteresis: the number of consecutive
+// epochs that must agree on a page's dominant writer before the page is
+// re-homed (against ping-pong).
 const DefaultStability = 2
 
 // profileWindow is the per-page epoch ring size: the classification history
@@ -170,9 +168,6 @@ type profilerState struct {
 // explicit config after Config.AdaptiveHomes already enabled it) replaces
 // the configuration and restarts the evidence from scratch.
 func (d *DSM) EnableProfiler(cfg ProfilerConfig) {
-	if cfg.Stability <= 0 {
-		cfg.Stability = DefaultStability
-	}
 	already := d.prof != nil
 	d.prof = &profilerState{
 		cfg:   cfg,
@@ -192,14 +187,6 @@ func (d *DSM) EnableProfiler(cfg ProfilerConfig) {
 
 // ProfilerEnabled reports whether the profiler is on.
 func (d *DSM) ProfilerEnabled() bool { return d.prof != nil }
-
-// SetTunedPagePrior installs (or clears) the auto-tuner's verdict that the
-// page policy beats thread migration for this workload. Call before Run,
-// like the other configuration setters.
-func (d *DSM) SetTunedPagePrior(on bool) { d.tunedPagePrior = on }
-
-// TunedPagePrior reports the installed tuner verdict.
-func (d *DSM) TunedPagePrior() bool { return d.tunedPagePrior }
 
 // ProfileEpochs returns the per-epoch classification histograms recorded so
 // far (nil when the profiler is off).
@@ -404,7 +391,7 @@ func (d *DSM) foldEpoch() (EpochProfile, []migCandidate) {
 			pp.counts[n] = pageCounters{}
 		}
 		if pi, ok := d.dir[pg]; ok && p.cfg.Migrate && migratable(class) &&
-			writer >= 0 && pp.stable >= p.cfg.Stability && pi.home != writer {
+			writer >= 0 && pp.stable >= DefaultStability && pi.home != writer {
 			cands = append(cands, migCandidate{pg: pg, writer: writer})
 		}
 	}

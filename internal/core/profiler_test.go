@@ -53,7 +53,9 @@ type profUpdate struct {
 // TestProfilerDecisionsOrderIndependent: the epoch fold is a pure function
 // of the counters, and counter updates commute — shuffling the order the
 // per-node updates arrive in must not change the classification histogram,
-// the migration candidates, or their order.
+// the migration candidates, or their order. The updates are applied in two
+// epochs, so the second fold's writers have the DefaultStability (2) epochs
+// of agreement a candidate needs.
 func TestProfilerDecisionsOrderIndependent(t *testing.T) {
 	const nodes = 4
 	// A fixed observation set: page 0 producer-consumer (writer 2), page 1
@@ -91,29 +93,35 @@ func TestProfilerDecisionsOrderIndependent(t *testing.T) {
 			base := d.MustMalloc(1, PageSize, nil) // every page starts homed on node 1
 			pages[i] = d.state[0].space.PageOf(base)
 		}
-		d.EnableProfiler(ProfilerConfig{Migrate: true, Stability: 1})
-		ups := append([]profUpdate(nil), updates...)
-		if shuffleSeed != 0 {
-			rng := rand.New(rand.NewSource(shuffleSeed))
-			rng.Shuffle(len(ups), func(i, j int) { ups[i], ups[j] = ups[j], ups[i] })
-		}
-		for _, u := range ups {
-			switch u.kind {
-			case "fault":
-				d.profFault(u.node, pages[u.pg], u.wr)
-			case "fetch":
-				d.profFetch(u.node, pages[u.pg], 1)
-			case "diff":
-				d.profDiff(u.node, pages[u.pg])
+		d.EnableProfiler(ProfilerConfig{Migrate: true})
+		rng := rand.New(rand.NewSource(shuffleSeed))
+		var (
+			ep    EpochProfile
+			cands []migCandidate
+		)
+		for epoch := 0; epoch < DefaultStability; epoch++ {
+			ups := append([]profUpdate(nil), updates...)
+			if shuffleSeed != 0 {
+				rng.Shuffle(len(ups), func(i, j int) { ups[i], ups[j] = ups[j], ups[i] })
 			}
+			for _, u := range ups {
+				switch u.kind {
+				case "fault":
+					d.profFault(u.node, pages[u.pg], u.wr)
+				case "fetch":
+					d.profFetch(u.node, pages[u.pg], 1)
+				case "diff":
+					d.profDiff(u.node, pages[u.pg])
+				}
+			}
+			ep, cands = d.foldEpoch()
 		}
-		ep, cands := d.foldEpoch()
 		return ep, cands, pages
 	}
 
 	baseEp, baseCands, pages := run(0)
 	// Sanity: the evidence must produce the intended classes and decisions.
-	want := EpochProfile{ProducerConsumer: 1, Private: 1, Migratory: 1, Idle: 1, FalselyShared: 1}
+	want := EpochProfile{Epoch: DefaultStability - 1, ProducerConsumer: 1, Private: 1, Migratory: 1, Idle: 1, FalselyShared: 1}
 	if baseEp != want {
 		t.Fatalf("histogram %+v, want %+v", baseEp, want)
 	}
@@ -144,10 +152,7 @@ func TestEnableProfilerTwice(t *testing.T) {
 	id := reg.Register("p", func(*DSM) Protocol { return h })
 	d.SetDefaultProtocol(id)
 	d.EnableProfiler(ProfilerConfig{Migrate: true})
-	d.EnableProfiler(ProfilerConfig{Migrate: true, Stability: 3})
-	if got := d.prof.cfg.Stability; got != 3 {
-		t.Fatalf("re-enable kept stability %d, want 3", got)
-	}
+	d.EnableProfiler(ProfilerConfig{Migrate: true})
 	d.foldEpoch() // epoch 0 closes with no pages
 	base := d.MustMalloc(0, PageSize, nil)
 	pg := d.state[0].space.PageOf(base)
@@ -157,7 +162,7 @@ func TestEnableProfilerTwice(t *testing.T) {
 }
 
 // TestProfilerStabilityHysteresis: a page must keep one dominant writer for
-// Stability consecutive writing epochs before it migrates, read-only epochs
+// DefaultStability (2) consecutive writing epochs before it migrates, read-only epochs
 // hold the streak (double-buffered workloads), and a competing writer resets
 // it.
 func TestProfilerStabilityHysteresis(t *testing.T) {
@@ -169,7 +174,7 @@ func TestProfilerStabilityHysteresis(t *testing.T) {
 	d.SetDefaultProtocol(id)
 	base := d.MustMalloc(0, PageSize, nil)
 	pg := d.state[0].space.PageOf(base)
-	d.EnableProfiler(ProfilerConfig{Migrate: true, Stability: 2})
+	d.EnableProfiler(ProfilerConfig{Migrate: true})
 
 	fold := func() []migCandidate {
 		_, cands := d.foldEpoch()
@@ -251,7 +256,7 @@ func TestHomeMigrationMovesPage(t *testing.T) {
 	d.SetDefaultProtocol(id)
 	base := d.MustMalloc(0, 8, nil) // homed on node 0
 	pg := d.state[0].space.PageOf(base)
-	d.EnableProfiler(ProfilerConfig{Migrate: true, Stability: 2})
+	d.EnableProfiler(ProfilerConfig{Migrate: true})
 
 	bar := d.NewBarrier(nodes)
 	const rounds = 5

@@ -145,11 +145,10 @@ type ProfPageSnap struct {
 
 // ProfilerSnap is the profiler and decision-engine state.
 type ProfilerSnap struct {
-	Migrate   bool           `json:"migrate"`
-	Stability int            `json:"stability"`
-	Epoch     int            `json:"epoch"`
-	Epochs    []EpochProfile `json:"epochs,omitempty"`
-	Pages     []ProfPageSnap `json:"pages,omitempty"`
+	Migrate bool           `json:"migrate"`
+	Epoch   int            `json:"epoch"`
+	Epochs  []EpochProfile `json:"epochs,omitempty"`
+	Pages   []ProfPageSnap `json:"pages,omitempty"`
 }
 
 // CoreState is the DSM's complete serializable state.
@@ -268,9 +267,9 @@ func (d *DSM) CaptureState() (*CoreState, error) {
 	s.Recovery = d.captureRecovery()
 	if p := d.prof; p != nil {
 		ps := &ProfilerSnap{
-			Migrate: p.cfg.Migrate, Stability: p.cfg.Stability,
-			Epoch:  p.epoch,
-			Epochs: append([]EpochProfile(nil), p.epochs...),
+			Migrate: p.cfg.Migrate,
+			Epoch:   p.epoch,
+			Epochs:  append([]EpochProfile(nil), p.epochs...),
 		}
 		for _, pg := range p.order {
 			pp := p.pages[pg]
@@ -535,9 +534,7 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		// allocation set; the migrate services register only if they are not
 		// already (a system built with the same profiler configuration has
 		// them).
-		d.EnableProfiler(ProfilerConfig{
-			Migrate: s.Profiler.Migrate, Stability: s.Profiler.Stability,
-		})
+		d.EnableProfiler(ProfilerConfig{Migrate: s.Profiler.Migrate})
 		p := d.prof
 		p.epoch = s.Profiler.Epoch
 		p.epochs = append([]EpochProfile(nil), s.Profiler.Epochs...)

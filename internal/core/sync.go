@@ -410,6 +410,3 @@ func (d *DSM) FlushRelease(t *pm2.Thread) {
 	d.eachInstance(func(p Protocol) { p.LockRelease(ev) })
 	put(&d.recs.syncs, ev)
 }
-
-// LockHome reports the manager node of lock id (tests and tools).
-func (d *DSM) LockHome(id int) int { return d.locks[id].home }

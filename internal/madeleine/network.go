@@ -323,13 +323,8 @@ func (nw *Network) departure(from, to, size int) sim.Time {
 	return depart
 }
 
-// SendCtrl sends a small control message (request, invalidation, ack),
-// charged at the link's CtrlMsg latency.
-func (nw *Network) SendCtrl(from, to int, channel string, payload interface{}) {
-	nw.SendCtrlID(from, to, nw.ChannelID(channel), payload)
-}
-
-// SendCtrlID is SendCtrl for a pre-interned channel.
+// SendCtrlID sends a small control message (request, invalidation, ack) on
+// a pre-interned channel, charged at the link's CtrlMsg latency.
 func (nw *Network) SendCtrlID(from, to int, ch ChanID, payload interface{}) {
 	m := nw.getMsg()
 	*m = Message{From: from, To: to, Channel: nw.ChannelName(ch), Chan: ch, Size: 64, Payload: payload}
@@ -344,13 +339,8 @@ func (nw *Network) SendID(from, to int, ch ChanID, size int, payload interface{}
 	nw.SendAfter(m, d)
 }
 
-// SendBulk sends size payload bytes (for example a page or a diff list),
-// charged at the link's Transfer(size) latency.
-func (nw *Network) SendBulk(from, to int, channel string, size int, payload interface{}) {
-	nw.SendBulkID(from, to, nw.ChannelID(channel), size, payload)
-}
-
-// SendBulkID is SendBulk for a pre-interned channel.
+// SendBulkID sends size payload bytes (for example a page or a diff list) on
+// a pre-interned channel, charged at the link's Transfer(size) latency.
 func (nw *Network) SendBulkID(from, to int, ch ChanID, size int, payload interface{}) {
 	m := nw.getMsg()
 	*m = Message{From: from, To: to, Channel: nw.ChannelName(ch), Chan: ch, Size: size, Payload: payload}

@@ -27,13 +27,13 @@ func TestKillNodeStopsThreadsAndRestartServes(t *testing.T) {
 		if v := th.Call(1, "ping", nil, 0, 0); v != 1 {
 			t.Errorf("first call returned %v", v)
 		}
-		rt.Engine().After(0, func() { rt.KillNode(1) })
+		rt.Engine().Schedule(rt.Engine().Now(), func() { rt.KillNode(1) })
 		th.Yield()
 		if !rt.Node(1).Dead() {
 			t.Error("node 1 not dead after KillNode")
 		}
 		th.Advance(1000)
-		rt.Engine().After(0, func() { rt.RestartNode(1) })
+		rt.Engine().Schedule(rt.Engine().Now(), func() { rt.RestartNode(1) })
 		th.Yield()
 		if v := th.Call(1, "ping", nil, 0, 0); v != 2 {
 			t.Errorf("post-restart call returned %v", v)
@@ -63,7 +63,7 @@ func TestDroppedRPCReclaimsEnvelopeOnce(t *testing.T) {
 		return nil
 	})
 	rt.CreateThread(0, "driver", func(th *Thread) {
-		rt.Engine().After(0, func() { rt.KillNode(1) })
+		rt.Engine().Schedule(rt.Engine().Now(), func() { rt.KillNode(1) })
 		th.Yield()
 		// Two invocations at the corpse: both envelopes reclaimed.
 		th.Async(1, "sink", "dead-a", 0)

@@ -168,8 +168,8 @@ func TestDescriptorSizeClasses(t *testing.T) {
 
 // TestRecycledHandlerStartsClean: the second request of a threaded service
 // runs on the first handler's descriptor, and sees nothing of it — no
-// thread-local value, no migration count, not done, a new id, its own node,
-// and a reply queue with nothing in it.
+// migration count, not done, a new id, its own node, and a reply queue with
+// nothing in it.
 func TestRecycledHandlerStartsClean(t *testing.T) {
 	rt := newRT(2, nil)
 	rt.Node(0).Register("echo", false, func(h *Thread, arg interface{}) interface{} { return arg })
@@ -178,7 +178,6 @@ func TestRecycledHandlerStartsClean(t *testing.T) {
 	rt.Node(1).Register("svc", true, func(h *Thread, arg interface{}) interface{} {
 		if first == nil {
 			first, firstID = h, h.ID()
-			h.SetTLS("k", "first tenant")
 			h.SetMigratable(true)
 			h.Call(0, "echo", 1, 0, 0) // leaves a reply queue behind
 			h.MigrateTo(0)
@@ -186,8 +185,6 @@ func TestRecycledHandlerStartsClean(t *testing.T) {
 		}
 		second = h
 		switch {
-		case h.TLS("k") != nil:
-			t.Errorf("recycled handler sees TLS %v", h.TLS("k"))
 		case h.Migrations() != 0 || h.migratable || h.Done():
 			t.Errorf("recycled handler starts with migrations=%d migratable=%v done=%v", h.Migrations(), h.migratable, h.Done())
 		case h.ID() <= firstID:

@@ -323,22 +323,6 @@ func TestJoinFinishedThread(t *testing.T) {
 	}
 }
 
-func TestTLS(t *testing.T) {
-	rt := newRT(1, nil)
-	rt.CreateThread(0, "w", func(th *Thread) {
-		if th.TLS("k") != nil {
-			t.Error("unset TLS key non-nil")
-		}
-		th.SetTLS("k", 7)
-		if th.TLS("k").(int) != 7 {
-			t.Error("TLS round trip failed")
-		}
-	})
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBadNodePanics(t *testing.T) {
 	rt := newRT(2, nil)
 	defer func() {

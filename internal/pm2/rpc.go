@@ -173,7 +173,7 @@ func (svc *service) deliver(v interface{}) {
 	if !ok {
 		t = &Thread{svc: svc}
 	}
-	t.req, t.tls, t.migrations, t.migratable, t.done = req, nil, 0, false, false
+	t.req, t.migrations, t.migratable, t.done = req, 0, false, false
 	n.rt.start(n.ID, svc.threadName, 0, t)
 }
 
@@ -302,17 +302,11 @@ func (t *Thread) CallID(dest int, ch madeleine.ChanID, arg interface{}, argSize,
 	return reply.Recv(&t.proc)
 }
 
-// Async invokes service on node dest without waiting for completion or
-// result. Small arguments are charged at the control-message cost, large
-// ones at the bulk transfer cost; this is the flavor the DSM communication
-// module uses for page requests, page sends and invalidations.
-func (t *Thread) Async(dest int, svcName string, arg interface{}, size int) {
-	t.rt.AsyncFrom(t.node, dest, t.rt.ServiceID(svcName), arg, size)
-}
-
-// AsyncFrom is Async with an explicit source node, to the service whose id is
-// ch; the DSM layer uses it when a handler thread answers on behalf of its
-// node.
+// AsyncFrom invokes the service whose id is ch on node dest, from node from,
+// without waiting for completion or result. Small arguments are charged at
+// the control-message cost, large ones at the bulk transfer cost; this is
+// the flavor the DSM communication module uses for page requests, page
+// sends and invalidations.
 func (rt *Runtime) AsyncFrom(from, dest int, ch madeleine.ChanID, arg interface{}, size int) {
 	req := rt.getReq()
 	req.arg = arg

@@ -30,9 +30,6 @@ type Thread struct {
 	node      int // current simulated location
 	stackSize int
 
-	// tls carries thread-local values (Marcel thread keys).
-	tls map[string]interface{}
-
 	// reply is the thread's reusable RPC reply queue. A thread has at
 	// most one synchronous Call outstanding (Call blocks until the single
 	// reply is consumed), so one channel serves its whole lifetime.
@@ -164,22 +161,6 @@ func (t *Thread) Compute(d sim.Duration) {
 func (t *Thread) Yield() {
 	t.checkPreempt()
 	t.proc.Yield()
-}
-
-// SetTLS stores a thread-local value under key.
-func (t *Thread) SetTLS(key string, v interface{}) {
-	if t.tls == nil {
-		t.tls = make(map[string]interface{})
-	}
-	t.tls[key] = v
-}
-
-// TLS fetches a thread-local value.
-func (t *Thread) TLS(key string) interface{} {
-	if t.tls == nil {
-		return nil
-	}
-	return t.tls[key]
 }
 
 // MigrateTo moves the thread to node dest, charging the migration latency of

@@ -48,12 +48,7 @@ func (p *adaptive) Name() string { return "adaptive" }
 // verdict yet (a workload whose barriers never fold an epoch leaves every
 // page ClassIdle forever): the original ad-hoc write-fault-count criterion,
 // so enabling the profiler can never silently disable thread migration for
-// ping-pong pages the classifier has no evidence about — unless an offline
-// what-if sweep installed a tuned prior (DSM.SetTunedPagePrior): the sweep
-// already re-simulated this workload under both mechanisms and the page
-// policy won, so with no live evidence to the contrary the protocol trusts
-// the sweep and skips speculative thread migration. Live epoch evidence
-// (ClassMigratory above) still overrides the prior. Page ownership stays
+// ping-pong pages the classifier has no evidence about. Page ownership stays
 // wherever li_hudak's mechanics put it, so the probable-owner chain remains
 // intact for both mechanisms.
 func (p *adaptive) WriteFaultHandler(f *core.Fault) {
@@ -69,10 +64,6 @@ func (p *adaptive) WriteFaultHandler(f *core.Fault) {
 			return
 		}
 	}
-	if p.d.TunedPagePrior() {
-		p.liHudak.WriteFaultHandler(f)
-		return
-	}
 	cnt := p.writeFaults[f.Node]
 	cnt[f.Page]++
 	if cnt[f.Page] > adaptiveThreshold {
@@ -81,10 +72,4 @@ func (p *adaptive) WriteFaultHandler(f *core.Fault) {
 		return
 	}
 	p.liHudak.WriteFaultHandler(f)
-}
-
-// FaultCount reports the current write-fault count for a page on a node
-// (exposed for tests and monitoring).
-func (p *adaptive) FaultCount(node int, pg core.Page) int {
-	return p.writeFaults[node][pg]
 }

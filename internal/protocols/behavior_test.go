@@ -513,32 +513,6 @@ func TestAdaptiveSwitchesToMigrationOnHotPage(t *testing.T) {
 	}
 }
 
-// TestAdaptiveTunedPriorStaysOnPagePolicy: the same ping-pong workload, but
-// with a tuned page-policy prior installed (an offline what-if sweep decided
-// the page policy wins this workload) — the no-evidence fallback must stay
-// on page migration instead of speculatively sending the thread away.
-func TestAdaptiveTunedPriorStaysOnPagePolicy(t *testing.T) {
-	rt, d, ids := harness(2, madeleine.BIPMyrinet, 1)
-	d.SetDefaultProtocol(ids.Adaptive)
-	d.SetTunedPagePrior(true)
-	base := d.MustMalloc(1, 8, nil)
-	th := rt.CreateThread(0, "worker", func(th *pm2.Thread) {
-		for i := 0; i < 10; i++ {
-			d.WriteUint64(th, base, uint64(i))
-			rt.CreateThread(1, fmt.Sprintf("puller%d", i), func(p *pm2.Thread) {
-				d.WriteUint64(p, base, 1000+uint64(i))
-			})
-			th.Advance(10 * sim.Millisecond)
-		}
-	})
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if th.Migrations() != 0 {
-		t.Fatalf("thread migrated %d times despite the tuned page-policy prior", th.Migrations())
-	}
-}
-
 // --- java_ic / java_pf ------------------------------------------------
 
 func TestJavaICPaysCheckOnEveryAccess(t *testing.T) {

@@ -306,9 +306,6 @@ func (e *Engine) SchedulePush(t Time, ch *Chan, payload interface{}) {
 	e.push(t, event{ch: ch, payload: payload})
 }
 
-// After runs fn d from now, in engine context.
-func (e *Engine) After(d Duration, fn func()) { e.Schedule(e.now.Add(d), fn) }
-
 // DeadlockError reports that the event queue drained while simulated threads
 // were still blocked.
 type DeadlockError struct {
