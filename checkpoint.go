@@ -7,46 +7,32 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"slices"
 
-	"dsmpm2/internal/core"
 	"dsmpm2/internal/madeleine"
-	"dsmpm2/internal/pm2"
-	"dsmpm2/internal/sim"
 )
 
-// Checkpoint/restore of full simulation state. A Checkpoint is taken at a
-// safe point — between Run chunks, when the event queue is drained and no
-// protocol action is mid-flight — and records everything the deterministic
-// replay depends on: the kernel's clock/sequence/RNG position, the DSM's
-// pages, page tables, synchronization managers and protocol state, the
-// network's occupancy clocks and fault views, the PM2 runtime's counters,
-// and the fault-plan cursor. Restoring it into a fresh System and running to
-// completion is bit-identical to never having stopped: same TimingLog
-// fingerprint, same stats, same final clock.
+// A Checkpoint is a resume token: it records how to reach a step of a
+// deterministic run, not the state at that step. A run is a pure function of
+// its config, its seed and its fault plan, so the token carries those, the
+// application's own description of how far it got, and the run's fingerprint
+// at capture. A resumer (jacobi.ResumeSession) rebuilds the system from the
+// config, replays the recorded steps and refuses the token unless the replay
+// reaches the recorded fingerprint: a resumed run is the unbroken run,
+// checked, not a restored copy of it.
 //
-// Three consumers ride on this:
-//
-//   - crash-restart experiments, where a restarted node's OnRestart hook
-//     warm-starts from the last recorded checkpoint instead of redoing the
-//     whole run (see DSM.RecordCheckpoint / LastCheckpoint);
-//   - warm-started benchmarks, which restore a post-ramp-up snapshot
-//     instead of replaying the ramp-up;
-//   - divergence bisection (`dsmbench -exp bisect`), which binary-searches
-//     the first run step whose fingerprint diverges from a golden ledger.
+// Two neighbours share the name but not the token: a restarted node's
+// OnRestart hook warm-starts from the last work unit it recorded (see
+// System.RecordCheckpoint / LastCheckpoint), and divergence bisection
+// (`dsmbench -exp bisect`) binary-searches the first step whose fingerprint
+// diverges from a golden ledger.
 
-// CheckpointVersion is the current snapshot format version. Decoders reject
-// other versions with an error (never a panic), so stale snapshot files fail
-// loudly instead of misrestoring. Version 1 carried per-shard state
-// (net.shards[], kernel_shards, shard_next, shard_stats/shard_timings,
-// config.shards); version 2 carried the communication-path selector
-// (core.batch and its config flag); version 3 carried per-node NIC clocks
-// (net.nic_free), the partition policy (partition, net.faults.policy), the
-// retry tuning (core.recovery.timeout, backoff, retry_max, jitter, jitter_seed,
-// jitter_draws) and the profiler's ring size (core.profiler.window); version 4
-// carried the profiler's re-homing hysteresis (core.profiler.stability);
-// version 5 has none of them.
-const CheckpointVersion = 5
+// CheckpointVersion is the current token format version. Decoders reject
+// other versions with an error (never a panic), so stale files fail loudly.
+// Versions 1 to 5 were full-state snapshots (the kernel's clock and PRNG
+// position, every node's pages and page table, the synchronization managers,
+// the network's clocks, the runtime's counters and the fault cursor);
+// version 6 is the resume token.
+const CheckpointVersion = 6
 
 // TopologyState serializes a topology by profile names. Only uniform and
 // hierarchical topologies round-trip — a LinkMatrix holds arbitrary
@@ -67,36 +53,35 @@ type ConfigState struct {
 	Network        string         `json:"network,omitempty"`
 	Topology       *TopologyState `json:"topology,omitempty"`
 	LinkContention bool           `json:"link_contention,omitempty"`
+	AdaptiveHomes  bool           `json:"adaptive_homes,omitempty"`
 	Protocol       string         `json:"protocol"`
 	Seed           int64          `json:"seed"`
 }
 
-// CursorState is the fault-plan cursor's resumable position.
-type CursorState struct {
-	Next int        `json:"next"`
-	Base Time       `json:"base"`
-	Plan *FaultPlan `json:"plan"`
-}
-
-// Checkpoint is a full simulation snapshot. Build one with
-// System.Checkpoint, persist with Save/Encode, rebuild a System with
-// Restore.
+// Checkpoint is a resume token. Build one with System.Checkpoint, persist it
+// with Save/Encode, and resume it with the application's resumer (for
+// example jacobi.ResumeSession), which replays the run up to the recorded
+// fingerprint.
 type Checkpoint struct {
-	Config      ConfigState         `json:"config"`
-	Kernel      sim.Snapshot        `json:"kernel"`
-	Core        *core.CoreState     `json:"core"`
-	Net         *madeleine.NetState `json:"net"`
-	Runtime     *pm2.RuntimeState   `json:"runtime"`
-	Cursor      *CursorState        `json:"cursor,omitempty"`
-	App         json.RawMessage     `json:"app,omitempty"`
-	Fingerprint string              `json:"fingerprint"`
+	Config ConfigState     `json:"config"`
+	Plan   *FaultPlan      `json:"plan,omitempty"`
+	App    json.RawMessage `json:"app,omitempty"`
+	// At is the virtual time of the capture: a replay of the recorded run
+	// never queues anything later (see Replay).
+	At Time `json:"at"`
+	// Fingerprint is the run's trace fingerprint at capture
+	// (System.Fingerprint) bound to the token: a digest of it with every
+	// other field. Replay recomputes it on the replayed system, so an edit
+	// to any field misses it, even one the trace does not show (the seed of
+	// a run that never draws from the engine's random source, say).
+	Fingerprint string `json:"fingerprint"`
 }
 
 // Fingerprint hashes the system's observable trace — final clock, every
 // recorded fault timing, the DSM stats — into a hex digest. Two runs of the
-// same workload under the same seed produce identical fingerprints; a
-// restored run's fingerprint at completion equals the unbroken run's. (The
-// bench package's TraceFingerprint is this same digest.)
+// same workload under the same seed produce identical fingerprints, and a
+// checkpoint binds it to the token (see Checkpoint.Fingerprint). (The bench
+// package's TraceFingerprint is this same digest.)
 func (s *System) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "now=%d\n", s.Now())
@@ -118,6 +103,7 @@ func (s *System) configState() (ConfigState, error) {
 		Nodes:          s.cfg.Nodes,
 		CPUsPerNode:    s.cfg.CPUsPerNode,
 		LinkContention: s.cfg.LinkContention,
+		AdaptiveHomes:  s.cfg.AdaptiveHomes,
 		Protocol:       s.cfg.Protocol,
 		Seed:           s.cfg.Seed,
 	}
@@ -169,6 +155,7 @@ func (cs ConfigState) toConfig() (Config, error) {
 		Nodes:          cs.Nodes,
 		CPUsPerNode:    cs.CPUsPerNode,
 		LinkContention: cs.LinkContention,
+		AdaptiveHomes:  cs.AdaptiveHomes,
 		Protocol:       cs.Protocol,
 		Seed:           cs.Seed,
 	}
@@ -196,6 +183,9 @@ func (cs ConfigState) toConfig() (Config, error) {
 			if err != nil {
 				return Config{}, err
 			}
+			if len(ts.ClusterOf) != cs.Nodes {
+				return Config{}, fmt.Errorf("dsmpm2: checkpoint's hierarchical topology assigns %d of %d nodes to clusters", len(ts.ClusterOf), cs.Nodes)
+			}
 			cfg.Topology = madeleine.NewHierarchical(ts.ClusterOf, intra, inter)
 		default:
 			return Config{}, fmt.Errorf("dsmpm2: checkpoint has unknown topology kind %q", ts.Kind)
@@ -210,155 +200,86 @@ func (cs ConfigState) toConfig() (Config, error) {
 	return cfg, nil
 }
 
-// Checkpoint captures the full simulation state at a safe point. app is the
-// application layer's own serialized progress (thread positions, iteration
-// counters — whatever it needs to rebuild its workers), carried opaquely.
-// The call fails with a descriptive error — and never mutates the system —
-// when the moment is not a safe point: events still queued, threads alive, a
-// lock held, a fetch pending, a twin outstanding, messages parked on a
-// partitioned link.
+// Checkpoint takes a resume token at the current point of the run. app is
+// the application layer's description of how far it got (for a session, its
+// config and step count), carried opaquely. It fails on a topology that does
+// not serialize by profile names.
 func (s *System) Checkpoint(app []byte) (*Checkpoint, error) {
 	cfgState, err := s.configState()
 	if err != nil {
 		return nil, err
 	}
-	kernel, err := s.rt.Engine().Capture()
-	if err != nil {
+	ck := &Checkpoint{Config: cfgState, Plan: s.faultPlan, App: append([]byte(nil), app...), At: s.Now()}
+	if ck.Fingerprint, err = ck.digest(s); err != nil {
 		return nil, err
-	}
-	coreState, err := s.dsm.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	netState, err := s.rt.Network().CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	ck := &Checkpoint{
-		Config:      cfgState,
-		Kernel:      kernel,
-		Core:        coreState,
-		Net:         netState,
-		Runtime:     s.rt.CaptureState(),
-		App:         append([]byte(nil), app...),
-		Fingerprint: s.Fingerprint(),
-	}
-	if s.cursor != nil {
-		next, base := s.cursor.Pos()
-		ck.Cursor = &CursorState{Next: next, Base: base, Plan: s.faultPlan}
 	}
 	return ck, nil
 }
 
-// RestoreOptions tunes Restore.
-type RestoreOptions struct {
-	// OnRestart re-attaches the application's node-restart hook (hooks do
-	// not serialize); required when the checkpoint's fault plan has restart
-	// events still pending.
-	OnRestart func(node int)
+// digest hashes the token's fields but its fingerprint with sys's trace
+// fingerprint.
+func (ck *Checkpoint) digest(sys *System) (string, error) {
+	recipe, err := json.Marshal(Checkpoint{Config: ck.Config, Plan: ck.Plan, App: ck.App, At: ck.At})
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(append(recipe, sys.Fingerprint()...))
+	return hex.EncodeToString(sum[:]), nil
 }
 
-// Restore builds a fresh System from a checkpoint. The returned system is at
-// the captured virtual time with the captured state installed; the caller
-// rebuilds its application threads from ck.App and calls Run to continue.
-// Running a restored system to completion is bit-identical to the unbroken
-// run.
-func Restore(ck *Checkpoint, opts RestoreOptions) (*System, error) {
-	if ck == nil || ck.Core == nil || ck.Net == nil || ck.Runtime == nil {
-		return nil, fmt.Errorf("dsmpm2: restore of an incomplete checkpoint")
+// Replay brings sys, built from SystemConfig as the recorded run was, back
+// to the point the token was taken at: it calls step steps times, and
+// returns an error unless the replay ends at the recorded fingerprint. The
+// run is bounded at the recorded instant, so a replay that leaves the
+// recorded run (a tampered or hostile token) stops there with an error
+// instead of running on.
+func (ck *Checkpoint) Replay(sys *System, steps int, step func() error) error {
+	lift := sys.rt.Engine().Bound(ck.At)
+	defer lift()
+	for i := 0; i < steps; i++ {
+		if err := step(); err != nil {
+			return fmt.Errorf("dsmpm2: replaying step %d: %w", i, err)
+		}
 	}
-	if err := ck.checkShape(); err != nil {
-		return nil, err
+	got, err := ck.digest(sys)
+	if err != nil {
+		return err
+	}
+	if got != ck.Fingerprint {
+		return fmt.Errorf("dsmpm2: fingerprint mismatch: the replay reached %s, the checkpoint recorded %s", got, ck.Fingerprint)
+	}
+	return nil
+}
+
+// maxCheckpointNodes bounds the machine a token may name. A token is input
+// from outside the program, and the system built from it is sized by its
+// node count before any fingerprint can be checked, so a larger count is
+// refused rather than allocated.
+const maxCheckpointNodes = 4096
+
+// SystemConfig rebuilds the Config the token's system was built from. It
+// refuses a profile or topology kind this build does not know, a node count
+// outside 1 to maxCheckpointNodes, and a fault plan that system could not
+// run, before anything is built.
+func (ck *Checkpoint) SystemConfig() (Config, error) {
+	if n := ck.Config.Nodes; n < 1 || n > maxCheckpointNodes {
+		return Config{}, fmt.Errorf("dsmpm2: checkpoint of a %d-node system (tokens name 1 to %d nodes)", n, maxCheckpointNodes)
 	}
 	cfg, err := ck.Config.toConfig()
 	if err != nil {
-		return nil, err
+		return Config{}, err
 	}
-	s, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The profiler is part of the construction (enabling it registers the
-	// migrate services), so it comes up before the drain below.
-	if p := ck.Core.Profiler; p != nil {
-		s.dsm.EnableProfiler(core.ProfilerConfig{Migrate: p.Migrate})
-	}
-	// Drain whatever construction scheduled; afterwards the engine is
-	// quiesced and restorable.
-	if err := s.rt.Run(); err != nil {
-		return nil, fmt.Errorf("dsmpm2: restore drain: %w", err)
-	}
-	// Fault layers come back before any node can be killed: the network kill
-	// path requires the fault layer, and core.RestoreState re-enables
-	// recovery with the captured state (preserving the hook installed here,
-	// since hooks do not serialize).
-	if ck.Net.Faults != nil {
-		s.rt.EnableFaults(ck.Cursor.Plan.Seed)
-	}
-	if ck.Core.Recovery != nil {
-		s.dsm.EnableRecovery(opts.OnRestart)
-	}
-	// Nodes dead at capture die again here, so the runtime and network tear
-	// down their services and queues exactly as the original crash did;
-	// the counters those kills perturb are stomped back by the restores.
-	for n, ns := range ck.Runtime.Nodes {
-		if ns.Dead {
-			s.rt.KillNode(n)
+	if ck.Plan != nil {
+		if err := checkPlan(ck.Plan, cfg.Nodes); err != nil {
+			return Config{}, err
 		}
 	}
-	if err := s.dsm.RestoreState(ck.Core); err != nil {
-		return nil, err
-	}
-	if err := s.rt.Network().RestoreState(ck.Net); err != nil {
-		return nil, err
-	}
-	if err := s.rt.RestoreState(ck.Runtime); err != nil {
-		return nil, err
-	}
-	if err := s.rt.Engine().Restore(ck.Kernel); err != nil {
-		return nil, err
-	}
-	if ck.Cursor != nil {
-		s.faultPlan = ck.Cursor.Plan
-		s.cursor = s.rt.Engine().NewFaultCursor(ck.Cursor.Plan, s.applyFault)
-		if err := s.cursor.SetPos(ck.Cursor.Next, ck.Cursor.Base); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// checkShape refuses a checkpoint that does not describe one machine before
-// anything is built from it: every per-node list has the configured node
-// count, so what Restore allocates stays proportional to the checkpoint's
-// size; the fault layer, the recovery state and the fault plan come together,
-// as InjectFaults leaves them, and dead nodes only with them; and the plan is
-// one the machine can run.
-func (ck *Checkpoint) checkShape() error {
-	n := ck.Config.Nodes
-	if n < 1 || len(ck.Runtime.Nodes) != n || len(ck.Core.Nodes) != n {
-		return fmt.Errorf("dsmpm2: checkpoint of a %d-node config carries %d runtime and %d core node states",
-			n, len(ck.Runtime.Nodes), len(ck.Core.Nodes))
-	}
-	faulty := ck.Net.Faults != nil
-	plan := ck.Cursor != nil && ck.Cursor.Plan != nil
-	if faulty && !plan {
-		return fmt.Errorf("dsmpm2: restore: the checkpoint's fault layer has no fault plan")
-	}
-	dead := slices.ContainsFunc(ck.Runtime.Nodes, func(ns pm2.NodeRuntimeState) bool { return ns.Dead })
-	if plan != faulty || (ck.Core.Recovery != nil) != faulty || dead && !faulty {
-		return fmt.Errorf("dsmpm2: restore: a checkpoint carries the fault layer, the recovery state and the fault plan together (here %v, %v, %v), and dead nodes only with them",
-			faulty, ck.Core.Recovery != nil, plan)
-	}
-	if !faulty {
-		return nil
-	}
-	return checkPlan(ck.Cursor.Plan, n)
+	return cfg, nil
 }
 
 // envelope is the self-describing on-disk form of a checkpoint: a format
 // version, the body, and its hash. The hash turns truncation or corruption
-// into a clean decode error instead of a misrestore.
+// into a clean decode error.
 type envelope struct {
 	Version int             `json:"version"`
 	SHA256  string          `json:"sha256"`
@@ -398,9 +319,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if got := hex.EncodeToString(sum[:]); got != env.SHA256 {
 		return nil, fmt.Errorf("dsmpm2: checkpoint body hash mismatch (file corrupted or truncated): have %s, recorded %s", got, env.SHA256)
 	}
-	// A field this build does not know (a version-1 kernel_shards array
-	// under the current header, say) means the bytes describe some other
-	// machine: refused, not skipped.
+	// A field this build does not know (a version-5 kernel section under
+	// the current header, say) means the bytes are some other format:
+	// refused, not skipped.
 	ck := new(Checkpoint)
 	dec := json.NewDecoder(bytes.NewReader(env.Body))
 	dec.DisallowUnknownFields()

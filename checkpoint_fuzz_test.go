@@ -11,61 +11,72 @@ import (
 	"testing"
 
 	"dsmpm2"
+	"dsmpm2/internal/apps/jacobi"
 )
 
-// fuzzSeedBodies returns the bodies of three small checkpoints that between
-// them fill every section a body has: pages, entries and a lock; the
-// profiler's rings; and a fault layer, its plan cursor and recovery state.
-func fuzzSeedBodies(f testing.TB) [][]byte {
+// fuzzSeedTokens returns the bodies of resume tokens taken at several steps
+// of four small sessions: a plain one, one on a two-cluster topology, one
+// with adaptive homes (tokens inside profiler epochs), and one
+// mid-fault-plan (tokens with node 2 dead, and after its restart).
+func fuzzSeedTokens(f testing.TB) [][]byte {
 	f.Helper()
-	build := func(cfg dsmpm2.Config, plan *dsmpm2.FaultPlan) []byte {
-		sys := dsmpm2.MustNew(cfg)
-		if err := sys.InjectFaults(plan, dsmpm2.FaultOptions{}); err != nil {
-			f.Fatal(err)
+	plain := jacobi.Config{N: 8, Iterations: 2, Nodes: 4, Network: dsmpm2.BIPMyrinet, Protocol: "hbrc_mw", Seed: 3}
+	adaptive := plain
+	adaptive.MisplaceHomes, adaptive.AdaptiveHomes = true, true
+	hier := plain
+	hier.Topology = dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(4, 2), dsmpm2.BIPMyrinet, dsmpm2.TCPFastEthernet)
+	faulty := plain
+	faulty.FaultPlan = dsmpm2.NewFaultPlan(5).
+		Crash(dsmpm2.Time(400*dsmpm2.Microsecond), 2).
+		Restart(dsmpm2.Time(20*dsmpm2.Millisecond), 2)
+	var bodies [][]byte
+	for _, c := range []struct {
+		cfg   jacobi.Config
+		steps []int
+	}{{plain, []int{0, 3}}, {hier, []int{4}}, {adaptive, []int{2, 5}}, {faulty, []int{1, 2, 4}}} {
+		for _, k := range c.steps {
+			s, err := jacobi.NewSession(c.cfg)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for s.StepsDone() < k {
+				if err := s.Step(); err != nil {
+					f.Fatal(err)
+				}
+			}
+			ck, err := s.Checkpoint()
+			if err != nil {
+				f.Fatal(err)
+			}
+			body, err := json.Marshal(ck)
+			if err != nil {
+				f.Fatal(err)
+			}
+			bodies = append(bodies, body)
 		}
-		page := sys.MustMalloc(1, dsmpm2.PageSize, nil)
-		lock, bar := sys.NewLock(0), sys.NewBarrier(cfg.Nodes)
-		for n := 0; n < cfg.Nodes; n++ {
-			sys.Spawn(n, "w", func(t *dsmpm2.Thread) {
-				t.Acquire(lock)
-				t.WriteUint64(page+dsmpm2.Addr(8*n), uint64(n+1))
-				t.Release(lock)
-				t.Barrier(bar)
-			})
-		}
-		if err := sys.Run(); err != nil {
-			f.Fatal(err)
-		}
-		ck, err := sys.Checkpoint([]byte(`{"unit":1}`))
-		if err != nil {
-			f.Fatal(err)
-		}
-		body, err := json.Marshal(ck)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return body
 	}
-	return [][]byte{
-		build(dsmpm2.Config{Nodes: 2, Protocol: "hbrc_mw"}, nil),
-		build(dsmpm2.Config{Nodes: 2, Protocol: "li_hudak", AdaptiveHomes: true}, nil),
-		build(dsmpm2.Config{Nodes: 3, Protocol: "hbrc_mw"},
-			dsmpm2.NewFaultPlan(5).Loss(0, 1, 2, 0.5, 0).Crash(dsmpm2.Time(10*dsmpm2.Second), 2)),
-	}
+	return bodies
 }
 
 // number matches the JSON numbers a body's fields hold.
 var number = regexp.MustCompile(`-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?`)
 
-// FuzzCheckpointBody: a checkpoint body of arbitrary bytes, under a valid
-// version and hash so it gets past the envelope, is refused by
-// DecodeCheckpoint or Restore with an error, never a panic. Besides the
-// fuzzer's byte edits, each input sets one number of the body (the at-th,
-// cyclically) to v, which reaches the range checks much faster than byte
-// edits that mostly break the JSON. Restore's shape checks keep what it
-// allocates proportional to the body, so the inputs stay small machines.
+// FuzzCheckpointBody: a token body of arbitrary bytes, under a valid version
+// and hash so it gets past the envelope, is refused by DecodeCheckpoint or
+// ResumeSession with an error, or replays and then runs to its end; never a
+// panic. A fault-free, warm-restart token that runs to its end computes the
+// serial oracle's answer. Besides the fuzzer's byte edits, each input sets
+// one number of the body (the at-th, cyclically) to v, which reaches the
+// range checks much faster than byte edits that mostly break the JSON.
+//
+// A token's replay costs what its run cost, so only tokens within a small
+// budget (at most 4 nodes, N 16, 3 iterations and one virtual second) are
+// replayed; larger ones are decoded and validated. The replay is bounded at
+// the token's instant, so a token whose recipe was edited into a run that
+// never ends (a protocol that loops under its fault plan, a link that never
+// heals) stops there with an error.
 func FuzzCheckpointBody(f *testing.F) {
-	for _, body := range fuzzSeedBodies(f) {
+	for _, body := range fuzzSeedTokens(f) {
 		f.Add(body, uint16(0), int64(0))
 	}
 	f.Fuzz(func(t *testing.T, body []byte, at uint16, v int64) {
@@ -91,6 +102,31 @@ func FuzzCheckpointBody(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_, _ = dsmpm2.Restore(ck, dsmpm2.RestoreOptions{})
+		sys, err := ck.SystemConfig()
+		if err != nil {
+			return
+		}
+		var size struct {
+			N          int  `json:"n"`
+			Iterations int  `json:"iterations"`
+			Cold       bool `json:"cold"`
+		}
+		if json.Unmarshal(ck.App, &size) != nil || sys.Nodes > 4 || size.N > 16 || size.Iterations > 3 || ck.At > dsmpm2.Time(dsmpm2.Second) {
+			return
+		}
+		s, err := jacobi.ResumeSession(ck)
+		if err != nil {
+			return
+		}
+		if err := s.RunToEnd(); err != nil {
+			t.Fatalf("an accepted token did not run to its end: %v", err)
+		}
+		res, err := s.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := jacobi.SolveSerial(size.N, size.Iterations); ck.Plan == nil && !size.Cold && res.Checksum != want {
+			t.Fatalf("an accepted fault-free token ran to checksum %v, the serial oracle's is %v", res.Checksum, want)
+		}
 	})
 }

@@ -10,7 +10,6 @@ import (
 
 	"dsmpm2"
 	"dsmpm2/internal/apps/jacobi"
-	"dsmpm2/internal/core"
 )
 
 // sessionConfig is the 16-node workload the round-trip sweep runs: small
@@ -55,10 +54,10 @@ func finishFingerprint(t *testing.T, s *jacobi.Session) (string, float64) {
 	return fp, res.Checksum
 }
 
-// TestCheckpointRoundTripSweep is the subsystem's core property: snapshot at
-// step k, restore into a fresh system, run to the end — the trace
-// fingerprint must be bit-identical to the unbroken run's, for every k in
-// the whole run.
+// TestCheckpointRoundTripSweep is the subsystem's core property: a token
+// taken at step k, resumed through its wire form (a replay checked against
+// the recorded fingerprint) and run to the end, ends with the unbroken run's
+// trace fingerprint and checksum, for every k in the whole run.
 func TestCheckpointRoundTripSweep(t *testing.T) {
 	cfg := sessionConfig()
 	ref := runSession(t, cfg, 0)
@@ -75,7 +74,7 @@ func TestCheckpointRoundTripSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: checkpoint: %v", k, err)
 		}
-		// Round-trip the wire form too: restore always goes through bytes.
+		// Round-trip the wire form too: a resume always goes through bytes.
 		data, err := ck.Encode()
 		if err != nil {
 			t.Fatalf("k=%d: encode: %v", k, err)
@@ -98,10 +97,10 @@ func TestCheckpointRoundTripSweep(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripAdaptive sweeps the restore property over a run
-// with the access profiler and home migration enabled, so checkpoints land
-// inside profiler epochs (between the barriers that fold them) and the
-// profiler's evidence state must round-trip exactly.
+// TestCheckpointRoundTripAdaptive sweeps the resume property over a run with
+// the access profiler and home migration enabled, so tokens land inside
+// profiler epochs (between the barriers that fold them), and the token must
+// carry the switch that turns the profiler on.
 func TestCheckpointRoundTripAdaptive(t *testing.T) {
 	cfg := sessionConfig()
 	cfg.MisplaceHomes = true
@@ -132,9 +131,9 @@ func TestCheckpointRoundTripAdaptive(t *testing.T) {
 // faultyPlan is the bench's faulty-jacobi scenario: node 2 fail-stops three
 // times, once per work unit (the first mid-compute, the later two parked
 // across step boundaries), warm-resuming from its recorded checkpoints each
-// time. Every crash/restart gap spans a safe point, so the sweep checkpoints
-// runs with a dead node, a mid-plan cursor, and a non-trivial checkpoint
-// registry — all of which must survive the wire round-trip.
+// time. Every crash/restart gap spans a step boundary, so the sweep takes
+// tokens with a dead node, a mid-plan cursor and a non-trivial checkpoint
+// registry, all of which the replay must reach again.
 func faultyPlan() *dsmpm2.FaultPlan {
 	return dsmpm2.NewFaultPlan(11).
 		Crash(dsmpm2.Time(400*dsmpm2.Microsecond), 2).
@@ -146,9 +145,9 @@ func faultyPlan() *dsmpm2.FaultPlan {
 }
 
 // TestCheckpointMidFaultPlan sweeps the round-trip property across a run
-// with a fault plan injected through the fault cursor: checkpoints land
+// with a fault plan injected through the fault cursor: tokens are taken
 // before the crash, while node 2 is dead, and after its restart, and every
-// restored run must replay the rest of the plan bit-identically.
+// resumed run must play the rest of the plan bit-identically.
 func TestCheckpointMidFaultPlan(t *testing.T) {
 	cfg := sessionConfig()
 	cfg.FaultPlan = faultyPlan()
@@ -198,28 +197,39 @@ func TestCheckpointMidFaultPlan(t *testing.T) {
 		t.Fatalf("no sweep point caught node 2 dead; widen the plan window")
 	}
 
-	// The fault layer comes only with InjectFaults, which leaves a cursor: a
-	// checkpoint with the layer but no plan is refused, not restored with a
-	// made-up loss seed.
+	// The plan is part of the token: one the system cannot run is refused
+	// before anything is built, and a token stripped of its plan replays a
+	// fault-free run, which misses the recorded fingerprint.
 	cfg.FaultPlan = faultyPlan()
-	ck, err := runSession(t, cfg, 1).Checkpoint()
+	ck, err := runSession(t, cfg, 3).Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := ck.Cursor.Plan
-	ck.Cursor.Plan = dsmpm2.NewFaultPlan(plan.Seed).Crash(0, 99)
-	if _, err := dsmpm2.Restore(ck, dsmpm2.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), "names node 99") {
-		t.Fatalf("restore with a plan crashing node 99: err = %v, want it refused", err)
+	plan := ck.Plan
+	ck.Plan = dsmpm2.NewFaultPlan(plan.Seed).Crash(0, 99)
+	if _, err := jacobi.ResumeSession(ck); err == nil || !strings.Contains(err.Error(), "names node 99") {
+		t.Fatalf("resume with a plan crashing node 99: err = %v, want it refused", err)
 	}
-	ck.Cursor = nil
-	if _, err := dsmpm2.Restore(ck, dsmpm2.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), "no fault plan") {
-		t.Fatalf("restore without the fault plan: err = %v, want it refused", err)
+	ck.Plan = nil
+	if _, err := jacobi.ResumeSession(ck); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+		t.Fatalf("resume without the fault plan: err = %v, want a fingerprint mismatch", err)
+	}
+
+	// li_hudak does not recover from this plan: its run never ends. A token
+	// edited to name it replays only up to the instant the token was taken
+	// at, and stops there with an error.
+	ck.Plan = plan
+	ck.Config.Protocol = "li_hudak"
+	if _, err := jacobi.ResumeSession(ck); err == nil || !strings.Contains(err.Error(), "past its bound") {
+		t.Fatalf("resume of a token edited to loop: err = %v, want it stopped at its bound", err)
 	}
 }
 
-// TestCheckpointDecodeErrors pins the failure modes of the wire format:
-// unknown versions, truncation and corruption must come back as descriptive
-// errors, never a panic or a silent misrestore.
+// TestCheckpointDecodeErrors pins the failure modes of the wire format and
+// of the token: unknown versions, truncation, corruption, and tokens that
+// are sound on the wire but describe no session this build can replay must
+// come back as descriptive errors from DecodeCheckpoint or ResumeSession,
+// never a panic or a silent misresume.
 func TestCheckpointDecodeErrors(t *testing.T) {
 	s := runSession(t, sessionConfig(), 2)
 	ck, err := s.Checkpoint()
@@ -253,6 +263,58 @@ func TestCheckpointDecodeErrors(t *testing.T) {
 	}
 	if _, err := dsmpm2.DecodeCheckpoint(corrupt); err == nil || !strings.Contains(err.Error(), "hash") {
 		t.Fatalf("corrupted body: got err %v, want hash mismatch", err)
+	}
+
+	// Tokens re-enveloped under a valid hash, each wrong in one way.
+	badPlan, err := json.Marshal(dsmpm2.NewFaultPlan(1).Crash(0, 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		version int
+		edit    func(body map[string]json.RawMessage)
+		want    string
+	}{
+		{"step -1", dsmpm2.CheckpointVersion, func(body map[string]json.RawMessage) {
+			body["app"] = setField(t, body["app"], "step", "-1")
+		}, "step -1"},
+		{"step past the last", dsmpm2.CheckpointVersion, func(body map[string]json.RawMessage) {
+			body["app"] = setField(t, body["app"], "step", fmt.Sprint(s.Steps()+1))
+		}, fmt.Sprintf("step %d", s.Steps()+1)},
+		{"unknown profile", dsmpm2.CheckpointVersion, func(body map[string]json.RawMessage) {
+			body["config"] = setField(t, body["config"], "network", `"NoSuchNet"`)
+		}, `unknown network profile "NoSuchNet"`},
+		{"plan crashing node 99", dsmpm2.CheckpointVersion, func(body map[string]json.RawMessage) {
+			body["plan"] = badPlan
+		}, "names node 99"},
+		{"hierarchical topology without clusters", dsmpm2.CheckpointVersion, func(body map[string]json.RawMessage) {
+			body["config"] = setField(t, body["config"], "topology", `{"kind":"hier","intra":"BIP/Myrinet","inter":"TCP/Fast Ethernet"}`)
+		}, "assigns 0 of 16 nodes"},
+		{"version-5 header", 5, nil, "format version 5 not supported"},
+		// What a token sizes is refused before anything is built from it.
+		{"config of 1<<31 nodes", dsmpm2.CheckpointVersion, func(body map[string]json.RawMessage) {
+			body["config"] = setField(t, body["config"], "nodes", "2147483648")
+		}, "2147483648-node system"},
+		{"n of 1<<40", dsmpm2.CheckpointVersion, func(body map[string]json.RawMessage) {
+			body["app"] = setField(t, body["app"], "n", "1099511627776")
+		}, "N=1099511627776"},
+		{"1<<40 iterations", dsmpm2.CheckpointVersion, func(body map[string]json.RawMessage) {
+			body["app"] = setField(t, body["app"], "iterations", "1099511627776")
+		}, "1099511627776-iteration"},
+		{"negative cell cost", dsmpm2.CheckpointVersion, func(body map[string]json.RawMessage) {
+			body["app"] = setField(t, body["app"], "cell_cost", "-1")
+		}, "cell cost -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := dsmpm2.DecodeCheckpoint(reEnvelope(t, data, tc.version, tc.edit))
+			if err == nil {
+				_, err = jacobi.ResumeSession(ck)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("got err %v, want one mentioning %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -304,14 +366,11 @@ func setField(t *testing.T, raw json.RawMessage, key, v string) json.RawMessage 
 	return out
 }
 
-// TestCheckpointVersion1Refused: version 1 carried per-shard state under the
-// same keys (net.shards[], kernel_shards, shard_next, config.shards),
-// version 2 the communication-path selector (core.batch and its config
-// flag), version 3 per-node NIC clocks (net.nic_free) and version 4 the
-// profiler's hysteresis (core.profiler.stability), so an older blob is
-// refused by its header — even
-// one whose body and hash are otherwise exactly what this build writes —
-// rather than half-read or failed on an unknown field.
+// TestCheckpointVersion1Refused: versions 1 to 5 were full-state snapshots,
+// so an older blob is refused by its header, even one whose body and hash
+// are otherwise exactly what this build writes; and a version-5 body, with
+// its kernel, core, network and runtime sections, is refused under the
+// current header too, rather than half-read.
 func TestCheckpointVersion1Refused(t *testing.T) {
 	s := runSession(t, sessionConfig(), 2)
 	ck, err := s.Checkpoint()
@@ -325,190 +384,61 @@ func TestCheckpointVersion1Refused(t *testing.T) {
 	if _, err := dsmpm2.DecodeCheckpoint(reEnvelope(t, data, dsmpm2.CheckpointVersion, nil)); err != nil {
 		t.Fatalf("re-enveloped current-version checkpoint did not decode: %v", err)
 	}
-	withBatch := func(body map[string]json.RawMessage) {
-		body["core"] = json.RawMessage(`{"batch":true,` + string(body["core"][1:]))
-	}
-	withNICClocks := func(body map[string]json.RawMessage) {
-		body["net"] = json.RawMessage(`{"nic_free":[0,0],` + string(body["net"][1:]))
-	}
-	withStability := func(body map[string]json.RawMessage) {
-		body["core"] = json.RawMessage(`{"profiler":{"migrate":true,"stability":2,"epoch":0},` + string(body["core"][1:]))
-	}
-	for _, old := range []struct {
-		version int
-		edit    func(body map[string]json.RawMessage)
-	}{{1, nil}, {2, withBatch}, {3, withNICClocks}, {4, withStability}} {
-		_, err = dsmpm2.DecodeCheckpoint(reEnvelope(t, data, old.version, old.edit))
-		want := fmt.Sprintf("format version %d not supported", old.version)
+	for version := 1; version < dsmpm2.CheckpointVersion; version++ {
+		_, err = dsmpm2.DecodeCheckpoint(reEnvelope(t, data, version, nil))
+		want := fmt.Sprintf("format version %d not supported", version)
 		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("version-%d checkpoint: got err %v, want the format-version refusal", old.version, err)
+			t.Fatalf("version-%d checkpoint: got err %v, want the format-version refusal", version, err)
 		}
 	}
-}
-
-// TestCheckpointRejectsUnsafePoint verifies capture refuses a system that is
-// not at a safe point, with an error instead of a corrupt snapshot.
-func TestCheckpointRejectsUnsafePoint(t *testing.T) {
-	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 2, Seed: 3})
-	lk := sys.NewLock(0)
-	done := make(chan struct{})
-	sys.Spawn(0, "holder", func(t *dsmpm2.Thread) {
-		t.Acquire(lk)
-		t.Release(lk)
-		close(done)
-	})
-	// Before Run: spawn wakes are queued, so the engine is not quiesced.
-	if _, err := sys.Checkpoint(nil); err == nil {
-		t.Fatalf("checkpoint with queued events succeeded")
+	withKernel := func(body map[string]json.RawMessage) {
+		body["kernel"] = json.RawMessage(`{"now":0,"seq":0,"next_id":0,"nevents":0,"seed":7,"rng_draws":0}`)
 	}
-	if err := sys.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	<-done
-	if _, err := sys.Checkpoint(nil); err != nil {
-		t.Fatalf("checkpoint at a drained safe point failed: %v", err)
+	_, err = dsmpm2.DecodeCheckpoint(reEnvelope(t, data, dsmpm2.CheckpointVersion, withKernel))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "kernel"`) {
+		t.Fatalf("version-5 kernel section under the current header: got err %v, want it refused", err)
 	}
 }
 
-// TestRestoreRejectsHostileCoreState feeds Restore checkpoints whose envelope
-// is sound — re-encoded, so version and hash check out — but whose frames,
-// entries, page list or synchronisation managers were edited. Each must come
-// back as a descriptive error (a bad frame, entry or page before any node's
-// Space is touched): never a panic, a silently truncated frame, a page table
-// grown to an absurd page number, or a manager homed off the machine.
-func TestRestoreRejectsHostileCoreState(t *testing.T) {
-	s := runSession(t, sessionConfig(), 2)
-	good, err := s.Checkpoint()
+// TestResumeRejectsTamperedToken: a token re-enveloped under a valid hash
+// but naming a different seed or step than the run it was taken from is
+// refused by ResumeSession with a fingerprint mismatch. The seed case holds
+// although nothing in this session draws from the engine's random source, so
+// the replayed trace itself does not change: the token's fingerprint binds
+// the trace to the recipe.
+func TestResumeRejectsTamperedToken(t *testing.T) {
+	const k = 3
+	ck, err := runSession(t, sessionConfig(), k).Checkpoint()
 	if err != nil {
-		t.Fatalf("checkpoint: %v", err)
+		t.Fatal(err)
 	}
-	node := -1
-	for n, ncs := range good.Core.Nodes {
-		if len(ncs.Frames) > 0 && len(ncs.Entries) > 0 {
-			node = n
-			break
-		}
+	data, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if node < 0 {
-		t.Fatal("checkpoint holds no node with frames and entries to corrupt")
-	}
-	const unallocated = 1<<18 + 1<<17 // mid-slice page of node 0, far past anything it allocated
-	cases := []struct {
-		name    string
-		corrupt func(cs *core.CoreState)
-		// body, when set, edits the encoded body's top-level fields instead
-		// (for what the Checkpoint struct can no longer express).
-		body func(body map[string]json.RawMessage)
+	for _, tc := range []struct {
+		name string
+		edit func(body map[string]json.RawMessage)
 		want string
 	}{
-		{"frame on an unallocated page", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Page = unallocated }, nil, "unallocated page"},
-		{"frame on an absurd page", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Page = 1 << 60 }, nil, "unallocated page"},
-		{"short frame", func(cs *core.CoreState) {
-			f := &cs.Nodes[node].Frames[0]
-			f.Data = f.Data[:len(f.Data)-1]
-		}, nil, "byte frame"},
-		{"long frame", func(cs *core.CoreState) {
-			f := &cs.Nodes[node].Frames[0]
-			f.Data = append(f.Data[:len(f.Data):len(f.Data)], 0)
-		}, nil, "byte frame"},
-		{"empty frame", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Data = nil }, nil, "byte frame"},
-		{"access value 3", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Access = 3 }, nil, "access value 3"},
-		{"access value 255", func(cs *core.CoreState) { cs.Nodes[node].Frames[0].Access = 255 }, nil, "access value 255"},
-		{"entry on an unallocated page", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].Page = unallocated }, nil, "unallocated page"},
-		{"absurd page listed as allocated", func(cs *core.CoreState) {
-			cs.Pages[0].Page = 1 << 60
-			cs.Nodes[node].Frames[0].Page = 1 << 60
-		}, nil, "outside every node's"},
-		{"static-segment page listed as allocated", func(cs *core.CoreState) { cs.Pages[0].Page = 1 }, nil, "outside every node's"},
-		{"page homed on a node that does not exist", func(cs *core.CoreState) { cs.Pages[0].Home = len(cs.Nodes) }, nil, "homes page"},
-		// An entry's node ids are range-checked: a copyset member sizes the
-		// set's bitmap, so 1<<40 would ask for 2^34 words.
-		{"copyset member -1", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].Copyset = []int{0, -1} }, nil, "outside [0, "},
-		{"copyset member 1<<40", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].Copyset = []int{1 << 40} }, nil, "outside [0, "},
-		{"entry homed on node 99", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].Home = 99 }, nil, "home 99"},
-		{"probable owner past the last node", func(cs *core.CoreState) { cs.Nodes[node].Entries[0].ProbOwner = len(cs.Nodes) }, nil, "outside [0, "},
-		// The synchronisation managers are messaged at their homes and
-		// found by id: a home off the machine, an id out of place, a
-		// barrier nobody can complete or a condition on a lock that does
-		// not exist is refused, naming the record and the node.
-		{"barrier homed on node 99", func(cs *core.CoreState) { cs.Barriers[0].Home = 99 }, nil, "barrier 0 in slot 0 homed on node 99"},
-		{"barrier for no arrivals", func(cs *core.CoreState) { cs.Barriers[0].N = 0 }, nil, "for 0 arrivals"},
-		{"barrier arrival from node -1", func(cs *core.CoreState) { cs.Barriers[0].Arrived = []int{0, -1} }, nil, "from nodes [0 -1]"},
-		{"barrier id out of place", func(cs *core.CoreState) { cs.Barriers[0].ID = 3 }, nil, "barrier 3 in slot 0"},
-		{"lock homed on node 99", func(cs *core.CoreState) { cs.Locks = []core.LockSnap{{ID: 0, Home: 99}} }, nil, "lock 0 in slot 0 homed on node 99"},
-		{"lock id out of place", func(cs *core.CoreState) { cs.Locks = []core.LockSnap{{ID: 5}} }, nil, "lock 5 in slot 0"},
-		{"condition homed on node 99", func(cs *core.CoreState) {
-			cs.Locks, cs.Conds = []core.LockSnap{{ID: 0}}, []core.CondSnap{{ID: 0, Lock: 0, Home: 99}}
-		}, nil, "condition 0 in slot 0 homed on node 99"},
-		{"condition on a lock never restored", func(cs *core.CoreState) {
-			cs.Locks, cs.Conds = nil, []core.CondSnap{{ID: 0, Lock: 0}}
-		}, nil, "on lock 0 of 0"},
-		{"condition id out of place", func(cs *core.CoreState) {
-			cs.Locks, cs.Conds = []core.LockSnap{{ID: 0}}, []core.CondSnap{{ID: 1, Lock: 0}}
-		}, nil, "condition 1 in slot 0"},
-		{"object area homed on node 99", func(cs *core.CoreState) {
-			cs.ObjAreas = []core.ObjAreaSnap{{Home: 99, Proto: "hbrc_mw"}}
-		}, nil, "object area homed on node 99"},
-		// A current-version body still carrying version 1's per-shard kernel
-		// array is refused at decode (unknown fields are not skipped).
-		{"version-1 kernel_shards array", nil, func(body map[string]json.RawMessage) {
-			body["kernel_shards"] = json.RawMessage("[" + string(body["kernel"]) + "]")
-		}, `unknown field "kernel_shards"`},
-		// Likewise a current-version body still carrying version 3's
-		// partition policy.
-		{"version-3 partition policy", nil, func(body map[string]json.RawMessage) {
-			body["partition"] = json.RawMessage("1")
-		}, `unknown field "partition"`},
-		// A link clock names both endpoints; one past the last node is refused.
-		{"link clock to node 99", nil, func(body map[string]json.RawMessage) {
-			body["net"] = json.RawMessage(`{"link_free":[{"from":0,"to":99,"free":1}],` + string(body["net"][1:]))
-		}, "link 0->99"},
-		// What Restore builds stays proportional to the checkpoint: a config
-		// claiming more nodes than it carries states for is refused before
-		// New sizes a machine by it, and a PRNG position past the replay
-		// bound before the kernel burns its way there.
-		{"config of 1<<31 nodes", nil, func(body map[string]json.RawMessage) {
-			body["config"] = setField(t, body["config"], "nodes", "2147483648")
-		}, "node states"},
-		{"kernel PRNG 1<<40 draws in", nil, func(body map[string]json.RawMessage) {
-			body["kernel"] = setField(t, body["kernel"], "rng_draws", "1099511627776")
-		}, "past the"},
-		// A dead node comes only with the fault layer that killed it.
-		{"dead node without a fault layer", nil, func(body map[string]json.RawMessage) {
-			body["runtime"] = json.RawMessage(strings.Replace(string(body["runtime"]), `"nodes":[{`, `"nodes":[{"dead":true,`, 1))
-		}, "dead nodes only"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			data, err := good.Encode()
-			if err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			ck, err := dsmpm2.DecodeCheckpoint(data) // a private deep copy
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if tc.body != nil {
-				data = reEnvelope(t, data, dsmpm2.CheckpointVersion, tc.body)
-			} else {
-				tc.corrupt(ck.Core)
-				if data, err = ck.Encode(); err != nil { // re-hash the corrupted body
-					t.Fatalf("re-encode: %v", err)
-				}
-			}
-			var sys *dsmpm2.System
-			if ck, err = dsmpm2.DecodeCheckpoint(data); err == nil {
-				sys, err = dsmpm2.Restore(ck, dsmpm2.RestoreOptions{})
-			} else if tc.body == nil {
-				t.Fatalf("re-hashed checkpoint did not decode: %v", err)
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Restore = %v, %v; want an error mentioning %q", sys, err, tc.want)
-			}
-		})
-	}
-	// The uncorrupted checkpoint still restores after the same round trip.
-	if _, err := jacobi.ResumeSession(good); err != nil {
-		t.Fatalf("pristine checkpoint no longer restores: %v", err)
+		{"untouched", nil, ""},
+		{"seed", func(body map[string]json.RawMessage) {
+			body["config"] = setField(t, body["config"], "seed", "8")
+		}, "fingerprint mismatch"},
+		{"step", func(body map[string]json.RawMessage) {
+			body["app"] = setField(t, body["app"], "step", fmt.Sprint(k-1))
+		}, "fingerprint mismatch"},
+	} {
+		ck, err := dsmpm2.DecodeCheckpoint(reEnvelope(t, data, dsmpm2.CheckpointVersion, tc.edit))
+		if err != nil {
+			t.Fatalf("%s: re-enveloped token did not decode: %v", tc.name, err)
+		}
+		_, err = jacobi.ResumeSession(ck)
+		if tc.want == "" && err != nil {
+			t.Errorf("%s: ResumeSession: %v", tc.name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: ResumeSession = %v, want a %s", tc.name, err, tc.want)
+		}
 	}
 }

@@ -74,7 +74,7 @@ var experiments = []experiment{
 	{name: "comm", doc: "communication-module wire accounting", snapshot: "BENCH_comm.json", run: comm},
 	{name: "adapt", doc: "sharing-pattern profiler + dynamic home migration", snapshot: "BENCH_adapt.json", run: adapt},
 	{name: "serve", doc: "Zipf-serving KV store: per-op tail latency, static vs adaptive", snapshot: "BENCH_serve.json", run: serve},
-	{name: "ckpt", doc: "checkpoint/restore: round trip, warm vs cold restart, fast-forward", snapshot: "BENCH_ckpt.json", run: ckpt},
+	{name: "ckpt", doc: "checkpoint/resume: round trip, warm vs cold restart", snapshot: "BENCH_ckpt.json", run: ckpt},
 	{name: "bisect", doc: "binary search for the first divergent safe point", check: checkBisect, run: bisect},
 	{name: "tune", doc: "what-if auto-tuner: re-simulate the config grid, rank the cells", snapshot: "BENCH_tune.json", check: checkTune, run: tuneExp},
 }
@@ -767,28 +767,25 @@ func serve(*cliArgs) (any, error) {
 // ckptSnapshot is the BENCH_ckpt.json document.
 type ckptSnapshot struct {
 	snapHeader
-	// Roundtrip sweeps the restore property over every safe point.
+	// Roundtrip sweeps the resume property over every step.
 	Roundtrip bench.CkptRoundtrip `json:"roundtrip"`
 	// Restart compares warm (resume-from-checkpoint) against cold
 	// (redo-from-scratch) crash recovery on the faulty-jacobi plan; the
 	// acceptance headline is warm.redone_units < cold.redone_units.
 	Restart []bench.CkptRestart `json:"restart"`
-	// FastForward is the warm-started run: resume a mid-run snapshot and
-	// skip the ramp-up.
-	FastForward bench.CkptFastForward `json:"fast_forward"`
 }
 
-// ckpt runs the checkpoint/restore experiment suite.
+// ckpt runs the checkpoint experiment suite.
 func ckpt(*cliArgs) (any, error) {
-	header("Checkpoint/restore: round-trip sweep, warm vs cold crash-restart, fast-forward")
+	header("Checkpoint/resume: round-trip sweep, warm vs cold crash-restart")
 	rt, err := bench.CkptRoundtripSweep()
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("round-trip: %d/%d safe points restored bit-identically (%d mismatches), snapshot <= %d bytes\n",
+	fmt.Printf("round-trip: %d/%d steps resumed bit-identically (%d mismatches), token <= %d bytes\n",
 		rt.Swept-rt.Mismatches, rt.Swept, rt.Mismatches, rt.SnapshotBytes)
 	if rt.Mismatches > 0 {
-		return nil, fmt.Errorf("ckpt: %d of %d sweep points diverged after restore", rt.Mismatches, rt.Swept)
+		return nil, fmt.Errorf("ckpt: %d of %d sweep points diverged after resume", rt.Mismatches, rt.Swept)
 	}
 
 	warm, cold, err := bench.CkptRestartCompare()
@@ -814,15 +811,8 @@ func ckpt(*cliArgs) (any, error) {
 			" the old units' inputs, so redoing them reads moved-on neighbour data — per-unit" +
 			" checkpoints make node-local recovery consistent, not just cheap)")
 	}
-
-	ff, err := bench.CkptFastForwardRun()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("fast-forward: resume at step %d (skipping %d committed units): %.1f ms host wall vs %.1f ms from scratch\n",
-		ff.ResumeStep, ff.UnitsSkipped, ff.ResumeWallMS, ff.FullWallMS)
-	fmt.Println("(every number but the host wall times is virtual-time exact and replay-stable)")
-	return &ckptSnapshot{Roundtrip: rt, Restart: []bench.CkptRestart{warm, cold}, FastForward: ff}, nil
+	fmt.Println("(every number is virtual-time exact and replay-stable)")
+	return &ckptSnapshot{Roundtrip: rt, Restart: []bench.CkptRestart{warm, cold}}, nil
 }
 
 // bisect demonstrates divergence bisection: a deliberate trace perturbation

@@ -77,15 +77,16 @@
 // recovery"). Recovery-mode protocol waits retry after a fixed 5 ms of
 // virtual time (core.RetryTimeout).
 //
-// Because the replay is deterministic, the whole simulation state at a
-// drained safe point is a value: System.Checkpoint serializes it (versioned,
-// self-describing, content-hashed) and Restore rebuilds a System that
-// finishes bit-identically to the unbroken run. Crash-restart experiments
-// warm-start restarted nodes from the per-unit checkpoint registry
-// (DSM RecordCheckpoint/LastCheckpoint), benchmarks resume mid-run
-// snapshots, and `dsmbench -exp bisect` binary-searches the first safe point
+// Because the replay is deterministic, a checkpoint records how to reach a
+// step, not the state there: System.Checkpoint takes a small resume token
+// (versioned, content-hashed: the config, the fault plan, the application's
+// progress and a fingerprint of the run so far), and jacobi.ResumeSession
+// replays the recorded steps and refuses the token unless the replay
+// reaches that fingerprint. Crash-restart experiments warm-start restarted
+// nodes from the per-unit checkpoint registry (System.RecordCheckpoint /
+// LastCheckpoint), and `dsmbench -exp bisect` binary-searches the first step
 // whose fingerprint diverges from a reference ledger. See DESIGN.md
-// ("Checkpoint/restore").
+// ("Checkpoint/resume").
 //
 // Determinism also powers the what-if auto-tuner (internal/tune): run a
 // workload under its baseline configuration, re-simulate the full

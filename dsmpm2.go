@@ -143,7 +143,7 @@ type System struct {
 	cfg Config
 
 	// cursor is the fault-plan cursor (nil until InjectFaults); Run re-arms
-	// it so fault events parked across a drained safe point fire in the next
+	// it so fault events parked across the end of a run fire in the next
 	// run chunk. The plan is retained for checkpointing.
 	cursor    *sim.FaultCursor
 	faultPlan *FaultPlan
@@ -291,8 +291,8 @@ func (s *System) SpawnStack(node int, name string, stack int, fn func(t *Thread)
 
 // Run drives the simulation until all application threads finish. It
 // returns an error if the system deadlocks. An injected fault plan is
-// re-armed first, so fault events that parked across a drained safe point
-// fire in this run chunk.
+// re-armed first, so fault events that parked across the end of the last
+// run fire in this run chunk.
 func (s *System) Run() error {
 	if s.cursor != nil {
 		s.cursor.Arm()

@@ -63,12 +63,11 @@ type FaultOptions struct {
 // should start from (typically after setup phases), and before the Run that
 // should experience the faults. A nil plan is a no-op.
 //
-// The events go through a resumable cursor (sim.FaultCursor): only the next
-// pending event is in the queue, System.Run arms it, and the cursor's
-// position serializes into a Checkpoint. An event that falls due after every
-// application thread has finished does not fire in that Run's drain: it
-// parks and fires in the next Run. So a run chunked at safe points sees each
-// event in the first chunk that has live work.
+// The events go through a cursor (sim.FaultCursor): only the next pending
+// event is in the queue, and System.Run arms it. An event that falls due
+// after every application thread has finished does not fire in that Run's
+// drain: it parks and fires in the next Run. So a run chunked into steps sees
+// each event in the first chunk that has live work.
 //
 // Recovery assumes fail-stop nodes and at least one survivor per page
 // replica set; synchronization managers (lock homes, barrier manager node
@@ -94,8 +93,7 @@ func (s *System) InjectFaults(plan *FaultPlan, opts FaultOptions) error {
 		s.dsm.EnableRecovery(opts.OnRestart)
 	}
 	s.faultPlan = plan
-	// Not armed here: System.Run arms before every phase, and an event queued
-	// outside a Run would spoil the drained safe point a checkpoint needs.
+	// Not armed here: System.Run arms before every phase.
 	s.cursor = s.rt.Engine().NewFaultCursor(plan, s.applyFault)
 	return nil
 }

@@ -1,6 +1,7 @@
 package jacobi
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -8,10 +9,12 @@ import (
 )
 
 // Session is the chunked, checkpointable form of the kernel. The same work
-// the monolithic Run performs is split into steps that each end at a drained
-// safe point, so the full simulation state can be captured between any two
-// steps (Checkpoint), restored into a fresh process (ResumeSession) and run
-// to completion bit-identically to the unbroken session.
+// the monolithic Run performs is split into steps that each end with the
+// event queue drained. Between any two steps, Checkpoint takes a resume
+// token; ResumeSession, in this process or another, rebuilds the session
+// from it, replays the recorded steps and checks that the replay reached the
+// recorded fingerprint, so the resumed session runs to completion exactly as
+// the unbroken one would.
 //
 // Each work unit (unit 0 is grid initialization, unit k is sweep k-1) is
 // two steps:
@@ -21,14 +24,13 @@ import (
 //   - phase B: every node arrives at the cluster barrier for the unit's
 //     generation.
 //
-// Threads cannot survive a safe point (their stacks are not serializable),
-// so each step spawns fresh single-phase workers; the cross-step state is
-// exactly the Session's few counters, which serialize into the checkpoint's
-// application blob. Chunking perturbs thread ids relative to the monolithic
-// kernel, so chunked runs are compared against chunked runs.
+// Each step spawns fresh single-phase workers, so no thread outlives a step;
+// the cross-step state is the Session's few counters. Chunking perturbs
+// thread ids relative to the monolithic kernel, so chunked runs are compared
+// against chunked runs.
 //
 // With a fault plan, the session injects it through the fault cursor
-// (events parked across a safe point fire in the next chunk), homes every
+// (events parked across a step boundary fire in the next step), homes every
 // grid row on protected node 0, and restarted nodes catch up from their
 // last recorded checkpoint — or from scratch when ColdRestart is set, the
 // A/B knob behind the redone-work comparison in `dsmbench -exp ckpt`.
@@ -43,7 +45,8 @@ type Session struct {
 
 	// ColdRestart makes restarted nodes ignore the checkpoint registry and
 	// redo every unit from scratch (the baseline the warm path is measured
-	// against). Set it before the run reaches the plan's restart events.
+	// against). Set it before the first step: a token records its value at
+	// capture, and the replay runs every step with it.
 	ColdRestart bool
 
 	// PerturbStep, when >= 0, injects a deterministic perturbation at the
@@ -51,7 +54,7 @@ type Session struct {
 	// shared grid word and flushes. The data is unchanged (the word keeps its
 	// value) but the protocol traffic is not, so every fingerprint from that
 	// step on diverges — the model of a trace-breaking change used by
-	// `dsmbench -exp bisect`.
+	// `dsmbench -exp bisect`. Like ColdRestart, set it before the first step.
 	PerturbStep int
 
 	// curUnit/curPhase locate the step in progress, so a node restarting
@@ -64,19 +67,18 @@ type Session struct {
 	finishedAt dsmpm2.Time
 }
 
-// sessionState is the Session's half of a checkpoint: everything the
-// application layer needs to rebuild its side of the run, carried opaquely
-// in Checkpoint.App.
-type sessionState struct {
-	N          int             `json:"n"`
-	Iterations int             `json:"iterations"`
-	CellCost   dsmpm2.Duration `json:"cell_cost"`
-	Step       int             `json:"step"`
-	Bar        int             `json:"bar"`
-	Done       []int           `json:"done"`
-	Cold       bool            `json:"cold,omitempty"`
-	Grids      [2][]uint64     `json:"grids"`
-	FinishedAt dsmpm2.Time     `json:"finished_at"`
+// sessionToken is the Session's half of a checkpoint, carried in
+// Checkpoint.App: the session config beyond the system's (which the token's
+// own Config and Plan carry), the two knobs, and the number of steps to
+// replay.
+type sessionToken struct {
+	N             int             `json:"n"`
+	Iterations    int             `json:"iterations"`
+	CellCost      dsmpm2.Duration `json:"cell_cost"`
+	MisplaceHomes bool            `json:"misplace_homes,omitempty"`
+	Cold          bool            `json:"cold,omitempty"`
+	PerturbStep   int             `json:"perturb_step"`
+	Step          int             `json:"step"`
 }
 
 // NewSession builds a session over a fresh system: shared grids allocated,
@@ -241,67 +243,76 @@ func (s *Session) RunToEnd() error {
 	return nil
 }
 
-// Checkpoint captures the full simulation state plus the session's own
-// counters at the current safe point. Valid between any two steps (and
-// before the first or after the last).
+// Checkpoint takes a resume token for the current step. Valid between any
+// two steps (and before the first or after the last).
 func (s *Session) Checkpoint() (*dsmpm2.Checkpoint, error) {
-	st := sessionState{
-		N:          s.cfg.N,
-		Iterations: s.cfg.Iterations,
-		CellCost:   s.cfg.CellCost,
-		Step:       s.step,
-		Bar:        s.bar,
-		Done:       append([]int(nil), s.done...),
-		Cold:       s.ColdRestart,
-		FinishedAt: s.finishedAt,
-	}
-	for k, rows := range s.g.rows {
-		for _, a := range rows {
-			st.Grids[k] = append(st.Grids[k], uint64(a))
-		}
-	}
-	blob, err := json.Marshal(st)
+	blob, err := json.Marshal(sessionToken{
+		N:             s.cfg.N,
+		Iterations:    s.cfg.Iterations,
+		CellCost:      s.cfg.CellCost,
+		MisplaceHomes: s.cfg.MisplaceHomes,
+		Cold:          s.ColdRestart,
+		PerturbStep:   s.PerturbStep,
+		Step:          s.step,
+	})
 	if err != nil {
 		return nil, err
 	}
 	return s.sys.Checkpoint(blob)
 }
 
-// ResumeSession rebuilds a session from a checkpoint taken by
-// Session.Checkpoint. Running the restored session to completion is
-// bit-identical to running the original one without the interruption.
+// maxTokenN and maxTokenIterations bound the session a token may name: the
+// grids are sized by N and the replay by the iteration count before the
+// token's fingerprint can be checked, so a larger one is refused rather than
+// built.
+const (
+	maxTokenN          = 1024
+	maxTokenIterations = 1 << 16
+)
+
+// ResumeSession rebuilds a session from a token taken by Session.Checkpoint:
+// it validates the token, builds the session with NewSession and replays the
+// recorded steps (Checkpoint.Replay). It returns an error unless the replay
+// reaches the fingerprint the token recorded, so a resumed session is the
+// original one at the same step, and running it to completion is
+// bit-identical to the unbroken run. Resuming costs what running to the
+// step cost: the size a token names is bounded before anything is built,
+// but within those bounds resume a token only from a source whose runs you
+// would run.
 func ResumeSession(ck *dsmpm2.Checkpoint) (*Session, error) {
-	var st sessionState
-	if err := json.Unmarshal(ck.App, &st); err != nil {
-		return nil, fmt.Errorf("jacobi: checkpoint carries no session state: %w", err)
-	}
-	nodes := len(st.Done)
-	if nodes == 0 || st.N < 2 {
-		return nil, fmt.Errorf("jacobi: malformed session state in checkpoint")
-	}
-	s := &Session{
-		cfg:         Config{N: st.N, Iterations: st.Iterations, Nodes: nodes, CellCost: st.CellCost},
-		units:       st.Iterations + 1,
-		step:        st.Step,
-		bar:         st.Bar,
-		done:        append([]int(nil), st.Done...),
-		ColdRestart: st.Cold,
-		PerturbStep: -1,
-		finishedAt:  st.FinishedAt,
-	}
-	sys, err := dsmpm2.Restore(ck, dsmpm2.RestoreOptions{OnRestart: s.onRestart})
+	sys, err := ck.SystemConfig()
 	if err != nil {
 		return nil, err
 	}
-	s.sys = sys
-	s.g = &grid{n: st.N, nodes: nodes, cellCost: st.CellCost}
-	for k, rows := range st.Grids {
-		if len(rows) != st.N+2 {
-			return nil, fmt.Errorf("jacobi: session state has %d grid rows, want %d", len(rows), st.N+2)
-		}
-		for _, a := range rows {
-			s.g.rows[k] = append(s.g.rows[k], dsmpm2.Addr(a))
-		}
+	if sys.CPUsPerNode != 0 || sys.LinkContention {
+		return nil, fmt.Errorf("jacobi: a session runs one CPU per node without link contention; the checkpoint's system has %d CPUs per node, contention %v",
+			sys.CPUsPerNode, sys.LinkContention)
+	}
+	var tok sessionToken
+	dec := json.NewDecoder(bytes.NewReader(ck.App))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&tok); err != nil {
+		return nil, fmt.Errorf("jacobi: checkpoint carries no session token: %w", err)
+	}
+	if tok.N < 2 || tok.N > maxTokenN || tok.Iterations < 1 || tok.Iterations > maxTokenIterations || tok.CellCost < 0 {
+		return nil, fmt.Errorf("jacobi: checkpoint of an N=%d, %d-iteration session at cell cost %d (tokens name N 2 to %d, 1 to %d iterations, cost >= 0)",
+			tok.N, tok.Iterations, tok.CellCost, maxTokenN, maxTokenIterations)
+	}
+	if steps := 2 * (tok.Iterations + 1); tok.Step < 0 || tok.Step > steps {
+		return nil, fmt.Errorf("jacobi: checkpoint at step %d of a %d-iteration session", tok.Step, tok.Iterations)
+	}
+	s, err := NewSession(Config{
+		N: tok.N, Iterations: tok.Iterations, Nodes: sys.Nodes,
+		Network: sys.Network, Topology: sys.Topology, Protocol: sys.Protocol, Seed: sys.Seed,
+		CellCost: tok.CellCost, MisplaceHomes: tok.MisplaceHomes, AdaptiveHomes: sys.AdaptiveHomes,
+		FaultPlan: ck.Plan,
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.ColdRestart, s.PerturbStep = tok.Cold, tok.PerturbStep
+	if err := ck.Replay(s.sys, tok.Step, s.Step); err != nil {
+		return nil, fmt.Errorf("jacobi: %w", err)
 	}
 	return s, nil
 }

@@ -1,27 +1,23 @@
 package bench
 
-// The "ckpt" experiment: the checkpoint/restore subsystem's three consumers,
-// measured on the chunked jacobi session.
+// The "ckpt" experiment: the checkpoint subsystem's consumers, measured on
+// the chunked jacobi session.
 //
-//   - Round-trip: snapshot at every safe point of a 16-node run, restore,
-//     run to the end — the final fingerprint must match the unbroken run's
-//     at every sweep point (the subsystem's core property, also enforced by
-//     the test suite; the bench re-checks it on the exact workload whose
-//     numbers it reports).
+//   - Round-trip: a resume token at every step of a 16-node run, resumed
+//     through its wire form (which replays the recorded steps and checks the
+//     recorded fingerprint) and run to the end — the final fingerprint must
+//     match the unbroken run's at every sweep point (the subsystem's core
+//     property, also enforced by the test suite; the bench re-checks it on
+//     the exact workload whose numbers it reports).
 //   - Crash-restart: the faulty plan's restarted node resumes from its
 //     latest recorded checkpoint (warm) versus redoing every unit from
-//     scratch (cold, PR 3's behavior). The headline number is RedoneUnits:
-//     warm must redo strictly fewer.
-//   - Fast-forward: a run resumed from a mid-run snapshot skips the already
-//     committed work units; the bench reports the units skipped and the
-//     host wall time of resume-and-finish versus run-from-scratch.
+//     scratch (cold). The headline number is RedoneUnits: warm must redo
+//     strictly fewer.
 //
-// All virtual-time numbers and fingerprints are deterministic per seed; the
-// host wall-clock fields vary by machine like BENCH_kernel.json's.
+// Every number is deterministic per seed.
 
 import (
 	"fmt"
-	"time"
 
 	"dsmpm2"
 	"dsmpm2/internal/apps/jacobi"
@@ -86,17 +82,6 @@ type CkptRestart struct {
 	Fingerprint  string  `json:"fingerprint"`
 }
 
-// CkptFastForward reports the warm-start consumer: resuming a snapshot
-// instead of re-running the ramp-up.
-type CkptFastForward struct {
-	ResumeStep    int     `json:"resume_step"`
-	UnitsSkipped  int     `json:"units_skipped"`
-	FullWallMS    float64 `json:"full_wall_ms"`
-	ResumeWallMS  float64 `json:"resume_wall_ms"`
-	Fingerprint   string  `json:"fingerprint"`
-	SnapshotBytes int     `json:"snapshot_bytes"`
-}
-
 // runSteps builds a session from cfg and executes the first `steps` steps.
 func runSteps(cfg jacobi.Config, steps int, cold bool) (*jacobi.Session, error) {
 	s, err := jacobi.NewSession(cfg)
@@ -120,10 +105,9 @@ func finish(s *jacobi.Session) (jacobi.Result, error) {
 	return s.Result()
 }
 
-// CkptRoundtripSweep checkpoints the pinned session at every safe point,
-// restores each snapshot through the wire form, runs to the end and counts
-// fingerprint mismatches against the unbroken run (zero, or the subsystem is
-// broken).
+// CkptRoundtripSweep checkpoints the pinned session at every step, resumes
+// each token through the wire form, runs to the end and counts fingerprint
+// mismatches against the unbroken run (zero, or the subsystem is broken).
 func CkptRoundtripSweep() (CkptRoundtrip, error) {
 	ref, err := runSteps(ckptSessionConfig(), 0, false)
 	if err != nil {
@@ -207,64 +191,6 @@ func CkptRestartCompare() (warm, cold CkptRestart, err error) {
 	}
 	cold, err = measure(true)
 	return
-}
-
-// CkptFastForwardRun snapshots the pinned session halfway, then compares the
-// host wall time of resume-and-finish against run-from-scratch. The resumed
-// run's fingerprint is the round-trip property's witness.
-func CkptFastForwardRun() (CkptFastForward, error) {
-	mid := ckptSessionConfig()
-	s, err := runSteps(mid, 0, false)
-	if err != nil {
-		return CkptFastForward{}, err
-	}
-	half := s.Steps() / 2
-	for i := 0; i < half; i++ {
-		if err := s.Step(); err != nil {
-			return CkptFastForward{}, err
-		}
-	}
-	ck, err := s.Checkpoint()
-	if err != nil {
-		return CkptFastForward{}, err
-	}
-	data, err := ck.Encode()
-	if err != nil {
-		return CkptFastForward{}, err
-	}
-
-	start := time.Now()
-	full, err := runSteps(ckptSessionConfig(), 0, false)
-	if err != nil {
-		return CkptFastForward{}, err
-	}
-	if _, err := finish(full); err != nil {
-		return CkptFastForward{}, err
-	}
-	fullWall := time.Since(start)
-
-	start = time.Now()
-	ck2, err := dsmpm2.DecodeCheckpoint(data)
-	if err != nil {
-		return CkptFastForward{}, err
-	}
-	resumed, err := jacobi.ResumeSession(ck2)
-	if err != nil {
-		return CkptFastForward{}, err
-	}
-	if _, err := finish(resumed); err != nil {
-		return CkptFastForward{}, err
-	}
-	resumeWall := time.Since(start)
-
-	return CkptFastForward{
-		ResumeStep:    half,
-		UnitsSkipped:  half / 2,
-		FullWallMS:    float64(fullWall.Microseconds()) / 1e3,
-		ResumeWallMS:  float64(resumeWall.Microseconds()) / 1e3,
-		Fingerprint:   resumed.System().Fingerprint(),
-		SnapshotBytes: len(data),
-	}, nil
 }
 
 // CkptBisect is the divergence-bisection demo: a deliberate perturbation is

@@ -123,8 +123,8 @@ type DSM struct {
 	defProto  ProtoID
 
 	// dir is the page directory: the allocation-time home and protocol of
-	// every shared page, updated by protocol switches, home migration,
-	// recovery re-homing and snapshot restore.
+	// every shared page, updated by protocol switches, home migration and
+	// recovery re-homing.
 	dir map[Page]pageInfo
 
 	locks    []*lockState

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -36,7 +35,7 @@ const (
 
 // Histogram is a fixed-size latency histogram over virtual-time durations.
 // The zero value is ready to use. It is sized for embedding: no pointers, so
-// snapshotting is a struct copy and checkpointing needs no fixups.
+// snapshotting is a struct copy.
 type Histogram struct {
 	counts [histBuckets]int64
 	n      int64
@@ -148,46 +147,6 @@ func (h *Histogram) Summarize() HistSummary {
 		Mean:  h.Mean(),
 		Max:   h.Max(),
 	}
-}
-
-// HistBucket is one non-empty bucket in a serialized histogram.
-type HistBucket struct {
-	I int   `json:"i"`
-	C int64 `json:"c"`
-}
-
-// HistogramState is the serializable form of one named histogram: sparse
-// buckets (most of the fixed grid is empty) plus the exact-resolution
-// aggregates. Restoring it reproduces the histogram bit-identically.
-type HistogramState struct {
-	Kind    string       `json:"kind"`
-	Buckets []HistBucket `json:"buckets,omitempty"`
-	N       int64        `json:"n"`
-	Sum     int64        `json:"sum,omitempty"`
-	Max     int64        `json:"max,omitempty"`
-}
-
-// capture serializes h under the given kind name.
-func (h *Histogram) capture(kind string) HistogramState {
-	s := HistogramState{Kind: kind, N: h.n, Sum: h.sum, Max: h.max}
-	for i, c := range h.counts {
-		if c != 0 {
-			s.Buckets = append(s.Buckets, HistBucket{I: i, C: c})
-		}
-	}
-	return s
-}
-
-// restore installs a captured state into h, replacing its contents.
-func (h *Histogram) restore(s HistogramState) error {
-	*h = Histogram{n: s.N, sum: s.Sum, max: s.Max}
-	for _, b := range s.Buckets {
-		if b.I < 0 || b.I >= histBuckets {
-			return fmt.Errorf("core: histogram bucket index %d out of range", b.I)
-		}
-		h.counts[b.I] = b.C
-	}
-	return nil
 }
 
 // OpHist returns the latency histogram registered under kind, creating it on

@@ -186,30 +186,6 @@ func TestHistogramOrderIndependenceProperty(t *testing.T) {
 	}
 }
 
-// TestHistogramCaptureRestore round-trips a histogram through its serialized
-// form and requires bit-identity, the property checkpoints rely on.
-func TestHistogramCaptureRestore(t *testing.T) {
-	var h Histogram
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		h.Record(sim.Duration(rng.Int63n(int64(200 * sim.Millisecond))))
-	}
-	st := h.capture("get")
-	if st.Kind != "get" || st.N != 1000 {
-		t.Fatalf("capture header wrong: %+v", st)
-	}
-	var back Histogram
-	if err := back.restore(st); err != nil {
-		t.Fatal(err)
-	}
-	if back != h {
-		t.Fatal("capture/restore round trip not bit-identical")
-	}
-	if err := back.restore(HistogramState{Buckets: []HistBucket{{I: histBuckets, C: 1}}}); err == nil {
-		t.Fatal("out-of-range bucket index accepted")
-	}
-}
-
 // TestOpHistRegistry pins the DSM-level registry: lazily created, stable
 // across lookups, kinds reported in sorted order.
 func TestOpHistRegistry(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/pm2"
@@ -91,40 +90,6 @@ func (d *DSM) EnableRecovery(onRestart func(node int)) {
 		rec.ckpts[i] = -1
 	}
 	d.recovery = rec
-}
-
-// RecoverySnap is the recovery manager's state in a checkpoint.
-type RecoverySnap struct {
-	Dead  []bool        `json:"dead"`
-	Stats RecoveryStats `json:"stats"`
-	Ckpts []int         `json:"ckpts"`
-}
-
-// captureRecovery serializes the recovery manager: nil when it is off.
-func (d *DSM) captureRecovery() *RecoverySnap {
-	rec := d.recovery
-	if rec == nil {
-		return nil
-	}
-	return &RecoverySnap{Dead: slices.Clone(rec.dead), Stats: rec.stats, Ckpts: slices.Clone(rec.ckpts)}
-}
-
-// restoreRecovery switches the recovery manager on with a captured state. The
-// OnRestart hook does not serialize: the running DSM's survives.
-func (d *DSM) restoreRecovery(rs *RecoverySnap) error {
-	var onRestart func(int)
-	if d.recovery != nil {
-		onRestart = d.recovery.onRestart
-	}
-	d.EnableRecovery(onRestart)
-	rec := d.recovery
-	if len(rs.Dead) != len(rec.dead) {
-		return fmt.Errorf("core: restore recovery state for %d nodes into %d-node DSM", len(rs.Dead), len(rec.dead))
-	}
-	copy(rec.dead, rs.Dead)
-	rec.stats = rs.Stats
-	copy(rec.ckpts, rs.Ckpts)
-	return nil
 }
 
 // await is a protocol action's wait for its reply on ch: unbounded with

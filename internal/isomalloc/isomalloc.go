@@ -15,7 +15,6 @@ package isomalloc
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Addr is a simulated virtual address in the global iso-address space.
@@ -158,14 +157,4 @@ func (a *Allocator) Lookup(addr Addr) (Range, bool) {
 		}
 	}
 	return Range{}, false
-}
-
-// Live returns all live allocations sorted by base address.
-func (a *Allocator) Live() []Range {
-	out := make([]Range, 0, len(a.allocs))
-	for _, r := range a.allocs {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
-	return out
 }

@@ -1,5 +1,7 @@
 package isomalloc
 
+import "sort"
+
 // OwnerSlice returns which node's slice addr falls in, or -1 for the static
 // segment below the first slice.
 func (a *Allocator) OwnerSlice(addr Addr) int {
@@ -11,4 +13,14 @@ func (a *Allocator) OwnerSlice(addr Addr) int {
 		return -1
 	}
 	return n
+}
+
+// Live returns all live allocations sorted by base address.
+func (a *Allocator) Live() []Range {
+	out := make([]Range, 0, len(a.allocs))
+	for _, r := range a.allocs {
+		out = append(out, *r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
+	return out
 }

@@ -2,6 +2,7 @@ package madeleine
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 
 	"dsmpm2/internal/sim"
@@ -82,12 +83,8 @@ type linkFault struct {
 }
 
 // faultState is the fault layer (nil when faults are disabled).
-// The loss PRNG is a counted stream so a checkpoint can record how many
-// draws the run consumed and a restore can fast-forward a fresh stream to
-// the same point (see snapshot.go); the values drawn are bit-identical to
-// the plain rand.Rand this replaced.
 type faultState struct {
-	rng    *sim.CountedRand
+	rng    *rand.Rand
 	dead   []bool
 	links  map[linkKey]*linkFault
 	onDrop func(payload interface{})
@@ -102,7 +99,7 @@ func (nw *Network) EnableFaults(seed int64) {
 		seed = 1
 	}
 	nw.faults = &faultState{
-		rng:   sim.NewCountedRand(seed),
+		rng:   sim.NewRand(seed),
 		dead:  make([]bool, nw.n),
 		links: make(map[linkKey]*linkFault),
 	}

@@ -93,8 +93,7 @@ type Network struct {
 	// crossed (BIP/Myrinet, the backbone profile of a hierarchical topology,
 	// ...). A topology has a handful of profiles, so a send finds its
 	// counter by comparing pointers, not by hashing the profile's name. A
-	// bench-only diagnostic: it is deliberately NOT part of network
-	// snapshots, so it never churns checkpoint wire forms.
+	// bench-only diagnostic.
 	envByLink []linkCount
 	// gather is SendGather's scratch list of the envelope being built.
 	gather []*Message
@@ -429,7 +428,7 @@ func (nw *Network) countEnvelope(from, to int) {
 // EnvelopesByLink classes the departed envelopes by the profile name of the
 // link they crossed (summed over profiles sharing a name). On a hierarchical
 // topology this splits intra-cluster traffic from backbone traffic. Purely
-// diagnostic: the per-class counters are not serialized into snapshots.
+// diagnostic.
 func (nw *Network) EnvelopesByLink() map[string]int {
 	out := make(map[string]int)
 	for _, c := range nw.envByLink {

@@ -102,8 +102,7 @@ type Frame struct {
 // grow (geometrically, by append) only as far as the highest index touched
 // and never shrink; nothing is sized to a whole slice up front. Growth is
 // proportional to the page number, so Ensure and SetAccess are for pages the
-// allocator handed out: callers holding a page number from outside the
-// program (a checkpoint) validate it first.
+// allocator handed out.
 //
 // Dropped frames are recycled through a freelist: invalidation-heavy
 // protocols drop and refetch pages constantly, and reusing the frame (and
@@ -333,18 +332,4 @@ func (s *Space) ReadUint64(addr Addr) (uint64, error) {
 // WriteUint64 stores a little-endian uint64 at addr.
 func (s *Space) WriteUint64(addr Addr, v uint64) error {
 	return s.refusal(s.StoreUint64(addr, v), addr, 8, true)
-}
-
-// Pages returns, in ascending order, the pages for which this node currently
-// holds a frame.
-func (s *Space) Pages() []Page {
-	var out []Page
-	for t, leaf := range s.top {
-		for i, f := range leaf {
-			if f != nil {
-				out = append(out, Page(t<<leafBits|i))
-			}
-		}
-	}
-	return out
 }

@@ -16,6 +16,20 @@ import (
 	"dsmpm2/internal/isomalloc"
 )
 
+// Pages returns, in ascending order, the pages for which this node currently
+// holds a frame.
+func (s *Space) Pages() []Page {
+	var out []Page
+	for t, leaf := range s.top {
+		for i, f := range leaf {
+			if f != nil {
+				out = append(out, Page(t<<leafBits|i))
+			}
+		}
+	}
+	return out
+}
+
 func TestAccessOrdering(t *testing.T) {
 	if NoAccess.Allows(false) || NoAccess.Allows(true) {
 		t.Error("NoAccess allows something")

@@ -33,10 +33,9 @@ type Runtime struct {
 	nodes []*Node
 	cpus  int // CPUs per node, kept for rebuilding a restarted node's CPU
 
-	// nextID is the last thread id handed out (ids run 1, 2, 3, ...); a
-	// restore moves it, so made counts the threads created in this process.
+	// nextID is the last thread id handed out (ids run 1, 2, 3, ...), and
+	// so the number of threads created.
 	nextID int
-	made   int
 
 	// live lists the machine's unfinished threads in creation order. A
 	// finished or killed thread unlinks itself, so the runtime holds nothing
@@ -128,7 +127,7 @@ func (rt *Runtime) Nodes() int { return len(rt.nodes) }
 // ThreadCount reports the total number of threads created on this machine,
 // including RPC handler threads (one per threaded invocation or serial busy
 // stretch, however often a descriptor was reused; quick services make none).
-func (rt *Runtime) ThreadCount() int { return rt.made }
+func (rt *Runtime) ThreadCount() int { return rt.nextID }
 
 // Node returns node i.
 func (rt *Runtime) Node(i int) *Node {

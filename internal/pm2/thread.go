@@ -74,7 +74,6 @@ func (rt *Runtime) start(node int, name string, stack int, t *Thread) *Thread {
 	n := rt.Node(node)
 	n.checkAlive("CreateThread") // validate
 	rt.nextID++
-	rt.made++
 	t.id = rt.nextID
 	t.rt, t.node, t.stackSize, t.pendingDest = rt, node, stack, -1
 	rt.live.pushBack(t)

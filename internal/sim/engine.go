@@ -126,7 +126,7 @@ type Engine struct {
 	idle freelist.List[*worker]
 
 	rng    *rand.Rand
-	rngSrc *countingSource // the seeded source under rng, counting draws for Capture
+	rngSrc *lazySource // the seeded source under rng
 
 	stopped bool
 
@@ -136,15 +136,51 @@ type Engine struct {
 	// single shard of a one-shard ShardedEngine) has sh == nil and takes
 	// the legacy code paths bit-for-bit.
 	sh *shardCtl
+
+	// horizon bounds the times records may be queued for: maxTime, unless
+	// Bound lowered it.
+	horizon Time
 }
 
 // NewEngine creates an engine whose random source is seeded with seed, so
 // that identical seeds replay identical simulations.
 func NewEngine(seed int64) *Engine {
-	e := &Engine{rngSrc: newCountingSource(seed)}
+	e := &Engine{rngSrc: &lazySource{seed: seed}, horizon: maxTime}
 	e.rng = rand.New(e.rngSrc)
 	return e
 }
+
+// NewRand returns a random stream bit-identical to
+// rand.New(rand.NewSource(seed)) whose source is seeded by its first draw,
+// as the engine's is.
+func NewRand(seed int64) *rand.Rand { return rand.New(&lazySource{seed: seed}) }
+
+// lazySource is a seeded random source, seeded by its first draw: most
+// engines (and fault layers) never draw, and a seeded source is 5 KB that a
+// parked system would pin.
+//
+// It implements BOTH Int63 and Uint64: rand.New special-cases Source64, and
+// the wrapped runtime source is one, so implementing only Int63 would change
+// which underlying method rand.Rand calls and shift the stream relative to
+// rand.New(rand.NewSource(seed)).
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+// get returns the source, seeding it on first use.
+func (l *lazySource) get() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64 { return l.get().Int63() }
+
+func (l *lazySource) Uint64() uint64 { return l.get().Uint64() }
+
+func (l *lazySource) Seed(seed int64) { *l = lazySource{seed: seed} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -169,6 +205,9 @@ func (e *Engine) push(t Time, ev event) {
 	if e.last.q != nil && e.last.t == t {
 		e.qs.Joined++
 	} else {
+		if t > e.horizon {
+			e.stopped = true
+		}
 		q, ok := e.free.Get()
 		if !ok {
 			q = new(ring)
@@ -338,6 +377,9 @@ func (e *Engine) Run() error {
 	}
 	e.drive()
 	e.releaseIdle()
+	if e.stopped && e.horizon != maxTime {
+		return fmt.Errorf("sim: stopped at %v: the run queued a record past its bound %v", e.now, e.horizon)
+	}
 	if e.nlive > 0 && !e.stopped {
 		blocked := e.blocked("")
 		sort.Strings(blocked)
@@ -499,12 +541,18 @@ func (e *Engine) popSelfWake(p *Proc) bool {
 // Stop aborts the simulation: Run returns after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
+// Bound stops the run as soon as a record is queued for a time past t, and
+// Run then returns an error while the bound is on; lift removes the bound. A
+// replay that must reach a recorded instant and no further runs under it, so
+// one that leaves the recorded run stops instead of running on.
+func (e *Engine) Bound(t Time) (lift func()) {
+	e.horizon = t
+	return func() { e.horizon = maxTime }
+}
+
 // Live reports the number of procs that have been spawned and not finished.
 func (e *Engine) Live() int { return e.nlive }
 
 // Events reports the number of events fired since the engine was created,
 // the simulator's unit of kernel work (wall-clock benchmarks divide by it).
 func (e *Engine) Events() uint64 { return e.nevents }
-
-// Cur returns the proc currently running, or nil when in pure engine context.
-func (e *Engine) Cur() *Proc { return e.cur }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -196,6 +198,80 @@ func TestRandDeterministic(t *testing.T) {
 	c := NewEngine(8).Rand().Int63()
 	if a == c {
 		t.Fatalf("different seeds produced identical randoms")
+	}
+}
+
+// TestRandSeededByFirstDraw: a run that never draws leaves the engine's
+// source unseeded (a seeded source is 5 KB that a parked system would pin),
+// and the stream the first draw starts, through every rand.Rand entry point
+// and across a reseed, is rand.New(rand.NewSource(seed))'s.
+func TestRandSeededByFirstDraw(t *testing.T) {
+	e := NewEngine(42)
+	e.Go("w", func(p *Proc) { p.Advance(Microsecond) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.rngSrc.src != nil {
+		t.Fatal("a run that never drew seeded the engine's source")
+	}
+	same := func(seed int64) {
+		t.Helper()
+		want, got := rand.New(rand.NewSource(seed)), e.Rand()
+		for i := 0; i < 4; i++ {
+			if a, b := got.Int63(), want.Int63(); a != b {
+				t.Fatalf("seed %d draw %d: Int63 %d, want %d", seed, i, a, b)
+			}
+			if a, b := got.Uint64(), want.Uint64(); a != b {
+				t.Fatalf("seed %d draw %d: Uint64 %d, want %d", seed, i, a, b)
+			}
+			if a, b := got.Intn(1000), want.Intn(1000); a != b {
+				t.Fatalf("seed %d draw %d: Intn %d, want %d", seed, i, a, b)
+			}
+		}
+	}
+	same(42)
+	if e.rngSrc.src == nil {
+		t.Fatal("the source stayed unseeded after drawing")
+	}
+	e.Rand().Seed(7)
+	if e.rngSrc.src != nil {
+		t.Fatal("a reseed seeded the source before any draw")
+	}
+	same(7)
+}
+
+// TestNewRandStream: the lazily seeded stream NewRand hands the fault layer
+// is rand.New(rand.NewSource(seed))'s.
+func TestNewRandStream(t *testing.T) {
+	got, want := NewRand(9), rand.New(rand.NewSource(9))
+	for i := 0; i < 8; i++ {
+		if a, b := got.Float64(), want.Float64(); a != b {
+			t.Fatalf("draw %d: %v, want %v", i, a, b)
+		}
+	}
+}
+
+// TestBoundStopsPastTheInstant: under Bound(t) a run that queues nothing
+// past t is untouched, and one that does stops before the clock passes t,
+// with Run reporting it.
+func TestBoundStopsPastTheInstant(t *testing.T) {
+	e := NewEngine(1)
+	lift := e.Bound(Time(10 * Microsecond))
+	defer lift()
+	e.Go("w", func(p *Proc) { p.Advance(10 * Microsecond) })
+	if err := e.Run(); err != nil {
+		t.Fatalf("a run ending at the bound: %v", err)
+	}
+	e.Go("loop", func(p *Proc) {
+		for {
+			p.Advance(Microsecond)
+		}
+	})
+	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "past its bound") {
+		t.Fatalf("a run that never ends: Run = %v, want it stopped at the bound", err)
+	}
+	if e.Now() != Time(10*Microsecond) {
+		t.Fatalf("clock %v, want it held at the bound", e.Now())
 	}
 }
 

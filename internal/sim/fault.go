@@ -339,3 +339,63 @@ func GenerateMTBFPlan(seed int64, nodes int, horizon Time, mtbf, repair Duration
 	}
 	return plan
 }
+
+// FaultCursor injects a fault plan one event at a time, in canonical order,
+// handing each to apply at base + event.At. apply runs in engine context (no
+// proc holds the token), so it may mutate simulation state freely but must
+// not block. Only the next un-applied event is ever in the queue: Run always
+// drains the queue, including future-dated events, so under chunked
+// execution (many short Run phases) an up-front injection would collapse the
+// entire plan into the first chunk. The cursor instead parks when an event
+// fires after all application procs have finished — the fault is NOT
+// applied, and the next Arm re-schedules it so it lands in the first chunk
+// that actually has live work.
+//
+// Arm must be called before each Run phase (the dsmpm2 facade does this in
+// System.Run). All of this is deterministic: the parked fire and the re-arm
+// consume engine sequence numbers identically in every run of the same
+// chunking.
+type FaultCursor struct {
+	eng    *Engine
+	apply  func(FaultEvent)
+	events []FaultEvent // canonical (At, Kind, Node, From, To) order
+	base   Time         // injection time; events fire at base + At
+	next   int          // index of the next un-applied event
+	armed  bool         // the next event is currently scheduled
+}
+
+// NewFaultCursor creates a cursor over plan with the injection base anchored
+// at the current virtual time. A nil plan yields an exhausted cursor.
+func (e *Engine) NewFaultCursor(plan *FaultPlan, apply func(FaultEvent)) *FaultCursor {
+	c := &FaultCursor{eng: e, apply: apply, base: e.now}
+	if plan != nil && apply != nil {
+		c.events = plan.sorted()
+	}
+	return c
+}
+
+// Arm schedules the next un-applied event unless it is already scheduled or
+// the plan is exhausted. Safe to call repeatedly (idempotent between fires).
+func (c *FaultCursor) Arm() {
+	if c.armed || c.next >= len(c.events) {
+		return
+	}
+	c.armed = true
+	ev := c.events[c.next]
+	c.eng.Schedule(c.base.Add(Duration(ev.At)), c.fire)
+}
+
+// fire runs in engine context when the armed event's time arrives.
+func (c *FaultCursor) fire() {
+	c.armed = false
+	if c.eng.nlive == 0 {
+		// Every application proc has finished: this Run phase is draining.
+		// Park without applying; the next Arm re-schedules the event (its
+		// time clamps to the then-current clock if already past).
+		return
+	}
+	ev := c.events[c.next]
+	c.next++
+	c.apply(ev)
+	c.Arm()
+}

@@ -230,99 +230,6 @@ func TestShardedWorkerReuse(t *testing.T) {
 	}
 }
 
-// TestWorkerChunkedRunCaptureRestore: every Run phase ends at a safe point —
-// no live non-daemon proc, no idle worker — whatever the pool did during the
-// phase, and a kernel restored from the capture between two phases replays
-// the second phase bit-identically. That holds too when the snapshot is ahead
-// of the restoring engine's own start-up: a system written with ten daemon
-// procs restores into one that spawns a single one (nine procs, wake events
-// and seq slots behind, as a system without dispatcher threads is behind a
-// checkpoint taken when it had them), because Restore only refuses counters
-// that are already past the snapshot's.
-func TestWorkerChunkedRunCaptureRestore(t *testing.T) {
-	phase := func(e *Engine, trace *[]string) {
-		for i := 0; i < 4; i++ {
-			i := i
-			e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-				p.Advance(Duration(1+e.Rand().Intn(50)) * Microsecond)
-				e.Go("child", func(c *Proc) {
-					c.Advance(Duration(i+1) * Microsecond)
-					*trace = append(*trace, fmt.Sprintf("%d:%d@%v", i, c.ID(), c.Now()))
-				})
-			})
-		}
-	}
-	build := func(daemons int) *Engine {
-		e := NewEngine(42)
-		for i := 0; i < daemons; i++ {
-			e.Go("svc", func(p *Proc) { p.Park("service loop") }).MarkDaemon()
-		}
-		return e
-	}
-
-	ref := build(10)
-	var first, want []string
-	phase(ref, &first)
-	if err := ref.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ref.idle.Len() != 0 {
-		t.Fatalf("%d idle workers between Run phases, want 0", ref.idle.Len())
-	}
-	snap, err := ref.Capture()
-	if err != nil {
-		t.Fatalf("capture at the drained point between phases: %v", err)
-	}
-	phase(ref, &want)
-	if err := ref.Run(); err != nil {
-		t.Fatal(err)
-	}
-	refEnd, err := ref.Capture()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, daemons := range []int{10, 1} {
-		restored := build(daemons)
-		if err := restored.Run(); err != nil { // park the daemons, as the reference did
-			t.Fatal(err)
-		}
-		if err := restored.Restore(snap); err != nil {
-			t.Fatalf("%d daemons: %v", daemons, err)
-		}
-		var got []string
-		phase(restored, &got)
-		if err := restored.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%d daemons: restored second phase diverged:\n got %v\nwant %v", daemons, got, want)
-		}
-		end, err := restored.Capture()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if end != refEnd {
-			t.Fatalf("%d daemons: final kernel state differs: restored %+v, reference %+v", daemons, end, refEnd)
-		}
-	}
-	// The other direction is refused: an engine already past the snapshot.
-	small, big := build(1), build(10)
-	if err := small.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := big.Run(); err != nil {
-		t.Fatal(err)
-	}
-	behind, err := small.Capture()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := big.Restore(behind); err == nil {
-		t.Fatal("an engine with more start-up procs than the snapshot records restored without error")
-	}
-}
-
 // failingEngines builds, for each kernel flavour, a run whose "victim" proc
 // calls fail at t=10 while other procs are parked, advancing and (sharded) busy
 // on the other shard.

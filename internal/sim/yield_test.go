@@ -14,6 +14,9 @@ import (
 // does — kill the proc, stop the engine, panic, exit the goroutine — ends the
 // same way.
 
+// Cur returns the proc currently running, or nil when in pure engine context.
+func (e *Engine) Cur() *Proc { return e.cur }
+
 // onYieldingStack reports whether the caller runs inside a yielding proc's
 // fireUntilWake rather than in the event loop's own dispatch.
 func onYieldingStack() bool {
