@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
@@ -161,7 +163,7 @@ func TestDocsMatchTree(t *testing.T) {
 // designLineBudget is DESIGN.md's line count, which may only go down: a change
 // that grows the document has to raise this number on purpose, in the same
 // diff, where a reviewer sees it.
-const designLineBudget = 1304
+const designLineBudget = 1303
 
 // TestDesignStaysWithinBudget holds DESIGN.md to designLineBudget lines.
 func TestDesignStaysWithinBudget(t *testing.T) {
@@ -171,5 +173,50 @@ func TestDesignStaysWithinBudget(t *testing.T) {
 	}
 	if n := strings.Count(string(data), "\n"); n > designLineBudget {
 		t.Fatalf("DESIGN.md has %d lines, over its budget of %d: shorten it, or raise designLineBudget deliberately", n, designLineBudget)
+	}
+}
+
+// panicBudget is the number of calls to the builtin panic in the module's
+// non-test Go files outside benchmark/, which may only go down: a new panic
+// has to raise this number on purpose, in the same diff, where a reviewer
+// sees it — or be an error instead.
+const panicBudget = 94
+
+// TestPanicsStayWithinBudget holds the module's panic calls to panicBudget.
+func TestPanicsStayWithinBudget(t *testing.T) {
+	fset := token.NewFileSet()
+	n := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "benchmark") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(node ast.Node) bool {
+			if call, ok := node.(*ast.CallExpr); ok {
+				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+					n++
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > panicBudget {
+		t.Fatalf("%d panic calls in non-test files outside benchmark/, over the budget of %d: return an error instead, or raise panicBudget deliberately", n, panicBudget)
 	}
 }

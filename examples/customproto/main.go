@@ -28,52 +28,24 @@ import (
 // newHomePush assembles the protocol from hooks and returns its id.
 func newHomePush(sys *dsmpm2.System) dsmpm2.ProtoID {
 	d := sys.DSM()
-	dirty := make([]map[core.Page]bool, sys.Nodes())
-	for n := range dirty {
-		dirty[n] = make(map[core.Page]bool)
-	}
-	return sys.CreateProtocol(&core.Hooks{
+	h := &core.Hooks{
 		ProtoName: "home_push",
 		OnReadFault: func(f *core.Fault) {
 			core.FetchPage(f, false)
 		},
 		OnWriteFault: func(f *core.Fault) {
 			core.FetchPage(f, true)
-			dirty[f.Node][f.Page] = true
+			d.MarkDirty(f.Node, f.Page)
 		},
 		OnReadServer: func(r *core.Request) {
-			e, _ := core.ServeWhenOwner(r)
-			e.AddCopyset(r.From)
-			core.SendPage(r, e, r.From, memory.ReadOnly, false, core.NodeSet{})
-			e.Unlock(r.Thread)
+			core.ServeHomeCopy(r, memory.ReadOnly)
 		},
 		OnWriteServer: func(r *core.Request) {
 			// Home-based: grant a writable copy, keep ownership.
-			e, _ := core.ServeWhenOwner(r)
-			e.AddCopyset(r.From)
-			core.SendPage(r, e, r.From, memory.ReadWrite, false, core.NodeSet{})
-			e.Unlock(r.Thread)
+			core.ServeHomeCopy(r, memory.ReadWrite)
 		},
 		OnInvalidate:  func(iv *core.Invalidate) { core.DropCopy(iv) },
 		OnReceivePage: func(pm *core.PageMsg) { core.InstallPage(pm) },
-		OnLockRelease: func(s *core.SyncEvent) {
-			// Ship every written page home as a whole-page diff and
-			// drop our writable copy; the home then invalidates the
-			// other readers (see OnDiffServer).
-			for pg := range dirty[s.Node] {
-				delete(dirty[s.Node], pg)
-				home, _, _ := d.PageInfo(pg)
-				frame := d.Space(s.Node).Frame(pg)
-				if frame == nil || home == s.Node {
-					continue
-				}
-				diff := core.NewDiff(d)
-				diff.Page = pg
-				diff.MergeRecorded(0, frame.Data)
-				core.SendDiffsHome(d, s.Thread, home, []*memory.Diff{diff}, true)
-				d.Space(s.Node).Drop(pg)
-			}
-		},
 		OnDiffServer: func(dm *core.DiffMsg) {
 			core.ApplyDiffs(dm)
 			for _, df := range dm.Diffs {
@@ -85,7 +57,26 @@ func newHomePush(sys *dsmpm2.System) dsmpm2.ProtoID {
 				core.InvalidateCopies(d, dm.Thread, df.Page, cs, -1)
 			}
 		},
-	})
+	}
+	h.OnLockRelease = func(s *core.SyncEvent) {
+		// Ship every written page home as a whole-page diff and drop our
+		// writable copy; the home then invalidates the other readers (see
+		// OnDiffServer). The toolbox's dirty set sweeps in page order.
+		for _, pg := range d.DirtyPages(h, s.Node, nil) {
+			d.ClearDirty(s.Node, pg)
+			home, _, _ := d.PageInfo(pg)
+			frame := d.Space(s.Node).Frame(pg)
+			if frame == nil || home == s.Node {
+				continue
+			}
+			diff := core.NewDiff(d)
+			diff.Page = pg
+			diff.MergeRecorded(0, frame.Data)
+			core.SendDiffsHome(d, s.Thread, home, diff, true)
+			d.Space(s.Node).Drop(pg)
+		}
+	}
+	return sys.CreateProtocol(h)
 }
 
 func main() {

@@ -137,7 +137,7 @@ func newSystem(cfg *Config) (*dsmpm2.System, error) {
 }
 
 // grid is the kernel's shared state, the one stencil every driver — Run,
-// runRecoverable and Session — computes through: two (N+2)-row grids of
+// runRestartAware and Session — computes through: two (N+2)-row grids of
 // float64 cells, their rows block-partitioned over the nodes that write them.
 type grid struct {
 	n, nodes int
@@ -240,7 +240,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	if cfg.FaultPlan != nil {
-		return runRecoverable(cfg, sys)
+		return runRestartAware(cfg, sys)
 	}
 	// Every block is homed on the node that writes it — unless MisplaceHomes
 	// parks everything on node 0 for the adapt experiment.
@@ -267,7 +267,7 @@ func Run(cfg Config) (Result, error) {
 	return g.checksum(sys, cfg.Iterations, Result{Elapsed: sys.Now(), Stats: sys.Stats(), System: sys})
 }
 
-// runRecoverable is the restart-aware variant of the kernel, used when a
+// runRestartAware is the restart-aware variant of the kernel, used when a
 // FaultPlan is configured. Structural differences from the plain kernel:
 //
 //   - every grid row is homed on node 0, the protected node, so a
@@ -280,7 +280,7 @@ func Run(cfg Config) (Result, error) {
 //     home (Thread.Flush): the checkpoint never claims work whose
 //     modifications would die with the node. A crash therefore costs at
 //     most one redone unit.
-func runRecoverable(cfg Config, sys *dsmpm2.System) (Result, error) {
+func runRestartAware(cfg Config, sys *dsmpm2.System) (Result, error) {
 	g := newGrid(sys, cfg, true, false)
 	// lastDone[node] is the node's local checkpoint: the highest work unit
 	// whose modifications are committed at the home. In a real system this

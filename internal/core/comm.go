@@ -198,20 +198,17 @@ func (d *DSM) sendInvalidate(from, dest int, pg Page, newOwner int, ack *sim.Cha
 	d.rt.AsyncFrom(from, dest, d.svc.invald, d.newInvalidate(from, pg, newOwner, ack), ctrlBytes)
 }
 
-// sendDiffs delivers a batch of diffs to dest as one envelope and, if wait
-// is true, blocks the calling thread until the destination has applied them
-// (release semantics demand it).
+// sendDiffs delivers df to dest as one envelope and, if wait is true,
+// blocks the calling thread until the destination has applied it (release
+// semantics demand it).
 //
 // With recovery enabled the wait is bounded: if the home dies before
-// acknowledging, each diff is re-routed to its page's current home (the
+// acknowledging, the diff is re-routed to its page's current home (the
 // recovery sweep re-homed the dead node's pages), applied locally when this
 // node became the home. Diffs are absolute byte ranges, so a diff the dead
 // home did manage to apply before crashing re-applies idempotently.
-func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool) {
-	size := ctrlBytes
-	for _, df := range diffs {
-		size += df.Size()
-	}
+func (d *DSM) sendDiffs(t *pm2.Thread, dest int, df *memory.Diff, wait bool) {
+	size := ctrlBytes + df.Size()
 	st := &d.stats
 	st.DiffBytes += int64(size)
 	var reply *sim.Chan
@@ -219,14 +216,13 @@ func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool
 		reply = new(sim.Chan)
 	}
 	for {
-		// Each shipment is a fresh record holding every diff, freed (and the
-		// diffs let go) by its receiver; a re-send counts like the first.
+		// Each shipment is a fresh record holding the diff, freed (and the
+		// diff let go) by its receiver; a re-send counts like the first.
 		m := take(&d.recs.diffMsgs)
-		m.From, m.Diffs, m.reply = t.Node(), diffs, reply
-		for _, df := range diffs {
-			df.Refs++
-		}
-		st.DiffsSent += int64(len(diffs))
+		m.From, m.one[0], m.reply = t.Node(), df, reply
+		m.Diffs = m.one[:]
+		df.Refs++
+		st.DiffsSent++
 		st.Sends++
 		st.Envelopes++
 		d.rt.AsyncFrom(t.Node(), dest, d.svc.diff, m, size)
@@ -238,11 +234,9 @@ func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool
 		}
 		d.retried()
 		if d.NodeDead(dest) {
-			// The home died with our diffs unacknowledged: re-route each
-			// diff, and this sender's hold on it, to its page's current home.
-			for _, df := range diffs {
-				d.rerouteDiff(t, df)
-			}
+			// The home died with our diff unacknowledged: re-route it,
+			// and this sender's hold on it, to its page's current home.
+			d.rerouteDiff(t, df)
 			return
 		}
 		// The home is alive but silent: the diff or its ack may have been
@@ -250,9 +244,7 @@ func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool
 		// again — diffs apply idempotently, and a second ack just lingers
 		// unread in this call's private reply channel.
 	}
-	for _, df := range diffs {
-		FreeDiff(d, df)
-	}
+	FreeDiff(d, df)
 }
 
 // rerouteDiff delivers a diff, and the caller's hold on it, to its page's
@@ -262,7 +254,7 @@ func (d *DSM) sendDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool
 // exactly as they would have at the old home.
 func (d *DSM) rerouteDiff(t *pm2.Thread, df *memory.Diff) {
 	if home := d.dir[df.Page].home; home != t.Node() {
-		d.sendDiffs(t, home, []*memory.Diff{df}, true)
+		d.sendDiffs(t, home, df, true)
 		return
 	}
 	if ds, ok := d.protoFor(df.Page).(DiffServer); ok {

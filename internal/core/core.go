@@ -76,12 +76,14 @@ func DefaultCosts() Costs {
 // indexed like the Space's frames, two levels deep by page number, so a lookup
 // hashes nothing. pages lists the table's pages in sorted order, maintained
 // incrementally at entry creation so release-time sweeps never rebuild and
-// re-sort it.
+// re-sort it. dirty lists, sorted too, the pages marked written since their
+// last release (see MarkDirty).
 type nodeState struct {
 	node  int
 	space memory.Space
 	table [][]*Entry
 	pages []Page
+	dirty []Page
 
 	// notices are the write notices this node queued during the current
 	// synchronization epoch, keyed by the barrier they were queued for;

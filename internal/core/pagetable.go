@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"dsmpm2/internal/pm2"
@@ -42,7 +43,7 @@ type Entry struct {
 	Pending bool
 
 	// ProtoData is protocol-private per-page state (e.g. the hbrc_mw twin,
-	// or erc_sw's written-in-critical-section flag).
+	// or adaptive's write-fault count).
 	ProtoData interface{}
 
 	// InvalSeq counts invalidations received for this page on this node.
@@ -177,4 +178,38 @@ func (e *Entry) TakeCopyset() NodeSet { return e.Copyset.Take() }
 // entries the sweep itself creates.
 func (d *DSM) PagesOn(node int, buf []Page) []Page {
 	return append(buf, d.state[node].pages...)
+}
+
+// MarkDirty marks pg as written on node since its last release. The write
+// paths of the protocols that act at release mark; their release sweeps
+// (DirtyPages) clear. The marks live in the node's page table, so a cold
+// restart's fresh table starts clean, and SwitchProtocol clears them with
+// the rest of the entry.
+func (d *DSM) MarkDirty(node int, pg Page) {
+	ns := d.state[node]
+	if k, found := slices.BinarySearch(ns.dirty, pg); !found {
+		ns.dirty = slices.Insert(ns.dirty, k, pg)
+	}
+}
+
+// ClearDirty removes node's dirty mark on pg, if any.
+func (d *DSM) ClearDirty(node int, pg Page) {
+	ns := d.state[node]
+	if k, found := slices.BinarySearch(ns.dirty, pg); found {
+		ns.dirty = slices.Delete(ns.dirty, k, k+1)
+	}
+}
+
+// DirtyPages appends node's dirty pages that protocol p manages to buf, in
+// ascending order: the deterministic sweep of a release hook. Pages of other
+// protocols are left to theirs. Like PagesOn's, the list is a copy, so the
+// sweep may clear and re-mark pages as it goes.
+func (d *DSM) DirtyPages(p Protocol, node int, buf []Page) []Page {
+	ns := d.state[node]
+	for _, pg := range ns.dirty {
+		if d.instances[d.Entry(node, pg).proto].Protocol == p {
+			buf = append(buf, pg)
+		}
+	}
+	return buf
 }

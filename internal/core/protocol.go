@@ -154,16 +154,6 @@ type DiffServer interface {
 	DiffServer(dm *DiffMsg)
 }
 
-// Recoverable is an optional extension interface: protocols holding private
-// per-node state (dirty-page maps, fault counters) implement it so the
-// recovery manager can discard a crashed node's state. OnNodeCrash runs when
-// the node fail-stops, OnNodeRestart after the core has rebuilt the node's
-// page table for its cold restart.
-type Recoverable interface {
-	OnNodeCrash(node int)
-	OnNodeRestart(node int)
-}
-
 // ObjectProtocol is an optional extension interface for protocols that
 // implement the Hyperion-style get/put access primitives, bypassing page
 // faults (Section 2.3: "DSM-PM2 thus provides a way to bypass the page fault
@@ -189,7 +179,7 @@ type DiffMsg struct {
 	// barrier distributes the notices (see outbox.go).
 	Noticed bool
 	reply   *sim.Chan
-	one     [1]*memory.Diff // backs Diffs for an outbox flush's single diff
+	one     [1]*memory.Diff // backs Diffs for the single diff every sender ships
 }
 
 // ObjAccess is the context for object get/put primitives.

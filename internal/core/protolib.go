@@ -93,6 +93,40 @@ func ServeWhenOwner(r *Request) (e *Entry, owner bool) {
 	return e, e.Owner
 }
 
+// ServeReadCopy is the owner read server of the owner-based protocols
+// (li_hudak, erc_sw, hybrid, the managed li variants): the owner adds the
+// requester to the copyset, downgrades its own right to read (MRSW: readers
+// exclude writers) and ships a read-only copy; a non-owner forwards the
+// request along its probable-owner hint.
+func ServeReadCopy(r *Request) {
+	e, owner := ServeWhenOwner(r)
+	if !owner {
+		ForwardRequest(r, e)
+		return
+	}
+	e.AddCopyset(r.From)
+	r.DSM.state[r.Node].space.SetAccess(r.Page, memory.ReadOnly)
+	SendPage(r, e, r.From, memory.ReadOnly, false, NodeSet{})
+	e.Unlock(r.Thread)
+}
+
+// ServeHomeCopy is the page server of the home-based protocols (hbrc_mw,
+// entry_mw, java): the home adds the requester to the copyset and ships a
+// copy granting access, keeping ownership. The manager is fixed, so a
+// request always reaches the home and is never forwarded.
+func ServeHomeCopy(r *Request, access memory.Access) {
+	d := r.DSM
+	e := d.Entry(r.Node, r.Page)
+	e.Lock(r.Thread)
+	if r.Node != e.Home {
+		panic(fmt.Sprintf("core: %s: page request did not reach the home node (page %d at node %d, home %d)",
+			d.RegistryName(e.proto), r.Page, r.Node, e.Home))
+	}
+	e.AddCopyset(r.From)
+	SendPage(r, e, r.From, access, false, NodeSet{})
+	e.Unlock(r.Thread)
+}
+
 // ForwardRequest re-sends the request along the probable-owner chain
 // (dynamic distributed manager). Call with the entry lock held; it is
 // released before sending.
@@ -268,6 +302,29 @@ func DropCopy(iv *Invalidate) {
 	e.Unlock(t)
 }
 
+// FlushAndDrop is the invalidation server of the home-based protocols: the
+// node's pending modifications of the page — the recorded diff (java), else
+// the twin diff (hbrc_mw, entry_mw) — are flushed to the home, and the copy
+// and its dirty mark are dropped.
+func FlushAndDrop(iv *Invalidate) {
+	d, t := iv.DSM, iv.Thread
+	e := d.Entry(iv.Node, iv.Page)
+	e.Lock(t)
+	diff := TakeRecorded(e)
+	if diff == nil {
+		diff = TwinDiff(d, iv.Node, e)
+	}
+	d.state[iv.Node].space.Drop(iv.Page)
+	d.ClearDirty(iv.Node, iv.Page)
+	e.Unlock(t)
+	if diff != nil {
+		// Fire-and-forget: the invalidating home may be blocked waiting
+		// for this very acknowledgement, so waiting here could deadlock;
+		// the diff is ordered before the ack on the same channel pair.
+		SendDiffsHome(d, t, e.Home, diff, false)
+	}
+}
+
 // MigrateToOwner implements the fault action of migration-based protocols:
 // charge the (tiny) handler overhead, then migrate the faulting thread to
 // the page's probable owner; the access is retried there. This is the whole
@@ -318,6 +375,36 @@ func EnsureTwin(d *DSM, node int, e *Entry) {
 func HasTwin(e *Entry) bool {
 	td, _ := e.ProtoData.(*twinData)
 	return td != nil && td.twin != nil
+}
+
+// hasRecorded reports whether the entry holds a non-empty recorded diff.
+func hasRecorded(e *Entry) bool {
+	td, _ := e.ProtoData.(*twinData)
+	return td != nil && td.dirty != nil && !td.dirty.Empty()
+}
+
+// TwinOnWrite is the write fault handler of the twinning multiple-writer
+// protocols (hbrc_mw, entry_mw): a node already holding a copy (the home's
+// reference copy included) twins it in place and upgrades it to read-write;
+// otherwise a writable copy is fetched first. Either way the page is twinned
+// before the retried write and marked dirty for the next release.
+func TwinOnWrite(f *Fault) {
+	d, e, t := f.DSM, f.Entry, f.Thread
+	space := &d.state[f.Node].space
+	e.Lock(t)
+	if space.AccessOf(f.Page) >= memory.ReadOnly {
+		EnsureTwin(d, f.Node, e)
+		space.SetAccess(f.Page, memory.ReadWrite)
+		d.MarkDirty(f.Node, f.Page)
+		f.KeepEntryLocked()
+		return
+	}
+	e.Unlock(t)
+	FetchPage(f, true) // returns with the entry lock held
+	if space.AccessOf(f.Page) == memory.ReadWrite {
+		EnsureTwin(d, f.Node, e)
+		d.MarkDirty(f.Node, f.Page)
+	}
 }
 
 // TwinDiff computes the diff of the local page against its twin and discards
@@ -401,18 +488,13 @@ func TakeRecorded(e *Entry) *memory.Diff {
 	return diff
 }
 
-// SendDiffsHome ships diffs to dest and blocks until applied when wait is
-// true (lock-release semantics require the home to have the modifications
-// before the release completes). The diffs become the DSM's: the caller must
-// not touch them once SendDiffsHome returns.
-func SendDiffsHome(d *DSM, t *pm2.Thread, dest int, diffs []*memory.Diff, wait bool) {
-	if len(diffs) == 0 {
-		return
-	}
-	for _, df := range diffs {
-		d.profDiff(t.Node(), df.Page)
-	}
-	d.sendDiffs(t, dest, diffs, wait)
+// SendDiffsHome ships df to dest and blocks until applied when wait is true
+// (lock-release semantics require the home to have the modifications before
+// the release completes). The diff becomes the DSM's: the caller must not
+// touch it once SendDiffsHome returns.
+func SendDiffsHome(d *DSM, t *pm2.Thread, dest int, df *memory.Diff, wait bool) {
+	d.profDiff(t.Node(), df.Page)
+	d.sendDiffs(t, dest, df, wait)
 }
 
 // Classification returns pg's sharing class and dominant writer from the

@@ -164,7 +164,7 @@ func TestRecoveryRecyclesSharedRecords(t *testing.T) {
 func TestResentDiffOutlivesTheFirstAck(t *testing.T) {
 	send := map[string]func(d *DSM, th *pm2.Thread, df *memory.Diff){
 		"SendDiffsHome": func(d *DSM, th *pm2.Thread, df *memory.Diff) {
-			SendDiffsHome(d, th, 1, []*memory.Diff{df}, true)
+			SendDiffsHome(d, th, 1, df, true)
 		},
 		"Batch": func(d *DSM, th *pm2.Thread, df *memory.Diff) {
 			b := d.NewBatch(th)
@@ -315,7 +315,7 @@ func TestPoisonCatchesADiffKeptPastDiffServer(t *testing.T) {
 	rt.CreateThread(0, "writer", func(th *pm2.Thread) {
 		df := NewDiff(d)
 		df.Compute(pg, make([]byte, 16), []byte{15: 1}, 0)
-		SendDiffsHome(d, th, 1, []*memory.Diff{df}, true)
+		SendDiffsHome(d, th, 1, df, true)
 	})
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
@@ -343,7 +343,7 @@ func TestRecordedDiffsReturnToThePool(t *testing.T) {
 			RecordPut(d, e, base+Addr(i%8*8), []byte{byte(i)})
 			diff := TakeRecorded(e)
 			e.Unlock(th)
-			SendDiffsHome(d, th, 0, []*memory.Diff{diff}, true)
+			SendDiffsHome(d, th, 0, diff, true)
 		}
 	})
 	if err := rt.Run(); err != nil {

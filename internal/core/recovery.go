@@ -192,11 +192,6 @@ func (d *DSM) CrashNode(n int) {
 	d.installers[n].kill()
 	d.rehomePages(n)
 	d.scrubLocks(n)
-	d.eachInstance(func(p Protocol) {
-		if r, ok := p.(Recoverable); ok {
-			r.OnNodeCrash(n)
-		}
-	})
 }
 
 // RestartNode brings node n back cold: fresh DSM node state (no frames, no
@@ -212,15 +207,11 @@ func (d *DSM) RestartNode(n int) {
 	// Cold memory: the node starts with no frames and no page-table
 	// entries; both rebuild on demand from the (repaired) allocation
 	// metadata. The old state — including entry mutexes whose waiters all
-	// died — is simply dropped.
+	// died, and the dirty marks of writes that died with them — is simply
+	// dropped.
 	d.state[n] = newNodeState(n)
 	d.rt.RestartNode(n)
 	d.installers[n] = new(installer).init(d, n) // the killed one's proc is never reused
-	d.eachInstance(func(p Protocol) {
-		if r, ok := p.(Recoverable); ok {
-			r.OnNodeRestart(n)
-		}
-	})
 	if rec.onRestart != nil {
 		rec.onRestart(n)
 	}

@@ -16,24 +16,32 @@ import (
 // the distributed page table on all nodes."
 //
 // The caller provides exactly that guarantee: no thread touches the area
-// while SwitchProtocol runs (typically between two barriers). The switch
-// resets every node's page-table entry — copies are dropped, ownership and
-// rights return to the home node, protocol-private state is discarded — and
-// the new protocol's page initializer runs. One control-message round trip
-// per node is charged for the distributed table update.
+// while SwitchProtocol runs (typically between two barriers), and every
+// write to it has been released — a node other than the home still holding
+// a twin or a recorded diff is refused. The switch resets every node's
+// page-table entry — copies are dropped, ownership and rights return to the
+// home node, protocol-private state and dirty marks are discarded — and the
+// new protocol's page initializer runs. One control-message round trip per
+// node is charged for the distributed table update.
 func (d *DSM) SwitchProtocol(t *pm2.Thread, base Addr, size int, proto ProtoID) error {
 	newProto := d.instance(proto) // validates the id
 	first := pageOf(base)
 	last := pageOf(base + Addr(size-1))
 	// Validate quiescence and ownership of the whole range first.
 	for pg := first; pg <= last; pg++ {
-		if _, ok := d.dir[pg]; !ok {
+		pi, ok := d.dir[pg]
+		if !ok {
 			return fmt.Errorf("core: SwitchProtocol on unallocated page %d", pg)
 		}
 		for n := 0; n < d.rt.Nodes(); n++ {
 			e := d.Entry(n, pg)
 			if e.Pending {
 				return fmt.Errorf("core: SwitchProtocol while node %d has a fetch in flight for page %d (area not quiescent)", n, pg)
+			}
+			// A twin or a recorded diff away from the home is a write the
+			// home has not seen: the reset below would drop it.
+			if n != pi.home && (HasTwin(e) || hasRecorded(e)) {
+				return fmt.Errorf("core: SwitchProtocol while node %d holds unreleased writes to page %d (release them first)", n, pg)
 			}
 		}
 	}
@@ -64,6 +72,7 @@ func (d *DSM) SwitchProtocol(t *pm2.Thread, base Addr, size int, proto ProtoID) 
 			e.Owner = n == pi.home
 			e.Copyset.Clear()
 			e.ProtoData = nil
+			d.ClearDirty(n, pg)
 			e.proto = proto // keep the hot-path cache in step with the directory
 			if n == pi.home {
 				// The home's copy is authoritative and survives.

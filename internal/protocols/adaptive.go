@@ -19,25 +19,17 @@ import (
 // its original ad-hoc criterion: a node that keeps write-faulting on the
 // same page stops pulling it once the per-node write-fault count crosses a
 // threshold. All other behaviour is inherited from li_hudak.
+//
+// The fallback's counter is the entry's ProtoData: the node's write faults
+// on the page since the criterion last sent a thread, reset with the entry
+// by a cold restart or a protocol switch.
 type adaptive struct {
 	liHudak
-	// writeFaults[node][page] counts this node's write faults per page
-	// since the counter was last reset by a successful migration (the
-	// profiler-off fallback criterion).
-	writeFaults []map[core.Page]int
 }
 
 // adaptiveThreshold is the write-fault count after which the protocol
 // switches from page migration to thread migration for a page.
 const adaptiveThreshold = 4
-
-func newAdaptive(d *core.DSM) *adaptive {
-	p := &adaptive{liHudak: liHudak{d: d}}
-	for i := 0; i < d.Runtime().Nodes(); i++ {
-		p.writeFaults = append(p.writeFaults, make(map[core.Page]int))
-	}
-	return p
-}
 
 // Name implements core.Protocol.
 func (p *adaptive) Name() string { return "adaptive" }
@@ -64,12 +56,12 @@ func (p *adaptive) WriteFaultHandler(f *core.Fault) {
 			return
 		}
 	}
-	cnt := p.writeFaults[f.Node]
-	cnt[f.Page]++
-	if cnt[f.Page] > adaptiveThreshold {
-		delete(cnt, f.Page)
+	n, _ := f.Entry.ProtoData.(int)
+	if n++; n > adaptiveThreshold {
+		f.Entry.ProtoData = nil
 		core.MigrateToOwner(f)
 		return
 	}
+	f.Entry.ProtoData = n
 	p.liHudak.WriteFaultHandler(f)
 }

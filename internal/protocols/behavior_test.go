@@ -807,39 +807,93 @@ func TestDeterministicReplay(t *testing.T) {
 // allocations in one application (Section 2.3: "different DSM protocols may
 // be associated to different DSM memory areas within the same application").
 func TestProtocolsPerAreaCoexist(t *testing.T) {
-	rt, d, ids := harness(2, madeleine.BIPMyrinet, 1)
-	d.SetDefaultProtocol(ids.LiHudak)
-	a := d.MustMalloc(0, 8, &core.Attr{Protocol: ids.LiHudak, Home: 0})
-	b := d.MustMalloc(0, 8, &core.Attr{Protocol: ids.HbrcMW, Home: 0})
-	c := d.MustMalloc(1, 8, &core.Attr{Protocol: ids.MigrateThread, Home: 1})
-	lock := d.NewLock(0)
-	var endNode int
-	rt.CreateThread(1, "worker", func(th *pm2.Thread) {
-		d.Acquire(th, lock)
-		d.WriteUint64(th, a, 1) // li_hudak: page migrates here
-		d.WriteUint64(th, b, 2) // hbrc: twin + diff at release
-		d.Release(th, lock)
-		d.WriteUint64(th, c, 3) // migrate_thread... already on owner node 1
-		endNode = th.Node()
+	t.Run("li_hudak+hbrc_mw+migrate_thread", func(t *testing.T) {
+		rt, d, ids := harness(2, madeleine.BIPMyrinet, 1)
+		d.SetDefaultProtocol(ids.LiHudak)
+		a := d.MustMalloc(0, 8, &core.Attr{Protocol: ids.LiHudak, Home: 0})
+		b := d.MustMalloc(0, 8, &core.Attr{Protocol: ids.HbrcMW, Home: 0})
+		c := d.MustMalloc(1, 8, &core.Attr{Protocol: ids.MigrateThread, Home: 1})
+		lock := d.NewLock(0)
+		var endNode int
+		rt.CreateThread(1, "worker", func(th *pm2.Thread) {
+			d.Acquire(th, lock)
+			d.WriteUint64(th, a, 1) // li_hudak: page migrates here
+			d.WriteUint64(th, b, 2) // hbrc: twin + diff at release
+			d.Release(th, lock)
+			d.WriteUint64(th, c, 3) // migrate_thread... already on owner node 1
+			endNode = th.Node()
+		})
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if endNode != 1 {
+			t.Fatalf("worker ended on node %d, want 1", endNode)
+		}
+		var va, vb, vc uint64
+		rt.CreateThread(0, "verify", func(th *pm2.Thread) {
+			d.Acquire(th, lock)
+			va = d.ReadUint64(th, a)
+			vb = d.ReadUint64(th, b)
+			d.Release(th, lock)
+			vc = d.ReadUint64(th, c) // migrate_thread: this thread hops to node 1
+		})
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if va != 1 || vb != 2 || vc != 3 {
+			t.Fatalf("per-area protocols broke: got (%d,%d,%d)", va, vb, vc)
+		}
 	})
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if endNode != 1 {
-		t.Fatalf("worker ended on node %d, want 1", endNode)
-	}
-	var va, vb, vc uint64
-	rt.CreateThread(0, "verify", func(th *pm2.Thread) {
-		d.Acquire(th, lock)
-		va = d.ReadUint64(th, a)
-		vb = d.ReadUint64(th, b)
-		d.Release(th, lock)
-		vc = d.ReadUint64(th, c) // migrate_thread: this thread hops to node 1
+	// Three protocols that keep dirty marks, written by one node in one
+	// critical section: each release sweep must take only its own
+	// protocol's pages. erc_sw sweeps first (lowest id); a sweep that took
+	// every marked page would clear hbrc_mw's and entry_mw's marks, and
+	// their diffs would never reach the home.
+	t.Run("erc_sw+hbrc_mw+entry_mw", func(t *testing.T) {
+		rt, d, ids := harness(3, madeleine.BIPMyrinet, 1)
+		protos := []core.ProtoID{ids.ErcSW, ids.HbrcMW, ids.EntryMW}
+		var areas []core.Addr
+		for _, id := range protos {
+			areas = append(areas, d.MustMalloc(0, 8, &core.Attr{Protocol: id, Home: 0}))
+		}
+		lock := d.NewLock(0)
+		for n := 0; n < 3; n++ {
+			rt.CreateThread(n, fmt.Sprintf("reader%d", n), func(th *pm2.Thread) {
+				for _, a := range areas {
+					d.ReadUint64(th, a) // stale copies for the release to handle
+				}
+			})
+		}
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		rt.CreateThread(1, "writer", func(th *pm2.Thread) {
+			d.Acquire(th, lock)
+			for i, a := range areas {
+				d.WriteUint64(th, a, uint64(i+1))
+			}
+			d.Release(th, lock)
+		})
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 2} {
+			got := make([]uint64, len(areas))
+			rt.CreateThread(n, "verify", func(th *pm2.Thread) {
+				d.Acquire(th, lock)
+				for i, a := range areas {
+					got[i] = d.ReadUint64(th, a)
+				}
+				d.Release(th, lock)
+			})
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range got {
+				if v != uint64(i+1) {
+					t.Errorf("node %d read %d from the %s area, want %d", n, v, d.RegistryName(protos[i]), i+1)
+				}
+			}
+		}
 	})
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if va != 1 || vb != 2 || vc != 3 {
-		t.Fatalf("per-area protocols broke: got (%d,%d,%d)", va, vb, vc)
-	}
 }

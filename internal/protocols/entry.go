@@ -1,6 +1,8 @@
 package protocols
 
 import (
+	"slices"
+
 	"dsmpm2/internal/core"
 	"dsmpm2/internal/memory"
 )
@@ -28,16 +30,7 @@ import (
 // synchronization: they flush and drop everything, bound or not.
 type entryMW struct {
 	core.StandardInstall
-	d     *core.DSM
-	dirty []map[core.Page]bool
-}
-
-func newEntryMW(d *core.DSM) *entryMW {
-	p := &entryMW{d: d}
-	for i := 0; i < d.Runtime().Nodes(); i++ {
-		p.dirty = append(p.dirty, make(map[core.Page]bool))
-	}
-	return p
+	d *core.DSM
 }
 
 // Name implements core.Protocol.
@@ -54,55 +47,17 @@ func (p *entryMW) ReadFaultHandler(f *core.Fault) { core.FetchPage(f, false) }
 
 // WriteFaultHandler enables local writing with a twin, marking the page
 // dirty for the next release of its lock.
-func (p *entryMW) WriteFaultHandler(f *core.Fault) {
-	e, t := f.Entry, f.Thread
-	space := p.d.Space(f.Node)
-	e.Lock(t)
-	if space.AccessOf(f.Page) >= memory.ReadOnly {
-		core.EnsureTwin(p.d, f.Node, e)
-		space.SetAccess(f.Page, memory.ReadWrite)
-		p.dirty[f.Node][f.Page] = true
-		f.KeepEntryLocked()
-		return
-	}
-	e.Unlock(t)
-	core.FetchPage(f, true)
-	if space.AccessOf(f.Page) == memory.ReadWrite {
-		core.EnsureTwin(p.d, f.Node, e)
-		p.dirty[f.Node][f.Page] = true
-	}
-}
+func (p *entryMW) WriteFaultHandler(f *core.Fault) { core.TwinOnWrite(f) }
 
 // ReadServer runs at the home and grants a read-only copy.
-func (p *entryMW) ReadServer(r *core.Request) { p.serveCopy(r, memory.ReadOnly) }
+func (p *entryMW) ReadServer(r *core.Request) { core.ServeHomeCopy(r, memory.ReadOnly) }
 
 // WriteServer runs at the home and grants a writable copy (MRMW).
-func (p *entryMW) WriteServer(r *core.Request) { p.serveCopy(r, memory.ReadWrite) }
-
-func (p *entryMW) serveCopy(r *core.Request, access memory.Access) {
-	e := p.d.Entry(r.Node, r.Page)
-	e.Lock(r.Thread)
-	if r.Node != e.Home {
-		panic("entry_mw: page request did not reach the home node")
-	}
-	e.AddCopyset(r.From)
-	core.SendPage(r, e, r.From, access, false, core.NodeSet{})
-	e.Unlock(r.Thread)
-}
+func (p *entryMW) WriteServer(r *core.Request) { core.ServeHomeCopy(r, memory.ReadWrite) }
 
 // InvalidateServer flushes pending modifications and drops the copy (used
 // only via the barrier's global synchronization).
-func (p *entryMW) InvalidateServer(iv *core.Invalidate) {
-	e := p.d.Entry(iv.Node, iv.Page)
-	e.Lock(iv.Thread)
-	diff := core.TwinDiff(p.d, iv.Node, e)
-	p.d.Space(iv.Node).Drop(iv.Page)
-	delete(p.dirty[iv.Node], iv.Page)
-	e.Unlock(iv.Thread)
-	if diff != nil {
-		core.SendDiffsHome(p.d, iv.Thread, e.Home, []*memory.Diff{diff}, false)
-	}
-}
+func (p *entryMW) InvalidateServer(iv *core.Invalidate) { core.FlushAndDrop(iv) }
 
 // LockAcquire drops the local copies of the pages bound to the acquired
 // lock (after flushing any of our own pending modifications to them), so
@@ -118,39 +73,34 @@ func (p *entryMW) LockRelease(s *core.SyncEvent) {
 	p.flushDirty(s, p.scope(s))
 }
 
-// scope returns the set of pages an acquire/release acts on: the lock's
-// bound pages, or nil meaning "all of this protocol's pages" for barriers
-// and unbound locks (which then behave like release consistency, a safe
+// scope returns the pages an acquire/release acts on: the lock's bound
+// pages, or nil meaning "all of this protocol's pages" for barriers and
+// unbound locks (which then behave like release consistency, a safe
 // fallback for unannotated programs).
-func (p *entryMW) scope(s *core.SyncEvent) map[core.Page]bool {
+func (p *entryMW) scope(s *core.SyncEvent) []core.Page {
 	if s.Barrier {
 		return nil
 	}
-	bound := p.d.BoundPages(s.Lock)
-	if len(bound) == 0 {
-		return nil
+	if bound := p.d.BoundPages(s.Lock); len(bound) > 0 {
+		return bound
 	}
-	set := make(map[core.Page]bool, len(bound))
-	for _, pg := range bound {
-		set[pg] = true
-	}
-	return set
+	return nil
 }
 
 // inScope reports whether pg participates in the current synchronization.
-func inScope(scope map[core.Page]bool, pg core.Page) bool {
-	return scope == nil || scope[pg]
+func inScope(scope []core.Page, pg core.Page) bool {
+	return scope == nil || slices.Contains(scope, pg)
 }
 
-func (p *entryMW) flushDirty(s *core.SyncEvent, scope map[core.Page]bool) {
+func (p *entryMW) flushDirty(s *core.SyncEvent, scope []core.Page) {
 	node := s.Node
 	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
-	for _, pg := range dirtyPages(buf[:0], p.dirty[node]) {
+	for _, pg := range p.d.DirtyPages(p, node, buf[:0]) {
 		if !inScope(scope, pg) {
 			continue
 		}
-		delete(p.dirty[node], pg)
+		p.d.ClearDirty(node, pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
 		var diff *memory.Diff
@@ -170,7 +120,7 @@ func (p *entryMW) flushDirty(s *core.SyncEvent, scope map[core.Page]bool) {
 	b.Flush(true)
 }
 
-func (p *entryMW) dropCopies(s *core.SyncEvent, scope map[core.Page]bool) {
+func (p *entryMW) dropCopies(s *core.SyncEvent, scope []core.Page) {
 	node := s.Node
 	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
@@ -192,7 +142,7 @@ func (p *entryMW) dropCopies(s *core.SyncEvent, scope map[core.Page]bool) {
 			flush = core.TwinDiff(p.d, node, e)
 			p.d.Space(node).Drop(pg)
 		}
-		delete(p.dirty[node], pg)
+		p.d.ClearDirty(node, pg)
 		e.Unlock(s.Thread)
 		if flush != nil {
 			b.Diff(e.Home, flush, false)

@@ -16,17 +16,6 @@ import (
 type ercSW struct {
 	core.StandardInstall
 	d *core.DSM
-	// dirty tracks, per node, the pages written since the last release
-	// (the write fault marks them). Only the owner invalidates.
-	dirty []map[core.Page]bool
-}
-
-func newErcSW(d *core.DSM) *ercSW {
-	p := &ercSW{d: d}
-	for i := 0; i < d.Runtime().Nodes(); i++ {
-		p.dirty = append(p.dirty, make(map[core.Page]bool))
-	}
-	return p
 }
 
 // Name implements core.Protocol.
@@ -40,21 +29,11 @@ func (p *ercSW) ReadFaultHandler(f *core.Fault) { core.FetchPage(f, false) }
 func (p *ercSW) WriteFaultHandler(f *core.Fault) {
 	core.FetchPage(f, true)
 	// FetchPage returns with the entry lock held.
-	p.dirty[f.Node][f.Page] = true
+	p.d.MarkDirty(f.Node, f.Page)
 }
 
 // ReadServer grants a read copy, exactly like li_hudak.
-func (p *ercSW) ReadServer(r *core.Request) {
-	e, owner := core.ServeWhenOwner(r)
-	if !owner {
-		core.ForwardRequest(r, e)
-		return
-	}
-	e.AddCopyset(r.From)
-	p.d.Space(r.Node).SetAccess(r.Page, memory.ReadOnly)
-	core.SendPage(r, e, r.From, memory.ReadOnly, false, core.NodeSet{})
-	e.Unlock(r.Thread)
-}
+func (p *ercSW) ReadServer(r *core.Request) { core.ServeReadCopy(r) }
 
 // WriteServer transfers the page, write rights and ownership — and, unlike
 // li_hudak, the copyset travels with the ownership instead of being
@@ -84,15 +63,16 @@ func (p *ercSW) LockAcquire(*core.SyncEvent) {}
 
 // LockRelease eagerly invalidates the copysets of every page this node wrote
 // since the previous release, blocking until all copies are acknowledged
-// gone. The invalidations of all written pages queue into one outbox, so a
-// holder of several stale copies receives a single envelope covering them
-// all and the acknowledgement waits overlap across holders.
+// gone. Only the owner invalidates. The invalidations of all written pages
+// queue into one outbox, so a holder of several stale copies receives a
+// single envelope covering them all and the acknowledgement waits overlap
+// across holders.
 func (p *ercSW) LockRelease(s *core.SyncEvent) {
 	node := s.Node
 	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
-	for _, pg := range dirtyPages(buf[:0], p.dirty[node]) {
-		delete(p.dirty[node], pg)
+	for _, pg := range p.d.DirtyPages(p, node, buf[:0]) {
+		p.d.ClearDirty(node, pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
 		if !e.Owner {

@@ -19,16 +19,7 @@ import (
 // the first home-side write faults, twins locally and marks the page dirty.
 type hbrcMW struct {
 	core.StandardInstall
-	d     *core.DSM
-	dirty []map[core.Page]bool
-}
-
-func newHbrcMW(d *core.DSM) *hbrcMW {
-	p := &hbrcMW{d: d}
-	for i := 0; i < d.Runtime().Nodes(); i++ {
-		p.dirty = append(p.dirty, make(map[core.Page]bool))
-	}
-	return p
+	d *core.DSM
 }
 
 // Name implements core.Protocol.
@@ -43,74 +34,24 @@ func (p *hbrcMW) InitPage(pg core.Page, home int) {
 // itself a read never faults (the home always holds the reference copy).
 func (p *hbrcMW) ReadFaultHandler(f *core.Fault) { core.FetchPage(f, false) }
 
-// WriteFaultHandler enables local writing: if the node already holds a copy
-// (including the home's reference copy) it is twinned in place and upgraded
-// to read-write; otherwise a copy is fetched from the home first. Either
-// way the page is marked dirty for the next release.
-func (p *hbrcMW) WriteFaultHandler(f *core.Fault) {
-	e, t := f.Entry, f.Thread
-	space := p.d.Space(f.Node)
-	e.Lock(t)
-	if space.AccessOf(f.Page) >= memory.ReadOnly {
-		core.EnsureTwin(p.d, f.Node, e)
-		space.SetAccess(f.Page, memory.ReadWrite)
-		p.dirty[f.Node][f.Page] = true
-		f.KeepEntryLocked()
-		return
-	}
-	e.Unlock(t)
-	core.FetchPage(f, true) // returns with the entry lock held
-	if space.AccessOf(f.Page) == memory.ReadWrite {
-		core.EnsureTwin(p.d, f.Node, e)
-		p.dirty[f.Node][f.Page] = true
-	}
-}
+// WriteFaultHandler twins the page before the write — in place when the
+// node holds a copy (the home's reference copy included), after fetching one
+// from the home otherwise — and marks it dirty for the next release.
+func (p *hbrcMW) WriteFaultHandler(f *core.Fault) { core.TwinOnWrite(f) }
 
 // ReadServer runs at the home: add the requester to the copyset and ship a
 // read-only copy. The home never forwards — the manager is fixed.
-func (p *hbrcMW) ReadServer(r *core.Request) {
-	p.serveCopy(r, memory.ReadOnly)
-}
+func (p *hbrcMW) ReadServer(r *core.Request) { core.ServeHomeCopy(r, memory.ReadOnly) }
 
 // WriteServer runs at the home: multiple writers are allowed, so the home
 // ships a read-write copy without transferring ownership and remembers the
 // writer in the copyset.
-func (p *hbrcMW) WriteServer(r *core.Request) {
-	p.serveCopy(r, memory.ReadWrite)
-}
-
-func (p *hbrcMW) serveCopy(r *core.Request, access memory.Access) {
-	e := p.d.Entry(r.Node, r.Page)
-	e.Lock(r.Thread)
-	if r.Node != e.Home {
-		panic("hbrc_mw: page request did not reach the home node")
-	}
-	e.AddCopyset(r.From)
-	core.SendPage(r, e, r.From, access, false, core.NodeSet{})
-	e.Unlock(r.Thread)
-}
-
-// twinBeforeInstall is not needed: the writer twins after installation,
-// before its first write, under the entry lock held through the fault path.
+func (p *hbrcMW) WriteServer(r *core.Request) { core.ServeHomeCopy(r, memory.ReadWrite) }
 
 // InvalidateServer handles the home's third-party invalidation: if this node
 // has pending modifications (a twin with changes), their diff is flushed to
 // the home before the copy is dropped.
-func (p *hbrcMW) InvalidateServer(iv *core.Invalidate) {
-	e := p.d.Entry(iv.Node, iv.Page)
-	e.Lock(iv.Thread)
-	diff := core.TwinDiff(p.d, iv.Node, e)
-	p.d.Space(iv.Node).Drop(iv.Page)
-	delete(p.dirty[iv.Node], iv.Page)
-	e.Unlock(iv.Thread)
-	if diff != nil {
-		// Fire-and-forget: the home is currently blocked waiting for
-		// this very acknowledgement, so waiting here would deadlock;
-		// the diff message is ordered before the ack on the same
-		// channel pair anyway.
-		core.SendDiffsHome(p.d, iv.Thread, e.Home, []*memory.Diff{diff}, false)
-	}
-}
+func (p *hbrcMW) InvalidateServer(iv *core.Invalidate) { core.FlushAndDrop(iv) }
 
 // LockAcquire is a no-op: the home eagerly invalidated stale copies when the
 // previous releaser's diffs arrived, so an acquirer re-faults and refetches
@@ -133,8 +74,8 @@ func (p *hbrcMW) LockRelease(s *core.SyncEvent) {
 	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
 	useNotices := s.Barrier && p.d.NoticesUsable(s.Lock)
-	for _, pg := range dirtyPages(buf[:0], p.dirty[node]) {
-		delete(p.dirty[node], pg)
+	for _, pg := range p.d.DirtyPages(p, node, buf[:0]) {
+		p.d.ClearDirty(node, pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
 		// Writes at the home are already in the reference copy, so its

@@ -47,17 +47,7 @@ func (p *hybrid) WriteFaultHandler(f *core.Fault) {
 
 // ReadServer grants read copies and write-protects the owner's copy, so
 // subsequent owner-side writes fault and trigger the invalidation above.
-func (p *hybrid) ReadServer(r *core.Request) {
-	e, owner := core.ServeWhenOwner(r)
-	if !owner {
-		core.ForwardRequest(r, e)
-		return
-	}
-	e.AddCopyset(r.From)
-	p.d.Space(r.Node).SetAccess(r.Page, memory.ReadOnly)
-	core.SendPage(r, e, r.From, memory.ReadOnly, false, core.NodeSet{})
-	e.Unlock(r.Thread)
-}
+func (p *hybrid) ReadServer(r *core.Request) { core.ServeReadCopy(r) }
 
 // WriteServer is never invoked: writers migrate instead of requesting pages.
 func (p *hybrid) WriteServer(*core.Request) {

@@ -29,15 +29,6 @@ type java struct {
 	core.StandardInstall
 	d           *core.DSM
 	inlineCheck bool
-	dirty       []map[core.Page]bool
-}
-
-func newJava(d *core.DSM, inlineCheck bool) *java {
-	p := &java{d: d, inlineCheck: inlineCheck}
-	for i := 0; i < d.Runtime().Nodes(); i++ {
-		p.dirty = append(p.dirty, make(map[core.Page]bool))
-	}
-	return p
 }
 
 // Name implements core.Protocol.
@@ -57,35 +48,14 @@ func (p *java) ReadFaultHandler(f *core.Fault) { core.FetchPage(f, true) }
 func (p *java) WriteFaultHandler(f *core.Fault) { core.FetchPage(f, true) }
 
 // ReadServer runs at the home node and ships a writable copy.
-func (p *java) ReadServer(r *core.Request) { p.serveCopy(r) }
+func (p *java) ReadServer(r *core.Request) { core.ServeHomeCopy(r, memory.ReadWrite) }
 
 // WriteServer runs at the home node and ships a writable copy.
-func (p *java) WriteServer(r *core.Request) { p.serveCopy(r) }
-
-func (p *java) serveCopy(r *core.Request) {
-	e := p.d.Entry(r.Node, r.Page)
-	e.Lock(r.Thread)
-	if r.Node != e.Home {
-		panic(p.Name() + ": page request did not reach the home node")
-	}
-	e.AddCopyset(r.From)
-	core.SendPage(r, e, r.From, memory.ReadWrite, false, core.NodeSet{})
-	e.Unlock(r.Thread)
-}
+func (p *java) WriteServer(r *core.Request) { core.ServeHomeCopy(r, memory.ReadWrite) }
 
 // InvalidateServer drops the local cached copy (flushing any recorded
 // modifications home first, so nothing is lost).
-func (p *java) InvalidateServer(iv *core.Invalidate) {
-	e := p.d.Entry(iv.Node, iv.Page)
-	e.Lock(iv.Thread)
-	diff := core.TakeRecorded(e)
-	p.d.Space(iv.Node).Drop(iv.Page)
-	delete(p.dirty[iv.Node], iv.Page)
-	e.Unlock(iv.Thread)
-	if diff != nil {
-		core.SendDiffsHome(p.d, iv.Thread, e.Home, []*memory.Diff{diff}, false)
-	}
-}
+func (p *java) InvalidateServer(iv *core.Invalidate) { core.FlushAndDrop(iv) }
 
 // LockAcquire implements the JMM cache flush on monitor entry: every cached
 // (non-home) page on the node is dropped, after flushing any not-yet-
@@ -110,7 +80,7 @@ func (p *java) LockAcquire(s *core.SyncEvent) {
 			}
 			p.d.Space(node).Drop(pg)
 		}
-		delete(p.dirty[node], pg)
+		p.d.ClearDirty(node, pg)
 		e.Unlock(s.Thread)
 	}
 	// One envelope per home, waits overlapped across homes.
@@ -124,8 +94,8 @@ func (p *java) LockRelease(s *core.SyncEvent) {
 	node := s.Node
 	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
-	for _, pg := range dirtyPages(buf[:0], p.dirty[node]) {
-		delete(p.dirty[node], pg)
+	for _, pg := range p.d.DirtyPages(p, node, buf[:0]) {
+		p.d.ClearDirty(node, pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
 		diff := core.TakeRecorded(e)
@@ -180,7 +150,7 @@ func (p *java) Put(a *core.ObjAccess) {
 	}
 	e.Lock(t)
 	core.RecordPut(p.d, e, a.Addr, a.Buf)
-	p.dirty[node][pg] = true
+	p.d.MarkDirty(node, pg)
 	e.Unlock(t)
 }
 

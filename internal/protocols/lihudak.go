@@ -30,17 +30,7 @@ func (p *liHudak) WriteFaultHandler(f *core.Fault) { core.FetchPage(f, true) }
 // copyset, downgrades its own right to read (MRSW: readers exclude writers)
 // and ships a read-only copy. Non-owners forward along the probable-owner
 // chain.
-func (p *liHudak) ReadServer(r *core.Request) {
-	e, owner := core.ServeWhenOwner(r)
-	if !owner {
-		core.ForwardRequest(r, e)
-		return
-	}
-	e.AddCopyset(r.From)
-	p.d.Space(r.Node).SetAccess(r.Page, memory.ReadOnly)
-	core.SendPage(r, e, r.From, memory.ReadOnly, false, core.NodeSet{})
-	e.Unlock(r.Thread)
-}
+func (p *liHudak) ReadServer(r *core.Request) { core.ServeReadCopy(r) }
 
 // WriteServer serves an ownership request: the owner invalidates every copy
 // except the requester's, transfers the page with ownership and write

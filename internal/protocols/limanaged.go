@@ -62,17 +62,7 @@ func (p *liManaged) WriteFaultHandler(f *core.Fault) { core.FetchPage(f, true) }
 
 // ReadServer either serves (if this node owns the page) or, at the manager,
 // forwards the request to the recorded owner.
-func (p *liManaged) ReadServer(r *core.Request) {
-	e, owner := core.ServeWhenOwner(r)
-	if !owner {
-		p.forward(r, e)
-		return
-	}
-	e.AddCopyset(r.From)
-	p.d.Space(r.Node).SetAccess(r.Page, memory.ReadOnly)
-	core.SendPage(r, e, r.From, memory.ReadOnly, false, core.NodeSet{})
-	e.Unlock(r.Thread)
-}
+func (p *liManaged) ReadServer(r *core.Request) { core.ServeReadCopy(r) }
 
 // WriteServer transfers page and ownership like li_hudak; at the manager it
 // forwards and optimistically records the requester as the new owner.
@@ -88,7 +78,7 @@ func (p *liManaged) WriteServer(r *core.Request) {
 			core.ForwardRequestTo(r, dest)
 			return
 		}
-		p.forward(r, e)
+		core.ForwardRequest(r, e)
 		return
 	}
 	cs := e.TakeCopyset()
@@ -98,12 +88,6 @@ func (p *liManaged) WriteServer(r *core.Request) {
 	e.ProbOwner = r.From
 	p.d.Space(r.Node).Drop(r.Page)
 	e.Unlock(r.Thread)
-}
-
-// forward relays a request along this node's hint (at the manager: the
-// authoritative owner; at a stale ex-owner: the node it last transferred to).
-func (p *liManaged) forward(r *core.Request, e *core.Entry) {
-	core.ForwardRequest(r, e)
 }
 
 // InvalidateServer drops the local copy. The owner hint is NOT redirected at

@@ -15,26 +15,12 @@
 // protocol library toolbox in internal/core.
 package protocols
 
-import (
-	"slices"
-
-	"dsmpm2/internal/core"
-)
+import "dsmpm2/internal/core"
 
 // sweepPages sizes the stack buffers of the hooks' page sweeps: a sweep of
 // more pages than this spills its list to the heap, a smaller one costs the
 // hook no allocation.
 const sweepPages = 32
-
-// dirtyPages appends the pages of a node's dirty set to buf in ascending
-// order, the deterministic sweep order of the release hooks.
-func dirtyPages(buf []core.Page, dirty map[core.Page]bool) []core.Page {
-	for pg := range dirty {
-		buf = append(buf, pg)
-	}
-	slices.Sort(buf)
-	return buf
-}
 
 // IDs collects the protocol identifiers assigned at registration.
 type IDs struct {
@@ -57,15 +43,15 @@ func Register(reg *core.Registry) IDs {
 	return IDs{
 		LiHudak:       reg.Register("li_hudak", func(d *core.DSM) core.Protocol { return &liHudak{d: d} }),
 		MigrateThread: reg.Register("migrate_thread", func(d *core.DSM) core.Protocol { return &migrateThread{d: d} }),
-		ErcSW:         reg.Register("erc_sw", func(d *core.DSM) core.Protocol { return newErcSW(d) }),
-		HbrcMW:        reg.Register("hbrc_mw", func(d *core.DSM) core.Protocol { return newHbrcMW(d) }),
-		JavaIC:        reg.Register("java_ic", func(d *core.DSM) core.Protocol { return newJava(d, true) }),
-		JavaPF:        reg.Register("java_pf", func(d *core.DSM) core.Protocol { return newJava(d, false) }),
+		ErcSW:         reg.Register("erc_sw", func(d *core.DSM) core.Protocol { return &ercSW{d: d} }),
+		HbrcMW:        reg.Register("hbrc_mw", func(d *core.DSM) core.Protocol { return &hbrcMW{d: d} }),
+		JavaIC:        reg.Register("java_ic", func(d *core.DSM) core.Protocol { return &java{d: d, inlineCheck: true} }),
+		JavaPF:        reg.Register("java_pf", func(d *core.DSM) core.Protocol { return &java{d: d} }),
 		Hybrid:        reg.Register("hybrid", func(d *core.DSM) core.Protocol { return &hybrid{d: d} }),
-		Adaptive:      reg.Register("adaptive", func(d *core.DSM) core.Protocol { return newAdaptive(d) }),
+		Adaptive:      reg.Register("adaptive", func(d *core.DSM) core.Protocol { return &adaptive{liHudak{d: d}} }),
 		LiFixed:       reg.Register("li_fixed", func(d *core.DSM) core.Protocol { return newLiFixed(d) }),
 		LiCentral:     reg.Register("li_central", func(d *core.DSM) core.Protocol { return newLiCentral(d) }),
-		EntryMW:       reg.Register("entry_mw", func(d *core.DSM) core.Protocol { return newEntryMW(d) }),
+		EntryMW:       reg.Register("entry_mw", func(d *core.DSM) core.Protocol { return &entryMW{d: d} }),
 	}
 }
 

@@ -2,8 +2,10 @@ package protocols
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"dsmpm2/internal/core"
 	"dsmpm2/internal/madeleine"
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/pm2"
@@ -140,5 +142,42 @@ func TestSwitchRequiresQuiescence(t *testing.T) {
 	}
 	if switchErr == nil {
 		t.Fatal("switch during an in-flight fetch succeeded")
+	}
+}
+
+// TestSwitchRefusesUnreleasedWrites: a twin on a node other than the home is
+// a write the home has not seen, and the switch's reset would drop it. The
+// switch is refused, naming the node and the page; once the write is
+// released, the same switch goes through and the value survives it.
+func TestSwitchRefusesUnreleasedWrites(t *testing.T) {
+	for _, name := range []string{"hbrc_mw", "entry_mw"} {
+		t.Run(name, func(t *testing.T) {
+			rt, d, ids := harness(2, madeleine.BIPMyrinet, 1)
+			proto, _ := d.Registry().Lookup(name)
+			base := d.MustMalloc(0, 8, &core.Attr{Protocol: proto, Home: 0})
+			pg := d.Space(0).PageOf(base)
+			var refused, switched error
+			var got uint64
+			rt.CreateThread(1, "writer", func(th *pm2.Thread) {
+				d.WriteUint64(th, base, 42)
+				refused = d.SwitchProtocol(th, base, 8, ids.LiHudak)
+				d.FlushRelease(th)
+				switched = d.SwitchProtocol(th, base, 8, ids.LiHudak)
+				got = d.ReadUint64(th, base)
+			})
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("node 1 holds unreleased writes to page %d", pg)
+			if refused == nil || !strings.Contains(refused.Error(), want) {
+				t.Fatalf("switch over an unreleased write: err = %v, want one containing %q", refused, want)
+			}
+			if switched != nil {
+				t.Fatalf("switch after the release failed: %v", switched)
+			}
+			if got != 42 {
+				t.Fatalf("node 1 read %d after the switch, want 42", got)
+			}
+		})
 	}
 }

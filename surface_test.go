@@ -24,7 +24,6 @@ var exportsWithoutCallers = map[string]string{
 	"trace.Log.WriteJSON":            "facade API: System.Trace hands out the log; TestTraceSpanLogPinned pins its output",
 	"madeleine.LinkMatrix.SetDuplex": "facade API: dsmpm2.LinkMatrix is this type, built with SetLink/SetDuplex",
 	"sim.ShardedEngine.SetSyncHook":  "kept until the sharded engine's cross-shard sync path is folded into the kernel",
-	"core.HasTwin":                   "the protocols package's invariant test checks twin discards across the package boundary",
 	"bench.AdaptJacobi64":            "BenchmarkAdaptJacobi64, CI's adapt smoke, runs it from the root package",
 }
 
