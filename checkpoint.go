@@ -21,8 +21,8 @@ import (
 // checked, not a restored copy of it.
 //
 // Two neighbours share the name but not the token: a restarted node's
-// OnRestart hook warm-starts from the last work unit it recorded (see
-// System.RecordCheckpoint / LastCheckpoint), and divergence bisection
+// OnRestart hook warm-starts from the last work unit it recorded (the
+// jacobi session keeps that registry), and divergence bisection
 // (`dsmbench -exp bisect`) binary-searches the first step whose fingerprint
 // diverges from a golden ledger.
 
@@ -348,20 +348,3 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	}
 	return DecodeCheckpoint(data)
 }
-
-// RecordCheckpoint notes that node committed an application-level checkpoint
-// covering work units up to and including unit; a later restart's OnRestart
-// hook reads it back through LastCheckpoint to warm-start. No-op when
-// recovery is off.
-func (s *System) RecordCheckpoint(node, unit int) { s.dsm.RecordCheckpoint(node, unit) }
-
-// LastCheckpoint reports the last work unit node committed a checkpoint for
-// (-1 when none).
-func (s *System) LastCheckpoint(node int) int { return s.dsm.LastCheckpoint(node) }
-
-// AddRedoneUnits accumulates application-reported redone work units into the
-// recovery stats.
-func (s *System) AddRedoneUnits(n int) { s.dsm.AddRedoneUnits(n) }
-
-// NoteWarmRestart counts a restart that resumed from a recorded checkpoint.
-func (s *System) NoteWarmRestart() { s.dsm.NoteWarmRestart() }

@@ -668,7 +668,7 @@ func comm(*cliArgs) (any, error) {
 		results = append(results, r)
 		fmt.Printf("%-12s %6d %9d %10d %9d %10d %13.1f\n",
 			r.App, r.Nodes, r.Clusters, r.Envelopes,
-			r.BackboneEnvelopes, r.BarrierGens, r.BackbonePerBarrier)
+			r.BackboneEnvelopes, r.Barriers, r.BackbonePerBarrier)
 	}
 	fmt.Println("(backbone/bar subtracts the remote page-fetch pairs; what remains is the")
 	fmt.Println(" synchronization traffic: every non-home arrival crosses the backbone, O(N)")

@@ -48,15 +48,14 @@
 // runs the static-vs-adaptive placement experiment and writes
 // BENCH_adapt.json. See DESIGN.md ("Access profiling & home migration").
 //
-// Serving-class workloads get per-operation latency accounting:
-// System.OpHist(kind) registers a fixed-grid histogram over virtual-time
-// durations (HDR-style log-spaced buckets, allocation-free Record,
-// bucket-wise Merge across nodes), whose quantiles are upper bounds on a
-// fixed seed-independent grid — deterministic, snapshot-safe, and
-// bit-identical across replays. The internal kvstore app (a hash table
-// sharded one-bucket-per-page under per-bucket entry_mw locks, driven by an
-// open-loop Zipf trace with hot-key churn) exercises them end to end;
-// `dsmbench -exp serve [-json]` runs its static-vs-adaptive placement
+// Serving-class workloads get per-operation latency accounting: a
+// Histogram is a fixed-grid histogram over virtual-time durations
+// (HDR-style log-spaced buckets, allocation-free Record), whose quantiles
+// are upper bounds on a fixed seed-independent grid — deterministic,
+// snapshot-safe, and bit-identical across replays. The internal kvstore app
+// (a hash table sharded one-bucket-per-page under per-bucket entry_mw locks,
+// driven by an open-loop Zipf trace with hot-key churn) keeps one per
+// operation kind; `dsmbench -exp serve [-json]` runs its static-vs-adaptive placement
 // experiment, asserts the adaptive p99 wins, and writes BENCH_serve.json.
 // See DESIGN.md ("Serving workloads") and examples/kvstore.
 //
@@ -83,8 +82,8 @@
 // progress and a fingerprint of the run so far), and jacobi.ResumeSession
 // replays the recorded steps and refuses the token unless the replay
 // reaches that fingerprint. Crash-restart experiments warm-start restarted
-// nodes from the per-unit checkpoint registry (System.RecordCheckpoint /
-// LastCheckpoint), and `dsmbench -exp bisect` binary-searches the first step
+// nodes from the last work unit the jacobi session recorded for them, and
+// `dsmbench -exp bisect` binary-searches the first step
 // whose fingerprint diverges from a reference ledger. See DESIGN.md
 // ("Checkpoint/resume").
 //

@@ -27,8 +27,8 @@ type (
 	Stats = core.Stats
 	// FaultTiming decomposes a fault like the paper's Tables 3 and 4.
 	FaultTiming = core.FaultTiming
-	// Histogram is a fixed-grid per-operation latency histogram with
-	// deterministic quantiles (see System.OpHist).
+	// Histogram is a fixed-grid latency histogram with deterministic
+	// quantiles; applications record their operations' latencies in it.
 	Histogram = core.Histogram
 	// HistSummary is the standard digest of one Histogram: grid-valued
 	// quantiles plus exact mean and max.
@@ -196,7 +196,7 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	if cfg.AdaptiveHomes {
-		d.EnableProfiler(core.ProfilerConfig{Migrate: true})
+		d.EnableProfiler()
 	}
 	return s, nil
 }
@@ -308,16 +308,6 @@ func (s *System) Stats() Stats { return s.dsm.Stats() }
 
 // Timings exposes the recorded fault timings (Tables 3/4 style records).
 func (s *System) Timings() *core.TimingLog { return s.dsm.Timings() }
-
-// OpHist returns the per-operation latency histogram registered under kind
-// ("get", "put", ...), creating it on first use. Applications record each
-// operation's virtual-time latency on the completion path; the histogram's
-// fixed log-spaced buckets make p50/p95/p99 deterministic, snapshot-safe and
-// bit-identical across replays of one seed.
-func (s *System) OpHist(kind string) *Histogram { return s.dsm.OpHist(kind) }
-
-// OpKinds lists the registered operation-histogram kinds in sorted order.
-func (s *System) OpKinds() []string { return s.dsm.OpKinds() }
 
 // ProfileEpochs returns the profiler's per-epoch classification histograms
 // (nil when the profiler is off).

@@ -44,8 +44,7 @@ func newHomePush(sys *dsmpm2.System) dsmpm2.ProtoID {
 			// Home-based: grant a writable copy, keep ownership.
 			core.ServeHomeCopy(r, memory.ReadWrite)
 		},
-		OnInvalidate:  func(iv *core.Invalidate) { core.DropCopy(iv) },
-		OnReceivePage: func(pm *core.PageMsg) { core.InstallPage(pm) },
+		OnInvalidate: func(iv *core.Invalidate) { core.DropCopy(iv) },
 		OnDiffServer: func(dm *core.DiffMsg) {
 			core.ApplyDiffs(dm)
 			for _, df := range dm.Diffs {

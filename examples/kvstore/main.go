@@ -6,7 +6,7 @@
 // Where the SPLASH-style examples report a checksum and an elapsed time,
 // the interesting output here is the latency distribution: every request's
 // completion time relative to its scheduled arrival lands in a fixed-grid
-// histogram (dsmpm2.System.OpHist), so the p50/p95/p99 shown below are
+// histogram (dsmpm2.Histogram), so the p50/p95/p99 shown below are
 // deterministic — run the example twice and the numbers are bit-identical.
 //
 // The demo serves the same trace twice from a deliberately bad placement

@@ -137,10 +137,6 @@ func (s *System) RecoveryStats() RecoveryStats { return s.dsm.RecoveryStats() }
 // NodeDead reports whether node n is currently crashed.
 func (s *System) NodeDead(n int) bool { return s.dsm.NodeDead(n) }
 
-// BarrierGen reports the number of completed generations of a barrier;
-// restart-aware applications use it with Thread.BarrierAs.
-func (s *System) BarrierGen(id int) int { return s.dsm.BarrierGen(id) }
-
 // BarrierAs is Thread.Barrier with an explicit participant identity and the
 // participant's generation: arrivals become idempotent per generation, so a
 // participant respawned after a crash re-arrives for the last generation it

@@ -43,8 +43,8 @@ type Config struct {
 	// AdaptiveHomes enables the access-pattern profiler and dynamic home
 	// migration: misplaced rows move onto their writers at barrier epochs.
 	AdaptiveHomes bool
-	// Trace enables post-mortem span recording (dsmpm2.Config.Trace); the
-	// auto-tuner's recording run uses it.
+	// Trace enables post-mortem span recording (dsmpm2.Config.Trace) in
+	// Run. A Session refuses it: a checkpoint carries no spans.
 	Trace bool
 
 	// FaultPlan, when set, selects the restart-aware variant of the
@@ -68,6 +68,11 @@ type Result struct {
 	// FaultPlan was configured).
 	Faults   dsmpm2.FaultStats
 	Recovery dsmpm2.RecoveryStats
+	// RedoneUnits and WarmRestarts are a Session's restart accounting: the
+	// units restarted nodes redid, and the restarts that resumed from a
+	// checkpoint rather than from scratch.
+	RedoneUnits  int64
+	WarmRestarts int
 }
 
 // boundary returns the fixed value of an edge cell in row: the top edge is

@@ -20,7 +20,7 @@ import (
 // two steps:
 //
 //   - phase A: every node computes its block, flushes its diffs home and
-//     records a local checkpoint claiming the unit;
+//     records (in done) a local checkpoint claiming the unit;
 //   - phase B: every node arrives at the cluster barrier for the unit's
 //     generation.
 //
@@ -33,7 +33,8 @@ import (
 // (events parked across a step boundary fire in the next step), homes every
 // grid row on protected node 0, and restarted nodes catch up from their
 // last recorded checkpoint — or from scratch when ColdRestart is set, the
-// A/B knob behind the redone-work comparison in `dsmbench -exp ckpt`.
+// A/B knob behind the redone-work comparison in `dsmbench -exp ckpt`, which
+// reads the session's redoneUnits and warmRestarts.
 type Session struct {
 	cfg   Config
 	sys   *dsmpm2.System
@@ -43,7 +44,13 @@ type Session struct {
 	step  int   // next step to execute, in [0, Steps()]
 	done  []int // per node: last unit whose phase A committed (-1 none)
 
-	// ColdRestart makes restarted nodes ignore the checkpoint registry and
+	// redoneUnits counts the units restarted nodes redo: committed before
+	// their crash, but after the point they resume from. warmRestarts counts
+	// the restarts that resumed from a checkpoint rather than from scratch.
+	redoneUnits  int64
+	warmRestarts int
+
+	// ColdRestart makes restarted nodes ignore their checkpoints and
 	// redo every unit from scratch (the baseline the warm path is measured
 	// against). Set it before the first step: a token records its value at
 	// capture, and the replay runs every step with it.
@@ -132,7 +139,6 @@ func (s *Session) StepsDone() int { return s.step }
 func (s *Session) phaseA(t *dsmpm2.Thread, node, unit int) {
 	s.g.unit(t, node, unit)
 	t.Flush()
-	s.sys.RecordCheckpoint(node, unit)
 	s.done[node] = unit
 }
 
@@ -205,14 +211,14 @@ func (s *Session) Step() error {
 // including the in-progress barrier generation when the cluster is parked in
 // phase B waiting for the dead node's slot.
 func (s *Session) onRestart(node int) {
-	start := s.sys.LastCheckpoint(node)
+	start := s.done[node]
 	if s.ColdRestart {
 		start = -1
 	} else if start >= 0 {
-		s.sys.NoteWarmRestart()
+		s.warmRestarts++
 	}
 	if redone := s.curUnit - (start + 1); redone > 0 {
-		s.sys.AddRedoneUnits(redone)
+		s.redoneUnits += int64(redone)
 	}
 	s.done[node] = start
 	target, arrive := s.curUnit, s.curPhase == 1
@@ -323,5 +329,6 @@ func (s *Session) Result() (Result, error) {
 		return Result{}, fmt.Errorf("jacobi: session has %d steps left", s.Steps()-s.step)
 	}
 	return s.g.checksum(s.sys, s.cfg.Iterations, Result{Elapsed: s.finishedAt, Stats: s.sys.Stats(), System: s.sys,
-		Faults: s.sys.FaultStats(), Recovery: s.sys.RecoveryStats()})
+		Faults: s.sys.FaultStats(), Recovery: s.sys.RecoveryStats(),
+		RedoneUnits: s.redoneUnits, WarmRestarts: s.warmRestarts})
 }

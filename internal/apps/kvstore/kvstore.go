@@ -7,8 +7,8 @@
 // Unlike the barrier-phased SPLASH-style kernels (jacobi, lu, matmul), the
 // interesting output here is not a checksum but the latency *distribution*:
 // every operation's completion time relative to its scheduled arrival is
-// recorded into the core's fixed-grid histograms (System.OpHist), so p50/p95
-// and p99 per operation kind are deterministic, snapshot-safe, and
+// recorded into a fixed-grid histogram per operation kind (dsmpm2.Histogram),
+// so p50/p95 and p99 per kind are deterministic, snapshot-safe, and
 // bit-identical across replays of one seed. The generator is open-loop on
 // purpose: arrivals do not wait for completions, so a placement that slows
 // the servers shows up as queueing delay in the tail — exactly the signal
@@ -325,11 +325,24 @@ func ServeSerial(cfg Config) (uint64, []HotKey, error) {
 	return sum, topKeys(tr.perKey, cfg.TopN), nil
 }
 
+// opHist is one operation kind's latency histogram.
+type opHist struct {
+	kind string
+	dsmpm2.Histogram
+}
+
 // Run executes the store under simulation and returns the result.
 func Run(cfg Config) (Result, error) {
+	res, _, err := run(cfg)
+	return res, err
+}
+
+// run is Run, also returning the latency histograms it recorded, in report
+// order: drop (only when a deadline is set), get and put.
+func run(cfg Config) (Result, []*opHist, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	sys, err := dsmpm2.New(dsmpm2.Config{
 		Nodes:         cfg.Nodes,
@@ -340,7 +353,7 @@ func Run(cfg Config) (Result, error) {
 		AdaptiveHomes: cfg.AdaptiveHomes,
 	})
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	tr := genTrace(cfg)
 
@@ -378,11 +391,12 @@ func Run(cfg Config) (Result, error) {
 		hotIdx[hk.Key] = i
 	}
 	keyHists := make([]dsmpm2.Histogram, len(hot))
-	getHist := sys.OpHist("get")
-	putHist := sys.OpHist("put")
-	var dropHist *dsmpm2.Histogram
+	getHist, putHist := &opHist{kind: "get"}, &opHist{kind: "put"}
+	hists := []*opHist{getHist, putHist}
+	var dropHist *opHist
 	if cfg.Deadline > 0 {
-		dropHist = sys.OpHist("drop")
+		dropHist = &opHist{kind: "drop"}
+		hists = []*opHist{dropHist, getHist, putHist}
 	}
 
 	// The open-loop generator: sleep to each scheduled arrival, stamp the
@@ -457,7 +471,7 @@ func Run(cfg Config) (Result, error) {
 		})
 	}
 	if err := sys.Run(); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	res.Elapsed = sys.Now()
 
@@ -475,16 +489,15 @@ func Run(cfg Config) (Result, error) {
 		res.Checksum = sum
 	})
 	if err := sys.Run(); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 
 	res.Stats = sys.Stats()
 	res.HotKeys = hot
-	for _, kind := range sys.OpKinds() {
-		h := sys.OpHist(kind).Snapshot()
+	for _, h := range hists {
 		s := h.Summarize()
 		res.Ops = append(res.Ops, OpSummary{
-			Kind:  kind,
+			Kind:  h.kind,
 			Count: s.Count,
 			P50:   s.P50,
 			P95:   s.P95,
@@ -496,5 +509,5 @@ func Run(cfg Config) (Result, error) {
 	for i, hk := range hot {
 		res.PerKey = append(res.PerKey, KeyLatency{Key: hk.Key, HistSummary: keyHists[i].Summarize()})
 	}
-	return res, nil
+	return res, hists, nil
 }

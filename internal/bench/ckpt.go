@@ -179,8 +179,8 @@ func CkptRestartCompare() (warm, cold CkptRestart, err error) {
 		}
 		return CkptRestart{
 			Mode:         mode,
-			RedoneUnits:  res.Recovery.RedoneUnits,
-			WarmRestarts: res.Recovery.WarmRestarts,
+			RedoneUnits:  res.RedoneUnits,
+			WarmRestarts: res.WarmRestarts,
 			VirtualMS:    float64(res.Elapsed) / 1e6,
 			Checksum:     res.Checksum,
 			Fingerprint:  s.System().Fingerprint(),

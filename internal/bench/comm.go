@@ -65,7 +65,7 @@ type CommResult struct {
 	// fault on the backbone) that no barrier scheme can remove. The flat
 	// barrier grows this O(N): every non-home arrival crosses the backbone.
 	BackboneEnvelopes  int     `json:"backbone_envelopes,omitempty"`
-	BarrierGens        int64   `json:"barrier_gens,omitempty"`
+	Barriers           int64   `json:"barrier_gens,omitempty"`
 	BackbonePerBarrier float64 `json:"backbone_per_barrier,omitempty"`
 
 	// ByLink summarizes the recorded fault timings per link class.
@@ -209,16 +209,16 @@ func commScale(nodes, iters int) CommResult {
 	}}.measure()
 	out.Clusters = CommScaleClusters
 	out.BackboneEnvelopes = sys.Runtime().Network().EnvelopesByLink()[inter.Name]
-	out.BarrierGens = sys.Stats().Barriers / int64(nodes)
+	out.Barriers = sys.Stats().Barriers / int64(nodes)
 	var interFaults int
 	for _, l := range out.ByLink {
 		if l.Link == inter.Name {
 			interFaults = l.Count
 		}
 	}
-	if out.BarrierGens > 0 {
+	if out.Barriers > 0 {
 		out.BackbonePerBarrier = float64(out.BackboneEnvelopes-2*interFaults) /
-			float64(out.BarrierGens)
+			float64(out.Barriers)
 	}
 	return out
 }

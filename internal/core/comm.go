@@ -13,7 +13,6 @@ import (
 // is carried by PM2's RPC mechanism.
 const (
 	svcRequest = "dsm.request"
-	svcPage    = "dsm.page"
 	svcInvald  = "dsm.invalidate"
 	svcDiff    = "dsm.diff"
 	svcLockAcq = "dsm.lock.acquire"
@@ -27,17 +26,16 @@ const ctrlBytes = 64
 // serviceIDs are the channel ids of the services the core sends to on its
 // hot paths, resolved once at registration (see pm2.Runtime.ServiceID).
 type serviceIDs struct {
-	request, page, invald, diff, lockAcq, lockRel, barrier madeleine.ChanID
-	migrateHome, migrateInstall                            madeleine.ChanID
+	request, invald, diff, lockAcq, lockRel, barrier madeleine.ChanID
+	migrateHome, migrateInstall                      madeleine.ChanID
 }
 
 // registerServices wires the DSM communication module onto every node.
 // Request, invalidation and diff servers are threaded so that concurrent
 // requests — for the same page or different pages — are processed in
 // parallel, the multithreaded behaviour Section 3 calls out; page
-// installation is serial, one page at a time per node like a softirq: on the
-// node's installer (see StandardInstall), or on the serial dsm.page service
-// for the protocols whose receive-page server may block.
+// installation is serial, one page at a time per node like a softirq, on the
+// node's installer (see install.go).
 //
 // Each handler receives the sender's record itself (see records.go),
 // completes it with DSM, Thread and Node, runs the protocol routine on it and
@@ -68,18 +66,6 @@ func (d *DSM) registerServices() {
 				p.ReadServer(r)
 			}
 			put(&d.recs.requests, r)
-			return nil
-		})
-
-		node.Register(svcPage, false, func(h *pm2.Thread, arg interface{}) interface{} {
-			pm := arg.(*PageMsg)
-			if ft := liveTiming(pm.Timing, pm.ftSeq); ft != nil {
-				ft.Transfer = h.Now().Sub(pm.sentAt)
-				ft.Link = pm.link
-			}
-			pm.DSM, pm.Thread, pm.Node = d, h, h.Node()
-			d.protoAt(pm.Node, pm.Page).ReceivePageServer(pm)
-			put(&d.recs.pages, pm)
 			return nil
 		})
 
@@ -137,8 +123,7 @@ func (d *DSM) registerServices() {
 	d.registerSyncServices()
 	rt := d.rt
 	d.svc = serviceIDs{
-		request: rt.ServiceID(svcRequest), page: rt.ServiceID(svcPage),
-		invald: rt.ServiceID(svcInvald), diff: rt.ServiceID(svcDiff),
+		request: rt.ServiceID(svcRequest), invald: rt.ServiceID(svcInvald), diff: rt.ServiceID(svcDiff),
 		lockAcq: rt.ServiceID(svcLockAcq), lockRel: rt.ServiceID(svcLockRel),
 		barrier: rt.ServiceID(svcBarrier),
 	}
@@ -158,14 +143,12 @@ func (d *DSM) sendRequest(from, dest int, m *Request) {
 	d.rt.AsyncFrom(from, dest, d.svc.request, m, ctrlBytes)
 }
 
-// sendPage delivers a page copy to dest as a bulk transfer: to dest's
-// installer when step is set (the page's protocol embeds StandardInstall),
-// else to its dsm.page service. The message header travels inside the
-// transfer's fixed base cost, so the charged payload is exactly the page, as
-// in the paper's Table 3 measurements. The carrying link's profile name is
-// recorded for FaultTiming attribution, so reports can split fault costs by
-// link class (intra- vs inter-cluster).
-func (d *DSM) sendPage(from, dest int, m *PageMsg, step bool) {
+// sendPage delivers a page copy to dest's installer as a bulk transfer. The
+// message header travels inside the transfer's fixed base cost, so the charged
+// payload is exactly the page, as in the paper's Table 3 measurements. The
+// carrying link's profile name is recorded for FaultTiming attribution, so
+// reports can split fault costs by link class (intra- vs inter-cluster).
+func (d *DSM) sendPage(from, dest int, m *PageMsg) {
 	m.sentAt = d.rt.Engine().Now()
 	m.link = d.rt.Link(from, dest).Name
 	st := &d.stats
@@ -173,11 +156,7 @@ func (d *DSM) sendPage(from, dest int, m *PageMsg, step bool) {
 	st.PageBytes += int64(len(m.Data))
 	st.Sends++
 	st.Envelopes++
-	if step {
-		d.rt.Network().SendBulkID(from, dest, d.installCh, len(m.Data), m)
-		return
-	}
-	d.rt.AsyncFrom(from, dest, d.svc.page, m, len(m.Data))
+	d.rt.Network().SendBulkID(from, dest, d.installCh, len(m.Data), m)
 }
 
 // newInvalidate takes an invalidation record for pg, sent by from.

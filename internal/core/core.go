@@ -112,7 +112,7 @@ type DSM struct {
 
 	state []*nodeState
 	// installers are the nodes' page installers, fed on installCh (see
-	// StandardInstall).
+	// install.go).
 	installers  []*installer
 	installCh   madeleine.ChanID
 	installSink func(v interface{}) // deliverInstall, bound once
@@ -121,7 +121,7 @@ type DSM struct {
 	registry *Registry
 	// instances holds the protocols instantiated so far, indexed by id, with
 	// nil for one not yet used (see instance).
-	instances []instance
+	instances []Protocol
 	defProto  ProtoID
 
 	// dir is the page directory: the allocation-time home and protocol of
@@ -150,10 +150,6 @@ type DSM struct {
 	timings    TimingLog
 	faultSeq   uint32
 	nodeFaults []int64
-
-	// opHists holds the per-operation latency histograms (see histogram.go),
-	// keyed by op kind, created lazily by OpHist.
-	opHists map[string]*Histogram
 }
 
 // pageInfo is the allocation-time metadata for a shared page, known on every
@@ -203,34 +199,24 @@ func (d *DSM) SetDefaultProtocol(id ProtoID) {
 	d.defProto = id
 }
 
-// instance is one instantiated protocol; step records that it installs pages
-// by step (see StandardInstall), decided once here rather than per page.
-type instance struct {
-	Protocol
-	step bool
-}
-
 // instance returns (instantiating on first use) the protocol instance for id.
-func (d *DSM) instance(id ProtoID) Protocol { return d.inst(id).Protocol }
-
-func (d *DSM) inst(id ProtoID) *instance {
-	if int(id) < len(d.instances) && d.instances[id].Protocol != nil {
-		return &d.instances[id]
+func (d *DSM) instance(id ProtoID) Protocol {
+	if int(id) < len(d.instances) && d.instances[id] != nil {
+		return d.instances[id]
 	}
 	p := d.registry.newInstance(id, d)
 	if int(id) >= len(d.instances) {
-		d.instances = append(d.instances, make([]instance, int(id)+1-len(d.instances))...)
+		d.instances = append(d.instances, make([]Protocol, int(id)+1-len(d.instances))...)
 	}
-	_, step := p.(interface{ installsByStep() })
-	d.instances[id] = instance{p, step}
-	return &d.instances[id]
+	d.instances[id] = p
+	return p
 }
 
 // eachInstance invokes fn on every instantiated protocol, in id order.
 func (d *DSM) eachInstance(fn func(Protocol)) {
-	for _, in := range d.instances {
-		if in.Protocol != nil {
-			fn(in.Protocol)
+	for _, p := range d.instances {
+		if p != nil {
+			fn(p)
 		}
 	}
 }
@@ -304,10 +290,6 @@ func (d *DSM) MustMalloc(node, size int, attr *Attr) Addr {
 	}
 	return a
 }
-
-// Free releases a shared area. The caller must ensure no thread accesses it
-// afterwards (as with any free).
-func (d *DSM) Free(base Addr) error { return d.alloc.Free(base) }
 
 // PageInfo reports the home node and protocol of a page, as recorded at
 // allocation time.

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/bits"
-	"sort"
 
 	"dsmpm2/internal/sim"
 )
@@ -35,7 +34,7 @@ const (
 
 // Histogram is a fixed-size latency histogram over virtual-time durations.
 // The zero value is ready to use. It is sized for embedding: no pointers, so
-// snapshotting is a struct copy.
+// a copy is a snapshot and == compares contents.
 type Histogram struct {
 	counts [histBuckets]int64
 	n      int64
@@ -92,8 +91,7 @@ func (h *Histogram) Max() sim.Duration { return sim.Duration(h.max) }
 
 // Quantile returns the q-quantile (0 < q <= 1) as the upper bound of the
 // bucket containing the ceil(q*n)-th smallest sample — deterministic, and
-// identical whether computed on a live histogram, a snapshot, or a merge of
-// per-node parts. Returns 0 for an empty histogram.
+// identical whether computed on a live histogram or a copy. Returns 0 for an empty histogram.
 func (h *Histogram) Quantile(q float64) sim.Duration {
 	if h.n == 0 {
 		return 0
@@ -115,16 +113,6 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 	return sim.Duration(h.max) // unreachable: counts sum to n
 }
 
-// Snapshot returns a copy of the histogram (a plain struct copy: quantiles
-// extracted from the copy are immune to further recording).
-func (h *Histogram) Snapshot() Histogram { return *h }
-
-// Equal reports whether two histograms hold bit-identical contents — the
-// bucket counts and all exact aggregates. Replay and merge-vs-direct checks
-// use it: histograms built from the same samples compare equal however the
-// samples were partitioned.
-func (h *Histogram) Equal(o *Histogram) bool { return *h == *o }
-
 // HistSummary is the standard latency digest extracted from one histogram:
 // grid-valued quantiles plus the exact-resolution mean and max.
 type HistSummary struct {
@@ -136,8 +124,8 @@ type HistSummary struct {
 	Max   sim.Duration `json:"max_ns"`
 }
 
-// Summarize digests the histogram. Read it on a quiescent histogram or a
-// Snapshot, like the other readers.
+// Summarize digests the histogram. Read it on a quiescent histogram, like
+// the other readers.
 func (h *Histogram) Summarize() HistSummary {
 	return HistSummary{
 		Count: h.Count(),
@@ -147,32 +135,4 @@ func (h *Histogram) Summarize() HistSummary {
 		Mean:  h.Mean(),
 		Max:   h.Max(),
 	}
-}
-
-// OpHist returns the latency histogram registered under kind, creating it on
-// first use. Intended pattern: one kind per operation class ("get", "put",
-// "timeout", ...), recorded by application or protocol code on the
-// completion path. The histograms live outside Stats (they are too big to
-// copy on every Stats() call) but share its lifetime.
-func (d *DSM) OpHist(kind string) *Histogram {
-	if d.opHists == nil {
-		d.opHists = make(map[string]*Histogram)
-	}
-	h := d.opHists[kind]
-	if h == nil {
-		h = &Histogram{}
-		d.opHists[kind] = h
-	}
-	return h
-}
-
-// OpKinds returns the registered histogram kinds in sorted order, so reports
-// iterate deterministically.
-func (d *DSM) OpKinds() []string {
-	out := make([]string, 0, len(d.opHists))
-	for k := range d.opHists {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

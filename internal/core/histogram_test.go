@@ -185,29 +185,3 @@ func TestHistogramOrderIndependenceProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestOpHistRegistry pins the DSM-level registry: lazily created, stable
-// across lookups, kinds reported in sorted order.
-func TestOpHistRegistry(t *testing.T) {
-	d := &DSM{}
-	g := d.OpHist("get")
-	g.Record(5 * sim.Microsecond)
-	if d.OpHist("get") != g {
-		t.Fatal("OpHist created a second histogram for the same kind")
-	}
-	d.OpHist("put")
-	d.OpHist("drop")
-	kinds := d.OpKinds()
-	want := []string{"drop", "get", "put"}
-	if len(kinds) != len(want) {
-		t.Fatalf("OpKinds = %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("OpKinds = %v, want %v", kinds, want)
-		}
-	}
-	if d.OpHist("get").Count() != 1 {
-		t.Fatal("recorded sample lost")
-	}
-}

@@ -7,32 +7,26 @@ import (
 	"dsmpm2/internal/sim"
 )
 
-// StandardInstall is the standard receive-page server. A protocol embeds it
-// in place of a ReceivePageServer that only calls InstallPage, and the core
-// then installs the protocol's pages by step: on the receiving node's
-// installer, a step proc (see sim.SpawnStep), instead of a handler thread,
-// with the same events at the same virtual times. A protocol that embeds it
-// must not define ReceivePageServer itself, since the core would not call it.
-// A receive-page server that does more keeps its handler thread, because such
-// code may block.
+// StandardInstall is the standard receive-page server: a protocol embeds it
+// when the core's install is all an arriving page needs. The core installs
+// every page itself (see installer) and then calls the page's protocol's
+// ReceivePageServer, so a protocol that must adjust its state after an
+// install (li_managed re-aims its owner hint) defines its own instead.
 type StandardInstall struct{}
 
-// ReceivePageServer implements Protocol: it is InstallPage.
-func (StandardInstall) ReceivePageServer(pm *PageMsg) { InstallPage(pm) }
+// ReceivePageServer implements Protocol: nothing beyond the core's install.
+func (StandardInstall) ReceivePageServer(*PageMsg) {}
 
-func (StandardInstall) installsByStep() {}
-
-// installChannel carries the pages of the protocols that install by step; the
-// others' pages go to the serial dsm.page service.
+// installChannel carries page transfers to the receiving node's installer.
 const installChannel = "dsm.install"
 
-// installer is one node's page installer for the protocols that embed
-// StandardInstall. It is the serial dsm.page service without the thread: its
-// channel's sink starts it, it installs the pages one at a time in arrival
-// order, and the channel stays unbound while it is busy. Each busy stretch is
-// one step proc, named as the handler thread would be. Each page takes the
-// handler thread's path through the kernel: lock the entry, hold a CPU for
-// Costs.Install, run InstallPage's body, unlock, take the next page.
+// installer is one node's page installer. It is a serial service without a
+// thread: its channel's sink starts it, it installs the pages one at a time in
+// arrival order, and the channel stays unbound while it is busy. Each busy
+// stretch is one step proc (see sim.SpawnStep). Each page takes a handler
+// thread's path through the kernel: lock the entry, hold a CPU for
+// Costs.Install, install, run the protocol's ReceivePageServer, unlock, take
+// the next page.
 type installer struct {
 	proc  sim.Proc
 	d     *DSM
@@ -53,7 +47,7 @@ const (
 
 // init makes in node's installer, bound to its channel.
 func (in *installer) init(d *DSM, node int) *installer {
-	*in = installer{d: d, node: node, name: fmt.Sprintf("rpch:%s@%d", svcPage, node)}
+	*in = installer{d: d, node: node, name: fmt.Sprintf("rpch:dsm.page@%d", node)}
 	d.rt.Network().Serve(node, d.installCh, d.installSink)
 	return in
 }
@@ -63,7 +57,7 @@ func (in *installer) init(d *DSM, node int) *installer {
 func (d *DSM) deliverInstall(v interface{}) { d.installers[v.(*madeleine.Message).To].deliver(v) }
 
 // deliver starts a busy stretch on the page v, in engine context: the step
-// proc's first wake takes the slot the handler thread's would.
+// proc's first wake takes the slot a handler thread's would.
 func (in *installer) deliver(v interface{}) {
 	in.d.rt.Network().Unserve(in.node, in.d.installCh)
 	in.take(v)
@@ -85,13 +79,7 @@ func (in *installer) Run(p *sim.Proc) {
 	for {
 		switch in.state {
 		case installLock:
-			pm := in.pm
-			if ft := liveTiming(pm.Timing, pm.ftSeq); ft != nil {
-				ft.Transfer = d.rt.Now().Sub(pm.sentAt)
-				ft.Link = pm.link
-			}
-			pm.DSM, pm.Node = d, in.node
-			in.e = d.Entry(in.node, pm.Page)
+			in.e = d.arrive(in.pm, in.node)
 			in.state = installCPU
 			if !in.e.mu.LockStep(p) {
 				return
@@ -130,4 +118,57 @@ func (in *installer) kill() {
 	if in.proc.Engine() != nil {
 		in.proc.Kill()
 	}
+}
+
+// arrive completes a page that reached node: its transfer time, DSM and Node.
+// It returns the page's entry on node, whose lock the install takes.
+func (d *DSM) arrive(pm *PageMsg, node int) *Entry {
+	if ft := liveTiming(pm.Timing, pm.ftSeq); ft != nil {
+		ft.Transfer = d.rt.Now().Sub(pm.sentAt)
+		ft.Link = pm.link
+	}
+	pm.DSM, pm.Node = d, node
+	return d.Entry(node, pm.Page)
+}
+
+// install copies an arriving page into the local frame, sets the granted
+// access right, updates ownership hints, completes the pending fetch and wakes
+// the waiting threads, then runs the page's protocol's ReceivePageServer. The
+// installer calls it with e locked and Costs.Install charged.
+func (d *DSM) install(pm *PageMsg, e *Entry) {
+	if ft := liveTiming(pm.Timing, pm.ftSeq); ft != nil {
+		ft.Install = d.costs.Install
+	}
+	switch {
+	case d.recovery != nil && (!e.Pending || (!pm.Ownship && pm.Seq != e.reqSeq)):
+		// A late response to a request that was since retried (or already
+		// satisfied): its data may predate writes the current owner has
+		// accepted. Discard it; the outstanding fetch, if any, stays
+		// pending and its own response will complete it.
+	case !pm.Ownship && e.InvalSeq != e.pendingSeq:
+		// An invalidation overtook this copy in flight: the data is
+		// stale and the home/owner no longer counts us as a holder.
+		// Drop it and let the faulting threads refault and refetch.
+		// Ownership transfers are exempt: the previous owner serialized
+		// the granting write after any invalidation it sent us.
+		e.Pending = false
+		e.Broadcast()
+	default:
+		frame := d.state[pm.Node].space.Ensure(pm.Page)
+		copy(frame.Data, pm.Data)
+		frame.Access = pm.Access
+		e.ProbOwner = pm.Owner
+		if pm.Ownship {
+			e.Owner = true
+			// The wire form stays a plain []int (sorted when it comes from
+			// TakeCopyset, arbitrary from custom protocols); FromSlice sorts
+			// and deduplicates while rebuilding the interval set.
+			e.Copyset.FromSlice(pm.Copyset)
+		}
+		e.Pending = false
+		e.Broadcast()
+	}
+	d.bufs.Put(pm.Data) // the wire copy was pooled by SendPage
+	pm.Data = nil
+	d.instances[e.proto].ReceivePageServer(pm)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // NodeSet is a set of node ids: a bitmap whose first word is held inline, so
@@ -80,12 +79,6 @@ func (s *NodeSet) Take() NodeSet {
 	out := *s
 	*s = NodeSet{}
 	return out
-}
-
-// Clone returns an independent copy.
-func (s NodeSet) Clone() NodeSet {
-	s.more = slices.Clone(s.more)
-	return s
 }
 
 // ForEach calls fn for every member in ascending node order.

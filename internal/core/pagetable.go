@@ -51,13 +51,13 @@ type Entry struct {
 	// message can overtake an in-flight page transfer, so a page copy
 	// requested before the invalidation must not be installed after it.
 	// The core bumps it on every arriving invalidation; FetchPage
-	// snapshots it into pendingSeq; InstallPage discards non-ownership
+	// snapshots it into pendingSeq; the install discards non-ownership
 	// copies whose snapshot is out of date and lets the access refault.
 	InvalSeq   uint64
 	pendingSeq uint64
 
 	// reqSeq numbers this node's page requests for this page. Responses
-	// echo it, and with recovery enabled InstallPage discards responses to
+	// echo it, and with recovery enabled the install discards responses to
 	// superseded requests — a retry after a timeout must not let the
 	// original's late response install stale data. Fault-free runs never
 	// retry, so the sequence is always current there.
@@ -207,7 +207,7 @@ func (d *DSM) ClearDirty(node int, pg Page) {
 func (d *DSM) DirtyPages(p Protocol, node int, buf []Page) []Page {
 	ns := d.state[node]
 	for _, pg := range ns.dirty {
-		if d.instances[d.Entry(node, pg).proto].Protocol == p {
+		if d.instances[d.Entry(node, pg).proto] == p {
 			buf = append(buf, pg)
 		}
 	}

@@ -65,22 +65,10 @@ func (c PageClass) String() string {
 	return "unknown"
 }
 
-// ProfilerConfig parameterizes the profiler and its decision engine.
-type ProfilerConfig struct {
-	// Migrate enables home migration: at barrier boundaries, pages whose
-	// classification names a dominant writer different from their current
-	// home are re-homed onto that writer. Off, the profiler only observes.
-	Migrate bool
-}
-
 // DefaultStability is the re-homing hysteresis: the number of consecutive
 // epochs that must agree on a page's dominant writer before the page is
 // re-homed (against ping-pong).
 const DefaultStability = 2
-
-// profileWindow is the per-page epoch ring size: the classification history
-// kept for introspection and the adaptive protocol.
-const profileWindow = 8
 
 // EpochProfile is one epoch's classification histogram: how many pages fell
 // into each sharing class when the epoch's counters were folded, and how many
@@ -123,17 +111,12 @@ type pageCounters struct {
 	diffs   uint32 // diffs the node shipped for the page
 }
 
-// ringEntry is one epoch's verdict for a page.
-type ringEntry struct {
-	class  PageClass
-	writer int // dominant writer, -1 when the class names none
-}
-
 // pageProfile is the profiler's per-page state: live counters (one slot per
-// node, allocated once) and the ring of recent epoch verdicts.
+// node, allocated once) and the last folded epoch's verdict.
 type pageProfile struct {
 	counts []pageCounters
-	ring   []ringEntry
+	class  PageClass
+	writer int // the verdict's dominant writer, -1 when the class names none
 	// pref is the dominant writer of the last folded epoch (-1 none): the
 	// page's preferred home. Fetches by pref from elsewhere count as
 	// misplaced.
@@ -144,7 +127,6 @@ type pageProfile struct {
 
 // profilerState is the DSM's profiler (nil when disabled).
 type profilerState struct {
-	cfg   ProfilerConfig
 	nodes int
 	pages map[Page]*pageProfile
 	// order mirrors pages' keys in ascending order, maintained by binary
@@ -161,16 +143,15 @@ type profilerState struct {
 	folding bool
 }
 
-// EnableProfiler switches the access-pattern profiler on. Call it before
-// Run; pages allocated earlier are adopted here, later ones at allocation.
-// With cfg.Migrate set, the decision engine re-homes pages at cluster-wide
-// barrier boundaries (see migrate.go). Calling it again (e.g. with an
-// explicit config after Config.AdaptiveHomes already enabled it) replaces
-// the configuration and restarts the evidence from scratch.
-func (d *DSM) EnableProfiler(cfg ProfilerConfig) {
+// EnableProfiler switches the access-pattern profiler on, with its decision
+// engine: at cluster-wide barrier boundaries, pages whose classification
+// names a dominant writer other than their home are re-homed onto that writer
+// (see migrate.go). Call it before Run; pages allocated earlier are adopted
+// here, later ones at allocation. Calling it again restarts the evidence from
+// scratch.
+func (d *DSM) EnableProfiler() {
 	already := d.prof != nil
 	d.prof = &profilerState{
-		cfg:   cfg,
 		nodes: d.rt.Nodes(),
 		pages: make(map[Page]*pageProfile),
 	}
@@ -206,11 +187,10 @@ func (d *DSM) PageClassOf(pg Page) (PageClass, int) {
 		return ClassIdle, -1
 	}
 	pp := d.prof.pages[pg]
-	if pp == nil || d.prof.epoch == 0 {
+	if pp == nil {
 		return ClassIdle, -1
 	}
-	last := pp.ring[(d.prof.epoch-1)%len(pp.ring)]
-	return last.class, last.writer
+	return pp.class, pp.writer
 }
 
 // track adopts a page into the profiler, allocating its counter slots once.
@@ -218,18 +198,9 @@ func (p *profilerState) track(pg Page) {
 	if _, ok := p.pages[pg]; ok {
 		return
 	}
-	pp := &pageProfile{
-		counts: make([]pageCounters, p.nodes),
-		ring:   make([]ringEntry, profileWindow),
-		pref:   -1,
-	}
-	// Unwritten ring slots must honour the "writer -1 when none" contract:
-	// a page adopted after the first fold is read through PageClassOf
-	// before its slot is ever written, and a zero-valued writer would name
-	// node 0 the dominant writer of an idle page.
-	for i := range pp.ring {
-		pp.ring[i].writer = -1
-	}
+	// Until its first fold a page is idle with no writer: a zero writer would
+	// name node 0 the dominant writer of an idle page.
+	pp := &pageProfile{counts: make([]pageCounters, p.nodes), writer: -1, pref: -1}
 	p.pages[pg] = pp
 	i := sort.Search(len(p.order), func(i int) bool { return p.order[i] >= pg })
 	p.order = append(p.order, 0)
@@ -353,7 +324,7 @@ type migCandidate struct {
 }
 
 // foldEpoch closes the current epoch: classify every page from its counters,
-// push the verdict into the page's ring, update preferred-home and stability
+// keep the verdict as the page's last, update preferred-home and stability
 // state, reset the counters in place (no allocation), and return the pages
 // whose evidence justifies a home migration — in ascending page order, so
 // the decision sequence is canonical. The caller (the barrier manager)
@@ -368,7 +339,7 @@ func (d *DSM) foldEpoch() (EpochProfile, []migCandidate) {
 			continue
 		}
 		class, writer := classifyCounters(pp.counts)
-		pp.ring[p.epoch%len(pp.ring)] = ringEntry{class: class, writer: writer}
+		pp.class, pp.writer = class, writer
 		ep.bump(class)
 		switch {
 		case writer >= 0 && writer == pp.pref:
@@ -390,7 +361,7 @@ func (d *DSM) foldEpoch() (EpochProfile, []migCandidate) {
 		for n := range pp.counts {
 			pp.counts[n] = pageCounters{}
 		}
-		if pi, ok := d.dir[pg]; ok && p.cfg.Migrate && migratable(class) &&
+		if pi, ok := d.dir[pg]; ok && migratable(class) &&
 			writer >= 0 && pp.stable >= DefaultStability && pi.home != writer {
 			cands = append(cands, migCandidate{pg: pg, writer: writer})
 		}

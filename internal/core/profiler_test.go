@@ -93,7 +93,7 @@ func TestProfilerDecisionsOrderIndependent(t *testing.T) {
 			base := d.MustMalloc(1, PageSize, nil) // every page starts homed on node 1
 			pages[i] = d.state[0].space.PageOf(base)
 		}
-		d.EnableProfiler(ProfilerConfig{Migrate: true})
+		d.EnableProfiler()
 		rng := rand.New(rand.NewSource(shuffleSeed))
 		var (
 			ep    EpochProfile
@@ -151,8 +151,8 @@ func TestEnableProfilerTwice(t *testing.T) {
 	h, _ := localProto("p")
 	id := reg.Register("p", func(*DSM) Protocol { return h })
 	d.SetDefaultProtocol(id)
-	d.EnableProfiler(ProfilerConfig{Migrate: true})
-	d.EnableProfiler(ProfilerConfig{Migrate: true})
+	d.EnableProfiler()
+	d.EnableProfiler()
 	d.foldEpoch() // epoch 0 closes with no pages
 	base := d.MustMalloc(0, PageSize, nil)
 	pg := d.state[0].space.PageOf(base)
@@ -174,7 +174,7 @@ func TestProfilerStabilityHysteresis(t *testing.T) {
 	d.SetDefaultProtocol(id)
 	base := d.MustMalloc(0, PageSize, nil)
 	pg := d.state[0].space.PageOf(base)
-	d.EnableProfiler(ProfilerConfig{Migrate: true})
+	d.EnableProfiler()
 
 	fold := func() []migCandidate {
 		_, cands := d.foldEpoch()
@@ -249,14 +249,13 @@ func TestHomeMigrationMovesPage(t *testing.T) {
 			r.DSM.Space(r.Node).Drop(r.Page)
 			e.Unlock(r.Thread)
 		},
-		OnInvalidate:  func(iv *Invalidate) { DropCopy(iv) },
-		OnReceivePage: func(pm *PageMsg) { InstallPage(pm) },
+		OnInvalidate: func(iv *Invalidate) { DropCopy(iv) },
 	}
 	id := reg.Register("fetcher", func(*DSM) Protocol { return h })
 	d.SetDefaultProtocol(id)
 	base := d.MustMalloc(0, 8, nil) // homed on node 0
 	pg := d.state[0].space.PageOf(base)
-	d.EnableProfiler(ProfilerConfig{Migrate: true})
+	d.EnableProfiler()
 
 	bar := d.NewBarrier(nodes)
 	const rounds = 5

@@ -75,13 +75,12 @@ type Invalidate struct {
 	ack      *sim.Chan
 }
 
-// PageMsg is the context handed to receive-page servers, and the RPC
-// argument carrying the copy: a page copy has arrived. Access is the right
-// granted with the copy, Owner the new probable owner, Copyset the
-// transferred copyset (ownership moves).
+// PageMsg is the message carrying a page copy, and the context handed to
+// receive-page servers once the core installed it (Data is nil by then).
+// Access is the right granted with the copy, Owner the new probable owner,
+// Copyset the transferred copyset (ownership moves).
 type PageMsg struct {
 	DSM     *DSM
-	Thread  *pm2.Thread
 	Node    int
 	Page    Page
 	From    int
@@ -129,7 +128,9 @@ type Protocol interface {
 	WriteServer(r *Request)
 	// InvalidateServer is called on receiving a request for invalidation.
 	InvalidateServer(iv *Invalidate)
-	// ReceivePageServer is called on receiving a page.
+	// ReceivePageServer is called on receiving a page, after the core
+	// installed it: under the entry lock, in engine context, so it must not
+	// block (see StandardInstall).
 	ReceivePageServer(pm *PageMsg)
 	// LockAcquire is called after having acquired a lock.
 	LockAcquire(s *SyncEvent)
@@ -248,9 +249,6 @@ func (d *DSM) RegistryName(id ProtoID) string { return d.registry.Name(id) }
 
 // Registry exposes the DSM's protocol registry.
 func (d *DSM) Registry() *Registry { return d.registry }
-
-// Len reports the number of registered protocols.
-func (r *Registry) Len() int { return len(r.names) }
 
 func (r *Registry) newInstance(id ProtoID, d *DSM) Protocol {
 	if int(id) < 0 || int(id) >= len(r.factories) {

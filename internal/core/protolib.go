@@ -162,7 +162,7 @@ func SendPage(r *Request, e *Entry, dest int, access memory.Access, ownship bool
 		panic(fmt.Sprintf("core: SendPage on node %d without a copy of page %d (request from %d)",
 			r.Node, e.Page, r.From))
 	}
-	// The wire copy is pooled; InstallPage returns it once installed.
+	// The wire copy is pooled; the installer returns it once installed.
 	data := d.bufs.Get()
 	copy(data, frame.Data)
 	owner := r.Node
@@ -172,65 +172,7 @@ func SendPage(r *Request, e *Entry, dest int, access memory.Access, ownship bool
 	pm := take(&d.recs.pages)
 	pm.Page, pm.From, pm.Data, pm.Access, pm.Owner, pm.Ownship = e.Page, r.Node, data, access, owner, ownship
 	pm.Copyset, pm.Seq, pm.Timing, pm.ftSeq = copyset.AppendTo(nil), r.Seq, r.Timing, r.ftSeq
-	d.sendPage(r.Node, dest, pm, d.inst(e.proto).step)
-}
-
-// InstallPage copies an arriving page into the local frame, sets the granted
-// access right, updates ownership hints, completes the pending fetch and
-// wakes the waiting threads. Charges the requester-side installation cost.
-// This is the standard body of a ReceivePageServer hook (see StandardInstall).
-func InstallPage(pm *PageMsg) {
-	d, t := pm.DSM, pm.Thread
-	e := d.Entry(pm.Node, pm.Page)
-	e.Lock(t)
-	t.Compute(d.costs.Install)
-	d.install(pm, e)
-	e.Unlock(t)
-}
-
-// install is InstallPage between the CPU charge and the unlock, the part a
-// handler thread and the installer's step share.
-func (d *DSM) install(pm *PageMsg, e *Entry) {
-	if ft := liveTiming(pm.Timing, pm.ftSeq); ft != nil {
-		ft.Install = d.costs.Install
-	}
-	if d.recovery != nil && (!e.Pending || (!pm.Ownship && pm.Seq != e.reqSeq)) {
-		// A late response to a request that was since retried (or already
-		// satisfied): its data may predate writes the current owner has
-		// accepted. Discard it; the outstanding fetch, if any, stays
-		// pending and its own response will complete it.
-		d.bufs.Put(pm.Data)
-		pm.Data = nil
-		return
-	}
-	if !pm.Ownship && e.InvalSeq != e.pendingSeq {
-		// An invalidation overtook this copy in flight: the data is
-		// stale and the home/owner no longer counts us as a holder.
-		// Drop it and let the faulting threads refault and refetch.
-		// Ownership transfers are exempt: the previous owner serialized
-		// the granting write after any invalidation it sent us.
-		d.bufs.Put(pm.Data)
-		pm.Data = nil
-		e.Pending = false
-		e.Broadcast()
-		return
-	}
-	space := &d.state[pm.Node].space
-	frame := space.Ensure(pm.Page)
-	copy(frame.Data, pm.Data)
-	d.bufs.Put(pm.Data) // wire copy was pooled by SendPage; recycle it
-	pm.Data = nil
-	frame.Access = pm.Access
-	e.ProbOwner = pm.Owner
-	if pm.Ownship {
-		e.Owner = true
-		// The wire form stays a plain []int (sorted when it comes from
-		// TakeCopyset, arbitrary from custom protocols); FromSlice sorts
-		// and deduplicates while rebuilding the interval set.
-		e.Copyset.FromSlice(pm.Copyset)
-	}
-	e.Pending = false
-	e.Broadcast()
+	d.sendPage(r.Node, dest, pm)
 }
 
 // InvalidateCopies sends invalidations for pg to every node in copyset

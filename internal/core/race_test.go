@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dsmpm2/internal/memory"
@@ -11,7 +12,7 @@ import (
 // This file regression-tests the stale-install race: a fast invalidation
 // control message can overtake an in-flight page transfer, in which case the
 // arriving page is stale and the sender no longer counts this node as a
-// holder. InstallPage must discard such copies (and let the access refault)
+// holder. The install must discard such copies (and let the access refault)
 // unless ownership travels with the page.
 
 // fetcherProto is a minimal home-based protocol: fault fetches from home,
@@ -22,7 +23,7 @@ func (p *fetcherProto) Name() string                    { return "fetcher" }
 func (p *fetcherProto) ReadFaultHandler(f *Fault)       { FetchPage(f, false) }
 func (p *fetcherProto) WriteFaultHandler(f *Fault)      { FetchPage(f, true) }
 func (p *fetcherProto) InvalidateServer(iv *Invalidate) { DropCopy(iv) }
-func (p *fetcherProto) ReceivePageServer(pm *PageMsg)   { InstallPage(pm) }
+func (p *fetcherProto) ReceivePageServer(*PageMsg)      {}
 func (p *fetcherProto) LockAcquire(*SyncEvent)          {}
 func (p *fetcherProto) LockRelease(*SyncEvent)          {}
 func (p *fetcherProto) ReadServer(r *Request) {
@@ -94,9 +95,9 @@ func TestOwnershipTransferImmuneToStaleGuard(t *testing.T) {
 		e.pendingSeq = e.InvalSeq
 		e.Unlock(th)
 		e.InvalSeq++ // an invalidation was processed meanwhile
-		InstallPage(&PageMsg{
+		e.Lock(th)
+		d.install(&PageMsg{
 			DSM:     d,
-			Thread:  th,
 			Node:    1,
 			Page:    pg,
 			From:    0,
@@ -104,7 +105,8 @@ func TestOwnershipTransferImmuneToStaleGuard(t *testing.T) {
 			Access:  memory.ReadWrite,
 			Owner:   1,
 			Ownship: true,
-		})
+		}, e)
+		e.Unlock(th)
 	})
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
@@ -131,16 +133,17 @@ func TestStaleGuardDropsNonOwnershipCopy(t *testing.T) {
 		e.pendingSeq = e.InvalSeq
 		e.Unlock(th)
 		e.InvalSeq++
-		InstallPage(&PageMsg{
+		e.Lock(th)
+		d.install(&PageMsg{
 			DSM:    d,
-			Thread: th,
 			Node:   1,
 			Page:   pg,
 			From:   0,
 			Data:   make([]byte, PageSize),
 			Access: memory.ReadOnly,
 			Owner:  0,
-		})
+		}, e)
+		e.Unlock(th)
 	})
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
@@ -150,5 +153,44 @@ func TestStaleGuardDropsNonOwnershipCopy(t *testing.T) {
 	}
 	if e.Pending {
 		t.Fatal("pending flag not cleared on discard")
+	}
+}
+
+// hookedProto is fetcherProto with the standard install embedded and a
+// ReceivePageServer of its own, which must run after every install.
+type hookedProto struct {
+	fetcherProto
+	StandardInstall
+	calls, bad int
+}
+
+func (p *hookedProto) ReceivePageServer(pm *PageMsg) {
+	p.calls++
+	if fr := p.d.Space(pm.Node).Frame(pm.Page); fr == nil || fr.Access != pm.Access || pm.Data != nil || p.d.Entry(pm.Node, pm.Page).Pending {
+		p.bad++
+	}
+}
+
+// TestOwnReceivePageServerRunsAfterInstall: a protocol that embeds
+// StandardInstall and defines its own ReceivePageServer has that routine
+// called once per page, after the copy is installed.
+func TestOwnReceivePageServerRunsAfterInstall(t *testing.T) {
+	d := newDSM(3)
+	var p *hookedProto
+	id := d.registry.Register("hooked", func(d *DSM) Protocol { p = &hookedProto{fetcherProto: fetcherProto{d: d}}; return p })
+	d.SetDefaultProtocol(id)
+	base := d.MustMalloc(0, 2*PageSize, nil)
+	rt := d.Runtime()
+	for n := 1; n < 3; n++ {
+		rt.CreateThread(n, fmt.Sprintf("reader%d", n), func(th *pm2.Thread) {
+			d.ReadUint64(th, base)
+			d.ReadUint64(th, base+PageSize)
+		})
+	}
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sends := d.Stats().PageSends; p.calls != int(sends) || sends != 4 || p.bad != 0 {
+		t.Fatalf("ReceivePageServer ran %d times (%d before its page was installed) for %d page sends, want once per send after the install", p.calls, p.bad, sends)
 	}
 }

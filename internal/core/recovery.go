@@ -51,15 +51,6 @@ type RecoveryStats struct {
 	Lost int
 	// Retries counts protocol actions re-sent after a timeout or a crash.
 	Retries int64
-	// RedoneUnits counts application work units re-executed after restarts
-	// because they were committed before the crash but after the restarted
-	// node's resume point (applications report them via AddRedoneUnits).
-	// Warm restarts resuming from a checkpoint redo strictly fewer units
-	// than cold redo-from-scratch restarts.
-	RedoneUnits int64
-	// WarmRestarts counts restarts that resumed from a recorded checkpoint
-	// (LastCheckpoint >= 0) instead of redoing from scratch.
-	WarmRestarts int
 }
 
 // recoveryState is the DSM's recovery manager (nil when disabled).
@@ -70,10 +61,6 @@ type recoveryState struct {
 	onRestart func(node int)
 	dead      []bool
 	stats     RecoveryStats
-	// ckpts records, per node, the last work unit the application committed
-	// a local checkpoint for (-1 when none). OnRestart hooks read it back
-	// through LastCheckpoint to warm-start instead of redoing the run.
-	ckpts []int
 }
 
 // EnableRecovery switches the recovery manager on, with onRestart (may be
@@ -81,15 +68,7 @@ type recoveryState struct {
 // events are then applied through CrashNode/RestartNode. The PM2 runtime's
 // network fault layer must be enabled as well (the facade does both).
 func (d *DSM) EnableRecovery(onRestart func(node int)) {
-	rec := &recoveryState{
-		onRestart: onRestart,
-		dead:      make([]bool, d.rt.Nodes()),
-		ckpts:     make([]int, d.rt.Nodes()),
-	}
-	for i := range rec.ckpts {
-		rec.ckpts[i] = -1
-	}
-	d.recovery = rec
+	d.recovery = &recoveryState{onRestart: onRestart, dead: make([]bool, d.rt.Nodes())}
 }
 
 // await is a protocol action's wait for its reply on ch: unbounded with
@@ -114,43 +93,6 @@ func (d *DSM) awaitEntry(t *pm2.Thread, e *Entry) bool {
 
 // retried counts an action re-sent or re-routed after a (bounded) wait expired.
 func (d *DSM) retried() { d.recovery.stats.Retries++ }
-
-// RecordCheckpoint notes that node committed a local checkpoint covering
-// work units up to and including unit. Applications call it right after
-// their flush-then-commit point; a later restart's OnRestart hook reads it
-// back through LastCheckpoint. No-op when recovery is off.
-func (d *DSM) RecordCheckpoint(node, unit int) {
-	if d.recovery == nil || node < 0 || node >= len(d.recovery.ckpts) {
-		return
-	}
-	if unit > d.recovery.ckpts[node] {
-		d.recovery.ckpts[node] = unit
-	}
-}
-
-// LastCheckpoint reports the last work unit node committed a checkpoint
-// for, or -1 when none was recorded (or recovery is off).
-func (d *DSM) LastCheckpoint(node int) int {
-	if d.recovery == nil || node < 0 || node >= len(d.recovery.ckpts) {
-		return -1
-	}
-	return d.recovery.ckpts[node]
-}
-
-// AddRedoneUnits accumulates application-reported redone work units into
-// the recovery stats (see RecoveryStats.RedoneUnits).
-func (d *DSM) AddRedoneUnits(n int) {
-	if d.recovery != nil {
-		d.recovery.stats.RedoneUnits += int64(n)
-	}
-}
-
-// NoteWarmRestart counts a restart that resumed from a recorded checkpoint.
-func (d *DSM) NoteWarmRestart() {
-	if d.recovery != nil {
-		d.recovery.stats.WarmRestarts++
-	}
-}
 
 // RecoveryEnabled reports whether the recovery manager is on.
 func (d *DSM) RecoveryEnabled() bool { return d.recovery != nil }
@@ -328,7 +270,7 @@ func (d *DSM) scrubEntries(pg Page, n, target int) {
 			// left the dead node before the fail-stop and land after this
 			// sweep — installing a copy the rebuilt copyset knows nothing
 			// about, stale forever. Retire it: the bumped InvalSeq makes
-			// InstallPage discard the late response, and the fetch retries
+			// the install discard the late response, and the fetch retries
 			// toward the repaired owner hint on its recovery timeout.
 			e.InvalSeq++
 		}

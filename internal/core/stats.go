@@ -171,9 +171,6 @@ func (l *TimingLog) All() []*FaultTiming {
 	return out
 }
 
-// Len reports the number of stored records.
-func (l *TimingLog) Len() int { return len(l.recs) }
-
 // Timings returns the DSM-wide fault-timing log (the live ring).
 func (d *DSM) Timings() *TimingLog { return &d.timings }
 

@@ -1,4 +1,4 @@
-package protocols
+package core_test
 
 import (
 	"fmt"
@@ -10,16 +10,17 @@ import (
 	"dsmpm2/internal/core"
 	"dsmpm2/internal/madeleine"
 	"dsmpm2/internal/pm2"
+	"dsmpm2/internal/protocols"
 	"dsmpm2/internal/sim"
 )
 
-// A protocol that embeds core.StandardInstall has its pages installed by the
-// receiving node's installer, a step proc, instead of a dsm.page handler
-// thread. TestStepInstallMatchesThreadInstall holds the two to the same
-// virtual behaviour: li_hudak, and li_hudak's routines rebuilt as core.Hooks
-// whose OnReceivePage is core.InstallPage (the thread path), run the same
-// random schedules and must agree on every thread's log, every fault's
-// timing, the event count and the final memory of every node.
+// The core installs every page on the receiving node's installer, a step proc.
+// refInstall is the threaded reference it must match: the serial dsm.page
+// service it replaced, a handler thread that takes the pages one at a time in
+// arrival order and runs the same body. TestStepInstallMatchesThreadInstall
+// runs li_hudak over the same random schedules on both and holds them to the
+// same log for every thread, the same timing for every fault, the same event
+// count and the same final memory on every node.
 
 // installOp is one access or pause of a schedule thread.
 type installOp struct {
@@ -94,55 +95,92 @@ type installCoverage struct {
 	installs, waited, overtaken, sameInstant, killed int
 }
 
-// run plays s on li_hudak, or with threaded set on li_hudak's routines
-// behind core.Hooks, counting into cov on the latter.
-func (s installSchedule) run(threaded bool, cov *installCoverage) (log string, events uint64) {
-	rt := pm2.NewRuntime(pm2.Config{Nodes: s.nodes, CPUsPerNode: s.cpus, Network: madeleine.BIPMyrinet, Seed: 1})
-	var d *core.DSM
-	if threaded {
-		d = core.New(rt, core.NewRegistry(), core.DefaultCosts())
-		lh := &liHudak{d: d}
+// refInstall rebinds node's install channel to the dsm.page handler thread:
+// each page that finds the channel bound starts a thread, which installs it
+// and then the pages queued meanwhile, and binds the channel again when none
+// is left. It counts into cov what the pages exercised.
+type refInstall struct {
+	d           *core.DSM
+	rt          *pm2.Runtime
+	cov         *installCoverage
+	crash       bool
+	lastArrival []sim.Time
+	sinks       []func(interface{})
+}
+
+func newRefInstall(d *core.DSM, rt *pm2.Runtime, cov *installCoverage, crash bool) *refInstall {
+	r := &refInstall{d: d, rt: rt, cov: cov, crash: crash, lastArrival: make([]sim.Time, rt.Nodes())}
+	for n := range r.lastArrival {
+		r.lastArrival[n] = -1
+		r.sinks = append(r.sinks, func(v interface{}) { r.deliver(n, v) })
+		r.bind(n)
+	}
+	return r
+}
+
+func (r *refInstall) bind(node int) {
+	r.rt.Network().Serve(node, r.d.InstallChannel(), r.sinks[node])
+}
+
+func (r *refInstall) deliver(node int, v interface{}) {
+	r.rt.Network().Unserve(node, r.d.InstallChannel())
+	r.rt.CreateThread(node, fmt.Sprintf("rpch:dsm.page@%d", node), func(h *pm2.Thread) {
+		for {
+			msg := v.(*madeleine.Message)
+			pm := msg.Payload.(*core.PageMsg)
+			r.rt.Network().FreeMessage(msg)
+			r.install(h, pm)
+			next, ok := r.rt.Network().TryRecvID(node, r.d.InstallChannel())
+			if !ok {
+				r.bind(node)
+				return
+			}
+			v = next
+		}
+	})
+}
+
+// install is the handler thread's body for one page.
+func (r *refInstall) install(h *pm2.Thread, pm *core.PageMsg) {
+	d, cov := r.d, r.cov
+	start := h.Now()
+	e := d.ArrivePage(pm, h.Node())
+	cov.installs++
+	if pm.Timing != nil {
 		// A page's arrival is its handler's start less the time it queued,
 		// which is its Transfer beyond the link's latency.
-		latency := madeleine.BIPMyrinet.Transfer(core.PageSize)
-		lastArrival := make([]sim.Time, s.nodes)
-		for i := range lastArrival {
-			lastArrival[i] = -1
+		arrival := start.Add(madeleine.BIPMyrinet.Transfer(core.PageSize) - pm.Timing.Transfer)
+		if r.lastArrival[pm.Node] == arrival {
+			cov.sameInstant++
 		}
-		d.SetDefaultProtocol(d.CreateProtocol(&core.Hooks{
-			ProtoName:     "li_hudak",
-			OnReadFault:   lh.ReadFaultHandler,
-			OnWriteFault:  lh.WriteFaultHandler,
-			OnReadServer:  lh.ReadServer,
-			OnWriteServer: lh.WriteServer,
-			OnInvalidate:  lh.InvalidateServer,
-			OnReceivePage: func(pm *core.PageMsg) {
-				start := pm.Thread.Now()
-				cov.installs++
-				if pm.Timing != nil {
-					arrival := start.Add(latency - pm.Timing.Transfer)
-					if lastArrival[pm.Node] == arrival {
-						cov.sameInstant++
-					}
-					lastArrival[pm.Node] = arrival
-				}
-				cov.killed++ // undone below unless a crash cuts the install short
-				core.InstallPage(pm)
-				cov.killed--
-				if pm.Thread.Now().Sub(start) > d.Costs().Install {
-					cov.waited++
-				}
-				if fr := d.Space(pm.Node).Frame(pm.Page); s.crashAt == 0 && (fr == nil || fr.Access != pm.Access) {
-					cov.overtaken++
-				}
-			},
-			OnLockAcquire: lh.LockAcquire,
-			OnLockRelease: lh.LockRelease,
-		}))
-	} else {
-		reg, ids := NewRegistry()
-		d = core.New(rt, reg, core.DefaultCosts())
-		d.SetDefaultProtocol(ids.LiHudak)
+		r.lastArrival[pm.Node] = arrival
+	}
+	node, pg, access := pm.Node, pm.Page, pm.Access
+	cov.killed++ // undone below unless a crash cuts the install short
+	e.Lock(h)
+	h.Compute(d.Costs().Install)
+	d.InstallLocked(pm, e)
+	e.Unlock(h)
+	d.FreePageMsg(pm)
+	cov.killed--
+	if h.Now().Sub(start) > d.Costs().Install {
+		cov.waited++
+	}
+	if fr := d.Space(node).Frame(pg); !r.crash && (fr == nil || fr.Access != access) {
+		cov.overtaken++
+	}
+}
+
+// run plays s on li_hudak, its pages installed by the installer or, with
+// threaded set, by refInstall, which counts into cov.
+func (s installSchedule) run(threaded bool, cov *installCoverage) (log string, events uint64) {
+	rt := pm2.NewRuntime(pm2.Config{Nodes: s.nodes, CPUsPerNode: s.cpus, Network: madeleine.BIPMyrinet, Seed: 1})
+	reg, ids := protocols.NewRegistry()
+	d := core.New(rt, reg, core.DefaultCosts())
+	d.SetDefaultProtocol(ids.LiHudak)
+	var ref *refInstall
+	if threaded {
+		ref = newRefInstall(d, rt, cov, s.crashAt > 0)
 	}
 	eng := rt.Engine()
 	if s.crashAt > 0 {
@@ -150,7 +188,12 @@ func (s installSchedule) run(threaded bool, cov *installCoverage) (log string, e
 		d.EnableRecovery(nil)
 		eng.Schedule(sim.Time(s.crashAt), func() { d.CrashNode(s.crashNode) })
 		if s.restartAfter > 0 {
-			eng.Schedule(sim.Time(s.crashAt+s.restartAfter), func() { d.RestartNode(s.crashNode) })
+			eng.Schedule(sim.Time(s.crashAt+s.restartAfter), func() {
+				d.RestartNode(s.crashNode)
+				if ref != nil {
+					ref.bind(s.crashNode) // the restart bound the node's new installer
+				}
+			})
 		}
 	}
 	pages := make([]core.Addr, s.pages)

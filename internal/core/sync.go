@@ -396,10 +396,6 @@ func (d *DSM) BarrierAs(t *pm2.Thread, id, participant, gen int) {
 	put(&d.recs.syncs, ev)
 }
 
-// BarrierGen reports the number of completed generations of barrier id
-// (restart-aware applications use it to rejoin at the right generation).
-func (d *DSM) BarrierGen(id int) int { return d.barriers[id].gen }
-
 // FlushRelease runs every active protocol's release action (as a barrier
 // would) without any synchronization RPC: an explicit commit point. Restart-
 // aware applications call it before recording a local checkpoint, so the

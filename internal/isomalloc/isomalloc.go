@@ -34,12 +34,6 @@ type Range struct {
 	Node int // node the allocation was made on
 }
 
-// End returns the first address past the range.
-func (r Range) End() Addr { return r.Base + Addr(r.Size) }
-
-// Contains reports whether a falls inside the range.
-func (r Range) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
-
 // Allocator carves a global address space into per-node slices and serves
 // page-aligned allocations from them.
 type Allocator struct {
@@ -85,9 +79,6 @@ func New(nodes, pageSize int) *Allocator {
 func (a *Allocator) sliceBase(n int) Addr {
 	return Addr(n+1) * a.sliceSize
 }
-
-// PageSize returns the allocator's page size.
-func (a *Allocator) PageSize() int { return a.pageSize }
 
 // roundUp rounds size up to a whole number of pages.
 func (a *Allocator) roundUp(size int) int {
@@ -145,16 +136,4 @@ func (a *Allocator) Free(base Addr) error {
 	delete(a.allocs, base)
 	a.freed[r.Node] = append(a.freed[r.Node], r)
 	return nil
-}
-
-// Lookup returns the live allocation containing a, if any.
-func (a *Allocator) Lookup(addr Addr) (Range, bool) {
-	// Allocation count is small in practice; a linear scan keeps the
-	// structure simple. (The page table, not this map, is the hot path.)
-	for _, r := range a.allocs {
-		if r.Contains(addr) {
-			return *r, true
-		}
-	}
-	return Range{}, false
 }

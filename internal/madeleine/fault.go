@@ -132,12 +132,6 @@ func (nw *Network) mustFaults(op string) *faultState {
 	return nw.faults
 }
 
-// NodeDead reports whether node n is currently crashed.
-func (nw *Network) NodeDead(n int) bool {
-	fs := nw.faults
-	return fs != nil && n >= 0 && n < nw.n && fs.dead[n]
-}
-
 // ApplyFault applies one fault-plan event through the mutators below, in
 // engine context (see sim.FaultCursor).
 func (nw *Network) ApplyFault(ev sim.FaultEvent) {

@@ -172,9 +172,6 @@ func (nw *Network) FreeMessage(m *Message) {
 // SetLinkContention enables or disables per-link bandwidth occupancy.
 func (nw *Network) SetLinkContention(on bool) { nw.linkModel = on }
 
-// LinkContention reports whether link occupancy is being modelled.
-func (nw *Network) LinkContention() bool { return nw.linkModel }
-
 // LinkStats reports the contention counters of the link model.
 func (nw *Network) LinkStats() LinkStats { return nw.linkStats }
 
@@ -203,9 +200,6 @@ func (nw *Network) Link(src, dst int) *Profile {
 	}
 	return nw.topo.Link(src, dst)
 }
-
-// Engine returns the sim engine the network schedules on.
-func (nw *Network) Engine() *sim.Engine { return nw.eng }
 
 func (nw *Network) queue(node int, ch ChanID) *sim.Chan {
 	if node < 0 || node >= nw.n {
@@ -363,11 +357,6 @@ func (nw *Network) SendDirect(from, to int, q *sim.Chan, size int, payload inter
 	nw.eng.SchedulePush(depart.Add(d), q, payload)
 }
 
-// Recv blocks the calling proc until a message arrives for node on channel.
-func (nw *Network) Recv(p *sim.Proc, node int, channel string) *Message {
-	return nw.RecvID(p, node, nw.ChannelID(channel))
-}
-
 // RecvID is Recv for a pre-interned channel.
 func (nw *Network) RecvID(p *sim.Proc, node int, ch ChanID) *Message {
 	return nw.queue(node, ch).Recv(p).(*Message)
@@ -386,11 +375,6 @@ func (nw *Network) Serve(node int, ch ChanID, fn func(msg interface{})) {
 // Unserve unbinds node's inbound queue for ch, as a busy receiver: messages
 // arriving there wait for TryRecvID, with no event, until Serve binds it again.
 func (nw *Network) Unserve(node int, ch ChanID) { nw.queue(node, ch).ClearSink() }
-
-// TryRecv returns a pending message for node on channel without blocking.
-func (nw *Network) TryRecv(node int, channel string) (*Message, bool) {
-	return nw.TryRecvID(node, nw.ChannelID(channel))
-}
 
 // TryRecvID is TryRecv for a pre-interned channel.
 func (nw *Network) TryRecvID(node int, ch ChanID) (*Message, bool) {

@@ -121,15 +121,6 @@ func (h *Hierarchical) ClusterOf(node int) int {
 	return h.cluster[node]
 }
 
-// Clusters returns the number of distinct clusters.
-func (h *Hierarchical) Clusters() int {
-	seen := map[int]bool{}
-	for _, c := range h.cluster {
-		seen[c] = true
-	}
-	return len(seen)
-}
-
 // Link implements Topology: intra-cluster pairs use the fast profile,
 // inter-cluster pairs the slow one. Loopback is intra by definition.
 func (h *Hierarchical) Link(src, dst int) *Profile {

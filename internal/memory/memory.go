@@ -142,9 +142,6 @@ func NewSpace(pageSize int) *Space {
 	}
 }
 
-// PageSize returns the page size in bytes.
-func (s *Space) PageSize() int { return s.pageSize }
-
 // PageOf returns the page containing addr.
 func (s *Space) PageOf(addr Addr) Page { return Page(uint64(addr) >> s.pageShift) }
 
@@ -312,24 +309,8 @@ func (s *Space) Write(addr Addr, buf []byte) error {
 	return s.refusal(s.Store(addr, buf), addr, len(buf), true)
 }
 
-// ReadUint32 loads a little-endian uint32 at addr.
-func (s *Space) ReadUint32(addr Addr) (uint32, error) {
-	v, ok := s.LoadUint32(addr)
-	return v, s.refusal(ok, addr, 4, false)
-}
-
-// WriteUint32 stores a little-endian uint32 at addr.
-func (s *Space) WriteUint32(addr Addr, v uint32) error {
-	return s.refusal(s.StoreUint32(addr, v), addr, 4, true)
-}
-
 // ReadUint64 loads a little-endian uint64 at addr.
 func (s *Space) ReadUint64(addr Addr) (uint64, error) {
 	v, ok := s.LoadUint64(addr)
 	return v, s.refusal(ok, addr, 8, false)
-}
-
-// WriteUint64 stores a little-endian uint64 at addr.
-func (s *Space) WriteUint64(addr Addr, v uint64) error {
-	return s.refusal(s.StoreUint64(addr, v), addr, 8, true)
 }

@@ -27,9 +27,6 @@ func NewBufPool(size int) *BufPool {
 	return &BufPool{size: size}
 }
 
-// Size returns the pooled buffer size in bytes.
-func (p *BufPool) Size() int { return p.size }
-
 // Get returns a buffer of the pool's size with unspecified contents.
 func (p *BufPool) Get() []byte {
 	if buf, ok := p.free.Get(); ok {

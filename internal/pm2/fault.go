@@ -81,9 +81,6 @@ func (rt *Runtime) RestartNode(n int) {
 	node.Restarts++
 }
 
-// Dead reports whether the node is currently crashed.
-func (n *Node) Dead() bool { return n.dead }
-
 // checkAlive panics on operations against a crashed node, to surface fault
 // plan bugs (spawning threads before the restart event) immediately.
 func (n *Node) checkAlive(op string) {

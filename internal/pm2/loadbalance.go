@@ -79,9 +79,6 @@ func (rt *Runtime) StartBalancer(interval sim.Duration) *Balancer {
 	return b
 }
 
-// Stop halts the balancer after its current sampling sleep.
-func (b *Balancer) Stop() { b.stopped = true }
-
 // step performs one balancing decision.
 func (b *Balancer) step() {
 	rt := b.rt

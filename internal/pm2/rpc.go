@@ -76,9 +76,8 @@ type VecCall struct {
 }
 
 // Reply is the queue c's reply arrives on, once every handler completed;
-// Results holds their results in element order from then until Release.
-func (c *VecCall) Reply() *sim.Chan       { return &c.reply }
-func (c *VecCall) Results() []interface{} { return c.results }
+// results holds their results in element order from then until Release.
+func (c *VecCall) Reply() *sim.Chan { return &c.reply }
 
 // Release hands c back to its node once the reply has been consumed.
 func (c *VecCall) Release() {

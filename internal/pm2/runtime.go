@@ -169,9 +169,6 @@ type Node struct {
 	Restarts        int
 }
 
-// Runtime returns the machine this node belongs to.
-func (n *Node) Runtime() *Runtime { return n.rt }
-
 // threadList is an intrusive doubly-linked list of threads in insertion
 // order. Unlinking is O(1) and never reorders the rest: the order of the
 // machine-wide list is creation order, which reaches virtual time through

@@ -26,7 +26,7 @@ func refServerThread(rt *Runtime, node int, name string, h Handler) *int {
 	parks := new(int)
 	rt.CreateThread(node, "rpcd:"+name, func(t *Thread) {
 		for {
-			msg, ok := rt.net.TryRecv(node, "rpc:"+name)
+			msg, ok := rt.net.TryRecvID(node, rt.net.ChannelID("rpc:"+name))
 			if !ok {
 				*parks++
 				msg = rt.net.RecvID(&t.proc, node, svc.chanID)

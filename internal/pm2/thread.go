@@ -121,17 +121,11 @@ func (t *Thread) ReplyQueue() *sim.Chan {
 	return t.reply
 }
 
-// ID returns the thread's machine-wide id.
-func (t *Thread) ID() int { return t.id }
-
 // Name returns the thread's diagnostic name.
 func (t *Thread) Name() string { return t.proc.Name() }
 
 // Proc exposes the underlying sim proc.
 func (t *Thread) Proc() *sim.Proc { return &t.proc }
-
-// Runtime returns the machine the thread runs on.
-func (t *Thread) Runtime() *Runtime { return t.rt }
 
 // Node returns the node the thread is currently located on.
 func (t *Thread) Node() int { return t.node }
@@ -153,13 +147,6 @@ func (t *Thread) Advance(d sim.Duration) { t.proc.Advance(d) }
 func (t *Thread) Compute(d sim.Duration) {
 	t.checkPreempt()
 	t.rt.nodes[t.node].CPU.Use(&t.proc, d)
-}
-
-// Yield lets other runnable threads at the same virtual time proceed. Yield
-// is a safe point for preemptive migration.
-func (t *Thread) Yield() {
-	t.checkPreempt()
-	t.proc.Yield()
 }
 
 // MigrateTo moves the thread to node dest, charging the migration latency of
@@ -191,6 +178,3 @@ func (t *Thread) Join(other *Thread) {
 	other.joiners = append(other.joiners, &t.proc)
 	t.proc.ParkFor("join", &other.proc)
 }
-
-// Done reports whether the thread's function has returned.
-func (t *Thread) Done() bool { return t.done }

@@ -476,7 +476,7 @@ func TestConformanceAdaptive(t *testing.T) {
 					for _, migrate := range []bool{false, true} {
 						rt, d := conformanceHarness(t, topo(), proto)
 						if migrate {
-							d.EnableProfiler(core.ProfilerConfig{Migrate: true})
+							d.EnableProfiler()
 						}
 						checkRun(t, fmt.Sprintf("migrate=%v: ", migrate), d, sc.run(t, rt, d, path.eager), want)
 					}
@@ -503,7 +503,7 @@ func TestConformanceCounterParity(t *testing.T) {
 				var st [2]core.Stats
 				for i, path := range releasePaths {
 					rt, d := conformanceHarness(t, topo(), proto)
-					d.EnableProfiler(core.ProfilerConfig{}) // arm MisplacedFetches tracking
+					d.EnableProfiler() // arm MisplacedFetches tracking
 					checkRun(t, path.name+": ", d, sc.run(t, rt, d, path.eager), sc.oracle())
 					st[i] = d.Stats()
 				}

@@ -103,17 +103,13 @@ func (p *liManaged) InvalidateServer(iv *core.Invalidate) {
 	e.Unlock(iv.Thread)
 }
 
-// ReceivePageServer installs the copy and re-aims the hint at the manager
-// (InstallPage points it at the sender, which is right for dynamic chains
-// but wrong for managed schemes).
+// ReceivePageServer re-aims the hint at the manager (the install points it at
+// the sender, which is right for dynamic chains but wrong for managed
+// schemes).
 func (p *liManaged) ReceivePageServer(pm *core.PageMsg) {
-	core.InstallPage(pm)
-	e := pm.DSM.Entry(pm.Node, pm.Page)
-	e.Lock(pm.Thread)
-	if !e.Owner && pm.Node != p.manager(e) {
+	if e := p.d.Entry(pm.Node, pm.Page); !e.Owner && pm.Node != p.manager(e) {
 		e.ProbOwner = p.manager(e)
 	}
-	e.Unlock(pm.Thread)
 }
 
 // LockAcquire is a no-op: sequential consistency acts at access time.

@@ -199,9 +199,6 @@ func (p *Proc) MarkDaemon() {
 // Daemon reports whether p has been marked as a daemon.
 func (p *Proc) Daemon() bool { return p.daemon }
 
-// ID returns the proc's unique id (assigned in spawn order).
-func (p *Proc) ID() int { return int(p.id) }
-
 // Name returns the proc's diagnostic name.
 func (p *Proc) Name() string { return p.name }
 
@@ -240,9 +237,6 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	p.eng.scheduleWake(p.eng.now.Add(d), p)
 }
-
-// Yield gives other same-time events a chance to run before p continues.
-func (p *Proc) Yield() { p.Advance(0) }
 
 // Park blocks the proc indefinitely; some other party must call Unpark.
 // reason is used in deadlock reports.
