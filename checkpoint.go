@@ -49,7 +49,6 @@ type TopologyState struct {
 // ConfigState is the serializable form of Config.
 type ConfigState struct {
 	Nodes          int            `json:"nodes"`
-	CPUsPerNode    int            `json:"cpus_per_node,omitempty"`
 	Network        string         `json:"network,omitempty"`
 	Topology       *TopologyState `json:"topology,omitempty"`
 	LinkContention bool           `json:"link_contention,omitempty"`
@@ -101,7 +100,6 @@ func (s *System) Fingerprint() string {
 func (s *System) configState() (ConfigState, error) {
 	cs := ConfigState{
 		Nodes:          s.cfg.Nodes,
-		CPUsPerNode:    s.cfg.CPUsPerNode,
 		LinkContention: s.cfg.LinkContention,
 		AdaptiveHomes:  s.cfg.AdaptiveHomes,
 		Protocol:       s.cfg.Protocol,
@@ -153,7 +151,6 @@ func (s *System) configState() (ConfigState, error) {
 func (cs ConfigState) toConfig() (Config, error) {
 	cfg := Config{
 		Nodes:          cs.Nodes,
-		CPUsPerNode:    cs.CPUsPerNode,
 		LinkContention: cs.LinkContention,
 		AdaptiveHomes:  cs.AdaptiveHomes,
 		Protocol:       cs.Protocol,

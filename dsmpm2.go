@@ -98,11 +98,9 @@ const PageSize = core.PageSize
 
 // Config describes a simulated DSM-PM2 cluster.
 type Config struct {
-	// Nodes is the number of cluster nodes (default 2).
+	// Nodes is the number of cluster nodes (default 2), each with one CPU
+	// like the paper's Pentium II nodes.
 	Nodes int
-	// CPUsPerNode models processors per node (default 1, like the
-	// paper's Pentium II nodes).
-	CPUsPerNode int
 	// Network selects the uniform interconnect cost profile (default
 	// BIPMyrinet); it is the single-cluster shorthand for Topology.
 	Network *NetworkProfile
@@ -162,9 +160,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("dsmpm2: invalid node count %d", cfg.Nodes)
 	}
-	if cfg.CPUsPerNode < 0 {
-		return nil, fmt.Errorf("dsmpm2: invalid CPUs per node %d", cfg.CPUsPerNode)
-	}
 	if cfg.Network == nil {
 		cfg.Network = BIPMyrinet
 	}
@@ -180,14 +175,13 @@ func New(cfg Config) (*System, error) {
 	}
 	rt := pm2.NewRuntime(pm2.Config{
 		Nodes:          cfg.Nodes,
-		CPUsPerNode:    cfg.CPUsPerNode,
 		Network:        cfg.Network,
 		Topology:       cfg.Topology,
 		LinkContention: cfg.LinkContention,
 		Seed:           cfg.Seed,
 	})
 	reg, ids := protocols.NewRegistry()
-	d := core.New(rt, reg, core.DefaultCosts())
+	d := core.New(rt, reg)
 	s := &System{rt: rt, dsm: d, ids: ids, cfg: cfg}
 	if cfg.Trace {
 		s.tr = trace.NewLog()

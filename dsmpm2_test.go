@@ -29,10 +29,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := dsmpm2.New(dsmpm2.Config{Protocol: "quantum"}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
-	// Once a panic deep in the CPU resource's constructor.
-	if _, err := dsmpm2.New(dsmpm2.Config{CPUsPerNode: -1}); err == nil {
-		t.Fatal("negative CPUs per node accepted")
-	}
 }
 
 func TestProtocolNamesComplete(t *testing.T) {

@@ -569,3 +569,47 @@ func TestInjectFaultsRefusesUnrunnablePlans(t *testing.T) {
 		t.Errorf("a runnable plan was refused: %v", err)
 	}
 }
+
+// TestSessionSurvivesRestartsLikeRun: on the faults demo's plan (8 nodes in
+// two clusters, nodes 2 and 5 crashing and restarting), the chunked Session
+// completes under every registered protocol and reaches the same checksum
+// verdict as the monolithic Run. A restart during a phase-A step once parked
+// the catch-up worker at a barrier generation the cluster only reaches in the
+// next step, and the session deadlocked.
+func TestSessionSurvivesRestartsLikeRun(t *testing.T) {
+	plan := dsmpm2.NewFaultPlan(11)
+	plan.Crash(at(2*dsmpm2.Millisecond), 2).Restart(at(9*dsmpm2.Millisecond), 2)
+	plan.Crash(at(4*dsmpm2.Millisecond), 5).Restart(at(12*dsmpm2.Millisecond), 5)
+	want := jacobi.SolveSerial(24, 8)
+	for _, proto := range dsmpm2.MustNew(dsmpm2.Config{}).ProtocolNames() {
+		cfg := jacobi.Config{
+			N: 24, Iterations: 8, Nodes: 8,
+			Topology: dsmpm2.HierarchicalTopology(
+				dsmpm2.EvenClusters(8, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet),
+			Protocol: proto, Seed: 7,
+			FaultPlan: plan,
+		}
+		run, err := jacobi.Run(cfg)
+		if err != nil {
+			t.Errorf("[%s] Run: %v", proto, err)
+			continue
+		}
+		s, err := jacobi.NewSession(cfg)
+		if err != nil {
+			t.Fatalf("[%s] %v", proto, err)
+		}
+		if err := s.RunToEnd(); err != nil {
+			t.Errorf("[%s] Session: %v", proto, err)
+			continue
+		}
+		res, err := s.Result()
+		if err != nil {
+			t.Fatalf("[%s] %v", proto, err)
+		}
+		t.Logf("[%s] correct: Run %v, Session %v", proto, run.Checksum == want, res.Checksum == want)
+		if (run.Checksum == want) != (res.Checksum == want) {
+			t.Errorf("[%s] Run's checksum %v and the Session's %v disagree on correctness (want %v)",
+				proto, run.Checksum, res.Checksum, want)
+		}
+	}
+}

@@ -34,8 +34,6 @@ type Config struct {
 	Protocol string
 	// Seed drives the simulation.
 	Seed int64
-	// CellCost is the CPU cost charged per cell update.
-	CellCost dsmpm2.Duration
 	// MisplaceHomes homes every grid row on node 0 instead of on the node
 	// that writes it — the deliberately bad static placement the adapt
 	// experiment starts from.
@@ -121,14 +119,13 @@ func checksum(g [][]float64, n int) float64 {
 	return sum
 }
 
-// newSystem checks cfg, fills in its default cell cost and builds the system
-// every driver runs on.
-func newSystem(cfg *Config) (*dsmpm2.System, error) {
+// cellCost is the CPU cost charged per cell update.
+const cellCost dsmpm2.Duration = 100 * dsmpm2.Nanosecond
+
+// newSystem checks cfg and builds the system every driver runs on.
+func newSystem(cfg Config) (*dsmpm2.System, error) {
 	if cfg.N < 2 || cfg.Nodes < 1 || cfg.Iterations < 1 {
-		return nil, fmt.Errorf("jacobi: invalid config %+v", *cfg)
-	}
-	if cfg.CellCost == 0 {
-		cfg.CellCost = 100 // 0.1us per cell
+		return nil, fmt.Errorf("jacobi: invalid config %+v", cfg)
 	}
 	return dsmpm2.New(dsmpm2.Config{
 		Nodes:         cfg.Nodes,
@@ -146,7 +143,6 @@ func newSystem(cfg *Config) (*dsmpm2.System, error) {
 // float64 cells, their rows block-partitioned over the nodes that write them.
 type grid struct {
 	n, nodes int
-	cellCost dsmpm2.Duration
 	rows     [2][]dsmpm2.Addr
 }
 
@@ -154,7 +150,7 @@ type grid struct {
 // owner's slice and homed there, or with home0 homed on node 0 (from node
 // 0's slice too, unless fromOwner).
 func newGrid(sys *dsmpm2.System, cfg Config, home0, fromOwner bool) *grid {
-	g := &grid{n: cfg.N, nodes: cfg.Nodes, cellCost: cfg.CellCost}
+	g := &grid{n: cfg.N, nodes: cfg.Nodes}
 	var attr *dsmpm2.Attr
 	if home0 {
 		attr = &dsmpm2.Attr{Protocol: -1, Home: 0}
@@ -215,7 +211,7 @@ func (g *grid) unit(t *dsmpm2.Thread, node, unit int) {
 			d := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j+1))))
 			t.WriteUint64(dst+dsmpm2.Addr(8*j), math.Float64bits(0.25*(a+b+c+d)))
 		}
-		t.Compute(dsmpm2.Duration(n) * g.cellCost)
+		t.Compute(dsmpm2.Duration(n) * cellCost)
 	}
 }
 
@@ -240,7 +236,7 @@ func (g *grid) checksum(sys *dsmpm2.System, iterations int, res Result) (Result,
 
 // Run executes the distributed kernel and returns the result.
 func Run(cfg Config) (Result, error) {
-	sys, err := newSystem(&cfg)
+	sys, err := newSystem(cfg)
 	if err != nil {
 		return Result{}, err
 	}

@@ -79,13 +79,12 @@ type Session struct {
 // own Config and Plan carry), the two knobs, and the number of steps to
 // replay.
 type sessionToken struct {
-	N             int             `json:"n"`
-	Iterations    int             `json:"iterations"`
-	CellCost      dsmpm2.Duration `json:"cell_cost"`
-	MisplaceHomes bool            `json:"misplace_homes,omitempty"`
-	Cold          bool            `json:"cold,omitempty"`
-	PerturbStep   int             `json:"perturb_step"`
-	Step          int             `json:"step"`
+	N             int  `json:"n"`
+	Iterations    int  `json:"iterations"`
+	MisplaceHomes bool `json:"misplace_homes,omitempty"`
+	Cold          bool `json:"cold,omitempty"`
+	PerturbStep   int  `json:"perturb_step"`
+	Step          int  `json:"step"`
 }
 
 // NewSession builds a session over a fresh system: shared grids allocated,
@@ -96,7 +95,7 @@ func NewSession(cfg Config) (*Session, error) {
 	if cfg.Trace {
 		return nil, fmt.Errorf("jacobi: a session cannot trace (checkpoints carry no spans)")
 	}
-	sys, err := newSystem(&cfg)
+	sys, err := newSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -223,9 +222,11 @@ func (s *Session) onRestart(node int) {
 	s.done[node] = start
 	target, arrive := s.curUnit, s.curPhase == 1
 	s.sys.Spawn(node, fmt.Sprintf("jacobi%d.r", node), func(t *dsmpm2.Thread) {
-		if d := s.done[node]; d >= 0 {
+		if d := s.done[node]; d >= 0 && (d < target || arrive) {
 			// The crash may have hit between a checkpoint and its barrier:
-			// re-arrive for the checkpointed generation (idempotent).
+			// re-arrive for the checkpointed generation (idempotent). Not
+			// for a unit committed in this phase-A step: the cluster meets
+			// at its barrier only in the next step.
 			t.BarrierAs(s.bar, node, d)
 		}
 		s.catchUp(t, node, target-1)
@@ -255,7 +256,6 @@ func (s *Session) Checkpoint() (*dsmpm2.Checkpoint, error) {
 	blob, err := json.Marshal(sessionToken{
 		N:             s.cfg.N,
 		Iterations:    s.cfg.Iterations,
-		CellCost:      s.cfg.CellCost,
 		MisplaceHomes: s.cfg.MisplaceHomes,
 		Cold:          s.ColdRestart,
 		PerturbStep:   s.PerturbStep,
@@ -290,9 +290,8 @@ func ResumeSession(ck *dsmpm2.Checkpoint) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sys.CPUsPerNode != 0 || sys.LinkContention {
-		return nil, fmt.Errorf("jacobi: a session runs one CPU per node without link contention; the checkpoint's system has %d CPUs per node, contention %v",
-			sys.CPUsPerNode, sys.LinkContention)
+	if sys.LinkContention {
+		return nil, fmt.Errorf("jacobi: a session runs without link contention; the checkpoint's system has it")
 	}
 	var tok sessionToken
 	dec := json.NewDecoder(bytes.NewReader(ck.App))
@@ -300,9 +299,9 @@ func ResumeSession(ck *dsmpm2.Checkpoint) (*Session, error) {
 	if err := dec.Decode(&tok); err != nil {
 		return nil, fmt.Errorf("jacobi: checkpoint carries no session token: %w", err)
 	}
-	if tok.N < 2 || tok.N > maxTokenN || tok.Iterations < 1 || tok.Iterations > maxTokenIterations || tok.CellCost < 0 {
-		return nil, fmt.Errorf("jacobi: checkpoint of an N=%d, %d-iteration session at cell cost %d (tokens name N 2 to %d, 1 to %d iterations, cost >= 0)",
-			tok.N, tok.Iterations, tok.CellCost, maxTokenN, maxTokenIterations)
+	if tok.N < 2 || tok.N > maxTokenN || tok.Iterations < 1 || tok.Iterations > maxTokenIterations {
+		return nil, fmt.Errorf("jacobi: checkpoint of an N=%d, %d-iteration session (tokens name N 2 to %d, 1 to %d iterations)",
+			tok.N, tok.Iterations, maxTokenN, maxTokenIterations)
 	}
 	if steps := 2 * (tok.Iterations + 1); tok.Step < 0 || tok.Step > steps {
 		return nil, fmt.Errorf("jacobi: checkpoint at step %d of a %d-iteration session", tok.Step, tok.Iterations)
@@ -310,7 +309,7 @@ func ResumeSession(ck *dsmpm2.Checkpoint) (*Session, error) {
 	s, err := NewSession(Config{
 		N: tok.N, Iterations: tok.Iterations, Nodes: sys.Nodes,
 		Network: sys.Network, Topology: sys.Topology, Protocol: sys.Protocol, Seed: sys.Seed,
-		CellCost: tok.CellCost, MisplaceHomes: tok.MisplaceHomes, AdaptiveHomes: sys.AdaptiveHomes,
+		MisplaceHomes: tok.MisplaceHomes, AdaptiveHomes: sys.AdaptiveHomes,
 		FaultPlan: ck.Plan,
 	})
 	if err != nil {

@@ -28,6 +28,21 @@ import (
 // slotsPerBucket is how many 8-byte values fit in one bucket page.
 const slotsPerBucket = dsmpm2.PageSize / 8
 
+// The store's fixed parameters.
+const (
+	// zipfS is the Zipf skew of the key popularity.
+	zipfS = 1.3
+	// serveCost is the CPU cost charged per served operation.
+	serveCost = 5 * dsmpm2.Microsecond
+	// idleTick is the server's idle tick: an idle server's receive re-arms
+	// its deadline every idleTick, counted in Result.IdleTicks, which
+	// exercises the timed-wait path at volume. A tick resumes no thread
+	// (see sim.Chan.RecvIdle).
+	idleTick = 200 * dsmpm2.Microsecond
+	// hotKeyCount is how many hot keys Result.HotKeys reports.
+	hotKeyCount = 5
+)
+
 // Config parameterizes a run.
 type Config struct {
 	// Nodes is the cluster size; bucket b is served by node b % Nodes.
@@ -52,27 +67,16 @@ type Config struct {
 	Phases int
 	// ReadFraction is the probability a request is a get (default 0.9).
 	ReadFraction float64
-	// ZipfS is the Zipf skew parameter (> 1; default 1.3).
-	ZipfS float64
 	// MeanInterarrival is the mean of the exponential inter-arrival time
 	// (open-loop Poisson process). The default 100us puts a misplaced
 	// static placement at the queueing knee (remote serves cost ~200us)
 	// while locally-homed buckets (~20us) stay comfortable.
 	MeanInterarrival dsmpm2.Duration
-	// ServeCost is the CPU cost charged per served operation.
-	ServeCost dsmpm2.Duration
 	// Deadline, when non-zero, drops requests that are already older than
 	// this when dequeued: their queue wait is recorded under the "drop"
 	// kind instead of being served. The serial checksum oracle assumes
 	// Deadline == 0 (every put applied).
 	Deadline dsmpm2.Duration
-	// IdleTick is the server's idle tick (default 200us): an idle server's
-	// receive re-arms its deadline every IdleTick, counted in
-	// Result.IdleTicks, which exercises the timed-wait path at volume. A
-	// tick resumes no thread (see sim.Chan.RecvIdle).
-	IdleTick dsmpm2.Duration
-	// TopN is how many hot keys to report (default 5).
-	TopN int
 
 	// Network selects the interconnect; Topology overrides it per-link.
 	Network  *dsmpm2.NetworkProfile
@@ -115,20 +119,8 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.ReadFraction == 0 {
 		cfg.ReadFraction = 0.9
 	}
-	if cfg.ZipfS == 0 {
-		cfg.ZipfS = 1.3
-	}
 	if cfg.MeanInterarrival == 0 {
 		cfg.MeanInterarrival = 100 * dsmpm2.Microsecond
-	}
-	if cfg.ServeCost == 0 {
-		cfg.ServeCost = 5 * dsmpm2.Microsecond
-	}
-	if cfg.IdleTick == 0 {
-		cfg.IdleTick = 200 * dsmpm2.Microsecond
-	}
-	if cfg.TopN == 0 {
-		cfg.TopN = 5
 	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = "entry_mw"
@@ -149,8 +141,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	case cfg.Epochs < 1 || cfg.Phases < 1:
 		return cfg, fmt.Errorf("kvstore: epochs (%d) and phases (%d) must be positive",
 			cfg.Epochs, cfg.Phases)
-	case cfg.ZipfS <= 1:
-		return cfg, fmt.Errorf("kvstore: Zipf skew %v must exceed 1", cfg.ZipfS)
 	case cfg.ReadFraction < 0 || cfg.ReadFraction > 1:
 		return cfg, fmt.Errorf("kvstore: read fraction %v outside [0, 1]", cfg.ReadFraction)
 	}
@@ -187,7 +177,7 @@ type trace struct {
 // phase, and a seeded read/write mix.
 func genTrace(cfg Config) trace {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Keys-1))
+	zipf := rand.NewZipf(rng, zipfS, 1, uint64(cfg.Keys-1))
 	tr := trace{
 		reqs:   make([]request, 0, cfg.Requests),
 		perKey: make([]int64, cfg.Keys),
@@ -281,7 +271,7 @@ type Result struct {
 	// Ops summarizes the per-kind latency histograms in sorted kind order
 	// ("get", "put", and "drop" when a deadline is set).
 	Ops []OpSummary
-	// HotKeys are the TopN busiest keys of the trace.
+	// HotKeys are the hotKeyCount busiest keys of the trace.
 	HotKeys []HotKey
 	// PerKey is the served-latency digest of each hot key, in HotKeys order.
 	PerKey []KeyLatency
@@ -322,7 +312,7 @@ func ServeSerial(cfg Config) (uint64, []HotKey, error) {
 	for k, v := range table {
 		sum = mixChecksum(sum, k, v)
 	}
-	return sum, topKeys(tr.perKey, cfg.TopN), nil
+	return sum, topKeys(tr.perKey, hotKeyCount), nil
 }
 
 // opHist is one operation kind's latency histogram.
@@ -385,7 +375,7 @@ func run(cfg Config) (Result, []*opHist, error) {
 	res := Result{System: sys}
 	// Per-key latency for the trace's hot set. The hot keys are a pure
 	// function of the trace, so the set is known before the run.
-	hot := topKeys(tr.perKey, cfg.TopN)
+	hot := topKeys(tr.perKey, hotKeyCount)
 	hotIdx := make(map[int]int, len(hot))
 	for i, hk := range hot {
 		hotIdx[hk.Key] = i
@@ -434,7 +424,7 @@ func run(cfg Config) (Result, []*opHist, error) {
 			proc := t.PM2().Proc()
 			q := queues[node]
 			for {
-				v, ticks := q.RecvIdle(proc, sim.Duration(cfg.IdleTick))
+				v, ticks := q.RecvIdle(proc, idleTick)
 				res.IdleTicks += int64(ticks)
 				switch m := v.(type) {
 				case stopMark:
@@ -455,7 +445,7 @@ func run(cfg Config) (Result, []*opHist, error) {
 					} else {
 						t.ReadUint64(addr)
 					}
-					t.Compute(cfg.ServeCost)
+					t.Compute(serveCost)
 					t.Release(locks[b])
 					if m.put {
 						putHist.Record(t.Now().Sub(m.at))

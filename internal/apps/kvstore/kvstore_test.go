@@ -51,7 +51,7 @@ func TestChecksumMatchesSerialOracle(t *testing.T) {
 			if res.Served != int64(cfg.Requests) || res.Dropped != 0 {
 				t.Errorf("served %d dropped %d, want %d/0", res.Served, res.Dropped, cfg.Requests)
 			}
-			if len(res.HotKeys) != cfg.TopN && len(res.HotKeys) != 5 {
+			if len(res.HotKeys) != hotKeyCount {
 				t.Errorf("hot-key report has %d entries", len(res.HotKeys))
 			}
 			for i, h := range res.HotKeys {
@@ -184,7 +184,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Nodes = -1 },
 		func(c *Config) { c.Keys = 17 * slotsPerBucket; c.Buckets = 16 },
-		func(c *Config) { c.ZipfS = 0.5 },
 		func(c *Config) { c.ReadFraction = 1.5 },
 		func(c *Config) { c.Requests = -3 },
 		func(c *Config) { c.Epochs = -1 },

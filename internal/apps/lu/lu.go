@@ -28,8 +28,6 @@ type Config struct {
 	Protocol string
 	// Seed drives matrix contents and the simulation.
 	Seed int64
-	// OpCost is the CPU cost charged per row update.
-	OpCost dsmpm2.Duration
 	// MisplaceHomes homes every matrix row on node 0 instead of on its
 	// round-robin owner (the adapt experiment's bad static placement).
 	MisplaceHomes bool
@@ -71,13 +69,13 @@ func checksum(a [][]float64) float64 {
 	return sum
 }
 
+// opCost is the CPU cost charged per row-element update.
+const opCost = 500 * dsmpm2.Nanosecond
+
 // Run executes the distributed factorization and returns the result.
 func Run(cfg Config) (Result, error) {
 	if cfg.N < 2 || cfg.Nodes < 1 {
 		return Result{}, fmt.Errorf("lu: invalid config %+v", cfg)
-	}
-	if cfg.OpCost == 0 {
-		cfg.OpCost = 500 * dsmpm2.Nanosecond
 	}
 	sys, err := dsmpm2.New(dsmpm2.Config{
 		Nodes:         cfg.Nodes,
@@ -143,7 +141,7 @@ func Run(cfg Config) (Result, error) {
 					for j := k + 1; j < n; j++ {
 						writeRow(rows[i], j, readRow(rows[i], j)-m*readRow(pivot, j))
 					}
-					t.Compute(dsmpm2.Duration(n-k) * cfg.OpCost)
+					t.Compute(dsmpm2.Duration(n-k) * opCost)
 				}
 				t.Barrier(bar)
 			}

@@ -169,8 +169,6 @@ type Config struct {
 	Protocol string
 	// Seed drives the simulation.
 	Seed int64
-	// ExpandCost is the CPU cost charged per assignment step.
-	ExpandCost dsmpm2.Duration
 }
 
 // Result reports a run's outcome.
@@ -180,6 +178,9 @@ type Result struct {
 	Stats    dsmpm2.Stats
 	System   *dsmpm2.System
 }
+
+// expandCost is the CPU cost charged per assignment step.
+const expandCost = 1 * dsmpm2.Microsecond
 
 // Run executes the distributed branch and bound and returns the result.
 func Run(cfg Config) (Result, error) {
@@ -194,9 +195,6 @@ func Run(cfg Config) (Result, error) {
 	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = "java_pf"
-	}
-	if cfg.ExpandCost == 0 {
-		cfg.ExpandCost = 1 * dsmpm2.Microsecond
 	}
 	sys, err := dsmpm2.New(dsmpm2.Config{
 		Nodes:    cfg.Nodes,
@@ -270,7 +268,7 @@ func Run(cfg Config) (Result, error) {
 			pending := 0
 			flush := func() {
 				if pending > 0 {
-					t.Compute(dsmpm2.Duration(pending) * cfg.ExpandCost)
+					t.Compute(dsmpm2.Duration(pending) * expandCost)
 					pending = 0
 				}
 			}

@@ -26,8 +26,6 @@ type Config struct {
 	Protocol string
 	// Seed drives matrix contents and the simulation.
 	Seed int64
-	// MACCost is the CPU cost charged per multiply-accumulate.
-	MACCost dsmpm2.Duration
 	// MisplaceHomes homes C's rows on node 0 instead of on their computing
 	// nodes (the adapt experiment's bad static placement). With no barriers
 	// in the kernel the profiler never folds an epoch, so this doubles as
@@ -78,13 +76,13 @@ func SolveSerial(n int, seed int64) float64 {
 	return sum
 }
 
+// macCost is the CPU cost charged per multiply-accumulate.
+const macCost = 10 * dsmpm2.Nanosecond
+
 // Run executes the distributed multiply and returns the result.
 func Run(cfg Config) (Result, error) {
 	if cfg.N < 1 || cfg.Nodes < 1 {
 		return Result{}, fmt.Errorf("matmul: invalid config %+v", cfg)
-	}
-	if cfg.MACCost == 0 {
-		cfg.MACCost = 10 // 0.01us per multiply-accumulate
 	}
 	sys, err := dsmpm2.New(dsmpm2.Config{
 		Nodes:         cfg.Nodes,
@@ -144,7 +142,7 @@ func Run(cfg Config) (Result, error) {
 					}
 					t.WriteUint64(cRows[i]+dsmpm2.Addr(8*j), math.Float64bits(c))
 				}
-				t.Compute(dsmpm2.Duration(n*n) * cfg.MACCost)
+				t.Compute(dsmpm2.Duration(n*n) * macCost)
 			}
 		})
 	}

@@ -59,16 +59,14 @@ type Costs struct {
 	DiffGap int
 }
 
-// DefaultCosts returns the paper-calibrated cost set.
-func DefaultCosts() Costs {
-	return Costs{
-		Fault:       11 * sim.Microsecond,
-		Server:      13 * sim.Microsecond,
-		Install:     13 * sim.Microsecond,
-		MigOverhead: 1 * sim.Microsecond,
-		Check:       300 * sim.Nanosecond,
-		DiffGap:     8,
-	}
+// paperCosts is the paper-calibrated cost set every DSM charges.
+var paperCosts = Costs{
+	Fault:       11 * sim.Microsecond,
+	Server:      13 * sim.Microsecond,
+	Install:     13 * sim.Microsecond,
+	MigOverhead: 1 * sim.Microsecond,
+	Check:       300 * sim.Nanosecond,
+	DiffGap:     8,
 }
 
 // nodeState is the per-node half of the DSM: this node's view of the shared
@@ -161,12 +159,13 @@ type pageInfo struct {
 }
 
 // New creates a DSM instance over the given PM2 machine, with the given
-// protocol registry. Registered protocols are instantiated per DSM.
-func New(rt *pm2.Runtime, reg *Registry, costs Costs) *DSM {
+// protocol registry and the paper-calibrated costs. Registered protocols are
+// instantiated per DSM.
+func New(rt *pm2.Runtime, reg *Registry) *DSM {
 	d := &DSM{
 		rt:       rt,
 		alloc:    isomalloc.New(rt.Nodes(), PageSize),
-		costs:    costs,
+		costs:    paperCosts,
 		bufs:     memory.NewBufPool(PageSize),
 		registry: reg,
 		defProto: -1,
@@ -185,7 +184,7 @@ func New(rt *pm2.Runtime, reg *Registry, costs Costs) *DSM {
 // Runtime returns the underlying PM2 machine.
 func (d *DSM) Runtime() *pm2.Runtime { return d.rt }
 
-// Costs returns the core cost configuration.
+// Costs returns the core costs.
 func (d *DSM) Costs() Costs { return d.costs }
 
 // Space returns node's view of the shared address space. Protocol code uses

@@ -31,7 +31,7 @@ type hookCounts struct {
 
 func newDSM(nodes int) *DSM {
 	rt := pm2.NewRuntime(pm2.Config{Nodes: nodes, Network: madeleine.BIPMyrinet, Seed: 1})
-	return New(rt, NewRegistry(), DefaultCosts())
+	return New(rt, NewRegistry())
 }
 
 func TestMallocRequiresProtocol(t *testing.T) {

@@ -43,7 +43,7 @@ func outboxHarness(nodes int) (*DSM, *pm2.Runtime, *[]traceEvent) {
 			},
 		}
 	})
-	d = New(rt, reg, DefaultCosts())
+	d = New(rt, reg)
 	id, _ := reg.Lookup("recorder")
 	d.SetDefaultProtocol(id)
 	return d, rt, trace
@@ -244,7 +244,7 @@ func TestBatchFlushOrdersSamePageDiffsByContent(t *testing.T) {
 				}
 			}}
 		})
-		d := New(rt, reg, DefaultCosts())
+		d := New(rt, reg)
 		d.SetDefaultProtocol(0)
 		pg := d.Space(0).PageOf(d.MustMalloc(0, PageSize, nil))
 		rt.CreateThread(0, "flusher", func(th *pm2.Thread) {

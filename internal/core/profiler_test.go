@@ -84,7 +84,7 @@ func TestProfilerDecisionsOrderIndependent(t *testing.T) {
 	run := func(shuffleSeed int64) (EpochProfile, []migCandidate, []Page) {
 		rt := pm2.NewRuntime(pm2.Config{Nodes: nodes, Network: madeleine.BIPMyrinet, Seed: 1})
 		reg := NewRegistry()
-		d := New(rt, reg, DefaultCosts())
+		d := New(rt, reg)
 		h, _ := localProto("p")
 		id := reg.Register("p", func(*DSM) Protocol { return h })
 		d.SetDefaultProtocol(id)
@@ -147,7 +147,7 @@ func TestProfilerDecisionsOrderIndependent(t *testing.T) {
 func TestEnableProfilerTwice(t *testing.T) {
 	rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
 	reg := NewRegistry()
-	d := New(rt, reg, DefaultCosts())
+	d := New(rt, reg)
 	h, _ := localProto("p")
 	id := reg.Register("p", func(*DSM) Protocol { return h })
 	d.SetDefaultProtocol(id)
@@ -168,7 +168,7 @@ func TestEnableProfilerTwice(t *testing.T) {
 func TestProfilerStabilityHysteresis(t *testing.T) {
 	rt := pm2.NewRuntime(pm2.Config{Nodes: 3, Network: madeleine.BIPMyrinet, Seed: 1})
 	reg := NewRegistry()
-	d := New(rt, reg, DefaultCosts())
+	d := New(rt, reg)
 	h, _ := localProto("p")
 	id := reg.Register("p", func(*DSM) Protocol { return h })
 	d.SetDefaultProtocol(id)
@@ -217,7 +217,7 @@ func TestHomeMigrationMovesPage(t *testing.T) {
 	const nodes = 4
 	rt := pm2.NewRuntime(pm2.Config{Nodes: nodes, Network: madeleine.BIPMyrinet, Seed: 3})
 	reg := NewRegistry()
-	d := New(rt, reg, DefaultCosts())
+	d := New(rt, reg)
 	// A minimal fetch-capable MRSW protocol (li_hudak's shape) built from
 	// hooks, so the test stays inside the core package.
 	h := &Hooks{
@@ -314,7 +314,7 @@ func TestHomeMigrationMovesPage(t *testing.T) {
 func TestAccessRetriesOnMigratedNode(t *testing.T) {
 	rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
 	reg := NewRegistry()
-	d := New(rt, reg, DefaultCosts())
+	d := New(rt, reg)
 	// The migration policy in miniature: never fetch, send the thread to
 	// the data instead. The retried access only succeeds if Access
 	// re-resolves the node (and its Space) after the handler returns.

@@ -178,7 +178,7 @@ func TestResentDiffOutlivesTheFirstAck(t *testing.T) {
 			PoisonFreed = poison
 			rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
 			rt.EnableFaults(1)
-			d := New(rt, NewRegistry(), DefaultCosts())
+			d := New(rt, NewRegistry())
 			d.EnableRecovery(nil)
 			var pg Page
 			served := 0
@@ -280,7 +280,7 @@ func TestPoisonCatchesARecordKeptPastItsRoutine(t *testing.T) {
 	reg.Register("keeper", func(*DSM) Protocol {
 		return &Hooks{ProtoName: "keeper", OnInvalidate: func(iv *Invalidate) { kept = iv }}
 	})
-	d := New(rt, reg, DefaultCosts())
+	d := New(rt, reg)
 	d.SetDefaultProtocol(0)
 	pg := d.Space(0).PageOf(d.MustMalloc(0, PageSize, nil))
 	rt.CreateThread(0, "writer", func(th *pm2.Thread) {
@@ -304,7 +304,7 @@ func TestPoisonCatchesADiffKeptPastDiffServer(t *testing.T) {
 	defer func() { PoisonFreed = false }()
 	rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
 	var kept *memory.Diff
-	d := New(rt, NewRegistry(), DefaultCosts())
+	d := New(rt, NewRegistry())
 	d.SetDefaultProtocol(d.CreateProtocol(&Hooks{ProtoName: "keeper", OnDiffServer: func(dm *DiffMsg) {
 		kept = dm.Diffs[0]
 		if kept.Empty() {
@@ -331,7 +331,7 @@ func TestPoisonCatchesADiffKeptPastDiffServer(t *testing.T) {
 // one record serves every release and the pool never grows.
 func TestRecordedDiffsReturnToThePool(t *testing.T) {
 	rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
-	d := New(rt, NewRegistry(), DefaultCosts())
+	d := New(rt, NewRegistry())
 	d.SetDefaultProtocol(d.CreateProtocol(&Hooks{ProtoName: "recorder", OnDiffServer: ApplyDiffs}))
 	base := d.MustMalloc(0, PageSize, nil)
 	pg := d.Space(0).PageOf(base)
@@ -366,7 +366,7 @@ func TestMigratingFaultFreesItsRecordOnce(t *testing.T) {
 	reg.Register("mover", func(*DSM) Protocol {
 		return &Hooks{ProtoName: "mover", OnReadFault: MigrateToOwner, OnWriteFault: MigrateToOwner}
 	})
-	d := New(rt, reg, DefaultCosts())
+	d := New(rt, reg)
 	d.SetDefaultProtocol(0)
 	base := d.MustMalloc(0, PageSize, nil)
 	var end int

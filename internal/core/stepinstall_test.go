@@ -46,18 +46,18 @@ type installThread struct {
 // faulting on them and keeping CPUs busy, and at most one node crash (with or
 // without a restart) at a time that often falls inside an install.
 type installSchedule struct {
-	nodes, pages, cpus int
-	threads            []installThread
-	crashAt            sim.Duration // 0: no crash
-	crashNode          int
-	restartAfter       sim.Duration // 0: the node stays down
+	nodes, pages int
+	threads      []installThread
+	crashAt      sim.Duration // 0: no crash
+	crashNode    int
+	restartAfter sim.Duration // 0: the node stays down
 }
 
 func randomInstallSchedule(rng *rand.Rand) installSchedule {
 	// Durations in 5 us steps and starts in 10 us steps line events up, so
 	// that pages reach a node in the same instant.
 	step := func(n int, unit sim.Duration) sim.Duration { return sim.Duration(rng.Intn(n)) * unit }
-	s := installSchedule{nodes: 2 + rng.Intn(3), pages: 1 + rng.Intn(3), cpus: 1 + rng.Intn(2)}
+	s := installSchedule{nodes: 2 + rng.Intn(3), pages: 1 + rng.Intn(3)}
 	for i, n := 0, 2+rng.Intn(7); i < n; i++ {
 		th := installThread{node: rng.Intn(s.nodes), start: step(4, 10*sim.Microsecond)}
 		for j, m := 0, 1+rng.Intn(8); j < m; j++ {
@@ -174,9 +174,9 @@ func (r *refInstall) install(h *pm2.Thread, pm *core.PageMsg) {
 // run plays s on li_hudak, its pages installed by the installer or, with
 // threaded set, by refInstall, which counts into cov.
 func (s installSchedule) run(threaded bool, cov *installCoverage) (log string, events uint64) {
-	rt := pm2.NewRuntime(pm2.Config{Nodes: s.nodes, CPUsPerNode: s.cpus, Network: madeleine.BIPMyrinet, Seed: 1})
+	rt := pm2.NewRuntime(pm2.Config{Nodes: s.nodes, Network: madeleine.BIPMyrinet, Seed: 1})
 	reg, ids := protocols.NewRegistry()
-	d := core.New(rt, reg, core.DefaultCosts())
+	d := core.New(rt, reg)
 	d.SetDefaultProtocol(ids.LiHudak)
 	var ref *refInstall
 	if threaded {

@@ -62,8 +62,8 @@ func (rt *Runtime) killThread(t *Thread) {
 }
 
 // RestartNode brings a crashed node back cold: alive again for the network,
-// a fresh CPU resource (threads killed mid-compute can never return their
-// units, so the old resource may be stranded), and every registered service
+// a fresh CPU resource (a thread killed mid-compute can never free it, so
+// the old one may be stranded), and every registered service
 // bound to its fresh queue (the crash unbound the old one and reclaimed what
 // was queued there), in registration order so replays are deterministic.
 func (rt *Runtime) RestartNode(n int) {
@@ -73,7 +73,7 @@ func (rt *Runtime) RestartNode(n int) {
 	}
 	rt.net.RestartNode(n)
 	node.dead = false
-	node.CPU = sim.NewResource(rt.cpus)
+	node.CPU = new(sim.Resource)
 	for _, name := range node.svcOrder {
 		svc := node.services[name]
 		rt.net.Serve(n, svc.chanID, svc.sink)

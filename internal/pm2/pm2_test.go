@@ -42,25 +42,6 @@ func TestComputeChargesNodeCPU(t *testing.T) {
 	}
 }
 
-func TestMultiCPUNodeParallel(t *testing.T) {
-	rt := NewRuntime(Config{Nodes: 1, CPUsPerNode: 2, Seed: 1})
-	var last sim.Time
-	for i := 0; i < 2; i++ {
-		rt.CreateThread(0, fmt.Sprintf("w%d", i), func(th *Thread) {
-			th.Compute(10 * sim.Microsecond)
-			if th.Now() > last {
-				last = th.Now()
-			}
-		})
-	}
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if last != sim.Time(10*sim.Microsecond) {
-		t.Fatalf("2 threads on 2 CPUs finished at %v, want 10us", last)
-	}
-}
-
 func TestMigrationCostMatchesPaper(t *testing.T) {
 	// Section 2.1: migrating a thread with minimal stack takes 75us over
 	// BIP/Myrinet and 62us over SISCI/SCI.

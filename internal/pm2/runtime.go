@@ -31,7 +31,6 @@ type Runtime struct {
 	eng   *sim.Engine
 	net   *madeleine.Network
 	nodes []*Node
-	cpus  int // CPUs per node, kept for rebuilding a restarted node's CPU
 
 	// nextID is the last thread id handed out (ids run 1, 2, 3, ...), and
 	// so the number of threads created.
@@ -52,8 +51,7 @@ type Runtime struct {
 
 // Config describes a PM2 machine.
 type Config struct {
-	Nodes       int
-	CPUsPerNode int // defaults to 1, as in the paper's PII nodes
+	Nodes int
 
 	// Network is the uniform-interconnect shorthand: every node pair uses
 	// this one profile (default BIPMyrinet). Topology, when set, takes
@@ -75,9 +73,6 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.Nodes < 1 {
 		panic("pm2: need at least one node")
 	}
-	if cfg.CPUsPerNode == 0 {
-		cfg.CPUsPerNode = 1
-	}
 	topo := cfg.Topology
 	if topo == nil {
 		prof := cfg.Network
@@ -90,7 +85,6 @@ func NewRuntime(cfg Config) *Runtime {
 	rt := &Runtime{
 		eng:    eng,
 		net:    madeleine.NewNetworkTopology(eng, topo, cfg.Nodes),
-		cpus:   cfg.CPUsPerNode,
 		svcIDs: make(map[string]madeleine.ChanID),
 	}
 	rt.net.SetLinkContention(cfg.LinkContention)
@@ -98,7 +92,7 @@ func NewRuntime(cfg Config) *Runtime {
 		rt.nodes = append(rt.nodes, &Node{
 			rt:       rt,
 			ID:       i,
-			CPU:      sim.NewResource(cfg.CPUsPerNode),
+			CPU:      new(sim.Resource),
 			services: make(map[string]*service),
 		})
 	}
@@ -144,7 +138,8 @@ func (rt *Runtime) Run() error { return rt.eng.Run() }
 func (rt *Runtime) Now() sim.Time { return rt.eng.Now() }
 
 // Node is one computing node of the PM2 machine. Threads located on the
-// node share its CPUs; RPC services registered on it serve remote requests.
+// node share its one CPU, as on the paper's Pentium II nodes; RPC services
+// registered on it serve remote requests.
 type Node struct {
 	rt  *Runtime
 	ID  int

@@ -27,7 +27,7 @@ type missPin func(tb testing.TB, rounds int) (rt *pm2.Runtime, node, warm int, o
 func pinHarness(tb testing.TB, nodes int, proto string) (rt *pm2.Runtime, d *core.DSM, base core.Addr, lock int) {
 	rt = pm2.NewRuntime(pm2.Config{Nodes: nodes, Network: madeleine.BIPMyrinet, Seed: 1})
 	reg, _ := NewRegistry()
-	d = core.New(rt, reg, core.DefaultCosts())
+	d = core.New(rt, reg)
 	id, ok := reg.Lookup(proto)
 	if !ok {
 		tb.Fatalf("protocol %q not registered", proto)
@@ -270,7 +270,7 @@ func BenchmarkBatchFlushTwoDests(b *testing.B) { benchPin(b, batchFlushTwoDests)
 
 func batchFlushTwoDests(testing.TB, int) (*pm2.Runtime, int, int, func(*pm2.Thread, int), func()) {
 	rt := pm2.NewRuntime(pm2.Config{Nodes: 3, Network: madeleine.BIPMyrinet, Seed: 1})
-	d := core.New(rt, core.NewRegistry(), core.DefaultCosts())
+	d := core.New(rt, core.NewRegistry())
 	d.SetDefaultProtocol(d.CreateProtocol(&core.Hooks{ProtoName: "sink", OnDiffServer: func(*core.DiffMsg) {}}))
 	pg := d.Space(0).PageOf(d.MustMalloc(0, core.PageSize, nil))
 	twin := make([]byte, 24)

@@ -92,7 +92,7 @@ func conformanceHarness(t *testing.T, topo madeleine.Topology, proto string) (*p
 	t.Helper()
 	rt := pm2.NewRuntime(pm2.Config{Nodes: conformanceNodes, Topology: topo, Seed: 42})
 	reg, _ := NewRegistry()
-	d := core.New(rt, reg, core.DefaultCosts())
+	d := core.New(rt, reg)
 	id, ok := reg.Lookup(proto)
 	if !ok {
 		t.Fatalf("protocol %q not registered", proto)

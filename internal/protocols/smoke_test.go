@@ -13,7 +13,7 @@ import (
 func harness(nodes int, prof *madeleine.Profile, seed int64) (*pm2.Runtime, *core.DSM, IDs) {
 	rt := pm2.NewRuntime(pm2.Config{Nodes: nodes, Network: prof, Seed: seed})
 	reg, ids := NewRegistry()
-	d := core.New(rt, reg, core.DefaultCosts())
+	d := core.New(rt, reg)
 	return rt, d, ids
 }
 

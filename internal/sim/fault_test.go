@@ -78,26 +78,24 @@ func TestKillParkedProc(t *testing.T) {
 	}
 }
 
-// TestKillReleasesSyncPrimitives: dead procs queued on a mutex, semaphore or
-// channel are skipped, so the resource reaches the next live waiter.
+// TestKillReleasesSyncPrimitives: dead procs queued on a mutex, resource or
+// channel are skipped, so each reaches the next live waiter.
 func TestKillReleasesSyncPrimitives(t *testing.T) {
 	eng := NewEngine(1)
 	var mu Mutex
-	sem := NewSemaphore(1)
+	var res Resource
 	ch := new(Chan)
-	gotLock, gotSem, gotMsg := false, false, false
+	gotLock, gotRes, gotMsg := false, false, false
 
 	eng.Go("holder", func(p *Proc) {
 		mu.Lock(p)
-		sem.Acquire(p)
-		p.Advance(50) // deadMu/deadSem/deadCh queue behind
+		res.Use(p, 50) // deadMu/deadRes/deadCh queue behind
 		mu.Unlock(p)
-		sem.Release()
 		ch.Push("msg")
 	})
-	var deadMu, deadSem, deadCh *Proc
+	var deadMu, deadRes, deadCh *Proc
 	deadMu = eng.Go("deadMu", func(p *Proc) { p.Advance(5); mu.Lock(p); t.Error("dead proc got mutex") })
-	deadSem = eng.Go("deadSem", func(p *Proc) { p.Advance(5); sem.Acquire(p); t.Error("dead proc got unit") })
+	deadRes = eng.Go("deadRes", func(p *Proc) { p.Advance(5); res.Use(p, 1); t.Error("dead proc got resource") })
 	deadCh = eng.Go("deadCh", func(p *Proc) { p.Advance(5); ch.Recv(p); t.Error("dead proc got message") })
 
 	eng.Go("live", func(p *Proc) {
@@ -105,9 +103,8 @@ func TestKillReleasesSyncPrimitives(t *testing.T) {
 		mu.Lock(p)
 		gotLock = true
 		mu.Unlock(p)
-		sem.Acquire(p)
-		gotSem = true
-		sem.Release()
+		res.Use(p, 1)
+		gotRes = true
 		if v := ch.Recv(p); v == "msg" {
 			gotMsg = true
 		}
@@ -115,14 +112,14 @@ func TestKillReleasesSyncPrimitives(t *testing.T) {
 	eng.Go("killer", func(p *Proc) {
 		p.Advance(30) // after everyone queued, before holder releases
 		deadMu.Kill()
-		deadSem.Kill()
+		deadRes.Kill()
 		deadCh.Kill()
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !gotLock || !gotSem || !gotMsg {
-		t.Fatalf("live proc starved: lock=%v sem=%v msg=%v", gotLock, gotSem, gotMsg)
+	if !gotLock || !gotRes || !gotMsg {
+		t.Fatalf("live proc starved: lock=%v resource=%v msg=%v", gotLock, gotRes, gotMsg)
 	}
 }
 

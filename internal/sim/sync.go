@@ -160,87 +160,56 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 	return !timedOut
 }
 
-// Semaphore is a counting semaphore with FIFO wakeups. A semaphore with n
-// units models a pool of n identical servers (for example the CPUs of a
-// node).
-type Semaphore struct {
-	avail   int
-	waiters procQueue
-}
-
-// NewSemaphore returns a semaphore holding n units.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{avail: n} }
-
-// Acquire takes one unit, blocking until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	if !s.acquireStep(p) {
-		p.Park("semaphore acquire")
-	}
-}
-
-// acquireStep is Acquire for a step proc: it takes a unit (true) or queues p
-// where Acquire would park it (false), and Release's hand-off runs p's next
-// step holding the unit.
-func (s *Semaphore) acquireStep(p *Proc) bool {
-	if s.avail > 0 && s.waiters.len() == 0 {
-		s.avail--
-		return true
-	}
-	s.waiters.push(p)
-	p.reason = "semaphore acquire"
-	return false
-}
-
-// Release returns one unit, waking the oldest live waiter if any. A release
-// with waiters present hands the unit directly to the waiter; dead waiters
-// are discarded so a fault cannot leak a unit to a killed proc.
-func (s *Semaphore) Release() {
-	for s.waiters.len() > 0 {
-		if w := s.waiters.pop(); !w.dead {
-			w.Unpark()
-			return
-		}
-	}
-	s.avail++
-}
-
-// Resource is a FIFO server queue: Use(p, d) occupies the resource for d of
-// virtual time, queuing behind earlier users. With capacity k it models k
-// identical servers (e.g. a node with k CPUs): the DSM applications charge
-// their compute phases against their node's Resource so that piling many
-// threads onto one node slows them down, exactly the effect the paper's
-// Figure 4 attributes to the thread-migration protocol.
+// Resource is a single FIFO server: Use(p, d) occupies it for d of virtual
+// time, queuing behind earlier users. It models a node's CPU: the DSM
+// applications charge their compute phases against their node's Resource so
+// that piling many threads onto one node slows them down, exactly the effect
+// the paper's Figure 4 attributes to the thread-migration protocol. The zero
+// value is free.
 type Resource struct {
-	sem *Semaphore
+	held    bool
+	waiters procQueue
 	// busy accumulates total occupied time, for utilization reports.
 	busy Duration
 }
 
-// NewResource returns a resource with capacity servers.
-func NewResource(capacity int) *Resource {
-	if capacity < 1 {
-		panic("sim: resource capacity must be >= 1")
-	}
-	return &Resource{sem: NewSemaphore(capacity)}
-}
-
-// Use occupies one server for d of virtual time.
+// Use occupies r for d of virtual time.
 func (r *Resource) Use(p *Proc, d Duration) {
-	r.sem.Acquire(p)
+	if !r.AcquireStep(p) {
+		p.Park("resource acquire")
+	}
 	p.Advance(d)
 	r.Done(d)
 }
 
-// AcquireStep is Use for a step proc, which then Sleeps d and calls Done(d).
-func (r *Resource) AcquireStep(p *Proc) bool { return r.sem.acquireStep(p) }
-
-// Done frees a server held for d.
-func (r *Resource) Done(d Duration) {
-	r.busy += d
-	r.sem.Release()
+// AcquireStep is Use for a step proc, which then Sleeps d and calls Done(d):
+// it takes a free r (true) or queues p where Use would park it (false), and
+// Done's hand-off runs p's next step holding r.
+func (r *Resource) AcquireStep(p *Proc) bool {
+	if !r.held {
+		r.held = true
+		return true
+	}
+	r.waiters.push(p)
+	p.reason = "resource acquire"
+	return false
 }
 
-// Busy reports the cumulative time servers were occupied.
+// Done frees r after holding it for d, handing it directly to the oldest
+// live waiter if any; dead waiters are discarded so a fault cannot leave r
+// held by a killed proc.
+func (r *Resource) Done(d Duration) {
+	r.busy += d
+	for r.waiters.len() > 0 {
+		if w := r.waiters.pop(); !w.dead {
+			w.Unpark()
+			return
+		}
+	}
+	r.held = false
+}
+
+// Busy reports the cumulative time r was occupied.
 func (r *Resource) Busy() Duration { return r.busy }
 
 // Chan is an unbounded FIFO message queue, the building block for simulated

@@ -142,36 +142,9 @@ func TestCondSignalWakesOne(t *testing.T) {
 	}
 }
 
-func TestSemaphoreCapacity(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSemaphore(2)
-	inside, maxInside := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			s.Acquire(p)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Advance(10 * Microsecond)
-			inside--
-			s.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxInside != 2 {
-		t.Fatalf("semaphore(2) admitted max %d at once", maxInside)
-	}
-	if s.avail != 2 {
-		t.Fatalf("units leaked: available = %d, want 2", s.avail)
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	e := NewEngine(1)
-	r := NewResource(1)
+	r := new(Resource)
 	var done []Time
 	for i := 0; i < 3; i++ {
 		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
@@ -190,26 +163,6 @@ func TestResourceSerializes(t *testing.T) {
 	}
 	if r.Busy() != 30*Microsecond {
 		t.Fatalf("busy = %v, want 30us", r.Busy())
-	}
-}
-
-func TestResourceParallelCapacity(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(3)
-	var latest Time
-	for i := 0; i < 3; i++ {
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			r.Use(p, 10*Microsecond)
-			if p.Now() > latest {
-				latest = p.Now()
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if latest != Time(10*Microsecond) {
-		t.Fatalf("3 jobs on 3 CPUs finished at %v, want 10us", latest)
 	}
 }
 
@@ -275,7 +228,7 @@ func TestResourceWorkConservationProperty(t *testing.T) {
 			return true
 		}
 		e := NewEngine(1)
-		r := NewResource(1)
+		r := new(Resource)
 		var total Duration
 		var last Time
 		for i, d := range demands {

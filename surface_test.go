@@ -90,22 +90,35 @@ type exportedDecl struct {
 	pos token.Position
 }
 
-// TestInternalExportsHaveCallers keeps internal/'s surface minimal: every
-// exported function or method declared under internal/ must be used by some
-// non-test Go file of the repo (benchmark/ included, as it compiles against
-// internal/). Uses are resolved with go/types over the non-test files of both
-// modules, so a method counts as used where its own type's method is named,
-// or where a method of an interface its type implements is, and not where a
-// method of another type shares its name. A helper only tests call belongs
-// in a _test.go file; methods the standard library calls through an
-// interface are exempt by name; anything else without a caller must be on
-// exportsWithoutCallers with its reason, or go.
-func TestInternalExportsHaveCallers(t *testing.T) {
+// checkedPackage is one package of the repo, parsed and type-checked.
+type checkedPackage struct {
+	path  string
+	pkg   *types.Package
+	files []*ast.File
+}
+
+// repoTypes is the non-test Go of both modules, type-checked by the first
+// scan of this file for every later one: the packages dependencies first,
+// with one Info over all of them.
+var repoTypes struct {
+	fset *token.FileSet
+	info *types.Info
+	pkgs []checkedPackage
+}
+
+// typeCheckRepo parses and type-checks the non-test files of both modules
+// (benchmark/ included, as it compiles against the root module), or returns
+// what an earlier call checked.
+func typeCheckRepo(t *testing.T) ([]checkedPackage, *types.Info) {
+	t.Helper()
+	r := &repoTypes
+	if r.pkgs != nil {
+		return r.pkgs, r.info
+	}
 	fset := token.NewFileSet()
 	imp := &moduleImporter{checked: map[string]*types.Package{}, std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
 	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-	var decls []exportedDecl
-	var named []*types.Named
+	var pkgs []checkedPackage
 	for _, p := range append(goList(t, "."), goList(t, "benchmark")...) {
 		if p.Standard || imp.checked[p.ImportPath] != nil {
 			continue
@@ -124,17 +137,38 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
 		}
 		imp.checked[p.ImportPath] = pkg
-		for _, name := range pkg.Scope().Names() {
-			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+		pkgs = append(pkgs, checkedPackage{p.ImportPath, pkg, files})
+	}
+	r.fset, r.info, r.pkgs = fset, info, pkgs
+	return pkgs, info
+}
+
+// TestInternalExportsHaveCallers keeps internal/'s surface minimal: every
+// exported function or method declared under internal/ must be used by some
+// non-test Go file of the repo (benchmark/ included, as it compiles against
+// internal/). Uses are resolved with go/types over the non-test files of both
+// modules, so a method counts as used where its own type's method is named,
+// or where a method of an interface its type implements is, and not where a
+// method of another type shares its name. A helper only tests call belongs
+// in a _test.go file; methods the standard library calls through an
+// interface are exempt by name; anything else without a caller must be on
+// exportsWithoutCallers with its reason, or go.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	pkgs, info := typeCheckRepo(t)
+	var decls []exportedDecl
+	var named []*types.Named
+	for _, p := range pkgs {
+		for _, name := range p.pkg.Scope().Names() {
+			if tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
 				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams() == nil {
 					named = append(named, n)
 				}
 			}
 		}
-		if !strings.HasPrefix(p.ImportPath, "dsmpm2/internal/") {
+		if !strings.HasPrefix(p.path, "dsmpm2/internal/") {
 			continue
 		}
-		for _, f := range files {
+		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || !fd.Name.IsExported() {
@@ -147,7 +181,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 					}
 					key = f.Name.Name + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
 				}
-				decls = append(decls, exportedDecl{key, info.Defs[fd.Name].(*types.Func), fset.Position(fd.Name.Pos())})
+				decls = append(decls, exportedDecl{key, info.Defs[fd.Name].(*types.Func), repoTypes.fset.Position(fd.Name.Pos())})
 			}
 		}
 	}
@@ -206,6 +240,104 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 	if len(exportsWithoutCallers) > 10 {
 		t.Errorf("the accept-list has %d entries, over its cap of 10", len(exportsWithoutCallers))
+	}
+}
+
+// settingsWithoutWriters is the accept-list of TestSettingsHaveWriters:
+// settings that no non-test file outside their package writes, each kept for
+// the reason given.
+var settingsWithoutWriters = map[string]string{
+	"jacobi.Config.Trace":             "TestTraceSpanLogPinned pins a traced jacobi run",
+	"kvstore.Config.Deadline":         "TestDeadlineDrops checks drops on an all-get overload, and benchmark/ reads Result.Dropped",
+	"kvstore.Config.MeanInterarrival": "TestDeadlineDrops overloads the servers through it",
+	"kvstore.Config.ReadFraction":     "TestDeadlineDrops makes every request a get through it",
+}
+
+// TestSettingsHaveWriters keeps every setting one that a caller sets: each
+// exported field of an exported struct type named *Config or *Options, in
+// either module, must be written by some non-test file outside its own
+// package. A write is a composite-literal key, an assignment or increment,
+// or taking the field's address (as the tuner's grid cells do). A setting
+// only one value ever reaches is a constant of its package; anything else
+// without a writer must be on settingsWithoutWriters with its reason, or go.
+func TestSettingsHaveWriters(t *testing.T) {
+	pkgs, info := typeCheckRepo(t)
+	// written holds the fields a non-test file outside their package writes.
+	written := map[*types.Var]bool{}
+	write := func(p *types.Package, id *ast.Ident) {
+		if f, ok := info.Uses[id].(*types.Var); ok && f.IsField() && f.Pkg() != p {
+			written[f.Origin()] = true
+		}
+	}
+	writeSel := func(p *types.Package, e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			write(p, sel.Sel)
+		}
+	}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := x.Key.(*ast.Ident); ok {
+						write(p.pkg, id)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						writeSel(p.pkg, lhs)
+					}
+				case *ast.IncDecStmt:
+					writeSel(p.pkg, x.X)
+				case *ast.UnaryExpr:
+					if x.Op == token.AND {
+						writeSel(p.pkg, x.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	accepted := map[string]bool{}
+	settings := 0
+	for _, p := range pkgs {
+		for _, name := range p.pkg.Scope().Names() {
+			tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() {
+					continue
+				}
+				settings++
+				if written[f] {
+					continue
+				}
+				key := p.pkg.Name() + "." + name + "." + f.Name()
+				if _, ok := settingsWithoutWriters[key]; ok {
+					accepted[key] = true
+					continue
+				}
+				t.Errorf("%s: setting %s has no writer outside its package: make it a constant, or accept it with a reason", repoTypes.fset.Position(f.Pos()), key)
+			}
+		}
+	}
+	if settings == 0 {
+		t.Fatal("found no settings")
+	}
+	for key := range settingsWithoutWriters {
+		if !accepted[key] {
+			t.Errorf("accept-list entry %s is stale: it has a writer now, or is gone", key)
+		}
+	}
+	if len(settingsWithoutWriters) > 5 {
+		t.Errorf("the accept-list has %d entries, over its cap of 5", len(settingsWithoutWriters))
 	}
 }
 
