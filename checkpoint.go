@@ -66,7 +66,7 @@ type Checkpoint struct {
 	Plan   *FaultPlan      `json:"plan,omitempty"`
 	App    json.RawMessage `json:"app,omitempty"`
 	// At is the virtual time of the capture: a replay of the recorded run
-	// never queues anything later (see Replay).
+	// fires nothing later (see Replay).
 	At Time `json:"at"`
 	// Fingerprint is the run's trace fingerprint at capture
 	// (System.Fingerprint) bound to the token: a digest of it with every
@@ -227,9 +227,9 @@ func (ck *Checkpoint) digest(sys *System) (string, error) {
 // Replay brings sys, built from SystemConfig as the recorded run was, back
 // to the point the token was taken at: it calls step steps times, and
 // returns an error unless the replay ends at the recorded fingerprint. The
-// run is bounded at the recorded instant, so a replay that leaves the
-// recorded run (a tampered or hostile token) stops there with an error
-// instead of running on.
+// run is bounded at the recorded instant (Engine.Bound: no event past it
+// fires), so a replay that leaves the recorded run (a tampered or hostile
+// token) stops there with an error instead of running on.
 func (ck *Checkpoint) Replay(sys *System, steps int, step func() error) error {
 	lift := sys.rt.Engine().Bound(ck.At)
 	defer lift()

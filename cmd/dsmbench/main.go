@@ -75,7 +75,7 @@ var experiments = []experiment{
 	{name: "adapt", doc: "sharing-pattern profiler + dynamic home migration", snapshot: "BENCH_adapt.json", run: adapt},
 	{name: "serve", doc: "Zipf-serving KV store: per-op tail latency, static vs adaptive", snapshot: "BENCH_serve.json", run: serve},
 	{name: "ckpt", doc: "checkpoint/resume: round trip, warm vs cold restart", snapshot: "BENCH_ckpt.json", run: ckpt},
-	{name: "bisect", doc: "binary search for the first divergent safe point", check: checkBisect, run: bisect},
+	{name: "bisect", doc: "binary search for the first divergent pause point", check: checkBisect, run: bisect},
 	{name: "tune", doc: "what-if auto-tuner: re-simulate the config grid, rank the cells", snapshot: "BENCH_tune.json", check: checkTune, run: tuneExp},
 }
 
@@ -147,7 +147,7 @@ func newFlagSet(a *cliArgs) *flag.FlagSet {
 	fs.Float64Var(&a.mtbf, "mtbf", 0, "generate a fault plan: mean time between failures per node (virtual ms)")
 	fs.Float64Var(&a.repair, "repair", 3, "generated plans: node repair time (virtual ms)")
 	fs.Int64Var(&a.faultSeed, "faultseed", 11, "seed for generated fault plans and message-loss draws")
-	fs.StringVar(&a.faultProtos, "faultproto", "hbrc_mw,entry_mw", "comma-separated protocols for the faults experiment")
+	fs.StringVar(&a.faultProtos, "faultproto", "hbrc_mw,entry_mw", "comma-separated protocols for the faults experiment (all = every registered protocol)")
 	fs.StringVar(&a.tuneWorkload, "tuneworkload", "jacobi", "tune: workload to sweep (jacobi, matmul, serve)")
 	fs.StringVar(&a.tuneProtos, "tuneprotos", "all", "tune: comma-separated protocol subset of the grid (all = every registered protocol)")
 	fs.StringVar(&a.tuneTopos, "tunetopos", "all", "tune: comma-separated topology subset (uniform, hier)")
@@ -250,7 +250,7 @@ func checkFaults(a *cliArgs) error {
 	if a.faultPlan == "" && a.mtbf <= 0 && a.nodes < 2 {
 		return fmt.Errorf("the demo plan needs -nodes >= 2 (node 0 is protected)")
 	}
-	return nil
+	return checkAxis("faultproto", a.faultProtos, tune.Protocols)
 }
 
 func checkContention(a *cliArgs) error {
@@ -819,19 +819,19 @@ func ckpt(*cliArgs) (any, error) {
 // is injected at -perturb, and a binary search over per-step fingerprints
 // recovers the step from O(log n) probe runs.
 func bisect(a *cliArgs) (any, error) {
-	header("Divergence bisection: binary search for the first divergent safe point")
+	header("Divergence bisection: binary search for the first divergent pause point")
 	res, err := bench.CkptBisectRun(a.perturb)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Printf("%-28s %6d\n", "session steps", res.Steps)
 	fmt.Printf("%-28s %6d\n", "perturbation injected at", res.InjectedStep)
-	fmt.Printf("%-28s %6d\n", "first divergent safe point", res.FoundStep)
+	fmt.Printf("%-28s %6d\n", "first divergent pause point", res.FoundStep)
 	fmt.Printf("%-28s %6d\n", "probe runs", res.Probes)
 	if !res.Recovered {
 		return nil, fmt.Errorf("bisect: found step %d does not match the injected step %d (+1)", res.FoundStep, res.InjectedStep)
 	}
-	fmt.Println("(the probe at step k replays the suspect run to safe point k and compares its")
+	fmt.Println("(the probe at step k replays the suspect run to pause point k and compares its")
 	fmt.Println(" fingerprint to the reference ledger — a golden break is located without full traces)")
 	return nil, nil
 }
@@ -961,12 +961,12 @@ func faults(a *cliArgs) (any, error) {
 		fmt.Printf("plan: %s\n", planDesc)
 	}
 	expected := jacobi.SolveSerial(gridN, iters)
+	protos := axisList(a.faultProtos)
+	if protos == nil {
+		protos = tune.Protocols
+	}
 	var results []faultResult
-	for _, proto := range strings.Split(a.faultProtos, ",") {
-		proto = strings.TrimSpace(proto)
-		if proto == "" {
-			continue
-		}
+	for _, proto := range protos {
 		fr := faultResult{Protocol: proto, Expected: expected}
 		res, err := jacobi.Run(jacobi.Config{
 			N: gridN, Iterations: iters, Nodes: nodes,

@@ -42,6 +42,7 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		{"zero clusters", []string{"-exp", "multicluster", "-clusters", "0"}},
 		{"faults unknown inter", []string{"-exp", "faults", "-inter", "bogus"}},
 		{"faults demo on one node", []string{"-exp", "faults", "-nodes", "1"}},
+		{"unknown faults protocol", []string{"-exp", "faults", "-faultproto", "hbrc_mw,nope"}},
 		{"zero perturb", []string{"-exp", "bisect", "-perturb", "0"}},
 		{"negative perturb", []string{"-exp", "bisect", "-perturb", "-2"}},
 		{"zero readers", []string{"-exp", "contention", "-readers", "0"}},
@@ -101,6 +102,7 @@ func TestValidateArgsMessages(t *testing.T) {
 		{"multicluster", func(a *cliArgs) { a.clusters = 0 }, "-clusters 0"},
 		{"faults", func(a *cliArgs) { a.nodes = 0 }, "-nodes 0"},
 		{"faults", func(a *cliArgs) { a.nodes = 1 }, "-nodes >= 2"},
+		{"faults", func(a *cliArgs) { a.faultProtos = "nope" }, `-faultproto "nope"`},
 	} {
 		if err := validateArgs(perturb(c.exp, c.mut)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("-exp %s: error = %v, want it to name %s", c.exp, err, c.want)

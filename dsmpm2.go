@@ -141,8 +141,8 @@ type System struct {
 	cfg Config
 
 	// cursor is the fault-plan cursor (nil until InjectFaults); Run re-arms
-	// it so fault events parked across the end of a run fire in the next
-	// run chunk. The plan is retained for checkpointing.
+	// it so a fault event parked at the end of a run fires in the next run.
+	// The plan is retained for checkpointing.
 	cursor    *sim.FaultCursor
 	faultPlan *FaultPlan
 }
@@ -283,16 +283,21 @@ func (s *System) SpawnStack(node int, name string, stack int, fn func(t *Thread)
 	return wrapped
 }
 
-// Run drives the simulation until all application threads finish. It
-// returns an error if the system deadlocks. An injected fault plan is
-// re-armed first, so fault events that parked across the end of the last
-// run fire in this run chunk.
+// Run drives the simulation until all application threads finish or a
+// thread calls Pause; the next Run continues a paused run. It returns an
+// error if the system deadlocks. An injected fault plan is re-armed first,
+// so a fault event that parked when the last run finished fires in this one.
 func (s *System) Run() error {
 	if s.cursor != nil {
 		s.cursor.Arm()
 	}
 	return s.rt.Run()
 }
+
+// Pause ends the current Run once the calling thread next yields, with every
+// other thread and queued event left where it is: the next Run continues the
+// run exactly as if it had not stopped.
+func (s *System) Pause() { s.rt.Engine().Stop() }
 
 // Now returns the current virtual time.
 func (s *System) Now() Time { return s.rt.Now() }

@@ -66,8 +66,7 @@ type FaultOptions struct {
 // The events go through a cursor (sim.FaultCursor): only the next pending
 // event is in the queue, and System.Run arms it. An event that falls due
 // after every application thread has finished does not fire in that Run's
-// drain: it parks and fires in the next Run. So a run chunked into steps sees
-// each event in the first chunk that has live work.
+// drain: it parks and fires in the next Run, the first with live work.
 //
 // Recovery assumes fail-stop nodes and at least one survivor per page
 // replica set; synchronization managers (lock homes, barrier manager node

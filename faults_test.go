@@ -570,17 +570,14 @@ func TestInjectFaultsRefusesUnrunnablePlans(t *testing.T) {
 	}
 }
 
-// TestSessionSurvivesRestartsLikeRun: on the faults demo's plan (8 nodes in
-// two clusters, nodes 2 and 5 crashing and restarting), the chunked Session
-// completes under every registered protocol and reaches the same checksum
-// verdict as the monolithic Run. A restart during a phase-A step once parked
-// the catch-up worker at a barrier generation the cluster only reaches in the
-// next step, and the session deadlocked.
-func TestSessionSurvivesRestartsLikeRun(t *testing.T) {
+// TestDemoPlanTokensResumeToRun: on the faults demo's plan (8 nodes in two
+// clusters, nodes 2 and 5 crashing and restarting), for every registered
+// protocol, a token taken at every step of the session resumes to the
+// fingerprint of jacobi.Run, which drives the same session unbroken.
+func TestDemoPlanTokensResumeToRun(t *testing.T) {
 	plan := dsmpm2.NewFaultPlan(11)
 	plan.Crash(at(2*dsmpm2.Millisecond), 2).Restart(at(9*dsmpm2.Millisecond), 2)
 	plan.Crash(at(4*dsmpm2.Millisecond), 5).Restart(at(12*dsmpm2.Millisecond), 5)
-	want := jacobi.SolveSerial(24, 8)
 	for _, proto := range dsmpm2.MustNew(dsmpm2.Config{}).ProtocolNames() {
 		cfg := jacobi.Config{
 			N: 24, Iterations: 8, Nodes: 8,
@@ -594,22 +591,34 @@ func TestSessionSurvivesRestartsLikeRun(t *testing.T) {
 			t.Errorf("[%s] Run: %v", proto, err)
 			continue
 		}
-		s, err := jacobi.NewSession(cfg)
-		if err != nil {
-			t.Fatalf("[%s] %v", proto, err)
-		}
-		if err := s.RunToEnd(); err != nil {
-			t.Errorf("[%s] Session: %v", proto, err)
-			continue
-		}
-		res, err := s.Result()
-		if err != nil {
-			t.Fatalf("[%s] %v", proto, err)
-		}
-		t.Logf("[%s] correct: Run %v, Session %v", proto, run.Checksum == want, res.Checksum == want)
-		if (run.Checksum == want) != (res.Checksum == want) {
-			t.Errorf("[%s] Run's checksum %v and the Session's %v disagree on correctness (want %v)",
-				proto, run.Checksum, res.Checksum, want)
+		want := run.System.Fingerprint()
+		for k := 0; k <= cfg.Iterations+1; k++ {
+			s, err := jacobi.NewSession(cfg)
+			if err != nil {
+				t.Fatalf("[%s] %v", proto, err)
+			}
+			for s.StepsDone() < k {
+				if err := s.Step(); err != nil {
+					t.Fatalf("[%s] step %d: %v", proto, s.StepsDone(), err)
+				}
+			}
+			ck, err := s.Checkpoint()
+			if err != nil {
+				t.Fatalf("[%s] k=%d: %v", proto, k, err)
+			}
+			resumed, err := jacobi.ResumeSession(ck)
+			if err != nil {
+				t.Fatalf("[%s] k=%d: resume: %v", proto, k, err)
+			}
+			if err := resumed.RunToEnd(); err != nil {
+				t.Fatalf("[%s] k=%d: %v", proto, k, err)
+			}
+			if _, err := resumed.Result(); err != nil {
+				t.Fatalf("[%s] k=%d: %v", proto, k, err)
+			}
+			if got := resumed.System().Fingerprint(); got != want {
+				t.Errorf("[%s] k=%d: resumed fingerprint %s, Run's %s", proto, k, got, want)
+			}
 		}
 	}
 }

@@ -41,18 +41,16 @@ type Config struct {
 	// AdaptiveHomes enables the access-pattern profiler and dynamic home
 	// migration: misplaced rows move onto their writers at barrier epochs.
 	AdaptiveHomes bool
-	// Trace enables post-mortem span recording (dsmpm2.Config.Trace) in
-	// Run. A Session refuses it: a checkpoint carries no spans.
+	// Trace enables post-mortem span recording (dsmpm2.Config.Trace). A
+	// checkpoint carries no spans, and a resumed session runs untraced.
 	Trace bool
 
-	// FaultPlan, when set, selects the restart-aware variant of the
-	// kernel: all grid pages are homed on node 0 (a home-based protocol
-	// then keeps committed iterations on a protected node), workers
-	// checkpoint a local iteration counter after flushing their diffs,
-	// and a crashed node's worker is respawned on restart, redoing at
-	// most one iteration. Plans must protect node 0 (it is the barrier
-	// manager and the reliable home). Event times are offsets from the
-	// start of the compute phase.
+	// FaultPlan, when set, runs the kernel as a Session, the restart-aware
+	// driver: all grid pages are homed on node 0, workers record each unit
+	// after flushing its diffs home, and a crashed node's worker is
+	// respawned on restart, redoing at most one unit. Plans must protect
+	// node 0 (it is the barrier manager and the reliable home). Event times
+	// are offsets from the session's construction.
 	FaultPlan *dsmpm2.FaultPlan
 }
 
@@ -138,9 +136,9 @@ func newSystem(cfg Config) (*dsmpm2.System, error) {
 	})
 }
 
-// grid is the kernel's shared state, the one stencil every driver — Run,
-// runRestartAware and Session — computes through: two (N+2)-row grids of
-// float64 cells, their rows block-partitioned over the nodes that write them.
+// grid is the kernel's shared state, the one stencil both drivers — Run and
+// Session — compute through: two (N+2)-row grids of float64 cells, their rows
+// block-partitioned over the nodes that write them.
 type grid struct {
 	n, nodes int
 	rows     [2][]dsmpm2.Addr
@@ -236,12 +234,19 @@ func (g *grid) checksum(sys *dsmpm2.System, iterations int, res Result) (Result,
 
 // Run executes the distributed kernel and returns the result.
 func Run(cfg Config) (Result, error) {
+	if cfg.FaultPlan != nil {
+		s, err := NewSession(cfg)
+		if err != nil {
+			return Result{}, err
+		}
+		if err := s.RunToEnd(); err != nil {
+			return Result{}, err
+		}
+		return s.Result()
+	}
 	sys, err := newSystem(cfg)
 	if err != nil {
 		return Result{}, err
-	}
-	if cfg.FaultPlan != nil {
-		return runRestartAware(cfg, sys)
 	}
 	// Every block is homed on the node that writes it — unless MisplaceHomes
 	// parks everything on node 0 for the adapt experiment.
@@ -266,73 +271,4 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return g.checksum(sys, cfg.Iterations, Result{Elapsed: sys.Now(), Stats: sys.Stats(), System: sys})
-}
-
-// runRestartAware is the restart-aware variant of the kernel, used when a
-// FaultPlan is configured. Structural differences from the plain kernel:
-//
-//   - every grid row is homed on node 0, the protected node, so a
-//     home-based protocol (hbrc_mw, entry_mw) keeps all committed
-//     iterations on a node the plan never kills;
-//   - init and each sweep are numbered work units separated by identified
-//     barrier generations (BarrierAs), so a restarted worker can rejoin at
-//     exactly the generation the cluster is in;
-//   - before checkpointing a completed unit, the worker flushes its diffs
-//     home (Thread.Flush): the checkpoint never claims work whose
-//     modifications would die with the node. A crash therefore costs at
-//     most one redone unit.
-func runRestartAware(cfg Config, sys *dsmpm2.System) (Result, error) {
-	g := newGrid(sys, cfg, true, false)
-	// lastDone[node] is the node's local checkpoint: the highest work unit
-	// whose modifications are committed at the home. In a real system this
-	// counter would sit in the node's stable storage.
-	lastDone := make([]int, cfg.Nodes)
-	for i := range lastDone {
-		lastDone[i] = -1
-	}
-	bar := sys.NewBarrier(cfg.Nodes)
-
-	// finishedAt is the computation's true end: the latest instant a worker
-	// completed its final unit. sys.Now() after Run would instead report
-	// when the event queue drained, which a fault plan with events past the
-	// workload's end (an MTBF horizon, a late heal) inflates arbitrarily.
-	var finishedAt dsmpm2.Time
-	runWorker := func(t *dsmpm2.Thread, node, startUnit int) {
-		for unit := startUnit; unit <= cfg.Iterations; unit++ {
-			g.unit(t, node, unit)
-			t.Flush() // commit home before the checkpoint claims the unit
-			lastDone[node] = unit
-			t.BarrierAs(bar, node, unit)
-		}
-		if now := t.Now(); now > finishedAt {
-			finishedAt = now
-		}
-	}
-
-	if err := sys.InjectFaults(cfg.FaultPlan, dsmpm2.FaultOptions{
-		OnRestart: func(node int) {
-			done := lastDone[node]
-			sys.Spawn(node, fmt.Sprintf("jacobi%d.r", node), func(t *dsmpm2.Thread) {
-				if done >= 0 {
-					// The crash may have hit between the checkpoint and
-					// the barrier: re-arrive for the checkpointed
-					// generation (idempotent — a duplicate arrival just
-					// takes over the dead predecessor's slot).
-					t.BarrierAs(bar, node, done)
-				}
-				runWorker(t, node, done+1)
-			})
-		},
-	}); err != nil {
-		return Result{}, err
-	}
-
-	for node := 0; node < cfg.Nodes; node++ {
-		sys.Spawn(node, fmt.Sprintf("jacobi%d", node), func(t *dsmpm2.Thread) { runWorker(t, node, 0) })
-	}
-	if err := sys.Run(); err != nil {
-		return Result{}, err
-	}
-	return g.checksum(sys, cfg.Iterations, Result{Elapsed: finishedAt, Stats: sys.Stats(), System: sys,
-		Faults: sys.FaultStats(), Recovery: sys.RecoveryStats()})
 }

@@ -75,22 +75,47 @@ func TestJacobiBadConfig(t *testing.T) {
 	}
 }
 
-// TestSessionRefusesTrace: a checkpoint carries no spans, so a session asked
-// to trace is refused up front instead of running untraced without a word.
-func TestSessionRefusesTrace(t *testing.T) {
+// TestTracedTokenResumes: spans are not part of a run's fingerprint, so a
+// token a traced session takes resumes, untraced, to the traced run's end.
+func TestTracedTokenResumes(t *testing.T) {
 	cfg := Config{N: 8, Iterations: 2, Nodes: 2, Protocol: "hbrc_mw", Seed: 1, Trace: true}
-	if _, err := NewSession(cfg); err == nil {
-		t.Fatal("NewSession accepted Trace: true")
-	}
-	cfg.Trace = false
-	s, err := NewSession(cfg)
+	ref, err := NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunToEnd(); err != nil {
+	if err := ref.RunToEnd(); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := s.Result(); err != nil || res.Checksum != SolveSerial(8, 2) {
-		t.Fatalf("untraced session: checksum %v, error %v; want %v", res.Checksum, err, SolveSerial(8, 2))
+	if ref.System().Trace().Len() == 0 {
+		t.Fatal("the traced session recorded no spans")
+	}
+	want := ref.System().Fingerprint()
+	for k := 0; k <= ref.Steps(); k++ {
+		s, err := NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s.StepsDone() < k {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ck, err := s.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := ResumeSession(ck)
+		if err != nil {
+			t.Fatalf("k=%d: resume: %v", k, err)
+		}
+		if resumed.System().Trace() != nil {
+			t.Fatalf("k=%d: the resumed session traces", k)
+		}
+		if err := resumed.RunToEnd(); err != nil {
+			t.Fatal(err)
+		}
+		if got := resumed.System().Fingerprint(); got != want {
+			t.Fatalf("k=%d: resumed fingerprint %s, traced run %s", k, got, want)
+		}
 	}
 }

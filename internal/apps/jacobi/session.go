@@ -8,41 +8,37 @@ import (
 	"dsmpm2"
 )
 
-// Session is the chunked, checkpointable form of the kernel. The same work
-// the monolithic Run performs is split into steps that each end with the
-// event queue drained. Between any two steps, Checkpoint takes a resume
-// token; ResumeSession, in this process or another, rebuilds the session
-// from it, replays the recorded steps and checks that the replay reached the
-// recorded fingerprint, so the resumed session runs to completion exactly as
-// the unbroken one would.
+// Session is the restart-aware, checkpointable form of the kernel, and Run's
+// driver under a fault plan. Each work unit (unit 0 is grid initialization,
+// unit k the k-th sweep) is numbered, and so is the barrier generation that
+// closes it, so a restarted worker rejoins at exactly the generation the
+// cluster is in. A worker computes its unit, flushes its diffs home, records
+// the unit in done (its local checkpoint, which never claims work whose
+// modifications would die with the node) and arrives at the unit's
+// generation. A crash therefore costs at most one redone unit.
 //
-// Each work unit (unit 0 is grid initialization, unit k is sweep k-1) is
-// two steps:
+// The workers run one continuous loop; the session only pauses it. Node 0
+// pauses the run just before it arrives at each generation after the first,
+// so a step is one System.Run that the next pause ends, and the last step
+// runs to the end. Between any two steps, Checkpoint takes a resume token;
+// ResumeSession, in this process or another, rebuilds the session from it,
+// replays the recorded steps and checks that the replay reached the recorded
+// fingerprint, so the resumed session runs to completion exactly as the
+// unbroken one would. Pausing before the arrival, not after it, lets a token
+// be taken while a crashed node is still down.
 //
-//   - phase A: every node computes its block, flushes its diffs home and
-//     records (in done) a local checkpoint claiming the unit;
-//   - phase B: every node arrives at the cluster barrier for the unit's
-//     generation.
-//
-// Each step spawns fresh single-phase workers, so no thread outlives a step;
-// the cross-step state is the Session's few counters. Chunking perturbs
-// thread ids relative to the monolithic kernel, so chunked runs are compared
-// against chunked runs.
-//
-// With a fault plan, the session injects it through the fault cursor
-// (events parked across a step boundary fire in the next step), homes every
-// grid row on protected node 0, and restarted nodes catch up from their
-// last recorded checkpoint — or from scratch when ColdRestart is set, the
-// A/B knob behind the redone-work comparison in `dsmbench -exp ckpt`, which
-// reads the session's redoneUnits and warmRestarts.
+// With a fault plan, every grid row is homed on protected node 0 (a
+// home-based protocol then keeps committed units on a node the plan never
+// kills), and a restarted node resumes from its last recorded unit, or from
+// scratch when ColdRestart is set: the A/B knob behind the redone-work
+// comparison in `dsmbench -exp ckpt`.
 type Session struct {
-	cfg   Config
-	sys   *dsmpm2.System
-	g     *grid
-	bar   int
-	units int
-	step  int   // next step to execute, in [0, Steps()]
-	done  []int // per node: last unit whose phase A committed (-1 none)
+	cfg  Config
+	sys  *dsmpm2.System
+	g    *grid
+	bar  int
+	step int   // steps run, in [0, Steps()]
+	done []int // per node: the last unit it committed home (-1 none)
 
 	// redoneUnits counts the units restarted nodes redo: committed before
 	// their crash, but after the point they resume from. warmRestarts counts
@@ -64,13 +60,8 @@ type Session struct {
 	// `dsmbench -exp bisect`. Like ColdRestart, set it before the first step.
 	PerturbStep int
 
-	// curUnit/curPhase locate the step in progress, so a node restarting
-	// mid-step knows how far its catch-up worker must go.
-	curUnit  int
-	curPhase int
-
-	// finishedAt is the latest instant a worker completed a final-unit
-	// barrier — the computation's true end, immune to trailing plan events.
+	// finishedAt is the latest instant a worker completed its final unit:
+	// the computation's end, which trailing plan events do not move.
 	finishedAt dsmpm2.Time
 }
 
@@ -88,19 +79,14 @@ type sessionToken struct {
 }
 
 // NewSession builds a session over a fresh system: shared grids allocated,
-// barrier created, fault plan (if any) injected. No step has run yet. A
-// session cannot trace: a checkpoint carries no spans, so Config.Trace is
-// refused.
+// barrier created, fault plan (if any) injected and the workers spawned. No
+// step has run yet.
 func NewSession(cfg Config) (*Session, error) {
-	if cfg.Trace {
-		return nil, fmt.Errorf("jacobi: a session cannot trace (checkpoints carry no spans)")
-	}
 	sys, err := newSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{cfg: cfg, sys: sys, units: cfg.Iterations + 1,
-		done: make([]int, cfg.Nodes), PerturbStep: -1}
+	s := &Session{cfg: cfg, sys: sys, done: make([]int, cfg.Nodes), PerturbStep: -1}
 	for i := range s.done {
 		s.done[i] = -1
 	}
@@ -110,15 +96,13 @@ func NewSession(cfg Config) (*Session, error) {
 	home0 := cfg.FaultPlan != nil || cfg.MisplaceHomes
 	s.g = newGrid(sys, cfg, home0, !home0)
 	s.bar = sys.NewBarrier(cfg.Nodes)
-	// Drain whatever construction scheduled: a session sits at a drained
-	// safe point between steps, including before the first.
-	if err := sys.Run(); err != nil {
-		return nil, err
-	}
 	if cfg.FaultPlan != nil {
 		if err := sys.InjectFaults(cfg.FaultPlan, dsmpm2.FaultOptions{OnRestart: s.onRestart}); err != nil {
 			return nil, err
 		}
+	}
+	for node := 0; node < cfg.Nodes; node++ {
+		sys.Spawn(node, fmt.Sprintf("jacobi%d", node), func(t *dsmpm2.Thread) { s.work(t, node, 0) })
 	}
 	return s, nil
 }
@@ -126,49 +110,58 @@ func NewSession(cfg Config) (*Session, error) {
 // System exposes the session's platform instance.
 func (s *Session) System() *dsmpm2.System { return s.sys }
 
-// Steps reports the session's total step count: two per work unit.
-func (s *Session) Steps() int { return 2 * s.units }
+// Steps reports the session's total step count: one per barrier generation.
+func (s *Session) Steps() int { return s.cfg.Iterations + 1 }
 
 // StepsDone reports how many steps have completed.
 func (s *Session) StepsDone() int { return s.step }
 
-// phaseA is one node's commit half of a unit: compute, flush the diffs home
-// (the checkpoint must never claim work whose modifications would die with
-// the node), then record the local checkpoint.
-func (s *Session) phaseA(t *dsmpm2.Thread, node, unit int) {
-	s.g.unit(t, node, unit)
-	t.Flush()
-	s.done[node] = unit
-}
-
-// catchUp replays full units (commit + barrier arrival) from the node's
-// resume point through unit `through`. Arrivals for generations the cluster
-// already completed are absorbed idempotently (BarrierAs).
-func (s *Session) catchUp(t *dsmpm2.Thread, node, through int) {
-	for unit := s.done[node] + 1; unit <= through; unit++ {
-		s.phaseA(t, node, unit)
+// work runs node's units from start to the last: compute, flush the diffs
+// home, record the unit, then arrive at its generation. Node 0 pauses the
+// run before each arrival after the first: those are the step boundaries.
+func (s *Session) work(t *dsmpm2.Thread, node, start int) {
+	for unit := start; unit <= s.cfg.Iterations; unit++ {
+		s.g.unit(t, node, unit)
+		t.Flush()
+		s.done[node] = unit
+		if node == 0 && unit > 0 {
+			s.sys.Pause()
+		}
 		t.BarrierAs(s.bar, node, unit)
-	}
-}
-
-// noteFinish records a final-unit completion instant.
-func (s *Session) noteFinish(t *dsmpm2.Thread, unit int) {
-	if unit != s.units-1 {
-		return
 	}
 	if now := t.Now(); now > s.finishedAt {
 		s.finishedAt = now
 	}
 }
 
-// Step executes the next step and drains the system to a safe point. After
-// it returns (nil), Checkpoint may be called.
+// onRestart is the node-restart hook: it accounts the redone work and spawns
+// a worker that resumes from the node's last recorded unit (none, for a cold
+// restart). The crash may have hit between that record and its barrier
+// arrival, so the worker re-arrives for the recorded generation first;
+// arrivals are idempotent, and a duplicate one takes over the dead
+// predecessor's slot.
+func (s *Session) onRestart(node int) {
+	done := s.done[node]
+	if s.ColdRestart {
+		s.redoneUnits += int64(done + 1)
+		done, s.done[node] = -1, -1
+	} else if done >= 0 {
+		s.warmRestarts++
+	}
+	s.sys.Spawn(node, fmt.Sprintf("jacobi%d.r", node), func(t *dsmpm2.Thread) {
+		if done >= 0 {
+			t.BarrierAs(s.bar, node, done)
+		}
+		s.work(t, node, done+1)
+	})
+}
+
+// Step runs the session to its next pause, or to its end in the last step.
+// After it returns (nil), Checkpoint may be called.
 func (s *Session) Step() error {
 	if s.step >= s.Steps() {
 		return fmt.Errorf("jacobi: session already ran all %d steps", s.Steps())
 	}
-	u, ph := s.step/2, s.step%2
-	s.curUnit, s.curPhase = u, ph
 	if s.step == s.PerturbStep {
 		s.sys.Spawn(0, "perturb", func(t *dsmpm2.Thread) {
 			addr := s.g.rows[0][1] + 8
@@ -176,68 +169,8 @@ func (s *Session) Step() error {
 			t.Flush()
 		})
 	}
-	for node := 0; node < s.cfg.Nodes; node++ {
-		if s.sys.NodeDead(node) {
-			continue // a restart event re-joins it via onRestart
-		}
-		node := node
-		if ph == 0 {
-			s.sys.Spawn(node, fmt.Sprintf("jacobi%d.a%d", node, u), func(t *dsmpm2.Thread) {
-				s.catchUp(t, node, u-1)
-				if s.done[node] < u {
-					s.phaseA(t, node, u)
-				}
-			})
-		} else {
-			s.sys.Spawn(node, fmt.Sprintf("jacobi%d.b%d", node, u), func(t *dsmpm2.Thread) {
-				// A node revived since the last phase-A step may still be
-				// behind; bring it to the frontier before arriving.
-				s.catchUp(t, node, u-1)
-				if s.done[node] < u {
-					s.phaseA(t, node, u)
-				}
-				t.BarrierAs(s.bar, node, u)
-				s.noteFinish(t, u)
-			})
-		}
-	}
 	s.step++
 	return s.sys.Run()
-}
-
-// onRestart is the node-restart hook: it accounts the redone work and spawns
-// a catch-up worker that brings the revived node to the step in progress —
-// including the in-progress barrier generation when the cluster is parked in
-// phase B waiting for the dead node's slot.
-func (s *Session) onRestart(node int) {
-	start := s.done[node]
-	if s.ColdRestart {
-		start = -1
-	} else if start >= 0 {
-		s.warmRestarts++
-	}
-	if redone := s.curUnit - (start + 1); redone > 0 {
-		s.redoneUnits += int64(redone)
-	}
-	s.done[node] = start
-	target, arrive := s.curUnit, s.curPhase == 1
-	s.sys.Spawn(node, fmt.Sprintf("jacobi%d.r", node), func(t *dsmpm2.Thread) {
-		if d := s.done[node]; d >= 0 && (d < target || arrive) {
-			// The crash may have hit between a checkpoint and its barrier:
-			// re-arrive for the checkpointed generation (idempotent). Not
-			// for a unit committed in this phase-A step: the cluster meets
-			// at its barrier only in the next step.
-			t.BarrierAs(s.bar, node, d)
-		}
-		s.catchUp(t, node, target-1)
-		if s.done[node] < target {
-			s.phaseA(t, node, target)
-		}
-		if arrive {
-			t.BarrierAs(s.bar, node, target)
-			s.noteFinish(t, target)
-		}
-	})
 }
 
 // RunToEnd executes every remaining step.
@@ -303,7 +236,7 @@ func ResumeSession(ck *dsmpm2.Checkpoint) (*Session, error) {
 		return nil, fmt.Errorf("jacobi: checkpoint of an N=%d, %d-iteration session (tokens name N 2 to %d, 1 to %d iterations)",
 			tok.N, tok.Iterations, maxTokenN, maxTokenIterations)
 	}
-	if steps := 2 * (tok.Iterations + 1); tok.Step < 0 || tok.Step > steps {
+	if tok.Step < 0 || tok.Step > tok.Iterations+1 {
 		return nil, fmt.Errorf("jacobi: checkpoint at step %d of a %d-iteration session", tok.Step, tok.Iterations)
 	}
 	s, err := NewSession(Config{

@@ -1,7 +1,7 @@
 package bench
 
 // The "ckpt" experiment: the checkpoint subsystem's consumers, measured on
-// the chunked jacobi session.
+// the jacobi session.
 //
 //   - Round-trip: a resume token at every step of a 16-node run, resumed
 //     through its wire form (which replays the recorded steps and checks the
@@ -35,13 +35,10 @@ func ckptSessionConfig() jacobi.Config {
 }
 
 // ckptFaultyConfig adds the crash/restart plan: node 2 fail-stops three
-// times, once per work unit. The engine drains each step's queue to a safe
-// point, so a fault event armed mid-drain parks and fires at the start of
-// the next step: each cycle's crash lands at the start of a phase-A step
-// (units 0, 1 and 2 in turn) and its restart at the start of the following
-// step. By the later cycles node 2 has committed earlier units, so a cold
+// times, each for about 20 virtual ms, while the cluster waits for it at a
+// barrier. By the later cycles node 2 has committed earlier units, so a cold
 // restart redoes them from scratch while a warm restart resumes from the
-// checkpoint registry — the comparison CkptRestartCompare measures.
+// last unit it recorded — the comparison CkptRestartCompare measures.
 func ckptFaultyConfig() jacobi.Config {
 	cfg := ckptSessionConfig()
 	cfg.FaultPlan = dsmpm2.NewFaultPlan(11).
@@ -204,7 +201,7 @@ type CkptBisect struct {
 	Recovered    bool `json:"recovered"`
 }
 
-// BisectDivergence binary-searches the first safe point at which a run's
+// BisectDivergence binary-searches the first pause point at which a run's
 // fingerprint diverges from the reference ledger. reference[k] is the
 // fingerprint after k steps of the good run; probe(k) returns the candidate
 // run's fingerprint after k steps. Returns the smallest k whose fingerprints

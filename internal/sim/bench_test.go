@@ -110,7 +110,7 @@ func BenchmarkCalendarDistinctTimes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.scheduleWake(e.now+inFlight+1, p)
-		e.pop()
+		e.pop(e.head())
 	}
 }
 

@@ -212,7 +212,7 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 		if sharded {
 			ev, got = sh.nextEvent(e)
 		} else if got {
-			ev = e.pop()
+			ev = e.pop(e.head())
 		}
 		if got != ok {
 			t.Fatalf("step fired an event = %v, model says %v (next %+v, limit %d)", got, ok, want, limit)

@@ -137,8 +137,8 @@ type Engine struct {
 	// the legacy code paths bit-for-bit.
 	sh *shardCtl
 
-	// horizon bounds the times records may be queued for: maxTime, unless
-	// Bound lowered it.
+	// horizon bounds the times events may fire at: maxTime, unless Bound
+	// lowered it.
 	horizon Time
 }
 
@@ -205,9 +205,6 @@ func (e *Engine) push(t Time, ev event) {
 	if e.last.q != nil && e.last.t == t {
 		e.qs.Joined++
 	} else {
-		if t > e.horizon {
-			e.stopped = true
-		}
 		q, ok := e.free.Get()
 		if !ok {
 			q = new(ring)
@@ -235,10 +232,10 @@ func (e *Engine) head() (*ring, Time) {
 	return nil, maxTime
 }
 
-// pop removes and returns the globally minimum event by (time, seq),
-// advancing the clock to its time. The queue must not be empty.
-func (e *Engine) pop() event {
-	q, t := e.head()
+// pop removes and returns the globally minimum event by (time, seq), the
+// head of q, advancing the clock to its time t; q and t are what head
+// returned, and q must not be nil.
+func (e *Engine) pop(q *ring, t Time) event {
 	e.now = t
 	e.nevents++
 	e.nqueued--
@@ -357,11 +354,13 @@ func (d *DeadlockError) Error() string {
 		d.Now, len(d.Blocked), strings.Join(d.Blocked, "; "))
 }
 
-// Run drives the simulation until the event queue is empty. It returns nil
-// if every spawned proc has finished, or a *DeadlockError if procs remain
-// blocked with no pending events. Run must be called from the goroutine that
-// owns the engine (typically the test or main goroutine), and only once at a
-// time.
+// Run drives the simulation until the event queue is empty or Stop pauses
+// it. It returns nil if every spawned proc has finished or the run was
+// paused, an error if the next event lies past Bound's instant, and a
+// *DeadlockError if procs remain blocked with no pending events. The next
+// Run continues a paused run where it stopped. Run must be called from the
+// goroutine that owns the engine (typically the test or main goroutine), and
+// only once at a time.
 //
 // The event loop runs on the calling goroutine: it pops events in (time, seq)
 // order, dispatches call and push events inline, and for a wake event
@@ -375,12 +374,14 @@ func (e *Engine) Run() error {
 	if e.sh != nil {
 		panic("sim: Run called on one shard of a sharded engine; use ShardedEngine.Run")
 	}
+	e.stopped = false
 	e.drive()
 	e.releaseIdle()
-	if e.stopped && e.horizon != maxTime {
-		return fmt.Errorf("sim: stopped at %v: the run queued a record past its bound %v", e.now, e.horizon)
-	}
-	if e.nlive > 0 && !e.stopped {
+	switch {
+	case e.stopped:
+	case e.nqueued > 0:
+		return fmt.Errorf("sim: stopped at %v: the run would fire an event past its bound %v", e.now, e.horizon)
+	case e.nlive > 0:
 		blocked := e.blocked("")
 		sort.Strings(blocked)
 		return &DeadlockError{Now: e.now, Blocked: blocked}
@@ -407,14 +408,14 @@ func (e *Engine) blocked(prefix string) []string {
 	return out
 }
 
-// drive is the event loop: pop and dispatch events until the queue drains (on
-// a shard: until the horizon-bounded merge is exhausted, see
-// shardCtl.nextEvent) or Stop is called. Every event but one that resumes a
-// proc fires inline with e.cur == nil (engine context, see fire). A resume
-// switches to the proc's coroutine and returns here when the proc yields:
-// two coroutine switches per wake, with no run queue and no second thread
-// woken, which is cheaper than the one channel rendezvous a direct
-// proc-to-proc hand-off would cost.
+// drive is the event loop: pop and dispatch events until the queue drains,
+// its head lies past the bound (on a shard: until the horizon-bounded merge
+// is exhausted, see shardCtl.nextEvent) or Stop is called. Every event but
+// one that resumes a proc fires inline with e.cur == nil (engine context,
+// see fire). A resume switches to the proc's coroutine and returns here when
+// the proc yields: two coroutine switches per wake, with no run queue and no
+// second thread woken, which is cheaper than the one channel rendezvous a
+// direct proc-to-proc hand-off would cost.
 func (e *Engine) drive() {
 	for !e.stopped {
 		var ev event
@@ -423,8 +424,8 @@ func (e *Engine) drive() {
 			if ev, ok = sh.nextEvent(e); !ok {
 				return
 			}
-		} else if e.nqueued > 0 {
-			ev = e.pop()
+		} else if q, t := e.head(); q != nil && t <= e.horizon {
+			ev = e.pop(q, t)
 		} else {
 			return
 		}
@@ -480,9 +481,9 @@ func (e *Engine) fire(ev *event) {
 // queue's head that resume no proc, exactly as drive would, and stops at the
 // first that resumes one. It reports true, having consumed the record, when
 // that is p's own wake: p keeps running. It reports false, and p must switch
-// out, at another proc's resume, on Stop, on an empty queue, or when a fired
-// record killed p, which is then never resumed. Neither p's deadline records
-// nor a re-arm record naming p are its wake.
+// out, at another proc's resume, on Stop, on an empty queue, at a head past
+// the bound, or when a fired record killed p, which is then never resumed.
+// Neither p's deadline records nor a re-arm record naming p are its wake.
 //
 // A shard leaves every record to drive, whose merge with the remote events
 // and horizon it would otherwise have to repeat, and only takes its own wake
@@ -492,26 +493,27 @@ func (e *Engine) fireUntilWake(p *Proc) bool {
 		return e.popSelfWake(p)
 	}
 	for {
-		q, _ := e.head()
-		if e.stopped || q == nil {
+		q, t := e.head()
+		if e.stopped || q == nil || t > e.horizon {
 			return false
 		}
 		if ev := q.peek(); ev.proc == p && ev.gen == 0 && ev.ch == nil {
-			e.pop()
+			e.pop(q, t)
 			e.qs.SelfWakes++
 			return true
-		} else if ev.resumes() != nil || !e.fireNext(p) {
+		} else if ev.resumes() != nil || !e.fireNext(p, q, t) {
 			return false
 		}
 	}
 }
 
-// fireNext pops the next record, which resumes no proc, fires it in engine
-// context on the stack of the yielding p, and reports whether p survived it.
-// It is out of fireUntilWake so that the common yield, which fires nothing,
-// keeps popSelfWake's small frame: the event copies live here.
-func (e *Engine) fireNext(p *Proc) bool {
-	ev := e.pop()
+// fireNext pops the head record of q, at time t, which resumes no proc,
+// fires it in engine context on the stack of the yielding p, and reports
+// whether p survived it. It is out of fireUntilWake so that the common
+// yield, which fires nothing, keeps popSelfWake's small frame: the event
+// copies live here.
+func (e *Engine) fireNext(p *Proc, q *ring, t Time) bool {
+	ev := e.pop(q, t)
 	e.cur = nil
 	e.fire(&ev)
 	e.cur = p
@@ -533,18 +535,19 @@ func (e *Engine) popSelfWake(p *Proc) bool {
 	if sh := e.sh; sh != nil && (t >= sh.limit || len(sh.pending) > 0 && sh.pending[0].t < t) {
 		return false
 	}
-	e.pop()
+	e.pop(q, t)
 	e.qs.SelfWakes++
 	return true
 }
 
-// Stop aborts the simulation: Run returns after the current event completes.
+// Stop pauses the simulation: Run returns after the current event completes,
+// and the next Run continues from the event after it.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Bound stops the run as soon as a record is queued for a time past t, and
-// Run then returns an error while the bound is on; lift removes the bound. A
-// replay that must reach a recorded instant and no further runs under it, so
-// one that leaves the recorded run stops instead of running on.
+// Bound stops the run before it fires an event past t, and Run then returns
+// an error while the bound is on; lift removes the bound. A replay that must
+// reach a recorded instant and no further runs under it, so one that leaves
+// the recorded run stops instead of running on.
 func (e *Engine) Bound(t Time) (lift func()) {
 	e.horizon = t
 	return func() { e.horizon = maxTime }

@@ -273,6 +273,93 @@ func TestBoundStopsPastTheInstant(t *testing.T) {
 	if e.Now() != Time(10*Microsecond) {
 		t.Fatalf("clock %v, want it held at the bound", e.Now())
 	}
+
+	// Records queued past the bound are no error while none of them fires:
+	// a run paused at the bound holds in-flight ones.
+	e = NewEngine(1)
+	lift = e.Bound(Time(10 * Microsecond))
+	fired := false
+	e.Go("w", func(p *Proc) {
+		e.Schedule(Time(15*Microsecond), func() { fired = true })
+		p.Advance(10 * Microsecond)
+		e.Stop()
+		p.Advance(Microsecond)
+	})
+	if err := e.Run(); err != nil || fired {
+		t.Fatalf("a run paused at the bound: Run = %v, past record fired = %v", err, fired)
+	}
+	lift()
+	if err := e.Run(); err != nil || !fired || e.Now() != Time(15*Microsecond) {
+		t.Fatalf("unbounded, the run goes on: Run = %v, fired = %v, clock %v", err, fired, e.Now())
+	}
+}
+
+// pausedWorkload runs a mixed workload (procs advancing by random amounts,
+// messages pushed to a consumer that waits with timeouts, call records) and
+// logs what fires, in order. After its i-th entry, it pauses the run when
+// stopAt(i) holds, from a proc or from engine context, and runs it again
+// until it ends.
+func pausedWorkload(t *testing.T, stopAt func(i int) bool) (log []string, events uint64, now Time, pauses int) {
+	e := NewEngine(5)
+	note := func(what string) {
+		log = append(log, fmt.Sprintf("%v %s", e.Now(), what))
+		if stopAt(len(log)) {
+			e.Stop()
+			pauses++
+		}
+	}
+	ch := new(Chan)
+	const workers, rounds = 3, 20
+	for w := 0; w < workers; w++ {
+		e.Go(fmt.Sprintf("w%d", w), func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				p.Advance(Duration(1+e.Rand().Intn(5)) * Microsecond)
+				note(fmt.Sprintf("w%d.%d", w, i))
+				e.SchedulePush(e.Now().Add(2*Microsecond), ch, w*rounds+i)
+			}
+		})
+	}
+	e.Go("consumer", func(p *Proc) {
+		for got := 0; got < workers*rounds; {
+			if v, ok := ch.RecvTimeout(p, 3*Microsecond); ok {
+				got++
+				note(fmt.Sprint("recv ", v))
+			} else {
+				note("timeout")
+			}
+		}
+	})
+	for k := 1; k <= 10; k++ {
+		e.Schedule(Time(k*7)*Time(Microsecond), func() { note(fmt.Sprint("call ", k)) })
+	}
+	for {
+		before := pauses
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if pauses == before {
+			return log, e.Events(), e.Now(), pauses
+		}
+	}
+}
+
+// TestStopResumeMatchesUnbroken: a run paused at many points and resumed
+// fires the same events in the same order, with the same count and final
+// clock, as the unbroken run.
+func TestStopResumeMatchesUnbroken(t *testing.T) {
+	want, wantEvents, wantNow, _ := pausedWorkload(t, func(int) bool { return false })
+	for every := 1; every <= 9; every++ {
+		got, events, now, pauses := pausedWorkload(t, func(i int) bool { return i%every == 0 })
+		if pauses < len(want)/every {
+			t.Fatalf("every %d: %d pauses, want %d", every, pauses, len(want)/every)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("every %d: the paused run fired\n%v\nthe unbroken one\n%v", every, got, want)
+		}
+		if events != wantEvents || now != wantNow {
+			t.Fatalf("every %d: %d events ending at %v, unbroken %d at %v", every, events, now, wantEvents, wantNow)
+		}
+	}
 }
 
 func TestLiveCount(t *testing.T) {

@@ -343,18 +343,17 @@ func GenerateMTBFPlan(seed int64, nodes int, horizon Time, mtbf, repair Duration
 // FaultCursor injects a fault plan one event at a time, in canonical order,
 // handing each to apply at base + event.At. apply runs in engine context (no
 // proc holds the token), so it may mutate simulation state freely but must
-// not block. Only the next un-applied event is ever in the queue: Run always
-// drains the queue, including future-dated events, so under chunked
-// execution (many short Run phases) an up-front injection would collapse the
-// entire plan into the first chunk. The cursor instead parks when an event
-// fires after all application procs have finished — the fault is NOT
-// applied, and the next Arm re-schedules it so it lands in the first chunk
-// that actually has live work.
+// not block. Only the next un-applied event is ever in the queue, so a plan
+// with events past the workload's end does not fire them all into the drain
+// that ends the run: the cursor parks when an event fires after all
+// application procs have finished — the fault is NOT applied, and the next
+// Arm re-schedules it so it lands in the next Run that has live work. A run
+// that Stop paused keeps the armed event queued like any other.
 //
-// Arm must be called before each Run phase (the dsmpm2 facade does this in
+// Arm must be called before each Run (the dsmpm2 facade does this in
 // System.Run). All of this is deterministic: the parked fire and the re-arm
 // consume engine sequence numbers identically in every run of the same
-// chunking.
+// workload.
 type FaultCursor struct {
 	eng    *Engine
 	apply  func(FaultEvent)
@@ -389,9 +388,9 @@ func (c *FaultCursor) Arm() {
 func (c *FaultCursor) fire() {
 	c.armed = false
 	if c.eng.nlive == 0 {
-		// Every application proc has finished: this Run phase is draining.
-		// Park without applying; the next Arm re-schedules the event (its
-		// time clamps to the then-current clock if already past).
+		// Every application proc has finished: this Run is draining. Park
+		// without applying; the next Arm re-schedules the event (its time
+		// clamps to the then-current clock if already past).
 		return
 	}
 	ev := c.events[c.next]

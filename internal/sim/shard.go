@@ -545,7 +545,7 @@ func remoteLess(a, b remoteEvent) bool {
 // replay prefix is untouched by when remote events physically arrived.
 func (sh *shardCtl) nextEvent(e *Engine) (event, bool) {
 	limit := sh.limit
-	_, lt := e.head()
+	q, lt := e.head()
 	if len(sh.pending) > 0 {
 		if rt := sh.pending[0].t; rt < lt {
 			if rt >= limit {
@@ -560,7 +560,7 @@ func (sh *shardCtl) nextEvent(e *Engine) (event, bool) {
 	if lt >= limit {
 		return event{}, false
 	}
-	return e.pop(), true
+	return e.pop(q, lt), true
 }
 
 // SchedulePushShard is SchedulePush routed to the shard that owns the
