@@ -14,6 +14,7 @@ package dsmpm2_test
 //	BenchmarkAblation*           DESIGN.md    design-choice ablations
 //	BenchmarkThreadReadUint64Hit DESIGN.md    host cost of a present-page access
 //	BenchmarkThreadWriteUint64Hit DESIGN.md   host cost of a writable-page store
+//	BenchmarkThreadReadHit       DESIGN.md    host cost of a one-page span hit
 
 import (
 	"fmt"
@@ -532,5 +533,31 @@ func BenchmarkThreadWriteUint64Hit(b *testing.B) {
 	})
 	if err := sys.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkThreadReadHit is the host cost of one page read as a span hit:
+// Thread.ReadHit over a whole present page, one rights check and one copy,
+// against the 512 word reads BenchmarkThreadReadUint64Hit pays for it.
+func BenchmarkThreadReadHit(b *testing.B) {
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 1})
+	base := sys.MustMalloc(0, dsmpm2.PageSize, nil)
+	hits := 0
+	sys.Spawn(0, "reader", func(t *dsmpm2.Thread) {
+		var buf [dsmpm2.PageSize]byte
+		b.SetBytes(dsmpm2.PageSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if t.ReadHit(base, buf[:]) {
+				hits++
+			}
+		}
+		b.StopTimer()
+	})
+	if err := sys.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if hits != b.N {
+		b.Fatalf("%d of %d page reads hit", hits, b.N)
 	}
 }

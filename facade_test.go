@@ -161,23 +161,39 @@ func TestAppDeterministicReplay(t *testing.T) {
 }
 
 // TestThreadHitsDoNotAllocate pins the whole access path from the facade
-// down with tracing off: a present-page word access and a Compute charge run
-// without a closure, a staging buffer or a span, so they allocate nothing.
+// down with tracing off: a present-page word access, a span hit across two
+// pages and a Compute charge run without a closure, a staging buffer or a
+// span, so they allocate nothing.
 func TestThreadHitsDoNotAllocate(t *testing.T) {
 	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 1})
-	base := sys.MustMalloc(0, dsmpm2.PageSize, nil)
-	var reads, writes, computes float64
+	base := sys.MustMalloc(0, 2*dsmpm2.PageSize, nil)
+	span := base + dsmpm2.PageSize - 1024 // its 2048 bytes end past the first page
+	if span/dsmpm2.PageSize == (span+2047)/dsmpm2.PageSize {
+		t.Fatalf("the span at %#x lies in one page", span)
+	}
+	buf := make([]byte, 2048)
+	var reads, writes, spanReads, spanWrites, computes float64
+	var hit bool
 	sys.Spawn(0, "pin", func(th *dsmpm2.Thread) {
 		var sum uint64
 		reads = testing.AllocsPerRun(100, func() { sum += th.ReadUint64(base + 40) })
 		writes = testing.AllocsPerRun(100, func() { th.WriteUint64(base+48, sum) })
+		th.WriteUint64(span, 0) // a first store may fault each page writable
+		th.WriteUint64(span+2040, 0)
+		hit = th.ReadHit(span, buf) && th.WriteHit(span, buf)
+		spanReads = testing.AllocsPerRun(100, func() { th.ReadHit(span, buf) })
+		spanWrites = testing.AllocsPerRun(100, func() { th.WriteHit(span, buf) })
 		computes = testing.AllocsPerRun(100, func() { th.Compute(dsmpm2.Microsecond) })
 	})
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if reads != 0 || writes != 0 || computes != 0 {
-		t.Fatalf("allocations per call with tracing off: ReadUint64 %v, WriteUint64 %v, Compute %v; want 0", reads, writes, computes)
+	if !hit {
+		t.Fatal("a span over two present pages did not hit")
+	}
+	if reads != 0 || writes != 0 || spanReads != 0 || spanWrites != 0 || computes != 0 {
+		t.Fatalf("allocations per call with tracing off: ReadUint64 %v, WriteUint64 %v, ReadHit %v, WriteHit %v, Compute %v; want 0",
+			reads, writes, spanReads, spanWrites, computes)
 	}
 }
 

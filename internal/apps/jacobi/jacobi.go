@@ -11,6 +11,7 @@
 package jacobi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -197,12 +198,17 @@ func (g *grid) unit(t *dsmpm2.Thread, node, unit int) {
 		return
 	}
 	cur, next := g.rows[(unit-1)%2], g.rows[unit%2]
+	var buf stretchBuf
 	for row := 1; row <= n; row++ {
 		if g.ownerOf(row) != node {
 			continue
 		}
 		up, down, mid, dst := cur[row-1], cur[row+1], cur[row], next[row]
 		for j := 1; j <= n; j++ {
+			if k := stretch(t, &buf, up, down, mid, dst, j, n); k > j {
+				j = k - 1
+				continue
+			}
 			a := math.Float64frombits(t.ReadUint64(up + dsmpm2.Addr(8*j)))
 			b := math.Float64frombits(t.ReadUint64(down + dsmpm2.Addr(8*j)))
 			c := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j-1))))
@@ -211,6 +217,49 @@ func (g *grid) unit(t *dsmpm2.Thread, node, unit int) {
 		}
 		t.Compute(dsmpm2.Duration(n) * cellCost)
 	}
+}
+
+// stretchBuf holds one page stretch's host copies, a page each at most. It
+// lives on the worker's stack, so the stretches allocate nothing.
+type stretchBuf struct{ up, down, mid, dst [dsmpm2.PageSize]byte }
+
+// stretch sweeps the page stretch of a row from cell j: the longest run of
+// cells j..k <= n whose up, down, mid (j-1..k+1) and dst words each stay in
+// one page. If every one of those pages hits, it computes the run from host
+// copies, writes it with WriteHit and returns k+1; otherwise it writes
+// nothing and returns j, and cell j takes the word path. The two paths are
+// one computation: a hit run neither faults nor yields and reads only cur
+// while it writes next, so nothing can tell it from its word accesses, and
+// a miss faults at cell j, in the word path's access order and at its instant.
+// Cell j's store goes first, alone: a write-protected dst page (a home page
+// after each release) then wastes one computed cell, not the run.
+func stretch(t *dsmpm2.Thread, buf *stretchBuf, up, down, mid, dst dsmpm2.Addr, j, n int) int {
+	k := min(n, lastInPage(up, j), lastInPage(down, j), lastInPage(dst, j), lastInPage(mid, j-1)-1)
+	m := 8 * (k - j + 1)
+	if k < j || !t.ReadHit(up+dsmpm2.Addr(8*j), buf.up[:m]) || !t.ReadHit(down+dsmpm2.Addr(8*j), buf.down[:m]) ||
+		!t.ReadHit(mid+dsmpm2.Addr(8*(j-1)), buf.mid[:m+16]) {
+		return j
+	}
+	for c := 0; c < m; c += 8 {
+		a := math.Float64frombits(binary.LittleEndian.Uint64(buf.up[c:]))
+		b := math.Float64frombits(binary.LittleEndian.Uint64(buf.down[c:]))
+		l := math.Float64frombits(binary.LittleEndian.Uint64(buf.mid[c:]))
+		r := math.Float64frombits(binary.LittleEndian.Uint64(buf.mid[c+16:]))
+		binary.LittleEndian.PutUint64(buf.dst[c:], math.Float64bits(0.25*(a+b+l+r)))
+		if c == 0 && !t.WriteHit(dst+dsmpm2.Addr(8*j), buf.dst[:8]) {
+			return j
+		}
+	}
+	if !t.WriteHit(dst+dsmpm2.Addr(8*j), buf.dst[:m]) {
+		return j + 1 // unreachable: cell j's page just took a store, and nothing ran since
+	}
+	return k + 1
+}
+
+// lastInPage returns the last cell i >= j of the row at base whose word lies
+// in the page of cell j's.
+func lastInPage(base dsmpm2.Addr, j int) int {
+	return j + (dsmpm2.PageSize-8-int((base+dsmpm2.Addr(8*j))%dsmpm2.PageSize))/8
 }
 
 // checksum sums the interior of the grid the last of iterations sweeps wrote,

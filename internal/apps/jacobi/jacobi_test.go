@@ -3,6 +3,8 @@ package jacobi
 import (
 	"math"
 	"testing"
+
+	"dsmpm2"
 )
 
 func TestSerialConverges(t *testing.T) {
@@ -117,5 +119,67 @@ func TestTracedTokenResumes(t *testing.T) {
 		if got := resumed.System().Fingerprint(); got != want {
 			t.Fatalf("k=%d: resumed fingerprint %s, traced run %s", k, got, want)
 		}
+	}
+}
+
+// TestStretchesMatchWordPath holds the page-stretch sweep to the word path it
+// replaces. Tracing makes every ReadHit/WriteHit refuse, so a traced run
+// computes each cell through the word accessors; the untraced run sweeps in
+// stretches. Under every registered protocol and placement, and in a fault
+// plan's session, both must reach the same fingerprint (final clock, every
+// fault timing, the stats) and the same checksum.
+func TestStretchesMatchWordPath(t *testing.T) {
+	type variant struct {
+		name string
+		cfg  Config
+	}
+	var variants []variant
+	for _, proto := range dsmpm2.MustNew(dsmpm2.Config{}).ProtocolNames() {
+		base := Config{N: 96, Iterations: 4, Nodes: 8, Protocol: proto, Seed: 3}
+		misplaced, adaptive := base, base
+		misplaced.MisplaceHomes = true
+		adaptive.MisplaceHomes, adaptive.AdaptiveHomes = true, true
+		variants = append(variants, variant{proto + "/placed", base},
+			variant{proto + "/misplaced", misplaced}, variant{proto + "/adaptive", adaptive})
+	}
+	// The faults demo's plan: 8 nodes in two clusters, two of them crashing
+	// and restarting while the sweep runs.
+	ms := func(n int) dsmpm2.Time { return dsmpm2.Time(n) * dsmpm2.Time(dsmpm2.Millisecond) }
+	plan := dsmpm2.NewFaultPlan(11)
+	plan.Crash(ms(2), 3).Restart(ms(9), 3)
+	plan.Crash(ms(4), 6).Restart(ms(12), 6)
+	variants = append(variants, variant{"hbrc_mw/faultplan", Config{
+		N: 96, Iterations: 4, Nodes: 8, Protocol: "hbrc_mw", Seed: 7, FaultPlan: plan,
+		Topology: dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(8, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet),
+	}})
+	want := SolveSerial(96, 4)
+	crashes := 0
+	for _, v := range variants {
+		hits, err := Run(v.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		v.cfg.Trace = true
+		words, err := Run(v.cfg)
+		if err != nil {
+			t.Fatalf("%s traced: %v", v.name, err)
+		}
+		if words.System.Trace().Len() == 0 {
+			t.Fatalf("%s: the traced run recorded no spans", v.name)
+		}
+		if hits.Checksum != words.Checksum || math.Abs(hits.Checksum-want) > 1e-9 {
+			t.Errorf("%s: checksum %v in stretches, %v word by word, serial %v", v.name, hits.Checksum, words.Checksum, want)
+		}
+		if hits.Elapsed != words.Elapsed || hits.Stats != words.Stats || hits.Recovery != words.Recovery {
+			t.Errorf("%s: stretches end at %v with %+v %+v, word by word at %v with %+v %+v", v.name,
+				hits.Elapsed, hits.Stats, hits.Recovery, words.Elapsed, words.Stats, words.Recovery)
+		}
+		if a, b := hits.System.Fingerprint(), words.System.Fingerprint(); a != b {
+			t.Errorf("%s: fingerprint %s in stretches, %s word by word", v.name, a, b)
+		}
+		crashes += hits.Recovery.Crashes
+	}
+	if crashes != 2 {
+		t.Fatalf("the fault plan crashed %d nodes during the sweep, want 2", crashes)
 	}
 }

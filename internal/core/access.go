@@ -148,6 +148,17 @@ func (d *DSM) WriteUint64(t *pm2.Thread, addr Addr, v uint64) {
 	}
 }
 
+// ReadHit is the hit of Read alone, over any number of pages of t's node: a
+// refusal never faults and touches nothing.
+func (d *DSM) ReadHit(t *pm2.Thread, addr Addr, buf []byte) bool {
+	return d.state[t.Node()].space.LoadSpan(addr, buf)
+}
+
+// WriteHit is the hit of Write alone, all or nothing, like ReadHit.
+func (d *DSM) WriteHit(t *pm2.Thread, addr Addr, buf []byte) bool {
+	return d.state[t.Node()].space.StoreSpan(addr, buf)
+}
+
 // Get performs an object read through the page protocol's get primitive if
 // it provides one (java_ic/java_pf), falling back to the paged access path
 // otherwise, so object-style programs run under any protocol.

@@ -10,8 +10,9 @@
 // Under mprotect a permitted access costs the application nothing, so a hit
 // (Load, Store and their word forms) resolves an address to its Frame with
 // three shifts and two bounds-checked loads (see Space), reports only
-// success and inlines into its caller; Check, reached once a hit has failed,
-// builds the *Fault that stands for the SIGSEGV.
+// success and inlines into its caller; a span hit (LoadSpan, StoreSpan) pays
+// that check once per page of a longer access. Check, reached once a hit has
+// failed, builds the *Fault that stands for the SIGSEGV.
 // The twin/diff machinery multiple-writer protocols need lives here too
 // (diff.go: a diff is computed in one scan of the page into a record whose
 // buffers are reused when it is refilled), with the page-buffer pool (pool.go).
@@ -289,6 +290,37 @@ func (s *Space) StoreUint64(addr Addr, v uint64) bool {
 		}
 	}
 	return false
+}
+
+// LoadSpan is Load for an access of any length: one rights check per page it
+// covers, and a refusal touches nothing.
+func (s *Space) LoadSpan(addr Addr, buf []byte) bool { return s.span(addr, buf, false) }
+
+// StoreSpan is Store for an access of any length; a refusal changes no byte.
+func (s *Space) StoreSpan(addr Addr, buf []byte) bool { return s.span(addr, buf, true) }
+
+// span checks every page of the access before it copies a byte. An empty
+// access, or one that wraps the address space, is refused.
+func (s *Space) span(addr Addr, buf []byte, write bool) bool {
+	last := uint64(addr) + uint64(len(buf)) - 1
+	if len(buf) == 0 || last < uint64(addr) {
+		return false
+	}
+	for pg := s.PageOf(addr); pg <= s.PageOf(Addr(last)); pg++ {
+		if f := s.Frame(pg); f == nil || !f.Access.Allows(write) {
+			return false
+		}
+	}
+	for len(buf) > 0 {
+		data, n := s.Frame(s.PageOf(addr)).Data[uint64(addr)&s.offMask:], 0
+		if write {
+			n = copy(data, buf)
+		} else {
+			n = copy(buf, data)
+		}
+		addr, buf = addr+Addr(n), buf[n:]
+	}
+	return true
 }
 
 // refusal is the error-returning accessors' answer: nil after a hit, else Check's.

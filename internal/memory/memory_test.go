@@ -573,11 +573,21 @@ func TestDiffMatchesByteWiseReference(t *testing.T) {
 // Load*/Store* hit must succeed exactly when Check accepts — and Check
 // exactly when the model does — with the model's bytes moved on a hit.
 // A refusal touches nothing, and the error-returning accessor reports the
-// model's Fault, field for field.
+// model's Fault, field for field. A span hit (LoadSpan, StoreSpan) must
+// succeed exactly when it is non-empty, does not wrap the address space and
+// Check accepts every page-sized piece it covers; a refused one changes no
+// byte, of the buffer or of any frame.
 func FuzzSpaceHit(f *testing.F) {
-	f.Add(uint8(2), []byte{0, 2, 0, 12, 2, 0, 5, 2, 0, 5, 2, 3, 5, 2, 5, 6, 2, 6, 25, 2, 6, 33, 2, 2, 7, 2, 2, 168, 2, 3})
-	f.Add(uint8(0), []byte{22, 0, 0, 5, 0, 0, 3, 0, 4, 6, 0, 5, 58, 0, 2, 1, 0, 0, 5, 0, 0, 8, 1, 2})
-	f.Add(uint8(1), []byte{12, 3, 0, 5, 3, 0, 5, 4, 0, 5, 5, 0, 4, 3, 7, 98, 3, 3, 18, 3, 4, 2, 1, 0})
+	f.Add(uint8(2), []byte{0, 2, 0, 3, 2, 0, 5, 2, 0, 5, 2, 3, 5, 2, 5, 6, 2, 6, 29, 2, 6, 6, 2, 2, 7, 2, 2, 6, 2, 3})
+	f.Add(uint8(0), []byte{4, 0, 0, 5, 0, 0, 3, 0, 4, 6, 0, 5, 4, 0, 2, 1, 0, 0, 5, 0, 0, 8, 1, 2})
+	f.Add(uint8(1), []byte{3, 3, 0, 5, 3, 0, 5, 4, 0, 5, 5, 0, 4, 3, 7, 118, 3, 3, 0, 3, 4, 2, 1, 0})
+	// Spans across a page boundary, at each page size: from one writable
+	// page into the next, on into a page with no frame, into a read-only
+	// page, into an absent page, and off the top of the address space.
+	for size := range uint8(3) {
+		f.Add(size, []byte{0, 1, 0, 0, 2, 0, 24, 1, 0, 24, 2, 0, 43, 1, 3, 42, 1, 3, 65, 1, 4, 13, 2, 0,
+			43, 1, 3, 42, 1, 3, 42, 5, 3, 0, 0, 0, 24, 0, 0, 43, 0, 3})
+	}
 	f.Fuzz(func(t *testing.T, size uint8, ops []byte) {
 		pageSize := []int{8, 64, 4096}[int(size)%3]
 		slicePages := Page(isomalloc.SliceBytes / pageSize)
@@ -616,7 +626,7 @@ func FuzzSpaceHit(f *testing.F) {
 					t.Fatalf("%s: checked access = %v %x, model %s on page %d %x", at, err, got, kind, fpg, want)
 				}
 			}
-			switch op % 9 {
+			switch op % 11 {
 			case 0:
 				if pg < 2*slicePages {
 					s.Ensure(pg)
@@ -626,7 +636,7 @@ func FuzzSpaceHit(f *testing.F) {
 				s.Drop(pg)
 				delete(ref.frames, pg)
 			case 2:
-				if a := Access(op / 9 % 3); pg < 2*slicePages {
+				if a := Access(op / 11 % 3); pg < 2*slicePages {
 					s.SetAccess(pg, a)
 					ref.ensure(pg).Access = a
 				}
@@ -665,8 +675,8 @@ func FuzzSpaceHit(f *testing.F) {
 				run(8, true, func(b []byte) bool { return s.StoreUint64(addr, binary.LittleEndian.Uint64(b)) },
 					func(b []byte) error { return s.WriteUint64(addr, binary.LittleEndian.Uint64(b)) })
 			case 7, 8: // Load / Store of 0..16 bytes
-				write := op%9 == 8
-				run(int(op/9%17), write, func(b []byte) bool {
+				write := op%11 == 8
+				run(int(op/11%17), write, func(b []byte) bool {
 					if write {
 						return s.Store(addr, b)
 					}
@@ -677,9 +687,44 @@ func FuzzSpaceHit(f *testing.F) {
 					}
 					return s.Read(addr, b)
 				})
+			case 9, 10: // LoadSpan / StoreSpan, within a page or across several
+				write := op%11 == 10
+				buf := make([]byte, []int{0, 1, 8, 9, pageSize, pageSize + 9, 2*pageSize + 1}[int(op/11)%7])
+				for i := range buf {
+					buf[i] = byte(step + i + 1)
+				}
+				// pieces calls fn on each page-sized piece of the span until
+				// fn refuses one, and reports whether none was refused.
+				pieces := func(b []byte, fn func(Addr, []byte) bool) bool {
+					for a := addr; len(b) > 0; {
+						n := min(len(b), pageSize-int(uint64(a)%uint64(pageSize)))
+						if !fn(a, b[:n]) {
+							return false
+						}
+						a, b = a+Addr(n), b[n:]
+					}
+					return true
+				}
+				want := slices.Clone(buf)
+				ok := len(buf) > 0 && uint64(addr)+uint64(len(buf))-1 >= uint64(addr) &&
+					pieces(want, func(a Addr, b []byte) bool { return s.Check(a, len(b), write) == nil })
+				if ok {
+					pieces(want, func(a Addr, b []byte) bool { kind, _ := ref.access(a, b, write); return kind == "ok" })
+				}
+				got := slices.Clone(buf)
+				span := s.LoadSpan
+				if write {
+					span = s.StoreSpan
+				}
+				hit := span(addr, got)
+				if hit != ok || !bytes.Equal(got, want) {
+					t.Fatalf("%s: %d-byte span hit = %v %x, pieces checked %v %x", at, len(buf), hit, got, ok, want)
+				}
 			}
-			if f, r := s.Frame(pg), ref.frames[pg]; (f == nil) != (r == nil) || f != nil && (f.Access != r.Access || !bytes.Equal(f.Data, r.Data)) {
-				t.Fatalf("%s: frame %+v, model %+v", at, f, r)
+			for _, pg := range pages {
+				if f, r := s.Frame(pg), ref.frames[pg]; (f == nil) != (r == nil) || f != nil && (f.Access != r.Access || !bytes.Equal(f.Data, r.Data)) {
+					t.Fatalf("%s: page %d frame %+v, model %+v", at, pg, f, r)
+				}
 			}
 		}
 	})

@@ -98,6 +98,21 @@ func (t *Thread) Write(addr Addr, buf []byte) {
 	t.end("dsm_write", start)
 }
 
+// ReadHit copies shared memory at addr into buf, as Read does, if every page
+// it covers is readable on the thread's node, and reports whether it did: one
+// rights check per page, as under the MMU. It never faults, yields, counts or
+// panics, and a refusal touches nothing; with tracing on it always refuses,
+// so a traced run keeps every per-access span.
+func (t *Thread) ReadHit(addr Addr, buf []byte) bool {
+	return !t.sys.tr.Enabled() && t.sys.dsm.ReadHit(t.th, addr, buf)
+}
+
+// WriteHit copies buf into shared memory at addr, as Write does, if every
+// page it covers is writable on the thread's node; all or nothing, like ReadHit.
+func (t *Thread) WriteHit(addr Addr, buf []byte) bool {
+	return !t.sys.tr.Enabled() && t.sys.dsm.WriteHit(t.th, addr, buf)
+}
+
 // ReadUint32 loads a shared little-endian uint32.
 func (t *Thread) ReadUint32(addr Addr) uint32 {
 	start := t.begin()
