@@ -34,13 +34,12 @@ import (
 // version 6 is the resume token.
 const CheckpointVersion = 6
 
-// TopologyState serializes a topology by profile names. Only uniform and
-// hierarchical topologies round-trip — a LinkMatrix holds arbitrary
-// profiles with no registry to resolve them from, and is rejected at
-// capture.
+// TopologyState serializes a hierarchical topology by profile names (a
+// uniform one is ConfigState.Network). Only those two round-trip — a
+// LinkMatrix holds arbitrary profiles with no registry to resolve them from,
+// and is rejected at capture.
 type TopologyState struct {
-	Kind      string `json:"kind"` // "uniform" or "hier"
-	Profile   string `json:"profile,omitempty"`
+	Kind      string `json:"kind"` // "hier"
 	ClusterOf []int  `json:"cluster_of,omitempty"`
 	Intra     string `json:"intra,omitempty"`
 	Inter     string `json:"inter,omitempty"`
@@ -106,27 +105,18 @@ func (s *System) configState() (ConfigState, error) {
 		Seed:           s.cfg.Seed,
 	}
 	profName := func(p *NetworkProfile) (string, error) {
-		if p == nil {
-			return "", fmt.Errorf("dsmpm2: checkpoint of a nil network profile")
-		}
 		if madeleine.ByName(p.Name) == nil {
 			return "", fmt.Errorf("dsmpm2: network profile %q is not in the registry; checkpoints only serialize registered profiles", p.Name)
 		}
 		return p.Name, nil
 	}
-	switch topo := s.cfg.Topology.(type) {
-	case nil:
-		name, err := profName(s.cfg.Network)
+	switch topo := s.cfg.Network.(type) {
+	case *NetworkProfile:
+		name, err := profName(topo)
 		if err != nil {
 			return ConfigState{}, err
 		}
 		cs.Network = name
-	case *madeleine.Uniform:
-		name, err := profName(topo.P)
-		if err != nil {
-			return ConfigState{}, err
-		}
-		cs.Topology = &TopologyState{Kind: "uniform", Profile: name}
 	case *madeleine.Hierarchical:
 		intra, err := profName(topo.Intra)
 		if err != nil {
@@ -142,7 +132,7 @@ func (s *System) configState() (ConfigState, error) {
 		}
 		cs.Topology = ts
 	default:
-		return ConfigState{}, fmt.Errorf("dsmpm2: topology %s is not checkpoint-serializable (only uniform and hierarchical topologies round-trip)", topo.Name())
+		return ConfigState{}, fmt.Errorf("dsmpm2: topology %s is not checkpoint-serializable (only uniform and hierarchical topologies round-trip)", topo)
 	}
 	return cs, nil
 }
@@ -164,29 +154,21 @@ func (cs ConfigState) toConfig() (Config, error) {
 		return p, nil
 	}
 	if ts := cs.Topology; ts != nil {
-		switch ts.Kind {
-		case "uniform":
-			p, err := resolve(ts.Profile)
-			if err != nil {
-				return Config{}, err
-			}
-			cfg.Topology = madeleine.NewUniform(p)
-		case "hier":
-			intra, err := resolve(ts.Intra)
-			if err != nil {
-				return Config{}, err
-			}
-			inter, err := resolve(ts.Inter)
-			if err != nil {
-				return Config{}, err
-			}
-			if len(ts.ClusterOf) != cs.Nodes {
-				return Config{}, fmt.Errorf("dsmpm2: checkpoint's hierarchical topology assigns %d of %d nodes to clusters", len(ts.ClusterOf), cs.Nodes)
-			}
-			cfg.Topology = madeleine.NewHierarchical(ts.ClusterOf, intra, inter)
-		default:
+		if ts.Kind != "hier" {
 			return Config{}, fmt.Errorf("dsmpm2: checkpoint has unknown topology kind %q", ts.Kind)
 		}
+		intra, err := resolve(ts.Intra)
+		if err != nil {
+			return Config{}, err
+		}
+		inter, err := resolve(ts.Inter)
+		if err != nil {
+			return Config{}, err
+		}
+		if len(ts.ClusterOf) != cs.Nodes {
+			return Config{}, fmt.Errorf("dsmpm2: checkpoint's hierarchical topology assigns %d of %d nodes to clusters", len(ts.ClusterOf), cs.Nodes)
+		}
+		cfg.Network = madeleine.NewHierarchical(ts.ClusterOf, intra, inter)
 	} else {
 		p, err := resolve(cs.Network)
 		if err != nil {

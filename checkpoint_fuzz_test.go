@@ -25,7 +25,7 @@ func fuzzSeedTokens(f testing.TB) [][]byte {
 	adaptive := plain
 	adaptive.MisplaceHomes, adaptive.AdaptiveHomes = true, true
 	hier := plain
-	hier.Topology = dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(4, 2), dsmpm2.BIPMyrinet, dsmpm2.TCPFastEthernet)
+	hier.Network = dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(4, 2), dsmpm2.BIPMyrinet, dsmpm2.TCPFastEthernet)
 	faulty := plain
 	faulty.FaultPlan = dsmpm2.NewFaultPlan(5).
 		Crash(dsmpm2.Time(dsmpm2.Millisecond), 2).

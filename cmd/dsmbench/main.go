@@ -970,7 +970,7 @@ func faults(a *cliArgs) (any, error) {
 		fr := faultResult{Protocol: proto, Expected: expected}
 		res, err := jacobi.Run(jacobi.Config{
 			N: gridN, Iterations: iters, Nodes: nodes,
-			Topology: dsmpm2.HierarchicalTopology(
+			Network: dsmpm2.HierarchicalTopology(
 				dsmpm2.EvenClusters(nodes, a.clusters), intra, inter),
 			Protocol: proto, Seed: 7,
 			FaultPlan: plan,

@@ -27,8 +27,8 @@
 // results.
 //
 // Beyond the paper's uniform clusters, the communication stack resolves
-// costs per (src,dst) link through a Topology: UniformTopology is the
-// calibrated single-profile special case, HierarchicalTopology models
+// costs per (src,dst) link through the Topology in Config.Network: a
+// NetworkProfile is the calibrated uniform case, HierarchicalTopology models
 // multi-cluster machines (a fast intra-cluster profile, a slow backbone),
 // and LinkMatrixTopology assigns arbitrary per-pair profiles for asymmetric
 // scenarios. Config.LinkContention additionally serializes concurrent

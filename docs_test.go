@@ -180,7 +180,7 @@ func TestDesignStaysWithinBudget(t *testing.T) {
 // non-test Go files outside benchmark/, which may only go down: a new panic
 // has to raise this number on purpose, in the same diff, where a reviewer
 // sees it — or be an error instead.
-const panicBudget = 93
+const panicBudget = 91
 
 // TestPanicsStayWithinBudget holds the module's panic calls to panicBudget.
 func TestPanicsStayWithinBudget(t *testing.T) {

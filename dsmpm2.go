@@ -35,8 +35,9 @@ type (
 	HistSummary = core.HistSummary
 	// NetworkProfile is a calibrated interconnect cost model.
 	NetworkProfile = madeleine.Profile
-	// Topology resolves per-(src,dst) link cost profiles; see
-	// UniformTopology, HierarchicalTopology and LinkMatrixTopology.
+	// Topology resolves per-(src,dst) link cost profiles: a NetworkProfile
+	// is the uniform topology; see also HierarchicalTopology and
+	// LinkMatrixTopology.
 	Topology = madeleine.Topology
 	// LinkMatrix is the arbitrary per-pair topology, for asymmetric
 	// scenarios; build one with LinkMatrixTopology and SetLink/SetDuplex.
@@ -52,10 +53,6 @@ type (
 	// Duration is virtual duration.
 	Duration = sim.Duration
 )
-
-// UniformTopology wraps a single profile as a topology: every node pair uses
-// the same calibrated cost model, bit-for-bit equivalent to Config.Network.
-func UniformTopology(p *NetworkProfile) Topology { return madeleine.NewUniform(p) }
 
 // HierarchicalTopology builds a multi-cluster topology from a node->cluster
 // assignment: same-cluster pairs use intra, cross-cluster pairs inter. Use
@@ -101,13 +98,11 @@ type Config struct {
 	// Nodes is the number of cluster nodes (default 2), each with one CPU
 	// like the paper's Pentium II nodes.
 	Nodes int
-	// Network selects the uniform interconnect cost profile (default
-	// BIPMyrinet); it is the single-cluster shorthand for Topology.
-	Network *NetworkProfile
-	// Topology, when set, overrides Network and resolves costs per
-	// (src,dst) link: heterogeneous clusters (HierarchicalTopology) or
-	// arbitrary per-pair profiles (LinkMatrixTopology).
-	Topology Topology
+	// Network resolves the interconnect cost of every (src,dst) link: one
+	// NetworkProfile for a uniform cluster (default BIPMyrinet),
+	// heterogeneous clusters (HierarchicalTopology) or arbitrary per-pair
+	// profiles (LinkMatrixTopology).
+	Network Topology
 	// LinkContention enables FIFO bandwidth occupancy per directed link:
 	// concurrent transfers on one link queue in virtual time instead of
 	// overlapping for free. Off by default, matching the paper's
@@ -149,16 +144,20 @@ type System struct {
 
 // New builds a System from cfg.
 func New(cfg Config) (*System, error) {
+	hier, _ := cfg.Network.(*madeleine.Hierarchical)
 	if cfg.Nodes == 0 {
-		// A topology bound to a node count implies the cluster size.
-		if s, ok := cfg.Topology.(madeleine.Sizer); ok {
-			cfg.Nodes = s.Nodes()
+		// A hierarchical topology implies the cluster size.
+		if hier != nil {
+			cfg.Nodes = hier.Nodes()
 		} else {
 			cfg.Nodes = 2
 		}
 	}
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("dsmpm2: invalid node count %d", cfg.Nodes)
+	}
+	if p, ok := cfg.Network.(*NetworkProfile); ok && p == nil {
+		return nil, fmt.Errorf("dsmpm2: Config.Network holds a nil profile")
 	}
 	if cfg.Network == nil {
 		cfg.Network = BIPMyrinet
@@ -169,14 +168,13 @@ func New(cfg Config) (*System, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if s, ok := cfg.Topology.(madeleine.Sizer); ok && s.Nodes() != cfg.Nodes {
+	if hier != nil && hier.Nodes() != cfg.Nodes {
 		return nil, fmt.Errorf("dsmpm2: topology %s is built for %d nodes, config has %d",
-			cfg.Topology.Name(), s.Nodes(), cfg.Nodes)
+			hier, hier.Nodes(), cfg.Nodes)
 	}
 	rt := pm2.NewRuntime(pm2.Config{
 		Nodes:          cfg.Nodes,
 		Network:        cfg.Network,
-		Topology:       cfg.Topology,
 		LinkContention: cfg.LinkContention,
 		Seed:           cfg.Seed,
 	})
@@ -317,16 +315,6 @@ func (s *System) Trace() *trace.Log { return s.tr }
 
 // Nodes reports the cluster size.
 func (s *System) Nodes() int { return s.rt.Nodes() }
-
-// Network returns the uniform interconnect profile in use, or nil when the
-// system runs over a heterogeneous topology (use Topology or Link instead).
-func (s *System) Network() *NetworkProfile { return s.rt.Profile() }
-
-// Topology returns the interconnect topology in use.
-func (s *System) Topology() Topology { return s.rt.Topology() }
-
-// Link returns the cost profile governing messages from src to dst.
-func (s *System) Link(src, dst int) *NetworkProfile { return s.rt.Link(src, dst) }
 
 // DSM exposes the underlying core instance for advanced use (tests, tools).
 func (s *System) DSM() *core.DSM { return s.dsm }

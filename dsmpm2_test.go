@@ -17,8 +17,8 @@ func TestNewDefaults(t *testing.T) {
 	if sys.Nodes() != 2 {
 		t.Fatalf("default nodes = %d, want 2", sys.Nodes())
 	}
-	if sys.Network() != dsmpm2.BIPMyrinet {
-		t.Fatalf("default network = %v", sys.Network().Name)
+	if l := sys.Runtime().Link(0, 1); l != dsmpm2.BIPMyrinet {
+		t.Fatalf("default network = %v", l.Name)
 	}
 }
 
@@ -28,6 +28,12 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := dsmpm2.New(dsmpm2.Config{Protocol: "quantum"}); err == nil {
 		t.Fatal("unknown protocol accepted")
+	}
+	// A nil profile in the interface field is not an unset field: it would
+	// fault on the first message, so New refuses it instead of defaulting.
+	var none *dsmpm2.NetworkProfile
+	if _, err := dsmpm2.New(dsmpm2.Config{Network: none}); err == nil || !strings.Contains(err.Error(), "nil profile") {
+		t.Fatalf("nil profile accepted: %v", err)
 	}
 }
 

@@ -26,7 +26,7 @@ func main() {
 	)
 	sys, err := dsmpm2.New(dsmpm2.Config{
 		Nodes:    nodes,
-		Topology: topo,
+		Network:  topo,
 		Protocol: "li_hudak",
 	})
 	if err != nil {
@@ -45,7 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("topology: %s\n", sys.Topology().Name())
+	fmt.Printf("topology: %s\n", topo)
 	fmt.Printf("%-20s %8s %18s\n", "link class", "faults", "mean total (us)")
 	var intraUS, interUS float64
 	for _, s := range sys.Timings().ByLink() {

@@ -77,20 +77,21 @@ type FaultOptions struct {
 //
 // A plan the system cannot run is refused before anything is armed: one that
 // fails FaultPlan.Validate, or one whose events name a node or a link
-// endpoint this system does not have.
+// endpoint this system does not have. A system takes one plan: a second
+// call is refused too, since the loss seed and the restart hook are fixed by
+// the first.
 func (s *System) InjectFaults(plan *FaultPlan, opts FaultOptions) error {
 	if plan == nil {
 		return nil
 	}
+	if s.rt.Network().FaultsEnabled() {
+		return fmt.Errorf("dsmpm2: a fault plan is already injected; a system takes one plan")
+	}
 	if err := checkPlan(plan, s.rt.Nodes()); err != nil {
 		return err
 	}
-	if !s.rt.Network().FaultsEnabled() {
-		s.rt.EnableFaults(plan.Seed)
-	}
-	if !s.dsm.RecoveryEnabled() {
-		s.dsm.EnableRecovery(opts.OnRestart)
-	}
+	s.rt.EnableFaults(plan.Seed)
+	s.dsm.EnableRecovery(opts.OnRestart)
 	s.faultPlan = plan
 	// Not armed here: System.Run arms before every phase.
 	s.cursor = s.rt.Engine().NewFaultCursor(plan, s.applyFault)

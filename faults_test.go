@@ -29,7 +29,7 @@ func faultyJacobiConfig(protocol string) jacobi.Config {
 	plan.Partition(at(6*dsmpm2.Millisecond), 2, 9).Heal(at(8*dsmpm2.Millisecond), 2, 9)
 	return jacobi.Config{
 		N: 24, Iterations: 8, Nodes: 16,
-		Topology: dsmpm2.HierarchicalTopology(
+		Network: dsmpm2.HierarchicalTopology(
 			dsmpm2.EvenClusters(16, 2), dsmpm2.BIPMyrinet, dsmpm2.TCPFastEthernet),
 		Protocol: protocol, Seed: 7,
 		FaultPlan: plan,
@@ -570,6 +570,28 @@ func TestInjectFaultsRefusesUnrunnablePlans(t *testing.T) {
 	}
 }
 
+// TestInjectFaultsRefusesSecondPlan: a system takes one plan. A second
+// InjectFaults used to replace the plan but keep the first call's loss seed
+// and restart hook, so its restarts never reached its hook and a token
+// recorded a plan seed the run never used.
+func TestInjectFaultsRefusesSecondPlan(t *testing.T) {
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "hbrc_mw", Seed: 1})
+	if err := sys.InjectFaults(dsmpm2.NewFaultPlan(1), dsmpm2.FaultOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	second := dsmpm2.NewFaultPlan(2).Crash(at(dsmpm2.Millisecond), 3).Restart(at(2*dsmpm2.Millisecond), 3)
+	if err := sys.InjectFaults(second, dsmpm2.FaultOptions{OnRestart: func(int) {}}); err == nil {
+		t.Fatal("a second plan was accepted")
+	}
+	ck, err := sys.Checkpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Plan == nil || ck.Plan.Seed != 1 || len(ck.Plan.Events) != 0 {
+		t.Fatalf("token records plan %+v, want the first (empty, seed 1) plan", ck.Plan)
+	}
+}
+
 // TestDemoPlanTokensResumeToRun: on the faults demo's plan (8 nodes in two
 // clusters, nodes 2 and 5 crashing and restarting), for every registered
 // protocol, a token taken at every step of the session resumes to the
@@ -581,7 +603,7 @@ func TestDemoPlanTokensResumeToRun(t *testing.T) {
 	for _, proto := range dsmpm2.MustNew(dsmpm2.Config{}).ProtocolNames() {
 		cfg := jacobi.Config{
 			N: 24, Iterations: 8, Nodes: 8,
-			Topology: dsmpm2.HierarchicalTopology(
+			Network: dsmpm2.HierarchicalTopology(
 				dsmpm2.EvenClusters(8, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet),
 			Protocol: proto, Seed: 7,
 			FaultPlan: plan,

@@ -26,11 +26,9 @@ type Config struct {
 	Iterations int
 	// Nodes is the cluster size; rows are block-partitioned over nodes.
 	Nodes int
-	// Network selects the interconnect.
-	Network *dsmpm2.NetworkProfile
-	// Topology, when set, overrides Network with per-link cost profiles
+	// Network selects the interconnect: a profile or a per-link topology
 	// (hierarchical clusters, arbitrary matrices).
-	Topology dsmpm2.Topology
+	Network dsmpm2.Topology
 	// Protocol is the consistency protocol under test.
 	Protocol string
 	// Seed drives the simulation.
@@ -129,7 +127,6 @@ func newSystem(cfg Config) (*dsmpm2.System, error) {
 	return dsmpm2.New(dsmpm2.Config{
 		Nodes:         cfg.Nodes,
 		Network:       cfg.Network,
-		Topology:      cfg.Topology,
 		Protocol:      cfg.Protocol,
 		Seed:          cfg.Seed,
 		AdaptiveHomes: cfg.AdaptiveHomes,

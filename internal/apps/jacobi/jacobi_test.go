@@ -21,13 +21,23 @@ func TestSerialConverges(t *testing.T) {
 func TestParallelMatchesSerial(t *testing.T) {
 	const n, iters = 8, 4
 	want := SolveSerial(n, iters)
-	for _, proto := range []string{"li_hudak", "hbrc_mw", "erc_sw"} {
-		res, err := Run(Config{N: n, Iterations: iters, Nodes: 2, Protocol: proto, Seed: 1})
+	hier := dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(4, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet)
+	for _, row := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"li_hudak", Config{Nodes: 2, Protocol: "li_hudak"}},
+		{"hbrc_mw", Config{Nodes: 2, Protocol: "hbrc_mw"}},
+		{"erc_sw", Config{Nodes: 2, Protocol: "erc_sw"}},
+		{"hbrc_mw/hier", Config{Nodes: 4, Protocol: "hbrc_mw", Network: hier}},
+	} {
+		row.cfg.N, row.cfg.Iterations, row.cfg.Seed = n, iters, 1
+		res, err := Run(row.cfg)
 		if err != nil {
-			t.Fatalf("[%s] %v", proto, err)
+			t.Fatalf("[%s] %v", row.name, err)
 		}
 		if math.Abs(res.Checksum-want) > 1e-9 {
-			t.Errorf("[%s] checksum = %v, want %v", proto, res.Checksum, want)
+			t.Errorf("[%s] checksum = %v, want %v", row.name, res.Checksum, want)
 		}
 	}
 }
@@ -150,7 +160,7 @@ func TestStretchesMatchWordPath(t *testing.T) {
 	plan.Crash(ms(4), 6).Restart(ms(12), 6)
 	variants = append(variants, variant{"hbrc_mw/faultplan", Config{
 		N: 96, Iterations: 4, Nodes: 8, Protocol: "hbrc_mw", Seed: 7, FaultPlan: plan,
-		Topology: dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(8, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet),
+		Network: dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(8, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet),
 	}})
 	want := SolveSerial(96, 4)
 	crashes := 0

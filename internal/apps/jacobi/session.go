@@ -241,7 +241,7 @@ func ResumeSession(ck *dsmpm2.Checkpoint) (*Session, error) {
 	}
 	s, err := NewSession(Config{
 		N: tok.N, Iterations: tok.Iterations, Nodes: sys.Nodes,
-		Network: sys.Network, Topology: sys.Topology, Protocol: sys.Protocol, Seed: sys.Seed,
+		Network: sys.Network, Protocol: sys.Protocol, Seed: sys.Seed,
 		MisplaceHomes: tok.MisplaceHomes, AdaptiveHomes: sys.AdaptiveHomes,
 		FaultPlan: ck.Plan,
 	})

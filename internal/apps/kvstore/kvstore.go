@@ -78,9 +78,8 @@ type Config struct {
 	// Deadline == 0 (every put applied).
 	Deadline dsmpm2.Duration
 
-	// Network selects the interconnect; Topology overrides it per-link.
-	Network  *dsmpm2.NetworkProfile
-	Topology dsmpm2.Topology
+	// Network selects the interconnect: a profile or a per-link topology.
+	Network dsmpm2.Topology
 	// Protocol is the consistency protocol (default entry_mw — the store
 	// is built around per-bucket lock binding).
 	Protocol string
@@ -337,7 +336,6 @@ func run(cfg Config) (Result, []*opHist, error) {
 	sys, err := dsmpm2.New(dsmpm2.Config{
 		Nodes:         cfg.Nodes,
 		Network:       cfg.Network,
-		Topology:      cfg.Topology,
 		Protocol:      cfg.Protocol,
 		Seed:          cfg.Seed,
 		AdaptiveHomes: cfg.AdaptiveHomes,

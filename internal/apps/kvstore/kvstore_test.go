@@ -35,6 +35,9 @@ func TestChecksumMatchesSerialOracle(t *testing.T) {
 		{"natural", func(c *Config) {}},
 		{"static-misplaced", func(c *Config) { c.MisplaceHomes = true }},
 		{"adaptive", func(c *Config) { c.MisplaceHomes = true; c.AdaptiveHomes = true }},
+		{"hierarchical", func(c *Config) {
+			c.Network = dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(c.Nodes, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet)
+		}},
 	}
 	for _, v := range variants {
 		v := v

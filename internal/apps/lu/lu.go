@@ -22,8 +22,8 @@ type Config struct {
 	// Nodes is the cluster size; rows are dealt round-robin so every node
 	// participates until the end of the factorization.
 	Nodes int
-	// Network selects the interconnect.
-	Network *dsmpm2.NetworkProfile
+	// Network selects the interconnect: a profile or a per-link topology.
+	Network dsmpm2.Topology
 	// Protocol is the consistency protocol under test.
 	Protocol string
 	// Seed drives matrix contents and the simulation.

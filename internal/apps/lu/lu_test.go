@@ -3,6 +3,8 @@ package lu
 import (
 	"math"
 	"testing"
+
+	"dsmpm2"
 )
 
 func TestSerialStable(t *testing.T) {
@@ -19,13 +21,23 @@ func TestSerialStable(t *testing.T) {
 func TestParallelMatchesSerial(t *testing.T) {
 	const n, seed = 8, 3
 	want := SolveSerial(n, seed)
-	for _, proto := range []string{"li_hudak", "hbrc_mw", "erc_sw"} {
-		res, err := Run(Config{N: n, Nodes: 2, Protocol: proto, Seed: seed})
+	hier := dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(4, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet)
+	for _, row := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"li_hudak", Config{Nodes: 2, Protocol: "li_hudak"}},
+		{"hbrc_mw", Config{Nodes: 2, Protocol: "hbrc_mw"}},
+		{"erc_sw", Config{Nodes: 2, Protocol: "erc_sw"}},
+		{"hbrc_mw/hier", Config{Nodes: 4, Protocol: "hbrc_mw", Network: hier}},
+	} {
+		row.cfg.N, row.cfg.Seed = n, seed
+		res, err := Run(row.cfg)
 		if err != nil {
-			t.Fatalf("[%s] %v", proto, err)
+			t.Fatalf("[%s] %v", row.name, err)
 		}
 		if math.Abs(res.Checksum-want) > 1e-6*math.Abs(want) {
-			t.Errorf("[%s] checksum = %v, want %v", proto, res.Checksum, want)
+			t.Errorf("[%s] checksum = %v, want %v", row.name, res.Checksum, want)
 		}
 	}
 }

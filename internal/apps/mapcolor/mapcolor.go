@@ -162,8 +162,9 @@ type Config struct {
 	Nodes int
 	// ThreadsPerNode sets the application thread count per node.
 	ThreadsPerNode int
-	// Network selects the interconnect (default SISCI/SCI, as in Fig. 5).
-	Network *dsmpm2.NetworkProfile
+	// Network selects the interconnect: a profile (default SISCI/SCI, as
+	// in Fig. 5) or a per-link topology.
+	Network dsmpm2.Topology
 	// Protocol is "java_ic" or "java_pf" (any protocol works; these two
 	// are the Figure 5 pair).
 	Protocol string

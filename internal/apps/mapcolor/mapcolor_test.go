@@ -2,6 +2,8 @@ package mapcolor
 
 import (
 	"testing"
+
+	"dsmpm2"
 )
 
 func TestAdjacencySymmetric(t *testing.T) {
@@ -46,13 +48,22 @@ func TestSerialSolverFindsValidOptimum(t *testing.T) {
 
 func TestParallelMatchesSerialBothJavaProtocols(t *testing.T) {
 	want := SolveSerial()
-	for _, proto := range []string{"java_ic", "java_pf"} {
-		res, err := Run(Config{Nodes: 4, ThreadsPerNode: 1, Protocol: proto, Seed: 5})
+	hier := dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(4, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet)
+	for _, row := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"java_ic", Config{Protocol: "java_ic"}},
+		{"java_pf", Config{Protocol: "java_pf"}},
+		{"java_pf/hier", Config{Protocol: "java_pf", Network: hier}},
+	} {
+		row.cfg.Nodes, row.cfg.ThreadsPerNode, row.cfg.Seed = 4, 1, 5
+		res, err := Run(row.cfg)
 		if err != nil {
-			t.Fatalf("[%s] %v", proto, err)
+			t.Fatalf("[%s] %v", row.name, err)
 		}
 		if res.BestCost != want {
-			t.Errorf("[%s] best = %d, want %d", proto, res.BestCost, want)
+			t.Errorf("[%s] best = %d, want %d", row.name, res.BestCost, want)
 		}
 	}
 }

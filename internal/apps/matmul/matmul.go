@@ -19,9 +19,8 @@ type Config struct {
 	N int
 	// Nodes is the cluster size; C's rows are block-partitioned.
 	Nodes int
-	// Network selects the interconnect; Topology overrides it per-link.
-	Network  *dsmpm2.NetworkProfile
-	Topology dsmpm2.Topology
+	// Network selects the interconnect: a profile or a per-link topology.
+	Network dsmpm2.Topology
 	// Protocol is the consistency protocol under test.
 	Protocol string
 	// Seed drives matrix contents and the simulation.
@@ -87,7 +86,6 @@ func Run(cfg Config) (Result, error) {
 	sys, err := dsmpm2.New(dsmpm2.Config{
 		Nodes:         cfg.Nodes,
 		Network:       cfg.Network,
-		Topology:      cfg.Topology,
 		Protocol:      cfg.Protocol,
 		Seed:          cfg.Seed,
 		AdaptiveHomes: cfg.AdaptiveHomes,

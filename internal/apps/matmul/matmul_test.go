@@ -3,6 +3,8 @@ package matmul
 import (
 	"math"
 	"testing"
+
+	"dsmpm2"
 )
 
 func TestSerialDeterministic(t *testing.T) {
@@ -17,13 +19,22 @@ func TestSerialDeterministic(t *testing.T) {
 func TestParallelMatchesSerial(t *testing.T) {
 	const n, seed = 8, 3
 	want := SolveSerial(n, seed)
-	for _, proto := range []string{"li_hudak", "hbrc_mw"} {
-		res, err := Run(Config{N: n, Nodes: 2, Protocol: proto, Seed: seed})
+	hier := dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(4, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet)
+	for _, row := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"li_hudak", Config{Nodes: 2, Protocol: "li_hudak"}},
+		{"hbrc_mw", Config{Nodes: 2, Protocol: "hbrc_mw"}},
+		{"hbrc_mw/hier", Config{Nodes: 4, Protocol: "hbrc_mw", Network: hier}},
+	} {
+		row.cfg.N, row.cfg.Seed = n, seed
+		res, err := Run(row.cfg)
 		if err != nil {
-			t.Fatalf("[%s] %v", proto, err)
+			t.Fatalf("[%s] %v", row.name, err)
 		}
 		if math.Abs(res.Checksum-want) > 1e-9 {
-			t.Errorf("[%s] checksum = %v, want %v", proto, res.Checksum, want)
+			t.Errorf("[%s] checksum = %v, want %v", row.name, res.Checksum, want)
 		}
 	}
 }

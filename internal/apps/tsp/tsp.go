@@ -27,8 +27,9 @@ type Config struct {
 	Seed int64
 	// Nodes is the cluster size; one application thread runs per node.
 	Nodes int
-	// Network selects the interconnect (default BIP/Myrinet, as in Fig. 4).
-	Network *dsmpm2.NetworkProfile
+	// Network selects the interconnect: a profile (default BIP/Myrinet, as
+	// in Fig. 4) or a per-link topology.
+	Network dsmpm2.Topology
 	// Protocol is the consistency protocol under test.
 	Protocol string
 	// ExpandCost is the CPU cost charged per search-tree node expansion.

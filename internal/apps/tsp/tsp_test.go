@@ -35,21 +35,28 @@ func TestDistancesSymmetricDeterministic(t *testing.T) {
 func TestParallelMatchesSerialAllProtocols(t *testing.T) {
 	const cities, seed = 9, 11
 	want := SolveSerial(Distances(cities, seed))
-	for _, proto := range []string{"li_hudak", "migrate_thread", "erc_sw", "hbrc_mw", "hybrid"} {
-		res, err := Run(Config{
-			Cities:   cities,
-			Seed:     seed,
-			Nodes:    4,
-			Protocol: proto,
-		})
+	hier := dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(4, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet)
+	for _, row := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"li_hudak", Config{Protocol: "li_hudak"}},
+		{"migrate_thread", Config{Protocol: "migrate_thread"}},
+		{"erc_sw", Config{Protocol: "erc_sw"}},
+		{"hbrc_mw", Config{Protocol: "hbrc_mw"}},
+		{"hybrid", Config{Protocol: "hybrid"}},
+		{"li_hudak/hier", Config{Protocol: "li_hudak", Network: hier}},
+	} {
+		row.cfg.Cities, row.cfg.Seed, row.cfg.Nodes = cities, seed, 4
+		res, err := Run(row.cfg)
 		if err != nil {
-			t.Fatalf("[%s] %v", proto, err)
+			t.Fatalf("[%s] %v", row.name, err)
 		}
 		if res.BestCost != want {
-			t.Errorf("[%s] best = %d, want %d", proto, res.BestCost, want)
+			t.Errorf("[%s] best = %d, want %d", row.name, res.BestCost, want)
 		}
 		if res.Expansions == 0 {
-			t.Errorf("[%s] no expansions recorded", proto)
+			t.Errorf("[%s] no expansions recorded", row.name)
 		}
 	}
 }

@@ -153,14 +153,3 @@ func AdaptSuite() []AdaptResult {
 	}
 	return out
 }
-
-// AdaptJacobi64 runs just the 64-node jacobi pair — the acceptance headline —
-// returning (static, adaptive). The bench smoke asserts its fetch reduction.
-func AdaptJacobi64() (static, adaptive AdaptResult) {
-	for _, a := range adaptRuns() {
-		if a.app == "jacobi" && a.nodes == 64 {
-			return a.measure(false), a.measure(true)
-		}
-	}
-	panic("adapt: the 64-node jacobi scenario is missing from the suite")
-}

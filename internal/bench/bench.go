@@ -84,7 +84,7 @@ type LinkFault struct {
 // summary per link class, sorted by link name.
 func HierReadFaults(nodes, clusters int, intra, inter *madeleine.Profile, protocol string) []LinkFault {
 	topo := madeleine.NewHierarchical(madeleine.EvenClusters(nodes, clusters), intra, inter)
-	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: nodes, Topology: topo, Protocol: protocol})
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: nodes, Network: topo, Protocol: protocol})
 	for r := 1; r < nodes; r++ {
 		base := sys.MustMalloc(0, core.PageSize, nil) // homed on node 0
 		sys.Spawn(r, fmt.Sprintf("reader%d", r), func(t *dsmpm2.Thread) {

@@ -197,7 +197,7 @@ func commScale(nodes, iters int) CommResult {
 	out := commRun{app: "jacobi-hier", nodes: nodes, run: func() (*dsmpm2.System, dsmpm2.Time, error) {
 		res, err := jacobi.Run(jacobi.Config{
 			N: nodes, Iterations: iters, Nodes: nodes,
-			Topology: dsmpm2.HierarchicalTopology(
+			Network: dsmpm2.HierarchicalTopology(
 				dsmpm2.EvenClusters(nodes, CommScaleClusters), dsmpm2.BIPMyrinet, inter),
 			Protocol: "hbrc_mw", Seed: 7,
 		})

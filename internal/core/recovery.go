@@ -94,9 +94,6 @@ func (d *DSM) awaitEntry(t *pm2.Thread, e *Entry) bool {
 // retried counts an action re-sent or re-routed after a (bounded) wait expired.
 func (d *DSM) retried() { d.recovery.stats.Retries++ }
 
-// RecoveryEnabled reports whether the recovery manager is on.
-func (d *DSM) RecoveryEnabled() bool { return d.recovery != nil }
-
 // RecoveryStats returns the recovery counters (zero value when disabled).
 func (d *DSM) RecoveryStats() RecoveryStats {
 	if d.recovery == nil {

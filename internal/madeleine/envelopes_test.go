@@ -41,7 +41,7 @@ func TestEnvelopesByLink(t *testing.T) {
 		},
 		{
 			name:  "uniform: one class",
-			topo:  NewUniform(BIPMyrinet),
+			topo:  BIPMyrinet,
 			nodes: 2,
 			sends: []send{{0, 1, "ctrl"}, {1, 0, "gather"}, {0, 0, "bulk"}},
 			want:  map[string]int{BIPMyrinet.Name: 3},
@@ -57,7 +57,7 @@ func TestEnvelopesByLink(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)
-			nw := NewNetworkTopology(eng, tc.topo, tc.nodes)
+			nw := NewNetwork(eng, tc.topo, tc.nodes)
 			ch := nw.ChannelID("c")
 			sink := new(sim.Chan)
 			for _, s := range tc.sends {

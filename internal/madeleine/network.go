@@ -99,25 +99,18 @@ type Network struct {
 	gather []*Message
 }
 
-// NewNetwork creates a uniform network of n nodes using the given cost
-// profile — the historical constructor, equivalent to NewNetworkTopology
-// with a Uniform topology.
-func NewNetwork(eng *sim.Engine, profile *Profile, n int) *Network {
-	return NewNetworkTopology(eng, NewUniform(profile), n)
-}
-
-// NewNetworkTopology creates a network of n nodes whose per-link costs are
-// resolved by topo. Topologies bound to a node count (Sizer) must match n.
-func NewNetworkTopology(eng *sim.Engine, topo Topology, n int) *Network {
+// NewNetwork creates a network of n nodes whose per-link costs are resolved
+// by topo — a single *Profile for a uniform cluster. A hierarchical topology
+// must be built for n nodes.
+func NewNetwork(eng *sim.Engine, topo Topology, n int) *Network {
 	if n < 1 {
 		panic("madeleine: network needs at least 1 node")
 	}
-	if topo == nil {
+	if p, ok := topo.(*Profile); topo == nil || ok && p == nil {
 		panic("madeleine: network needs a topology")
 	}
-	if s, ok := topo.(Sizer); ok && s.Nodes() != n {
-		panic(fmt.Sprintf("madeleine: topology %s is built for %d nodes, network has %d",
-			topo.Name(), s.Nodes(), n))
+	if h, ok := topo.(*Hierarchical); ok && h.Nodes() != n {
+		panic(fmt.Sprintf("madeleine: topology %s is built for %d nodes, network has %d", h, h.Nodes(), n))
 	}
 	return &Network{
 		eng:       eng,
@@ -174,16 +167,6 @@ func (nw *Network) SetLinkContention(on bool) { nw.linkModel = on }
 
 // LinkStats reports the contention counters of the link model.
 func (nw *Network) LinkStats() LinkStats { return nw.linkStats }
-
-// Nodes reports the number of nodes in the network.
-func (nw *Network) Nodes() int { return nw.n }
-
-// Topology returns the topology resolving per-link costs.
-func (nw *Network) Topology() Topology { return nw.topo }
-
-// Profile returns the cost profile of a uniform network, or nil when the
-// topology is heterogeneous (callers needing per-pair costs use Link).
-func (nw *Network) Profile() *Profile { return UniformProfile(nw.topo) }
 
 // Link returns the profile governing messages from src to dst. A sender
 // outside the cluster (the driver, src < 0) is charged as dst-local;

@@ -9,13 +9,11 @@ import (
 // Topology resolves the cost profile governing every directed node pair of a
 // cluster. It is the seam that lets the same protocol stack run over
 // heterogeneous interconnects — the paper's portability claim — without the
-// protocols knowing: a uniform cluster, hierarchical clusters with a fast
-// internal network and a slow backbone, or an arbitrary per-link matrix all
-// present the same interface to the layers above.
+// protocols knowing: a uniform cluster (a bare *Profile), hierarchical
+// clusters with a fast internal network and a slow backbone, or an arbitrary
+// per-link matrix all present the same interface to the layers above.
+// Reports name a topology by its String method where it has one.
 type Topology interface {
-	// Name identifies the topology in reports.
-	Name() string
-
 	// Link returns the profile for messages travelling from src to dst.
 	// src == dst is loopback, which is still charged (PM2 loopback crosses
 	// the full RPC machinery). Implementations must return a non-nil
@@ -23,35 +21,10 @@ type Topology interface {
 	Link(src, dst int) *Profile
 }
 
-// Sizer is an optional Topology extension: topologies bound to a fixed node
-// count implement it so the network can reject a mismatched cluster size at
-// construction instead of panicking mid-run.
-type Sizer interface {
-	// Nodes returns the node count the topology was built for.
-	Nodes() int
-}
-
-// Uniform is the homogeneous special case: one profile for every pair,
-// exactly the model the paper's Tables 3 and 4 are calibrated against.
-// Wrapping a profile in a Uniform topology is bit-for-bit equivalent to the
-// historical single-profile network.
-type Uniform struct {
-	P *Profile
-}
-
-// NewUniform wraps a single profile as a topology.
-func NewUniform(p *Profile) *Uniform {
-	if p == nil {
-		panic("madeleine: uniform topology needs a profile")
-	}
-	return &Uniform{P: p}
-}
-
-// Name implements Topology.
-func (u *Uniform) Name() string { return u.P.Name }
-
-// Link implements Topology: every pair uses the same profile.
-func (u *Uniform) Link(src, dst int) *Profile { return u.P }
+// Link implements Topology: a profile is the homogeneous topology, every
+// pair uses it — exactly the model the paper's Tables 3 and 4 are
+// calibrated against.
+func (p *Profile) Link(src, dst int) *Profile { return p }
 
 // Hierarchical models a multi-cluster machine: nodes within one cluster talk
 // over a fast Intra profile (e.g. SISCI/SCI), nodes in different clusters
@@ -105,12 +78,12 @@ func EvenClusters(nodes, clusters int) []int {
 	return out
 }
 
-// Name implements Topology.
-func (h *Hierarchical) Name() string {
+// String names the topology in reports.
+func (h *Hierarchical) String() string {
 	return fmt.Sprintf("hier[%s|%s]", h.Intra.Name, h.Inter.Name)
 }
 
-// Nodes implements Sizer.
+// Nodes returns the node count the topology was built for.
 func (h *Hierarchical) Nodes() int { return len(h.cluster) }
 
 // ClusterOf returns the cluster node belongs to.
@@ -133,7 +106,7 @@ func (h *Hierarchical) Link(src, dst int) *Profile {
 // LinkMatrix is the fully general topology: an arbitrary profile per
 // directed pair, with a default for pairs not explicitly set. It expresses
 // asymmetric scenarios (an upload-constrained node, a single degraded cable)
-// that neither Uniform nor Hierarchical can.
+// that neither a single profile nor Hierarchical can.
 type LinkMatrix struct {
 	def   *Profile
 	links map[[2]int]*Profile
@@ -161,8 +134,8 @@ func (m *LinkMatrix) SetDuplex(a, b int, p *Profile) *LinkMatrix {
 	return m.SetLink(a, b, p).SetLink(b, a, p)
 }
 
-// Name implements Topology.
-func (m *LinkMatrix) Name() string {
+// String names the topology in reports.
+func (m *LinkMatrix) String() string {
 	return fmt.Sprintf("matrix[%s+%d]", m.def.Name, len(m.links))
 }
 
@@ -172,17 +145,6 @@ func (m *LinkMatrix) Link(src, dst int) *Profile {
 		return p
 	}
 	return m.def
-}
-
-// UniformProfile returns the single profile of a uniform topology, or nil
-// for heterogeneous topologies. Callers that need one representative cost
-// model (the paper-reproduction benchmarks) use it to reject topologies they
-// cannot summarize.
-func UniformProfile(t Topology) *Profile {
-	if u, ok := t.(*Uniform); ok {
-		return u.P
-	}
-	return nil
 }
 
 // profileAliases maps user-facing shorthand to canonical profile names, so

@@ -7,20 +7,16 @@ import (
 	"dsmpm2/internal/sim"
 )
 
+// TestUniformLinkEverywhere: a profile is the uniform topology, resolving
+// every pair, loopback included, to itself.
 func TestUniformLinkEverywhere(t *testing.T) {
-	u := NewUniform(BIPMyrinet)
+	var u Topology = BIPMyrinet
 	for src := 0; src < 3; src++ {
 		for dst := 0; dst < 3; dst++ {
 			if u.Link(src, dst) != BIPMyrinet {
 				t.Fatalf("uniform link (%d,%d) != profile", src, dst)
 			}
 		}
-	}
-	if u.Name() != BIPMyrinet.Name {
-		t.Errorf("uniform name = %q", u.Name())
-	}
-	if UniformProfile(u) != BIPMyrinet {
-		t.Error("UniformProfile failed to unwrap a uniform topology")
 	}
 }
 
@@ -63,11 +59,8 @@ func TestHierarchicalLinks(t *testing.T) {
 	if h.Link(1, 2) != TCPFastEthernet || h.Link(3, 0) != TCPFastEthernet {
 		t.Error("inter-cluster pair did not resolve to the inter profile")
 	}
-	if !strings.Contains(h.Name(), SISCISCI.Name) || !strings.Contains(h.Name(), TCPFastEthernet.Name) {
-		t.Errorf("name %q does not identify the profiles", h.Name())
-	}
-	if UniformProfile(h) != nil {
-		t.Error("hierarchical topology must not unwrap to a uniform profile")
+	if !strings.Contains(h.String(), SISCISCI.Name) || !strings.Contains(h.String(), TCPFastEthernet.Name) {
+		t.Errorf("name %q does not identify the profiles", h)
 	}
 }
 
@@ -105,7 +98,7 @@ func TestNetworkTopologySizeMismatchPanics(t *testing.T) {
 			t.Fatal("mismatched topology size did not panic")
 		}
 	}()
-	NewNetworkTopology(sim.NewEngine(1), NewHierarchical(EvenClusters(4, 2), SISCISCI, TCPFastEthernet), 3)
+	NewNetwork(sim.NewEngine(1), NewHierarchical(EvenClusters(4, 2), SISCISCI, TCPFastEthernet), 3)
 }
 
 func TestResolveProfile(t *testing.T) {
@@ -131,7 +124,7 @@ func TestResolveProfile(t *testing.T) {
 func TestHierarchicalNetworkLatencies(t *testing.T) {
 	eng := sim.NewEngine(1)
 	topo := NewHierarchical(EvenClusters(4, 2), SISCISCI, TCPFastEthernet)
-	nw := NewNetworkTopology(eng, topo, 4)
+	nw := NewNetwork(eng, topo, 4)
 	var intraAt, interAt sim.Time
 	eng.Go("recvIntra", func(p *sim.Proc) {
 		nw.Recv(p, 1, "ch")
@@ -277,7 +270,7 @@ func TestLinkContentionOffUnchanged(t *testing.T) {
 func TestHierContendedLinkUsesLinkRate(t *testing.T) {
 	eng := sim.NewEngine(1)
 	topo := NewHierarchical(EvenClusters(4, 2), SISCISCI, TCPFastEthernet)
-	nw := NewNetworkTopology(eng, topo, 4)
+	nw := NewNetwork(eng, topo, 4)
 	nw.SetLinkContention(true)
 	var arrivals []sim.Time
 	eng.Go("recv", func(p *sim.Proc) {

@@ -9,7 +9,7 @@ import (
 	"dsmpm2/internal/sim"
 )
 
-func newRT(nodes int, prof *madeleine.Profile) *Runtime {
+func newRT(nodes int, prof madeleine.Topology) *Runtime {
 	return NewRuntime(Config{Nodes: nodes, Network: prof, Seed: 1})
 }
 

@@ -53,11 +53,10 @@ type Runtime struct {
 type Config struct {
 	Nodes int
 
-	// Network is the uniform-interconnect shorthand: every node pair uses
-	// this one profile (default BIPMyrinet). Topology, when set, takes
-	// precedence and resolves costs per (src,dst) link.
-	Network  *madeleine.Profile
-	Topology madeleine.Topology
+	// Network resolves the cost of every (src,dst) link: a single profile
+	// for a uniform cluster (default BIPMyrinet), or a heterogeneous
+	// topology.
+	Network madeleine.Topology
 
 	// LinkContention enables FIFO bandwidth occupancy on each directed
 	// link: concurrent transfers crossing one link queue instead of
@@ -73,18 +72,14 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.Nodes < 1 {
 		panic("pm2: need at least one node")
 	}
-	topo := cfg.Topology
+	topo := cfg.Network
 	if topo == nil {
-		prof := cfg.Network
-		if prof == nil {
-			prof = madeleine.BIPMyrinet
-		}
-		topo = madeleine.NewUniform(prof)
+		topo = madeleine.BIPMyrinet
 	}
 	eng := sim.NewEngine(cfg.Seed)
 	rt := &Runtime{
 		eng:    eng,
-		net:    madeleine.NewNetworkTopology(eng, topo, cfg.Nodes),
+		net:    madeleine.NewNetwork(eng, topo, cfg.Nodes),
 		svcIDs: make(map[string]madeleine.ChanID),
 	}
 	rt.net.SetLinkContention(cfg.LinkContention)
@@ -104,13 +99,6 @@ func (rt *Runtime) Engine() *sim.Engine { return rt.eng }
 
 // Network returns the machine's interconnect.
 func (rt *Runtime) Network() *madeleine.Network { return rt.net }
-
-// Profile returns the uniform interconnect profile, or nil when the machine
-// runs over a heterogeneous topology (use Link for per-pair costs).
-func (rt *Runtime) Profile() *madeleine.Profile { return rt.net.Profile() }
-
-// Topology returns the interconnect topology.
-func (rt *Runtime) Topology() madeleine.Topology { return rt.net.Topology() }
 
 // Link returns the cost profile governing messages from src to dst.
 func (rt *Runtime) Link(src, dst int) *madeleine.Profile { return rt.net.Link(src, dst) }

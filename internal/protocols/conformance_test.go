@@ -33,7 +33,7 @@ type topoCase struct {
 
 func conformanceTopologies(short bool) []topoCase {
 	topos := []topoCase{
-		{"Uniform", func() madeleine.Topology { return madeleine.NewUniform(madeleine.BIPMyrinet) }},
+		{"Uniform", func() madeleine.Topology { return madeleine.BIPMyrinet }},
 	}
 	if short {
 		return topos
@@ -90,7 +90,7 @@ func flushFirst(d *core.DSM, th *pm2.Thread, eager bool) {
 // registered and proto as default.
 func conformanceHarness(t *testing.T, topo madeleine.Topology, proto string) (*pm2.Runtime, *core.DSM) {
 	t.Helper()
-	rt := pm2.NewRuntime(pm2.Config{Nodes: conformanceNodes, Topology: topo, Seed: 42})
+	rt := pm2.NewRuntime(pm2.Config{Nodes: conformanceNodes, Network: topo, Seed: 42})
 	reg, _ := NewRegistry()
 	d := core.New(rt, reg)
 	id, ok := reg.Lookup(proto)
@@ -463,7 +463,7 @@ func adaptiveProtocols() []string {
 // mostly stay put). -short keeps both release paths, matching
 // TestConformance's convention.
 func TestConformanceAdaptive(t *testing.T) {
-	topo := func() madeleine.Topology { return madeleine.NewUniform(madeleine.BIPMyrinet) }
+	topo := func() madeleine.Topology { return madeleine.BIPMyrinet }
 	for _, path := range releasePaths {
 		for _, proto := range adaptiveProtocols() {
 			for _, sc := range adaptiveScenarios() {
@@ -496,7 +496,7 @@ func TestConformanceAdaptive(t *testing.T) {
 // transfer, not an equality: unbatched InvAcks is bounded below by batched
 // InvAcks and above by batched InvAcks + Notices.
 func TestConformanceCounterParity(t *testing.T) {
-	topo := func() madeleine.Topology { return madeleine.NewUniform(madeleine.BIPMyrinet) }
+	topo := func() madeleine.Topology { return madeleine.BIPMyrinet }
 	for _, proto := range adaptiveProtocols() {
 		for _, sc := range adaptiveScenarios() {
 			t.Run(fmt.Sprintf("%s/%s", proto, sc.name), func(t *testing.T) {

@@ -134,7 +134,7 @@ func jacobiWorkload() workload {
 				N: jacobiN, Iterations: jacobiIters, Nodes: jacobiNodes,
 				Protocol: c.Protocol, Seed: seed,
 			}
-			applyCell(c, jacobiNodes, &cfg.Topology, &cfg.Network,
+			applyCell(c, jacobiNodes, &cfg.Network,
 				&cfg.MisplaceHomes, &cfg.AdaptiveHomes)
 			res, err := jacobi.Run(cfg)
 			if err != nil {
@@ -153,7 +153,7 @@ func matmulWorkload() workload {
 			cfg := matmul.Config{
 				N: matmulN, Nodes: matmulNodes, Protocol: c.Protocol, Seed: seed,
 			}
-			applyCell(c, matmulNodes, &cfg.Topology, &cfg.Network,
+			applyCell(c, matmulNodes, &cfg.Network,
 				&cfg.MisplaceHomes, &cfg.AdaptiveHomes)
 			res, err := matmul.Run(cfg)
 			if err != nil {
@@ -174,7 +174,7 @@ func serveWorkload() workload {
 				Requests: serveRequests, Epochs: serveEpochs, Phases: servePhases,
 				Protocol: c.Protocol, Seed: seed,
 			}
-			applyCell(c, serveNodes, &cfg.Topology, &cfg.Network,
+			applyCell(c, serveNodes, &cfg.Network,
 				&cfg.MisplaceHomes, &cfg.AdaptiveHomes)
 			res, err := kvstore.Run(cfg)
 			if err != nil {
@@ -194,13 +194,10 @@ func serveWorkload() workload {
 // "static" keeps the app's natural homes; "misplaced" parks them on node 0;
 // "adaptive" misplaces them and lets the profiler re-home at epoch barriers
 // (the placement vocabulary of the adapt and serve experiments).
-func applyCell(c Cell, nodes int, topo *dsmpm2.Topology, network **dsmpm2.NetworkProfile,
-	misplace, adaptive *bool) {
-	switch c.Topology {
-	case "hier":
-		*topo = hierTopology(nodes)
-	default:
-		*network = dsmpm2.BIPMyrinet
+func applyCell(c Cell, nodes int, network *dsmpm2.Topology, misplace, adaptive *bool) {
+	*network = dsmpm2.BIPMyrinet
+	if c.Topology == "hier" {
+		*network = hierTopology(nodes)
 	}
 	*misplace = c.Placement == "misplaced" || c.Placement == "adaptive"
 	*adaptive = c.Placement == "adaptive"

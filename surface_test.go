@@ -30,7 +30,6 @@ var exportsWithoutCallers = map[string]string{
 	"trace.Log.WriteJSON":            "facade API: System.Trace hands out the log; TestTraceSpanLogPinned pins its output",
 	"madeleine.LinkMatrix.SetDuplex": "facade API: dsmpm2.LinkMatrix is this type, built with SetLink/SetDuplex",
 	"sim.ShardedEngine.SetSyncHook":  "kept until the sharded engine's cross-shard sync path is folded into the kernel",
-	"bench.AdaptJacobi64":            "BenchmarkAdaptJacobi64, CI's adapt smoke, runs it from the root package",
 	"sim.lazySource.Seed":            "rand.Source requires it: lazySource is the fault layer's rand.Rand source",
 	"freelist.List.Len":              "the record-pool tests of core, pm2 and sim read pool sizes through it, and a method cannot move into three packages' tests",
 	"sim.Proc.Body":                  "pm2's handler-recycling test checks through it that a recycled handler's proc leads back to it",

@@ -1,55 +1,12 @@
 package dsmpm2_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"dsmpm2"
 	"dsmpm2/internal/bench"
 )
-
-// runIncrementWorkload drives a small but communication-heavy workload (the
-// quickstart counter: every node increments a shared word under a DSM lock)
-// and returns its final virtual time and DSM stats.
-func runIncrementWorkload(t *testing.T, cfg dsmpm2.Config) (dsmpm2.Time, dsmpm2.Stats) {
-	t.Helper()
-	cfg.Protocol = "li_hudak"
-	sys := dsmpm2.MustNew(cfg)
-	x := sys.MustMalloc(0, 8, nil)
-	lock := sys.NewLock(0)
-	for n := 0; n < sys.Nodes(); n++ {
-		sys.Spawn(n, fmt.Sprintf("worker%d", n), func(th *dsmpm2.Thread) {
-			for i := 0; i < 5; i++ {
-				th.Acquire(lock)
-				th.WriteUint64(x, th.ReadUint64(x)+1)
-				th.Release(lock)
-			}
-		})
-	}
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return sys.Now(), sys.Stats()
-}
-
-// TestUniformTopologyBitForBit: wrapping a profile in a Uniform topology
-// must reproduce the historical single-profile configuration exactly — same
-// virtual end time, same activity counters.
-func TestUniformTopologyBitForBit(t *testing.T) {
-	for _, prof := range dsmpm2.Networks {
-		base := dsmpm2.Config{Nodes: 4, Network: prof, Seed: 7}
-		wrapped := dsmpm2.Config{Nodes: 4, Topology: dsmpm2.UniformTopology(prof), Seed: 7}
-		wantTime, wantStats := runIncrementWorkload(t, base)
-		gotTime, gotStats := runIncrementWorkload(t, wrapped)
-		if gotTime != wantTime {
-			t.Errorf("%s: uniform topology time %v != profile time %v", prof.Name, gotTime, wantTime)
-		}
-		if gotStats != wantStats {
-			t.Errorf("%s: uniform topology stats %+v != profile stats %+v", prof.Name, gotStats, wantStats)
-		}
-	}
-}
 
 // TestHierarchicalFaultCostsDiverge: under a two-cluster topology, faults
 // crossing the backbone must cost measurably more than intra-cluster ones,
@@ -89,7 +46,7 @@ func TestHierarchicalFaultCostsDiverge(t *testing.T) {
 func TestLinkMatrixAsymmetricMigration(t *testing.T) {
 	topo := dsmpm2.LinkMatrixTopology(dsmpm2.BIPMyrinet).
 		SetLink(0, 1, dsmpm2.TCPFastEthernet) // uplink degraded, downlink fast
-	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 2, Topology: topo})
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 2, Network: topo})
 	var out, back dsmpm2.Duration
 	sys.Spawn(0, "wanderer", func(th *dsmpm2.Thread) {
 		start := th.Now()
@@ -126,7 +83,7 @@ func TestContentionQueuesSaturatedLink(t *testing.T) {
 // attached to a machine of a different size.
 func TestTopologySizeMismatchRejected(t *testing.T) {
 	topo := dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(4, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet)
-	_, err := dsmpm2.New(dsmpm2.Config{Nodes: 6, Topology: topo})
+	_, err := dsmpm2.New(dsmpm2.Config{Nodes: 6, Network: topo})
 	if err == nil || !strings.Contains(err.Error(), "built for 4 nodes") {
 		t.Fatalf("mismatched topology not rejected: %v", err)
 	}
@@ -136,7 +93,7 @@ func TestTopologySizeMismatchRejected(t *testing.T) {
 // when the caller leaves it zero.
 func TestTopologyImpliesNodeCount(t *testing.T) {
 	topo := dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(6, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet)
-	sys, err := dsmpm2.New(dsmpm2.Config{Topology: topo})
+	sys, err := dsmpm2.New(dsmpm2.Config{Network: topo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,22 +102,21 @@ func TestTopologyImpliesNodeCount(t *testing.T) {
 	}
 }
 
-// TestSystemTopologyAccessors: the facade exposes the topology and per-link
-// profiles.
+// TestSystemTopologyAccessors: the machine resolves per-link profiles, and a
+// profile as Config.Network is the uniform topology: every link, loopback
+// included, resolves to it.
 func TestSystemTopologyAccessors(t *testing.T) {
 	topo := dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(4, 2), dsmpm2.SISCISCI, dsmpm2.TCPFastEthernet)
-	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Topology: topo})
-	if sys.Network() != nil {
-		t.Error("heterogeneous system must not report a uniform profile")
-	}
-	if sys.Topology() != topo {
-		t.Error("Topology accessor lost the configured topology")
-	}
-	if sys.Link(0, 1) != dsmpm2.SISCISCI || sys.Link(0, 2) != dsmpm2.TCPFastEthernet {
+	rt := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Network: topo}).Runtime()
+	if rt.Link(0, 1) != dsmpm2.SISCISCI || rt.Link(0, 2) != dsmpm2.TCPFastEthernet {
 		t.Error("per-link lookup resolved the wrong profiles")
 	}
-	uni := dsmpm2.MustNew(dsmpm2.Config{Nodes: 2, Network: dsmpm2.BIPMyrinet})
-	if uni.Network() != dsmpm2.BIPMyrinet {
-		t.Error("uniform system must still report its profile")
+	uni := dsmpm2.MustNew(dsmpm2.Config{Nodes: 3, Network: dsmpm2.TCPMyrinet}).Runtime()
+	for src := 0; src < uni.Nodes(); src++ {
+		for dst := 0; dst < uni.Nodes(); dst++ {
+			if l := uni.Link(src, dst); l != dsmpm2.TCPMyrinet {
+				t.Errorf("uniform link %d->%d resolved to %s, want the configured profile", src, dst, l.Name)
+			}
+		}
 	}
 }
