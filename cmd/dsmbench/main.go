@@ -64,8 +64,8 @@ var experiments = []experiment{
 	{name: "migration", doc: "thread migration micro-latency (Section 2.1)", inAll: true, run: migrationTable},
 	{name: "table3", doc: "read fault, page-migration policy (Table 3)", inAll: true, run: table3},
 	{name: "table4", doc: "read fault, thread-migration policy (Table 4)", inAll: true, run: table4},
-	{name: "fig4", doc: "TSP protocol comparison (Figure 4)", inAll: true, run: figure4},
-	{name: "fig4detail", doc: "why migrate_thread loses Figure 4: per-node CPU and migrations", inAll: true, run: figure4Detail},
+	{name: "fig4", doc: "TSP protocol comparison (Figure 4)", inAll: true, check: checkCities, run: figure4},
+	{name: "fig4detail", doc: "why migrate_thread loses Figure 4: per-node CPU and migrations", inAll: true, check: checkCities, run: figure4Detail},
 	{name: "fig5", doc: "Java consistency comparison on map coloring (Figure 5)", inAll: true, run: figure5},
 	{name: "multicluster", doc: "hierarchical topology: intra- vs inter-cluster faults", inAll: true, check: checkLayout, run: multicluster},
 	{name: "contention", doc: "link bandwidth occupancy: queueing delay", inAll: true, check: checkContention, run: contention},
@@ -256,6 +256,13 @@ func checkFaults(a *cliArgs) error {
 func checkContention(a *cliArgs) error {
 	if a.readers < 1 {
 		return fmt.Errorf("-readers %d out of range (want >= 1 concurrent transfers)", a.readers)
+	}
+	return nil
+}
+
+func checkCities(a *cliArgs) error {
+	if a.cities < 3 || a.cities > 64 {
+		return fmt.Errorf("-cities %d out of range (want 3..64)", a.cities)
 	}
 	return nil
 }

@@ -46,6 +46,8 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		{"zero perturb", []string{"-exp", "bisect", "-perturb", "0"}},
 		{"negative perturb", []string{"-exp", "bisect", "-perturb", "-2"}},
 		{"zero readers", []string{"-exp", "contention", "-readers", "0"}},
+		{"two cities", []string{"-exp", "fig4", "-cities", "2"}},
+		{"65 cities", []string{"-exp", "fig4detail", "-cities", "65"}},
 		{"unknown tune workload", []string{"-exp", "tune", "-tuneworkload", "tsp"}},
 		{"unknown tune protocol", []string{"-exp", "tune", "-tuneprotos", "li_hudak,nope"}},
 		{"unknown tune topology", []string{"-exp", "tune", "-tunetopos", "mesh"}},

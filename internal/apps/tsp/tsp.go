@@ -14,6 +14,7 @@ package tsp
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"dsmpm2"
@@ -124,16 +125,15 @@ func lowerBound(visited []bool, minOut []int) int {
 	return lb
 }
 
-// computeBatch is how many expansions are charged to the CPU in one go, to
-// bound simulation event counts without changing total work.
-const computeBatch = 16
-
 // Run executes the distributed branch-and-bound solve and returns the
 // result. The returned best cost always equals the serial optimum — every
 // protocol must preserve correctness; only the runtime differs.
 func Run(cfg Config) (Result, error) {
 	if cfg.Cities < 3 {
 		return Result{}, fmt.Errorf("tsp: need at least 3 cities")
+	}
+	if cfg.Cities > 64 {
+		return Result{}, fmt.Errorf("tsp: at most 64 cities (the unvisited set is a 64-bit mask), got %d", cfg.Cities)
 	}
 	if cfg.Nodes < 1 {
 		return Result{}, fmt.Errorf("tsp: need at least 1 node")
@@ -169,60 +169,17 @@ func Run(cfg Config) (Result, error) {
 	for node := 0; node < cfg.Nodes; node++ {
 		node := node
 		sys.Spawn(node, fmt.Sprintf("tsp%d", node), func(t *dsmpm2.Thread) {
-			visited := make([]bool, n)
-			visited[0] = true
-			pendingCompute := 0
-			expansions := int64(0)
-			flush := func() {
-				if pendingCompute > 0 {
-					t.Compute(dsmpm2.Duration(pendingCompute) * cfg.ExpandCost)
-					pendingCompute = 0
-				}
-			}
-			readBound := func() int {
-				flush()
-				return int(t.ReadUint64(boundAddr))
-			}
-			var dfs func(city, depth, cost int)
-			dfs = func(city, depth, cost int) {
-				expansions++
-				pendingCompute++
-				if pendingCompute >= computeBatch {
-					flush()
-				}
-				if cost+lowerBound(visited, minOut) >= readBound() {
-					return
-				}
-				if depth == n {
-					total := cost + dist[city][0]
-					flush()
-					t.Acquire(lock)
-					if uint64(total) < t.ReadUint64(boundAddr) {
-						t.WriteUint64(boundAddr, uint64(total))
-					}
-					t.Release(lock)
-					return
-				}
-				for next := 1; next < n; next++ {
-					if visited[next] {
-						continue
-					}
-					visited[next] = true
-					dfs(next, depth+1, cost+dist[city][next])
-					visited[next] = false
-				}
+			s := &searcher{t: t, dist: dist, minOut: minOut, bound: boundAddr, lock: lock, expandCost: cfg.ExpandCost}
+			for c := 1; c < n; c++ {
+				s.unvisit(c)
 			}
 			// Static first-branch distribution, round-robin over nodes.
-			for first := 1; first < n; first++ {
-				if (first-1)%cfg.Nodes != node {
-					continue
-				}
-				visited[first] = true
-				dfs(first, 2, dist[0][first])
-				visited[first] = false
+			for first := 1 + node; first < n; first += cfg.Nodes {
+				s.visit(first)
+				s.expand(first, dist[0][first])
+				s.unvisit(first)
 			}
-			flush()
-			totalExpansions += expansions
+			totalExpansions += s.expansions
 		})
 	}
 	if err := sys.Run(); err != nil {
@@ -241,4 +198,55 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return res, nil
+}
+
+// searcher is one application thread's depth-first walk. The host keeps the
+// lower bound and the unvisited set incrementally, so an expansion costs it
+// what it costs the simulated thread: one Compute and one bound read.
+type searcher struct {
+	t          *dsmpm2.Thread
+	dist       [][]int
+	minOut     []int
+	bound      dsmpm2.Addr
+	lock       int
+	expandCost dsmpm2.Duration
+
+	unvisited  uint64 // bit c set while city c is off the current path
+	lb         int    // lowerBound of the current path: minOut summed over unvisited
+	expansions int64
+}
+
+func (s *searcher) visit(c int) {
+	s.unvisited &^= 1 << c
+	s.lb -= s.minOut[c]
+}
+
+func (s *searcher) unvisit(c int) {
+	s.unvisited |= 1 << c
+	s.lb += s.minOut[c]
+}
+
+// expand explores the path ending at city with the given cost. Children are
+// taken in ascending city order, as SolveSerial takes them.
+func (s *searcher) expand(city, cost int) {
+	s.expansions++
+	s.t.Compute(s.expandCost)
+	if cost+s.lb >= int(s.t.ReadUint64(s.bound)) {
+		return
+	}
+	if s.unvisited == 0 {
+		total := uint64(cost + s.dist[city][0])
+		s.t.Acquire(s.lock)
+		if total < s.t.ReadUint64(s.bound) {
+			s.t.WriteUint64(s.bound, total)
+		}
+		s.t.Release(s.lock)
+		return
+	}
+	for m := s.unvisited; m != 0; m &= m - 1 {
+		next := bits.TrailingZeros64(m)
+		s.visit(next)
+		s.expand(next, cost+s.dist[city][next])
+		s.unvisit(next)
+	}
 }
