@@ -998,17 +998,17 @@ func faults(a *cliArgs) (any, error) {
 	if a.json {
 		return results, nil
 	}
-	fmt.Printf("%-12s %10s %8s %12s %8s %9s %6s %5s %8s\n",
-		"protocol", "completed", "correct", "elapsed(ms)", "crashes", "restarts", "held", "lost", "retries")
+	fmt.Printf("%-12s %10s %8s %12s %8s %9s %6s %5s %11s\n",
+		"protocol", "completed", "correct", "elapsed(ms)", "crashes", "restarts", "held", "lost", "retransmits")
 	for _, fr := range results {
 		if fr.Error != "" {
 			fmt.Printf("%-12s %10v %8s %12s  error: %s\n", fr.Protocol, false, "-", "-", fr.Error)
 			continue
 		}
-		fmt.Printf("%-12s %10v %8v %12.2f %8d %9d %6d %5d %8d\n",
+		fmt.Printf("%-12s %10v %8v %12.2f %8d %9d %6d %5d %11d\n",
 			fr.Protocol, fr.Completed, fr.Correct, fr.ElapsedMS,
 			fr.Faults.Crashes, fr.Faults.Restarts, fr.Faults.Held,
-			fr.Recovery.Lost, fr.Recovery.Retries)
+			fr.Recovery.Lost, fr.Faults.Retransmits)
 	}
 	fmt.Println("(home-based protocols — hbrc_mw, entry_mw — keep committed data on the")
 	fmt.Println(" protected home node 0 and recover exactly; ownership-migrating protocols")

@@ -67,14 +67,14 @@
 //
 // The platform also injects failures: a FaultPlan is a declarative,
 // seed-driven schedule of node crashes/restarts, link partitions/heals and
-// message loss, applied through System.InjectFaults. The network drops or
-// queues faulted traffic, the DSM recovery manager re-homes a dead node's
-// pages from the freshest surviving replica and unwedges in-flight protocol
-// actions, and crash-tolerant barriers (Thread.BarrierAs) let restarted
-// workers rejoin mid-computation. Replays of the same seed and plan are
-// bit-identical; see examples/faults and DESIGN.md ("Fault model &
-// recovery"). Recovery-mode protocol waits retry after a fixed 5 ms of
-// virtual time (core.RetryTimeout).
+// message loss, applied through System.InjectFaults. The network drops a
+// dead node's traffic, queues a partitioned link's and retransmits what a
+// lossy link loses; the DSM recovery manager re-homes a dead node's pages
+// from the freshest surviving replica and wakes, at the crash instant, the
+// protocol waits the crash strands; and crash-tolerant barriers
+// (Thread.BarrierAs) let restarted workers rejoin mid-computation. Replays
+// of the same seed and plan are bit-identical; see examples/faults and
+// DESIGN.md ("Fault model & recovery").
 //
 // Because the replay is deterministic, a checkpoint records how to reach a
 // step, not the state there: System.Checkpoint takes a small resume token

@@ -163,7 +163,7 @@ func TestDocsMatchTree(t *testing.T) {
 // designLineBudget is DESIGN.md's line count, which may only go down: a change
 // that grows the document has to raise this number on purpose, in the same
 // diff, where a reviewer sees it.
-const designLineBudget = 1299
+const designLineBudget = 1298
 
 // TestDesignStaysWithinBudget holds DESIGN.md to designLineBudget lines.
 func TestDesignStaysWithinBudget(t *testing.T) {

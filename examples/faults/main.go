@@ -64,10 +64,10 @@ func main() {
 	fs, rs := res.Faults, res.Recovery
 	fmt.Printf("\nfault layer:   %d crashes, %d restarts, %d messages dropped at dead nodes,\n",
 		fs.Crashes, fs.Restarts, fs.DeadDrops)
-	fmt.Printf("               %d held on partitioned links (%.0f us of partition delay)\n",
+	fmt.Printf("               %d held on partitioned links (%.0f us of partition delay),\n",
 		fs.Held, fs.HeldTime.Microseconds())
-	fmt.Printf("recovery:      %d pages re-homed, %d lost, %d protocol retries\n",
-		rs.ReHomed, rs.Lost, rs.Retries)
+	fmt.Printf("               %d lost transmissions retransmitted\n", fs.Retransmits)
+	fmt.Printf("recovery:      %d pages re-homed, %d lost\n", rs.ReHomed, rs.Lost)
 
 	// Replays are bit-identical: run it again and compare the clocks.
 	again, err := jacobi.Run(jacobi.Config{

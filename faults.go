@@ -72,8 +72,10 @@ type FaultOptions struct {
 // replica set; synchronization managers (lock homes, barrier manager node
 // 0) must be protected nodes — crash them and their state dies for good.
 //
-// Partitioned links hold their traffic until they heal, and protocol waits
-// retry after core.RetryTimeout (5 ms virtual).
+// Partitioned links hold their traffic until they heal, and lossy links
+// send what they lose again, so the DSM sees reliable FIFO links; a crash
+// wakes, at its instant, every protocol wait it strands. No protocol wait
+// polls: a plan that does nothing leaves the run as it was.
 //
 // A plan the system cannot run is refused before anything is armed: one that
 // fails FaultPlan.Validate, or one whose events name a node or a link

@@ -86,15 +86,9 @@ func (d *DSM) registerServices() {
 			d.Entry(iv.Node, iv.Page).InvalSeq++
 			d.protoAt(iv.Node, iv.Page).InvalidateServer(iv)
 			if iv.ack != nil {
-				// Under recovery the ack names the acknowledging node, so a
-				// retry loop can tick off exactly which holders answered.
-				// Otherwise acks are only counted, and an empty one boxes
-				// nothing.
-				var ack interface{}
-				if d.recovery != nil {
-					ack = iv.Node
-				}
-				d.replyDirect(iv.Node, iv.From, iv.ack, ack)
+				// The ack names the acknowledging node, so the round ticks
+				// off exactly which holders answered.
+				d.replyDirect(iv.Node, iv.From, iv.ack, iv.Node)
 			}
 			put(&d.recs.invs, iv)
 			return nil
@@ -135,6 +129,7 @@ func (d *DSM) registerServices() {
 
 // sendRequest delivers a page request to dest (a control message).
 func (d *DSM) sendRequest(from, dest int, m *Request) {
+	d.trackRequest(m, dest)
 	m.sentAt = d.rt.Engine().Now()
 	st := &d.stats
 	st.Requests++
@@ -181,8 +176,8 @@ func (d *DSM) sendInvalidate(from, dest int, pg Page, newOwner int, ack *sim.Cha
 // blocks the calling thread until the destination has applied it (release
 // semantics demand it).
 //
-// With recovery enabled the wait is bounded: if the home dies before
-// acknowledging, the diff is re-routed to its page's current home (the
+// With recovery enabled, a home that dies before acknowledging ends the wait
+// at its crash, and the diff is re-routed to its page's current home (the
 // recovery sweep re-homed the dead node's pages), applied locally when this
 // node became the home. Diffs are absolute byte ranges, so a diff the dead
 // home did manage to apply before crashing re-applies idempotently.
@@ -193,35 +188,25 @@ func (d *DSM) sendDiffs(t *pm2.Thread, dest int, df *memory.Diff, wait bool) {
 	var reply *sim.Chan
 	if wait {
 		reply = new(sim.Chan)
+		d.watch(reply, t.Node(), dest, NodeSet{})
 	}
-	for {
-		// Each shipment is a fresh record holding the diff, freed (and the
-		// diff let go) by its receiver; a re-send counts like the first.
-		m := take(&d.recs.diffMsgs)
-		m.From, m.one[0], m.reply = t.Node(), df, reply
-		m.Diffs = m.one[:]
-		df.Refs++
-		st.DiffsSent++
-		st.Sends++
-		st.Envelopes++
-		d.rt.AsyncFrom(t.Node(), dest, d.svc.diff, m, size)
-		if !wait {
-			break
-		}
-		if _, ok := d.await(t, reply); ok {
-			break
-		}
-		d.retried()
-		if d.NodeDead(dest) {
+	// The shipment is a record holding the diff, freed (and the diff let
+	// go) by its receiver.
+	m := take(&d.recs.diffMsgs)
+	m.From, m.one[0], m.reply = t.Node(), df, reply
+	m.Diffs = m.one[:]
+	df.Refs++
+	st.DiffsSent++
+	st.Sends++
+	st.Envelopes++
+	d.rt.AsyncFrom(t.Node(), dest, d.svc.diff, m, size)
+	if wait {
+		if _, ok := d.await(t, reply); !ok {
 			// The home died with our diff unacknowledged: re-route it,
 			// and this sender's hold on it, to its page's current home.
 			d.rerouteDiff(t, df)
 			return
 		}
-		// The home is alive but silent: the diff or its ack may have been
-		// lost on a lossy link, or is crawling through a partition. Send
-		// again — diffs apply idempotently, and a second ack just lingers
-		// unread in this call's private reply channel.
 	}
 	FreeDiff(d, df)
 }

@@ -141,10 +141,10 @@ func (d *DSM) install(pm *PageMsg, e *Entry) {
 	}
 	switch {
 	case d.recovery != nil && (!e.Pending || (!pm.Ownship && pm.Seq != e.reqSeq)):
-		// A late response to a request that was since retried (or already
-		// satisfied): its data may predate writes the current owner has
-		// accepted. Discard it; the outstanding fetch, if any, stays
-		// pending and its own response will complete it.
+		// A late response to a request that was since sent again (or
+		// already satisfied): its data may predate writes the current
+		// owner has accepted. Discard it; the outstanding fetch, if any,
+		// stays pending and its own response will complete it.
 	case !pm.Ownship && e.InvalSeq != e.pendingSeq:
 		// An invalidation overtook this copy in flight: the data is
 		// stale and the home/owner no longer counts us as a holder.

@@ -45,10 +45,9 @@ type migMsg struct {
 
 // migInstallMsg carries the page to its new home. data is a pooled wire
 // copy; the install handler reclaims it exactly once, applied or not.
-// Stale and re-sent installs need no sequence numbers: a re-send is
-// detected by ownership already being at the destination, and an install
-// from a since-crashed sender is discarded outright (the crash sweep has
-// resolved that handshake).
+// Stale installs need no sequence numbers: an install from a since-crashed
+// sender is discarded outright (the crash sweep has resolved that
+// handshake).
 type migInstallMsg struct {
 	page    Page
 	data    []byte
@@ -99,10 +98,9 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 	e := d.Entry(node, m.page)
 	e.Lock(h)
 	if !e.Owner {
-		// Not (or no longer) the owner: a previous handshake for the same
-		// destination already completed (report success idempotently — the
-		// manager's first reply may have been lost), or ownership moved and
-		// this epoch's decision is stale (decline).
+		// Not (or no longer) the owner: the page already sits at the
+		// destination (report success idempotently), or ownership moved
+		// and this epoch's decision is stale (decline).
 		done := e.Home == m.newHome && e.ProbOwner == m.newHome
 		e.Unlock(h)
 		d.replyDirect(node, m.from, m.reply, done)
@@ -132,6 +130,7 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 	// demoted entry and forwards to the new home.
 
 	ack := new(sim.Chan)
+	d.watch(ack, node, m.newHome, NodeSet{})
 	st := &d.stats
 	st.PageSends++
 	st.PageBytes += PageSize
@@ -142,32 +141,13 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 		from: node, reply: ack,
 	}
 	d.rt.AsyncFrom(node, m.newHome, d.svc.migrateInstall, im, PageSize)
-	for {
-		if _, ok := d.await(h, ack); ok {
-			break
-		}
-		d.retried()
-		if d.NodeDead(m.newHome) {
-			// The new home died before installing: the page stays here,
-			// untouched, and the manager is told so. The in-flight wire
-			// copy died with the link (dropped, never double-freed).
-			e.Unlock(h)
-			d.replyDirect(node, m.from, m.reply, false)
-			return
-		}
-		// Alive but silent (loss): re-send a fresh pooled copy — the
-		// install applies idempotently and a second one is discarded
-		// with its buffer reclaimed exactly once.
-		dup := d.bufs.Get()
-		copy(dup, data)
-		st.PageSends++
-		st.PageBytes += PageSize
-		st.Sends++
-		st.Envelopes++
-		d.rt.AsyncFrom(node, m.newHome, d.svc.migrateInstall, &migInstallMsg{
-			page: m.page, data: dup, access: access, copyset: copyset,
-			from: node, reply: ack,
-		}, PageSize)
+	if _, ok := d.await(h, ack); !ok {
+		// The new home died before acknowledging: the page stays here,
+		// untouched, and the manager is told so. The in-flight wire copy
+		// died with the node (dropped, never double-freed).
+		e.Unlock(h)
+		d.replyDirect(node, m.from, m.reply, false)
+		return
 	}
 	// Install acknowledged: demote. The old owner drops its frame entirely —
 	// the universally safe end state (any later access simply re-faults
@@ -183,9 +163,9 @@ func (d *DSM) serveMigrate(h *pm2.Thread, m *migMsg) {
 }
 
 // serveMigrateInstall runs on the new home: install the authoritative copy,
-// take ownership and the scrubbed copyset. A second install (a handshake
-// re-send under loss) is detected by ownership already being here; either
-// way the pooled wire buffer is reclaimed exactly once.
+// take ownership and the scrubbed copyset, reclaiming the pooled wire buffer
+// exactly once. The old owner holds its entry across the handshake, so
+// nothing else can have moved ownership here meanwhile.
 func (d *DSM) serveMigrateInstall(h *pm2.Thread, m *migInstallMsg) {
 	if d.NodeDead(m.from) {
 		// The old owner died after shipping this install: the crash sweep
@@ -199,13 +179,6 @@ func (d *DSM) serveMigrateInstall(h *pm2.Thread, m *migInstallMsg) {
 	node := h.Node()
 	e := d.Entry(node, m.page)
 	e.Lock(h)
-	if e.Owner {
-		// A re-send of an already-applied install.
-		d.bufs.Put(m.data)
-		e.Unlock(h)
-		d.replyDirect(node, m.from, m.reply, true)
-		return
-	}
 	h.Compute(d.costs.Install)
 	frame := d.state[node].space.Ensure(m.page)
 	copy(frame.Data, m.data)
@@ -244,7 +217,6 @@ type migFlight struct {
 	pg      Page
 	newHome int
 	owner   int
-	m       *migMsg
 	reply   *sim.Chan
 	start   sim.Time
 }
@@ -283,37 +255,28 @@ func (d *DSM) startMigration(h *pm2.Thread, pg Page, newHome int) *migFlight {
 		return f // already in place: commit is metadata-only
 	}
 	f.reply = new(sim.Chan)
-	f.m = &migMsg{page: pg, newHome: newHome, from: h.Node(), reply: f.reply}
+	d.watch(f.reply, h.Node(), owner, NodeSet{})
+	m := &migMsg{page: pg, newHome: newHome, from: h.Node(), reply: f.reply}
 	st := &d.stats
 	st.Sends++
 	st.Envelopes++
-	d.rt.AsyncFrom(h.Node(), owner, d.svc.migrateHome, f.m, ctrlBytes)
+	d.rt.AsyncFrom(h.Node(), owner, d.svc.migrateHome, m, ctrlBytes)
 	return f
 }
 
 // finishMigration awaits one handshake's completion and commits the
-// allocation metadata. With recovery enabled the wait is bounded; an owner
-// dying mid-handshake resolves through the crash sweep (exactly once — the
-// install either reached the new home, which then owns the page and the
-// sweep keeps it, or it did not and the sweep re-homed onto the freshest
-// survivor) and the decision is not retried.
+// allocation metadata. With recovery enabled, an owner dying mid-handshake
+// ends the wait at its crash and resolves through the crash sweep (exactly
+// once — the install either reached the new home, which then owns the page
+// and the sweep keeps it, or it did not and the sweep re-homed onto the
+// freshest survivor); the decision is not retried.
 func (d *DSM) finishMigration(h *pm2.Thread, f *migFlight) bool {
-	// f.reply is nil for a metadata-only move: nothing to await.
-	for f.reply != nil {
-		if v, got := d.await(h, f.reply); got {
-			if ok, _ := v.(bool); !ok {
-				return false
-			}
-			break
-		}
-		d.retried()
-		if d.NodeDead(f.owner) {
+	// f.reply is nil for a metadata-only move: nothing to await. A declined
+	// handshake, or the owner's crash (peerDead), leaves the page in place.
+	if f.reply != nil {
+		if v, _ := d.await(h, f.reply); v != true {
 			return false
 		}
-		st := &d.stats
-		st.Sends++
-		st.Envelopes++
-		d.rt.AsyncFrom(h.Node(), f.owner, d.svc.migrateHome, f.m, ctrlBytes)
 	}
 	pi := d.dir[f.pg]
 	pi.home = f.newHome

@@ -183,7 +183,6 @@ func (b *Batch) release(run []batchOp) {
 
 // batchFlight is one awaited destination envelope of a flush.
 type batchFlight struct {
-	dest int
 	run  []batchOp // the destination's operations
 	acks int       // invalidations whose acknowledgement the reply coalesces
 	call *pm2.VecCall
@@ -211,8 +210,9 @@ func (b *Batch) send(wait bool) {
 		acks, diffBytes := b.envelope(run)
 		d.stats.DiffBytes += diffBytes
 		if wait {
-			b.flights = append(b.flights, batchFlight{dest: dest, run: run, acks: acks,
-				call: d.rt.StartVecFrom(b.node, dest, b.elems, ctrlBytes)})
+			call := d.rt.StartVecFrom(b.node, dest, b.elems, ctrlBytes)
+			d.watch(call.Reply(), b.node, dest, NodeSet{})
+			b.flights = append(b.flights, batchFlight{run: run, acks: acks, call: call})
 		} else {
 			d.rt.AsyncVecFrom(b.node, dest, b.elems)
 			b.release(run)
@@ -224,9 +224,9 @@ func (b *Batch) send(wait bool) {
 }
 
 // envelope builds run's envelope in b.elems, counted as shipped, from fresh
-// records that each hold their diff: the receiver frees what it is sent, so a
-// re-send cannot reuse the first send's. It returns how many of the elements
-// are invalidations, and the bytes of the diffs.
+// records that each hold their diff: the receiver frees what it is sent. It
+// returns how many of the elements are invalidations, and the bytes of the
+// diffs.
 func (b *Batch) envelope(run []batchOp) (acks int, diffBytes int64) {
 	d := b.d
 	b.elems = b.elems[:0]
@@ -254,26 +254,15 @@ func (b *Batch) envelope(run []batchOp) (acks int, diffBytes int64) {
 }
 
 // waitFlight blocks until one destination's envelope is fully processed.
-// With recovery enabled the wait is bounded: a silent-but-alive destination
-// gets the (idempotent) envelope again; a dead one needs no invalidations
-// and has its diffs re-routed to the pages' current homes.
+// With recovery enabled, a destination that dies first ends the wait at its
+// crash: it needs no invalidations, and its diffs are re-routed to the
+// pages' current homes. The abandoned call, never released, keeps a late
+// reply to itself.
 func (b *Batch) waitFlight(f *batchFlight) {
 	d := b.d
-	for {
-		if _, ok := d.await(b.t, f.call.Reply()); ok {
-			break
-		}
-		d.retried()
-		if d.NodeDead(f.dest) {
-			b.reroute(f.run)
-			return
-		}
-		// Alive but silent: the envelope or its coalesced reply was lost or
-		// is crawling through a partition. Re-send it as a new call —
-		// invalidations and diffs apply idempotently, and the abandoned
-		// call, never released, keeps a late first reply to itself.
-		b.envelope(f.run)
-		f.call = d.rt.StartVecFrom(b.node, f.dest, b.elems, ctrlBytes)
+	if _, ok := d.await(b.t, f.call.Reply()); !ok {
+		b.reroute(f.run)
+		return
 	}
 	f.call.Release()
 	d.stats.InvAcks += int64(f.acks)

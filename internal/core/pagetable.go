@@ -41,6 +41,12 @@ type Entry struct {
 	// faulting threads coalesce onto one request instead of each sending
 	// their own — the multithreaded adaptation Section 3 describes.
 	Pending bool
+	// reqAt is the node holding this node's pending request — in flight to
+	// it, queued or served there — until a server sends the page (then
+	// reqServed). A crash of that node strands the fetch (reqStranded), and
+	// FetchPage sends it again. Recovery only; an int32 beside Pending fits
+	// in its padding, so an entry costs no more than without it.
+	reqAt int32
 
 	// ProtoData is protocol-private per-page state (e.g. the hbrc_mw twin,
 	// or adaptive's write-fault count).
@@ -58,9 +64,9 @@ type Entry struct {
 
 	// reqSeq numbers this node's page requests for this page. Responses
 	// echo it, and with recovery enabled the install discards responses to
-	// superseded requests — a retry after a timeout must not let the
-	// original's late response install stale data. Fault-free runs never
-	// retry, so the sequence is always current there.
+	// superseded requests — a fetch sent again after a crash must not let
+	// the original's late response install stale data. Fault-free runs
+	// never send a fetch twice, so the sequence is always current there.
 	reqSeq uint64
 
 	// proto caches the managing protocol's id from the directory at entry
@@ -72,6 +78,12 @@ type Entry struct {
 	mu   sim.Mutex
 	cond *sim.Cond
 }
+
+// reqAt's states besides a node id.
+const (
+	reqServed   = -1
+	reqStranded = -2
+)
 
 // newEntry builds the entry for pg on one node from the allocation metadata.
 func newEntry(pg Page, pi pageInfo) *Entry {
@@ -145,13 +157,6 @@ func (e *Entry) Unlock(t *pm2.Thread) { e.mu.Unlock(t.Proc()) }
 // the lock while suspended. Used by faulting threads waiting for a page and
 // by servers waiting for in-flight ownership.
 func (e *Entry) Wait(t *pm2.Thread) { e.cond.Wait(t.Proc()) }
-
-// WaitTimeout is Wait bounded by d of virtual time; it reports false when
-// the wait timed out. The recovery paths use it so a fetch whose server died
-// wakes up and retries instead of blocking forever.
-func (e *Entry) WaitTimeout(t *pm2.Thread, d sim.Duration) bool {
-	return e.cond.WaitTimeout(t.Proc(), d)
-}
 
 // Broadcast wakes all threads blocked in Wait.
 func (e *Entry) Broadcast() { e.cond.Broadcast() }

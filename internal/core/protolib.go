@@ -43,11 +43,12 @@ func FetchPage(f *Fault, write bool) {
 		break
 	}
 	e.Pending = true
-	for e.Pending {
-		// The first request, or a retry of the fetch we own: it goes to the
-		// current probable owner — if the server died, the recovery sweep has
-		// redirected the hint to the page's new home — and the bumped
-		// sequence number retires any late response to an earlier request.
+	for {
+		// The first request, or our fetch sent again after a crash: it goes
+		// to the current probable owner — if the server died, the recovery
+		// sweep has redirected the hint to the page's new home — and the
+		// bumped sequence number retires any late response to an earlier
+		// request.
 		e.pendingSeq = e.InvalSeq
 		e.reqSeq++
 		seq, dest := e.reqSeq, e.ProbOwner
@@ -55,13 +56,14 @@ func FetchPage(f *Fault, write bool) {
 		d.profFetch(f.Node, f.Page, dest)
 		d.sendRequest(f.Node, dest, d.newRequest(f.Node, f.Page, f.Node, write, seq, f.Timing))
 		e.Lock(t)
-		for e.Pending {
-			// A wait that expires (recovery only) retries if the fetch in
-			// flight is still ours, not another thread's.
-			if !d.awaitEntry(t, e) && e.Pending && e.reqSeq == seq {
-				d.retried()
-				break
-			}
+		// Wait for the page, or for the crash of the node holding our
+		// request (scrubEntries). Another thread's fetch, following ours,
+		// is that thread's to send.
+		for e.Pending && (e.reqSeq != seq || e.reqAt != reqStranded) {
+			e.Wait(t)
+		}
+		if !e.Pending {
+			break
 		}
 	}
 	f.KeepEntryLocked()
@@ -157,6 +159,7 @@ func SendPage(r *Request, e *Entry, dest int, access memory.Access, ownship bool
 	if ft := liveTiming(r.Timing, r.ftSeq); ft != nil {
 		ft.Server = d.costs.Server
 	}
+	d.trackRequest(r, reqServed)
 	frame := d.state[r.Node].space.Frame(e.Page)
 	if frame == nil {
 		panic(fmt.Sprintf("core: SendPage on node %d without a copy of page %d (request from %d)",
@@ -179,54 +182,36 @@ func SendPage(r *Request, e *Entry, dest int, access memory.Access, ownship bool
 // except self and newOwner, and blocks until all of them acknowledge.
 // The entry lock must NOT be held: invalidated nodes may need it.
 //
-// The acks arrive on t's own reply queue, empty again on return: t has no
-// Call outstanding, and one ack per invalidation comes back. With recovery
-// on, acks are tracked per holder on a private queue (a retry's late
-// duplicates must not reach t's next Call), dead holders are skipped, and an
-// expired wait re-sends to the silent ones (invalidations are idempotent).
+// Each ack names its holder and arrives on t's own reply queue, empty again
+// on return: t has no Call outstanding, and one ack per invalidation comes
+// back. With recovery on, dead holders are skipped, and the acks use a
+// private queue instead, which a crash of a holder still awaited wakes with
+// peerDead (see watch): a dead holder's copies died with it.
 func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner int) {
-	if d.recovery == nil {
-		acks := 0
-		ack := t.ReplyQueue()
-		copyset.ForEach(func(n int) {
-			if n == t.Node() || n == newOwner {
-				return
-			}
-			d.sendInvalidate(t.Node(), n, pg, newOwner, ack)
-			acks++
-		})
-		for i := 0; i < acks; i++ {
-			ack.Recv(t.Proc())
-			d.stats.InvAcks++
-		}
-		return
+	ack := t.ReplyQueue()
+	if d.recovery != nil {
+		ack = new(sim.Chan)
 	}
-	ack := new(sim.Chan)
 	var outstanding NodeSet
 	copyset.ForEach(func(n int) {
-		if n == t.Node() || n == newOwner || d.NodeDead(n) {
-			return
+		if n != t.Node() && n != newOwner && !d.NodeDead(n) {
+			d.sendInvalidate(t.Node(), n, pg, newOwner, ack)
+			outstanding.Add(n)
 		}
-		d.sendInvalidate(t.Node(), n, pg, newOwner, ack)
-		outstanding.Add(n)
 	})
+	d.watch(ack, t.Node(), -1, outstanding)
 	for !outstanding.Empty() {
-		if v, ok := d.await(t, ack); ok {
-			if n, isAck := v.(int); isAck && outstanding.Contains(n) {
-				outstanding.Remove(n)
+		switch v := ack.Recv(t.Proc()).(type) {
+		case int:
+			if outstanding.Contains(v) {
+				outstanding.Remove(v)
 				d.stats.InvAcks++
 			}
-			continue
+		case peerDead:
+			outstanding.Remove(v.node)
 		}
-		outstanding.ForEach(func(n int) {
-			if d.NodeDead(n) {
-				outstanding.Remove(n)
-				return
-			}
-			d.retried()
-			d.sendInvalidate(t.Node(), n, pg, newOwner, ack)
-		})
 	}
+	d.unwatch(ack)
 }
 
 // DropCopy invalidates the local copy of pg: the frame is discarded, rights

@@ -15,11 +15,11 @@ import (
 // protocol routine's context alike, owned by whoever holds it: the sender
 // until it is sent, then the service handler, which completes DSM/Thread/Node
 // and hands the same pointer to the routine. Whoever consumes a record frees
-// it, once; recovery's re-sends take fresh ones. Two records may outlive
-// their first holder, with recovery on or off: a diff is held by each
-// envelope carrying it and by its sender until the ack, and the last holder
-// to let go frees it (FreeDiff); a fault's timing outlives the fault in the
-// ring, and a response that arrives once the ring recycled it writes
+// it, once; a fetch sent again after a crash takes a fresh one. Two records
+// may outlive their first holder, with recovery on or off: a diff is held by
+// each envelope carrying it and by its sender until the ack, and the last
+// holder to let go frees it (FreeDiff); a fault's timing outlives the fault
+// in the ring, and a response that arrives once the ring recycled it writes
 // nothing (liveTiming).
 
 // recPools holds the free records. The lists start empty and fill with what

@@ -154,67 +154,6 @@ func TestRecoveryRecyclesSharedRecords(t *testing.T) {
 	}
 }
 
-// TestResentDiffOutlivesTheFirstAck: a partition longer than the retry
-// timeout holds a diff envelope until its re-send has joined it, and the heal
-// delivers both. The first copy's DiffServer is slow, the second's is not, so
-// the sender has its ack while the first copy has yet to read the diff they
-// share — through SendDiffsHome, whose attempts share one reply channel, and
-// through a Batch, whose re-send is a new call. The diff must reach both
-// DiffServers intact, and go back to the pool once, after both.
-func TestResentDiffOutlivesTheFirstAck(t *testing.T) {
-	send := map[string]func(d *DSM, th *pm2.Thread, df *memory.Diff){
-		"SendDiffsHome": func(d *DSM, th *pm2.Thread, df *memory.Diff) {
-			SendDiffsHome(d, th, 1, df, true)
-		},
-		"Batch": func(d *DSM, th *pm2.Thread, df *memory.Diff) {
-			b := d.NewBatch(th)
-			b.Diff(1, df, false)
-			b.Flush(true)
-		},
-	}
-	defer func() { PoisonFreed = false }()
-	for name, send := range send {
-		for _, poison := range []bool{false, true} {
-			PoisonFreed = poison
-			rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: madeleine.BIPMyrinet, Seed: 1})
-			rt.EnableFaults(1)
-			d := New(rt, NewRegistry())
-			d.EnableRecovery(nil)
-			var pg Page
-			served := 0
-			d.SetDefaultProtocol(d.CreateProtocol(&Hooks{ProtoName: "slow", OnDiffServer: func(dm *DiffMsg) {
-				if served++; served == 1 {
-					dm.Thread.Compute(2 * sim.Millisecond)
-				}
-				if df := dm.Diffs[0]; df.Page != pg || len(df.Entries) != 1 {
-					t.Errorf("%s, poisoned %v: a copy read a recycled diff: %+v", name, poison, *df)
-					return
-				}
-				ApplyDiffs(dm)
-			}}))
-			pg = d.Space(0).PageOf(d.MustMalloc(1, PageSize, nil))
-			nw := rt.Network()
-			nw.PartitionLink(0, 1)
-			nw.PartitionLink(1, 0)
-			rt.Engine().Schedule(sim.Time(5500*sim.Microsecond), func() { nw.HealLink(0, 1); nw.HealLink(1, 0) })
-			rt.CreateThread(0, "writer", func(th *pm2.Thread) {
-				df := NewDiff(d)
-				df.Compute(pg, make([]byte, 16), []byte{15: 9}, 0)
-				send(d, th, df)
-			})
-			if err := rt.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if served != 2 || d.Space(1).Frame(pg).Data[15] != 9 {
-				t.Errorf("%s, poisoned %v: %d copies served, home reads %d; want 2 and 9", name, poison, served, d.Space(1).Frame(pg).Data[15])
-			}
-			if n := d.recs.diffs.Len(); !poison && n != 1 {
-				t.Errorf("%s: %d diffs pooled after both copies, want 1", name, n)
-			}
-		}
-	}
-}
-
 // TestRecycledBatchKeepsOnlyItsBuffers: a flushed Batch comes back empty, with
 // the buffers its last life grew — cleared of the diffs, records and calls
 // they pointed at — and nothing else; poisoned, it loses the buffers too.

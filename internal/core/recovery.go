@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/pm2"
@@ -23,19 +24,16 @@ import (
 //   - lock and barrier manager state is cleansed: queued acquires from the
 //     dead node are cancelled, a lock held by it is granted onward, and
 //     barrier slots are left to the idempotent re-arrival protocol;
-//   - in-flight protocol actions do not wait on the dead forever — the
-//     fetch/invalidate/diff paths in protolib.go and comm.go bound their
-//     waits with RetryTimeout and retry against the repaired state.
+//   - in-flight protocol actions do not wait on the dead forever: a crash
+//     wakes every wait it strands at the crash instant (see watch and
+//     scrubEntries), and the waiter re-routes against the repaired state.
+//
+// The failure detector is perfect — the simulator knows the instant a node
+// fails — and the links below are reliable (madeleine retransmits what a
+// lossy link loses), so no protocol wait needs a timeout.
 //
 // Everything is swept in deterministic order (sorted pages, node ids
 // ascending), so a crash at a fixed virtual time replays bit-identically.
-
-// RetryTimeout bounds every blocking protocol wait while recovery is on
-// (page fetch, invalidation acks, diff replies, migrations): on expiry the
-// action re-checks the fault state and retries. It sits comfortably above the
-// slowest calibrated round trip (TCP/Fast Ethernet page fault, ~1ms), so
-// fault-free traffic never retries spuriously.
-const RetryTimeout = 5 * sim.Millisecond
 
 // RecoveryStats counts the recovery manager's work.
 type RecoveryStats struct {
@@ -49,8 +47,6 @@ type RecoveryStats struct {
 	// zero on the new home. Applications must either tolerate this or keep
 	// recoverable data under a home-based protocol on protected nodes.
 	Lost int
-	// Retries counts protocol actions re-sent after a timeout or a crash.
-	Retries int64
 }
 
 // recoveryState is the DSM's recovery manager (nil when disabled).
@@ -61,7 +57,22 @@ type recoveryState struct {
 	onRestart func(node int)
 	dead      []bool
 	stats     RecoveryStats
+	// waits are the protocol waits a crash may strand, in registration
+	// order (see watch).
+	waits []watched
 }
+
+// watched is one registered protocol wait: node's thread awaits, on ch, the
+// reply of peer — or, with peer -1, of each node of peers (a round).
+type watched struct {
+	ch    *sim.Chan
+	node  int
+	peer  int
+	peers NodeSet
+}
+
+// peerDead is what a crash pushes into a wait on the dead peer.
+type peerDead struct{ node int }
 
 // EnableRecovery switches the recovery manager on, with onRestart (may be
 // nil) as the node-restart hook. Call it before Run; the fault plan's node
@@ -71,28 +82,77 @@ func (d *DSM) EnableRecovery(onRestart func(node int)) {
 	d.recovery = &recoveryState{onRestart: onRestart, dead: make([]bool, d.rt.Nodes())}
 }
 
-// await is a protocol action's wait for its reply on ch: unbounded with
-// recovery off, and otherwise bounded by RetryTimeout. On expiry it reports
-// false, and the caller re-checks the fault state and re-sends, counting each
-// re-send with retried.
+// watch registers node's wait for peer's reply on ch — or, with peer -1, a
+// round's for the reply of each node of peers — from the moment the requests
+// leave until the wait takes its reply. With recovery on, a crash of an
+// awaited node pushes peerDead into ch at the crash instant, even if the
+// node restarts before the waiter runs, unless a single peer's reply is
+// already there; a peer already dead does so at once. A round ignores a
+// peerDead of a node that already answered. ch must be the wait's own
+// channel.
+func (d *DSM) watch(ch *sim.Chan, node, peer int, peers NodeSet) {
+	switch {
+	case d.recovery == nil:
+	case peer >= 0 && d.NodeDead(peer):
+		ch.Push(peerDead{peer})
+	default:
+		d.recovery.waits = append(d.recovery.waits, watched{ch: ch, node: node, peer: peer, peers: peers})
+	}
+}
+
+// await takes the reply watch registered on ch. It reports false when the
+// peer died instead: the caller then re-routes against the repaired state.
 func (d *DSM) await(t *pm2.Thread, ch *sim.Chan) (interface{}, bool) {
-	if d.recovery == nil {
-		return ch.Recv(t.Proc()), true
-	}
-	return ch.RecvTimeout(t.Proc(), RetryTimeout)
+	v := ch.Recv(t.Proc())
+	d.unwatch(ch)
+	_, dead := v.(peerDead)
+	return v, !dead
 }
 
-// awaitEntry is await for a wake-up on e, whose lock t holds.
-func (d *DSM) awaitEntry(t *pm2.Thread, e *Entry) bool {
-	if d.recovery == nil {
-		e.Wait(t)
-		return true
+// unwatch ends the wait registered on ch, if it is still registered.
+func (d *DSM) unwatch(ch *sim.Chan) {
+	if rec := d.recovery; rec != nil {
+		if i := slices.IndexFunc(rec.waits, func(w watched) bool { return w.ch == ch }); i >= 0 {
+			rec.waits = slices.Delete(rec.waits, i, i+1)
+		}
 	}
-	return e.WaitTimeout(t, RetryTimeout)
 }
 
-// retried counts an action re-sent or re-routed after a (bounded) wait expired.
-func (d *DSM) retried() { d.recovery.stats.Retries++ }
+// wakeWaits ends, at node n's crash, the waits it strands: a wait on n gets
+// peerDead unless its reply already arrived, and so does a round over n.
+// Waits of n's own threads died with them.
+func (d *DSM) wakeWaits(n int) {
+	rec := d.recovery
+	kept := rec.waits[:0]
+	for _, w := range rec.waits {
+		switch {
+		case w.node == n:
+			continue
+		case w.peer < 0 && w.peers.Contains(n):
+			w.ch.Push(peerDead{n})
+		case w.peer == n:
+			if w.ch.Len() == 0 {
+				w.ch.Push(peerDead{n})
+			}
+			continue
+		}
+		kept = append(kept, w)
+	}
+	clear(rec.waits[len(kept):])
+	rec.waits = kept
+}
+
+// trackRequest notes, with recovery on, where r — the requester's pending
+// fetch, if still current — now is: at, or reqServed once a server sent the
+// page, which reaches the requester even if the server then dies.
+func (d *DSM) trackRequest(r *Request, at int) {
+	if d.recovery == nil {
+		return
+	}
+	if e := d.state[r.From].entry(r.Page); e != nil && e.Pending && e.reqSeq == r.Seq {
+		e.reqAt = int32(at)
+	}
+}
 
 // RecoveryStats returns the recovery counters (zero value when disabled).
 func (d *DSM) RecoveryStats() RecoveryStats {
@@ -131,6 +191,7 @@ func (d *DSM) CrashNode(n int) {
 	d.installers[n].kill()
 	d.rehomePages(n)
 	d.scrubLocks(n)
+	d.wakeWaits(n)
 }
 
 // RestartNode brings node n back cold: fresh DSM node state (no frames, no
@@ -267,9 +328,14 @@ func (d *DSM) scrubEntries(pg Page, n, target int) {
 			// left the dead node before the fail-stop and land after this
 			// sweep — installing a copy the rebuilt copyset knows nothing
 			// about, stale forever. Retire it: the bumped InvalSeq makes
-			// the install discard the late response, and the fetch retries
-			// toward the repaired owner hint on its recovery timeout.
+			// the install discard the late response. A request the dead
+			// node held died with it: the wake sends the fetch again toward
+			// the repaired owner hint (see FetchPage).
 			e.InvalSeq++
+			if e.reqAt == int32(n) {
+				e.reqAt = reqStranded
+				e.Broadcast()
+			}
 		}
 	}
 }

@@ -21,27 +21,34 @@ import (
 //     incarnation of the node;
 //   - a partitioned link queues its traffic until the link heals (a
 //     transient partition with reliable transport underneath);
-//   - a lossy link drops or duplicates each message independently with the
-//     configured probabilities, drawn from the fault layer's private PRNG so
-//     the engine's own random stream — and therefore the fault-free portion
-//     of the replay — is untouched. A duplicate occupies the link like the
-//     original but is never delivered: the receiver sees each message at
-//     most once, as over the reliable transports Madeleine runs on.
+//   - a lossy link loses or duplicates each transmission independently with
+//     the configured probabilities, drawn from the fault layer's private PRNG
+//     so the engine's own random stream — and therefore the fault-free
+//     portion of the replay — is untouched. A lost transmission is not a lost
+//     message: the link sends it again one retransmission timeout later (its
+//     own latency plus an acknowledgement's) and draws again, and the
+//     traffic behind it waits in the link's hold queue, as behind a
+//     partition. A duplicate occupies the link like the original but is never
+//     delivered. The layers above thus see reliable FIFO links that are
+//     sometimes slow, as over the transports Madeleine runs on (BIP, SISCI,
+//     TCP).
 
 // FaultStats aggregates the fault layer's counters.
 type FaultStats struct {
 	// DeadDrops counts messages dropped because an endpoint was dead.
 	DeadDrops int
-	// Dropped counts messages discarded by lossy links, or held on a
-	// partition when an endpoint crashed.
+	// Dropped counts messages held on a link when an endpoint crashed.
 	Dropped int
+	// Retransmits counts transmissions lossy links lost and sent again.
+	Retransmits int
 	// Duplicated counts extra copies lossy links put on the wire (and the
 	// receiver discarded).
 	Duplicated int
-	// Held counts messages queued on partitioned links.
+	// Held counts messages queued on a partitioned link or behind a lost
+	// transmission.
 	Held int
 	// HeldTime is the total virtual time held messages spent waiting for
-	// their link to heal — the fault-induced latency the timing reports
+	// their link to carry them — the fault-induced latency the timing reports
 	// attribute to the link (it surfaces in FaultTiming.Transfer and
 	// TimingLog.ByLink automatically, since transfer time is measured
 	// send-to-receive).
@@ -51,35 +58,44 @@ type FaultStats struct {
 	Restarts int
 }
 
-// heldMsg is one message parked on a partitioned link. A multi-part
-// envelope (SendGather) is held as a unit: parts is non-nil, q/payload are
-// unused, and heal re-injects the whole envelope through one departure.
+// heldMsg is one message parked on a link. A multi-part envelope
+// (SendGather) is held as a unit: parts is non-nil, q/payload are unused, and
+// the link re-injects the whole envelope through one departure.
 type heldMsg struct {
 	from    int
 	to      int
 	q       *sim.Chan
 	payload interface{}
 	size    int
-	d       sim.Duration // arrival latency to charge from heal time
+	d       sim.Duration // arrival latency, charged from the departure
 	isMsg   bool         // payload is a pooled *Message owned by this network
 	parts   []*Message   // multi-part envelope held as a unit
 	heldAt  sim.Time
 }
 
-// dropParts reclaims every part of a discarded multi-part envelope: each
-// pooled Message (and its inner payload, via the drop handler) exactly once.
-func (nw *Network) dropParts(fs *faultState, parts []*Message) {
-	for _, m := range parts {
+// discard reclaims a held message that will never be delivered: each pooled
+// Message (and its inner payload, via the drop handler) exactly once.
+func (nw *Network) discard(fs *faultState, hm *heldMsg) {
+	if hm.parts == nil {
+		nw.dropPayload(fs, hm.payload, hm.isMsg)
+		return
+	}
+	for _, m := range hm.parts {
 		nw.dropPayload(fs, m, true)
 	}
 }
 
-// linkFault is the fault state of one directed link.
+// linkFault is the fault state of one directed link. It is the call record
+// of its own retransmission timer (see Fire).
 type linkFault struct {
+	nw          *Network
 	partitioned bool
-	dropRate    float64
-	dupRate     float64
-	held        []heldMsg
+	// resending marks the timer in the calendar: the head of held was lost
+	// and goes out again when it fires.
+	resending bool
+	dropRate  float64
+	dupRate   float64
+	held      []heldMsg
 }
 
 // faultState is the fault layer (nil when faults are disabled).
@@ -199,11 +215,7 @@ func (nw *Network) sweepHeld(fs *faultState, n int) {
 		kept := lf.held[:0]
 		for _, hm := range lf.held {
 			if hm.to == n || hm.from == n {
-				if hm.parts != nil {
-					nw.dropParts(fs, hm.parts)
-				} else {
-					nw.dropPayload(fs, hm.payload, hm.isMsg)
-				}
+				nw.discard(fs, &hm)
 				fs.stats.Dropped++
 				continue
 			}
@@ -229,11 +241,12 @@ func (nw *Network) RestartNode(n int) {
 }
 
 // link returns (creating on demand) the fault state of the directed link.
-func (fs *faultState) link(from, to int) *linkFault {
+func (nw *Network) link(op string, from, to int) *linkFault {
+	fs := nw.mustFaults(op)
 	key := linkKey{from, to}
 	lf := fs.links[key]
 	if lf == nil {
-		lf = &linkFault{}
+		lf = &linkFault{nw: nw}
 		fs.links[key] = lf
 	}
 	return lf
@@ -241,50 +254,26 @@ func (fs *faultState) link(from, to int) *linkFault {
 
 // PartitionLink cuts the directed link from->to.
 func (nw *Network) PartitionLink(from, to int) {
-	nw.mustFaults("PartitionLink").link(from, to).partitioned = true
+	nw.link("PartitionLink", from, to).partitioned = true
 }
 
-// HealLink restores the directed link from->to, re-injecting any held
-// messages in FIFO order with their original latency charged from now.
+// HealLink restores the directed link from->to: held messages go out in
+// FIFO order with their original latency charged from now.
 func (nw *Network) HealLink(from, to int) {
-	fs := nw.mustFaults("HealLink")
-	lf := fs.links[linkKey{from, to}]
+	lf := nw.mustFaults("HealLink").links[linkKey{from, to}]
 	if lf == nil || !lf.partitioned {
 		return
 	}
 	lf.partitioned = false
-	held := lf.held
-	lf.held = nil
-	now := nw.eng.Now()
-	for _, hm := range held {
-		dead := func(n int) bool { return n >= 0 && n < nw.n && fs.dead[n] }
-		if dead(hm.to) || dead(hm.from) {
-			if hm.parts != nil {
-				nw.dropParts(fs, hm.parts)
-			} else {
-				nw.dropPayload(fs, hm.payload, hm.isMsg)
-			}
-			fs.stats.Dropped++
-			continue
-		}
-		fs.stats.HeldTime += now.Sub(hm.heldAt)
-		// Re-inject through the occupancy clock: a healed burst pays the
-		// same link serialization a normally-sent burst would.
-		if hm.parts != nil {
-			nw.deliverGather(hm.from, hm.to, hm.parts, hm.size, hm.d)
-			continue
-		}
-		depart := nw.departure(hm.from, hm.to, hm.size)
-		nw.eng.SchedulePush(depart.Add(hm.d), hm.q, hm.payload)
-	}
+	lf.flush()
 }
 
-// SetLinkLoss makes the directed link lossy: each message is independently
-// dropped with probability dropRate and duplicated with probability dupRate
-// (a duplicate costs link time, never a second delivery). Zero rates
-// restore reliability.
+// SetLinkLoss makes the directed link lossy: each transmission is
+// independently lost with probability dropRate (and sent again, see lose)
+// and duplicated with probability dupRate (a duplicate costs link time, never
+// a second delivery). Zero rates restore reliability.
 func (nw *Network) SetLinkLoss(from, to int, dropRate, dupRate float64) {
-	lf := nw.mustFaults("SetLinkLoss").link(from, to)
+	lf := nw.link("SetLinkLoss", from, to)
 	lf.dropRate = dropRate
 	lf.dupRate = dupRate
 }
@@ -307,73 +296,84 @@ func (nw *Network) dropPayload(fs *faultState, payload interface{}, isMsg bool) 
 	}
 }
 
-// interceptGather applies the fault model to one multi-part envelope and
-// reports whether it was consumed (dropped or held). The envelope is
-// all-or-nothing: a dead endpoint or a drop discards every part, reclaiming
-// each pooled Message (and handing each inner payload to the drop handler)
-// exactly once; a partition parks the whole envelope so heal re-injects it
-// through a single departure. Loss is drawn once per envelope
-// — it is one unit on the wire — and no duplicate is drawn for it. parts is
-// the sender's scratch list, so the one branch that keeps it copies it.
-func (nw *Network) interceptGather(from, to int, parts []*Message, total int, d sim.Duration) bool {
+// intercept applies the fault model to one send and reports whether it took
+// the message over: a dead endpoint's is discarded, and a faulted link's
+// goes through its queue (see flush). It runs before the link occupancy
+// model: a message that does not depart now must not advance the link clock.
+// A multi-part envelope is one unit on the wire: a dead endpoint discards
+// every part, the link holds and loses it whole, and no duplicate is drawn
+// for it. hm.parts is the sender's scratch list, so the queue copies it.
+func (nw *Network) intercept(hm heldMsg) bool {
 	fs := nw.faults
-	if to >= 0 && to < nw.n && fs.dead[to] || from >= 0 && from < nw.n && fs.dead[from] {
+	if dead := func(n int) bool { return n >= 0 && n < nw.n && fs.dead[n] }; dead(hm.to) || dead(hm.from) {
 		fs.stats.DeadDrops++
-		nw.dropParts(fs, parts)
+		nw.discard(fs, &hm)
 		return true
 	}
-	lf := fs.links[linkKey{from, to}]
+	lf := fs.links[linkKey{hm.from, hm.to}]
 	if lf == nil {
 		return false
 	}
-	if lf.partitioned {
+	hm.heldAt = nw.eng.Now()
+	if lf.partitioned || lf.resending || len(lf.held) > 0 {
 		fs.stats.Held++
-		lf.held = append(lf.held, heldMsg{
-			from: from, to: to, parts: slices.Clone(parts), size: total,
-			d: d, heldAt: nw.eng.Now(),
-		})
-		return true
 	}
-	if lf.dropRate > 0 && fs.rng.Float64() < lf.dropRate {
-		fs.stats.Dropped++
-		nw.dropParts(fs, parts)
-		return true
+	if hm.parts != nil {
+		hm.parts = slices.Clone(hm.parts)
 	}
-	return false
+	lf.held = append(lf.held, hm)
+	lf.flush()
+	return true
 }
 
-// intercept applies the fault model to one send and reports whether the
-// message was consumed (dropped or held). It runs before the link occupancy
-// model: a message that never departs must not advance the link clock. isMsg marks payloads that are pooled *Message envelopes.
-func (nw *Network) intercept(from, to int, q *sim.Chan, payload interface{}, size int, d sim.Duration, isMsg bool) bool {
-	fs := nw.faults
-	if to >= 0 && to < nw.n && fs.dead[to] || from >= 0 && from < nw.n && fs.dead[from] {
-		fs.stats.DeadDrops++
-		nw.dropPayload(fs, payload, isMsg)
-		return true
-	}
-	lf := fs.links[linkKey{from, to}]
-	if lf == nil {
+// lose draws whether the link loses this transmission of hm. A lost one is
+// sent again one retransmission timeout from now: the time the sender would
+// have waited for its acknowledgement, hm's own latency plus a control
+// message's. Until then the link holds everything behind it.
+func (lf *linkFault) lose(hm *heldMsg) bool {
+	fs := lf.nw.faults
+	if lf.dropRate == 0 || fs.rng.Float64() >= lf.dropRate {
 		return false
 	}
-	if lf.partitioned {
-		fs.stats.Held++
-		lf.held = append(lf.held, heldMsg{
-			from: from, to: to, q: q, payload: payload, size: size,
-			d: d, isMsg: isMsg, heldAt: nw.eng.Now(),
-		})
-		return true
+	fs.stats.Retransmits++
+	lf.resending = true
+	eng := lf.nw.eng
+	eng.ScheduleCall(eng.Now().Add(hm.d+lf.nw.Link(hm.from, hm.to).CtrlMsg), lf)
+	return true
+}
+
+// Fire is the retransmission timer: the lost head of the queue goes out
+// again, with whatever waited behind it.
+func (lf *linkFault) Fire() {
+	lf.resending = false
+	lf.flush()
+}
+
+// flush transmits the held messages in FIFO order until the queue is empty,
+// the link is cut, or a transmission is lost and waits for its timer. A
+// plain message may be duplicated: the copy takes its turn on the link ahead
+// of the original, and the receiving interface discards it. Departures go
+// through the occupancy clock, so a released burst pays the same link
+// serialization a normally-sent burst would.
+func (lf *linkFault) flush() {
+	nw, fs := lf.nw, lf.nw.faults
+	now := nw.eng.Now()
+	sent := 0
+	for _, hm := range lf.held {
+		if lf.partitioned || lf.resending || lf.lose(&hm) {
+			break
+		}
+		sent++
+		fs.stats.HeldTime += now.Sub(hm.heldAt)
+		if hm.parts != nil {
+			nw.deliverGather(hm.from, hm.to, hm.parts, hm.size, hm.d)
+			continue
+		}
+		if lf.dupRate > 0 && hm.isMsg && fs.rng.Float64() < lf.dupRate {
+			fs.stats.Duplicated++
+			nw.departure(hm.from, hm.to, hm.size)
+		}
+		nw.eng.SchedulePush(nw.departure(hm.from, hm.to, hm.size).Add(hm.d), hm.q, hm.payload)
 	}
-	if lf.dropRate > 0 && fs.rng.Float64() < lf.dropRate {
-		fs.stats.Dropped++
-		nw.dropPayload(fs, payload, isMsg)
-		return true
-	}
-	if lf.dupRate > 0 && isMsg && fs.rng.Float64() < lf.dupRate {
-		// The copy takes its turn on the link ahead of the original; the
-		// receiving interface discards it.
-		fs.stats.Duplicated++
-		nw.departure(from, to, size)
-	}
-	return false
+	lf.held = slices.Delete(lf.held, 0, sent)
 }

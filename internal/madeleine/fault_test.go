@@ -165,13 +165,20 @@ func TestCrashDropsHeldMessagesFromCorpse(t *testing.T) {
 }
 
 // TestLinkLossDeterministic: loss draws come from the fault layer's private
-// PRNG, so the same seed drops the same messages.
+// PRNG, so the same seed loses the same transmissions: the same retransmits,
+// and every message at the same instant.
 func TestLinkLossDeterministic(t *testing.T) {
-	run := func() (delivered int) {
+	run := func() (arrivals []sim.Time, st FaultStats) {
 		eng := sim.NewEngine(1)
 		nw := NewNetwork(eng, BIPMyrinet, 2)
 		nw.EnableFaults(99)
 		nw.SetLinkLoss(0, 1, 0.5, 0)
+		eng.Go("recv", func(p *sim.Proc) {
+			for i := 0; i < 40; i++ {
+				nw.Recv(p, 1, "ch")
+				arrivals = append(arrivals, p.Now())
+			}
+		})
 		eng.Go("send", func(p *sim.Proc) {
 			for i := 0; i < 40; i++ {
 				nw.SendCtrl(0, 1, "ch", i)
@@ -180,19 +187,66 @@ func TestLinkLossDeterministic(t *testing.T) {
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		for {
-			if _, ok := nw.TryRecv(1, "ch"); !ok {
-				return delivered
+		return arrivals, nw.FaultStats()
+	}
+	a, sa := run()
+	b, sb := run()
+	if !slices.Equal(a, b) || sa != sb {
+		t.Fatalf("same seed: arrivals %v, %+v\nthen %v, %+v", a, sa, b, sb)
+	}
+	if sa.Retransmits == 0 {
+		t.Fatalf("loss rate 0.5 lost nothing of 40 — draws not happening: %+v", sa)
+	}
+}
+
+// TestLossyLinkDeliversOnceInOrder: a link that loses half its transmissions
+// and duplicates 30% of them still hands the receiver every message exactly
+// once, in send order — plain messages and gathered envelopes alike, sent
+// through a partition that cuts the link mid-stream — and a lost
+// transmission costs time, not the message.
+func TestLossyLinkDeliversOnceInOrder(t *testing.T) {
+	const msgs = 60
+	for seed := int64(1); seed <= 10; seed++ {
+		eng := sim.NewEngine(1)
+		nw := NewNetwork(eng, BIPMyrinet, 2)
+		nw.SetLinkContention(true)
+		nw.EnableFaults(seed)
+		nw.SetLinkLoss(0, 1, 0.5, 0.3)
+		ch := nw.ChannelID("ch")
+		var got []interface{}
+		eng.Go("recv", func(p *sim.Proc) {
+			for len(got) < msgs {
+				got = append(got, nw.RecvID(p, 1, ch).Payload)
 			}
-			delivered++
+		})
+		eng.Go("send", func(p *sim.Proc) {
+			for i := 0; i < msgs; i += 3 {
+				nw.SendID(0, 1, ch, 64, i, nw.Link(0, 1).CtrlMsg)
+				nw.SendGather(0, 1, []GatherPart{{Chan: ch, Size: 32, Payload: i + 1}, {Chan: ch, Size: 32, Payload: i + 2}},
+					nw.Link(0, 1).CtrlMsg)
+				if i == msgs/2 {
+					nw.PartitionLink(0, 1)
+				}
+				p.Advance(5 * sim.Microsecond)
+				if i == msgs/2+9 {
+					nw.HealLink(0, 1)
+				}
+			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same seed delivered %d then %d messages", a, b)
-	}
-	if a == 0 || a == 40 {
-		t.Fatalf("loss rate 0.5 delivered %d of 40 — draws not happening", a)
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("seed %d: delivery %d carried %v; want every message once, in order: %v", seed, i, v, got)
+			}
+		}
+		if _, ok := nw.TryRecvID(1, ch); ok {
+			t.Fatalf("seed %d: a message was delivered twice", seed)
+		}
+		if st := nw.FaultStats(); st.Retransmits == 0 || st.Duplicated == 0 || st.Dropped != 0 {
+			t.Fatalf("seed %d: %+v, want retransmits and duplicates, nothing dropped", seed, st)
+		}
 	}
 }
 

@@ -221,7 +221,7 @@ func (nw *Network) SendAfter(msg *Message, d sim.Duration) {
 		msg.Chan = nw.ChannelID(msg.Channel)
 	}
 	q := nw.queue(msg.To, msg.Chan)
-	if nw.faults != nil && nw.intercept(msg.From, msg.To, q, msg, msg.Size, d, true) {
+	if nw.faults != nil && nw.intercept(heldMsg{from: msg.From, to: msg.To, q: q, payload: msg, size: msg.Size, d: d, isMsg: true}) {
 		return
 	}
 	depart := nw.departure(msg.From, msg.To, msg.Size)
@@ -243,11 +243,11 @@ type GatherPart struct {
 // primitive the batched DSM communication path rides on — N page operations
 // leave the interface as one message instead of N.
 //
-// The fault model treats the envelope as a unit: a dead endpoint or a
-// drop-policy partition discards every part (each pooled Message reclaimed
-// exactly once), a queueing partition holds and later re-injects the whole
-// envelope, and a lossy link draws its drop once per envelope and no
-// duplicate. parts is the caller's again on return.
+// The fault model treats the envelope as a unit: a dead endpoint discards
+// every part (each pooled Message reclaimed exactly once), a partition or a
+// lost transmission holds and later re-injects the whole envelope, and a
+// lossy link draws its loss once per transmission and no duplicate. parts is
+// the caller's again on return.
 func (nw *Network) SendGather(from, to int, parts []GatherPart, d sim.Duration) {
 	if len(parts) == 0 {
 		return
@@ -266,7 +266,7 @@ func (nw *Network) SendGather(from, to int, parts []GatherPart, d sim.Duration) 
 	nw.msgs += len(parts)
 	nw.bytes += int64(total)
 	nw.countEnvelope(from, to)
-	if nw.faults != nil && nw.interceptGather(from, to, msgs, total, d) {
+	if nw.faults != nil && nw.intercept(heldMsg{from: from, to: to, parts: msgs, size: total, d: d}) {
 		return
 	}
 	nw.deliverGather(from, to, msgs, total, d)
@@ -333,7 +333,7 @@ func (nw *Network) SendDirect(from, to int, q *sim.Chan, size int, payload inter
 	nw.msgs++
 	nw.bytes += int64(size)
 	nw.countEnvelope(from, to)
-	if nw.faults != nil && nw.intercept(from, to, q, payload, size, d, false) {
+	if nw.faults != nil && nw.intercept(heldMsg{from: from, to: to, q: q, payload: payload, size: size, d: d}) {
 		return
 	}
 	depart := nw.departure(from, to, size)

@@ -60,8 +60,19 @@ func conformanceTopologies(short bool) []topoCase {
 type scenario struct {
 	name   string
 	oracle func() []uint64
-	run    func(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint64
+	run    func(t *testing.T, rt *machine, d *core.DSM, eager bool) []uint64
 }
+
+// machine is the cluster a scenario drives: the runtime it spawns threads
+// on, and run, which drives them to completion — the runtime's own Run, or
+// a facade System's, which arms an injected fault plan first.
+type machine struct {
+	*pm2.Runtime
+	run func() error
+}
+
+// Run drives every thread spawned so far to completion.
+func (m *machine) Run() error { return m.run() }
 
 // releasePaths are the sweeps' two release legs, named by the path segment
 // of their subtests. On the batched leg a thread's writes ride the release
@@ -88,7 +99,7 @@ func flushFirst(d *core.DSM, th *pm2.Thread, eager bool) {
 
 // conformanceHarness builds a machine over topo with all built-ins
 // registered and proto as default.
-func conformanceHarness(t *testing.T, topo madeleine.Topology, proto string) (*pm2.Runtime, *core.DSM) {
+func conformanceHarness(t *testing.T, topo madeleine.Topology, proto string) (*machine, *core.DSM) {
 	t.Helper()
 	rt := pm2.NewRuntime(pm2.Config{Nodes: conformanceNodes, Network: topo, Seed: 42})
 	reg, _ := NewRegistry()
@@ -98,7 +109,7 @@ func conformanceHarness(t *testing.T, topo madeleine.Topology, proto string) (*p
 		t.Fatalf("protocol %q not registered", proto)
 	}
 	d.SetDefaultProtocol(id)
-	return rt, d
+	return &machine{Runtime: rt, run: rt.Run}, d
 }
 
 // --- scenario: jacobi -------------------------------------------------------
@@ -138,18 +149,18 @@ func jacobiOracle() []uint64 {
 	return out
 }
 
-func jacobiRun(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint64 {
+func jacobiRun(t *testing.T, rt *machine, d *core.DSM, eager bool) []uint64 {
 	return jacobiRunPlaced(t, rt, d, eager, false)
 }
 
 // jacobiRunMisplaced homes every grid row on node 0 — the placement the
 // profiler's home migration exists to repair, so the adaptive sweep
 // exercises real mid-run re-homings under every protocol.
-func jacobiRunMisplaced(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint64 {
+func jacobiRunMisplaced(t *testing.T, rt *machine, d *core.DSM, eager bool) []uint64 {
 	return jacobiRunPlaced(t, rt, d, eager, true)
 }
 
-func jacobiRunPlaced(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager, misplaced bool) []uint64 {
+func jacobiRunPlaced(t *testing.T, rt *machine, d *core.DSM, eager, misplaced bool) []uint64 {
 	rowBytes := (jacN + 2) * 8
 	ownerOf := func(row int) int {
 		if row == 0 {
@@ -251,7 +262,7 @@ func mapcolorOracle() []uint64 {
 	return []uint64{best, arg}
 }
 
-func mapcolorRun(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint64 {
+func mapcolorRun(t *testing.T, rt *machine, d *core.DSM, eager bool) []uint64 {
 	base := d.MustMalloc(0, 16, nil) // [best, argbest]
 	lock := d.NewLock(0)
 	rt.CreateThread(0, "mcinit", func(th *pm2.Thread) {
@@ -302,7 +313,7 @@ func hotspotOracle() []uint64 {
 	return out
 }
 
-func hotspotRun(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint64 {
+func hotspotRun(t *testing.T, rt *machine, d *core.DSM, eager bool) []uint64 {
 	base := d.MustMalloc(0, 8*(conformanceNodes+1), nil)
 	lock := d.NewLock(conformanceNodes - 1) // manager away from the home
 	for node := 0; node < conformanceNodes; node++ {
@@ -353,7 +364,7 @@ func prodconsOracle() []uint64 {
 	return []uint64{sum, pcItems}
 }
 
-func prodconsRun(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint64 {
+func prodconsRun(t *testing.T, rt *machine, d *core.DSM, eager bool) []uint64 {
 	// Layout: [full flag, item, sum, count]
 	base := d.MustMalloc(0, 32, nil)
 	lock := d.NewLock(0)
@@ -400,7 +411,7 @@ func prodconsRun(t *testing.T, rt *pm2.Runtime, d *core.DSM, eager bool) []uint6
 // readBack collects the scenario's final shared values from a fresh thread
 // on node 1 (never the home of anything above), so the comparison crosses
 // the protocol's read path one more time.
-func readBack(t *testing.T, rt *pm2.Runtime, d *core.DSM, read func(*pm2.Thread) []uint64) []uint64 {
+func readBack(t *testing.T, rt *machine, d *core.DSM, read func(*pm2.Thread) []uint64) []uint64 {
 	t.Helper()
 	var out []uint64
 	rt.CreateThread(1, "readback", func(th *pm2.Thread) { out = read(th) })
@@ -429,16 +440,20 @@ func checkRun(t *testing.T, label string, d *core.DSM, got, want []uint64) {
 	}
 }
 
-// adaptiveScenarios are the scenarios of the profiler sweeps: the standard
-// four plus a misplaced-homes jacobi, whose pages the profiler re-homes.
-func adaptiveScenarios() []scenario {
+// conformanceScenarios are the standard four scenarios.
+func conformanceScenarios() []scenario {
 	return []scenario{
 		{"jacobi", jacobiOracle, jacobiRun},
-		{"jacobi-misplaced", jacobiOracle, jacobiRunMisplaced},
 		{"mapcolor", mapcolorOracle, mapcolorRun},
 		{"hotspot", hotspotOracle, hotspotRun},
 		{"prodcons", prodconsOracle, prodconsRun},
 	}
+}
+
+// adaptiveScenarios are the scenarios of the profiler sweeps: the standard
+// four plus a misplaced-homes jacobi, whose pages the profiler re-homes.
+func adaptiveScenarios() []scenario {
+	return append(conformanceScenarios(), scenario{"jacobi-misplaced", jacobiOracle, jacobiRunMisplaced})
 }
 
 // adaptiveProtocols is the protocol set of the profiler sweeps. In -short
@@ -534,12 +549,7 @@ func TestConformanceCounterParity(t *testing.T) {
 // In -short mode only the uniform topology runs (the CI race job uses this
 // subset); both release paths stay covered there.
 func TestConformance(t *testing.T) {
-	scenarios := []scenario{
-		{"jacobi", jacobiOracle, jacobiRun},
-		{"mapcolor", mapcolorOracle, mapcolorRun},
-		{"hotspot", hotspotOracle, hotspotRun},
-		{"prodcons", prodconsOracle, prodconsRun},
-	}
+	scenarios := conformanceScenarios()
 	reg, _ := NewRegistry()
 	protocols := reg.Names()
 	for _, topo := range conformanceTopologies(testing.Short()) {

@@ -424,7 +424,13 @@ func (e *Engine) drive() {
 			if ev, ok = sh.nextEvent(e); !ok {
 				return
 			}
-		} else if q, t := e.head(); q != nil && t <= e.horizon {
+		} else if q, t := e.head(); q == nil {
+			return
+		} else if e.nlive == 0 && parking(q) {
+			now := e.now
+			ev = e.pop(q, t)
+			e.now = now
+		} else if t <= e.horizon {
 			ev = e.pop(q, t)
 		} else {
 			return
@@ -438,6 +444,15 @@ func (e *Engine) drive() {
 			e.fire(&ev)
 		}
 	}
+}
+
+// parking reports whether the record at q's head is a fault event, which
+// parks once every proc has finished (see FaultCursor.Fire): it then does
+// nothing, so the drain that ends a run consumes it whatever its time,
+// without moving the clock.
+func parking(q *ring) bool {
+	_, ok := q.peek().payload.(*FaultCursor)
+	return ok
 }
 
 // resumes returns the proc that firing ev resumes: a live thread's wake

@@ -30,14 +30,15 @@ const (
 	FaultNodeCrash FaultKind = iota
 	// FaultNodeRestart brings a crashed node back with cold memory.
 	FaultNodeRestart
-	// FaultLinkPartition cuts the directed link From->To; messages queue
-	// or drop per the plan's partition policy.
+	// FaultLinkPartition cuts the directed link From->To; its messages
+	// queue until the heal.
 	FaultLinkPartition
 	// FaultLinkHeal restores the directed link From->To, releasing any
 	// queued messages in FIFO order.
 	FaultLinkHeal
-	// FaultLinkLoss sets the directed link's message drop and duplicate
-	// probabilities (DropRate / DupRate); zero rates clear the lossiness.
+	// FaultLinkLoss sets the directed link's loss and duplicate
+	// probabilities per transmission (DropRate / DupRate); a lost
+	// transmission is sent again, and zero rates clear the lossiness.
 	FaultLinkLoss
 )
 
@@ -87,7 +88,9 @@ type FaultEvent struct {
 	Node int
 	From int
 	To   int
-	// DropRate is the probability a message on the link is dropped.
+	// DropRate is the probability a transmission on the link is lost (and
+	// sent again); below 1, since a link that loses everything never
+	// delivers — that is a partition.
 	DropRate float64
 	// DupRate is the probability a message on the link is duplicated.
 	DupRate float64
@@ -233,6 +236,9 @@ func (p *FaultPlan) Validate() error {
 			if ev.DropRate < 0 || ev.DropRate > 1 {
 				return fmt.Errorf("sim: fault plan event %d: drop rate %v outside [0,1]", i, ev.DropRate)
 			}
+			if ev.DropRate == 1 {
+				return fmt.Errorf("sim: fault plan event %d: drop rate 1 never delivers on a retransmitting link; plan a partition instead", i)
+			}
 			if ev.DupRate < 0 || ev.DupRate > 1 {
 				return fmt.Errorf("sim: fault plan event %d: dup rate %v outside [0,1]", i, ev.DupRate)
 			}
@@ -346,9 +352,10 @@ func GenerateMTBFPlan(seed int64, nodes int, horizon Time, mtbf, repair Duration
 // not block. Only the next un-applied event is ever in the queue, so a plan
 // with events past the workload's end does not fire them all into the drain
 // that ends the run: the cursor parks when an event fires after all
-// application procs have finished — the fault is NOT applied, and the next
-// Arm re-schedules it so it lands in the next Run that has live work. A run
-// that Stop paused keeps the armed event queued like any other.
+// application procs have finished — the fault is NOT applied, the clock
+// stays where the run's last other event left it, and the next Arm
+// re-schedules the event so it lands in the next Run that has live work. A
+// run that Stop paused keeps the armed event queued like any other.
 //
 // Arm must be called before each Run (the dsmpm2 facade does this in
 // System.Run). All of this is deterministic: the parked fire and the re-arm
@@ -381,16 +388,18 @@ func (c *FaultCursor) Arm() {
 	}
 	c.armed = true
 	ev := c.events[c.next]
-	c.eng.Schedule(c.base.Add(Duration(ev.At)), c.fire)
+	c.eng.ScheduleCall(c.base.Add(Duration(ev.At)), c)
 }
 
-// fire runs in engine context when the armed event's time arrives.
-func (c *FaultCursor) fire() {
+// Fire runs in engine context when the armed event's time arrives.
+func (c *FaultCursor) Fire() {
 	c.armed = false
 	if c.eng.nlive == 0 {
 		// Every application proc has finished: this Run is draining. Park
-		// without applying; the next Arm re-schedules the event (its time
-		// clamps to the then-current clock if already past).
+		// without applying, and without moving the clock (see drive): a
+		// plan with nothing left to do leaves the run as if it were not
+		// there. The next Arm re-schedules the event (its time clamps to
+		// the then-current clock if already past).
 		return
 	}
 	ev := c.events[c.next]

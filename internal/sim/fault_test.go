@@ -123,39 +123,6 @@ func TestKillReleasesSyncPrimitives(t *testing.T) {
 	}
 }
 
-// TestCondWaitTimeout: a signalled WaitTimeout reports true; an expired one
-// reports false after the deadline.
-func TestCondWaitTimeout(t *testing.T) {
-	eng := NewEngine(1)
-	var mu Mutex
-	cond := NewCond(&mu)
-	var signalled, expired bool
-	var expiredAt Time
-	eng.Go("waiter", func(p *Proc) {
-		mu.Lock(p)
-		signalled = cond.WaitTimeout(p, 100)
-		expired = !cond.WaitTimeout(p, 40)
-		expiredAt = p.Now()
-		mu.Unlock(p)
-	})
-	eng.Go("signaller", func(p *Proc) {
-		p.Advance(10)
-		cond.Signal()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !signalled {
-		t.Fatal("signalled wait reported timeout")
-	}
-	if !expired {
-		t.Fatal("expired wait reported signal")
-	}
-	if expiredAt != 50 { // signalled at t=10, second wait expires 40 later
-		t.Fatalf("timeout fired at %v, want 50", expiredAt)
-	}
-}
-
 // TestChanRecvTimeout: delivery within the deadline wins; an empty channel
 // times out at the deadline.
 func TestChanRecvTimeout(t *testing.T) {

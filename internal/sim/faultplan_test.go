@@ -37,6 +37,7 @@ func TestFaultPlanValidateErrors(t *testing.T) {
 		{"self link", (&FaultPlan{}).Partition(5, 3, 3), "self-link"},
 		{"negative endpoint", (&FaultPlan{}).Heal(5, -1, 3), "negative link endpoint"},
 		{"drop rate above one", (&FaultPlan{}).Loss(5, 0, 1, 1.5, 0), "drop rate"},
+		{"drop rate one", (&FaultPlan{}).Loss(5, 0, 1, 1, 0), "plan a partition instead"},
 		{"negative dup rate", (&FaultPlan{}).Loss(5, 0, 1, 0, -0.5), "dup rate"},
 		{"unknown kind", &FaultPlan{Events: []FaultEvent{{At: 5, Kind: FaultKind(99)}}}, "unknown kind"},
 	}
@@ -145,6 +146,7 @@ func FuzzFaultPlanJSON(f *testing.F) {
 		`{"seed":1,"events":[{"at":5,"kind":"meteor_strike","node":0}]}`,
 		`{"seed":1,"events":[{"at":5,"kind":"restart","node":2}]}`,
 		`{"seed":-3,"events":[{"at":7,"kind":"loss","from":1,"to":2,"drop_rate":0.5,"dup_rate":1e-9}]}`,
+		`{"seed":2,"events":[{"at":7,"kind":"loss","from":1,"to":2,"drop_rate":1}]}`,
 		`{"events":[]}`, `null`, `]]]`,
 	} {
 		f.Add([]byte(seed))

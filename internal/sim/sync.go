@@ -140,26 +140,6 @@ func (p *Proc) rearm(c *Chan) {
 	c.waiters.push(p)
 }
 
-// WaitTimeout is Wait with a deadline: it re-acquires the lock and returns
-// true if the proc was signalled within d, false if the wait timed out.
-// Like Wait, callers must re-check their predicate in a loop. A deadline
-// record left in the calendar after an early signal is inert when it
-// eventually fires, so repeated timed waits on one condition never see
-// spurious wakes from earlier waits.
-func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
-	c.waiters.push(p)
-	p.armDeadline(&c.waiters, d, nil)
-	c.L.Unlock(p)
-	p.Park("cond wait (timed)")
-	// Retire the deadline before re-acquiring the lock: Lock may park the
-	// proc on the mutex, and the still-pending record must not fire into
-	// that (or any later) park.
-	timedOut := !p.timed
-	p.timed = false
-	c.L.Lock(p)
-	return !timedOut
-}
-
 // Resource is a single FIFO server: Use(p, d) occupies it for d of virtual
 // time, queuing behind earlier users. It models a node's CPU: the DSM
 // applications charge their compute phases against their node's Resource so

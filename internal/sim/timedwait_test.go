@@ -6,56 +6,16 @@ import (
 	"testing"
 )
 
-// An early signal must retire the deadline record: a timer left in the
-// calendar by a wait that was signalled just before its deadline must not
-// fire into the proc's next wait on the same condition. With the stale
-// record live, the second wait here would return true ("signalled") at the
-// first wait's deadline without any signal having been sent.
-func TestCondWaitTimeoutEarlySignalRetiresTimer(t *testing.T) {
-	e := NewEngine(1)
-	var m Mutex
-	c := NewCond(&m)
-	var firstOK, secondOK bool
-	var secondAt Time
-	e.Go("waiter", func(p *Proc) {
-		m.Lock(p)
-		firstOK = c.WaitTimeout(p, 100*Microsecond)
-		secondOK = c.WaitTimeout(p, 1000*Microsecond)
-		secondAt = p.Now()
-		m.Unlock(p)
-	})
-	e.Go("signaler", func(p *Proc) {
-		p.Advance(99 * Microsecond) // just before the first deadline
-		m.Lock(p)
-		c.Signal()
-		m.Unlock(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !firstOK {
-		t.Fatal("first wait reported timeout despite signal before deadline")
-	}
-	if secondOK {
-		t.Fatal("second wait reported a signal that was never sent (stale timer fired)")
-	}
-	if want := Time(99 * Microsecond).Add(1000 * Microsecond); secondAt != want {
-		t.Fatalf("second wait ended at %v, want its own deadline %v", secondAt, want)
-	}
-}
-
 // A deadline record for a proc killed mid-wait must be inert when it fires:
 // it must neither unpark the dead proc nor disturb the rest of the run.
-func TestCondWaitTimeoutKilledWaiter(t *testing.T) {
+func TestChanRecvTimeoutKilledWaiter(t *testing.T) {
 	e := NewEngine(1)
-	var m Mutex
-	c := NewCond(&m)
+	var ch Chan
 	var w *Proc
 	returned := false
 	e.Go("waiter", func(p *Proc) {
 		w = p
-		m.Lock(p)
-		c.WaitTimeout(p, 100*Microsecond)
+		ch.RecvTimeout(p, 100*Microsecond)
 		returned = true
 	})
 	e.Go("killer", func(p *Proc) {
@@ -114,61 +74,9 @@ func TestChanRecvTimeoutEarlyDeliveryKeepsFIFO(t *testing.T) {
 	}
 }
 
-// Heavy reuse: one waiter re-arms a timed wait hundreds of times while a
-// signaler lands each signal just before the deadline, interleaved with
-// rounds that genuinely time out. A true return with no signal outstanding
-// means a stale deadline record fired into a later wait. Run under -race in
-// CI, this also checks the timer callback's accesses are properly serialized.
-func TestCondWaitTimeoutHeavyReuse(t *testing.T) {
-	e := NewEngine(11)
-	var m Mutex
-	c := NewCond(&m)
-	const rounds = 300
-	ready := 0
-	badWakes := 0
-	timeouts := 0
-	e.Go("waiter", func(p *Proc) {
-		m.Lock(p)
-		for i := 0; i < rounds; i++ {
-			if c.WaitTimeout(p, 100*Microsecond) {
-				if ready == 0 {
-					badWakes++
-				} else {
-					ready--
-				}
-			} else {
-				timeouts++
-			}
-		}
-		m.Unlock(p)
-	})
-	e.Go("signaler", func(p *Proc) {
-		for i := 0; i < rounds; i++ {
-			if i%4 == 3 {
-				p.Advance(150 * Microsecond) // let this round time out
-				continue
-			}
-			p.Advance(99 * Microsecond) // just before the waiter's deadline
-			m.Lock(p)
-			ready++
-			c.Signal()
-			m.Unlock(p)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if badWakes != 0 {
-		t.Fatalf("%d wakes reported a signal that was never sent", badWakes)
-	}
-	if timeouts == 0 {
-		t.Fatal("expected some rounds to time out; scenario lost its teeth")
-	}
-}
-
-// Same reuse pressure on the channel side: per-request deadlines where most
-// messages arrive just before the deadline. Every reported timeout must land
-// exactly at arm-time + d, and message accounting must conserve.
+// Heavy reuse: per-request deadlines where most messages arrive just before
+// the deadline. Every reported timeout must land exactly at arm-time + d, and
+// message accounting must conserve.
 func TestChanRecvTimeoutHeavyReuse(t *testing.T) {
 	e := NewEngine(23)
 	var ch Chan
@@ -320,34 +228,23 @@ func TestForeverDurationsSaturate(t *testing.T) {
 
 	e := NewEngine(1)
 	var ch Chan
-	var m Mutex
-	c := NewCond(&m)
-	var recvAt, condAt, advAt Time
+	var recvAt, advAt Time
 	e.Spawn("recv", 7, func(p *Proc) {
 		if v, ok := ch.RecvTimeout(p, forever); !ok || v != "m" {
 			t.Errorf("RecvTimeout(forever) = %v, %v; want the message", v, ok)
 		}
 		recvAt = p.Now()
 	})
-	e.Spawn("cond", 7, func(p *Proc) {
-		m.Lock(p)
-		if !c.WaitTimeout(p, forever) {
-			t.Error("WaitTimeout(forever) timed out")
-		}
-		condAt = p.Now()
-		m.Unlock(p)
-	})
 	e.Spawn("adv", 7, func(p *Proc) {
 		p.Advance(forever)
 		advAt = p.Now()
 	})
 	e.SchedulePush(Time(40*Microsecond), &ch, "m")
-	e.Schedule(Time(50*Microsecond), c.Signal)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if recvAt != Time(40*Microsecond) || condAt != Time(50*Microsecond) {
-		t.Errorf("waits ended at %v and %v, want 40us and 50us", recvAt, condAt)
+	if recvAt != Time(40*Microsecond) {
+		t.Errorf("wait ended at %v, want 40us", recvAt)
 	}
 	if advAt != maxTime {
 		t.Errorf("Advance(forever) ended at %d, want maxTime", advAt)

@@ -1,7 +1,8 @@
 package dsmpm2_test
 
-// Regression test for the retry path of recovery-mode protocol waits: a
-// loss-heavy fault plan must still converge and replay bit-identically.
+// Regression test for link-level retransmission: a loss-heavy fault plan —
+// on the data plane's links or on a lock manager's — must still converge and
+// replay bit-identically.
 
 import (
 	"testing"
@@ -10,13 +11,20 @@ import (
 	"dsmpm2/internal/bench"
 )
 
-// runLossy drives a loss-heavy data-plane workload: four writer nodes share
-// pages homed on node 1 and every writer<->home link drops 45% of its
-// messages both ways, so page fetches and release diffs routinely need
-// several retries. Per the documented fault
-// model the synchronization manager (node 0) keeps reliable links. Returns
-// the system for fingerprinting after verifying the data converged.
-func runLossy(t *testing.T) *dsmpm2.System {
+// lossyLinks names the links a runLossy case makes lossy: both directions
+// between each writer (nodes 2..) and peer.
+type lossyLinks struct {
+	peer int     // node 1, the pages' home, or node 0, the lock manager
+	drop float64 // the loss rate per transmission
+}
+
+// runLossy drives a loss-heavy workload: four writer nodes share pages homed
+// on node 1 under a lock managed by node 0, and every writer<->peer link
+// loses the given share of its transmissions both ways, so page fetches,
+// release diffs, or lock acquires and releases routinely need several
+// retransmissions. Returns the system for fingerprinting after verifying the
+// data converged.
+func runLossy(t *testing.T, ll lossyLinks) *dsmpm2.System {
 	t.Helper()
 	const (
 		home    = 1
@@ -26,14 +34,14 @@ func runLossy(t *testing.T) *dsmpm2.System {
 	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 2 + writers, Protocol: "hbrc_mw", Seed: 5})
 	plan := dsmpm2.NewFaultPlan(21)
 	for w := 2; w < 2+writers; w++ {
-		plan.Loss(0, w, home, 0.45, 0)
-		plan.Loss(0, home, w, 0.45, 0)
+		plan.Loss(0, w, ll.peer, ll.drop, 0)
+		plan.Loss(0, ll.peer, w, ll.drop, 0)
 	}
 	if err := sys.InjectFaults(plan, dsmpm2.FaultOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
-	// One page per writer, all homed on the lossy node.
+	// One page per writer, all homed on node 1.
 	pages := make([]dsmpm2.Addr, writers)
 	for i := range pages {
 		pages[i] = sys.MustMalloc(home, dsmpm2.PageSize, &dsmpm2.Attr{Protocol: -1, Home: home})
@@ -44,8 +52,8 @@ func runLossy(t *testing.T) *dsmpm2.System {
 		sys.Spawn(2+i, "writer", func(th *dsmpm2.Thread) {
 			for r := 0; r < rounds; r++ {
 				th.Acquire(lock)
-				// Read a neighbour's page (fetch over a lossy link), then
-				// bump our own counter (diff home over a lossy link).
+				// Read a neighbour's page (a fetch from the home), then
+				// bump our own counter (a diff to the home).
 				peer := th.ReadUint64(pages[(i+1)%writers])
 				th.WriteUint64(pages[i]+8, peer)
 				th.WriteUint64(pages[i], th.ReadUint64(pages[i])+1)
@@ -77,20 +85,26 @@ func runLossy(t *testing.T) *dsmpm2.System {
 	return sys
 }
 
-// TestRetriesConvergeUnderHeavyLoss: a loss-heavy plan still converges to the
-// correct data through the fixed retry timeout, the retry path is actually
-// exercised, and the run replays bit-identically.
+// TestRetriesConvergeUnderHeavyLoss: loss-heavy plans still converge to the
+// correct data through link-level retransmission, which is actually
+// exercised, and replay bit-identically — with 45% loss on the data plane's
+// writer<->home links, and with 20% loss on the lock manager's links, which
+// wedged the run when the DSM waits re-sent on a timeout instead.
 func TestRetriesConvergeUnderHeavyLoss(t *testing.T) {
-	sys := runLossy(t)
-	if sys.RecoveryStats().Retries == 0 {
-		t.Fatalf("no retries under 45%% loss — the regression is not exercising the retry path")
-	}
-	if sys.FaultStats().Dropped == 0 {
-		t.Fatalf("no messages dropped — the plan is not loss-heavy")
-	}
-	// Replay determinism: loss draws come from the plan's seeded PRNG, so the
-	// same plan must reproduce the same trace bit-for-bit.
-	if a, b := bench.TraceFingerprint(sys), bench.TraceFingerprint(runLossy(t)); a != b {
-		t.Fatalf("lossy replay diverged: %s vs %s", a, b)
+	for name, ll := range map[string]lossyLinks{
+		"home links":         {peer: 1, drop: 0.45},
+		"lock manager links": {peer: 0, drop: 0.2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sys := runLossy(t, ll)
+			if sys.FaultStats().Retransmits == 0 {
+				t.Fatalf("no retransmits: %+v", sys.FaultStats())
+			}
+			// Replay determinism: loss draws come from the plan's seeded
+			// PRNG, so the same plan must reproduce the same trace.
+			if a, b := bench.TraceFingerprint(sys), bench.TraceFingerprint(runLossy(t, ll)); a != b {
+				t.Fatalf("lossy replay diverged: %s vs %s", a, b)
+			}
+		})
 	}
 }

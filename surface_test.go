@@ -33,6 +33,7 @@ var exportsWithoutCallers = map[string]string{
 	"sim.lazySource.Seed":            "rand.Source requires it: lazySource is the fault layer's rand.Rand source",
 	"freelist.List.Len":              "the record-pool tests of core, pm2 and sim read pool sizes through it, and a method cannot move into three packages' tests",
 	"sim.Proc.Body":                  "pm2's handler-recycling test checks through it that a recycled handler's proc leads back to it",
+	"sim.Engine.Schedule":            "the tests of sim, pm2, core and the facade schedule closures at chosen instants through it, and a method cannot move into four packages' tests; the kernel's own records are typed (ScheduleCall)",
 }
 
 // listedPackage is the part of `go list -json` the scan reads.
