@@ -127,8 +127,13 @@ func (d *DSM) registerServices() {
 	}
 }
 
-// sendRequest delivers a page request to dest (a control message).
+// sendRequest delivers a page request to dest (a control message), or to the
+// page's home, which the crash sweep keeps alive, if dest is dead: a hint a
+// late page or invalidation aimed at a crashed node.
 func (d *DSM) sendRequest(from, dest int, m *Request) {
+	if d.NodeDead(dest) {
+		dest = d.dir[m.Page].home
+	}
 	d.trackRequest(m, dest)
 	m.sentAt = d.rt.Engine().Now()
 	st := &d.stats
@@ -144,6 +149,7 @@ func (d *DSM) sendRequest(from, dest int, m *Request) {
 // carrying link's profile name is recorded for FaultTiming attribution, so
 // reports can split fault costs by link class (intra- vs inter-cluster).
 func (d *DSM) sendPage(from, dest int, m *PageMsg) {
+	m.Node = dest // a drop on the way strands dest's fetch (strandDropped)
 	m.sentAt = d.rt.Engine().Now()
 	m.link = d.rt.Link(from, dest).Name
 	st := &d.stats

@@ -51,7 +51,10 @@ func crash(d *DSM, n int, at sim.Time, restart bool) {
 func TestCrashEndsWaits(t *testing.T) {
 	for _, restart := range []bool{false, true} {
 		t.Run(fmt.Sprintf("restart=%v", restart), func(t *testing.T) {
-			t.Run("fetch", func(t *testing.T) { crashEndsFetch(t, restart) })
+			t.Run("fetch", func(t *testing.T) { crashEndsFetch(t, restart, holdServing) })
+			t.Run("fetch, page held on a partition", func(t *testing.T) { crashEndsFetch(t, restart, holdPage) })
+			t.Run("fetch, page lost on a lossy link", func(t *testing.T) { crashEndsFetch(t, restart, holdLostPage) })
+			t.Run("fetch, forward held on a partition", func(t *testing.T) { crashEndsFetch(t, restart, holdForward) })
 			t.Run("invalidation round", func(t *testing.T) { crashEndsInvalidation(t, restart) })
 			t.Run("diff ack", func(t *testing.T) {
 				crashEndsDiffAck(t, restart, func(d *DSM, th *pm2.Thread, df *memory.Diff) {
@@ -72,25 +75,55 @@ func TestCrashEndsWaits(t *testing.T) {
 	}
 }
 
-// crashEndsFetch: node 2's read fetch is held by its home's slow server when
-// the home crashes; the fetch goes again at the crash instant, to the page's
-// new home, and reads the surviving copy.
-func crashEndsFetch(t *testing.T, restart bool) {
+// How the crashed node 1 holds the fetch of crashEndsFetch when it dies.
+const (
+	holdServing  = iota // its server is still computing
+	holdPage            // its page waits on the partitioned link 1→2
+	holdLostPage        // its page was lost on the lossy link 1→2 and waits to go again
+	holdForward         // its forward to node 0 waits on the partitioned link 1→0
+)
+
+// crashEndsFetch: node 2's read fetch is held by its home, node 1, when the
+// home crashes — in its slow server, or in a page or a forward that node 1
+// sent but that is still on a link, which the crash discards. The fetch goes
+// again at the crash instant, to the page's new home, and reads the
+// surviving copy.
+func crashEndsFetch(t *testing.T, restart bool, hold int) {
 	var resent sim.Time = -1
+	crashed := crashAt
+	var d *DSM
 	d, rt, pg := wakeHarness(t, 3, &Hooks{
 		ProtoName:   "wake",
 		OnReadFault: func(f *Fault) { FetchPage(f, false) },
 		OnReadServer: func(r *Request) {
-			switch r.Node {
-			case 1:
-				r.Thread.Compute(slow)
-			case 0:
+			switch {
+			case r.Node == 0:
 				resent = r.sentAt
+			case hold == holdServing:
+				r.Thread.Compute(slow)
+			case hold == holdForward:
+				ForwardRequestTo(r, 0)
+				return
 			}
 			ServeHomeCopy(r, memory.ReadOnly)
+			if hold == holdLostPage && r.Node == 1 {
+				crashed = r.Thread.Now().Add(1) // before the page's retransmission
+				crash(d, 1, crashed, restart)
+			}
 		},
 	})
-	crash(d, 1, crashAt, restart)
+	net := rt.Network()
+	if hold != holdLostPage { // which crashes from its server
+		crash(d, 1, crashAt, restart)
+	}
+	switch hold {
+	case holdPage:
+		net.PartitionLink(1, 2)
+	case holdLostPage:
+		net.SetLinkLoss(1, 2, 0.7, 0) // the fault seed's first draw, 0.60, loses the page
+	case holdForward:
+		net.PartitionLink(1, 0)
+	}
 	var got uint64
 	rt.CreateThread(2, "reader", func(th *pm2.Thread) {
 		th.Compute(100 * sim.Microsecond)
@@ -99,8 +132,17 @@ func crashEndsFetch(t *testing.T, restart bool) {
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if resent != crashAt || got != 42 {
-		t.Fatalf("fetch sent again at %v, read %d; want %v and 42", resent, got, crashAt)
+	fs := net.FaultStats()
+	held := 0
+	if hold != holdServing {
+		held = 1
+	}
+	if fs.Dropped != held || (hold == holdLostPage) != (fs.Retransmits > 0) {
+		t.Fatalf("crash dropped %d held messages after %d retransmits; want %d, and retransmits only on the lossy link",
+			fs.Dropped, fs.Retransmits, held)
+	}
+	if resent != crashed || got != 42 {
+		t.Fatalf("fetch sent again at %v, read %d; want %v and 42", resent, got, crashed)
 	}
 }
 

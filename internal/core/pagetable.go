@@ -43,7 +43,8 @@ type Entry struct {
 	Pending bool
 	// reqAt is the node holding this node's pending request — in flight to
 	// it, queued or served there — until a server sends the page (then
-	// reqServed). A crash of that node strands the fetch (reqStranded), and
+	// reqServed). A crash of that node strands the fetch (reqStranded), as
+	// does the network discarding the request or page on its way, and
 	// FetchPage sends it again. Recovery only; an int32 beside Pending fits
 	// in its padding, so an entry costs no more than without it.
 	reqAt int32

@@ -44,11 +44,9 @@ func FetchPage(f *Fault, write bool) {
 	}
 	e.Pending = true
 	for {
-		// The first request, or our fetch sent again after a crash: it goes
-		// to the current probable owner — if the server died, the recovery
-		// sweep has redirected the hint to the page's new home — and the
-		// bumped sequence number retires any late response to an earlier
-		// request.
+		// The first request, or our fetch sent again after a crash: to the
+		// probable owner, which the recovery sweep repaired, with a bumped
+		// sequence number that retires any late response to an earlier one.
 		e.pendingSeq = e.InvalSeq
 		e.reqSeq++
 		seq, dest := e.reqSeq, e.ProbOwner
@@ -56,9 +54,8 @@ func FetchPage(f *Fault, write bool) {
 		d.profFetch(f.Node, f.Page, dest)
 		d.sendRequest(f.Node, dest, d.newRequest(f.Node, f.Page, f.Node, write, seq, f.Timing))
 		e.Lock(t)
-		// Wait for the page, or for the crash of the node holding our
-		// request (scrubEntries). Another thread's fetch, following ours,
-		// is that thread's to send.
+		// Wait for the page, or for a crash to strand our request
+		// (scrubEntries, strandDropped); another thread's is its own to send.
 		for e.Pending && (e.reqSeq != seq || e.reqAt != reqStranded) {
 			e.Wait(t)
 		}

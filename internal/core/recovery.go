@@ -80,6 +80,7 @@ type peerDead struct{ node int }
 // network fault layer must be enabled as well (the facade does both).
 func (d *DSM) EnableRecovery(onRestart func(node int)) {
 	d.recovery = &recoveryState{onRestart: onRestart, dead: make([]bool, d.rt.Nodes())}
+	d.rt.OnDrop(d.strandDropped)
 }
 
 // watch registers node's wait for peer's reply on ch — or, with peer -1, a
@@ -151,6 +152,26 @@ func (d *DSM) trackRequest(r *Request, at int) {
 	}
 	if e := d.state[r.From].entry(r.Page); e != nil && e.Pending && e.reqSeq == r.Seq {
 		e.reqAt = int32(at)
+	}
+}
+
+// strandDropped strands the pending fetch whose page request or page v the
+// network discarded for good (a crash discards what its node still held on a
+// link, either end), so FetchPage sends it again.
+func (d *DSM) strandDropped(v interface{}) {
+	node, pg, seq := -1, Page(0), uint64(0)
+	switch m := v.(type) {
+	case *Request:
+		node, pg, seq = m.From, m.Page, m.Seq
+	case *PageMsg:
+		node, pg, seq = m.Node, m.Page, m.Seq
+	}
+	if node < 0 || d.NodeDead(node) {
+		return
+	}
+	if e := d.state[node].entry(pg); e != nil && e.Pending && e.reqSeq == seq {
+		e.reqAt = reqStranded
+		e.Broadcast()
 	}
 }
 
@@ -237,14 +258,13 @@ func (d *DSM) rehomePages(n int) {
 		// survives, else a writable copy, else a read-only one; ties go to
 		// the lowest node id. No survivor means the page contents are lost.
 		best, bestRank := -1, -1
+		var holders NodeSet // the surviving replicas
 		for i := 0; i < d.rt.Nodes(); i++ {
-			if rec.dead[i] {
-				continue
-			}
 			frame := d.state[i].space.Frame(pg)
-			if frame == nil || frame.Access < memory.ReadOnly {
+			if rec.dead[i] || frame == nil || frame.Access < memory.ReadOnly {
 				continue
 			}
+			holders.Add(i)
 			rank := int(frame.Access)
 			if e := d.state[i].entry(pg); e != nil && e.Owner {
 				rank = 10
@@ -255,13 +275,7 @@ func (d *DSM) rehomePages(n int) {
 		}
 		lost := best < 0
 		if lost {
-			for i := 0; i < d.rt.Nodes(); i++ {
-				if !rec.dead[i] {
-					best = i
-					break
-				}
-			}
-			if best < 0 {
+			if best = slices.Index(rec.dead, false); best < 0 {
 				panic("core: recovery with every node dead")
 			}
 		}
@@ -270,9 +284,7 @@ func (d *DSM) rehomePages(n int) {
 		e := d.Entry(best, pg)
 		if lost {
 			frame := d.state[best].space.Ensure(pg)
-			for i := range frame.Data {
-				frame.Data[i] = 0
-			}
+			clear(frame.Data)
 			frame.Access = memory.ReadOnly
 			rec.stats.Lost++
 		} else {
@@ -282,9 +294,7 @@ func (d *DSM) rehomePages(n int) {
 		// copy already had — a weaker right simply re-faults locally (the
 		// owner serves itself over loopback), which keeps the repair
 		// protocol-agnostic.
-		e.Owner = true
-		e.Home = best
-		e.ProbOwner = best
+		e.Owner, e.Home, e.ProbOwner = true, best, best
 		// Restore the protocol's home invariants on the promoted copy: a
 		// promoted writable CACHED copy must not stay silently writable at
 		// its new home — hbrc_mw/entry_mw detect home writes only through
@@ -292,15 +302,8 @@ func (d *DSM) rehomePages(n int) {
 		// re-homed page's later writes would never generate diffs, notices
 		// or invalidations, leaving third-party copies stale forever.
 		d.reinitHome(pg, best)
-		e.Copyset.Clear()
-		for i := 0; i < d.rt.Nodes(); i++ {
-			if i == best || rec.dead[i] {
-				continue
-			}
-			if frame := d.state[i].space.Frame(pg); frame != nil && frame.Access >= memory.ReadOnly {
-				e.Copyset.Add(i) // ascending by construction
-			}
-		}
+		holders.Remove(best)
+		e.Copyset = holders
 		d.scrubEntries(pg, n, best)
 	}
 }
@@ -308,14 +311,10 @@ func (d *DSM) rehomePages(n int) {
 // scrubEntries removes the dead node n from pg's surviving entries: out of
 // copysets, hints through it redirected to target, home metadata updated.
 func (d *DSM) scrubEntries(pg Page, n, target int) {
-	pi := d.dir[pg]
-	home := pi.home
+	home := d.dir[pg].home
 	for i := 0; i < d.rt.Nodes(); i++ {
-		if i == n || d.recovery.dead[i] {
-			continue
-		}
 		e := d.state[i].entry(pg)
-		if e == nil {
+		if i == n || d.recovery.dead[i] || e == nil {
 			continue
 		}
 		e.RemoveCopyset(n)
@@ -330,7 +329,8 @@ func (d *DSM) scrubEntries(pg Page, n, target int) {
 			// about, stale forever. Retire it: the bumped InvalSeq makes
 			// the install discard the late response. A request the dead
 			// node held died with it: the wake sends the fetch again toward
-			// the repaired owner hint (see FetchPage).
+			// the repaired owner hint (see FetchPage). One it still held on
+			// a link, or a page, died there (strandDropped).
 			e.InvalSeq++
 			if e.reqAt == int32(n) {
 				e.reqAt = reqStranded

@@ -169,8 +169,8 @@ func (nw *Network) ApplyFault(ev sim.FaultEvent) {
 
 // CrashNode fail-stops node n: subsequent messages to or from it are
 // dropped, its inbound queues are replaced (in-flight deliveries land in the
-// orphaned queues of the dead incarnation), and messages already held for it
-// on partitioned links are discarded.
+// orphaned queues of the dead incarnation), and messages held on its links,
+// either way, are discarded.
 func (nw *Network) CrashNode(n int) {
 	fs := nw.mustFaults("CrashNode")
 	if n < 0 || n >= nw.n {
@@ -205,9 +205,8 @@ func (nw *Network) CrashNode(n int) {
 	nw.sweepHeld(fs, n)
 }
 
-// sweepHeld discards messages parked on partitioned links to or
-// from node n. They will never be wanted: deliveries to a corpse are drops,
-// and the fail-stop model says nothing sent by the dead incarnation may
+// sweepHeld discards the messages held on links to or from node n: a
+// delivery to a corpse is a drop, and nothing the dead incarnation sent may
 // surface later (a held lock-acquire delivered after the node restarts would
 // hand a ghost request resources its sender can never use).
 func (nw *Network) sweepHeld(fs *faultState, n int) {
@@ -297,12 +296,11 @@ func (nw *Network) dropPayload(fs *faultState, payload interface{}, isMsg bool) 
 }
 
 // intercept applies the fault model to one send and reports whether it took
-// the message over: a dead endpoint's is discarded, and a faulted link's
-// goes through its queue (see flush). It runs before the link occupancy
-// model: a message that does not depart now must not advance the link clock.
-// A multi-part envelope is one unit on the wire: a dead endpoint discards
-// every part, the link holds and loses it whole, and no duplicate is drawn
-// for it. hm.parts is the sender's scratch list, so the queue copies it.
+// the message over: a dead endpoint's is discarded, one on a cut link, behind
+// a held one or lost is held (the link clock does not move), and the rest go
+// out at once. A multi-part envelope is one unit on the wire: it is
+// discarded, held and lost whole, with no duplicate. hm.parts is the
+// sender's scratch list, so the queue copies it.
 func (nw *Network) intercept(hm heldMsg) bool {
 	fs := nw.faults
 	if dead := func(n int) bool { return n >= 0 && n < nw.n && fs.dead[n] }; dead(hm.to) || dead(hm.from) {
@@ -315,14 +313,17 @@ func (nw *Network) intercept(hm heldMsg) bool {
 		return false
 	}
 	hm.heldAt = nw.eng.Now()
-	if lf.partitioned || lf.resending || len(lf.held) > 0 {
-		fs.stats.Held++
+	if blocked := lf.partitioned || lf.resending || len(lf.held) > 0; blocked || lf.lose(&hm) {
+		if blocked {
+			fs.stats.Held++
+		}
+		if hm.parts != nil {
+			hm.parts = slices.Clone(hm.parts)
+		}
+		lf.held = append(lf.held, hm)
+		return true
 	}
-	if hm.parts != nil {
-		hm.parts = slices.Clone(hm.parts)
-	}
-	lf.held = append(lf.held, hm)
-	lf.flush()
+	lf.transmit(&hm)
 	return true
 }
 
@@ -350,30 +351,32 @@ func (lf *linkFault) Fire() {
 }
 
 // flush transmits the held messages in FIFO order until the queue is empty,
-// the link is cut, or a transmission is lost and waits for its timer. A
-// plain message may be duplicated: the copy takes its turn on the link ahead
-// of the original, and the receiving interface discards it. Departures go
-// through the occupancy clock, so a released burst pays the same link
-// serialization a normally-sent burst would.
+// the link is cut, or a transmission is lost and waits for its timer.
 func (lf *linkFault) flush() {
-	nw, fs := lf.nw, lf.nw.faults
-	now := nw.eng.Now()
 	sent := 0
 	for _, hm := range lf.held {
 		if lf.partitioned || lf.resending || lf.lose(&hm) {
 			break
 		}
 		sent++
-		fs.stats.HeldTime += now.Sub(hm.heldAt)
-		if hm.parts != nil {
-			nw.deliverGather(hm.from, hm.to, hm.parts, hm.size, hm.d)
-			continue
-		}
-		if lf.dupRate > 0 && hm.isMsg && fs.rng.Float64() < lf.dupRate {
-			fs.stats.Duplicated++
-			nw.departure(hm.from, hm.to, hm.size)
-		}
-		nw.eng.SchedulePush(nw.departure(hm.from, hm.to, hm.size).Add(hm.d), hm.q, hm.payload)
+		lf.transmit(&hm)
 	}
 	lf.held = slices.Delete(lf.held, 0, sent)
+}
+
+// transmit puts hm on the wire now, through the occupancy clock like any
+// send. A plain message may be duplicated: the copy takes its turn on the
+// link ahead of the original, and the receiving interface discards it.
+func (lf *linkFault) transmit(hm *heldMsg) {
+	nw, fs := lf.nw, lf.nw.faults
+	fs.stats.HeldTime += nw.eng.Now().Sub(hm.heldAt)
+	if hm.parts != nil {
+		nw.deliverGather(hm.from, hm.to, hm.parts, hm.size, hm.d)
+		return
+	}
+	if lf.dupRate > 0 && hm.isMsg && fs.rng.Float64() < lf.dupRate {
+		fs.stats.Duplicated++
+		nw.departure(hm.from, hm.to, hm.size)
+	}
+	nw.eng.SchedulePush(nw.departure(hm.from, hm.to, hm.size).Add(hm.d), hm.q, hm.payload)
 }

@@ -13,15 +13,28 @@ import (
 
 // EnableFaults switches on the network fault layer and registers the
 // runtime's drop handler with it, so dropped RPC requests return their pooled
-// envelopes exactly once.
+// envelopes exactly once, after the OnDrop hook has seen their argument.
 func (rt *Runtime) EnableFaults(seed int64) {
 	rt.net.EnableFaults(seed)
 	rt.net.SetDropHandler(func(p interface{}) {
-		if r, ok := p.(*Request); ok {
+		r, isReq := p.(*Request)
+		if isReq {
+			p = r.arg
+		}
+		if rt.onDrop != nil && p != nil {
+			rt.onDrop(p)
+		}
+		if isReq {
 			rt.putReq(r)
 		}
 	})
 }
+
+// OnDrop installs fn, called in engine context with what the fault layer
+// discards for good: the argument of each dropped RPC request, the payload
+// of each other dropped message. The DSM hears through it that a message a
+// wait depends on is gone — one a crashed node held on a link, say.
+func (rt *Runtime) OnDrop(fn func(v interface{})) { rt.onDrop = fn }
 
 // KillNode fail-stops node n: every unfinished thread currently located on
 // it (application and RPC handler threads, migrated-in threads) is killed,

@@ -47,6 +47,9 @@ type Runtime struct {
 	svcIDs map[string]madeleine.ChanID
 	// reqFree recycles request envelopes (see Request).
 	reqFree freelist.List[*Request]
+	// onDrop, if set, hears of every message the network discards (see
+	// OnDrop).
+	onDrop func(v interface{})
 }
 
 // Config describes a PM2 machine.

@@ -446,10 +446,8 @@ func (e *Engine) drive() {
 	}
 }
 
-// parking reports whether the record at q's head is a fault event, which
-// parks once every proc has finished (see FaultCursor.Fire): it then does
-// nothing, so the drain that ends a run consumes it whatever its time,
-// without moving the clock.
+// parking reports whether q's head is a fault event, which does nothing once
+// every proc finished (see FaultCursor.Fire): the drain takes it in passing.
 func parking(q *ring) bool {
 	_, ok := q.peek().payload.(*FaultCursor)
 	return ok

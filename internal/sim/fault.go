@@ -233,11 +233,8 @@ func (p *FaultPlan) Validate() error {
 			if ev.From < 0 || ev.To < 0 {
 				return fmt.Errorf("sim: fault plan event %d (loss): negative link endpoint %d->%d", i, ev.From, ev.To)
 			}
-			if ev.DropRate < 0 || ev.DropRate > 1 {
-				return fmt.Errorf("sim: fault plan event %d: drop rate %v outside [0,1]", i, ev.DropRate)
-			}
-			if ev.DropRate == 1 {
-				return fmt.Errorf("sim: fault plan event %d: drop rate 1 never delivers on a retransmitting link; plan a partition instead", i)
+			if ev.DropRate < 0 || ev.DropRate >= 1 {
+				return fmt.Errorf("sim: fault plan event %d: drop rate %v outside [0,1) (a link that loses every transmission never delivers; plan a partition instead)", i, ev.DropRate)
 			}
 			if ev.DupRate < 0 || ev.DupRate > 1 {
 				return fmt.Errorf("sim: fault plan event %d: dup rate %v outside [0,1]", i, ev.DupRate)
