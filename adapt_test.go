@@ -12,7 +12,6 @@ import (
 
 	"dsmpm2"
 	"dsmpm2/internal/apps/jacobi"
-	"dsmpm2/internal/bench"
 )
 
 // goldenAdaptJacobiConfig is the pinned migration workload: 16 nodes, every
@@ -62,7 +61,7 @@ func TestGoldenAdaptiveJacobiTrace(t *testing.T) {
 		t.Errorf("virtual elapsed = %d, want %d (migration timing changed)",
 			res.Elapsed, goldenAdaptJacobiElapsed)
 	}
-	if fp := bench.TraceFingerprint(res.System); fp != goldenAdaptJacobiFingerprint {
+	if fp := res.System.Fingerprint(); fp != goldenAdaptJacobiFingerprint {
 		t.Errorf("trace fingerprint = %s,\nwant %s\n(migration-enabled replay diverged from the golden trace)",
 			fp, goldenAdaptJacobiFingerprint)
 	}
@@ -79,7 +78,7 @@ func TestAdaptiveJacobiReplayIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fa, fb := bench.TraceFingerprint(a.System), bench.TraceFingerprint(b.System); fa != fb {
+	if fa, fb := a.System.Fingerprint(), b.System.Fingerprint(); fa != fb {
 		t.Fatalf("same-seed migration replays diverged:\n%s\n%s", fa, fb)
 	}
 	if a.Elapsed != b.Elapsed {
@@ -171,7 +170,7 @@ func faultyMigrationRun(t *testing.T, crashAt dsmpm2.Duration) (uint64, string, 
 	if err := sys.Run(); err != nil {
 		t.Fatalf("crashAt=%v readback: %v", crashAt, err)
 	}
-	return got, bench.TraceFingerprint(sys), sys.Stats(), sys.RecoveryStats()
+	return got, sys.Fingerprint(), sys.Stats(), sys.RecoveryStats()
 }
 
 // TestFaultyMigrationResolvesOnce sweeps the old home's crash time across a

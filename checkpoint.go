@@ -78,8 +78,7 @@ type Checkpoint struct {
 // Fingerprint hashes the system's observable trace — final clock, every
 // recorded fault timing, the DSM stats — into a hex digest. Two runs of the
 // same workload under the same seed produce identical fingerprints, and a
-// checkpoint binds it to the token (see Checkpoint.Fingerprint). (The bench
-// package's TraceFingerprint is this same digest.)
+// checkpoint binds it to the token (see Checkpoint.Fingerprint).
 func (s *System) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "now=%d\n", s.Now())

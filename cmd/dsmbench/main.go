@@ -69,7 +69,7 @@ var experiments = []experiment{
 	{name: "fig5", doc: "Java consistency comparison on map coloring (Figure 5)", inAll: true, run: figure5},
 	{name: "multicluster", doc: "hierarchical topology: intra- vs inter-cluster faults", inAll: true, check: checkLayout, run: multicluster},
 	{name: "contention", doc: "link bandwidth occupancy: queueing delay", inAll: true, check: checkContention, run: contention},
-	{name: "kernel", doc: "simulator wall-clock efficiency: events/sec, allocations, queue traffic", snapshot: "BENCH_kernel.json", run: kernel},
+	{name: "kernel", doc: "simulator work at scale: events, threads, queue traffic", snapshot: "BENCH_kernel.json", run: kernel},
 	{name: "faults", doc: "crash/restart fault plans on restart-aware jacobi", check: checkFaults, run: faults},
 	{name: "comm", doc: "communication-module wire accounting", snapshot: "BENCH_comm.json", run: comm},
 	{name: "adapt", doc: "sharing-pattern profiler + dynamic home migration", snapshot: "BENCH_adapt.json", run: adapt},
@@ -343,11 +343,13 @@ func realMain(args []string) (code int) {
 
 	for _, e := range selected(a.exp) {
 		doc, err := e.run(&a)
-		if err == nil && a.json && doc != nil {
+		if a.json && doc != nil {
 			if h, ok := doc.(interface{ stamp(string) }); ok {
 				h.stamp(e.name)
 			}
-			err = writeSnapshot(e.snapshot, doc)
+			if werr := writeSnapshot(e.snapshot, doc); err == nil {
+				err = werr
+			}
 		}
 		if err != nil {
 			log.Printf("%s: %v", e.name, err)
@@ -357,15 +359,14 @@ func realMain(args []string) (code int) {
 	return 0
 }
 
-// snapHeader opens every BENCH_*.json document: the experiment that wrote it
-// and the host it ran on (most numbers are virtual-time exact, but the
-// provenance keeps snapshots from different machines comparable).
+// snapHeader opens every BENCH_*.json document: the experiment that wrote
+// it. Nothing in a snapshot depends on the host, so a regenerated one is
+// byte-identical.
 type snapHeader struct {
-	Experiment string         `json:"experiment"`
-	Host       bench.HostMeta `json:"host"`
+	Experiment string `json:"experiment"`
 }
 
-func (h *snapHeader) stamp(exp string) { *h = snapHeader{Experiment: exp, Host: bench.Host()} }
+func (h *snapHeader) stamp(exp string) { h.Experiment = exp }
 
 // writeSnapshot writes v as indented JSON into file, or onto stdout when
 // file is "".
@@ -602,25 +603,25 @@ func contention(a *cliArgs) (any, error) {
 	return nil, nil
 }
 
-// kernelSnapshot is the BENCH_kernel.json document: the kernel suite as this
-// binary ran it on this host.
+// kernelSnapshot is the BENCH_kernel.json document: the kernel suite's
+// work, exact per seed.
 type kernelSnapshot struct {
 	snapHeader
 	Current []bench.KernelResult `json:"current"`
 }
 
-// kernel measures the simulator itself, not the simulated cluster:
-// wall-clock events/sec, allocations per event and what the event queue's
-// traffic looked like.
+// kernel runs the simulator itself, not the simulated cluster: the events
+// each scenario fired, the virtual time and threads it covered, and what the
+// event queue's traffic looked like. Host time and allocations are the
+// benchmark/ ledger's to measure.
 func kernel(*cliArgs) (any, error) {
-	header("Kernel: simulator wall-clock efficiency")
+	header("Kernel: simulator work per scenario (exact per seed)")
 	cur := bench.KernelSuite()
-	fmt.Printf("%-36s %10s %14s %14s\n", "scenario", "events", "ev/s", "allocs/ev")
+	fmt.Printf("%-36s %10s %12s %8s\n", "scenario", "events", "virtual(ms)", "threads")
 	for _, r := range cur {
-		fmt.Printf("%-36s %10d %14.0f %14.4f\n", r.Name, r.Events, r.EventsPerSec, r.AllocsPerEvent)
+		fmt.Printf("%-36s %10d %12.3f %8d\n", r.Name, r.Events, r.VirtualMS, r.Threads)
 	}
-	fmt.Println("(events/sec is wall-clock and host-dependent; virtual timings are pinned")
-	fmt.Println(" by the golden-trace test)")
+	fmt.Println("(host time and allocations: bash benchmark/run.sh)")
 	fmt.Printf("\n%-36s %10s %8s %9s %8s %14s %10s %10s %8s %10s %8s %8s\n",
 		"event queue traffic", "pushes", "at-now", "new-run", "joined", "deadlines l/i", "peak heap",
 		"resumes", "steps", "self-wakes", "re-arms", "drains")
@@ -845,14 +846,13 @@ func bisect(a *cliArgs) (any, error) {
 
 // tuneSeed is the pinned seed of the tune experiment. Fixing it (rather than
 // taking a flag) keeps the committed BENCH_tune.json snapshot
-// byte-comparable across machines and runs: the grid's numbers are
-// virtual-time exact, so only the host stanza may differ.
+// byte-identical across machines and runs: the grid's numbers are
+// virtual-time exact.
 const tuneSeed = 9
 
 // tuneSnapshot is the BENCH_tune.json document: the report, which is a pure
 // function of the workload, the seed and the grid subset, so the snapshot
-// is byte-identical whatever the host parallelism. Only the host stanza
-// records where the sweep happened.
+// is byte-identical whatever the host parallelism.
 type tuneSnapshot struct {
 	snapHeader
 	*tune.Report
@@ -922,7 +922,9 @@ type faultResult struct {
 // faults runs the restart-aware jacobi kernel under a fault plan for each
 // requested protocol on a hierarchical topology. The plan comes from
 // -faultplan, from -mtbf/-repair (a generated exponential failure schedule,
-// deterministic per -faultseed), or defaults to a pinned two-crash demo.
+// deterministic per -faultseed), or defaults to a pinned two-crash demo. It
+// fails (exit 1), after the table or JSON, when a run ended in an error; a
+// run that finished with a wrong checksum is reported, not fatal.
 func faults(a *cliArgs) (any, error) {
 	const gridN, iters = 24, 8
 	nodes := a.nodes
@@ -973,6 +975,7 @@ func faults(a *cliArgs) (any, error) {
 		protos = tune.Protocols
 	}
 	var results []faultResult
+	var failed []string
 	for _, proto := range protos {
 		fr := faultResult{Protocol: proto, Expected: expected}
 		res, err := jacobi.Run(jacobi.Config{
@@ -984,19 +987,24 @@ func faults(a *cliArgs) (any, error) {
 		})
 		if err != nil {
 			fr.Error = err.Error()
+			failed = append(failed, proto)
 		} else {
 			fr.Completed = true
 			fr.Checksum = res.Checksum
 			fr.Correct = res.Checksum == expected
 			fr.ElapsedMS = float64(res.Elapsed) / 1e6
-			fr.Fingerprint = bench.TraceFingerprint(res.System)
+			fr.Fingerprint = res.System.Fingerprint()
 			fr.Faults = res.Faults
 			fr.Recovery = res.Recovery
 		}
 		results = append(results, fr)
 	}
+	var err error
+	if failed != nil {
+		err = fmt.Errorf("run failed under %s", strings.Join(failed, ", "))
+	}
 	if a.json {
-		return results, nil
+		return results, err
 	}
 	fmt.Printf("%-12s %10s %8s %12s %8s %9s %6s %5s %11s\n",
 		"protocol", "completed", "correct", "elapsed(ms)", "crashes", "restarts", "held", "lost", "retransmits")
@@ -1013,5 +1021,5 @@ func faults(a *cliArgs) (any, error) {
 	fmt.Println("(home-based protocols — hbrc_mw, entry_mw — keep committed data on the")
 	fmt.Println(" protected home node 0 and recover exactly; ownership-migrating protocols")
 	fmt.Println(" can lose sole copies that died with their owner, reported under 'lost')")
-	return nil, nil
+	return nil, err
 }

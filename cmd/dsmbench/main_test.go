@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"dsmpm2"
 )
 
 // defaultArgs is the flag defaults with -exp set.
@@ -192,28 +194,60 @@ func TestCLIAcceptsProtocolsTable(t *testing.T) {
 	}
 }
 
-// TestTuneSnapshotDeterministic is the dsmbench-level determinism property:
-// two sweeps of the same workload and seed emit a byte-identical
-// BENCH_tune.json, whose baseline is unranked.
-func TestTuneSnapshotDeterministic(t *testing.T) {
+// TestSnapshotsDeterministic is the dsmbench-level determinism property:
+// two runs of an experiment emit a byte-identical snapshot, and no snapshot
+// carries a host reading. The tune sweep's baseline is unranked.
+func TestSnapshotsDeterministic(t *testing.T) {
 	t.Chdir(t.TempDir())
-	run := func() []byte {
-		args := []string{"-exp", "tune", "-json", "-tuneworkload", "jacobi",
-			"-tuneprotos", "li_hudak,migrate_thread,adaptive"}
-		if code := realMain(args); code != 0 {
-			t.Fatalf("realMain(%v) = %d, want 0", args, code)
-		}
-		raw, err := os.ReadFile(selected("tune")[0].snapshot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+	for _, c := range []struct {
+		exp  string
+		args []string
+		want string // a fragment the snapshot must hold
+	}{
+		{"tune", []string{"-tuneworkload", "jacobi", "-tuneprotos", "li_hudak,migrate_thread,adaptive"}, `"rank": 0,`},
+		{"kernel", nil, `"queue": {`},
+	} {
+		t.Run(c.exp, func(t *testing.T) {
+			args := append([]string{"-exp", c.exp, "-json"}, c.args...)
+			run := func() string {
+				if code := realMain(args); code != 0 {
+					t.Fatalf("realMain(%v) = %d, want 0", args, code)
+				}
+				raw, err := os.ReadFile(selected(c.exp)[0].snapshot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(raw)
+			}
+			golden := run()
+			if run() != golden {
+				t.Errorf("-exp %s -json wrote two different snapshots", c.exp)
+			}
+			if strings.Contains(golden, `"host"`) {
+				t.Errorf("-exp %s -json wrote a host stanza", c.exp)
+			}
+			if !strings.Contains(golden, c.want) {
+				t.Errorf("-exp %s -json holds no %s", c.exp, c.want)
+			}
+		})
 	}
-	golden := run()
-	if raw := run(); string(raw) != string(golden) {
-		t.Error("BENCH_tune.json differs between two sweeps")
+}
+
+// TestFaultsFailsOnErroredRun: a protocol whose run ends in an error fails
+// the faults experiment, after its row is printed. A partition between the
+// home and a worker that never heals deadlocks the run.
+func TestFaultsFailsOnErroredRun(t *testing.T) {
+	plan := filepath.Join(t.TempDir(), "plan.json")
+	if err := dsmpm2.NewFaultPlan(1).Partition(0, 0, 1).Save(plan); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(golden), `"rank": 0,`) {
-		t.Error("BENCH_tune.json's baseline carries a rank")
+	for _, json := range []bool{false, true} {
+		args := []string{"-exp", "faults", "-faultplan", plan, "-faultproto", "hbrc_mw"}
+		if json {
+			args = append(args, "-json")
+		}
+		if code := realMain(args); code != 1 {
+			t.Errorf("realMain(%v) = %d, want 1", args, code)
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"dsmpm2"
 	"dsmpm2/internal/apps/jacobi"
-	"dsmpm2/internal/bench"
 	"dsmpm2/internal/core"
 	"dsmpm2/internal/sim"
 )
@@ -77,7 +76,7 @@ func TestGoldenFaultyJacobiTrace(t *testing.T) {
 		t.Errorf("virtual elapsed = %d, want %d (fault replay timing changed)",
 			res.Elapsed, goldenFaultyJacobiElapsed)
 	}
-	if fp := bench.TraceFingerprint(res.System); fp != goldenFaultyJacobiFingerprint {
+	if fp := res.System.Fingerprint(); fp != goldenFaultyJacobiFingerprint {
 		t.Errorf("trace fingerprint = %s,\nwant %s\n(faulty-trace replay diverged from the golden trace)",
 			fp, goldenFaultyJacobiFingerprint)
 	}
@@ -105,7 +104,7 @@ func TestFaultyJacobiCorrectAndReplayable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("[%s] replay: %v", proto, err)
 		}
-		if fa, fb := bench.TraceFingerprint(a.System), bench.TraceFingerprint(b.System); fa != fb {
+		if fa, fb := a.System.Fingerprint(), b.System.Fingerprint(); fa != fb {
 			t.Errorf("[%s] same seed + plan diverged:\n%s\n%s", proto, fa, fb)
 		}
 		if a.Elapsed != b.Elapsed {
@@ -129,7 +128,7 @@ func TestFaultPlanOrderIrrelevant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bench.TraceFingerprint(res.System)
+		return res.System.Fingerprint()
 	}
 	base := run(0)
 	for seed := int64(1); seed <= 3; seed++ {

@@ -12,7 +12,6 @@ import (
 
 	"dsmpm2"
 	"dsmpm2/internal/apps/jacobi"
-	"dsmpm2/internal/bench"
 	"dsmpm2/internal/core"
 )
 
@@ -61,7 +60,7 @@ func TestGoldenJacobiTrace(t *testing.T) {
 		t.Errorf("virtual elapsed = %d, want %d (kernel changed virtual timing)",
 			res.Elapsed, goldenJacobiElapsed)
 	}
-	if fp := bench.TraceFingerprint(res.System); fp != goldenJacobiFingerprint {
+	if fp := res.System.Fingerprint(); fp != goldenJacobiFingerprint {
 		t.Errorf("trace fingerprint = %s,\nwant %s\n(fault timings diverged from the golden trace)",
 			fp, goldenJacobiFingerprint)
 	}
@@ -78,7 +77,7 @@ func TestGoldenJacobiReplayIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fa, fb := bench.TraceFingerprint(a.System), bench.TraceFingerprint(b.System); fa != fb {
+	if fa, fb := a.System.Fingerprint(), b.System.Fingerprint(); fa != fb {
 		t.Fatalf("same-seed replays diverged:\n%s\n%s", fa, fb)
 	}
 }

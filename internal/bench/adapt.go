@@ -84,7 +84,7 @@ func (a adaptRun) measure(adaptive bool) AdaptResult {
 		DiffsSent:        st.DiffsSent,
 		DiffBytes:        st.DiffBytes,
 		Epochs:           sys.ProfileEpochs(),
-		Fingerprint:      TraceFingerprint(sys),
+		Fingerprint:      sys.Fingerprint(),
 	}
 }
 

@@ -2,10 +2,10 @@ package bench
 
 import "runtime"
 
-// HostMeta records the machine a wall-clock measurement was taken on, so the
-// BENCH_*.json trajectories stay interpretable when runs come from different
-// hosts: an events/sec row means nothing without the core count and
-// toolchain behind it.
+// HostMeta records the machine a wall-clock measurement was taken on: the
+// benchmark/ ledger stamps each report with it, since a host time means
+// nothing without the core count and toolchain behind it. The BENCH_*.json
+// snapshots hold no host reading and so carry none.
 type HostMeta struct {
 	// CPUs is the number of logical CPUs usable by this process
 	// (runtime.NumCPU at measurement time).

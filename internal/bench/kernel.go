@@ -1,15 +1,15 @@
 package bench
 
-// Wall-clock benchmarks of the simulator itself (the "kernel" experiment).
-// Unlike the rest of this package, which reproduces the paper's *virtual*
-// latencies, these scenarios measure how fast and how allocation-lean the
-// simulation kernel runs on the host: events per wall-clock second, heap
-// churn per event, and peak heap footprint. They feed the BENCH_kernel.json
-// snapshot and the root BenchmarkKernel* entries.
+// Benchmarks of the simulator itself (the "kernel" experiment). Unlike the
+// rest of this package, which reproduces the paper's *virtual* latencies,
+// these scenarios exercise the simulation kernel at scale: the events it
+// fires, the threads it runs and the shape of its event-queue traffic, all
+// exact per seed. They feed the BENCH_kernel.json snapshot, which holds only
+// those counts; the root BenchmarkKernel* entries and the benchmark/ ledger
+// time them on the host.
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"dsmpm2"
@@ -19,90 +19,36 @@ import (
 	"dsmpm2/internal/sim"
 )
 
-// KernelResult is one wall-clock measurement of the simulation kernel.
+// KernelResult is one run of a kernel scenario.
 type KernelResult struct {
 	Name string `json:"name"`
 	// Events is the number of simulation events the engine fired.
 	Events uint64 `json:"events"`
-	// WallMS is the host time the scenario took, in milliseconds.
-	WallMS float64 `json:"wall_ms"`
-	// EventsPerSec is the kernel's throughput: Events / wall seconds.
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Allocs and AllocBytes are the heap allocations (count and bytes)
-	// performed during the scenario; AllocsPerEvent normalizes.
-	Allocs         uint64  `json:"allocs"`
-	AllocBytes     uint64  `json:"alloc_bytes"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	// PeakHeapBytes is the largest HeapInuse observed during the scenario
-	// (sampled every few milliseconds, after a scenario-entry GC), i.e. a
-	// per-scenario peak rather than a process-cumulative footprint.
-	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
+	// WallMS is the host time the scenario took, in milliseconds. It does
+	// not repeat, so the snapshot leaves it out.
+	WallMS float64 `json:"-"`
 	// VirtualMS is the simulated time covered, for scale context.
 	VirtualMS float64 `json:"virtual_ms"`
 	// Threads is the number of simulated threads the scenario created.
 	Threads int `json:"threads"`
 	// Queue is the kernel's traffic by shape (pushes at the current instant,
 	// opening a run, joining one; deadline records; peak heap length;
-	// coroutine resumes, self-wakes, idle re-arms and sink drains). Rows
-	// measured before the counters existed have none.
-	Queue *sim.QueueStats `json:"queue,omitempty"`
+	// coroutine resumes, self-wakes, idle re-arms and sink drains).
+	Queue sim.QueueStats `json:"queue"`
 }
 
-// measure runs one scenario under MemStats bracketing and a wall clock. A
-// sampler goroutine tracks the scenario's peak HeapInuse; the 5 ms interval
-// keeps the stop-the-world cost of ReadMemStats negligible next to the
-// scenarios' 10-500 ms runtimes.
+// measure runs one scenario under a wall clock.
 func measure(name string, run func() (events uint64, virtualMS float64, threads int, queue sim.QueueStats)) KernelResult {
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	var peak uint64
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		var ms runtime.MemStats
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				runtime.ReadMemStats(&ms)
-				if ms.HeapInuse > peak {
-					peak = ms.HeapInuse
-				}
-			}
-		}
-	}()
 	start := time.Now()
 	events, virtualMS, threads, queue := run()
-	wall := time.Since(start)
-	close(stop)
-	<-done
-	runtime.ReadMemStats(&after)
-	if after.HeapInuse > peak {
-		peak = after.HeapInuse
+	return KernelResult{
+		Name:      name,
+		Events:    events,
+		WallMS:    float64(time.Since(start).Nanoseconds()) / 1e6,
+		VirtualMS: virtualMS,
+		Threads:   threads,
+		Queue:     queue,
 	}
-	r := KernelResult{
-		Name:          name,
-		Events:        events,
-		WallMS:        float64(wall.Nanoseconds()) / 1e6,
-		Allocs:        after.Mallocs - before.Mallocs,
-		AllocBytes:    after.TotalAlloc - before.TotalAlloc,
-		PeakHeapBytes: peak,
-		VirtualMS:     virtualMS,
-		Threads:       threads,
-		Queue:         &queue,
-	}
-	if secs := wall.Seconds(); secs > 0 {
-		r.EventsPerSec = float64(events) / secs
-	}
-	if events > 0 {
-		r.AllocsPerEvent = float64(r.Allocs) / float64(events)
-	}
-	return r
 }
 
 // EventStorm hammers the kernel's dominant scheduling path with no DSM or
@@ -244,10 +190,3 @@ func KernelSuite() []KernelResult {
 		TSPStorm(16, 10),
 	}
 }
-
-// TraceFingerprint hashes every recorded fault timing of a finished system,
-// plus the final virtual clock, into a hex digest. Two runs of the same
-// workload under the same seed must produce identical fingerprints; the
-// golden-trace test pins a digest captured before the kernel rewrite to prove
-// the rewrite preserved virtual-time behaviour bit for bit.
-func TraceFingerprint(sys *dsmpm2.System) string { return sys.Fingerprint() }

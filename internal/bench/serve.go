@@ -100,7 +100,7 @@ func serveMeasure(adaptive bool) (ServeResult, error) {
 		RemoteFetches:  res.Stats.RemoteFetches,
 		HomeMigrations: res.Stats.HomeMigrations,
 		Checksum:       res.Checksum,
-		Fingerprint:    TraceFingerprint(res.System),
+		Fingerprint:    res.System.Fingerprint(),
 	}, nil
 }
 

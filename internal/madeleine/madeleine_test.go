@@ -176,7 +176,7 @@ func TestPerChannelQueuesIndependent(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("channel b receiver never ran")
 	}
-	if m, ok := nw.TryRecv(1, "a"); !ok || m.Channel != "a" {
+	if m, ok := nw.TryRecv(1, "a"); !ok || m.Chan != nw.ChannelID("a") {
 		t.Fatalf("message on channel a lost")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // ChanID is the dense index of an interned logical channel name. Interning
 // happens once per distinct name (ChannelID); after that every queue access
 // is a slice index instead of a per-message map-of-strings lookup. ID 0 is
-// reserved as "unset" so a zero Message resolves its Channel string lazily.
+// reserved as "unset": no queue answers to it.
 type ChanID int
 
 // Message is a unit of communication between nodes. Payload is an arbitrary
@@ -24,8 +24,7 @@ type ChanID int
 type Message struct {
 	From    int
 	To      int
-	Channel string // logical channel (service) name (diagnostics)
-	Chan    ChanID // interned channel; 0 = resolve Channel on send
+	Chan    ChanID // interned logical channel (service)
 	Size    int
 	Payload interface{}
 	SentAt  sim.Time
@@ -136,14 +135,6 @@ func (nw *Network) ChannelID(name string) ChanID {
 	return id
 }
 
-// ChannelName returns the name interned for id ("" for the unset id).
-func (nw *Network) ChannelName(id ChanID) string {
-	if id <= 0 || int(id) >= len(nw.chanNames) {
-		return ""
-	}
-	return nw.chanNames[id]
-}
-
 // getMsg takes a Message from the freelist (or allocates one).
 func (nw *Network) getMsg() *Message {
 	if m, ok := nw.msgFree.Get(); ok {
@@ -217,9 +208,6 @@ func (nw *Network) SendAfter(msg *Message, d sim.Duration) {
 	nw.msgs++
 	nw.bytes += int64(msg.Size)
 	nw.countEnvelope(msg.From, msg.To)
-	if msg.Chan == 0 {
-		msg.Chan = nw.ChannelID(msg.Channel)
-	}
 	q := nw.queue(msg.To, msg.Chan)
 	if nw.faults != nil && nw.intercept(heldMsg{from: msg.From, to: msg.To, q: q, payload: msg, size: msg.Size, d: d, isMsg: true}) {
 		return
@@ -258,7 +246,7 @@ func (nw *Network) SendGather(from, to int, parts []GatherPart, d sim.Duration) 
 	for _, p := range parts {
 		total += p.Size
 		m := nw.getMsg()
-		*m = Message{From: from, To: to, Channel: nw.ChannelName(p.Chan), Chan: p.Chan,
+		*m = Message{From: from, To: to, Chan: p.Chan,
 			Size: p.Size, Payload: p.Payload, SentAt: now}
 		msgs = append(msgs, m)
 	}
@@ -303,7 +291,7 @@ func (nw *Network) departure(from, to, size int) sim.Time {
 // a pre-interned channel, charged at the link's CtrlMsg latency.
 func (nw *Network) SendCtrlID(from, to int, ch ChanID, payload interface{}) {
 	m := nw.getMsg()
-	*m = Message{From: from, To: to, Channel: nw.ChannelName(ch), Chan: ch, Size: 64, Payload: payload}
+	*m = Message{From: from, To: to, Chan: ch, Size: 64, Payload: payload}
 	nw.SendAfter(m, nw.Link(from, to).CtrlMsg)
 }
 
@@ -311,7 +299,7 @@ func (nw *Network) SendCtrlID(from, to int, ch ChanID, payload interface{}) {
 // latency (the RPC layer computes half-round-trip costs itself).
 func (nw *Network) SendID(from, to int, ch ChanID, size int, payload interface{}, d sim.Duration) {
 	m := nw.getMsg()
-	*m = Message{From: from, To: to, Channel: nw.ChannelName(ch), Chan: ch, Size: size, Payload: payload}
+	*m = Message{From: from, To: to, Chan: ch, Size: size, Payload: payload}
 	nw.SendAfter(m, d)
 }
 
@@ -319,7 +307,7 @@ func (nw *Network) SendID(from, to int, ch ChanID, size int, payload interface{}
 // a pre-interned channel, charged at the link's Transfer(size) latency.
 func (nw *Network) SendBulkID(from, to int, ch ChanID, size int, payload interface{}) {
 	m := nw.getMsg()
-	*m = Message{From: from, To: to, Channel: nw.ChannelName(ch), Chan: ch, Size: size, Payload: payload}
+	*m = Message{From: from, To: to, Chan: ch, Size: size, Payload: payload}
 	nw.SendAfter(m, nw.Link(from, to).Transfer(size))
 }
 

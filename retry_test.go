@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dsmpm2"
-	"dsmpm2/internal/bench"
 )
 
 // lossyLinks names the links a runLossy case makes lossy: both directions
@@ -102,7 +101,7 @@ func TestRetriesConvergeUnderHeavyLoss(t *testing.T) {
 			}
 			// Replay determinism: loss draws come from the plan's seeded
 			// PRNG, so the same plan must reproduce the same trace.
-			if a, b := bench.TraceFingerprint(sys), bench.TraceFingerprint(runLossy(t, ll)); a != b {
+			if a, b := sys.Fingerprint(), runLossy(t, ll).Fingerprint(); a != b {
 				t.Fatalf("lossy replay diverged: %s vs %s", a, b)
 			}
 		})
