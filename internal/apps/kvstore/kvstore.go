@@ -34,11 +34,6 @@ const (
 	zipfS = 1.3
 	// serveCost is the CPU cost charged per served operation.
 	serveCost = 5 * dsmpm2.Microsecond
-	// idleTick is the server's idle tick: an idle server's receive re-arms
-	// its deadline every idleTick, counted in Result.IdleTicks, which
-	// exercises the timed-wait path at volume. A tick resumes no thread
-	// (see sim.Chan.RecvIdle).
-	idleTick = 200 * dsmpm2.Microsecond
 	// hotKeyCount is how many hot keys Result.HotKeys reports.
 	hotKeyCount = 5
 )
@@ -274,11 +269,11 @@ type Result struct {
 	HotKeys []HotKey
 	// PerKey is the served-latency digest of each hot key, in HotKeys order.
 	PerKey []KeyLatency
-	// Served and Dropped count completed and deadline-dropped requests;
-	// IdleTicks counts the servers' idle ticks (receive deadlines re-armed).
-	Served    int64
-	Dropped   int64
-	IdleTicks int64
+	// Served and Dropped count completed and deadline-dropped requests.
+	Served  int64
+	Dropped int64
+	// lastStop is the instant the last server took its stop mark.
+	lastStop dsmpm2.Time
 }
 
 // Op returns the summary for kind (zero OpSummary if absent).
@@ -422,10 +417,9 @@ func run(cfg Config) (Result, []*opHist, error) {
 			proc := t.PM2().Proc()
 			q := queues[node]
 			for {
-				v, ticks := q.RecvIdle(proc, idleTick)
-				res.IdleTicks += int64(ticks)
-				switch m := v.(type) {
+				switch m := q.Recv(proc).(type) {
 				case stopMark:
+					res.lastStop = t.Now()
 					return
 				case epochMark:
 					t.Barrier(bar)

@@ -202,8 +202,8 @@ func TestConfigValidation(t *testing.T) {
 
 // TestKVServeResumesPerRequest holds the serving path to its thread resumes:
 // on the ledger's kvserve configuration, at a quarter of its requests, a
-// request costs at most 9 coroutine resumes, and an idle tick costs none —
-// every tick is a re-arm record, not a server woken to park again.
+// request costs at most 9 coroutine resumes, and an idle server costs none:
+// it parks in Recv until a request comes, and no timed-wait record is armed.
 func TestKVServeResumesPerRequest(t *testing.T) {
 	cfg := Config{
 		Nodes: 8, Buckets: 16, Keys: 512,
@@ -218,11 +218,28 @@ func TestKVServeResumesPerRequest(t *testing.T) {
 	}
 	qs := res.System.Runtime().Engine().QueueStats()
 	perReq := float64(qs.Resumes) / float64(cfg.Requests)
-	t.Logf("resumes %d (%.2f per request), re-arms %d, idle ticks %d", qs.Resumes, perReq, qs.Rearms, res.IdleTicks)
+	t.Logf("resumes %d (%.2f per request)", qs.Resumes, perReq)
 	if perReq > 9 {
 		t.Errorf("%.2f resumes per request, want at most 9", perReq)
 	}
-	if qs.Rearms != uint64(res.IdleTicks) || res.IdleTicks == 0 {
-		t.Errorf("re-arms %d, idle ticks %d: every tick must be a re-arm", qs.Rearms, res.IdleTicks)
+	if n := qs.DeadlineLive + qs.DeadlineInert; n != 0 {
+		t.Errorf("%d deadline records fired: an idle server must not poll", n)
+	}
+}
+
+// TestElapsedEndsAtLastStop: a run ends when its last server takes its stop
+// mark. Nothing the servers leave queued may fire after that and move the
+// clock, on the static and the adaptive placement alike.
+func TestElapsedEndsAtLastStop(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.MisplaceHomes, cfg.AdaptiveHomes = true, adaptive
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Elapsed != res.lastStop {
+			t.Errorf("adaptive=%v: elapsed %v, but the last server stopped at %v", adaptive, res.Elapsed, res.lastStop)
+		}
 	}
 }

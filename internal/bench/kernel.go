@@ -33,7 +33,7 @@ type KernelResult struct {
 	Threads int `json:"threads"`
 	// Queue is the kernel's traffic by shape (pushes at the current instant,
 	// opening a run, joining one; deadline records; peak heap length;
-	// coroutine resumes, self-wakes, idle re-arms and sink drains).
+	// coroutine resumes, self-wakes, sink drains and call records).
 	Queue sim.QueueStats `json:"queue"`
 }
 

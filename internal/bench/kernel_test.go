@@ -16,3 +16,14 @@ func TestShardedStormVirtualClockInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelPushesAreEvents: every event a KernelSuite scenario fires was
+// pushed once, and its runs leave nothing queued, so the three push counts
+// that -exp kernel prints as shares of the events add up to the events.
+func TestKernelPushesAreEvents(t *testing.T) {
+	for _, r := range KernelSuite() {
+		if q := r.Queue; q.AtNow+q.NewRun+q.Joined != r.Events {
+			t.Errorf("%s: %d at-now + %d new-run + %d joined pushes, %d events", r.Name, q.AtNow, q.NewRun, q.Joined, r.Events)
+		}
+	}
+}

@@ -45,7 +45,6 @@ type ServeResult struct {
 
 	Served         int64 `json:"served"`
 	Dropped        int64 `json:"dropped"`
-	IdleTicks      int64 `json:"idle_ticks"`
 	RemoteFetches  int64 `json:"remote_fetches"`
 	HomeMigrations int64 `json:"home_migrations"`
 
@@ -96,7 +95,6 @@ func serveMeasure(adaptive bool) (ServeResult, error) {
 		PerKey:         res.PerKey,
 		Served:         res.Served,
 		Dropped:        res.Dropped,
-		IdleTicks:      res.IdleTicks,
 		RemoteFetches:  res.Stats.RemoteFetches,
 		HomeMigrations: res.Stats.HomeMigrations,
 		Checksum:       res.Checksum,

@@ -12,8 +12,9 @@ import (
 // node's handler count are a threaded handler's, and no thread is made.
 
 // TestQuickReplyAtOnce: a result returned by a quick handler is replied at
-// once — the caller sees the null-RPC latency — from one call record, and the
-// delivery counts as a handler although no thread runs it.
+// once — the caller sees the null-RPC latency — from one call record beside
+// the drain that delivered the request, and the delivery counts as a handler
+// although no thread runs it.
 func TestQuickReplyAtOnce(t *testing.T) {
 	rt := newRT(2, nil)
 	rt.Node(1).RegisterQuick("double", func(_ *Request, arg interface{}) (interface{}, bool) {
@@ -35,8 +36,8 @@ func TestQuickReplyAtOnce(t *testing.T) {
 		t.Fatalf("HandlersSpawned %d, node-1 threads %d, ThreadCount %d; want 1, 0, 1 (the caller)",
 			n.HandlersSpawned, n.ThreadsSpawned, rt.ThreadCount())
 	}
-	if qs := rt.Engine().QueueStats(); qs.Calls != 1 {
-		t.Fatalf("%d call records fired, want 1", qs.Calls)
+	if qs := rt.Engine().QueueStats(); qs.Drains != 1 || qs.Calls != 2 {
+		t.Fatalf("%d call records fired, %d of them drains; want 2, one the drain", qs.Calls, qs.Drains)
 	}
 }
 

@@ -5,6 +5,7 @@ package protocols_test
 // shared memory and System.Fingerprint. A fault plan that does nothing must
 // leave a run exactly as it was: no protocol wait may arm a deadline record,
 // and a fault event still pending when the run ends must not move its clock.
+// Recording a trace only watches the run, so it must not change it either.
 
 import (
 	"fmt"
@@ -16,12 +17,14 @@ import (
 	"dsmpm2/internal/protocols"
 )
 
-// relation is one row of the table: either a plan the run takes through
-// System.InjectFaults and that must leave it ≡ the run without one, or a
-// relation another test pins, named with that test and its file.
+// relation is one row of the table: a plan the run takes through
+// System.InjectFaults, or a change to its Config, that must leave it ≡ the
+// run without; or a relation another test pins, named with that test and its
+// file.
 type relation struct {
 	name     string
 	plan     func() *dsmpm2.FaultPlan
+	config   func(*dsmpm2.Config)
 	pinnedBy string
 	file     string
 }
@@ -37,6 +40,7 @@ var relations = []relation{
 			Partition(hour, 1, 2).Heal(hour+dsmpm2.Time(dsmpm2.Millisecond), 1, 2).
 			Loss(hour, 0, 1, 0.5, 0.5)
 	}},
+	{name: "Trace on ≡ Trace off", config: func(cfg *dsmpm2.Config) { cfg.Trace = true }},
 	{name: "page stretches ≡ word accesses (jacobi)", pinnedBy: "TestStretchesMatchWordPath", file: "../apps/jacobi/jacobi_test.go"},
 	{name: "a stopped engine resumed ≡ the unbroken run", pinnedBy: "TestStopResumeMatchesUnbroken", file: "../sim/engine_test.go"},
 	{name: "a checkpoint token resumed ≡ jacobi.Run", pinnedBy: "TestDemoPlanTokensResumeToRun", file: "../../faults_test.go"},
@@ -96,26 +100,39 @@ func lockProbe(t *testing.T, sys *dsmpm2.System) []uint64 {
 	return []uint64{got}
 }
 
-// play runs prog under proto on four nodes, with plan injected unless it is
-// nil, and fails on any deadline record the run's waits armed.
-func play(t *testing.T, proto string, prog program, plan *dsmpm2.FaultPlan) outcome {
+// play runs prog under proto on four nodes, changed by r's plan and config
+// (the zero relation is the plain run), and fails on any deadline record the
+// run's waits armed, and on a traced lock probe that recorded no span.
+func play(t *testing.T, proto string, prog program, r relation) outcome {
 	t.Helper()
-	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Network: dsmpm2.BIPMyrinet, Protocol: proto, Seed: 42})
+	cfg := dsmpm2.Config{Nodes: 4, Network: dsmpm2.BIPMyrinet, Protocol: proto, Seed: 42}
+	if r.config != nil {
+		r.config(&cfg)
+	}
+	sys := dsmpm2.MustNew(cfg)
+	var plan *dsmpm2.FaultPlan
+	if r.plan != nil {
+		plan = r.plan()
+	}
 	if err := sys.InjectFaults(plan, dsmpm2.FaultOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	mem := prog.run(t, sys)
 	if qs := sys.Runtime().Engine().QueueStats(); qs.DeadlineLive != 0 || qs.DeadlineInert != 0 {
-		t.Errorf("plan %v: %d live and %d inert deadline records; a protocol wait polled", plan != nil, qs.DeadlineLive, qs.DeadlineInert)
+		t.Errorf("%q: %d live and %d inert deadline records; a protocol wait polled", r.name, qs.DeadlineLive, qs.DeadlineInert)
+	}
+	if cfg.Trace && prog.name == "lock probe" && sys.Trace().Len() == 0 {
+		t.Errorf("%q: the traced lock probe recorded no span", r.name)
 	}
 	return outcome{sys.Now(), sys.Stats(), sys.RecoveryStats(), mem, sys.Fingerprint()}
 }
 
-// TestMetamorphicRelations checks each plan relation on every registered
-// protocol and program, and that each pinned relation's test exists.
+// TestMetamorphicRelations checks each plan and config relation on every
+// registered protocol and program, and that each pinned relation's test
+// exists.
 func TestMetamorphicRelations(t *testing.T) {
 	for _, r := range relations {
-		if r.plan != nil {
+		if r.pinnedBy == "" {
 			continue
 		}
 		src, err := os.ReadFile(r.file)
@@ -126,13 +143,13 @@ func TestMetamorphicRelations(t *testing.T) {
 	for _, proto := range dsmpm2.MustNew(dsmpm2.Config{}).ProtocolNames() {
 		for _, prog := range programs() {
 			t.Run(proto+"/"+prog.name, func(t *testing.T) {
-				want := play(t, proto, prog, nil)
+				want := play(t, proto, prog, relation{})
 				for _, r := range relations {
-					if r.plan == nil {
+					if r.pinnedBy != "" {
 						continue
 					}
-					if got := play(t, proto, prog, r.plan()); fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Errorf("%s broken:\nwith the plan %+v\nwithout       %+v", r.name, got, want)
+					if got := play(t, proto, prog, r); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s broken:\nchanged   %+v\nunchanged %+v", r.name, got, want)
 					}
 				}
 			})

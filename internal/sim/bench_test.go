@@ -115,10 +115,9 @@ func BenchmarkCalendarDistinctTimes(b *testing.B) {
 }
 
 // BenchmarkRecvTimeout measures a receive deadline that alternately expires
-// and is cancelled by a message — the idle tick as a loop of timed receives
-// (the form core's recovery waits use): per iteration one deadline record
-// armed, fired live or inert, and the parks and wakes around it, none of which
-// may allocate.
+// and is cancelled by a message: per iteration one deadline record armed from
+// the engine's pool, fired live or inert, and the parks and wakes around it,
+// none of which may allocate.
 func BenchmarkRecvTimeout(b *testing.B) {
 	e := NewEngine(1)
 	ch := new(Chan)
@@ -141,37 +140,11 @@ func BenchmarkRecvTimeout(b *testing.B) {
 	}
 }
 
-// BenchmarkRecvIdle measures kvstore's idle tick as it runs: a receive whose
-// deadline expires once before each message, so per iteration one re-arm
-// record (a deadline armed without a resume), one live and one inert deadline
-// record, and the park and wake of the message, none of which may allocate.
-func BenchmarkRecvIdle(b *testing.B) {
-	e := NewEngine(1)
-	ch := new(Chan)
-	token := new(int)
-	e.Go("server", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			ch.RecvIdle(p, 100*Microsecond)
-		}
-	})
-	e.Go("client", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Advance(150 * Microsecond) // mid-way through the second deadline
-			ch.Push(token)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// TestKernelAllocationPins holds three of the benchmarks above at 0
+// TestKernelAllocationPins holds two of the benchmarks above at 0
 // allocations per round, measured by testing.AllocsPerRun (100 rounds after
 // one more) in the proc whose rounds they are: BenchmarkWakeHandoff's
-// ping-pong, BenchmarkRecvTimeout's deadline that alternately expires and is
-// cancelled, and BenchmarkRecvIdle's idle tick before each message.
+// ping-pong and BenchmarkRecvTimeout's deadline that alternately expires and
+// is cancelled.
 func TestKernelAllocationPins(t *testing.T) {
 	const rounds, warm = 100, 16
 	n := warm + rounds + 1
@@ -196,16 +169,6 @@ func TestKernelAllocationPins(t *testing.T) {
 			e.Go("server", func(p *Proc) { measure(p, func() { ch.RecvTimeout(p, 100*Microsecond) }) })
 			e.Go("client", func(p *Proc) {
 				for i := 0; i < n; i += 2 {
-					p.Advance(150 * Microsecond)
-					ch.Push(token)
-				}
-			})
-		}},
-		{"RecvIdle", func(e *Engine, measure func(*Proc, func())) {
-			ch := new(Chan)
-			e.Go("server", func(p *Proc) { measure(p, func() { ch.RecvIdle(p, 100*Microsecond) }) })
-			e.Go("client", func(p *Proc) {
-				for i := 0; i < n; i++ {
 					p.Advance(150 * Microsecond)
 					ch.Push(token)
 				}

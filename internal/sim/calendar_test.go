@@ -3,8 +3,10 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // A model-based differential test of the event queue. A program is a byte
@@ -24,10 +26,10 @@ const (
 	calWake            // push a wake record (of a dead proc for every fourth record)
 	calChan            // push a Chan push record
 	calClosure         // push a closure record
-	calDeadline        // push a deadline record
+	calDeadline        // push a deadline record (a call record, inert: its proc never waits)
 	calRemote          // shard: queue a remote event in the pending heap (else: a closure record)
 	calLimit           // shard: move the horizon (else: fire the next event)
-	calRearm           // push a re-arm record that resumes its proc (unless dead, as for a wake)
+	calDrain           // push a drain record of a bound channel holding one message
 	calOps
 )
 
@@ -103,10 +105,9 @@ func (m *calModel) order() []calRec {
 // calDead reports whether the proc of record id is dead: every fourth one.
 func calDead(id int) bool { return id%4 == 3 }
 
-// resumes reports whether r, fired, resumes a proc: a live proc's wake or
-// re-arm record (a re-arm record's channel always holds a message here).
+// resumes reports whether r, fired, resumes a proc: a live proc's wake.
 func (r calRec) resumes() bool {
-	return (r.kind == calWake || r.kind == calRearm) && !r.remote && !calDead(r.id)
+	return r.kind == calWake && !r.remote && !calDead(r.id)
 }
 
 // fire removes rec, which next returned, and moves the clock to it.
@@ -142,10 +143,8 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 	var procs []*Proc // by record id; nil for records that carry no proc
 	var sched []calRec
 	var fired []int
-	var closures []int // ids of the closure records fired, in order
+	var closures []int // ids of the closure and drain records fired, in order
 	ch := new(Chan)
-	full := new(Chan) // the channel of every re-arm record: never empty
-	full.Push(0)
 	var fresh Time
 	var remoteSeq [2]uint64
 
@@ -182,24 +181,28 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 			e.Schedule(at, func() { closures = append(closures, id) })
 		case calDeadline:
 			p = &Proc{id: int32(id), eng: e, w: calThread}
-			e.push(at, event{proc: p, payload: new(procQueue), gen: uint64(id) + 1})
-		case calRearm:
-			p = &Proc{id: int32(id), eng: e, w: calThread, dead: calDead(id)}
-			e.push(at, event{proc: p, ch: full})
+			e.ScheduleCall(at, &deadline{p, uint64(id) + 1, new(procQueue)})
+		case calDrain:
+			bound := &Chan{eng: e, sink: func(v interface{}) { closures = append(closures, v.(int)) }}
+			bound.q.push(id)
+			e.ScheduleCall(at, (*drain)(bound))
 		}
 		procs = append(procs, p)
 	}
 	idOf := func(ev event) int {
 		switch {
-		case ev.gen != 0:
-			if int(ev.proc.id) != int(ev.gen)-1 {
-				t.Fatalf("deadline record of gen %d names proc %d", ev.gen, ev.proc.id)
-			}
-			return int(ev.gen) - 1
 		case ev.proc != nil:
 			return int(ev.proc.id)
 		case ev.ch != nil:
 			return ev.payload.(int)
+		}
+		if d, ok := ev.payload.(*deadline); ok {
+			id := int(d.gen) - 1
+			if int(d.p.id) != id {
+				t.Fatalf("deadline record of gen %d names proc %d", d.gen, d.p.id)
+			}
+			d.Fire()
+			return id
 		}
 		ev.payload.(Caller).Fire()
 		return closures[len(closures)-1]
@@ -239,7 +242,7 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 			p := &Proc{eng: e, w: calThread}
 			if l, any := m.head(); any && procs[l.id] != nil && !calDead(l.id) && (isWake || arg&1 == 0) {
 				// The proc of the queue's head: a wake record's must be
-				// taken, a deadline or re-arm record's refused.
+				// taken, a deadline record's refused.
 				p = procs[l.id]
 			}
 			if got := e.popSelfWake(p); got != isWake {
@@ -255,8 +258,8 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 		case op == calSelfWake:
 			// The model's yield: fire every record up to the first that
 			// resumes a proc, and that one too if it is the yielding proc's
-			// wake. The yielding proc is that record's (a re-arm record's
-			// must be refused) or, for odd args, a bystander's.
+			// wake. The yielding proc is that record's or, for odd args, a
+			// bystander's.
 			p := &Proc{eng: e, w: calThread}
 			var fire []calRec
 			var stop *calRec
@@ -270,7 +273,7 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 			if stop != nil && arg&1 == 0 {
 				p = procs[stop.id]
 			}
-			isWake := stop != nil && stop.kind == calWake && procs[stop.id] == p
+			isWake := stop != nil && procs[stop.id] == p
 			events, inert := e.nevents, e.qs.DeadlineInert
 			nclosures, nmsgs := len(closures), ch.Len()
 			e.cur = p
@@ -286,7 +289,7 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 			var wantInert uint64
 			for _, r := range fire {
 				switch r.kind {
-				case calClosure, calRemote:
+				case calClosure, calRemote, calDrain:
 					wantClosures = append(wantClosures, r.id)
 				case calChan:
 					wantMsgs = append(wantMsgs, r.id)
@@ -388,13 +391,14 @@ var abab = []byte{
 	calSelfWake, 0, calPop, 0, calSelfWake, 0, calWake, 0, calSelfWake, 1, calPop, 0, calWake, 2, calPop, 0,
 }
 
-// yieldOver queues, at one time, a closure, a deadline, a push and a dead
-// proc's wake ahead of a re-arm record and a wake: a yield by the re-arm
-// record's proc fires the first four and refuses the re-arm record, and one
-// by the wake's proc, after the re-arm record pops, takes its wake.
+// yieldOver queues, at one time, a closure, a deadline, a push, a dead
+// proc's wake and a drain ahead of two wakes: a yield by a bystander fires
+// the first five and stops at the first wake, and one by the second wake's
+// proc, after the first pops, takes its wake. A drain and a wake queued at
+// that instant then stop a bystander's yield after the drain.
 var yieldOver = []byte{
-	calClosure, 5, calDeadline, 5, calChan, 5, calWake, 5, calRearm, 5, calWake, 5,
-	calSelfWake, 0, calPop, 0, calSelfWake, 0, calRearm, 0, calWake, 0, calSelfWake, 1,
+	calClosure, 5, calDeadline, 5, calChan, 5, calWake, 5, calDrain, 5, calWake, 5, calWake, 5,
+	calSelfWake, 1, calPop, 0, calSelfWake, 0, calDrain, 0, calWake, 0, calSelfWake, 1,
 }
 
 func FuzzCalendarOrder(f *testing.F) {
@@ -405,4 +409,16 @@ func FuzzCalendarOrder(f *testing.F) {
 		runCalendarProgram(t, prog, false)
 		runCalendarProgram(t, prog, true)
 	})
+}
+
+// TestEventIsThreeWords pins a calendar record at its three fields: a wake
+// (proc), a push (ch) or a call (payload), 32 bytes inline in the queue.
+func TestEventIsThreeWords(t *testing.T) {
+	var fields []string
+	for typ, i := reflect.TypeFor[event](), 0; i < typ.NumField(); i++ {
+		fields = append(fields, typ.Field(i).Name)
+	}
+	if n := unsafe.Sizeof(event{}); n != 32 || fmt.Sprint(fields) != "[proc ch payload]" {
+		t.Errorf("event is %d bytes with fields %v, want 32 bytes with [proc ch payload]", n, fields)
+	}
 }

@@ -14,30 +14,22 @@ import (
 // deterministic. Neither key is stored in the event: its time is its ring's
 // (the clock's, for the now-ring), and its seq is its place in the ring.
 // Events are value-typed and live inline in the engine's queue; scheduling
-// one never allocates. The discriminant is which fields are set:
+// one never allocates. The discriminant is which field is set:
 //
-//   - gen != 0: with a proc, a deadline record — proc's gen-th timed wait, on
-//     the wait queue in payload, has run out (see Proc.armDeadline); inert if
-//     that wait is already over. A ch beside the proc is the channel of an
-//     idle wait (see Chan.RecvIdle). With a ch alone, a drain record — what
-//     is queued on ch goes to its sink (see Chan.SetSink); inert if the sink
-//     was cleared meanwhile.
-//   - proc != nil: with a ch, a re-arm record — proc's idle wait on ch timed
-//     out: resume the proc if a message came meanwhile, else arm the next
-//     deadline without a resume (see Proc.rearm). Without, a wake record —
-//     resume that proc. This is the dominant kind (Advance, Unpark, Spawn,
-//     every synchronization wakeup).
+//   - proc != nil: a wake record — resume that proc. This is the dominant
+//     kind (Advance, Unpark, Spawn, every synchronization wakeup).
 //   - ch != nil: a push record — deliver payload into a Chan (simulated
 //     message arrivals). payload is usually a pointer, which boxes for free.
 //   - otherwise: a call record — payload holds a Caller, fired in engine
-//     context (see ScheduleCall). A pointer Caller boxes for free, and so
-//     does Schedule's func() behind its adapter, so the caller's func
-//     literal is the only allocation a closure event makes.
+//     context (see ScheduleCall). A pointer Caller boxes for free: a timed
+//     wait's deadline (see Proc.armDeadline), a sink's drain (see
+//     Chan.SetSink), a fault cursor. So does Schedule's func() behind its
+//     adapter, so the caller's func literal is the only allocation a
+//     closure event makes.
 type event struct {
 	proc    *Proc
 	ch      *Chan
 	payload interface{}
-	gen     uint64
 }
 
 // ring is a FIFO of events sharing one fire time. seq increases monotonically
@@ -69,8 +61,7 @@ const maxPooledRing = 64
 // QueueStats counts the kernel's traffic by shape since the engine was created:
 // where pushes went, how deadline records ended, how long the heap got, what
 // the loop did with what it popped — resume a proc, consume a self-wake,
-// re-arm an idle wait, drain a sink, fire a call record. Plain increments,
-// kept unconditionally.
+// drain a sink, fire a call record. Plain increments, kept unconditionally.
 type QueueStats struct {
 	AtNow         uint64 `json:"at_now"`         // pushes for the current instant (now-ring)
 	NewRun        uint64 `json:"new_run"`        // future pushes that opened a run (a heap insert)
@@ -81,9 +72,8 @@ type QueueStats struct {
 	Resumes       uint64 `json:"resumes"`        // coroutine resumes by the event loop (two switches each)
 	Steps         uint64 `json:"steps"`          // step proc bodies run (no switch; see SpawnStep)
 	SelfWakes     uint64 `json:"self_wakes"`     // wake records a yielding proc consumed itself (no switch)
-	Rearms        uint64 `json:"rearms"`         // idle waits re-armed by their re-arm record (no resume)
 	Drains        uint64 `json:"drains"`         // drain records that handed a burst to a sink
-	Calls         uint64 `json:"calls"`          // call records fired (ScheduleCall and Schedule)
+	Calls         uint64 `json:"calls"`          // call records fired: deadlines, drains, ScheduleCall and Schedule
 }
 
 // Engine is a sequential discrete-event simulation kernel. It owns the
@@ -111,6 +101,9 @@ type Engine struct {
 	last    run                  // the most recently pushed-to run; q nil once it is drained
 	free    freelist.List[*ring] // freelist of runs' rings
 	qs      QueueStats
+
+	// deadlines pools the call records of timed waits (see Proc.armDeadline).
+	deadlines freelist.List[*deadline]
 
 	cur     *Proc // proc the event loop is currently running
 	nextID  int
@@ -454,11 +447,10 @@ func parking(q *ring) bool {
 }
 
 // resumes returns the proc that firing ev resumes: a live thread's wake
-// record, or the re-arm record of a live thread whose channel got a message.
-// For any other record, a step proc's wake among them, it returns nil.
+// record. For any other record, a step proc's wake among them, it returns nil.
 func (ev *event) resumes() *Proc {
 	p := ev.proc
-	if p == nil || ev.gen != 0 || p.dead || p.w == nil || ev.ch != nil && ev.ch.q.len() == 0 {
+	if p == nil || p.dead || p.w == nil {
 		return nil
 	}
 	return p
@@ -466,21 +458,13 @@ func (ev *event) resumes() *Proc {
 
 // fire dispatches ev, a record that resumes no proc, in engine context.
 func (e *Engine) fire(ev *event) {
-	switch {
-	case ev.proc != nil && ev.gen != 0:
-		ev.proc.fireDeadline(ev.gen, ev.payload.(*procQueue), ev.ch)
-	case ev.proc != nil:
-		switch p := ev.proc; {
-		case p.dead:
-		case ev.ch != nil:
-			p.rearm(ev.ch)
-		default: // a step proc's wake
+	switch p := ev.proc; {
+	case p != nil:
+		if !p.dead { // a step proc's wake
 			e.qs.Steps++
 			p.reason = ""
 			p.body.Run(p)
 		}
-	case ev.gen != 0:
-		ev.ch.drain()
 	case ev.ch != nil:
 		ev.ch.Push(ev.payload)
 	default:
@@ -496,7 +480,6 @@ func (e *Engine) fire(ev *event) {
 // that is p's own wake: p keeps running. It reports false, and p must switch
 // out, at another proc's resume, on Stop, on an empty queue, at a head past
 // the bound, or when a fired record killed p, which is then never resumed.
-// Neither p's deadline records nor a re-arm record naming p are its wake.
 //
 // A shard leaves every record to drive, whose merge with the remote events
 // and horizon it would otherwise have to repeat, and only takes its own wake
@@ -510,7 +493,7 @@ func (e *Engine) fireUntilWake(p *Proc) bool {
 		if e.stopped || q == nil || t > e.horizon {
 			return false
 		}
-		if ev := q.peek(); ev.proc == p && ev.gen == 0 && ev.ch == nil {
+		if ev := q.peek(); ev.proc == p {
 			e.pop(q, t)
 			e.qs.SelfWakes++
 			return true
@@ -533,16 +516,15 @@ func (e *Engine) fireNext(p *Proc, q *ring, t Time) bool {
 	return !p.dead
 }
 
-// popSelfWake consumes the next event if it is p's own wake record (not a
-// deadline or re-arm record, which also name their proc), exactly as drive
-// would have popped it and resumed p, and reports whether it did. It is the
-// shards' fireUntilWake.
+// popSelfWake consumes the next event if it is p's own wake record, exactly
+// as drive would have popped it and resumed p, and reports whether it did. It
+// is the shards' fireUntilWake.
 func (e *Engine) popSelfWake(p *Proc) bool {
 	q, t := e.head()
 	if e.stopped || q == nil {
 		return false
 	}
-	if ev := q.peek(); ev.proc != p || ev.gen != 0 || ev.ch != nil {
+	if q.peek().proc != p {
 		return false
 	}
 	if sh := e.sh; sh != nil && (t >= sh.limit || len(sh.pending) > 0 && sh.pending[0].t < t) {

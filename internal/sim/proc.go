@@ -28,11 +28,9 @@ type Proc struct {
 	// timedGen numbers the proc's timed waits; timed is cleared once the
 	// current one timed out or ended (see armDeadline): a deadline record
 	// still sitting in the calendar after its wait has ended is inert when it
-	// fires (it can never unpark the proc from a later wait). idleTick is the
-	// deadline an idle wait re-arms with (see Chan.RecvIdle). The wait queue
-	// and an idle wait's channel ride on the records, not here.
+	// fires (it can never unpark the proc from a later wait). The wait queue
+	// rides on the record, not here.
 	timedGen uint64
-	idleTick Duration
 
 	// body is what the proc runs. The runtime layered above spawns its own
 	// thread descriptor as the body (see SpawnInto) and gets it back through

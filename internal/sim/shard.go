@@ -184,7 +184,6 @@ func (se *ShardedEngine) QueueStats() (qs QueueStats) {
 		qs.PeakHeap = max(qs.PeakHeap, e.qs.PeakHeap)
 		qs.Resumes += e.qs.Resumes
 		qs.SelfWakes += e.qs.SelfWakes
-		qs.Rearms += e.qs.Rearms
 		qs.Drains += e.qs.Drains
 		qs.Calls += e.qs.Calls
 	}

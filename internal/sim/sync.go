@@ -95,49 +95,49 @@ func (c *Cond) Broadcast() {
 }
 
 // armDeadline starts a timed wait of p on q: a deadline record d from now
-// (allocation-free, like a wake record: q rides in its payload) that takes p
-// off q and unparks it, clearing p.timed as the mark of a wait that timed out.
-// The wait ends by clearing timed itself, which makes a record still in the
-// calendar inert; until then it stays armed through any number of parks. idle
-// is nil but for the idle wait of Chan.RecvIdle, whose channel it is (q is its
-// waiters): the record carries it, and firing live re-arms the wait instead of
-// unparking.
-func (p *Proc) armDeadline(q *procQueue, d Duration, idle *Chan) {
+// that takes p off q and unparks it, clearing p.timed as the mark of a wait
+// that timed out. The wait ends by clearing timed itself, which makes a record
+// still in the calendar inert; until then it stays armed through any number of
+// parks.
+func (p *Proc) armDeadline(q *procQueue, d Duration) {
 	p.timedGen++
 	p.timed = true
-	p.eng.push(p.eng.now.Add(d), event{proc: p, ch: idle, payload: q, gen: p.timedGen})
+	e := p.eng
+	dl, ok := e.deadlines.Get()
+	if !ok {
+		dl = new(deadline)
+	}
+	*dl = deadline{p, p.timedGen, q}
+	e.ScheduleCall(e.now.Add(d), dl)
 }
 
-// fireDeadline is the deadline record of p's gen-th timed wait on q firing. p
-// not being queued (a push or signal just took it off and its wake is on the
-// way) leaves the wait to end on its own. For an idle wait on a channel, the
-// re-arm record goes where the wake would.
-func (p *Proc) fireDeadline(gen uint64, q *procQueue, idle *Chan) {
+// deadline is the call record of p's gen-th timed wait on q. Records are
+// pooled on their engine's freelist, so a timed wait allocates nothing once
+// the pool holds as many records as are ever queued at once.
+type deadline struct {
+	p   *Proc
+	gen uint64
+	q   *procQueue
+}
+
+// Fire is the deadline running out. p not being queued (a push or signal just
+// took it off and its wake is on the way) leaves the wait to end on its own.
+func (d *deadline) Fire() {
+	p, gen, q := d.p, d.gen, d.q
+	e := p.eng
+	*d = deadline{}
+	e.deadlines.Put(d)
 	if gen != p.timedGen || !p.timed {
-		p.eng.qs.DeadlineInert++
+		e.qs.DeadlineInert++
 		return
 	}
-	p.eng.qs.DeadlineLive++
+	e.qs.DeadlineLive++
 	if q.removeFunc(func(w *Proc) bool { return w == p }) {
 		p.timed = false
-		switch {
-		case p.dead:
-		case idle != nil:
-			p.eng.push(p.eng.now, event{proc: p, ch: idle})
-		default:
+		if !p.dead {
 			p.Unpark()
 		}
 	}
-}
-
-// rearm is the re-arm record of p's idle wait on c firing with c still empty:
-// it does what the timed-out proc would do, resumed, in the loop RecvIdle
-// stands for — count a tick (in timedGen), arm the next deadline and queue on
-// c again — without resuming it.
-func (p *Proc) rearm(c *Chan) {
-	p.eng.qs.Rearms++
-	p.armDeadline(&c.waiters, p.idleTick, c)
-	c.waiters.push(p)
 }
 
 // Resource is a single FIFO server: Use(p, d) occupies it for d of virtual
@@ -219,7 +219,7 @@ func (c *Chan) SetSink(eng *Engine, fn func(v interface{})) {
 	}
 	c.sink, c.eng = fn, eng
 	if c.q.len() > 0 {
-		eng.push(eng.now, event{ch: c, gen: 1})
+		eng.ScheduleCall(eng.now, (*drain)(c))
 	}
 }
 
@@ -228,10 +228,12 @@ func (c *Chan) SetSink(eng *Engine, fn func(v interface{})) {
 // its own channel, to take what follows with TryRecv: the drain stops there.
 func (c *Chan) ClearSink() { c.sink = nil }
 
-// drain is c's drain record firing: what is queued goes to the sink, for as
-// long as c stays bound.
-func (c *Chan) drain() {
-	if c.sink != nil {
+// drain is a bound channel seen as its drain record, a call record: firing,
+// what is queued goes to the sink, for as long as the channel stays bound.
+type drain Chan
+
+func (d *drain) Fire() {
+	if c := (*Chan)(d); c.sink != nil {
 		c.eng.qs.Drains++
 		for c.sink != nil && c.q.len() > 0 {
 			c.sink(c.q.pop())
@@ -246,7 +248,7 @@ func (c *Chan) Push(v interface{}) {
 	c.q.push(v)
 	if c.sink != nil {
 		if c.q.len() == 1 {
-			c.eng.push(c.eng.now, event{ch: c, gen: 1})
+			c.eng.ScheduleCall(c.eng.now, (*drain)(c))
 		}
 		return
 	}
@@ -285,7 +287,7 @@ func (c *Chan) RecvTimeout(p *Proc, d Duration) (interface{}, bool) {
 	if c.q.len() > 0 {
 		return c.q.pop(), true
 	}
-	p.armDeadline(&c.waiters, d, nil)
+	p.armDeadline(&c.waiters, d)
 	for c.q.len() == 0 && p.timed {
 		// Again if woken by a Push whose message another receiver consumed:
 		// the deadline stays armed across these re-parks and bounds the wait.
@@ -297,39 +299,6 @@ func (c *Chan) RecvTimeout(p *Proc, d Duration) (interface{}, bool) {
 		return nil, false
 	}
 	return c.q.pop(), true
-}
-
-// RecvIdle receives the next message, however many idle ticks pass first,
-// and returns it with their count. It is exactly
-//
-//	for ticks := 0; ; ticks++ {
-//		if v, ok := c.RecvTimeout(p, tick); ok {
-//			return v, ticks
-//		}
-//	}
-//
-// — the same events fire in the same order at the same times — except that a
-// tick resumes nothing: the deadline record queues a re-arm record where the
-// proc's wake would go, and that record, finding c still empty, arms the
-// next deadline itself (see Proc.rearm). The proc is resumed only to take a
-// message.
-func (c *Chan) RecvIdle(p *Proc, tick Duration) (v interface{}, ticks int) {
-	if c.sink != nil {
-		panic("sim: RecvIdle on a channel bound to a sink")
-	}
-	if c.q.len() > 0 {
-		return c.q.pop(), 0
-	}
-	gen := p.timedGen
-	p.idleTick = tick
-	p.armDeadline(&c.waiters, tick, c)
-	for c.q.len() == 0 {
-		// Again if woken by a Push whose message another receiver consumed.
-		c.waiters.push(p)
-		p.Park("chan recv (timed)")
-	}
-	p.timed = false
-	return c.q.pop(), int(p.timedGen - gen - 1)
 }
 
 // TryRecv removes and returns the oldest message without blocking. The

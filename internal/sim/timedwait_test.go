@@ -117,11 +117,11 @@ func TestChanRecvTimeoutHeavyReuse(t *testing.T) {
 	}
 }
 
-// A deadline record names its proc, as a wake record does. A proc that advances
-// onto the exact instant of its own retired deadline finds that record at the
-// head of the queue when it yields, and must not take it for its wake: it would
-// run on with its real wake record still queued, and that one would end its
-// next park with nothing having released it.
+// A proc that advances onto the exact instant of its own retired deadline
+// finds that record at the head of the queue when it yields, and must fire it
+// inert, not take it for its wake: it would run on with its real wake record
+// still queued, and that one would end its next park with nothing having
+// released it.
 func TestAdvanceOntoOwnRetiredDeadline(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -161,51 +161,6 @@ func TestAdvanceOntoOwnRetiredDeadline(t *testing.T) {
 			}
 			if qs := se.QueueStats(); qs.DeadlineInert != 1 || qs.DeadlineLive != 0 {
 				t.Errorf("deadline records fired live/inert = %d/%d, want 0/1", qs.DeadlineLive, qs.DeadlineInert)
-			}
-		})
-	}
-}
-
-// A re-arm record names its proc too. A proc cannot be running while its own
-// is queued — fireDeadline pushes one only after taking the proc off its wait
-// queue — so this plants one, as fireDeadline would, ahead of the proc's wake
-// when it advances. Taken for the wake, it would leave that wake queued to end
-// the proc's next park, as above; fired as what it is, with the channel
-// empty, it re-arms the wait and the proc runs on at its own wake.
-func TestAdvanceOverOwnRearmRecord(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			se := NewShardedEngine(1, shards, Second)
-			e := se.Shard(0)
-			var ch Chan
-			released, spurious := false, false
-			w := e.Go("w", func(p *Proc) {
-				p.idleTick = 100 * Microsecond
-				e.push(e.now, event{proc: p, ch: &ch})
-				p.Advance(0)
-				// Undo the wait the record armed.
-				if !ch.waiters.removeFunc(func(q *Proc) bool { return q == p }) {
-					t.Error("the re-arm record did not queue the proc on its channel")
-				}
-				p.timed = false
-				p.Park("until released")
-				spurious = !released
-			})
-			e.Schedule(Time(200*Microsecond), func() {
-				released = true
-				w.Unpark()
-			})
-			if shards > 1 {
-				se.Shard(1).Go("bystander", func(p *Proc) { p.Advance(Microsecond) })
-			}
-			if err := se.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if spurious {
-				t.Error("park ended before the release: the advance consumed the re-arm record and left its wake queued")
-			}
-			if qs := se.QueueStats(); qs.Rearms != 1 || qs.DeadlineInert != 1 {
-				t.Errorf("re-arms %d, inert deadline records %d, want 1 and 1", qs.Rearms, qs.DeadlineInert)
 			}
 		})
 	}
