@@ -153,7 +153,7 @@ func TestCheckpointMidFaultPlan(t *testing.T) {
 	cfg.FaultPlan = faultyPlan()
 	ref := runSession(t, cfg, 0)
 	refFP, refSum := finishFingerprint(t, ref)
-	if ref.System().RecoveryStats().Crashes == 0 {
+	if ref.System().FaultStats().Crashes == 0 {
 		t.Fatalf("fault plan applied no crash; the sweep would not cover a mid-plan point")
 	}
 	want := jacobi.SolveSerial(cfg.N, cfg.Iterations)

@@ -10,9 +10,10 @@ import (
 
 // Fault injection and recovery, re-exported from the internal layers. A
 // FaultPlan is a declarative, seed-driven schedule of node crashes/restarts,
-// link partitions/heals and message loss; injecting it into a System turns
-// on the network fault layer and the DSM recovery manager, and replays of
-// the same seed + plan are bit-identical.
+// link partitions/heals and message loss. Every System is ready for failure:
+// the network fault layer and the DSM recovery manager are always there, and
+// injecting a plan only schedules its events. Replays of the same seed + plan
+// are bit-identical.
 
 type (
 	// FaultPlan is a reproducible schedule of fault events; see
@@ -57,11 +58,11 @@ type FaultOptions struct {
 	OnRestart func(node int)
 }
 
-// InjectFaults arms the system with a fault plan: the network fault layer
-// and the DSM recovery manager switch on, and each plan event fires at
-// now + event.At. Call it at the point of the simulation the plan's clock
-// should start from (typically after setup phases), and before the Run that
-// should experience the faults. A nil plan is a no-op.
+// InjectFaults arms the system with a fault plan: its seed seeds the loss
+// draws, opts.OnRestart becomes the restart hook, and each event fires at
+// now + event.At. Call it at the point the plan's clock should start from
+// (typically after setup phases), before the Run that should experience the
+// faults. A nil plan is a no-op.
 //
 // The events go through a cursor (sim.FaultCursor): only the next pending
 // event is in the queue, and System.Run arms it. An event that falls due
@@ -86,14 +87,14 @@ func (s *System) InjectFaults(plan *FaultPlan, opts FaultOptions) error {
 	if plan == nil {
 		return nil
 	}
-	if s.rt.Network().FaultsEnabled() {
+	if s.cursor != nil {
 		return fmt.Errorf("dsmpm2: a fault plan is already injected; a system takes one plan")
 	}
 	if err := checkPlan(plan, s.rt.Nodes()); err != nil {
 		return err
 	}
-	s.rt.EnableFaults(plan.Seed)
-	s.dsm.EnableRecovery(opts.OnRestart)
+	s.rt.Network().SeedLoss(plan.Seed)
+	s.dsm.OnRestart(opts.OnRestart)
 	s.faultPlan = plan
 	// Not armed here: System.Run arms before every phase.
 	s.cursor = s.rt.Engine().NewFaultCursor(plan, s.applyFault)
@@ -128,12 +129,11 @@ func (s *System) applyFault(ev FaultEvent) {
 	}
 }
 
-// FaultStats reports the network fault layer's counters (zero value when no
-// plan was injected).
+// FaultStats reports the network fault layer's counters, crashes and
+// restarts among them.
 func (s *System) FaultStats() FaultStats { return s.rt.Network().FaultStats() }
 
-// RecoveryStats reports the DSM recovery manager's counters (zero value
-// when no plan was injected).
+// RecoveryStats reports the DSM recovery manager's counters.
 func (s *System) RecoveryStats() RecoveryStats { return s.dsm.RecoveryStats() }
 
 // NodeDead reports whether node n is currently crashed.

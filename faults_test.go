@@ -157,8 +157,8 @@ func TestFaultPartitionOnly(t *testing.T) {
 	if want := jacobi.SolveSerial(16, 4); res.Checksum != want {
 		t.Fatalf("checksum = %v, want %v", res.Checksum, want)
 	}
-	if res.Recovery.Crashes != 0 {
-		t.Errorf("partition-only run recorded %d crashes", res.Recovery.Crashes)
+	if res.Faults.Crashes != 0 {
+		t.Errorf("partition-only run recorded %d crashes", res.Faults.Crashes)
 	}
 	if res.Faults.Held == 0 || res.Faults.HeldTime == 0 {
 		t.Errorf("no messages were held on the partitioned link: %+v", res.Faults)
@@ -237,16 +237,56 @@ func TestMTBFPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestInjectFaultsNilPlan: a nil plan is a no-op — no error, no fault layer
-// armed.
+// TestInjectFaultsNilPlan: a nil plan is a no-op — no error, a run equal to
+// the plan-free run, and no plan taken, so a later valid plan is accepted.
 func TestInjectFaultsNilPlan(t *testing.T) {
-	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "hbrc_mw", Seed: 1})
-	if err := sys.InjectFaults(nil, dsmpm2.FaultOptions{}); err != nil {
-		t.Fatalf("InjectFaults(nil): %v", err)
+	run := func(inject bool) (*dsmpm2.System, string) {
+		sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "hbrc_mw", Seed: 1})
+		if inject {
+			if err := sys.InjectFaults(nil, dsmpm2.FaultOptions{}); err != nil {
+				t.Fatalf("InjectFaults(nil): %v", err)
+			}
+		}
+		return sys, lockedCounter(t, sys)
 	}
-	if sys.Runtime().Network().FaultsEnabled() {
-		t.Fatal("a nil plan armed the fault layer")
+	sys, got := run(true)
+	if _, want := run(false); got != want {
+		t.Errorf("a nil plan changed the run:\n%s\nwant %s", got, want)
 	}
+	if err := sys.InjectFaults(dsmpm2.NewFaultPlan(1), dsmpm2.FaultOptions{}); err != nil {
+		t.Errorf("a valid plan after a nil one was refused: %v", err)
+	}
+}
+
+// lockedCounter runs four nodes bumping a shared word five times each under
+// one lock, and renders what the run ends with: the word, the clock, the
+// counters and the fingerprint.
+func lockedCounter(t *testing.T, sys *dsmpm2.System) string {
+	t.Helper()
+	word := sys.MustMalloc(1, 8, nil)
+	lock := sys.NewLock(0)
+	for n := 0; n < sys.Nodes(); n++ {
+		sys.Spawn(n, fmt.Sprintf("locker%d", n), func(th *dsmpm2.Thread) {
+			for i := 0; i < 5; i++ {
+				th.Acquire(lock)
+				th.WriteUint64(word, th.ReadUint64(word)+1)
+				th.Release(lock)
+			}
+		})
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var got uint64
+	sys.Spawn(2, "reader", func(th *dsmpm2.Thread) {
+		th.Acquire(lock)
+		got = th.ReadUint64(word)
+		th.Release(lock)
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprint(got, sys.Now(), sys.Stats(), sys.FaultStats(), sys.RecoveryStats(), sys.Fingerprint())
 }
 
 // TestDuplicatedPageMessages: a lossy link that duplicates (never drops) the
@@ -460,8 +500,7 @@ func heldRun(t *testing.T, proto string, start dsmpm2.Time, writers int) *dsmpm2
 // the probable-owner chain keeps the requester's fetch sequence number; with
 // any other number the requester takes the page it brings for a late
 // response, drops it and waits for a page that never comes, on a plan with
-// no event at all. With recovery on and nothing injected, every fetch
-// completes.
+// no event at all. With an empty plan injected, every fetch completes.
 func TestForwardedFetchesCompleteUnderRecovery(t *testing.T) {
 	const nodes, sections = 4, 10
 	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: nodes, Protocol: "li_hudak", Seed: 3})
@@ -567,9 +606,12 @@ func TestLockManagerCrashDropsQueuedAcquires(t *testing.T) {
 }
 
 // TestInjectFaultsRefusesUnrunnablePlans: a plan the system could only fail on
-// mid-run is refused at injection, with nothing armed — a crash of a node the
-// system does not have used to panic inside Engine.Run.
+// mid-run is refused at injection, with nothing taken: the system runs as
+// one given no plan, and a later runnable plan is accepted. A crash of a node
+// the system does not have used to panic inside Engine.Run.
 func TestInjectFaultsRefusesUnrunnablePlans(t *testing.T) {
+	want := lockedCounter(t, dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "hbrc_mw", Seed: 1}))
+	ok := dsmpm2.NewFaultPlan(1).Crash(at(dsmpm2.Millisecond), 3).Restart(at(2*dsmpm2.Millisecond), 3)
 	for _, tc := range []struct {
 		name string
 		plan *dsmpm2.FaultPlan
@@ -582,13 +624,12 @@ func TestInjectFaultsRefusesUnrunnablePlans(t *testing.T) {
 		if err := sys.InjectFaults(tc.plan, dsmpm2.FaultOptions{}); err == nil {
 			t.Errorf("%s: plan accepted", tc.name)
 		}
-		if sys.Runtime().Network().FaultsEnabled() || sys.RecoveryStats() != (dsmpm2.RecoveryStats{}) {
-			t.Errorf("%s: a refused plan armed the fault layer", tc.name)
+		if got := lockedCounter(t, sys); got != want {
+			t.Errorf("%s: a refused plan changed the run:\n%s\nwant %s", tc.name, got, want)
 		}
-	}
-	ok := dsmpm2.NewFaultPlan(1).Crash(at(dsmpm2.Millisecond), 3).Restart(at(2*dsmpm2.Millisecond), 3)
-	if err := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "hbrc_mw", Seed: 1}).InjectFaults(ok, dsmpm2.FaultOptions{}); err != nil {
-		t.Errorf("a runnable plan was refused: %v", err)
+		if err := sys.InjectFaults(ok, dsmpm2.FaultOptions{}); err != nil {
+			t.Errorf("%s: a runnable plan after the refused one was refused: %v", tc.name, err)
+		}
 	}
 }
 

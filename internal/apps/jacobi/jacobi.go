@@ -290,8 +290,18 @@ func Run(cfg Config) (Result, error) {
 		}
 		return s.Result()
 	}
+	return run(cfg, nil)
+}
+
+// run is Run's fault-free driver, with plan injected through
+// System.InjectFaults before anything runs. A plan that does nothing leaves
+// the run as it was (see TestGoldenConfigRelations).
+func run(cfg Config, plan *dsmpm2.FaultPlan) (Result, error) {
 	sys, err := newSystem(cfg)
 	if err != nil {
+		return Result{}, err
+	}
+	if err := sys.InjectFaults(plan, dsmpm2.FaultOptions{}); err != nil {
 		return Result{}, err
 	}
 	// Every block is homed on the node that writes it — unless MisplaceHomes

@@ -1,6 +1,7 @@
 package jacobi
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -187,9 +188,64 @@ func TestStretchesMatchWordPath(t *testing.T) {
 		if a, b := hits.System.Fingerprint(), words.System.Fingerprint(); a != b {
 			t.Errorf("%s: fingerprint %s in stretches, %s word by word", v.name, a, b)
 		}
-		crashes += hits.Recovery.Crashes
+		crashes += hits.Faults.Crashes
 	}
 	if crashes != 2 {
 		t.Fatalf("the fault plan crashed %d nodes during the sweep, want 2", crashes)
+	}
+}
+
+// TestGoldenConfigRelations runs the golden jacobi config (golden_test.go's
+// TestGoldenJacobiTrace pins its clock and fingerprint) under the metamorphic
+// relations of internal/protocols/metamorphic_test.go: an empty plan and a
+// plan whose events all fall after the run, each through
+// System.InjectFaults, and Trace on. Each must end at the golden clock with
+// the golden fingerprint, the plain run's counters and the serial checksum;
+// the traced run must record spans.
+func TestGoldenConfigRelations(t *testing.T) {
+	const (
+		elapsed     = dsmpm2.Time(1247233)
+		fingerprint = "17ff59c2123a7ca166e8666ef280cb9a58fd76c7be87a58975aef784672aac64"
+	)
+	hour := dsmpm2.Time(3600 * dsmpm2.Second)
+	ms := dsmpm2.Time(dsmpm2.Millisecond)
+	golden := Config{N: 24, Iterations: 4, Nodes: 8, Network: dsmpm2.BIPMyrinet, Protocol: "hbrc_mw", Seed: 7}
+	traced := golden
+	traced.Trace = true
+	rows := []struct {
+		name string
+		cfg  Config
+		plan *dsmpm2.FaultPlan
+	}{
+		{"no plan", golden, nil},
+		{"empty plan", golden, dsmpm2.NewFaultPlan(1)},
+		{"plan after the run", golden, dsmpm2.NewFaultPlan(1).
+			Crash(hour, 3).Restart(hour+ms, 3).
+			Partition(hour, 1, 2).Heal(hour+ms, 1, 2).
+			Loss(hour, 0, 1, 0.5, 0.5)},
+		{"Trace on", traced, nil},
+	}
+	var plain string
+	for _, r := range rows {
+		res, err := run(r.cfg, r.plan)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		sys := res.System
+		if res.Checksum != SolveSerial(24, 4) {
+			t.Errorf("%s: checksum %v, want %v", r.name, res.Checksum, SolveSerial(24, 4))
+		}
+		if res.Elapsed != elapsed || sys.Fingerprint() != fingerprint {
+			t.Errorf("%s: ends at %d with fingerprint %s, want %d and %s", r.name, res.Elapsed, sys.Fingerprint(), elapsed, fingerprint)
+		}
+		counters := fmt.Sprint(res.Stats, sys.FaultStats(), sys.RecoveryStats())
+		if plain == "" {
+			plain = counters
+		} else if counters != plain {
+			t.Errorf("%s: counters %s, want the plain run's %s", r.name, counters, plain)
+		}
+		if r.cfg.Trace && sys.Trace().Len() == 0 {
+			t.Errorf("%s: the traced run recorded no span", r.name)
+		}
 	}
 }

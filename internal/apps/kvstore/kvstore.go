@@ -237,13 +237,8 @@ func topKeys(perKey []int64, n int) []HotKey {
 // OpSummary is the per-operation-kind latency digest extracted from the
 // core histograms: deterministic grid-valued quantiles plus exact mean/max.
 type OpSummary struct {
-	Kind  string          `json:"kind"`
-	Count int64           `json:"count"`
-	P50   dsmpm2.Duration `json:"p50_ns"`
-	P95   dsmpm2.Duration `json:"p95_ns"`
-	P99   dsmpm2.Duration `json:"p99_ns"`
-	Mean  dsmpm2.Duration `json:"mean_ns"`
-	Max   dsmpm2.Duration `json:"max_ns"`
+	Kind string `json:"kind"`
+	dsmpm2.HistSummary
 }
 
 // KeyLatency is the served-latency digest of one hot key. Count is the
@@ -477,16 +472,7 @@ func run(cfg Config) (Result, []*opHist, error) {
 	res.Stats = sys.Stats()
 	res.HotKeys = hot
 	for _, h := range hists {
-		s := h.Summarize()
-		res.Ops = append(res.Ops, OpSummary{
-			Kind:  h.kind,
-			Count: s.Count,
-			P50:   s.P50,
-			P95:   s.P95,
-			P99:   s.P99,
-			Mean:  s.Mean,
-			Max:   s.Max,
-		})
+		res.Ops = append(res.Ops, OpSummary{Kind: h.kind, HistSummary: h.Summarize()})
 	}
 	for i, hk := range hot {
 		res.PerKey = append(res.PerKey, KeyLatency{Key: hk.Key, HistSummary: keyHists[i].Summarize()})

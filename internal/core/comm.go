@@ -182,10 +182,9 @@ func (d *DSM) sendInvalidate(from, dest int, pg Page, newOwner int, ack *sim.Cha
 // blocks the calling thread until the destination has applied it (release
 // semantics demand it).
 //
-// With recovery enabled, a home that dies before acknowledging ends the wait
-// at its crash, and the diff is re-routed to its page's current home (the
-// recovery sweep re-homed the dead node's pages), applied locally when this
-// node became the home. Diffs are absolute byte ranges, so a diff the dead
+// A home that dies before acknowledging ends the wait at its crash, and the
+// diff is re-routed to its page's current home (the recovery sweep re-homed
+// the dead node's pages), applied locally when this node became the home. Diffs are absolute byte ranges, so a diff the dead
 // home did manage to apply before crashing re-applies idempotently.
 func (d *DSM) sendDiffs(t *pm2.Thread, dest int, df *memory.Diff, wait bool) {
 	size := ctrlBytes + df.Size()

@@ -133,9 +133,8 @@ type DSM struct {
 
 	objects *objectSpace
 
-	// recovery is the fault-recovery manager: nil (and completely inert)
-	// until EnableRecovery is called. See recovery.go.
-	recovery *recoveryState
+	// recovery is the fault-recovery manager. See recovery.go.
+	recovery recoveryState
 
 	// prof is the sharing-pattern profiler and home-migration decision
 	// engine: nil (and completely inert) until EnableProfiler is called.
@@ -178,6 +177,7 @@ func New(rt *pm2.Runtime, reg *Registry) *DSM {
 	}
 	d.objects = newObjectSpace(d)
 	d.registerServices()
+	d.rt.OnDrop(d.strandDropped)
 	return d
 }
 

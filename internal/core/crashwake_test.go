@@ -17,15 +17,13 @@ const (
 	slow    = 2 * sim.Millisecond
 )
 
-// wakeHarness builds a recovery-enabled machine whose default protocol is h,
+// wakeHarness builds a machine whose default protocol is h,
 // with one page homed on node 1 holding 42 in its first byte and a read-only
 // copy of it on node 0 (the survivor a crash of node 1 re-homes it to).
 func wakeHarness(t *testing.T, nodes int, h *Hooks) (*DSM, *pm2.Runtime, Page) {
 	t.Helper()
 	rt := pm2.NewRuntime(pm2.Config{Nodes: nodes, Network: madeleine.BIPMyrinet, Seed: 1})
-	rt.EnableFaults(1)
 	d := New(rt, NewRegistry())
-	d.EnableRecovery(nil)
 	d.SetDefaultProtocol(d.CreateProtocol(h))
 	pg := d.Space(0).PageOf(d.MustMalloc(1, PageSize, nil))
 	d.Space(1).Frame(pg).Data[0] = 42
@@ -175,6 +173,50 @@ func crashEndsInvalidation(t *testing.T, restart bool) {
 	}
 	if done != crashAt || d.Space(2).Frame(pg) != nil {
 		t.Fatalf("round ended at %v with node 2's copy %v; want %v and dropped", done, d.Space(2).Frame(pg) != nil, crashAt)
+	}
+}
+
+// TestCrashLeavesNoStrayAck: node 1 acknowledges an invalidation round and
+// crashes while its ack is on the wire, so the round ends on peerDead and the
+// ack lands on the round's queue afterwards. The next round, to node 1 after
+// its restart, must wait for node 1's own ack, which its slow handler sends
+// 2 ms later: had the first round's queue gone back to the pool, the next
+// round would take the stray ack for it and end at once.
+func TestCrashLeavesNoStrayAck(t *testing.T) {
+	var d *DSM
+	invalidations := 0
+	var crashed sim.Time
+	d, rt, pg := wakeHarness(t, 2, &Hooks{
+		ProtoName: "wake",
+		OnInvalidate: func(iv *Invalidate) {
+			if invalidations++; invalidations == 1 {
+				crashed = iv.Thread.Now().Add(1) // the ack leaves now
+				crash(d, 1, crashed, true)
+			} else {
+				iv.Thread.Compute(slow)
+			}
+			DropCopy(iv)
+		},
+	})
+	var first, start, second sim.Time
+	rt.CreateThread(0, "owner", func(th *pm2.Thread) {
+		var cs NodeSet
+		cs.Add(1)
+		InvalidateCopies(d, th, pg, cs, 0)
+		first = th.Now()
+		th.Compute(2 * sim.Microsecond) // past the restart
+		start = th.Now()
+		InvalidateCopies(d, th, pg, cs, 0)
+		second = th.Now()
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if first != crashed || invalidations != 2 {
+		t.Fatalf("first round ended at %v (crash at %v), %d invalidations served; want it to end at the crash, and 2", first, crashed, invalidations)
+	}
+	if second.Sub(start) < slow {
+		t.Fatalf("second round took %v, less than node 1's %v handler: it took the first round's stray ack", second.Sub(start), slow)
 	}
 }
 

@@ -140,7 +140,7 @@ func (d *DSM) install(pm *PageMsg, e *Entry) {
 		ft.Install = d.costs.Install
 	}
 	switch {
-	case d.recovery != nil && (!e.Pending || (!pm.Ownship && pm.Seq != e.reqSeq)):
+	case !e.Pending || (!pm.Ownship && pm.Seq != e.reqSeq):
 		// A late response to a request that was since sent again (or
 		// already satisfied): its data may predate writes the current
 		// owner has accepted. Discard it; the outstanding fetch, if any,

@@ -265,11 +265,11 @@ func (d *DSM) startMigration(h *pm2.Thread, pg Page, newHome int) *migFlight {
 }
 
 // finishMigration awaits one handshake's completion and commits the
-// allocation metadata. With recovery enabled, an owner dying mid-handshake
-// ends the wait at its crash and resolves through the crash sweep (exactly
-// once — the install either reached the new home, which then owns the page
-// and the sweep keeps it, or it did not and the sweep re-homed onto the
-// freshest survivor); the decision is not retried.
+// allocation metadata. An owner dying mid-handshake ends the wait at its
+// crash and resolves through the crash sweep (exactly once — the install
+// either reached the new home, which then owns the page and the sweep keeps
+// it, or it did not and the sweep re-homed onto the freshest survivor); the
+// decision is not retried.
 func (d *DSM) finishMigration(h *pm2.Thread, f *migFlight) bool {
 	// f.reply is nil for a metadata-only move: nothing to await. A declined
 	// handshake, or the owner's crash (peerDead), leaves the page in place.

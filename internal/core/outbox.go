@@ -254,9 +254,8 @@ func (b *Batch) envelope(run []batchOp) (acks int, diffBytes int64) {
 }
 
 // waitFlight blocks until one destination's envelope is fully processed.
-// With recovery enabled, a destination that dies first ends the wait at its
-// crash: it needs no invalidations, and its diffs are re-routed to the
-// pages' current homes. The abandoned call, never released, keeps a late
+// A destination that dies first ends the wait at its crash: it needs no
+// invalidations, and its diffs are re-routed to the pages' current homes. The abandoned call, never released, keeps a late
 // reply to itself.
 func (b *Batch) waitFlight(f *batchFlight) {
 	d := b.d

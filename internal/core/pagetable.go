@@ -45,8 +45,8 @@ type Entry struct {
 	// it, queued or served there — until a server sends the page (then
 	// reqServed). A crash of that node strands the fetch (reqStranded), as
 	// does the network discarding the request or page on its way, and
-	// FetchPage sends it again. Recovery only; an int32 beside Pending fits
-	// in its padding, so an entry costs no more than without it.
+	// FetchPage sends it again. An int32 beside Pending fits in its padding,
+	// so an entry costs no more than without it.
 	reqAt int32
 
 	// ProtoData is protocol-private per-page state (e.g. the hbrc_mw twin,
@@ -64,10 +64,10 @@ type Entry struct {
 	pendingSeq uint64
 
 	// reqSeq numbers this node's page requests for this page. Responses
-	// echo it, and with recovery enabled the install discards responses to
-	// superseded requests — a fetch sent again after a crash must not let
-	// the original's late response install stale data. Fault-free runs
-	// never send a fetch twice, so the sequence is always current there.
+	// echo it, and the install discards responses to superseded requests —
+	// a fetch sent again after a crash must not let the original's late
+	// response install stale data. Fault-free runs never send a fetch twice,
+	// so the sequence is always current there.
 	reqSeq uint64
 
 	// proto caches the managing protocol's id from the directory at entry

@@ -56,7 +56,7 @@ type Request struct {
 	Write  bool
 	ftSeq  uint32 // numbers the fault Timing was taken for (see liveTiming)
 	// Seq is the requester's fetch sequence number; SendPage echoes it so
-	// retried fetches (recovery mode) can discard superseded responses.
+	// fetches sent again after a crash can discard superseded responses.
 	Seq    uint64
 	Timing *FaultTiming
 	sentAt sim.Time

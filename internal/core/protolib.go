@@ -6,7 +6,6 @@ import (
 
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/pm2"
-	"dsmpm2/internal/sim"
 )
 
 // This file is the DSM protocol library layer (Figure 1): thread-safe
@@ -176,19 +175,17 @@ func SendPage(r *Request, e *Entry, dest int, access memory.Access, ownship bool
 }
 
 // InvalidateCopies sends invalidations for pg to every node in copyset
-// except self and newOwner, and blocks until all of them acknowledge.
-// The entry lock must NOT be held: invalidated nodes may need it.
+// except self, newOwner and the dead, and blocks until all of them
+// acknowledge. The entry lock must NOT be held: invalidated nodes may need it.
 //
-// Each ack names its holder and arrives on t's own reply queue, empty again
-// on return: t has no Call outstanding, and one ack per invalidation comes
-// back. With recovery on, dead holders are skipped, and the acks use a
-// private queue instead, which a crash of a holder still awaited wakes with
-// peerDead (see watch): a dead holder's copies died with it.
+// Each ack names its holder and arrives on the round's own queue, which a
+// crash of a holder still awaited wakes with peerDead (see watch): a dead
+// holder's copies died with it. The queue comes from a pool and goes back
+// only when the round ended on acks alone, empty; a round that took a
+// peerDead abandons it, since an ack the dead holder sent before its crash
+// may still land there.
 func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner int) {
-	ack := t.ReplyQueue()
-	if d.recovery != nil {
-		ack = new(sim.Chan)
-	}
+	ack := take(&d.recs.acks)
 	var outstanding NodeSet
 	copyset.ForEach(func(n int) {
 		if n != t.Node() && n != newOwner && !d.NodeDead(n) {
@@ -197,6 +194,7 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 		}
 	})
 	d.watch(ack, t.Node(), -1, outstanding)
+	clean := true
 	for !outstanding.Empty() {
 		switch v := ack.Recv(t.Proc()).(type) {
 		case int:
@@ -206,9 +204,13 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 			}
 		case peerDead:
 			outstanding.Remove(v.node)
+			clean = false
 		}
 	}
 	d.unwatch(ack)
+	if clean && ack.Len() == 0 {
+		d.recs.acks.Put(ack)
+	}
 }
 
 // DropCopy invalidates the local copy of pg: the frame is discarded, rights

@@ -16,11 +16,10 @@ import (
 // until it is sent, then the service handler, which completes DSM/Thread/Node
 // and hands the same pointer to the routine. Whoever consumes a record frees
 // it, once; a fetch sent again after a crash takes a fresh one. Two records
-// may outlive their first holder, with recovery on or off: a diff is held by
-// each envelope carrying it and by its sender until the ack, and the last
-// holder to let go frees it (FreeDiff); a fault's timing outlives the fault
-// in the ring, and a response that arrives once the ring recycled it writes
-// nothing (liveTiming).
+// may outlive their first holder: a diff is held by each envelope carrying it
+// and by its sender until the ack, and the last holder to let go frees it
+// (FreeDiff); a fault's timing outlives the fault in the ring, and a response
+// that arrives once the ring recycled it writes nothing (liveTiming).
 
 // recPools holds the free records. The lists start empty and fill with what
 // the run frees — nothing is allocated ahead of use.
@@ -34,6 +33,7 @@ type recPools struct {
 	timings  freelist.List[*FaultTiming]
 	syncs    freelist.List[*SyncEvent]
 	batches  freelist.List[*Batch]
+	acks     freelist.List[*sim.Chan] // invalidation rounds' queues (see InvalidateCopies)
 }
 
 // PoisonFreed is the use-after-free net, set only by tests (of this package

@@ -112,45 +112,40 @@ func TestRecycledRecordsStartClean(t *testing.T) {
 }
 
 // TestRecoveryRecyclesSharedRecords holds the two records that may outlive
-// their first holder to the one rule, with recovery off and on alike: a diff
-// an envelope shares with its sender goes back to the pool when the second of
-// them lets go, not the first; and the timing the ring evicts goes back to
-// its pool, out of reach of a late response that still carries it.
+// their first holder to the one rule: a diff an envelope shares with its
+// sender goes back to the pool when the second of them lets go, not the
+// first; and the timing the ring evicts goes back to its pool, out of reach
+// of a late response that still carries it.
 func TestRecoveryRecyclesSharedRecords(t *testing.T) {
-	for _, recovery := range []bool{false, true} {
-		d := newDSM(1)
-		if recovery {
-			d.EnableRecovery(nil)
-		}
-		df := NewDiff(d)
-		df.Compute(Page(3), make([]byte, 16), []byte{15: 1}, 0)
-		df.Refs++ // shipped: the envelope holds it beside the sender
-		FreeDiff(d, df)
-		if n := d.recs.diffs.Len(); n != 0 || df.Page != 3 || len(df.Entries) != 1 {
-			t.Errorf("recovery %v: a diff still held was recycled (%d pooled)", recovery, n)
-		}
-		FreeDiff(d, df)
-		if n := d.recs.diffs.Len(); n != 1 {
-			t.Errorf("recovery %v: %d diffs pooled after the last holder let go, want 1", recovery, n)
-		}
+	d := newDSM(1)
+	df := NewDiff(d)
+	df.Compute(Page(3), make([]byte, 16), []byte{15: 1}, 0)
+	df.Refs++ // shipped: the envelope holds it beside the sender
+	FreeDiff(d, df)
+	if n := d.recs.diffs.Len(); n != 0 || df.Page != 3 || len(df.Entries) != 1 {
+		t.Errorf("a diff still held was recycled (%d pooled)", n)
+	}
+	FreeDiff(d, df)
+	if n := d.recs.diffs.Len(); n != 1 {
+		t.Errorf("%d diffs pooled after the last holder let go, want 1", n)
+	}
 
-		first := take(&d.recs.timings)
-		d.faultSeq++
-		first.seq, first.Total = d.faultSeq, 7
-		late := PageMsg{Timing: first, ftSeq: first.seq}
-		d.logTiming(first)
-		if liveTiming(late.Timing, late.ftSeq) != first {
-			t.Errorf("recovery %v: a response cannot write the timing of a logged fault", recovery)
-		}
-		for i := 0; i < timingCap; i++ { // the last one evicts first
-			d.logTiming(new(FaultTiming))
-		}
-		if n := d.recs.timings.Len(); n != 1 {
-			t.Errorf("recovery %v: %d evicted timings pooled, want 1", recovery, n)
-		}
-		if liveTiming(late.Timing, late.ftSeq) != nil {
-			t.Errorf("recovery %v: a late response can still write an evicted timing", recovery)
-		}
+	first := take(&d.recs.timings)
+	d.faultSeq++
+	first.seq, first.Total = d.faultSeq, 7
+	late := PageMsg{Timing: first, ftSeq: first.seq}
+	d.logTiming(first)
+	if liveTiming(late.Timing, late.ftSeq) != first {
+		t.Error("a response cannot write the timing of a logged fault")
+	}
+	for i := 0; i < timingCap; i++ { // the last one evicts first
+		d.logTiming(new(FaultTiming))
+	}
+	if n := d.recs.timings.Len(); n != 1 {
+		t.Errorf("%d evicted timings pooled, want 1", n)
+	}
+	if liveTiming(late.Timing, late.ftSeq) != nil {
+		t.Error("a late response can still write an evicted timing")
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"dsmpm2/internal/memory"
@@ -35,11 +34,9 @@ import (
 // Everything is swept in deterministic order (sorted pages, node ids
 // ascending), so a crash at a fixed virtual time replays bit-identically.
 
-// RecoveryStats counts the recovery manager's work.
+// RecoveryStats counts the recovery manager's work. The crashes and restarts
+// themselves are the network's to count (madeleine.FaultStats).
 type RecoveryStats struct {
-	// Crashes and Restarts count node fault events applied to the DSM.
-	Crashes  int
-	Restarts int
 	// ReHomed counts pages moved to a new home after their home or owner
 	// died with a surviving replica.
 	ReHomed int
@@ -49,13 +46,13 @@ type RecoveryStats struct {
 	Lost int
 }
 
-// recoveryState is the DSM's recovery manager (nil when disabled).
+// recoveryState is the DSM's recovery manager. Which nodes are dead is the
+// network's record (see NodeDead).
 type recoveryState struct {
 	// onRestart, if set, runs in engine context after a node's DSM state has
 	// been rebuilt for its cold restart: the hook applications use to respawn
 	// the node's workers. It must not block.
 	onRestart func(node int)
-	dead      []bool
 	stats     RecoveryStats
 	// waits are the protocol waits a crash may strand, in registration
 	// order (see watch).
@@ -74,29 +71,21 @@ type watched struct {
 // peerDead is what a crash pushes into a wait on the dead peer.
 type peerDead struct{ node int }
 
-// EnableRecovery switches the recovery manager on, with onRestart (may be
-// nil) as the node-restart hook. Call it before Run; the fault plan's node
-// events are then applied through CrashNode/RestartNode. The PM2 runtime's
-// network fault layer must be enabled as well (the facade does both).
-func (d *DSM) EnableRecovery(onRestart func(node int)) {
-	d.recovery = &recoveryState{onRestart: onRestart, dead: make([]bool, d.rt.Nodes())}
-	d.rt.OnDrop(d.strandDropped)
-}
+// OnRestart sets fn (may be nil) as the node-restart hook: it runs after
+// RestartNode has rebuilt the node's DSM state.
+func (d *DSM) OnRestart(fn func(node int)) { d.recovery.onRestart = fn }
 
 // watch registers node's wait for peer's reply on ch — or, with peer -1, a
 // round's for the reply of each node of peers — from the moment the requests
-// leave until the wait takes its reply. With recovery on, a crash of an
-// awaited node pushes peerDead into ch at the crash instant, even if the
-// node restarts before the waiter runs, unless a single peer's reply is
-// already there; a peer already dead does so at once. A round ignores a
-// peerDead of a node that already answered. ch must be the wait's own
-// channel.
+// leave until the wait takes its reply. A crash of an awaited node pushes
+// peerDead into ch at the crash instant, even if the node restarts before the
+// waiter runs, unless a single peer's reply is already there; a peer already
+// dead does so at once. A round ignores a peerDead of a node that already
+// answered. ch must be the wait's own channel.
 func (d *DSM) watch(ch *sim.Chan, node, peer int, peers NodeSet) {
-	switch {
-	case d.recovery == nil:
-	case peer >= 0 && d.NodeDead(peer):
+	if peer >= 0 && d.NodeDead(peer) {
 		ch.Push(peerDead{peer})
-	default:
+	} else {
 		d.recovery.waits = append(d.recovery.waits, watched{ch: ch, node: node, peer: peer, peers: peers})
 	}
 }
@@ -112,10 +101,9 @@ func (d *DSM) await(t *pm2.Thread, ch *sim.Chan) (interface{}, bool) {
 
 // unwatch ends the wait registered on ch, if it is still registered.
 func (d *DSM) unwatch(ch *sim.Chan) {
-	if rec := d.recovery; rec != nil {
-		if i := slices.IndexFunc(rec.waits, func(w watched) bool { return w.ch == ch }); i >= 0 {
-			rec.waits = slices.Delete(rec.waits, i, i+1)
-		}
+	rec := &d.recovery
+	if i := slices.IndexFunc(rec.waits, func(w watched) bool { return w.ch == ch }); i >= 0 {
+		rec.waits = slices.Delete(rec.waits, i, i+1)
 	}
 }
 
@@ -123,7 +111,7 @@ func (d *DSM) unwatch(ch *sim.Chan) {
 // peerDead unless its reply already arrived, and so does a round over n.
 // Waits of n's own threads died with them.
 func (d *DSM) wakeWaits(n int) {
-	rec := d.recovery
+	rec := &d.recovery
 	kept := rec.waits[:0]
 	for _, w := range rec.waits {
 		switch {
@@ -143,13 +131,10 @@ func (d *DSM) wakeWaits(n int) {
 	rec.waits = kept
 }
 
-// trackRequest notes, with recovery on, where r — the requester's pending
-// fetch, if still current — now is: at, or reqServed once a server sent the
-// page, which reaches the requester even if the server then dies.
+// trackRequest notes where r — the requester's pending fetch, if still
+// current — now is: at, or reqServed once a server sent the page, which
+// reaches the requester even if the server then dies.
 func (d *DSM) trackRequest(r *Request, at int) {
-	if d.recovery == nil {
-		return
-	}
 	if e := d.state[r.From].entry(r.Page); e != nil && e.Pending && e.reqSeq == r.Seq {
 		e.reqAt = int32(at)
 	}
@@ -175,39 +160,19 @@ func (d *DSM) strandDropped(v interface{}) {
 	}
 }
 
-// RecoveryStats returns the recovery counters (zero value when disabled).
-func (d *DSM) RecoveryStats() RecoveryStats {
-	if d.recovery == nil {
-		return RecoveryStats{}
-	}
-	return d.recovery.stats
-}
+// RecoveryStats returns the recovery counters.
+func (d *DSM) RecoveryStats() RecoveryStats { return d.recovery.stats }
 
-// NodeDead reports whether node n is currently crashed.
-func (d *DSM) NodeDead(n int) bool {
-	return d.recovery != nil && n >= 0 && n < len(d.recovery.dead) && d.recovery.dead[n]
-}
-
-// mustRecovery panics when recovery is off or node n does not exist.
-func (d *DSM) mustRecovery(op string, n int) *recoveryState {
-	if d.recovery == nil {
-		panic("core: " + op + " before EnableRecovery")
-	}
-	if n < 0 || n >= len(d.recovery.dead) {
-		panic(fmt.Sprintf("core: %s(%d): no such node", op, n))
-	}
-	return d.recovery
-}
+// NodeDead reports whether node n is currently crashed, as the network
+// records it.
+func (d *DSM) NodeDead(n int) bool { return d.rt.Network().Dead(n) }
 
 // CrashNode fail-stops node n and repairs the distributed state around the
 // hole. It must run in engine context (a scheduled fault event).
 func (d *DSM) CrashNode(n int) {
-	rec := d.mustRecovery("CrashNode", n)
-	if rec.dead[n] {
+	if d.NodeDead(n) {
 		return
 	}
-	rec.dead[n] = true
-	rec.stats.Crashes++
 	d.rt.KillNode(n)
 	d.installers[n].kill()
 	d.rehomePages(n)
@@ -219,12 +184,10 @@ func (d *DSM) CrashNode(n int) {
 // entries — everything refetched on demand), reconnected RPC services, then the
 // application's OnRestart hook. Must run in engine context.
 func (d *DSM) RestartNode(n int) {
-	rec := d.mustRecovery("RestartNode", n)
-	if !rec.dead[n] {
+	d.rt.Node(n) // range check
+	if !d.NodeDead(n) {
 		return
 	}
-	rec.dead[n] = false
-	rec.stats.Restarts++
 	// Cold memory: the node starts with no frames and no page-table
 	// entries; both rebuild on demand from the (repaired) allocation
 	// metadata. The old state — including entry mutexes whose waiters all
@@ -233,8 +196,8 @@ func (d *DSM) RestartNode(n int) {
 	d.state[n] = newNodeState(n)
 	d.rt.RestartNode(n)
 	d.installers[n] = new(installer).init(d, n) // the killed one's proc is never reused
-	if rec.onRestart != nil {
-		rec.onRestart(n)
+	if fn := d.recovery.onRestart; fn != nil {
+		fn(n)
 	}
 }
 
@@ -242,7 +205,7 @@ func (d *DSM) RestartNode(n int) {
 // owned there move to the freshest surviving replica, and every surviving
 // entry drops n from its copyset and stops routing requests through it.
 func (d *DSM) rehomePages(n int) {
-	rec := d.recovery
+	rec := &d.recovery
 	deadState := d.state[n]
 	for _, pg := range d.sortedPages() {
 		pi := d.dir[pg]
@@ -261,7 +224,7 @@ func (d *DSM) rehomePages(n int) {
 		var holders NodeSet // the surviving replicas
 		for i := 0; i < d.rt.Nodes(); i++ {
 			frame := d.state[i].space.Frame(pg)
-			if rec.dead[i] || frame == nil || frame.Access < memory.ReadOnly {
+			if d.NodeDead(i) || frame == nil || frame.Access < memory.ReadOnly {
 				continue
 			}
 			holders.Add(i)
@@ -274,10 +237,13 @@ func (d *DSM) rehomePages(n int) {
 			}
 		}
 		lost := best < 0
-		if lost {
-			if best = slices.Index(rec.dead, false); best < 0 {
-				panic("core: recovery with every node dead")
+		for i := 0; best < 0 && i < d.rt.Nodes(); i++ {
+			if !d.NodeDead(i) {
+				best = i
 			}
+		}
+		if best < 0 {
+			panic("core: recovery with every node dead")
 		}
 		pi.home = best
 		d.dir[pg] = pi
@@ -314,7 +280,7 @@ func (d *DSM) scrubEntries(pg Page, n, target int) {
 	home := d.dir[pg].home
 	for i := 0; i < d.rt.Nodes(); i++ {
 		e := d.state[i].entry(pg)
-		if i == n || d.recovery.dead[i] || e == nil {
+		if i == n || d.NodeDead(i) || e == nil {
 			continue
 		}
 		e.RemoveCopyset(n)

@@ -184,8 +184,6 @@ func (s installSchedule) run(threaded bool, cov *installCoverage) (log string, e
 	}
 	eng := rt.Engine()
 	if s.crashAt > 0 {
-		rt.EnableFaults(1)
-		d.EnableRecovery(nil)
 		eng.Schedule(sim.Time(s.crashAt), func() { d.CrashNode(s.crashNode) })
 		if s.restartAfter > 0 {
 			eng.Schedule(sim.Time(s.crashAt+s.restartAfter), func() {

@@ -8,9 +8,10 @@ import (
 	"dsmpm2/internal/sim"
 )
 
-// Network-level fault state. Everything in this file is gated on the fault
-// layer being enabled: a network without EnableFaults pays a single nil
-// check per send and behaves bit-for-bit like the fault-free code.
+// Network-level fault state. Every network carries it, and it is the one
+// record of which nodes are dead: the PM2 runtime and the DSM read it through
+// Dead. A send between live nodes on a link with no fault state goes out as
+// if no fault layer were there, after a few compares (see faulted).
 //
 // The model is fail-stop nodes plus per-directed-link faults:
 //
@@ -53,7 +54,8 @@ type FaultStats struct {
 	// TimingLog.ByLink automatically, since transfer time is measured
 	// send-to-receive).
 	HeldTime sim.Duration
-	// Crashes and Restarts count node fault events applied.
+	// Crashes and Restarts count node fault events applied: this layer is
+	// the one that counts them.
 	Crashes  int
 	Restarts int
 }
@@ -75,13 +77,13 @@ type heldMsg struct {
 
 // discard reclaims a held message that will never be delivered: each pooled
 // Message (and its inner payload, via the drop handler) exactly once.
-func (nw *Network) discard(fs *faultState, hm *heldMsg) {
+func (nw *Network) discard(hm *heldMsg) {
 	if hm.parts == nil {
-		nw.dropPayload(fs, hm.payload, hm.isMsg)
+		nw.dropPayload(hm.payload, hm.isMsg)
 		return
 	}
 	for _, m := range hm.parts {
-		nw.dropPayload(fs, m, true)
+		nw.dropPayload(m, true)
 	}
 }
 
@@ -98,7 +100,7 @@ type linkFault struct {
 	held      []heldMsg
 }
 
-// faultState is the fault layer (nil when faults are disabled).
+// faultState is the fault layer.
 type faultState struct {
 	rng    *rand.Rand
 	dead   []bool
@@ -107,46 +109,33 @@ type faultState struct {
 	stats  FaultStats
 }
 
-// EnableFaults switches the fault layer on. seed drives the private PRNG
-// behind probabilistic loss (zero means 1). Enabling faults on a quiet
-// network is free until a fault is actually injected.
-func (nw *Network) EnableFaults(seed int64) {
+// SeedLoss seeds the private PRNG behind probabilistic loss (zero means 1,
+// the seed a network starts with). The engine's own random stream, and so
+// the fault-free portion of a replay, is untouched by its draws.
+func (nw *Network) SeedLoss(seed int64) {
 	if seed == 0 {
 		seed = 1
 	}
-	nw.faults = &faultState{
-		rng:   sim.NewRand(seed),
-		dead:  make([]bool, nw.n),
-		links: make(map[linkKey]*linkFault),
-	}
+	nw.faults.rng = sim.NewRand(seed)
 }
 
-// FaultsEnabled reports whether the fault layer is on.
-func (nw *Network) FaultsEnabled() bool { return nw.faults != nil }
-
-// FaultStats returns the fault layer's counters (zero value when disabled).
-func (nw *Network) FaultStats() FaultStats {
-	if nw.faults == nil {
-		return FaultStats{}
-	}
-	return nw.faults.stats
+// Dead reports whether node n is currently crashed. It is the one record of
+// liveness: the layers above ask it on their hot paths, so while no node is
+// dead (Crashes and Restarts balance) it reads no per-node state.
+func (nw *Network) Dead(n int) bool {
+	fs := &nw.faults
+	return fs.stats.Crashes != fs.stats.Restarts && n >= 0 && n < nw.n && fs.dead[n]
 }
+
+// FaultStats returns the fault layer's counters.
+func (nw *Network) FaultStats() FaultStats { return nw.faults.stats }
 
 // SetDropHandler installs fn, called exactly once with the payload of every
 // message the fault layer discards, after the network has reclaimed its own
 // *Message envelope. The PM2 runtime uses it to return pooled pm2.Request
 // envelopes to their freelist; without a handler dropped payloads are simply
 // left to the garbage collector.
-func (nw *Network) SetDropHandler(fn func(payload interface{})) {
-	nw.mustFaults("SetDropHandler").onDrop = fn
-}
-
-func (nw *Network) mustFaults(op string) *faultState {
-	if nw.faults == nil {
-		panic("madeleine: " + op + " before EnableFaults")
-	}
-	return nw.faults
-}
+func (nw *Network) SetDropHandler(fn func(payload interface{})) { nw.faults.onDrop = fn }
 
 // ApplyFault applies one fault-plan event through the mutators below, in
 // engine context (see sim.FaultCursor).
@@ -172,7 +161,7 @@ func (nw *Network) ApplyFault(ev sim.FaultEvent) {
 // orphaned queues of the dead incarnation), and messages held on its links,
 // either way, are discarded.
 func (nw *Network) CrashNode(n int) {
-	fs := nw.mustFaults("CrashNode")
+	fs := &nw.faults
 	if n < 0 || n >= nw.n {
 		panic(fmt.Sprintf("madeleine: crash of node %d out of range [0,%d)", n, nw.n))
 	}
@@ -199,23 +188,23 @@ func (nw *Network) CrashNode(n int) {
 			if !ok {
 				break
 			}
-			nw.dropPayload(fs, v, true)
+			nw.dropPayload(v, true)
 		}
 	}
-	nw.sweepHeld(fs, n)
+	nw.sweepHeld(n)
 }
 
 // sweepHeld discards the messages held on links to or from node n: a
 // delivery to a corpse is a drop, and nothing the dead incarnation sent may
 // surface later (a held lock-acquire delivered after the node restarts would
 // hand a ghost request resources its sender can never use).
-func (nw *Network) sweepHeld(fs *faultState, n int) {
-	for _, lf := range fs.links {
+func (nw *Network) sweepHeld(n int) {
+	for _, lf := range nw.faults.links {
 		kept := lf.held[:0]
 		for _, hm := range lf.held {
 			if hm.to == n || hm.from == n {
-				nw.discard(fs, &hm)
-				fs.stats.Dropped++
+				nw.discard(&hm)
+				nw.faults.stats.Dropped++
 				continue
 			}
 			kept = append(kept, hm)
@@ -228,7 +217,7 @@ func (nw *Network) sweepHeld(fs *faultState, n int) {
 // replaced at crash time); state above the network (pages, threads) is the
 // upper layers' recovery problem.
 func (nw *Network) RestartNode(n int) {
-	fs := nw.mustFaults("RestartNode")
+	fs := &nw.faults
 	if n < 0 || n >= nw.n {
 		panic(fmt.Sprintf("madeleine: restart of node %d out of range [0,%d)", n, nw.n))
 	}
@@ -240,8 +229,8 @@ func (nw *Network) RestartNode(n int) {
 }
 
 // link returns (creating on demand) the fault state of the directed link.
-func (nw *Network) link(op string, from, to int) *linkFault {
-	fs := nw.mustFaults(op)
+func (nw *Network) link(from, to int) *linkFault {
+	fs := &nw.faults
 	key := linkKey{from, to}
 	lf := fs.links[key]
 	if lf == nil {
@@ -253,13 +242,13 @@ func (nw *Network) link(op string, from, to int) *linkFault {
 
 // PartitionLink cuts the directed link from->to.
 func (nw *Network) PartitionLink(from, to int) {
-	nw.link("PartitionLink", from, to).partitioned = true
+	nw.link(from, to).partitioned = true
 }
 
 // HealLink restores the directed link from->to: held messages go out in
 // FIFO order with their original latency charged from now.
 func (nw *Network) HealLink(from, to int) {
-	lf := nw.mustFaults("HealLink").links[linkKey{from, to}]
+	lf := nw.faults.links[linkKey{from, to}]
 	if lf == nil || !lf.partitioned {
 		return
 	}
@@ -272,7 +261,7 @@ func (nw *Network) HealLink(from, to int) {
 // and duplicated with probability dupRate (a duplicate costs link time, never
 // a second delivery). Zero rates restore reliability.
 func (nw *Network) SetLinkLoss(from, to int, dropRate, dupRate float64) {
-	lf := nw.link("SetLinkLoss", from, to)
+	lf := nw.link(from, to)
 	lf.dropRate = dropRate
 	lf.dupRate = dupRate
 }
@@ -282,7 +271,7 @@ func (nw *Network) SetLinkLoss(from, to int, dropRate, dupRate float64) {
 // drop handler exactly once so upper layers can reclaim their envelopes.
 // The payload-extraction order matters: FreeMessage zeroes the Message, so
 // the inner payload is captured first.
-func (nw *Network) dropPayload(fs *faultState, payload interface{}, isMsg bool) {
+func (nw *Network) dropPayload(payload interface{}, isMsg bool) {
 	if isMsg {
 		if m, ok := payload.(*Message); ok {
 			inner := m.Payload
@@ -290,28 +279,37 @@ func (nw *Network) dropPayload(fs *faultState, payload interface{}, isMsg bool) 
 			payload = inner
 		}
 	}
-	if fs.onDrop != nil && payload != nil {
-		fs.onDrop(payload)
+	if onDrop := nw.faults.onDrop; onDrop != nil && payload != nil {
+		onDrop(payload)
 	}
 }
 
-// intercept applies the fault model to one send and reports whether it took
-// the message over: a dead endpoint's is discarded, one on a cut link, behind
-// a held one or lost is held (the link clock does not move), and the rest go
-// out at once. A multi-part envelope is one unit on the wire: it is
-// discarded, held and lost whole, with no duplicate. hm.parts is the
-// sender's scratch list, so the queue copies it.
-func (nw *Network) intercept(hm heldMsg) bool {
-	fs := nw.faults
-	if dead := func(n int) bool { return n >= 0 && n < nw.n && fs.dead[n] }; dead(hm.to) || dead(hm.from) {
-		fs.stats.DeadDrops++
-		nw.discard(fs, &hm)
-		return true
-	}
-	lf := fs.links[linkKey{hm.from, hm.to}]
-	if lf == nil {
+// faulted reports whether a send from->to meets the fault model: an endpoint
+// is dead, or the link has fault state. Any other send goes straight out,
+// and while no node is dead and no link has fault state that costs two
+// compares.
+func (nw *Network) faulted(from, to int) bool {
+	fs := &nw.faults
+	if fs.stats.Crashes == fs.stats.Restarts && len(fs.links) == 0 {
 		return false
 	}
+	return nw.Dead(from) || nw.Dead(to) || fs.links[linkKey{from, to}] != nil
+}
+
+// intercept applies the fault model to a send that faulted: a dead
+// endpoint's message is discarded, one on a cut link, behind a held one or
+// lost is held (the link clock does not move), and the rest go out at once.
+// A multi-part envelope is one unit on the wire: it is discarded, held and
+// lost whole, with no duplicate. hm.parts is the sender's scratch list, so
+// the queue copies it.
+func (nw *Network) intercept(hm heldMsg) {
+	fs := &nw.faults
+	if nw.Dead(hm.to) || nw.Dead(hm.from) {
+		fs.stats.DeadDrops++
+		nw.discard(&hm)
+		return
+	}
+	lf := fs.links[linkKey{hm.from, hm.to}]
 	hm.heldAt = nw.eng.Now()
 	if blocked := lf.partitioned || lf.resending || len(lf.held) > 0; blocked || lf.lose(&hm) {
 		if blocked {
@@ -321,10 +319,9 @@ func (nw *Network) intercept(hm heldMsg) bool {
 			hm.parts = slices.Clone(hm.parts)
 		}
 		lf.held = append(lf.held, hm)
-		return true
+		return
 	}
 	lf.transmit(&hm)
-	return true
 }
 
 // lose draws whether the link loses this transmission of hm. A lost one is
@@ -332,7 +329,7 @@ func (nw *Network) intercept(hm heldMsg) bool {
 // have waited for its acknowledgement, hm's own latency plus a control
 // message's. Until then the link holds everything behind it.
 func (lf *linkFault) lose(hm *heldMsg) bool {
-	fs := lf.nw.faults
+	fs := &lf.nw.faults
 	if lf.dropRate == 0 || fs.rng.Float64() >= lf.dropRate {
 		return false
 	}
@@ -368,7 +365,7 @@ func (lf *linkFault) flush() {
 // send. A plain message may be duplicated: the copy takes its turn on the
 // link ahead of the original, and the receiving interface discards it.
 func (lf *linkFault) transmit(hm *heldMsg) {
-	nw, fs := lf.nw, lf.nw.faults
+	nw, fs := lf.nw, &lf.nw.faults
 	fs.stats.HeldTime += nw.eng.Now().Sub(hm.heldAt)
 	if hm.parts != nil {
 		nw.deliverGather(hm.from, hm.to, hm.parts, hm.size, hm.d)

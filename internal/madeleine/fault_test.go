@@ -15,7 +15,6 @@ import (
 func TestDeadNodeDropFreesOnce(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := NewNetwork(eng, BIPMyrinet, 3)
-	nw.EnableFaults(1)
 	var dropped []interface{}
 	nw.SetDropHandler(func(p interface{}) { dropped = append(dropped, p) })
 	nw.CrashNode(1)
@@ -67,7 +66,6 @@ func TestDeadNodeDropFreesOnce(t *testing.T) {
 func TestCrashPurgesQueuedMessages(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := NewNetwork(eng, BIPMyrinet, 2)
-	nw.EnableFaults(1)
 	var dropped []interface{}
 	nw.SetDropHandler(func(p interface{}) { dropped = append(dropped, p) })
 
@@ -97,7 +95,6 @@ func TestCrashPurgesQueuedMessages(t *testing.T) {
 func TestPartitionQueueHoldsAndHeals(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := NewNetwork(eng, BIPMyrinet, 2)
-	nw.EnableFaults(1)
 	nw.PartitionLink(0, 1)
 
 	var arrivals []sim.Time
@@ -140,7 +137,6 @@ func TestPartitionQueueHoldsAndHeals(t *testing.T) {
 func TestCrashDropsHeldMessagesFromCorpse(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := NewNetwork(eng, BIPMyrinet, 2)
-	nw.EnableFaults(1)
 	var dropped int
 	nw.SetDropHandler(func(interface{}) { dropped++ })
 	eng.Go("driver", func(p *sim.Proc) {
@@ -171,7 +167,7 @@ func TestLinkLossDeterministic(t *testing.T) {
 	run := func() (arrivals []sim.Time, st FaultStats) {
 		eng := sim.NewEngine(1)
 		nw := NewNetwork(eng, BIPMyrinet, 2)
-		nw.EnableFaults(99)
+		nw.SeedLoss(99)
 		nw.SetLinkLoss(0, 1, 0.5, 0)
 		eng.Go("recv", func(p *sim.Proc) {
 			for i := 0; i < 40; i++ {
@@ -210,7 +206,7 @@ func TestLossyLinkDeliversOnceInOrder(t *testing.T) {
 		eng := sim.NewEngine(1)
 		nw := NewNetwork(eng, BIPMyrinet, 2)
 		nw.SetLinkContention(true)
-		nw.EnableFaults(seed)
+		nw.SeedLoss(seed)
 		nw.SetLinkLoss(0, 1, 0.5, 0.3)
 		ch := nw.ChannelID("ch")
 		var got []interface{}
@@ -260,7 +256,6 @@ func TestDuplicateOccupiesLinkOnly(t *testing.T) {
 		eng := sim.NewEngine(1)
 		nw := NewNetwork(eng, BIPMyrinet, 2)
 		nw.SetLinkContention(true)
-		nw.EnableFaults(1)
 		copies := 2
 		if dup {
 			nw.SetLinkLoss(0, 1, 0, 1)

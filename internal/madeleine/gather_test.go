@@ -94,7 +94,6 @@ func TestGatherSingleDeparture(t *testing.T) {
 func TestGatherDeadNodeReclaimsOnce(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := NewNetwork(eng, BIPMyrinet, 3)
-	nw.EnableFaults(1)
 	seen := map[interface{}]int{}
 	nw.SetDropHandler(func(p interface{}) { seen[p]++ })
 	nw.CrashNode(1)
@@ -149,7 +148,6 @@ func TestGatherPartitionHoldsWholeEnvelope(t *testing.T) {
 	t.Run("heal", func(t *testing.T) {
 		eng := sim.NewEngine(1)
 		nw := NewNetwork(eng, BIPMyrinet, 2)
-		nw.EnableFaults(1)
 		nw.PartitionLink(0, 1)
 		ch := nw.ChannelID("ch")
 		var got []interface{}
@@ -187,7 +185,6 @@ func TestGatherPartitionHoldsWholeEnvelope(t *testing.T) {
 	t.Run("crash-while-held", func(t *testing.T) {
 		eng := sim.NewEngine(1)
 		nw := NewNetwork(eng, BIPMyrinet, 2)
-		nw.EnableFaults(1)
 		nw.PartitionLink(0, 1)
 		ch := nw.ChannelID("ch")
 		seen := map[interface{}]int{}

@@ -81,9 +81,9 @@ type Network struct {
 	linkModel bool
 	linkFree  map[linkKey]sim.Time
 	linkStats LinkStats
-	// faults is the fault layer: nil (and completely inert) until
-	// EnableFaults. See fault.go.
-	faults *faultState
+	// faults is the fault layer, and the record of which nodes are dead.
+	// See fault.go.
+	faults faultState
 	// Traffic counters.
 	msgs      int
 	bytes     int64
@@ -119,6 +119,11 @@ func NewNetwork(eng *sim.Engine, topo Topology, n int) *Network {
 		chanNames: []string{""}, // ChanID 0 reserved as "unset"
 		queues:    make([][]*sim.Chan, n),
 		linkFree:  make(map[linkKey]sim.Time),
+		faults: faultState{
+			rng:   sim.NewRand(1),
+			dead:  make([]bool, n),
+			links: make(map[linkKey]*linkFault),
+		},
 	}
 }
 
@@ -209,7 +214,8 @@ func (nw *Network) SendAfter(msg *Message, d sim.Duration) {
 	nw.bytes += int64(msg.Size)
 	nw.countEnvelope(msg.From, msg.To)
 	q := nw.queue(msg.To, msg.Chan)
-	if nw.faults != nil && nw.intercept(heldMsg{from: msg.From, to: msg.To, q: q, payload: msg, size: msg.Size, d: d, isMsg: true}) {
+	if nw.faulted(msg.From, msg.To) {
+		nw.intercept(heldMsg{from: msg.From, to: msg.To, q: q, payload: msg, size: msg.Size, d: d, isMsg: true})
 		return
 	}
 	depart := nw.departure(msg.From, msg.To, msg.Size)
@@ -254,7 +260,8 @@ func (nw *Network) SendGather(from, to int, parts []GatherPart, d sim.Duration) 
 	nw.msgs += len(parts)
 	nw.bytes += int64(total)
 	nw.countEnvelope(from, to)
-	if nw.faults != nil && nw.intercept(heldMsg{from: from, to: to, parts: msgs, size: total, d: d}) {
+	if nw.faulted(from, to) {
+		nw.intercept(heldMsg{from: from, to: to, parts: msgs, size: total, d: d})
 		return
 	}
 	nw.deliverGather(from, to, msgs, total, d)
@@ -321,7 +328,8 @@ func (nw *Network) SendDirect(from, to int, q *sim.Chan, size int, payload inter
 	nw.msgs++
 	nw.bytes += int64(size)
 	nw.countEnvelope(from, to)
-	if nw.faults != nil && nw.intercept(heldMsg{from: from, to: to, q: q, payload: payload, size: size, d: d}) {
+	if nw.faulted(from, to) {
+		nw.intercept(heldMsg{from: from, to: to, q: q, payload: payload, size: size, d: d})
 		return
 	}
 	depart := nw.departure(from, to, size)

@@ -9,26 +9,8 @@ import (
 // Node-level fault support: fail-stop crash (every thread located on the
 // node dies, the network drops its traffic) and cold restart (fresh CPUs,
 // services connected to fresh, empty queues). The DSM layer above coordinates the
-// page-state recovery; this file only handles the runtime machinery.
-
-// EnableFaults switches on the network fault layer and registers the
-// runtime's drop handler with it, so dropped RPC requests return their pooled
-// envelopes exactly once, after the OnDrop hook has seen their argument.
-func (rt *Runtime) EnableFaults(seed int64) {
-	rt.net.EnableFaults(seed)
-	rt.net.SetDropHandler(func(p interface{}) {
-		r, isReq := p.(*Request)
-		if isReq {
-			p = r.arg
-		}
-		if rt.onDrop != nil && p != nil {
-			rt.onDrop(p)
-		}
-		if isReq {
-			rt.putReq(r)
-		}
-	})
-}
+// page-state recovery; this file only handles the runtime machinery. Which
+// nodes are dead is the network's record (madeleine.Network.Dead).
 
 // OnDrop installs fn, called in engine context with what the fault layer
 // discards for good: the argument of each dropped RPC request, the payload
@@ -43,11 +25,9 @@ func (rt *Runtime) OnDrop(fn func(v interface{})) { rt.onDrop = fn }
 // dropped, unanswered, when they next come up (see Fire).
 // Must run in engine context (a fault event), never from a thread on node n.
 func (rt *Runtime) KillNode(n int) {
-	node := rt.Node(n)
-	if node.dead {
+	if rt.net.Dead(n) {
 		return
 	}
-	node.dead = true
 	rt.net.CrashNode(n)
 	// In list order: the joiner releases below reach virtual time in it.
 	for t := rt.live.head; t != nil; {
@@ -81,11 +61,10 @@ func (rt *Runtime) killThread(t *Thread) {
 // was queued there), in registration order so replays are deterministic.
 func (rt *Runtime) RestartNode(n int) {
 	node := rt.Node(n)
-	if !node.dead {
+	if !rt.net.Dead(n) {
 		return
 	}
 	rt.net.RestartNode(n)
-	node.dead = false
 	node.CPU = new(sim.Resource)
 	for _, name := range node.svcOrder {
 		svc := node.services[name]
@@ -97,7 +76,7 @@ func (rt *Runtime) RestartNode(n int) {
 // checkAlive panics on operations against a crashed node, to surface fault
 // plan bugs (spawning threads before the restart event) immediately.
 func (n *Node) checkAlive(op string) {
-	if n.dead {
+	if n.rt.net.Dead(n.ID) {
 		panic(fmt.Sprintf("pm2: %s on crashed node %d", op, n.ID))
 	}
 }

@@ -12,7 +12,6 @@ import (
 // again with a fresh CPU.
 func TestKillNodeStopsThreadsAndRestartServes(t *testing.T) {
 	rt := NewRuntime(Config{Nodes: 2, Seed: 1})
-	rt.EnableFaults(1)
 	served := 0
 	rt.Node(1).Register("ping", true, func(h *Thread, arg interface{}) interface{} {
 		served++
@@ -56,7 +55,6 @@ func TestKillNodeStopsThreadsAndRestartServes(t *testing.T) {
 // envelope to two later invocations, crossing their arguments.
 func TestDroppedRPCReclaimsEnvelopeOnce(t *testing.T) {
 	rt := NewRuntime(Config{Nodes: 3, Seed: 1})
-	rt.EnableFaults(1)
 	var seen []interface{}
 	rt.Node(2).Register("sink", false, func(h *Thread, arg interface{}) interface{} {
 		seen = append(seen, arg)
@@ -119,7 +117,6 @@ func TestCrashUnbindsServedQueues(t *testing.T) {
 	}
 	for name, inject := range inject {
 		rt := NewRuntime(Config{Nodes: 2, Seed: 1})
-		rt.EnableFaults(1)
 		var served []interface{}
 		rt.Node(1).Register("svc", true, func(h *Thread, arg interface{}) interface{} {
 			served = append(served, arg)
@@ -163,7 +160,6 @@ func TestCrashUnbindsServedQueues(t *testing.T) {
 // node's service, bound to its fresh queue, serves the next request.
 func TestCrashReleasesSerialServiceRequests(t *testing.T) {
 	rt := NewRuntime(Config{Nodes: 2, Seed: 1})
-	rt.EnableFaults(1)
 	var served []interface{}
 	rt.Node(1).Register("svc", false, func(h *Thread, arg interface{}) interface{} {
 		served = append(served, arg)

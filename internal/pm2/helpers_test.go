@@ -22,7 +22,7 @@ func (t *Thread) Runtime() *Runtime { return t.rt }
 func (t *Thread) ID() int { return t.id }
 
 // Dead reports whether the node is currently crashed.
-func (n *Node) Dead() bool { return n.dead }
+func (n *Node) Dead() bool { return n.rt.net.Dead(n.ID) }
 
 // Results holds c's results in element order, from its reply until Release.
 func (c *VecCall) Results() []interface{} { return c.results }

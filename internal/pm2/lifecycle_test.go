@@ -49,7 +49,6 @@ func TestLiveListDropsFinishedThreads(t *testing.T) {
 // for a thread that migrated in (created first, so released first).
 func TestKillNodeReleasesJoinersInCreationOrder(t *testing.T) {
 	rt := newRT(2, nil)
-	rt.EnableFaults(1)
 	stuck := func(th *Thread) { th.Proc().Park("stuck") }
 	victims := []*Thread{
 		rt.CreateThread(0, "v0", func(th *Thread) { // migrates in, then sticks
@@ -219,7 +218,6 @@ func TestRecycledHandlerStartsClean(t *testing.T) {
 // have wake records queued — and the restarted node's requests run on others.
 func TestKilledHandlerNeverReused(t *testing.T) {
 	rt := newRT(2, nil)
-	rt.EnableFaults(1)
 	var killed *Thread
 	reused := false
 	rt.Node(1).Register("svc", true, func(h *Thread, arg interface{}) interface{} {

@@ -153,7 +153,6 @@ func TestQuickVecElements(t *testing.T) {
 // a request kept by the new incarnation is answered as usual.
 func TestQuickKeptRequestDiesWithNode(t *testing.T) {
 	rt := NewRuntime(Config{Nodes: 2, Seed: 1})
-	rt.EnableFaults(1)
 	var kept []*Request
 	rt.Node(1).RegisterQuick("wait", func(r *Request, _ interface{}) (interface{}, bool) {
 		kept = append(kept, r)

@@ -64,7 +64,7 @@ type Request struct {
 // the queue the one coalesced reply — the call itself — arrives on. The caller
 // owns it: receive the reply, read the results, Release, and the node's next
 // vector reuses the object, grown buffers and reply rings included. A call
-// whose caller stopped waiting (a recovery retry) is never released, so its
+// whose caller stopped waiting (its destination died) is never released, so its
 // late reply lingers unread in a queue nothing else uses.
 type VecCall struct {
 	node      *Node // the caller's, whose free list the call returns to
@@ -210,7 +210,10 @@ func (r *Request) Answer(res interface{}) {
 
 // orphaned reports whether a quick request's node died or restarted since
 // the request was delivered to it.
-func (r *Request) orphaned() bool { n := r.svc.node; return n.dead || n.Restarts != r.inc }
+func (r *Request) orphaned() bool {
+	n := r.svc.node
+	return n.rt.net.Dead(n.ID) || n.Restarts != r.inc
+}
 
 // SizedReply lets a handler override its reply's wire size at completion
 // time, for results whose size is only known when the handler finishes —

@@ -86,6 +86,20 @@ func NewRuntime(cfg Config) *Runtime {
 		svcIDs: make(map[string]madeleine.ChanID),
 	}
 	rt.net.SetLinkContention(cfg.LinkContention)
+	// Dropped RPC requests return their pooled envelopes exactly once, after
+	// the OnDrop hook has seen their argument.
+	rt.net.SetDropHandler(func(p interface{}) {
+		r, isReq := p.(*Request)
+		if isReq {
+			p = r.arg
+		}
+		if rt.onDrop != nil && p != nil {
+			rt.onDrop(p)
+		}
+		if isReq {
+			rt.putReq(r)
+		}
+	})
 	for i := 0; i < cfg.Nodes; i++ {
 		rt.nodes = append(rt.nodes, &Node{
 			rt:       rt,
@@ -143,9 +157,6 @@ type Node struct {
 
 	// vecFree holds the node's released vector calls (see VecCall).
 	vecFree freelist.List[*VecCall]
-
-	// dead marks a crashed node (see fault.go).
-	dead bool
 
 	// Stats
 	ThreadsSpawned  int

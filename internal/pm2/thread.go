@@ -113,7 +113,7 @@ func (t *Thread) finish() {
 // ReplyQueue returns the thread's reusable reply queue, the one its Calls are
 // answered on. Between Calls the thread may collect other replies there —
 // exactly as many as it caused, so that the queue is empty again for its next
-// Call (the DSM's invalidation acks do).
+// Call (the DSM's barrier manager parks a waiter's grant there).
 func (t *Thread) ReplyQueue() *sim.Chan {
 	if t.reply == nil {
 		t.reply = new(sim.Chan)

@@ -82,7 +82,6 @@ func TestCallVecEmpty(t *testing.T) {
 // put would hand one request out twice and corrupt a later invocation).
 func TestAsyncVecDeadNodeReclaimsRequests(t *testing.T) {
 	rt := NewRuntime(Config{Nodes: 3, Network: madeleine.BIPMyrinet, Seed: 1})
-	rt.EnableFaults(1)
 	calls := 0
 	for _, n := range []int{1, 2} {
 		node := rt.Node(n)

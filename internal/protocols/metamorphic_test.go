@@ -20,11 +20,13 @@ import (
 // relation is one row of the table: a plan the run takes through
 // System.InjectFaults, or a change to its Config, that must leave it ≡ the
 // run without; or a relation another test pins, named with that test and its
-// file.
+// file. A facade relation runs only on the programs that go through the
+// facade's threads, since only they record spans.
 type relation struct {
 	name     string
 	plan     func() *dsmpm2.FaultPlan
 	config   func(*dsmpm2.Config)
+	facade   bool
 	pinnedBy string
 	file     string
 }
@@ -40,7 +42,8 @@ var relations = []relation{
 			Partition(hour, 1, 2).Heal(hour+dsmpm2.Time(dsmpm2.Millisecond), 1, 2).
 			Loss(hour, 0, 1, 0.5, 0.5)
 	}},
-	{name: "Trace on ≡ Trace off", config: func(cfg *dsmpm2.Config) { cfg.Trace = true }},
+	{name: "Trace on ≡ Trace off", config: func(cfg *dsmpm2.Config) { cfg.Trace = true }, facade: true},
+	{name: "empty plan, plan after the run, Trace on ≡ the plain run (golden jacobi)", pinnedBy: "TestGoldenConfigRelations", file: "../apps/jacobi/jacobi_test.go"},
 	{name: "page stretches ≡ word accesses (jacobi)", pinnedBy: "TestStretchesMatchWordPath", file: "../apps/jacobi/jacobi_test.go"},
 	{name: "a stopped engine resumed ≡ the unbroken run", pinnedBy: "TestStopResumeMatchesUnbroken", file: "../sim/engine_test.go"},
 	{name: "a checkpoint token resumed ≡ jacobi.Run", pinnedBy: "TestDemoPlanTokensResumeToRun", file: "../../faults_test.go"},
@@ -55,22 +58,24 @@ type outcome struct {
 	fp    string
 }
 
-// program is a workload a relation runs: the conformance scenarios, and a
-// lock probe where each of four nodes takes one lock five times to bump a
+// program is a workload a relation runs: the conformance scenarios, which
+// drive core and pm2 below the facade, and a lock probe, which goes through
+// the facade, where each of four nodes takes one lock five times to bump a
 // shared word.
 type program struct {
-	name string
-	run  func(t *testing.T, sys *dsmpm2.System) []uint64
+	name   string
+	facade bool
+	run    func(t *testing.T, sys *dsmpm2.System) []uint64
 }
 
 func programs() []program {
 	var out []program
 	for _, p := range protocols.ConformancePrograms() {
-		out = append(out, program{p.Name, func(t *testing.T, sys *dsmpm2.System) []uint64 {
+		out = append(out, program{p.Name, false, func(t *testing.T, sys *dsmpm2.System) []uint64 {
 			return p.Run(t, sys.Runtime(), sys.Run, sys.DSM())
 		}})
 	}
-	return append(out, program{"lock probe", lockProbe})
+	return append(out, program{"lock probe", true, lockProbe})
 }
 
 func lockProbe(t *testing.T, sys *dsmpm2.System) []uint64 {
@@ -102,7 +107,7 @@ func lockProbe(t *testing.T, sys *dsmpm2.System) []uint64 {
 
 // play runs prog under proto on four nodes, changed by r's plan and config
 // (the zero relation is the plain run), and fails on any deadline record the
-// run's waits armed, and on a traced lock probe that recorded no span.
+// run's waits armed, and on a traced run that recorded no span.
 func play(t *testing.T, proto string, prog program, r relation) outcome {
 	t.Helper()
 	cfg := dsmpm2.Config{Nodes: 4, Network: dsmpm2.BIPMyrinet, Protocol: proto, Seed: 42}
@@ -121,15 +126,15 @@ func play(t *testing.T, proto string, prog program, r relation) outcome {
 	if qs := sys.Runtime().Engine().QueueStats(); qs.DeadlineLive != 0 || qs.DeadlineInert != 0 {
 		t.Errorf("%q: %d live and %d inert deadline records; a protocol wait polled", r.name, qs.DeadlineLive, qs.DeadlineInert)
 	}
-	if cfg.Trace && prog.name == "lock probe" && sys.Trace().Len() == 0 {
-		t.Errorf("%q: the traced lock probe recorded no span", r.name)
+	if cfg.Trace && sys.Trace().Len() == 0 {
+		t.Errorf("%q: the traced %s recorded no span", r.name, prog.name)
 	}
 	return outcome{sys.Now(), sys.Stats(), sys.RecoveryStats(), mem, sys.Fingerprint()}
 }
 
 // TestMetamorphicRelations checks each plan and config relation on every
-// registered protocol and program, and that each pinned relation's test
-// exists.
+// registered protocol and program (a facade relation on the facade's
+// programs), and that each pinned relation's test exists.
 func TestMetamorphicRelations(t *testing.T) {
 	for _, r := range relations {
 		if r.pinnedBy == "" {
@@ -145,7 +150,7 @@ func TestMetamorphicRelations(t *testing.T) {
 			t.Run(proto+"/"+prog.name, func(t *testing.T) {
 				want := play(t, proto, prog, relation{})
 				for _, r := range relations {
-					if r.pinnedBy != "" {
+					if r.pinnedBy != "" || r.facade && !prog.facade {
 						continue
 					}
 					if got := play(t, proto, prog, r); fmt.Sprint(got) != fmt.Sprint(want) {

@@ -439,11 +439,18 @@ func (e *Engine) drive() {
 	}
 }
 
-// parking reports whether q's head is a fault event, which does nothing once
-// every proc finished (see FaultCursor.Fire): the drain takes it in passing.
+// parking reports whether q's head is a record that does nothing once every
+// proc finished, which the drain takes in passing: a fault event (see
+// FaultCursor.Fire), or the deadline of a timed wait, whose proc is then
+// dead (see deadline.Fire) unless it is a daemon.
 func parking(q *ring) bool {
-	_, ok := q.peek().payload.(*FaultCursor)
-	return ok
+	switch r := q.peek().payload.(type) {
+	case *FaultCursor:
+		return true
+	case *deadline:
+		return !r.p.daemon
+	}
+	return false
 }
 
 // resumes returns the proc that firing ev resumes: a live thread's wake

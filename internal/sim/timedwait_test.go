@@ -31,6 +31,28 @@ func TestChanRecvTimeoutKilledWaiter(t *testing.T) {
 	}
 }
 
+// A timed wait satisfied before its deadline leaves an inert deadline record
+// behind; the run ends at its last proc's stop, not at that record.
+func TestInertDeadlineDoesNotMoveTheEnd(t *testing.T) {
+	e := NewEngine(1)
+	var ch Chan
+	e.Go("waiter", func(p *Proc) {
+		if _, ok := ch.RecvTimeout(p, 100); !ok {
+			t.Error("the wait timed out")
+		}
+	})
+	e.Schedule(10, func() { ch.Push("m") })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 10 {
+		t.Errorf("run ends at %v, want %v: the inert deadline record moved the clock", e.Now(), Time(10))
+	}
+	if qs := e.QueueStats(); qs.DeadlineInert != 1 {
+		t.Errorf("%d inert deadline records fired, want 1", qs.DeadlineInert)
+	}
+}
+
 // A message delivered just before the deadline must not leave a timer that
 // later yanks the receiver out of the channel's FIFO. With the stale record
 // live, receiver A is removed and re-queued behind B when the old timer
