@@ -3,6 +3,7 @@ package dsmpm2_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"dsmpm2"
@@ -194,6 +195,58 @@ func TestThreadHitsDoNotAllocate(t *testing.T) {
 	if reads != 0 || writes != 0 || spanReads != 0 || spanWrites != 0 || computes != 0 {
 		t.Fatalf("allocations per call with tracing off: ReadUint64 %v, WriteUint64 %v, ReadHit %v, WriteHit %v, Compute %v; want 0",
 			reads, writes, spanReads, spanWrites, computes)
+	}
+}
+
+// TestQueueDeliversInArrivalOrder: a thread receiving from an empty Queue
+// waits for the next push and wakes at its instant, and values come out in
+// the order they went in.
+func TestQueueDeliversInArrivalOrder(t *testing.T) {
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 2})
+	var q dsmpm2.Queue
+	var got []int
+	var pushed, received []dsmpm2.Time
+	sys.Spawn(1, "server", func(th *dsmpm2.Thread) {
+		for {
+			v := q.Recv(th).(int)
+			if v < 0 {
+				return
+			}
+			got = append(got, v)
+			received = append(received, th.Now())
+		}
+	})
+	sys.Spawn(0, "dispatcher", func(th *dsmpm2.Thread) {
+		for i := 1; i <= 3; i++ {
+			th.Sleep(10 * dsmpm2.Microsecond)
+			q.Push(i)
+			pushed = append(pushed, th.Now())
+		}
+		q.Push(-1)
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, []int{1, 2, 3}) || !slices.Equal(received, pushed) {
+		t.Fatalf("received %v at %v, want [1 2 3] at the pushes' %v", got, received, pushed)
+	}
+}
+
+// newAllocationBudget caps what dsmpm2.New allocates for 16 nodes. Each
+// service handler is made once per DSM and shared by every node, so the
+// budget is 863 objects; one handler per (node, service) made it 1 062. Like
+// panicBudget, it may only go down.
+const newAllocationBudget = 863
+
+// TestNewAllocationBudget holds a 16-node New to newAllocationBudget objects.
+// Under -race the count is not held: the detector's instrumentation allocates.
+func TestNewAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	n := testing.AllocsPerRun(10, func() { dsmpm2.MustNew(dsmpm2.Config{Nodes: 16}) })
+	if n > newAllocationBudget {
+		t.Fatalf("New for 16 nodes allocates %v objects, over the budget of %d", n, newAllocationBudget)
 	}
 }
 

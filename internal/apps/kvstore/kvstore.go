@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"dsmpm2"
-	"dsmpm2/internal/sim"
 )
 
 // slotsPerBucket is how many 8-byte values fit in one bucket page.
@@ -354,9 +353,9 @@ func run(cfg Config) (Result, []*opHist, error) {
 	// Request routing: per-server FIFO queues, an epoch barrier spanning
 	// the servers plus the generator (one participant per node, so the
 	// profiler folds and migrates at each epoch boundary).
-	queues := make([]*sim.Chan, cfg.Nodes)
+	queues := make([]*dsmpm2.Queue, cfg.Nodes)
 	for i := range queues {
-		queues[i] = new(sim.Chan)
+		queues[i] = new(dsmpm2.Queue)
 	}
 	bar := sys.NewBarrier(cfg.Nodes + 1)
 
@@ -409,10 +408,9 @@ func run(cfg Config) (Result, []*opHist, error) {
 	for node := 0; node < cfg.Nodes; node++ {
 		node := node
 		sys.Spawn(node, fmt.Sprintf("server%d", node), func(t *dsmpm2.Thread) {
-			proc := t.PM2().Proc()
 			q := queues[node]
 			for {
-				switch m := q.Recv(proc).(type) {
+				switch m := q.Recv(t).(type) {
 				case stopMark:
 					res.lastStop = t.Now()
 					return

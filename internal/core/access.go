@@ -72,8 +72,8 @@ func (d *DSM) handleFault(t *pm2.Thread, addr Addr, pg Page, write bool) {
 	e := d.Entry(node, pg)
 	proto := d.instance(e.proto)
 	// The timing record outlives the fault in the ring, and comes from
-	// there: the record a later fault evicts serves the next one.
-	ft := take(&d.recs.timings)
+	// there: the record a later fault evicts serves the next one (newTiming).
+	ft := d.recs.newTiming()
 	if d.faultSeq++; d.faultSeq == 0 {
 		d.faultSeq = 1 // wrapped: 0 marks a freed record
 	}

@@ -45,74 +45,78 @@ func (d *DSM) registerServices() {
 	// table when the table is made (see Network.queue).
 	d.installCh = d.rt.Network().ChannelID(installChannel)
 	d.installSink = d.deliverInstall
+	// The handlers capture only d: each is made once and serves every node.
+	serveRequest := func(h *pm2.Thread, arg interface{}) interface{} {
+		r := arg.(*Request)
+		if d.NodeDead(r.From) {
+			// A dead requester must not be granted anything — a write
+			// request served now would strand ownership on a corpse.
+			return nil
+		}
+		if ft := liveTiming(r.Timing, r.ftSeq); ft != nil {
+			ft.Request = h.Now().Sub(r.sentAt)
+		}
+		r.DSM, r.Thread, r.Node = d, h, h.Node()
+		p := d.protoAt(r.Node, r.Page)
+		if r.Write {
+			p.WriteServer(r)
+		} else {
+			p.ReadServer(r)
+		}
+		put(&d.recs.requests, r)
+		return nil
+	}
+
+	serveInvalidate := func(h *pm2.Thread, arg interface{}) interface{} {
+		iv := arg.(*Invalidate)
+		if d.NodeDead(iv.From) {
+			// An invalidation from a node that has since crashed speaks
+			// for a dead regime: the recovery sweep already rebuilt the
+			// page's home/copyset around the crash, and applying the
+			// stale order could drop the promoted home's reference
+			// copy. Any copy it meant to kill is in the new home's
+			// copyset and dies at the next release instead.
+			return nil
+		}
+		iv.DSM, iv.Thread, iv.Node = d, h, h.Node()
+		// Any invalidation supersedes a page copy still in flight
+		// to this node (see Entry.InvalSeq).
+		d.Entry(iv.Node, iv.Page).InvalSeq++
+		d.protoAt(iv.Node, iv.Page).InvalidateServer(iv)
+		if iv.ack != nil {
+			// The ack names the acknowledging node, so the round ticks
+			// off exactly which holders answered.
+			d.replyDirect(iv.Node, iv.From, iv.ack, iv.Node)
+		}
+		put(&d.recs.invs, iv)
+		return nil
+	}
+
+	serveDiff := func(h *pm2.Thread, arg interface{}) interface{} {
+		dm := arg.(*DiffMsg)
+		dm.DSM, dm.Thread, dm.Node = d, h, h.Node()
+		if len(dm.Diffs) > 0 {
+			ds, ok := d.protoAt(dm.Node, dm.Diffs[0].Page).(DiffServer)
+			if !ok {
+				panic("core: diffs sent to a protocol without a DiffServer")
+			}
+			ds.DiffServer(dm)
+		}
+		if dm.reply != nil {
+			d.replyDirect(dm.Node, dm.From, dm.reply, nil)
+		}
+		for _, df := range dm.Diffs {
+			FreeDiff(d, df)
+		}
+		put(&d.recs.diffMsgs, dm)
+		return nil
+	}
+
 	for i := 0; i < d.rt.Nodes(); i++ {
 		node := d.rt.Node(i)
-
-		node.Register(svcRequest, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			r := arg.(*Request)
-			if d.NodeDead(r.From) {
-				// A dead requester must not be granted anything — a write
-				// request served now would strand ownership on a corpse.
-				return nil
-			}
-			if ft := liveTiming(r.Timing, r.ftSeq); ft != nil {
-				ft.Request = h.Now().Sub(r.sentAt)
-			}
-			r.DSM, r.Thread, r.Node = d, h, h.Node()
-			p := d.protoAt(r.Node, r.Page)
-			if r.Write {
-				p.WriteServer(r)
-			} else {
-				p.ReadServer(r)
-			}
-			put(&d.recs.requests, r)
-			return nil
-		})
-
-		node.Register(svcInvald, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			iv := arg.(*Invalidate)
-			if d.NodeDead(iv.From) {
-				// An invalidation from a node that has since crashed speaks
-				// for a dead regime: the recovery sweep already rebuilt the
-				// page's home/copyset around the crash, and applying the
-				// stale order could drop the promoted home's reference
-				// copy. Any copy it meant to kill is in the new home's
-				// copyset and dies at the next release instead.
-				return nil
-			}
-			iv.DSM, iv.Thread, iv.Node = d, h, h.Node()
-			// Any invalidation supersedes a page copy still in flight
-			// to this node (see Entry.InvalSeq).
-			d.Entry(iv.Node, iv.Page).InvalSeq++
-			d.protoAt(iv.Node, iv.Page).InvalidateServer(iv)
-			if iv.ack != nil {
-				// The ack names the acknowledging node, so the round ticks
-				// off exactly which holders answered.
-				d.replyDirect(iv.Node, iv.From, iv.ack, iv.Node)
-			}
-			put(&d.recs.invs, iv)
-			return nil
-		})
-
-		node.Register(svcDiff, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			dm := arg.(*DiffMsg)
-			dm.DSM, dm.Thread, dm.Node = d, h, h.Node()
-			if len(dm.Diffs) > 0 {
-				ds, ok := d.protoAt(dm.Node, dm.Diffs[0].Page).(DiffServer)
-				if !ok {
-					panic("core: diffs sent to a protocol without a DiffServer")
-				}
-				ds.DiffServer(dm)
-			}
-			if dm.reply != nil {
-				d.replyDirect(dm.Node, dm.From, dm.reply, nil)
-			}
-			for _, df := range dm.Diffs {
-				FreeDiff(d, df)
-			}
-			put(&d.recs.diffMsgs, dm)
-			return nil
-		})
+		node.Register(svcRequest, true, serveRequest)
+		node.Register(svcInvald, true, serveInvalidate)
+		node.Register(svcDiff, true, serveDiff)
 	}
 	d.registerSyncServices()
 	rt := d.rt

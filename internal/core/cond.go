@@ -64,18 +64,18 @@ func (d *DSM) NewCond(lockID int) int {
 	return id
 }
 
-// registerCondServices installs the condition-variable manager services on
-// node, quick handlers like the lock managers: a block call is kept until a
-// signal answers it. Called from registerSyncServices.
-func (d *DSM) registerCondServices(node *pm2.Node) {
-	node.RegisterQuick(svcCondReserve, func(_ *pm2.Request, arg interface{}) (interface{}, bool) {
+// condServices returns the condition-variable manager's handlers, quick ones
+// like the lock managers': a block call is kept until a signal answers it.
+// registerSyncServices installs them on every node.
+func (d *DSM) condServices() (reserve, block, signal pm2.QuickHandler) {
+	reserve = func(_ *pm2.Request, arg interface{}) (interface{}, bool) {
 		cs := d.conds[arg.(*condReq).id]
 		cs.nextTkt++
 		cs.tickets[cs.nextTkt] = condTicket{}
 		cs.order = append(cs.order, cs.nextTkt)
 		return cs.nextTkt, false
-	})
-	node.RegisterQuick(svcCondBlock, func(r *pm2.Request, arg interface{}) (interface{}, bool) {
+	}
+	block = func(r *pm2.Request, arg interface{}) (interface{}, bool) {
 		req := arg.(*condReq)
 		cs := d.conds[req.id]
 		tk, ok := cs.tickets[req.ticket]
@@ -86,8 +86,8 @@ func (d *DSM) registerCondServices(node *pm2.Node) {
 		}
 		cs.tickets[req.ticket] = condTicket{blocked: r}
 		return nil, true // answered by the signal
-	})
-	node.RegisterQuick(svcCondSignal, func(_ *pm2.Request, arg interface{}) (interface{}, bool) {
+	}
+	signal = func(_ *pm2.Request, arg interface{}) (interface{}, bool) {
 		req := arg.(*condReq)
 		cs := d.conds[req.id]
 		n := 1
@@ -105,7 +105,8 @@ func (d *DSM) registerCondServices(node *pm2.Node) {
 			}
 		}
 		return nil, false
-	})
+	}
+	return reserve, block, signal
 }
 
 // CondWait atomically releases the condition's lock and blocks until

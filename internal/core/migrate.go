@@ -60,23 +60,21 @@ type migInstallMsg struct {
 // registerMigrateServices installs the handshake services on every node.
 // Called lazily from EnableProfiler, so profiler-off systems carry none.
 func (d *DSM) registerMigrateServices() {
+	// Old-owner side: package the frame and copyset, ship them to the new
+	// home, demote ourselves only once the install is acknowledged.
+	serveHome := func(h *pm2.Thread, arg interface{}) interface{} {
+		d.serveMigrate(h, arg.(*migMsg))
+		return nil
+	}
+	// New-home side: install the authoritative copy and take ownership.
+	serveInstall := func(h *pm2.Thread, arg interface{}) interface{} {
+		d.serveMigrateInstall(h, arg.(*migInstallMsg))
+		return nil
+	}
 	for i := 0; i < d.rt.Nodes(); i++ {
 		node := d.rt.Node(i)
-
-		// Old-owner side: package the frame and copyset, ship them to the
-		// new home, demote ourselves only once the install is acknowledged.
-		node.Register(svcMigrateHome, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			m := arg.(*migMsg)
-			d.serveMigrate(h, m)
-			return nil
-		})
-
-		// New-home side: install the authoritative copy and take ownership.
-		node.Register(svcMigrateInstall, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			m := arg.(*migInstallMsg)
-			d.serveMigrateInstall(h, m)
-			return nil
-		})
+		node.Register(svcMigrateHome, true, serveHome)
+		node.Register(svcMigrateInstall, true, serveInstall)
 	}
 	d.svc.migrateHome, d.svc.migrateInstall = d.rt.ServiceID(svcMigrateHome), d.rt.ServiceID(svcMigrateInstall)
 }
@@ -282,12 +280,10 @@ func (d *DSM) finishMigration(h *pm2.Thread, f *migFlight) bool {
 	pi.home = f.newHome
 	d.dir[f.pg] = pi
 	d.stats.HomeMigrations++
-	d.logTiming(&FaultTiming{
-		Start:    f.start,
-		Protocol: "migrate_home",
-		Link:     d.rt.Link(f.owner, f.newHome).Name,
-		Total:    h.Now().Sub(f.start),
-	})
+	ft := d.recs.newTiming()
+	ft.Start, ft.Protocol, ft.Total = f.start, "migrate_home", h.Now().Sub(f.start)
+	ft.Link = d.rt.Link(f.owner, f.newHome).Name
+	d.logTiming(ft)
 	return true
 }
 

@@ -76,8 +76,10 @@ type Entry struct {
 	// node's entry alongside the directory.
 	proto ProtoID
 
+	// mu guards the entry; cond is embedded, its L set to &mu by newEntry,
+	// so an entry is one object.
 	mu   sim.Mutex
-	cond *sim.Cond
+	cond sim.Cond
 }
 
 // reqAt's states besides a node id.
@@ -94,7 +96,7 @@ func newEntry(pg Page, pi pageInfo) *Entry {
 		Home:      pi.home,
 		proto:     pi.proto,
 	}
-	e.cond = sim.NewCond(&e.mu)
+	e.cond.L = &e.mu
 	return e
 }
 

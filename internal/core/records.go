@@ -19,10 +19,15 @@ import (
 // may outlive their first holder: a diff is held by each envelope carrying it
 // and by its sender until the ack, and the last holder to let go frees it
 // (FreeDiff); a fault's timing outlives the fault in the ring, and a response
-// that arrives once the ring recycled it writes nothing (liveTiming).
+// that arrives once the ring recycled it writes nothing (liveTiming). A fault
+// takes the timing the ring last evicted; until the ring is full there is
+// none, and newTiming carves one out of a chunk of timingChunk records. The
+// ring still recycles by eviction alone, and a chunk lives on while any of its
+// records is referenced.
 
 // recPools holds the free records. The lists start empty and fill with what
-// the run frees — nothing is allocated ahead of use.
+// the run frees — nothing is allocated ahead of use but the rest of a timing
+// chunk.
 type recPools struct {
 	requests freelist.List[*Request]
 	pages    freelist.List[*PageMsg]
@@ -31,6 +36,7 @@ type recPools struct {
 	diffs    freelist.List[*diffRec]
 	faults   freelist.List[*Fault]
 	timings  freelist.List[*FaultTiming]
+	chunk    []FaultTiming // the uncarved rest of the last timing chunk
 	syncs    freelist.List[*SyncEvent]
 	batches  freelist.List[*Batch]
 	acks     freelist.List[*sim.Chan] // invalidation rounds' queues (see InvalidateCopies)
@@ -49,6 +55,27 @@ func take[T any](l *freelist.List[*T]) *T {
 		return r
 	}
 	return new(T)
+}
+
+// timingChunk is how many fault-timing records one allocation makes. A
+// FaultTiming is 112 B and holds pointers, so a chunk over 512 B carries an
+// 8-byte malloc header: 18 records are 2 024 B and fill the 2 048 B size
+// class, where 16 would round 1 800 B up to it.
+const timingChunk = 18
+
+// newTiming returns a clean timing record: the one the ring last evicted, or
+// the next uncarved one of the current chunk. A record PoisonFreed withheld is
+// never offered again, though its chunk-mates live on.
+func (p *recPools) newTiming() *FaultTiming {
+	if ft, ok := p.timings.Get(); ok {
+		return ft
+	}
+	if len(p.chunk) == 0 {
+		p.chunk = new([timingChunk]FaultTiming)[:]
+	}
+	ft := &p.chunk[0]
+	p.chunk = p.chunk[1:]
+	return ft
 }
 
 // put ends r's life: it is zeroed and goes back on l for the next take.

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"dsmpm2/internal/freelist"
 	"dsmpm2/internal/madeleine"
@@ -130,7 +131,7 @@ func TestRecoveryRecyclesSharedRecords(t *testing.T) {
 		t.Errorf("%d diffs pooled after the last holder let go, want 1", n)
 	}
 
-	first := take(&d.recs.timings)
+	first := d.recs.newTiming()
 	d.faultSeq++
 	first.seq, first.Total = d.faultSeq, 7
 	late := PageMsg{Timing: first, ftSeq: first.seq}
@@ -139,13 +140,55 @@ func TestRecoveryRecyclesSharedRecords(t *testing.T) {
 		t.Error("a response cannot write the timing of a logged fault")
 	}
 	for i := 0; i < timingCap; i++ { // the last one evicts first
-		d.logTiming(new(FaultTiming))
+		d.logTiming(d.recs.newTiming())
 	}
 	if n := d.recs.timings.Len(); n != 1 {
 		t.Errorf("%d evicted timings pooled, want 1", n)
 	}
 	if liveTiming(late.Timing, late.ftSeq) != nil {
 		t.Error("a late response can still write an evicted timing")
+	}
+	if again := d.recs.newTiming(); again != first {
+		t.Error("the evicted timing does not serve the next fault")
+	}
+}
+
+// TestPoisonedTimingStaysOutOfItsChunk: timing records are carved out of
+// chunks, so under PoisonFreed a record the ring evicts is withheld while its
+// chunk-mates are still logged; newTiming must never offer it again, and the
+// eviction must not touch them.
+func TestPoisonedTimingStaysOutOfItsChunk(t *testing.T) {
+	PoisonFreed = true
+	defer func() { PoisonFreed = false }()
+	d := newDSM(1)
+	chunk := make([]*FaultTiming, timingChunk)
+	for i := range chunk {
+		chunk[i] = d.recs.newTiming()
+		chunk[i].Total = sim.Duration(i + 1)
+		d.logTiming(chunk[i])
+	}
+	for i, ft := range chunk {
+		if uintptr(unsafe.Pointer(ft))-uintptr(unsafe.Pointer(chunk[0])) != uintptr(i)*unsafe.Sizeof(*ft) {
+			t.Fatalf("record %d is not carved from the first chunk", i)
+		}
+	}
+	for i := timingChunk; i <= timingCap; i++ { // the last one evicts chunk[0]
+		d.logTiming(d.recs.newTiming())
+	}
+	if chunk[0].Total != -1 {
+		t.Errorf("the evicted record reads Total %v, not the poison sentinel", chunk[0].Total)
+	}
+	for i, ft := range chunk[1:] {
+		if ft.Total != sim.Duration(i+2) {
+			t.Errorf("chunk-mate %d reads Total %v after the eviction, want %d", i+1, ft.Total, i+2)
+		}
+	}
+	for i := 0; i < 2*timingChunk; i++ {
+		if ft := d.recs.newTiming(); ft == chunk[0] {
+			t.Fatalf("newTiming call %d handed out the poisoned record again", i)
+		} else if ft.Total != 0 || ft.seq != 0 {
+			t.Fatalf("newTiming call %d handed out a record in use: %+v", i, *ft)
+		}
 	}
 }
 

@@ -148,134 +148,141 @@ type barrierReq struct {
 	notices []WriteNotice
 }
 
-// registerSyncServices installs the lock and barrier managers on each node.
+// registerSyncServices installs the lock, barrier and condition managers on
+// each node.
 // The lock managers are quick handlers (pm2.RegisterQuick): an acquire is
 // granted at once or queued and answered by the release that frees the lock,
 // so neither handler ever needs a thread. The barrier manager is threaded,
 // because the arrival that completes a generation runs the home migrations,
 // which block (runMigrations).
 func (d *DSM) registerSyncServices() {
+	// The handlers capture only d: each is made once and serves every node.
+	lockAcquire := func(r *pm2.Request, arg interface{}) (interface{}, bool) {
+		req := arg.(*SyncEvent)
+		if d.NodeDead(req.Node) {
+			return nil, false // stale acquire from a crashed node
+		}
+		ls := d.locks[req.Lock]
+		if ls.held {
+			ls.waiters = append(ls.waiters, lockWaiter{req: r, from: req.Node})
+			return nil, true // answered by grantNext
+		}
+		ls.held, ls.holder = true, req.Node
+		return nil, false
+	}
+
+	lockRelease := func(_ *pm2.Request, arg interface{}) (interface{}, bool) {
+		req := arg.(*SyncEvent)
+		if d.NodeDead(req.Node) {
+			return nil, false // stale release from a crashed node
+		}
+		ls := d.locks[req.Lock]
+		if !ls.held {
+			return fmt.Sprintf("core: release of unheld lock %d by node %d", req.Lock, req.Node), false
+		}
+		d.grantNext(ls)
+		return nil, false
+	}
+
+	// Threaded, not quick: the completing arrival blocks in runMigrations.
+	barrier := func(h *pm2.Thread, arg interface{}) interface{} {
+		req := arg.(*barrierReq)
+		if d.NodeDead(req.from) {
+			return nil // stale arrival from a crashed node
+		}
+		bs := d.barriers[req.id]
+		if req.participant >= 0 && req.gen > bs.gen {
+			panic(fmt.Sprintf("core: barrier %d arrival for future generation %d (current %d) from=%d participant=%d",
+				req.id, req.gen, bs.gen, req.from, req.participant))
+		}
+		// Notices fold in before any early return: a stale-generation
+		// re-arrival's notices were already drained from the node, so
+		// discarding them here would lose invalidation information for
+		// good — folding them into the current generation delivers them
+		// late, which is always safe (dropping a stale copy later
+		// still drops it).
+		bs.notices = append(bs.notices, req.notices...)
+		if bs.arrivedNodes == nil {
+			bs.arrivedNodes = make(map[int]bool)
+		}
+		bs.arrivedNodes[req.from] = true
+		if req.participant >= 0 && req.gen >= 0 && req.gen < bs.gen {
+			return nil // that generation already completed
+		}
+		if req.participant >= 0 {
+			for _, w := range bs.waiters {
+				if w.participant != req.participant {
+					continue
+				}
+				// Re-arrival of a participant that already arrived this
+				// generation: its previous incarnation crashed while
+				// parked here. Cancel the stranded handler and take
+				// over its slot; the arrival count is unchanged.
+				w.ch.Push(false)
+				w.ch = h.ReplyQueue()
+				g, _ := w.ch.Recv(h.Proc()).(*barrierGrant)
+				return grantReply(g)
+			}
+		}
+		bs.arrived++
+		if bs.arrived == bs.n {
+			bs.arrived = 0
+			bs.gen++
+			grant := &barrierGrant{notices: canonicalNotices(bs.notices)}
+			bs.notices = nil
+			covered := d.noticeCoverage(bs)
+			if len(grant.notices) > 0 && !covered {
+				// Fail fast: distributing notices to a generation that
+				// did not hear from every live node would leave the
+				// uncovered nodes' copies stale forever. NoticesUsable
+				// gates on participant count; this catches the app
+				// that clustered its participants on fewer nodes.
+				panic(fmt.Sprintf("core: barrier %d released write notices without hearing from every node (notices require one participant per node)", bs.id))
+			}
+			bs.arrivedNodes = nil
+			// Snapshot THIS generation's waiters before anything below
+			// can block: the migration handshakes yield the token, and
+			// a restarted participant may race through the completed
+			// generation and park for the NEXT one meanwhile — that
+			// park must land in the fresh waiter list, not receive this
+			// generation's grant.
+			waiters := bs.waiters
+			bs.waiters = nil
+			if d.prof != nil && bs.n >= d.rt.Nodes() && covered && !d.prof.folding {
+				// A cluster-wide generation completed with an arrival
+				// from every live node (the same coverage write notices
+				// demand — migration notices ride this grant, and an
+				// uncovered node would keep routing to the demoted old
+				// home): fold the profiler epoch and, with migration
+				// enabled, re-home the nominated pages now. Every
+				// participant of this generation is parked, so the
+				// pages are quiescent.
+				d.prof.folding = true
+				ep, cands := d.foldEpoch()
+				grant.migrations = d.runMigrations(h, &ep, cands)
+				d.closeEpoch(ep)
+				d.prof.folding = false
+			}
+			for _, w := range waiters {
+				w.ch.Push(grant)
+			}
+			return grantReply(grant)
+		}
+		w := &barrierWaiter{ch: h.ReplyQueue(), participant: req.participant}
+		bs.waiters = append(bs.waiters, w)
+		g, _ := w.ch.Recv(h.Proc()).(*barrierGrant)
+		return grantReply(g)
+	}
+
+	condReserve, condBlock, condSignal := d.condServices()
 	for i := 0; i < d.rt.Nodes(); i++ {
 		node := d.rt.Node(i)
-
-		node.RegisterQuick(svcLockAcq, func(r *pm2.Request, arg interface{}) (interface{}, bool) {
-			req := arg.(*SyncEvent)
-			if d.NodeDead(req.Node) {
-				return nil, false // stale acquire from a crashed node
-			}
-			ls := d.locks[req.Lock]
-			if ls.held {
-				ls.waiters = append(ls.waiters, lockWaiter{req: r, from: req.Node})
-				return nil, true // answered by grantNext
-			}
-			ls.held, ls.holder = true, req.Node
-			return nil, false
-		})
-
-		node.RegisterQuick(svcLockRel, func(_ *pm2.Request, arg interface{}) (interface{}, bool) {
-			req := arg.(*SyncEvent)
-			if d.NodeDead(req.Node) {
-				return nil, false // stale release from a crashed node
-			}
-			ls := d.locks[req.Lock]
-			if !ls.held {
-				return fmt.Sprintf("core: release of unheld lock %d by node %d", req.Lock, req.Node), false
-			}
-			d.grantNext(ls)
-			return nil, false
-		})
-
-		// Threaded, not quick: the completing arrival blocks in runMigrations.
-		node.Register(svcBarrier, true, func(h *pm2.Thread, arg interface{}) interface{} {
-			req := arg.(*barrierReq)
-			if d.NodeDead(req.from) {
-				return nil // stale arrival from a crashed node
-			}
-			bs := d.barriers[req.id]
-			if req.participant >= 0 && req.gen > bs.gen {
-				panic(fmt.Sprintf("core: barrier %d arrival for future generation %d (current %d) from=%d participant=%d",
-					req.id, req.gen, bs.gen, req.from, req.participant))
-			}
-			// Notices fold in before any early return: a stale-generation
-			// re-arrival's notices were already drained from the node, so
-			// discarding them here would lose invalidation information for
-			// good — folding them into the current generation delivers them
-			// late, which is always safe (dropping a stale copy later
-			// still drops it).
-			bs.notices = append(bs.notices, req.notices...)
-			if bs.arrivedNodes == nil {
-				bs.arrivedNodes = make(map[int]bool)
-			}
-			bs.arrivedNodes[req.from] = true
-			if req.participant >= 0 && req.gen >= 0 && req.gen < bs.gen {
-				return nil // that generation already completed
-			}
-			if req.participant >= 0 {
-				for _, w := range bs.waiters {
-					if w.participant != req.participant {
-						continue
-					}
-					// Re-arrival of a participant that already arrived this
-					// generation: its previous incarnation crashed while
-					// parked here. Cancel the stranded handler and take
-					// over its slot; the arrival count is unchanged.
-					w.ch.Push(false)
-					w.ch = h.ReplyQueue()
-					g, _ := w.ch.Recv(h.Proc()).(*barrierGrant)
-					return grantReply(g)
-				}
-			}
-			bs.arrived++
-			if bs.arrived == bs.n {
-				bs.arrived = 0
-				bs.gen++
-				grant := &barrierGrant{notices: canonicalNotices(bs.notices)}
-				bs.notices = nil
-				covered := d.noticeCoverage(bs)
-				if len(grant.notices) > 0 && !covered {
-					// Fail fast: distributing notices to a generation that
-					// did not hear from every live node would leave the
-					// uncovered nodes' copies stale forever. NoticesUsable
-					// gates on participant count; this catches the app
-					// that clustered its participants on fewer nodes.
-					panic(fmt.Sprintf("core: barrier %d released write notices without hearing from every node (notices require one participant per node)", bs.id))
-				}
-				bs.arrivedNodes = nil
-				// Snapshot THIS generation's waiters before anything below
-				// can block: the migration handshakes yield the token, and
-				// a restarted participant may race through the completed
-				// generation and park for the NEXT one meanwhile — that
-				// park must land in the fresh waiter list, not receive this
-				// generation's grant.
-				waiters := bs.waiters
-				bs.waiters = nil
-				if d.prof != nil && bs.n >= d.rt.Nodes() && covered && !d.prof.folding {
-					// A cluster-wide generation completed with an arrival
-					// from every live node (the same coverage write notices
-					// demand — migration notices ride this grant, and an
-					// uncovered node would keep routing to the demoted old
-					// home): fold the profiler epoch and, with migration
-					// enabled, re-home the nominated pages now. Every
-					// participant of this generation is parked, so the
-					// pages are quiescent.
-					d.prof.folding = true
-					ep, cands := d.foldEpoch()
-					grant.migrations = d.runMigrations(h, &ep, cands)
-					d.closeEpoch(ep)
-					d.prof.folding = false
-				}
-				for _, w := range waiters {
-					w.ch.Push(grant)
-				}
-				return grantReply(grant)
-			}
-			w := &barrierWaiter{ch: h.ReplyQueue(), participant: req.participant}
-			bs.waiters = append(bs.waiters, w)
-			g, _ := w.ch.Recv(h.Proc()).(*barrierGrant)
-			return grantReply(g)
-		})
-
-		d.registerCondServices(node)
+		node.RegisterQuick(svcLockAcq, lockAcquire)
+		node.RegisterQuick(svcLockRel, lockRelease)
+		node.Register(svcBarrier, true, barrier)
+		node.RegisterQuick(svcCondReserve, condReserve)
+		node.RegisterQuick(svcCondBlock, condBlock)
+		node.RegisterQuick(svcCondSignal, condSignal)
 	}
 }
 

@@ -2,6 +2,7 @@ package pm2
 
 import (
 	"fmt"
+	"strconv"
 
 	"dsmpm2/internal/freelist"
 	"dsmpm2/internal/madeleine"
@@ -121,8 +122,9 @@ func (rt *Runtime) ServiceID(name string) madeleine.ChanID {
 // thread handles requests one at a time, in arrival order, until none is
 // left. A handler that never blocks needs no thread: see RegisterQuick.
 func (n *Node) Register(name string, threaded bool, h Handler) {
+	// Concatenated rather than fmt-formatted, which would also box name.
 	n.register(name, &service{handler: h, threaded: threaded,
-		threadName: fmt.Sprintf("rpch:%s@%d", name, n.ID)})
+		threadName: "rpch:" + name + "@" + strconv.Itoa(n.ID)})
 }
 
 // RegisterQuick installs a quick service: the event loop runs h on each

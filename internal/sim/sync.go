@@ -66,14 +66,13 @@ func ownerName(p *Proc) string {
 }
 
 // Cond is a condition variable associated with a Mutex, with the usual
-// Wait/Signal/Broadcast contract. Waiters are woken in FIFO order.
+// Wait/Broadcast contract. Waiters are woken in FIFO order. Set L before first
+// use; the zero value has no waiters, so a Cond can be embedded beside its
+// Mutex.
 type Cond struct {
 	L       *Mutex
 	waiters procQueue
 }
-
-// NewCond returns a condition variable that uses l as its lock.
-func NewCond(l *Mutex) *Cond { return &Cond{L: l} }
 
 // Wait atomically releases the lock and suspends the proc; on wakeup it
 // re-acquires the lock before returning. As with sync.Cond, callers must

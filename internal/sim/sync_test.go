@@ -107,7 +107,7 @@ func TestMutexWrongUnlockPanics(t *testing.T) {
 func TestCondSignalWakesOne(t *testing.T) {
 	e := NewEngine(1)
 	var m Mutex
-	c := NewCond(&m)
+	c := &Cond{L: &m}
 	ready := 0
 	woken := 0
 	for i := 0; i < 3; i++ {

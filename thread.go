@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dsmpm2/internal/pm2"
+	"dsmpm2/internal/sim"
 	"dsmpm2/internal/trace"
 )
 
@@ -239,6 +240,19 @@ func (t *Thread) SwitchProtocol(base Addr, size int, protocol string) error {
 
 // System returns the owning platform instance.
 func (t *Thread) System() *System { return t.sys }
+
+// Queue is a FIFO between threads, outside shared memory: a dispatcher pushes
+// work and a server thread takes it in arrival order. It costs no network
+// message and no DSM access. The zero value is empty; a Queue must not be
+// copied after first use.
+type Queue struct{ ch sim.Chan }
+
+// Push appends v and wakes the oldest thread waiting in Recv, if any; it
+// never blocks.
+func (q *Queue) Push(v interface{}) { q.ch.Push(v) }
+
+// Recv removes and returns the oldest value, blocking t until there is one.
+func (q *Queue) Recv(t *Thread) interface{} { return q.ch.Recv(t.th.Proc()) }
 
 // PM2 exposes the underlying PM2 thread for advanced use.
 func (t *Thread) PM2() *pm2.Thread { return t.th }
