@@ -3,6 +3,8 @@ package dsmpm2_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -233,10 +235,12 @@ func TestQueueDeliversInArrivalOrder(t *testing.T) {
 }
 
 // newAllocationBudget caps what dsmpm2.New allocates for 16 nodes. Each
-// service handler is made once per DSM and shared by every node, so the
-// budget is 863 objects; one handler per (node, service) made it 1 062. Like
-// panicBudget, it may only go down.
-const newAllocationBudget = 863
+// service handler is made once per DSM and shared by every node, and one
+// delivery sink serves every queue of the machine, found by channel id in a
+// per-node table sized up front, so the budget is 576 objects; a sink per
+// (node, service) and a name-keyed service map per node made it 863, one
+// handler per (node, service) 1 062. Like panicBudget, it may only go down.
+const newAllocationBudget = 576
 
 // TestNewAllocationBudget holds a 16-node New to newAllocationBudget objects.
 // Under -race the count is not held: the detector's instrumentation allocates.
@@ -248,6 +252,35 @@ func TestNewAllocationBudget(t *testing.T) {
 	if n > newAllocationBudget {
 		t.Fatalf("New for 16 nodes allocates %v objects, over the budget of %d", n, newAllocationBudget)
 	}
+}
+
+// jacobiBytesBudget caps the bytes one jacobi.Run of sessionConfig (16 nodes,
+// hbrc_mw) allocates on the host, taken as the least of three runs. It
+// measures 801 224, where a home twins a page only once another node may hold
+// a copy; twinning at every home write fault made it 889 160. Like
+// panicBudget, it may only go down.
+const jacobiBytesBudget = 850_000
+
+// TestJacobiBytesBudget holds sessionConfig's jacobi run to jacobiBytesBudget.
+// Under -race the count is not held: the detector's instrumentation allocates.
+func TestJacobiBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := jacobi.Run(sessionConfig()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > jacobiBytesBudget {
+		t.Fatalf("the 16-node jacobi run allocates %d bytes, over the budget of %d", least, jacobiBytesBudget)
+	}
+	t.Logf("the 16-node jacobi run allocates %d bytes", least)
 }
 
 // TestTraceSpanLogPinned runs the 16-node jacobi with tracing on and pins the

@@ -112,13 +112,24 @@ func ServeReadCopy(r *Request) {
 // entry_mw, java): the home adds the requester to the copyset and ships a
 // copy granting access, keeping ownership. The manager is fixed, so a
 // request always reaches the home and is never forwarded.
-func ServeHomeCopy(r *Request, access memory.Access) {
+func ServeHomeCopy(r *Request, access memory.Access) { serveHomeCopy(r, access, false) }
+
+// ServeTwinnedHomeCopy is ServeHomeCopy for a home that judges its copies
+// against a twin at release (hbrc_mw): a page the home is writing untwinned
+// (see TwinOnWrite) is twinned before the copy ships, so the release revokes
+// the copy only if the page changed after it was served.
+func ServeTwinnedHomeCopy(r *Request, access memory.Access) { serveHomeCopy(r, access, true) }
+
+func serveHomeCopy(r *Request, access memory.Access, twin bool) {
 	d := r.DSM
 	e := d.Entry(r.Node, r.Page)
 	e.Lock(r.Thread)
 	if r.Node != e.Home {
 		panic(fmt.Sprintf("core: %s: page request did not reach the home node (page %d at node %d, home %d)",
 			d.RegistryName(e.proto), r.Page, r.Node, e.Home))
+	}
+	if twin && d.state[r.Node].space.AccessOf(r.Page) == memory.ReadWrite {
+		EnsureTwin(d, r.Node, e)
 	}
 	e.AddCopyset(r.From)
 	SendPage(r, e, r.From, access, false, NodeSet{})
@@ -310,16 +321,21 @@ func hasRecorded(e *Entry) bool {
 }
 
 // TwinOnWrite is the write fault handler of the twinning multiple-writer
-// protocols (hbrc_mw, entry_mw): a node already holding a copy (the home's
-// reference copy included) twins it in place and upgrades it to read-write;
-// otherwise a writable copy is fetched first. Either way the page is twinned
-// before the retried write and marked dirty for the next release.
-func TwinOnWrite(f *Fault) {
+// protocols (hbrc_mw, entry_mw): a node already holding a copy upgrades it to
+// read-write in place; otherwise a writable copy is fetched first. Either way
+// the page is marked dirty for the next release, and a copy away from the
+// home is twinned before the retried write, for the release's diff.
+//
+// The home writes straight into the reference copy, so it needs a twin only
+// to judge at release whether the copies elsewhere must be revoked: it twins
+// when judge is set and the copyset is non-empty. A copy served later is
+// twinned for by ServeTwinnedHomeCopy.
+func TwinOnWrite(f *Fault, judge bool) {
 	d, e, t := f.DSM, f.Entry, f.Thread
 	space := &d.state[f.Node].space
 	e.Lock(t)
 	if space.AccessOf(f.Page) >= memory.ReadOnly {
-		EnsureTwin(d, f.Node, e)
+		twinForWrite(d, f.Node, e, judge)
 		space.SetAccess(f.Page, memory.ReadWrite)
 		d.MarkDirty(f.Node, f.Page)
 		f.KeepEntryLocked()
@@ -328,8 +344,15 @@ func TwinOnWrite(f *Fault) {
 	e.Unlock(t)
 	FetchPage(f, true) // returns with the entry lock held
 	if space.AccessOf(f.Page) == memory.ReadWrite {
-		EnsureTwin(d, f.Node, e)
+		twinForWrite(d, f.Node, e, judge)
 		d.MarkDirty(f.Node, f.Page)
+	}
+}
+
+// twinForWrite applies TwinOnWrite's twinning rule to node's copy of e's page.
+func twinForWrite(d *DSM, node int, e *Entry, judge bool) {
+	if node != e.Home || judge && !e.Copyset.Empty() {
+		EnsureTwin(d, node, e)
 	}
 }
 
@@ -346,8 +369,7 @@ func TwinDiff(d *DSM, node int, e *Entry) *memory.Diff {
 		diff = NewDiff(d)
 		diff.Compute(e.Page, td.twin, frame.Data, d.costs.DiffGap)
 	}
-	d.bufs.Put(td.twin) // twin came from the pool; recycle it
-	td.twin = nil
+	DropTwin(d, e)
 	return diff
 }
 
@@ -361,9 +383,28 @@ func TwinChanged(d *DSM, node int, e *Entry) bool {
 	}
 	frame := d.state[node].space.Frame(e.Page)
 	changed := frame != nil && !bytes.Equal(td.twin, frame.Data)
-	d.bufs.Put(td.twin)
-	td.twin = nil
+	DropTwin(d, e)
 	return changed
+}
+
+// DropTwin discards the entry's twin, if any, into d's pool without comparing
+// it: a home whose copyset is empty has nothing to judge. Call with the entry
+// lock held.
+func DropTwin(d *DSM, e *Entry) {
+	if td, _ := e.ProtoData.(*twinData); td != nil && td.twin != nil {
+		d.bufs.Put(td.twin)
+		td.twin = nil
+	}
+}
+
+// resetProtoData clears e's protocol-private state, handing a twin and a
+// recorded diff back to d's pools rather than to the collector.
+func resetProtoData(d *DSM, e *Entry) {
+	DropTwin(d, e)
+	if td, _ := e.ProtoData.(*twinData); td != nil && td.dirty != nil {
+		FreeDiff(d, td.dirty)
+	}
+	e.ProtoData = nil
 }
 
 // NewDiff takes an empty diff record from d's pool, for a routine that builds

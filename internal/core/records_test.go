@@ -365,6 +365,40 @@ func TestMigratingFaultFreesItsRecordOnce(t *testing.T) {
 	}
 }
 
+// TestSwitchRecyclesHomeTwin: a protocol switch resets the home's entry and
+// hands its twin back to the page-buffer pool and its recorded diff back to
+// the record pool, rather than to the collector.
+func TestSwitchRecyclesHomeTwin(t *testing.T) {
+	d := newDSM(1)
+	h, _ := localProto("local")
+	proto := d.CreateProtocol(h)
+	d.SetDefaultProtocol(proto)
+	base := d.MustMalloc(0, PageSize, nil)
+	pg := d.Space(0).PageOf(base)
+	e := d.Entry(0, pg)
+	EnsureTwin(d, 0, e)
+	twin := e.ProtoData.(*twinData).twin
+	RecordPut(d, e, base, []byte{1})
+	recorded := e.ProtoData.(*twinData).dirty
+	d.rt.CreateThread(0, "switch", func(th *pm2.Thread) {
+		if err := d.SwitchProtocol(th, base, PageSize, proto); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := d.rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.ProtoData != nil {
+		t.Fatalf("the switch left protocol-private state %v", e.ProtoData)
+	}
+	if buf := d.bufs.Get(); &buf[0] != &twin[0] {
+		t.Error("the home twin did not go back to the page-buffer pool")
+	}
+	if df := NewDiff(d); df != recorded {
+		t.Error("the recorded diff did not go back to the record pool")
+	}
+}
+
 // TestTwinChanged: a home release's compare reports whether the page changed
 // since its twin, and recycles the twin into the page-buffer pool, with no
 // twin, an unchanged page, a changed page and a dropped frame alike. It never

@@ -20,8 +20,9 @@ import (
 // write to it has been released — a node other than the home still holding
 // a twin or a recorded diff is refused. The switch resets every node's
 // page-table entry — copies are dropped, ownership and rights return to the
-// home node, protocol-private state and dirty marks are discarded — and the
-// new protocol's page initializer runs. One control-message round trip per
+// home node, dirty marks and protocol-private state are discarded (a home's
+// twin or recorded diff back into its pool) — and the new protocol's page
+// initializer runs. One control-message round trip per
 // node is charged for the distributed table update.
 func (d *DSM) SwitchProtocol(t *pm2.Thread, base Addr, size int, proto ProtoID) error {
 	newProto := d.instance(proto) // validates the id
@@ -71,7 +72,7 @@ func (d *DSM) SwitchProtocol(t *pm2.Thread, base Addr, size int, proto ProtoID) 
 			e.ProbOwner = pi.home
 			e.Owner = n == pi.home
 			e.Copyset.Clear()
-			e.ProtoData = nil
+			resetProtoData(d, e)
 			d.ClearDirty(n, pg)
 			e.proto = proto // keep the hot-path cache in step with the directory
 			if n == pi.home {

@@ -58,7 +58,7 @@ func (rt *Runtime) killThread(t *Thread) {
 // a fresh CPU resource (a thread killed mid-compute can never free it, so
 // the old one may be stranded), and every registered service
 // bound to its fresh queue (the crash unbound the old one and reclaimed what
-// was queued there), in registration order so replays are deterministic.
+// was queued there), in channel-id order so replays are deterministic.
 func (rt *Runtime) RestartNode(n int) {
 	node := rt.Node(n)
 	if !rt.net.Dead(n) {
@@ -66,9 +66,10 @@ func (rt *Runtime) RestartNode(n int) {
 	}
 	rt.net.RestartNode(n)
 	node.CPU = new(sim.Resource)
-	for _, name := range node.svcOrder {
-		svc := node.services[name]
-		rt.net.Serve(n, svc.chanID, svc.sink)
+	for _, svc := range node.svcs {
+		if svc != nil {
+			rt.net.Serve(n, svc.chanID, rt.sink)
+		}
 	}
 	node.Restarts++
 }

@@ -26,3 +26,6 @@ func (n *Node) Dead() bool { return n.rt.net.Dead(n.ID) }
 
 // Results holds c's results in element order, from its reply until Release.
 func (c *VecCall) Results() []interface{} { return c.results }
+
+// service returns the node's registered service called name.
+func (n *Node) service(name string) *service { return n.svcs[n.rt.ServiceID(name)] }

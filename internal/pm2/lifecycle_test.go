@@ -243,7 +243,7 @@ func TestKilledHandlerNeverReused(t *testing.T) {
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	free := &rt.Node(1).services["svc"].free
+	free := &rt.Node(1).service("svc").free
 	free.Each(func(th *Thread) { reused = reused || th == killed })
 	if killed == nil || reused {
 		t.Fatalf("killed handler %p was handed out again or pooled (reused=%v)", killed, reused)
@@ -279,7 +279,7 @@ func TestHandlerDescriptorsBoundedByConcurrency(t *testing.T) {
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if pooled := rt.Node(1).services["svc"].free.Len(); served != 2*clients*each || pooled > peak {
+	if pooled := rt.Node(1).service("svc").free.Len(); served != 2*clients*each || pooled > peak {
 		t.Fatalf("served %d requests at peak concurrency %d, %d descriptors pooled", served, peak, pooled)
 	}
 	if rt.Node(1).HandlersSpawned != served || rt.ThreadCount() != served+clients {

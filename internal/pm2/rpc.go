@@ -33,7 +33,6 @@ type service struct {
 	// free holds the descriptors of handler threads that have returned (see
 	// deliver). Only the node's engine context touches it, so it needs no lock.
 	free freelist.List[*Thread]
-	sink func(msg interface{}) // deliver, bound once: handle rebinds it often
 }
 
 // Request is one invocation on the wire and, for a quick service, the call
@@ -139,43 +138,55 @@ func (n *Node) RegisterQuick(name string, h QuickHandler) {
 	n.register(name, &service{quick: h})
 }
 
+// svcSlots sizes a node's service table (Node.svcs) up front: room for the
+// channel ids a DSM machine interns, so registering its services never grows
+// the table. A service whose id lies beyond grows it.
+const svcSlots = 16
+
 func (n *Node) register(name string, svc *service) {
-	if _, dup := n.services[name]; dup {
+	id := n.rt.ServiceID(name)
+	if int(id) < len(n.svcs) && n.svcs[id] != nil {
 		panic(fmt.Sprintf("pm2: service %q registered twice on node %d", name, n.ID))
 	}
-	svc.chanID, svc.node, svc.sink = n.rt.ServiceID(name), n, svc.deliver
-	n.services[name] = svc
-	n.svcOrder = append(n.svcOrder, name)
-	n.rt.net.Serve(n.ID, svc.chanID, svc.sink)
+	if int(id) >= len(n.svcs) {
+		grown := make([]*service, max(int(id)+1, svcSlots))
+		copy(grown, n.svcs)
+		n.svcs = grown
+	}
+	svc.chanID, svc.node = id, n
+	n.svcs[id] = svc
+	n.rt.net.Serve(n.ID, id, n.rt.sink)
 }
 
-// deliver hands one request to its service, in engine context (see
-// madeleine.Network.Serve). A quick request is scheduled as its own call
-// record now, where a handler thread's first wake would go. Any other gets a
-// handler thread, on the descriptor of a handler that has returned when there
-// is one: start renews its id, proc and place in the live list, and what else
-// a tenant can leave behind is reset here. A serial service's queue is unbound
-// until that thread is done (see handle).
-func (svc *service) deliver(v interface{}) {
-	n := svc.node
+// deliver is the sink of every served queue of the machine (rt.sink): it
+// hands one request to the service its message names by node and channel,
+// in engine context (see madeleine.Network.Serve). A quick request is
+// scheduled as its own call record now, where a handler thread's first wake
+// would go. Any other gets a handler thread, on the descriptor of a handler
+// that has returned when there is one: start renews its id, proc and place
+// in the live list, and what else a tenant can leave behind is reset here. A
+// serial service's queue is unbound until that thread is done (see handle).
+func (rt *Runtime) deliver(v interface{}) {
 	msg := v.(*madeleine.Message)
+	n := rt.nodes[msg.To]
+	svc := n.svcs[msg.Chan]
 	req := msg.Payload.(*Request)
-	n.rt.net.FreeMessage(msg)
+	rt.net.FreeMessage(msg)
 	n.HandlersSpawned++
 	if svc.quick != nil {
 		req.svc, req.inc = svc, n.Restarts
-		n.rt.eng.ScheduleCall(n.rt.eng.Now(), req)
+		rt.eng.ScheduleCall(rt.eng.Now(), req)
 		return
 	}
 	if !svc.threaded {
-		n.rt.net.Unserve(n.ID, svc.chanID)
+		rt.net.Unserve(n.ID, svc.chanID)
 	}
 	t, ok := svc.free.Get()
 	if !ok {
 		t = &Thread{svc: svc}
 	}
 	t.req, t.migrations, t.migratable, t.done = req, 0, false, false
-	n.rt.start(n.ID, svc.threadName, 0, t)
+	rt.start(n.ID, svc.threadName, 0, t)
 }
 
 // Fire is a quick request's call record (sim.Caller): it runs the handler
@@ -241,7 +252,7 @@ func (svc *service) handle(t *Thread) {
 		}
 		msg, ok := n.rt.net.TryRecvID(n.ID, svc.chanID)
 		if !ok {
-			n.rt.net.Serve(n.ID, svc.chanID, svc.sink)
+			n.rt.net.Serve(n.ID, svc.chanID, n.rt.sink)
 			break
 		}
 		t.req = msg.Payload.(*Request)

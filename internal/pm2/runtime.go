@@ -45,6 +45,9 @@ type Runtime struct {
 	// per-message sends skip both the "rpc:" concatenation and the
 	// network's name table.
 	svcIDs map[string]madeleine.ChanID
+	// sink is deliver, bound once: every served queue of every node takes
+	// it, and a serial service rebinds it often.
+	sink func(msg interface{})
 	// reqFree recycles request envelopes (see Request).
 	reqFree freelist.List[*Request]
 	// onDrop, if set, hears of every message the network discards (see
@@ -85,6 +88,7 @@ func NewRuntime(cfg Config) *Runtime {
 		net:    madeleine.NewNetwork(eng, topo, cfg.Nodes),
 		svcIDs: make(map[string]madeleine.ChanID),
 	}
+	rt.sink = rt.deliver
 	rt.net.SetLinkContention(cfg.LinkContention)
 	// Dropped RPC requests return their pooled envelopes exactly once, after
 	// the OnDrop hook has seen their argument.
@@ -102,10 +106,9 @@ func NewRuntime(cfg Config) *Runtime {
 	})
 	for i := 0; i < cfg.Nodes; i++ {
 		rt.nodes = append(rt.nodes, &Node{
-			rt:       rt,
-			ID:       i,
-			CPU:      new(sim.Resource),
-			services: make(map[string]*service),
+			rt:  rt,
+			ID:  i,
+			CPU: new(sim.Resource),
 		})
 	}
 	return rt
@@ -150,10 +153,9 @@ type Node struct {
 	ID  int
 	CPU *sim.Resource
 
-	services map[string]*service
-	// svcOrder lists service names in registration order, so a restarted
-	// node reconnects its services deterministically.
-	svcOrder []string
+	// svcs holds the node's registered services by channel id, where
+	// Runtime.deliver finds the one an arriving request names.
+	svcs []*service
 
 	// vecFree holds the node's released vector calls (see VecCall).
 	vecFree freelist.List[*VecCall]

@@ -3,6 +3,7 @@ package protocols
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -405,6 +406,152 @@ func TestHomeReleaseTakesNoDiffRecord(t *testing.T) {
 				t.Errorf("%s: node 1 kept its copy = %v, want %v", name, kept, want)
 			}
 		}
+	}
+}
+
+// TestHbrcMWHomeWritesUntwinnedWithoutCopies: a home write to a page no other
+// node holds takes no twin — there is no copy its release could revoke — so
+// a cold machine's first home writes allocate no page buffers, and the
+// release leaves both the twin and the pooled diff record alone.
+func TestHbrcMWHomeWritesUntwinnedWithoutCopies(t *testing.T) {
+	const pages = 32
+	rt, d, ids := harness(2, madeleine.BIPMyrinet, 1)
+	d.SetDefaultProtocol(ids.HbrcMW)
+	base := d.MustMalloc(0, pages*core.PageSize, nil)
+	lock := d.NewLock(0)
+	pooled := core.NewDiff(d)
+	core.FreeDiff(d, pooled)
+	var written uint64
+	twinned := -1
+	rt.CreateThread(0, "home", func(th *pm2.Thread) {
+		d.Acquire(th, lock)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pages; i++ {
+			d.WriteUint64(th, base+core.Addr(i*core.PageSize), uint64(i+1))
+		}
+		runtime.ReadMemStats(&after)
+		written = after.TotalAlloc - before.TotalAlloc
+		twinned = 0
+		for i := 0; i < pages; i++ {
+			if core.HasTwin(d.Entry(0, d.Space(0).PageOf(base+core.Addr(i*core.PageSize)))) {
+				twinned++
+			}
+		}
+		d.Release(th, lock)
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if twinned != 0 {
+		t.Errorf("%d of %d home pages with no copies were twinned at their write fault", twinned, pages)
+	}
+	// A twin is a page-sized buffer, and the cold pool holds none to reuse.
+	if !raceEnabled && written >= pages*core.PageSize/4 {
+		t.Errorf("%d home write faults allocated %d bytes: page buffers were taken", pages, written)
+	}
+	if df := core.NewDiff(d); df != pooled || cap(df.Entries) != 0 {
+		t.Error("the home release took the pooled diff record")
+	}
+	if core.HasTwin(d.Entry(0, d.Space(0).PageOf(base))) {
+		t.Error("a home page holds a twin after the release")
+	}
+}
+
+// TestHbrcMWServeTwinsDirtyHomePage: a copy served while the home is writing
+// a page untwinned is twinned at the serve, so the home's release judges the
+// copy against the page as it was served. A home write after the serve
+// revokes the copy; with none, the copy already holds the final bytes and
+// stays — under a lock release (eager invalidation) and a barrier (write
+// notices) alike.
+func TestHbrcMWServeTwinsDirtyHomePage(t *testing.T) {
+	for _, barrier := range []bool{false, true} {
+		for _, writeAfter := range []bool{false, true} {
+			name := fmt.Sprintf("barrier %v, home writes after the serve %v", barrier, writeAfter)
+			rt, d, ids := harness(2, madeleine.BIPMyrinet, 1)
+			d.SetDefaultProtocol(ids.HbrcMW)
+			base := d.MustMalloc(0, 8, nil)
+			e := d.Entry(0, d.Space(0).PageOf(base))
+			lock, bar := d.NewLock(0), d.NewBarrier(2)
+			var beforeServe, afterServe bool
+			var got uint64
+			rt.CreateThread(0, "home", func(th *pm2.Thread) {
+				if !barrier {
+					d.Acquire(th, lock)
+				}
+				d.WriteUint64(th, base, 1)
+				beforeServe = core.HasTwin(e)
+				th.Advance(10 * sim.Millisecond) // node 1 fetches a copy meanwhile
+				afterServe = core.HasTwin(e)
+				if writeAfter {
+					d.WriteUint64(th, base, 2)
+				}
+				if barrier {
+					d.Barrier(th, bar)
+				} else {
+					d.Release(th, lock)
+				}
+			})
+			rt.CreateThread(1, "reader", func(th *pm2.Thread) {
+				th.Advance(5 * sim.Millisecond) // after the home's write fault
+				got = d.ReadUint64(th, base)
+				if barrier {
+					d.Barrier(th, bar)
+				}
+			})
+			if err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if beforeServe || !afterServe {
+				t.Errorf("%s: home twin before the serve %v, after %v; want none, then one", name, beforeServe, afterServe)
+			}
+			if got != 1 {
+				t.Errorf("%s: node 1 read %d, want the home's 1", name, got)
+			}
+			if kept := d.Space(1).Frame(e.Page) != nil; kept == writeAfter {
+				t.Errorf("%s: node 1 kept its copy = %v, want %v", name, kept, !writeAfter)
+			}
+			if core.HasTwin(e) {
+				t.Errorf("%s: the home page holds a twin after the release", name)
+			}
+		}
+	}
+}
+
+// TestEntryMWHomeNeverTwins: entry_mw's home writes straight into the
+// reference copy and judges no copy at release, so it takes no twin — not at
+// a write fault with a copy out, nor when it serves a copy while writing.
+func TestEntryMWHomeNeverTwins(t *testing.T) {
+	rt, d, ids := harness(3, madeleine.BIPMyrinet, 1)
+	d.SetDefaultProtocol(ids.EntryMW)
+	base := d.MustMalloc(0, 8, nil)
+	e := d.Entry(0, d.Space(0).PageOf(base))
+	lock := d.NewLock(0)
+	rt.CreateThread(1, "prime", func(th *pm2.Thread) { d.ReadUint64(th, base) })
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var atFault, atServe bool
+	rt.CreateThread(0, "home", func(th *pm2.Thread) {
+		d.Acquire(th, lock)
+		d.WriteUint64(th, base, 5)
+		atFault = core.HasTwin(e)
+		th.Advance(10 * sim.Millisecond) // node 2 fetches a copy meanwhile
+		atServe = core.HasTwin(e)
+		d.Release(th, lock)
+	})
+	rt.CreateThread(2, "reader", func(th *pm2.Thread) {
+		th.Advance(5 * sim.Millisecond)
+		d.ReadUint64(th, base)
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if atFault || atServe || core.HasTwin(e) {
+		t.Errorf("entry_mw home twinned: at the write fault %v, after a serve %v, after the release %v", atFault, atServe, core.HasTwin(e))
+	}
+	if !e.InCopyset(1) || !e.InCopyset(2) {
+		t.Error("the served copies left the home's copyset")
 	}
 }
 

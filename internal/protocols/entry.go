@@ -15,8 +15,10 @@ import (
 // Shared data is associated with locks through core.BindLock. A page is
 // guaranteed consistent only to a thread holding the page's lock:
 //
-//   - write faults twin the page and mark it dirty (home-based MRMW, as in
-//     hbrc_mw);
+//   - write faults mark the page dirty (home-based MRMW, as in hbrc_mw);
+//     a copy away from the home is twinned first, while the home writes
+//     straight into the reference copy and never twins: nothing judges
+//     its copies at release;
 //   - releasing a lock flushes the diffs of the dirty pages *bound to that
 //     lock* to their homes — and nothing else;
 //   - acquiring a lock drops the local copies of the pages bound to it, so
@@ -45,9 +47,9 @@ func (p *entryMW) InitPage(pg core.Page, home int) {
 // ReadFaultHandler fetches a read-only copy from the home.
 func (p *entryMW) ReadFaultHandler(f *core.Fault) { core.FetchPage(f, false) }
 
-// WriteFaultHandler enables local writing with a twin, marking the page
-// dirty for the next release of its lock.
-func (p *entryMW) WriteFaultHandler(f *core.Fault) { core.TwinOnWrite(f) }
+// WriteFaultHandler enables local writing, with a twin away from the home,
+// marking the page dirty for the next release of its lock.
+func (p *entryMW) WriteFaultHandler(f *core.Fault) { core.TwinOnWrite(f, false) }
 
 // ReadServer runs at the home and grants a read-only copy.
 func (p *entryMW) ReadServer(r *core.Request) { core.ServeHomeCopy(r, memory.ReadOnly) }
@@ -104,9 +106,7 @@ func (p *entryMW) flushDirty(s *core.SyncEvent, scope []core.Page) {
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
 		var diff *memory.Diff
-		if e.Home == node {
-			core.TwinChanged(p.d, node, e) // home writes are already in the reference copy
-		} else {
+		if e.Home != node { // home writes are already in the reference copy
 			diff = core.TwinDiff(p.d, node, e)
 		}
 		p.d.Space(node).SetAccess(pg, memory.ReadOnly)

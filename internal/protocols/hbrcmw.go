@@ -16,7 +16,11 @@ import (
 //
 // Home-node writes are detected the same way as everyone else's: pages are
 // write-protected at their home between critical sections (see InitPage), so
-// the first home-side write faults, twins locally and marks the page dirty.
+// the first home-side write faults and marks the page dirty. The home writes
+// straight into the reference copy, as in HLRC: it twins only while another
+// node may hold a copy — at the fault if the copyset is non-empty, else when
+// it first serves one — and its release compares with that twin only to
+// decide whether those copies must go.
 type hbrcMW struct {
 	core.StandardInstall
 	d *core.DSM
@@ -35,18 +39,20 @@ func (p *hbrcMW) InitPage(pg core.Page, home int) {
 func (p *hbrcMW) ReadFaultHandler(f *core.Fault) { core.FetchPage(f, false) }
 
 // WriteFaultHandler twins the page before the write — in place when the
-// node holds a copy (the home's reference copy included), after fetching one
-// from the home otherwise — and marks it dirty for the next release.
-func (p *hbrcMW) WriteFaultHandler(f *core.Fault) { core.TwinOnWrite(f) }
+// node holds a copy, after fetching one from the home otherwise — and marks
+// it dirty for the next release. The home twins only if its copyset is
+// non-empty.
+func (p *hbrcMW) WriteFaultHandler(f *core.Fault) { core.TwinOnWrite(f, true) }
 
 // ReadServer runs at the home: add the requester to the copyset and ship a
-// read-only copy. The home never forwards — the manager is fixed.
-func (p *hbrcMW) ReadServer(r *core.Request) { core.ServeHomeCopy(r, memory.ReadOnly) }
+// read-only copy, twinning a page the home is writing untwinned. The home
+// never forwards — the manager is fixed.
+func (p *hbrcMW) ReadServer(r *core.Request) { core.ServeTwinnedHomeCopy(r, memory.ReadOnly) }
 
 // WriteServer runs at the home: multiple writers are allowed, so the home
 // ships a read-write copy without transferring ownership and remembers the
-// writer in the copyset.
-func (p *hbrcMW) WriteServer(r *core.Request) { core.ServeHomeCopy(r, memory.ReadWrite) }
+// writer in the copyset, twinning as ReadServer does.
+func (p *hbrcMW) WriteServer(r *core.Request) { core.ServeTwinnedHomeCopy(r, memory.ReadWrite) }
 
 // InvalidateServer handles the home's third-party invalidation: if this node
 // has pending modifications (a twin with changes), their diff is flushed to
@@ -79,14 +85,19 @@ func (p *hbrcMW) LockRelease(s *core.SyncEvent) {
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
 		// Writes at the home are already in the reference copy, so its
-		// twin is compared, not diffed.
+		// twin is compared, not diffed — and only against copies to revoke:
+		// with none, the twin goes unread and the copyset stays in place
+		// (a late fetch may still join it; the barrier prunes it).
 		var diff *memory.Diff
 		var changed bool
-		if e.Home == node {
-			changed = core.TwinChanged(p.d, node, e)
-		} else {
+		switch {
+		case e.Home != node:
 			diff = core.TwinDiff(p.d, node, e)
 			changed = diff != nil
+		case e.Copyset.Empty():
+			core.DropTwin(p.d, e)
+		default:
+			changed = core.TwinChanged(p.d, node, e)
 		}
 		p.d.Space(node).SetAccess(pg, memory.ReadOnly)
 		if !changed {
@@ -95,14 +106,9 @@ func (p *hbrcMW) LockRelease(s *core.SyncEvent) {
 		}
 		if e.Home == node {
 			// The remote copies must go — eagerly, or via a barrier notice.
-			// No copies, no notice: the copyset stays in place (a late
-			// fetch may still join it) and the barrier prunes it.
 			if useNotices {
-				empty := e.Copyset.Empty()
 				e.Unlock(s.Thread)
-				if !empty {
-					p.d.QueueWriteNotice(s.Thread, s.Lock, pg)
-				}
+				p.d.QueueWriteNotice(s.Thread, s.Lock, pg)
 				continue
 			}
 			cs := e.TakeCopyset()
