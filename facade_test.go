@@ -235,12 +235,15 @@ func TestQueueDeliversInArrivalOrder(t *testing.T) {
 }
 
 // newAllocationBudget caps what dsmpm2.New allocates for 16 nodes. Each
-// service handler is made once per DSM and shared by every node, and one
-// delivery sink serves every queue of the machine, found by channel id in a
-// per-node table sized up front, so the budget is 576 objects; a sink per
-// (node, service) and a name-keyed service map per node made it 863, one
-// handler per (node, service) 1 062. Like panicBudget, it may only go down.
-const newAllocationBudget = 576
+// service handler is made once per DSM and shared by every node, one delivery
+// sink serves every queue of the machine, each node's queues and services
+// come in one block each, made once for the services the machine interns up
+// front, and a handler thread's name is made at the service's first request,
+// so the budget is 217 objects; a queue, a service struct and a thread name
+// made one by one per (node, service) at registration made it 576, a sink per
+// (node, service) and a name-keyed service map per node 863, one handler per
+// (node, service) 1 062. Like panicBudget, it may only go down.
+const newAllocationBudget = 217
 
 // TestNewAllocationBudget holds a 16-node New to newAllocationBudget objects.
 // Under -race the count is not held: the detector's instrumentation allocates.
@@ -256,10 +259,12 @@ func TestNewAllocationBudget(t *testing.T) {
 
 // jacobiBytesBudget caps the bytes one jacobi.Run of sessionConfig (16 nodes,
 // hbrc_mw) allocates on the host, taken as the least of three runs. It
-// measures 801 224, where a home twins a page only once another node may hold
-// a copy; twinning at every home write fault made it 889 160. Like
-// panicBudget, it may only go down.
-const jacobiBytesBudget = 850_000
+// measures 776 784, where a home twins a page only once another node may hold
+// a copy, a barrier generation reuses its records and each node's queues and
+// services come in one block; with records made per generation and per
+// service it was 801 224, and twinning at every home write fault made that
+// 889 160. Like panicBudget, it may only go down.
+const jacobiBytesBudget = 790_000
 
 // TestJacobiBytesBudget holds sessionConfig's jacobi run to jacobiBytesBudget.
 // Under -race the count is not held: the detector's instrumentation allocates.

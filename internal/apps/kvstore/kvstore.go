@@ -2,7 +2,9 @@
 // a hash table sharded over isomalloc pages (one bucket per page, guarded by
 // a per-bucket entry-consistency lock), driven by an open-loop deterministic
 // traffic generator — seeded Poisson arrivals, Zipf-skewed keys, a
-// configurable read/write mix, and time-varying hot-key churn phases.
+// configurable read/write mix, and time-varying hot-key churn phases — that
+// draws each request when it falls due, so a run holds its keys and its
+// backlog, not its whole request stream.
 //
 // Unlike the barrier-phased SPLASH-style kernels (jacobi, lu, matmul), the
 // interesting output here is not a checksum but the latency *distribution*:
@@ -48,9 +50,9 @@ type Config struct {
 	// Keys is the key-space size; at most Buckets * 512 (one page of
 	// 8-byte slots per bucket).
 	Keys int
-	// Requests is the total operation count of the trace.
+	// Requests is the total operation count of the stream.
 	Requests int
-	// Epochs divides the trace into barrier-separated segments: after each
+	// Epochs divides the stream into barrier-separated segments: after each
 	// segment all servers and the generator meet at a cluster-wide
 	// barrier, which is where the profiler folds its evidence and (with
 	// AdaptiveHomes) re-homes pages.
@@ -77,7 +79,7 @@ type Config struct {
 	// Protocol is the consistency protocol (default entry_mw — the store
 	// is built around per-bucket lock binding).
 	Protocol string
-	// Seed drives both the trace generator and the simulation.
+	// Seed drives both the request generator and the simulation.
 	Seed int64
 	// MisplaceHomes homes every bucket page on node 0 instead of on its
 	// serving node — the deliberately bad static placement the serve
@@ -140,10 +142,10 @@ func (cfg Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// request is one traced operation. Offsets are relative to the start of the
-// serving run; the generator converts them to absolute virtual times.
+// request is one operation of the stream, filled by the load generator when
+// it falls due and handed back to the pool by the server that recorded its
+// latency.
 type request struct {
-	off dsmpm2.Duration // scheduled arrival, offset from run start
 	key int
 	put bool
 	val uint64
@@ -153,48 +155,86 @@ type request struct {
 // epochMark tells a server to meet the cluster at the epoch barrier.
 type epochMark struct{}
 
-// stopMark tells a server the trace is over.
+// stopMark tells a server the stream is over.
 type stopMark struct{}
 
-// trace is the fully precomputed workload: requests in arrival order plus
-// the per-key request tally (the hot-key report's input). It is a pure
-// function of the Config, computed in plain Go before the simulation starts,
-// so every run of one seed serves the identical operation sequence.
-type trace struct {
-	reqs   []request
-	perKey []int64
+// arrivals draws the request stream one request at a time: Poisson arrivals
+// (exponential inter-arrival gaps), Zipf-ranked keys remapped through a fresh
+// permutation each churn phase, and a seeded read/write mix. It is a pure
+// function of the Config, so every generator of one seed yields the identical
+// operation sequence, and it holds one permutation, whatever the run's length.
+type arrivals struct {
+	cfg   Config
+	rng   *rand.Rand
+	zipf  *rand.Zipf
+	perm  []int // Zipf rank -> key, redrawn each churn phase
+	phase int
+	i     int             // requests drawn so far
+	off   dsmpm2.Duration // the last arrival's offset from the run start
 }
 
-// genTrace builds the trace: Poisson arrivals (exponential inter-arrival
-// gaps), Zipf-ranked keys remapped through a fresh permutation each churn
-// phase, and a seeded read/write mix.
-func genTrace(cfg Config) trace {
+func newArrivals(cfg Config) *arrivals {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rng, zipfS, 1, uint64(cfg.Keys-1))
-	tr := trace{
-		reqs:   make([]request, 0, cfg.Requests),
-		perKey: make([]int64, cfg.Keys),
-	}
-	perm := rng.Perm(cfg.Keys)
-	phase := 0
-	var at dsmpm2.Duration
-	for i := 0; i < cfg.Requests; i++ {
-		if p := i * cfg.Phases / cfg.Requests; p != phase {
-			phase = p
-			perm = rng.Perm(cfg.Keys)
-		}
-		at += dsmpm2.Duration(rng.ExpFloat64() * float64(cfg.MeanInterarrival))
-		key := perm[zipf.Uint64()]
-		tr.perKey[key]++
-		tr.reqs = append(tr.reqs, request{
-			off: at,
-			key: key,
-			put: rng.Float64() >= cfg.ReadFraction,
-			val: rng.Uint64(),
-		})
-	}
-	return tr
+	g := &arrivals{cfg: cfg, rng: rng,
+		zipf: rand.NewZipf(rng, zipfS, 1, uint64(cfg.Keys-1)),
+		perm: make([]int, cfg.Keys)}
+	g.shuffle()
+	return g
 }
+
+// shuffle redraws perm in place with rand.Perm's own loop, so the stream
+// matches a fresh rng.Perm(Keys) draw for draw.
+func (g *arrivals) shuffle() {
+	for i := range g.perm {
+		j := g.rng.Intn(i + 1)
+		g.perm[i] = g.perm[j]
+		g.perm[j] = i
+	}
+}
+
+// next fills r with the next request and returns its scheduled arrival as an
+// offset from the start of the serving run. It must be called at most
+// cfg.Requests times.
+func (g *arrivals) next(r *request) dsmpm2.Duration {
+	cfg := g.cfg
+	if p := g.i * cfg.Phases / cfg.Requests; p != g.phase {
+		g.phase = p
+		g.shuffle()
+	}
+	g.i++
+	g.off += dsmpm2.Duration(g.rng.ExpFloat64() * float64(cfg.MeanInterarrival))
+	r.key = g.perm[g.zipf.Uint64()]
+	r.put = g.rng.Float64() >= cfg.ReadFraction
+	r.val = g.rng.Uint64()
+	return g.off
+}
+
+// requestChunk is how many request records one allocation of the pool makes.
+const requestChunk = 64
+
+// requestPool recycles request records: a record lives from the generator's
+// push to the server's latency record, so the pool holds as many as the
+// run's peak backlog, carved requestChunk at a time.
+type requestPool struct {
+	free  []*request
+	chunk []request // the uncarved rest of the last chunk
+}
+
+func (p *requestPool) get() *request {
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		return r
+	}
+	if len(p.chunk) == 0 {
+		p.chunk = make([]request, requestChunk)
+	}
+	r := &p.chunk[0]
+	p.chunk = p.chunk[1:]
+	return r
+}
+
+func (p *requestPool) put(r *request) { p.free = append(p.free, r) }
 
 // bucketOf and slotOf place key k: bucket k % Buckets, slot k / Buckets.
 func bucketOf(k, buckets int) int { return k % buckets }
@@ -242,7 +282,7 @@ type OpSummary struct {
 
 // KeyLatency is the served-latency digest of one hot key. Count is the
 // number of served (not dropped) requests for the key, so under a deadline
-// it can fall short of the trace's request tally for that key.
+// it can fall short of the stream's request tally for that key.
 type KeyLatency struct {
 	Key int `json:"key"`
 	dsmpm2.HistSummary
@@ -259,7 +299,7 @@ type Result struct {
 	// Ops summarizes the per-kind latency histograms in sorted kind order
 	// ("get", "put", and "drop" when a deadline is set).
 	Ops []OpSummary
-	// HotKeys are the hotKeyCount busiest keys of the trace.
+	// HotKeys are the hotKeyCount busiest keys of the stream.
 	HotKeys []HotKey
 	// PerKey is the served-latency digest of each hot key, in HotKeys order.
 	PerKey []KeyLatency
@@ -280,18 +320,22 @@ func (r Result) Op(kind string) OpSummary {
 	return OpSummary{}
 }
 
-// ServeSerial replays the trace in plain Go and returns the oracle checksum
+// ServeSerial replays the stream in plain Go and returns the oracle checksum
 // and hot-key report. Valid for Deadline == 0 configs: the store serializes
 // all requests for a key through one bucket lock on one server's FIFO
-// queue, so the final table state is the trace's last-put-wins fold.
+// queue, so the final table state is the stream's last-put-wins fold.
 func ServeSerial(cfg Config) (uint64, []HotKey, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return 0, nil, err
 	}
-	tr := genTrace(cfg)
 	table := make([]uint64, cfg.Keys)
-	for _, r := range tr.reqs {
+	perKey := make([]int64, cfg.Keys)
+	g := newArrivals(cfg)
+	var r request
+	for range cfg.Requests {
+		g.next(&r)
+		perKey[r.key]++
 		if r.put {
 			table[r.key] = r.val
 		}
@@ -300,7 +344,20 @@ func ServeSerial(cfg Config) (uint64, []HotKey, error) {
 	for k, v := range table {
 		sum = mixChecksum(sum, k, v)
 	}
-	return sum, topKeys(tr.perKey, hotKeyCount), nil
+	return sum, topKeys(perKey, hotKeyCount), nil
+}
+
+// countKeys tallies the requests per key of cfg's stream, drawn by a
+// generator of its own: the hot-key report's input.
+func countKeys(cfg Config) []int64 {
+	perKey := make([]int64, cfg.Keys)
+	g := newArrivals(cfg)
+	var r request
+	for range cfg.Requests {
+		g.next(&r)
+		perKey[r.key]++
+	}
+	return perKey
 }
 
 // opHist is one operation kind's latency histogram.
@@ -332,8 +389,6 @@ func run(cfg Config) (Result, []*opHist, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
-	tr := genTrace(cfg)
-
 	// One page and one bound lock per bucket. The lock is always managed by
 	// the serving node; the page is homed there too unless MisplaceHomes
 	// parks it on node 0 (the static placement the adapt experiment fixes).
@@ -360,9 +415,10 @@ func run(cfg Config) (Result, []*opHist, error) {
 	bar := sys.NewBarrier(cfg.Nodes + 1)
 
 	res := Result{System: sys}
-	// Per-key latency for the trace's hot set. The hot keys are a pure
-	// function of the trace, so the set is known before the run.
-	hot := topKeys(tr.perKey, hotKeyCount)
+	// Per-key latency for the stream's hot set. The hot keys are a pure
+	// function of the Config, so a counting pass of a second generator finds
+	// them before the run.
+	hot := topKeys(countKeys(cfg), hotKeyCount)
 	hotIdx := make(map[int]int, len(hot))
 	for i, hk := range hot {
 		hotIdx[hk.Key] = i
@@ -376,17 +432,19 @@ func run(cfg Config) (Result, []*opHist, error) {
 		hists = []*opHist{dropHist, getHist, putHist}
 	}
 
-	// The open-loop generator: sleep to each scheduled arrival, stamp the
-	// absolute time, and push to the serving node's queue. Epoch marks are
-	// emitted every Requests/Epochs operations and at the end of the trace.
+	// The open-loop generator: draw each request, sleep to its scheduled
+	// arrival, stamp the absolute time, and push it to the serving node's
+	// queue. Epoch marks are emitted every Requests/Epochs operations and at
+	// the end of the stream. The queue carries a pooled record, which the
+	// server hands back once it has recorded the latency.
+	var pool requestPool
 	sys.Spawn(0, "loadgen", func(t *dsmpm2.Thread) {
+		gen := newArrivals(cfg)
 		start := t.Now()
 		nextMark := 1
-		for i := range tr.reqs {
-			// The queue carries a pointer into this run's own trace: no
-			// copy is boxed per request, and at belongs to this run alone.
-			r := &tr.reqs[i]
-			due := start.Add(r.off)
+		for i := range cfg.Requests {
+			r := pool.get()
+			due := start.Add(gen.next(r))
 			if d := due.Sub(t.Now()); d > 0 {
 				t.Sleep(d)
 			}
@@ -420,6 +478,7 @@ func run(cfg Config) (Result, []*opHist, error) {
 					if cfg.Deadline > 0 && t.Now().Sub(m.at) > cfg.Deadline {
 						dropHist.Record(t.Now().Sub(m.at))
 						res.Dropped++
+						pool.put(m)
 						continue
 					}
 					b := bucketOf(m.key, cfg.Buckets)
@@ -441,6 +500,7 @@ func run(cfg Config) (Result, []*opHist, error) {
 						keyHists[hi].Record(t.Now().Sub(m.at))
 					}
 					res.Served++
+					pool.put(m)
 				}
 			}
 		})

@@ -64,36 +64,36 @@ func Distances(cities int, seed int64) [][]int {
 	return d
 }
 
-// SolveSerial computes the optimal tour cost sequentially (the reference for
-// correctness tests).
+// SolveSerial computes the optimal tour cost of at most 64 cities
+// sequentially (the reference for correctness tests). It keeps the unvisited
+// cities as a bitmask and the bound — the cheapest outgoing edges of the
+// unvisited cities — incrementally, in code of its own: the oracle shares
+// nothing with the search it checks but minOutgoing.
 func SolveSerial(dist [][]int) int {
 	n := len(dist)
 	best := 1 << 30
-	visited := make([]bool, n)
-	visited[0] = true
 	minOut := minOutgoing(dist)
-	var dfs func(city, depth, cost int)
-	dfs = func(city, depth, cost int) {
-		if cost+lowerBound(visited, minOut) >= best {
+	var unvisited uint64
+	lb := 0
+	for c := 1; c < n; c++ {
+		unvisited |= 1 << c
+		lb += minOut[c]
+	}
+	var dfs func(city, cost, lb int, unvisited uint64)
+	dfs = func(city, cost, lb int, unvisited uint64) {
+		if cost+lb >= best {
 			return
 		}
-		if depth == n {
-			total := cost + dist[city][0]
-			if total < best {
-				best = total
-			}
+		if unvisited == 0 {
+			best = min(best, cost+dist[city][0])
 			return
 		}
-		for next := 1; next < n; next++ {
-			if visited[next] {
-				continue
-			}
-			visited[next] = true
-			dfs(next, depth+1, cost+dist[city][next])
-			visited[next] = false
+		for rest := unvisited; rest != 0; rest &= rest - 1 {
+			next := bits.TrailingZeros64(rest)
+			dfs(next, cost+dist[city][next], lb-minOut[next], unvisited&^(1<<next))
 		}
 	}
-	dfs(0, 1, 0)
+	dfs(0, 0, lb, unvisited)
 	return best
 }
 
@@ -112,17 +112,6 @@ func minOutgoing(dist [][]int) []int {
 		out[i] = m
 	}
 	return out
-}
-
-// lowerBound sums the cheapest outgoing edges of the unvisited cities.
-func lowerBound(visited []bool, minOut []int) int {
-	lb := 0
-	for c, v := range visited {
-		if !v {
-			lb += minOut[c]
-		}
-	}
-	return lb
 }
 
 // Run executes the distributed branch-and-bound solve and returns the

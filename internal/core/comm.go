@@ -45,6 +45,17 @@ func (d *DSM) registerServices() {
 	// table when the table is made (see Network.queue).
 	d.installCh = d.rt.Network().ChannelID(installChannel)
 	d.installSink = d.deliverInstall
+	// So are the services, in the order they are registered below, so
+	// that each node's service table is made once (see pm2.Node.Register).
+	rt := d.rt
+	d.svc = serviceIDs{
+		request: rt.ServiceID(svcRequest), invald: rt.ServiceID(svcInvald), diff: rt.ServiceID(svcDiff),
+		lockAcq: rt.ServiceID(svcLockAcq), lockRel: rt.ServiceID(svcLockRel),
+		barrier: rt.ServiceID(svcBarrier),
+	}
+	rt.ServiceID(svcCondReserve)
+	rt.ServiceID(svcCondBlock)
+	rt.ServiceID(svcCondSignal)
 	// The handlers capture only d: each is made once and serves every node.
 	serveRequest := func(h *pm2.Thread, arg interface{}) interface{} {
 		r := arg.(*Request)
@@ -119,12 +130,6 @@ func (d *DSM) registerServices() {
 		node.Register(svcDiff, true, serveDiff)
 	}
 	d.registerSyncServices()
-	rt := d.rt
-	d.svc = serviceIDs{
-		request: rt.ServiceID(svcRequest), invald: rt.ServiceID(svcInvald), diff: rt.ServiceID(svcDiff),
-		lockAcq: rt.ServiceID(svcLockAcq), lockRel: rt.ServiceID(svcLockRel),
-		barrier: rt.ServiceID(svcBarrier),
-	}
 	ins := make([]installer, len(d.installers))
 	for i := range ins {
 		d.installers[i] = ins[i].init(d, i)

@@ -71,12 +71,12 @@ func (d *DSM) registerMigrateServices() {
 		d.serveMigrateInstall(h, arg.(*migInstallMsg))
 		return nil
 	}
+	d.svc.migrateHome, d.svc.migrateInstall = d.rt.ServiceID(svcMigrateHome), d.rt.ServiceID(svcMigrateInstall)
 	for i := 0; i < d.rt.Nodes(); i++ {
 		node := d.rt.Node(i)
 		node.Register(svcMigrateHome, true, serveHome)
 		node.Register(svcMigrateInstall, true, serveInstall)
 	}
-	d.svc.migrateHome, d.svc.migrateInstall = d.rt.ServiceID(svcMigrateHome), d.rt.ServiceID(svcMigrateInstall)
 }
 
 // replyDirect sends a control-sized value back on a private reply channel.

@@ -301,16 +301,17 @@ func (d *DSM) QueueWriteNotice(t *pm2.Thread, barrier int, pg Page) {
 	d.stats.Notices++
 }
 
-// takeNotices drains the write notices a node queued for one barrier, in
-// canonical order (page, then writer), deduplicated.
-func (d *DSM) takeNotices(node, barrier int) []WriteNotice {
+// takeNotices drains the write notices a node queued for one barrier into
+// buf's storage, in canonical order (page, then writer), deduplicated. The
+// node keeps its emptied list for the next epoch.
+func (d *DSM) takeNotices(node, barrier int, buf []WriteNotice) []WriteNotice {
 	ns := d.state[node]
-	out := ns.notices[barrier]
-	if len(out) == 0 {
-		return nil
+	queued := ns.notices[barrier]
+	if len(queued) == 0 {
+		return buf[:0]
 	}
-	delete(ns.notices, barrier)
-	return canonicalNotices(out)
+	ns.notices[barrier] = queued[:0]
+	return append(buf[:0], canonicalNotices(queued)...)
 }
 
 // canonicalNotices sorts notices by (page, writer) and removes duplicates,
@@ -348,6 +349,8 @@ func (d *DSM) applyNotices(t *pm2.Thread, notices []WriteNotice) {
 
 // applyNotice applies one page's write notices on t's node:
 //
+//   - a node with neither an entry nor a frame for the page never touched
+//     it, so there is nothing to drop, and it makes no entry to learn that.
 //   - at the page's home, nothing changes: the reference copy is already
 //     current, and the copyset deliberately stays as-is. It only ever
 //     needs to be a SUPERSET of the actual holders — members that drop
@@ -365,6 +368,9 @@ func (d *DSM) applyNotices(t *pm2.Thread, notices []WriteNotice) {
 //     in flight is retired too.
 func (d *DSM) applyNotice(t *pm2.Thread, pg Page, ws []WriteNotice) {
 	node := t.Node()
+	if ns := d.state[node]; ns.entry(pg) == nil && ns.space.Frame(pg) == nil {
+		return // never touched here: no copy, twin or fetch to retire
+	}
 	e := d.Entry(node, pg)
 	e.Lock(t)
 	if e.Home == node {

@@ -208,6 +208,18 @@ func (d *DSM) ClearDirty(node int, pg Page) {
 	}
 }
 
+// PageList is a hook's scratch list of pages, a record (see records.go): a
+// sweep takes one with NewPageList, fills Pages (DirtyPages, PagesOn) and
+// frees it with FreePageList once the sweep is over. The buffer is kept, so
+// it grows to the longest sweep once and a warm sweep allocates nothing.
+type PageList struct{ Pages []Page }
+
+// NewPageList takes an empty page list.
+func (d *DSM) NewPageList() *PageList { return take(&d.recs.sweeps) }
+
+// FreePageList ends l's life: the caller must not touch it again.
+func (d *DSM) FreePageList(l *PageList) { put(&d.recs.sweeps, l) }
+
 // DirtyPages appends node's dirty pages that protocol p manages to buf, in
 // ascending order: the deterministic sweep of a release hook. Pages of other
 // protocols are left to theirs. Like PagesOn's, the list is a copy, so the

@@ -23,7 +23,9 @@ import (
 // takes the timing the ring last evicted; until the ring is full there is
 // none, and newTiming carves one out of a chunk of timingChunk records. The
 // ring still recycles by eviction alone, and a chunk lives on while any of its
-// records is referenced.
+// records is referenced. A barrier generation's records recycle too: an
+// arrival is its caller's until the manager answers, and a grant has one
+// holder per participant (barrierGrant); a hook's PageList is its sweep's.
 
 // recPools holds the free records. The lists start empty and fill with what
 // the run frees — nothing is allocated ahead of use but the rest of a timing
@@ -39,6 +41,9 @@ type recPools struct {
 	chunk    []FaultTiming // the uncarved rest of the last timing chunk
 	syncs    freelist.List[*SyncEvent]
 	batches  freelist.List[*Batch]
+	arrivals freelist.List[*barrierReq]
+	grants   freelist.List[*barrierGrant]
+	sweeps   freelist.List[*PageList]
 	acks     freelist.List[*sim.Chan] // invalidation rounds' queues (see InvalidateCopies)
 }
 
@@ -120,6 +125,36 @@ func (r *diffRec) reset(fill int) {
 		return
 	}
 	df.Reset()
+}
+
+// reset keeps a barrier arrival's notice buffer for the node's next
+// arrival; poisoned, it loses it.
+func (r *barrierReq) reset(fill int) {
+	notices := r.notices[:0]
+	if fill != 0 {
+		notices = nil
+	}
+	*r = barrierReq{id: fill, from: fill, participant: fill, gen: fill, notices: notices}
+}
+
+// reset keeps a grant's notice buffer for a later generation; poisoned, it
+// loses it.
+func (g *barrierGrant) reset(fill int) {
+	notices := g.notices[:0]
+	if fill != 0 {
+		notices = nil
+	}
+	*g = barrierGrant{notices: notices, holders: fill}
+}
+
+// reset keeps a page list's buffer for the next sweep; poisoned, it holds
+// the all-ones page alone.
+func (l *PageList) reset(fill int) {
+	if fill != 0 {
+		*l = PageList{Pages: []Page{Page(fill)}}
+		return
+	}
+	l.Pages = l.Pages[:0]
 }
 
 // reset keeps a Batch's buffers for its next life, emptied of what they

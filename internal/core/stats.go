@@ -146,9 +146,16 @@ type TimingLog struct {
 }
 
 // Add appends a record and returns the one it evicts: the oldest, once the
-// log is at capacity, else nil.
+// log is at capacity, else nil. The ring grows by doubling, to timingCap
+// exactly: append's gentler growth past 256 entries would regrow it more
+// often, and past the cap.
 func (l *TimingLog) Add(ft *FaultTiming) (evicted *FaultTiming) {
 	if len(l.recs) < timingCap {
+		if len(l.recs) == cap(l.recs) {
+			grown := make([]*FaultTiming, len(l.recs), min(max(2*cap(l.recs), 8), timingCap))
+			copy(grown, l.recs)
+			l.recs = grown
+		}
 		l.recs = append(l.recs, ft)
 		return nil
 	}

@@ -50,39 +50,48 @@ type barrierWaiter struct {
 // completed generations, so re-arrivals for an already-released generation
 // return immediately. notices accumulates the write notices the current
 // generation's arrivals piggybacked; the release distributes their
-// canonical union to every participant.
+// canonical union to every participant. The buffers are kept across
+// generations, so a warm barrier allocates nothing.
 type barrierState struct {
 	id      int
 	home    int
 	n       int
 	gen     int
 	arrived int
-	waiters []*barrierWaiter
+	waiters []barrierWaiter
+	spare   []barrierWaiter // the last generation's emptied waiter list
 	notices []WriteNotice
 	// arrivedNodes tracks which nodes this generation's arrivals came
 	// from: a generation that distributes write notices must have heard
 	// from every node, or uncovered nodes would keep stale copies.
-	arrivedNodes map[int]bool
+	arrivedNodes NodeSet
 }
 
 // barrierGrant is the value a completing barrier hands every participant:
 // the aggregated write notices of the generation plus the home-migration
 // notices the epoch's decisions produced, both in canonical order. Parked
 // arrivals receive it through their waiter channel; the last arrival returns
-// it directly as the RPC result.
+// it directly as the RPC result. It is a record (records.go) with one holder
+// per participant of its generation: each lets go once it has applied the
+// grant (BarrierAs), and the last frees it. A participant that crashes never
+// lets go, and its grant goes to the collector.
 type barrierGrant struct {
 	notices    []WriteNotice
 	migrations []MigrationNotice
+	holders    int
+	// reply is every participant's RPC reply, charging the wire for the
+	// notices the grant carries — piggybacking saves the round trips, not
+	// the bytes. The reply path reads it as the handler returns, so one
+	// serves them all.
+	reply pm2.SizedReply
 }
 
-// grantReply wraps a grant for the RPC reply, charging the wire for the
-// notices it carries — piggybacking saves the round trips, not the bytes.
+// grantReply is the RPC reply carrying g.
 func grantReply(g *barrierGrant) interface{} {
 	if g == nil {
 		return nil
 	}
-	return &pm2.SizedReply{Value: g,
-		Size: ctrlBytes + noticeBytes*(len(g.notices)+len(g.migrations))}
+	return &g.reply
 }
 
 // NewLock creates a cluster-wide lock managed by node home and returns its
@@ -202,15 +211,13 @@ func (d *DSM) registerSyncServices() {
 		// late, which is always safe (dropping a stale copy later
 		// still drops it).
 		bs.notices = append(bs.notices, req.notices...)
-		if bs.arrivedNodes == nil {
-			bs.arrivedNodes = make(map[int]bool)
-		}
-		bs.arrivedNodes[req.from] = true
+		bs.arrivedNodes.Add(req.from)
 		if req.participant >= 0 && req.gen >= 0 && req.gen < bs.gen {
 			return nil // that generation already completed
 		}
 		if req.participant >= 0 {
-			for _, w := range bs.waiters {
+			for i := range bs.waiters {
+				w := &bs.waiters[i]
 				if w.participant != req.participant {
 					continue
 				}
@@ -228,8 +235,9 @@ func (d *DSM) registerSyncServices() {
 		if bs.arrived == bs.n {
 			bs.arrived = 0
 			bs.gen++
-			grant := &barrierGrant{notices: canonicalNotices(bs.notices)}
-			bs.notices = nil
+			grant := take(&d.recs.grants)
+			grant.notices = append(grant.notices, canonicalNotices(bs.notices)...)
+			bs.notices = bs.notices[:0]
 			covered := d.noticeCoverage(bs)
 			if len(grant.notices) > 0 && !covered {
 				// Fail fast: distributing notices to a generation that
@@ -239,7 +247,7 @@ func (d *DSM) registerSyncServices() {
 				// that clustered its participants on fewer nodes.
 				panic(fmt.Sprintf("core: barrier %d released write notices without hearing from every node (notices require one participant per node)", bs.id))
 			}
-			bs.arrivedNodes = nil
+			bs.arrivedNodes.Clear()
 			// Snapshot THIS generation's waiters before anything below
 			// can block: the migration handshakes yield the token, and
 			// a restarted participant may race through the completed
@@ -247,7 +255,7 @@ func (d *DSM) registerSyncServices() {
 			// park must land in the fresh waiter list, not receive this
 			// generation's grant.
 			waiters := bs.waiters
-			bs.waiters = nil
+			bs.waiters, bs.spare = bs.spare[:0], nil
 			if d.prof != nil && bs.n >= d.rt.Nodes() && covered && !d.prof.folding {
 				// A cluster-wide generation completed with an arrival
 				// from every live node (the same coverage write notices
@@ -263,14 +271,19 @@ func (d *DSM) registerSyncServices() {
 				d.closeEpoch(ep)
 				d.prof.folding = false
 			}
+			grant.holders = len(waiters) + 1
+			grant.reply = pm2.SizedReply{Value: grant,
+				Size: ctrlBytes + noticeBytes*(len(grant.notices)+len(grant.migrations))}
 			for _, w := range waiters {
 				w.ch.Push(grant)
 			}
+			clear(waiters)
+			bs.spare = waiters[:0]
 			return grantReply(grant)
 		}
-		w := &barrierWaiter{ch: h.ReplyQueue(), participant: req.participant}
-		bs.waiters = append(bs.waiters, w)
-		g, _ := w.ch.Recv(h.Proc()).(*barrierGrant)
+		ch := h.ReplyQueue()
+		bs.waiters = append(bs.waiters, barrierWaiter{ch: ch, participant: req.participant})
+		g, _ := ch.Recv(h.Proc()).(*barrierGrant)
 		return grantReply(g)
 	}
 
@@ -291,7 +304,7 @@ func (d *DSM) registerSyncServices() {
 // corpse's copies died with it).
 func (d *DSM) noticeCoverage(bs *barrierState) bool {
 	for n := 0; n < d.rt.Nodes(); n++ {
-		if bs.arrivedNodes[n] {
+		if bs.arrivedNodes.Contains(n) {
 			continue
 		}
 		if d.NodeDead(n) {
@@ -385,10 +398,14 @@ func (d *DSM) BarrierAs(t *pm2.Thread, id, participant, gen int) {
 	// arrival message, and the barrier's completion hands back the
 	// generation's aggregated notices to apply locally — invalidation with
 	// zero extra round trips.
-	req := &barrierReq{id: id, from: t.Node(), participant: participant, gen: gen,
-		notices: d.takeNotices(t.Node(), id)}
+	// The arrival is the caller's until the reply: the manager reads it
+	// before it answers, and keeps nothing of it.
+	req := take(&d.recs.arrivals)
+	req.id, req.from, req.participant, req.gen = id, t.Node(), participant, gen
+	req.notices = d.takeNotices(t.Node(), id, req.notices)
 	res := t.CallID(d.barriers[id].home, d.svc.barrier, req,
 		ctrlBytes+noticeBytes*len(req.notices), ctrlBytes)
+	put(&d.recs.arrivals, req)
 	if g, ok := res.(*barrierGrant); ok {
 		// Migrations first: the write notices (and the protocols' acquire
 		// hooks below) must see the post-migration placement.
@@ -397,6 +414,9 @@ func (d *DSM) BarrierAs(t *pm2.Thread, id, participant, gen int) {
 		}
 		if len(g.notices) > 0 {
 			d.applyNotices(t, g.notices)
+		}
+		if g.holders--; g.holders == 0 {
+			put(&d.recs.grants, g)
 		}
 	}
 	d.eachInstance(func(p Protocol) { p.LockAcquire(ev) })

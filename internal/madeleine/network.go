@@ -189,18 +189,28 @@ func (nw *Network) queue(node int, ch ChanID) *sim.Chan {
 	}
 	qs := nw.queues[node]
 	if int(ch) >= len(qs) {
+		// Grown to every channel interned so far, whose queues come in one
+		// block: a node serves nearly every channel, and a machine interns
+		// its channels before it serves them, so one growth makes them all.
 		grown := make([]*sim.Chan, len(nw.chanNames))
 		copy(grown, qs)
+		from := max(len(qs), 1) // id 0 is reserved: it names no queue
+		block := make([]sim.Chan, len(grown)-from)
+		for i := range block {
+			grown[from+i] = &block[i]
+		}
 		qs = grown
 		nw.queues[node] = qs
 	}
-	q := qs[ch]
-	if q == nil {
-		q = new(sim.Chan)
-		qs[ch] = q
-	}
-	return q
+	return qs[ch]
 }
+
+// ChannelName returns the name ch was interned under.
+func (nw *Network) ChannelName(ch ChanID) string { return nw.chanNames[ch] }
+
+// Channels reports how many channel ids are interned, the reserved 0
+// included: every id is below it.
+func (nw *Network) Channels() int { return len(nw.chanNames) }
 
 // SendAfter delivers msg to its destination after latency d. Sends to the
 // local node are delivered with the same latency: loopback communication in

@@ -35,7 +35,8 @@ func BenchmarkSpaceReadUint64Hit(b *testing.B) {
 // DSM's gap of 8: sparse dirties one byte in every eighth word (the pattern
 // benchmark/'s memory.ns_per_diff probe uses), dense rewrites every word the
 // way a jacobi sweep does — neighbouring float64 averages, which change the
-// low mantissa bytes and often leave the exponent bytes equal. Each round
+// low mantissa bytes and often leave the exponent bytes equal — and head
+// rewrites the page's first 72 bytes and leaves a clean tail. Each round
 // refills one diff, as the DSM's pooled records are refilled, so
 // TestComputeDiffRefillsInPlace pins it at 0 allocs/op.
 func BenchmarkComputeDiff(b *testing.B) {
@@ -87,6 +88,11 @@ var diffPatterns = []struct {
 		}
 	}},
 	{"denseRow", denseDirty},
+	{"head72", func(cur []byte) { // a record at the page's start, the rest clean
+		for b := 0; b < 72; b++ {
+			cur[b]++
+		}
+	}},
 }
 
 // diffPin is a twin with non-trivial contents, its page dirtied by dirty, and

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 )
@@ -54,15 +55,25 @@ func MakeTwin(data []byte) []byte {
 }
 
 // firstDiff returns the first index at or after i where twin and cur differ,
-// or len(cur) when the rest is clean. Clean stretches — most of a page under
-// most workloads — are skipped a word at a time: the XOR of two little-endian
-// words is zero iff all eight bytes match, and its lowest set bit lies in the
-// first byte that does not.
+// or len(cur) when the rest is clean. Differences are found a word at a time:
+// the XOR of two little-endian words is zero iff all eight bytes match, and
+// its lowest set bit lies in the first byte that does not. Past wordScan clean
+// words, a clean tail — the rest of most pages a release diffs — is settled
+// by one vectorised compare (bytes.Equal) instead; a dense or sparse page,
+// whose next difference is nearer, does not pay for the call.
 func firstDiff(twin, cur []byte, i int) int {
 	// Hoisted bounds checks: equal lengths and 0 <= i <= len(cur) established
-	// here keep per-load checks out of the word loop.
+	// here keep per-load checks out of the word loops.
 	twin = twin[:len(cur)]
 	_ = cur[i:]
+	for stop := min(len(cur), i+8*wordScan); i+8 <= stop; i += 8 {
+		if x := binary.LittleEndian.Uint64(twin[i:i+8]) ^ binary.LittleEndian.Uint64(cur[i:i+8]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	if bytes.Equal(twin[i:], cur[i:]) {
+		return len(cur)
+	}
 	for ; i+8 <= len(cur); i += 8 {
 		if x := binary.LittleEndian.Uint64(twin[i:i+8]) ^ binary.LittleEndian.Uint64(cur[i:i+8]); x != 0 {
 			return i + bits.TrailingZeros64(x)/8
@@ -73,6 +84,11 @@ func firstDiff(twin, cur []byte, i int) int {
 	}
 	return i
 }
+
+// wordScan is how many clean words firstDiff tests one by one before it
+// compares the rest of the page at once: a clean stretch longer than a
+// 64-byte cache line is most likely the page's clean tail.
+const wordScan = 8
 
 // dirtyRange delimits the modified range that begins at the modified byte
 // start: adjacent modified bytes coalesce, with runs of up to gap unmodified

@@ -3,6 +3,7 @@ package pm2
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"dsmpm2/internal/freelist"
 	"dsmpm2/internal/madeleine"
@@ -28,7 +29,8 @@ type service struct {
 	threaded bool
 	node     *Node
 	// threadName names the service's handler threads, formatted once at
-	// registration rather than per invocation.
+	// the first (see deliver) rather than per invocation, and not at all
+	// for a service that never runs.
 	threadName string
 	// free holds the descriptors of handler threads that have returned (see
 	// deliver). Only the node's engine context touches it, so it needs no lock.
@@ -121,9 +123,7 @@ func (rt *Runtime) ServiceID(name string) madeleine.ChanID {
 // thread handles requests one at a time, in arrival order, until none is
 // left. A handler that never blocks needs no thread: see RegisterQuick.
 func (n *Node) Register(name string, threaded bool, h Handler) {
-	// Concatenated rather than fmt-formatted, which would also box name.
-	n.register(name, &service{handler: h, threaded: threaded,
-		threadName: "rpch:" + name + "@" + strconv.Itoa(n.ID)})
+	n.register(name, service{handler: h, threaded: threaded})
 }
 
 // RegisterQuick installs a quick service: the event loop runs h on each
@@ -135,26 +135,33 @@ func (n *Node) Register(name string, threaded bool, h Handler) {
 // threaded one with the same handler cannot be told apart in virtual time,
 // event count or message order.
 func (n *Node) RegisterQuick(name string, h QuickHandler) {
-	n.register(name, &service{quick: h})
+	n.register(name, service{quick: h})
 }
 
-// svcSlots sizes a node's service table (Node.svcs) up front: room for the
-// channel ids a DSM machine interns, so registering its services never grows
-// the table. A service whose id lies beyond grows it.
-const svcSlots = 16
-
-func (n *Node) register(name string, svc *service) {
+// register installs svc under name. A machine interns its service names
+// before it registers them, in the order it registers them on every node
+// (see core.DSM.registerServices), so the node's service table, and a block
+// of services, are each made once for all of them: the table is sized to
+// every channel interned so far, the block to this one and every one
+// interned after it.
+func (n *Node) register(name string, svc service) {
 	id := n.rt.ServiceID(name)
 	if int(id) < len(n.svcs) && n.svcs[id] != nil {
 		panic(fmt.Sprintf("pm2: service %q registered twice on node %d", name, n.ID))
 	}
+	channels := n.rt.net.Channels()
 	if int(id) >= len(n.svcs) {
-		grown := make([]*service, max(int(id)+1, svcSlots))
+		grown := make([]*service, channels)
 		copy(grown, n.svcs)
 		n.svcs = grown
 	}
-	svc.chanID, svc.node = id, n
-	n.svcs[id] = svc
+	if len(n.svcBlock) == cap(n.svcBlock) {
+		n.svcBlock = make([]service, 0, channels-int(id))
+	}
+	n.svcBlock = append(n.svcBlock, svc)
+	s := &n.svcBlock[len(n.svcBlock)-1]
+	s.chanID, s.node = id, n
+	n.svcs[id] = s
 	n.rt.net.Serve(n.ID, id, n.rt.sink)
 }
 
@@ -184,6 +191,12 @@ func (rt *Runtime) deliver(v interface{}) {
 	t, ok := svc.free.Get()
 	if !ok {
 		t = &Thread{svc: svc}
+	}
+	if svc.threadName == "" {
+		// Concatenated rather than fmt-formatted, which would also box
+		// the name; the channel's name is "rpc:" and the service's.
+		name := strings.TrimPrefix(rt.net.ChannelName(svc.chanID), "rpc:")
+		svc.threadName = "rpch:" + name + "@" + strconv.Itoa(n.ID)
 	}
 	t.req, t.migrations, t.migratable, t.done = req, 0, false, false
 	rt.start(n.ID, svc.threadName, 0, t)

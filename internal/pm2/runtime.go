@@ -154,8 +154,10 @@ type Node struct {
 	CPU *sim.Resource
 
 	// svcs holds the node's registered services by channel id, where
-	// Runtime.deliver finds the one an arriving request names.
-	svcs []*service
+	// Runtime.deliver finds the one an arriving request names. They live in
+	// svcBlock, made for a service and every channel interned after it.
+	svcs     []*service
+	svcBlock []service
 
 	// vecFree holds the node's released vector calls (see VecCall).
 	vecFree freelist.List[*VecCall]

@@ -96,9 +96,10 @@ func inScope(scope []core.Page, pg core.Page) bool {
 
 func (p *entryMW) flushDirty(s *core.SyncEvent, scope []core.Page) {
 	node := s.Node
-	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
-	for _, pg := range p.d.DirtyPages(p, node, buf[:0]) {
+	pl := p.d.NewPageList()
+	pl.Pages = p.d.DirtyPages(p, node, pl.Pages)
+	for _, pg := range pl.Pages {
 		if !inScope(scope, pg) {
 			continue
 		}
@@ -118,13 +119,15 @@ func (p *entryMW) flushDirty(s *core.SyncEvent, scope []core.Page) {
 	// One envelope per home, every envelope in flight before the first
 	// wait: flushes to distinct homes overlap.
 	b.Flush(true)
+	p.d.FreePageList(pl)
 }
 
 func (p *entryMW) dropCopies(s *core.SyncEvent, scope []core.Page) {
 	node := s.Node
-	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
-	for _, pg := range p.d.PagesOn(node, buf[:0]) {
+	pl := p.d.NewPageList()
+	pl.Pages = p.d.PagesOn(node, pl.Pages)
+	for _, pg := range pl.Pages {
 		if !inScope(scope, pg) {
 			continue
 		}
@@ -149,6 +152,7 @@ func (p *entryMW) dropCopies(s *core.SyncEvent, scope []core.Page) {
 		}
 	}
 	b.Flush(true)
+	p.d.FreePageList(pl)
 }
 
 // DiffServer applies arriving diffs to the reference copy.

@@ -69,9 +69,10 @@ func (p *ercSW) LockAcquire(*core.SyncEvent) {}
 // across holders.
 func (p *ercSW) LockRelease(s *core.SyncEvent) {
 	node := s.Node
-	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
-	for _, pg := range p.d.DirtyPages(p, node, buf[:0]) {
+	pl := p.d.NewPageList()
+	pl.Pages = p.d.DirtyPages(p, node, pl.Pages)
+	for _, pg := range pl.Pages {
 		p.d.ClearDirty(node, pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
@@ -86,4 +87,5 @@ func (p *ercSW) LockRelease(s *core.SyncEvent) {
 		cs.ForEach(func(n int) { b.Invalidate(n, pg, -1) })
 	}
 	b.Flush(true)
+	p.d.FreePageList(pl)
 }

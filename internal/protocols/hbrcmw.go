@@ -77,10 +77,11 @@ func (p *hbrcMW) LockAcquire(*core.SyncEvent) {}
 // aggregation).
 func (p *hbrcMW) LockRelease(s *core.SyncEvent) {
 	node := s.Node
-	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
 	useNotices := s.Barrier && p.d.NoticesUsable(s.Lock)
-	for _, pg := range p.d.DirtyPages(p, node, buf[:0]) {
+	pl := p.d.NewPageList()
+	pl.Pages = p.d.DirtyPages(p, node, pl.Pages)
+	for _, pg := range pl.Pages {
 		p.d.ClearDirty(node, pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
@@ -123,6 +124,7 @@ func (p *hbrcMW) LockRelease(s *core.SyncEvent) {
 		}
 	}
 	b.Flush(true)
+	p.d.FreePageList(pl)
 }
 
 // DiffServer runs at the home: apply the writer's diffs to the reference

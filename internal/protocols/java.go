@@ -62,9 +62,10 @@ func (p *java) InvalidateServer(iv *core.Invalidate) { core.FlushAndDrop(iv) }
 // transmitted recorded modifications.
 func (p *java) LockAcquire(s *core.SyncEvent) {
 	node := s.Node
-	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
-	for _, pg := range p.d.PagesOn(node, buf[:0]) {
+	pl := p.d.NewPageList()
+	pl.Pages = p.d.PagesOn(node, pl.Pages)
+	for _, pg := range pl.Pages {
 		e := p.d.Entry(node, pg)
 		if e.Home == node {
 			continue
@@ -85,6 +86,7 @@ func (p *java) LockAcquire(s *core.SyncEvent) {
 	}
 	// One envelope per home, waits overlapped across homes.
 	b.Flush(true)
+	p.d.FreePageList(pl)
 }
 
 // LockRelease transmits the modifications recorded since the last release to
@@ -92,9 +94,10 @@ func (p *java) LockAcquire(s *core.SyncEvent) {
 // exit), blocking until they are applied.
 func (p *java) LockRelease(s *core.SyncEvent) {
 	node := s.Node
-	var buf [sweepPages]core.Page
 	b := p.d.NewBatch(s.Thread)
-	for _, pg := range p.d.DirtyPages(p, node, buf[:0]) {
+	pl := p.d.NewPageList()
+	pl.Pages = p.d.DirtyPages(p, node, pl.Pages)
+	for _, pg := range pl.Pages {
 		p.d.ClearDirty(node, pg)
 		e := p.d.Entry(node, pg)
 		e.Lock(s.Thread)
@@ -105,6 +108,7 @@ func (p *java) LockRelease(s *core.SyncEvent) {
 		}
 	}
 	b.Flush(true)
+	p.d.FreePageList(pl)
 }
 
 // DiffServer applies arriving modifications to the reference copy at the

@@ -17,11 +17,6 @@ package protocols
 
 import "dsmpm2/internal/core"
 
-// sweepPages sizes the stack buffers of the hooks' page sweeps: a sweep of
-// more pages than this spills its list to the heap, a smaller one costs the
-// hook no allocation.
-const sweepPages = 32
-
 // IDs collects the protocol identifiers assigned at registration.
 type IDs struct {
 	LiHudak       core.ProtoID
