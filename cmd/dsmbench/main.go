@@ -594,7 +594,10 @@ func multicluster(a *cliArgs) (any, error) {
 // one saturated link serialize in virtual time.
 func contention(a *cliArgs) (any, error) {
 	header(fmt.Sprintf("Link contention: %d concurrent 4 KiB transfers over one BIP/Myrinet link", a.readers))
-	res := bench.Contention(dsmpm2.BIPMyrinet, a.readers)
+	res, err := bench.Contention(dsmpm2.BIPMyrinet, a.readers)
+	if err != nil {
+		return nil, err
+	}
 	fmt.Printf("%-34s %12.0f\n", "mean fault, contention off (us)", res.MeanFaultOffUS)
 	fmt.Printf("%-34s %12.0f\n", "mean fault, contention on  (us)", res.MeanFaultOnUS)
 	fmt.Printf("%-34s %12d\n", "messages queued on busy link", res.Waits)
@@ -635,8 +638,8 @@ func kernel(*cliArgs) (any, error) {
 	}
 	fmt.Println("(at-now, new-run and joined share the events: an at-now push appends to the")
 	fmt.Println(" now-ring, a new-run push is a heap insert, a joined one a ring append; deadlines l/i =")
-	fmt.Println(" timed-wait records fired live / inert; resumes = coroutine resumes by the event loop,")
-	fmt.Println(" two switches each; steps = step proc bodies run, no switch (a page install);")
+	fmt.Println(" timed-wait records fired live / inert; resumes = procs resumed by the event loop,")
+	fmt.Println(" one switch each; steps = step proc bodies run, no switch (a page install);")
 	fmt.Println(" self-wakes = wake records a yielding proc consumed without a switch; drains = bursts")
 	fmt.Println(" handed to a bound channel's sink)")
 	return &kernelSnapshot{Current: cur}, nil

@@ -122,9 +122,10 @@ type ContentionResult struct {
 // homed on node 0, so every page transfer crosses the single 0->1 link
 // concurrently. With the link model off the transfers overlap for free;
 // with it on they serialize FIFO and the mean fault inflates by the
-// queueing delay.
-func Contention(prof *madeleine.Profile, readers int) ContentionResult {
-	run := func(contended bool) (meanUS float64, waits int, waitUS float64) {
+// queueing delay. It errors if a run fails or records other than one fault
+// per reader.
+func Contention(prof *madeleine.Profile, readers int) (ContentionResult, error) {
+	run := func(contended bool) (meanUS float64, waits int, waitUS float64, err error) {
 		sys := dsmpm2.MustNew(dsmpm2.Config{
 			Nodes: 2, Network: prof, Protocol: "li_hudak",
 			LinkContention: contended,
@@ -135,18 +136,23 @@ func Contention(prof *madeleine.Profile, readers int) ContentionResult {
 				t.ReadUint64(base)
 			})
 		}
-		mustRun(sys.Run())
+		if err := sys.Run(); err != nil {
+			return 0, 0, 0, err
+		}
 		mean, n := sys.Timings().MeanTiming("")
 		if n != readers {
-			panic(fmt.Sprintf("bench: expected %d fault records, have %d", readers, n))
+			return 0, 0, 0, fmt.Errorf("bench: expected %d fault records, have %d", readers, n)
 		}
 		ls := sys.Runtime().Network().LinkStats()
-		return mean.Total.Microseconds(), ls.Waits, ls.WaitTime.Microseconds()
+		return mean.Total.Microseconds(), ls.Waits, ls.WaitTime.Microseconds(), nil
 	}
 	res := ContentionResult{Readers: readers}
-	res.MeanFaultOffUS, _, _ = run(false)
-	res.MeanFaultOnUS, res.Waits, res.WaitTimeUS = run(true)
-	return res
+	var err error
+	if res.MeanFaultOffUS, _, _, err = run(false); err != nil {
+		return res, err
+	}
+	res.MeanFaultOnUS, res.Waits, res.WaitTimeUS, err = run(true)
+	return res, err
 }
 
 func mustRun(err error) {

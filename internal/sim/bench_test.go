@@ -26,7 +26,8 @@ func BenchmarkAdvanceSelfWake(b *testing.B) {
 
 // BenchmarkWakeHandoff measures the cross-proc wake: two procs ping-pong
 // through channels, so every iteration is two parks, two unpark wake records
-// and two round trips between the event loop and a coroutine.
+// and two hand-offs, each one coroutine switch from the parking proc's
+// goroutine straight to the other's.
 func BenchmarkWakeHandoff(b *testing.B) {
 	e := NewEngine(1)
 	ping, pong := new(Chan), new(Chan)
@@ -76,8 +77,8 @@ func BenchmarkSchedulePush(b *testing.B) {
 
 // BenchmarkSpawnExit measures a whole proc lifecycle on the bare kernel: one
 // proc spawns a short-lived child per iteration, and each child runs on the
-// worker its predecessor left idle — a Proc allocation and a coroutine round
-// trip, no coroutine creation.
+// worker its predecessor left idle — a Proc allocation and two hand-offs, to
+// the child and back to the parent, no coroutine creation.
 func BenchmarkSpawnExit(b *testing.B) {
 	e := NewEngine(1)
 	e.Go("parent", func(p *Proc) {

@@ -11,8 +11,8 @@ import (
 
 // A model-based differential test of the event queue. A program is a byte
 // string, two bytes per step: an operation and a time selector. It is run
-// white-box against the engine's queue — push, pop, fireUntilWake (on a shard:
-// popSelfWake) and, on a shard, shardCtl.nextEvent with remote events in the
+// white-box against the engine's queue — push, pop, the event loop's turn (on
+// a shard: popSelfWake) and, on a shard, shardCtl.nextEvent with remote events in the
 // pending heap — and against calModel, which keeps every queued record in a
 // flat list and finds the next one by scanning for the least (time, seq). The
 // two must agree on every pop, on every record a yielding proc fires, on every
@@ -22,7 +22,7 @@ import (
 
 const (
 	calPop      = iota // fire the next event through pop (on a shard: nextEvent)
-	calSelfWake        // yield: fireUntilWake (on a shard: popSelfWake) must stop at the right record
+	calSelfWake        // yield: turn (on a shard: popSelfWake) must stop at the right record
 	calWake            // push a wake record (of a dead proc for every fourth record)
 	calChan            // push a Chan push record
 	calClosure         // push a closure record
@@ -133,6 +133,7 @@ var calThread = new(worker)
 // shard's, failing t at the first disagreement with the model.
 func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 	e := NewEngine(1)
+	e.nlive = 1 // the yielding proc: no record is parking
 	limit := maxTime
 	var sh *shardCtl
 	if sharded {
@@ -257,8 +258,8 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 			}
 		case op == calSelfWake:
 			// The model's yield: fire every record up to the first that
-			// resumes a proc, and that one too if it is the yielding proc's
-			// wake. The yielding proc is that record's or, for odd args, a
+			// resumes a proc and consume that one too, handing over its
+			// proc. The yielding proc is that record's or, for odd args, a
 			// bystander's.
 			p := &Proc{eng: e, w: calThread}
 			var fire []calRec
@@ -270,20 +271,22 @@ func runCalendarProgram(t testing.TB, prog []byte, sharded bool) {
 				}
 				fire = append(fire, r)
 			}
-			if stop != nil && arg&1 == 0 {
-				p = procs[stop.id]
+			var want *Proc
+			if stop != nil {
+				want = procs[stop.id]
+				if arg&1 == 0 {
+					p = want
+				}
+				fire = append(fire, *stop)
 			}
-			isWake := stop != nil && procs[stop.id] == p
 			events, inert := e.nevents, e.qs.DeadlineInert
 			nclosures, nmsgs := len(closures), ch.Len()
 			e.cur = p
-			got := e.fireUntilWake(p)
-			e.cur = nil
-			if got != isWake {
-				t.Fatalf("fireUntilWake = %v, model says %v (stop %+v)", got, isWake, stop)
+			if got := e.turn(p.w, p); got != want {
+				t.Fatalf("turn handed over %v, model says %v (stop %+v)", got, want, stop)
 			}
-			if isWake {
-				fire = append(fire, *stop)
+			if e.cur != p {
+				t.Fatalf("turn left Cur() = %v, want the yielding proc", e.cur)
 			}
 			var wantClosures, wantMsgs []int
 			var wantInert uint64
@@ -393,12 +396,12 @@ var abab = []byte{
 
 // yieldOver queues, at one time, a closure, a deadline, a push, a dead
 // proc's wake and a drain ahead of two wakes: a yield by a bystander fires
-// the first five and stops at the first wake, and one by the second wake's
-// proc, after the first pops, takes its wake. A drain and a wake queued at
+// the first five and hands the turn to the first wake's proc, and one by the
+// second wake's proc then takes its own wake. A drain and a wake queued at
 // that instant then stop a bystander's yield after the drain.
 var yieldOver = []byte{
 	calClosure, 5, calDeadline, 5, calChan, 5, calWake, 5, calDrain, 5, calWake, 5, calWake, 5,
-	calSelfWake, 1, calPop, 0, calSelfWake, 0, calDrain, 0, calWake, 0, calSelfWake, 1,
+	calSelfWake, 1, calSelfWake, 0, calDrain, 0, calWake, 0, calSelfWake, 1,
 }
 
 func FuzzCalendarOrder(f *testing.F) {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -69,7 +70,7 @@ type QueueStats struct {
 	DeadlineLive  uint64 `json:"deadline_live"`  // deadline records that fired into their wait
 	DeadlineInert uint64 `json:"deadline_inert"` // deadline records whose wait was already over
 	PeakHeap      int    `json:"peak_heap"`      // most runs in the heap at once
-	Resumes       uint64 `json:"resumes"`        // coroutine resumes by the event loop (two switches each)
+	Resumes       uint64 `json:"resumes"`        // procs resumed by the event loop (one switch each, none for a rebound worker)
 	Steps         uint64 `json:"steps"`          // step proc bodies run (no switch; see SpawnStep)
 	SelfWakes     uint64 `json:"self_wakes"`     // wake records a yielding proc consumed itself (no switch)
 	Drains        uint64 `json:"drains"`         // drain records that handed a burst to a sink
@@ -109,6 +110,16 @@ type Engine struct {
 	nextID  int
 	nlive   int    // procs spawned and not yet finished
 	nevents uint64 // events fired since creation
+
+	// home is the slot that the home goroutine — Run's, or a shard
+	// controller's — is parked in while another goroutine holds the turn
+	// (see pass), and homed counts the times it got the turn back. A worker
+	// whose stack panicked or called runtime.Goexit records that in failed
+	// and panicked and hands the turn home, which raises it again (see work).
+	home     *worker
+	homed    uint64
+	failed   bool
+	panicked interface{}
 
 	// live heads the intrusive list of procs that have neither finished nor
 	// been killed (daemons included); deadlock reports walk it. idle is the
@@ -355,14 +366,13 @@ func (d *DeadlockError) Error() string {
 // goroutine that owns the engine (typically the test or main goroutine), and
 // only once at a time.
 //
-// The event loop runs on the calling goroutine: it pops events in (time, seq)
-// order, dispatches call and push events inline, and for a wake event
-// resumes the woken proc's coroutine, which runs until the proc blocks or
-// finishes and then switches straight back (see drive). Nothing else is ever
-// runnable, so a panic inside a proc unwinds through Run into the caller with
-// the proc's value, and a runtime.Goexit inside one (a t.Fatal) ends the
-// calling goroutine. Either leaves the kernel mid-event: an engine whose proc
-// panicked is not to be run again.
+// The event loop runs on whichever goroutine holds the turn: Run's, and the
+// goroutine of each proc it resumes, which runs the loop itself once the proc
+// blocks or finishes and passes the turn straight to the next proc (see
+// drive). A panic inside a proc, or inside a record fired on its stack,
+// unwinds through Run into the caller with its value, and a runtime.Goexit
+// inside one (a t.Fatal) ends the calling goroutine. Either leaves the kernel
+// mid-event: an engine whose proc panicked is not to be run again.
 func (e *Engine) Run() error {
 	if e.sh != nil {
 		panic("sim: Run called on one shard of a sharded engine; use ShardedEngine.Run")
@@ -401,41 +411,101 @@ func (e *Engine) blocked(prefix string) []string {
 	return out
 }
 
-// drive is the event loop: pop and dispatch events until the queue drains,
-// its head lies past the bound (on a shard: until the horizon-bounded merge
-// is exhausted, see shardCtl.nextEvent) or Stop is called. Every event but
-// one that resumes a proc fires inline with e.cur == nil (engine context,
-// see fire). A resume switches to the proc's coroutine and returns here when
-// the proc yields: two coroutine switches per wake, with no run queue and no
-// second thread woken, which is cheaper than the one channel rendezvous a
-// direct proc-to-proc hand-off would cost.
+// drive is the home goroutine's event loop, Run's or a shard controller's: it
+// hands the turn to each proc the loop comes to (see turn and pass) and
+// returns when the run stops — on Stop, on an empty queue, at a head past the
+// bound. A proc's goroutine runs the same loop when the proc yields (see
+// Proc.yield), and a worker's when its proc finished (see work), and passes
+// the turn straight to the next proc: home gets it back only when the run
+// stops, when a fired record killed the proc yielding, or on a failure.
 func (e *Engine) drive() {
+	for q := e.turn(nil, nil); q != nil; q = e.turn(nil, nil) {
+		e.pass(nil, q)
+	}
+}
+
+// turn is the event loop, run by whichever goroutine holds the turn: that of
+// worker w, whose proc p is yielding (nil once it finished), or with w nil the
+// home goroutine. It fires records in (time, seq) order, in engine context
+// (see fireHead), up to the first that resumes a proc, and returns that proc
+// with its record consumed; when it is p, the proc runs on with no switch (a
+// self-wake). It returns nil on Stop, on an empty queue, at a head past the
+// bound, and once a fired record killed p. With every non-daemon proc
+// finished it takes a parking record in passing, without moving the clock. A
+// shard keeps its own rule (see shardTurn).
+func (e *Engine) turn(w *worker, p *Proc) *Proc {
+	if e.sh != nil {
+		return e.shardTurn(w, p)
+	}
 	for !e.stopped {
-		var ev event
-		if sh := e.sh; sh != nil {
-			var ok bool
-			if ev, ok = sh.nextEvent(e); !ok {
-				return
+		q, t := e.head()
+		switch {
+		case q == nil:
+			return nil
+		case e.nlive == 0 && parking(q):
+			t = e.now
+		case t > e.horizon:
+			return nil
+		case q.peek().proc == p && p != nil:
+			e.pop(q, t)
+			e.qs.SelfWakes++
+			return p
+		default:
+			if r := q.peek().resumes(); r != nil {
+				e.pop(q, t)
+				return r
 			}
-		} else if q, t := e.head(); q == nil {
-			return
-		} else if e.nlive == 0 && parking(q) {
-			now := e.now
-			ev = e.pop(q, t)
-			e.now = now
-		} else if t <= e.horizon {
-			ev = e.pop(q, t)
-		} else {
+		}
+		if !e.fireHead(p, q, t) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// fireHead pops the record at q's head, which resumes no proc, as due at t,
+// fires it in engine context on the stack of p (nil: no proc yielding) and
+// reports whether p survived it. It is out of turn so that a yield that fires
+// nothing keeps turn's small frame: the event copy lives here.
+func (e *Engine) fireHead(p *Proc, q *ring, t Time) bool {
+	ev := e.pop(q, t)
+	e.cur = nil
+	e.fire(&ev)
+	e.cur = p
+	return p == nil || !p.dead
+}
+
+// pass hands the turn from the goroutine of worker w (nil: home) to proc q,
+// which turn returned, or home when q is nil, and returns when w's goroutine
+// is resumed. A proc spawned onto w since w's proc finished runs on with no
+// switch. A worker's goroutine woken instead because the coroutine of its slot
+// ended (see releaseIdle) passes the turn home. Home raises again what a
+// failed worker recorded (see work).
+func (e *Engine) pass(w *worker, q *Proc) {
+	s := e.home
+	if q == nil {
+		e.cur = nil
+	} else {
+		e.qs.Resumes++
+		e.cur = q
+		if q.w == w {
 			return
 		}
-		if p := ev.resumes(); p != nil {
-			e.qs.Resumes++
-			e.cur = p
-			p.w.resume()
-			e.cur = nil
-		} else {
-			e.fire(&ev)
+		s = q.w.slot
+	}
+	if w != nil {
+		for !s.swap(&w.slot) {
+			s = e.home
 		}
+		return
+	}
+	s.swap(&e.home)
+	e.homed++
+	if e.failed {
+		if v := e.panicked; v != nil {
+			panic(v)
+		}
+		runtime.Goexit()
 	}
 }
 
@@ -478,68 +548,6 @@ func (e *Engine) fire(ev *event) {
 		e.qs.Calls++
 		ev.payload.(Caller).Fire()
 	}
-}
-
-// fireUntilWake runs the event loop on the stack of p, which is about to
-// yield, for as long as that saves a switch: it fires the records at the
-// queue's head that resume no proc, exactly as drive would, and stops at the
-// first that resumes one. It reports true, having consumed the record, when
-// that is p's own wake: p keeps running. It reports false, and p must switch
-// out, at another proc's resume, on Stop, on an empty queue, at a head past
-// the bound, or when a fired record killed p, which is then never resumed.
-//
-// A shard leaves every record to drive, whose merge with the remote events
-// and horizon it would otherwise have to repeat, and only takes its own wake
-// from the queue's head (see popSelfWake).
-func (e *Engine) fireUntilWake(p *Proc) bool {
-	if e.sh != nil {
-		return e.popSelfWake(p)
-	}
-	for {
-		q, t := e.head()
-		if e.stopped || q == nil || t > e.horizon {
-			return false
-		}
-		if ev := q.peek(); ev.proc == p {
-			e.pop(q, t)
-			e.qs.SelfWakes++
-			return true
-		} else if ev.resumes() != nil || !e.fireNext(p, q, t) {
-			return false
-		}
-	}
-}
-
-// fireNext pops the head record of q, at time t, which resumes no proc,
-// fires it in engine context on the stack of the yielding p, and reports
-// whether p survived it. It is out of fireUntilWake so that the common
-// yield, which fires nothing, keeps popSelfWake's small frame: the event
-// copies live here.
-func (e *Engine) fireNext(p *Proc, q *ring, t Time) bool {
-	ev := e.pop(q, t)
-	e.cur = nil
-	e.fire(&ev)
-	e.cur = p
-	return !p.dead
-}
-
-// popSelfWake consumes the next event if it is p's own wake record, exactly
-// as drive would have popped it and resumed p, and reports whether it did. It
-// is the shards' fireUntilWake.
-func (e *Engine) popSelfWake(p *Proc) bool {
-	q, t := e.head()
-	if e.stopped || q == nil {
-		return false
-	}
-	if q.peek().proc != p {
-		return false
-	}
-	if sh := e.sh; sh != nil && (t >= sh.limit || len(sh.pending) > 0 && sh.pending[0].t < t) {
-		return false
-	}
-	e.pop(q, t)
-	e.qs.SelfWakes++
-	return true
 }
 
 // Stop pauses the simulation: Run returns after the current event completes,

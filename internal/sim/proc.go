@@ -57,12 +57,34 @@ func (f runnerFunc) Run(p *Proc) { f(p) }
 // Proc is new per spawn — ids, names, kill state and stale wake records are
 // per proc, and a dead proc's records are skipped by p.dead, so nothing of the
 // previous tenant leaks into the next.
+//
+// The turn passes between goroutines with one switch (see swap). Each
+// coroutine is a slot that holds one parked goroutine, not necessarily its
+// own: a goroutine that switches through a slot parks in it and runs the one
+// parked there. slot records where this worker's goroutine is parked, and
+// nexted which half of this coroutine's iter.Pull switches next.
 type worker struct {
-	// resume switches to the coroutine and returns when it next yields (its
-	// proc blocked or finished); yield is the other direction, called on the
-	// coroutine.
-	resume func() (struct{}, bool)
+	next   func() (struct{}, bool)
 	yield  func(struct{}) bool
+	slot   *worker // the coroutine this worker's goroutine is parked in; its own before it first runs
+	nexted bool    // next was called last, so yield is the half that switches next
+}
+
+// swap parks the calling goroutine in slot s, recording s in *at, and runs the
+// goroutine parked there: one coroswitch, through the half of s's iter.Pull
+// that this goroutine did not park through — next if it parked through yield or
+// never ran, yield if it parked through next. It returns when the caller is
+// switched back: true when another goroutine swapped into its slot, false when
+// that slot's coroutine ended (see releaseIdle).
+func (s *worker) swap(at **worker) bool {
+	*at = s
+	if s.nexted {
+		s.nexted = false
+		return s.yield(struct{}{})
+	}
+	s.nexted = true
+	_, ok := s.next()
+	return ok
 }
 
 // Spawn creates a new simulated thread named name that will start executing
@@ -120,23 +142,41 @@ func (e *Engine) spawn(p *Proc, name string, start Time, body Runner, w *worker)
 	return p
 }
 
-// newWorker creates a worker coroutine: run a proc to its end, go idle, yield
-// to the event loop, repeat. Every resume of an idle worker is the first
-// dispatch of the proc bound to it since, which the event loop has just made
-// e.cur — or, with no proc current, releaseIdle ending the coroutine (that,
-// not iter.Pull's stop, so that a parked worker holds one closure fewer).
+// newWorker creates a worker coroutine, parked in its own slot until a resume
+// first switches to it (see work).
 func (e *Engine) newWorker() *worker {
-	w := new(worker)
-	w.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
-		w.yield = yield
-		for p := e.cur; p != nil; p = e.cur {
-			p.body.Run(p)
-			p.Exit()
-			e.idle.Put(w)
-			yield(struct{}{})
-		}
-	})
+	w := &worker{}
+	w.slot = w
+	w.next, _ = iter.Pull(e.work)
 	return w
+}
+
+// work is a worker coroutine's body: run the proc the event loop has just made
+// e.cur to its end, go idle and run the loop on this stack (see Engine.turn)
+// until a resume dispatches the next proc bound to the worker — or, with no
+// proc current, releaseIdle ends the coroutine. A panic or runtime.Goexit
+// anywhere on the stack, in a body or in a record fired there, is recorded and
+// the turn handed home, which raises it again (see Engine.pass): the goroutine
+// iter.Pull would wake with it need not be Run's. The failed goroutine stays
+// parked.
+func (e *Engine) work(yield func(struct{}) bool) {
+	p := e.cur
+	w := p.w
+	w.yield = yield
+	returned := false
+	defer func() {
+		if !returned {
+			e.failed, e.panicked = true, recover()
+			e.home.swap(&w.slot)
+		}
+	}()
+	for ; p != nil; p = e.cur {
+		p.body.Run(p)
+		p.Exit()
+		e.idle.Put(w)
+		e.pass(w, e.turn(w, nil))
+	}
+	returned = true
 }
 
 // Exit ends a step proc, as returning from its body ends a thread.
@@ -163,13 +203,16 @@ func (e *Engine) unlink(p *Proc) {
 
 // releaseIdle lets go of what only a running engine needs: it ends the idle
 // workers' coroutines, synchronously, and drops the burst-sized buffers of the
-// pooled rings and of the drained now-ring. Run calls it on return, in engine
-// context: between Run phases nothing can use the workers, and a finished
+// pooled rings and of the drained now-ring. Run calls it on return, holding the
+// turn: between Run phases nothing can use the workers, and a finished
 // simulation must not pin goroutines. A worker bound to a live proc is not on
-// the idle list and stays suspended.
+// the idle list and stays suspended. An ended coroutine wakes the goroutine
+// parked in its slot, which may be another proc's, a killed one's or the one
+// that called Run; another passes the turn straight back (see Engine.pass).
 func (e *Engine) releaseIdle() {
+	e.cur = nil
 	for w, ok := e.idle.Get(); ok; w, ok = e.idle.Get() {
-		w.resume()
+		w.slot.swap(&e.home)
 	}
 	e.free.Each((*ring).trim)
 	e.nowRing.trim()
@@ -206,16 +249,16 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// yield suspends the proc until its next wake record fires. The proc first
-// fires, on its own stack, the records ahead of the next resume (see
-// Engine.fireUntilWake): when that resume is its own — an uncontended Advance,
-// or one whose wake only engine-context records precede — it keeps running
-// with no switch at all. Otherwise the coroutine switches back to the event
-// loop that resumed it (see Engine.drive), which dispatches events until one
-// resumes this worker again.
+// yield suspends the proc until its next wake record fires. The proc's
+// goroutine runs the event loop itself (see Engine.turn): when the next
+// resume is its own — an uncontended Advance, or one whose wake only
+// engine-context records precede — it keeps running with no switch at all;
+// otherwise it switches straight to the proc resumed, and returns once some
+// goroutine resumes it in turn.
 func (p *Proc) yield() {
-	if !p.eng.fireUntilWake(p) {
-		p.w.yield(struct{}{})
+	e := p.eng
+	if q := e.turn(p.w, p); q != p {
+		e.pass(p.w, q)
 	}
 }
 
@@ -261,8 +304,9 @@ func (p *Proc) ParkFor(reason string, other *Proc) {
 // from engine context or another proc — a proc cannot kill itself (the event
 // loop could not get control back from a proc that never yields again).
 //
-// The killed proc's coroutine stays suspended for the rest of the process;
-// neither its worker nor its storage (see SpawnInto) is ever reused — a
+// The killed proc's goroutine stays parked for the rest of the process (an
+// ended coroutine may move it to another slot, see releaseIdle); neither its
+// worker nor its storage (see SpawnInto) is ever reused — a
 // deliberate leak of one small stack per kill. Unwinding it (resumed once more,
 // the proc would have to panic or Goexit out of its body) would run the proc's
 // deferred calls in the middle of the simulation, after its resources were

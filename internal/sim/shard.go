@@ -562,6 +562,51 @@ func (sh *shardCtl) nextEvent(e *Engine) (event, bool) {
 	return e.pop(q, lt), true
 }
 
+// shardTurn is turn on a shard. Home pops the merge of the local calendar
+// and the remote events under the horizon (see shardCtl.nextEvent) and fires
+// every record up to a resume. A shard's worker only takes its own wake at the
+// head (see popSelfWake) and leaves every other record to home, whose merge
+// with the remote events and horizon it would otherwise have to repeat.
+func (e *Engine) shardTurn(w *worker, p *Proc) *Proc {
+	if w != nil {
+		if p != nil && e.popSelfWake(p) {
+			return p
+		}
+		return nil
+	}
+	for !e.stopped {
+		ev, ok := e.sh.nextEvent(e)
+		if !ok {
+			return nil
+		}
+		if q := ev.resumes(); q != nil {
+			return q
+		}
+		e.cur = nil
+		e.fire(&ev)
+	}
+	return nil
+}
+
+// popSelfWake consumes the next event if it is p's own wake record, exactly
+// as the shard's home would have popped it and resumed p, and reports whether
+// it did.
+func (e *Engine) popSelfWake(p *Proc) bool {
+	q, t := e.head()
+	if e.stopped || q == nil {
+		return false
+	}
+	if q.peek().proc != p {
+		return false
+	}
+	if sh := e.sh; t >= sh.limit || len(sh.pending) > 0 && sh.pending[0].t < t {
+		return false
+	}
+	e.pop(q, t)
+	e.qs.SelfWakes++
+	return true
+}
+
 // SchedulePushShard is SchedulePush routed to the shard that owns the
 // destination: local destinations (or a standalone engine) take the
 // ordinary allocation-free path, remote ones become cross-shard mailbox

@@ -53,6 +53,35 @@ func TestInertDeadlineDoesNotMoveTheEnd(t *testing.T) {
 	}
 }
 
+// The drain takes a parking record in passing on whichever stack it runs: a
+// daemon that parks after the last proc finished must not move the clock to a
+// finished proc's inert deadline, as the loop's turn on the daemon's own stack
+// once did (t=100) where Run's goroutine did not.
+func TestDaemonParkAfterDrainKeepsClock(t *testing.T) {
+	e := NewEngine(1)
+	var ch Chan
+	e.Go("a", func(p *Proc) {
+		if _, ok := ch.RecvTimeout(p, 100); !ok {
+			t.Error("the wait timed out")
+		}
+	})
+	e.SchedulePush(10, &ch, "m")
+	d := e.Go("d", func(p *Proc) {
+		p.Advance(11)
+		p.Park("forever")
+	})
+	d.MarkDaemon()
+	if err := runWithin(t, e.Run); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 11 {
+		t.Errorf("run ends at %v, want %v: the daemon's park fired the inert deadline with the clock", e.Now(), Time(11))
+	}
+	if qs := e.QueueStats(); qs.DeadlineInert != 1 {
+		t.Errorf("%d inert deadline records fired, want 1", qs.DeadlineInert)
+	}
+}
+
 // A message delivered just before the deadline must not leave a timer that
 // later yanks the receiver out of the channel's FIFO. With the stale record
 // live, receiver A is removed and re-queued behind B when the old timer

@@ -9,7 +9,7 @@ import (
 )
 
 // A yielding proc fires the engine-context records ahead of the next resume
-// itself, on its own stack (see Engine.fireUntilWake). These pin that such a
+// itself, on its own stack (see Engine.drive). These pin that such a
 // record sees what it would see fired by the event loop, and that whatever it
 // does — kill the proc, stop the engine, panic, exit the goroutine — ends the
 // same way.
@@ -17,11 +17,12 @@ import (
 // Cur returns the proc currently running, or nil when in pure engine context.
 func (e *Engine) Cur() *Proc { return e.cur }
 
-// onYieldingStack reports whether the caller runs inside a yielding proc's
-// fireUntilWake rather than in the event loop's own dispatch.
+// onYieldingStack reports whether the caller runs on a worker's goroutine — a
+// yielding proc's, or one whose proc finished — rather than on the one that
+// called Run.
 func onYieldingStack() bool {
 	buf := make([]byte, 64<<10)
-	return strings.Contains(string(buf[:runtime.Stack(buf, false)]), "fireUntilWake")
+	return strings.Contains(string(buf[:runtime.Stack(buf, false)]), "iter.Pull")
 }
 
 // yieldOnto spawns a proc that schedules fn 5 ns ahead and advances onto it:

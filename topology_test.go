@@ -69,7 +69,10 @@ func TestLinkMatrixAsymmetricMigration(t *testing.T) {
 // observable queueing delay, while the same workload with the model off
 // overlaps for free.
 func TestContentionQueuesSaturatedLink(t *testing.T) {
-	res := bench.Contention(dsmpm2.BIPMyrinet, 6)
+	res, err := bench.Contention(dsmpm2.BIPMyrinet, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.MeanFaultOnUS <= res.MeanFaultOffUS {
 		t.Errorf("contended mean fault (%.0fus) not above uncontended (%.0fus)",
 			res.MeanFaultOnUS, res.MeanFaultOffUS)
